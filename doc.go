@@ -1,122 +1,118 @@
 // Package repro is a reproduction of "MPI Collective Operations over IP
 // Multicast" (Chen, Carrasco, Apon — IPPS/SPDP 2000): an MPI subset whose
-// broadcast and barrier run over IP multicast with scout synchronization,
-// together with the MPICH-style baselines, a discrete-event Fast Ethernet
-// testbed (hub and switch) that regenerates every figure of the paper's
-// evaluation, and a real UDP/IP-multicast transport.
+// collectives run over IP multicast with scout synchronization, the
+// MPICH-style baselines it is compared against, a discrete-event Fast
+// Ethernet testbed (hub and switch) that regenerates every figure of the
+// paper's evaluation, and a real UDP/IP-multicast transport.
 //
-// Beyond the paper's two operations, internal/core composes the
-// scout-gated multicast primitive into a full collective suite, operating
-// at fragment granularity: AllgatherMcast runs N scout-gated rounds
-// (N·ceil(M/T) data frames where the unicast ring moves
-// N(N-1)·ceil(M/T)); ScatterMcast and AlltoallMcast address each
-// destination slice to that rank's private multicast group
-// (transport.SliceGroup), so a receiver's NIC delivers exactly the
-// pairwise-unicast byte count while the sends stay on the connectionless
-// bypass (the whole-buffer PR 1/2 forms survive as
-// ScatterMcastWhole/AlltoallMcastWhole); AllreduceMcast pairs a binomial
-// reduce with the multicast broadcast, and AllreduceMcastChunked
-// replaces the rank-0 funnel with per-slice binomial reduce-scatter
-// walks plus a multicast allgather of the reduced slices (≤ ~2M bytes
-// through any rank); GatherMcast reuses the scout machinery for
-// overrun-safe collection. The multi-round collectives run on a shared
-// round engine that can pipeline round r+1's scout gather under round
-// r's data multicast (core.BinaryPipelined) — loss-free under strict
-// posted-receive semantics at every payload size (sub-frame rounds use
-// forwarding-free linear gathers, the previous sender is seated as a
-// direct leaf of tree gathers, sliced senders transmit the next sender's
-// slice last, and sub-frame data is paced by one scout-frame time). The
-// NACK-repaired resilient variant (core.ResilientAlgorithms) survives
-// in-flight fragment loss with selective repair: a NACK carries the
-// receiver's missing-fragment list and the sender retransmits only those
-// fragments under the original message id, so repair cost is O(missing),
-// independent of message size. Figures 14-19 (and the BenchmarkExt*
-// benchmarks in bench_test.go) measure the suite against the MPICH
-// baselines; the suite-wide conformance harness in internal/core/coretest
-// cross-validates all seven collectives against a pure oracle, including
-// under graded injected loss.
+// The paper's idea is one sentence: IP multicast is receiver-directed and
+// unreliable — "a receiver that is not ready loses the message" — so
+// before the root multicasts once, every receiver proves with a small
+// point-to-point scout that its receive is posted. Everything below
+// either carries that idea (core), makes its assumptions true (reliab),
+// gives it a network to run on (sim, ethernet, ipnet, simnet, udpnet), or
+// measures it (bench, benchmark). The layers, bottom up; each is a
+// package under internal/ and imports only packages listed before it
+// (the one exception is udpnet.Run, the helper that starts an mpi world
+// on sockets):
 //
-// Point-to-point delivery is reliable as of PR 4: internal/reliab layers
-// per-peer sequence-numbered streams with a sliding send window,
-// cumulative acknowledgments and selective retransmission under every
-// bypass p2p message (scouts, reduce halves, gather chunks, repair
-// NACKs), implemented by both network transports behind the
-// transport.ReliableSender capability — so the loss model may drop ANY
-// frame kind and the suite still completes (the receiver-silent happy
-// path keeps the lossless wire byte-identical to the paper's model).
-// simnet's switch gained 802.3x-style flow control (a full egress queue
-// PAUSEs the source instead of tail-dropping, with per-port queue-depth
-// high-watermark counters) and a shared-uplink port mode
-// (simnet.SwitchShared: stations attach in half-duplex segments sharing
-// one port), which together lift the old 64-fragment cap on converging
-// gathers and extend the figure 14/15 N-sweeps to N of 32 (figures
-// 14n/15n, queue table a5). The multicast NACK probe adapts to the
-// observed inter-fragment arrival gap, so the graded loss sweeps extend
-// to 15% loss on 81-fragment messages at O(1) repair frames per loss.
+//   - sim: the discrete-event engine. A heap of timed events with an O(1)
+//     FIFO fast path for same-instant ones (which therefore run in
+//     scheduling order — the property every determinism pin rests on),
+//     and Procs: rank programs as virtual-time processes, one goroutine
+//     each, exactly one running at a time.
 //
-// The fabric became topology-aware in PR 5: internal/topo maps ranks
-// onto the shared-medium segments of the fabric (discovered from the
-// SwitchShared wiring; declared via udpnet.Config.Segments or mpirun
-// -topo for real sockets), with deterministic per-segment leaders and
-// segment-scoped multicast groups (transport.SegmentGroup) whose frames
-// never cross an uplink. The two-level collective suite
-// (core.TwoLevelAlgorithms, bench mcast-2level) combines inside each
-// segment, crosses the uplink fabric once per segment through the
-// leaders, and multicasts results back down — cutting the allgather's
-// scout term from N(N-1) to (N-S)+S(S-1) frames (CI-gated at N+S²+S by
-// the a6 table) and its N=32 shared-uplink latency by 3.1x over the
-// flat pipelined rounds (figures 14h/15h); degenerate topologies
-// delegate to the flat algorithms frame-for-frame. Two model
-// refinements ride along: stream admissions are capped at a shrunk
-// paused window while a NIC is 802.3x-PAUSEd (backpressure reaches host
-// memory, not just the wire), and the modeled-TCP baseline traffic now
-// rides the reliab stream with eager per-segment-pair acks (TCPPenalty
-// charged per ack), retiring the last by-fiat loss exemption — loss
-// sweeps cover the MPICH baselines on both transports.
+//   - ethernet, ipnet: the modelled testbed. NICs with CSMA/CD, a
+//     shared-medium hub, a store-and-forward switch with IGMP snooping,
+//     802.3x PAUSE flow control instead of tail drops and a shared-uplink
+//     port mode; over it a UDP/IP stack with class-D group addressing.
 //
-// PR 6 scaled the simulator stack to N≥256: the event engine runs on a
-// hand-rolled heap with an O(1) FIFO fast path for same-instant events,
-// switch forwarding is snoop-table-driven with incrementally maintained
-// fan-out slices (no O(N) port walk per frame), and the frame-encode
-// hot paths reuse buffers (transport.AppendFragment, pinned alloc-free
-// by test) — all without moving a single simulated timestamp. The
-// shared-uplink sweeps and the a5/a6 gates now run N ∈ {4..256} (1024
-// opt-in via BENCH_LONG), and the measured perf record is machine-
-// readable: `mcastbench -trajectory BENCH_sim.json` writes per
-// collective/N/algorithm sim-µs, deterministic event counts, wall-ns
-// and scout/silent-drop checks, plus aggregate events/sec normalized by
-// a calibration run of the bare engine (so scores compare across
-// machines). The committed BENCH_sim.json at the repo root is the
-// baseline: the CI bench-trajectory job re-measures and fails on any
-// SCOUT-EXCESS/SILENT-DROP entry, a normalized score >10% below the
-// baseline, or per-entry event counts >10% above it (`mcastbench
-// -trajectory out.json -gate BENCH_sim.json`; regenerate the baseline
-// in the same way when a PR legitimately moves the floor).
+//   - transport: what a device is. The Endpoint interface (Send, Recv,
+//     Now), the optional capabilities a device may add (Multicaster,
+//     ReliableSender, DeadlineRecver, FragmentRepairer, Pacer, RecvPoster,
+//     Pinger, PeerFailer, …), the fragment wire codec and reassembler, and
+//     the in-process channel transport used as a race-detector target.
 //
-// The pipelining gap closed next: transport.RecvPoster lets a rank post
-// standing receive descriptors for a whole operation, so the two-level
-// allgather's handshake became scout-only — members prove entry to
-// their leader, leaders prove their segment to every other leader once,
-// and after the segment release every rank multicasts its own chunk
-// directly (same (N-S)+S(S-1) scout budget, flat's exact N·M data bytes
-// per segment wire, every per-round gather collapsed into the entry
-// handshake) — beating flat pipelined at every multi-segment N (−36% at
-// N=8/5000B, fig 14h). The suite gained two-level scatter and alltoall
-// (ScatterTwoLevel, AlltoallTwoLevel): segment-sliced rounds multicast
-// per-segment super-slice blocks to segment groups, so alltoall pays
-// (N-S)+S(S-1) scouts (4,224 vs the flat 65,280 at N=256, gated on the
-// trajectory grid) with leaders exchanging S(S-1) aggregate blocks.
-// AllreduceMcastChunked's per-slice binomial reduce-scatter walks now
-// overlap event-driven through CollCtx.RecvPhaseRange (frame counts
-// unchanged, −54% sim-µs at N=8/5000B, fig 19), and the burst round
-// scheduler (runRoundsBurst) lets lossless multi-round senders transmit
-// without consuming earlier rounds first. The trajectory grid covers
-// the new surfaces (two-level scatter/alltoall, chunked allreduce) and
-// holds allgather and alltoall to the tight (N-S)+S(S-1)+S scout bound.
+//   - trace, metrics, topo: the observers and the map. A per-rank flight
+//     recorder with Perfetto export and critical-path extraction; an
+//     online metrics registry (counters, gauges, rate meters, histograms)
+//     scraped live by mpirun; and the placement of ranks on the fabric's
+//     shared segments, with per-segment leaders. All three are nil-safe
+//     and provably non-perturbing: an instrumented simulation produces
+//     byte-identical timestamps.
 //
-// See README.md for the tour, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The top-level bench_test.go exposes one benchmark per paper figure,
-// and smoke_test.go runs every protocol/collective through the harness
-// under plain `go test`.
+//   - reliab: reliable point-to-point delivery under every scout, reduce
+//     half, gather chunk, NACK and modeled-TCP baseline message, so that
+//     any frame may be lost and a collective still completes. Pure state
+//     machines for the two halves of a per-peer stream (sliding window,
+//     receiver silent on the happy path so the lossless wire matches the
+//     paper's frame-count formulas exactly, sender probes after RTO of
+//     silence, selective retransmission, Karn-clean RTT estimation), the
+//     control wire format, and the Driver that runs all of one endpoint's
+//     streams: it decides when to probe, what counts as activity, when
+//     to volunteer an ack, and hands its transport Steps — frames to
+//     write, a timer to arm, whom to wake. It reads no clock and writes
+//     no frame, which is what lets one seeded model test drive it through
+//     arbitrary loss, duplication and reordering.
+//
+//   - simnet, udpnet: the two network transports, each a thin host for a
+//     reliab.Driver. simnet binds transport.Endpoint to the simulated
+//     testbed: calibrated host costs charged in virtual time, strict
+//     posted-receive multicast loss, seeded and surgical loss injection,
+//     kill/straggle/partition faults, backpressure from a PAUSEd NIC into
+//     stream admission. udpnet is real sockets: one unicast socket per
+//     rank, one multicast socket per joined group, a mutex where simnet
+//     has the engine's single thread, wall-clock timers.
+//
+//   - mpi: communicators, tagged point-to-point with MPI matching
+//     semantics, nonblocking requests, datatypes and reduction ops, and
+//     the collective dispatchers with pluggable algorithm sets. A Runtime
+//     resolves its device's optional capabilities once; CollCtx is the
+//     narrow waist collective implementations are written against. The
+//     failure detector turns every blocking collective receive into a
+//     bounded wait (ping sweeps, a typed RankFailedError naming the dead
+//     set) and Comm.Shrink rebuilds a survivor communicator without a
+//     coordination round.
+//
+//   - baseline: the MPICH algorithms — every collective built from
+//     point-to-point messages, binomial-tree broadcast and three-phase
+//     barrier as the paper describes them — over modeled TCP.
+//
+//   - core: the paper's contribution and its extensions. Scout-gated
+//     multicast broadcast and barrier with linear and binomial scout
+//     gathers; a round engine that composes the primitive into allgather,
+//     allreduce (binomial-reduce and chunked reduce-scatter forms),
+//     scatter, gather and alltoall at fragment granularity, sequential,
+//     pipelined or burst-scheduled; per-slice and per-segment multicast
+//     groups so a NIC delivers only what its rank consumes; NACK-repaired
+//     resilient variants with selective fragment repair; the two-level
+//     (segment-leader) suite for shared-uplink fabrics; and the
+//     comparison protocols (ack-based, sequencer, deliberately unsafe).
+//     core/coretest holds the conformance harness that checks all seven
+//     collectives against a pure oracle, under graded loss and under the
+//     kill/straggle/partition chaos matrix.
+//
+//   - workload, cluster, bench: measurement. workload binds a collective
+//     to per-rank buffers; cluster wires an MPI world onto the simulator;
+//     bench names the algorithm sets, runs a Scenario with the paper's
+//     methodology (warm-ups, a separating barrier, per-rank entry skew,
+//     longest rank, median of seeded repetitions), defines every figure
+//     (Defs in bench/figures.go) and writes the N-sweep perf trajectory
+//     that BENCH_sim.json pins.
+//
+// The commands: cmd/mcastbench regenerates figures, tables, traces and
+// the trajectory on the simulator; cmd/mpirun runs a real MPI world over
+// kernel UDP multicast, with -metrics serving live telemetry;
+// cmd/netsim drives the bare network model; cmd/promcheck validates a
+// Prometheus exposition. examples/ holds small MPI programs. benchmark/
+// (package main, see benchmark/README.md) is the repo's benchmark: five
+// workloads on both transports, four end-to-end metrics with regression
+// bounds, and a per-layer ledger whose rows are named after the layers
+// above.
+//
+// EXPERIMENTS.md reports paper-versus-measured results for every figure;
+// ROADMAP.md states where the design is going; CHANGES.md is the log of
+// how it got here. The top-level bench_test.go exposes one Go benchmark
+// per paper figure, and smoke_test.go runs every protocol and collective
+// through the harness under plain `go test`.
 package repro

@@ -1,10 +1,10 @@
 // Package bench is the measurement harness that regenerates every figure
-// of the paper's evaluation (Figs. 7–13) plus the ablations listed in
-// DESIGN.md, using the same methodology as the paper: the latency of a
-// collective operation is the longest completion time among all
-// participating processes, each point is the median of many repetitions,
-// and per-rank entry skew plus CSMA/CD backoff randomness provide the
-// sample spread the paper plots.
+// of the paper's evaluation (Figs. 7–13) plus the extensions and
+// ablations listed by Defs in figures.go, using the same methodology as
+// the paper: the latency of a collective operation is the longest
+// completion time among all participating processes, each point is the
+// median of many repetitions, and per-rank entry skew plus CSMA/CD
+// backoff randomness provide the sample spread the paper plots.
 package bench
 
 import (

@@ -100,7 +100,8 @@ type Def struct {
 	Build func(o Options) (Renderable, error)
 }
 
-// Defs lists every reproducible experiment in DESIGN.md's index.
+// Defs lists every reproducible experiment; EXPERIMENTS.md at the repo
+// root reports what each one measured.
 func Defs() []Def {
 	return []Def{
 		{"7", "MPI_Bcast with 4 processes over Fast Ethernet hub", fig7},

@@ -16,8 +16,8 @@ import (
 	"repro/internal/transport"
 )
 
-// TestFrameCountFormulas verifies the paper's §3 analysis (experiment A3
-// in DESIGN.md) against the simulator's wire counters.
+// TestFrameCountFormulas verifies the paper's §3 analysis (experiment
+// a3 in bench/figures.go) against the simulator's wire counters.
 func TestFrameCountFormulas(t *testing.T) {
 	const frag = simnet.MaxFragPayload
 	for _, n := range []int{2, 4, 7, 9} {

@@ -255,7 +255,7 @@ func (cc CollCtx) RecvMulticastSliceTimeout(slice int, timeout int64) (transport
 // Senders capture it after each data multicast so selective repair
 // requests can be matched to the round's message.
 func (cc CollCtx) LastMulticastID() uint64 {
-	if fr, ok := cc.c.rt.ep.(transport.FragmentRepairer); ok {
+	if fr := cc.c.rt.fr; fr != nil {
 		return fr.LastMulticastID()
 	}
 	return 0
@@ -266,8 +266,8 @@ func (cc CollCtx) LastMulticastID() uint64 {
 // missing fragment indexes. ok=false when nothing is pending or the
 // device does not expose reassembly state.
 func (cc CollCtx) MissingFrom(src int) (msgID uint64, missing []int, ok bool) {
-	fr, isFr := cc.c.rt.ep.(transport.FragmentRepairer)
-	if !isFr || src < 0 || src >= cc.c.Size() {
+	fr := cc.c.rt.fr
+	if fr == nil || src < 0 || src >= cc.c.Size() {
 		return 0, nil, false
 	}
 	return fr.PendingFrom(cc.c.group[src])
@@ -311,8 +311,8 @@ func (cc CollCtx) repair(group uint32, tag int32, payload []byte, class transpor
 		Class:   class,
 		Payload: payload,
 	}
-	fr, isFr := cc.c.rt.ep.(transport.FragmentRepairer)
-	if !isFr || msgID == 0 {
+	fr := cc.c.rt.fr
+	if fr == nil || msgID == 0 {
 		// No fragment repair on this device (or the original id is
 		// unknown): resend the whole message as a fresh multicast.
 		return cc.c.rt.mc.Multicast(group, m)
@@ -325,8 +325,8 @@ func (cc CollCtx) repair(group uint32, tag int32, payload []byte, class transpor
 // scaling timeouts with a message's expected fragment count use it
 // instead of guessing an MTU.
 func (cc CollCtx) FragPayload() int {
-	if fr, ok := cc.c.rt.ep.(transport.Fragmenter); ok {
-		return fr.MaxFragPayload()
+	if fg := cc.c.rt.frag; fg != nil {
+		return fg.MaxFragPayload()
 	}
 	return 0
 }
@@ -335,7 +335,7 @@ func (cc CollCtx) FragPayload() int {
 // when the device supports pacing, and returns immediately otherwise.
 // The pipelined round engine paces sub-frame data multicasts with it.
 func (cc CollCtx) Pace(d int64) {
-	if p, ok := cc.c.rt.ep.(transport.Pacer); ok {
+	if p := cc.c.rt.pacer; p != nil {
 		p.Pace(d)
 	}
 }

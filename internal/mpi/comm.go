@@ -80,8 +80,7 @@ var (
 // with NewRuntime, then derive the world communicator.
 type Runtime struct {
 	ep transport.Endpoint
-	mc transport.Multicaster    // nil when the device has no multicast
-	rs transport.ReliableSender // nil when the device has no p2p stream
+	caps
 
 	// unexpected buffers messages that arrived before a matching receive
 	// was posted, in arrival order (MPI's unexpected-message queue).
@@ -97,29 +96,40 @@ type Runtime struct {
 	// fd is the optional failure detector (SetFailureDetection). When
 	// nil, collective receives block forever exactly as before.
 	fd *failureDetector
-
-	// rec is the device's flight recorder (nil: tracing disabled). It is
-	// discovered from the endpoint like the other optional capabilities;
-	// every span and instant the collective layers record goes here.
-	rec *trace.Recorder
-
-	// mreg is the device's metrics registry (nil: telemetry disabled),
-	// discovered exactly like the recorder. The collective dispatchers
-	// publish per-op invocation counts and completion latencies to it.
-	mreg *metrics.Registry
 }
 
-// NewRuntime wraps an endpoint. The multicast capability is discovered by
-// interface assertion, exactly as the paper's implementation discovers
-// that it can bypass the point-to-point layers.
+// caps is what the device can do beyond transport.Endpoint; a nil field
+// means the device lacks the capability.
+type caps struct {
+	mc     transport.Multicaster
+	rs     transport.ReliableSender // the p2p stream
+	dr     transport.DeadlineRecver
+	fr     transport.FragmentRepairer
+	frag   transport.Fragmenter
+	pacer  transport.Pacer
+	poster transport.RecvPoster
+	pinger transport.Pinger
+	failer transport.PeerFailer
+	topo   topo.Provider
+	rec    *trace.Recorder   // flight recorder: every span and instant the collective layers record
+	mreg   *metrics.Registry // per-op invocation counts and completion latencies
+}
+
+// NewRuntime wraps an endpoint. Its optional capabilities are discovered
+// once, here, by interface assertion — exactly as the paper's
+// implementation discovers that it can bypass the point-to-point layers.
 func NewRuntime(ep transport.Endpoint) *Runtime {
 	rt := &Runtime{ep: ep}
-	if mc, ok := ep.(transport.Multicaster); ok {
-		rt.mc = mc
-	}
-	if rs, ok := ep.(transport.ReliableSender); ok {
-		rt.rs = rs
-	}
+	rt.mc, _ = ep.(transport.Multicaster)
+	rt.rs, _ = ep.(transport.ReliableSender)
+	rt.dr, _ = ep.(transport.DeadlineRecver)
+	rt.fr, _ = ep.(transport.FragmentRepairer)
+	rt.frag, _ = ep.(transport.Fragmenter)
+	rt.pacer, _ = ep.(transport.Pacer)
+	rt.poster, _ = ep.(transport.RecvPoster)
+	rt.pinger, _ = ep.(transport.Pinger)
+	rt.failer, _ = ep.(transport.PeerFailer)
+	rt.topo, _ = ep.(topo.Provider)
 	if tc, ok := ep.(trace.Carrier); ok {
 		rt.rec = tc.TraceRecorder()
 	}
@@ -209,8 +219,7 @@ func (rt *Runtime) recvMatchTimeout(pred func(*transport.Message) bool, timeout 
 	if m, ok := rt.scanUnexpected(pred); ok {
 		return m, true, nil
 	}
-	dr, ok := rt.ep.(transport.DeadlineRecver)
-	if !ok {
+	if rt.dr == nil {
 		return transport.Message{}, false, fmt.Errorf("mpi: %T does not support timed receives", rt.ep)
 	}
 	deadline := rt.ep.Now() + timeout
@@ -219,7 +228,7 @@ func (rt *Runtime) recvMatchTimeout(pred func(*transport.Message) bool, timeout 
 		if remain <= 0 {
 			return transport.Message{}, false, nil
 		}
-		m, got, err := dr.RecvTimeout(remain)
+		m, got, err := rt.dr.RecvTimeout(remain)
 		if err != nil {
 			return transport.Message{}, false, err
 		}
@@ -387,10 +396,9 @@ func newComm(rt *Runtime, ctx uint32, group []int, algs Algorithms) (*Comm, erro
 	}
 	// The device's topology, when it reports one, projects onto the
 	// communicator group: comm ranks placed on the fabric segments the
-	// group spans. The discovery is an interface assertion, exactly like
-	// the multicast capability below.
-	if tp, ok := rt.ep.(topo.Provider); ok {
-		if wm := tp.TopoMap(); wm != nil {
+	// group spans.
+	if rt.topo != nil {
+		if wm := rt.topo.TopoMap(); wm != nil {
 			pm, err := wm.Project(group)
 			if err != nil {
 				return nil, fmt.Errorf("mpi: projecting topology onto communicator: %w", err)
@@ -459,8 +467,8 @@ func (c *Comm) Topo() *topo.Map { return c.topoMap }
 // schedule safe by construction. On devices without descriptor
 // accounting both the post and the release are no-ops.
 func (c *Comm) PostRecvs(n int) (release func()) {
-	rp, ok := c.rt.ep.(transport.RecvPoster)
-	if !ok || n <= 0 {
+	rp := c.rt.poster
+	if rp == nil || n <= 0 {
 		return func() {}
 	}
 	rp.PostRecvs(n)

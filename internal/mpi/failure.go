@@ -76,10 +76,9 @@ func (o FailureOptions) Fill() FailureOptions {
 // declared dead, permanently. Deaths are recorded as world ranks so
 // every communicator on the runtime shares one view.
 type failureDetector struct {
-	opts   FailureOptions
-	pinger transport.Pinger
-	failer transport.PeerFailer // nil when the device cannot fence peers
-	dead   map[int]bool         // world rank -> declared dead
+	opts FailureOptions
+	caps              // pinger probes; failer, nil when the device cannot fence peers, fences the dead
+	dead map[int]bool // world rank -> declared dead
 }
 
 // SetFailureDetection arms the runtime's failure detector. The device
@@ -89,22 +88,13 @@ type failureDetector struct {
 // Collective receives then return RankFailedError instead of blocking
 // forever when a member dies.
 func (rt *Runtime) SetFailureDetection(opts FailureOptions) error {
-	pinger, ok := rt.ep.(transport.Pinger)
-	if !ok {
+	if rt.pinger == nil {
 		return fmt.Errorf("mpi: %T does not support liveness probes", rt.ep)
 	}
-	if _, ok := rt.ep.(transport.DeadlineRecver); !ok {
+	if rt.dr == nil {
 		return fmt.Errorf("mpi: %T does not support timed receives", rt.ep)
 	}
-	fd := &failureDetector{
-		opts:   opts.Fill(),
-		pinger: pinger,
-		dead:   make(map[int]bool),
-	}
-	if failer, ok := rt.ep.(transport.PeerFailer); ok {
-		fd.failer = failer
-	}
-	rt.fd = fd
+	rt.fd = &failureDetector{opts: opts.Fill(), caps: rt.caps, dead: make(map[int]bool)}
 	return nil
 }
 

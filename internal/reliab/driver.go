@@ -1,0 +1,323 @@
+package reliab
+
+import (
+	"fmt"
+	"strconv"
+
+	"repro/internal/metrics"
+	"repro/internal/trace"
+	"repro/internal/transport"
+)
+
+// pingNonce marks a failure detector's liveness probe. It shares the
+// stream probe wire format, but real probe nonces count up from 1, so
+// the answering ack never matches a send horizon at the prober — inert
+// to the stream state machine — and must not count as stream activity.
+const pingNonce = 0xFFFFFFFF
+
+// Host is what a transport hands the driver of one endpoint.
+type Host struct {
+	Rank, Size int     // this endpoint's rank and the world size
+	Options    Options // filled
+	// FragPayload is the message payload the transport carries per wire
+	// frame: streamed messages are split to it, and it bounds a control
+	// body, which rides one unfragmented frame.
+	FragPayload int
+	// Missing reports the missing fragment indexes of a partially
+	// reassembled message (the transport's reassembler owns that state).
+	Missing func(src int, msgID uint64) []int
+	Stats   *StatCounters     // may be shared by every endpoint of a network
+	Trace   *trace.Recorder   // stream.probe / stream.retransmit instants; nil-safe
+	Metrics *metrics.Registry // nil: no stream gauges or retransmit meter
+}
+
+// Step is what one driver call asks of the transport, carried out in
+// field order: wake Ping waiters, put the control body and then the
+// resends on the wire towards the peer, arm the peer's one-shot probe
+// timer, wake senders blocked on the window. The order is part of the
+// contract — under the simulator same-instant events run in scheduling
+// order, and its recorded event counts pin it.
+type Step struct {
+	Acked  bool     // an acknowledgment from the peer was consumed
+	Ctl    []byte   // control body (probe or ack) to send; nil: none
+	Resend []Resend // recorded fragments the peer proved lost
+	Arm    int64    // >0: call OnTimer for this peer after Arm nanoseconds
+	Freed  bool     // window space was freed
+	Err    error    // the stream just failed: surface it to blocked callers
+}
+
+// sendPeer is the sender half of one peer's stream plus its probe timer
+// state. lastActivity records the most recent send or acknowledgment:
+// probes fire RTO after the LAST activity, not the first, so a long
+// collective's steady traffic never provokes mid-run protocol frames.
+type sendPeer struct {
+	ss           *SendStream
+	armed        bool // a timer is pending; at most one per peer
+	lastActivity int64
+	failed       bool   // the failure detector declared the peer dead
+	acked        uint64 // acks consumed from the peer: the evidence Ping waits for
+	mg           *metrics.StreamGauges
+}
+
+// recvPeer is the receiver half of one peer's stream plus the
+// volunteer-ack throttle (at most one unsolicited ack per quarter-RTO,
+// so gap evidence cannot turn into an ack storm).
+type recvPeer struct {
+	rs        *RecvStream
+	nextAckAt int64
+}
+
+// Driver runs every stream of one endpoint. The owner serializes calls
+// (the simulator's single thread, a transport mutex); the driver never
+// blocks, reads no clock and writes no frame.
+type Driver struct {
+	h           Host
+	retransmits *metrics.Meter
+	// Per-peer state is indexed by rank in slices sized to the world — a
+	// lookup per stream fragment is too hot for a map — whose entries are
+	// allocated on first use: most endpoints talk to few peers.
+	send    []*sendPeer
+	recv    []*recvPeer
+	err     error // sticky: the first stream to exhaust MaxProbes
+	stopped bool
+}
+
+// NewDriver returns the stream driver of endpoint h.Rank.
+func NewDriver(h Host) *Driver {
+	return &Driver{h: h, send: make([]*sendPeer, h.Size), recv: make([]*recvPeer, h.Size),
+		retransmits: h.Metrics.Meter(
+			metrics.Labeled("mcast_stream_retransmits", "rank", strconv.Itoa(h.Rank)), metrics.DefaultMeterTau)}
+}
+
+func (d *Driver) valid(rank int) bool { return rank >= 0 && rank < d.h.Size }
+
+func (d *Driver) sendPeer(dst int) *sendPeer {
+	sp := d.send[dst]
+	if sp == nil {
+		sp = &sendPeer{ss: NewSendStream(d.h.Options), mg: metrics.NewStreamGauges(d.h.Metrics, d.h.Rank, dst)}
+		d.send[dst] = sp
+	}
+	return sp
+}
+
+func (d *Driver) recvPeer(src int) *recvPeer {
+	rp := d.recv[src]
+	if rp == nil {
+		rp = &recvPeer{rs: NewRecvStream()}
+		d.recv[src] = rp
+	}
+	return rp
+}
+
+// Err returns the sticky stream error: non-nil once any stream of this
+// endpoint exhausted MaxProbes, and on every call after.
+func (d *Driver) Err() error { return d.err }
+
+// Stop ends probing (endpoint closed or killed): pending timers fire
+// into a no-op.
+func (d *Driver) Stop() { d.stopped = true }
+
+// FailPeer records that the failure detector declared dst dead: its
+// stream stops probing, so retransmission toward a corpse cannot exhaust
+// the probe budget and poison the endpoint.
+func (d *Driver) FailPeer(dst int) {
+	if d.valid(dst) {
+		d.sendPeer(dst).failed = true
+	}
+}
+
+// PeerFailed reports whether FailPeer was called for dst.
+func (d *Driver) PeerFailed(dst int) bool {
+	return d.valid(dst) && d.send[dst] != nil && d.send[dst].failed
+}
+
+// Full reports whether dst's send window has no room for another message.
+func (d *Driver) Full(dst int) bool { return d.sendPeer(dst).ss.Full() }
+
+// InFlight reports dst's unacknowledged messages.
+func (d *Driver) InFlight(dst int) int { return d.sendPeer(dst).ss.InFlight() }
+
+// Begin admits m to dst's stream under device message id msgID — the
+// caller has checked Full — and returns its fragments, stamped with the
+// stream sequence number seq, for the transport to hand to its device
+// before calling Sent. Retransmission may happen long after the send
+// call returns, so the recorded fragments must not alias a buffer the
+// application is free to reuse (plain Send semantics): the payload is
+// copied once, here.
+func (d *Driver) Begin(dst int, m transport.Message, msgID uint64) (frags []transport.Fragment, seq uint32) {
+	m.Kind, m.Src = transport.P2P, d.h.Rank
+	m.Payload = append([]byte(nil), m.Payload...)
+	frags = transport.Split(m, msgID, d.h.FragPayload)
+	seq = d.sendPeer(dst).ss.Begin(msgID, frags)
+	for i := range frags {
+		frags[i].Stream = seq
+	}
+	d.h.Stats.MsgsStreamed.Add(1)
+	return frags, seq
+}
+
+// Sent records that seq's fragments reached the device: only now is the
+// message probeable (a probe fired while the host was still paying the
+// send cost must not cover it), and the silence period restarts.
+func (d *Driver) Sent(now int64, dst int, seq uint32) Step {
+	sp := d.send[dst]
+	sp.ss.MarkSent(seq)
+	sp.mg.SetWindow(sp.ss.InFlight())
+	sp.lastActivity = now
+	return Step{Arm: d.arm(sp)}
+}
+
+// arm claims the peer's probe timer if none is pending and returns the
+// delay to arm it with (0: already pending).
+func (d *Driver) arm(sp *sendPeer) int64 {
+	if sp.armed {
+		return 0
+	}
+	sp.armed = true
+	return sp.ss.RTO()
+}
+
+// OnTimer runs when dst's probe timer fires: nothing acknowledged the
+// stream's tail within RTO of its last activity, so solicit the
+// receiver's state and back off. The stream fails after MaxProbes
+// consecutive silent probes.
+func (d *Driver) OnTimer(now int64, dst int) Step {
+	sp := d.send[dst]
+	sp.armed = false
+	if d.stopped || d.PeerFailed(dst) || !sp.ss.NeedProbe() {
+		return Step{}
+	}
+	// Active since the timer was armed: the silence period restarts at
+	// the last activity — re-arm without probing, so steady traffic
+	// provokes no protocol frames on the measured wire.
+	if wait := sp.lastActivity + sp.ss.RTO() - now; wait > 0 {
+		sp.armed = true
+		return Step{Arm: wait}
+	}
+	nonce, ok := sp.ss.OnProbeAt(now)
+	if !ok {
+		if d.err != nil {
+			return Step{}
+		}
+		d.err = fmt.Errorf("reliab: stream %d->%d failed: %d unacknowledged messages after %d probes",
+			d.h.Rank, dst, sp.ss.InFlight(), d.h.Options.MaxProbes)
+		d.h.Stats.StreamFailures.Add(1)
+		return Step{Err: d.err}
+	}
+	d.h.Stats.ProbesSent.Add(1)
+	d.h.Trace.Event(d.h.Rank, now, "stream.probe", int64(dst))
+	return Step{Ctl: EncodeProbe(nonce), Arm: d.arm(sp)}
+}
+
+// OnCtl consumes a stream control body that arrived from src: a probe is
+// answered with this receiver's state; an acknowledgment is folded into
+// the send window and answered with the retransmissions it calls for.
+// Frames from outside the world and malformed bodies are ignored.
+func (d *Driver) OnCtl(now int64, src int, body []byte) Step {
+	if !d.valid(src) {
+		return Step{}
+	}
+	ack, probe, err := DecodeCtl(body)
+	if err != nil {
+		return Step{}
+	}
+	if probe {
+		return Step{Ctl: d.ack(now, src, d.recvPeer(src), ack.Nonce)}
+	}
+	sp := d.sendPeer(src)
+	d.h.Stats.AcksReceived.Add(1)
+	sp.acked++
+	resend, freed, rtt := sp.ss.HandleAckAt(now, ack)
+	if rtt > 0 {
+		snap := sp.ss.RTTSnapshot()
+		sp.mg.SetRTT(snap.SRTT, snap.RTTVar, snap.MinRTT, snap.QueueDelay, snap.Gradient)
+	}
+	sp.mg.SetWindow(sp.ss.InFlight())
+	// An ack answering a failure-detector ping is liveness evidence, not
+	// stream progress: refreshing the activity clock on it would let
+	// periodic pings postpone the recovery probe forever (sweep period <
+	// RTO) and starve retransmission of a genuinely lost fragment.
+	if ack.Nonce != pingNonce {
+		sp.lastActivity = now
+	}
+	st := Step{Acked: true, Resend: resend, Freed: freed}
+	for _, r := range resend {
+		n := int64(len(r.Frags))
+		d.h.Stats.Retransmits.Add(n)
+		d.retransmits.Mark(now, n)
+		d.h.Trace.Event(d.h.Rank, now, "stream.retransmit", n)
+	}
+	if len(resend) > 0 {
+		st.Arm = d.arm(sp)
+	}
+	return st
+}
+
+// ack encodes the receiver-side state report for src, or nil when the
+// throttle holds it back. Probed acks (nonce != 0) always go out;
+// volunteer acks are limited to one per quarter-RTO per peer.
+func (d *Driver) ack(now int64, src int, rp *recvPeer, nonce uint32) []byte {
+	if nonce == 0 && now < rp.nextAckAt {
+		return nil
+	}
+	rp.nextAckAt = now + d.h.Options.RTO/4
+	return d.encodeAck(src, rp, nonce)
+}
+
+func (d *Driver) encodeAck(src int, rp *recvPeer, nonce uint32) []byte {
+	a := rp.rs.AckState(func(msgID uint64) []int { return d.h.Missing(src, msgID) }, nonce)
+	d.h.Stats.AcksSent.Add(1)
+	return EncodeAck(a, d.h.FragPayload)
+}
+
+// Fresh admits one fragment of a streamed message from src, before it
+// reaches the reassembler. fresh=false means drop it: it comes from
+// outside the world, or duplicates a delivered message (a retransmission
+// raced the ack) and would found ghost reassembly state — then ack, when
+// non-nil, re-advertises this receiver's state so the sender retires it.
+func (d *Driver) Fresh(now int64, src int, seq uint32, msgID uint64) (fresh bool, ack []byte) {
+	if !d.valid(src) {
+		return false, nil
+	}
+	rp := d.recvPeer(src)
+	if rp.rs.Fresh(seq, msgID) {
+		return true, nil
+	}
+	d.h.Stats.DupFragments.Add(1)
+	return false, d.ack(now, src, rp, 0)
+}
+
+// Deliver records that src's message seq was reassembled and handed up.
+func (d *Driver) Deliver(src int, seq uint32) { d.recv[src].rs.Deliver(seq) }
+
+// Volunteer returns an unsolicited ack body when src's receive state
+// already proves a loss (a newer message's fragments arrived past a
+// gap), so repair need not wait for a probe; nil otherwise.
+func (d *Driver) Volunteer(now int64, src int) []byte {
+	rp := d.recv[src]
+	if !rp.rs.Gapped() {
+		return nil
+	}
+	return d.ack(now, src, rp, 0)
+}
+
+// EagerAck returns one unthrottled ack body for src: the modeled-TCP
+// path, which acknowledges deliveries as the kernel's TCP did instead of
+// staying silent until probed.
+func (d *Driver) EagerAck(src int) []byte { return d.encodeAck(src, d.recv[src], 0) }
+
+// Ping returns the body of a liveness probe for dst and the evidence
+// count to compare AcksSeen against: any ack consumed from dst after the
+// probe went out proves it alive.
+func (d *Driver) Ping(dst int) (probe []byte, seen uint64) {
+	d.h.Stats.ProbesSent.Add(1)
+	return EncodeProbe(pingNonce), d.AcksSeen(dst)
+}
+
+// AcksSeen reports how many acknowledgments from peer were consumed.
+func (d *Driver) AcksSeen(peer int) uint64 {
+	if d.send[peer] == nil {
+		return 0
+	}
+	return d.send[peer].acked
+}

@@ -39,10 +39,19 @@
 //     without waiting for a probe, so repair converges in one round trip
 //     instead of an RTO.
 //
-// The package holds only the protocol state machines and the control
-// wire format; timers, locking and actual frame transmission belong to
-// the transport that embeds it (virtual-time events in simnet, goroutines
-// and wall-clock timers in udpnet).
+// The package holds the protocol state machines (SendStream, RecvStream),
+// the control wire format, and the Driver that runs every stream of one
+// endpoint: all protocol decisions — when to probe, what counts as
+// activity, when to volunteer an ack, what to retransmit — are made
+// there, once, for both transports. The driver reads no clock, owns no
+// timer and writes no frame. Its transport serializes calls into it and
+// passes the current time (virtual-time events on the engine's one thread
+// in simnet; a mutex and the wall clock in udpnet), supplies at
+// construction its fragment size, its reassembler's missing-fragment
+// lookup and where to count (Host), and carries out each returned Step in
+// field order: wake liveness waiters, write the control frame and the
+// retransmissions, arm the peer's one-shot probe timer, wake senders
+// blocked on the window.
 package reliab
 
 import (
@@ -199,18 +208,12 @@ func (s *SendStream) RTO() int64 { return s.rto }
 // NeedProbe reports whether unacknowledged messages warrant a probe.
 func (s *SendStream) NeedProbe() bool { return len(s.unacked) > 0 }
 
-// OnProbe records a probe being sent and backs the timeout off. It
-// returns the probe's nonce (to carry on the wire) and ok=false when the
-// stream has exhausted MaxProbes without progress and must be declared
-// broken.
-func (s *SendStream) OnProbe() (nonce uint32, ok bool) {
-	return s.OnProbeAt(0)
-}
-
-// OnProbeAt is OnProbe with the probe's transmit time (clock
-// nanoseconds): the ack echoing this probe's nonce then yields a
-// round-trip sample for the stream's RTT estimator. A zero now records
-// no timestamp (no sample will be taken).
+// OnProbeAt records a probe being sent at now (clock nanoseconds) and
+// backs the timeout off. It returns the probe's nonce (to carry on the
+// wire) and ok=false when the stream has exhausted MaxProbes without
+// progress and must be declared broken. The ack echoing the nonce yields
+// a round-trip sample for the stream's RTT estimator; a zero now records
+// no timestamp, so no sample will be taken.
 func (s *SendStream) OnProbeAt(now int64) (nonce uint32, ok bool) {
 	s.probes++
 	if s.probes > s.opts.MaxProbes {
@@ -240,10 +243,13 @@ type Resend struct {
 	Frags []transport.Fragment // subset (or all) of the original fragments
 }
 
-// HandleAck folds a received acknowledgment into the window. It returns
-// the retransmissions the ack calls for and whether window space was
-// freed (so a blocked sender can be woken). Progress — anything newly
-// acknowledged — resets the probe backoff.
+// HandleAckAt folds an acknowledgment received at now (clock
+// nanoseconds) into the window. It returns the retransmissions the ack
+// calls for and whether window space was freed (so a blocked sender can
+// be woken). Progress — anything newly acknowledged — resets the probe
+// backoff. When the ack echoes a probe whose transmit time was recorded
+// by OnProbeAt, the round trip is folded into the stream's RTT estimator
+// and returned (0 otherwise) so the driver can refresh its live gauges.
 //
 // Retransmission policy: sequences the receiver reports partially
 // reassembled are resent selectively (exactly the named missing
@@ -252,29 +258,10 @@ type Resend struct {
 // sequence is at or below that probe's horizon, because an unsolicited
 // or stale ack can race fragments still in flight and a premature full
 // resend would be pure duplication.
-func (s *SendStream) HandleAck(a Ack) (resend []Resend, freed bool) {
-	resend, freed, _ = s.HandleAckAt(0, a)
-	return resend, freed
-}
-
-// HandleAckAt is HandleAck with the ack's arrival time (clock
-// nanoseconds). When the ack echoes a probe whose transmit time was
-// recorded by OnProbeAt, the round trip is folded into the stream's RTT
-// estimator and returned (0 otherwise) so the transport can refresh its
-// live gauges.
 func (s *SendStream) HandleAckAt(now int64, a Ack) (resend []Resend, freed bool, rtt int64) {
-	if t, ok := s.probeAt[a.Nonce]; ok {
-		if now > t {
-			rtt = now - t
-			s.rtt.Observe(rtt)
-		}
-		// This probe is answered: its round trip is spent whether or not
-		// it produced a sample, and older probes' answers are now stale.
-		for n := range s.probeAt {
-			if n <= a.Nonce {
-				delete(s.probeAt, n)
-			}
-		}
+	if t, ok := s.probeAt[a.Nonce]; ok && now > t {
+		rtt = now - t
+		s.rtt.Observe(rtt)
 	}
 	progress := false
 	retire := func(seq uint32) {
@@ -298,7 +285,8 @@ func (s *SendStream) HandleAckAt(now int64, a Ack) (resend []Resend, freed bool,
 	}
 	horizon, probed := s.horizons[a.Nonce]
 	if probed {
-		// This probe is answered; older probes' answers are now stale.
+		// This probe is answered — its round trip is spent whether or not
+		// it produced a sample — and older probes' answers are now stale.
 		for n := range s.horizons {
 			if n <= a.Nonce {
 				delete(s.horizons, n)
@@ -511,6 +499,20 @@ const (
 	opProbe = 1
 	opAck   = 2
 )
+
+// CtlFrame wraps an encoded control body in the frame rank src sends it
+// in. Control frames are real, droppable wire frames of ClassStream, but
+// the receiving transport hands them to its driver's OnCtl and they
+// never reach the application.
+func CtlFrame(src int, msgID uint64, body []byte) transport.Fragment {
+	return transport.Fragment{
+		Msg:      transport.Message{Kind: transport.P2P, Src: src, Class: transport.ClassStream, Payload: body},
+		MsgID:    msgID,
+		Count:    1,
+		TotalLen: uint32(len(body)),
+		Ctl:      true,
+	}
+}
 
 // EncodeProbe serializes an ack-soliciting probe carrying its nonce.
 func EncodeProbe(nonce uint32) []byte {

@@ -29,7 +29,7 @@ func TestSendWindowAndCumAck(t *testing.T) {
 	if !s.Full() {
 		t.Fatal("window of 2 should be full after two sends")
 	}
-	resend, freed := s.HandleAck(Ack{Cum: 2})
+	resend, freed, _ := s.HandleAckAt(0, Ack{Cum: 2})
 	if len(resend) != 0 || !freed {
 		t.Fatalf("cumulative ack: resend=%v freed=%v", resend, freed)
 	}
@@ -41,7 +41,7 @@ func TestSendWindowAndCumAck(t *testing.T) {
 func TestSelectiveRetransmitFromPartial(t *testing.T) {
 	s := NewSendStream(Options{}.Fill())
 	s.Begin(7, frags(7, 5))
-	resend, _ := s.HandleAck(Ack{Cum: 0, Partials: []Partial{{Seq: 1, Missing: []int{1, 3}}}})
+	resend, _, _ := s.HandleAckAt(0, Ack{Cum: 0, Partials: []Partial{{Seq: 1, Missing: []int{1, 3}}}})
 	if len(resend) != 1 {
 		t.Fatalf("resend count = %d, want 1", len(resend))
 	}
@@ -55,30 +55,30 @@ func TestFullResendOnlyWhenProbed(t *testing.T) {
 	s := NewSendStream(Options{}.Fill())
 	s.Begin(9, frags(9, 3))
 	// Unsolicited ack that omits seq 1: frames may still be in flight.
-	if resend, _ := s.HandleAck(Ack{Cum: 0}); len(resend) != 0 {
+	if resend, _, _ := s.HandleAckAt(0, Ack{Cum: 0}); len(resend) != 0 {
 		t.Fatalf("unsolicited ack triggered resend: %v", resend)
 	}
 	// An ack claiming an unknown probe nonce must not resend (stale ack).
-	if resend, _ := s.HandleAck(Ack{Cum: 0, Nonce: 99}); len(resend) != 0 {
+	if resend, _, _ := s.HandleAckAt(0, Ack{Cum: 0, Nonce: 99}); len(resend) != 0 {
 		t.Fatalf("ack with unknown nonce triggered resend: %v", resend)
 	}
 	// A message begun but not yet handed to the device (the host send
 	// cost is still being charged) is not probeable.
 	s.MarkSent(0)
-	if n, ok := s.OnProbe(); !ok {
+	if n, ok := s.OnProbeAt(0); !ok {
 		t.Fatalf("OnProbe = (%d, %v)", n, ok)
-	} else if resend, _ := s.HandleAck(Ack{Cum: 0, Nonce: n}); len(resend) != 0 {
+	} else if resend, _, _ := s.HandleAckAt(0, Ack{Cum: 0, Nonce: n}); len(resend) != 0 {
 		t.Fatalf("probe before MarkSent triggered resend: %v", resend)
 	}
 	s.MarkSent(1)
-	nonce, ok := s.OnProbe()
+	nonce, ok := s.OnProbeAt(0)
 	if !ok || nonce == 0 {
 		t.Fatalf("OnProbe = (%d, %v)", nonce, ok)
 	}
 	// Message sent after the probe: the answering ack cannot know it.
 	seq2 := s.Begin(10, frags(10, 2))
 	s.MarkSent(seq2)
-	resend, _ := s.HandleAck(Ack{Cum: 0, Nonce: nonce})
+	resend, _, _ := s.HandleAckAt(0, Ack{Cum: 0, Nonce: nonce})
 	if len(resend) != 1 || resend[0].Seq != 1 || len(resend[0].Frags) != 3 {
 		t.Fatalf("probed ack resend = %v, want full resend of seq 1 only", resend)
 	}
@@ -93,23 +93,23 @@ func TestProbeBackoffAndFailure(t *testing.T) {
 	}
 	rto0 := s.RTO()
 	for i := 0; i < 3; i++ {
-		if _, ok := s.OnProbe(); !ok {
+		if _, ok := s.OnProbeAt(0); !ok {
 			t.Fatalf("probe %d should still be allowed", i+1)
 		}
 	}
 	if s.RTO() <= rto0 {
 		t.Fatal("probe timeout did not back off")
 	}
-	if _, ok := s.OnProbe(); ok {
+	if _, ok := s.OnProbeAt(0); ok {
 		t.Fatal("stream should fail after MaxProbes")
 	}
 	// Progress resets the budget.
 	s2 := NewSendStream(o)
 	s2.Begin(1, frags(1, 1))
 	s2.Begin(2, frags(2, 1))
-	s2.OnProbe()
-	s2.OnProbe()
-	if _, freed := s2.HandleAck(Ack{Cum: 1}); !freed {
+	s2.OnProbeAt(0)
+	s2.OnProbeAt(0)
+	if _, freed, _ := s2.HandleAckAt(0, Ack{Cum: 1}); !freed {
 		t.Fatal("ack should free window space")
 	}
 	if s2.RTO() != o.RTO {
@@ -218,8 +218,8 @@ func TestAckCodecRoundTrip(t *testing.T) {
 	s3 := NewSendStream(Options{}.Fill())
 	seq := s3.Begin(1, frags(1, 2))
 	s3.MarkSent(seq)
-	n3, _ := s3.OnProbe()
-	resend3, _ := s3.HandleAck(Ack{Nonce: n3, Partials: []Partial{{Seq: seq}}})
+	n3, _ := s3.OnProbeAt(0)
+	resend3, _, _ := s3.HandleAckAt(0, Ack{Nonce: n3, Partials: []Partial{{Seq: seq}}})
 	if len(resend3) != 1 || len(resend3[0].Frags) != 2 {
 		t.Fatalf("empty partial suppressed the probed full resend: %v", resend3)
 	}

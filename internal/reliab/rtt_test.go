@@ -117,25 +117,26 @@ func TestAnsweredProbeRetiresTimestamps(t *testing.T) {
 	}
 }
 
-// TestOnProbeWrapperKeepsSamplingOff pins the legacy signatures: the
-// timestamp-free wrappers never record probe times and never sample.
-func TestOnProbeWrapperKeepsSamplingOff(t *testing.T) {
+// TestZeroTimestampRecordsNoRTTSample pins the clock's zero value: a
+// probe sent at now=0 records no transmit time, so its ack — whenever it
+// arrives — yields no round-trip sample.
+func TestZeroTimestampRecordsNoRTTSample(t *testing.T) {
 	o := Options{}.Fill()
 	s := NewSendStream(o)
 	seq := s.Begin(1, []transport.Fragment{{}})
 	s.MarkSent(seq)
-	nonce, ok := s.OnProbe()
+	nonce, ok := s.OnProbeAt(0)
 	if !ok {
 		t.Fatal("probe refused")
 	}
 	if len(s.probeAt) != 0 {
-		t.Fatal("OnProbe must not record a timestamp")
+		t.Fatal("OnProbeAt(0) must not record a timestamp")
 	}
-	if _, freed := s.HandleAck(Ack{Cum: seq, Nonce: nonce}); !freed {
+	if _, freed, _ := s.HandleAckAt(1_000_000, Ack{Cum: seq, Nonce: nonce}); !freed {
 		t.Fatal("ack must free the window")
 	}
 	if snap := s.RTTSnapshot(); snap.Samples != 0 {
-		t.Fatalf("wrapper path must not sample: %+v", snap)
+		t.Fatalf("a zero probe timestamp must not sample: %+v", snap)
 	}
 }
 

@@ -4,9 +4,9 @@
 //
 // Rank programs run as virtual-time processes; every Send charges the
 // calibrated host overheads, hands UDP datagrams to the simulated stack,
-// and latency is read from the simulated clock. The profile constants
-// are documented in DESIGN.md §5 and recorded with every experiment in
-// EXPERIMENTS.md.
+// and latency is read from the simulated clock. Profile's field
+// comments say what each calibrated constant models; EXPERIMENTS.md
+// records the results measured under them.
 //
 // The package also models the central premise of the paper: IP multicast
 // is receiver-directed and unreliable. In StrictPosted mode a multicast
@@ -159,7 +159,8 @@ type Profile struct {
 	Metrics *metrics.Registry
 }
 
-// DefaultProfile returns the era-calibrated constants from DESIGN.md §5.
+// DefaultProfile returns the era-calibrated constants (each explained on
+// its Profile field).
 func DefaultProfile() Profile {
 	return Profile{
 		Ethernet:   ethernet.DefaultParams(),
@@ -299,7 +300,10 @@ func New(n int, topo Topology, prof Profile) *Network {
 		rs := strconv.Itoa(i)
 		ep.mDelivBytes = prof.Metrics.Meter(metrics.Labeled("mcast_nic_delivered_bytes", "rank", rs), metrics.DefaultMeterTau)
 		ep.mDelivFrames = prof.Metrics.Meter(metrics.Labeled("mcast_nic_delivered_frames", "rank", rs), metrics.DefaultMeterTau)
-		ep.mRetransmits = prof.Metrics.Meter(metrics.Labeled("mcast_stream_retransmits", "rank", rs), metrics.DefaultMeterTau)
+		ep.streams = reliab.NewDriver(reliab.Host{
+			Rank: i, Size: n, Options: prof.Stream, FragPayload: MaxFragPayload,
+			Missing: ep.reasm.Missing, Stats: &nw.Stats.Stream, Trace: prof.Trace, Metrics: prof.Metrics,
+		})
 		ep.mPauseStalls = prof.Metrics.Counter(metrics.Labeled("mcast_nic_pause_stalls", "rank", rs))
 		node.SetHandler(ep.handleDatagram)
 		// Propagate 802.3x backpressure into the stream layer: a sender
@@ -397,10 +401,9 @@ func (nw *Network) KillRank(r int, at sim.Duration) {
 			return
 		}
 		ep.killed = true
+		ep.streams.Stop()
 		ep.inbox.Close()
-		if ep.proc != nil {
-			ep.proc.Nudge()
-		}
+		ep.nudge()
 	})
 }
 
@@ -501,49 +504,22 @@ type Endpoint struct {
 	// method on a nil handle is an allocation-free no-op).
 	mDelivBytes  *metrics.Meter
 	mDelivFrames *metrics.Meter
-	mRetransmits *metrics.Meter
 	mPauseStalls *metrics.Counter
 
 	// Fault-injection state (Network.KillRank / Straggle, FailPeer).
-	killed      bool         // rank is dead: drops all arrivals, errors all calls
-	straggle    sim.Duration // injected compute delay, consumed at the next call
-	failedPeers []bool       // peers declared dead by the failure detector
-	ackSeen     []uint64     // stream acks received per peer (Ping evidence)
-	pinging     int          // Ping calls blocked on an ack
+	killed   bool         // rank is dead: drops all arrivals, errors all calls
+	straggle sim.Duration // injected compute delay, consumed at the next call
+	pinging  int          // Ping calls blocked on an ack
 
-	// Reliable point-to-point stream state (package reliab): the sender
-	// halves indexed by destination rank, the receiver halves by source
-	// (slices sized to the world, allocated on first use — a rank lookup
-	// per stream fragment is too hot for a map).
-	sstreams  []*sendPeer
-	rstreams  []*recvPeer
-	streamErr error
+	// streams runs the reliable point-to-point streams (package reliab);
+	// this endpoint carries out its steps in event context.
+	streams *reliab.Driver
 	// congested records that the NIC was flow-control PAUSEd and its
 	// transmit backlog has not yet drained back below the paused window:
 	// stream admissions stay throttled for the whole episode, not just
 	// the paused instants (the pause oscillates one frame at a time as
 	// the egress queue drains).
 	congested bool
-}
-
-// sendPeer is the sender half of one peer's reliable stream plus its
-// probe timer state. lastActivity (device clock) records the most
-// recent send or acknowledgment on the stream: probes fire RTO after
-// the LAST activity, not the first, so a long collective's steady
-// traffic never provokes mid-run protocol frames.
-type sendPeer struct {
-	ss           *reliab.SendStream
-	armed        bool // a probe timer event is pending
-	lastActivity int64
-	mg           *metrics.StreamGauges // per-(rank,peer) RTT/window gauges
-}
-
-// recvPeer is the receiver half of one peer's reliable stream plus the
-// volunteer-ack throttle (at most one unsolicited ack per quarter-RTO,
-// so gap evidence cannot turn into an ack storm).
-type recvPeer struct {
-	rs        *reliab.RecvStream
-	nextAckAt int64
 }
 
 type reasmID struct {
@@ -614,16 +590,13 @@ func classToFrameKind(c transport.Class) ethernet.FrameKind {
 
 // Send implements transport.Endpoint.
 func (ep *Endpoint) Send(dst int, m transport.Message) error {
-	if ep.killed {
-		return transport.ErrKilled
-	}
-	if ep.closed {
-		return transport.ErrClosed
+	if err := ep.downErr(); err != nil {
+		return err
 	}
 	if dst < 0 || dst >= len(ep.nw.eps) {
 		return fmt.Errorf("simnet: send to rank %d outside world of %d", dst, len(ep.nw.eps))
 	}
-	if ep.peerFailed(dst) {
+	if ep.streams.PeerFailed(dst) {
 		// The peer was declared dead: discard silently, exactly like a
 		// frame toward a crashed host. The caller already knows from the
 		// failure detector; erroring here would poison survivor reruns.
@@ -633,27 +606,10 @@ func (ep *Endpoint) Send(dst int, m transport.Message) error {
 	return ep.transmit(ipnet.RankAddr(dst), m)
 }
 
-func (ep *Endpoint) peerFailed(dst int) bool {
-	return ep.failedPeers != nil && dst >= 0 && dst < len(ep.failedPeers) && ep.failedPeers[dst]
-}
-
 // FailPeer implements transport.PeerFailer: traffic to dst is silently
-// discarded and its stream retransmission timers stop, so background
-// probes to a dead rank cannot exhaust the stream retry budget and
-// poison the whole endpoint after a Shrink.
-func (ep *Endpoint) FailPeer(dst int) {
-	if ep.failedPeers == nil {
-		ep.failedPeers = make([]bool, len(ep.nw.eps))
-	}
-	if dst >= 0 && dst < len(ep.failedPeers) {
-		ep.failedPeers[dst] = true
-	}
-}
-
-// pingNonce marks Ping's liveness probes. Real stream nonces count up
-// from 1, so the answering ack's unknown nonce never matches a send
-// horizon at the prober — provably inert to the stream state machine.
-const pingNonce = 0xFFFFFFFF
+// discarded and its stream stops probing, so background probes to a dead
+// rank cannot poison the whole endpoint after a Shrink.
+func (ep *Endpoint) FailPeer(dst int) { ep.streams.FailPeer(dst) }
 
 // Ping implements transport.Pinger: one stream-layer probe to dst,
 // answered at interrupt level by any live peer (even one deep in a
@@ -666,18 +622,14 @@ func (ep *Endpoint) Ping(dst int, timeout int64) bool {
 	if ep.killed || ep.closed || dst < 0 || dst >= len(ep.nw.eps) || dst == ep.rank {
 		return false
 	}
-	if ep.ackSeen == nil {
-		ep.ackSeen = make([]uint64, len(ep.nw.eps))
-	}
-	before := ep.ackSeen[dst]
-	ep.nw.Stats.Stream.ProbesSent.Add(1)
-	ep.sendCtl(dst, reliab.EncodeProbe(pingNonce))
+	probe, before := ep.streams.Ping(dst)
+	ep.sendCtl(dst, probe)
 	ep.pinging++
 	err := p.WaitFor(func() bool {
-		return ep.ackSeen[dst] > before || ep.killed || ep.closed
+		return ep.streams.AcksSeen(dst) > before || ep.killed || ep.closed
 	}, ep.nw.eng.Now()+sim.Time(timeout))
 	ep.pinging--
-	return err == nil && !ep.killed && !ep.closed && ep.ackSeen[dst] > before
+	return err == nil && !ep.killed && !ep.closed && ep.streams.AcksSeen(dst) > before
 }
 
 // SendReliable implements transport.ReliableSender: m rides the
@@ -689,19 +641,13 @@ func (ep *Endpoint) Ping(dst int, timeout int64) bool {
 // NIC/kernel reliability layer) and cost the host nothing, exactly like
 // the modeled TCP acknowledgments.
 func (ep *Endpoint) SendReliable(dst int, m transport.Message) error {
-	if ep.killed {
-		return transport.ErrKilled
-	}
-	if ep.closed {
-		return transport.ErrClosed
-	}
-	if ep.streamErr != nil {
-		return ep.streamErr
+	if err := ep.downErr(); err != nil {
+		return err
 	}
 	if dst < 0 || dst >= len(ep.nw.eps) {
 		return fmt.Errorf("simnet: send to rank %d outside world of %d", dst, len(ep.nw.eps))
 	}
-	if ep.peerFailed(dst) {
+	if ep.streams.PeerFailed(dst) {
 		return nil
 	}
 	if ep.nw.prof.DisableP2PStream {
@@ -719,9 +665,8 @@ func (ep *Endpoint) SendReliable(dst int, m transport.Message) error {
 	// window instead of absorbing the full window per peer — and the
 	// pause/drain listeners nudge the blocked process as the episode
 	// resolves.
-	sp := ep.sendPeer(dst)
 	windowFull := func() bool {
-		if sp.ss.Full() {
+		if ep.streams.Full(dst) {
 			return true
 		}
 		pw := ep.nw.prof.Stream.PausedWindow
@@ -730,277 +675,129 @@ func (ep *Endpoint) SendReliable(dst int, m transport.Message) error {
 		} else if ep.congested && ep.nic.QueuedFrames() <= pw {
 			ep.congested = false
 		}
-		return ep.congested && sp.ss.InFlight() >= pw
+		return ep.congested && ep.streams.InFlight(dst) >= pw
 	}
 	if windowFull() {
 		ep.nw.Stats.Stream.WindowStalls.Add(1)
-		if ep.congested && !sp.ss.Full() {
+		if ep.congested && !ep.streams.Full(dst) {
 			ep.nw.Stats.Stream.PauseStalls.Add(1)
 			ep.mPauseStalls.Inc()
 		}
 		_ = p.WaitFor(func() bool {
-			return !windowFull() || ep.streamErr != nil || ep.closed || ep.killed
+			return !windowFull() || ep.downErr() != nil
 		}, 0)
-		if ep.killed {
-			return transport.ErrKilled
-		}
-		if ep.streamErr != nil {
-			return ep.streamErr
-		}
-		if ep.closed {
-			return transport.ErrClosed
+		if err := ep.downErr(); err != nil {
+			return err
 		}
 	}
-	m.Kind = transport.P2P
-	m.Src = ep.rank
-	// Retransmission may happen long after this call returns, so the
-	// recorded fragments must not alias a caller buffer the application
-	// is free to reuse (plain Send semantics): copy once at admission.
-	m.Payload = append([]byte(nil), m.Payload...)
 	ep.msgID++
-	frags := transport.Split(m, ep.msgID, MaxFragPayload)
-	seq := sp.ss.Begin(ep.msgID, frags)
-	for i := range frags {
-		frags[i].Stream = seq
-	}
-	ep.nw.Stats.Stream.MsgsStreamed.Add(1)
+	frags, seq := ep.streams.Begin(dst, m, ep.msgID)
 	if err := ep.transmitFrags(ipnet.RankAddr(dst), m, frags); err != nil {
 		return err
 	}
-	// Only now are the fragments at the device (transmitFrags slept the
-	// host send cost); a probe fired during that sleep must not have
-	// covered this message.
-	sp.ss.MarkSent(seq)
-	sp.mg.SetWindow(sp.ss.InFlight())
-	sp.lastActivity = int64(ep.nw.eng.Now())
-	ep.armProbe(dst, sp)
+	// Only now are the fragments at the device: transmitFrags slept the
+	// host send cost.
+	ep.step(dst, ep.streams.Sent(ep.Now(), dst, seq))
 	return nil
 }
 
-func (ep *Endpoint) sendPeer(dst int) *sendPeer {
-	if ep.sstreams == nil {
-		ep.sstreams = make([]*sendPeer, len(ep.nw.eps))
+// step carries out what the stream driver asked for, in the order
+// reliab.Step documents. It runs in event context (or, from
+// SendReliable, in the rank's proc): control frames and retransmissions
+// cost the host nothing — the reliability layer lives below the socket
+// boundary, like the kernel's TCP. A failed stream closes the inbox so a
+// blocked receive observes the error instead of deadlocking silently.
+func (ep *Endpoint) step(peer int, st reliab.Step) {
+	if st.Err != nil {
+		ep.inbox.Close()
+		ep.nudge()
 	}
-	sp := ep.sstreams[dst]
-	if sp == nil {
-		sp = &sendPeer{
-			ss: reliab.NewSendStream(ep.nw.prof.Stream),
-			mg: metrics.NewStreamGauges(ep.nw.prof.Metrics, ep.rank, dst),
-		}
-		ep.sstreams[dst] = sp
+	if st.Acked && ep.pinging > 0 {
+		ep.nudge()
 	}
-	return sp
+	ep.sendCtl(peer, st.Ctl)
+	for _, r := range st.Resend {
+		ep.resendFrags(peer, r.Frags)
+	}
+	if st.Arm > 0 {
+		ep.nw.eng.At(st.Arm, func() { ep.step(peer, ep.streams.OnTimer(ep.Now(), peer)) })
+	}
+	if st.Freed {
+		ep.nudge()
+	}
 }
 
-func (ep *Endpoint) recvPeer(src int) *recvPeer {
-	if ep.rstreams == nil {
-		ep.rstreams = make([]*recvPeer, len(ep.nw.eps))
-	}
-	rp := ep.rstreams[src]
-	if rp == nil {
-		rp = &recvPeer{rs: reliab.NewRecvStream()}
-		ep.rstreams[src] = rp
-	}
-	return rp
-}
-
-// armProbe schedules the stream's ack-soliciting probe timer for dst if
-// none is pending.
-func (ep *Endpoint) armProbe(dst int, sp *sendPeer) {
-	if sp.armed {
-		return
-	}
-	sp.armed = true
-	ep.nw.eng.At(sp.ss.RTO(), func() { ep.probeTick(dst, sp) })
-}
-
-// probeTick runs in event context when the probe timer for dst fires:
-// nothing acknowledged the stream's tail within RTO of its last
-// activity, so solicit the receiver's state (and back off). The stream
-// fails after MaxProbes consecutive silent probes.
-func (ep *Endpoint) probeTick(dst int, sp *sendPeer) {
-	sp.armed = false
-	if ep.closed || ep.killed || ep.peerFailed(dst) || !sp.ss.NeedProbe() {
-		return
-	}
-	// The stream has been active since the timer was armed: the silence
-	// period restarts at the last activity — re-arm without probing, so
-	// steady traffic (a long collective mid-run) provokes no protocol
-	// frames on the measured wire.
-	if wait := sp.lastActivity + sp.ss.RTO() - int64(ep.nw.eng.Now()); wait > 0 {
-		sp.armed = true
-		ep.nw.eng.At(wait, func() { ep.probeTick(dst, sp) })
-		return
-	}
-	nonce, ok := sp.ss.OnProbeAt(int64(ep.nw.eng.Now()))
-	if !ok {
-		ep.failStream(fmt.Errorf("simnet: reliable stream %d->%d failed: %d unacknowledged messages after %d probes",
-			ep.rank, dst, sp.ss.InFlight(), ep.nw.prof.Stream.MaxProbes))
-		return
-	}
-	ep.nw.Stats.Stream.ProbesSent.Add(1)
-	if rec := ep.nw.prof.Trace; rec != nil {
-		rec.Event(ep.rank, int64(ep.nw.eng.Now()), "stream.probe", int64(dst))
-	}
-	ep.sendCtl(dst, reliab.EncodeProbe(nonce))
-	ep.armProbe(dst, sp)
-}
-
-// failStream declares this endpoint's streams broken: the error is
-// surfaced on every subsequent Send/Recv, and the inbox is closed so a
-// blocked receive observes it instead of deadlocking silently.
-func (ep *Endpoint) failStream(err error) {
-	if ep.streamErr != nil {
-		return
-	}
-	ep.streamErr = err
-	ep.nw.Stats.Stream.StreamFailures.Add(1)
-	ep.inbox.Close()
+// nudge makes the rank's proc re-check whatever condition it is blocked on.
+func (ep *Endpoint) nudge() {
 	if ep.proc != nil {
 		ep.proc.Nudge()
 	}
 }
 
-// sendCtl emits one stream control frame (probe or ack) to dst from
-// event context. Control frames are real, droppable wire frames counted
-// in the ClassAck column, but they never reach the application and cost
-// the hosts nothing at the transport layer.
-func (ep *Endpoint) sendCtl(dst int, body []byte) {
-	ep.msgID++
-	f := transport.Fragment{
-		Msg: transport.Message{
-			Kind:    transport.P2P,
-			Src:     ep.rank,
-			Class:   transport.ClassStream,
-			Payload: body,
-		},
-		MsgID: ep.msgID,
-		Count: 1,
-		Ctl:   true,
+// downErr reports why the endpoint refuses work — the rank was killed, a
+// stream failed, the endpoint was closed — or nil while it is up.
+func (ep *Endpoint) downErr() error {
+	switch {
+	case ep.killed:
+		return transport.ErrKilled
+	case ep.streams.Err() != nil:
+		return ep.streams.Err()
+	case ep.closed:
+		return transport.ErrClosed
 	}
-	f.TotalLen = uint32(len(body))
+	return nil
+}
+
+// sendCtl emits one stream control frame (probe or ack) to dst; a nil
+// body — the driver had nothing to say — emits nothing. Control frames
+// are real, droppable wire frames counted in the ClassAck column.
+func (ep *Endpoint) sendCtl(dst int, body []byte) {
+	if body == nil {
+		return
+	}
+	ep.msgID++
 	ep.nw.Wire.CountSend(transport.ClassStream, 1, len(body))
-	_ = ep.node.SendUDP(ipnet.Datagram{
-		Dst:     ipnet.RankAddr(dst),
+	_ = ep.emit(ipnet.RankAddr(dst), reliab.CtlFrame(ep.rank, ep.msgID, body))
+}
+
+// emit hands one fragment to the stack, serialized into the endpoint's
+// scratch buffer: SendUDP copies the bytes into the frame it builds, so
+// the hot send paths never allocate per fragment.
+func (ep *Endpoint) emit(dst ipnet.Addr, f transport.Fragment) error {
+	ep.encBuf = transport.AppendFragment(ep.encBuf[:0], f)
+	return ep.node.SendUDP(ipnet.Datagram{
+		Dst:     dst,
 		DstPort: 5000,
-		Kind:    ethernet.KindAck,
-		Payload: ep.encode(f),
+		Kind:    classToFrameKind(f.Msg.Class),
+		Payload: ep.encBuf,
 	})
 }
 
-// encode serializes f into the endpoint's scratch buffer; the result is
-// valid only until the next encode. SendUDP copies the bytes into the
-// frame it builds, so the hot send paths never allocate per fragment.
-func (ep *Endpoint) encode(f transport.Fragment) []byte {
-	ep.encBuf = transport.AppendFragment(ep.encBuf[:0], f)
-	return ep.encBuf
-}
-
-// resendFrags retransmits recorded stream fragments to dst from event
-// context (no host cost — the reliability layer lives below the socket
-// boundary, like the kernel's TCP retransmission).
+// resendFrags puts recorded stream fragments (one message's, never
+// empty) back on the wire to dst.
 func (ep *Endpoint) resendFrags(dst int, frags []transport.Fragment) {
 	bytes := 0
 	for _, f := range frags {
 		bytes += len(f.Msg.Payload)
 	}
-	if len(frags) == 0 {
-		return
-	}
-	ep.nw.Stats.Stream.Retransmits.Add(int64(len(frags)))
-	ep.mRetransmits.Mark(int64(ep.nw.eng.Now()), int64(len(frags)))
-	if rec := ep.nw.prof.Trace; rec != nil {
-		rec.Event(ep.rank, int64(ep.nw.eng.Now()), "stream.retransmit", int64(len(frags)))
-	}
 	ep.nw.Wire.CountSend(frags[0].Msg.Class, len(frags), bytes)
 	for _, f := range frags {
-		_ = ep.node.SendUDP(ipnet.Datagram{
-			Dst:     ipnet.RankAddr(dst),
-			DstPort: 5000,
-			Kind:    classToFrameKind(f.Msg.Class),
-			Payload: ep.encode(f),
-		})
-	}
-}
-
-// sendStreamAck emits the receiver-side state report for src. Probed
-// acks (answering probe nonce != 0) always go out; volunteer acks (gap
-// evidence, duplicates) are throttled to one per quarter-RTO per peer.
-func (ep *Endpoint) sendStreamAck(src int, rp *recvPeer, nonce uint32) {
-	now := int64(ep.nw.eng.Now())
-	if nonce == 0 && now < rp.nextAckAt {
-		return
-	}
-	rp.nextAckAt = now + ep.nw.prof.Stream.RTO/4
-	ack := rp.rs.AckState(func(msgID uint64) []int {
-		return ep.reasm.Missing(src, msgID)
-	}, nonce)
-	ep.nw.Stats.Stream.AcksSent.Add(1)
-	ep.sendCtl(src, reliab.EncodeAck(ack, MaxFragPayload))
-}
-
-// handleStreamCtl consumes a stream control frame in event context.
-func (ep *Endpoint) handleStreamCtl(f transport.Fragment) {
-	src := f.Msg.Src
-	ack, probe, err := reliab.DecodeCtl(f.Msg.Payload)
-	if err != nil {
-		return
-	}
-	if probe {
-		ep.sendStreamAck(src, ep.recvPeer(src), ack.Nonce)
-		return
-	}
-	sp := ep.sendPeer(src)
-	ep.nw.Stats.Stream.AcksReceived.Add(1)
-	if ep.ackSeen == nil {
-		ep.ackSeen = make([]uint64, len(ep.nw.eps))
-	}
-	ep.ackSeen[src]++
-	if ep.pinging > 0 && ep.proc != nil {
-		ep.proc.Nudge()
-	}
-	resend, freed, rtt := sp.ss.HandleAckAt(int64(ep.nw.eng.Now()), ack)
-	if rtt > 0 {
-		snap := sp.ss.RTTSnapshot()
-		sp.mg.SetRTT(snap.SRTT, snap.RTTVar, snap.MinRTT, snap.QueueDelay, snap.Gradient)
-	}
-	sp.mg.SetWindow(sp.ss.InFlight())
-	// An ack answering a failure-detector ping is liveness evidence, not
-	// stream progress: refreshing the activity clock on it would let
-	// periodic pings postpone the recovery probe forever (sweep period <
-	// RTO) and starve retransmission of a genuinely lost fragment.
-	if ack.Nonce != pingNonce {
-		sp.lastActivity = int64(ep.nw.eng.Now())
-	}
-	for _, r := range resend {
-		ep.resendFrags(src, r.Frags)
-	}
-	if len(resend) > 0 {
-		ep.armProbe(src, sp)
-	}
-	if freed && ep.proc != nil {
-		ep.proc.Nudge()
+		_ = ep.emit(ipnet.RankAddr(dst), f)
 	}
 }
 
 // Join implements transport.Multicaster.
 func (ep *Endpoint) Join(group uint32) error {
-	if ep.killed {
-		return transport.ErrKilled
-	}
-	if ep.closed {
-		return transport.ErrClosed
+	if err := ep.downErr(); err != nil {
+		return err
 	}
 	return ep.node.Join(ipnet.GroupAddr(group))
 }
 
 // Leave implements transport.Multicaster.
 func (ep *Endpoint) Leave(group uint32) error {
-	if ep.killed {
-		return transport.ErrKilled
-	}
-	if ep.closed {
-		return transport.ErrClosed
+	if err := ep.downErr(); err != nil {
+		return err
 	}
 	return ep.node.Leave(ipnet.GroupAddr(group))
 }
@@ -1008,11 +805,8 @@ func (ep *Endpoint) Leave(group uint32) error {
 // Multicast implements transport.Multicaster: one transmission reaches
 // every joined member, exactly as one IP multicast datagram does.
 func (ep *Endpoint) Multicast(group uint32, m transport.Message) error {
-	if ep.killed {
-		return transport.ErrKilled
-	}
-	if ep.closed {
-		return transport.ErrClosed
+	if err := ep.downErr(); err != nil {
+		return err
 	}
 	m.Kind = transport.Mcast
 	return ep.transmit(ipnet.GroupAddr(group), m)
@@ -1052,13 +846,7 @@ func (ep *Endpoint) transmitFrags(dst ipnet.Addr, m transport.Message, frags []t
 	p.Sleep(cost)
 	ep.nw.Wire.CountSend(m.Class, len(frags), bytes)
 	for _, f := range frags {
-		err := ep.node.SendUDP(ipnet.Datagram{
-			Dst:     dst,
-			DstPort: 5000,
-			Kind:    classToFrameKind(m.Class),
-			Payload: ep.encode(f),
-		})
-		if err != nil {
+		if err := ep.emit(dst, f); err != nil {
 			return err
 		}
 	}
@@ -1072,11 +860,8 @@ func (ep *Endpoint) LastMulticastID() uint64 { return ep.lastMcast }
 // the named fragments of m (nil = all) to group under the original
 // message id, so they complete receivers' partial reassembly.
 func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uint64, frags []int) error {
-	if ep.killed {
-		return transport.ErrKilled
-	}
-	if ep.closed {
-		return transport.ErrClosed
+	if err := ep.downErr(); err != nil {
+		return err
 	}
 	m.Kind = transport.Mcast
 	m.Src = ep.rank
@@ -1180,20 +965,17 @@ func (ep *Endpoint) handleDatagram(d ipnet.Datagram) {
 			}
 		}
 	}
+	src := f.Msg.Src
 	if f.Ctl {
 		// Stream control (ack/probe): consumed below the receive path.
-		ep.handleStreamCtl(f)
+		ep.step(src, ep.streams.OnCtl(ep.Now(), src, f.Msg.Payload))
 		return
 	}
-	var rp *recvPeer
-	if f.Stream != 0 && f.Msg.Kind == transport.P2P {
-		rp = ep.recvPeer(f.Msg.Src)
-		if !rp.rs.Fresh(f.Stream, f.MsgID) {
-			// Duplicate of a delivered message (a retransmission raced
-			// the ack): suppress it before it founds ghost reassembly
-			// state, and re-advertise our state so the sender retires it.
-			ep.nw.Stats.Stream.DupFragments.Add(1)
-			ep.sendStreamAck(f.Msg.Src, rp, 0)
+	streamed := f.Stream != 0 && f.Msg.Kind == transport.P2P
+	if streamed {
+		fresh, ack := ep.streams.Fresh(ep.Now(), src, f.Stream, f.MsgID)
+		if !fresh {
+			ep.sendCtl(src, ack)
 			return
 		}
 	}
@@ -1215,10 +997,8 @@ func (ep *Endpoint) handleDatagram(d ipnet.Datagram) {
 		return
 	}
 	if !done {
-		if rp != nil && rp.rs.Gapped() {
-			// Provable loss (a newer message's fragments arrived past the
-			// gap): volunteer our state instead of waiting for a probe.
-			ep.sendStreamAck(f.Msg.Src, rp, 0)
+		if streamed {
+			ep.sendCtl(src, ep.streams.Volunteer(ep.Now(), src))
 		}
 		return
 	}
@@ -1235,8 +1015,8 @@ func (ep *Endpoint) handleDatagram(d ipnet.Datagram) {
 		ep.nw.Stats.RingOverflows++
 		return
 	}
-	if rp != nil {
-		rp.rs.Deliver(f.Stream)
+	if streamed {
+		ep.streams.Deliver(src, f.Stream)
 		if m.Reliable {
 			// Modeled TCP acks eagerly — delayed ack, one per two
 			// segments — instead of staying receiver-silent: the acks
@@ -1244,7 +1024,7 @@ func (ep *Endpoint) handleDatagram(d ipnet.Datagram) {
 			// contend for a hub) exactly as the kernel's TCP acks did,
 			// and the sender charges TCPPenalty per ack it provokes.
 			for i := 0; i < (nfrags+1)/2; i++ {
-				ep.sendStreamAckEager(m.Src, rp)
+				ep.sendCtl(src, ep.streams.EagerAck(src))
 			}
 		}
 	}
@@ -1260,21 +1040,9 @@ func (ep *Endpoint) handleDatagram(d ipnet.Datagram) {
 		rec.Gauge(ep.rank, int64(ep.nw.eng.Now()), "delivered.bytes", ep.delivered.Bytes)
 	}
 	ep.inbox.Push(arrived{msg: m, frags: nfrags})
-	if rp != nil && rp.rs.Gapped() {
-		ep.sendStreamAck(f.Msg.Src, rp, 0)
+	if streamed {
+		ep.sendCtl(src, ep.streams.Volunteer(ep.Now(), src))
 	}
-}
-
-// sendStreamAckEager emits one unthrottled stream acknowledgment to
-// src — the modeled-TCP ack path, which acks per delivered segment pair
-// instead of the stream's silent-until-probed default. The frames are
-// ordinary (droppable, repairable) stream control traffic.
-func (ep *Endpoint) sendStreamAckEager(src int, rp *recvPeer) {
-	ack := rp.rs.AckState(func(msgID uint64) []int {
-		return ep.reasm.Missing(src, msgID)
-	}, 0)
-	ep.nw.Stats.Stream.AcksSent.Add(1)
-	ep.sendCtl(src, reliab.EncodeAck(ack, MaxFragPayload))
 }
 
 // Recv implements transport.Endpoint. Being inside a Recv call is what
@@ -1289,11 +1057,8 @@ func (ep *Endpoint) Recv() (transport.Message, error) {
 	if p == nil {
 		panic("simnet: endpoint used outside Network.Run")
 	}
-	if ep.killed {
-		return transport.Message{}, transport.ErrKilled
-	}
-	if ep.closed {
-		return transport.Message{}, transport.ErrClosed
+	if err := ep.downErr(); err != nil {
+		return transport.Message{}, err
 	}
 	ep.posted++
 	defer func() { ep.posted-- }()
@@ -1303,13 +1068,7 @@ func (ep *Endpoint) Recv() (transport.Message, error) {
 	ep.consumeStraggle(p)
 	a, ok := ep.inbox.Recv(p)
 	if !ok {
-		if ep.killed {
-			return transport.Message{}, transport.ErrKilled
-		}
-		if ep.streamErr != nil {
-			return transport.Message{}, ep.streamErr
-		}
-		return transport.Message{}, transport.ErrClosed
+		return transport.Message{}, ep.downErr()
 	}
 	prof := &ep.nw.prof
 	p.Sleep(prof.ORecv + sim.Duration(a.frags)*prof.OFrag + sim.Duration(len(a.msg.Payload))*prof.OByte)
@@ -1323,11 +1082,8 @@ func (ep *Endpoint) RecvTimeout(timeout int64) (transport.Message, bool, error) 
 	if p == nil {
 		panic("simnet: endpoint used outside Network.Run")
 	}
-	if ep.killed {
-		return transport.Message{}, false, transport.ErrKilled
-	}
-	if ep.closed {
-		return transport.Message{}, false, transport.ErrClosed
+	if err := ep.downErr(); err != nil {
+		return transport.Message{}, false, err
 	}
 	ep.posted++
 	defer func() { ep.posted-- }()
@@ -1335,13 +1091,7 @@ func (ep *Endpoint) RecvTimeout(timeout int64) (transport.Message, bool, error) 
 	a, ok := ep.inbox.RecvDeadline(p, ep.nw.eng.Now()+sim.Time(timeout))
 	if !ok {
 		if ep.inbox.Closed() {
-			if ep.killed {
-				return transport.Message{}, false, transport.ErrKilled
-			}
-			if ep.streamErr != nil {
-				return transport.Message{}, false, ep.streamErr
-			}
-			return transport.Message{}, false, transport.ErrClosed
+			return transport.Message{}, false, ep.downErr()
 		}
 		return transport.Message{}, false, nil
 	}
@@ -1354,6 +1104,7 @@ func (ep *Endpoint) RecvTimeout(timeout int64) (transport.Message, bool, error) 
 func (ep *Endpoint) Close() error {
 	if !ep.closed {
 		ep.closed = true
+		ep.streams.Stop()
 		ep.inbox.Close()
 	}
 	return nil

@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"strconv"
@@ -178,14 +179,12 @@ func New(cfg Config) (*Net, error) {
 		}
 		_ = conn.SetReadBuffer(cfg.ReadBuffer)
 		ep := &Endpoint{
-			net:      nw,
-			rank:     i,
-			uc:       conn,
-			inbox:    make(chan transport.Message, 4096),
-			groups:   make(map[uint32]*net.UDPConn),
-			sstreams: make(map[int]*uSendPeer),
-			rstreams: make(map[int]*uRecvPeer),
-			done:     make(chan struct{}),
+			net:    nw,
+			rank:   i,
+			uc:     conn,
+			inbox:  make(chan transport.Message, 4096),
+			groups: make(map[uint32]*net.UDPConn),
+			done:   make(chan struct{}),
 
 			// Per-NIC telemetry handles, registered eagerly so every
 			// family exists from the first scrape (nil registry → nil
@@ -194,13 +193,14 @@ func New(cfg Config) (*Net, error) {
 				metrics.Labeled("mcast_nic_delivered_bytes", "rank", strconv.Itoa(i)), metrics.DefaultMeterTau),
 			mDelivFrames: cfg.Metrics.Meter(
 				metrics.Labeled("mcast_nic_delivered_frames", "rank", strconv.Itoa(i)), metrics.DefaultMeterTau),
-			mRetransmits: cfg.Metrics.Meter(
-				metrics.Labeled("mcast_stream_retransmits", "rank", strconv.Itoa(i)), metrics.DefaultMeterTau),
 
-			failedPeers: make(map[int]bool),
-			ackSeen:     make(map[int]uint64),
+			probeTimers: make([]*time.Timer, cfg.N),
 			ackWake:     make(chan struct{}),
 		}
+		ep.streams = reliab.NewDriver(reliab.Host{
+			Rank: i, Size: cfg.N, Options: cfg.Stream, FragPayload: cfg.FragSize,
+			Missing: ep.reasm.Missing, Stats: &ep.sstats, Trace: cfg.Trace, Metrics: cfg.Metrics,
+		})
 		ep.sendCond = sync.NewCond(&ep.mu)
 		seed := cfg.LossSeed
 		if seed == 0 {
@@ -282,7 +282,7 @@ type Endpoint struct {
 	mu        sync.Mutex
 	groups    map[uint32]*net.UDPConn
 	reasm     transport.Reassembler
-	msgID     uint64
+	msgID     atomic.Uint64 // last device message id handed out
 	lastMcast uint64
 	closed    bool
 	stats     Stats
@@ -292,50 +292,26 @@ type Endpoint struct {
 	// method on a nil handle is an allocation-free no-op).
 	mDelivBytes  *metrics.Meter
 	mDelivFrames *metrics.Meter
-	mRetransmits *metrics.Meter
 
-	// Reliable point-to-point stream state (package reliab), all guarded
-	// by mu; sendCond wakes senders blocked on a full window.
-	sstreams  map[int]*uSendPeer
-	rstreams  map[int]*uRecvPeer
-	sendCond  *sync.Cond
-	streamErr error
-	lossRng   *rand.Rand
+	// streams runs the reliable point-to-point streams (package reliab),
+	// guarded by mu like the probe timers it asks for (by peer; nil when
+	// none is pending). sendCond wakes senders blocked on a full window.
+	streams     *reliab.Driver
+	probeTimers []*time.Timer
+	sendCond    *sync.Cond
+	lossRng     *rand.Rand
 
-	// Fault injection and failure detection, guarded by mu. killed is
-	// the process-local kill switch: the rank drops every arrival and
-	// errors every call, while its sockets stay open so the death is
-	// silent on the wire (peers' pings time out, exactly like a crashed
-	// process whose host answers no one). failedPeers marks peers the
-	// failure detector declared dead; ackSeen counts stream acks per
-	// peer (the liveness evidence Ping waits for) and ackWake is closed
-	// and replaced on each ack so pingers can block on it.
-	killed      bool
-	failedPeers map[int]bool
-	ackSeen     map[int]uint64
-	ackWake     chan struct{}
+	// killed is the process-local kill switch, guarded by mu: the rank
+	// drops every arrival and errors every call, while its sockets stay
+	// open so the death is silent on the wire (peers' pings time out,
+	// exactly like a crashed process whose host answers no one). ackWake
+	// is closed and replaced on each stream ack so pingers can block on it.
+	killed  bool
+	ackWake chan struct{}
 
 	inbox chan transport.Message
 	done  chan struct{}
 	wg    sync.WaitGroup
-}
-
-// uSendPeer is one peer's send stream plus its probe timer.
-// lastActivity (endpoint clock) records the most recent send or
-// acknowledgment: probes fire RTO after the LAST activity, so steady
-// traffic never provokes mid-run protocol frames.
-type uSendPeer struct {
-	ss           *reliab.SendStream
-	timer        *time.Timer // nil when no probe is scheduled
-	lastActivity int64
-	mg           *metrics.StreamGauges // per-(rank,peer) RTT/window gauges
-}
-
-// uRecvPeer is one peer's receive stream plus the volunteer-ack
-// throttle.
-type uRecvPeer struct {
-	rs        *reliab.RecvStream
-	nextAckAt int64
 }
 
 var (
@@ -359,13 +335,6 @@ func (ep *Endpoint) TraceRecorder() *trace.Recorder { return ep.net.cfg.Trace }
 // MetricsRegistry implements metrics.Carrier: the world-wide live
 // telemetry registry from Config.Metrics, nil when disabled.
 func (ep *Endpoint) MetricsRegistry() *metrics.Registry { return ep.net.cfg.Metrics }
-
-// pingNonce marks a failure-detector probe. It shares the stream probe
-// wire format — the receiver answers it at the read loop, below the
-// application — but its acks must not be mistaken for answers to a real
-// stream probe (send streams number their probes from 1) nor count as
-// stream activity.
-const pingNonce = 0xFFFFFFFF
 
 // Rank implements transport.Endpoint.
 func (ep *Endpoint) Rank() int { return ep.rank }
@@ -406,13 +375,20 @@ func (ep *Endpoint) Kill() {
 	ep.killed = true
 	ep.closeDoneLocked()
 	ep.sendCond.Broadcast()
-	for _, sp := range ep.sstreams {
-		if sp.timer != nil {
-			sp.timer.Stop()
-			sp.timer = nil
+	ep.stopStreamsLocked()
+	ep.mu.Unlock()
+}
+
+// stopStreamsLocked ends probing: every pending probe timer is stopped,
+// and the driver turns a fire already under way into a no-op. Caller
+// holds mu.
+func (ep *Endpoint) stopStreamsLocked() {
+	ep.streams.Stop()
+	for _, t := range ep.probeTimers {
+		if t != nil {
+			t.Stop()
 		}
 	}
-	ep.mu.Unlock()
 }
 
 // KillRank kills rank r's endpoint (see Endpoint.Kill).
@@ -427,11 +403,7 @@ func (ep *Endpoint) FailPeer(dst int) {
 		return
 	}
 	ep.mu.Lock()
-	ep.failedPeers[dst] = true
-	if sp := ep.sstreams[dst]; sp != nil && sp.timer != nil {
-		sp.timer.Stop()
-		sp.timer = nil
-	}
+	ep.streams.FailPeer(dst)
 	ep.sendCond.Broadcast()
 	ep.mu.Unlock()
 }
@@ -450,35 +422,23 @@ func (ep *Endpoint) Ping(dst int, timeout int64) bool {
 		ep.mu.Unlock()
 		return false
 	}
-	before := ep.ackSeen[dst]
+	probe, before := ep.streams.Ping(dst)
 	wake := ep.ackWake
-	ep.sstats.ProbesSent.Add(1)
-	frag := ep.ctlFragLocked(reliab.EncodeProbe(pingNonce))
 	ep.mu.Unlock()
+	ep.writeCtl(dst, probe)
 
-	bp := wireBufPool.Get().(*[]byte)
-	*bp = transport.AppendFragment((*bp)[:0], frag)
-	_, _ = ep.uc.WriteToUDP(*bp, ep.peers[dst])
-	wireBufPool.Put(bp)
-
-	deadline := time.Now().Add(time.Duration(timeout))
+	t := time.NewTimer(time.Duration(timeout))
+	defer t.Stop()
 	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return false
-		}
-		t := time.NewTimer(remain)
 		select {
 		case <-wake:
-			t.Stop()
 		case <-t.C:
 			return false
 		case <-ep.done:
-			t.Stop()
 			return false
 		}
 		ep.mu.Lock()
-		got := ep.ackSeen[dst] > before
+		got := ep.streams.AcksSeen(dst) > before
 		wake = ep.ackWake
 		gone := ep.killed || ep.closed
 		ep.mu.Unlock()
@@ -502,7 +462,7 @@ func (ep *Endpoint) Send(dst int, m transport.Message) error {
 		ep.mu.Unlock()
 		return transport.ErrKilled
 	}
-	if ep.failedPeers[dst] {
+	if ep.streams.PeerFailed(dst) {
 		ep.mu.Unlock()
 		return nil
 	}
@@ -520,149 +480,64 @@ func (ep *Endpoint) SendReliable(dst int, m transport.Message) error {
 	if dst < 0 || dst >= len(ep.peers) {
 		return fmt.Errorf("udpnet: send to rank %d outside world of %d", dst, len(ep.peers))
 	}
-	m.Kind = transport.P2P
-	m.Src = ep.rank
-
 	ep.mu.Lock()
-	if ep.killed {
-		ep.mu.Unlock()
-		return transport.ErrKilled
+	// Admission, re-checked after every wake-up: while this sender waited
+	// for window space the endpoint may have gone down or the failure
+	// detector declared dst dead (sends to a dead peer are silent no-ops).
+	for stalled := false; ; ep.sendCond.Wait() {
+		if err := ep.downLocked(); err != nil || ep.streams.PeerFailed(dst) {
+			ep.mu.Unlock()
+			return err
+		}
+		if !ep.streams.Full(dst) {
+			break
+		}
+		if !stalled {
+			stalled = true
+			ep.sstats.WindowStalls.Add(1)
+		}
 	}
-	if ep.closed {
-		ep.mu.Unlock()
-		return transport.ErrClosed
-	}
-	if ep.failedPeers[dst] {
-		ep.mu.Unlock()
-		return nil
-	}
-	sp := ep.sendPeerLocked(dst)
-	if sp.ss.Full() {
-		ep.sstats.WindowStalls.Add(1)
-	}
-	for sp.ss.Full() && ep.streamErr == nil && !ep.closed && !ep.killed && !ep.failedPeers[dst] {
-		ep.sendCond.Wait()
-	}
-	if ep.killed {
-		ep.mu.Unlock()
-		return transport.ErrKilled
-	}
-	if err := ep.streamErr; err != nil {
-		ep.mu.Unlock()
-		return err
-	}
-	if ep.closed {
-		ep.mu.Unlock()
-		return transport.ErrClosed
-	}
-	if ep.failedPeers[dst] {
-		ep.mu.Unlock()
-		return nil
-	}
-	// Retransmission may happen long after this call returns, so the
-	// recorded fragments must not alias a caller buffer the application
-	// is free to reuse (plain Send semantics): copy once at admission.
-	m.Payload = append([]byte(nil), m.Payload...)
-	ep.msgID++
-	id := ep.msgID
-	frags := transport.Split(m, id, ep.net.cfg.FragSize)
-	seq := sp.ss.Begin(id, frags)
-	for i := range frags {
-		frags[i].Stream = seq
-	}
-	ep.sstats.MsgsStreamed.Add(1)
+	frags, seq := ep.streams.Begin(dst, m, ep.msgID.Add(1))
 	ep.mu.Unlock()
 
-	err := ep.writeFrags(ep.peers[dst], frags)
+	err := ep.writeFrags(ep.peers[dst], frags...)
 
 	ep.mu.Lock()
-	sp.ss.MarkSent(seq)
-	sp.mg.SetWindow(sp.ss.InFlight())
-	sp.lastActivity = ep.Now()
-	ep.armProbeLocked(dst, sp)
-	ep.mu.Unlock()
+	ep.stepUnlock(dst, ep.streams.Sent(ep.Now(), dst, seq))
 	return err
 }
 
-func (ep *Endpoint) sendPeerLocked(dst int) *uSendPeer {
-	sp := ep.sstreams[dst]
-	if sp == nil {
-		sp = &uSendPeer{
-			ss: reliab.NewSendStream(ep.net.cfg.Stream),
-			mg: metrics.NewStreamGauges(ep.net.cfg.Metrics, ep.rank, dst),
-		}
-		ep.sstreams[dst] = sp
+// stepUnlock carries out what the stream driver asked for, in the order
+// reliab.Step documents. The caller holds mu; stepUnlock releases it
+// before the step's frames are written — no datagram is ever written
+// under the lock. A failed stream closes done, so blocked senders and
+// receivers observe the error instead of hanging.
+func (ep *Endpoint) stepUnlock(peer int, st reliab.Step) {
+	if st.Err != nil {
+		ep.sendCond.Broadcast()
+		ep.closeDoneLocked()
 	}
-	return sp
-}
-
-func (ep *Endpoint) recvPeerLocked(src int) *uRecvPeer {
-	rp := ep.rstreams[src]
-	if rp == nil {
-		rp = &uRecvPeer{rs: reliab.NewRecvStream()}
-		ep.rstreams[src] = rp
+	if st.Acked {
+		close(ep.ackWake)
+		ep.ackWake = make(chan struct{})
 	}
-	return rp
-}
-
-// armProbeLocked schedules the ack-soliciting probe timer for dst if
-// none is pending. Caller holds mu.
-func (ep *Endpoint) armProbeLocked(dst int, sp *uSendPeer) {
-	if sp.timer != nil || ep.closed {
-		return
+	if st.Arm > 0 && !ep.closed {
+		ep.probeTimers[peer] = time.AfterFunc(time.Duration(st.Arm), func() {
+			ep.mu.Lock()
+			ep.probeTimers[peer] = nil
+			ep.stepUnlock(peer, ep.streams.OnTimer(ep.Now(), peer))
+		})
 	}
-	sp.timer = time.AfterFunc(time.Duration(sp.ss.RTO()), func() { ep.probeFire(dst, sp) })
-}
-
-// probeFire runs on the timer goroutine when dst's stream has been
-// silent for RTO: solicit the receiver's state, back off, and fail the
-// stream after MaxProbes consecutive silent probes.
-func (ep *Endpoint) probeFire(dst int, sp *uSendPeer) {
-	ep.mu.Lock()
-	sp.timer = nil
-	if ep.closed || ep.killed || ep.failedPeers[dst] || !sp.ss.NeedProbe() {
-		ep.mu.Unlock()
-		return
+	if st.Freed {
+		ep.sendCond.Broadcast()
 	}
-	// Active since the timer was armed: the silence period restarts at
-	// the last activity — re-arm without probing.
-	if wait := sp.lastActivity + sp.ss.RTO() - ep.Now(); wait > 0 {
-		sp.timer = time.AfterFunc(time.Duration(wait), func() { ep.probeFire(dst, sp) })
-		ep.mu.Unlock()
-		return
-	}
-	nonce, ok := sp.ss.OnProbeAt(ep.Now())
-	if !ok {
-		ep.failStreamLocked(fmt.Errorf("udpnet: reliable stream %d->%d failed: %d unacknowledged messages after %d probes",
-			ep.rank, dst, sp.ss.InFlight(), ep.net.cfg.Stream.MaxProbes))
-		ep.mu.Unlock()
-		return
-	}
-	ep.sstats.ProbesSent.Add(1)
-	if rec := ep.net.cfg.Trace; rec != nil {
-		rec.Event(ep.rank, ep.Now(), "stream.probe", int64(dst))
-	}
-	body := reliab.EncodeProbe(nonce)
-	ep.armProbeLocked(dst, sp)
-	frag := ep.ctlFragLocked(body)
 	ep.mu.Unlock()
-	bp := wireBufPool.Get().(*[]byte)
-	*bp = transport.AppendFragment((*bp)[:0], frag)
-	_, _ = ep.uc.WriteToUDP(*bp, ep.peers[dst])
-	wireBufPool.Put(bp)
-}
-
-// failStreamLocked declares the endpoint's streams broken; blocked
-// senders and receivers observe the error instead of hanging. Caller
-// holds mu.
-func (ep *Endpoint) failStreamLocked(err error) {
-	if ep.streamErr != nil {
-		return
+	ep.writeCtl(peer, st.Ctl)
+	for _, r := range st.Resend {
+		// A retransmission the socket refuses is repaired like one the
+		// wire lost: by the next probe.
+		_ = ep.writeFrags(ep.peers[peer], r.Frags...)
 	}
-	ep.streamErr = err
-	ep.sstats.StreamFailures.Add(1)
-	ep.sendCond.Broadcast()
-	ep.closeDoneLocked()
 }
 
 // closeDoneLocked closes the done channel exactly once. Caller holds mu.
@@ -674,123 +549,37 @@ func (ep *Endpoint) closeDoneLocked() {
 	}
 }
 
-// closeErr is the error surfaced on operations after the endpoint shut
-// down: the stream failure that broke it, or plain closure.
+// downLocked reports why the endpoint refuses work — the rank was
+// killed, a stream failed, the endpoint was closed — or nil while it is
+// up. Caller holds mu.
+func (ep *Endpoint) downLocked() error {
+	switch {
+	case ep.killed:
+		return transport.ErrKilled
+	case ep.streams.Err() != nil:
+		return ep.streams.Err()
+	case ep.closed:
+		return transport.ErrClosed
+	}
+	return nil
+}
+
+// closeErr is the error surfaced on operations after done was closed.
 func (ep *Endpoint) closeErr() error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.killed {
-		return transport.ErrKilled
-	}
-	if ep.streamErr != nil {
-		return ep.streamErr
-	}
-	return transport.ErrClosed
+	return ep.downLocked()
 }
 
-// ctlFragLocked builds a stream control frame. Caller holds mu.
-func (ep *Endpoint) ctlFragLocked(body []byte) transport.Fragment {
-	ep.msgID++
-	return transport.Fragment{
-		Msg: transport.Message{
-			Kind:    transport.P2P,
-			Src:     ep.rank,
-			Class:   transport.ClassStream,
-			Payload: body,
-		},
-		MsgID:    ep.msgID,
-		Count:    1,
-		TotalLen: uint32(len(body)),
-		Ctl:      true,
-	}
-}
-
-// sendStreamAckLocked emits the receiver-side state report for src;
-// volunteer acks (nonce 0, force false) are throttled to one per
-// quarter-RTO per peer. force bypasses the throttle — the modeled-TCP
-// eager ack per delivered reliable message. Caller holds mu; the
-// datagram write happens after unlock via the returned thunk (nil when
-// throttled).
-func (ep *Endpoint) sendStreamAckLocked(src int, rp *uRecvPeer, nonce uint32, force bool) func() {
-	now := ep.Now()
-	if nonce == 0 && !force && now < rp.nextAckAt {
-		return nil
-	}
-	rp.nextAckAt = now + ep.net.cfg.Stream.RTO/4
-	ack := rp.rs.AckState(func(msgID uint64) []int {
-		return ep.reasm.Missing(src, msgID)
-	}, nonce)
-	ep.sstats.AcksSent.Add(1)
-	frag := ep.ctlFragLocked(reliab.EncodeAck(ack, ep.net.cfg.FragSize))
-	bp := wireBufPool.Get().(*[]byte)
-	*bp = transport.AppendFragment((*bp)[:0], frag)
-	dst := ep.peers[src]
-	return func() {
-		_, _ = ep.uc.WriteToUDP(*bp, dst)
-		wireBufPool.Put(bp)
-	}
-}
-
-// handleStreamCtl consumes a stream control frame on the read loop.
-func (ep *Endpoint) handleStreamCtl(f transport.Fragment) {
-	src := f.Msg.Src
-	if src < 0 || src >= len(ep.peers) {
+// writeCtl sends one stream control frame (probe or ack) to rank dst; a
+// nil body — the driver had nothing to say — sends nothing. Control
+// frames are droppable by design: one the socket refuses is repaired by
+// the next probe, so the write error is dropped.
+func (ep *Endpoint) writeCtl(dst int, body []byte) {
+	if body == nil {
 		return
 	}
-	ack, probe, err := reliab.DecodeCtl(f.Msg.Payload)
-	if err != nil {
-		return
-	}
-	if probe {
-		ep.mu.Lock()
-		send := ep.sendStreamAckLocked(src, ep.recvPeerLocked(src), ack.Nonce, false)
-		ep.mu.Unlock()
-		if send != nil {
-			send()
-		}
-		return
-	}
-	ep.mu.Lock()
-	sp := ep.sendPeerLocked(src)
-	ep.sstats.AcksReceived.Add(1)
-	ep.ackSeen[src]++
-	close(ep.ackWake)
-	ep.ackWake = make(chan struct{})
-	resend, freed, rtt := sp.ss.HandleAckAt(ep.Now(), ack)
-	if rtt > 0 {
-		snap := sp.ss.RTTSnapshot()
-		sp.mg.SetRTT(snap.SRTT, snap.RTTVar, snap.MinRTT, snap.QueueDelay, snap.Gradient)
-	}
-	sp.mg.SetWindow(sp.ss.InFlight())
-	// An ack answering a failure-detector ping is liveness evidence, not
-	// stream progress: refreshing the activity clock on it would let
-	// periodic pings postpone the recovery probe indefinitely and starve
-	// retransmission of a genuinely lost fragment.
-	if ack.Nonce != pingNonce {
-		sp.lastActivity = ep.Now()
-	}
-	var bufs [][]byte
-	for _, r := range resend {
-		ep.sstats.Retransmits.Add(int64(len(r.Frags)))
-		ep.mRetransmits.Mark(ep.Now(), int64(len(r.Frags)))
-		if rec := ep.net.cfg.Trace; rec != nil {
-			rec.Event(ep.rank, ep.Now(), "stream.retransmit", int64(len(r.Frags)))
-		}
-		for _, fr := range r.Frags {
-			bufs = append(bufs, transport.EncodeFragment(fr))
-		}
-	}
-	if len(resend) > 0 {
-		ep.armProbeLocked(src, sp)
-	}
-	if freed {
-		ep.sendCond.Broadcast()
-	}
-	dst := ep.peers[src]
-	ep.mu.Unlock()
-	for _, b := range bufs {
-		_, _ = ep.uc.WriteToUDP(b, dst)
-	}
+	_ = ep.writeFrags(ep.peers[dst], reliab.CtlFrame(ep.rank, ep.msgID.Add(1), body))
 }
 
 // Multicast implements transport.Multicaster: fragments m and writes each
@@ -805,38 +594,41 @@ func (ep *Endpoint) Multicast(group uint32, m transport.Message) error {
 
 func (ep *Endpoint) write(dst *net.UDPAddr, m transport.Message) error {
 	ep.mu.Lock()
-	if ep.killed {
+	if err := ep.downLocked(); err != nil {
 		ep.mu.Unlock()
-		return transport.ErrKilled
+		return err
 	}
-	if ep.closed {
-		ep.mu.Unlock()
-		return transport.ErrClosed
-	}
-	ep.msgID++
-	id := ep.msgID
+	id := ep.msgID.Add(1)
 	if m.Kind == transport.Mcast {
 		ep.lastMcast = id
 	}
 	ep.mu.Unlock()
 
 	m.Src = ep.rank
-	return ep.writeFrags(dst, transport.Split(m, id, ep.net.cfg.FragSize))
+	return ep.writeFrags(dst, transport.Split(m, id, ep.net.cfg.FragSize)...)
 }
 
-func (ep *Endpoint) writeFrags(dst *net.UDPAddr, frags []transport.Fragment) error {
+// writeFrags is the one place a datagram leaves this endpoint: each
+// fragment is encoded into a pooled buffer, handed to the kernel
+// (WriteToUDP copies) and counted in Stats.DatagramsSent. The caller
+// must not hold mu.
+func (ep *Endpoint) writeFrags(dst *net.UDPAddr, frags ...transport.Fragment) error {
 	bp := wireBufPool.Get().(*[]byte)
 	defer wireBufPool.Put(bp)
+	var err error
+	sent := 0
 	for _, f := range frags {
 		*bp = transport.AppendFragment((*bp)[:0], f)
-		if _, err := ep.uc.WriteToUDP(*bp, dst); err != nil {
-			return fmt.Errorf("udpnet: write to %v: %w", dst, err)
+		if _, err = ep.uc.WriteToUDP(*bp, dst); err != nil {
+			err = fmt.Errorf("udpnet: write to %v: %w", dst, err)
+			break
 		}
-		ep.mu.Lock()
-		ep.stats.DatagramsSent++
-		ep.mu.Unlock()
+		sent++
 	}
-	return nil
+	ep.mu.Lock()
+	ep.stats.DatagramsSent += int64(sent)
+	ep.mu.Unlock()
+	return err
 }
 
 // LastMulticastID implements transport.FragmentRepairer.
@@ -851,13 +643,9 @@ func (ep *Endpoint) LastMulticastID() uint64 {
 // original message id, completing receivers' partial reassembly.
 func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uint64, frags []int) error {
 	ep.mu.Lock()
-	if ep.killed {
+	if err := ep.downLocked(); err != nil {
 		ep.mu.Unlock()
-		return transport.ErrKilled
-	}
-	if ep.closed {
-		ep.mu.Unlock()
-		return transport.ErrClosed
+		return err
 	}
 	ep.mu.Unlock()
 	m.Kind = transport.Mcast
@@ -874,7 +662,7 @@ func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uin
 		}
 	}
 	dst := &net.UDPAddr{IP: ep.net.cfg.groupIP(group), Port: ep.net.cfg.McastPort}
-	return ep.writeFrags(dst, send)
+	return ep.writeFrags(dst, send...)
 }
 
 // PendingFrom implements transport.FragmentRepairer from the endpoint's
@@ -901,11 +689,8 @@ func (ep *Endpoint) Pace(d int64) {
 func (ep *Endpoint) Join(group uint32) error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.killed {
-		return transport.ErrKilled
-	}
-	if ep.closed {
-		return transport.ErrClosed
+	if err := ep.downLocked(); err != nil {
+		return err
 	}
 	if _, ok := ep.groups[group]; ok {
 		return nil
@@ -982,24 +767,18 @@ func (ep *Endpoint) readLoop(conn *net.UDPConn) {
 			ep.mu.Unlock()
 			continue
 		}
+		src := f.Msg.Src
 		if f.Ctl {
-			ep.mu.Unlock()
-			ep.handleStreamCtl(f)
+			ep.stepUnlock(src, ep.streams.OnCtl(ep.Now(), src, f.Msg.Payload))
 			continue
 		}
-		var rp *uRecvPeer
-		var ackSend func()
-		if f.Stream != 0 && f.Msg.Kind == transport.P2P && f.Msg.Src >= 0 && f.Msg.Src < len(ep.peers) {
-			rp = ep.recvPeerLocked(f.Msg.Src)
-			if !rp.rs.Fresh(f.Stream, f.MsgID) {
-				// Duplicate of a delivered message (a retransmission
-				// raced the ack): suppress it and re-advertise our state.
-				ep.sstats.DupFragments.Add(1)
-				ackSend = ep.sendStreamAckLocked(f.Msg.Src, rp, 0, false)
+		streamed := f.Stream != 0 && f.Msg.Kind == transport.P2P
+		var ack []byte // at most one acknowledgment per datagram
+		if streamed {
+			var fresh bool
+			if fresh, ack = ep.streams.Fresh(ep.Now(), src, f.Stream, f.MsgID); !fresh {
 				ep.mu.Unlock()
-				if ackSend != nil {
-					ackSend()
-				}
+				ep.writeCtl(src, ack)
 				continue
 			}
 		}
@@ -1008,27 +787,23 @@ func (ep *Endpoint) readLoop(conn *net.UDPConn) {
 			ep.stats.DatagramsReceived++
 			ep.mDelivBytes.Mark(ep.Now(), int64(len(m.Payload)))
 			ep.mDelivFrames.Mark(ep.Now(), int64(f.Count))
-			if rp != nil {
-				rp.rs.Deliver(f.Stream)
+			if streamed {
+				ep.streams.Deliver(src, f.Stream)
 				if m.Reliable {
 					// Modeled TCP acknowledges deliveries eagerly (the
 					// kernel's TCP did), instead of the stream's
 					// silent-until-probed default — and the ack itself is
 					// a droppable, repairable stream frame.
-					ackSend = ep.sendStreamAckLocked(f.Msg.Src, rp, 0, true)
+					ack = ep.streams.EagerAck(src)
 				}
 			}
 		}
-		if rp != nil && ackSend == nil && rp.rs.Gapped() {
-			// Provable loss (a newer message overtook the gap):
-			// volunteer our state instead of waiting for a probe.
-			ackSend = ep.sendStreamAckLocked(f.Msg.Src, rp, 0, false)
+		if streamed && ack == nil {
+			ack = ep.streams.Volunteer(ep.Now(), src)
 		}
 		closed := ep.closed
 		ep.mu.Unlock()
-		if ackSend != nil {
-			ackSend()
-		}
+		ep.writeCtl(src, ack)
 		if err != nil || !done || closed {
 			continue
 		}
@@ -1085,12 +860,7 @@ func (ep *Endpoint) Close() error {
 	ep.closed = true
 	ep.closeDoneLocked()
 	ep.sendCond.Broadcast()
-	for _, sp := range ep.sstreams {
-		if sp.timer != nil {
-			sp.timer.Stop()
-			sp.timer = nil
-		}
-	}
+	ep.stopStreamsLocked()
 	conns := []*net.UDPConn{ep.uc}
 	for _, c := range ep.groups {
 		conns = append(conns, c)

@@ -308,6 +308,7 @@ func TestP2PLossConformanceOverUDP(t *testing.T) {
 				t.Fatal("losses were injected but nothing was retransmitted")
 			}
 			t.Logf("recovered from %d injected p2p losses with %d retransmitted fragments", losses, retransmits)
+			checkDatagramAccounting(t, nw)
 		})
 	}
 }
@@ -407,4 +408,33 @@ func TestBaselineP2PLossOverUDP(t *testing.T) {
 		t.Fatal("losses were injected but nothing was retransmitted")
 	}
 	t.Logf("baseline recovered from %d injected p2p losses with %d retransmitted fragments", losses, retransmits)
+	checkDatagramAccounting(t, nw)
+}
+
+// checkDatagramAccounting holds Stats.DatagramsSent to what the socket
+// sent: summed over the world it covers at least every streamed message,
+// retransmitted fragment, probe and ack the stream counters report —
+// the control and repair paths used to bypass the count. A stream
+// counter moves just before its datagram is written, so the datagram
+// count is polled until it has caught up with the snapshot.
+func checkDatagramAccounting(t *testing.T, nw *udpnet.Net) {
+	t.Helper()
+	var want int64
+	for i := 0; i < nw.Size(); i++ {
+		st := nw.Endpoint(i).Stats().Stream
+		want += st.MsgsStreamed + st.Retransmits + st.ProbesSent + st.AcksSent
+	}
+	var sent int64
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		sent = 0
+		for i := 0; i < nw.Size(); i++ {
+			sent += nw.Endpoint(i).Stats().DatagramsSent
+		}
+		if sent >= want || time.Now().After(deadline) {
+			break
+		}
+	}
+	if sent < want {
+		t.Fatalf("DatagramsSent=%d < %d messages streamed + retransmits + probes + acks: some write path is uncounted", sent, want)
+	}
 }
