@@ -147,11 +147,6 @@ func main() {
 			}
 		}
 	}
-	if *p2ploss > 0 {
-		// Repair promptly when the operator is deliberately dropping
-		// frames; the default RTO is tuned for quiet wires.
-		cfg.Stream.RTO = 20_000_000
-	}
 	kill, err := parseChaos(*chaos)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpirun: %v\n", err)
@@ -250,6 +245,23 @@ func (t *telemetry) health() (bool, string) {
 	}
 	sort.Ints(dead)
 	return false, fmt.Sprintf("dead ranks: %v", dead)
+}
+
+// dumpStreamStates appends the state of every send stream to a -deadline
+// abort dump: what it is waiting for (unacknowledged messages, a window
+// probe out for credit) and on what clock (the current probe timeout:
+// measured, backed off), so "rank 2 waits on window credit from rank 0"
+// can be read off the dump.
+func dumpStreamStates(w io.Writer, nw *udpnet.Net) {
+	for r := 0; r < nw.Size(); r++ {
+		for _, st := range nw.Endpoint(r).Streams() {
+			waiting := ""
+			if st.Soliciting {
+				waiting = ", window probe outstanding"
+			}
+			fmt.Fprintf(w, "  stream %d->%d: %d in flight, RTO %v%s\n", r, st.Peer, st.InFlight, time.Duration(st.RTO), waiting)
+		}
+	}
 }
 
 // dumpStreams appends the per-stream observables (the mcast_stream_*
@@ -441,6 +453,7 @@ func runLatency(cfg udpnet.Config, algs mpi.Algorithms, work string, size, reps 
 				fmt.Fprintf(os.Stderr, "  rank %d: %d/%d reps\n", r, done, reps)
 			}
 		}
+		dumpStreamStates(os.Stderr, nw)
 		tele.dumpStreams(os.Stderr)
 	}
 

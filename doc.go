@@ -46,8 +46,10 @@
 //     any frame may be lost and a collective still completes. Pure state
 //     machines for the two halves of a per-peer stream (sliding window,
 //     receiver silent on the happy path so the lossless wire matches the
-//     paper's frame-count formulas exactly, sender probes after RTO of
-//     silence, selective retransmission, Karn-clean RTT estimation), the
+//     paper's frame-count formulas exactly, sender probes at once when
+//     its window is full and otherwise after a silence as long as the
+//     round trip it measured calls for, selective retransmission,
+//     Karn-clean RTT estimation), the
 //     control wire format, and the Driver that runs all of one endpoint's
 //     streams: it decides when to probe, what counts as activity, when
 //     to volunteer an ack, and hands its transport Steps — frames to

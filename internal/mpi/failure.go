@@ -52,9 +52,17 @@ type FailureOptions struct {
 }
 
 // Fill returns o with zero fields defaulted. The defaults suit the
-// simulator's timescales: stream-level failure (MaxProbes exhaustion)
-// takes hundreds of milliseconds, so the detector always wins the race
-// and reports a typed error before the stream poisons the endpoint.
+// simulator's timescales, and they must keep winning a race: the
+// detector declares a silent rank dead after Suspicion +
+// MaxPings·PingTimeout (35 ms) and reports a typed error, while a
+// reliable stream that gives up on the same rank (MaxProbes exhaustion)
+// poisons the whole endpoint. The stream takes about a minute to get
+// there: its probe timeout doubles from the round trip it measured (or
+// 25 ms before it measured one) up to 256 times the configured 25 ms,
+// and it spends 20 probes — 90 s from 25 ms, 59 s from the 1 ms floor —
+// because that cap is tied to the configured timeout, not the measured
+// one. reliab's TestDriverOutlastsTheFailureDetector holds the stream to
+// at least ten times the detector's time whatever its estimator reads.
 func (o FailureOptions) Fill() FailureOptions {
 	if o.Suspicion <= 0 {
 		o.Suspicion = 20_000_000 // 20ms

@@ -36,7 +36,10 @@ type Host struct {
 // resends on the wire towards the peer, arm the peer's one-shot probe
 // timer, wake senders blocked on the window. The order is part of the
 // contract — under the simulator same-instant events run in scheduling
-// order, and its recorded event counts pin it.
+// order, and its recorded event counts pin it. An Arm while the peer's
+// timer is still pending replaces it with an earlier one (the stream's
+// timeout shrank): the transport may stop the old timer or let it fire,
+// OnTimer ignores it.
 type Step struct {
 	Acked  bool     // an acknowledgment from the peer was consumed
 	Ctl    []byte   // control body (probe or ack) to send; nil: none
@@ -52,7 +55,8 @@ type Step struct {
 // collective's steady traffic never provokes mid-run protocol frames.
 type sendPeer struct {
 	ss           *SendStream
-	armed        bool // a timer is pending; at most one per peer
+	armed        bool  // a timer is pending
+	due          int64 // when it fires; a firing before then is a replaced timer's
 	lastActivity int64
 	failed       bool   // the failure detector declared the peer dead
 	acked        uint64 // acks consumed from the peer: the evidence Ping waits for
@@ -60,8 +64,8 @@ type sendPeer struct {
 }
 
 // recvPeer is the receiver half of one peer's stream plus the
-// volunteer-ack throttle (at most one unsolicited ack per quarter-RTO,
-// so gap evidence cannot turn into an ack storm).
+// volunteer-ack throttle (at most one unsolicited ack per quarter of the
+// peer's RTO, so gap evidence cannot turn into an ack storm).
 type recvPeer struct {
 	rs        *RecvStream
 	nextAckAt int64
@@ -131,6 +135,25 @@ func (d *Driver) PeerFailed(dst int) bool {
 	return d.valid(dst) && d.send[dst] != nil && d.send[dst].failed
 }
 
+// StreamState is what a stuck-run dump says about one send stream.
+type StreamState struct {
+	Peer       int
+	RTO        int64 // current probe timeout, measured and backed off
+	InFlight   int   // unacknowledged messages
+	Soliciting bool  // a window probe is unanswered
+}
+
+// Streams reports the state of every send stream that was ever used.
+func (d *Driver) Streams() []StreamState {
+	var out []StreamState
+	for peer, sp := range d.send {
+		if sp != nil {
+			out = append(out, StreamState{Peer: peer, RTO: sp.ss.RTO(), InFlight: sp.ss.InFlight(), Soliciting: sp.ss.Soliciting()})
+		}
+	}
+	return out
+}
+
 // Full reports whether dst's send window has no room for another message.
 func (d *Driver) Full(dst int) bool { return d.sendPeer(dst).ss.Full() }
 
@@ -164,17 +187,51 @@ func (d *Driver) Sent(now int64, dst int, seq uint32) Step {
 	sp.ss.MarkSent(seq)
 	sp.mg.SetWindow(sp.ss.InFlight())
 	sp.lastActivity = now
-	return Step{Arm: d.arm(sp)}
+	return Step{Arm: d.arm(now, sp, now+sp.ss.RTO())}
 }
 
-// arm claims the peer's probe timer if none is pending and returns the
-// delay to arm it with (0: already pending).
-func (d *Driver) arm(sp *sendPeer) int64 {
-	if sp.armed {
+// Stall runs when admission of a message for dst blocks. A window that is
+// genuinely full is not waited out: one probe solicits the receiver's
+// state at once, so the stall costs a round trip, not a timeout, and its
+// echo is a round-trip sample taken exactly where the stream is busy. A
+// transport that blocks admission below the window (the simulator's
+// paused-NIC shrink) is exercising flow control, which an ack cannot lift,
+// and gets no probe. The timeout probe stays armed behind the solicited
+// one, RTO after it, should either frame of the exchange be lost.
+func (d *Driver) Stall(now int64, dst int) Step {
+	sp := d.sendPeer(dst)
+	if d.stopped || d.err != nil || sp.failed {
+		return Step{} // the send is about to be refused, not to wait
+	}
+	d.h.Stats.WindowStalls.Add(1)
+	d.h.Trace.Event(d.h.Rank, now, "stream.stall", int64(dst))
+	if !sp.ss.Full() {
+		return Step{}
+	}
+	nonce, ok := sp.ss.Solicit(now)
+	if !ok {
+		return Step{}
+	}
+	sp.lastActivity = now
+	return Step{Ctl: d.probe(now, dst, nonce)}
+}
+
+// probe counts and traces one probe to dst and returns its body.
+func (d *Driver) probe(now int64, dst int, nonce uint32) []byte {
+	d.h.Stats.ProbesSent.Add(1)
+	d.h.Trace.Event(d.h.Rank, now, "stream.probe", int64(dst))
+	return EncodeProbe(nonce)
+}
+
+// arm makes the peer's probe timer fire at due and returns the delay to
+// arm a timer with, or 0 when the pending one fires soon enough.
+func (d *Driver) arm(now int64, sp *sendPeer, due int64) int64 {
+	due = max(due, now+1)
+	if sp.armed && sp.due <= due {
 		return 0
 	}
-	sp.armed = true
-	return sp.ss.RTO()
+	sp.armed, sp.due = true, due
+	return due - now
 }
 
 // OnTimer runs when dst's probe timer fires: nothing acknowledged the
@@ -183,6 +240,9 @@ func (d *Driver) arm(sp *sendPeer) int64 {
 // consecutive silent probes.
 func (d *Driver) OnTimer(now int64, dst int) Step {
 	sp := d.send[dst]
+	if !sp.armed || now < sp.due {
+		return Step{}
+	}
 	sp.armed = false
 	if d.stopped || d.PeerFailed(dst) || !sp.ss.NeedProbe() {
 		return Step{}
@@ -190,9 +250,8 @@ func (d *Driver) OnTimer(now int64, dst int) Step {
 	// Active since the timer was armed: the silence period restarts at
 	// the last activity — re-arm without probing, so steady traffic
 	// provokes no protocol frames on the measured wire.
-	if wait := sp.lastActivity + sp.ss.RTO() - now; wait > 0 {
-		sp.armed = true
-		return Step{Arm: wait}
+	if due := sp.lastActivity + sp.ss.RTO(); due > now {
+		return Step{Arm: d.arm(now, sp, due)}
 	}
 	nonce, ok := sp.ss.OnProbeAt(now)
 	if !ok {
@@ -204,9 +263,7 @@ func (d *Driver) OnTimer(now int64, dst int) Step {
 		d.h.Stats.StreamFailures.Add(1)
 		return Step{Err: d.err}
 	}
-	d.h.Stats.ProbesSent.Add(1)
-	d.h.Trace.Event(d.h.Rank, now, "stream.probe", int64(dst))
-	return Step{Ctl: EncodeProbe(nonce), Arm: d.arm(sp)}
+	return Step{Ctl: d.probe(now, dst, nonce), Arm: d.arm(now, sp, now+sp.ss.RTO())}
 }
 
 // OnCtl consumes a stream control body that arrived from src: a probe is
@@ -227,7 +284,11 @@ func (d *Driver) OnCtl(now int64, src int, body []byte) Step {
 	sp := d.sendPeer(src)
 	d.h.Stats.AcksReceived.Add(1)
 	sp.acked++
+	wasFull := sp.ss.Full()
 	resend, freed, rtt := sp.ss.HandleAckAt(now, ack)
+	if wasFull && freed {
+		d.h.Trace.Event(d.h.Rank, now, "stream.credit", int64(src))
+	}
 	if rtt > 0 {
 		snap := sp.ss.RTTSnapshot()
 		sp.mg.SetRTT(snap.SRTT, snap.RTTVar, snap.MinRTT, snap.QueueDelay, snap.Gradient)
@@ -247,8 +308,10 @@ func (d *Driver) OnCtl(now int64, src int, body []byte) Step {
 		d.retransmits.Mark(now, n)
 		d.h.Trace.Event(d.h.Rank, now, "stream.retransmit", n)
 	}
-	if len(resend) > 0 {
-		st.Arm = d.arm(sp)
+	// Retransmissions need a timer behind them, and a pending one may now
+	// be due long after the timeout this ack measured.
+	if len(resend) > 0 || sp.armed && sp.ss.NeedProbe() {
+		st.Arm = d.arm(now, sp, sp.lastActivity+sp.ss.RTO())
 	}
 	return st
 }
@@ -260,8 +323,18 @@ func (d *Driver) ack(now int64, src int, rp *recvPeer, nonce uint32) []byte {
 	if nonce == 0 && now < rp.nextAckAt {
 		return nil
 	}
-	rp.nextAckAt = now + d.h.Options.RTO/4
+	rp.nextAckAt = now + d.rto(src)/4
 	return d.encodeAck(src, rp, nonce)
+}
+
+// rto is the clock every timer about peer reads, the probe timer aside
+// (it also backs off): the timeout measured on the stream towards peer
+// once that has a round-trip sample, the configured one before.
+func (d *Driver) rto(peer int) int64 {
+	if sp := d.send[peer]; sp != nil {
+		return sp.ss.measuredRTO()
+	}
+	return d.h.Options.RTO
 }
 
 func (d *Driver) encodeAck(src int, rp *recvPeer, nonce uint32) []byte {

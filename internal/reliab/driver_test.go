@@ -6,16 +6,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/mpi"
 	"repro/internal/transport"
 )
 
 // The model: two drivers joined by an in-memory channel on a fake clock.
 // A program — fuzz bytes, or a seeded random string of them — admits
-// messages, delivers, drops, duplicates and reorders the frames in
-// flight, pings, and lets time pass; the harness plays the transport
-// (it carries out every Step exactly as simnet and udpnet do) and checks
-// the stream's invariants after every action. A lossless closing phase
-// then proves eventual delivery.
+// messages, blocks senders on a full window, delivers, drops, duplicates
+// and reorders the frames in flight, pings, and lets time pass; the
+// harness plays the transport (it carries out every Step exactly as
+// simnet and udpnet do) and checks the stream's invariants after every
+// action. A lossless closing phase then proves eventual delivery.
 
 const (
 	modelWindow = 4
@@ -30,9 +31,14 @@ type frame struct {
 }
 
 type probeRec struct {
-	at      int64  // when the probe went out
-	horizon uint32 // highest sequence number handed to the device by then
+	at      int64 // when the probe went out
 	sampled bool
+}
+
+// blockedSend is a sender waiting for window space with its message.
+type blockedSend struct {
+	nfrags   int
+	reliable bool
 }
 
 // end is one rank: a driver plus the transport state the harness keeps
@@ -42,31 +48,49 @@ type end struct {
 	d         *Driver
 	reasm     transport.Reassembler
 	stats     StatCounters
-	timerAt   int64 // pending probe timer's fire time (0: none); the world has one peer
+	timerAt   int64   // pending probe timer's fire time (0: none); the world has one peer
+	replaced  []int64 // fire times of timers the driver has since replaced with an earlier one
 	msgID     uint64
 	admitted  map[string]bool // payloads handed to Begin
 	delivered map[string]int  // payloads handed up, with multiplicity
 	nfrags    map[uint32]int  // admitted message's fragment count by sequence number
-	sentHigh  uint32          // highest sequence number passed to Sent
-	probes    map[uint32]*probeRec
-	silent    int   // probes sent since the last ack was consumed
-	lastVol   int64 // time of the last volunteer ack (-1: none yet)
-	failure   error // the error of the one failing Step
+	// lastTx is, per sequence number, how many probes had been issued
+	// when the message's latest transmission — first or repeated — was
+	// handed to the device: only a later probe's answer can know of it.
+	lastTx  map[uint32]uint32
+	blocked []blockedSend // senders waiting on the full window, in order
+	probes  map[uint32]*probeRec
+	issued  uint32 // newest probe nonce issued
+	// answered is the newest issued nonce an ack has echoed; the probes
+	// above it are outstanding. windowProbe is the outstanding probe a
+	// stall solicited (0: none).
+	answered, windowProbe uint32
+	silent                int   // timeout probes sent since the last ack was consumed
+	lastVol               int64 // time of the last volunteer ack (-1: none yet)
+	volGap                int64 // the throttle in force since then
+	prevProbes            int   // the send stream's back-off state at the previous check
+	prevRTO               int64
+	failure               error // the error of the one failing Step
 }
 
 type world struct {
 	t    testing.TB
+	opts Options
 	now  int64
 	ends [2]*end
 	wire []frame
 }
 
 func newWorld(t testing.TB) *world {
-	w := &world{t: t, now: 1} // the clock's zero value means "no timestamp"
-	opts := Options{Window: modelWindow, RTO: modelRTO, MaxProbes: modelProbes}.Fill()
+	return newWorldWith(t, Options{Window: modelWindow, RTO: modelRTO, MaxProbes: modelProbes})
+}
+
+func newWorldWith(t testing.TB, opts Options) *world {
+	opts = opts.Fill()
+	w := &world{t: t, opts: opts, now: 1} // the clock's zero value means "no timestamp"
 	for r := range w.ends {
 		e := &end{rank: r, admitted: map[string]bool{}, delivered: map[string]int{}, nfrags: map[uint32]int{},
-			probes: map[uint32]*probeRec{}, lastVol: -1}
+			lastTx: map[uint32]uint32{}, probes: map[uint32]*probeRec{}, lastVol: -1}
 		e.d = NewDriver(Host{Rank: r, Size: 2, Options: opts, FragPayload: modelFrag, Missing: e.reasm.Missing, Stats: &e.stats})
 		w.ends[r] = e
 	}
@@ -79,23 +103,29 @@ func (w *world) fail(format string, args ...any) {
 }
 
 // ctl puts a control body from e on the wire; volunteer marks the acks
-// the quarter-RTO throttle governs.
+// the throttle governs: a quarter of the clock the driver holds for the
+// peer, measured once the stream towards it has a round-trip sample.
 func (w *world) ctl(e *end, body []byte, volunteer bool) {
 	if body == nil {
 		return
 	}
 	if volunteer {
-		if e.lastVol >= 0 && w.now-e.lastVol < modelRTO/4 {
-			w.fail("rank %d volunteered two acks %dns apart (throttle is %dns)", e.rank, w.now-e.lastVol, modelRTO/4)
+		if e.lastVol >= 0 && w.now-e.lastVol < e.volGap {
+			w.fail("rank %d volunteered two acks %dns apart (throttle is %dns)", e.rank, w.now-e.lastVol, e.volGap)
 		}
-		e.lastVol = w.now
+		clock := e.d.rto(1 - e.rank)
+		if clock > w.opts.RTO || clock < min(minRTO, w.opts.RTO) {
+			w.fail("rank %d throttles acks by a clock of %dns, outside [%d, %d]", e.rank, clock, min(minRTO, w.opts.RTO), w.opts.RTO)
+		}
+		e.lastVol, e.volGap = w.now, clock/4
 	}
 	e.msgID++
 	w.wire = append(w.wire, frame{to: 1 - e.rank, f: CtlFrame(e.rank, e.msgID, body)})
 }
 
-// apply carries out a Step in the documented order.
-func (w *world) apply(e *end, st Step) {
+// apply carries out a Step in the documented order; stall marks the Step
+// of a blocked admission, whose probe is the window probe.
+func (w *world) apply(e *end, st Step, stall bool) {
 	if st.Err != nil {
 		if e.failure != nil {
 			w.fail("rank %d: stream failure reported twice", e.rank)
@@ -104,9 +134,15 @@ func (w *world) apply(e *end, st Step) {
 	}
 	if st.Ctl != nil {
 		if a, probe, _ := DecodeCtl(st.Ctl); probe {
-			e.probes[a.Nonce] = &probeRec{at: w.now, horizon: e.sentHigh}
-			if e.silent++; e.silent > modelProbes {
-				w.fail("rank %d sent %d probes with no ack in between, MaxProbes is %d", e.rank, e.silent, modelProbes)
+			e.probes[a.Nonce] = &probeRec{at: w.now}
+			e.issued = a.Nonce
+			if stall {
+				if e.windowProbe != 0 {
+					w.fail("rank %d solicited window credit (nonce %d) while its window probe %d is unanswered", e.rank, a.Nonce, e.windowProbe)
+				}
+				e.windowProbe = a.Nonce
+			} else if e.silent++; e.silent > w.opts.MaxProbes {
+				w.fail("rank %d sent %d timeout probes with no ack in between, MaxProbes is %d", e.rank, e.silent, w.opts.MaxProbes)
 			}
 		}
 		w.ctl(e, st.Ctl, false)
@@ -117,35 +153,61 @@ func (w *world) apply(e *end, st Step) {
 		}
 	}
 	if st.Arm > 0 {
+		// One live timer per peer: arming while one is pending replaces it,
+		// and only ever with an earlier one (the timeout shrank).
 		if e.timerAt != 0 {
-			w.fail("rank %d armed a second probe timer while one is pending", e.rank)
+			if w.now+st.Arm >= e.timerAt {
+				w.fail("rank %d armed a second probe timer, due %dns, behind the pending one, due %dns", e.rank, w.now+st.Arm, e.timerAt)
+			}
+			e.replaced = append(e.replaced, e.timerAt)
 		}
 		e.timerAt = w.now + st.Arm
 	}
+	for st.Freed && len(e.blocked) > 0 && e.d.Err() == nil && !e.d.Full(1-e.rank) {
+		next := e.blocked[0]
+		e.blocked = e.blocked[1:]
+		w.admit(e, next)
+	}
 }
 
-// send admits one message of nfrags fragments from e, if the window has
-// room; a reliable one is acknowledged eagerly, like modeled TCP.
-func (w *world) send(e *end, nfrags int, reliable bool) {
+// send has e send one message of nfrags fragments; a reliable one is
+// acknowledged eagerly, like modeled TCP. When the window is full (or
+// earlier senders are already waiting for it) a blocking sender stalls
+// until an ack frees space, as both transports' SendReliable do; a
+// non-blocking one gives up.
+func (w *world) send(e *end, nfrags int, reliable, block bool) {
 	peer := 1 - e.rank
-	if e.d.Err() != nil || e.d.Full(peer) {
+	if e.d.Err() != nil {
 		return
 	}
-	payload := make([]byte, (nfrags-1)*modelFrag+9)
+	if !e.d.Full(peer) && len(e.blocked) == 0 {
+		w.admit(e, blockedSend{nfrags, reliable})
+		return
+	}
+	if block && e.d.Full(peer) && len(e.blocked) < 2*modelWindow {
+		e.blocked = append(e.blocked, blockedSend{nfrags, reliable})
+		w.apply(e, e.d.Stall(w.now, peer), true)
+	}
+}
+
+// admit hands one message to the stream and its fragments to the wire.
+func (w *world) admit(e *end, m blockedSend) {
+	peer := 1 - e.rank
+	payload := make([]byte, (m.nfrags-1)*modelFrag+9)
 	payload[0] = byte(e.rank)
 	binary.BigEndian.PutUint64(payload[1:], e.msgID)
 	e.msgID++
-	frags, seq := e.d.Begin(peer, transport.Message{Class: transport.ClassData, Reliable: reliable, Payload: payload}, e.msgID)
-	if len(frags) != nfrags {
-		w.fail("split %d bytes into %d fragments, want %d", len(payload), len(frags), nfrags)
+	frags, seq := e.d.Begin(peer, transport.Message{Class: transport.ClassData, Reliable: m.reliable, Payload: payload}, e.msgID)
+	if len(frags) != m.nfrags {
+		w.fail("split %d bytes into %d fragments, want %d", len(payload), len(frags), m.nfrags)
 	}
 	e.admitted[string(payload)] = true
-	e.nfrags[seq] = nfrags
+	e.nfrags[seq] = m.nfrags
 	for _, f := range frags {
 		w.wire = append(w.wire, frame{to: peer, f: f})
 	}
-	e.sentHigh = seq
-	w.apply(e, e.d.Sent(w.now, peer, seq))
+	e.lastTx[seq] = e.issued
+	w.apply(e, e.d.Sent(w.now, peer, seq), false)
 }
 
 // recv plays the transport's receive path for one frame arriving at its
@@ -182,8 +244,8 @@ func (w *world) recv(fr frame) {
 }
 
 // onCtl feeds a control body to e's driver and checks what the driver
-// concluded from it: Karn's rule on the RTT sample, and that a message
-// is resent whole only on a probed ack's silence about it.
+// concluded from it: Karn's rule on the RTT sample, and that every
+// retransmission rests on an ack that can know the fragments are lost.
 func (w *world) onCtl(e *end, src int, body []byte) {
 	samples := func() int64 {
 		if sp := e.d.send[src]; sp != nil {
@@ -195,7 +257,7 @@ func (w *world) onCtl(e *end, src int, body []byte) {
 	st := e.d.OnCtl(w.now, src, body)
 	ack, probe, err := DecodeCtl(body)
 	if err != nil || probe {
-		w.apply(e, st)
+		w.apply(e, st, false)
 		return
 	}
 	e.silent = 0
@@ -208,34 +270,67 @@ func (w *world) onCtl(e *end, src int, body []byte) {
 		}
 		rec.sampled = true
 	}
+	// The ack answers a probe if it echoes one that is outstanding; an
+	// older probe's answer is as stale as an unsolicited ack.
+	probed := rec != nil && ack.Nonce > e.answered
+	if probed {
+		e.answered = ack.Nonce
+		if ack.Nonce >= e.windowProbe {
+			e.windowProbe = 0
+		}
+	}
 	named := map[uint32]bool{}
 	for _, p := range ack.Partials {
 		named[p.Seq] = len(p.Missing) > 0
 	}
 	for _, r := range st.Resend {
+		// The ack was written after the probe it answers left, not
+		// necessarily later: fragments whose latest transmission reached
+		// the device after that race it on the wire.
+		if probed && e.lastTx[r.Seq] >= ack.Nonce {
+			w.fail("rank %d resent seq %d on the answer to probe %d, which left before the message's latest transmission (after probe %d)",
+				e.rank, r.Seq, ack.Nonce, e.lastTx[r.Seq])
+		}
+		e.lastTx[r.Seq] = e.issued
 		if named[r.Seq] {
 			continue // selective: the receiver named the missing fragments
 		}
 		if len(r.Frags) != e.nfrags[r.Seq] {
 			w.fail("rank %d resent %d of seq %d's %d fragments unasked", e.rank, len(r.Frags), r.Seq, e.nfrags[r.Seq])
 		}
-		if rec == nil || r.Seq > rec.horizon {
-			w.fail("rank %d resent seq %d whole on an ack (nonce %d) that answers no probe covering it", e.rank, r.Seq, ack.Nonce)
+		if !probed {
+			w.fail("rank %d resent seq %d whole on an ack (nonce %d) that answers no outstanding probe", e.rank, r.Seq, ack.Nonce)
 		}
 	}
-	w.apply(e, st)
+	w.apply(e, st, false)
 }
 
 // fire runs e's pending probe timer, advancing the clock to it if needed.
+// Timers the driver replaced still fire, in time order around the live
+// one, and must ask for nothing.
 func (w *world) fire(e *end) {
 	if e.timerAt == 0 {
 		return
 	}
-	if e.timerAt > w.now {
-		w.now = e.timerAt
-	}
+	due := e.timerAt
+	w.now = max(w.now, due)
+	w.fireReplaced(e, due-1)
 	e.timerAt = 0
-	w.apply(e, e.d.OnTimer(w.now, 1-e.rank))
+	w.apply(e, e.d.OnTimer(w.now, 1-e.rank), false)
+	w.fireReplaced(e, w.now)
+}
+
+// fireReplaced fires, at time t, e's replaced timers that are due by then.
+func (w *world) fireReplaced(e *end, t int64) {
+	keep := e.replaced[:0]
+	for _, at := range e.replaced {
+		if at > t {
+			keep = append(keep, at)
+		} else if st := e.d.OnTimer(t, 1-e.rank); st.Ctl != nil || st.Resend != nil || st.Arm != 0 || st.Err != nil {
+			w.fail("rank %d: a replaced probe timer (due %dns) fired into %+v, want nothing", e.rank, at, st)
+		}
+	}
+	e.replaced = keep
 }
 
 // drain delivers everything in flight, in order, until the wire is empty.
@@ -260,14 +355,38 @@ func (w *world) earliest() *end {
 
 // check holds after every action.
 func (w *world) check() {
+	floor := min(minRTO, w.opts.RTO)
 	for _, e := range w.ends {
-		if n := e.d.InFlight(1 - e.rank); n > modelWindow {
-			w.fail("rank %d has %d messages in flight, window is %d", e.rank, n, modelWindow)
+		if n := e.d.InFlight(1 - e.rank); n > w.opts.Window {
+			w.fail("rank %d has %d messages in flight, window is %d", e.rank, n, w.opts.Window)
 		}
 		if e.d.Err() != e.failure {
 			w.fail("rank %d: Err() is %v, the failing Step reported %v: the error must appear once and stick",
 				e.rank, e.d.Err(), e.failure)
 		}
+		sp := e.d.send[1-e.rank]
+		if sp == nil {
+			continue
+		}
+		// The stream's clock: the configured timeout until a round trip
+		// was measured, then within [floor, configured] and never below
+		// the fastest round trip seen (unless that exceeds the ceiling);
+		// doubled by each timeout probe without progress, never lowered
+		// while backed off, and back within bounds on progress.
+		rto, probes, rtt := sp.ss.RTO(), sp.ss.probes, sp.ss.RTTSnapshot()
+		switch {
+		case probes == 0 && rtt.Samples == 0 && rto != w.opts.RTO:
+			w.fail("rank %d: RTO %dns before any round-trip sample, want the configured %dns", e.rank, rto, w.opts.RTO)
+		case probes == 0 && (rto < floor || rto > w.opts.RTO):
+			w.fail("rank %d: RTO %dns outside [%d, %d] with no back-off (estimator %+v)", e.rank, rto, floor, w.opts.RTO, rtt)
+		case probes == 0 && rto < min(int64(rtt.MinRTT), w.opts.RTO):
+			w.fail("rank %d: RTO %dns below the fastest round trip seen, %vns", e.rank, rto, rtt.MinRTT)
+		case probes > 0 && e.prevProbes > 0 && probes >= e.prevProbes && rto < e.prevRTO:
+			w.fail("rank %d: backed-off RTO fell from %dns to %dns without progress", e.rank, e.prevRTO, rto)
+		case rto > w.opts.RTO<<8:
+			w.fail("rank %d: RTO %dns above the back-off cap %dns", e.rank, rto, w.opts.RTO<<8)
+		}
+		e.prevProbes, e.prevRTO = probes, rto
 	}
 }
 
@@ -279,8 +398,8 @@ func (w *world) run(prog []byte) {
 		op, arg := prog[i], int(prog[i+1])
 		e := w.ends[arg&1]
 		switch op % 8 {
-		case 0, 1:
-			w.send(e, 1+(arg>>1)%3, arg&0x80 != 0)
+		case 0, 1: // 1: the sender blocks if the window is full
+			w.send(e, 1+(arg>>1)%3, arg&0x80 != 0, op%8 == 1)
 		case 2, 3, 4:
 			if len(w.wire) == 0 {
 				break
@@ -342,6 +461,9 @@ func (w *world) run(prog []byte) {
 		if n := e.d.InFlight(1 - r); n != 0 {
 			w.fail("rank %d: %d messages still unacknowledged at quiescence", r, n)
 		}
+		if len(e.blocked) != 0 {
+			w.fail("rank %d: %d senders still blocked on the window at quiescence", r, len(e.blocked))
+		}
 		for p := range e.admitted {
 			if w.ends[1-r].delivered[p] != 1 {
 				w.fail("rank %d's message %x was delivered %d times", r, p[:9], w.ends[1-r].delivered[p])
@@ -380,7 +502,7 @@ func FuzzDriverInterleavings(f *testing.F) {
 func TestDriverFailsAfterMaxProbes(t *testing.T) {
 	w := newWorld(t)
 	e := w.ends[0]
-	w.send(e, 1, false)
+	w.send(e, 1, false, false)
 	for i := 0; i < modelProbes+3 && e.timerAt != 0; i++ {
 		w.wire = w.wire[:0] // nothing arrives
 		w.fire(e)
@@ -398,43 +520,181 @@ func TestDriverFailsAfterMaxProbes(t *testing.T) {
 	}
 }
 
+// measure gives rank 0's stream towards rank 1 a round-trip sample of rtt
+// nanoseconds: one message, delivered; its tail probed on timeout; the
+// answer delayed by rtt.
+func (w *world) measure(rtt int64) {
+	a := w.ends[0]
+	w.send(a, 1, false, false)
+	w.drain()
+	w.fire(a)
+	w.now += rtt
+	w.drain()
+	if got := a.d.send[1].ss.RTTSnapshot(); got.Samples != 1 || int64(got.SRTT) != rtt {
+		w.t.Fatalf("priming left the estimator at %+v, want one sample of %dns", got, rtt)
+	}
+	w.check()
+}
+
 // TestDriverPingDoesNotStarveRecoveryProbe is PR 7's regression at the
 // level both transports now share: the failure detector sweeps every
 // 20 ms, the stream probes after 25 ms of silence, and every ping is
 // answered with an ordinary ack. If that ack (nonce pingNonce) counted
 // as stream activity each sweep would re-arm the recovery probe without
-// firing it, and a lost fragment would never be retransmitted.
+// firing it, and a lost fragment would never be retransmitted. The same
+// must hold once the stream probes on a clock it measured, against the
+// detector's real cadence and against one just inside the measured
+// timeout, where the two timers interact as 20 ms and 25 ms do.
 func TestDriverPingDoesNotStarveRecoveryProbe(t *testing.T) {
-	const sweep = 20_000_000
+	for _, tc := range []struct {
+		name     string
+		rtt      int64 // 0: the stream keeps the configured timeout
+		sweepPct int64 // sweep period in percent of the stream's RTO; 0: the detector's 20 ms
+	}{
+		{name: "configured"},
+		{name: "adapted", rtt: 100_000},
+		{name: "adapted/sweep-inside-the-measured-timeout", rtt: 100_000, sweepPct: 80},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t)
+			a, b := w.ends[0], w.ends[1]
+			if tc.rtt > 0 {
+				w.measure(tc.rtt)
+			}
+			w.send(a, 1, false, false)
+			w.wire = w.wire[:0] // the one data fragment is lost
+			sentAt, rto, want := w.now, a.d.send[1].ss.RTO(), len(b.delivered)+1
+			if adapted := rto < modelRTO; adapted != (tc.rtt > 0) {
+				t.Fatalf("stream RTO is %dns after a %dns round trip, configured %dns", rto, tc.rtt, int64(modelRTO))
+			}
+			sweep := int64(20_000_000)
+			if tc.sweepPct > 0 {
+				sweep = rto * tc.sweepPct / 100
+			}
+			for s := 0; s < 64 && len(b.delivered) < want; s++ {
+				// Up to the next sweep: timers fire on time, frames arrive at once.
+				next := sentAt + int64(s)*sweep
+				for first := w.earliest(); first != nil && first.timerAt <= next; first = w.earliest() {
+					w.fire(first)
+					w.drain()
+				}
+				w.now = next
+				probe, seen := a.d.Ping(1)
+				w.ctl(a, probe, false)
+				w.drain()
+				if a.d.AcksSeen(1) <= seen {
+					t.Fatalf("sweep %d: live peer's ping went unanswered", s)
+				}
+				w.check()
+			}
+			if len(b.delivered) != want {
+				t.Fatal("message never delivered: ping acks starved the recovery probe")
+			}
+			if took := w.now - sentAt; took > 4*max(rto, sweep) {
+				t.Fatalf("recovery took %d ns (RTO %d, sweep %d): probes postponed by ping acks", took, rto, sweep)
+			}
+			if got := a.stats.Retransmits.Load(); got != 1 {
+				t.Fatalf("%d retransmits, want 1", got)
+			}
+		})
+	}
+}
+
+// TestDriverWindowCreditNeedsNoTimer: a sender that finds its window full
+// asks for credit at once, so on a lossless channel a busy stream makes
+// progress with no timer ever firing — a stall costs a round trip, never
+// a timeout. Each stall is counted once and costs exactly one probe,
+// whose echo is a round-trip sample.
+func TestDriverWindowCreditNeedsNoTimer(t *testing.T) {
 	w := newWorld(t)
 	a, b := w.ends[0], w.ends[1]
-	w.send(a, 1, false)
-	w.wire = w.wire[:0] // the one data fragment is lost
-	sentAt := w.now
-	for s := 0; s < 64 && len(b.delivered) == 0; s++ {
-		// Up to the next sweep: timers fire on time, frames arrive at once.
-		next := sentAt + int64(s)*sweep
-		for first := w.earliest(); first != nil && first.timerAt <= next; first = w.earliest() {
-			w.fire(first)
+	const msgs = 10 * modelWindow
+	for i := 0; i < msgs; i++ {
+		w.send(a, 1+i%3, false, true)
+		w.check()
+		if len(a.blocked) > 0 {
+			w.now += 50_000 // the round trip
 			w.drain()
+			w.check()
 		}
-		w.now = next
-		probe, seen := a.d.Ping(1)
-		w.ctl(a, probe, false)
-		w.drain()
-		if a.d.AcksSeen(1) <= seen {
-			t.Fatalf("sweep %d: live peer's ping went unanswered", s)
+		if len(a.blocked) > 0 {
+			t.Fatalf("message %d: sender still blocked after a loss-free round trip with no timer fired: window credit waits for a timeout", i)
+		}
+	}
+	w.drain()
+	stalls, st := int64(msgs/modelWindow-1), a.stats.Snapshot()
+	if len(b.delivered) != msgs || st.WindowStalls != stalls || st.ProbesSent != stalls || st.Retransmits != 0 {
+		t.Fatalf("delivered %d of %d messages with %+v, want %d stalls at one probe each", len(b.delivered), msgs, st, stalls)
+	}
+	if got := a.d.send[1].ss.RTTSnapshot(); got.Samples != stalls || got.MinRTT != 50_000 {
+		t.Fatalf("window probes left the estimator at %+v, want %d samples of 50000ns", got, stalls)
+	}
+}
+
+// TestDriverWindowProbesSpendNoBudget: MaxProbes bounds how long a stream
+// tolerates silence. A window probe is answered, so however many stalls
+// find nothing acknowledged — here every data frame is lost and every
+// control frame arrives — they alone never fail the stream nor back its
+// timeout off.
+func TestDriverWindowProbesSpendNoBudget(t *testing.T) {
+	w := newWorld(t)
+	a := w.ends[0]
+	for i := 0; i < modelWindow; i++ {
+		w.send(a, 1, false, false)
+	}
+	w.wire = w.wire[:0]
+	for i := 0; i < 3*modelProbes; i++ {
+		w.apply(a, a.d.Stall(w.now, 1), true)
+		if i == 0 {
+			w.apply(a, a.d.Stall(w.now, 1), true) // a second blocked sender shares the outstanding probe
+		}
+		w.now += 50_000
+		for len(w.wire) > 0 {
+			fr := w.wire[0]
+			w.wire = w.wire[1:]
+			if fr.f.Ctl {
+				w.recv(fr)
+			}
 		}
 		w.check()
 	}
-	if len(b.delivered) != 1 {
-		t.Fatal("message never delivered: ping acks starved the recovery probe")
+	ss := a.d.send[1].ss
+	if a.failure != nil || ss.probes != 0 || ss.RTO() > modelRTO {
+		t.Fatalf("window probes spent the timeout budget: failure %v, %d probes counted, RTO %dns", a.failure, ss.probes, ss.RTO())
 	}
-	if took := w.now - sentAt; took > 4*modelRTO {
-		t.Fatalf("recovery took %d ns (> 4 RTOs): probes postponed by ping acks", took)
+	if got := a.stats.ProbesSent.Load(); got != 3*modelProbes {
+		t.Fatalf("%d probes for %d answered stalls", got, 3*modelProbes)
 	}
-	if got := a.stats.Retransmits.Load(); got != 1 {
-		t.Fatalf("%d retransmits, want 1", got)
+}
+
+// TestDriverOutlastsTheFailureDetector: a stream gives up on a silent
+// peer (StreamFailures, which poisons the endpoint) only long after the
+// failure detector has declared the peer dead and fenced it (a typed
+// error, survivors carry on) — whatever the estimator holds, because the
+// back-off cap stays tied to the configured timeout, not the measured
+// one. This is where the two timers interact; PR 7's bug lived here.
+func TestDriverOutlastsTheFailureDetector(t *testing.T) {
+	fd := mpi.FailureOptions{}.Fill()
+	declareDead := fd.Suspicion + int64(fd.MaxPings)*fd.PingTimeout
+	for _, rtt := range []int64{0, 1, 10_000, 1_000_000, 20_000_000} {
+		w := newWorldWith(t, Options{})
+		a := w.ends[0]
+		if rtt > 0 {
+			w.measure(rtt)
+		}
+		w.send(a, 1, false, false)
+		sentAt := w.now
+		for a.failure == nil && a.timerAt != 0 {
+			w.wire = w.wire[:0] // the peer is silent
+			w.fire(a)
+			w.check()
+		}
+		if a.failure == nil {
+			t.Fatalf("rtt %dns: a silent peer never failed the stream", rtt)
+		}
+		if took := w.now - sentAt; took < 10*declareDead {
+			t.Errorf("rtt %dns: stream failed %dns after the send, under 10x the detector's declare-dead time of %dns", rtt, took, declareDead)
+		}
 	}
 }
 
@@ -472,7 +732,7 @@ func TestDriverStopAndFailPeerSilenceTheTimer(t *testing.T) {
 	} {
 		w := newWorld(t)
 		e := w.ends[0]
-		w.send(e, 1, false)
+		w.send(e, 1, false, false)
 		silence(e.d)
 		w.wire = w.wire[:0]
 		w.fire(e)

@@ -24,20 +24,27 @@
 //     This keeps the lossless wire byte-for-byte identical to the
 //     paper's model (the frame-count formulas of §3 still hold exactly).
 //
-//   - The sender probes after RTO of silence: a probe solicits one
-//     cumulative ACK naming everything the receiver has — delivered
-//     sequence numbers (cumulative + selective) and, for partially
-//     reassembled messages, the exact missing fragment indexes (the
-//     receiver's reassembler already tracks them, mirroring the
-//     multicast FragmentRepairer). The sender retransmits only what the
-//     ACK proves lost, with exponential backoff, and fails the stream
-//     after MaxProbes consecutive probes without progress.
+//   - The sender asks: a probe solicits one cumulative ACK naming
+//     everything the receiver has — delivered sequence numbers
+//     (cumulative + selective) and, for partially reassembled messages,
+//     the exact missing fragment indexes (the receiver's reassembler
+//     already tracks them, mirroring the multicast FragmentRepairer). It
+//     asks at once when a send finds the window full, so a busy stream
+//     pays one round trip for credit and never waits on a timer, and
+//     after RTO of silence otherwise, with exponential backoff, failing
+//     the stream after MaxProbes consecutive probes without progress.
+//     Every probe carries a nonce its ACK echoes, so each exchange is a
+//     clean round-trip sample, and RTO is read from those samples: the
+//     configured value is where it starts and its ceiling (see
+//     SendStream.RTO). The sender retransmits only what an ACK proves
+//     lost.
 //
 //   - A receiver that can prove a loss early — a later sequence number
 //     completed while an earlier one is missing, or duplicate fragments
 //     arrived (the sender is already retransmitting) — volunteers an ACK
 //     without waiting for a probe, so repair converges in one round trip
-//     instead of an RTO.
+//     instead of an RTO. Such ACKs are throttled on the same measured
+//     clock.
 //
 // The package holds the protocol state machines (SendStream, RecvStream),
 // the control wire format, and the Driver that runs every stream of one
@@ -46,12 +53,12 @@
 // there, once, for both transports. The driver reads no clock, owns no
 // timer and writes no frame. Its transport serializes calls into it and
 // passes the current time (virtual-time events on the engine's one thread
-// in simnet; a mutex and the wall clock in udpnet), supplies at
-// construction its fragment size, its reassembler's missing-fragment
-// lookup and where to count (Host), and carries out each returned Step in
-// field order: wake liveness waiters, write the control frame and the
-// retransmissions, arm the peer's one-shot probe timer, wake senders
-// blocked on the window.
+// in simnet; a mutex and the wall clock in udpnet), tells it when a send
+// blocks on the window (Stall), supplies at construction its fragment
+// size, its reassembler's missing-fragment lookup and where to count
+// (Host), and carries out each returned Step in field order: wake
+// liveness waiters, write the control frame and the retransmissions, arm
+// the peer's one-shot probe timer, wake senders blocked on the window.
 package reliab
 
 import (
@@ -68,10 +75,12 @@ type Options struct {
 	// Window is the maximum number of unacknowledged messages per peer
 	// before SendReliable blocks.
 	Window int
-	// RTO is the initial probe timeout in clock nanoseconds (virtual
-	// time under the simulator, wall time otherwise): how long a sender
-	// stays silent about unacknowledged messages before soliciting an
-	// acknowledgment.
+	// RTO is the probe timeout in clock nanoseconds (virtual time under
+	// the simulator, wall time otherwise) — how long a sender stays
+	// silent about unacknowledged messages before soliciting an
+	// acknowledgment — as an initial value and a ceiling: a stream that
+	// has measured its round trip probes on that clock, never slower
+	// than this.
 	RTO int64
 	// MaxProbes bounds consecutive probes without progress before the
 	// stream is declared broken.
@@ -88,14 +97,15 @@ type Options struct {
 
 // Fill replaces zero fields with defaults: window 32, RTO 25 ms, 20
 // probes, paused window 2. The default RTO sits above a collective's
-// duration on the
-// calibrated testbed on purpose: on the happy path the whole protocol
-// then costs one probe/ack pair per peer after the traffic quiesces, so
-// the measured window of a lossless run carries no protocol frames at
-// all and the paper's latency comparisons are undisturbed (a probe that
-// fires mid-collective on a shared hub collides with the data it is
-// probing for). Loss-injection tests that want fast repair configure a
-// tighter RTO explicitly.
+// duration on the calibrated testbed on purpose. A stream keeps it until
+// its first probe is answered, and on the happy path that probe is the
+// one that confirms the tail after the traffic quiesced: the measured
+// window of a lossless run at the paper's sizes carries no protocol
+// frames at all and the paper's latency comparisons are undisturbed (a
+// probe that fires mid-collective on a shared hub collides with the data
+// it is probing for). It is also all the tuning there is: once a round
+// trip is measured the stream repairs at that speed, so lossy runs need
+// no tighter value configured.
 func (o Options) Fill() Options {
 	if o.Window <= 0 {
 		o.Window = 32
@@ -111,6 +121,12 @@ func (o Options) Fill() Options {
 	}
 	return o
 }
+
+// minRTO is the floor of a measured probe timeout (SendStream.measuredRTO):
+// eight full-size frame times on the modelled 100 Mbit/s Ethernet, so a
+// probe cannot overtake through one switch queue the burst it asks about,
+// and about what a loaded real host's timers and scheduler resolve.
+const minRTO = 1_000_000
 
 // Stats counts protocol events on one endpoint's streams (all peers).
 type Stats struct {
@@ -133,6 +149,13 @@ type outMsg struct {
 	seq   uint32
 	msgID uint64
 	frags []transport.Fragment
+	// since is the lowest probe nonce whose answer can know of the
+	// message's latest transmission, first or repeated: one more than the
+	// last nonce issued when that transmission was handed to the device
+	// (0: the first one is still being written). An ack echoing an older
+	// nonce was solicited before the fragments left and races them on the
+	// wire.
+	since uint32
 }
 
 // SendStream is the sender half of one peer's stream. It is a pure
@@ -142,39 +165,28 @@ type SendStream struct {
 	next    uint32             // next sequence number to assign (first is 1)
 	cum     uint32             // highest cumulatively acknowledged sequence
 	unacked map[uint32]*outMsg // in-window, not yet acknowledged
-	probes  int                // consecutive probes without progress
-	rto     int64              // current (backed-off) probe timeout
-	// sent is the highest sequence number whose fragments have actually
-	// been handed to the device (MarkSent). It lags next during the host
-	// send cost: the simulator charges OSend/OByte between assigning a
-	// sequence number and the frames reaching the NIC, and a probe fired
-	// in that window must not treat the message as probed.
-	sent uint32
-	// nonce numbers the probes; horizons records, per outstanding probe,
-	// the highest device-handed sequence number when it went out. An ack
-	// echoing a probe's nonce licenses full resends only up to that
-	// probe's horizon: messages sent after the probe (or acks answering
-	// an older probe, arriving after a newer one went out) may cross the
-	// ack on the wire and must not be duplicated on its silence.
-	nonce    uint32
-	horizons map[uint32]uint32
+	probes  int                // consecutive timeout probes without progress
+	rto     int64              // current probe timeout: measuredRTO, doubled per probe while probes > 0
+	// nonce numbers the probes and answered is the newest one an ack has
+	// echoed: the probes in between are outstanding, and only their
+	// answers count as probed acks — an older probe's answer arriving
+	// late is as stale as an unsolicited ack. solicited is the last nonce
+	// Solicit issued.
+	nonce, answered, solicited uint32
 	// probeAt records each outstanding probe's transmit time (clock
 	// nanoseconds) so the ack echoing its nonce yields a round-trip
 	// sample; rtt folds those samples into the live congestion
 	// observables (smoothed RTT, variance, floor, gradient).
 	probeAt map[uint32]int64
 	rtt     RTT
+	// idle is the silence the stream has learned to tolerate beyond what
+	// the estimator asks for (see measuredRTO).
+	idle int64
 }
 
 // NewSendStream returns an empty stream under o (which must be filled).
 func NewSendStream(o Options) *SendStream {
-	return &SendStream{
-		opts:     o,
-		unacked:  make(map[uint32]*outMsg),
-		rto:      o.RTO,
-		horizons: make(map[uint32]uint32),
-		probeAt:  make(map[uint32]int64),
-	}
+	return &SendStream{opts: o, unacked: make(map[uint32]*outMsg), rto: o.RTO, probeAt: make(map[uint32]int64)}
 }
 
 // Full reports whether the send window has no room for another message.
@@ -194,40 +206,86 @@ func (s *SendStream) Begin(msgID uint64, frags []transport.Fragment) uint32 {
 	return seq
 }
 
-// MarkSent records that seq's fragments reached the device, making the
-// message probeable.
+// MarkSent records that seq's fragments reached the device: from now on
+// an ack may speak for the message. Until then — the simulator charges
+// the host send cost, a socket write is under way — a probe must not
+// treat it as probed nor an ack's word on it be taken.
 func (s *SendStream) MarkSent(seq uint32) {
-	if seq > s.sent {
-		s.sent = seq
+	if om := s.unacked[seq]; om != nil {
+		om.since = s.nonce + 1
 	}
 }
 
-// RTO returns the current (backed-off) probe timeout.
+// RTO returns the current probe timeout: measuredRTO, doubled by each
+// timeout probe without progress up to Options.RTO<<8. Progress returns
+// it to the measured value.
 func (s *SendStream) RTO() int64 { return s.rto }
+
+// measuredRTO is the probe timeout before back-off. Until the stream has
+// a round-trip sample it is the configured Options.RTO. From then on it
+// is the estimator's srtt + 4·rttvar, raised to the silence the stream
+// has learned is idleness and held between minRTO and Options.RTO, which
+// thereby is the initial value and the ceiling.
+//
+// The receiver is silent, so every burst's tail stays unacknowledged and
+// a quiet gap longer than the timeout costs a probe whether or not
+// anything was lost. The estimator alone cannot tell the two apart; the
+// probe's answer can. A timeout probe that finds everything it covered
+// delivered was needless: the gap it cut short was the stream's own send
+// cadence, and the stream doubles the silence it tolerates. An ack that
+// calls for a retransmission shows a path that does lose frames, and
+// returns the timeout to what was measured. A quiet path therefore
+// drifts back to the configured timeout at the price of a few probes per
+// stream, and a lossy one repairs at the speed of its round trip.
+func (s *SendStream) measuredRTO() int64 {
+	if s.rtt.samples == 0 {
+		return s.opts.RTO
+	}
+	rto := max(int64(s.rtt.srtt+4*s.rtt.rttvar), s.idle, minRTO)
+	return min(rto, s.opts.RTO)
+}
 
 // NeedProbe reports whether unacknowledged messages warrant a probe.
 func (s *SendStream) NeedProbe() bool { return len(s.unacked) > 0 }
 
-// OnProbeAt records a probe being sent at now (clock nanoseconds) and
-// backs the timeout off. It returns the probe's nonce (to carry on the
-// wire) and ok=false when the stream has exhausted MaxProbes without
-// progress and must be declared broken. The ack echoing the nonce yields
-// a round-trip sample for the stream's RTT estimator; a zero now records
-// no timestamp, so no sample will be taken.
+// OnProbeAt records a timeout probe being sent at now (clock
+// nanoseconds) and backs the timeout off. It returns the probe's nonce
+// (to carry on the wire) and ok=false when the stream has exhausted
+// MaxProbes without progress and must be declared broken. The ack
+// echoing the nonce yields a round-trip sample for the stream's RTT
+// estimator; a zero now records no timestamp, so no sample will be taken.
 func (s *SendStream) OnProbeAt(now int64) (nonce uint32, ok bool) {
 	s.probes++
 	if s.probes > s.opts.MaxProbes {
 		return 0, false
 	}
-	if s.rto < s.opts.RTO<<8 {
-		s.rto *= 2
+	s.rto = min(2*s.rto, s.opts.RTO<<8)
+	return s.probe(now), true
+}
+
+// Solicit records a probe sent at now because the window is full: the
+// sender wants the receiver's state now, not after a timeout. Nothing
+// timed out, so the probe spends no MaxProbes budget and backs nothing
+// off; at most one is outstanding (ok=false while the last one is), so a
+// stall costs one probe however many senders block on it.
+func (s *SendStream) Solicit(now int64) (nonce uint32, ok bool) {
+	if s.Soliciting() {
+		return 0, false
 	}
+	s.solicited = s.probe(now)
+	return s.solicited, true
+}
+
+// Soliciting reports whether a Solicit probe is unanswered: neither its
+// own ack nor a newer probe's has arrived.
+func (s *SendStream) Soliciting() bool { return s.solicited > s.answered }
+
+func (s *SendStream) probe(now int64) uint32 {
 	s.nonce++
-	s.horizons[s.nonce] = s.sent
 	if now > 0 {
 		s.probeAt[s.nonce] = now
 	}
-	return s.nonce, true
+	return s.nonce
 }
 
 // RTTSnapshot returns the stream's round-trip estimator state (zero
@@ -253,11 +311,15 @@ type Resend struct {
 //
 // Retransmission policy: sequences the receiver reports partially
 // reassembled are resent selectively (exactly the named missing
-// fragments); sequences the ack omits entirely are resent whole — but
-// only when the ack answers a known probe (its nonce matches) and the
-// sequence is at or below that probe's horizon, because an unsolicited
-// or stale ack can race fragments still in flight and a premature full
-// resend would be pure duplication.
+// fragments); sequences the ack omits entirely are resent whole, but only
+// when the ack answers an outstanding probe, because only a probed ack's
+// silence means "I hold nothing of it". Either way a message is resent
+// only on the word of an ack that can have been written after the
+// message's latest transmission reached the device: a probed ack speaks
+// for what was at the device when its probe left (outMsg.since), any
+// other ack for what is there by now. Fragments still being written, sent
+// after the probe, or already resent on an earlier answer race the ack on
+// the wire, and resending them on its word would be pure duplication.
 func (s *SendStream) HandleAckAt(now int64, a Ack) (resend []Resend, freed bool, rtt int64) {
 	if t, ok := s.probeAt[a.Nonce]; ok && now > t {
 		rtt = now - t
@@ -283,13 +345,13 @@ func (s *SendStream) HandleAckAt(now int64, a Ack) (resend []Resend, freed bool,
 	for _, seq := range a.Sacks {
 		retire(seq)
 	}
-	horizon, probed := s.horizons[a.Nonce]
+	probed := a.Nonce > s.answered && a.Nonce <= s.nonce
 	if probed {
 		// This probe is answered — its round trip is spent whether or not
 		// it produced a sample — and older probes' answers are now stale.
-		for n := range s.horizons {
+		s.answered = a.Nonce
+		for n := range s.probeAt {
 			if n <= a.Nonce {
-				delete(s.horizons, n)
 				delete(s.probeAt, n)
 			}
 		}
@@ -300,8 +362,10 @@ func (s *SendStream) HandleAckAt(now int64, a Ack) (resend []Resend, freed bool,
 	}
 	// Deterministic resend order (map iteration is randomized).
 	seqs := make([]int, 0, len(s.unacked))
-	for seq := range s.unacked {
-		seqs = append(seqs, int(seq))
+	for seq, om := range s.unacked {
+		if om.since != 0 && (!probed || om.since <= a.Nonce) {
+			seqs = append(seqs, int(seq))
+		}
 	}
 	sort.Ints(seqs)
 	for _, si := range seqs {
@@ -323,15 +387,26 @@ func (s *SendStream) HandleAckAt(now int64, a Ack) (resend []Resend, freed bool,
 			}
 			continue
 		}
-		if probed && seq <= horizon {
+		if probed {
 			// The receiver answered a probe covering this message and
 			// holds nothing of it: every fragment was lost, resend all.
 			resend = append(resend, Resend{Seq: seq, Frags: om.frags})
 		}
 	}
+	for _, r := range resend {
+		s.unacked[r.Seq].since = s.nonce + 1 // only a probe yet to be sent can know of this transmission
+	}
+	switch {
+	case len(resend) > 0:
+		s.idle = 0
+	case probed && a.Nonce != s.solicited && len(seqs) == 0:
+		s.idle = min(2*s.measuredRTO(), s.opts.RTO)
+	}
 	if progress {
 		s.probes = 0
-		s.rto = s.opts.RTO
+	}
+	if s.probes == 0 {
+		s.rto = s.measuredRTO()
 	}
 	return resend, freed, rtt
 }

@@ -40,7 +40,7 @@ func TestSendWindowAndCumAck(t *testing.T) {
 
 func TestSelectiveRetransmitFromPartial(t *testing.T) {
 	s := NewSendStream(Options{}.Fill())
-	s.Begin(7, frags(7, 5))
+	s.MarkSent(s.Begin(7, frags(7, 5)))
 	resend, _, _ := s.HandleAckAt(0, Ack{Cum: 0, Partials: []Partial{{Seq: 1, Missing: []int{1, 3}}}})
 	if len(resend) != 1 {
 		t.Fatalf("resend count = %d, want 1", len(resend))
@@ -48,6 +48,49 @@ func TestSelectiveRetransmitFromPartial(t *testing.T) {
 	if got := resend[0]; got.Seq != 1 || len(got.Frags) != 2 ||
 		got.Frags[0].Index != 1 || got.Frags[1].Index != 3 {
 		t.Fatalf("selective resend named wrong fragments: %+v", got)
+	}
+}
+
+// TestRetransmitOnlyOnAnAckThatCanKnow: fragments are resent only on the
+// word of an ack that can have been written after their latest
+// transmission reached the device. A message still being written (Begin
+// done, MarkSent pending), one that left after the probe being answered,
+// and one already resent on an earlier probe's answer all have fragments
+// in flight beside the ack, not lost — whether the ack names missing
+// fragments or holds nothing of the message.
+func TestRetransmitOnlyOnAnAckThatCanKnow(t *testing.T) {
+	seqsOf := func(resend []Resend) (out []uint32) {
+		for _, r := range resend {
+			out = append(out, r.Seq)
+		}
+		return out
+	}
+	s := NewSendStream(Options{}.Fill())
+	s.MarkSent(s.Begin(1, frags(1, 3)))
+	first, _ := s.OnProbeAt(0)
+	second, _ := s.OnProbeAt(0)
+	late := s.Begin(2, frags(2, 3)) // admitted after the probes
+	writing := s.Begin(3, frags(3, 3))
+	s.MarkSent(late)
+	partials := []Partial{{Seq: 1, Missing: []int{2}}, {Seq: late, Missing: []int{1, 2}}, {Seq: writing, Missing: []int{2}}}
+
+	resend, _, _ := s.HandleAckAt(0, Ack{Nonce: first, Partials: partials})
+	if got := seqsOf(resend); !reflect.DeepEqual(got, []uint32{1}) {
+		t.Fatalf("first probe's answer resent %v, want [1]: seq %d left after the probe, seq %d is still being written", got, late, writing)
+	}
+	if resend, _, _ = s.HandleAckAt(0, Ack{Nonce: second}); len(resend) != 0 {
+		t.Fatalf("second probe's answer resent %v: it was solicited before seq 1 was resent and cannot know", seqsOf(resend))
+	}
+	third, _ := s.OnProbeAt(0)
+	resend, _, _ = s.HandleAckAt(0, Ack{Nonce: third, Partials: partials[1:]})
+	if got := seqsOf(resend); !reflect.DeepEqual(got, []uint32{1, late}) || len(resend[0].Frags) != 3 || len(resend[1].Frags) != 2 {
+		t.Fatalf("third probe's answer resent %v, want seq 1 whole and seq %d's two fragments", got, late)
+	}
+	// An unsolicited ack speaks for whatever is at the device by now.
+	s.MarkSent(writing)
+	resend, _, _ = s.HandleAckAt(0, Ack{Partials: partials[2:]})
+	if got := seqsOf(resend); !reflect.DeepEqual(got, []uint32{writing}) {
+		t.Fatalf("unsolicited ack resent %v, want [%d]", got, writing)
 	}
 }
 

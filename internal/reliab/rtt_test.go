@@ -92,8 +92,8 @@ func TestProbeAckRTTSample(t *testing.T) {
 }
 
 // TestAnsweredProbeRetiresTimestamps pins cleanup: an ack answering a
-// newer probe retires every older probe's timestamp alongside its
-// horizon, so probeAt cannot grow without bound.
+// newer probe retires every older probe's timestamp, so probeAt cannot
+// grow without bound.
 func TestAnsweredProbeRetiresTimestamps(t *testing.T) {
 	o := Options{}.Fill()
 	s := NewSendStream(o)
@@ -111,9 +111,9 @@ func TestAnsweredProbeRetiresTimestamps(t *testing.T) {
 		t.Fatalf("probeAt holds %d entries, want 5", len(s.probeAt))
 	}
 	s.HandleAckAt(9_999, Ack{Cum: seq, Nonce: last})
-	if len(s.probeAt) != 0 || len(s.horizons) != 0 {
-		t.Fatalf("answered probe must retire older timestamps: probeAt=%d horizons=%d",
-			len(s.probeAt), len(s.horizons))
+	if len(s.probeAt) != 0 || s.answered != last {
+		t.Fatalf("answered probe must retire older timestamps: probeAt=%d answered=%d",
+			len(s.probeAt), s.answered)
 	}
 }
 
@@ -175,5 +175,76 @@ func TestStatCountersRace(t *testing.T) {
 	got := c.Snapshot()
 	if got.MsgsStreamed != 20000 || got.Retransmits != 40000 {
 		t.Fatalf("final snapshot %+v", got)
+	}
+}
+
+// TestMeasuredRTO pins the clock a stream probes on: the configured
+// timeout until a round trip is measured, then srtt + 4·rttvar held
+// between the floor and the configured value — and what the answers to
+// its probes teach it. A timeout probe that finds everything delivered
+// was needless (the silence was the stream's own cadence) and doubles the
+// silence tolerated, up to the ceiling; an ack that calls for a
+// retransmission returns the timeout to the measured value; a window
+// probe, sent for credit and not for silence, teaches nothing.
+func TestMeasuredRTO(t *testing.T) {
+	o := Options{}.Fill()
+	s := NewSendStream(o)
+	now := int64(1)
+	send := func() uint32 {
+		seq := s.Begin(uint64(now), frags(uint64(now), 1))
+		s.MarkSent(seq)
+		return seq
+	}
+	// exchange answers a probe rtt later with an ack that acknowledges up
+	// to cum.
+	exchange := func(nonce uint32, rtt int64, cum uint32) []Resend {
+		now += rtt
+		resend, _, _ := s.HandleAckAt(now, Ack{Cum: cum, Nonce: nonce})
+		return resend
+	}
+	if s.RTO() != o.RTO {
+		t.Fatalf("RTO before any sample = %d, want the configured %d", s.RTO(), o.RTO)
+	}
+	seq := send()
+	nonce, _ := s.OnProbeAt(now)
+	exchange(nonce, 100_000, seq)
+	// srtt + 4·rttvar = 100 µs + 4·50 µs is under the floor; the needless
+	// probe doubled the floor.
+	for want := int64(2 * minRTO); ; want = min(2*want, o.RTO) {
+		if s.RTO() != want {
+			t.Fatalf("RTO after needless probes = %d, want %d", s.RTO(), want)
+		}
+		if want == o.RTO {
+			break
+		}
+		seq = send()
+		nonce, _ = s.OnProbeAt(now)
+		exchange(nonce, 100_000, seq)
+	}
+	// A probe that uncovers a loss: back to what was measured.
+	seq = send()
+	nonce, _ = s.OnProbeAt(now)
+	if resend := exchange(nonce, 100_000, seq-1); len(resend) != 1 {
+		t.Fatalf("probed ack omitting seq %d resent %v", seq, resend)
+	}
+	exchange(0, 100_000, seq) // the repair arrives: progress ends the back-off
+	if s.RTO() != minRTO {
+		t.Fatalf("RTO after a loss = %d, want the measured value at its floor %d", s.RTO(), int64(minRTO))
+	}
+	// Window probes teach nothing, whatever they find.
+	seq = send()
+	nonce, _ = s.Solicit(now)
+	exchange(nonce, 100_000, seq)
+	if s.RTO() != minRTO {
+		t.Fatalf("RTO after an answered window probe = %d, want %d", s.RTO(), int64(minRTO))
+	}
+	// A slow path is clamped at the configured value.
+	for i := 0; i < 8; i++ {
+		seq = send()
+		nonce, _ = s.Solicit(now)
+		exchange(nonce, 2*o.RTO, seq)
+	}
+	if s.RTO() != o.RTO {
+		t.Fatalf("RTO on a path slower than the configured timeout = %d, want the ceiling %d", s.RTO(), o.RTO)
 	}
 }

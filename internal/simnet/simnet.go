@@ -678,7 +678,7 @@ func (ep *Endpoint) SendReliable(dst int, m transport.Message) error {
 		return ep.congested && ep.streams.InFlight(dst) >= pw
 	}
 	if windowFull() {
-		ep.nw.Stats.Stream.WindowStalls.Add(1)
+		ep.step(dst, ep.streams.Stall(ep.Now(), dst))
 		if ep.congested && !ep.streams.Full(dst) {
 			ep.nw.Stats.Stream.PauseStalls.Add(1)
 			ep.mPauseStalls.Inc()

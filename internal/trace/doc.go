@@ -24,8 +24,10 @@
 //     unblocked the wait, recorded by CollCtx.SpanEndGated.
 //   - Instant: a point event — "send.scout", "send.ack", "send.nack",
 //     "send.release" (Arg: payload bytes), "repair.mcast" (Arg:
-//     fragments resent), "stream.probe", "stream.retransmit",
-//     "switch.drop" (Arg: egress port).
+//     fragments resent), "stream.stall" (a send blocked on the window;
+//     Arg: peer), "stream.credit" (an ack made room in a full window;
+//     Arg: peer), "stream.probe" (Arg: peer), "stream.retransmit" (Arg:
+//     fragments), "switch.drop" (Arg: egress port).
 //   - Gauge: a sampled value — "switch.portN.depth" (egress queue
 //     occupancy), "switch.paused" (stations under backpressure), and
 //     "delivered.bytes" (per-rank payload handed up). Fabric-level

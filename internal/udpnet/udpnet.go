@@ -391,6 +391,14 @@ func (ep *Endpoint) stopStreamsLocked() {
 	}
 }
 
+// Streams reports the state of the endpoint's send streams, for a
+// stuck-run dump.
+func (ep *Endpoint) Streams() []reliab.StreamState {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.streams.Streams()
+}
+
 // KillRank kills rank r's endpoint (see Endpoint.Kill).
 func (nw *Net) KillRank(r int) { nw.eps[r].Kill() }
 
@@ -481,20 +489,20 @@ func (ep *Endpoint) SendReliable(dst int, m transport.Message) error {
 		return fmt.Errorf("udpnet: send to rank %d outside world of %d", dst, len(ep.peers))
 	}
 	ep.mu.Lock()
+	if ep.streams.Full(dst) {
+		ep.stepUnlock(dst, ep.streams.Stall(ep.Now(), dst))
+		ep.mu.Lock()
+	}
 	// Admission, re-checked after every wake-up: while this sender waited
 	// for window space the endpoint may have gone down or the failure
 	// detector declared dst dead (sends to a dead peer are silent no-ops).
-	for stalled := false; ; ep.sendCond.Wait() {
+	for ; ; ep.sendCond.Wait() {
 		if err := ep.downLocked(); err != nil || ep.streams.PeerFailed(dst) {
 			ep.mu.Unlock()
 			return err
 		}
 		if !ep.streams.Full(dst) {
 			break
-		}
-		if !stalled {
-			stalled = true
-			ep.sstats.WindowStalls.Add(1)
 		}
 	}
 	frags, seq := ep.streams.Begin(dst, m, ep.msgID.Add(1))

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/coretest"
 	"repro/internal/mpi"
+	"repro/internal/reliab"
 	"repro/internal/transport"
 	"repro/internal/transport/transporttest"
 	"repro/internal/udpnet"
@@ -436,5 +437,75 @@ func checkDatagramAccounting(t *testing.T, nw *udpnet.Net) {
 	}
 	if sent < want {
 		t.Fatalf("DatagramsSent=%d < %d messages streamed + retransmits + probes + acks: some write path is uncounted", sent, want)
+	}
+}
+
+// TestWindowCreditNeedsNoTimerOverUDP: with the probe timeout configured
+// far beyond the test's patience, a one-way burst of ten windows and a
+// run of small collectives still finish at socket speed — a sender that
+// finds its window full asks for credit instead of waiting for a timer —
+// and on a lossless loopback nothing is ever retransmitted.
+func TestWindowCreditNeedsNoTimerOverUDP(t *testing.T) {
+	requireMulticast(t)
+	const n = 4
+	cfg := testConfig(n)
+	cfg.Stream = reliab.Options{RTO: (10 * time.Second).Nanoseconds()}.Fill()
+	nw, err := udpnet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	start := time.Now()
+
+	burst := 10 * cfg.Stream.Window
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < burst; i++ {
+			if err := nw.Endpoint(0).SendReliable(1, transport.Message{Class: transport.ClassData, Tag: int32(i), Payload: make([]byte, 64)}); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for i := 0; i < burst; i++ {
+		if _, err := nw.Endpoint(1).Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+
+	eps := make([]transport.Endpoint, n)
+	for i := range eps {
+		eps[i] = nw.Endpoint(i)
+	}
+	err = mpi.RunEndpoints(eps, core.Algorithms(core.Binary).Merge(baseline.Algorithms()), func(c *mpi.Comm) error {
+		send, recv := mpi.Float64sToBytes(make([]float64, 8)), make([]byte, 64)
+		for i := 0; i < 200; i++ {
+			if err := c.Allreduce(send, recv, mpi.Float64, mpi.OpSum); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+
+	var st reliab.Stats
+	for i := 0; i < n; i++ {
+		s := nw.Endpoint(i).Stats().Stream
+		st.WindowStalls += s.WindowStalls
+		st.Retransmits += s.Retransmits
+		st.DupFragments += s.DupFragments
+	}
+	if took > 2*time.Second {
+		t.Errorf("took %v with a 10 s probe timeout: some send waited for a timer", took)
+	}
+	if st.WindowStalls == 0 || st.Retransmits != 0 || st.DupFragments != 0 {
+		t.Errorf("stream counters %+v: want window stalls (the burst is ten windows long) and no retransmission or duplicate on a lossless loopback", st)
 	}
 }
