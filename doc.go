@@ -19,8 +19,10 @@
 //   - sim: the discrete-event engine. A heap of timed events with an O(1)
 //     FIFO fast path for same-instant ones (which therefore run in
 //     scheduling order — the property every determinism pin rests on),
-//     and Procs: rank programs as virtual-time processes, one goroutine
-//     each, exactly one running at a time.
+//     and Procs: rank programs as virtual-time processes, coroutines the
+//     engine loop switches to and from directly (exactly one runs at a
+//     time, no scheduler is involved) and unwinds when it gives a world
+//     up, so a failed simulation leaves nothing behind.
 //
 //   - ethernet, ipnet: the modelled testbed. NICs with CSMA/CD, a
 //     shared-medium hub, a store-and-forward switch with IGMP snooping,

@@ -198,7 +198,7 @@ func twoLevelScoutBound(op Op, n, s int) int64 {
 // calibrateEngine measures the host's raw discrete-event throughput:
 // 64 self-rescheduling timers with staggered delays drained through the
 // engine's heap path — a realistic pending-event population, no payload,
-// no goroutine handoff. The trajectory Score is events/sec of the full
+// no switch into a Proc. The trajectory Score is events/sec of the full
 // stack divided by this number — a machine-independent measure of
 // per-event overhead that a committed baseline can gate. The best of
 // several ~100ms passes is taken: the maximum is the machine's actual

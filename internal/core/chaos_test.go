@@ -41,9 +41,12 @@ type chaosSuite struct {
 
 func chaosSuites() []chaosSuite {
 	shared := sharedProf(4)
+	chunked := core.Algorithms(core.Binary)
+	chunked.Allreduce = core.AllreduceMcastChunked
 	return []chaosSuite{
 		{"binary", core.Algorithms(core.Binary), simnet.Switch, nil, false, false},
 		{"pipelined", core.Algorithms(core.BinaryPipelined), simnet.Switch, nil, false, false},
+		{"chunked", chunked, simnet.Switch, nil, false, false},
 		{"resilient", core.ResilientAlgorithms(core.DefaultNackOptions()), simnet.Switch, nil, false, true},
 		{"2level", core.TwoLevelAlgorithms(), simnet.SwitchShared, &shared, true, false},
 		{"2level-resilient", core.TwoLevelResilientAlgorithms(core.DefaultNackOptions()), simnet.SwitchShared, &shared, true, true},

@@ -615,7 +615,12 @@ func EncodeAck(a Ack, maxBytes int) []byte {
 	if maxBytes < header+2 {
 		maxBytes = header + 2
 	}
-	b := make([]byte, 0, maxBytes)
+	// Sized to what a holds, not to the frame: the happy-path ack is 13 bytes.
+	need := header + 2 + 4*len(a.Sacks)
+	for _, p := range a.Partials {
+		need += 6 + 2*len(p.Missing)
+	}
+	b := make([]byte, 0, min(need, maxBytes))
 	b = append(b, opAck)
 	b = binary.BigEndian.AppendUint32(b, a.Nonce)
 	b = binary.BigEndian.AppendUint32(b, a.Cum)

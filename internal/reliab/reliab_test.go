@@ -278,6 +278,26 @@ func TestAckCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// An ack's buffer is sized to what the ack holds, not to the frame it
+// may grow to: the happy-path ack (no sacks, no partials) is 13 bytes in
+// one allocation of at most 16, where it used to zero a whole fragment
+// payload; a detailed one is exactly its encoding, and one that must shed
+// detail is the budget.
+func TestAckBufferSizedToContents(t *testing.T) {
+	var enc []byte
+	allocs := testing.AllocsPerRun(100, func() { enc = EncodeAck(Ack{Cum: 7, Nonce: 3}, 1400) })
+	if allocs != 1 || len(enc) != 13 || cap(enc) > 16 {
+		t.Fatalf("happy-path ack: %v allocations, len %d, cap %d; want 1, 13, <= 16", allocs, len(enc), cap(enc))
+	}
+	detailed := Ack{Cum: 7, Sacks: []uint32{9, 12}, Partials: []Partial{{Seq: 8, Missing: []int{0, 5, 63}}, {Seq: 10}}}
+	if enc = EncodeAck(detailed, 1400); cap(enc) != len(enc) {
+		t.Fatalf("detailed ack: len %d in a buffer of %d", len(enc), cap(enc))
+	}
+	if enc = EncodeAck(detailed, 24); cap(enc) != 24 || len(enc) > 24 {
+		t.Fatalf("shedding ack: len %d, cap %d, budget 24", len(enc), cap(enc))
+	}
+}
+
 // Sacks must come out ascending however delivery order interleaves —
 // the sender's resend logic and the wire encoder both rely on it, and
 // the receive path maintains the order on insert rather than sorting

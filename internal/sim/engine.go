@@ -3,10 +3,19 @@
 //
 // The engine maintains a virtual clock in nanoseconds and an event queue.
 // Network components (NICs, hubs, switches) are pure event-driven objects;
-// application code (MPI ranks) runs in Procs — goroutines that execute one
-// at a time under the engine's control, so simulated programs can use
+// application code (MPI ranks) runs in Procs — coroutines of the engine
+// loop, each with a stack of its own, so simulated programs can use
 // ordinary sequential Go code with blocking operations (Sleep, queue Recv)
-// that advance virtual time instead of wall time.
+// that advance virtual time instead of wall time. The engine switches to a
+// Proc when its wake event fires and the Proc switches back when it
+// blocks; both are direct switches on the calling thread (iter.Pull), not
+// a hand-off through the Go scheduler, so a simulation costs the same
+// whatever GOMAXPROCS is and its timeline cannot depend on it.
+//
+// Run owns the Procs it runs: when it gives a world up — a deadlock, or a
+// Proc that panicked — it unwinds every Proc that has not finished before
+// it returns, so deferred functions of rank programs run and no stack, and
+// nothing a stack refers to, outlives the error.
 //
 // Determinism: events that fire at the same virtual time run in the order
 // they were scheduled (a monotone sequence number breaks ties), and all
@@ -64,8 +73,8 @@ type event struct {
 // An Engine is not safe for concurrent use: all interaction must happen
 // either before Run, from event callbacks, or from code running inside a
 // Proc spawned on this engine. This is by design — the simulation is
-// single-threaded even though Procs are goroutines, because exactly one
-// of {engine loop, some Proc} executes at any instant.
+// single-threaded: exactly one of {engine loop, some Proc} executes at
+// any instant, and control passes between them only by direct switch.
 type Engine struct {
 	now Time
 	seq uint64
@@ -211,28 +220,23 @@ func (d *DeadlockError) Error() string {
 // Run processes events until the queue is empty, then verifies that every
 // spawned Proc has finished. It returns the first error from a Proc
 // function, an error wrapping a Proc panic, or a *DeadlockError if some
-// Proc remains blocked with no pending events.
+// Proc remains blocked with no pending events. On the last two the world
+// is given up: Run unwinds every unfinished Proc before it returns (their
+// deferred functions run, nothing stays parked), and the engine keeps
+// returning that error.
 func (e *Engine) Run() error {
-	for {
+	for e.failure == nil {
 		fn, ok := e.next()
 		if !ok {
+			e.failure = e.deadlock()
 			break
 		}
 		e.processed++
 		fn()
-		if e.failure != nil {
-			return e.failure
-		}
 	}
-	var blocked []string
-	for _, p := range e.procs {
-		if p.state != procDone {
-			blocked = append(blocked, p.name)
-		}
-	}
-	if len(blocked) > 0 {
-		sort.Strings(blocked)
-		return &DeadlockError{Blocked: blocked}
+	if e.failure != nil {
+		e.unwind()
+		return e.failure
 	}
 	for _, p := range e.procs {
 		if p.err != nil {
@@ -240,6 +244,22 @@ func (e *Engine) Run() error {
 		}
 	}
 	return nil
+}
+
+// deadlock names the procs still blocked once no event is left to wake
+// them, or returns nil when every proc has finished.
+func (e *Engine) deadlock() error {
+	var blocked []string
+	for _, p := range e.procs {
+		if p.state != procDone {
+			blocked = append(blocked, p.name)
+		}
+	}
+	if len(blocked) == 0 {
+		return nil
+	}
+	sort.Strings(blocked)
+	return &DeadlockError{Blocked: blocked}
 }
 
 // RunUntil processes events with timestamps not after deadline. It is
@@ -264,6 +284,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 		e.processed++
 		fn()
 		if e.failure != nil {
+			e.unwind()
 			return e.failure
 		}
 	}

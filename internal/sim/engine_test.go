@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +163,77 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 	if len(dl.Blocked) != 1 || dl.Blocked[0] != "stuck" {
 		t.Fatalf("Blocked = %v, want [stuck]", dl.Blocked)
+	}
+}
+
+// Run owns the procs it started: a world it gives up on is unwound, so
+// rank programs' deferred functions run and no goroutine, stack or world
+// stays behind a returned error.
+func TestDeadlockLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		e := New()
+		q := NewQueue[int](e)
+		cleaned := false
+		e.Spawn("stuck", func(p *Proc) error {
+			defer func() { cleaned = true }()
+			_, _ = q.Recv(p) // nothing will ever push
+			return nil
+		})
+		err := e.Run()
+		var dl *DeadlockError
+		if !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0] != "stuck" {
+			t.Fatalf("engine %d: Run() = %v, want DeadlockError naming stuck", i, err)
+		}
+		if !cleaned {
+			t.Fatalf("engine %d: the stuck proc's deferred function never ran", i)
+		}
+		if again := e.Run(); again != err {
+			t.Fatalf("engine %d: second Run() = %v, want the same %v", i, again, err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before 200 deadlocked engines, %d after", before, after)
+	}
+}
+
+func TestProcPanicUnwindsParkedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New()
+	q := NewQueue[int](e)
+	cleaned, unbornRan := 0, false
+	for i := 0; i < 7; i++ {
+		e.Spawn(fmt.Sprintf("parked%d", i), func(p *Proc) error {
+			defer func() { cleaned++ }()
+			// A deferred function that blocks is unwound from there and
+			// the ones registered before it still run.
+			defer p.Sleep(5)
+			_, _ = q.Recv(p)
+			return nil
+		})
+	}
+	e.Spawn("culprit", func(p *Proc) error {
+		p.Sleep(10)
+		e.Spawn("unborn", func(*Proc) error { unbornRan = true; return nil })
+		panic("kaboom")
+	})
+	err := e.Run()
+	if err == nil {
+		t.Fatal("Run() = nil, want the culprit's panic")
+	}
+	for _, want := range []string{`proc "culprit" panicked: kaboom`, "TestProcPanicUnwindsParkedProcs"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Run() error lacks %q:\n%v", want, err)
+		}
+	}
+	if cleaned != 7 {
+		t.Errorf("%d of 7 parked procs ran their deferred functions", cleaned)
+	}
+	if unbornRan {
+		t.Error("a proc that had not started when the world failed was run")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before, %d after the failed world", before, after)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -15,20 +16,31 @@ const (
 	procDone
 )
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with virtual time. At most one Proc runs at any instant; a Proc yields
-// control back to the engine whenever it sleeps or blocks, and the engine
-// resumes it when the corresponding wake event fires.
+// Proc is a simulated process: a coroutine of the engine loop whose
+// execution is interleaved with virtual time. At most one Proc runs at any
+// instant; a Proc switches back to the engine whenever it sleeps or blocks,
+// and the engine switches to it again when the corresponding wake event
+// fires. Both switches are direct (iter.Pull): the engine loop and the proc
+// take turns on one thread, and no scheduler decides who runs next.
 //
-// All Proc methods must be called from within the Proc's own function.
+// A Proc lives until its function returns or until Run gives the world up:
+// on a deadlock or another proc's panic Run unwinds every unfinished proc,
+// so its deferred functions run and nothing of the world stays behind.
+//
+// Proc methods may only be called from the Proc's own function — not from
+// a goroutine that function starts. Nudge alone is safe elsewhere.
 type Proc struct {
 	eng   *Engine
 	name  string
 	state procState
 	err   error
 
-	resume chan struct{}
-	yield  chan struct{}
+	// next switches from the engine loop to the proc and returns when the
+	// proc parks or finishes; yield, called by the proc, switches back and
+	// reports false once stop has asked the proc to unwind.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// wake is the reusable wake-if-parked callback shared by Nudge,
 	// Sleep, WaitFor and queue deadlines, created once at Spawn so the
@@ -40,38 +52,33 @@ type Proc struct {
 // the current virtual time. The error returned by fn is reported by
 // Engine.Run after the simulation drains.
 func (e *Engine) Spawn(name string, fn func(p *Proc) error) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		state:  procReady,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name, state: procReady}
 	p.wake = func() {
 		if p.state == procParked {
 			e.dispatch(p)
 		}
 	}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
+			if r := recover(); r != nil && r != errUnwound {
 				p.err = fmt.Errorf("sim: proc %q panicked: %v\n%s", name, r, debug.Stack())
-				e.failure = p.err
+				if e.failure == nil {
+					e.failure = p.err
+				}
 			}
 			p.state = procDone
-			p.yield <- struct{}{}
 		}()
 		p.err = fn(p)
-	}()
+	})
 	e.At(0, func() { e.dispatch(p) })
 	return p
 }
 
-// dispatch hands the execution token to p and blocks the engine loop until
-// p parks or finishes. Must only be called from the engine loop (an event
-// callback), never from inside another Proc.
+// dispatch switches to p and returns to the engine loop when p parks or
+// finishes. Must only be called from the engine loop (an event callback),
+// never from inside another Proc.
 func (e *Engine) dispatch(p *Proc) {
 	if p.state == procDone {
 		return
@@ -81,9 +88,28 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	e.cur = p
 	p.state = procRunning
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 	e.cur = nil
+}
+
+// errUnwound is what park panics with in a proc that Run is unwinding. It
+// carries the proc's stack down through its deferred functions to Spawn,
+// which swallows it: being given up on is not a failure of the proc.
+var errUnwound = errors.New("sim: proc unwound")
+
+// unwind ends every proc that has not finished, in spawn order: a proc
+// that never started is dropped, a parked one resumes inside park and
+// panics its way out, running its deferred functions as the current proc
+// (one that tries to block again is unwound again from there).
+func (e *Engine) unwind() {
+	for _, p := range e.procs {
+		if p.state != procDone {
+			e.cur = p
+			p.stop()
+			p.state = procDone
+			e.cur = nil
+		}
+	}
 }
 
 // park yields control to the engine until some event resumes the proc.
@@ -93,10 +119,12 @@ func (p *Proc) park() {
 	}
 	p.state = procParked
 	p.eng.cur = nil
-	p.yield <- struct{}{}
-	<-p.resume
+	resumed := p.yield(struct{}{})
 	p.state = procRunning
 	p.eng.cur = p
+	if !resumed {
+		panic(errUnwound)
+	}
 }
 
 // Nudge schedules a wake-up for p at the current virtual time. If p is not

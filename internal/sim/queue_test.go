@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -150,27 +151,31 @@ func TestQueueRecvDeadlineBeatenByPush(t *testing.T) {
 	}
 }
 
+// Consumers are woken in the order they blocked, so who gets which item
+// is part of the timeline and the same on every run.
 func TestTwoConsumersEachGetOneItem(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e)
-	sum := 0
-	for i := 0; i < 2; i++ {
-		e.Spawn("c", func(p *Proc) error {
-			v, ok := q.Recv(p)
-			if !ok {
-				t.Error("unexpected close")
-			}
-			sum += v
-			return nil
-		})
-	}
-	e.At(10, func() { q.Push(3) })
-	e.At(20, func() { q.Push(4) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sum != 7 {
-		t.Fatalf("sum = %d, want 7", sum)
+	for run := 0; run < 100; run++ {
+		e := New()
+		q := NewQueue[int](e)
+		var got [2]int
+		for i := range got {
+			e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) error {
+				v, ok := q.Recv(p)
+				if !ok {
+					t.Error("unexpected close")
+				}
+				got[i] = v
+				return nil
+			})
+		}
+		e.At(10, func() { q.Push(3) })
+		e.At(20, func() { q.Push(4) })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got != [2]int{3, 4} {
+			t.Fatalf("run %d: consumers got %v, want [3 4] (first to block, first served)", run, got)
+		}
 	}
 }
 

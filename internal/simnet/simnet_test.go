@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -398,6 +399,50 @@ func TestRankErrorIdentifiesRank(t *testing.T) {
 	}
 	if re.Rank != 1 || !errors.Is(err, boom) {
 		t.Fatalf("RankError = %+v", re)
+	}
+}
+
+// Whatever Run returns, the world is over: no rank program is left parked
+// behind it, and a rank that was blocked when the world was given up has
+// run its deferred functions.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	boom := errors.New("boom")
+	recvOnce := func(ep *simnet.Endpoint) error { _, err := ep.Recv(); return err }
+	sendOnce := func(ep *simnet.Endpoint) error { return ep.Send(0, transport.Message{Payload: []byte{1}}) }
+	for _, tc := range []struct {
+		name  string
+		rank1 func(ep *simnet.Endpoint) error
+		want  func(err error) bool
+	}{
+		{"nil", sendOnce, func(err error) bool { return err == nil }},
+		{"RankError", func(ep *simnet.Endpoint) error { _ = sendOnce(ep); return boom },
+			func(err error) bool { var re *simnet.RankError; return errors.As(err, &re) }},
+		{"DeadlockError", func(*simnet.Endpoint) error { return nil },
+			func(err error) bool { var dl *sim.DeadlockError; return errors.As(err, &dl) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for i := 0; i < 50; i++ {
+				nw := simnet.New(2, simnet.Switch, simnet.DefaultProfile())
+				cleaned := false
+				err := nw.Run([]func(ep *simnet.Endpoint) error{
+					func(ep *simnet.Endpoint) error {
+						defer func() { cleaned = true }()
+						return recvOnce(ep)
+					},
+					tc.rank1,
+				})
+				if !tc.want(err) {
+					t.Fatalf("Run = %v, want %s", err, tc.name)
+				}
+				if !cleaned {
+					t.Fatal("rank 0's deferred function never ran")
+				}
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%d goroutines before 50 worlds, %d after", before, after)
+			}
+		})
 	}
 }
 
