@@ -122,3 +122,138 @@ func TestPaperRegimeDeterminismPin(t *testing.T) {
 		}
 	}
 }
+
+// suitePin is what TestRepairSuiteDeterminismPin holds of one row (set,
+// fabric, operation): the measured collective's longest-rank simulated
+// nanoseconds and the world's engine events, each summed over the row's
+// seeds, and an FNV-1a fold of every repetition's pair in seed order — a
+// repetition that moves by a nanosecond moves the hash even when another
+// moves back.
+type suitePin struct {
+	simNS  int64
+	events uint64
+	hash   uint64
+}
+
+// runSuitePin simulates one row of the suite pin: per seed, one warm-up
+// of op, a barrier, up to 15 µs of per-rank skew and one measured op of
+// 3,000 B on 16 ranks at 5 % multicast and 2 % point-to-point loss. It
+// also returns the frames the simulator dropped over the row.
+func runSuitePin(t *testing.T, topo simnet.Topology, alg Algorithm, op workload.Op) (suitePin, int64) {
+	t.Helper()
+	const (
+		procs = 16
+		size  = 3000
+		seeds = 12
+	)
+	algs, err := Set(alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := suitePin{hash: 14695981039346656037}
+	fold := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			pin.hash = (pin.hash ^ (v & 0xff)) * 1099511628211
+			v >>= 8
+		}
+	}
+	var losses int64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		prof := simnet.DefaultProfile()
+		prof.Seed = seed
+		prof.LossRate, prof.P2PLossRate = 0.05, 0.02
+		skewRng := sim.NewRand(seed ^ 0xD1CE)
+		skews := make([]sim.Duration, procs)
+		for i := range skews {
+			skews[i] = skewRng.Duration(15 * sim.Microsecond)
+		}
+		var worst int64 // ranks run one at a time under the engine
+		nw, err := cluster.RunSim(procs, topo, prof, algs, func(c *mpi.Comm) error {
+			run := workload.Make(c, op, size, 0)
+			if err := run(); err != nil {
+				return err
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			cluster.SimComm(c).Proc().Sleep(skews[c.Rank()])
+			start := c.Now()
+			if err := run(); err != nil {
+				return err
+			}
+			if d := c.Now() - start; d > worst {
+				worst = d
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v/%s/%s seed %d: %v", topo, alg, op, seed, err)
+		}
+		pin.simNS += worst
+		pin.events += nw.Events()
+		fold(uint64(worst))
+		fold(nw.Events())
+		losses += nw.Stats.InjectedLosses + nw.Stats.InjectedP2PLosses
+	}
+	return pin, losses
+}
+
+// TestRepairSuiteDeterminismPin widens the repair pin from three
+// operations of the flat set to all of both resilient sets: every
+// collective of mcast-resilient and mcast-2level-resilient, on the plain
+// switch (where the two-level set runs its flat fall-backs) and on the
+// shared-uplink switch (where it runs the segment-local combine, the
+// repaired segment release and the segment-sliced rounds), under
+// combined multicast and point-to-point loss. A refactor of the round
+// engine, of the release-and-collect loops or of the multicast
+// addressing must leave every row where the recording commit found it.
+func TestRepairSuiteDeterminismPin(t *testing.T) {
+	// Recorded at commit 981cbcd, before the multicast scope became a
+	// value: the code under test in that commit is the parent's.
+	for _, tc := range []struct {
+		topo simnet.Topology
+		alg  Algorithm
+		op   workload.Op
+		want suitePin
+	}{
+		{simnet.Switch, McastResilient, workload.OpBcast, suitePin{487704224, 62174, 0xfb6732213aee8a55}},
+		{simnet.Switch, McastResilient, workload.OpBarrier, suitePin{285290606, 44420, 0x50d12458cb8d9aa}},
+		{simnet.Switch, McastResilient, workload.OpAllgather, suitePin{3711640412, 614480, 0xde7a78a97993aef5}},
+		{simnet.Switch, McastResilient, workload.OpAllreduce, suitePin{414438739, 68689, 0xc14449391a2d852c}},
+		{simnet.Switch, McastResilient, workload.OpScatter, suitePin{701563311, 45571, 0x22f808c95193420b}},
+		{simnet.Switch, McastResilient, workload.OpGather, suitePin{450004527, 53789, 0x40bf86a5f239e12a}},
+		{simnet.Switch, McastResilient, workload.OpAlltoall, suitePin{5394120020, 507078, 0x2a94ff26c0a6f55e}},
+		// No segments on the plain switch: the two-level set runs its
+		// flat fall-backs, which are the flat resilient set's rows.
+		{simnet.Switch, McastTwoLevelResilient, workload.OpBcast, suitePin{487704224, 62174, 0xfb6732213aee8a55}},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpBarrier, suitePin{285290606, 44420, 0x50d12458cb8d9aa}},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpAllgather, suitePin{3711640412, 614480, 0xde7a78a97993aef5}},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpAllreduce, suitePin{414438739, 68689, 0xc14449391a2d852c}},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpScatter, suitePin{701563311, 45571, 0x22f808c95193420b}},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpGather, suitePin{450004527, 53789, 0x40bf86a5f239e12a}},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpAlltoall, suitePin{5394120020, 507078, 0x2a94ff26c0a6f55e}},
+		{simnet.SwitchShared, McastResilient, workload.OpBcast, suitePin{366563633, 37117, 0x30a6a6399e5934a2}},
+		{simnet.SwitchShared, McastResilient, workload.OpBarrier, suitePin{236280906, 33701, 0xc3507a85d1d55290}},
+		{simnet.SwitchShared, McastResilient, workload.OpAllgather, suitePin{3709979293, 418808, 0xddab7b4545216fa0}},
+		{simnet.SwitchShared, McastResilient, workload.OpAllreduce, suitePin{418089447, 49244, 0x1289ed56523697a6}},
+		{simnet.SwitchShared, McastResilient, workload.OpScatter, suitePin{599336087, 40405, 0x4f4771785e868f1c}},
+		{simnet.SwitchShared, McastResilient, workload.OpGather, suitePin{498436767, 44783, 0xd2ffb76d15326d10}},
+		{simnet.SwitchShared, McastResilient, workload.OpAlltoall, suitePin{4598049932, 519840, 0x40ebaf9cdb6c7fee}},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpBcast, suitePin{383611522, 41909, 0x559d53dca91b4d8}},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpBarrier, suitePin{283117748, 32617, 0xaa8ae60e68218a4f}},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAllgather, suitePin{1417073940, 227886, 0x9b9d864155c2b6f0}},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAllreduce, suitePin{510749413, 50300, 0x32bce44b2058bc6d}},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpScatter, suitePin{846596588, 55429, 0x3afb8e5a7eb4ed57}},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpGather, suitePin{372988649, 36235, 0x6a16fe783db8ba23}},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAlltoall, suitePin{17531965094, 705857, 0xc49dd0ea96b72326}},
+	} {
+		got, losses := runSuitePin(t, tc.topo, tc.alg, tc.op)
+		if losses == 0 {
+			t.Errorf("%v/%s/%s: no frame was dropped; the row no longer walks a repair path", tc.topo, tc.alg, tc.op)
+		}
+		if got != tc.want {
+			t.Errorf("%v/%s/%s moved:\n got  {%d, %d, %#x}\n want {%d, %d, %#x}", tc.topo, tc.alg, tc.op,
+				got.simNS, got.events, got.hash, tc.want.simNS, tc.want.events, tc.want.hash)
+		}
+	}
+}
