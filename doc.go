@@ -72,8 +72,11 @@
 //     semantics, nonblocking requests, datatypes and reduction ops, and
 //     the collective dispatchers with pluggable algorithm sets. A Runtime
 //     resolves its device's optional capabilities once; CollCtx is the
-//     narrow waist collective implementations are written against. The
-//     failure detector turns every blocking collective receive into a
+//     narrow waist collective implementations are written against:
+//     phase-tagged point-to-point sends and receives, and four multicast
+//     calls over a Scope — the whole communicator, one rank's slice
+//     group or one fabric segment's group, a value resolved to a device
+//     group and a tag in one place. The failure detector turns every blocking collective receive into a
 //     bounded wait (ping sweeps, a typed RankFailedError naming the dead
 //     set) and Comm.Shrink rebuilds a survivor communicator without a
 //     coordination round.
@@ -86,12 +89,18 @@
 //     multicast broadcast and barrier with linear and binomial scout
 //     gathers; a round engine that composes the primitive into allgather,
 //     allreduce (binomial-reduce and chunked reduce-scatter forms),
-//     scatter, gather and alltoall at fragment granularity, sequential,
-//     pipelined or burst-scheduled; per-slice and per-segment multicast
-//     groups so a NIC delivers only what its rank consumes; NACK-repaired
-//     resilient variants with selective fragment repair; the two-level
-//     (segment-leader) suite for shared-uplink fabrics; and the
-//     comparison protocols (ack-based, sequencer, deliberately unsafe).
+//     scatter, gather and alltoall at fragment granularity. A round is a
+//     sender, a list of (scope, payload) sends and the scope each rank
+//     listens on; schedule (sequential, pipelined, burst), reliability
+//     (scout-only, or NACK repair with selective fragment repair) and
+//     scope (whole, per-slice, per-segment, so a NIC delivers only what
+//     its rank consumes) vary independently, and one transmit half, one
+//     receive half and one release-gated chunk collection serve every
+//     combination. The sets — Algorithms(mode), ResilientAlgorithms, the
+//     two-level (segment-leader) pair for shared-uplink fabrics, which
+//     run their flat set where there is no topology — are those options
+//     chosen; beside them, the comparison protocols (ack-based,
+//     sequencer, deliberately unsafe).
 //     core/coretest holds the conformance harness that checks all seven
 //     collectives against a pure oracle, under graded loss and under the
 //     kill/straggle/partition chaos matrix.

@@ -41,7 +41,7 @@ func BcastAck(c *mpi.Comm, buf []byte, root int, opts AckOptions) error {
 	}
 
 	if c.Rank() != root {
-		m, err := cc.RecvMulticast()
+		m, err := cc.RecvMulticast(mpi.Whole)
 		if err != nil {
 			return err
 		}
@@ -63,7 +63,7 @@ func BcastAck(c *mpi.Comm, buf []byte, root int, opts AckOptions) error {
 			return fmt.Errorf("core: ack bcast gave up after %d retransmissions (%d of %d unacked)",
 				opts.MaxRetries, remaining, size-1)
 		}
-		if err := cc.Multicast(buf, transport.ClassData); err != nil {
+		if err := cc.Multicast(mpi.Whole, buf, transport.ClassData); err != nil {
 			return err
 		}
 		deadline := c.Now() + opts.Timeout

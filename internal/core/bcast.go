@@ -31,12 +31,12 @@
 // broadcast used to demonstrate the loss failure mode.
 //
 // Beyond the paper's two operations, suite.go composes the scout-gated
-// multicast primitive into a full collective suite — AllgatherMcast,
-// AllreduceMcast, ScatterMcast, GatherMcast and AlltoallMcast — with the
-// frame-count model documented there: the allgather sends N·ceil(M/T)
-// data frames where the unicast ring sends N·(N-1)·ceil(M/T), and the
-// allreduce's broadcast half sends ceil(M/T) frames instead of
-// (N-1)·ceil(M/T). The multi-round collectives run on the shared round
+// multicast primitive into a full collective suite — allgather,
+// allreduce, scatter, gather and alltoall, selected as a set by
+// Algorithms(mode) — with the frame-count model documented there: the
+// allgather sends N·ceil(M/T) data frames where the unicast ring sends
+// N·(N-1)·ceil(M/T), and the allreduce's broadcast half sends ceil(M/T)
+// frames instead of (N-1)·ceil(M/T). The multi-round collectives run on the shared round
 // engine of rounds.go, sequentially or pipelined (BinaryPipelined), and
 // resilient.go wraps every data multicast in NACK repair for lossy
 // segments.
@@ -85,31 +85,34 @@ func (m Mode) String() string {
 //
 //	algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
 func Algorithms(mode Mode) mpi.Algorithms {
-	a := mpi.Algorithms{Barrier: Barrier}
+	scouts, rounds := gatherScoutsBinary, roundOptions{gather: binaryRoundGather}
 	switch mode {
 	case Linear:
-		a.Bcast = BcastLinear
-		a.Allgather = AllgatherMcastLinear
-		a.Allreduce = AllreduceMcastLinear
-		a.Scatter = ScatterMcastLinear
-		a.Gather = GatherMcastLinear
-		a.Alltoall = AlltoallMcastLinear
+		scouts, rounds.gather = gatherScoutsLinear, linearRoundGather
 	case BinaryPipelined:
-		a.Bcast = BcastBinary
-		a.Allgather = AllgatherMcastPipelined
-		a.Allreduce = AllreduceMcast
-		a.Scatter = ScatterMcast
-		a.Gather = GatherMcast
-		a.Alltoall = AlltoallMcastPipelined
-	default:
-		a.Bcast = BcastBinary
-		a.Allgather = AllgatherMcast
-		a.Allreduce = AllreduceMcast
-		a.Scatter = ScatterMcast
-		a.Gather = GatherMcast
-		a.Alltoall = AlltoallMcast
+		rounds.pipeline, rounds.pace = true, DefaultPipelinePace
 	}
-	return a
+	// A single round has no next round to overlap with.
+	single := roundOptions{gather: rounds.gather}
+	return mpi.Algorithms{
+		Bcast: func(c *mpi.Comm, buf []byte, root int) error {
+			return bcastWith(c, buf, root, scouts)
+		},
+		Barrier:   Barrier,
+		Allreduce: Allreduce(reduceToRoot, mode),
+		Allgather: func(c *mpi.Comm, send, recv []byte) error {
+			return allgatherWith(c, send, recv, rounds)
+		},
+		Alltoall: func(c *mpi.Comm, send, recv []byte) error {
+			return alltoallWith(c, send, recv, rounds)
+		},
+		Scatter: func(c *mpi.Comm, send, recv []byte, root int) error {
+			return scatterWith(c, send, recv, root, single)
+		},
+		Gather: func(c *mpi.Comm, send, recv []byte, root int) error {
+			return gatherWith(c, send, recv, root, scouts, nil)
+		},
+	}
 }
 
 // scout phases within a collective operation.
@@ -255,12 +258,12 @@ func bcastWith(c *mpi.Comm, buf []byte, root int, gather func(mpi.CollCtx, int) 
 	if c.Rank() == root {
 		// Every receiver has posted: one multicast cannot be lost.
 		cc.SpanBegin("data-mcast")
-		err := cc.Multicast(buf, transport.ClassData)
+		err := cc.Multicast(mpi.Whole, buf, transport.ClassData)
 		cc.SpanEnd("data-mcast")
 		return err
 	}
 	cc.SpanBegin("data-mcast")
-	m, err := cc.RecvMulticast()
+	m, err := cc.RecvMulticast(mpi.Whole)
 	cc.SpanEndGated("data-mcast", root)
 	if err != nil {
 		return err
@@ -298,9 +301,9 @@ func BcastUnsafe(c *mpi.Comm, buf []byte, root int) error {
 		return mpi.ErrNoMulticast
 	}
 	if c.Rank() == root {
-		return cc.Multicast(buf, transport.ClassData)
+		return cc.Multicast(mpi.Whole, buf, transport.ClassData)
 	}
-	m, err := cc.RecvMulticast()
+	m, err := cc.RecvMulticast(mpi.Whole)
 	if err != nil {
 		return err
 	}
@@ -337,12 +340,12 @@ func barrierWith(c *mpi.Comm, gather func(mpi.CollCtx, int) error) error {
 	}
 	if c.Rank() == 0 {
 		cc.SpanBegin("release")
-		err := cc.Multicast(nil, transport.ClassControl)
+		err := cc.Multicast(mpi.Whole, nil, transport.ClassControl)
 		cc.SpanEnd("release")
 		return err
 	}
 	cc.SpanBegin("release")
-	_, err = cc.RecvMulticast()
+	_, err = cc.RecvMulticast(mpi.Whole)
 	cc.SpanEndGated("release", 0)
 	return err
 }
@@ -356,6 +359,12 @@ func Allreduce(reduce func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	if mode == Linear {
 		bcast = BcastLinear
 	}
+	return allreduceWith(reduce, bcast)
+}
+
+// allreduceWith composes a rooted reduction and a broadcast from the
+// same root, rank 0.
+func allreduceWith(reduce func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, root int) error, bcast func(c *mpi.Comm, buf []byte, root int) error) func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	return func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 		if len(recv) != len(send) {
 			return fmt.Errorf("core: allreduce recv buffer %d bytes, want %d", len(recv), len(send))

@@ -51,7 +51,7 @@ func BcastNack(c *mpi.Comm, buf []byte, root int, opts NackOptions) error {
 
 	if c.Rank() != root {
 		for attempt := 0; ; attempt++ {
-			m, ok, err := cc.RecvMulticastTimeout(opts.Probe)
+			m, ok, err := cc.RecvMulticastTimeout(mpi.Whole, opts.Probe)
 			if err != nil {
 				return err
 			}
@@ -77,7 +77,7 @@ func BcastNack(c *mpi.Comm, buf []byte, root int, opts NackOptions) error {
 
 	// Root: multicast once, then serve NACK repairs until every receiver
 	// has confirmed.
-	if err := cc.Multicast(buf, transport.ClassData); err != nil {
+	if err := cc.Multicast(mpi.Whole, buf, transport.ClassData); err != nil {
 		return err
 	}
 	confirmed := make([]bool, size)
@@ -90,7 +90,7 @@ func BcastNack(c *mpi.Comm, buf []byte, root int, opts NackOptions) error {
 		}
 		switch m.Class {
 		case transport.ClassNack:
-			if err := cc.Multicast(buf, transport.ClassData); err != nil {
+			if err := cc.Multicast(mpi.Whole, buf, transport.ClassData); err != nil {
 				return err
 			}
 		case transport.ClassAck:

@@ -148,7 +148,7 @@ func TestOneShotGatingLosesMidStream(t *testing.T) {
 		for r := 0; r < size; r++ {
 			cc := c.BeginColl()
 			if c.Rank() == r {
-				if err := cc.Multicast(recv[r*m:(r+1)*m], transport.ClassData); err != nil {
+				if err := cc.Multicast(mpi.Whole, recv[r*m:(r+1)*m], transport.ClassData); err != nil {
 					return err
 				}
 				continue
@@ -158,7 +158,7 @@ func TestOneShotGatingLosesMidStream(t *testing.T) {
 				// per-round scout gather would have reported upstream.
 				cluster.SimComm(c).Proc().Sleep(1 * sim.Millisecond)
 			}
-			mm, err := cc.RecvMulticast()
+			mm, err := cc.RecvMulticast(mpi.Whole)
 			if err != nil {
 				return err
 			}

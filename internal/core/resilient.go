@@ -28,49 +28,45 @@ func ResilientAlgorithms(opts NackOptions) mpi.Algorithms {
 		opts = DefaultNackOptions()
 	}
 	rep := &opts
+	rounds := roundOptions{gather: binaryRoundGather, repair: rep}
+	bcast := func(c *mpi.Comm, buf []byte, root int) error {
+		return runRounds(c, []roundPlan{bcastRound(buf, root)}, rounds)
+	}
 	return mpi.Algorithms{
-		Bcast: func(c *mpi.Comm, buf []byte, root int) error {
-			return bcastResilient(c, buf, root, rep)
-		},
+		Bcast: bcast,
+		// The release is itself a multicast and can be lost in flight
+		// like any other.
 		Barrier: func(c *mpi.Comm) error {
-			return barrierResilient(c, rep)
+			return runRounds(c, []roundPlan{barrierRound()}, rounds)
 		},
+		// The reduce half rides point-to-point paths, which the stream
+		// repairs; only the broadcast half needs the NACK protocol.
+		Allreduce: allreduceWith(reduceToRoot, bcast),
 		Allgather: func(c *mpi.Comm, send, recv []byte) error {
-			return allgatherWith(c, send, recv, roundOptions{gather: binaryRoundGather, repair: rep})
+			return allgatherWith(c, send, recv, rounds)
 		},
 		Alltoall: func(c *mpi.Comm, send, recv []byte) error {
-			return alltoallWith(c, send, recv, roundOptions{gather: binaryRoundGather, repair: rep})
+			return alltoallWith(c, send, recv, rounds)
 		},
 		Scatter: func(c *mpi.Comm, send, recv []byte, root int) error {
-			return scatterWith(c, send, recv, root, roundOptions{gather: binaryRoundGather, repair: rep})
+			return scatterWith(c, send, recv, root, rounds)
 		},
 		Gather: func(c *mpi.Comm, send, recv []byte, root int) error {
-			return gatherResilient(c, send, recv, root, rep)
-		},
-		Allreduce: func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-			if len(recv) != len(send) {
-				return fmt.Errorf("core: allreduce recv buffer %d bytes, want %d", len(recv), len(send))
-			}
-			// The reduce half rides point-to-point paths, which the loss
-			// model never drops; only the broadcast half needs repair.
-			if err := reduceToRoot(c, send, recv, dt, op, 0); err != nil {
-				return err
-			}
-			return bcastResilient(c, recv, 0, rep)
+			return gatherWith(c, send, recv, root, gatherScoutsBinary, rep)
 		},
 	}
 }
 
-// bcastResilient is the scout-gated broadcast as one repaired round.
-func bcastResilient(c *mpi.Comm, buf []byte, root int, rep *NackOptions) error {
-	if c.Size() == 1 {
-		return nil
-	}
-	round := roundPlan{
-		sender:  root,
-		class:   transport.ClassData,
-		bytes:   len(buf),
-		payload: func() []byte { return buf },
+// bcastRound is the broadcast of buf from root as one round: root
+// multicasts buf once to the whole communicator, everyone else receives
+// into it.
+func bcastRound(buf []byte, root int) roundPlan {
+	return roundPlan{
+		sender: root,
+		class:  transport.ClassData,
+		bytes:  len(buf),
+		sends:  wholeSend(buf),
+		scope:  wholeScope,
 		consume: func(p []byte) error {
 			if len(p) != len(buf) {
 				return fmt.Errorf("core: bcast buffer %d bytes, message %d", len(buf), len(p))
@@ -79,83 +75,16 @@ func bcastResilient(c *mpi.Comm, buf []byte, root int, rep *NackOptions) error {
 			return nil
 		},
 	}
-	return runRounds(c, []roundPlan{round}, roundOptions{gather: binaryRoundGather, repair: rep})
 }
 
-// barrierResilient is the multicast barrier with the empty release
-// multicast protected by repair (the release is itself a multicast and
-// can be lost in flight like any other).
-func barrierResilient(c *mpi.Comm, rep *NackOptions) error {
-	if c.Size() == 1 {
-		return nil
-	}
-	round := roundPlan{
+// barrierRound is the barrier's release as one round: rank 0 multicasts
+// an empty control message to the whole communicator.
+func barrierRound() roundPlan {
+	return roundPlan{
 		sender:  0,
 		class:   transport.ClassControl,
-		payload: func() []byte { return nil },
+		sends:   wholeSend(nil),
+		scope:   wholeScope,
 		consume: func([]byte) error { return nil },
 	}
-	return runRounds(c, []roundPlan{round}, roundOptions{gather: binaryRoundGather, repair: rep})
-}
-
-// gatherResilient is GatherMcast with the release multicast repaired.
-// The chunk a rank sends after observing the release doubles as its
-// confirmation, so the root serves NACK repairs while collecting chunks
-// and no separate acknowledgment is needed.
-func gatherResilient(c *mpi.Comm, send, recv []byte, root int, rep *NackOptions) error {
-	size := c.Size()
-	n := len(send)
-	if c.Rank() == root && len(recv) != n*size {
-		return fmt.Errorf("core: gather recv buffer %d bytes, want %d", len(recv), n*size)
-	}
-	if size == 1 {
-		copy(recv, send)
-		return nil
-	}
-	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
-	if err := gatherScoutsBinary(cc, root); err != nil {
-		return err
-	}
-	if c.Rank() != root {
-		if _, err := awaitRepairedMulticast(cc, root, -1, 0, *rep); err != nil {
-			return err
-		}
-		return cc.Send(root, phaseChunk, send, transport.ClassData, false)
-	}
-	copy(recv[root*n:], send)
-	if err := cc.Multicast(nil, transport.ClassControl); err != nil {
-		return err
-	}
-	got := make([]bool, size)
-	got[root] = true
-	remaining := size - 1
-	for remaining > 0 {
-		m, err := cc.RecvControl()
-		if err != nil {
-			return err
-		}
-		switch m.Class {
-		case transport.ClassNack:
-			if got[cc.SrcRank(m)] {
-				continue // raced its own repair; chunk already here
-			}
-			if err := cc.Multicast(nil, transport.ClassControl); err != nil {
-				return err
-			}
-		case transport.ClassData:
-			r := cc.SrcRank(m)
-			if len(m.Payload) != n {
-				return fmt.Errorf("core: gather chunk from %d is %d bytes, want %d", r, len(m.Payload), n)
-			}
-			if !got[r] {
-				got[r] = true
-				remaining--
-				copy(recv[r*n:], m.Payload)
-			}
-		}
-	}
-	return nil
 }

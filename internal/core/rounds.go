@@ -1,13 +1,15 @@
 package core
 
 // The shared round engine: every multi-round collective of the suite —
-// allgather, alltoall, and the single-round scatter — is a sequence of
-// scout-gated multicast rounds over the communicator's one multicast
-// group. Round r has a designated sender; a scout gather toward that
-// sender proves every receiver has entered the round, then the sender
-// multicasts once and every other rank consumes the payload.
+// allgather, alltoall, and the single-round scatter, broadcast and
+// barrier release — is a sequence of scout-gated multicast rounds. Round
+// r has a designated sender; a scout gather toward that sender proves
+// every receiver has entered the round, then the sender multicasts once
+// and every other rank consumes the payload addressed to it.
 //
-// The engine schedules the rounds two ways:
+// Three things vary independently. Schedule: the engine runs the rounds
+// two ways (and a third, the burst, where the device posts standing
+// receives — see runRoundsBurst):
 //
 //   - Sequential (the paper's composition, PR 1): round r+1's scouts are
 //     not sent until round r's data has been consumed everywhere, so each
@@ -25,8 +27,8 @@ package core
 //     rank delays its scout and therefore every later round — the rounds
 //     are merely overlapped, not unsynchronized.
 //
-// Orthogonally, the data phase of each round runs in one of two
-// reliability classes:
+// Reliability: the data phase of each round runs in one of two classes
+// (on either schedule above; the burst is scout-only):
 //
 //   - Scout-only (the paper's model): after the gather, the single
 //     multicast cannot be lost to an unready receiver, and no
@@ -44,20 +46,35 @@ package core
 //     what makes the Resilient* variants of the suite survive random
 //     fragment loss that the paper's model rules out.
 //
-// Orthogonally again, a round's data phase is either a whole-buffer
-// multicast to the communicator group (allgather, bcast — every receiver
-// needs every byte) or sliced (scatter, alltoall): the sender multicasts
-// each destination slice to that rank's private slice group, so a
-// receiver's NIC accepts only the fragments it needs and the
-// per-receiver delivered byte count matches the pairwise-unicast
-// exchange while each byte still crosses the wire exactly once.
+// Scope: what a round puts on the wire is a list of sends, each a
+// payload and the mpi.Scope it is addressed to, and every receiver names
+// the one scope it listens on. A whole-buffer round (allgather, bcast —
+// every receiver needs every byte) is one send to mpi.Whole. A sliced
+// round (scatter, alltoall) is one send per destination rank to that
+// rank's private slice group, so a receiver's NIC accepts only the
+// fragments it needs and the per-receiver delivered byte count matches
+// the pairwise-unicast exchange while each byte still crosses the wire
+// exactly once. A segment round (the two-level scatter and alltoall) is
+// one send per fabric segment to that segment's group. The engine never
+// asks which of the three a round is: it transmits the list, receives on
+// the scope and repairs the send a NACK's source listens on.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/transport"
 )
+
+// send is one multicast of a round: a payload and where it goes.
+type send struct {
+	scope   mpi.Scope
+	payload []byte
+	// id is the device message id the send went out under (set by
+	// transmitRound), which a selective repair reuses.
+	id uint64
+}
 
 // roundPlan describes one scout-gated multicast round.
 type roundPlan struct {
@@ -65,50 +82,51 @@ type roundPlan struct {
 	sender int
 	// class marks the multicast's wire class (data or control).
 	class transport.Class
-	// bytes is the size of the round's multicast payload — the whole
-	// message, or one slice for a sliced round. Every rank must set it
-	// identically (payload sizes are symmetric even where contents are
-	// not); the pipelined schedule uses it to pick the sub-frame-safe
-	// gather scheme for the overlapped round.
+	// bytes is the size of the round's largest multicast payload. Every
+	// rank must set it identically (payload sizes are symmetric even
+	// where contents are not); the pipelined schedule uses it to pick the
+	// sub-frame-safe gather scheme for the overlapped round, a repairing
+	// receiver to budget its silence.
 	bytes int
-	// payload is evaluated on the sender when the round's gather has
-	// completed; its result is multicast once to the communicator group.
-	// Exactly one of payload and slicePayload is set.
-	payload func() []byte
-	// slicePayload, when set, makes the round sliced: the sender
-	// multicasts slicePayload(r) to rank r's slice group for every rank
-	// but itself, and each receiver consumes only its own slice.
-	slicePayload func(slice int) []byte
-	// segPayload, when set, makes the round segment-sliced (the
-	// two-level scatter and alltoall): the sender multicasts
-	// segPayload(s) to segment s's group for every segment not excluded
-	// by segSkip, and each receiver consumes its own segment's block.
-	// segs, segOf and segSkip describe the segment addressing; they are
-	// required alongside segPayload and ignored otherwise. segPayload is
-	// evaluated only on the sender (other ranks may pass a closure over
-	// state they do not have).
-	segPayload func(seg int) []byte
-	// segs is the number of fabric segments of a segment-sliced round.
-	segs int
-	// segOf maps a communicator rank to its segment index.
-	segOf func(rank int) int
-	// segSkip, when set, excludes a segment from the multicast loop —
-	// used when a segment's only member is the sender itself, so a
-	// multicast to it would have no receiver under strict posted
-	// semantics. Every rank of a skipped segment must be the sender.
-	segSkip func(seg int) bool
-	// consume is called on every non-sender rank with the multicast
-	// payload — the whole message, this rank's slice for a sliced round,
-	// or this rank's segment block for a segment-sliced round (after any
-	// repair resends).
+	// sends lists the round's multicasts in transmit order. It is
+	// evaluated on the sender only, once the round's gather has
+	// completed (other ranks may pass a closure over state they do not
+	// hold), and leaves out any scope nobody but the sender listens on.
+	sends func() []send
+	// scope names the scope a rank receives this round on: for every
+	// rank but the sender, one of the scopes in sends.
+	scope func(rank int) mpi.Scope
+	// consume is called on every non-sender rank with the payload sent
+	// to its scope (after any repair resends).
 	consume func(payload []byte) error
 }
 
-// sliced reports whether the round uses per-slice group addressing.
-func (rd *roundPlan) sliced() bool { return rd.slicePayload != nil }
+// wholeScope is the scope of a whole-buffer round at every rank.
+func wholeScope(int) mpi.Scope { return mpi.Whole }
 
-// segSliced reports whether the round uses per-segment group addressing.
-func (rd *roundPlan) segSliced() bool { return rd.segPayload != nil }
+// wholeSend is the send list of a whole-buffer round: payload, once, to
+// the whole communicator.
+func wholeSend(payload []byte) func() []send {
+	return func() []send { return []send{{scope: mpi.Whole, payload: payload}} }
+}
+
+// sliceSends is the send list of a sliced round (scope: mpi.Slice): buf
+// is size equal slices, and every rank's but the sender's goes to that
+// rank's slice group, in rank order. The rank count is a parameter
+// because the buffer cannot tell it: a zero-byte scatter still
+// multicasts size-1 empty slices that the receivers block on.
+func sliceSends(buf []byte, size, sender int) func() []send {
+	return func() []send {
+		n := len(buf) / size
+		sends := make([]send, 0, size-1)
+		for r := 0; r < size; r++ {
+			if r != sender {
+				sends = append(sends, send{scope: mpi.Slice(r), payload: buf[r*n : (r+1)*n]})
+			}
+		}
+		return sends
+	}
+}
 
 // roundOptions selects the scout scheme, the schedule and the
 // reliability class of a round sequence.
@@ -119,14 +137,6 @@ type roundOptions struct {
 	// the pipelined schedule — so tree gathers can seat it where its
 	// scout releases no intermediate forwarding (-1: none).
 	gather func(cc mpi.CollCtx, root, hot int) error
-	// gatherSub, when set, replaces the linear gather the pipelined
-	// schedule substitutes for sub-frame rounds (see pipelinedGather).
-	// Gathers that already have the forwarding-free property the
-	// substitution exists for — a single direct send per participant,
-	// like the two-level leader gather — set it to themselves so the
-	// schedule never falls back to the all-ranks linear gather, which
-	// would break a protocol where only a subset of ranks scouts.
-	gatherSub func(cc mpi.CollCtx, root, hot int) error
 	// pipeline overlaps round r+1's scout gather with round r's data
 	// multicast instead of serializing the rounds.
 	pipeline bool
@@ -164,8 +174,8 @@ const DefaultPipelinePace = 6_720
 // same rounds in the same order; each round opens its own collective
 // operation so sequence numbers keep back-to-back multicasts apart.
 func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
-	if len(rounds) == 0 {
-		return nil
+	if len(rounds) == 0 || c.Size() == 1 {
+		return nil // nothing to move, or nobody to move it to
 	}
 	if !opt.pipeline {
 		for i := range rounds {
@@ -233,18 +243,30 @@ func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 	return nil
 }
 
-// tracedDataPhase wraps one round's data phase in a span: the sender's
+// tracedDataPhase moves one round's payloads from the sender to every
+// receiver — optionally under NACK repair — inside a span: the sender's
 // closes plainly (its multicast is the release), a receiver's closes
 // gated on the round sender — the edge that lets the critical-path walk
 // cross from a waiting rank onto the track of the rank it waited for.
+// nextSender names the following round's data sender in the pipelined
+// schedule (-1 otherwise). A non-nil repair must be normalized
+// (ResilientAlgorithms does this once at construction).
 func tracedDataPhase(cc mpi.CollCtx, rd *roundPlan, opt *roundOptions, nextSender int) error {
 	cc.SpanBegin("round-data")
-	err := runDataPhase(cc, rd, opt, nextSender)
-	if cc.Comm().Rank() == rd.sender {
-		cc.SpanEnd("round-data")
-	} else {
+	if cc.Comm().Rank() != rd.sender {
+		err := receiveRound(cc, rd, opt.repair)
 		cc.SpanEndGated("round-data", rd.sender)
+		return err
 	}
+	pace := int64(0)
+	if opt.pipeline {
+		pace = opt.pace
+	}
+	sent, err := transmitRound(cc, rd, pace, nextSender)
+	if err == nil && opt.repair != nil {
+		err = serveRepairs(cc, rd, sent)
+	}
+	cc.SpanEnd("round-data")
 	return err
 }
 
@@ -263,9 +285,6 @@ func tracedDataPhase(cc mpi.CollCtx, rd *roundPlan, opt *roundOptions, nextSende
 // sender).
 func pipelinedGather(cc mpi.CollCtx, opt *roundOptions, rd *roundPlan, hot int) error {
 	if rd.bytes < subFramePayload {
-		if opt.gatherSub != nil {
-			return opt.gatherSub(cc, rd.sender, hot)
-		}
 		return linearRoundGather(cc, rd.sender, hot)
 	}
 	return opt.gather(cc, rd.sender, hot)
@@ -276,7 +295,7 @@ func pipelinedGather(cc mpi.CollCtx, opt *roundOptions, rd *roundPlan, hot int) 
 // plus one scout per round it has not reached), and the device receive
 // ring must absorb that without overflow. 128 keeps the bound inside the
 // simulator's default 256-message ring with room for stream control;
-// longer sequences fall back to the pipelined schedule.
+// longer sequences run on the sequential schedule.
 const maxBurstRounds = 128
 
 // runRoundsBurst executes the round sequence with every round
@@ -332,30 +351,8 @@ func runRoundsBurst(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 		if err != nil {
 			return err
 		}
-		if me != rd.sender {
-			continue
-		}
-		switch {
-		case rd.segSliced():
-			for s := 0; s < rd.segs; s++ {
-				if rd.segSkip != nil && rd.segSkip(s) {
-					continue
-				}
-				if err := cc.MulticastSeg(s, rd.segPayload(s), rd.class); err != nil {
-					return err
-				}
-			}
-		case rd.sliced():
-			for r := 0; r < c.Size(); r++ {
-				if r == rd.sender {
-					continue
-				}
-				if err := cc.MulticastSlice(r, rd.slicePayload(r), rd.class); err != nil {
-					return err
-				}
-			}
-		default:
-			if err := cc.Multicast(rd.payload(), rd.class); err != nil {
+		if me == rd.sender {
+			if _, err := transmitRound(cc, rd, 0, -1); err != nil {
 				return err
 			}
 		}
@@ -368,35 +365,22 @@ func runRoundsBurst(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 		if me == rd.sender {
 			continue
 		}
-		cc := ccs[i]
-		var m transport.Message
-		var err error
-		cc.SpanBegin("round-consume")
-		switch {
-		case rd.segSliced():
-			m, err = cc.RecvMulticastSeg(rd.segOf(me))
-		case rd.sliced():
-			m, err = cc.RecvMulticastSlice(me)
-		default:
-			m, err = cc.RecvMulticast()
-		}
-		cc.SpanEndGated("round-consume", rd.sender)
+		ccs[i].SpanBegin("round-consume")
+		err := receiveRound(ccs[i], rd, nil)
+		ccs[i].SpanEndGated("round-consume", rd.sender)
 		if err != nil {
-			return err
-		}
-		if err := rd.consume(m.Payload); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// awaitRepairedMulticast blocks for this operation's multicast — the
-// whole-communicator message, or this rank's slice when slice >= 0 —
-// under the receiver-initiated repair protocol: probe for the message,
-// NACK the sender on timeout, give up after MaxRepairs requests. bytes
-// is the round's expected payload size (known identically at every rank
-// by the collective's contract). The NACK carries the device's
+// awaitMulticast blocks for this operation's multicast from sender to
+// scope. With rep == nil that is a plain receive. Otherwise it runs the
+// receiver-initiated repair protocol: probe for the message, NACK the
+// sender on timeout, give up after MaxRepairs requests. bytes is the
+// expected payload size (known identically at every rank by the
+// collective's contract). The NACK carries the device's
 // missing-fragment list for the sender's partially received message
 // (transport.EncodeRepairReq), so the sender can retransmit exactly the
 // lost fragments; an empty request asks for a full resend (nothing of
@@ -425,23 +409,13 @@ func runRoundsBurst(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 // resend, which for an F-fragment round costs F frames, so the budget
 // before sending one grows with F. Losing every fragment of a large
 // message is p^F-unlikely — the prompt path matters only for small
-// messages, which keep the tight budget. opts must be normalized
-// (positive Probe).
-func awaitRepairedMulticast(cc mpi.CollCtx, sender, slice, bytes int, opts NackOptions) (transport.Message, error) {
-	recv := cc.RecvMulticastTimeout
-	if slice >= 0 {
-		recv = func(timeout int64) (transport.Message, bool, error) {
-			return cc.RecvMulticastSliceTimeout(slice, timeout)
-		}
+// messages, which keep the tight budget. A non-nil rep must be
+// normalized (positive Probe).
+func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep *NackOptions) (transport.Message, error) {
+	if rep == nil {
+		return cc.RecvMulticast(scope)
 	}
-	return awaitRepairedMulticastScoped(cc, sender, bytes, recv, opts)
-}
-
-// awaitRepairedMulticastScoped is awaitRepairedMulticast with the
-// multicast scope abstracted into the recv closure, so protocols over
-// other group addressings (the two-level collectives' segment-scoped
-// releases) share the probe/NACK machinery.
-func awaitRepairedMulticastScoped(cc mpi.CollCtx, sender, bytes int, recv func(timeout int64) (transport.Message, bool, error), opts NackOptions) (transport.Message, error) {
+	opts := *rep
 	probe := opts.Probe
 	maxProbe := opts.Probe << 10
 	// The device reports its fragment payload; a conservative fallback
@@ -471,7 +445,7 @@ func awaitRepairedMulticastScoped(cc mpi.CollCtx, sender, bytes int, recv func(t
 	silent := 0 // probe expiries that stayed silent (progress / no evidence)
 	requests := 0
 	for {
-		m, ok, err := recv(probe)
+		m, ok, err := cc.RecvMulticastTimeout(scope, probe)
 		if err != nil {
 			return transport.Message{}, err
 		}
@@ -549,24 +523,65 @@ func awaitRepairedMulticastScoped(cc mpi.CollCtx, sender, bytes int, recv func(t
 	}
 }
 
-// pacePipelined delays a pipelined sub-frame data multicast at the
-// sender so it cannot land inside a receiver's scout-forwarding window
-// (see roundOptions.pace). bytes is the smallest unit the round puts on
-// the wire — the whole payload, or one slice.
-func pacePipelined(cc mpi.CollCtx, opt *roundOptions, pipelined bool, bytes int) {
-	if pipelined && opt.pace > 0 && bytes < subFramePayload {
-		cc.Pace(opt.pace)
+// transmitRound is the sender's half of a data phase: every send of the
+// round once, in order — except that the send the next round's sender
+// listens on (nextSender >= 0, the pipelined schedule) goes last, so the
+// next round's data, which that rank can start the moment its payload
+// arrives, cannot reach this rank while it is still working through its
+// own unposted transmit sleeps. A positive pace delays a round whose
+// smallest send is below one frame, so it cannot land inside a
+// receiver's scout-forwarding window (see roundOptions.pace). It returns
+// what was sent, each send under its device message id.
+func transmitRound(cc mpi.CollCtx, rd *roundPlan, pace int64, nextSender int) ([]send, error) {
+	sent := rd.sends()
+	if nextSender >= 0 {
+		if i := indexOf(sent, rd.scope(nextSender)); i >= 0 {
+			last := sent[i]
+			sent = append(slices.Delete(sent, i, i+1), last)
+		}
 	}
+	smallest := -1
+	for _, s := range sent {
+		if n := len(s.payload); smallest < 0 || n < smallest {
+			smallest = n
+		}
+	}
+	if pace > 0 && smallest < subFramePayload {
+		cc.Pace(pace)
+	}
+	for i, s := range sent {
+		if err := cc.Multicast(s.scope, s.payload, rd.class); err != nil {
+			return nil, err
+		}
+		sent[i].id = cc.LastMulticastID()
+	}
+	return sent, nil
+}
+
+// indexOf returns the position of the send addressed to scope, or -1.
+func indexOf(sent []send, scope mpi.Scope) int {
+	return slices.IndexFunc(sent, func(s send) bool { return s.scope == scope })
+}
+
+// receiveRound is a receiver's half of a data phase: take the payload
+// sent to this rank's scope, consume it and, under repair, confirm
+// receipt so the sender can retire the round.
+func receiveRound(cc mpi.CollCtx, rd *roundPlan, rep *NackOptions) error {
+	m, err := awaitMulticast(cc, rd.sender, rd.scope(cc.Comm().Rank()), rd.bytes, rep)
+	if err != nil {
+		return err
+	}
+	if err := rd.consume(m.Payload); err != nil || rep == nil {
+		return err
+	}
+	return cc.Send(rd.sender, phaseAck, nil, transport.ClassAck, false)
 }
 
 // serveRepairs runs the sender side of the NACK protocol for one round:
-// after the initial multicasts, it answers repair requests until every
-// receiver has confirmed. payloadFor and idFor give the payload and the
-// original device message id per destination slice (slice -1 = the
-// whole-communicator message), repairTo retransmits.
-func serveRepairs(cc mpi.CollCtx, rd *roundPlan,
-	payloadFor func(slice int) []byte, idFor func(slice int) uint64,
-	repairTo func(slice int, payload []byte, msgID uint64, frags []int) error) error {
+// after transmitRound returned sent, it answers repair requests — each
+// with the send its source listens on — until every receiver has
+// confirmed.
+func serveRepairs(cc mpi.CollCtx, rd *roundPlan, sent []send) error {
 	c := cc.Comm()
 	confirmed := make([]bool, c.Size())
 	confirmed[rd.sender] = true
@@ -576,184 +591,38 @@ func serveRepairs(cc mpi.CollCtx, rd *roundPlan,
 		if err != nil {
 			return err
 		}
+		r := cc.SrcRank(m)
+		// A NACK from a receiver that has since confirmed raced its own
+		// repair; retransmitting for it would be pure waste.
+		if confirmed[r] {
+			continue
+		}
 		switch m.Class {
 		case transport.ClassNack:
-			// A NACK from a receiver that has since confirmed raced its
-			// own repair; retransmitting for it would be pure waste.
-			r := cc.SrcRank(m)
-			if confirmed[r] {
-				continue
+			i := indexOf(sent, rd.scope(r))
+			if i < 0 {
+				return fmt.Errorf("core: repair request from %d, to whom round sender %d sent nothing", r, rd.sender)
 			}
-			slice := -1
-			switch {
-			case rd.segSliced():
-				slice = rd.segOf(r)
-			case rd.sliced():
-				slice = r
-			}
-			msgID := idFor(slice)
-			reqID, frags, err := transport.DecodeRepairReq(m.Payload)
-			if err != nil || reqID != msgID || len(frags) == 0 {
-				// Unusable or stale request (the receiver saw nothing of
-				// this message, or names an older one): full resend.
-				frags = nil
-			}
-			if err := repairTo(slice, payloadFor(slice), msgID, frags); err != nil {
+			s := sent[i]
+			if err := cc.MulticastRepair(s.scope, s.payload, rd.class, s.id, repairFrags(m.Payload, s.id)); err != nil {
 				return err
 			}
 		case transport.ClassAck:
-			if r := cc.SrcRank(m); !confirmed[r] {
-				confirmed[r] = true
-				remaining--
-			}
+			confirmed[r] = true
+			remaining--
 		}
 	}
 	return nil
 }
 
-// runDataPhase moves one round's payload from sender to every receiver —
-// as one whole-buffer multicast, or as per-slice multicasts for a sliced
-// round — optionally under NACK repair. nextSender names the following
-// round's data sender in the pipelined schedule (-1 otherwise): a sliced
-// sender transmits that rank's slice last, so the next round's data —
-// which the next sender can start the moment its slice arrives — cannot
-// reach this rank while it is still working through its own unposted
-// per-slice transmit sleeps. A non-nil repair must be normalized
-// (ResilientAlgorithms does this once at construction).
-func runDataPhase(cc mpi.CollCtx, rd *roundPlan, opt *roundOptions, nextSender int) error {
-	pipelined := opt.pipeline
-	c := cc.Comm()
-	me := c.Rank()
-
-	if me != rd.sender {
-		var m transport.Message
-		var err error
-		switch {
-		case opt.repair == nil:
-			switch {
-			case rd.segSliced():
-				m, err = cc.RecvMulticastSeg(rd.segOf(me))
-			case rd.sliced():
-				m, err = cc.RecvMulticastSlice(me)
-			default:
-				m, err = cc.RecvMulticast()
-			}
-		case rd.segSliced():
-			seg := rd.segOf(me)
-			m, err = awaitRepairedMulticastScoped(cc, rd.sender, rd.bytes,
-				func(timeout int64) (transport.Message, bool, error) {
-					return cc.RecvMulticastSegTimeout(seg, timeout)
-				}, *opt.repair)
-		default:
-			slice := -1
-			if rd.sliced() {
-				slice = me
-			}
-			m, err = awaitRepairedMulticast(cc, rd.sender, slice, rd.bytes, *opt.repair)
-		}
-		if err != nil {
-			return err
-		}
-		if err := rd.consume(m.Payload); err != nil {
-			return err
-		}
-		if opt.repair == nil {
-			return nil
-		}
-		// Confirm receipt so the sender can retire the round.
-		return cc.Send(rd.sender, phaseAck, nil, transport.ClassAck, false)
-	}
-
-	// Sender side. Transmit once — whole buffer, per-slice, or
-	// per-segment — capturing the device message ids so selective
-	// repairs can reuse them.
-	if rd.segSliced() {
-		// Segment-sliced sender: one multicast per fabric segment group
-		// (skipping segments whose only member is the sender itself).
-		ids := make([]uint64, rd.segs)
-		minSeg := -1
-		for s := 0; s < rd.segs; s++ {
-			if rd.segSkip != nil && rd.segSkip(s) {
-				continue
-			}
-			if n := len(rd.segPayload(s)); minSeg < 0 || n < minSeg {
-				minSeg = n
-			}
-		}
-		pacePipelined(cc, opt, pipelined, minSeg)
-		for s := 0; s < rd.segs; s++ {
-			if rd.segSkip != nil && rd.segSkip(s) {
-				continue
-			}
-			if err := cc.MulticastSeg(s, rd.segPayload(s), rd.class); err != nil {
-				return err
-			}
-			ids[s] = cc.LastMulticastID()
-		}
-		if opt.repair == nil {
-			return nil
-		}
-		return serveRepairs(cc, rd,
-			func(seg int) []byte { return rd.segPayload(seg) },
-			func(seg int) uint64 { return ids[seg] },
-			func(seg int, payload []byte, msgID uint64, frags []int) error {
-				return cc.MulticastSegRepair(seg, payload, rd.class, msgID, frags)
-			})
-	}
-	if !rd.sliced() {
-		payload := rd.payload()
-		pacePipelined(cc, opt, pipelined, len(payload))
-		if err := cc.Multicast(payload, rd.class); err != nil {
-			return err
-		}
-		if opt.repair == nil {
-			return nil
-		}
-		msgID := cc.LastMulticastID()
-		return serveRepairs(cc, rd,
-			func(int) []byte { return payload },
-			func(int) uint64 { return msgID },
-			func(_ int, payload []byte, msgID uint64, frags []int) error {
-				return cc.MulticastRepair(payload, rd.class, msgID, frags)
-			})
-	}
-
-	size := c.Size()
-	ids := make([]uint64, size)
-	minSlice := -1
-	for r := 0; r < size; r++ {
-		if r != rd.sender {
-			if n := len(rd.slicePayload(r)); minSlice < 0 || n < minSlice {
-				minSlice = n
-			}
-		}
-	}
-	pacePipelined(cc, opt, pipelined, minSlice)
-	// Slice transmit order: rank order, except that the next round's
-	// sender — the rank whose consumption releases the next data phase —
-	// receives its slice last (see the nextSender contract above).
-	order := make([]int, 0, size-1)
-	for r := 0; r < size; r++ {
-		if r != rd.sender && r != nextSender {
-			order = append(order, r)
-		}
-	}
-	if nextSender >= 0 && nextSender != rd.sender {
-		order = append(order, nextSender)
-	}
-	for _, r := range order {
-		if err := cc.MulticastSlice(r, rd.slicePayload(r), rd.class); err != nil {
-			return err
-		}
-		ids[r] = cc.LastMulticastID()
-	}
-	if opt.repair == nil {
+// repairFrags reads a repair request for the multicast sent under msgID:
+// the fragments to retransmit, or nil — a full resend — when the request
+// is unusable or stale (the receiver saw nothing of this message, or
+// names an older one).
+func repairFrags(req []byte, msgID uint64) []int {
+	reqID, frags, err := transport.DecodeRepairReq(req)
+	if err != nil || reqID != msgID || len(frags) == 0 {
 		return nil
 	}
-	return serveRepairs(cc, rd,
-		func(slice int) []byte { return rd.slicePayload(slice) },
-		func(slice int) uint64 { return ids[slice] },
-		func(slice int, payload []byte, msgID uint64, frags []int) error {
-			return cc.MulticastSliceRepair(slice, payload, rd.class, msgID, frags)
-		})
+	return frags
 }

@@ -59,7 +59,7 @@ func BcastSequencer(c *mpi.Comm, buf []byte, root int) error {
 		return err
 	}
 	if c.Rank() == sequencer {
-		if err := cc.Multicast(payload, transport.ClassData); err != nil {
+		if err := cc.Multicast(mpi.Whole, payload, transport.ClassData); err != nil {
 			return err
 		}
 		if root != sequencer {
@@ -70,7 +70,7 @@ func BcastSequencer(c *mpi.Comm, buf []byte, root int) error {
 		}
 		return nil
 	}
-	m, err := cc.RecvMulticast()
+	m, err := cc.RecvMulticast(mpi.Whole)
 	if err != nil {
 		return err
 	}

@@ -6,18 +6,23 @@ package core
 // composition results of Träff's collective-decomposition work). Every
 // operation below is built from the same two primitives as the paper's
 // broadcast — a scout gather that proves every receiver has posted, and
-// a single IP multicast that therefore cannot be lost.
+// a single IP multicast that therefore cannot be lost. The operations
+// are reached through the sets — Algorithms(mode), ResilientAlgorithms,
+// TwoLevelAlgorithms — which pick the scout scheme, the schedule and the
+// reliability class; only the variants a set does not cover
+// (AllreduceMcastChunked and the whole-buffer ablations) are exported by
+// name.
 //
 // Frame-count model (N ranks, per-rank chunk of M bytes, frame payload
 // T, s = N-1 scout frames per scout-gated multicast):
 //
-//	AllgatherMcast:  N rounds, each s scouts + ceil(M/T) data
+//	allgather:       N rounds, each s scouts + ceil(M/T) data
 //	                 = N(N-1) scouts + N·ceil(M/T) data frames,
 //	                 versus N(N-1)·ceil(M/T) data frames for the
 //	                 ring/naive unicast algorithms. Scouts are empty
 //	                 56-byte frames, so once M exceeds one frame the
 //	                 data saving dominates on a shared medium.
-//	AllreduceMcast:  binomial reduce to rank 0 ((N-1)·ceil(M/T) p2p
+//	allreduce:       binomial reduce to rank 0 ((N-1)·ceil(M/T) p2p
 //	                 data frames over the UDP bypass) + one scout-gated
 //	                 multicast (s scouts + ceil(M/T) data), versus
 //	                 2(N-1)·ceil(M/T) reliable frames for the MPICH
@@ -26,7 +31,7 @@ package core
 //	                 AllreduceMcastChunked (below) spreads the reduction
 //	                 over per-slice binomial walks so no rank moves more
 //	                 than ~2M bytes end to end.
-//	ScatterMcast:    s scouts + (N-1)·ceil(M/T) data frames: the root
+//	scatter:         s scouts + (N-1)·ceil(M/T) data frames: the root
 //	                 multicasts each rank's slice to that rank's private
 //	                 slice group, so a receiver's NIC delivers exactly
 //	                 its own M bytes — the pairwise-unicast byte count —
@@ -36,14 +41,14 @@ package core
 //	                 multicast of ceil(N·M/T) frames, which wins for
 //	                 sub-frame chunks where one frame replaces N-1 but
 //	                 makes every receiver swallow all N·M bytes.)
-//	GatherMcast:     s scouts + 1 multicast release + (N-1)·ceil(M/T)
+//	gather:          s scouts + 1 multicast release + (N-1)·ceil(M/T)
 //	                 chunk frames. The data still has to converge on the
 //	                 root, so no frame is saved; the release gates the
 //	                 senders until the root has entered the gather, which
 //	                 bounds the root's unexpected-message queue and
 //	                 prevents the fast-senders-overrun-one-receiver
 //	                 failure mode of experiment A4.
-//	AlltoallMcast:   N scout-gated sliced scatter rounds = N(N-1) scouts
+//	alltoall:        N scout-gated sliced scatter rounds = N(N-1) scouts
 //	                 + N(N-1)·ceil(M/T) data frames — the same targeted
 //	                 byte count as the pairwise baseline, each receiver
 //	                 delivered only its (N-1)·M bytes, but with the
@@ -84,12 +89,12 @@ func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	}
 	rounds := make([]roundPlan, size)
 	for r := range rounds {
-		r := r
 		rounds[r] = roundPlan{
-			sender:  r,
-			class:   transport.ClassData,
-			bytes:   n,
-			payload: func() []byte { return recv[r*n : (r+1)*n] },
+			sender: r,
+			class:  transport.ClassData,
+			bytes:  n,
+			sends:  wholeSend(recv[r*n : (r+1)*n]),
+			scope:  wholeScope,
 			consume: func(p []byte) error {
 				if len(p) != n {
 					return fmt.Errorf("core: allgather chunk from %d is %d bytes, want %d", r, len(p), n)
@@ -100,27 +105,6 @@ func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 		}
 	}
 	return runRounds(c, rounds, opt)
-}
-
-// AllgatherMcast gathers every rank's equal-sized chunk to every rank in
-// N scout-gated multicast rounds (binary scout gather).
-func AllgatherMcast(c *mpi.Comm, send, recv []byte) error {
-	return allgatherWith(c, send, recv, roundOptions{gather: binaryRoundGather})
-}
-
-// AllgatherMcastLinear is AllgatherMcast with linear scout gathering.
-func AllgatherMcastLinear(c *mpi.Comm, send, recv []byte) error {
-	return allgatherWith(c, send, recv, roundOptions{gather: linearRoundGather})
-}
-
-// AllgatherMcastPipelined is AllgatherMcast with the rounds pipelined:
-// round r+1's binary scout gather overlaps round r's data multicast, so
-// each round's critical path is little more than the data transmission.
-// Sub-frame rounds are paced by DefaultPipelinePace, which closes the
-// strict posted-receive loss window PR 2's envelope test pinned: the
-// overlap is now loss-free at every payload size.
-func AllgatherMcastPipelined(c *mpi.Comm, send, recv []byte) error {
-	return allgatherWith(c, send, recv, roundOptions{gather: binaryRoundGather, pipeline: true, pace: DefaultPipelinePace})
 }
 
 // alltoallWith runs the personalized exchange as N scout-gated sliced
@@ -145,12 +129,12 @@ func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	}
 	rounds := make([]roundPlan, size)
 	for r := range rounds {
-		r := r
 		rounds[r] = roundPlan{
-			sender:       r,
-			class:        transport.ClassData,
-			bytes:        n,
-			slicePayload: func(slice int) []byte { return send[slice*n : (slice+1)*n] },
+			sender: r,
+			class:  transport.ClassData,
+			bytes:  n,
+			sends:  sliceSends(send, size, r),
+			scope:  mpi.Slice,
 			consume: func(p []byte) error {
 				if len(p) != n {
 					return fmt.Errorf("core: alltoall round %d slice %d bytes, want %d", r, len(p), n)
@@ -182,12 +166,12 @@ func alltoallWholeWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	}
 	rounds := make([]roundPlan, size)
 	for r := range rounds {
-		r := r
 		rounds[r] = roundPlan{
-			sender:  r,
-			class:   transport.ClassData,
-			bytes:   n * size,
-			payload: func() []byte { return send },
+			sender: r,
+			class:  transport.ClassData,
+			bytes:  n * size,
+			sends:  wholeSend(send),
+			scope:  wholeScope,
 			consume: func(p []byte) error {
 				if len(p) != n*size {
 					return fmt.Errorf("core: alltoall round %d message %d bytes, want %d", r, len(p), n*size)
@@ -203,24 +187,6 @@ func alltoallWholeWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 // AlltoallMcastWhole is the whole-buffer alltoall (binary scout gather).
 func AlltoallMcastWhole(c *mpi.Comm, send, recv []byte) error {
 	return alltoallWholeWith(c, send, recv, roundOptions{gather: binaryRoundGather})
-}
-
-// AlltoallMcast exchanges personalized chunks between all ranks in N
-// scout-gated scatter rounds (binary scout gather).
-func AlltoallMcast(c *mpi.Comm, send, recv []byte) error {
-	return alltoallWith(c, send, recv, roundOptions{gather: binaryRoundGather})
-}
-
-// AlltoallMcastLinear is AlltoallMcast with linear scout gathering.
-func AlltoallMcastLinear(c *mpi.Comm, send, recv []byte) error {
-	return alltoallWith(c, send, recv, roundOptions{gather: linearRoundGather})
-}
-
-// AlltoallMcastPipelined is AlltoallMcast with round r+1's scout gather
-// overlapped with round r's data multicast (sub-frame slices paced, as
-// in AllgatherMcastPipelined).
-func AlltoallMcastPipelined(c *mpi.Comm, send, recv []byte) error {
-	return alltoallWith(c, send, recv, roundOptions{gather: binaryRoundGather, pipeline: true, pace: DefaultPipelinePace})
 }
 
 // reduceToRoot runs a binomial reduction of send to root over the UDP
@@ -239,23 +205,6 @@ func reduceToRoot(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, ro
 	}
 	copy(recv, acc)
 	return nil
-}
-
-var (
-	allreduceBinary = Allreduce(reduceToRoot, Binary)
-	allreduceLinear = Allreduce(reduceToRoot, Linear)
-)
-
-// AllreduceMcast is the composition the paper's future work points at:
-// a binomial reduce to rank 0 followed by a scout-synchronized multicast
-// of the result (binary scout gather).
-func AllreduceMcast(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-	return allreduceBinary(c, send, recv, dt, op)
-}
-
-// AllreduceMcastLinear is AllreduceMcast with linear scout gathering.
-func AllreduceMcastLinear(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-	return allreduceLinear(c, send, recv, dt, op)
 }
 
 // sliceBounds splits a buffer of total bytes holding total/extent
@@ -286,7 +235,7 @@ func sliceBounds(total, extent, size int) []int {
 // scout-gated multicast allgather rounds of the suite broadcasting each
 // reduced slice exactly once.
 //
-// The byte economics against AllreduceMcast's binomial-reduce + bcast:
+// The byte economics against the sets' binomial-reduce + bcast allreduce:
 // both put ~(N-1)·M + M data bytes on the wire (a reduction cannot move
 // less), but the funnel disappears — rank 0 absorbs log2(N)·M bytes in
 // the binomial reduce, while here every rank moves ~M in and ~M out on
@@ -420,16 +369,16 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	// for sub-frame slices).
 	rounds := make([]roundPlan, 0, size)
 	for s := 0; s < size; s++ {
-		s := s
 		lo, hi := bounds[s], bounds[s+1]
 		if lo == hi {
 			continue
 		}
 		rounds = append(rounds, roundPlan{
-			sender:  s,
-			class:   transport.ClassData,
-			bytes:   hi - lo,
-			payload: func() []byte { return recv[lo:hi] },
+			sender: s,
+			class:  transport.ClassData,
+			bytes:  hi - lo,
+			sends:  wholeSend(recv[lo:hi]),
+			scope:  wholeScope,
 			consume: func(p []byte) error {
 				if len(p) != hi-lo {
 					return fmt.Errorf("core: allreduce slice %d is %d bytes, want %d", s, len(p), hi-lo)
@@ -461,10 +410,11 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) err
 	}
 	me := c.Rank()
 	round := roundPlan{
-		sender:       root,
-		class:        transport.ClassData,
-		bytes:        n,
-		slicePayload: func(slice int) []byte { return send[slice*n : (slice+1)*n] },
+		sender: root,
+		class:  transport.ClassData,
+		bytes:  n,
+		sends:  sliceSends(send, size, root),
+		scope:  mpi.Slice,
 		consume: func(p []byte) error {
 			if len(p) != n {
 				return fmt.Errorf("core: scatter slice %d bytes, want %d", len(p), n)
@@ -497,10 +447,11 @@ func scatterWholeWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions
 	}
 	me := c.Rank()
 	round := roundPlan{
-		sender:  root,
-		class:   transport.ClassData,
-		bytes:   n * size,
-		payload: func() []byte { return send },
+		sender: root,
+		class:  transport.ClassData,
+		bytes:  n * size,
+		sends:  wholeSend(send),
+		scope:  wholeScope,
 		consume: func(p []byte) error {
 			if len(p) != n*size {
 				return fmt.Errorf("core: scatter message %d bytes, want %d", len(p), n*size)
@@ -518,18 +469,6 @@ func scatterWholeWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions
 	return nil
 }
 
-// ScatterMcast distributes root's buffer with one scout-gated sliced
-// multicast round; each rank's NIC receives only its own slice (binary
-// scouts).
-func ScatterMcast(c *mpi.Comm, send, recv []byte, root int) error {
-	return scatterWith(c, send, recv, root, roundOptions{gather: binaryRoundGather})
-}
-
-// ScatterMcastLinear is ScatterMcast with linear scout gathering.
-func ScatterMcastLinear(c *mpi.Comm, send, recv []byte, root int) error {
-	return scatterWith(c, send, recv, root, roundOptions{gather: linearRoundGather})
-}
-
 // ScatterMcastWhole is the paper-faithful whole-buffer scatter: one
 // scout-gated multicast of the entire send buffer, each rank keeping its
 // slice (binary scouts).
@@ -537,7 +476,13 @@ func ScatterMcastWhole(c *mpi.Comm, send, recv []byte, root int) error {
 	return scatterWholeWith(c, send, recv, root, roundOptions{gather: binaryRoundGather})
 }
 
-func gatherWith(c *mpi.Comm, send, recv []byte, root int, gather func(mpi.CollCtx, int) error) error {
+// gatherWith collects equal-sized chunks to root, gated by scouts and a
+// multicast release so senders cannot overrun the root: the release
+// proves the root has entered the gather, so a chunk cannot land in an
+// unbounded unexpected queue. Under repair the release is a multicast
+// that can be lost in flight like any other; the chunk a rank sends
+// after observing it doubles as its confirmation.
+func gatherWith(c *mpi.Comm, send, recv []byte, root int, gather func(mpi.CollCtx, int) error, rep *NackOptions) error {
 	size := c.Size()
 	n := len(send)
 	if c.Rank() == root && len(recv) != n*size {
@@ -555,38 +500,52 @@ func gatherWith(c *mpi.Comm, send, recv []byte, root int, gather func(mpi.CollCt
 		return err
 	}
 	if c.Rank() != root {
-		// The release proves the root has entered the gather, so the
-		// chunk cannot land in an unbounded unexpected queue.
-		if _, err := cc.RecvMulticast(); err != nil {
+		if _, err := awaitMulticast(cc, root, mpi.Whole, 0, rep); err != nil {
 			return err
 		}
 		return cc.Send(root, phaseChunk, send, transport.ClassData, false)
 	}
 	copy(recv[root*n:], send)
-	if err := cc.Multicast(nil, transport.ClassControl); err != nil {
+	return collectChunks(cc, mpi.Whole, size-1, n, func(r int, p []byte) { copy(recv[r*n:], p) })
+}
+
+// collectChunks is the collecting side of every release-gated gather —
+// the flat gather's root, a segment leader of the two-level combine:
+// multicast the (empty) release to scope, proving to its listeners that
+// this rank's receives are posted so their chunk sends cannot overrun
+// it, then place one n-byte chunk from each of expect ranks. Listeners
+// that await the release under repair may NACK it: a request is answered
+// with the release's own fragments under its original id, and a rank's
+// chunk doubles as its confirmation, so no separate acknowledgment
+// frames exist. Traffic of the operation's other phases (an early
+// aggregate scout reaching the root while it still collects its own
+// segment) stays queued for its own receive.
+func collectChunks(cc mpi.CollCtx, scope mpi.Scope, expect, n int, place func(r int, p []byte)) error {
+	if err := cc.Multicast(scope, nil, transport.ClassControl); err != nil {
 		return err
 	}
-	for i := 0; i < size-1; i++ {
-		m, err := cc.Recv(mpi.AnySource, phaseChunk)
+	relID := cc.LastMulticastID()
+	got := make(map[int]bool, expect)
+	for len(got) < expect {
+		m, err := cc.RecvPhases(phaseNack, phaseChunk)
 		if err != nil {
 			return err
 		}
 		r := cc.SrcRank(m)
-		if len(m.Payload) != n {
-			return fmt.Errorf("core: gather chunk from %d is %d bytes, want %d", r, len(m.Payload), n)
+		if got[r] {
+			continue // a NACK that raced its own repair; the chunk is here
 		}
-		copy(recv[r*n:], m.Payload)
+		if m.Class == transport.ClassNack {
+			if err := cc.MulticastRepair(scope, nil, transport.ClassControl, relID, repairFrags(m.Payload, relID)); err != nil {
+				return err
+			}
+			continue
+		}
+		if len(m.Payload) != n {
+			return fmt.Errorf("core: chunk from %d is %d bytes, want %d", r, len(m.Payload), n)
+		}
+		place(r, m.Payload)
+		got[r] = true
 	}
 	return nil
-}
-
-// GatherMcast collects equal-sized chunks to root, gated by scouts and a
-// multicast release so senders cannot overrun the root (binary scouts).
-func GatherMcast(c *mpi.Comm, send, recv []byte, root int) error {
-	return gatherWith(c, send, recv, root, gatherScoutsBinary)
-}
-
-// GatherMcastLinear is GatherMcast with linear scout gathering.
-func GatherMcastLinear(c *mpi.Comm, send, recv []byte, root int) error {
-	return gatherWith(c, send, recv, root, gatherScoutsLinear)
 }

@@ -194,12 +194,12 @@ func TestUnsyncAllgatherLosesToSlowReceiver(t *testing.T) {
 		for r := 0; r < size; r++ {
 			cc := c.BeginColl()
 			if c.Rank() == r {
-				if err := cc.Multicast(recv[r*n:(r+1)*n], transport.ClassData); err != nil {
+				if err := cc.Multicast(mpi.Whole, recv[r*n:(r+1)*n], transport.ClassData); err != nil {
 					return err
 				}
 				continue
 			}
-			m, err := cc.RecvMulticast()
+			m, err := cc.RecvMulticast(mpi.Whole)
 			if err != nil {
 				return err
 			}

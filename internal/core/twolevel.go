@@ -27,7 +27,7 @@ package core
 //
 // The scout economics per operation, with N ranks on S segments:
 //
-//	AllgatherTwoLevel: (N-S) member scouts + S(S-1) leader scouts
+//	allgather:         (N-S) member scouts + S(S-1) leader scouts
 //	                   + S segment releases, versus the flat N(N-1)
 //	                   scouts — the ~N + S² bound the a6 table gates on.
 //	                   Lossless data path: the handshake is scout-only
@@ -42,23 +42,23 @@ package core
 //	                   leader and S aggregate blocks are multicast in
 //	                   sequential leader rounds the repair server can
 //	                   serve.
-//	BcastTwoLevel:     N-1 scouts as before, but only S-1 cross the
+//	bcast:             N-1 scouts as before, but only S-1 cross the
 //	                   uplinks (members scout their local leader).
-//	GatherTwoLevel:    (N-S) member scouts + (S-1) aggregate scouts;
+//	gather:            (N-S) member scouts + (S-1) aggregate scouts;
 //	                   chunks converge on the local leader first, and
 //	                   only S-1 aggregate blocks cross the uplinks —
 //	                   release-gated at both levels, so neither a leader
 //	                   nor the root can be overrun.
-//	AllreduceTwoLevel: zero scout frames — the reduction data itself
+//	allreduce:         zero scout frames — the reduction data itself
 //	                   gates every hop (members combine at their leader,
 //	                   leaders combine up a binomial tree over the
 //	                   leader set, and the final multicast follows the
 //	                   data it proves everyone contributed to).
-//	ScatterTwoLevel:   N-1 scouts (S-1 crossing uplinks), then at most S
+//	scatter:           N-1 scouts (S-1 crossing uplinks), then at most S
 //	                   segment-group multicasts of per-segment
 //	                   super-slices in place of the flat N-1 per-rank
 //	                   slice transmissions.
-//	AlltoallTwoLevel:  (N-S) member scouts + S(S-1) leader-round scouts
+//	alltoall:          (N-S) member scouts + S(S-1) leader-round scouts
 //	                   + S releases, versus the flat N(N-1) — 65,280 at
 //	                   N=256. Data: members ship whole buffers to their
 //	                   leader locally, leaders exchange S(S-1)
@@ -68,22 +68,26 @@ package core
 //
 // A communicator without a usable topology — no device map, a single
 // segment (nothing to localize), or one rank per segment (the
-// decomposition IS the flat algorithm) — delegates to the flat suite,
-// so the two-level set is safe to select unconditionally.
+// decomposition IS the flat algorithm) — runs the set's flat set
+// (twoLevel.flat) operation for operation, so the two-level set is safe
+// to select unconditionally.
 //
 // Strict posted-receive safety follows the same arguments as the flat
 // engine: every whole-communicator multicast is gated on evidence that
 // every rank has entered (scouts, or the reduction data itself), and
 // each rank's window between proving readiness and posting its receive
 // contains no simulated work. Segment-scoped releases are gated on the
-// member scouts they release. Under the resilient variants every
-// multicast — releases included — runs under the fragment-granular NACK
-// repair protocol of rounds.go, and all point-to-point traffic already
-// rides the reliable stream, so the set survives combined multicast +
-// p2p loss like the flat resilient suite.
+// member scouts they release (segmentCombine). Under the resilient
+// variant every multicast — releases included — runs under the
+// fragment-granular NACK repair protocol of rounds.go (awaitMulticast on
+// the listening side, serveRepairs and collectChunks on the sending
+// side), and all point-to-point traffic already rides the reliable
+// stream, so the set survives combined multicast + p2p loss like the
+// flat resilient suite.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/topo"
@@ -91,87 +95,41 @@ import (
 )
 
 // TwoLevelAlgorithms returns the topology-aware collective set
-// (registered in bench as mcast-2level): hierarchical bcast, barrier,
-// allgather, allreduce and gather over the device topology, with the
-// remaining collectives filled from the flat pipelined suite.
+// (registered in bench as mcast-2level): all seven collectives
+// hierarchical over the device topology, the flat pipelined suite where
+// there is none.
 func TwoLevelAlgorithms() mpi.Algorithms {
-	return twoLevelSet(nil)
+	return twoLevelSet(&twoLevel{flat: Algorithms(BinaryPipelined)})
 }
 
 // TwoLevelResilientAlgorithms is TwoLevelAlgorithms with every
 // multicast — leader rounds, fan-outs and segment releases — protected
-// by the NACK repair protocol, and the rest of the suite filled from
-// the flat resilient set.
+// by the NACK repair protocol, over the flat resilient set.
 func TwoLevelResilientAlgorithms(opts NackOptions) mpi.Algorithms {
 	if opts.Probe <= 0 {
 		opts = DefaultNackOptions()
 	}
-	return twoLevelSet(&opts)
+	return twoLevelSet(&twoLevel{flat: ResilientAlgorithms(opts), rep: &opts})
 }
 
-func twoLevelSet(rep *NackOptions) mpi.Algorithms {
-	a := mpi.Algorithms{
-		Bcast: func(c *mpi.Comm, buf []byte, root int) error {
-			return bcastTwoLevelWith(c, buf, root, rep)
-		},
-		Barrier: func(c *mpi.Comm) error {
-			return barrierTwoLevelWith(c, rep)
-		},
-		Allgather: func(c *mpi.Comm, send, recv []byte) error {
-			return allgatherTwoLevelWith(c, send, recv, rep)
-		},
-		Allreduce: func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-			return allreduceTwoLevelWith(c, send, recv, dt, op, rep)
-		},
-		Gather: func(c *mpi.Comm, send, recv []byte, root int) error {
-			return gatherTwoLevelWith(c, send, recv, root, rep)
-		},
-		Scatter: func(c *mpi.Comm, send, recv []byte, root int) error {
-			return scatterTwoLevelWith(c, send, recv, root, rep)
-		},
-		Alltoall: func(c *mpi.Comm, send, recv []byte) error {
-			return alltoallTwoLevelWith(c, send, recv, rep)
-		},
+// twoLevel is one two-level set: the flat set each operation runs on a
+// communicator without a usable topology, and the repair options every
+// multicast runs under (nil: scout-only).
+type twoLevel struct {
+	flat mpi.Algorithms
+	rep  *NackOptions
+}
+
+func twoLevelSet(tl *twoLevel) mpi.Algorithms {
+	return mpi.Algorithms{
+		Bcast:     tl.bcast,
+		Barrier:   tl.barrier,
+		Allgather: tl.allgather,
+		Allreduce: tl.allreduce,
+		Gather:    tl.gather,
+		Scatter:   tl.scatter,
+		Alltoall:  tl.alltoall,
 	}
-	if rep != nil {
-		return a.Merge(ResilientAlgorithms(*rep))
-	}
-	return a.Merge(Algorithms(BinaryPipelined))
-}
-
-// BcastTwoLevel is the hierarchical broadcast (single-operation entry
-// points exist for tests and ablations; the set above is the normal
-// surface).
-func BcastTwoLevel(c *mpi.Comm, buf []byte, root int) error {
-	return bcastTwoLevelWith(c, buf, root, nil)
-}
-
-// BarrierTwoLevel is the hierarchical barrier.
-func BarrierTwoLevel(c *mpi.Comm) error { return barrierTwoLevelWith(c, nil) }
-
-// AllgatherTwoLevel is the hierarchical allgather.
-func AllgatherTwoLevel(c *mpi.Comm, send, recv []byte) error {
-	return allgatherTwoLevelWith(c, send, recv, nil)
-}
-
-// AllreduceTwoLevel is the hierarchical allreduce.
-func AllreduceTwoLevel(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-	return allreduceTwoLevelWith(c, send, recv, dt, op, nil)
-}
-
-// GatherTwoLevel is the hierarchical gather.
-func GatherTwoLevel(c *mpi.Comm, send, recv []byte, root int) error {
-	return gatherTwoLevelWith(c, send, recv, root, nil)
-}
-
-// ScatterTwoLevel is the hierarchical scatter.
-func ScatterTwoLevel(c *mpi.Comm, send, recv []byte, root int) error {
-	return scatterTwoLevelWith(c, send, recv, root, nil)
-}
-
-// AlltoallTwoLevel is the hierarchical personalized exchange.
-func AlltoallTwoLevel(c *mpi.Comm, send, recv []byte) error {
-	return alltoallTwoLevelWith(c, send, recv, nil)
 }
 
 // usableTopo returns the communicator's topology when the two-level
@@ -203,8 +161,7 @@ func opLeader(t *topo.Map, seg, root int) int {
 // to the sender once their whole segment has checked in. The sender
 // learns "everyone is ready" from (its own segment's members + S-1
 // leaders) scouts, of which only S-1 crossed an uplink. Forwarding-free
-// at every hop — each rank sends at most one direct scout — so it is
-// its own safe sub-frame substitute in the pipelined schedule.
+// at every hop — each rank sends at most one direct scout.
 func twoLevelRoundGather(t *topo.Map) func(cc mpi.CollCtx, root, hot int) error {
 	return func(cc mpi.CollCtx, root, _ int) error {
 		me := cc.Comm().Rank()
@@ -231,8 +188,10 @@ func twoLevelRoundGather(t *topo.Map) func(cc mpi.CollCtx, root, hot int) error 
 // leaderRoundGather is the leaders-only scout gather of the aggregate
 // rounds: every segment leader but the sender scouts directly to the
 // sender; non-leaders take no part (their readiness was proven into
-// their leader's aggregate during the local phase). Forwarding-free, so
-// it is its own sub-frame substitute.
+// their leader's aggregate during the local phase). Forwarding-free. No
+// sequence over it runs pipelined; one that did could not take the
+// schedule's linear substitute for sub-frame rounds (pipelinedGather),
+// in which every rank scouts.
 func leaderRoundGather(t *topo.Map) func(cc mpi.CollCtx, root, hot int) error {
 	return func(cc mpi.CollCtx, root, _ int) error {
 		me := cc.Comm().Rank()
@@ -257,222 +216,128 @@ func leaderRoundGather(t *topo.Map) func(cc mpi.CollCtx, root, hot int) error {
 // been sent, and a rank posts its receive immediately after that send.
 func dataGatedGather(mpi.CollCtx, int, int) error { return nil }
 
-// bcastTwoLevelWith is the hierarchical broadcast: the two-level scout
-// gather toward root, then one whole-communicator multicast (which the
-// fabric already delivers once per segment).
-func bcastTwoLevelWith(c *mpi.Comm, buf []byte, root int, rep *NackOptions) error {
-	if c.Size() == 1 {
-		return nil
-	}
+// bcast is the hierarchical broadcast: the two-level scout gather toward
+// root, then one whole-communicator multicast (which the fabric already
+// delivers once per segment).
+func (tl *twoLevel) bcast(c *mpi.Comm, buf []byte, root int) error {
 	t := usableTopo(c)
 	if t == nil {
-		if rep != nil {
-			return bcastResilient(c, buf, root, rep)
-		}
-		return BcastBinary(c, buf, root)
+		return tl.flat.Bcast(c, buf, root)
 	}
-	round := roundPlan{
-		sender:  root,
-		class:   transport.ClassData,
-		bytes:   len(buf),
-		payload: func() []byte { return buf },
-		consume: func(p []byte) error {
-			if len(p) != len(buf) {
-				return fmt.Errorf("core: bcast buffer %d bytes, message %d", len(buf), len(p))
-			}
-			copy(buf, p)
-			return nil
-		},
-	}
-	return runRounds(c, []roundPlan{round}, roundOptions{gather: twoLevelRoundGather(t), repair: rep})
+	return runRounds(c, []roundPlan{bcastRound(buf, root)}, roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep})
 }
 
-// barrierTwoLevelWith is the hierarchical barrier: the two-level scout
-// gather toward rank 0, then one empty release multicast.
-func barrierTwoLevelWith(c *mpi.Comm, rep *NackOptions) error {
-	if c.Size() == 1 {
-		return nil
-	}
+// barrier is the hierarchical barrier: the two-level scout gather toward
+// rank 0, then one empty release multicast.
+func (tl *twoLevel) barrier(c *mpi.Comm) error {
 	t := usableTopo(c)
 	if t == nil {
-		if rep != nil {
-			return barrierResilient(c, rep)
-		}
-		return Barrier(c)
+		return tl.flat.Barrier(c)
 	}
-	round := roundPlan{
-		sender:  0,
-		class:   transport.ClassControl,
-		payload: func() []byte { return nil },
-		consume: func([]byte) error { return nil },
-	}
-	return runRounds(c, []roundPlan{round}, roundOptions{gather: twoLevelRoundGather(t), repair: rep})
+	return runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep})
 }
 
-// segRecv adapts a segment-scoped receive to the repair machinery.
-func segRecv(cc mpi.CollCtx, seg int) func(timeout int64) (transport.Message, bool, error) {
-	return func(timeout int64) (transport.Message, bool, error) {
-		return cc.RecvMulticastSegTimeout(seg, timeout)
-	}
+// segScope is the scope of a segment round: every rank listens on its
+// own segment's group.
+func segScope(t *topo.Map) func(rank int) mpi.Scope {
+	return func(rank int) mpi.Scope { return mpi.Seg(t.SegmentOf(rank)) }
 }
 
-// awaitSegmentRelease blocks for the leader's segment-local release
-// multicast, under NACK repair when rep is non-nil.
-func awaitSegmentRelease(cc mpi.CollCtx, leader, seg int, rep *NackOptions) error {
-	if rep == nil {
-		_, err := cc.RecvMulticastSeg(seg)
-		return err
-	}
-	_, err := awaitRepairedMulticastScoped(cc, leader, 0, segRecv(cc, seg), *rep)
-	return err
-}
-
-// collectSegmentChunks runs the leader's side of the release-gated
-// segment-local combine: multicast the (empty) release to the segment
-// group — proving to the members that the leader's receives are posted,
-// so their chunk sends cannot overrun it — then collect one n-byte
-// chunk from every other member into place. In repair mode the release
-// runs under the NACK protocol and the member's chunk doubles as its
-// confirmation (the gatherResilient pattern), so no separate
-// acknowledgment frames exist. Unrelated concurrent traffic (e.g. an
-// early aggregate scout reaching the root while it still collects its
-// own segment) stays queued for its own receive.
-func collectSegmentChunks(cc mpi.CollCtx, seg int, members []int, n int, rep *NackOptions, place func(r int, p []byte) error) error {
-	if err := cc.MulticastSeg(seg, nil, transport.ClassControl); err != nil {
-		return err
-	}
-	remaining := len(members) - 1
-	if rep == nil {
-		for i := 0; i < remaining; i++ {
-			m, err := cc.Recv(mpi.AnySource, phaseChunk)
-			if err != nil {
-				return err
-			}
-			r := cc.SrcRank(m)
-			if len(m.Payload) != n {
-				return fmt.Errorf("core: segment chunk from %d is %d bytes, want %d", r, len(m.Payload), n)
-			}
-			if err := place(r, m.Payload); err != nil {
-				return err
+// segSends is the send list of a segment round: block(s) to the group of
+// every segment s, in order — except a segment whose only member is the
+// sender, where nobody would receive it.
+func segSends(t *topo.Map, sender int, block func(seg int) []byte) func() []send {
+	return func() []send {
+		sends := make([]send, 0, t.Segments())
+		for s := 0; s < t.Segments(); s++ {
+			if ms := t.Members(s); len(ms) > 1 || ms[0] != sender {
+				sends = append(sends, send{scope: mpi.Seg(s), payload: block(s)})
 			}
 		}
-		return nil
+		return sends
 	}
-	relID := cc.LastMulticastID()
-	got := make(map[int]bool, len(members))
-	for remaining > 0 {
-		m, err := cc.RecvPhases(phaseNack, phaseChunk)
-		if err != nil {
+}
+
+// largestSegment returns the member count of t's largest segment.
+func largestSegment(t *topo.Map) int {
+	largest := 0
+	for s := 0; s < t.Segments(); s++ {
+		largest = max(largest, len(t.Members(s)))
+	}
+	return largest
+}
+
+// segmentCombine runs one rank's part of the release-gated combine of a
+// segment's chunks at lead, one of its members — all of it segment-local
+// traffic that never crosses an uplink. A member scouts lead, awaits
+// lead's release on the segment's scope (under NACK repair when rep is
+// non-nil) and sends payload. lead collects the scouts, then releases
+// and places every other member's chunk (collectChunks); of its own
+// payload only the length is used — chunks are equal-sized. A segment of
+// one has nothing to exchange.
+func segmentCombine(cc mpi.CollCtx, t *topo.Map, lead int, payload []byte, rep *NackOptions, place func(r int, p []byte)) error {
+	me := cc.Comm().Rank()
+	seg := t.SegmentOf(me)
+	others := len(t.Members(seg)) - 1
+	if me != lead {
+		if err := cc.Send(lead, phaseScout, nil, transport.ClassScout, false); err != nil {
 			return err
 		}
-		switch m.Class {
-		case transport.ClassNack:
-			r := cc.SrcRank(m)
-			if got[r] {
-				continue // raced its own repair; chunk already here
-			}
-			reqID, frags, derr := transport.DecodeRepairReq(m.Payload)
-			if derr != nil || reqID != relID || len(frags) == 0 {
-				frags = nil
-			}
-			if err := cc.MulticastSegRepair(seg, nil, transport.ClassControl, relID, frags); err != nil {
-				return err
-			}
-		case transport.ClassData:
-			r := cc.SrcRank(m)
-			if got[r] {
-				continue
-			}
-			if len(m.Payload) != n {
-				return fmt.Errorf("core: segment chunk from %d is %d bytes, want %d", r, len(m.Payload), n)
-			}
-			if err := place(r, m.Payload); err != nil {
-				return err
-			}
-			got[r] = true
-			remaining--
+		if _, err := awaitMulticast(cc, lead, mpi.Seg(seg), 0, rep); err != nil {
+			return err
+		}
+		return cc.Send(lead, phaseChunk, payload, transport.ClassData, false)
+	}
+	if others == 0 {
+		return nil
+	}
+	for i := 0; i < others; i++ {
+		if _, err := cc.Recv(mpi.AnySource, phaseScout); err != nil {
+			return err
 		}
 	}
-	return nil
+	return collectChunks(cc, mpi.Seg(seg), others, len(payload), place)
 }
 
-// allgatherTwoLevelWith gathers every rank's chunk to every rank in two
-// levels: a release-gated segment-local combine to each leader, then S
-// leader rounds each multicasting one segment's aggregate block to the
-// whole communicator (pipelined, like the flat engine, unless under
-// repair).
-func allgatherTwoLevelWith(c *mpi.Comm, send, recv []byte, rep *NackOptions) error {
-	size := c.Size()
+// allgather gathers every rank's chunk to every rank. Lossless, it is
+// the scout-only handshake of allgatherTwoLevelBurst. Under repair it
+// runs in two levels: a release-gated segment-local combine to each
+// leader, then S sequential leader rounds each multicasting one
+// segment's aggregate block to the whole communicator.
+func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
+	t := usableTopo(c)
+	if t == nil {
+		return tl.flat.Allgather(c, send, recv)
+	}
 	n := len(send)
-	if len(recv) != n*size {
-		return fmt.Errorf("core: allgather recv buffer %d bytes, want %d", len(recv), n*size)
+	if len(recv) != n*c.Size() {
+		return fmt.Errorf("core: allgather recv buffer %d bytes, want %d", len(recv), n*c.Size())
 	}
 	me := c.Rank()
 	copy(recv[me*n:], send)
-	if size == 1 {
-		return nil
-	}
-	t := usableTopo(c)
-	if t == nil {
-		opt := roundOptions{gather: binaryRoundGather, pipeline: true, pace: DefaultPipelinePace}
-		if rep != nil {
-			opt = roundOptions{gather: binaryRoundGather, repair: rep}
-		}
-		return allgatherWith(c, send, recv, opt)
-	}
-	if rep == nil {
+	if tl.rep == nil {
 		return allgatherTwoLevelBurst(c, send, recv, t)
 	}
-	mySeg := t.SegmentOf(me)
-	members := t.Members(mySeg)
-	leader := t.Leader(mySeg)
+	members := t.Members(t.SegmentOf(me))
+	leader := t.Leader(t.SegmentOf(me))
 
 	// Segment-local combine. Every rank opens the collective context
-	// (the context sequence must advance identically everywhere), but
-	// singleton segments have nothing to exchange.
+	// (the context sequence must advance identically everywhere).
 	var block []byte // leader-only: this segment's aggregate, member order
 	if me == leader {
 		block = make([]byte, n*len(members))
-		for i, r := range members {
-			if r == me {
-				copy(block[i*n:], send)
-			}
-		}
+		copy(block, send) // a leader is its segment's first member
 	}
 	cc := c.BeginColl()
 	if !cc.CanMulticast() {
 		return mpi.ErrNoMulticast
 	}
-	if len(members) > 1 {
-		if me != leader {
-			if err := cc.Send(leader, phaseScout, nil, transport.ClassScout, false); err != nil {
-				return err
-			}
-			if err := awaitSegmentRelease(cc, leader, mySeg, rep); err != nil {
-				return err
-			}
-			if err := cc.Send(leader, phaseChunk, send, transport.ClassData, false); err != nil {
-				return err
-			}
-		} else {
-			for i := 0; i < len(members)-1; i++ {
-				if _, err := cc.Recv(mpi.AnySource, phaseScout); err != nil {
-					return err
-				}
-			}
-			pos := make(map[int]int, len(members))
-			for i, r := range members {
-				pos[r] = i
-			}
-			err := collectSegmentChunks(cc, mySeg, members, n, rep, func(r int, p []byte) error {
-				copy(block[pos[r]*n:], p)
-				copy(recv[r*n:], p)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-		}
+	err := segmentCombine(cc, t, leader, send, tl.rep, func(r int, p []byte) {
+		copy(block[slices.Index(members, r)*n:], p)
+		copy(recv[r*n:], p)
+	})
+	if err != nil {
+		return err
 	}
 
 	// Leader rounds: round s multicasts segment s's aggregate block to
@@ -482,15 +347,12 @@ func allgatherTwoLevelWith(c *mpi.Comm, send, recv []byte, rep *NackOptions) err
 	for s := range rounds {
 		ms := t.Members(s)
 		bytes := n * len(ms)
-		blk := []byte(nil)
-		if t.Leader(s) == me {
-			blk = block
-		}
 		rounds[s] = roundPlan{
-			sender:  t.Leader(s),
-			class:   transport.ClassData,
-			bytes:   bytes,
-			payload: func() []byte { return blk },
+			sender: t.Leader(s),
+			class:  transport.ClassData,
+			bytes:  bytes,
+			sends:  wholeSend(block),
+			scope:  wholeScope,
 			consume: func(p []byte) error {
 				if len(p) != bytes {
 					return fmt.Errorf("core: allgather aggregate block is %d bytes, want %d", len(p), bytes)
@@ -502,13 +364,9 @@ func allgatherTwoLevelWith(c *mpi.Comm, send, recv []byte, rep *NackOptions) err
 			},
 		}
 	}
-	// Repair mode keeps the sequential round schedule the NACK server
-	// needs; the lossless path took the burst schedule above.
-	return runRounds(c, rounds, roundOptions{
-		gather:    leaderRoundGather(t),
-		gatherSub: leaderRoundGather(t),
-		repair:    rep,
-	})
+	// The sequential round schedule the NACK server needs; the lossless
+	// path took the burst schedule above.
+	return runRounds(c, rounds, roundOptions{gather: leaderRoundGather(t), repair: tl.rep})
 }
 
 // allgatherTwoLevelBurst is the lossless allgather fast path: phase A
@@ -557,7 +415,7 @@ func allgatherTwoLevelBurst(c *mpi.Comm, send, recv []byte, t *topo.Map) error {
 		// The release proves every segment has entered, so this rank's
 		// chunk multicast cannot be dropped anywhere.
 		cc.SpanBegin("await-release")
-		_, err = cc.RecvMulticastSeg(mySeg)
+		_, err = cc.RecvMulticast(mpi.Seg(mySeg))
 		cc.SpanEndGated("await-release", leader)
 		if err != nil {
 			return err
@@ -594,7 +452,7 @@ func allgatherTwoLevelBurst(c *mpi.Comm, send, recv []byte, t *topo.Map) error {
 		cc.SpanEnd("leader-scout-exchange")
 		if len(members) > 1 {
 			cc.SpanBegin("release")
-			err := cc.MulticastSeg(mySeg, nil, transport.ClassControl)
+			err := cc.Multicast(mpi.Seg(mySeg), nil, transport.ClassControl)
 			cc.SpanEnd("release")
 			if err != nil {
 				return err
@@ -611,7 +469,7 @@ func allgatherTwoLevelBurst(c *mpi.Comm, send, recv []byte, t *topo.Map) error {
 		ccs[r] = c.BeginColl()
 		if r == me {
 			cc.SpanBegin("chunk-mcast")
-			err := ccs[r].Multicast(send, transport.ClassData)
+			err := ccs[r].Multicast(mpi.Whole, send, transport.ClassData)
 			cc.SpanEnd("chunk-mcast")
 			if err != nil {
 				return err
@@ -623,7 +481,7 @@ func allgatherTwoLevelBurst(c *mpi.Comm, send, recv []byte, t *topo.Map) error {
 		if r == me {
 			continue
 		}
-		m, err := ccs[r].RecvMulticast()
+		m, err := ccs[r].RecvMulticast(mpi.Whole)
 		if err != nil {
 			cc.SpanEnd("chunk-consume")
 			return err
@@ -638,25 +496,19 @@ func allgatherTwoLevelBurst(c *mpi.Comm, send, recv []byte, t *topo.Map) error {
 	return nil
 }
 
-// allreduceTwoLevelWith reduces in two levels — members combine at
-// their segment leader, leaders combine up a binomial tree over the
-// leader set (one aggregate frame per segment across the uplinks) —
-// then the root leader multicasts the result once. No scout frames at
-// all: the reduction data itself gates every hop, and a rank posts its
-// receive the instant its contribution is sent.
-func allreduceTwoLevelWith(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, rep *NackOptions) error {
-	if len(recv) != len(send) {
-		return fmt.Errorf("core: allreduce recv buffer %d bytes, want %d", len(recv), len(send))
-	}
+// allreduce reduces in two levels — members combine at their segment
+// leader, leaders combine up a binomial tree over the leader set (one
+// aggregate frame per segment across the uplinks) — then the root leader
+// multicasts the result once. No scout frames at all: the reduction data
+// itself gates every hop, and a rank posts its receive the instant its
+// contribution is sent.
+func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	t := usableTopo(c)
 	if t == nil {
-		if rep != nil {
-			if err := reduceToRoot(c, send, recv, dt, op, 0); err != nil {
-				return err
-			}
-			return bcastResilient(c, recv, 0, rep)
-		}
-		return allreduceBinary(c, send, recv, dt, op)
+		return tl.flat.Allreduce(c, send, recv, dt, op)
+	}
+	if len(recv) != len(send) {
+		return fmt.Errorf("core: allreduce recv buffer %d bytes, want %d", len(recv), len(send))
 	}
 	me := c.Rank()
 	mySeg := t.SegmentOf(me)
@@ -720,103 +572,52 @@ func allreduceTwoLevelWith(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		}
 	}
 
+	// The fan-out is a broadcast of the result from the root leader
+	// whose readiness proof is the reduction itself.
 	root := t.Leader(0)
 	if me == root {
 		copy(recv, acc)
 	}
-	round := roundPlan{
-		sender:  root,
-		class:   transport.ClassData,
-		bytes:   len(send),
-		payload: func() []byte { return acc },
-		consume: func(p []byte) error {
-			if len(p) != len(recv) {
-				return fmt.Errorf("core: allreduce result is %d bytes, want %d", len(p), len(recv))
-			}
-			copy(recv, p)
-			return nil
-		},
-	}
-	return runRounds(c, []roundPlan{round}, roundOptions{gather: dataGatedGather, repair: rep})
+	return runRounds(c, []roundPlan{bcastRound(recv, root)}, roundOptions{gather: dataGatedGather, repair: tl.rep})
 }
 
-// gatherTwoLevelWith collects chunks in two levels: members combine at
-// their segment leader (release-gated locally), leaders scout their
-// aggregate to the root, and the root releases each leader individually
-// (point-to-point control over the reliable stream) before its block
-// send — so neither a leader nor the root's port can be overrun, and
-// only S-1 aggregate blocks cross the uplink fabric.
-func gatherTwoLevelWith(c *mpi.Comm, send, recv []byte, root int, rep *NackOptions) error {
-	size := c.Size()
-	n := len(send)
-	if c.Rank() == root && len(recv) != n*size {
-		return fmt.Errorf("core: gather recv buffer %d bytes, want %d", len(recv), n*size)
-	}
-	if size == 1 {
-		copy(recv, send)
-		return nil
-	}
+// gather collects chunks in two levels: members combine at their segment
+// leader (release-gated locally), leaders scout their aggregate to the
+// root, and the root releases each leader individually (point-to-point
+// control over the reliable stream) before its block send — so neither a
+// leader nor the root's port can be overrun, and only S-1 aggregate
+// blocks cross the uplink fabric.
+func (tl *twoLevel) gather(c *mpi.Comm, send, recv []byte, root int) error {
 	t := usableTopo(c)
 	if t == nil {
-		if rep != nil {
-			return gatherResilient(c, send, recv, root, rep)
-		}
-		return GatherMcast(c, send, recv, root)
+		return tl.flat.Gather(c, send, recv, root)
 	}
+	n := len(send)
 	me := c.Rank()
-	mySeg := t.SegmentOf(me)
-	lead := opLeader(t, mySeg, root)
+	if me == root && len(recv) != n*c.Size() {
+		return fmt.Errorf("core: gather recv buffer %d bytes, want %d", len(recv), n*c.Size())
+	}
+	members := t.Members(t.SegmentOf(me))
+	lead := opLeader(t, t.SegmentOf(me), root)
 
 	cc := c.BeginColl()
 	if !cc.CanMulticast() {
 		return mpi.ErrNoMulticast
 	}
-	if me != lead {
-		// Member: scout local readiness, await the leader's release,
-		// contribute the chunk — all without crossing an uplink.
-		if err := cc.Send(lead, phaseScout, nil, transport.ClassScout, false); err != nil {
-			return err
-		}
-		if err := awaitSegmentRelease(cc, lead, mySeg, rep); err != nil {
-			return err
-		}
-		return cc.Send(lead, phaseChunk, send, transport.ClassData, false)
-	}
-
-	// Leader side (root leads its own segment). Collect the local
-	// chunks first — into recv directly at the root, into an aggregate
-	// block elsewhere.
-	members := t.Members(mySeg)
+	// The root (which leads its own segment) collects into recv
+	// directly, any other leader into an aggregate block in member order.
 	var block []byte
-	place := func(r int, p []byte) error {
-		copy(recv[r*n:], p)
-		return nil
-	}
-	if me != root {
-		block = make([]byte, n*len(members))
-		pos := make(map[int]int, len(members))
-		for i, r := range members {
-			pos[r] = i
-			if r == me {
-				copy(block[i*n:], send)
-			}
-		}
-		place = func(r int, p []byte) error {
-			copy(block[pos[r]*n:], p)
-			return nil
-		}
-	} else {
+	place := func(r int, p []byte) { copy(recv[r*n:], p) }
+	switch me {
+	case root:
 		copy(recv[me*n:], send)
+	case lead:
+		block = make([]byte, n*len(members))
+		copy(block[slices.Index(members, me)*n:], send)
+		place = func(r int, p []byte) { copy(block[slices.Index(members, r)*n:], p) }
 	}
-	if len(members) > 1 {
-		for i := 0; i < len(members)-1; i++ {
-			if _, err := cc.Recv(mpi.AnySource, phaseScout); err != nil {
-				return err
-			}
-		}
-		if err := collectSegmentChunks(cc, mySeg, members, n, rep, place); err != nil {
-			return err
-		}
+	if err := segmentCombine(cc, t, lead, send, tl.rep, place); err != nil || me != lead {
+		return err
 	}
 	if me != root {
 		// Aggregate level: prove the segment in, wait for the root's
@@ -861,80 +662,44 @@ func gatherTwoLevelWith(c *mpi.Comm, send, recv []byte, root int, rep *NackOptio
 	return nil
 }
 
-// memberIndex returns r's position within its segment's member list.
-func memberIndex(members []int, r int) int {
-	for i, m := range members {
-		if m == r {
-			return i
-		}
-	}
-	return -1
-}
-
-// scatterTwoLevelWith distributes root's buffer as one segment-sliced
-// round: after the two-level scout gather (N-1 scouts, only S-1 crossing
-// the uplinks — the flat sliced scatter's N-1 scouts all converge on the
-// root's port), the root multicasts each segment's super-slice — the
-// concatenation of that segment's per-rank chunks in member order — to
-// the segment's group address, one egress transmission per port instead
-// of one per rank. Each receiver's NIC accepts only its own segment's
-// block, from which it keeps its chunk, so per-receiver delivered bytes
-// grow only by the segment fanout while the root's transmissions fall
-// from N-1 to at most S.
-func scatterTwoLevelWith(c *mpi.Comm, send, recv []byte, root int, rep *NackOptions) error {
-	size := c.Size()
-	n := len(recv)
-	if c.Rank() == root && len(send) != n*size {
-		return fmt.Errorf("core: scatter send buffer %d bytes, want %d", len(send), n*size)
-	}
-	if size == 1 {
-		copy(recv, send)
-		return nil
-	}
+// scatter distributes root's buffer as one segment round: after the
+// two-level scout gather (N-1 scouts, only S-1 crossing the uplinks —
+// the flat sliced scatter's N-1 scouts all converge on the root's port),
+// the root multicasts each segment's super-slice — the concatenation of
+// that segment's per-rank chunks in member order — to the segment's
+// group address, one egress transmission per port instead of one per
+// rank. Each receiver's NIC accepts only its own segment's block, from
+// which it keeps its chunk, so per-receiver delivered bytes grow only by
+// the segment fanout while the root's transmissions fall from N-1 to at
+// most S.
+func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 	t := usableTopo(c)
 	if t == nil {
-		if rep != nil {
-			return scatterWith(c, send, recv, root, roundOptions{gather: binaryRoundGather, repair: rep})
-		}
-		return ScatterMcast(c, send, recv, root)
+		return tl.flat.Scatter(c, send, recv, root)
 	}
+	n := len(recv)
 	me := c.Rank()
-	mySeg := t.SegmentOf(me)
-	myMembers := t.Members(mySeg)
-	myIdx := memberIndex(myMembers, me)
-
-	// Per-segment super-slices, root only. Full member order — including
-	// the root's own chunk where it appears — keeps the receiver's index
-	// arithmetic uniform; the root's chunk is placed locally below.
-	var blocks [][]byte
-	if me == root {
-		blocks = make([][]byte, t.Segments())
-		for s := range blocks {
-			ms := t.Members(s)
+	if me == root && len(send) != n*c.Size() {
+		return fmt.Errorf("core: scatter send buffer %d bytes, want %d", len(send), n*c.Size())
+	}
+	myMembers := t.Members(t.SegmentOf(me))
+	myIdx := slices.Index(myMembers, me)
+	round := roundPlan{
+		sender: root,
+		class:  transport.ClassData,
+		bytes:  n * largestSegment(t),
+		// Full member order — including the root's own chunk where it
+		// appears — keeps the receiver's index arithmetic uniform; the
+		// root's chunk is placed locally below.
+		sends: segSends(t, root, func(seg int) []byte {
+			ms := t.Members(seg)
 			blk := make([]byte, n*len(ms))
 			for i, r := range ms {
 				copy(blk[i*n:], send[r*n:(r+1)*n])
 			}
-			blocks[s] = blk
-		}
-	}
-	maxSeg := 0
-	for s := 0; s < t.Segments(); s++ {
-		if l := len(t.Members(s)); l > maxSeg {
-			maxSeg = l
-		}
-	}
-	round := roundPlan{
-		sender:     root,
-		class:      transport.ClassData,
-		bytes:      n * maxSeg,
-		segPayload: func(seg int) []byte { return blocks[seg] },
-		segs:       t.Segments(),
-		segOf:      t.SegmentOf,
-		segSkip: func(seg int) bool {
-			ms := t.Members(seg)
-			return len(ms) == 1 && ms[0] == root
-		},
+			return blk
+		}),
+		scope: segScope(t),
 		consume: func(p []byte) error {
 			if len(p) != n*len(myMembers) {
 				return fmt.Errorf("core: scatter segment block is %d bytes, want %d", len(p), n*len(myMembers))
@@ -943,7 +708,7 @@ func scatterTwoLevelWith(c *mpi.Comm, send, recv []byte, root int, rep *NackOpti
 			return nil
 		},
 	}
-	if err := runRounds(c, []roundPlan{round}, roundOptions{gather: twoLevelRoundGather(t), repair: rep}); err != nil {
+	if err := runRounds(c, []roundPlan{round}, roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep}); err != nil {
 		return err
 	}
 	if me == root {
@@ -952,21 +717,24 @@ func scatterTwoLevelWith(c *mpi.Comm, send, recv []byte, root int, rep *NackOpti
 	return nil
 }
 
-// alltoallTwoLevelWith runs the personalized exchange hierarchically.
-// Phase A: each segment's members ship their whole send buffer to the
-// segment leader over the release-gated local combine (segment-local
-// unicast — never crossing an uplink). Phase B: S segment-sliced leader
-// rounds — round s's leader multicasts, to each destination segment d,
-// one super-slice holding every chunk from segment s's members to
-// segment d's members — so the uplink fabric carries S(S-1) block
-// transfers gated by S(S-1) leader scouts plus the N-S member scouts and
-// S releases of phase A, where the flat sliced exchange pays N(N-1)
-// scouts (65,280 at N=256) and N(N-1) per-slice transmissions. Under
-// rep == nil the rounds run on the burst schedule: every leader
-// multicasts the moment its own scout gather lands, so block
-// transmissions overlap across segment ports instead of serializing
-// round-by-round.
-func alltoallTwoLevelWith(c *mpi.Comm, send, recv []byte, rep *NackOptions) error {
+// alltoall runs the personalized exchange hierarchically. Phase A: each
+// segment's members ship their whole send buffer to the segment leader
+// over the release-gated local combine (segment-local unicast — never
+// crossing an uplink). Phase B: S segment rounds among the leaders —
+// round s's leader multicasts, to each destination segment d, one
+// super-slice holding every chunk from segment s's members to segment
+// d's members — so the uplink fabric carries S(S-1) block transfers
+// gated by S(S-1) leader scouts plus the N-S member scouts and S
+// releases of phase A, where the flat sliced exchange pays N(N-1) scouts
+// (65,280 at N=256) and N(N-1) per-slice transmissions. Lossless, the
+// rounds run on the burst schedule: every leader multicasts the moment
+// its own scout gather lands, so block transmissions overlap across
+// segment ports instead of serializing round-by-round.
+func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
+	t := usableTopo(c)
+	if t == nil {
+		return tl.flat.Alltoall(c, send, recv)
+	}
 	size := c.Size()
 	if len(send)%size != 0 || len(recv) != len(send) {
 		return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks", len(send), len(recv), size)
@@ -974,106 +742,53 @@ func alltoallTwoLevelWith(c *mpi.Comm, send, recv []byte, rep *NackOptions) erro
 	n := len(send) / size
 	me := c.Rank()
 	copy(recv[me*n:(me+1)*n], send[me*n:(me+1)*n])
-	if size == 1 {
-		return nil
-	}
-	t := usableTopo(c)
-	if t == nil {
-		if rep != nil {
-			return alltoallWith(c, send, recv, roundOptions{gather: binaryRoundGather, repair: rep})
-		}
-		return AlltoallMcastPipelined(c, send, recv)
-	}
-	mySeg := t.SegmentOf(me)
-	myMembers := t.Members(mySeg)
-	leader := t.Leader(mySeg)
-	myIdx := memberIndex(myMembers, me)
+	myMembers := t.Members(t.SegmentOf(me))
+	myIdx := slices.Index(myMembers, me)
 
-	// Phase A: segment-local combine of whole send buffers at the leader.
+	// Phase A: segment-local combine of whole send buffers at the
+	// leader. The members' chunks addressed to the leader itself never
+	// ride a phase-B multicast; it lifts them out as they arrive.
 	cc := c.BeginColl()
 	if !cc.CanMulticast() {
 		return mpi.ErrNoMulticast
 	}
-	bufs := make(map[int][]byte, len(myMembers))
-	if len(myMembers) > 1 {
-		if me != leader {
-			if err := cc.Send(leader, phaseScout, nil, transport.ClassScout, false); err != nil {
-				return err
-			}
-			if err := awaitSegmentRelease(cc, leader, mySeg, rep); err != nil {
-				return err
-			}
-			if err := cc.Send(leader, phaseChunk, send, transport.ClassData, false); err != nil {
-				return err
-			}
-		} else {
-			for i := 0; i < len(myMembers)-1; i++ {
-				if _, err := cc.Recv(mpi.AnySource, phaseScout); err != nil {
-					return err
-				}
-			}
-			err := collectSegmentChunks(cc, mySeg, myMembers, len(send), rep, func(r int, p []byte) error {
-				bufs[r] = p
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			// The members' chunks addressed to the leader itself never
-			// ride a phase-B multicast; lift them out directly.
-			for _, r := range myMembers {
-				if r != me {
-					copy(recv[r*n:(r+1)*n], bufs[r][me*n:(me+1)*n])
-				}
-			}
-		}
+	bufs := map[int][]byte{me: send}
+	err := segmentCombine(cc, t, t.Leader(t.SegmentOf(me)), send, tl.rep, func(r int, p []byte) {
+		bufs[r] = p
+		copy(recv[r*n:(r+1)*n], p[me*n:(me+1)*n])
+	})
+	if err != nil {
+		return err
 	}
 
-	// Per-destination-segment super-slices, leaders only. Block s→d is
-	// laid out grouped by destination member — position
-	// (j·|s| + i)·n holds the chunk from source member i to destination
-	// member j — so receiver j extracts one contiguous |s|·n region.
-	var blocks [][]byte
-	if me == leader {
-		blocks = make([][]byte, t.Segments())
-		for d := range blocks {
-			dm := t.Members(d)
-			blk := make([]byte, n*len(myMembers)*len(dm))
-			for j, dst := range dm {
-				for i, src := range myMembers {
-					from := send
-					if src != me {
-						from = bufs[src]
-					}
-					copy(blk[(j*len(myMembers)+i)*n:], from[dst*n:(dst+1)*n])
-				}
+	// The super-slice from this rank's segment to segment d, built where
+	// it is sent — on the leader, which phase A left holding every
+	// member's buffer. It is laid out grouped by destination member:
+	// position (j·|s| + i)·n holds the chunk from source member i to
+	// destination member j, so receiver j extracts one contiguous |s|·n
+	// region.
+	block := func(d int) []byte {
+		dm := t.Members(d)
+		blk := make([]byte, n*len(myMembers)*len(dm))
+		for j, dst := range dm {
+			for i, src := range myMembers {
+				copy(blk[(j*len(myMembers)+i)*n:], bufs[src][dst*n:(dst+1)*n])
 			}
-			blocks[d] = blk
 		}
+		return blk
 	}
-	maxSeg := 0
-	for s := 0; s < t.Segments(); s++ {
-		if l := len(t.Members(s)); l > maxSeg {
-			maxSeg = l
-		}
-	}
+	largest := largestSegment(t)
 	rounds := make([]roundPlan, t.Segments())
 	for s := range rounds {
 		sm := t.Members(s)
-		sender := t.Leader(s)
 		rounds[s] = roundPlan{
-			sender:     sender,
-			class:      transport.ClassData,
-			bytes:      n * maxSeg * maxSeg,
-			segPayload: func(seg int) []byte { return blocks[seg] },
-			segs:       t.Segments(),
-			segOf:      t.SegmentOf,
-			segSkip: func(seg int) bool {
-				// The sender's own segment is skipped only when the
-				// sender is its sole member (no one to receive); chunks
-				// for the sender itself were lifted out in phase A.
-				return seg == t.SegmentOf(sender) && len(sm) == 1
-			},
+			sender: t.Leader(s),
+			class:  transport.ClassData,
+			bytes:  n * largest * largest,
+			// The sender's own segment hears the round too (chunks for
+			// the sender itself were lifted out in phase A).
+			sends: segSends(t, t.Leader(s), block),
+			scope: segScope(t),
 			consume: func(p []byte) error {
 				if len(p) != n*len(sm)*len(myMembers) {
 					return fmt.Errorf("core: alltoall segment block is %d bytes, want %d", len(p), n*len(sm)*len(myMembers))
@@ -1086,8 +801,9 @@ func alltoallTwoLevelWith(c *mpi.Comm, send, recv []byte, rep *NackOptions) erro
 			},
 		}
 	}
-	if rep == nil {
-		return runRoundsBurst(c, rounds, roundOptions{gather: leaderRoundGather(t)})
+	opt := roundOptions{gather: leaderRoundGather(t), repair: tl.rep}
+	if tl.rep == nil {
+		return runRoundsBurst(c, rounds, opt)
 	}
-	return runRounds(c, rounds, roundOptions{gather: leaderRoundGather(t), repair: rep})
+	return runRounds(c, rounds, opt)
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/transport"
 )
@@ -18,8 +19,10 @@ const collTagBase int32 = -1000
 // messages sent through it carry the operation's sequence number.
 //
 // CollCtx is the "bypass" interface of the paper's Fig. 1: Send/Recv go
-// through the ordinary point-to-point device path, while Multicast and
-// RecvMulticast reach the device's multicast capability directly.
+// through the ordinary point-to-point device path, while the four
+// multicast calls (Multicast, RecvMulticast, RecvMulticastTimeout,
+// MulticastRepair) reach the device's multicast capability directly,
+// each addressed by a Scope.
 type CollCtx struct {
 	c   *Comm
 	seq uint32
@@ -102,152 +105,117 @@ func (cc CollCtx) SrcRank(m transport.Message) int { return cc.c.inverse[m.Src] 
 // CanMulticast reports whether the bypass path is available.
 func (cc CollCtx) CanMulticast() bool { return cc.c.rt.mc != nil }
 
-// mcastSliceTag returns the transport tag distinguishing a sliced
-// multicast (slice >= 0) from a whole-communicator multicast (tag 0).
-// Slice tags live in the positive space, which user point-to-point
-// traffic also uses, but multicast and P2P kinds never cross-match.
-func mcastSliceTag(slice int) int32 {
-	if slice < 0 {
-		return 0
-	}
-	return int32(slice) + 1
+// Scope names the receivers of one multicast. The zero value, Whole,
+// is the communicator's own group. Slice(r) is the group only rank r's
+// endpoint subscribes to, so every other NIC drops the fragments
+// undelivered — the fragment-granular addressing of the sliced
+// collectives. Seg(s) is the group of the ranks placed on topology
+// segment s, so the frames never cross the shared uplink — the two-level
+// collectives' segment-local traffic (release gates, super-slice blocks);
+// it needs a communicator with a topology (Comm.Topo != nil). A rank
+// subscribes to Whole, its own slice and its own segment, which are the
+// scopes it can receive on. Scopes are comparable.
+type Scope struct {
+	kind scopeKind
+	idx  int
 }
 
-// mcastSegTag returns the transport tag of a segment-scoped multicast.
-// Segment tags live in the negative space (unused by other multicast
-// roles: whole-communicator is 0, slices are positive), so a segment
-// multicast can never match a whole-communicator or slice receive even
-// if the derived group ids were to collide on a real network.
-func mcastSegTag(seg int) int32 {
-	return -(int32(seg) + 1)
+type scopeKind uint8
+
+const (
+	scopeWhole scopeKind = iota
+	scopeSlice
+	scopeSeg
+)
+
+// Whole addresses every rank of the communicator.
+var Whole = Scope{}
+
+// Slice addresses the slice group of communicator rank rank.
+func Slice(rank int) Scope { return Scope{scopeSlice, rank} }
+
+// Seg addresses the segment group of topology segment seg.
+func Seg(seg int) Scope { return Scope{scopeSeg, seg} }
+
+// tag is the transport tag that keeps the scopes apart on the wire even
+// if two derived group ids were to collide on a real network: Whole is
+// exactly 0, slices are strictly positive, segments strictly negative.
+// Slice tags share the positive space with user point-to-point traffic,
+// but multicast and P2P kinds never cross-match.
+func (s Scope) tag() int32 {
+	switch s.kind {
+	case scopeSlice:
+		return int32(s.idx) + 1
+	case scopeSeg:
+		return -(int32(s.idx) + 1)
+	}
+	return 0
 }
 
-// Multicast sends payload to every member of the communicator's group in
-// a single device operation. The sender does not receive its own message.
-func (cc CollCtx) Multicast(payload []byte, class transport.Class) error {
-	if cc.c.rt.mc == nil {
-		return ErrNoMulticast
+// resolve is the one place a scope becomes an address: the device group
+// to transmit to, the tag receives match on, or why there is neither.
+func (cc CollCtx) resolve(s Scope) (group uint32, tag int32, err error) {
+	c := cc.c
+	if c.rt.mc == nil {
+		return 0, 0, ErrNoMulticast
 	}
-	return cc.c.rt.mc.Multicast(cc.c.ctx, transport.Message{
-		Comm:    cc.c.ctx,
-		Seq:     cc.seq,
-		Class:   class,
-		Payload: payload,
-	})
+	group = c.ctx
+	switch s.kind {
+	case scopeSlice:
+		if s.idx < 0 || s.idx >= c.Size() {
+			return 0, 0, fmt.Errorf("%w: multicast slice %d (size %d)", ErrInvalidRank, s.idx, c.Size())
+		}
+		group = transport.SliceGroup(c.ctx, s.idx)
+	case scopeSeg:
+		if c.topoMap == nil || s.idx < 0 || s.idx >= c.topoMap.Segments() {
+			return 0, 0, fmt.Errorf("%w: multicast segment %d", ErrInvalidRank, s.idx)
+		}
+		group = transport.SegmentGroup(c.ctx, s.idx)
+	}
+	return group, s.tag(), nil
 }
 
-// MulticastSlice sends payload to the slice group of the communicator
-// rank slice: only that rank's endpoint subscribes, so every other NIC
-// drops the fragments undelivered — the fragment-granular addressing of
-// the sliced collectives. The message is tagged with the slice so a
-// misdelivered fragment (a hash collision between slice groups on a real
-// network) can never match another rank's receive.
-func (cc CollCtx) MulticastSlice(slice int, payload []byte, class transport.Class) error {
-	if cc.c.rt.mc == nil {
-		return ErrNoMulticast
-	}
-	if slice < 0 || slice >= cc.c.Size() {
-		return fmt.Errorf("%w: multicast to slice %d (size %d)", ErrInvalidRank, slice, cc.c.Size())
-	}
-	return cc.c.rt.mc.Multicast(transport.SliceGroup(cc.c.ctx, slice), transport.Message{
-		Comm:    cc.c.ctx,
-		Tag:     mcastSliceTag(slice),
-		Seq:     cc.seq,
-		Class:   class,
-		Payload: payload,
-	})
+// mcastMessage is this operation's multicast envelope under tag.
+func (cc CollCtx) mcastMessage(tag int32, payload []byte, class transport.Class) transport.Message {
+	return transport.Message{Comm: cc.c.ctx, Tag: tag, Seq: cc.seq, Class: class, Payload: payload}
 }
 
-// MulticastSeg sends payload to the segment group of topology segment
-// seg: only the endpoints placed on that segment subscribe, so the
-// frames never cross the shared uplink — the two-level collectives'
-// segment-local protocol traffic (release gates, local fan-out). The
-// communicator must have a topology (Comm.Topo != nil).
-func (cc CollCtx) MulticastSeg(seg int, payload []byte, class transport.Class) error {
-	if cc.c.rt.mc == nil {
-		return ErrNoMulticast
+// mcastMatch matches this operation's multicast under tag.
+func (cc CollCtx) mcastMatch(tag int32) func(m *transport.Message) bool {
+	return func(m *transport.Message) bool {
+		return m.Kind == transport.Mcast && m.Comm == cc.c.ctx && m.Seq == cc.seq && m.Tag == tag
 	}
-	if cc.c.topoMap == nil || seg < 0 || seg >= cc.c.topoMap.Segments() {
-		return fmt.Errorf("%w: multicast to segment %d", ErrInvalidRank, seg)
-	}
-	return cc.c.rt.mc.Multicast(transport.SegmentGroup(cc.c.ctx, seg), transport.Message{
-		Comm:    cc.c.ctx,
-		Tag:     mcastSegTag(seg),
-		Seq:     cc.seq,
-		Class:   class,
-		Payload: payload,
-	})
 }
 
-// RecvMulticast blocks for this operation's whole-communicator multicast
-// message (sliced multicasts never match it).
-func (cc CollCtx) RecvMulticast() (transport.Message, error) {
-	if cc.c.rt.mc == nil {
-		return transport.Message{}, ErrNoMulticast
+// Multicast sends payload to every member of the scope's group in a
+// single device operation. The sender does not receive its own message.
+func (cc CollCtx) Multicast(s Scope, payload []byte, class transport.Class) error {
+	group, tag, err := cc.resolve(s)
+	if err != nil {
+		return err
 	}
-	return cc.c.recvMatchFT(func(m *transport.Message) bool {
-		return m.Kind == transport.Mcast && m.Comm == cc.c.ctx && m.Seq == cc.seq && m.Tag == 0
-	})
+	return cc.c.rt.mc.Multicast(group, cc.mcastMessage(tag, payload, class))
 }
 
-// RecvMulticastSlice blocks for this operation's multicast addressed to
-// the slice group of communicator rank slice (normally the caller's own
-// rank — the only slice group it subscribes to).
-func (cc CollCtx) RecvMulticastSlice(slice int) (transport.Message, error) {
-	if cc.c.rt.mc == nil {
-		return transport.Message{}, ErrNoMulticast
+// RecvMulticast blocks for this operation's multicast to the scope (a
+// multicast to any other scope never matches it).
+func (cc CollCtx) RecvMulticast(s Scope) (transport.Message, error) {
+	_, tag, err := cc.resolve(s)
+	if err != nil {
+		return transport.Message{}, err
 	}
-	want := mcastSliceTag(slice)
-	return cc.c.recvMatchFT(func(m *transport.Message) bool {
-		return m.Kind == transport.Mcast && m.Comm == cc.c.ctx && m.Seq == cc.seq && m.Tag == want
-	})
-}
-
-// RecvMulticastSeg blocks for this operation's multicast addressed to
-// the segment group of topology segment seg (normally the caller's own
-// segment — the only segment group it subscribes to).
-func (cc CollCtx) RecvMulticastSeg(seg int) (transport.Message, error) {
-	if cc.c.rt.mc == nil {
-		return transport.Message{}, ErrNoMulticast
-	}
-	want := mcastSegTag(seg)
-	return cc.c.recvMatchFT(func(m *transport.Message) bool {
-		return m.Kind == transport.Mcast && m.Comm == cc.c.ctx && m.Seq == cc.seq && m.Tag == want
-	})
-}
-
-// RecvMulticastSegTimeout is RecvMulticastSeg with a timeout.
-func (cc CollCtx) RecvMulticastSegTimeout(seg int, timeout int64) (transport.Message, bool, error) {
-	if cc.c.rt.mc == nil {
-		return transport.Message{}, false, ErrNoMulticast
-	}
-	want := mcastSegTag(seg)
-	return cc.c.rt.recvMatchTimeout(func(m *transport.Message) bool {
-		return m.Kind == transport.Mcast && m.Comm == cc.c.ctx && m.Seq == cc.seq && m.Tag == want
-	}, timeout)
+	return cc.c.recvMatchFT(cc.mcastMatch(tag))
 }
 
 // RecvMulticastTimeout is RecvMulticast with a timeout in nanoseconds on
 // the device clock; ok=false reports expiry. Receiver-initiated
 // reliability protocols use it to detect a missed multicast.
-func (cc CollCtx) RecvMulticastTimeout(timeout int64) (transport.Message, bool, error) {
-	if cc.c.rt.mc == nil {
-		return transport.Message{}, false, ErrNoMulticast
+func (cc CollCtx) RecvMulticastTimeout(s Scope, timeout int64) (transport.Message, bool, error) {
+	_, tag, err := cc.resolve(s)
+	if err != nil {
+		return transport.Message{}, false, err
 	}
-	return cc.c.rt.recvMatchTimeout(func(m *transport.Message) bool {
-		return m.Kind == transport.Mcast && m.Comm == cc.c.ctx && m.Seq == cc.seq && m.Tag == 0
-	}, timeout)
-}
-
-// RecvMulticastSliceTimeout is RecvMulticastSlice with a timeout.
-func (cc CollCtx) RecvMulticastSliceTimeout(slice int, timeout int64) (transport.Message, bool, error) {
-	if cc.c.rt.mc == nil {
-		return transport.Message{}, false, ErrNoMulticast
-	}
-	want := mcastSliceTag(slice)
-	return cc.c.rt.recvMatchTimeout(func(m *transport.Message) bool {
-		return m.Kind == transport.Mcast && m.Comm == cc.c.ctx && m.Seq == cc.seq && m.Tag == want
-	}, timeout)
+	return cc.c.rt.recvMatchTimeout(cc.mcastMatch(tag), timeout)
 }
 
 // LastMulticastID returns the device message id of this rank's most
@@ -274,50 +242,20 @@ func (cc CollCtx) MissingFrom(src int) (msgID uint64, missing []int, ok bool) {
 }
 
 // MulticastRepair retransmits the named fragments (nil = all) of this
-// operation's earlier whole-communicator multicast under its original
-// device message id. Devices without fragment repair fall back to a
-// fresh whole-message multicast.
-func (cc CollCtx) MulticastRepair(payload []byte, class transport.Class, msgID uint64, frags []int) error {
-	return cc.repair(cc.c.ctx, 0, payload, class, msgID, frags)
-}
-
-// MulticastSliceRepair is MulticastRepair for an earlier sliced
-// multicast to communicator rank slice's group.
-func (cc CollCtx) MulticastSliceRepair(slice int, payload []byte, class transport.Class, msgID uint64, frags []int) error {
-	if slice < 0 || slice >= cc.c.Size() {
-		return fmt.Errorf("%w: repair to slice %d (size %d)", ErrInvalidRank, slice, cc.c.Size())
-	}
-	return cc.repair(transport.SliceGroup(cc.c.ctx, slice), mcastSliceTag(slice), payload, class, msgID, frags)
-}
-
-// MulticastSegRepair is MulticastRepair for an earlier segment-scoped
-// multicast to topology segment seg's group.
-func (cc CollCtx) MulticastSegRepair(seg int, payload []byte, class transport.Class, msgID uint64, frags []int) error {
-	if cc.c.topoMap == nil || seg < 0 || seg >= cc.c.topoMap.Segments() {
-		return fmt.Errorf("%w: repair to segment %d", ErrInvalidRank, seg)
-	}
-	return cc.repair(transport.SegmentGroup(cc.c.ctx, seg), mcastSegTag(seg), payload, class, msgID, frags)
-}
-
-func (cc CollCtx) repair(group uint32, tag int32, payload []byte, class transport.Class, msgID uint64, frags []int) error {
-	if cc.c.rt.mc == nil {
-		return ErrNoMulticast
+// operation's earlier multicast to the scope under its original device
+// message id. Devices without fragment repair (or an unknown id, 0) fall
+// back to a fresh whole-message multicast.
+func (cc CollCtx) MulticastRepair(s Scope, payload []byte, class transport.Class, msgID uint64, frags []int) error {
+	group, tag, err := cc.resolve(s)
+	if err != nil {
+		return err
 	}
 	cc.TraceEvent("repair.mcast", int64(len(frags)))
-	m := transport.Message{
-		Comm:    cc.c.ctx,
-		Tag:     tag,
-		Seq:     cc.seq,
-		Class:   class,
-		Payload: payload,
+	m := cc.mcastMessage(tag, payload, class)
+	if fr := cc.c.rt.fr; fr != nil && msgID != 0 {
+		return fr.RepairMulticast(group, m, msgID, frags)
 	}
-	fr := cc.c.rt.fr
-	if fr == nil || msgID == 0 {
-		// No fragment repair on this device (or the original id is
-		// unknown): resend the whole message as a fresh multicast.
-		return cc.c.rt.mc.Multicast(group, m)
-	}
-	return fr.RepairMulticast(group, m, msgID, frags)
+	return cc.c.rt.mc.Multicast(group, m)
 }
 
 // FragPayload returns the device's fragment payload size (message bytes
@@ -357,12 +295,9 @@ func (cc CollCtx) RecvControl() (transport.Message, error) {
 // segment's chunks) stays queued for its own receive instead of being
 // consumed and dropped.
 func (cc CollCtx) RecvPhases(phases ...int) (transport.Message, error) {
-	want := make(map[int32]bool, len(phases))
-	for _, p := range phases {
-		want[collTagBase-int32(p)] = true
-	}
 	return cc.c.recvMatchFT(func(m *transport.Message) bool {
-		return m.Kind == transport.P2P && m.Comm == cc.c.ctx && m.Seq == cc.seq && want[m.Tag]
+		return m.Kind == transport.P2P && m.Comm == cc.c.ctx && m.Seq == cc.seq &&
+			slices.Contains(phases, int(collTagBase-m.Tag))
 	})
 }
 

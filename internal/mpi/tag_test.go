@@ -13,15 +13,15 @@ import "testing"
 // on point-to-point frames, and P2P and multicast kinds never
 // cross-match.
 func TestMcastTagSpacesDisjoint(t *testing.T) {
-	if got := mcastSliceTag(-1); got != 0 {
+	if got := Whole.tag(); got != 0 {
 		t.Errorf("whole-communicator multicast tag = %d, want 0", got)
 	}
 	for i := 0; i < 1<<16; i++ {
-		if s := mcastSliceTag(i); s < 1 {
-			t.Fatalf("mcastSliceTag(%d) = %d escapes the positive space", i, s)
+		if s := Slice(i).tag(); s < 1 {
+			t.Fatalf("Slice(%d).tag() = %d escapes the positive space", i, s)
 		}
-		if g := mcastSegTag(i); g > -1 {
-			t.Fatalf("mcastSegTag(%d) = %d escapes the negative space", i, g)
+		if g := Seg(i).tag(); g > -1 {
+			t.Fatalf("Seg(%d).tag() = %d escapes the negative space", i, g)
 		}
 	}
 	// The scout-phase P2P tags (collTagBase - phase) must stay negative

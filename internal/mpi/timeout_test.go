@@ -96,15 +96,15 @@ func TestStaleMulticastDuplicatesDropped(t *testing.T) {
 		cc := c.BeginColl()
 		if c.Rank() == root {
 			// Multicast the payload twice (a "retransmission").
-			if err := cc.Multicast([]byte("dup"), transport.ClassData); err != nil {
+			if err := cc.Multicast(mpi.Whole, []byte("dup"), transport.ClassData); err != nil {
 				return err
 			}
-			if err := cc.Multicast([]byte("dup"), transport.ClassData); err != nil {
+			if err := cc.Multicast(mpi.Whole, []byte("dup"), transport.ClassData); err != nil {
 				return err
 			}
 			return nil
 		}
-		if _, err := cc.RecvMulticast(); err != nil {
+		if _, err := cc.RecvMulticast(mpi.Whole); err != nil {
 			return err
 		}
 		return nil

@@ -73,15 +73,27 @@ func TestUDPChaosKill(t *testing.T) {
 	requireMulticast(t)
 	const n, victim, chunk = 5, 2, 900
 	algs := core.ResilientAlgorithms(core.DefaultNackOptions())
+	// "Between two collectives" has to hold at every rank, not only at
+	// the victim: a collective returns rank by rank, and the victim's
+	// own return says nothing about a peer still confirming the last
+	// round. A peer whose repair probe expires there (scheduling delay
+	// is enough) consults the failure detector, finds the victim dead
+	// and fails the pre-kill op. The ranks are goroutines of one process,
+	// so the victim waits until everyone is out of the first op.
+	var preKill sync.WaitGroup
+	preKill.Add(n)
 	errs := runUDPChaos(t, n, algs, func(rank int, c *mpi.Comm) error {
-		if err := coretest.CheckOp(c, "allgather", chunk, 0); err != nil {
+		err := coretest.CheckOp(c, "allgather", chunk, 0)
+		preKill.Done()
+		if err != nil {
 			return fmt.Errorf("pre-kill allgather: %w", err)
 		}
 		if rank == victim {
+			preKill.Wait()
 			c.Runtime().Endpoint().(*udpnet.Endpoint).Kill()
 			return nil
 		}
-		err := coretest.CheckOp(c, "allgather", chunk, 0)
+		err = coretest.CheckOp(c, "allgather", chunk, 0)
 		rf, ok := mpi.AsRankFailed(err)
 		if !ok {
 			return fmt.Errorf("post-kill allgather: want RankFailedError, got %v", err)
