@@ -15,6 +15,9 @@
 //	mpirun -n 6 -workload pi
 //	mpirun -n 8 -workload allreduce -p2ploss 0.05   # drop 5% of p2p frames;
 //	                   # the reliable stream layer repairs them (stats printed)
+//	mpirun -n 8 -workload bcast -algorithm mcast-resilient -size 20000 -loss 0.02
+//	                   # drop 2% of multicast fragments at the receivers;
+//	                   # the NACK-repaired set asks for them again
 //	mpirun -n 8 -workload allgather -algorithm mcast-2level -topo 4
 //	                   # declare 4 ranks per fabric segment: the two-level
 //	                   # collectives combine inside each segment and cross
@@ -84,6 +87,7 @@ func main() {
 		port     = flag.Int("mcast-port", 45999, "multicast UDP port")
 		probe    = flag.Bool("probe", false, "probe multicast support and exit")
 		p2ploss  = flag.Float64("p2ploss", 0, "inject receiver-side point-to-point loss probability (exercises the reliable stream layer; stats printed after the run)")
+		loss     = flag.Float64("loss", 0, "inject receiver-side multicast fragment loss probability (exercises the NACK repair of the mcast-resilient sets; others hang on the first lost fragment)")
 		topof    = flag.Int("topo", 0, "declare the fabric topology as ranks-per-segment (0: none); the topology-aware algorithms (mcast-2level) cluster communication by it")
 		chaos    = flag.String("chaos", "", "inject a fault, e.g. kill:2@50ms — kill rank 2's endpoint 50ms into the run; failure detection is enabled, the per-rank outcome is dumped, and the exit status is nonzero")
 		deadline = flag.Duration("deadline", 0, "abort a stuck run after this long with a per-rank progress dump and nonzero exit (0: wait forever)")
@@ -118,6 +122,7 @@ func main() {
 	cfg := udpnet.DefaultConfig(*n)
 	cfg.McastPort = *port
 	cfg.P2PLossRate = *p2ploss
+	cfg.LossRate = *loss
 	cfg.SegmentFanout = *topof
 	var rec *trace.Recorder
 	if *traceOut != "" {
@@ -249,15 +254,19 @@ func (t *telemetry) health() (bool, string) {
 
 // dumpStreamStates appends the state of every send stream to a -deadline
 // abort dump: what it is waiting for (unacknowledged messages, a window
-// probe out for credit) and on what clock (the current probe timeout:
-// measured, backed off), so "rank 2 waits on window credit from rank 0"
-// can be read off the dump.
+// probe out for credit), on what clock (the current probe timeout:
+// measured, backed off) and whether its endpoint has seen the network
+// lose frames and is confirming what it sends, so "rank 2 waits on window
+// credit from rank 0" can be read off the dump.
 func dumpStreamStates(w io.Writer, nw *udpnet.Net) {
 	for r := 0; r < nw.Size(); r++ {
 		for _, st := range nw.Endpoint(r).Streams() {
 			waiting := ""
 			if st.Soliciting {
 				waiting = ", window probe outstanding"
+			}
+			if st.Confirming > 0 {
+				waiting += fmt.Sprintf(", confirming, %d left", st.Confirming)
 			}
 			fmt.Fprintf(w, "  stream %d->%d: %d in flight, RTO %v%s\n", r, st.Peer, st.InFlight, time.Duration(st.RTO), waiting)
 		}
@@ -518,18 +527,25 @@ func runLatency(cfg udpnet.Config, algs mpi.Algorithms, work string, size, reps 
 	fmt.Printf("%s n=%d size=%dB reps=%d (real UDP/IP multicast)\n", work, cfg.N, size, reps)
 	fmt.Printf("  median %8.1f µs   min %8.1f µs   max %8.1f µs\n",
 		samples[len(samples)/2], samples[0], samples[len(samples)-1])
-	if cfg.P2PLossRate > 0 {
-		var losses, streamed, retransmits, acks, probes int64
+	if cfg.P2PLossRate > 0 || cfg.LossRate > 0 {
+		var p2pLost, mcastLost, repairs, streamed, retransmits, acks, probes, confirms int64
 		for i := 0; i < nw.Size(); i++ {
 			st := nw.Endpoint(i).Stats()
-			losses += st.InjectedP2PLosses
+			p2pLost += st.InjectedP2PLosses
+			mcastLost += st.InjectedLosses
+			repairs += st.RepairsHeard
 			streamed += st.Stream.MsgsStreamed
 			retransmits += st.Stream.Retransmits
 			acks += st.Stream.AcksSent
 			probes += st.Stream.ProbesSent
+			confirms += st.Stream.ConfirmsSent
 		}
-		fmt.Printf("  p2p loss %.1f%%: %d frames dropped, %d messages streamed, %d fragments retransmitted, %d probes, %d acks\n",
-			cfg.P2PLossRate*100, losses, streamed, retransmits, probes, acks)
+		fmt.Printf("  p2p loss %.1f%%: %d frames dropped, %d messages streamed, %d fragments retransmitted, %d probes (%d confirming a send), %d acks\n",
+			cfg.P2PLossRate*100, p2pLost, streamed, retransmits, probes, confirms, acks)
+		if cfg.LossRate > 0 {
+			fmt.Printf("  multicast loss %.1f%%: %d fragments dropped, %d repair-flagged fragments heard\n",
+				cfg.LossRate*100, mcastLost, repairs)
+		}
 	}
 	return nil
 }

@@ -55,9 +55,15 @@
 //     control wire format, and the Driver that runs all of one endpoint's
 //     streams: it decides when to probe, what counts as activity, when
 //     to volunteer an ack, and hands its transport Steps — frames to
-//     write, a timer to arm, whom to wake. It reads no clock and writes
-//     no frame, which is what lets one seeded model test drive it through
-//     arbitrary loss, duplication and reordering.
+//     write, a timer to arm, whom to wake. Retransmissions, its own and
+//     core's multicast repairs, carry a flag bit; an endpoint that hears
+//     one, or is asked for one, has evidence that the network loses
+//     frames and for a bounded number of messages sends a probe right
+//     behind each, so a lost scout is resent a round trip later instead
+//     of a timeout later; without evidence it sends what it always did.
+//     The driver reads no clock and writes no frame, which is what lets
+//     one seeded model test drive it through arbitrary loss, duplication
+//     and reordering.
 //
 //   - simnet, udpnet: the two network transports, each a thin host for a
 //     reliab.Driver. simnet binds transport.Endpoint to the simulated
@@ -92,7 +98,9 @@
 //     scatter, gather and alltoall at fragment granularity. A round is a
 //     sender, a list of (scope, payload) sends and the scope each rank
 //     listens on; schedule (sequential, pipelined, burst), reliability
-//     (scout-only, or NACK repair with selective fragment repair) and
+//     (scout-only, or NACK repair with selective fragment repair, asked
+//     for when the arrivals the reassembler stamped say a message has
+//     stopped coming) and
 //     scope (whole, per-slice, per-segment, so a NIC delivers only what
 //     its rank consumes) vary independently, and one transmit half, one
 //     receive half and one release-gated chunk collection serve every

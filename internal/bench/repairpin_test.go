@@ -76,17 +76,24 @@ func runPinned(t *testing.T, procs int, topo simnet.Topology, alg Algorithm, los
 // an extra wake-up or one more probe timer moves these numbers — and
 // fails here rather than only in the benchmark.
 func TestRepairPathDeterminismPin(t *testing.T) {
-	// Re-recorded by the change that gave the stream a measured clock
-	// (probe on a full window, RTO from the estimator, no resend on an
-	// ack that cannot know). Before it: simNS 56,796,351, 338,989 events,
-	// stream {3308 msgs, 46 retransmits, 2050 probes, 2067 acks sent,
-	// 2043 received, 3 dups}.
+	// Re-recorded by the change that made repair follow evidence (repair
+	// requests on the reassembler's arrival clock, sends confirmed while
+	// the network is seen to lose frames). Before it: simNS 14,797,616,
+	// 270,508 events, stream {3016 msgs, 33 retransmits, 2263 probes, 2255
+	// acks sent, 2240 received}. That this one seed reads 11 % slower is
+	// its luck, not the change: it lost no scout before, so it never
+	// waited a timeout, and now pays the confirming probes' wire time; the
+	// mean over 30 seeds of the same point fell from 30.3 to 12.1 ms
+	// (sim_loss_n32's allreduce), and the events fell by two thirds here
+	// too. And before the stream read a clock it measured: simNS
+	// 56,796,351, 338,989 events, stream {3308 msgs, 46 retransmits, 2050
+	// probes, 2067 acks sent, 2043 received, 3 dups}.
 	want := pinned{
-		simNS:  14_797_616,
-		events: 270_508,
+		simNS:  16_427_118,
+		events: 86_164,
 		stream: reliab.Stats{
-			MsgsStreamed: 3016, Retransmits: 33, ProbesSent: 2263,
-			AcksSent: 2255, AcksReceived: 2240,
+			MsgsStreamed: 2348, Retransmits: 26, ProbesSent: 2490, ConfirmsSent: 2265,
+			AcksSent: 2470, AcksReceived: 2449,
 		},
 	}
 	got := runPinned(t, 32, simnet.Switch, McastResilient, 0.01)
@@ -208,44 +215,51 @@ func runSuitePin(t *testing.T, topo simnet.Topology, alg Algorithm, op workload.
 // engine, of the release-and-collect loops or of the multicast
 // addressing must leave every row where the recording commit found it.
 func TestRepairSuiteDeterminismPin(t *testing.T) {
-	// Recorded at commit 981cbcd, before the multicast scope became a
-	// value: the code under test in that commit is the parent's.
+	// Re-recorded by the change that made repair follow evidence (repair
+	// requests on the reassembler's arrival clock, sends confirmed while
+	// the network is seen to lose frames). The table first held what commit
+	// 981cbcd simulated, before the multicast scope became a value, and
+	// held it unchanged until this change (its events and hashes are in
+	// that commit's copy of this file); before keeps each row's summed
+	// nanoseconds from then, and every row must stay below it: 1.3 to 9.4
+	// times below when recorded.
 	for _, tc := range []struct {
-		topo simnet.Topology
-		alg  Algorithm
-		op   workload.Op
-		want suitePin
+		topo   simnet.Topology
+		alg    Algorithm
+		op     workload.Op
+		want   suitePin
+		before int64
 	}{
-		{simnet.Switch, McastResilient, workload.OpBcast, suitePin{487704224, 62174, 0xfb6732213aee8a55}},
-		{simnet.Switch, McastResilient, workload.OpBarrier, suitePin{285290606, 44420, 0x50d12458cb8d9aa}},
-		{simnet.Switch, McastResilient, workload.OpAllgather, suitePin{3711640412, 614480, 0xde7a78a97993aef5}},
-		{simnet.Switch, McastResilient, workload.OpAllreduce, suitePin{414438739, 68689, 0xc14449391a2d852c}},
-		{simnet.Switch, McastResilient, workload.OpScatter, suitePin{701563311, 45571, 0x22f808c95193420b}},
-		{simnet.Switch, McastResilient, workload.OpGather, suitePin{450004527, 53789, 0x40bf86a5f239e12a}},
-		{simnet.Switch, McastResilient, workload.OpAlltoall, suitePin{5394120020, 507078, 0x2a94ff26c0a6f55e}},
+		{simnet.Switch, McastResilient, workload.OpBcast, suitePin{136496379, 51716, 0x70e75200178fccd7}, 487704224},
+		{simnet.Switch, McastResilient, workload.OpBarrier, suitePin{182456654, 44994, 0x6f7b99078bdffdd5}, 285290606},
+		{simnet.Switch, McastResilient, workload.OpAllgather, suitePin{670638763, 374366, 0x583c759a60ca670}, 3711640412},
+		{simnet.Switch, McastResilient, workload.OpAllreduce, suitePin{85435704, 54290, 0x86fd77c79684f23c}, 414438739},
+		{simnet.Switch, McastResilient, workload.OpScatter, suitePin{242040050, 47766, 0x3fc41fd37da0a6c1}, 701563311},
+		{simnet.Switch, McastResilient, workload.OpGather, suitePin{183497970, 49134, 0x129fbcc8f01a0e36}, 450004527},
+		{simnet.Switch, McastResilient, workload.OpAlltoall, suitePin{1347688496, 421284, 0x4240af2f79bc4f5a}, 5394120020},
 		// No segments on the plain switch: the two-level set runs its
 		// flat fall-backs, which are the flat resilient set's rows.
-		{simnet.Switch, McastTwoLevelResilient, workload.OpBcast, suitePin{487704224, 62174, 0xfb6732213aee8a55}},
-		{simnet.Switch, McastTwoLevelResilient, workload.OpBarrier, suitePin{285290606, 44420, 0x50d12458cb8d9aa}},
-		{simnet.Switch, McastTwoLevelResilient, workload.OpAllgather, suitePin{3711640412, 614480, 0xde7a78a97993aef5}},
-		{simnet.Switch, McastTwoLevelResilient, workload.OpAllreduce, suitePin{414438739, 68689, 0xc14449391a2d852c}},
-		{simnet.Switch, McastTwoLevelResilient, workload.OpScatter, suitePin{701563311, 45571, 0x22f808c95193420b}},
-		{simnet.Switch, McastTwoLevelResilient, workload.OpGather, suitePin{450004527, 53789, 0x40bf86a5f239e12a}},
-		{simnet.Switch, McastTwoLevelResilient, workload.OpAlltoall, suitePin{5394120020, 507078, 0x2a94ff26c0a6f55e}},
-		{simnet.SwitchShared, McastResilient, workload.OpBcast, suitePin{366563633, 37117, 0x30a6a6399e5934a2}},
-		{simnet.SwitchShared, McastResilient, workload.OpBarrier, suitePin{236280906, 33701, 0xc3507a85d1d55290}},
-		{simnet.SwitchShared, McastResilient, workload.OpAllgather, suitePin{3709979293, 418808, 0xddab7b4545216fa0}},
-		{simnet.SwitchShared, McastResilient, workload.OpAllreduce, suitePin{418089447, 49244, 0x1289ed56523697a6}},
-		{simnet.SwitchShared, McastResilient, workload.OpScatter, suitePin{599336087, 40405, 0x4f4771785e868f1c}},
-		{simnet.SwitchShared, McastResilient, workload.OpGather, suitePin{498436767, 44783, 0xd2ffb76d15326d10}},
-		{simnet.SwitchShared, McastResilient, workload.OpAlltoall, suitePin{4598049932, 519840, 0x40ebaf9cdb6c7fee}},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpBcast, suitePin{383611522, 41909, 0x559d53dca91b4d8}},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpBarrier, suitePin{283117748, 32617, 0xaa8ae60e68218a4f}},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAllgather, suitePin{1417073940, 227886, 0x9b9d864155c2b6f0}},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAllreduce, suitePin{510749413, 50300, 0x32bce44b2058bc6d}},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpScatter, suitePin{846596588, 55429, 0x3afb8e5a7eb4ed57}},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpGather, suitePin{372988649, 36235, 0x6a16fe783db8ba23}},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAlltoall, suitePin{17531965094, 705857, 0xc49dd0ea96b72326}},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpBcast, suitePin{136496379, 51716, 0x70e75200178fccd7}, 487704224},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpBarrier, suitePin{182456654, 44994, 0x6f7b99078bdffdd5}, 285290606},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpAllgather, suitePin{670638763, 374366, 0x583c759a60ca670}, 3711640412},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpAllreduce, suitePin{85435704, 54290, 0x86fd77c79684f23c}, 414438739},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpScatter, suitePin{242040050, 47766, 0x3fc41fd37da0a6c1}, 701563311},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpGather, suitePin{183497970, 49134, 0x129fbcc8f01a0e36}, 450004527},
+		{simnet.Switch, McastTwoLevelResilient, workload.OpAlltoall, suitePin{1347688496, 421284, 0x4240af2f79bc4f5a}, 5394120020},
+		{simnet.SwitchShared, McastResilient, workload.OpBcast, suitePin{145761759, 36806, 0xda2c666f7eb98ea4}, 366563633},
+		{simnet.SwitchShared, McastResilient, workload.OpBarrier, suitePin{180352115, 35481, 0xa1482a17b3aebd37}, 236280906},
+		{simnet.SwitchShared, McastResilient, workload.OpAllgather, suitePin{644527392, 324759, 0x6c13cf7ed7b41c80}, 3709979293},
+		{simnet.SwitchShared, McastResilient, workload.OpAllreduce, suitePin{101663927, 43018, 0x8db47eb39a6e3199}, 418089447},
+		{simnet.SwitchShared, McastResilient, workload.OpScatter, suitePin{245908511, 44336, 0x2a85a0feb27b7999}, 599336087},
+		{simnet.SwitchShared, McastResilient, workload.OpGather, suitePin{189683607, 41538, 0x964330fbe24f5548}, 498436767},
+		{simnet.SwitchShared, McastResilient, workload.OpAlltoall, suitePin{1317895951, 438674, 0xd4103fa0c1e84902}, 4598049932},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpBcast, suitePin{72123295, 37646, 0x4f603c2ddb4354b8}, 383611522},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpBarrier, suitePin{131384743, 32585, 0x4151ca0e2cf5cb41}, 283117748},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAllgather, suitePin{372219621, 209420, 0x10019cf4ed07bcea}, 1417073940},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAllreduce, suitePin{75217395, 39209, 0x115813a5330adaa}, 510749413},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpScatter, suitePin{149776115, 50463, 0xd2cd359a0b7f7b74}, 846596588},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpGather, suitePin{227227167, 38356, 0x9ee0c96a7d096e60}, 372988649},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAlltoall, suitePin{1867595534, 348911, 0x7f99967530cbbc2b}, 17531965094},
 	} {
 		got, losses := runSuitePin(t, tc.topo, tc.alg, tc.op)
 		if losses == 0 {
@@ -254,6 +268,10 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%v/%s/%s moved:\n got  {%d, %d, %#x}\n want {%d, %d, %#x}", tc.topo, tc.alg, tc.op,
 				got.simNS, got.events, got.hash, tc.want.simNS, tc.want.events, tc.want.hash)
+		}
+		if got.simNS >= tc.before {
+			t.Errorf("%v/%s/%s: %d ns over the row's seeds, no faster than the %d ns it took while receivers polled and lost scouts waited a timeout",
+				tc.topo, tc.alg, tc.op, got.simNS, tc.before)
 		}
 	}
 }

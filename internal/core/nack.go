@@ -7,16 +7,27 @@ import (
 	"repro/internal/transport"
 )
 
-// NackOptions configures the receiver-initiated reliable broadcast.
+// NackOptions configures receiver-initiated repair: BcastNack, and the
+// data phases of the resilient sets (awaitMulticast).
 type NackOptions struct {
-	// Probe is how long a receiver waits for the (rest of the) message
-	// before requesting a repair, in device-clock nanoseconds.
+	// Probe is the receiver's one unit of time, in device-clock
+	// nanoseconds. BcastNack waits this long for the message before each
+	// request. A resilient set's receiver looks this often at what its
+	// device has seen arrive; asks for the rest of a message once it has
+	// been quiet for four of its own inter-arrival gaps, at least Probe/8;
+	// asks again no sooner than Probe later, doubling; and asks for a
+	// message of which nothing arrived only after 7 Probe (more for more
+	// than 16 fragments), then at intervals doubling from 8 Probe. When a
+	// request leaves is decided by arrivals, not by this value: halving it
+	// makes receivers look, and give up on silence, twice as often —
+	// measured at a quarter it makes them ask for messages that were
+	// merely late.
 	Probe int64
 	// MaxRepairs bounds the repair requests per receiver.
 	MaxRepairs int
 }
 
-// DefaultNackOptions uses a 2 ms probe timer.
+// DefaultNackOptions uses a 2 ms probe period.
 func DefaultNackOptions() NackOptions {
 	return NackOptions{Probe: 2_000_000, MaxRepairs: 64}
 }
@@ -69,6 +80,7 @@ func BcastNack(c *mpi.Comm, buf []byte, root int, opts NackOptions) error {
 			if attempt >= opts.MaxRepairs {
 				return fmt.Errorf("core: nack bcast gave up after %d repair requests", attempt)
 			}
+			cc.TraceEvent("send.nack", opts.Probe)
 			if err := cc.Send(root, phaseNack, nil, transport.ClassNack, false); err != nil {
 				return err
 			}

@@ -35,9 +35,10 @@ package core
 //     acknowledgment traffic exists.
 //
 //   - NACK repair (reference [10]'s receiver-initiated reliability, as
-//     in BcastNack): receivers probe with a timeout, request repairs for
-//     multicasts lost in flight (injected fragment loss, overrun), and
-//     confirm receipt so the sender can retire the round. Repairs are
+//     in BcastNack): receivers watch what arrives, request repairs for
+//     multicasts lost in flight (injected fragment loss, overrun) once a
+//     message has stopped arriving (awaitMulticast), and confirm receipt
+//     so the sender can retire the round. Repairs are
 //     fragment-granular: the NACK carries the receiver's missing-fragment
 //     list (transport.Reassembler.Missing via the device's
 //     FragmentRepairer capability) and the sender retransmits only those
@@ -377,149 +378,112 @@ func runRoundsBurst(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 
 // awaitMulticast blocks for this operation's multicast from sender to
 // scope. With rep == nil that is a plain receive. Otherwise it runs the
-// receiver-initiated repair protocol: probe for the message, NACK the
-// sender on timeout, give up after MaxRepairs requests. bytes is the
-// expected payload size (known identically at every rank by the
-// collective's contract). The NACK carries the device's
-// missing-fragment list for the sender's partially received message
-// (transport.EncodeRepairReq), so the sender can retransmit exactly the
-// lost fragments; an empty request asks for a full resend (nothing of
-// the message arrived at all).
-//
-// The probe timer adapts on two axes so repair traffic never races a
-// transmission that is merely long:
-//
-//   - Exponential backoff: a fixed timer shorter than a multi-fragment
-//     round's legitimate transmission time fires prematurely on every
-//     waiting receiver at once, and the repair traffic it provokes
-//     delays the round further — a positive feedback that can overflow
-//     receive rings and lose protocol frames.
-//
-//   - Arrival-gap scaling: once fragments are arriving, the receiver
-//     estimates the inter-fragment arrival gap from the shrink of the
-//     missing set between probes and stretches the next probe past
-//     2 × gap × missing — the time the rest of the transmission
-//     legitimately needs. Without it, the p = 15% multi-fragment sweeps
-//     NACK into transmissions that are still draining and the repair
-//     multicasts feed the storm they were meant to quench.
-//
-// The no-evidence silence (the round has not started — the sender is
-// still finishing the previous round or serving its repairs) scales
-// with the expected fragment count: an empty NACK asks for a FULL
-// resend, which for an F-fragment round costs F frames, so the budget
-// before sending one grows with F. Losing every fragment of a large
-// message is p^F-unlikely — the prompt path matters only for small
-// messages, which keep the tight budget. A non-nil rep must be
+// receiver's side of the repair protocol: wait, decide from what the
+// device has seen arrive whether the message is still coming, ask the
+// sender for what is missing when it is not, give up after MaxRepairs
+// requests. bytes is the expected payload size (known identically at
+// every rank by the collective's contract). A non-nil rep must be
 // normalized (positive Probe).
+//
+// The receiver acts on evidence, on the wire's own clock, and is silent
+// without it. Every Probe it looks at the device's reassembly state for
+// the sender's message (MissingFrom), and it finds one of two things.
+//
+//   - A partial message: some fragments arrived, stamped by the
+//     reassembler. The transmission has a pace — the mean gap between the
+//     arrivals so far — and a message that has been quiet for four of
+//     those gaps (at least Probe/8, which also covers a single fragment,
+//     whose gap nobody can know) has stopped arriving: what is missing
+//     was lost, and the receiver asks for exactly those fragments
+//     (transport.EncodeRepairReq) at that moment, not a timer's expiry
+//     later. A transmission that is merely long keeps arriving and is
+//     never asked about, whatever its length, so repair traffic cannot
+//     race data still in flight — the feedback a fixed timer shorter than
+//     a multi-fragment round sets off on every waiting receiver at once.
+//     A repair is served behind whatever the sender has queued (every
+//     other receiver's confirmation, at a host receive cost each), so a
+//     second request for the same message waits a full Probe after the
+//     first, doubling: asking again any sooner buys the same repair
+//     twice.
+//
+//   - Nothing at all. Usually the round has not started — the sender is
+//     still finishing the previous round or serving its repairs — rather
+//     than every fragment having been lost, and an empty request asks for
+//     a FULL resend, which costs an F-fragment round F frames. So the
+//     receiver stays silent for as long as a timer doubling from Probe
+//     would take to expire 3 + F/16 times (seven probe periods for
+//     anything up to 16 fragments; losing every fragment of a larger
+//     message is p^F-unlikely), then sends the empty request, and again
+//     after intervals that keep doubling: growing any slower, the requests
+//     of all receivers of a late round pile up into a storm of full
+//     resends.
+//
+// Either request first asks the failure detector (when armed) whether the
+// quiet is a dead rank: a receiver asking a dead sender forever would
+// otherwise only surface the give-up error.
 func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep *NackOptions) (transport.Message, error) {
 	if rep == nil {
 		return cc.RecvMulticast(scope)
 	}
-	opts := *rep
-	probe := opts.Probe
-	maxProbe := opts.Probe << 10
+	c := cc.Comm()
+	look, longest := rep.Probe, rep.Probe<<10
+	double := func(d int64) int64 { return min(2*d, longest) }
 	// The device reports its fragment payload; a conservative fallback
 	// covers devices without one (over-counting fragments only lengthens
-	// the silence budget, the safe direction).
+	// the silence before an empty request, the safe direction).
 	fragPayload := cc.FragPayload()
 	if fragPayload <= 0 {
 		fragPayload = 512
 	}
-	expectedFrags := bytes/fragPayload + 1
-	silentBudget := 2
-	if expectedFrags > 16 {
-		silentBudget = 2 + expectedFrags/16
+	silent := 3
+	if frags := bytes/fragPayload + 1; frags > 16 {
+		silent += frags / 16
 	}
-	// A NACK is only sent on stalled evidence: the device reports a
-	// partial message from the sender whose missing set has not shrunk
-	// since the previous probe. Progress means the transmission is still
-	// in flight and a NACK now would request fragments that are already
-	// on the wire; no evidence at all usually means the round has not
-	// started, so those expiries stay silent too. A genuine loss
-	// converges one probe later: the missing set is then static and
-	// named exactly.
-	lastMsgID := uint64(0)
-	lastMissing := -1
-	lastChange := cc.Comm().Now()
-	gapEst := int64(0)
-	silent := 0 // probe expiries that stayed silent (progress / no evidence)
+	since := c.Now() // the start of the current silence with nothing seen
+	emptyDue, emptyWait := since, look
+	for i := 0; i < silent; i++ {
+		emptyDue, emptyWait = emptyDue+emptyWait, double(emptyWait)
+	}
+	askDue, askWait := int64(0), look // the earliest a named request may follow the last
 	requests := 0
 	for {
-		m, ok, err := cc.RecvMulticastTimeout(scope, probe)
-		if err != nil {
-			return transport.Message{}, err
+		msgID, missing, seen, partial := cc.MissingFrom(sender)
+		due := emptyDue
+		if partial {
+			since = seen.Last
+			due = max(since+max(4*seen.Gap(), look/8), askDue)
 		}
-		if ok {
-			return m, nil
+		now := c.Now()
+		if now < due {
+			m, ok, err := cc.RecvMulticastTimeout(scope, min(look, due-now))
+			if err != nil || ok {
+				return m, err
+			}
+			continue
 		}
-		// The probe expired with nothing delivered. Before the repair
-		// logic, ask the failure detector (when armed) whether the quiet
-		// is a dead rank: a receiver NACKing a dead sender forever would
-		// otherwise only surface the generic give-up error below.
 		if err := cc.CheckFailures(); err != nil {
 			return transport.Message{}, err
 		}
-		// MaxRepairs bounds the repair requests actually sent, as the
-		// option documents — silent expiries (transmission progressing,
-		// or no evidence yet) do not count against it.
-		if requests >= opts.MaxRepairs {
+		if requests >= rep.MaxRepairs {
 			return transport.Message{}, fmt.Errorf("core: receiver %d gave up waiting for sender %d's multicast after %d repair requests",
-				cc.Comm().Rank(), sender, requests)
-		}
-		backoff := func() {
-			if probe < maxProbe {
-				probe *= 2
-			}
-		}
-		msgID, missing, pending := cc.MissingFrom(sender)
-		if pending && (msgID != lastMsgID || len(missing) < lastMissing || lastMissing < 0) {
-			// Progress since the last look (or first evidence): the
-			// transmission is still in flight. This path is bounded —
-			// each pass requires the missing set to shrink or a new
-			// message to appear. Progress is also where the arrival gap
-			// is observable: stretch the next probe past the time the
-			// rest of the transmission legitimately needs.
-			now := cc.Comm().Now()
-			if msgID == lastMsgID && lastMissing > len(missing) {
-				if g := (now - lastChange) / int64(lastMissing-len(missing)); g > 0 {
-					gapEst = g
-				}
-			}
-			lastChange = now
-			lastMsgID, lastMissing = msgID, len(missing)
-			backoff()
-			if gapEst > 0 {
-				need := 2 * gapEst * int64(len(missing)+1)
-				if need > probe {
-					probe = need
-					if probe > maxProbe {
-						probe = maxProbe
-					}
-				}
-			}
-			continue
-		}
-		if !pending && silent < silentBudget {
-			// No evidence at all: the round has almost certainly not
-			// started (an upstream round or repair is holding the
-			// collective), rather than every fragment having been lost.
-			// Stay silent — for as many expiries as the full-resend an
-			// empty NACK would provoke costs fragments — so the request
-			// cannot race data that is about to arrive anyway. A genuine
-			// total loss still repairs, a few probe periods late.
-			silent++
-			backoff()
-			continue
+				c.Rank(), sender, requests)
 		}
 		var req []byte
-		if pending {
+		if partial {
 			req = transport.EncodeRepairReq(msgID, missing)
 		}
+		cc.TraceEvent("send.nack", now-since)
 		if err := cc.Send(sender, phaseNack, req, transport.ClassNack, false); err != nil {
 			return transport.Message{}, err
 		}
 		requests++
-		backoff()
+		now = c.Now()
+		if partial {
+			askDue, askWait = now+askWait, double(askWait)
+		} else {
+			since = now
+			emptyDue, emptyWait = now+emptyWait, double(emptyWait)
+		}
 	}
 }
 

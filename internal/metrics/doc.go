@@ -38,6 +38,9 @@
 //	                                         srtt delta: rising ⇒ queues building
 //	mcast_stream_window{rank,peer}           unacked messages in flight
 //	mcast_stream_retransmits{rank}           meter: retransmitted fragments
+//	mcast_stream_confirm_credit{rank}        gauge: messages the endpoint will
+//	                                         still send confirmed (0: it sees
+//	                                         no evidence of loss)
 //	mcast_nic_delivered_bytes{rank}          meter: payload bytes handed up
 //	mcast_nic_delivered_frames{rank}         meter: frames handed up
 //	mcast_nic_pause_stalls{rank}             counter: sends stalled on PAUSE

@@ -230,13 +230,14 @@ func (cc CollCtx) LastMulticastID() uint64 {
 }
 
 // MissingFrom reports the newest partially reassembled multicast from
-// communicator rank src at this rank's device: its message id and the
-// missing fragment indexes. ok=false when nothing is pending or the
-// device does not expose reassembly state.
-func (cc CollCtx) MissingFrom(src int) (msgID uint64, missing []int, ok bool) {
+// communicator rank src at this rank's device: its message id, the
+// missing fragment indexes and when what it holds arrived, on the device
+// clock. ok=false when nothing is pending or the device does not expose
+// reassembly state.
+func (cc CollCtx) MissingFrom(src int) (msgID uint64, missing []int, seen transport.Arrivals, ok bool) {
 	fr := cc.c.rt.fr
 	if fr == nil || src < 0 || src >= cc.c.Size() {
-		return 0, nil, false
+		return 0, nil, transport.Arrivals{}, false
 	}
 	return fr.PendingFrom(cc.c.group[src])
 }

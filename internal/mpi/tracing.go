@@ -130,16 +130,17 @@ func (cc CollCtx) TraceEvent(name string, arg int64) {
 // sendEventName maps a protocol message class to the instant-event name
 // recorded when CollCtx sends it. Indexed by class so the lookup costs
 // nothing; data sends are spanned by their phases instead of flooding
-// the log with one instant per chunk.
+// the log with one instant per chunk, and a repair request is recorded by
+// the receiver that decided on it ("send.nack", with the silence it
+// waited out as argument — what this layer cannot know).
 var sendEventName = [...]string{
 	transport.ClassScout:   "send.scout",
 	transport.ClassAck:     "send.ack",
-	transport.ClassNack:    "send.nack",
 	transport.ClassControl: "send.release",
 }
 
-// traceSend records the protocol-salient sends (scout, ack, NACK,
-// release) as instants with the payload size as argument.
+// traceSend records the protocol-salient sends (scout, ack, release) as
+// instants with the payload size as argument.
 func (cc CollCtx) traceSend(class transport.Class, bytes int) {
 	r := cc.c.rt.rec
 	if r == nil {

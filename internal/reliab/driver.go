@@ -27,8 +27,8 @@ type Host struct {
 	// reassembled message (the transport's reassembler owns that state).
 	Missing func(src int, msgID uint64) []int
 	Stats   *StatCounters     // may be shared by every endpoint of a network
-	Trace   *trace.Recorder   // stream.probe / stream.retransmit instants; nil-safe
-	Metrics *metrics.Registry // nil: no stream gauges or retransmit meter
+	Trace   *trace.Recorder   // stream.probe / stream.retransmit / stream.lossy instants; nil-safe
+	Metrics *metrics.Registry // nil: no stream gauges, credit gauge or retransmit meter
 }
 
 // Step is what one driver call asks of the transport, carried out in
@@ -84,13 +84,42 @@ type Driver struct {
 	recv    []*recvPeer
 	err     error // sticky: the first stream to exhaust MaxProbes
 	stopped bool
+	// credit is how many more messages this endpoint sends confirmed: with
+	// a probe right behind each (Sent), because the network was seen to
+	// lose frames (LossSeen). Zero — always, where nothing is ever lost —
+	// is the silent sender the paper's wire was measured with.
+	credit      int
+	creditGauge *metrics.Gauge
 }
 
 // NewDriver returns the stream driver of endpoint h.Rank.
 func NewDriver(h Host) *Driver {
+	rank := strconv.Itoa(h.Rank)
 	return &Driver{h: h, send: make([]*sendPeer, h.Size), recv: make([]*recvPeer, h.Size),
-		retransmits: h.Metrics.Meter(
-			metrics.Labeled("mcast_stream_retransmits", "rank", strconv.Itoa(h.Rank)), metrics.DefaultMeterTau)}
+		retransmits: h.Metrics.Meter(metrics.Labeled("mcast_stream_retransmits", "rank", rank), metrics.DefaultMeterTau),
+		creditGauge: h.Metrics.Gauge(metrics.Labeled("mcast_stream_confirm_credit", "rank", rank))}
+}
+
+// LossSeen tells the driver the network is losing frames right now: a
+// fragment flagged transport.Fragment.Repair arrived (the transport calls
+// this, after its loss injection — someone in earshot had to send a frame
+// twice), an ack called for a retransmission, or a duplicate stream
+// fragment came in (the driver calls it itself). The endpoint's next
+// Options.RTO/minRTO messages are then sent confirmed (see Sent) — as many
+// floor-length round trips as one configured timeout is worth, so
+// confirming can never cost more wire time than the timeouts it replaces
+// would have cost waiting — and every further sighting refills the credit
+// to that, never beyond.
+func (d *Driver) LossSeen(now int64) {
+	if d.credit == 0 {
+		d.h.Trace.Event(d.h.Rank, now, "stream.lossy", 0)
+	}
+	d.setCredit(max(1, int(d.h.Options.RTO/minRTO)))
+}
+
+func (d *Driver) setCredit(n int) {
+	d.credit = n
+	d.creditGauge.Set(float64(n))
 }
 
 func (d *Driver) valid(rank int) bool { return rank >= 0 && rank < d.h.Size }
@@ -141,6 +170,7 @@ type StreamState struct {
 	RTO        int64 // current probe timeout, measured and backed off
 	InFlight   int   // unacknowledged messages
 	Soliciting bool  // a window probe is unanswered
+	Confirming int   // messages the endpoint will still send confirmed (its credit, the same on every stream)
 }
 
 // Streams reports the state of every send stream that was ever used.
@@ -148,7 +178,8 @@ func (d *Driver) Streams() []StreamState {
 	var out []StreamState
 	for peer, sp := range d.send {
 		if sp != nil {
-			out = append(out, StreamState{Peer: peer, RTO: sp.ss.RTO(), InFlight: sp.ss.InFlight(), Soliciting: sp.ss.Soliciting()})
+			out = append(out, StreamState{Peer: peer, RTO: sp.ss.RTO(), InFlight: sp.ss.InFlight(),
+				Soliciting: sp.ss.Soliciting(), Confirming: d.credit})
 		}
 	}
 	return out
@@ -181,13 +212,26 @@ func (d *Driver) Begin(dst int, m transport.Message, msgID uint64) (frags []tran
 
 // Sent records that seq's fragments reached the device: only now is the
 // message probeable (a probe fired while the host was still paying the
-// send cost must not cover it), and the silence period restarts.
+// send cost must not cover it), and the silence period restarts. While the
+// endpoint holds credit (LossSeen) the message is confirmed: a probe goes
+// out right behind it, so if it — a scout, an ack, a repair request — was
+// lost, the answer says so one round trip later and not one timeout later.
+// The timeout probe stays armed behind it either way.
 func (d *Driver) Sent(now int64, dst int, seq uint32) Step {
 	sp := d.send[dst]
 	sp.ss.MarkSent(seq)
 	sp.mg.SetWindow(sp.ss.InFlight())
 	sp.lastActivity = now
-	return Step{Arm: d.arm(now, sp, now+sp.ss.RTO())}
+	st := Step{Arm: d.arm(now, sp, now+sp.ss.RTO())}
+	if d.credit > 0 && !d.stopped && !sp.failed {
+		d.setCredit(d.credit - 1)
+		d.h.Stats.ConfirmsSent.Add(1)
+		st.Ctl = d.probe(now, dst, sp.ss.Confirm(now))
+		if d.credit == 0 {
+			d.h.Trace.Event(d.h.Rank, now, "stream.quiet", int64(dst))
+		}
+	}
+	return st
 }
 
 // Stall runs when admission of a message for dst blocks. A window that is
@@ -302,11 +346,21 @@ func (d *Driver) OnCtl(now int64, src int, body []byte) Step {
 		sp.lastActivity = now
 	}
 	st := Step{Acked: true, Resend: resend, Freed: freed}
-	for _, r := range resend {
+	for i, r := range resend {
 		n := int64(len(r.Frags))
 		d.h.Stats.Retransmits.Add(n)
 		d.retransmits.Mark(now, n)
 		d.h.Trace.Event(d.h.Rank, now, "stream.retransmit", n)
+		// The wire gets flagged copies; the window keeps the originals.
+		flagged := make([]transport.Fragment, len(r.Frags))
+		for j, f := range r.Frags {
+			f.Repair = true
+			flagged[j] = f
+		}
+		resend[i].Frags = flagged
+	}
+	if len(resend) > 0 {
+		d.LossSeen(now)
 	}
 	// Retransmissions need a timer behind them, and a pending one may now
 	// be due long after the timeout this ack measured.
@@ -357,6 +411,7 @@ func (d *Driver) Fresh(now int64, src int, seq uint32, msgID uint64) (fresh bool
 		return true, nil
 	}
 	d.h.Stats.DupFragments.Add(1)
+	d.LossSeen(now) // the sender is retransmitting
 	return false, d.ack(now, src, rp, 0)
 }
 

@@ -13,10 +13,11 @@ import (
 // The model: two drivers joined by an in-memory channel on a fake clock.
 // A program — fuzz bytes, or a seeded random string of them — admits
 // messages, blocks senders on a full window, delivers, drops, duplicates
-// and reorders the frames in flight, pings, and lets time pass; the
-// harness plays the transport (it carries out every Step exactly as
-// simnet and udpnet do) and checks the stream's invariants after every
-// action. A lossless closing phase then proves eventual delivery.
+// and reorders the frames in flight, pings, shows an end a repair-flagged
+// fragment from elsewhere in the world, and lets time pass; the harness
+// plays the transport (it carries out every Step exactly as simnet and
+// udpnet do) and checks the stream's invariants after every action. A
+// lossless closing phase then proves eventual delivery.
 
 const (
 	modelWindow = 4
@@ -30,8 +31,20 @@ type frame struct {
 	f  transport.Fragment
 }
 
+// probeKind is why a probe went out: the stream was silent for its
+// timeout, a sender found the window full, or the message just sent is
+// being confirmed because the endpoint saw evidence of loss.
+type probeKind int
+
+const (
+	timeoutProbe probeKind = iota
+	windowProbe
+	confirmProbe
+)
+
 type probeRec struct {
 	at      int64 // when the probe went out
+	kind    probeKind
 	sampled bool
 }
 
@@ -66,6 +79,7 @@ type end struct {
 	// stall solicited (0: none).
 	answered, windowProbe uint32
 	silent                int   // timeout probes sent since the last ack was consumed
+	credit                int   // messages the driver must still confirm: what the evidence shown to it bought, less what it spent
 	lastVol               int64 // time of the last volunteer ack (-1: none yet)
 	volGap                int64 // the throttle in force since then
 	prevProbes            int   // the send stream's back-off state at the previous check
@@ -123,9 +137,17 @@ func (w *world) ctl(e *end, body []byte, volunteer bool) {
 	w.wire = append(w.wire, frame{to: 1 - e.rank, f: CtlFrame(e.rank, e.msgID, body)})
 }
 
-// apply carries out a Step in the documented order; stall marks the Step
-// of a blocked admission, whose probe is the window probe.
-func (w *world) apply(e *end, st Step, stall bool) {
+// budget is the credit one sighting of loss buys: as many floor-length
+// round trips as one configured timeout is worth.
+func (w *world) budget() int { return max(1, int(w.opts.RTO/minRTO)) }
+
+// evidence records that e's driver was shown, or found, evidence of loss.
+func (w *world) evidence(e *end) { e.credit = w.budget() }
+
+// apply carries out a Step in the documented order; kind says what a probe
+// in it is: a blocked admission's is the window probe, Sent's confirms the
+// message, any other was sent by the timer.
+func (w *world) apply(e *end, st Step, kind probeKind) {
 	if st.Err != nil {
 		if e.failure != nil {
 			w.fail("rank %d: stream failure reported twice", e.rank)
@@ -134,21 +156,30 @@ func (w *world) apply(e *end, st Step, stall bool) {
 	}
 	if st.Ctl != nil {
 		if a, probe, _ := DecodeCtl(st.Ctl); probe {
-			e.probes[a.Nonce] = &probeRec{at: w.now}
+			e.probes[a.Nonce] = &probeRec{at: w.now, kind: kind}
 			e.issued = a.Nonce
-			if stall {
+			switch kind {
+			case windowProbe:
 				if e.windowProbe != 0 {
 					w.fail("rank %d solicited window credit (nonce %d) while its window probe %d is unanswered", e.rank, a.Nonce, e.windowProbe)
 				}
 				e.windowProbe = a.Nonce
-			} else if e.silent++; e.silent > w.opts.MaxProbes {
-				w.fail("rank %d sent %d timeout probes with no ack in between, MaxProbes is %d", e.rank, e.silent, w.opts.MaxProbes)
+			case timeoutProbe:
+				if e.silent++; e.silent > w.opts.MaxProbes {
+					w.fail("rank %d sent %d timeout probes with no ack in between, MaxProbes is %d", e.rank, e.silent, w.opts.MaxProbes)
+				}
 			}
+		} else if kind == confirmProbe {
+			w.fail("rank %d: Sent returned a control body that is no probe", e.rank)
 		}
 		w.ctl(e, st.Ctl, false)
 	}
 	for _, r := range st.Resend {
 		for _, f := range r.Frags {
+			// A retransmission says so on the wire, and only there.
+			if !f.Repair {
+				w.fail("rank %d resent a fragment of seq %d without the repair flag", e.rank, r.Seq)
+			}
 			w.wire = append(w.wire, frame{to: 1 - e.rank, f: f})
 		}
 	}
@@ -186,7 +217,7 @@ func (w *world) send(e *end, nfrags int, reliable, block bool) {
 	}
 	if block && e.d.Full(peer) && len(e.blocked) < 2*modelWindow {
 		e.blocked = append(e.blocked, blockedSend{nfrags, reliable})
-		w.apply(e, e.d.Stall(w.now, peer), true)
+		w.apply(e, e.d.Stall(w.now, peer), windowProbe)
 	}
 }
 
@@ -204,22 +235,48 @@ func (w *world) admit(e *end, m blockedSend) {
 	e.admitted[string(payload)] = true
 	e.nfrags[seq] = m.nfrags
 	for _, f := range frags {
+		if f.Repair {
+			w.fail("rank %d: a first transmission of seq %d carries the repair flag", e.rank, seq)
+		}
 		w.wire = append(w.wire, frame{to: peer, f: f})
 	}
 	e.lastTx[seq] = e.issued
-	w.apply(e, e.d.Sent(w.now, peer, seq), false)
+	// Sent confirms the message — one probe right behind it, which spends
+	// one credit, no MaxProbes budget and backs nothing off — exactly while
+	// evidence of loss has bought credit, and is silent otherwise.
+	ss := e.d.send[peer].ss
+	probes, rto := ss.probes, ss.RTO()
+	st := e.d.Sent(w.now, peer, seq)
+	switch confirmed := st.Ctl != nil; {
+	case confirmed && e.credit == 0:
+		w.fail("rank %d confirmed seq %d without evidence of loss", e.rank, seq)
+	case !confirmed && e.credit > 0:
+		w.fail("rank %d sent seq %d unconfirmed with %d credit left", e.rank, seq, e.credit)
+	case confirmed:
+		e.credit--
+		if ss.probes != probes || ss.RTO() != rto {
+			w.fail("rank %d: confirming seq %d moved the timeout budget (%d -> %d probes) or the timeout (%d -> %dns)",
+				e.rank, seq, probes, ss.probes, rto, ss.RTO())
+		}
+	}
+	w.apply(e, st, confirmProbe)
 }
 
 // recv plays the transport's receive path for one frame arriving at its
 // destination.
 func (w *world) recv(fr frame) {
 	e, src, f := w.ends[fr.to], fr.f.Msg.Src, fr.f
+	if f.Repair {
+		e.d.LossSeen(w.now)
+		w.evidence(e)
+	}
 	if f.Ctl {
 		w.onCtl(e, src, f.Msg.Payload)
 		return
 	}
 	fresh, ack := e.d.Fresh(w.now, src, f.Stream, f.MsgID)
 	if !fresh {
+		w.evidence(e) // a duplicate: the sender is retransmitting
 		w.ctl(e, ack, true)
 		return
 	}
@@ -253,15 +310,31 @@ func (w *world) onCtl(e *end, src int, body []byte) {
 		}
 		return 0
 	}
-	before := samples()
+	idle := func() int64 {
+		if sp := e.d.send[src]; sp != nil {
+			return sp.ss.idle
+		}
+		return 0
+	}
+	before, idleBefore := samples(), idle()
 	st := e.d.OnCtl(w.now, src, body)
 	ack, probe, err := DecodeCtl(body)
 	if err != nil || probe {
-		w.apply(e, st, false)
+		w.apply(e, st, timeoutProbe)
 		return
 	}
 	e.silent = 0
 	rec := e.probes[ack.Nonce]
+	if len(st.Resend) > 0 {
+		w.evidence(e) // the ack called for a retransmission
+	}
+	// Only a timeout probe that found nothing lost teaches the stream to
+	// tolerate more silence; a window or confirming probe cut no silence
+	// short, whatever its answer says.
+	if idle() > idleBefore && (rec == nil || rec.kind != timeoutProbe || ack.Nonce <= e.answered) {
+		w.fail("rank %d learned idleness (%d -> %dns) from ack nonce %d, which answers no outstanding timeout probe (record %+v)",
+			e.rank, idleBefore, idle(), ack.Nonce, rec)
+	}
 	if took := samples() - before; took != 0 {
 		// Karn: a sample pairs one probe transmission with its own echo —
 		// never a ping, an unknown nonce, or a probe sampled already.
@@ -302,7 +375,7 @@ func (w *world) onCtl(e *end, src int, body []byte) {
 			w.fail("rank %d resent seq %d whole on an ack (nonce %d) that answers no outstanding probe", e.rank, r.Seq, ack.Nonce)
 		}
 	}
-	w.apply(e, st, false)
+	w.apply(e, st, timeoutProbe)
 }
 
 // fire runs e's pending probe timer, advancing the clock to it if needed.
@@ -316,7 +389,7 @@ func (w *world) fire(e *end) {
 	w.now = max(w.now, due)
 	w.fireReplaced(e, due-1)
 	e.timerAt = 0
-	w.apply(e, e.d.OnTimer(w.now, 1-e.rank), false)
+	w.apply(e, e.d.OnTimer(w.now, 1-e.rank), timeoutProbe)
 	w.fireReplaced(e, w.now)
 }
 
@@ -364,9 +437,22 @@ func (w *world) check() {
 			w.fail("rank %d: Err() is %v, the failing Step reported %v: the error must appear once and stick",
 				e.rank, e.d.Err(), e.failure)
 		}
+		// Credit is what the evidence shown bought, one spent per
+		// confirmed message, never above one sighting's worth.
+		if e.d.credit != e.credit || e.credit > w.budget() {
+			w.fail("rank %d holds %d credit, the evidence it saw and the messages it confirmed leave %d (one sighting buys %d)",
+				e.rank, e.d.credit, e.credit, w.budget())
+		}
 		sp := e.d.send[1-e.rank]
 		if sp == nil {
 			continue
+		}
+		for seq, om := range sp.ss.unacked {
+			for _, f := range om.frags {
+				if f.Repair {
+					w.fail("rank %d: the window's copy of seq %d carries the repair flag: its next first transmission would lie", e.rank, seq)
+				}
+			}
 		}
 		// The stream's clock: the configured timeout until a round trip
 		// was measured, then within [floor, configured] and never below
@@ -422,6 +508,11 @@ func (w *world) run(prog []byte) {
 				w.fire(first)
 			}
 		case 7:
+			if arg&0x80 != 0 { // a repair-flagged fragment of somebody else's arrives
+				e.d.LossSeen(w.now)
+				w.evidence(e)
+				break
+			}
 			probe, _ := e.d.Ping(1 - e.rank)
 			w.ctl(e, probe, false)
 		}
@@ -488,6 +579,7 @@ func TestDriverModelSeeded(t *testing.T) {
 func FuzzDriverInterleavings(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 5, 0, 2, 0, 2, 0})              // one message, lost, probed back
 	f.Add([]byte{0, 2, 0, 0, 3, 0, 2, 0, 6, 80, 2, 0, 2, 0}) // gap, volunteer ack, selective repair
+	f.Add([]byte{7, 0x80, 0, 0, 3, 0, 2, 0, 2, 0, 2, 0})     // evidence; a confirmed message, lost, is back a round trip later
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4096 {
 			t.Skip()
@@ -644,9 +736,9 @@ func TestDriverWindowProbesSpendNoBudget(t *testing.T) {
 	}
 	w.wire = w.wire[:0]
 	for i := 0; i < 3*modelProbes; i++ {
-		w.apply(a, a.d.Stall(w.now, 1), true)
+		w.apply(a, a.d.Stall(w.now, 1), windowProbe)
 		if i == 0 {
-			w.apply(a, a.d.Stall(w.now, 1), true) // a second blocked sender shares the outstanding probe
+			w.apply(a, a.d.Stall(w.now, 1), windowProbe) // a second blocked sender shares the outstanding probe
 		}
 		w.now += 50_000
 		for len(w.wire) > 0 {
@@ -664,6 +756,87 @@ func TestDriverWindowProbesSpendNoBudget(t *testing.T) {
 	}
 	if got := a.stats.ProbesSent.Load(); got != 3*modelProbes {
 		t.Fatalf("%d probes for %d answered stalls", got, 3*modelProbes)
+	}
+}
+
+// TestDriverConfirmedSendIsRepairedInARoundTrip: once the endpoint has
+// seen the network lose a frame, a lost message — a scout, say — is back
+// on the wire one round trip after it was sent, on the word of the probe
+// that went out right behind it, flagged as the retransmission it is; no
+// timer fires. Evidence buys one configured timeout's worth of
+// floor-length round trips, however often it is seen, and once that is
+// spent without more of it the sender is as silent as it was before.
+func TestDriverConfirmedSendIsRepairedInARoundTrip(t *testing.T) {
+	w := newWorld(t)
+	a, b := w.ends[0], w.ends[1]
+	w.send(a, 1, false, false)
+	if len(w.wire) != 1 {
+		t.Fatalf("without evidence a send put %d frames on the wire, want the message alone", len(w.wire))
+	}
+	w.drain()
+	for i := 0; i < 3; i++ {
+		a.d.LossSeen(w.now) // a repair-flagged fragment of somebody else's multicast, three times over
+		w.evidence(a)
+	}
+	w.check()
+	sentAt := w.now
+	w.send(a, 1, false, false)
+	w.wire = w.wire[1:] // the message is lost, the probe behind it is not
+	w.now += 50_000
+	w.drain()
+	w.check()
+	if len(b.delivered) != 2 || a.stats.Retransmits.Load() != 1 || a.d.InFlight(1) != 1 {
+		t.Fatalf("a round trip after a confirmed send was lost: %d of 2 messages delivered, %d retransmits, %d still in flight (the first message's tail)",
+			len(b.delivered), a.stats.Retransmits.Load(), a.d.InFlight(1))
+	}
+	if a.timerAt == 0 || a.timerAt <= w.now || w.now-sentAt >= modelRTO {
+		t.Fatalf("the repair waited for the probe timer (now %d, sent %d, timer due %d)", w.now, sentAt, a.timerAt)
+	}
+	if b.credit != w.budget() {
+		t.Fatal("the retransmission did not tell its receiver that the network loses frames")
+	}
+	// The ack that called for the retransmission was evidence too and made
+	// the credit whole again: one message each, then silence.
+	for i := 0; a.credit > 0; i++ {
+		if i > w.budget() {
+			t.Fatalf("credit never ran out: %d left after %d confirmed messages", a.credit, i)
+		}
+		w.send(a, 1, false, false)
+		w.now += 50_000
+		w.drain()
+		w.check()
+	}
+	before := a.stats.Snapshot()
+	w.send(a, 1, false, false)
+	w.check()
+	if got := a.stats.Snapshot(); got.ProbesSent != before.ProbesSent || got.ConfirmsSent != int64(1+w.budget()) {
+		t.Fatalf("with the credit spent a send still probed: %+v, then %+v (one sighting buys %d)", before, got, w.budget())
+	}
+}
+
+// TestDriverConfirmingAnswerTeachesNoIdleness: with several confirming
+// probes in flight, the answer to an earlier one — which finds everything
+// it covered delivered, as a needless timeout probe's does — must not
+// double the silence the stream tolerates. Comparing the echoed nonce
+// against the last window probe's (the rule before there were confirming
+// probes) takes it for exactly that.
+func TestDriverConfirmingAnswerTeachesNoIdleness(t *testing.T) {
+	w := newWorld(t)
+	a := w.ends[0]
+	w.measure(100_000)
+	ss := a.d.send[1].ss
+	idle, rto := ss.idle, ss.RTO()
+	a.d.LossSeen(w.now)
+	w.evidence(a)
+	for i := 0; i < 3; i++ {
+		w.send(a, 1, false, false)
+	}
+	w.now += 100_000
+	w.drain()
+	w.check()
+	if ss.idle != idle || ss.RTO() != rto || a.stats.ConfirmsSent.Load() != 3 {
+		t.Fatalf("three answered confirming probes (%d counted) moved the stream's clock: idle %d -> %dns, RTO %d -> %dns",
+			a.stats.ConfirmsSent.Load(), idle, ss.idle, rto, ss.RTO())
 	}
 }
 

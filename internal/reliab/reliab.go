@@ -46,6 +46,23 @@
 //     instead of an RTO. Such ACKs are throttled on the same measured
 //     clock.
 //
+//   - Silence is for a network that delivers. A stream that sends one
+//     scout per collective has no later message to expose a gap and, in a
+//     short run, no round-trip sample when its first loss comes: a lost
+//     scout waits the configured timeout. So the sender also acts on
+//     evidence that frames are being lost right now. Every retransmission
+//     — a stream resend, a multicast repair, which the whole group hears
+//     — carries a flag bit in its header (transport.Fragment.Repair); an
+//     endpoint that receives one, whose acks call for one, or that
+//     receives a duplicate has seen the evidence (Driver.LossSeen), and
+//     it buys Options.RTO/minRTO confirmed messages: each goes out with a
+//     probe right behind it, answered within a round trip, which also is
+//     a round-trip sample. Evidence refills that credit, never beyond it;
+//     spent without more evidence, the endpoint is silent again. No
+//     estimator is shared between streams and no timeout is shortened: an
+//     endpoint that never sees evidence sends, frame for frame, what it
+//     would send without this rule.
+//
 // The package holds the protocol state machines (SendStream, RecvStream),
 // the control wire format, and the Driver that runs every stream of one
 // endpoint: all protocol decisions — when to probe, what counts as
@@ -54,9 +71,10 @@
 // timer and writes no frame. Its transport serializes calls into it and
 // passes the current time (virtual-time events on the engine's one thread
 // in simnet; a mutex and the wall clock in udpnet), tells it when a send
-// blocks on the window (Stall), supplies at construction its fragment
-// size, its reassembler's missing-fragment lookup and where to count
-// (Host), and carries out each returned Step in field order: wake
+// blocks on the window (Stall) and when a repair-flagged fragment arrives
+// (LossSeen), supplies at construction its fragment size, its
+// reassembler's missing-fragment lookup and where to count (Host), and
+// carries out each returned Step in field order: wake
 // liveness waiters, write the control frame and the retransmissions, arm
 // the peer's one-shot probe timer, wake senders blocked on the window.
 package reliab
@@ -104,8 +122,12 @@ type Options struct {
 // frames at all and the paper's latency comparisons are undisturbed (a
 // probe that fires mid-collective on a shared hub collides with the data
 // it is probing for). It is also all the tuning there is: once a round
-// trip is measured the stream repairs at that speed, so lossy runs need
-// no tighter value configured.
+// trip is measured the stream repairs at that speed, and an endpoint
+// that sees the network lose frames confirms its sends instead of waiting
+// this long (Driver.LossSeen; the credit one sighting buys is this value
+// in units of the 1 ms floor, 25), so lossy runs need no tighter value
+// configured — and a tighter one puts probes inside the window the paper
+// measured.
 func (o Options) Fill() Options {
 	if o.Window <= 0 {
 		o.Window = 32
@@ -132,7 +154,8 @@ const minRTO = 1_000_000
 type Stats struct {
 	MsgsStreamed   int64 // messages sent over streams
 	Retransmits    int64 // data fragments retransmitted
-	ProbesSent     int64 // ack-soliciting probes
+	ProbesSent     int64 // ack-soliciting probes, of every kind
+	ConfirmsSent   int64 // of those, sent right behind a message while the network was seen to lose frames
 	AcksSent       int64 // acknowledgment frames emitted (receiver side)
 	AcksReceived   int64 // acknowledgment frames consumed (sender side)
 	DupFragments   int64 // duplicate stream fragments suppressed
@@ -173,20 +196,26 @@ type SendStream struct {
 	// late is as stale as an unsolicited ack. solicited is the last nonce
 	// Solicit issued.
 	nonce, answered, solicited uint32
-	// probeAt records each outstanding probe's transmit time (clock
-	// nanoseconds) so the ack echoing its nonce yields a round-trip
-	// sample; rtt folds those samples into the live congestion
-	// observables (smoothed RTT, variance, floor, gradient).
-	probeAt map[uint32]int64
-	rtt     RTT
+	// sent records each outstanding probe: its transmit time, so the ack
+	// echoing its nonce yields a round-trip sample that rtt folds into the
+	// live congestion observables (smoothed RTT, variance, floor,
+	// gradient), and whether a timeout sent it.
+	sent map[uint32]sentProbe
+	rtt  RTT
 	// idle is the silence the stream has learned to tolerate beyond what
 	// the estimator asks for (see measuredRTO).
 	idle int64
 }
 
+// sentProbe is one outstanding probe.
+type sentProbe struct {
+	at      int64 // clock nanoseconds; 0: no timestamp, the echo is no sample
+	timeout bool  // sent by OnProbeAt because the stream was silent for RTO
+}
+
 // NewSendStream returns an empty stream under o (which must be filled).
 func NewSendStream(o Options) *SendStream {
-	return &SendStream{opts: o, unacked: make(map[uint32]*outMsg), rto: o.RTO, probeAt: make(map[uint32]int64)}
+	return &SendStream{opts: o, unacked: make(map[uint32]*outMsg), rto: o.RTO, sent: make(map[uint32]sentProbe)}
 }
 
 // Full reports whether the send window has no room for another message.
@@ -260,7 +289,7 @@ func (s *SendStream) OnProbeAt(now int64) (nonce uint32, ok bool) {
 		return 0, false
 	}
 	s.rto = min(2*s.rto, s.opts.RTO<<8)
-	return s.probe(now), true
+	return s.probe(now, true), true
 }
 
 // Solicit records a probe sent at now because the window is full: the
@@ -272,19 +301,26 @@ func (s *SendStream) Solicit(now int64) (nonce uint32, ok bool) {
 	if s.Soliciting() {
 		return 0, false
 	}
-	s.solicited = s.probe(now)
+	s.solicited = s.probe(now, false)
 	return s.solicited, true
 }
+
+// Confirm records a probe sent at now right behind a message, because
+// the network was seen to lose frames and the sender wants to hear within
+// a round trip, not a timeout, whether this one arrived. Like a window
+// probe it spends no MaxProbes budget, backs nothing off and its echo is a
+// round-trip sample; unlike one it goes out per message, because an ack
+// licenses a whole resend only when its probe left after the message did
+// (outMsg.since).
+func (s *SendStream) Confirm(now int64) (nonce uint32) { return s.probe(now, false) }
 
 // Soliciting reports whether a Solicit probe is unanswered: neither its
 // own ack nor a newer probe's has arrived.
 func (s *SendStream) Soliciting() bool { return s.solicited > s.answered }
 
-func (s *SendStream) probe(now int64) uint32 {
+func (s *SendStream) probe(now int64, timeout bool) uint32 {
 	s.nonce++
-	if now > 0 {
-		s.probeAt[s.nonce] = now
-	}
+	s.sent[s.nonce] = sentProbe{at: max(now, 0), timeout: timeout}
 	return s.nonce
 }
 
@@ -321,8 +357,9 @@ type Resend struct {
 // after the probe, or already resent on an earlier answer race the ack on
 // the wire, and resending them on its word would be pure duplication.
 func (s *SendStream) HandleAckAt(now int64, a Ack) (resend []Resend, freed bool, rtt int64) {
-	if t, ok := s.probeAt[a.Nonce]; ok && now > t {
-		rtt = now - t
+	asked := s.sent[a.Nonce]
+	if asked.at > 0 && now > asked.at {
+		rtt = now - asked.at
 		s.rtt.Observe(rtt)
 	}
 	progress := false
@@ -350,9 +387,9 @@ func (s *SendStream) HandleAckAt(now int64, a Ack) (resend []Resend, freed bool,
 		// This probe is answered — its round trip is spent whether or not
 		// it produced a sample — and older probes' answers are now stale.
 		s.answered = a.Nonce
-		for n := range s.probeAt {
+		for n := range s.sent {
 			if n <= a.Nonce {
-				delete(s.probeAt, n)
+				delete(s.sent, n)
 			}
 		}
 	}
@@ -399,7 +436,7 @@ func (s *SendStream) HandleAckAt(now int64, a Ack) (resend []Resend, freed bool,
 	switch {
 	case len(resend) > 0:
 		s.idle = 0
-	case probed && a.Nonce != s.solicited && len(seqs) == 0:
+	case probed && asked.timeout && len(seqs) == 0:
 		s.idle = min(2*s.measuredRTO(), s.opts.RTO)
 	}
 	if progress {

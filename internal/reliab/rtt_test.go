@@ -85,15 +85,15 @@ func TestProbeAckRTTSample(t *testing.T) {
 	}
 	// A ping-style nonce the send stream never issued yields no sample
 	// (the failure detector's liveness probes use a reserved nonce that
-	// never enters probeAt).
+	// is never recorded as sent).
 	if _, _, rtt := s.HandleAckAt(30_000, Ack{Nonce: 0xFFFFFFFF}); rtt != 0 {
 		t.Fatalf("foreign nonce produced rtt %d", rtt)
 	}
 }
 
 // TestAnsweredProbeRetiresTimestamps pins cleanup: an ack answering a
-// newer probe retires every older probe's timestamp, so probeAt cannot
-// grow without bound.
+// newer probe retires every older probe's record, so the set of probes
+// sent cannot grow without bound.
 func TestAnsweredProbeRetiresTimestamps(t *testing.T) {
 	o := Options{}.Fill()
 	s := NewSendStream(o)
@@ -107,13 +107,13 @@ func TestAnsweredProbeRetiresTimestamps(t *testing.T) {
 		}
 		last = n
 	}
-	if len(s.probeAt) != 5 {
-		t.Fatalf("probeAt holds %d entries, want 5", len(s.probeAt))
+	if len(s.sent) != 5 {
+		t.Fatalf("%d probes recorded as sent, want 5", len(s.sent))
 	}
 	s.HandleAckAt(9_999, Ack{Cum: seq, Nonce: last})
-	if len(s.probeAt) != 0 || s.answered != last {
-		t.Fatalf("answered probe must retire older timestamps: probeAt=%d answered=%d",
-			len(s.probeAt), s.answered)
+	if len(s.sent) != 0 || s.answered != last {
+		t.Fatalf("answered probe must retire older timestamps: sent=%d answered=%d",
+			len(s.sent), s.answered)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestZeroTimestampRecordsNoRTTSample(t *testing.T) {
 	if !ok {
 		t.Fatal("probe refused")
 	}
-	if len(s.probeAt) != 0 {
+	if s.sent[nonce].at != 0 {
 		t.Fatal("OnProbeAt(0) must not record a timestamp")
 	}
 	if _, freed, _ := s.HandleAckAt(1_000_000, Ack{Cum: seq, Nonce: nonce}); !freed {

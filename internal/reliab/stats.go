@@ -11,6 +11,7 @@ type StatCounters struct {
 	MsgsStreamed   atomic.Int64
 	Retransmits    atomic.Int64
 	ProbesSent     atomic.Int64
+	ConfirmsSent   atomic.Int64
 	AcksSent       atomic.Int64
 	AcksReceived   atomic.Int64
 	DupFragments   atomic.Int64
@@ -26,6 +27,7 @@ func (c *StatCounters) Snapshot() Stats {
 		MsgsStreamed:   c.MsgsStreamed.Load(),
 		Retransmits:    c.Retransmits.Load(),
 		ProbesSent:     c.ProbesSent.Load(),
+		ConfirmsSent:   c.ConfirmsSent.Load(),
 		AcksSent:       c.AcksSent.Load(),
 		AcksReceived:   c.AcksReceived.Load(),
 		DupFragments:   c.DupFragments.Load(),

@@ -295,6 +295,7 @@ func New(n int, topo Topology, prof Profile) *Network {
 			inbox:   sim.NewQueue[arrived](eng),
 			lossRng: lossRngs[i],
 		}
+		ep.reasm.Clock = ep.Now
 		// Per-NIC telemetry handles, registered eagerly so every family
 		// exists from the first scrape (nil registry → nil no-op handles).
 		rs := strconv.Itoa(i)
@@ -865,23 +866,16 @@ func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uin
 	}
 	m.Kind = transport.Mcast
 	m.Src = ep.rank
-	all := transport.Split(m, msgID, MaxFragPayload)
-	send := all
-	if frags != nil {
-		send = send[:0:0]
-		for _, idx := range frags {
-			if idx < 0 || idx >= len(all) {
-				return fmt.Errorf("simnet: repair names fragment %d of %d", idx, len(all))
-			}
-			send = append(send, all[idx])
-		}
+	send, err := transport.RepairFragments(m, msgID, MaxFragPayload, frags)
+	if err != nil {
+		return err
 	}
 	return ep.transmitFrags(ipnet.GroupAddr(group), m, send)
 }
 
 // PendingFrom implements transport.FragmentRepairer from the endpoint's
 // reassembly state.
-func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, ok bool) {
+func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, seen transport.Arrivals, ok bool) {
 	return ep.reasm.PendingFrom(src)
 }
 
@@ -964,6 +958,12 @@ func (ep *Endpoint) handleDatagram(d ipnet.Datagram) {
 				return
 			}
 		}
+	}
+	if f.Repair {
+		// Someone in earshot put a frame on the wire twice. Only frames
+		// that survived the injection above count: the endpoint learns of
+		// loss from what it hears, never from the injector.
+		ep.streams.LossSeen(ep.Now())
 	}
 	src := f.Msg.Src
 	if f.Ctl {

@@ -22,12 +22,18 @@
 //     "reduce-scatter". Spans nest (a "bcast" op span contains its phase
 //     spans). A SpanEnd may carry a gate: the rank whose message
 //     unblocked the wait, recorded by CollCtx.SpanEndGated.
-//   - Instant: a point event — "send.scout", "send.ack", "send.nack",
-//     "send.release" (Arg: payload bytes), "repair.mcast" (Arg:
-//     fragments resent), "stream.stall" (a send blocked on the window;
-//     Arg: peer), "stream.credit" (an ack made room in a full window;
-//     Arg: peer), "stream.probe" (Arg: peer), "stream.retransmit" (Arg:
-//     fragments), "switch.drop" (Arg: egress port).
+//   - Instant: a point event — "send.scout", "send.ack", "send.release"
+//     (Arg: payload bytes), "send.nack" (a receiver asked for a repair;
+//     Arg: the nanoseconds of silence it waited out first — since the
+//     message's latest fragment, or since it began waiting when nothing
+//     arrived), "repair.mcast" (Arg: fragments resent), "stream.stall" (a
+//     send blocked on the window; Arg: peer), "stream.credit" (an ack
+//     made room in a full window; Arg: peer), "stream.probe" (Arg: peer),
+//     "stream.retransmit" (Arg: fragments), "stream.lossy" (an endpoint
+//     with no credit saw evidence that the network loses frames and
+//     starts confirming its sends), "stream.quiet" (it spent the credit
+//     that evidence bought without seeing more; Arg: the last confirmed
+//     peer), "switch.drop" (Arg: egress port).
 //   - Gauge: a sampled value — "switch.portN.depth" (egress queue
 //     occupancy), "switch.paused" (stations under backpressure), and
 //     "delivered.bytes" (per-rank payload handed up). Fabric-level

@@ -16,7 +16,8 @@ import (
 //	4      1    version (2)
 //	5      1    kind
 //	6      1    class
-//	7      1    flags (bit 0: reliable, bit 1: stream, bit 2: stream control)
+//	7      1    flags (bit 0: reliable, bit 1: stream, bit 2: stream control,
+//	            bit 3: repair)
 //	8      4    comm
 //	12     4    src world rank
 //	16     4    tag (two's complement)
@@ -35,7 +36,11 @@ import (
 // (src, dst) and is delivered exactly once, in stream handling, below the
 // application receive path. A fragment with the stream-control flag set
 // is a protocol frame of that layer (cumulative ACK or ack-soliciting
-// probe) and never surfaces as a message.
+// probe) and never surfaces as a message. The repair flag took a free bit
+// of the flag byte, so the version did not move: it marks a fragment that
+// was put on the wire a second time — a stream retransmission, a
+// multicast repair — which tells everyone who hears it that the network
+// is losing frames (reliab.Driver.LossSeen).
 const (
 	HeaderLen   = 48
 	wireMagic   = 0x4D50494D
@@ -49,6 +54,9 @@ const (
 	// FlagStreamCtl marks a stream protocol frame (ACK or probe); the
 	// payload is a reliab control body, not message data.
 	FlagStreamCtl = 1 << 2
+	// FlagRepair marks a retransmission: never set on a fragment's first
+	// transmission.
+	FlagRepair = 1 << 3
 )
 
 // Fragment is one wire unit of a (possibly multi-fragment) message.
@@ -65,6 +73,9 @@ type Fragment struct {
 	// Ctl marks a stream protocol frame (ACK/probe) whose payload is a
 	// reliab control body rather than message data.
 	Ctl bool
+	// Repair marks a retransmission (FlagRepair). Senders set it on the
+	// copy handed to the wire, never on fragments they keep.
+	Repair bool
 }
 
 // ErrBadPacket reports an undecodable wire packet.
@@ -95,6 +106,9 @@ func AppendFragment(dst []byte, f Fragment) []byte {
 	}
 	if f.Ctl {
 		b[7] |= FlagStreamCtl
+	}
+	if f.Repair {
+		b[7] |= FlagRepair
 	}
 	binary.BigEndian.PutUint32(b[8:12], f.Msg.Comm)
 	binary.BigEndian.PutUint32(b[12:16], uint32(int32(f.Msg.Src)))
@@ -127,6 +141,7 @@ func DecodeFragment(b []byte) (Fragment, error) {
 	f.Msg.Class = Class(b[6])
 	f.Msg.Reliable = b[7]&flagReliable != 0
 	f.Ctl = b[7]&FlagStreamCtl != 0
+	f.Repair = b[7]&FlagRepair != 0
 	f.Msg.Comm = binary.BigEndian.Uint32(b[8:12])
 	f.Msg.Src = int(int32(binary.BigEndian.Uint32(b[12:16])))
 	f.Msg.Tag = int32(binary.BigEndian.Uint32(b[16:20]))
@@ -184,6 +199,29 @@ func Split(m Message, msgID uint64, maxPayload int) []Fragment {
 		})
 	}
 	return frags
+}
+
+// RepairFragments returns the fragments of m, as Split cuts them under
+// msgID, that a repair puts back on the wire: the ones frags names, or all
+// of them when frags is nil. Each is flagged Repair — this is the one
+// place a multicast retransmission is marked, as reliab.Driver is for a
+// stream's.
+func RepairFragments(m Message, msgID uint64, maxPayload int, frags []int) ([]Fragment, error) {
+	send := Split(m, msgID, maxPayload)
+	if frags != nil {
+		all := send
+		send = make([]Fragment, 0, len(frags))
+		for _, idx := range frags {
+			if idx < 0 || idx >= len(all) {
+				return nil, fmt.Errorf("transport: repair names fragment %d of %d", idx, len(all))
+			}
+			send = append(send, all[idx])
+		}
+	}
+	for i := range send {
+		send[i].Repair = true
+	}
+	return send, nil
 }
 
 // SliceGroup derives the multicast group id of one destination slice of
@@ -299,6 +337,12 @@ func DecodeRepairReq(b []byte) (msgID uint64, missing []int, err error) {
 // socket on its own goroutine) and must not rely on this suppression.
 // The zero value is ready to use.
 type Reassembler struct {
+	// Clock, when non-nil, is read once per fragment that adds to a
+	// partial multicast, so the partial carries its arrival times
+	// (Arrivals). The owner sets it once, before the first Add; without
+	// it the times read zero and everything else works the same.
+	Clock func() int64
+
 	pending   map[reasmKey]*reasmState
 	mcastDone map[int]uint64 // per-src highest completed multi-fragment mcast id
 }
@@ -309,11 +353,31 @@ type reasmKey struct {
 }
 
 type reasmState struct {
-	buf      []byte
-	got      []bool
-	received int
-	count    int
-	template Message
+	buf         []byte
+	got         []bool
+	received    int
+	count       int
+	template    Message
+	first, last int64 // Clock at the first and the latest new fragment
+}
+
+// Arrivals is what a reassembler saw of one partial message arriving: how
+// many fragments it holds and when the first and the latest of them came,
+// on the owner's clock. A receiver-driven repair protocol reads the wire's
+// own pace from it: a message whose fragments come every Gap and that has
+// been silent for several of them is not in flight any more.
+type Arrivals struct {
+	Got         int
+	First, Last int64
+}
+
+// Gap is the mean time between the arrivals seen, or 0 while fewer than
+// two fragments (or no clock) make one measurable.
+func (a Arrivals) Gap() int64 {
+	if a.Got < 2 {
+		return 0
+	}
+	return (a.Last - a.First) / int64(a.Got-1)
 }
 
 // Add incorporates one fragment. If it completes a message, the message
@@ -352,6 +416,12 @@ func (r *Reassembler) Add(f Fragment) (m Message, done bool, err error) {
 	st.got[f.Index] = true
 	st.received++
 	if st.received < st.count {
+		if r.Clock != nil && f.Msg.Kind == Mcast { // PendingFrom, the one reader, reports multicasts only
+			st.last = r.Clock()
+			if st.received == 1 {
+				st.first = st.last
+			}
+		}
 		return m, false, nil
 	}
 	delete(r.pending, key)
@@ -372,25 +442,28 @@ func (r *Reassembler) Add(f Fragment) (m Message, done bool, err error) {
 func (r *Reassembler) Pending() int { return len(r.pending) }
 
 // PendingFrom returns the newest partially reassembled *multicast* from
-// world rank src: its message id and the sorted missing fragment
-// indexes. ok=false means nothing from src is pending. Receiver-driven
-// multicast repair protocols use it to name exactly the fragments a NACK
-// should request; the newest partial is the one belonging to the current
-// protocol round (older ones are stragglers of abandoned messages).
+// world rank src: its message id, the sorted missing fragment indexes and
+// how what it holds arrived. ok=false means nothing from src is pending.
+// Receiver-driven multicast repair protocols use it to name exactly the
+// fragments a NACK should request, and to tell a message that stopped
+// arriving from one still in flight; the newest partial is the one
+// belonging to the current protocol round (older ones are stragglers of
+// abandoned messages).
 // Point-to-point partials are excluded: with the reliable stream layer a
 // p2p message from the same source can legitimately sit half-reassembled
 // (a lost stream fragment awaiting retransmission), and naming its id in
 // a multicast NACK would request repairs for the wrong message.
-func (r *Reassembler) PendingFrom(src int) (msgID uint64, missing []int, ok bool) {
+func (r *Reassembler) PendingFrom(src int) (msgID uint64, missing []int, seen Arrivals, ok bool) {
 	for key, st := range r.pending {
 		if key.src == src && st.template.Kind == Mcast && (!ok || key.msgID > msgID) {
 			msgID, ok = key.msgID, true
+			seen = Arrivals{Got: st.received, First: st.first, Last: st.last}
 		}
 	}
 	if !ok {
-		return 0, nil, false
+		return 0, nil, Arrivals{}, false
 	}
-	return msgID, r.Missing(src, msgID), true
+	return msgID, r.Missing(src, msgID), seen, true
 }
 
 // Missing returns the indexes of fragments not yet received for the

@@ -32,6 +32,61 @@ func TestFragmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRepairFlagRoundTrip: the retransmission mark rides a bit of the
+// flag byte of its own — beside, not instead of, the stream and reliable
+// bits — through both encoders, and is clear unless set.
+func TestRepairFlagRoundTrip(t *testing.T) {
+	for _, in := range []Fragment{
+		{Msg: Message{Kind: Mcast, Payload: []byte("x")}, MsgID: 9, Index: 2, Count: 5, TotalLen: 9, Offset: 4, Repair: true},
+		{Msg: Message{Kind: P2P, Reliable: true}, MsgID: 9, Count: 1, Stream: 4, Repair: true},
+		{Msg: Message{Kind: P2P}, MsgID: 9, Count: 1, Stream: 4},
+	} {
+		for name, b := range map[string][]byte{"encode": EncodeFragment(in), "append": AppendFragment(make([]byte, 3), in)[3:]} {
+			out, err := DecodeFragment(b)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if out.Repair != in.Repair || out.Stream != in.Stream || out.Ctl || out.Msg.Reliable != in.Msg.Reliable {
+				t.Errorf("%s: flags of %+v came back as %+v", name, in, out)
+			}
+			if got := b[7]&FlagRepair != 0; got != in.Repair {
+				t.Errorf("%s: flag byte %#x for Repair=%v", name, b[7], in.Repair)
+			}
+		}
+	}
+	if HeaderLen != 48 || wireVersion != 2 {
+		t.Fatalf("the repair flag must cost no header byte and no version: header %d, version %d", HeaderLen, wireVersion)
+	}
+}
+
+// TestRepairFragments: a repair is the named fragments of the original
+// split (all of them for nil), under the original id, every one flagged;
+// an index the message does not have is an error, not a panic.
+func TestRepairFragments(t *testing.T) {
+	m := Message{Kind: Mcast, Src: 2, Payload: bytes.Repeat([]byte{7}, 2500)}
+	orig := Split(m, 11, 1000)
+	some, err := RepairFragments(m, 11, 1000, []int{2, 0})
+	if err != nil || len(some) != 2 || some[0].Index != 2 || some[1].Index != 0 {
+		t.Fatalf("RepairFragments([2 0]) = %+v, %v", some, err)
+	}
+	all, err := RepairFragments(m, 11, 1000, nil)
+	if err != nil || len(all) != len(orig) {
+		t.Fatalf("RepairFragments(nil) = %d fragments, %v; want %d", len(all), err, len(orig))
+	}
+	for _, f := range append(some, all...) {
+		want := orig[f.Index]
+		want.Repair = true
+		if !f.Repair || f.MsgID != 11 || f.Offset != want.Offset || !bytes.Equal(f.Msg.Payload, want.Msg.Payload) {
+			t.Errorf("repair fragment %d = %+v, want the original, flagged", f.Index, f)
+		}
+	}
+	for _, bad := range [][]int{{3}, {-1}, {0, 65536}} {
+		if _, err := RepairFragments(m, 11, 1000, bad); err == nil {
+			t.Errorf("RepairFragments(%v) of a 3-fragment message succeeded", bad)
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
@@ -342,8 +397,8 @@ func TestReassemblerRepairOfCompletedMessage(t *testing.T) {
 }
 
 func TestReassemblerPendingFrom(t *testing.T) {
-	var r Reassembler
-	if _, _, ok := r.PendingFrom(3); ok {
+	var r Reassembler // no clock: arrival times read zero, the rest works
+	if _, _, _, ok := r.PendingFrom(3); ok {
 		t.Fatal("empty reassembler reports pending state")
 	}
 	older := Split(Message{Kind: Mcast, Src: 3, Payload: make([]byte, 3000)}, 8, 1000)
@@ -354,15 +409,64 @@ func TestReassemblerPendingFrom(t *testing.T) {
 	if _, _, err := r.Add(newer[2]); err != nil {
 		t.Fatal(err)
 	}
-	msgID, missing, ok := r.PendingFrom(3)
+	msgID, missing, seen, ok := r.PendingFrom(3)
 	if !ok || msgID != 9 {
 		t.Fatalf("PendingFrom = %d/%v, want the newest partial (9)", msgID, ok)
 	}
 	if len(missing) != 2 || missing[0] != 0 || missing[1] != 1 {
 		t.Fatalf("missing = %v, want [0 1]", missing)
 	}
-	if _, _, ok := r.PendingFrom(4); ok {
+	if want := (Arrivals{Got: 1}); seen != want || seen.Gap() != 0 {
+		t.Fatalf("arrivals without a clock = %+v, want %+v", seen, want)
+	}
+	if _, _, _, ok := r.PendingFrom(4); ok {
 		t.Fatal("wrong source reports pending state")
+	}
+}
+
+// TestReassemblerStampsArrivals: with a clock, a partial carries how many
+// fragments arrived and when the first and the latest did; a duplicate
+// adds nothing, a p2p partial is not reported, and the stamps belong to
+// the message, so the sender's next one starts its own.
+func TestReassemblerStampsArrivals(t *testing.T) {
+	now := int64(0)
+	r := Reassembler{Clock: func() int64 { return now }}
+	frags := Split(Message{Kind: Mcast, Src: 3, Payload: make([]byte, 5000)}, 8, 1000)
+	for _, step := range []struct {
+		at   int64
+		idx  int
+		want Arrivals
+	}{
+		{100, 0, Arrivals{1, 100, 100}},
+		{220, 2, Arrivals{2, 100, 220}},
+		{300, 2, Arrivals{2, 100, 220}}, // duplicate
+		{340, 3, Arrivals{3, 100, 340}},
+	} {
+		now = step.at
+		if _, done, err := r.Add(frags[step.idx]); err != nil || done {
+			t.Fatalf("Add(fragment %d) = done %v, err %v", step.idx, done, err)
+		}
+		if _, _, seen, ok := r.PendingFrom(3); !ok || seen != step.want {
+			t.Fatalf("t=%d: arrivals %+v (ok %v), want %+v", step.at, seen, ok, step.want)
+		}
+	}
+	if _, _, seen, _ := r.PendingFrom(3); seen.Gap() != 120 {
+		t.Fatalf("gap over %+v = %d, want 120", seen, seen.Gap())
+	}
+	now = 900
+	next := Split(Message{Kind: Mcast, Src: 3, Payload: make([]byte, 2000)}, 9, 1000)
+	if _, _, err := r.Add(next[1]); err != nil {
+		t.Fatal(err)
+	}
+	if id, _, seen, _ := r.PendingFrom(3); id != 9 || seen != (Arrivals{1, 900, 900}) {
+		t.Fatalf("the next message reads %d/%+v, want its own stamps", id, seen)
+	}
+	p2p := Split(Message{Kind: P2P, Src: 5, Payload: make([]byte, 2000)}, 4, 1000)
+	if _, _, err := r.Add(p2p[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, ok := r.PendingFrom(5); ok {
+		t.Fatal("a point-to-point partial was reported as a pending multicast")
 	}
 }
 

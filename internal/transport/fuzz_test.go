@@ -29,6 +29,10 @@ func FuzzDecodeFragment(f *testing.F) {
 		Msg:   Message{Kind: P2P, Src: 1, Class: ClassStream, Payload: []byte{1, 0, 0, 0, 5}},
 		MsgID: 3, Index: 0, Count: 1, TotalLen: 5, Stream: 17, Ctl: true,
 	})
+	seed(Fragment{
+		Msg:   Message{Kind: Mcast, Src: 0, Comm: 1, Seq: 3, Class: ClassData, Payload: []byte("sent a second time")},
+		MsgID: 7, Index: 6, Count: 14, TotalLen: 20000, Offset: 8544, Repair: true,
+	})
 	f.Add([]byte{})                              // too short
 	f.Add(bytes.Repeat([]byte{0x4D}, HeaderLen)) // right length, bad magic
 
@@ -57,7 +61,7 @@ func FuzzDecodeFragment(f *testing.F) {
 			fr.Msg.Src != fr2.Msg.Src || fr.Msg.Tag != fr2.Msg.Tag || fr.Msg.Seq != fr2.Msg.Seq ||
 			fr.MsgID != fr2.MsgID || fr.Index != fr2.Index || fr.Count != fr2.Count ||
 			fr.TotalLen != fr2.TotalLen || fr.Offset != fr2.Offset ||
-			fr.Stream != fr2.Stream || fr.Ctl != fr2.Ctl {
+			fr.Stream != fr2.Stream || fr.Ctl != fr2.Ctl || fr.Repair != fr2.Repair {
 			t.Fatalf("fragment changed across round trip:\n %+v\n %+v", fr, fr2)
 		}
 	})

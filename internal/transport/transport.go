@@ -155,13 +155,16 @@ type FragmentRepairer interface {
 	// under the original message id, so they complete the receivers'
 	// partial reassembly instead of starting a fresh message. A nil
 	// fragment list resends every fragment (full repair). m must carry
-	// the exact payload of the original multicast.
+	// the exact payload of the original multicast. Every fragment goes
+	// out flagged Fragment.Repair: the whole group hears that the
+	// network lost something.
 	RepairMulticast(group uint32, m Message, msgID uint64, frags []int) error
 	// PendingFrom reports the newest partially reassembled multicast
-	// from world rank src: its message id and missing fragment indexes.
-	// ok=false means nothing from src is pending (the message was never
-	// seen at all, or already completed).
-	PendingFrom(src int) (msgID uint64, missing []int, ok bool)
+	// from world rank src: its message id, its missing fragment indexes
+	// and when what it holds arrived, on the endpoint's clock. ok=false
+	// means nothing from src is pending (the message was never seen at
+	// all, or already completed).
+	PendingFrom(src int) (msgID uint64, missing []int, seen Arrivals, ok bool)
 }
 
 // ReliableSender is the optional capability of windowed reliable

@@ -76,7 +76,11 @@ type Config struct {
 	// exercising the stream's retransmission over real sockets; loopback
 	// UDP rarely loses anything by itself.
 	P2PLossRate float64
-	// LossSeed seeds the loss injection (0: a fixed default).
+	// LossRate injects independent receiver-side loss of multicast
+	// fragments the same way, for exercising the NACK repair of package
+	// core over real sockets (simnet's Profile.LossRate).
+	LossRate float64
+	// LossSeed seeds both loss injections (0: a fixed default).
 	LossSeed int64
 	// Segments declares the fabric topology (rank -> segment id) for
 	// the topology subsystem — real sockets cannot discover the wiring,
@@ -197,6 +201,7 @@ func New(cfg Config) (*Net, error) {
 			probeTimers: make([]*time.Timer, cfg.N),
 			ackWake:     make(chan struct{}),
 		}
+		ep.reasm.Clock = ep.Now
 		ep.streams = reliab.NewDriver(reliab.Host{
 			Rank: i, Size: cfg.N, Options: cfg.Stream, FragPayload: cfg.FragSize,
 			Missing: ep.reasm.Missing, Stats: &ep.sstats, Trace: cfg.Trace, Metrics: cfg.Metrics,
@@ -269,6 +274,8 @@ type Stats struct {
 	BadPackets        int64
 	OwnMulticast      int64 // own multicast heard via loopback, filtered
 	InjectedP2PLosses int64 // receiver-side losses from Config.P2PLossRate
+	InjectedLosses    int64 // receiver-side multicast losses from Config.LossRate
+	RepairsHeard      int64 // fragments that arrived flagged as retransmissions
 	Stream            reliab.Stats
 }
 
@@ -658,16 +665,9 @@ func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uin
 	ep.mu.Unlock()
 	m.Kind = transport.Mcast
 	m.Src = ep.rank
-	all := transport.Split(m, msgID, ep.net.cfg.FragSize)
-	send := all
-	if frags != nil {
-		send = send[:0:0]
-		for _, idx := range frags {
-			if idx < 0 || idx >= len(all) {
-				return fmt.Errorf("udpnet: repair names fragment %d of %d", idx, len(all))
-			}
-			send = append(send, all[idx])
-		}
+	send, err := transport.RepairFragments(m, msgID, ep.net.cfg.FragSize, frags)
+	if err != nil {
+		return err
 	}
 	dst := &net.UDPAddr{IP: ep.net.cfg.groupIP(group), Port: ep.net.cfg.McastPort}
 	return ep.writeFrags(dst, send...)
@@ -675,7 +675,7 @@ func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uin
 
 // PendingFrom implements transport.FragmentRepairer from the endpoint's
 // reassembly state.
-func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, ok bool) {
+func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, seen transport.Arrivals, ok bool) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	return ep.reasm.PendingFrom(src)
@@ -774,6 +774,20 @@ func (ep *Endpoint) readLoop(conn *net.UDPConn) {
 			ep.stats.InjectedP2PLosses++
 			ep.mu.Unlock()
 			continue
+		}
+		if f.Msg.Kind == transport.Mcast && ep.net.cfg.LossRate > 0 &&
+			ep.lossRng.Float64() < ep.net.cfg.LossRate {
+			ep.stats.InjectedLosses++
+			ep.mu.Unlock()
+			continue
+		}
+		if f.Repair {
+			// Someone in earshot sent a frame twice — said by the flag,
+			// not guessed from a fragment of a multicast already complete:
+			// the kernel hands a group's datagram to every socket bound to
+			// the port, so those arrive on a lossless network too.
+			ep.stats.RepairsHeard++
+			ep.streams.LossSeen(ep.Now())
 		}
 		src := f.Msg.Src
 		if f.Ctl {

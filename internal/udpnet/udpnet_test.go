@@ -3,6 +3,8 @@ package udpnet_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,6 +68,16 @@ func (h *udpHarness) Run(t *testing.T, fns []func(ep transport.Endpoint) error) 
 
 func TestUDPConformance(t *testing.T) {
 	requireMulticast(t)
+	// A hang here was seen once and its only goroutine dump lost to a
+	// `| tail`: a watchdog well inside go test's own ten minutes writes
+	// every goroutine's stack first and fails second, so the next hang
+	// explains itself at the top of what it prints.
+	watchdog := time.AfterFunc(60*time.Second, func() {
+		buf := make([]byte, 1<<20)
+		fmt.Fprintf(os.Stderr, "TestUDPConformance still running after 60s; all goroutines:\n%s\n", buf[:runtime.Stack(buf, true)])
+		panic("TestUDPConformance: watchdog expired (every goroutine's stack is printed above)")
+	})
+	defer watchdog.Stop()
 	transporttest.RunAll(t, func(t *testing.T, n int) transporttest.Harness {
 		nw, err := udpnet.New(testConfig(n))
 		if err != nil {
@@ -312,6 +324,49 @@ func TestP2PLossConformanceOverUDP(t *testing.T) {
 			checkDatagramAccounting(t, nw)
 		})
 	}
+}
+
+// TestNackRepairOverUDP runs the NACK-repaired suite over real sockets
+// with both injections on — 2 % of multicast fragments and 2 % of
+// point-to-point frames vanish at the receiver — and checks every result
+// against the oracle. Both repair paths must have run on evidence: repair
+// requests served with fragments flagged as retransmissions, heard by the
+// group, and sends confirmed by a probe right behind them while that
+// evidence lasted.
+func TestNackRepairOverUDP(t *testing.T) {
+	requireMulticast(t)
+	cfg := testConfig(4)
+	cfg.LossRate, cfg.P2PLossRate, cfg.LossSeed = 0.02, 0.02, 42
+	nw, err := udpnet.RunNet(cfg, core.ResilientAlgorithms(core.DefaultNackOptions()), func(c *mpi.Comm) error {
+		for rep := 0; rep < 3; rep++ {
+			for _, chunk := range []int{1, 1000, 20000} {
+				if err := coretest.Conformance(c, chunk, rep%c.Size()); err != nil {
+					return fmt.Errorf("rep %d chunk %d: %w", rep, chunk, err)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mcastLost, p2pLost, repairs, confirms, retransmits int64
+	for i := 0; i < nw.Size(); i++ {
+		st := nw.Endpoint(i).Stats()
+		mcastLost += st.InjectedLosses
+		p2pLost += st.InjectedP2PLosses
+		repairs += st.RepairsHeard
+		confirms += st.Stream.ConfirmsSent
+		retransmits += st.Stream.Retransmits
+	}
+	if mcastLost == 0 || p2pLost == 0 {
+		t.Fatalf("injection never fired (%d multicast, %d point-to-point frames dropped); the claim is vacuous", mcastLost, p2pLost)
+	}
+	if repairs == 0 || confirms == 0 {
+		t.Fatalf("%d repair-flagged fragments heard, %d sends confirmed: losses were repaired without the evidence path", repairs, confirms)
+	}
+	t.Logf("dropped %d multicast and %d point-to-point frames; heard %d repair-flagged fragments, confirmed %d sends, retransmitted %d stream fragments",
+		mcastLost, p2pLost, repairs, confirms, retransmits)
 }
 
 // TestTwoLevelConformanceOverUDP runs the topology-aware two-level
