@@ -119,7 +119,8 @@
 //     methodology (warm-ups, a separating barrier, per-rank entry skew,
 //     longest rank, median of seeded repetitions), defines every figure
 //     (Defs in bench/figures.go) and writes the N-sweep perf trajectory
-//     that BENCH_sim.json pins.
+//     BENCH_sim.json — simulated µs, event and scout-frame counts, all
+//     deterministic, so regenerating it is an equality check.
 //
 // The commands: cmd/mcastbench regenerates figures, tables, traces and
 // the trajectory on the simulator; cmd/mpirun runs a real MPI world over
@@ -133,7 +134,6 @@
 //
 // EXPERIMENTS.md reports paper-versus-measured results for every figure;
 // ROADMAP.md states where the design is going; CHANGES.md is the log of
-// how it got here. The top-level bench_test.go exposes one Go benchmark
-// per paper figure, and smoke_test.go runs every protocol and collective
-// through the harness under plain `go test`.
+// how it got here. The top-level smoke_test.go runs every protocol and
+// collective through the harness under plain `go test`.
 package repro

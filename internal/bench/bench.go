@@ -257,12 +257,12 @@ func Run(s Scenario) (Result, error) {
 		return res, err
 	}
 	for rep := 0; rep < s.Reps; rep++ {
-		sample, err := runOnce(s, algs, s.Seed+uint64(rep))
+		_, ns, err := runOnce(s, algs, s.Seed+uint64(rep))
 		if err != nil {
 			res.Failures++
 			continue
 		}
-		res.Samples = append(res.Samples, sample)
+		res.Samples = append(res.Samples, float64(ns)/1000.0) // µs
 	}
 	if len(res.Samples) == 0 {
 		return res, fmt.Errorf("bench: all %d repetitions of %s/%s failed", s.Reps, s.Algorithm, s.Op)
@@ -270,7 +270,10 @@ func Run(s Scenario) (Result, error) {
 	return res, nil
 }
 
-func runOnce(s Scenario, algs mpi.Algorithms, seed uint64) (float64, error) {
+// runOnce is one repetition of Run: it returns the world it simulated,
+// for its counters, and the measured operation's longest-rank
+// nanoseconds.
+func runOnce(s Scenario, algs mpi.Algorithms, seed uint64) (*simnet.Network, int64, error) {
 	prof := simnet.DefaultProfile()
 	if s.Profile != nil {
 		prof = *s.Profile
@@ -282,8 +285,7 @@ func runOnce(s Scenario, algs mpi.Algorithms, seed uint64) (float64, error) {
 	for i := range skews {
 		skews[i] = skewRng.Duration(s.SkewMax)
 	}
-	latencies := make([]int64, s.Procs)
-
+	var worst int64 // ranks run one at a time under the engine
 	nw, err := cluster.RunSim(s.Procs, s.Topology, prof, algs, func(c *mpi.Comm) error {
 		op := workload.Make(c, s.Op, s.MsgSize, s.Root)
 		for w := 0; w < s.Warmups; w++ {
@@ -302,18 +304,33 @@ func runOnce(s Scenario, algs mpi.Algorithms, seed uint64) (float64, error) {
 		if err := op(); err != nil {
 			return err
 		}
-		latencies[c.Rank()] = c.Now() - start
+		worst = max(worst, c.Now()-start)
 		return nil
 	})
-	_ = nw
+	return nw, worst, err
+}
+
+// coldRun is the other way this package measures: a fresh world runs one
+// collective with no warm-up, barrier or entry skew — a deterministic
+// timeline needs none, and the callers read frame, event and queue
+// counters off the returned network that must hold that one operation
+// and nothing else. It also returns the longest rank's nanoseconds.
+func coldRun(procs int, topo simnet.Topology, prof simnet.Profile, a Algorithm, op Op, size int) (*simnet.Network, int64, error) {
+	algs, err := Set(a)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	var worst int64
-	for _, l := range latencies {
-		if l > worst {
-			worst = l
+	var worst int64 // ranks run one at a time under the engine
+	nw, err := cluster.RunSim(procs, topo, prof, algs, func(c *mpi.Comm) error {
+		start := c.Now()
+		if err := workload.Make(c, op, size, 0)(); err != nil {
+			return err
 		}
+		worst = max(worst, c.Now()-start)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s/%s n=%d size=%d: %w", op, a, procs, size, err)
 	}
-	return float64(worst) / 1000.0, nil // µs
+	return nw, worst, nil
 }

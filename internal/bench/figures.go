@@ -10,7 +10,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/workload"
 )
 
 // Options scales the experiment grid. The zero value is filled with the
@@ -519,20 +518,13 @@ func figA5(o Options) (Renderable, error) {
 		Header:      []string{"op", "N", "ports", "max queue depth", "held frames", "pauses", "silent drops", "check"},
 	}
 	const chunk = 4000
-	algs, err := Set(McastBinary)
-	if err != nil {
-		return nil, err
-	}
 	for _, op := range []Op{OpAllgather, OpAllreduce, OpGather, OpAlltoall} {
 		for _, procs := range o.cappedNs() {
 			prof := *sharedUplinkProfile()
 			prof.Seed = o.Seed
-			nw, err := cluster.RunSim(procs, simnet.SwitchShared, prof, algs,
-				func(c *mpi.Comm) error {
-					return workload.Make(c, op, chunk, 0)()
-				})
+			nw, _, err := coldRun(procs, simnet.SwitchShared, prof, McastBinary, op, chunk)
 			if err != nil {
-				return nil, fmt.Errorf("a5 %s n=%d: %w", op, procs, err)
+				return nil, err
 			}
 			st := nw.SwitchStats()
 			var held int64
@@ -579,18 +571,11 @@ func figA6(o Options) (Renderable, error) {
 	}
 	const chunk = 1500
 	measure := func(a Algorithm, procs int) (scouts, drops int64, segments int, err error) {
-		algs, err := Set(a)
-		if err != nil {
-			return 0, 0, 0, err
-		}
 		prof := *sharedUplinkProfile()
 		prof.Seed = o.Seed
-		nw, err := cluster.RunSim(procs, simnet.SwitchShared, prof, algs,
-			func(c *mpi.Comm) error {
-				return workload.Make(c, OpAllgather, chunk, 0)()
-			})
+		nw, _, err := coldRun(procs, simnet.SwitchShared, prof, a, OpAllgather, chunk)
 		if err != nil {
-			return 0, 0, 0, fmt.Errorf("a6 %s n=%d: %w", a, procs, err)
+			return 0, 0, 0, err
 		}
 		// S comes from the network's own discovered map, so the bound
 		// column can never drift from the wiring the run measured.
@@ -745,10 +730,11 @@ func figA3(o Options) (Renderable, error) {
 				if r.op == OpBarrier && msg != 0 {
 					continue // the barrier carries no payload
 				}
-				w, err := measureFrames(n, msg, r.alg, r.op)
+				nw, _, err := coldRun(n, simnet.Switch, simnet.DefaultProfile(), r.alg, r.op, msg)
 				if err != nil {
-					return nil, fmt.Errorf("a3 %s/%s n=%d M=%d: %w", r.op, r.alg, n, msg, err)
+					return nil, err
 				}
+				w := &nw.Wire
 				measured := fmt.Sprintf("%d+%d+%d",
 					w.Frames(transport.ClassScout),
 					w.Frames(transport.ClassData),
@@ -782,25 +768,6 @@ func largestPow2(n int) int {
 		k *= 2
 	}
 	return k
-}
-
-// measureFrames runs one collective through the shared workload
-// dispatcher and returns the wire counters. Routing through
-// workload.Make means an unknown op is an error instead of silently
-// measuring a broadcast.
-func measureFrames(n, msg int, a Algorithm, op Op) (*trace.Counters, error) {
-	algs, err := Set(a)
-	if err != nil {
-		return nil, err
-	}
-	nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(), algs,
-		func(c *mpi.Comm) error {
-			return workload.Make(c, op, msg, 0)()
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &nw.Wire, nil
 }
 
 // figA4 examines the overrun risk the paper's future work singles out:

@@ -142,20 +142,22 @@ type suitePin struct {
 	hash   uint64
 }
 
-// runSuitePin simulates one row of the suite pin: per seed, one warm-up
-// of op, a barrier, up to 15 µs of per-rank skew and one measured op of
-// 3,000 B on 16 ranks at 5 % multicast and 2 % point-to-point loss. It
-// also returns the frames the simulator dropped over the row.
+// runSuitePin simulates one row of the suite pin: per seed, one
+// repetition of Run's methodology (a warm-up of op, a barrier, up to
+// 15 µs of per-rank skew, the measured op) at 3,000 B on 16 ranks at 5 %
+// multicast and 2 % point-to-point loss. It also returns the frames the
+// simulator dropped over the row.
 func runSuitePin(t *testing.T, topo simnet.Topology, alg Algorithm, op workload.Op) (suitePin, int64) {
 	t.Helper()
-	const (
-		procs = 16
-		size  = 3000
-		seeds = 12
-	)
 	algs, err := Set(alg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	prof := simnet.DefaultProfile()
+	prof.LossRate, prof.P2PLossRate = 0.05, 0.02
+	sc := Scenario{
+		Procs: 16, Topology: topo, Op: op, MsgSize: 3000,
+		Warmups: 1, SkewMax: 15 * sim.Microsecond, Profile: &prof,
 	}
 	pin := suitePin{hash: 14695981039346656037}
 	fold := func(v uint64) {
@@ -165,34 +167,8 @@ func runSuitePin(t *testing.T, topo simnet.Topology, alg Algorithm, op workload.
 		}
 	}
 	var losses int64
-	for seed := uint64(1); seed <= seeds; seed++ {
-		prof := simnet.DefaultProfile()
-		prof.Seed = seed
-		prof.LossRate, prof.P2PLossRate = 0.05, 0.02
-		skewRng := sim.NewRand(seed ^ 0xD1CE)
-		skews := make([]sim.Duration, procs)
-		for i := range skews {
-			skews[i] = skewRng.Duration(15 * sim.Microsecond)
-		}
-		var worst int64 // ranks run one at a time under the engine
-		nw, err := cluster.RunSim(procs, topo, prof, algs, func(c *mpi.Comm) error {
-			run := workload.Make(c, op, size, 0)
-			if err := run(); err != nil {
-				return err
-			}
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			cluster.SimComm(c).Proc().Sleep(skews[c.Rank()])
-			start := c.Now()
-			if err := run(); err != nil {
-				return err
-			}
-			if d := c.Now() - start; d > worst {
-				worst = d
-			}
-			return nil
-		})
+	for seed := uint64(1); seed <= 12; seed++ {
+		nw, worst, err := runOnce(sc, algs, seed)
 		if err != nil {
 			t.Fatalf("%v/%s/%s seed %d: %v", topo, alg, op, seed, err)
 		}

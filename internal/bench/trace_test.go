@@ -117,25 +117,3 @@ func TestTraceDemoExportsAndNamesHandshake(t *testing.T) {
 		t.Errorf("two-level critical path %v does not name leader-scout-exchange", twoLevel.Critical)
 	}
 }
-
-// TestAttachPhaseMetrics locks the optional BENCH_sim.json section: the
-// summaries embed under phase_metrics and the gate ignores them — a
-// baseline without the section stays comparable.
-func TestAttachPhaseMetrics(t *testing.T) {
-	tr := &Trajectory{Schema: TrajectorySchema}
-	if err := tr.AttachPhaseMetrics(1); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.PhaseMetrics) != 3 {
-		t.Fatalf("phase metrics entries = %d, want 3", len(tr.PhaseMetrics))
-	}
-	for _, pm := range tr.PhaseMetrics {
-		if pm.Summary == nil || len(pm.Summary.Phases) == 0 {
-			t.Errorf("%s: empty embedded summary", pm.Name)
-		}
-	}
-	base := &Trajectory{Schema: TrajectorySchema, Score: tr.Score}
-	if v := GateTrajectory(tr, base, 0.10); len(v) != 0 {
-		t.Errorf("gate flagged phase_metrics-only difference: %v", v)
-	}
-}

@@ -3,11 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/mpi"
 	"repro/internal/simnet"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // TraceDemoEntry is one recorded demo collective: its recorder (for the
@@ -68,20 +65,12 @@ func TraceDemo(seed uint64) ([]TraceDemoEntry, error) {
 // of ranks still inside the preceding operation, and the simulated
 // fabric needs no warmup for a valid timeline.
 func traceOne(op Op, a Algorithm, procs, size int, seed uint64) (*trace.Recorder, error) {
-	algs, err := Set(a)
-	if err != nil {
-		return nil, err
-	}
 	rec := trace.NewRecorder()
 	prof := *sharedUplinkProfile()
 	prof.Seed = seed
 	prof.Trace = rec
-	_, err = cluster.RunSim(procs, simnet.SwitchShared, prof, algs,
-		func(c *mpi.Comm) error {
-			return workload.Make(c, op, size, 0)()
-		})
-	if err != nil {
-		return nil, fmt.Errorf("trace demo %s/%s: %w", op, a, err)
+	if _, _, err := coldRun(procs, simnet.SwitchShared, prof, a, op, size); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }
@@ -93,28 +82,4 @@ func TraceRuns(entries []TraceDemoEntry) []trace.Run {
 		runs[i] = trace.Run{Name: e.Name, Rec: e.Rec}
 	}
 	return runs
-}
-
-// PhaseMetricsEntry is one demo collective's summary as embedded in
-// BENCH_sim.json's optional phase_metrics section.
-type PhaseMetricsEntry struct {
-	Name    string         `json:"name"`
-	Summary *trace.Summary `json:"summary"`
-}
-
-// AttachPhaseMetrics runs the trace demo set and embeds the summaries as
-// the trajectory's optional phase_metrics section. The section rides
-// along in BENCH_sim.json without affecting the gate (GateTrajectory
-// compares scores and event counts only), so a baseline with or without
-// it stays comparable.
-func (t *Trajectory) AttachPhaseMetrics(seed uint64) error {
-	entries, err := TraceDemo(seed)
-	if err != nil {
-		return err
-	}
-	t.PhaseMetrics = t.PhaseMetrics[:0]
-	for _, e := range entries {
-		t.PhaseMetrics = append(t.PhaseMetrics, PhaseMetricsEntry{Name: e.Name, Summary: e.Summary})
-	}
-	return nil
 }

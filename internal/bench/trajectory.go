@@ -6,25 +6,18 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/metrics"
-	"repro/internal/mpi"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/transport"
-	"repro/internal/workload"
 )
 
 // TrajectorySchema identifies the BENCH_sim.json format; bump it when
 // the grid or the fields change incompatibly, so a gate never compares
 // entries that do not mean the same thing.
-const TrajectorySchema = "mcast-bench-trajectory/v1"
+const TrajectorySchema = "mcast-bench-trajectory/v2"
 
-// TrajectoryEntry is one measured point of the perf trajectory: a
-// collective at one world size under one algorithm on the shared-uplink
-// fabric. SimUS is deterministic (same seed, same timeline, any
-// machine); Events is deterministic too; WallNS is this machine's
-// wall-clock cost of simulating the run.
+// TrajectoryEntry is one point of the perf trajectory: a collective at
+// one world size under one algorithm on the shared-uplink fabric. Every
+// stored field is deterministic (same seed, same timeline, any machine).
 type TrajectoryEntry struct {
 	Op        string  `json:"op"`
 	Algorithm string  `json:"algorithm"`
@@ -33,7 +26,10 @@ type TrajectoryEntry struct {
 	MsgSize   int     `json:"msg_size"`
 	SimUS     float64 `json:"sim_us"`
 	Events    uint64  `json:"events"`
-	WallNS    int64   `json:"wall_ns"`
+	// WallNS is what simulating the point cost this host. Render prints
+	// it (a point that simulates slowly for its events shows there); the
+	// record does not hold it. Host speed is measured by benchmark/.
+	WallNS int64 `json:"-"`
 	// ScoutFrames and SilentDrops re-measure the a5/a6 CI gates on the
 	// trajectory grid, so the scale points are themselves gated.
 	ScoutFrames int64  `json:"scout_frames"`
@@ -42,32 +38,14 @@ type TrajectoryEntry struct {
 }
 
 // Trajectory is the machine-readable perf record (BENCH_sim.json): the
-// full N-sweep grid with per-entry sim-µs and event counts, plus the
-// wall-clock throughput of the simulator itself. Score divides the
-// measured events/sec by a calibration run of the bare event engine on
-// the same machine, so a committed baseline from one host can gate a CI
-// runner of a different speed: machine speed cancels in the ratio, and
-// what remains is how much non-engine work the stack spends per event.
+// full N-sweep grid with per-entry sim-µs, event counts and scout/drop
+// checks. Nothing in it depends on the host, so two runs of one commit
+// write the same bytes and the gate is an equality.
 type Trajectory struct {
-	Schema            string            `json:"schema"`
-	Seed              uint64            `json:"seed"`
-	CalibEventsPerSec float64           `json:"calib_events_per_sec"`
-	Entries           []TrajectoryEntry `json:"entries"`
-	TotalEvents       uint64            `json:"total_events"`
-	TotalWallNS       int64             `json:"total_wall_ns"`
-	EventsPerSec      float64           `json:"events_per_sec"`
-	Score             float64           `json:"score"`
-	// PhaseMetrics is the optional flight-recorder section
-	// (AttachPhaseMetrics): phase-latency and critical-path summaries of
-	// the fixed trace demo set. Informational only — GateTrajectory never
-	// compares it, so baselines with and without the section interoperate.
-	PhaseMetrics []PhaseMetricsEntry `json:"phase_metrics,omitempty"`
-	// Metrics is the optional telemetry section (AttachMetrics): the
-	// final metrics-registry snapshot of one instrumented demo run —
-	// stream RTT estimators, NIC delivery rates, switch queue gauges,
-	// per-op latency histograms. Informational only, gate-exempt exactly
-	// like PhaseMetrics.
-	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
+	Schema      string            `json:"schema"`
+	Seed        uint64            `json:"seed"`
+	Entries     []TrajectoryEntry `json:"entries"`
+	TotalEvents uint64            `json:"total_events"`
 }
 
 // trajectoryChunk is the fixed per-rank payload of the trajectory grid:
@@ -76,16 +54,17 @@ type Trajectory struct {
 const trajectoryChunk = 2000
 
 // RunTrajectory measures the perf trajectory: allgather and allreduce,
-// flat (mcast-binary) and two-level, across N ∈ sweepNs() on the
-// shared-uplink switch. One rep per point — the sim timeline is
-// deterministic, and the wall-clock signal is aggregated across the
-// whole grid rather than trusted per point.
-func RunTrajectory(seed uint64) (*Trajectory, error) {
-	tr := &Trajectory{
-		Schema:            TrajectorySchema,
-		Seed:              seed,
-		CalibEventsPerSec: calibrateEngine(),
-	}
+// flat (mcast-binary) and two-level, the chunked allreduce and the
+// two-level scatter and alltoall, across N ∈ sweepNs() on the
+// shared-uplink switch. One cold run per point — the sim timeline is
+// deterministic.
+func RunTrajectory(seed uint64) (*Trajectory, error) { return runTrajectory(seed, 0) }
+
+// runTrajectory is RunTrajectory with the N grid capped at maxN (0 means
+// uncapped), so a unit test can regenerate the rows that take
+// milliseconds and leave N=256 to CI.
+func runTrajectory(seed uint64, maxN int) (*Trajectory, error) {
+	tr := &Trajectory{Schema: TrajectorySchema, Seed: seed}
 	grid := []struct {
 		op  Op
 		alg Algorithm
@@ -98,33 +77,15 @@ func RunTrajectory(seed uint64) (*Trajectory, error) {
 		{OpScatter, McastTwoLevel},
 		{OpAlltoall, McastTwoLevel},
 	}
-	for _, procs := range sweepNs() {
+	for _, procs := range (Options{MaxN: maxN}).cappedNs() {
 		for _, g := range grid {
-			// Best of three passes per point: the sim timeline (and so
-			// Events and SimUS) is identical every pass, and the minimum
-			// wall is the machine's actual capability — single passes
-			// are only ever slowed down by preemption and GC, never
-			// sped up, so the minimum is what stays stable run-to-run.
-			var ent TrajectoryEntry
-			for pass := 0; pass < 3; pass++ {
-				p, err := trajectoryPoint(g.op, g.alg, procs, seed)
-				if err != nil {
-					return nil, err
-				}
-				if pass == 0 || p.WallNS < ent.WallNS {
-					ent = p
-				}
+			ent, err := trajectoryPoint(g.op, g.alg, procs, seed)
+			if err != nil {
+				return nil, fmt.Errorf("trajectory: %w", err)
 			}
 			tr.Entries = append(tr.Entries, ent)
 			tr.TotalEvents += ent.Events
-			tr.TotalWallNS += ent.WallNS
 		}
-	}
-	if tr.TotalWallNS > 0 {
-		tr.EventsPerSec = float64(tr.TotalEvents) / (float64(tr.TotalWallNS) / 1e9)
-	}
-	if tr.CalibEventsPerSec > 0 {
-		tr.Score = tr.EventsPerSec / tr.CalibEventsPerSec
 	}
 	return tr, nil
 }
@@ -133,32 +94,13 @@ func trajectoryPoint(op Op, a Algorithm, procs int, seed uint64) (TrajectoryEntr
 	ent := TrajectoryEntry{
 		Op: string(op), Algorithm: string(a), Procs: procs, MsgSize: trajectoryChunk,
 	}
-	algs, err := Set(a)
-	if err != nil {
-		return ent, err
-	}
 	prof := *sharedUplinkProfile()
 	prof.Seed = seed
-	latencies := make([]int64, procs)
 	start := time.Now()
-	nw, err := cluster.RunSim(procs, simnet.SwitchShared, prof, algs,
-		func(c *mpi.Comm) error {
-			t0 := c.Now()
-			if err := workload.Make(c, op, trajectoryChunk, 0)(); err != nil {
-				return err
-			}
-			latencies[c.Rank()] = c.Now() - t0
-			return nil
-		})
+	nw, worst, err := coldRun(procs, simnet.SwitchShared, prof, a, op, trajectoryChunk)
 	ent.WallNS = time.Since(start).Nanoseconds()
 	if err != nil {
-		return ent, fmt.Errorf("trajectory %s/%s n=%d: %w", op, a, procs, err)
-	}
-	var worst int64
-	for _, l := range latencies {
-		if l > worst {
-			worst = l
-		}
+		return ent, err
 	}
 	ent.SimUS = float64(worst) / 1000.0
 	ent.Events = nw.Events()
@@ -195,49 +137,6 @@ func twoLevelScoutBound(op Op, n, s int) int64 {
 	}
 }
 
-// calibrateEngine measures the host's raw discrete-event throughput:
-// 64 self-rescheduling timers with staggered delays drained through the
-// engine's heap path — a realistic pending-event population, no payload,
-// no switch into a Proc. The trajectory Score is events/sec of the full
-// stack divided by this number — a machine-independent measure of
-// per-event overhead that a committed baseline can gate. The best of
-// several ~100ms passes is taken: the maximum is the machine's actual
-// capability, and it is far more stable run-to-run than any single pass
-// (scheduler preemption, frequency scaling and GC only ever slow a
-// pass down, never speed it up).
-func calibrateEngine() float64 {
-	best := 0.0
-	for pass := 0; pass < 5; pass++ {
-		const (
-			timers = 64
-			events = 1 << 22
-		)
-		eng := sim.New()
-		n := 0
-		for t := 0; t < timers; t++ {
-			delay := int64(t%7 + 1)
-			var tick func()
-			tick = func() {
-				n++
-				if n < events {
-					eng.At(delay, tick)
-				}
-			}
-			eng.At(delay, tick)
-		}
-		start := time.Now()
-		if err := eng.Run(); err != nil {
-			return 0 // unreachable: no procs, nothing can deadlock
-		}
-		if sec := time.Since(start).Seconds(); sec > 0 {
-			if eps := float64(events) / sec; eps > best {
-				best = eps
-			}
-		}
-	}
-	return best
-}
-
 // Render prints the trajectory as a human-readable table (the JSON file
 // is the machine interface; this is what the CI log shows).
 func (t *Trajectory) Render() string {
@@ -249,8 +148,7 @@ func (t *Trajectory) Render() string {
 			e.Op, e.Algorithm, e.Procs, e.Segments, e.SimUS, e.Events,
 			float64(e.WallNS)/1e6, e.ScoutFrames, e.Check)
 	}
-	out += fmt.Sprintf("total: %d events in %.2fs = %.0f events/sec; calib %.0f events/sec; score %.4f\n",
-		t.TotalEvents, float64(t.TotalWallNS)/1e9, t.EventsPerSec, t.CalibEventsPerSec, t.Score)
+	out += fmt.Sprintf("total: %d events\n", t.TotalEvents)
 	return out
 }
 
@@ -276,41 +174,55 @@ func LoadTrajectory(path string) (*Trajectory, error) {
 	return &t, nil
 }
 
+// row names an entry in a gate violation; counts is what the gate holds
+// it to.
+func (e TrajectoryEntry) row() string {
+	return fmt.Sprintf("%s/%s n=%d", e.Op, e.Algorithm, e.Procs)
+}
+
+func (e TrajectoryEntry) counts() string {
+	return fmt.Sprintf("S=%d, %v sim-us, %d events, %d scouts, %d drops",
+		e.Segments, e.SimUS, e.Events, e.ScoutFrames, e.SilentDrops)
+}
+
 // GateTrajectory checks cur against the committed baseline and returns
 // the violations (empty means the gate passes): any SCOUT-EXCESS or
-// SILENT-DROP entry on the grid, and a normalized events/sec score more
-// than maxRegression below the baseline's. Deterministic per-entry
-// event counts that drifted from the baseline are reported as
-// violations too when they grew beyond the same tolerance — an event
-// count is wall-clock-independent, so growth there is a real perf
-// regression, not runner noise.
-func GateTrajectory(cur, base *Trajectory, maxRegression float64) []string {
+// SILENT-DROP entry on the grid, a baseline of another schema, and every
+// row the two do not share or in which they differ. The record is
+// deterministic, so there is no tolerance: a change that moves a count
+// commits the regenerated file, and its diff is the evidence.
+func GateTrajectory(cur, base *Trajectory) []string {
 	var v []string
 	for _, e := range cur.Entries {
 		if e.Check == "SILENT-DROP" || e.Check == "SCOUT-EXCESS" {
-			v = append(v, fmt.Sprintf("%s/%s n=%d: %s", e.Op, e.Algorithm, e.Procs, e.Check))
+			v = append(v, e.row()+": "+e.Check)
 		}
 	}
 	if base == nil {
 		return v
 	}
 	if base.Schema != cur.Schema {
-		v = append(v, fmt.Sprintf("baseline schema %q does not match %q — regenerate the baseline", base.Schema, cur.Schema))
-		return v
+		return append(v, fmt.Sprintf("baseline schema %q does not match %q — regenerate the baseline", base.Schema, cur.Schema))
 	}
-	if base.Score > 0 && cur.Score < base.Score*(1-maxRegression) {
-		v = append(v, fmt.Sprintf("normalized events/sec score %.4f is %.0f%% below baseline %.4f",
-			cur.Score, 100*(1-cur.Score/base.Score), base.Score))
-	}
-	baseEvents := make(map[string]uint64, len(base.Entries))
+	want := make(map[string]TrajectoryEntry, len(base.Entries))
 	for _, e := range base.Entries {
-		baseEvents[fmt.Sprintf("%s/%s/%d/%d", e.Op, e.Algorithm, e.Procs, e.MsgSize)] = e.Events
+		want[e.row()] = e
 	}
+	have := make(map[string]bool, len(cur.Entries))
 	for _, e := range cur.Entries {
-		if be, ok := baseEvents[fmt.Sprintf("%s/%s/%d/%d", e.Op, e.Algorithm, e.Procs, e.MsgSize)]; ok &&
-			float64(e.Events) > float64(be)*(1+maxRegression) {
-			v = append(v, fmt.Sprintf("%s/%s n=%d: %d events vs baseline %d (+%.0f%%)",
-				e.Op, e.Algorithm, e.Procs, e.Events, be, 100*(float64(e.Events)/float64(be)-1)))
+		have[e.row()] = true
+		b, ok := want[e.row()]
+		e.WallNS, b.WallNS = 0, 0
+		switch {
+		case !ok:
+			v = append(v, e.row()+": not in the baseline")
+		case e != b:
+			v = append(v, fmt.Sprintf("%s: %s; baseline has %s", e.row(), e.counts(), b.counts()))
+		}
+	}
+	for _, b := range base.Entries {
+		if !have[b.row()] {
+			v = append(v, b.row()+": in the baseline, not measured")
 		}
 	}
 	return v

@@ -1,0 +1,82 @@
+package bench
+
+import (
+	"strings"
+	"testing"
+)
+
+const committedRecord = "../../BENCH_sim.json"
+
+// TestTrajectoryReproducesCommittedRecord is ROADMAP aim 2's "BENCH_sim.json
+// event counts unchanged" as a test: it regenerates the rows with N ≤ 64
+// and requires them equal to the committed file's. (The seven N=256 rows
+// cost seconds; CI's bench-smoke regenerates the whole file and cmp's
+// it, and the benchmark's check: line re-measures those seven.) A change
+// that moves a count on purpose commits the regenerated file.
+func TestTrajectoryReproducesCommittedRecord(t *testing.T) {
+	base, err := LoadTrajectory(committedRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxN = 64
+	small := base.Entries[:0:0]
+	for _, e := range base.Entries {
+		if e.Procs <= maxN {
+			small = append(small, e)
+		}
+	}
+	base.Entries = small
+	cur, err := runTrajectory(base.Seed, maxN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range GateTrajectory(cur, base) {
+		t.Error(v)
+	}
+}
+
+// TestGateTrajectory holds the gate to an equality that names what
+// differs: each edit of a copy of the record is exactly one violation
+// naming the edited row.
+func TestGateTrajectory(t *testing.T) {
+	cur, err := LoadTrajectory(committedRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func() *Trajectory {
+		c := *cur
+		c.Entries = append([]TrajectoryEntry(nil), cur.Entries...)
+		return &c
+	}
+	extra := TrajectoryEntry{Op: "bcast", Algorithm: "mcast-binary", Procs: 8, Check: "ok"}
+	for _, tc := range []struct {
+		name string
+		edit func(base *Trajectory)
+		want string // substring of the one violation; "" means none
+	}{
+		{"identical", func(*Trajectory) {}, ""},
+		{"events +1", func(b *Trajectory) { b.Entries[9].Events++ }, cur.Entries[9].row()},
+		{"sim_us second decimal", func(b *Trajectory) { b.Entries[20].SimUS += 0.01 }, cur.Entries[20].row()},
+		{"row removed", func(b *Trajectory) { b.Entries = b.Entries[:41] }, cur.Entries[41].row() + ": not in the baseline"},
+		{"row added", func(b *Trajectory) { b.Entries = append(b.Entries, extra) }, extra.row() + ": in the baseline, not measured"},
+		{"v1 file", func(b *Trajectory) {
+			b.Schema = "mcast-bench-trajectory/v1"
+			b.Entries[0].Events++
+		}, "schema"},
+	} {
+		base := clone()
+		tc.edit(base)
+		v := GateTrajectory(cur, base)
+		switch {
+		case tc.want == "" && len(v) != 0:
+			t.Errorf("%s: violations %q, want none", tc.name, v)
+		case tc.want != "" && (len(v) != 1 || !strings.Contains(v[0], tc.want)):
+			t.Errorf("%s: violations %q, want exactly one naming %q", tc.name, v, tc.want)
+		}
+	}
+	bad := clone()
+	bad.Entries[3].Check = "SCOUT-EXCESS"
+	if v := GateTrajectory(bad, nil); len(v) != 1 || !strings.Contains(v[0], bad.Entries[3].row()+": SCOUT-EXCESS") {
+		t.Errorf("SCOUT-EXCESS row with no baseline: violations %q", v)
+	}
+}

@@ -60,7 +60,7 @@
 // histograms (count/min/median/max/total µs) and the critical path —
 // starting from the span whose end bounds completion, walk backwards on
 // the same rank's track, jumping to the gating rank's track wherever a
-// span end was gated. Summary.Format prints the human report; the same
-// structure embeds as the optional phase_metrics section of
-// BENCH_sim.json (see internal/bench.AttachPhaseMetrics).
+// span end was gated. Summary.Format prints the human report
+// (mcastbench -trace prints one per demo run, see
+// internal/bench.TraceDemo).
 package trace

@@ -87,8 +87,8 @@ func TestUnknownOpFailsLoudly(t *testing.T) {
 // TestExtensionFigureRenders builds the extension comparison figures
 // (allgather, allreduce, alltoall, pipelined-vs-sequential) at a micro
 // grid and checks they render and export. The N-sweep grid is capped at
-// 32 here — the a5/a6 self-check tests below and the CI bench-smoke and
-// bench-trajectory jobs cover the N=256 points.
+// 32 here — the a5/a6 self-check tests below and the CI bench-smoke job
+// cover the N=256 points.
 func TestExtensionFigureRenders(t *testing.T) {
 	want := map[string][]string{
 		"14":  {"mcast-binary", "mpich"},
