@@ -99,11 +99,12 @@ func main() {
 	flag.Parse()
 
 	if *probe {
-		if err := udpnet.Probe(); err != nil {
+		path, err := udpnet.FindPath()
+		if err != nil {
 			fmt.Printf("IP multicast NOT available: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println("IP multicast available.")
+		fmt.Printf("IP multicast available on %v.\n", path)
 		return
 	}
 
@@ -527,6 +528,7 @@ func runLatency(cfg udpnet.Config, algs mpi.Algorithms, work string, size, reps 
 	fmt.Printf("%s n=%d size=%dB reps=%d (real UDP/IP multicast)\n", work, cfg.N, size, reps)
 	fmt.Printf("  median %8.1f µs   min %8.1f µs   max %8.1f µs\n",
 		samples[len(samples)/2], samples[0], samples[len(samples)-1])
+	fmt.Printf("  multicast path: %v\n", nw.Path())
 	if cfg.P2PLossRate > 0 || cfg.LossRate > 0 {
 		var p2pLost, mcastLost, repairs, streamed, retransmits, acks, probes, confirms int64
 		for i := 0; i < nw.Size(); i++ {

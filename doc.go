@@ -72,7 +72,12 @@
 //     kill/straggle/partition faults, backpressure from a PAUSEd NIC into
 //     stream admission. udpnet is real sockets: one unicast socket per
 //     rank, one multicast socket per joined group, a mutex where simnet
-//     has the engine's single thread, wall-clock timers.
+//     has the engine's single thread, wall-clock timers. Its multicast
+//     goes where it was addressed: senders are pinned to, and groups
+//     joined on, the one interface a probe datagram made the round trip
+//     on (loopback wherever it is up, so nothing crosses a NIC), and on
+//     Linux a group socket hears only its own group, so a foreign slice
+//     dies in the kernel as it dies at the simulated NIC's filter.
 //
 //   - mpi: communicators, tagged point-to-point with MPI matching
 //     semantics, nonblocking requests, datatypes and reduction ops, and

@@ -4,12 +4,25 @@
 //
 // A world is a set of endpoints in one process (or, with cmd/mpirun, one
 // per process on one host): each rank owns a unicast socket for
-// point-to-point traffic and joins one multicast group per communicator
-// with net.ListenMulticastUDP. Multicast sends address the class-D group
-// derived from the communicator context (the paper's 224.0.0.0 –
-// 239.255.255.255 range); the Linux IP_MULTICAST_LOOP default loops
-// outgoing multicast back to local members, so all ranks on the host
-// receive a single transmission.
+// point-to-point traffic and one socket per multicast group it joined.
+// Multicast sends address the class-D group derived from the
+// communicator context (the paper's 224.0.0.0 – 239.255.255.255 range);
+// the IP_MULTICAST_LOOP default loops outgoing multicast back to local
+// members, so all ranks on the host receive a single transmission.
+//
+// A multicast datagram goes where it was addressed and nowhere else.
+// Every sending socket is pinned to, and every membership taken on, one
+// interface (Path) that FindPath chose by sending a datagram around it:
+// the loopback interface wherever it is up, so group traffic stays on
+// the host instead of leaving through whichever NIC carries the
+// MULTICAST flag. And on Linux each group socket clears
+// IP_MULTICAST_ALL, so it hears the group it joined and not every group
+// on its port: a slice addressed to another rank dies in the kernel, as
+// it dies at the simulated NIC's address filter. Nothing above depends
+// on that filter — the own-copy check in the read loop and the runtime's
+// staleness checks drop what a socket should not have heard on systems
+// without it. Numbers taken on a loopback path measure this stack and
+// the kernel's socket code; they say nothing about a wire.
 //
 // IP multicast offers no delivery guarantee. The scout-synchronized
 // collectives of package core provide the readiness guarantee; within a
@@ -23,6 +36,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,7 +59,7 @@ var recvBufPool = sync.Pool{New: func() any {
 
 // wireBufPool holds scratch buffers for wire encoding on the send
 // paths: a fragment is encoded into a pooled buffer, handed to the
-// kernel (WriteToUDP copies), and the buffer returns to the pool.
+// kernel (the write copies), and the buffer returns to the pool.
 var wireBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 2048)
 	return &b
@@ -133,20 +147,24 @@ func (c *Config) fill() {
 	c.Stream = c.Stream.Fill()
 }
 
-// groupIP maps a communicator context to a class-D address inside the
-// configured /16.
-func (c *Config) groupIP(group uint32) net.IP {
-	base := net.ParseIP(c.GroupNet).To4()
-	return net.IPv4(base[0], base[1], byte(group>>8), byte(group))
-}
-
 // Net is one in-host world of endpoints.
 type Net struct {
-	cfg     Config
-	iface   *net.Interface // interface used for joins (nil = kernel default)
-	eps     []*Endpoint
-	start   time.Time
-	topoMap *topo.Map // declared placement (nil: none)
+	cfg      Config
+	path     Path    // where multicast is sent and joined
+	groupNet [4]byte // Config.GroupNet, parsed once
+	eps      []*Endpoint
+	start    time.Time
+	topoMap  *topo.Map // declared placement (nil: none)
+}
+
+// Path reports where the world's multicast datagrams go.
+func (nw *Net) Path() Path { return nw.path }
+
+// groupAddr maps a communicator context to a class-D address inside the
+// configured /16, on the shared multicast port.
+func (nw *Net) groupAddr(group uint32) netip.AddrPort {
+	ip := [4]byte{nw.groupNet[0], nw.groupNet[1], byte(group >> 8), byte(group)}
+	return netip.AddrPortFrom(netip.AddrFrom4(ip), uint16(nw.cfg.McastPort))
 }
 
 // New builds the world: one unicast socket per rank on an ephemeral
@@ -156,7 +174,15 @@ func New(cfg Config) (*Net, error) {
 	if cfg.N <= 0 {
 		return nil, errors.New("udpnet: world size must be positive")
 	}
-	nw := &Net{cfg: cfg, iface: multicastInterface(), start: time.Now()}
+	groupNet, err := netip.ParseAddr(cfg.GroupNet)
+	if err != nil || !groupNet.Is4() {
+		return nil, fmt.Errorf("udpnet: GroupNet %q is not an IPv4 address", cfg.GroupNet)
+	}
+	// Where no path works the world still carries point-to-point traffic
+	// (its groups are joined on the kernel's default, the last path
+	// tried); Probe is how callers learn why multicast does not.
+	path, _ := FindPath()
+	nw := &Net{cfg: cfg, path: path, groupNet: groupNet.As4(), start: time.Now()}
 	switch {
 	case len(cfg.Segments) > 0:
 		if len(cfg.Segments) != cfg.N {
@@ -170,13 +196,9 @@ func New(cfg Config) (*Net, error) {
 	case cfg.SegmentFanout > 0:
 		nw.topoMap = topo.Uniform(cfg.N, cfg.SegmentFanout)
 	}
-	peers := make([]*net.UDPAddr, cfg.N)
+	peers := make([]netip.AddrPort, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		// Bind INADDR_ANY: a socket bound to 127.0.0.1 cannot originate
-		// multicast (the loopback source is dropped as martian on the
-		// egress interface). Unicast peers are still addressed via
-		// loopback below.
-		conn, err := net.ListenUDP("udp4", &net.UDPAddr{})
+		conn, err := path.sender()
 		if err != nil {
 			nw.Close()
 			return nil, fmt.Errorf("udpnet: unicast socket for rank %d: %w", i, err)
@@ -214,7 +236,7 @@ func New(cfg Config) (*Net, error) {
 		// De-correlate the endpoints' loss draws by rank.
 		ep.lossRng = rand.New(rand.NewSource(seed + int64(i)*7919))
 		port := conn.LocalAddr().(*net.UDPAddr).Port
-		peers[i] = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: port}
+		peers[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(port))
 		nw.eps = append(nw.eps, ep)
 	}
 	for _, ep := range nw.eps {
@@ -223,30 +245,6 @@ func New(cfg Config) (*Net, error) {
 		go ep.readLoop(ep.uc)
 	}
 	return nw, nil
-}
-
-// multicastInterface returns the loopback interface if it supports
-// multicast, else the first up multicast-capable interface, else nil
-// (kernel default).
-func multicastInterface() *net.Interface {
-	ifs, err := net.Interfaces()
-	if err != nil {
-		return nil
-	}
-	var fallback *net.Interface
-	for i := range ifs {
-		ifc := ifs[i]
-		if ifc.Flags&net.FlagUp == 0 || ifc.Flags&net.FlagMulticast == 0 {
-			continue
-		}
-		if ifc.Flags&net.FlagLoopback != 0 {
-			return &ifc
-		}
-		if fallback == nil {
-			fallback = &ifc
-		}
-	}
-	return fallback
 }
 
 // Endpoint returns rank i's endpoint.
@@ -284,7 +282,7 @@ type Endpoint struct {
 	net   *Net
 	rank  int
 	uc    *net.UDPConn
-	peers []*net.UDPAddr
+	peers []netip.AddrPort
 
 	mu        sync.Mutex
 	groups    map[uint32]*net.UDPConn
@@ -603,11 +601,10 @@ func (ep *Endpoint) writeCtl(dst int, body []byte) {
 // in readLoop.
 func (ep *Endpoint) Multicast(group uint32, m transport.Message) error {
 	m.Kind = transport.Mcast
-	dst := &net.UDPAddr{IP: ep.net.cfg.groupIP(group), Port: ep.net.cfg.McastPort}
-	return ep.write(dst, m)
+	return ep.write(ep.net.groupAddr(group), m)
 }
 
-func (ep *Endpoint) write(dst *net.UDPAddr, m transport.Message) error {
+func (ep *Endpoint) write(dst netip.AddrPort, m transport.Message) error {
 	ep.mu.Lock()
 	if err := ep.downLocked(); err != nil {
 		ep.mu.Unlock()
@@ -624,17 +621,17 @@ func (ep *Endpoint) write(dst *net.UDPAddr, m transport.Message) error {
 }
 
 // writeFrags is the one place a datagram leaves this endpoint: each
-// fragment is encoded into a pooled buffer, handed to the kernel
-// (WriteToUDP copies) and counted in Stats.DatagramsSent. The caller
-// must not hold mu.
-func (ep *Endpoint) writeFrags(dst *net.UDPAddr, frags ...transport.Fragment) error {
+// fragment is encoded into a pooled buffer, handed to the kernel (the
+// write copies) and counted in Stats.DatagramsSent. The caller must not
+// hold mu.
+func (ep *Endpoint) writeFrags(dst netip.AddrPort, frags ...transport.Fragment) error {
 	bp := wireBufPool.Get().(*[]byte)
 	defer wireBufPool.Put(bp)
 	var err error
 	sent := 0
 	for _, f := range frags {
 		*bp = transport.AppendFragment((*bp)[:0], f)
-		if _, err = ep.uc.WriteToUDP(*bp, dst); err != nil {
+		if _, err = ep.uc.WriteToUDPAddrPort(*bp, dst); err != nil {
 			err = fmt.Errorf("udpnet: write to %v: %w", dst, err)
 			break
 		}
@@ -669,8 +666,7 @@ func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uin
 	if err != nil {
 		return err
 	}
-	dst := &net.UDPAddr{IP: ep.net.cfg.groupIP(group), Port: ep.net.cfg.McastPort}
-	return ep.writeFrags(dst, send...)
+	return ep.writeFrags(ep.net.groupAddr(group), send...)
 }
 
 // PendingFrom implements transport.FragmentRepairer from the endpoint's
@@ -691,9 +687,9 @@ func (ep *Endpoint) Pace(d int64) {
 	}
 }
 
-// Join implements transport.Multicaster: it opens a socket bound to the
-// group address (net.ListenMulticastUDP performs the IGMP join) and
-// starts a reader for it.
+// Join implements transport.Multicaster: it opens a socket that is a
+// member of the group on the world's multicast path and starts a reader
+// for it.
 func (ep *Endpoint) Join(group uint32) error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -703,10 +699,9 @@ func (ep *Endpoint) Join(group uint32) error {
 	if _, ok := ep.groups[group]; ok {
 		return nil
 	}
-	addr := &net.UDPAddr{IP: ep.net.cfg.groupIP(group), Port: ep.net.cfg.McastPort}
-	conn, err := net.ListenMulticastUDP("udp4", ep.net.iface, addr)
+	conn, _, err := ep.net.path.listen(ep.net.groupAddr(group))
 	if err != nil {
-		return fmt.Errorf("udpnet: joining group %v: %w", addr, err)
+		return fmt.Errorf("udpnet: %w", err)
 	}
 	_ = conn.SetReadBuffer(ep.net.cfg.ReadBuffer)
 	ep.groups[group] = conn
@@ -743,7 +738,7 @@ func (ep *Endpoint) readLoop(conn *net.UDPConn) {
 	defer recvBufPool.Put(bp)
 	buf := *bp
 	for {
-		n, _, err := conn.ReadFromUDP(buf)
+		n, _, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
@@ -784,8 +779,8 @@ func (ep *Endpoint) readLoop(conn *net.UDPConn) {
 		if f.Repair {
 			// Someone in earshot sent a frame twice — said by the flag,
 			// not guessed from a fragment of a multicast already complete:
-			// the kernel hands a group's datagram to every socket bound to
-			// the port, so those arrive on a lossless network too.
+			// without the group filter a socket hears groups it never
+			// joined, so those arrive on a lossless network too.
 			ep.stats.RepairsHeard++
 			ep.streams.LossSeen(ep.Now())
 		}
@@ -894,39 +889,4 @@ func (ep *Endpoint) Close() error {
 	}
 	ep.wg.Wait()
 	return nil
-}
-
-// Probe reports whether IP multicast actually works here: it joins a
-// probe group, multicasts one datagram and waits briefly for the looped-
-// back copy. Callers (tests, examples) skip multicast paths when it
-// returns an error.
-func Probe() error {
-	cfg := DefaultConfig(1)
-	cfg.McastPort = 45988 // keep clear of real worlds
-	addr := &net.UDPAddr{IP: net.IPv4(239, 77, 255, 250), Port: cfg.McastPort}
-	recv, err := net.ListenMulticastUDP("udp4", multicastInterface(), addr)
-	if err != nil {
-		return fmt.Errorf("udpnet: probe join failed: %w", err)
-	}
-	defer recv.Close()
-	send, err := net.ListenUDP("udp4", &net.UDPAddr{})
-	if err != nil {
-		return fmt.Errorf("udpnet: probe socket failed: %w", err)
-	}
-	defer send.Close()
-	payload := []byte("mcast-probe")
-	if _, err := send.WriteToUDP(payload, addr); err != nil {
-		return fmt.Errorf("udpnet: probe send failed (no multicast route?): %w", err)
-	}
-	_ = recv.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-	buf := make([]byte, 64)
-	for {
-		n, _, err := recv.ReadFromUDP(buf)
-		if err != nil {
-			return fmt.Errorf("udpnet: probe receive failed (multicast loopback unavailable?): %w", err)
-		}
-		if string(buf[:n]) == string(payload) {
-			return nil
-		}
-	}
 }
