@@ -84,7 +84,7 @@ func main() {
 		alg      = flag.String("algorithm", "mcast-binary", algorithmNames())
 		size     = flag.Int("size", 1000, "message size in bytes (per-rank chunk for the rooted and all-to-all collectives)")
 		reps     = flag.Int("reps", 20, "repetitions")
-		port     = flag.Int("mcast-port", 45999, "multicast UDP port")
+		port     = flag.Int("mcast-port", udpnet.DefaultMcastPort, "multicast UDP port")
 		probe    = flag.Bool("probe", false, "probe multicast support and exit")
 		p2ploss  = flag.Float64("p2ploss", 0, "inject receiver-side point-to-point loss probability (exercises the reliable stream layer; stats printed after the run)")
 		loss     = flag.Float64("loss", 0, "inject receiver-side multicast fragment loss probability (exercises the NACK repair of the mcast-resilient sets; others hang on the first lost fragment)")

@@ -102,7 +102,7 @@
 //     allreduce (binomial-reduce and chunked reduce-scatter forms),
 //     scatter, gather and alltoall at fragment granularity. A round is a
 //     sender, a list of (scope, payload) sends and the scope each rank
-//     listens on; schedule (sequential, pipelined, burst), reliability
+//     listens on; schedule (sequential, pipelined), reliability
 //     (scout-only, or NACK repair with selective fragment repair, asked
 //     for when the arrivals the reassembler stamped say a message has
 //     stopped coming) and

@@ -36,6 +36,40 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+// TestAlltoallGuidelines holds the two-level alltoall to two Träff-style
+// guidelines on the shared-uplink switch (fanout 4), one cold operation
+// per point: two-level is no slower than the flat set it decomposes, and
+// from N=32 up no slower than the point-to-point baseline. Below N=32
+// mpich still wins where the exchange is a few large blocks on few
+// segments: N=8 from 1,000 B (4,824 against 4,492 sim-µs at 1,000 B),
+// N=16 at 2,000 and 5,000 B (by 0.9 % and 3.3 %).
+func TestAlltoallGuidelines(t *testing.T) {
+	prof := *sharedUplinkProfile()
+	prof.Seed = 1
+	cold := func(n, size int, a Algorithm) int64 {
+		t.Helper()
+		_, worst, err := coldRun(n, simnet.SwitchShared, prof, a, OpAlltoall, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return worst
+	}
+	for _, n := range []int{8, 32} {
+		for _, size := range []int{100, 2000} {
+			twoLevel, flat := cold(n, size, McastTwoLevel), cold(n, size, McastBinary)
+			if twoLevel > flat {
+				t.Errorf("N=%d %d B: %s %d ns is slower than %s %d ns", n, size, McastTwoLevel, twoLevel, McastBinary, flat)
+			}
+			if n < 32 {
+				continue
+			}
+			if p2p := cold(n, size, MPICH); twoLevel > p2p {
+				t.Errorf("N=%d %d B: %s %d ns is slower than %s %d ns", n, size, McastTwoLevel, twoLevel, MPICH, p2p)
+			}
+		}
+	}
+}
+
 func TestSetKnowsAllAlgorithms(t *testing.T) {
 	for _, a := range []Algorithm{MPICH, McastBinary, McastLinear, McastPipelined, McastAck, McastNack, Sequencer, Unsafe} {
 		algs, err := Set(a)

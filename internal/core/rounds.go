@@ -8,8 +8,8 @@ package core
 // and every other rank consumes the payload addressed to it.
 //
 // Three things vary independently. Schedule: the engine runs the rounds
-// two ways (and a third, the burst, where the device posts standing
-// receives — see runRoundsBurst):
+// two ways (the lossless two-level allgather and alltoall run no rounds
+// after their entry handshake — see twoLevelBurst):
 //
 //   - Sequential (the paper's composition, PR 1): round r+1's scouts are
 //     not sent until round r's data has been consumed everywhere, so each
@@ -28,7 +28,7 @@ package core
 //     are merely overlapped, not unsynchronized.
 //
 // Reliability: the data phase of each round runs in one of two classes
-// (on either schedule above; the burst is scout-only):
+// (on either schedule above):
 //
 //   - Scout-only (the paper's model): after the gather, the single
 //     multicast cannot be lost to an unready receiver, and no
@@ -289,91 +289,6 @@ func pipelinedGather(cc mpi.CollCtx, opt *roundOptions, rd *roundPlan, hot int) 
 		return linearRoundGather(cc, rd.sender, hot)
 	}
 	return opt.gather(cc, rd.sender, hot)
-}
-
-// maxBurstRounds bounds the burst schedule's outstanding rounds: a rank
-// can hold at most 2·(rounds-1) undrained inbox messages (one data block
-// plus one scout per round it has not reached), and the device receive
-// ring must absorb that without overflow. 128 keeps the bound inside the
-// simulator's default 256-message ring with room for stream control;
-// longer sequences run on the sequential schedule.
-const maxBurstRounds = 128
-
-// runRoundsBurst executes the round sequence with every round
-// outstanding at once: each rank walks the rounds in order, scouting (or
-// collecting scouts and multicasting, for rounds it sends) without ever
-// blocking for another sender's data, then consumes all foreign rounds'
-// data afterwards. Compared to the pipelined schedule — which keeps one
-// round of lookahead — the burst removes the last serialization: sender
-// i+1 multicasts as soon as its own scout gather lands, without first
-// consuming round i, so data transmissions overlap across segment ports
-// and a late phase-A combine on one segment no longer stalls every other
-// segment's round (the two-level allgather enters a leader's round the
-// moment that leader is ready).
-//
-// The schedule is only safe where the device can post standing receive
-// descriptors (transport.RecvPoster): with len(rounds) descriptors
-// posted up front, a data multicast arriving while this rank is still
-// scouting later rounds finds a descriptor instead of the strict-posted
-// drop path. On devices without descriptor accounting Comm.PostRecvs is
-// a no-op — correct wherever strict posted semantics do not exist (the
-// in-process transport, real UDP sockets with kernel buffering).
-//
-// The scout-gating invariant per round is unchanged: round i's sender
-// multicasts only after every participant has scouted round i. Repair
-// rounds keep the sequential schedule (the NACK server assumes one
-// round's control traffic at a time), as do sequences longer than
-// maxBurstRounds.
-func runRoundsBurst(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
-	if len(rounds) == 0 {
-		return nil
-	}
-	if opt.repair != nil || len(rounds) > maxBurstRounds {
-		return runRounds(c, rounds, opt)
-	}
-	me := c.Rank()
-	release := c.PostRecvs(len(rounds))
-	defer release()
-	// Contexts are opened lazily, one per iteration: BeginColl
-	// garbage-collects lower-sequence protocol stragglers, and a scout
-	// for round k carries sequence base+k+1 ≥ any earlier iteration's
-	// threshold, so the burst's queued scouts survive the collection.
-	ccs := make([]mpi.CollCtx, len(rounds))
-	for i := range rounds {
-		rd := &rounds[i]
-		cc := c.BeginColl()
-		if !cc.CanMulticast() {
-			return mpi.ErrNoMulticast
-		}
-		ccs[i] = cc
-		cc.SpanBegin("round-gather")
-		err := opt.gather(cc, rd.sender, -1)
-		cc.SpanEnd("round-gather")
-		if err != nil {
-			return err
-		}
-		if me == rd.sender {
-			if _, err := transmitRound(cc, rd, 0, -1); err != nil {
-				return err
-			}
-		}
-	}
-	// Consume in round order: the multicast staleness watermark advances
-	// with each consumed sequence number, so in-order consumption never
-	// marks a later round's pending data stale.
-	for i := range rounds {
-		rd := &rounds[i]
-		if me == rd.sender {
-			continue
-		}
-		ccs[i].SpanBegin("round-consume")
-		err := receiveRound(ccs[i], rd, nil)
-		ccs[i].SpanEndGated("round-consume", rd.sender)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // awaitMulticast blocks for this operation's multicast from sender to

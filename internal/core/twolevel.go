@@ -37,7 +37,8 @@ package core
 //	                   directly — N data multicasts, exactly the flat
 //	                   algorithm's N·M bytes per segment wire, with all
 //	                   per-round gathers collapsed into the one entry
-//	                   handshake. Under NACK repair the combine-based
+//	                   handshake. Under NACK repair (and beyond the
+//	                   receive budget, burstRecvBudget) the combine-based
 //	                   schedule runs instead: chunks converge on the
 //	                   leader and S aggregate blocks are multicast in
 //	                   sequential leader rounds the repair server can
@@ -58,13 +59,20 @@ package core
 //	                   segment-group multicasts of per-segment
 //	                   super-slices in place of the flat N-1 per-rank
 //	                   slice transmissions.
-//	alltoall:          (N-S) member scouts + S(S-1) leader-round scouts
-//	                   + S releases, versus the flat N(N-1) — 65,280 at
-//	                   N=256. Data: members ship whole buffers to their
-//	                   leader locally, leaders exchange S(S-1)
-//	                   per-segment super-slice blocks over the uplinks
-//	                   (burst-scheduled, so the blocks overlap), members
-//	                   extract their chunks from their segment's block.
+//	alltoall:          the allgather's scout-only entry handshake — (N-S)
+//	                   member scouts + S(S-1) leader scouts + S releases,
+//	                   versus the flat N(N-1), 65,280 at N=256. Lossless
+//	                   data path: once released every rank multicasts,
+//	                   to each segment's group, one block of its own
+//	                   chunks for that segment's members, taking the
+//	                   segments around the ring from the one after its
+//	                   own, so the first blocks of all ranks spread over
+//	                   every segment port at once; each rank keeps its
+//	                   chunk of the N-1 blocks its segment hears. Under
+//	                   NACK repair (and beyond the receive budget,
+//	                   burstRecvBudget) members ship whole buffers to
+//	                   their leader and S sequential leader rounds
+//	                   exchange per-segment super-slice blocks.
 //
 // A communicator without a usable topology — no device map, a single
 // segment (nothing to localize), or one rank per segment (the
@@ -299,11 +307,12 @@ func segmentCombine(cc mpi.CollCtx, t *topo.Map, lead int, payload []byte, rep *
 	return collectChunks(cc, mpi.Seg(seg), others, len(payload), place)
 }
 
-// allgather gathers every rank's chunk to every rank. Lossless, it is
-// the scout-only handshake of allgatherTwoLevelBurst. Under repair it
-// runs in two levels: a release-gated segment-local combine to each
-// leader, then S sequential leader rounds each multicasting one
-// segment's aggregate block to the whole communicator.
+// allgather gathers every rank's chunk to every rank. Lossless, every
+// rank multicasts its chunk to the whole communicator after the
+// scout-only handshake of twoLevelBurst. Under repair, and beyond
+// burstRecvBudget, it runs in two levels: a release-gated segment-local
+// combine to each leader, then S sequential leader rounds each
+// multicasting one segment's aggregate block to the whole communicator.
 func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 	t := usableTopo(c)
 	if t == nil {
@@ -315,8 +324,14 @@ func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 	}
 	me := c.Rank()
 	copy(recv[me*n:], send)
-	if tl.rep == nil {
-		return allgatherTwoLevelBurst(c, send, recv, t)
+	if tl.direct(c) {
+		return twoLevelBurst(c, t, wholeSend(send)(), mpi.Whole, func(r int, p []byte) error {
+			if len(p) != n {
+				return fmt.Errorf("core: allgather chunk from %d is %d bytes, want %d", r, len(p), n)
+			}
+			copy(recv[r*n:(r+1)*n], p)
+			return nil
+		})
 	}
 	members := t.Members(t.SegmentOf(me))
 	leader := t.Leader(t.SegmentOf(me))
@@ -365,30 +380,41 @@ func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 		}
 	}
 	// The sequential round schedule the NACK server needs; the lossless
-	// path took the burst schedule above.
+	// path took the direct exchange above.
 	return runRounds(c, rounds, roundOptions{gather: leaderRoundGather(t), repair: tl.rep})
 }
 
-// allgatherTwoLevelBurst is the lossless allgather fast path: phase A
-// carries no data at all. Members scout their leader to prove they have
-// entered the collective (every rank posts standing receive descriptors
-// for the whole operation on entry), each leader scouts every other
-// leader exactly once, and a leader that holds proof all S segments are
-// in releases its own segment — whereupon every member multicasts its
-// own chunk directly to the whole communicator, one collective context
-// per rank in rank order. The scout budget is identical to the
-// combine-based schedule — (N-S) member scouts plus S(S-1) leader
-// scouts — but the data phase now carries exactly the flat algorithm's
-// N·M bytes per segment wire (the phase-A chunk copies to the leader
-// are gone), and every per-round gather collapses into the single entry
-// handshake, so after the release the wire does all remaining
-// serialization. A rank transmits its chunk before consuming anyone
-// else's, so segment-local combines and remote transmissions overlap
-// fully; in-order consumption keeps the multicast staleness watermark
-// monotone.
-func allgatherTwoLevelBurst(c *mpi.Comm, send, recv []byte, t *topo.Map) error {
+// burstRecvBudget bounds the multicasts twoLevelBurst leaves undrained
+// at one rank: while a rank transmits its own data it is in no receive,
+// so up to size-1 foreign multicasts queue in the device's receive ring,
+// which must absorb them without overflow — the simulator's default
+// ring holds 256 messages, and this leaves one slot to spare.
+const burstRecvBudget = 255
+
+// direct reports whether the allgather and the alltoall run
+// twoLevelBurst on c: lossless, and within burstRecvBudget. Otherwise
+// they run the combine-based schedule.
+func (tl *twoLevel) direct(c *mpi.Comm) bool {
+	return tl.rep == nil && c.Size()-1 <= burstRecvBudget
+}
+
+// twoLevelBurst is the lossless data path of the two-level allgather and
+// alltoall, whose handshake carries no data at all. Members scout their
+// leader to prove they have entered the collective (every rank posts
+// standing receive descriptors for the whole operation on entry), each
+// leader scouts every other leader exactly once, and a leader that holds
+// proof all S segments are in releases its own segment — whereupon every
+// rank multicasts its own sends directly, one collective context per
+// rank in rank order, and consumes the multicast every other rank sent
+// to scope, in rank order, handing it to consume. The scout budget is
+// the combine-based schedule's — (N-S) member scouts plus S(S-1) leader
+// scouts — but no data converges on a leader, and every per-round
+// gather collapses into the single entry handshake, so after the
+// release the wire does all remaining serialization. A rank transmits
+// before consuming anyone else's data, so transmissions overlap fully;
+// in-order consumption keeps the multicast staleness watermark monotone.
+func twoLevelBurst(c *mpi.Comm, t *topo.Map, sends []send, scope mpi.Scope, consume func(r int, p []byte) error) error {
 	size := c.Size()
-	n := len(send)
 	me := c.Rank()
 	mySeg := t.SegmentOf(me)
 	members := t.Members(mySeg)
@@ -396,8 +422,8 @@ func allgatherTwoLevelBurst(c *mpi.Comm, send, recv []byte, t *topo.Map) error {
 	segs := t.Segments()
 
 	// Standing descriptors for everything that can arrive while this
-	// rank is busy elsewhere: size-1 foreign chunk multicasts plus the
-	// segment release.
+	// rank is busy elsewhere: size-1 foreign multicasts plus the segment
+	// release.
 	release := c.PostRecvs(size)
 	defer release()
 
@@ -413,7 +439,7 @@ func allgatherTwoLevelBurst(c *mpi.Comm, send, recv []byte, t *topo.Map) error {
 			return err
 		}
 		// The release proves every segment has entered, so this rank's
-		// chunk multicast cannot be dropped anywhere.
+		// multicasts cannot be dropped anywhere.
 		cc.SpanBegin("await-release")
 		_, err = cc.RecvMulticast(mpi.Seg(mySeg))
 		cc.SpanEndGated("await-release", leader)
@@ -461,39 +487,65 @@ func allgatherTwoLevelBurst(c *mpi.Comm, send, recv []byte, t *topo.Map) error {
 	}
 
 	// Data phase: one context per rank, opened in rank order. Fire this
-	// rank's chunk at its own slot — before consuming anything — then
+	// rank's sends at its own slot — before consuming anything — then
 	// consume the rest in slot order (early arrivals queue against their
 	// standing descriptors).
 	ccs := make([]mpi.CollCtx, size)
 	for r := 0; r < size; r++ {
 		ccs[r] = c.BeginColl()
-		if r == me {
-			cc.SpanBegin("chunk-mcast")
-			err := ccs[r].Multicast(mpi.Whole, send, transport.ClassData)
-			cc.SpanEnd("chunk-mcast")
-			if err != nil {
+		if r != me {
+			continue
+		}
+		cc.SpanBegin("chunk-mcast")
+		for _, s := range sends {
+			if err := ccs[r].Multicast(s.scope, s.payload, transport.ClassData); err != nil {
+				cc.SpanEnd("chunk-mcast")
 				return err
 			}
 		}
+		cc.SpanEnd("chunk-mcast")
 	}
 	cc.SpanBegin("chunk-consume")
+	defer cc.SpanEnd("chunk-consume")
 	for r := 0; r < size; r++ {
 		if r == me {
 			continue
 		}
-		m, err := ccs[r].RecvMulticast(mpi.Whole)
+		m, err := ccs[r].RecvMulticast(scope)
 		if err != nil {
-			cc.SpanEnd("chunk-consume")
 			return err
 		}
-		if len(m.Payload) != n {
-			cc.SpanEnd("chunk-consume")
-			return fmt.Errorf("core: allgather chunk from %d is %d bytes, want %d", r, len(m.Payload), n)
+		if err := consume(r, m.Payload); err != nil {
+			return err
 		}
-		copy(recv[r*n:(r+1)*n], m.Payload)
 	}
-	cc.SpanEnd("chunk-consume")
 	return nil
+}
+
+// ringSegSends is the direct alltoall's send list at rank me: to every
+// segment's group, one block of me's chunks of buf (n bytes each) for
+// that segment's members, in member order. The segments are taken
+// around the ring from the one after me's, so me's own segment comes
+// last — and is left out where me is its only member. Every rank
+// starting at a different segment is what keeps the blocks apart: in
+// the common order 0, 1, … all N ranks' first blocks would converge on
+// segment 0's port, then all on segment 1's, one port at a time.
+func ringSegSends(t *topo.Map, me int, buf []byte, n int) []send {
+	mySeg, segs := t.SegmentOf(me), t.Segments()
+	sends := make([]send, 0, segs)
+	for i := 1; i <= segs; i++ {
+		d := (mySeg + i) % segs
+		ms := t.Members(d)
+		if len(ms) == 1 && ms[0] == me {
+			continue
+		}
+		blk := make([]byte, 0, n*len(ms))
+		for _, r := range ms {
+			blk = append(blk, buf[r*n:(r+1)*n]...)
+		}
+		sends = append(sends, send{scope: mpi.Seg(d), payload: blk})
+	}
+	return sends
 }
 
 // allreduce reduces in two levels — members combine at their segment
@@ -717,19 +769,19 @@ func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 	return nil
 }
 
-// alltoall runs the personalized exchange hierarchically. Phase A: each
-// segment's members ship their whole send buffer to the segment leader
-// over the release-gated local combine (segment-local unicast — never
-// crossing an uplink). Phase B: S segment rounds among the leaders —
-// round s's leader multicasts, to each destination segment d, one
-// super-slice holding every chunk from segment s's members to segment
-// d's members — so the uplink fabric carries S(S-1) block transfers
-// gated by S(S-1) leader scouts plus the N-S member scouts and S
-// releases of phase A, where the flat sliced exchange pays N(N-1) scouts
-// (65,280 at N=256) and N(N-1) per-slice transmissions. Lossless, the
-// rounds run on the burst schedule: every leader multicasts the moment
-// its own scout gather lands, so block transmissions overlap across
-// segment ports instead of serializing round-by-round.
+// alltoall runs the personalized exchange hierarchically, where the flat
+// sliced exchange pays N(N-1) scouts (65,280 at N=256) and N(N-1)
+// per-slice transmissions. Lossless, it is twoLevelBurst over
+// ringSegSends: after the (N-S) + S(S-1) scout handshake every rank
+// multicasts one block per segment, and keeps its own chunk of each
+// block its segment hears. Under repair, and beyond burstRecvBudget, it
+// runs in two levels. Phase A: each segment's members ship their whole
+// send buffer to the segment leader over the release-gated local
+// combine (segment-local unicast — never crossing an uplink). Phase B: S
+// sequential segment rounds among the leaders — round s's leader
+// multicasts, to each destination segment d, one super-slice holding
+// every chunk from segment s's members to segment d's members — gated
+// by S(S-1) leader scouts.
 func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 	t := usableTopo(c)
 	if t == nil {
@@ -744,6 +796,16 @@ func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 	copy(recv[me*n:(me+1)*n], send[me*n:(me+1)*n])
 	myMembers := t.Members(t.SegmentOf(me))
 	myIdx := slices.Index(myMembers, me)
+	if tl.direct(c) {
+		blk := n * len(myMembers)
+		return twoLevelBurst(c, t, ringSegSends(t, me, send, n), mpi.Seg(t.SegmentOf(me)), func(r int, p []byte) error {
+			if len(p) != blk {
+				return fmt.Errorf("core: alltoall block from %d is %d bytes, want %d", r, len(p), blk)
+			}
+			copy(recv[r*n:(r+1)*n], p[myIdx*n:(myIdx+1)*n])
+			return nil
+		})
+	}
 
 	// Phase A: segment-local combine of whole send buffers at the
 	// leader. The members' chunks addressed to the leader itself never
@@ -801,9 +863,5 @@ func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 			},
 		}
 	}
-	opt := roundOptions{gather: leaderRoundGather(t), repair: tl.rep}
-	if tl.rep == nil {
-		return runRoundsBurst(c, rounds, opt)
-	}
-	return runRounds(c, rounds, opt)
+	return runRounds(c, rounds, roundOptions{gather: leaderRoundGather(t), repair: tl.rep})
 }

@@ -49,6 +49,12 @@ func TestTwoLevelConformanceN256(t *testing.T) {
 			if drops := nw.SwitchStats().QueueDrops; drops != 0 {
 				t.Fatalf("%d silent egress drops", drops)
 			}
+			// The two-level allgather and alltoall leave up to 255
+			// multicasts undrained at a rank, inside the 256-message
+			// receive ring; an overflow would be a lost multicast.
+			if over := nw.Stats.RingOverflows; over != 0 {
+				t.Fatalf("%d receive-ring overflows", over)
+			}
 		})
 	}
 }
@@ -104,9 +110,11 @@ func TestTwoLevelSingleSegmentDelegatesN256(t *testing.T) {
 }
 
 // TestTwoLevelScaleN1024 is the opt-in long test (BENCH_LONG=1): the
-// 256-segment fabric, verified allgather and allreduce only — the full
-// seven-collective oracle's alltoall term is quadratic in N and would
-// dominate the run without adding two-level coverage.
+// 256-segment fabric, verified allgather, allreduce and alltoall — not
+// the full seven-collective oracle, whose work is quadratic in N. The
+// alltoall's 1,023 blocks per rank exceed core's receive budget, so it
+// is the test of the combine-based schedule the lossless alltoall falls
+// back to there.
 func TestTwoLevelScaleN1024(t *testing.T) {
 	if os.Getenv("BENCH_LONG") == "" {
 		t.Skip("set BENCH_LONG=1 to run the N=1024 scale test")
@@ -137,6 +145,22 @@ func TestTwoLevelScaleN1024(t *testing.T) {
 					return fmt.Errorf("allreduce: rank %d elem %d = %d, want 255", me, i, b)
 				}
 			}
+			// Chunk j of rank i's send buffer is {i, j} repeated.
+			a2aSend := make([]byte, n*chunk)
+			for j := 0; j < n; j++ {
+				fillPair(a2aSend[j*chunk:(j+1)*chunk], me, j)
+			}
+			a2aRecv := make([]byte, n*chunk)
+			if err := c.Alltoall(a2aSend, a2aRecv); err != nil {
+				return err
+			}
+			want := make([]byte, chunk)
+			for i := 0; i < n; i++ {
+				fillPair(want, i, me)
+				if !bytes.Equal(a2aRecv[i*chunk:(i+1)*chunk], want) {
+					return fmt.Errorf("alltoall: rank %d chunk from %d corrupted", me, i)
+				}
+			}
 			return nil
 		})
 	if err != nil {
@@ -144,5 +168,21 @@ func TestTwoLevelScaleN1024(t *testing.T) {
 	}
 	if drops := nw.SwitchStats().QueueDrops; drops != 0 {
 		t.Fatalf("%d silent egress drops", drops)
+	}
+	if over := nw.Stats.RingOverflows; over != 0 {
+		t.Fatalf("%d receive-ring overflows", over)
+	}
+}
+
+// fillPair fills b with the two-byte pattern of the chunk rank src sends
+// to rank dst (each as a little-endian uint16, so 1,024 ranks stay
+// distinct).
+func fillPair(b []byte, src, dst int) {
+	for k := range b {
+		v := src
+		if k%4 >= 2 {
+			v = dst
+		}
+		b[k] = byte(v >> (8 * (k % 2)))
 	}
 }

@@ -246,21 +246,25 @@ func (rt *Runtime) recvMatchTimeout(pred func(*transport.Message) bool, timeout 
 	}
 }
 
+// scanUnexpected removes and returns the first queued message satisfying
+// pred, dropping stale multicast duplicates as it goes. pred sees a
+// pointer into the queue itself: a copy whose address escaped into the
+// closure would cost one heap allocation per queued message per scan.
 func (rt *Runtime) scanUnexpected(pred func(*transport.Message) bool) (transport.Message, bool) {
 	kept := rt.unexpected[:0]
 	var found transport.Message
 	ok := false
 	for i := range rt.unexpected {
-		m := rt.unexpected[i]
-		if !ok && pred(&m) {
-			found = m
+		m := &rt.unexpected[i]
+		if !ok && pred(m) {
+			found = *m
 			ok = true
 			continue
 		}
-		if rt.stale(&m) {
+		if rt.stale(m) {
 			continue
 		}
-		kept = append(kept, m)
+		kept = append(kept, *m)
 	}
 	// Zero the tail so dropped messages do not pin payloads.
 	for i := len(kept); i < len(rt.unexpected); i++ {
@@ -462,10 +466,12 @@ func (c *Comm) Topo() *topo.Map { return c.topoMap }
 // PostRecvs posts n standing receive descriptors on the device (when it
 // supports transport.RecvPoster) and returns a release function that
 // retires them. Under strict posted-receive semantics a multicast frame
-// arriving between two Recv calls of a burst of concurrent collective
-// rounds would otherwise be dropped; standing descriptors make the burst
-// schedule safe by construction. On devices without descriptor
-// accounting both the post and the release are no-ops.
+// arriving while a rank is between Recv calls — transmitting its own
+// data while every other rank multicasts too, as in the two-level
+// allgather and alltoall — would otherwise be dropped; standing
+// descriptors make such an exchange safe by construction. On devices
+// without descriptor accounting both the post and the release are
+// no-ops.
 func (c *Comm) PostRecvs(n int) (release func()) {
 	rp := c.rt.poster
 	if rp == nil || n <= 0 {

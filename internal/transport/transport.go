@@ -215,12 +215,12 @@ type Pacer interface {
 // RecvPoster is the optional capability of posting standing receive
 // descriptors ahead of the Recv calls that consume them. Under the
 // paper's strict-posted discipline a multicast frame arriving while the
-// receiver has no descriptor posted is silently lost; a collective that
-// lets several multicast rounds run concurrently (the burst schedule in
-// package core) posts one descriptor per outstanding round up front, so
-// every round's data frame finds a descriptor no matter how the senders
-// interleave. Devices without VIA-style descriptor accounting simply do
-// not implement it.
+// receiver has no descriptor posted is silently lost; a collective in
+// which every rank multicasts at once (the two-level allgather and
+// alltoall in package core) posts one descriptor per multicast it
+// expects up front, so every data frame finds a descriptor no matter how
+// the senders interleave. Devices without VIA-style descriptor
+// accounting simply do not implement it.
 type RecvPoster interface {
 	// PostRecvs posts n additional standing receive descriptors.
 	PostRecvs(n int)

@@ -53,8 +53,9 @@ func (p Path) String() string {
 }
 
 // probeGroup is where FindPath sends its datagram, clear of the port and
-// the groups real worlds use.
-var probeGroup = netip.AddrPortFrom(netip.AddrFrom4([4]byte{239, 77, 255, 250}), 45988)
+// the groups real worlds use, and below the ephemeral range like them
+// (see DefaultMcastPort).
+var probeGroup = netip.AddrPortFrom(netip.AddrFrom4([4]byte{239, 77, 255, 250}), 29988)
 
 // FindPath returns the first candidate path a datagram actually makes
 // the round trip on: the loopback interface if it is up (its MULTICAST

@@ -120,11 +120,18 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
+// DefaultMcastPort is the multicast port of DefaultConfig. It lies below
+// Linux's ephemeral range (32768 and up by default), as any McastPort
+// should: inside it, a socket anywhere on the host bound to port 0 — a
+// rank's sending socket, say — can already hold the port, and binding a
+// group address on it fails with "address already in use".
+const DefaultMcastPort = 29999
+
 // DefaultConfig returns a working localhost configuration.
 func DefaultConfig(n int) Config {
 	return Config{
 		N:          n,
-		McastPort:  45999,
+		McastPort:  DefaultMcastPort,
 		FragSize:   1400,
 		GroupNet:   "239.77.0.0",
 		ReadBuffer: 1 << 20,
@@ -133,7 +140,7 @@ func DefaultConfig(n int) Config {
 
 func (c *Config) fill() {
 	if c.McastPort == 0 {
-		c.McastPort = 45999
+		c.McastPort = DefaultMcastPort
 	}
 	if c.FragSize == 0 {
 		c.FragSize = 1400

@@ -21,10 +21,12 @@ import (
 )
 
 // mcastPort hands out distinct multicast ports per test so concurrent
-// worlds on one host do not cross-deliver.
+// worlds on one host do not cross-deliver — below the ephemeral range,
+// where no other process's port-0 socket can already hold one (see
+// udpnet.DefaultMcastPort).
 var mcastPort atomic.Int32
 
-func init() { mcastPort.Store(46100) }
+func init() { mcastPort.Store(29100) }
 
 func testConfig(n int) udpnet.Config {
 	cfg := udpnet.DefaultConfig(n)
