@@ -70,6 +70,41 @@ func TestAlltoallGuidelines(t *testing.T) {
 	}
 }
 
+// TestChunkedAllreduceGuidelines holds the chunked allreduce to two
+// Träff-style guidelines on the same fabric (shared-uplink switch,
+// fanout 4, one cold operation per point): from 20,000 B it is no slower
+// than the binomial-reduce + bcast allreduce of mcast-binary, and from
+// 5,000 B no slower than mpich. Below ~5 KB mcast-binary still wins —
+// its one reduce and one multicast beat N slice walks and N multicasts
+// of sub-frame slices (N=32 at 100 B: 5,185 against 917 sim-µs) — and
+// from N=16 it still wins at 5,000 B (4,433 and 5,273 against 4,489 and
+// 6,736 at N=16 and 32).
+func TestChunkedAllreduceGuidelines(t *testing.T) {
+	prof := *sharedUplinkProfile()
+	prof.Seed = 1
+	cold := func(n, size int, a Algorithm) int64 {
+		t.Helper()
+		_, worst, err := coldRun(n, simnet.SwitchShared, prof, a, OpAllreduce, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return worst
+	}
+	for _, n := range []int{8, 16, 32} {
+		for _, size := range []int{5000, 20000} {
+			chunked := cold(n, size, McastChunked)
+			if size >= 20000 {
+				if flat := cold(n, size, McastBinary); chunked > flat {
+					t.Errorf("N=%d %d B: %s %d ns is slower than %s %d ns", n, size, McastChunked, chunked, McastBinary, flat)
+				}
+			}
+			if p2p := cold(n, size, MPICH); chunked > p2p {
+				t.Errorf("N=%d %d B: %s %d ns is slower than %s %d ns", n, size, McastChunked, chunked, MPICH, p2p)
+			}
+		}
+	}
+}
+
 func TestSetKnowsAllAlgorithms(t *testing.T) {
 	for _, a := range []Algorithm{MPICH, McastBinary, McastLinear, McastPipelined, McastAck, McastNack, Sequencer, Unsafe} {
 		algs, err := Set(a)

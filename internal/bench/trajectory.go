@@ -107,18 +107,29 @@ func trajectoryPoint(op Op, a Algorithm, procs int, seed uint64) (TrajectoryEntr
 	ent.Segments = nw.TopoMap().Segments()
 	ent.ScoutFrames = nw.Wire.Frames(transport.ClassScout)
 	ent.SilentDrops = nw.SwitchStats().QueueDrops
-	ent.Check = "ok"
-	switch s := ent.Segments; {
-	case ent.SilentDrops != 0:
-		ent.Check = "SILENT-DROP"
+	ent.Check = entryCheck(ent)
+	return ent, nil
+}
+
+// entryCheck is an entry's check: SILENT-DROP on any egress drop, and
+// SCOUT-EXCESS where a two-level schedule ran and sent more scouts than
+// its bound — the two-level suite, and the chunked allreduce, whose
+// allgather of reduced slices is the two-level allgather's burst, on
+// more than one segment.
+func entryCheck(e TrajectoryEntry) string {
+	a, n, s := Algorithm(e.Algorithm), e.Procs, e.Segments
+	switch {
+	case e.SilentDrops != 0:
+		return "SILENT-DROP"
 	case a == McastTwoLevel && s <= 1:
 		// Single-segment fabric: the suite delegates to the flat
 		// algorithm, whose scout count the bound does not describe.
-		ent.Check = "flat (S=1)"
-	case a == McastTwoLevel && ent.ScoutFrames > twoLevelScoutBound(op, procs, s):
-		ent.Check = "SCOUT-EXCESS"
+		return "flat (S=1)"
+	case a == McastTwoLevel && e.ScoutFrames > twoLevelScoutBound(Op(e.Op), n, s),
+		a == McastChunked && s > 1 && e.ScoutFrames > twoLevelScoutBound(OpAllgather, n, s):
+		return "SCOUT-EXCESS"
 	}
-	return ent, nil
+	return "ok"
 }
 
 // twoLevelScoutBound is the per-operation scout-frame ceiling the

@@ -80,3 +80,31 @@ func TestGateTrajectory(t *testing.T) {
 		t.Errorf("SCOUT-EXCESS row with no baseline: violations %q", v)
 	}
 }
+
+// TestEntryCheck pins what a row's check reads. The chunked allreduce
+// on more than one segment is held to the two-level allgather's scout
+// bound ((N-S) + S(S-1) + S: 4,288 at N=256, S=64); on one segment it
+// runs flat rounds and reads ok whatever its scout count.
+func TestEntryCheck(t *testing.T) {
+	row := func(op Op, a Algorithm, n, s int, scouts, drops int64) TrajectoryEntry {
+		return TrajectoryEntry{Op: string(op), Algorithm: string(a), Procs: n, Segments: s, ScoutFrames: scouts, SilentDrops: drops}
+	}
+	for _, tc := range []struct {
+		e    TrajectoryEntry
+		want string
+	}{
+		{row(OpAllreduce, McastChunked, 4, 1, 12, 0), "ok"},
+		{row(OpAllreduce, McastChunked, 256, 64, 4224, 0), "ok"},
+		{row(OpAllreduce, McastChunked, 256, 64, 4289, 0), "SCOUT-EXCESS"},
+		{row(OpAllreduce, McastChunked, 256, 64, 65280, 0), "SCOUT-EXCESS"},
+		{row(OpAllreduce, McastChunked, 8, 2, 8, 1), "SILENT-DROP"},
+		{row(OpAllgather, McastTwoLevel, 4, 1, 12, 0), "flat (S=1)"},
+		{row(OpAllgather, McastTwoLevel, 256, 64, 4289, 0), "SCOUT-EXCESS"},
+		{row(OpAllreduce, McastTwoLevel, 256, 64, 0, 0), "ok"},
+		{row(OpAllgather, McastBinary, 256, 64, 65280, 0), "ok"},
+	} {
+		if got := entryCheck(tc.e); got != tc.want {
+			t.Errorf("%s S=%d, %d scouts, %d drops: check %q, want %q", tc.e.row(), tc.e.Segments, tc.e.ScoutFrames, tc.e.SilentDrops, got, tc.want)
+		}
+	}
+}

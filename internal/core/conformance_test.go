@@ -46,8 +46,10 @@ var conformanceSets = []struct {
 }
 
 // chunkedAlgorithms is the binary suite with the Rabenseifner-style
-// chunked allreduce (per-slice binomial reduce-scatter + pipelined
-// multicast allgather of the reduced slices).
+// chunked allreduce: a per-slice binomial reduce-scatter, then a
+// multicast allgather of the reduced slices — pipelined rounds on a flat
+// fabric, the two-level burst on shared uplinks (where twolevel_test.go
+// runs it).
 func chunkedAlgorithms() mpi.Algorithms {
 	algs := core.Algorithms(core.Binary)
 	algs.Allreduce = core.AllreduceMcastChunked

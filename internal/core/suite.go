@@ -30,7 +30,9 @@ package core
 //	                 makes rank 0 absorb log2(N)·M bytes;
 //	                 AllreduceMcastChunked (below) spreads the reduction
 //	                 over per-slice binomial walks so no rank moves more
-//	                 than ~2M bytes end to end.
+//	                 than ~2M bytes end to end, and gathers the reduced
+//	                 slices for (N-S) + S(S-1) scouts on 1 < S < N
+//	                 segments, N(N-1) elsewhere.
 //	scatter:         s scouts + (N-1)·ceil(M/T) data frames: the root
 //	                 multicasts each rank's slice to that rank's private
 //	                 slice group, so a receiver's NIC delivers exactly
@@ -231,9 +233,12 @@ func sliceBounds(total, extent, size int) []int {
 
 // AllreduceMcastChunked is the Rabenseifner-style chunked composition:
 // a reduce-scatter built from one binomial walk per slice (slice s
-// combines toward rank s on the UDP bypass), followed by the pipelined
-// scout-gated multicast allgather rounds of the suite broadcasting each
-// reduced slice exactly once.
+// combines toward rank s on the UDP bypass), followed by an allgather
+// that multicasts each reduced slice exactly once. On a segmented fabric
+// within the receive budget (usableTopo, burstFits) that allgather is
+// twoLevelBurst — one scout-only handshake of (N-S) + S(S-1) scouts,
+// then every rank multicasts its slice; elsewhere it is the suite's
+// pipelined scout-gated rounds, N(N-1) scouts.
 //
 // The byte economics against the sets' binomial-reduce + bcast allreduce:
 // both put ~(N-1)·M + M data bytes on the wire (a reduction cannot move
@@ -247,13 +252,9 @@ func sliceBounds(total, extent, size int) []int {
 // parent send up front, filling the wire immediately, and the remaining
 // interior walks make progress in whatever order their children's
 // contributions arrive (CollCtx.RecvPhaseRange is the event pump — the
-// slice index rides the message phase). The earlier blocking schedule
-// completed walk s everywhere before walk s+1 started, serializing
-// ~2M of wire time behind per-message host overheads and losing on
-// latency at every measured size despite winning the byte funnel; the
-// event-driven form keeps each walk's tree, phases, classes and frame
-// counts bit-identical (the a3 table is unaffected) while the wire and
-// the hosts work concurrently.
+// slice index rides the message phase), so the wire and the hosts work
+// concurrently while each walk's tree, phases, classes and frame counts
+// stay those of a blocking walk (the a3 table).
 //
 // The reduction combines slice contributions in binomial-tree order, so
 // op should be commutative and associative (every built-in mpi.Op is;
@@ -364,9 +365,20 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	}
 	cc.SpanEnd("reduce-scatter")
 
-	// Allgather: rank s multicasts its reduced slice once per round,
-	// pipelined (round r+1's scout gather under round r's data, paced
-	// for sub-frame slices).
+	// Allgather: rank s multicasts its reduced slice once — in one
+	// two-level burst, or in pipelined rounds paced for sub-frame slices.
+	if len(send) == 0 {
+		return nil // nothing was reduced, so nothing goes on the wire
+	}
+	if t := usableTopo(c); t != nil && burstFits(c) {
+		return twoLevelBurst(c, t, wholeSend(recv[bounds[me]:bounds[me+1]])(), mpi.Whole, func(r int, p []byte) error {
+			if want := bounds[r+1] - bounds[r]; len(p) != want {
+				return fmt.Errorf("core: allreduce slice %d is %d bytes, want %d", r, len(p), want)
+			}
+			copy(recv[bounds[r]:], p)
+			return nil
+		})
+	}
 	rounds := make([]roundPlan, 0, size)
 	for s := 0; s < size; s++ {
 		lo, hi := bounds[s], bounds[s+1]

@@ -73,6 +73,8 @@ package core
 //	                   burstRecvBudget) members ship whole buffers to
 //	                   their leader and S sequential leader rounds
 //	                   exchange per-segment super-slice blocks.
+//	chunked allreduce: AllreduceMcastChunked gathers its reduced slices
+//	                   in the allgather's burst: (N-S) + S(S-1) scouts.
 //
 // A communicator without a usable topology — no device map, a single
 // segment (nothing to localize), or one rank per segment (the
@@ -388,31 +390,36 @@ func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 // at one rank: while a rank transmits its own data it is in no receive,
 // so up to size-1 foreign multicasts queue in the device's receive ring,
 // which must absorb them without overflow — the simulator's default
-// ring holds 256 messages, and this leaves one slot to spare.
+// ring holds 256 messages, and this leaves one slot to spare. It guards
+// every caller (burstFits): the two-level allgather and alltoall, and
+// the chunked allreduce's allgather of reduced slices.
 const burstRecvBudget = 255
 
+// burstFits reports whether twoLevelBurst on c is within the budget.
+func burstFits(c *mpi.Comm) bool { return c.Size()-1 <= burstRecvBudget }
+
 // direct reports whether the allgather and the alltoall run
-// twoLevelBurst on c: lossless, and within burstRecvBudget. Otherwise
-// they run the combine-based schedule.
+// twoLevelBurst on c (lossless, burstFits) or the combine-based schedule.
 func (tl *twoLevel) direct(c *mpi.Comm) bool {
-	return tl.rep == nil && c.Size()-1 <= burstRecvBudget
+	return tl.rep == nil && burstFits(c)
 }
 
 // twoLevelBurst is the lossless data path of the two-level allgather and
-// alltoall, whose handshake carries no data at all. Members scout their
-// leader to prove they have entered the collective (every rank posts
-// standing receive descriptors for the whole operation on entry), each
-// leader scouts every other leader exactly once, and a leader that holds
-// proof all S segments are in releases its own segment — whereupon every
-// rank multicasts its own sends directly, one collective context per
-// rank in rank order, and consumes the multicast every other rank sent
-// to scope, in rank order, handing it to consume. The scout budget is
-// the combine-based schedule's — (N-S) member scouts plus S(S-1) leader
-// scouts — but no data converges on a leader, and every per-round
-// gather collapses into the single entry handshake, so after the
-// release the wire does all remaining serialization. A rank transmits
-// before consuming anyone else's data, so transmissions overlap fully;
-// in-order consumption keeps the multicast staleness watermark monotone.
+// alltoall and of the chunked allreduce's allgather half, whose handshake
+// carries no data at all. Members scout their leader to prove they have
+// entered the collective (every rank posts standing receive descriptors
+// for the whole operation on entry), each leader scouts every other
+// leader exactly once, and a leader that holds proof all S segments are
+// in releases its own segment — whereupon every rank multicasts its own
+// sends directly, one collective context per rank in rank order, and
+// consumes the multicast every other rank sent to scope, in rank order,
+// handing it to consume. The scout budget is the combine-based schedule's
+// — (N-S) member scouts plus S(S-1) leader scouts — but no data converges
+// on a leader, and every per-round gather collapses into the single entry
+// handshake, so after the release the wire does all remaining
+// serialization. A rank transmits before consuming anyone else's data, so
+// transmissions overlap fully; in-order consumption keeps the multicast
+// staleness watermark monotone.
 func twoLevelBurst(c *mpi.Comm, t *topo.Map, sends []send, scope mpi.Scope, consume func(r int, p []byte) error) error {
 	size := c.Size()
 	me := c.Rank()

@@ -33,6 +33,7 @@ func TestTwoLevelConformanceN256(t *testing.T) {
 	}{
 		{"mcast-2level", core.TwoLevelAlgorithms()},
 		{"flat-binary", mpi.Algorithms{}.Merge(core.Algorithms(core.Binary))},
+		{"mcast-chunked", chunkedAlgorithms()},
 	} {
 		set := set
 		t.Run(set.name, func(t *testing.T) {
@@ -49,9 +50,10 @@ func TestTwoLevelConformanceN256(t *testing.T) {
 			if drops := nw.SwitchStats().QueueDrops; drops != 0 {
 				t.Fatalf("%d silent egress drops", drops)
 			}
-			// The two-level allgather and alltoall leave up to 255
-			// multicasts undrained at a rank, inside the 256-message
-			// receive ring; an overflow would be a lost multicast.
+			// The two-level allgather and alltoall and the chunked
+			// allreduce leave up to 255 multicasts undrained at a rank,
+			// inside the 256-message receive ring; an overflow would be
+			// a lost multicast.
 			if over := nw.Stats.RingOverflows; over != 0 {
 				t.Fatalf("%d receive-ring overflows", over)
 			}

@@ -46,6 +46,7 @@ func TestTwoLevelConformanceSharedUplink(t *testing.T) {
 	}{
 		{"mcast-2level", core.TwoLevelAlgorithms()},
 		{"mcast-2level-resilient", core.TwoLevelResilientAlgorithms(core.DefaultNackOptions())},
+		{"mcast-chunked", chunkedAlgorithms()},
 	} {
 		set := set
 		t.Run(set.name, func(t *testing.T) {
@@ -78,6 +79,7 @@ func TestTwoLevelStrictLaggingRank(t *testing.T) {
 	}{
 		{"mcast-2level", core.TwoLevelAlgorithms()},
 		{"mcast-2level-resilient", core.TwoLevelResilientAlgorithms(core.NackOptions{Probe: int64(20 * sim.Millisecond), MaxRepairs: 8})},
+		{"mcast-chunked", chunkedAlgorithms()},
 	}
 	for _, set := range sets {
 		set := set
@@ -87,6 +89,27 @@ func TestTwoLevelStrictLaggingRank(t *testing.T) {
 				t.Fatalf("two-level gating lost %d multicast fragments", st.McastDropsNotPosted)
 			}
 		})
+	}
+}
+
+// TestChunkedAllreduceZeroBytesSendsNothing: an allreduce of no bytes has
+// nothing to reduce and nothing to gather, so the chunked allreduce puts
+// no frame on the wire — on the shared-uplink fabric, where its
+// allgather would otherwise be a scout handshake and N empty multicasts,
+// as on the flat one (the a3 table's 0+0+0 row).
+func TestChunkedAllreduceZeroBytesSendsNothing(t *testing.T) {
+	nw, err := cluster.RunSim(8, simnet.SwitchShared, sharedProf(4), chunkedAlgorithms(),
+		func(c *mpi.Comm) error {
+			if tm := c.Topo(); tm == nil || tm.Segments() != 2 {
+				return fmt.Errorf("expected 2 segments, got %v", tm)
+			}
+			return c.Allreduce(nil, nil, mpi.Float64, mpi.OpSum)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames := nw.Wire.TotalFrames(); frames != 0 {
+		t.Fatalf("a 0-byte chunked allreduce put %d frames on the wire, want 0", frames)
 	}
 }
 
