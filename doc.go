@@ -80,8 +80,9 @@
 //     dies in the kernel as it dies at the simulated NIC's filter.
 //
 //   - mpi: communicators, tagged point-to-point with MPI matching
-//     semantics, nonblocking requests, datatypes and reduction ops, and
-//     the collective dispatchers with pluggable algorithm sets. A Runtime
+//     semantics, nonblocking requests, datatypes and reduction ops, the
+//     low-bit-first binomial tree every walk runs (Binomial), and the
+//     collective dispatchers with pluggable algorithm sets. A Runtime
 //     resolves its device's optional capabilities once; CollCtx is the
 //     narrow waist collective implementations are written against:
 //     phase-tagged point-to-point sends and receives, and four multicast
@@ -109,11 +110,12 @@
 //     scope (whole, per-slice, per-segment, so a NIC delivers only what
 //     its rank consumes) vary independently, and one transmit half, one
 //     receive half and one release-gated chunk collection serve every
-//     combination. The sets — Algorithms(mode), ResilientAlgorithms, the
-//     two-level (segment-leader) pair for shared-uplink fabrics, which
-//     run their flat set where there is no topology — are those options
-//     chosen; beside them, the comparison protocols (ack-based,
-//     sequencer, deliberately unsafe).
+//     combination. The sets — Algorithms(mode), ResilientAlgorithms(),
+//     and the two-level (segment-leader) pair for shared-uplink fabrics,
+//     TwoLevelAlgorithms() and TwoLevelResilientAlgorithms(), which run
+//     their flat set where there is no topology — are those options
+//     chosen; the repair they run takes no options. Beside them, the
+//     comparison protocols (ack-based, sequencer, deliberately unsafe).
 //     core/coretest holds the conformance harness that checks all seven
 //     collectives against a pure oracle, under graded loss and under the
 //     kill/straggle/partition chaos matrix.

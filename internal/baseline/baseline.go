@@ -23,6 +23,7 @@ package baseline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mpi"
 	"repro/internal/transport"
@@ -44,25 +45,6 @@ func Algorithms() mpi.Algorithms {
 	}
 }
 
-// largestPow2 returns the largest power of two <= n (n >= 1).
-func largestPow2(n int) int {
-	k := 1
-	for k*2 <= n {
-		k *= 2
-	}
-	return k
-}
-
-// log2 returns log2(k) for a power of two k.
-func log2(k int) int {
-	l := 0
-	for k > 1 {
-		k >>= 1
-		l++
-	}
-	return l
-}
-
 // Bcast is the MPICH binomial-tree broadcast over point-to-point sends.
 func Bcast(c *mpi.Comm, buf []byte, root int) error {
 	size := c.Size()
@@ -70,35 +52,23 @@ func Bcast(c *mpi.Comm, buf []byte, root int) error {
 		return nil
 	}
 	cc := c.BeginColl()
-	rel := (c.Rank() - root + size) % size
-
-	// Receive phase: find our parent by scanning up the bit positions.
-	mask := 1
-	for mask < size {
-		if rel&mask != 0 {
-			parent := (rel - mask + root) % size
-			m, err := cc.Recv(parent, 0)
-			if err != nil {
-				return err
-			}
-			if len(m.Payload) != len(buf) {
-				return fmt.Errorf("baseline: bcast buffer %d bytes, message %d", len(buf), len(m.Payload))
-			}
-			copy(buf, m.Payload)
-			break
+	parent, children := mpi.Binomial((c.Rank()-root+size)%size, size)
+	if parent >= 0 {
+		m, err := cc.Recv((parent+root)%size, 0)
+		if err != nil {
+			return err
 		}
-		mask <<= 1
+		if len(m.Payload) != len(buf) {
+			return fmt.Errorf("baseline: bcast buffer %d bytes, message %d", len(buf), len(m.Payload))
+		}
+		copy(buf, m.Payload)
 	}
-	// Send phase: forward to children below our lowest set bit.
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < size {
-			child := (rel + mask + root) % size
-			if err := cc.Send(child, 0, buf, transport.ClassData, true); err != nil {
-				return err
-			}
+	// Forward to the children, largest subtree first (root 0 of 7 sends
+	// to 4, 2, then 1).
+	for child := range children.Backward {
+		if err := cc.Send((child+root)%size, 0, buf, transport.ClassData, true); err != nil {
+			return err
 		}
-		mask >>= 1
 	}
 	return nil
 }
@@ -111,7 +81,8 @@ func Barrier(c *mpi.Comm) error {
 	}
 	cc := c.BeginColl()
 	rank := c.Rank()
-	k := largestPow2(size)
+	log2k := bits.Len(uint(size)) - 1
+	k := 1 << log2k // the largest power of two <= size
 
 	// Phase 1: processes that do not fit the hypercube report in.
 	if rank >= k {
@@ -138,7 +109,7 @@ func Barrier(c *mpi.Comm) error {
 	}
 
 	// Phase 3: release the folded processes.
-	release := log2(k) + 1
+	release := log2k + 1
 	if rank < size-k {
 		return cc.Send(rank+k, release, nil, transport.ClassControl, true)
 	}
@@ -155,7 +126,7 @@ func Barrier(c *mpi.Comm) error {
 func Reduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, root int) error {
 	cc := c.BeginColl()
 	acc := append([]byte(nil), send...)
-	atRoot, err := mpi.BinomialToRoot(cc, root, c.Size(), 0, transport.ClassData, true, acc,
+	atRoot, err := mpi.BinomialToRoot(cc, root, 0, transport.ClassData, true, acc,
 		func(_ int, payload []byte) error {
 			return mpi.ReduceBytes(op, dt, acc, payload)
 		})

@@ -39,9 +39,6 @@ const (
 	McastAck Algorithm = "mcast-ack"
 	// Sequencer is the Orca-style sequencer-ordered broadcast.
 	Sequencer Algorithm = "sequencer"
-	// McastNack is the receiver-initiated reliable multicast of the
-	// paper's reference [10] (Towsley et al.): receivers request repairs.
-	McastNack Algorithm = "mcast-nack"
 	// McastResilient is the full multicast suite with every data
 	// multicast protected by fragment-granular NACK repair (the NACK
 	// names the missing fragments; the sender retransmits only those).
@@ -81,7 +78,7 @@ func Algorithms() []Algorithm {
 		MPICH, McastBinary, McastLinear, McastPipelined,
 		McastResilient, McastChunked, McastWhole,
 		McastTwoLevel, McastTwoLevelResilient,
-		McastAck, McastNack, Sequencer, Unsafe,
+		McastAck, Sequencer, Unsafe,
 	}
 }
 
@@ -110,11 +107,8 @@ func set(a Algorithm) (mpi.Algorithms, error) {
 		// acknowledgment has arrived.
 		opts := core.AckOptions{Timeout: 100_000, MaxRetries: 400}
 		return core.AckAlgorithms(opts).Merge(baseline.Algorithms()), nil
-	case McastNack:
-		opts := core.NackOptions{Probe: 500_000, MaxRepairs: 64}
-		return core.NackAlgorithms(opts).Merge(baseline.Algorithms()), nil
 	case McastResilient:
-		return core.ResilientAlgorithms(core.DefaultNackOptions()).Merge(baseline.Algorithms()), nil
+		return core.ResilientAlgorithms().Merge(baseline.Algorithms()), nil
 	case McastChunked:
 		algs := core.Algorithms(core.Binary)
 		algs.Allreduce = core.AllreduceMcastChunked
@@ -127,7 +121,7 @@ func set(a Algorithm) (mpi.Algorithms, error) {
 	case McastTwoLevel:
 		return core.TwoLevelAlgorithms().Merge(baseline.Algorithms()), nil
 	case McastTwoLevelResilient:
-		return core.TwoLevelResilientAlgorithms(core.DefaultNackOptions()).Merge(baseline.Algorithms()), nil
+		return core.TwoLevelResilientAlgorithms().Merge(baseline.Algorithms()), nil
 	case Sequencer:
 		return core.SequencerAlgorithms().Merge(baseline.Algorithms()), nil
 	case Unsafe:

@@ -106,7 +106,7 @@ func TestChunkedAllreduceGuidelines(t *testing.T) {
 }
 
 func TestSetKnowsAllAlgorithms(t *testing.T) {
-	for _, a := range []Algorithm{MPICH, McastBinary, McastLinear, McastPipelined, McastAck, McastNack, Sequencer, Unsafe} {
+	for _, a := range Algorithms() {
 		algs, err := Set(a)
 		if err != nil {
 			t.Fatalf("Set(%s): %v", a, err)

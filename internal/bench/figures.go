@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 
 	"repro/internal/cluster"
@@ -680,16 +681,9 @@ func figA3(o Options) (Renderable, error) {
 		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast and send each payload once; the MPICH baseline repeats the payload per receiver.",
 		Header:      []string{"op", "algorithm", "N", "M (bytes)", "scout", "data", "ctrl", "formula (s+d+c)", "match"},
 	}
-	log2 := func(k int) int {
-		l := 0
-		for k > 1 {
-			k >>= 1
-			l++
-		}
-		return l
-	}
 	for _, n := range []int{2, 4, 7, 9} {
-		k := largestPow2(n)
+		log2k := bits.Len(uint(n)) - 1
+		k := 1 << log2k // the largest power of two <= n
 		for _, msg := range []int{0, 1000, 5000} {
 			mf := trace.FramesForMessage(msg, frag)   // ceil(M/T)
 			ff := trace.FramesForMessage(n*msg, frag) // ceil(N·M/T)
@@ -716,7 +710,7 @@ func figA3(o Options) (Renderable, error) {
 				{OpBcast, McastBinary, fmt.Sprintf("%d+%d+0", n-1, mf)},
 				{OpBcast, MPICH, fmt.Sprintf("0+%d+0", mf*(n-1))},
 				{OpBarrier, McastBinary, fmt.Sprintf("%d+0+1", n-1)},
-				{OpBarrier, MPICH, fmt.Sprintf("0+0+%d", 2*(n-k)+k*log2(k))},
+				{OpBarrier, MPICH, fmt.Sprintf("0+0+%d", 2*(n-k)+k*log2k)},
 				{OpAllgather, McastBinary, fmt.Sprintf("%d+%d+0", n*(n-1), n*mf)},
 				{OpAllreduce, McastBinary, fmt.Sprintf("%d+%d+0", n-1, n*mf)},
 				{OpAllreduce, McastChunked, fmt.Sprintf("%d+%d+0", chunkedScout, chunkedData)},
@@ -759,15 +753,6 @@ func figA3(o Options) (Renderable, error) {
 		}
 	}
 	return tbl, nil
-}
-
-// largestPow2 returns the largest power of two <= n (n >= 1).
-func largestPow2(n int) int {
-	k := 1
-	for k*2 <= n {
-		k *= 2
-	}
-	return k
 }
 
 // figA4 examines the overrun risk the paper's future work singles out:

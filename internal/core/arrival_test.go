@@ -17,13 +17,17 @@ import (
 	"repro/internal/workload"
 )
 
+// probe is the resilient sets' repair probe period: how often a waiting
+// receiver looks at what its device has seen arrive.
+const probe = 2 * sim.Millisecond
+
 // bcastUnder broadcasts size bytes from rank 0 on n ranks under the flat
 // resilient set and prof, and returns the longest rank's call and the
 // network.
 func bcastUnder(t *testing.T, n int, topo simnet.Topology, prof simnet.Profile, size int) (sim.Duration, *simnet.Network) {
 	t.Helper()
 	var worst int64 // ranks run one at a time under the engine
-	nw, err := cluster.RunSim(n, topo, prof, core.ResilientAlgorithms(core.DefaultNackOptions()), func(c *mpi.Comm) error {
+	nw, err := cluster.RunSim(n, topo, prof, core.ResilientAlgorithms(), func(c *mpi.Comm) error {
 		buf := make([]byte, size)
 		start := c.Now()
 		if err := c.Bcast(buf, 0); err != nil {
@@ -93,10 +97,10 @@ func TestLosslessResilientSetsAreSilent(t *testing.T) {
 		topo   simnet.Topology
 		finish int64
 	}{
-		{"mcast-resilient/switch", core.ResilientAlgorithms(core.DefaultNackOptions()), simnet.Switch, 125_103_040},
-		{"mcast-resilient/switch-shared", core.ResilientAlgorithms(core.DefaultNackOptions()), simnet.SwitchShared, 126_104_020},
-		{"mcast-2level-resilient/switch", core.TwoLevelResilientAlgorithms(core.DefaultNackOptions()), simnet.Switch, 125_103_040},
-		{"mcast-2level-resilient/switch-shared", core.TwoLevelResilientAlgorithms(core.DefaultNackOptions()), simnet.SwitchShared, 121_227_740},
+		{"mcast-resilient/switch", core.ResilientAlgorithms(), simnet.Switch, 125_103_040},
+		{"mcast-resilient/switch-shared", core.ResilientAlgorithms(), simnet.SwitchShared, 126_104_020},
+		{"mcast-2level-resilient/switch", core.TwoLevelResilientAlgorithms(), simnet.Switch, 125_103_040},
+		{"mcast-2level-resilient/switch-shared", core.TwoLevelResilientAlgorithms(), simnet.SwitchShared, 121_227_740},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var finish int64 // ranks run one at a time under the engine
@@ -131,8 +135,8 @@ func TestLosslessResilientSetsAreSilent(t *testing.T) {
 // arriving is never asked about.
 func TestLongTransmissionProvokesNoRequest(t *testing.T) {
 	took, nw := bcastUnder(t, 8, simnet.Hub, simnet.DefaultProfile(), 64*simnet.MaxFragPayload)
-	if look := sim.Duration(core.DefaultNackOptions().Probe); took < 3*look {
-		t.Fatalf("the broadcast took %v, not several of the receiver's %v looks: the test no longer tests a long transmission", took, look)
+	if took < 3*probe {
+		t.Fatalf("the broadcast took %v, not several of the receiver's %v looks: the test no longer tests a long transmission", took, probe)
 	}
 	if nacks := nw.Wire.Frames(transport.ClassNack); nacks != 0 {
 		t.Errorf("%d repair requests raced a transmission still in flight", nacks)
@@ -154,7 +158,7 @@ func TestLostSingleFragmentMulticastWaitsAsBefore(t *testing.T) {
 		t.Fatalf("%d losses, %d repair requests, %d data frames; want one lost multicast, asked for once, sent twice",
 			nw.Stats.InjectedLosses, nw.Wire.Frames(transport.ClassNack), nw.Wire.Frames(transport.ClassData))
 	}
-	silence := 7 * sim.Duration(core.DefaultNackOptions().Probe)
+	silence := 7 * probe
 	if took < silence || took > silence+sim.Millisecond {
 		t.Errorf("the broadcast took %v: the empty request must leave %v into the silence, no earlier and not a look later", took, silence)
 	}

@@ -44,6 +44,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mpi"
 	"repro/internal/transport"
@@ -85,21 +86,22 @@ func (m Mode) String() string {
 //
 //	algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
 func Algorithms(mode Mode) mpi.Algorithms {
-	scouts, rounds := gatherScoutsBinary, roundOptions{gather: binaryRoundGather}
+	rounds := roundOptions{gather: gatherScoutsBinary}
 	switch mode {
 	case Linear:
-		scouts, rounds.gather = gatherScoutsLinear, linearRoundGather
+		rounds.gather = gatherScoutsLinear
 	case BinaryPipelined:
 		rounds.pipeline, rounds.pace = true, DefaultPipelinePace
 	}
 	// A single round has no next round to overlap with.
 	single := roundOptions{gather: rounds.gather}
+	bcast := func(c *mpi.Comm, buf []byte, root int) error {
+		return bcastWith(c, buf, root, rounds.gather)
+	}
 	return mpi.Algorithms{
-		Bcast: func(c *mpi.Comm, buf []byte, root int) error {
-			return bcastWith(c, buf, root, scouts)
-		},
+		Bcast:     bcast,
 		Barrier:   Barrier,
-		Allreduce: Allreduce(reduceToRoot, mode),
+		Allreduce: allreduceWith(bcast),
 		Allgather: func(c *mpi.Comm, send, recv []byte) error {
 			return allgatherWith(c, send, recv, rounds)
 		},
@@ -110,7 +112,7 @@ func Algorithms(mode Mode) mpi.Algorithms {
 			return scatterWith(c, send, recv, root, single)
 		},
 		Gather: func(c *mpi.Comm, send, recv []byte, root int) error {
-			return gatherWith(c, send, recv, root, scouts, nil)
+			return gatherWith(c, send, recv, root, rounds.gather, false)
 		},
 	}
 }
@@ -129,41 +131,26 @@ const (
 	//               (phaseSlice+s carries slice s's walk, s < Size)
 )
 
-// largestPow2 returns the largest power of two <= n (n >= 1).
-func largestPow2(n int) int {
-	k := 1
-	for k*2 <= n {
-		k *= 2
-	}
-	return k
-}
-
 // gatherScoutsBinary runs the binary-tree scout gather of Fig. 3 toward
-// the rank whose relative position (w.r.t. root) is zero. It returns
-// once this rank's subtree is known ready; for the root that means the
-// whole communicator is ready.
-func gatherScoutsBinary(cc mpi.CollCtx, root int) error {
-	return gatherScoutsBinaryHot(cc, root, -1)
-}
-
-// gatherScoutsBinaryHot is the binary scout gather with one rank marked
-// hot: a rank whose scout is known to arrive late (the previous round's
-// data sender, in the pipelined round schedule, whose scout rides behind
-// its data multicast). The tree seats the hot rank at relative position
-// 1 — a direct leaf of the root — by transposing it with the rank that
-// would normally sit there, so the late scout is awaited only by the
-// root and releases no intermediate forwarding hop. An intermediate
+// root. It returns once this rank's subtree is known ready; for the root
+// that means the whole communicator is ready.
+//
+// One rank may be marked hot (-1: none): a rank whose scout is known to
+// arrive late (the previous round's data sender, in the pipelined round
+// schedule, whose scout rides behind its data multicast). The tree seats
+// the hot rank at relative position 1 — a direct leaf of the root — by
+// transposing it with the rank that would normally sit there, so the
+// late scout is awaited only by the root and releases no intermediate
+// forwarding hop. An intermediate
 // forward released by a late scout is a loss window under strict
 // posted-receive semantics: the forwarding rank's unposted send can
 // coincide with the data multicast the late scout was trailing.
 //
 // The transposition is a pure function of (root, hot), so every rank
 // derives the same tree without communication; hot=-1 (or hot==root)
-// yields the paper's Fig. 3 tree exactly. The fold-in plus
-// low-bit-first loop below mirrors mpi.BinomialToRoot with the seat
-// permutation applied — a change to the walk there must be mirrored
-// here (see the note on BinomialToRoot).
-func gatherScoutsBinaryHot(cc mpi.CollCtx, root, hot int) error {
+// yields the paper's Fig. 3 tree exactly: a fold-in, then the
+// mpi.Binomial tree over the power-of-two subcube, seats permuted.
+func gatherScoutsBinary(cc mpi.CollCtx, root, hot int) error {
 	c := cc.Comm()
 	size := c.Size()
 	h := -1
@@ -185,7 +172,7 @@ func gatherScoutsBinaryHot(cc mpi.CollCtx, root, hot int) error {
 	}
 	rel := perm((c.Rank() - root + size) % size)
 	rankOf := func(rel int) int { return (perm(rel) + root) % size }
-	k := largestPow2(size)
+	k := 1 << (bits.Len(uint(size)) - 1) // the largest power of two <= size
 
 	if rel >= k {
 		// Fold-in: ranks beyond the power-of-two boundary scout first
@@ -200,22 +187,22 @@ func gatherScoutsBinaryHot(cc mpi.CollCtx, root, hot int) error {
 	// Low-bit-first binomial gather over the power-of-two subcube: odd
 	// relative ranks send first (1→0, 3→2), then 2→0, and so on. The
 	// scouts carry no payload — the walk itself is the readiness proof.
-	for mask := 1; mask < k; mask <<= 1 {
-		if rel&mask != 0 {
-			return cc.Send(rankOf(rel-mask), phaseScout, nil, transport.ClassScout, false)
-		}
-		if peer := rel + mask; peer < k {
-			if _, err := cc.Recv(rankOf(peer), phaseScout); err != nil {
-				return err
-			}
+	parent, children := mpi.Binomial(rel, k)
+	for child := range children.All {
+		if _, err := cc.Recv(rankOf(child), phaseScout); err != nil {
+			return err
 		}
 	}
-	return nil
+	if parent < 0 {
+		return nil
+	}
+	return cc.Send(rankOf(parent), phaseScout, nil, transport.ClassScout, false)
 }
 
 // gatherScoutsLinear has every non-root rank scout directly to the root
-// (Fig. 4); the root receives the N-1 scouts one at a time.
-func gatherScoutsLinear(cc mpi.CollCtx, root int) error {
+// (Fig. 4); the root receives the N-1 scouts one at a time. There are no
+// forwarding hops, so a hot rank needs no special seat.
+func gatherScoutsLinear(cc mpi.CollCtx, root, _ int) error {
 	c := cc.Comm()
 	if c.Rank() != root {
 		return cc.Send(root, phaseScout, nil, transport.ClassScout, false)
@@ -228,19 +215,9 @@ func gatherScoutsLinear(cc mpi.CollCtx, root int) error {
 	return nil
 }
 
-// binaryRoundGather and linearRoundGather adapt the scout gathers to the
-// round engine's signature; the linear gather has no forwarding hops, so
-// a hot rank needs no special seat.
-func binaryRoundGather(cc mpi.CollCtx, root, hot int) error {
-	return gatherScoutsBinaryHot(cc, root, hot)
-}
-
-func linearRoundGather(cc mpi.CollCtx, root, _ int) error {
-	return gatherScoutsLinear(cc, root)
-}
-
-// bcastWith runs a scout-synchronized multicast broadcast.
-func bcastWith(c *mpi.Comm, buf []byte, root int, gather func(mpi.CollCtx, int) error) error {
+// bcastWith runs a scout-synchronized multicast broadcast: Fig. 3 with
+// the binary gather, Fig. 4 with the linear one.
+func bcastWith(c *mpi.Comm, buf []byte, root int, gather func(cc mpi.CollCtx, root, hot int) error) error {
 	size := c.Size()
 	if size == 1 {
 		return nil
@@ -250,7 +227,7 @@ func bcastWith(c *mpi.Comm, buf []byte, root int, gather func(mpi.CollCtx, int) 
 		return mpi.ErrNoMulticast
 	}
 	cc.SpanBegin("scout-gather")
-	err := gather(cc, root)
+	err := gather(cc, root, -1)
 	cc.SpanEnd("scout-gather")
 	if err != nil {
 		return err
@@ -273,18 +250,6 @@ func bcastWith(c *mpi.Comm, buf []byte, root int, gather func(mpi.CollCtx, int) 
 	}
 	copy(buf, m.Payload)
 	return nil
-}
-
-// BcastBinary broadcasts buf from root using binary-tree scout
-// synchronization followed by a single IP multicast (the paper's Fig. 3).
-func BcastBinary(c *mpi.Comm, buf []byte, root int) error {
-	return bcastWith(c, buf, root, gatherScoutsBinary)
-}
-
-// BcastLinear broadcasts buf from root using linear scout
-// synchronization followed by a single IP multicast (the paper's Fig. 4).
-func BcastLinear(c *mpi.Comm, buf []byte, root int) error {
-	return bcastWith(c, buf, root, gatherScoutsLinear)
 }
 
 // BcastUnsafe multicasts without any synchronization. It exists to
@@ -316,15 +281,6 @@ func BcastUnsafe(c *mpi.Comm, buf []byte, root int) error {
 // releases every process. N-1 point-to-point messages plus one multicast
 // replace the 2(N-K) + K·log2(K) messages of the MPICH barrier.
 func Barrier(c *mpi.Comm) error {
-	return barrierWith(c, gatherScoutsBinary)
-}
-
-// BarrierLinear is Barrier with linear scout gathering, for ablation.
-func BarrierLinear(c *mpi.Comm) error {
-	return barrierWith(c, gatherScoutsLinear)
-}
-
-func barrierWith(c *mpi.Comm, gather func(mpi.CollCtx, int) error) error {
 	if c.Size() == 1 {
 		return nil
 	}
@@ -333,7 +289,7 @@ func barrierWith(c *mpi.Comm, gather func(mpi.CollCtx, int) error) error {
 		return mpi.ErrNoMulticast
 	}
 	cc.SpanBegin("scout-gather")
-	err := gather(cc, 0)
+	err := gatherScoutsBinary(cc, 0, -1)
 	cc.SpanEnd("scout-gather")
 	if err != nil {
 		return err
@@ -350,26 +306,16 @@ func barrierWith(c *mpi.Comm, gather func(mpi.CollCtx, int) error) error {
 	return err
 }
 
-// Allreduce is the future-work composition the paper points at: a
+// allreduceWith is the future-work composition the paper points at: a
 // binomial reduction to rank 0 (point-to-point, as in MPICH) followed by
-// a scout-synchronized multicast of the result — the broadcast half
-// sends ceil(M/T) frames instead of ceil(M/T)·(N-1).
-func Allreduce(reduce func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, root int) error, mode Mode) func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-	bcast := BcastBinary
-	if mode == Linear {
-		bcast = BcastLinear
-	}
-	return allreduceWith(reduce, bcast)
-}
-
-// allreduceWith composes a rooted reduction and a broadcast from the
-// same root, rank 0.
-func allreduceWith(reduce func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, root int) error, bcast func(c *mpi.Comm, buf []byte, root int) error) func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
+// bcast of the result from rank 0 — a scout-synchronized multicast, so
+// the broadcast half sends ceil(M/T) frames instead of ceil(M/T)·(N-1).
+func allreduceWith(bcast func(c *mpi.Comm, buf []byte, root int) error) func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	return func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 		if len(recv) != len(send) {
 			return fmt.Errorf("core: allreduce recv buffer %d bytes, want %d", len(recv), len(send))
 		}
-		if err := reduce(c, send, recv, dt, op, 0); err != nil {
+		if err := reduceToRoot(c, send, recv, dt, op, 0); err != nil {
 			return err
 		}
 		return bcast(c, recv, 0)

@@ -15,8 +15,8 @@ var bcastImpls = []struct {
 	name string
 	fn   func(c *mpi.Comm, buf []byte, root int) error
 }{
-	{"binary", core.BcastBinary},
-	{"linear", core.BcastLinear},
+	{"binary", core.Algorithms(core.Binary).Bcast},
+	{"linear", core.Algorithms(core.Linear).Bcast},
 	{"sequencer", core.BcastSequencer},
 	{"ack", func(c *mpi.Comm, buf []byte, root int) error {
 		return core.BcastAck(c, buf, root, core.DefaultAckOptions())
@@ -89,8 +89,11 @@ func TestMulticastBarrierCompletes(t *testing.T) {
 	}
 }
 
+// TestBarrierLinearCompletes runs the mcast-linear set's barrier, which
+// gathers its scouts up the binary tree like every set's: the paper
+// gives the barrier one scout scheme.
 func TestBarrierLinearCompletes(t *testing.T) {
-	err := mpi.RunMem(6, mpi.Algorithms{Barrier: core.BarrierLinear}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(6, core.Algorithms(core.Linear), func(c *mpi.Comm) error {
 		return c.Barrier()
 	})
 	if err != nil {
@@ -241,10 +244,7 @@ func TestMergeFallsBackToBaseline(t *testing.T) {
 }
 
 func TestCoreAllreduceExtension(t *testing.T) {
-	algs := mpi.Algorithms{
-		Allreduce: core.Allreduce(baseline.Reduce, core.Binary),
-	}
-	err := mpi.RunMem(5, algs, func(c *mpi.Comm) error {
+	err := mpi.RunMem(5, core.Algorithms(core.Binary), func(c *mpi.Comm) error {
 		send := mpi.Float64sToBytes([]float64{float64(c.Rank() + 1)})
 		recv := make([]byte, len(send))
 		if err := c.Allreduce(send, recv, mpi.Float64, mpi.OpProd); err != nil {

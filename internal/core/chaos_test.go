@@ -50,9 +50,9 @@ func chaosSuites() []chaosSuite {
 		// On segments the chunked allreduce gathers through the two-level
 		// burst, so a leader's death lands in its entry handshake.
 		{"chunked-shared", chunked, simnet.SwitchShared, &shared, true, false},
-		{"resilient", core.ResilientAlgorithms(core.DefaultNackOptions()), simnet.Switch, nil, false, true},
+		{"resilient", core.ResilientAlgorithms(), simnet.Switch, nil, false, true},
 		{"2level", core.TwoLevelAlgorithms(), simnet.SwitchShared, &shared, true, false},
-		{"2level-resilient", core.TwoLevelResilientAlgorithms(core.DefaultNackOptions()), simnet.SwitchShared, &shared, true, true},
+		{"2level-resilient", core.TwoLevelResilientAlgorithms(), simnet.SwitchShared, &shared, true, true},
 	}
 }
 

@@ -35,14 +35,14 @@ var conformanceSets = []struct {
 	{"mcast-binary", core.Algorithms(core.Binary)},
 	{"mcast-linear", core.Algorithms(core.Linear)},
 	{"mcast-pipelined", core.Algorithms(core.BinaryPipelined)},
-	{"mcast-resilient", core.ResilientAlgorithms(core.DefaultNackOptions())},
+	{"mcast-resilient", core.ResilientAlgorithms()},
 	{"mcast-chunked", chunkedAlgorithms()},
 	{"mcast-whole", wholeAlgorithms()},
 	// On these flat surfaces (mem, plain switch) the two-level sets must
 	// be indistinguishable from the flat suites they delegate to; their
 	// native shared-uplink conformance lives in twolevel_test.go.
 	{"mcast-2level", core.TwoLevelAlgorithms()},
-	{"mcast-2level-resilient", core.TwoLevelResilientAlgorithms(core.DefaultNackOptions())},
+	{"mcast-2level-resilient", core.TwoLevelResilientAlgorithms()},
 }
 
 // chunkedAlgorithms is the binary suite with the Rabenseifner-style
@@ -96,9 +96,11 @@ func TestConformanceStrictLaggingRank(t *testing.T) {
 	prof := simnet.DefaultProfile()
 	prof.StrictPosted = true
 	cases := coretest.Grid([]int{2, 5, 8}, []int{0, 1, 1500})
-	// The resilient set gets a probe longer than the injected lag so no
-	// premature repair fires (a repair duplicate landing on a rank that
-	// has moved on would itself count as an unposted drop).
+	// The resilient set's receivers stay silent for seven probe periods
+	// before asking for a message of which nothing arrived, far beyond
+	// the injected lag, so no premature repair fires (a repair duplicate
+	// landing on a rank that has moved on would itself count as an
+	// unposted drop).
 	sets := []struct {
 		name string
 		algs mpi.Algorithms
@@ -107,7 +109,7 @@ func TestConformanceStrictLaggingRank(t *testing.T) {
 		{"mcast-linear", core.Algorithms(core.Linear)},
 		{"mcast-pipelined", core.Algorithms(core.BinaryPipelined)},
 		{"mcast-chunked", chunkedAlgorithms()},
-		{"mcast-resilient", core.ResilientAlgorithms(core.NackOptions{Probe: int64(20 * sim.Millisecond), MaxRepairs: 8})},
+		{"mcast-resilient", core.ResilientAlgorithms()},
 	}
 	for _, set := range sets {
 		set := set
@@ -176,7 +178,7 @@ func TestConformanceInjectedLoss(t *testing.T) {
 			prof := simnet.DefaultProfile()
 			prof.LossRate = g.rate
 			prof.Seed = 7
-			algs := core.ResilientAlgorithms(core.NackOptions{Probe: int64(10 * sim.Millisecond), MaxRepairs: 64})
+			algs := core.ResilientAlgorithms()
 			st := coretest.Check(t, coretest.SimRunner(simnet.Switch, prof, 0), algs, cases)
 			if st.InjectedLosses == 0 {
 				t.Fatal("loss injection never fired; the resilience claim is vacuous")
@@ -224,7 +226,7 @@ func TestConformanceP2PLoss(t *testing.T) {
 				prof.LossRate = rate / 3
 				prof.Seed = 29
 				prof.Stream.RTO = int64(3 * sim.Millisecond)
-				algs := core.ResilientAlgorithms(core.NackOptions{Probe: int64(10 * sim.Millisecond), MaxRepairs: 64})
+				algs := core.ResilientAlgorithms()
 				st := coretest.Check(t, coretest.SimRunner(simnet.Switch, prof, 0), algs, cases)
 				if st.InjectedP2PLosses == 0 || st.InjectedLosses == 0 {
 					t.Fatalf("loss injection never fired (mcast=%d p2p=%d)", st.InjectedLosses, st.InjectedP2PLosses)
@@ -310,7 +312,7 @@ func TestConformanceGradedLossSweep(t *testing.T) {
 	// probe timer must scale with the observed inter-fragment arrival gap
 	// to avoid NACK storms.
 	const n = 6
-	algs := core.ResilientAlgorithms(core.NackOptions{Probe: int64(10 * sim.Millisecond), MaxRepairs: 64})
+	algs := core.ResilientAlgorithms()
 	for _, chunk := range []int{1400, 7000, 16000, 114000} { // 1, 5, 12, 81 fragments
 		chunk := chunk
 		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {

@@ -35,7 +35,7 @@ func TestSelectiveRepairOMissing(t *testing.T) {
 			}
 			return false
 		}
-		algs := core.ResilientAlgorithms(core.NackOptions{Probe: 2_000_000, MaxRepairs: 16})
+		algs := core.ResilientAlgorithms()
 		nw, err := cluster.RunSim(n, simnet.Switch, prof, algs, func(c *mpi.Comm) error {
 			buf := make([]byte, msgBytes)
 			return c.Bcast(buf, 0)

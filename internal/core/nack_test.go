@@ -1,111 +1,21 @@
 package core_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpi"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
-func TestNackBcastCorrectness(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		for root := 0; root < n; root += 2 {
-			want := []byte(fmt.Sprintf("nack-%d-%d", n, root))
-			algs := core.NackAlgorithms(core.DefaultNackOptions())
-			err := mpi.RunMem(n, algs, func(c *mpi.Comm) error {
-				buf := make([]byte, len(want))
-				if c.Rank() == root {
-					copy(buf, want)
-				}
-				if err := c.Bcast(buf, root); err != nil {
-					return err
-				}
-				if !bytes.Equal(buf, want) {
-					return fmt.Errorf("rank %d corrupted", c.Rank())
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("n=%d root=%d: %v", n, root, err)
-			}
-		}
-	}
-}
-
-func TestNackBcastRepairsStrictLoss(t *testing.T) {
-	// Strict posted-receive semantics with a slow receiver: the first
-	// multicast is lost at rank 2; its probe timer fires, the NACK drives
-	// a repair, and everyone completes.
-	prof := simnet.DefaultProfile()
-	prof.StrictPosted = true
-	opts := core.NackOptions{Probe: 400_000, MaxRepairs: 32}
-	want := bytes.Repeat([]byte{0x77}, 2500)
-	nw, err := cluster.RunSim(4, simnet.Switch, prof, core.NackAlgorithms(opts),
-		func(c *mpi.Comm) error {
-			if c.Rank() == 2 {
-				cluster.SimComm(c).Proc().Sleep(1 * sim.Millisecond)
-			}
-			buf := make([]byte, len(want))
-			if c.Rank() == 0 {
-				copy(buf, want)
-			}
-			if err := c.Bcast(buf, 0); err != nil {
-				return err
-			}
-			if !bytes.Equal(buf, want) {
-				return fmt.Errorf("rank %d corrupted", c.Rank())
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw.Stats.McastDropsNotPosted == 0 {
-		t.Fatal("expected the initial multicast to miss the slow rank")
-	}
-	if got := nw.Wire.Frames(transport.ClassNack); got == 0 {
-		t.Fatal("expected at least one NACK on the wire")
-	}
-	if got := nw.Wire.Frames(transport.ClassData); got < 4 {
-		t.Fatalf("expected a repair multicast, data frames = %d", got)
-	}
-}
-
-func TestNackBcastRecoversRandomLoss(t *testing.T) {
-	prof := simnet.DefaultProfile()
-	prof.LossRate = 0.25
-	prof.Seed = 11
-	opts := core.NackOptions{Probe: 800_000, MaxRepairs: 64}
-	want := bytes.Repeat([]byte{3}, 4000)
-	_, err := cluster.RunSim(5, simnet.Switch, prof, core.NackAlgorithms(opts),
-		func(c *mpi.Comm) error {
-			buf := make([]byte, len(want))
-			if c.Rank() == 0 {
-				copy(buf, want)
-			}
-			if err := c.Bcast(buf, 0); err != nil {
-				return err
-			}
-			if !bytes.Equal(buf, want) {
-				return fmt.Errorf("rank %d corrupted", c.Rank())
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestNackCheaperThanAckOnHappyPath: receiver-initiated reliability
-// sends no duplicate data when nothing is lost (reference [10]'s core
-// observation), whereas the sender-initiated protocol re-multicasts
-// whenever acks are slower than its timer.
+// (the resilient set's NACK repair) sends no duplicate data when nothing
+// is lost (reference [10]'s core observation), whereas the
+// sender-initiated protocol re-multicasts whenever acks are slower than
+// its timer.
 func TestNackCheaperThanAckOnHappyPath(t *testing.T) {
 	dataFrames := func(algs mpi.Algorithms) int64 {
 		nw, err := cluster.RunSim(5, simnet.Switch, simnet.DefaultProfile(), algs,
@@ -119,7 +29,7 @@ func TestNackCheaperThanAckOnHappyPath(t *testing.T) {
 		return nw.Wire.Frames(transport.ClassData)
 	}
 	ack := dataFrames(core.AckAlgorithms(core.AckOptions{Timeout: 100_000, MaxRetries: 100}))
-	nack := dataFrames(core.NackAlgorithms(core.NackOptions{Probe: 5_000_000, MaxRepairs: 8}))
+	nack := dataFrames(core.ResilientAlgorithms())
 	if nack != 4 { // exactly ceil(5000/1428) frames, no duplicates
 		t.Fatalf("nack protocol sent %d data frames, want 4", nack)
 	}
@@ -128,14 +38,14 @@ func TestNackCheaperThanAckOnHappyPath(t *testing.T) {
 	}
 }
 
-// Back-to-back NACK broadcasts must not leak protocol stragglers into
-// the runtime's unexpected queue (BeginColl garbage-collects them).
+// Back-to-back repaired broadcasts must not leak protocol stragglers
+// (confirmations, repair requests) into the runtime's unexpected queue
+// (BeginColl garbage-collects them).
 func TestNackStragglersCollected(t *testing.T) {
 	prof := simnet.DefaultProfile()
 	prof.LossRate = 0.3
 	prof.Seed = 5
-	opts := core.NackOptions{Probe: 500_000, MaxRepairs: 64}
-	_, err := cluster.RunSim(4, simnet.Switch, prof, core.NackAlgorithms(opts),
+	nw, err := cluster.RunSim(4, simnet.Switch, prof, core.ResilientAlgorithms(),
 		func(c *mpi.Comm) error {
 			buf := make([]byte, 3000)
 			for k := 0; k < 5; k++ {
@@ -158,5 +68,8 @@ func TestNackStragglersCollected(t *testing.T) {
 		})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if nw.Wire.Frames(transport.ClassNack) == 0 {
+		t.Fatal("no repair was requested: the test no longer leaves stragglers to collect")
 	}
 }

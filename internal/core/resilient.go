@@ -23,12 +23,8 @@ import (
 
 // ResilientAlgorithms returns the multicast suite with every data
 // multicast protected by NACK repair (binary scout gather).
-func ResilientAlgorithms(opts NackOptions) mpi.Algorithms {
-	if opts.Probe <= 0 {
-		opts = DefaultNackOptions()
-	}
-	rep := &opts
-	rounds := roundOptions{gather: binaryRoundGather, repair: rep}
+func ResilientAlgorithms() mpi.Algorithms {
+	rounds := roundOptions{gather: gatherScoutsBinary, repair: true}
 	bcast := func(c *mpi.Comm, buf []byte, root int) error {
 		return runRounds(c, []roundPlan{bcastRound(buf, root)}, rounds)
 	}
@@ -41,7 +37,7 @@ func ResilientAlgorithms(opts NackOptions) mpi.Algorithms {
 		},
 		// The reduce half rides point-to-point paths, which the stream
 		// repairs; only the broadcast half needs the NACK protocol.
-		Allreduce: allreduceWith(reduceToRoot, bcast),
+		Allreduce: allreduceWith(bcast),
 		Allgather: func(c *mpi.Comm, send, recv []byte) error {
 			return allgatherWith(c, send, recv, rounds)
 		},
@@ -52,7 +48,7 @@ func ResilientAlgorithms(opts NackOptions) mpi.Algorithms {
 			return scatterWith(c, send, recv, root, rounds)
 		},
 		Gather: func(c *mpi.Comm, send, recv []byte, root int) error {
-			return gatherWith(c, send, recv, root, gatherScoutsBinary, rep)
+			return gatherWith(c, send, recv, root, gatherScoutsBinary, true)
 		},
 	}
 }

@@ -34,8 +34,8 @@ package core
 //     multicast cannot be lost to an unready receiver, and no
 //     acknowledgment traffic exists.
 //
-//   - NACK repair (reference [10]'s receiver-initiated reliability, as
-//     in BcastNack): receivers watch what arrives, request repairs for
+//   - NACK repair (reference [10]'s receiver-initiated reliability):
+//     receivers watch what arrives, request repairs for
 //     multicasts lost in flight (injected fragment loss, overrun) once a
 //     message has stopped arriving (awaitMulticast), and confirm receipt
 //     so the sender can retire the round. Repairs are
@@ -133,7 +133,7 @@ func sliceSends(buf []byte, size, sender int) func() []send {
 // reliability class of a round sequence.
 type roundOptions struct {
 	// gather runs one rank's part of the scout gather toward the round
-	// sender (binaryRoundGather or linearRoundGather). hot names a rank
+	// sender (gatherScoutsBinary or gatherScoutsLinear). hot names a rank
 	// whose scout is expected late — the previous round's data sender in
 	// the pipelined schedule — so tree gathers can seat it where its
 	// scout releases no intermediate forwarding (-1: none).
@@ -150,9 +150,9 @@ type roundOptions struct {
 	// paces (its scouts are sent immediately before the same round's
 	// data, so no forwarding work overlaps the multicast).
 	pace int64
-	// repair, when non-nil, runs every data phase under the
-	// receiver-initiated NACK protocol so lost fragments are repaired.
-	repair *NackOptions
+	// repair runs every data phase under the receiver-initiated NACK
+	// protocol so lost fragments are repaired.
+	repair bool
 }
 
 // subFramePayload is the largest payload that still fits one Ethernet
@@ -250,8 +250,7 @@ func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 // gated on the round sender — the edge that lets the critical-path walk
 // cross from a waiting rank onto the track of the rank it waited for.
 // nextSender names the following round's data sender in the pipelined
-// schedule (-1 otherwise). A non-nil repair must be normalized
-// (ResilientAlgorithms does this once at construction).
+// schedule (-1 otherwise).
 func tracedDataPhase(cc mpi.CollCtx, rd *roundPlan, opt *roundOptions, nextSender int) error {
 	cc.SpanBegin("round-data")
 	if cc.Comm().Rank() != rd.sender {
@@ -264,7 +263,7 @@ func tracedDataPhase(cc mpi.CollCtx, rd *roundPlan, opt *roundOptions, nextSende
 		pace = opt.pace
 	}
 	sent, err := transmitRound(cc, rd, pace, nextSender)
-	if err == nil && opt.repair != nil {
+	if err == nil && opt.repair {
 		err = serveRepairs(cc, rd, sent)
 	}
 	cc.SpanEnd("round-data")
@@ -286,30 +285,46 @@ func tracedDataPhase(cc mpi.CollCtx, rd *roundPlan, opt *roundOptions, nextSende
 // sender).
 func pipelinedGather(cc mpi.CollCtx, opt *roundOptions, rd *roundPlan, hot int) error {
 	if rd.bytes < subFramePayload {
-		return linearRoundGather(cc, rd.sender, hot)
+		return gatherScoutsLinear(cc, rd.sender, hot)
 	}
 	return opt.gather(cc, rd.sender, hot)
 }
 
+// repairProbe, 2 ms of device clock, is a repairing receiver's one unit
+// of time: it looks this often at what its device has
+// seen arrive; asks for the rest of a message once it has been quiet for
+// four of its own inter-arrival gaps, at least repairProbe/8; asks again
+// no sooner than repairProbe later, doubling; and asks for a message of
+// which nothing arrived only after 7 repairProbe (more for more than 16
+// fragments), then at intervals doubling from 8 repairProbe. When a
+// request leaves is decided by arrivals, not by this value: halving it
+// makes receivers look, and give up on silence, twice as often —
+// measured at a quarter it makes them ask for messages that were merely
+// late.
+const repairProbe int64 = 2_000_000
+
+// maxRepairs bounds the repair requests per receiver and multicast.
+const maxRepairs = 64
+
 // awaitMulticast blocks for this operation's multicast from sender to
-// scope. With rep == nil that is a plain receive. Otherwise it runs the
+// scope. Without rep that is a plain receive. With it, it runs the
 // receiver's side of the repair protocol: wait, decide from what the
 // device has seen arrive whether the message is still coming, ask the
-// sender for what is missing when it is not, give up after MaxRepairs
+// sender for what is missing when it is not, give up after maxRepairs
 // requests. bytes is the expected payload size (known identically at
-// every rank by the collective's contract). A non-nil rep must be
-// normalized (positive Probe).
+// every rank by the collective's contract).
 //
 // The receiver acts on evidence, on the wire's own clock, and is silent
-// without it. Every Probe it looks at the device's reassembly state for
-// the sender's message (MissingFrom), and it finds one of two things.
+// without it. Every repairProbe it looks at the device's reassembly
+// state for the sender's message (MissingFrom), and it finds one of two
+// things.
 //
 //   - A partial message: some fragments arrived, stamped by the
 //     reassembler. The transmission has a pace — the mean gap between the
 //     arrivals so far — and a message that has been quiet for four of
-//     those gaps (at least Probe/8, which also covers a single fragment,
-//     whose gap nobody can know) has stopped arriving: what is missing
-//     was lost, and the receiver asks for exactly those fragments
+//     those gaps (at least repairProbe/8, which also covers a single
+//     fragment, whose gap nobody can know) has stopped arriving: what is
+//     missing was lost, and the receiver asks for exactly those fragments
 //     (transport.EncodeRepairReq) at that moment, not a timer's expiry
 //     later. A transmission that is merely long keeps arriving and is
 //     never asked about, whatever its length, so repair traffic cannot
@@ -317,16 +332,16 @@ func pipelinedGather(cc mpi.CollCtx, opt *roundOptions, rd *roundPlan, hot int) 
 //     a multi-fragment round sets off on every waiting receiver at once.
 //     A repair is served behind whatever the sender has queued (every
 //     other receiver's confirmation, at a host receive cost each), so a
-//     second request for the same message waits a full Probe after the
-//     first, doubling: asking again any sooner buys the same repair
+//     second request for the same message waits a full repairProbe after
+//     the first, doubling: asking again any sooner buys the same repair
 //     twice.
 //
 //   - Nothing at all. Usually the round has not started — the sender is
 //     still finishing the previous round or serving its repairs — rather
 //     than every fragment having been lost, and an empty request asks for
 //     a FULL resend, which costs an F-fragment round F frames. So the
-//     receiver stays silent for as long as a timer doubling from Probe
-//     would take to expire 3 + F/16 times (seven probe periods for
+//     receiver stays silent for as long as a timer doubling from
+//     repairProbe would take to expire 3 + F/16 times (seven probe periods for
 //     anything up to 16 fragments; losing every fragment of a larger
 //     message is p^F-unlikely), then sends the empty request, and again
 //     after intervals that keep doubling: growing any slower, the requests
@@ -336,12 +351,12 @@ func pipelinedGather(cc mpi.CollCtx, opt *roundOptions, rd *roundPlan, hot int) 
 // Either request first asks the failure detector (when armed) whether the
 // quiet is a dead rank: a receiver asking a dead sender forever would
 // otherwise only surface the give-up error.
-func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep *NackOptions) (transport.Message, error) {
-	if rep == nil {
+func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep bool) (transport.Message, error) {
+	if !rep {
 		return cc.RecvMulticast(scope)
 	}
 	c := cc.Comm()
-	look, longest := rep.Probe, rep.Probe<<10
+	look, longest := repairProbe, repairProbe<<10
 	double := func(d int64) int64 { return min(2*d, longest) }
 	// The device reports its fragment payload; a conservative fallback
 	// covers devices without one (over-counting fragments only lengthens
@@ -379,7 +394,7 @@ func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep 
 		if err := cc.CheckFailures(); err != nil {
 			return transport.Message{}, err
 		}
-		if requests >= rep.MaxRepairs {
+		if requests >= maxRepairs {
 			return transport.Message{}, fmt.Errorf("core: receiver %d gave up waiting for sender %d's multicast after %d repair requests",
 				c.Rank(), sender, requests)
 		}
@@ -445,12 +460,12 @@ func indexOf(sent []send, scope mpi.Scope) int {
 // receiveRound is a receiver's half of a data phase: take the payload
 // sent to this rank's scope, consume it and, under repair, confirm
 // receipt so the sender can retire the round.
-func receiveRound(cc mpi.CollCtx, rd *roundPlan, rep *NackOptions) error {
+func receiveRound(cc mpi.CollCtx, rd *roundPlan, rep bool) error {
 	m, err := awaitMulticast(cc, rd.sender, rd.scope(cc.Comm().Rank()), rd.bytes, rep)
 	if err != nil {
 		return err
 	}
-	if err := rd.consume(m.Payload); err != nil || rep == nil {
+	if err := rd.consume(m.Payload); err != nil || !rep {
 		return err
 	}
 	return cc.Send(rd.sender, phaseAck, nil, transport.ClassAck, false)

@@ -20,10 +20,10 @@ import (
 // the one order the sequencer transmitted them, regardless of which rank
 // originated each message.
 //
-// The extra forwarding hop makes it strictly slower than BcastBinary for
-// MPI semantics (where program order already provides ordering in safe
-// programs); it is implemented as the ordering-centric alternative the
-// related-work comparison calls for.
+// The extra forwarding hop makes it strictly slower than the binary
+// scout broadcast for MPI semantics (where program order already
+// provides ordering in safe programs); it is implemented as the
+// ordering-centric alternative the related-work comparison calls for.
 func BcastSequencer(c *mpi.Comm, buf []byte, root int) error {
 	size := c.Size()
 	if size == 1 {
@@ -55,7 +55,7 @@ func BcastSequencer(c *mpi.Comm, buf []byte, root int) error {
 	// Step 2: scout-synchronized multicast from the sequencer. Every
 	// rank except the sequencer — including the original root — posts a
 	// receive, so delivery order is the sequencer's transmission order.
-	if err := gatherScoutsBinary(cc, sequencer); err != nil {
+	if err := gatherScoutsBinary(cc, sequencer, -1); err != nil {
 		return err
 	}
 	if c.Rank() == sequencer {

@@ -116,7 +116,7 @@ func TestBarrierSemanticsVirtualTime(t *testing.T) {
 		a    mpi.Algorithms
 	}{
 		{"multicast-binary", core.Algorithms(core.Binary)},
-		{"multicast-linear", mpi.Algorithms{Barrier: core.BarrierLinear}},
+		{"multicast-linear", core.Algorithms(core.Linear)},
 		{"mpich", baseline.Algorithms()},
 	} {
 		algs := algs

@@ -188,17 +188,16 @@ func alltoallWholeWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 
 // AlltoallMcastWhole is the whole-buffer alltoall (binary scout gather).
 func AlltoallMcastWhole(c *mpi.Comm, send, recv []byte) error {
-	return alltoallWholeWith(c, send, recv, roundOptions{gather: binaryRoundGather})
+	return alltoallWholeWith(c, send, recv, roundOptions{gather: gatherScoutsBinary})
 }
 
 // reduceToRoot runs a binomial reduction of send to root over the UDP
-// bypass path (the point-to-point half of the multicast allreduce). Only
-// root's recv is written. The signature matches the Allreduce composer
-// in bcast.go, which pairs it with the scout-synchronized broadcast.
+// bypass path (the point-to-point half of the multicast allreduce,
+// allreduceWith). Only root's recv is written.
 func reduceToRoot(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, root int) error {
 	cc := c.BeginColl()
 	acc := append([]byte(nil), send...)
-	atRoot, err := mpi.BinomialToRoot(cc, root, c.Size(), phaseChunk, transport.ClassData, false, acc,
+	atRoot, err := mpi.BinomialToRoot(cc, root, phaseChunk, transport.ClassData, false, acc,
 		func(_ int, payload []byte) error {
 			return mpi.ReduceBytes(op, dt, acc, payload)
 		})
@@ -273,10 +272,10 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	}
 	bounds := sliceBounds(len(send), dt.Size(), size)
 
-	// Reduce-scatter: slice s's contributions combine toward rank s up a
-	// low-bit-first binomial tree (the mpi.BinomialToRoot walk shape),
-	// in recv in place, all N walks sharing one collective operation
-	// with one phase per slice.
+	// Reduce-scatter: slice s's contributions combine toward rank s up
+	// the low-bit-first binomial tree (mpi.Binomial), in recv in place,
+	// all N walks sharing one collective operation with one phase per
+	// slice.
 	cc := c.BeginColl()
 	if !cc.CanMulticast() {
 		return mpi.ErrNoMulticast
@@ -296,17 +295,13 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		if lo == hi {
 			continue
 		}
-		rel := (me - s + size) % size
-		parent := -1
+		parent, kids := mpi.Binomial((me-s+size)%size, size)
+		if parent >= 0 {
+			parent = (parent + s) % size
+		}
 		var children []int
-		for mask := 1; mask < size; mask <<= 1 {
-			if rel&mask != 0 {
-				parent = (rel - mask + s) % size
-				break
-			}
-			if peer := rel + mask; peer < size {
-				children = append(children, (peer+s)%size)
-			}
+		for ch := range kids.All {
+			children = append(children, (ch+s)%size)
 		}
 		if len(children) == 0 {
 			// Leaf in this walk: nothing to combine — send immediately,
@@ -401,7 +396,7 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		})
 	}
 	return runRounds(c, rounds, roundOptions{
-		gather:   binaryRoundGather,
+		gather:   gatherScoutsBinary,
 		pipeline: true,
 		pace:     DefaultPipelinePace,
 	})
@@ -485,7 +480,7 @@ func scatterWholeWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions
 // scout-gated multicast of the entire send buffer, each rank keeping its
 // slice (binary scouts).
 func ScatterMcastWhole(c *mpi.Comm, send, recv []byte, root int) error {
-	return scatterWholeWith(c, send, recv, root, roundOptions{gather: binaryRoundGather})
+	return scatterWholeWith(c, send, recv, root, roundOptions{gather: gatherScoutsBinary})
 }
 
 // gatherWith collects equal-sized chunks to root, gated by scouts and a
@@ -494,7 +489,7 @@ func ScatterMcastWhole(c *mpi.Comm, send, recv []byte, root int) error {
 // unbounded unexpected queue. Under repair the release is a multicast
 // that can be lost in flight like any other; the chunk a rank sends
 // after observing it doubles as its confirmation.
-func gatherWith(c *mpi.Comm, send, recv []byte, root int, gather func(mpi.CollCtx, int) error, rep *NackOptions) error {
+func gatherWith(c *mpi.Comm, send, recv []byte, root int, gather func(cc mpi.CollCtx, root, hot int) error, rep bool) error {
 	size := c.Size()
 	n := len(send)
 	if c.Rank() == root && len(recv) != n*size {
@@ -508,7 +503,7 @@ func gatherWith(c *mpi.Comm, send, recv []byte, root int, gather func(mpi.CollCt
 	if !cc.CanMulticast() {
 		return mpi.ErrNoMulticast
 	}
-	if err := gather(cc, root); err != nil {
+	if err := gather(cc, root, -1); err != nil {
 		return err
 	}
 	if c.Rank() != root {

@@ -162,7 +162,7 @@ func TestResilientHappyPathFrameOverhead(t *testing.T) {
 	const n, chunk = 5, 2000
 	const frag = simnet.MaxFragPayload
 	nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
-		core.ResilientAlgorithms(core.DefaultNackOptions()), func(c *mpi.Comm) error {
+		core.ResilientAlgorithms(), func(c *mpi.Comm) error {
 			send := make([]byte, chunk)
 			recv := make([]byte, n*chunk)
 			return c.Allgather(send, recv)

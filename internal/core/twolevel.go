@@ -115,19 +115,16 @@ func TwoLevelAlgorithms() mpi.Algorithms {
 // TwoLevelResilientAlgorithms is TwoLevelAlgorithms with every
 // multicast — leader rounds, fan-outs and segment releases — protected
 // by the NACK repair protocol, over the flat resilient set.
-func TwoLevelResilientAlgorithms(opts NackOptions) mpi.Algorithms {
-	if opts.Probe <= 0 {
-		opts = DefaultNackOptions()
-	}
-	return twoLevelSet(&twoLevel{flat: ResilientAlgorithms(opts), rep: &opts})
+func TwoLevelResilientAlgorithms() mpi.Algorithms {
+	return twoLevelSet(&twoLevel{flat: ResilientAlgorithms(), rep: true})
 }
 
 // twoLevel is one two-level set: the flat set each operation runs on a
-// communicator without a usable topology, and the repair options every
-// multicast runs under (nil: scout-only).
+// communicator without a usable topology, and whether every multicast
+// runs under NACK repair (false: scout-only).
 type twoLevel struct {
 	flat mpi.Algorithms
-	rep  *NackOptions
+	rep  bool
 }
 
 func twoLevelSet(tl *twoLevel) mpi.Algorithms {
@@ -280,12 +277,12 @@ func largestSegment(t *topo.Map) int {
 // segmentCombine runs one rank's part of the release-gated combine of a
 // segment's chunks at lead, one of its members — all of it segment-local
 // traffic that never crosses an uplink. A member scouts lead, awaits
-// lead's release on the segment's scope (under NACK repair when rep is
-// non-nil) and sends payload. lead collects the scouts, then releases
-// and places every other member's chunk (collectChunks); of its own
+// lead's release on the segment's scope (under NACK repair with rep) and
+// sends payload. lead collects the scouts, then releases and places
+// every other member's chunk (collectChunks); of its own
 // payload only the length is used — chunks are equal-sized. A segment of
 // one has nothing to exchange.
-func segmentCombine(cc mpi.CollCtx, t *topo.Map, lead int, payload []byte, rep *NackOptions, place func(r int, p []byte)) error {
+func segmentCombine(cc mpi.CollCtx, t *topo.Map, lead int, payload []byte, rep bool, place func(r int, p []byte)) error {
 	me := cc.Comm().Rank()
 	seg := t.SegmentOf(me)
 	others := len(t.Members(seg)) - 1
@@ -401,7 +398,7 @@ func burstFits(c *mpi.Comm) bool { return c.Size()-1 <= burstRecvBudget }
 // direct reports whether the allgather and the alltoall run
 // twoLevelBurst on c (lossless, burstFits) or the combine-based schedule.
 func (tl *twoLevel) direct(c *mpi.Comm) bool {
-	return tl.rep == nil && burstFits(c)
+	return !tl.rep && burstFits(c)
 }
 
 // twoLevelBurst is the lossless data path of the two-level allgather and
@@ -609,24 +606,22 @@ func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, o
 		// Leader tree: low-bit-first binomial over the segment index
 		// space toward segment 0's leader (my index IS my segment).
 		leaders := t.Leaders()
-		for mask := 1; mask < t.Segments(); mask <<= 1 {
-			if mySeg&mask != 0 {
-				if err := cc.Send(leaders[mySeg-mask], phaseBlock, acc, transport.ClassData, false); err != nil {
-					return err
-				}
-				break
+		parent, children := mpi.Binomial(mySeg, t.Segments())
+		for peer := range children.All {
+			m, err := cc.Recv(leaders[peer], phaseBlock)
+			if err != nil {
+				return err
 			}
-			if peer := mySeg + mask; peer < t.Segments() {
-				m, err := cc.Recv(leaders[peer], phaseBlock)
-				if err != nil {
-					return err
-				}
-				if len(m.Payload) != len(acc) {
-					return fmt.Errorf("core: allreduce aggregate from %d is %d bytes, want %d", leaders[peer], len(m.Payload), len(acc))
-				}
-				if err := mpi.ReduceBytes(op, dt, acc, m.Payload); err != nil {
-					return err
-				}
+			if len(m.Payload) != len(acc) {
+				return fmt.Errorf("core: allreduce aggregate from %d is %d bytes, want %d", leaders[peer], len(m.Payload), len(acc))
+			}
+			if err := mpi.ReduceBytes(op, dt, acc, m.Payload); err != nil {
+				return err
+			}
+		}
+		if parent >= 0 {
+			if err := cc.Send(leaders[parent], phaseBlock, acc, transport.ClassData, false); err != nil {
+				return err
 			}
 		}
 	}

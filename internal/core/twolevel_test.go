@@ -45,7 +45,7 @@ func TestTwoLevelConformanceSharedUplink(t *testing.T) {
 		algs mpi.Algorithms
 	}{
 		{"mcast-2level", core.TwoLevelAlgorithms()},
-		{"mcast-2level-resilient", core.TwoLevelResilientAlgorithms(core.DefaultNackOptions())},
+		{"mcast-2level-resilient", core.TwoLevelResilientAlgorithms()},
 		{"mcast-chunked", chunkedAlgorithms()},
 	} {
 		set := set
@@ -78,7 +78,7 @@ func TestTwoLevelStrictLaggingRank(t *testing.T) {
 		algs mpi.Algorithms
 	}{
 		{"mcast-2level", core.TwoLevelAlgorithms()},
-		{"mcast-2level-resilient", core.TwoLevelResilientAlgorithms(core.NackOptions{Probe: int64(20 * sim.Millisecond), MaxRepairs: 8})},
+		{"mcast-2level-resilient", core.TwoLevelResilientAlgorithms()},
 		{"mcast-chunked", chunkedAlgorithms()},
 	}
 	for _, set := range sets {
@@ -118,7 +118,7 @@ func TestChunkedAllreduceZeroBytesSendsNothing(t *testing.T) {
 // loss (member chunks, aggregate blocks, releases and the repair
 // protocol itself), recovered by the resilient two-level set.
 func TestTwoLevelInjectedLoss(t *testing.T) {
-	algs := core.TwoLevelResilientAlgorithms(core.NackOptions{Probe: int64(10 * sim.Millisecond), MaxRepairs: 64})
+	algs := core.TwoLevelResilientAlgorithms()
 	t.Run("mcast", func(t *testing.T) {
 		prof := sharedProf(4)
 		prof.LossRate = 0.05
@@ -168,7 +168,7 @@ func TestTwoLevelLeaderLoss(t *testing.T) {
 				seen[key] = true
 				return true
 			}
-			algs := core.TwoLevelResilientAlgorithms(core.NackOptions{Probe: int64(5 * sim.Millisecond), MaxRepairs: 64})
+			algs := core.TwoLevelResilientAlgorithms()
 			nw, err := cluster.RunSim(n, simnet.SwitchShared, prof, algs, func(c *mpi.Comm) error {
 				return coretest.Conformance(c, chunk, 0)
 			})

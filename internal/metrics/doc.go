@@ -73,6 +73,6 @@
 // Handler at /metrics, next to a JSON snapshot at /metrics.json and a
 // failure-detector-backed /healthz); Snapshot returns the same state as
 // a JSON-marshalable struct for interval JSONL capture and for the
-// gate-exempt metrics section of BENCH_sim.json; ValidateExposition
+// per-layer rows of the repository benchmark; ValidateExposition
 // checks an exposition without promtool — the CI smoke gate.
 package metrics

@@ -72,7 +72,7 @@ func runUDPChaos(t *testing.T, n int, algs mpi.Algorithms, fn func(rank int, c *
 func TestUDPChaosKill(t *testing.T) {
 	requireMulticast(t)
 	const n, victim, chunk = 5, 2, 900
-	algs := core.ResilientAlgorithms(core.DefaultNackOptions())
+	algs := core.ResilientAlgorithms()
 	// "Between two collectives" has to hold at every rank, not only at
 	// the victim: a collective returns rank by rank, and the victim's
 	// own return says nothing about a peer still confirming the last
@@ -134,7 +134,7 @@ func TestUDPChaosKill(t *testing.T) {
 func TestUDPChaosStraggler(t *testing.T) {
 	requireMulticast(t)
 	const n, laggard, chunk = 5, 2, 900
-	algs := core.ResilientAlgorithms(core.DefaultNackOptions())
+	algs := core.ResilientAlgorithms()
 	errs := runUDPChaos(t, n, algs, func(rank int, c *mpi.Comm) error {
 		if rank == laggard {
 			time.Sleep(150 * time.Millisecond)

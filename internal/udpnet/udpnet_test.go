@@ -339,7 +339,7 @@ func TestNackRepairOverUDP(t *testing.T) {
 	requireMulticast(t)
 	cfg := testConfig(4)
 	cfg.LossRate, cfg.P2PLossRate, cfg.LossSeed = 0.02, 0.02, 42
-	nw, err := udpnet.RunNet(cfg, core.ResilientAlgorithms(core.DefaultNackOptions()), func(c *mpi.Comm) error {
+	nw, err := udpnet.RunNet(cfg, core.ResilientAlgorithms(), func(c *mpi.Comm) error {
 		for rep := 0; rep < 3; rep++ {
 			for _, chunk := range []int{1, 1000, 20000} {
 				if err := coretest.Conformance(c, chunk, rep%c.Size()); err != nil {
