@@ -510,11 +510,11 @@ func runLatency(cfg udpnet.Config, algs mpi.Algorithms, work string, size, reps 
 		for r := 0; r < cfg.N; r++ {
 			switch {
 			case r == kill.rank:
-				fmt.Printf("  rank %d: KILLED (%d/%d reps before death)\n", r, max64(progress[r].Load(), 0), reps)
+				fmt.Printf("  rank %d: KILLED (%d/%d reps before death)\n", r, max(progress[r].Load(), 0), reps)
 			case errs[r] == nil:
 				fmt.Printf("  rank %d: completed all %d reps (kill landed after its last dependency)\n", r, reps)
 			default:
-				fmt.Printf("  rank %d: %v (%d/%d reps)\n", r, errs[r], max64(progress[r].Load(), 0), reps)
+				fmt.Printf("  rank %d: %v (%d/%d reps)\n", r, errs[r], max(progress[r].Load(), 0), reps)
 			}
 		}
 		return fmt.Errorf("chaos: rank %d killed; see per-rank outcomes above", kill.rank)
@@ -550,13 +550,6 @@ func runLatency(cfg udpnet.Config, algs mpi.Algorithms, work string, size, reps 
 		}
 	}
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Pi progress markers. 0..100 is the integration percentage; the values

@@ -48,11 +48,6 @@ const (
 	// pipelined multicast allgather of the reduced slices, so no rank
 	// funnels more than ~2M bytes.
 	McastChunked Algorithm = "mcast-chunked"
-	// McastWhole is the binary suite with the pre-slicing whole-buffer
-	// scatter and alltoall (PR 1/2 behaviour): a single multicast of the
-	// full N·M buffer that every receiver absorbs entirely. Kept as the
-	// measured "before" of the slice-filtering comparison (fig 18).
-	McastWhole Algorithm = "mcast-whole"
 	// McastTwoLevel is the topology-aware two-level suite: ranks
 	// scout-combine to their segment leader, leaders exchange one
 	// aggregate per segment across the shared uplinks, and results
@@ -76,7 +71,7 @@ const (
 func Algorithms() []Algorithm {
 	return []Algorithm{
 		MPICH, McastBinary, McastLinear, McastPipelined,
-		McastResilient, McastChunked, McastWhole,
+		McastResilient, McastChunked,
 		McastTwoLevel, McastTwoLevelResilient,
 		McastAck, Sequencer, Unsafe,
 	}
@@ -112,11 +107,6 @@ func set(a Algorithm) (mpi.Algorithms, error) {
 	case McastChunked:
 		algs := core.Algorithms(core.Binary)
 		algs.Allreduce = core.AllreduceMcastChunked
-		return algs.Merge(baseline.Algorithms()), nil
-	case McastWhole:
-		algs := core.Algorithms(core.Binary)
-		algs.Scatter = core.ScatterMcastWhole
-		algs.Alltoall = core.AlltoallMcastWhole
 		return algs.Merge(baseline.Algorithms()), nil
 	case McastTwoLevel:
 		return core.TwoLevelAlgorithms().Merge(baseline.Algorithms()), nil

@@ -119,7 +119,7 @@ func Defs() []Def {
 		{"15h", "Extension: MPI_Allreduce two-level (segment-leader) vs flat over shared-uplink switch, N in {4..256}", fig15h},
 		{"16", "Extension: MPI_Alltoall scatter rounds vs pairwise unicast", fig16},
 		{"17", "Extension: pipelined vs sequential allgather rounds over switch", fig17},
-		{"18", "Extension: per-receiver delivered bytes before/after slice filtering", fig18},
+		{"18", "Extension: per-receiver delivered bytes with slice filtering", fig18},
 		{"19", "Extension: chunked vs binomial-reduce multicast allreduce", fig19},
 		{"a1", "Ablation: ACK-based (PVM) reliability vs scouts", figA1},
 		{"a2", "Ablation: message loss without synchronization", figA2},
@@ -339,8 +339,8 @@ func fig15(o Options) (Renderable, error) {
 func fig16(o Options) (Renderable, error) {
 	o = o.fill()
 	return suiteFigure("16", "MPI_Alltoall: sliced scout-gated scatter rounds vs pairwise unicast over Fast Ethernet hub", o, simnet.Hub, OpAlltoall,
-		[]Algorithm{MPICH, McastBinary, McastPipelined, McastWhole},
-		"The sliced rounds address each slice to its receiver's private group, so the wire and every receiver carry exactly the pairwise byte count — without the TCP penalty and kernel-ack frames of the reliable pairwise exchange, and release-gated so fast senders cannot overrun one receiver. The whole-buffer rounds (mcast-whole, PR 2's variant) show the gap the slicing closes: every receiver absorbed all N·M bytes per round. Pipelining hides the scout gathers on top.")
+		[]Algorithm{MPICH, McastBinary, McastPipelined},
+		"The sliced rounds address each slice to its receiver's private group, so the wire and every receiver carry exactly the pairwise byte count — without the TCP penalty and kernel-ack frames of the reliable pairwise exchange, and release-gated so fast senders cannot overrun one receiver. Pipelining hides the scout gathers on top.")
 }
 
 func fig17(o Options) (Renderable, error) {
@@ -351,24 +351,22 @@ func fig17(o Options) (Renderable, error) {
 }
 
 // fig18 measures what slice filtering buys at the receivers: the worst
-// per-receiver delivered data bytes of one alltoall, before (whole-buffer
-// rounds) and after (sliced rounds), against the pairwise baseline. This
-// is the counter the fig 16 hub gap came from — the whole-buffer rounds
-// made every receiver absorb N·M bytes per round while the pairwise
-// exchange delivered each receiver only its (N-1)·M.
+// per-receiver delivered data bytes of one alltoall under the sliced
+// rounds, against the pairwise baseline, which delivers each receiver
+// only its (N-1)·M.
 func fig18(o Options) (Renderable, error) {
 	o = o.fill()
 	tbl := &Table{
 		ID:          "18",
 		Title:       "MPI_Alltoall: worst per-receiver delivered data bytes, 8 processes over Fast Ethernet hub",
-		Expectation: "The sliced rounds deliver each receiver exactly the pairwise-unicast byte count ((N-1)·M); the whole-buffer rounds deliver N× that. The NIC's multicast filter drops foreign-slice fragments before they cost the receiving host anything.",
-		Header:      []string{"chunk (B)", "mpich (pairwise)", "mcast-whole", "mcast-binary (sliced)", "sliced/pairwise"},
+		Expectation: "The sliced rounds deliver each receiver exactly the pairwise-unicast byte count ((N-1)·M). The NIC's multicast filter drops foreign-slice fragments before they cost the receiving host anything.",
+		Header:      []string{"chunk (B)", "mpich (pairwise)", "mcast-binary (sliced)", "sliced/pairwise"},
 	}
 	const procs = 8
 	for _, chunk := range []int{500, 1500, 4000} {
 		row := []string{fmt.Sprintf("%d", chunk)}
 		var pairwise, sliced int64
-		for _, a := range []Algorithm{MPICH, McastWhole, McastBinary} {
+		for _, a := range []Algorithm{MPICH, McastBinary} {
 			algs, err := Set(a)
 			if err != nil {
 				return nil, err
@@ -406,7 +404,7 @@ func fig19(o Options) (Renderable, error) {
 	o = o.fill()
 	return suiteFigure("19", "MPI_Allreduce: chunked (per-slice reduce-scatter + multicast allgather) vs binomial reduce + multicast bcast over Fast Ethernet switch", o, simnet.Switch, OpAllreduce,
 		[]Algorithm{McastBinary, McastChunked, MPICH},
-		"What the chunked variant buys on this testbed is the byte funnel, not latency: no rank moves more than ~2M bytes (the binomial composition pushes log2(N)·M through rank 0 — see the per-rank delivered-byte counters), and the reduction work spreads evenly. Latency stays above the binomial composition at every measured size: the per-slice walks multiply the 34 µs per-message host overheads by N(N-1), and the binomial pairs already transmit in parallel on a switch, so its bandwidth term is log2(N)·M against the walks' effectively serialized ~3M. The chunked schedule is the right shape for hosts where bandwidth, not per-message cost, is the ceiling — overlapping the per-slice walks to realize that on this profile is ROADMAP work.")
+		"The chunked variant caps the byte funnel: no rank moves more than ~2M bytes (the binomial composition pushes log2(N)·M through rank 0 — see the per-rank delivered-byte counters), and the reduction work spreads evenly. Its per-slice walks overlap, so their N(N-1) per-message host overheads do not serialize: it beats MPICH from ~2000 B and crosses below the binomial composition by 8000 B (4526 against 4898 µs at N=8 in EXPERIMENTS.md), where the walks' ~3M bandwidth term overtakes the binomial's log2(N)·M. Below that the per-message overheads keep it above.")
 }
 
 // sharedUplinkProfile is the shared-uplink calibration of the N-sweep
@@ -685,8 +683,7 @@ func figA3(o Options) (Renderable, error) {
 		log2k := bits.Len(uint(n)) - 1
 		k := 1 << log2k // the largest power of two <= n
 		for _, msg := range []int{0, 1000, 5000} {
-			mf := trace.FramesForMessage(msg, frag)   // ceil(M/T)
-			ff := trace.FramesForMessage(n*msg, frag) // ceil(N·M/T)
+			mf := trace.FramesForMessage(msg, frag) // ceil(M/T)
 			// Chunked allreduce: per-slice binomial walks ((N-1) sends
 			// of one slice each) plus one multicast allgather round per
 			// non-empty slice, slices front-loaded over the elements.
@@ -715,9 +712,7 @@ func figA3(o Options) (Renderable, error) {
 				{OpAllreduce, McastBinary, fmt.Sprintf("%d+%d+0", n-1, n*mf)},
 				{OpAllreduce, McastChunked, fmt.Sprintf("%d+%d+0", chunkedScout, chunkedData)},
 				{OpAlltoall, McastBinary, fmt.Sprintf("%d+%d+0", n*(n-1), n*(n-1)*mf)},
-				{OpAlltoall, McastWhole, fmt.Sprintf("%d+%d+0", n*(n-1), n*ff)},
 				{OpScatter, McastBinary, fmt.Sprintf("%d+%d+0", n-1, (n-1)*mf)},
-				{OpScatter, McastWhole, fmt.Sprintf("%d+%d+0", n-1, ff)},
 				{OpGather, McastBinary, fmt.Sprintf("%d+%d+1", n-1, (n-1)*mf)},
 			}
 			for _, r := range rows {

@@ -16,11 +16,6 @@ type AckOptions struct {
 	MaxRetries int
 }
 
-// DefaultAckOptions mirrors a 5 ms retransmission timer.
-func DefaultAckOptions() AckOptions {
-	return AckOptions{Timeout: 5_000_000, MaxRetries: 64}
-}
-
 // BcastAck is the sender-initiated reliable multicast of the PVM work the
 // paper discusses (Dunigan & Hall, ORNL/TM-13030): the root multicasts
 // immediately — no scouts — and then re-multicasts the same message until
@@ -31,9 +26,6 @@ func BcastAck(c *mpi.Comm, buf []byte, root int, opts AckOptions) error {
 	size := c.Size()
 	if size == 1 {
 		return nil
-	}
-	if opts.Timeout <= 0 {
-		opts = DefaultAckOptions()
 	}
 	cc := c.BeginColl()
 	if !cc.CanMulticast() {

@@ -91,7 +91,7 @@ func Algorithms(mode Mode) mpi.Algorithms {
 	case Linear:
 		rounds.gather = gatherScoutsLinear
 	case BinaryPipelined:
-		rounds.pipeline, rounds.pace = true, DefaultPipelinePace
+		rounds.pipeline = true
 	}
 	// A single round has no next round to overlap with.
 	single := roundOptions{gather: rounds.gather}
@@ -215,6 +215,13 @@ func gatherScoutsLinear(cc mpi.CollCtx, root, _ int) error {
 	return nil
 }
 
+// noGather is the gather of a round that sends no scouts. Its two users
+// differ in why: the two-level allreduce's fan-out needs no proof — it
+// follows a reduction that cannot complete until every rank has sent its
+// contribution, and a rank posts its receive right after that send —
+// while the unsafe broadcast (BcastUnsafe) omits the proof on purpose.
+func noGather(mpi.CollCtx, int, int) error { return nil }
+
 // bcastWith runs a scout-synchronized multicast broadcast: Fig. 3 with
 // the binary gather, Fig. 4 with the linear one.
 func bcastWith(c *mpi.Comm, buf []byte, root int, gather func(cc mpi.CollCtx, root, hot int) error) error {
@@ -256,24 +263,10 @@ func bcastWith(c *mpi.Comm, buf []byte, root int, gather func(cc mpi.CollCtx, ro
 // demonstrate the failure mode the scout protocols prevent: under
 // receiver-directed multicast semantics a rank that has not posted its
 // receive when the datagram arrives loses it, and the broadcast hangs or
-// corrupts. Never use it outside experiments.
+// corrupts. Never use it outside experiments. It is the broadcast round
+// without its scout gather.
 func BcastUnsafe(c *mpi.Comm, buf []byte, root int) error {
-	if c.Size() == 1 {
-		return nil
-	}
-	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
-	if c.Rank() == root {
-		return cc.Multicast(mpi.Whole, buf, transport.ClassData)
-	}
-	m, err := cc.RecvMulticast(mpi.Whole)
-	if err != nil {
-		return err
-	}
-	copy(buf, m.Payload)
-	return nil
+	return runRounds(c, []roundPlan{bcastRound(buf, root)}, roundOptions{gather: noGather})
 }
 
 // Barrier implements the paper's multicast barrier: point-to-point scout

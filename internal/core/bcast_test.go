@@ -19,7 +19,7 @@ var bcastImpls = []struct {
 	{"linear", core.Algorithms(core.Linear).Bcast},
 	{"sequencer", core.BcastSequencer},
 	{"ack", func(c *mpi.Comm, buf []byte, root int) error {
-		return core.BcastAck(c, buf, root, core.DefaultAckOptions())
+		return core.BcastAck(c, buf, root, core.AckOptions{Timeout: 5_000_000, MaxRetries: 64})
 	}},
 }
 

@@ -37,7 +37,6 @@ var conformanceSets = []struct {
 	{"mcast-pipelined", core.Algorithms(core.BinaryPipelined)},
 	{"mcast-resilient", core.ResilientAlgorithms()},
 	{"mcast-chunked", chunkedAlgorithms()},
-	{"mcast-whole", wholeAlgorithms()},
 	// On these flat surfaces (mem, plain switch) the two-level sets must
 	// be indistinguishable from the flat suites they delegate to; their
 	// native shared-uplink conformance lives in twolevel_test.go.
@@ -53,15 +52,6 @@ var conformanceSets = []struct {
 func chunkedAlgorithms() mpi.Algorithms {
 	algs := core.Algorithms(core.Binary)
 	algs.Allreduce = core.AllreduceMcastChunked
-	return algs
-}
-
-// wholeAlgorithms is the binary suite with the pre-slicing whole-buffer
-// scatter and alltoall (every receiver absorbs the full N·M buffer).
-func wholeAlgorithms() mpi.Algorithms {
-	algs := core.Algorithms(core.Binary)
-	algs.Scatter = core.ScatterMcastWhole
-	algs.Alltoall = core.AlltoallMcastWhole
 	return algs
 }
 

@@ -12,20 +12,15 @@ package core_test
 //     senders are PAUSEd instead, and not one frame is dropped;
 //   - the reliable p2p stream: even with flow control off, tail-dropped
 //     chunks are retransmitted until the gather completes.
-//
-// The legacy combination (no flow control, no stream) is kept as the
-// negative control reproducing the original deadlock.
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpi"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
@@ -108,21 +103,5 @@ func TestGatherConvergingBurstBeyondQueueCap(t *testing.T) {
 		}
 		t.Logf("%d tail drops repaired by %d retransmitted fragments",
 			nw.SwitchStats().QueueDrops, nw.Stats.Stream.Retransmits.Load())
-	})
-
-	t.Run("legacy-deadlock", func(t *testing.T) {
-		// The negative control: no flow control, no stream — the gather
-		// hangs exactly as ROADMAP item 1 described.
-		prof := simnet.DefaultProfile()
-		prof.Ethernet.SwitchFlowControl = false
-		prof.DisableP2PStream = true
-		nw, err := convergingGather(t, prof, n, chunk)
-		var dl *sim.DeadlockError
-		if !errors.As(err, &dl) {
-			t.Fatalf("expected the historical deadlock, got %v", err)
-		}
-		if nw.SwitchStats().QueueDrops == 0 {
-			t.Fatal("the deadlock should be caused by silent egress drops")
-		}
 	})
 }

@@ -133,23 +133,15 @@ func sliceSends(buf []byte, size, sender int) func() []send {
 // reliability class of a round sequence.
 type roundOptions struct {
 	// gather runs one rank's part of the scout gather toward the round
-	// sender (gatherScoutsBinary or gatherScoutsLinear). hot names a rank
-	// whose scout is expected late — the previous round's data sender in
-	// the pipelined schedule — so tree gathers can seat it where its
-	// scout releases no intermediate forwarding (-1: none).
+	// sender (gatherScoutsBinary, gatherScoutsLinear, noGather). hot
+	// names a rank whose scout is expected late — the previous round's
+	// data sender in the pipelined schedule — so tree gathers can seat
+	// it where its scout releases no intermediate forwarding (-1: none).
 	gather func(cc mpi.CollCtx, root, hot int) error
 	// pipeline overlaps round r+1's scout gather with round r's data
-	// multicast instead of serializing the rounds.
+	// multicast instead of serializing the rounds, pacing sub-frame data
+	// rounds by pipelinePace.
 	pipeline bool
-	// pace, in device-clock nanoseconds, delays a pipelined round's
-	// sub-frame data multicast at the sender: a multicast shorter than
-	// one Ethernet frame can otherwise land inside a receiver's
-	// scout-forwarding window for the overlapped next-round gather,
-	// where strict posted-receive semantics lose it (the sub-frame
-	// envelope of PR 2). Zero disables; the sequential schedule never
-	// paces (its scouts are sent immediately before the same round's
-	// data, so no forwarding work overlaps the multicast).
-	pace int64
 	// repair runs every data phase under the receiver-initiated NACK
 	// protocol so lost fragments are repaired.
 	repair bool
@@ -161,15 +153,21 @@ type roundOptions struct {
 // outlasts any receiver's scout-forwarding window.
 const subFramePayload = 1472
 
-// DefaultPipelinePace is the sender pacing applied to sub-frame data
-// rounds of the pipelined schedule: one scout frame's wire time (a
-// 56-byte scout padded to the 84-byte minimum frame at 100 Mbps). The
-// structural guards — the linear gather for overlapped sub-frame rounds,
-// the hot-rank seating for tree gathers, and the next-sender-last slice
-// order — close the loss windows; the pace adds one frame time of margin
-// between a sub-frame multicast and the scout traffic it overlaps, at a
-// cost far below one round's gather latency.
-const DefaultPipelinePace = 6_720
+// pipelinePace, in device-clock nanoseconds, delays a pipelined round's
+// sub-frame data multicast at the sender: a multicast shorter than one
+// Ethernet frame can otherwise land inside a receiver's scout-forwarding
+// window for the overlapped next-round gather, where strict
+// posted-receive semantics lose it (the sub-frame envelope of PR 2). It
+// is one scout frame's wire time (a 56-byte scout padded to the 84-byte
+// minimum frame at 100 Mbps). The structural guards — the linear gather
+// for overlapped sub-frame rounds, the hot-rank seating for tree
+// gathers, and the next-sender-last slice order — close the loss
+// windows; the pace adds one frame time of margin between a sub-frame
+// multicast and the scout traffic it overlaps, at a cost far below one
+// round's gather latency. The sequential schedule never paces: its
+// scouts are sent immediately before the same round's data, so no
+// forwarding work overlaps the multicast.
+const pipelinePace = 6_720
 
 // runRounds executes the round sequence on c. Every rank must supply the
 // same rounds in the same order; each round opens its own collective
@@ -258,11 +256,7 @@ func tracedDataPhase(cc mpi.CollCtx, rd *roundPlan, opt *roundOptions, nextSende
 		cc.SpanEndGated("round-data", rd.sender)
 		return err
 	}
-	pace := int64(0)
-	if opt.pipeline {
-		pace = opt.pace
-	}
-	sent, err := transmitRound(cc, rd, pace, nextSender)
+	sent, err := transmitRound(cc, rd, opt.pipeline, nextSender)
 	if err == nil && opt.repair {
 		err = serveRepairs(cc, rd, sent)
 	}
@@ -422,11 +416,11 @@ func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep 
 // listens on (nextSender >= 0, the pipelined schedule) goes last, so the
 // next round's data, which that rank can start the moment its payload
 // arrives, cannot reach this rank while it is still working through its
-// own unposted transmit sleeps. A positive pace delays a round whose
-// smallest send is below one frame, so it cannot land inside a
-// receiver's scout-forwarding window (see roundOptions.pace). It returns
-// what was sent, each send under its device message id.
-func transmitRound(cc mpi.CollCtx, rd *roundPlan, pace int64, nextSender int) ([]send, error) {
+// own unposted transmit sleeps. With pace, a round whose smallest send
+// is below one frame waits pipelinePace first, so it cannot land inside
+// a receiver's scout-forwarding window. It returns what was sent, each
+// send under its device message id.
+func transmitRound(cc mpi.CollCtx, rd *roundPlan, pace bool, nextSender int) ([]send, error) {
 	sent := rd.sends()
 	if nextSender >= 0 {
 		if i := indexOf(sent, rd.scope(nextSender)); i >= 0 {
@@ -440,8 +434,8 @@ func transmitRound(cc mpi.CollCtx, rd *roundPlan, pace int64, nextSender int) ([
 			smallest = n
 		}
 	}
-	if pace > 0 && smallest < subFramePayload {
-		cc.Pace(pace)
+	if pace && smallest < subFramePayload {
+		cc.Pace(pipelinePace)
 	}
 	for i, s := range sent {
 		if err := cc.Multicast(s.scope, s.payload, rd.class); err != nil {

@@ -9,9 +9,8 @@ package core
 // a single IP multicast that therefore cannot be lost. The operations
 // are reached through the sets — Algorithms(mode), ResilientAlgorithms,
 // TwoLevelAlgorithms — which pick the scout scheme, the schedule and the
-// reliability class; only the variants a set does not cover
-// (AllreduceMcastChunked and the whole-buffer ablations) are exported by
-// name.
+// reliability class; only the variant a set does not cover
+// (AllreduceMcastChunked) is exported by name.
 //
 // Frame-count model (N ranks, per-rank chunk of M bytes, frame payload
 // T, s = N-1 scout frames per scout-gated multicast):
@@ -39,10 +38,6 @@ package core
 //	                 its own M bytes — the pairwise-unicast byte count —
 //	                 while the send stays on the connectionless bypass
 //	                 (no TCP penalty, no kernel acks) and stays gated.
-//	                 (ScatterMcastWhole keeps PR 1's single whole-buffer
-//	                 multicast of ceil(N·M/T) frames, which wins for
-//	                 sub-frame chunks where one frame replaces N-1 but
-//	                 makes every receiver swallow all N·M bytes.)
 //	gather:          s scouts + 1 multicast release + (N-1)·ceil(M/T)
 //	                 chunk frames. The data still has to converge on the
 //	                 root, so no frame is saved; the release gates the
@@ -56,10 +51,6 @@ package core
 //	                 delivered only its (N-1)·M bytes, but with the
 //	                 release gating of the rounds (no overrun) and no
 //	                 per-message TCP penalty or kernel-ack frames.
-//	                 (AlltoallMcastWhole keeps PR 2's whole-buffer
-//	                 rounds: N·ceil(N·M/T) frames, N transmissions, but
-//	                 every receiver pays for all N·M bytes per round —
-//	                 the gap fig 16 measured on the hub.)
 //
 // Each round opens its own collective operation (BeginColl), so the
 // per-operation sequence number keeps back-to-back multicasts of one
@@ -147,48 +138,6 @@ func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 		}
 	}
 	return runRounds(c, rounds, opt)
-}
-
-// alltoallWholeWith is the PR 2 whole-buffer exchange: round r multicasts
-// rank r's entire N·M buffer to the communicator group once and each
-// rank keeps its slice — N transmissions in place of N(N-1), at the cost
-// of every receiver absorbing all N·M bytes per round. Kept as the
-// measured "before" of the slice-filtering comparison (fig 18) and for
-// sub-frame chunks, where one frame replaces N-1.
-func alltoallWholeWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
-	size := c.Size()
-	if len(send)%size != 0 || len(recv) != len(send) {
-		return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks", len(send), len(recv), size)
-	}
-	n := len(send) / size
-	me := c.Rank()
-	copy(recv[me*n:(me+1)*n], send[me*n:(me+1)*n])
-	if size == 1 {
-		return nil
-	}
-	rounds := make([]roundPlan, size)
-	for r := range rounds {
-		rounds[r] = roundPlan{
-			sender: r,
-			class:  transport.ClassData,
-			bytes:  n * size,
-			sends:  wholeSend(send),
-			scope:  wholeScope,
-			consume: func(p []byte) error {
-				if len(p) != n*size {
-					return fmt.Errorf("core: alltoall round %d message %d bytes, want %d", r, len(p), n*size)
-				}
-				copy(recv[r*n:(r+1)*n], p[me*n:(me+1)*n])
-				return nil
-			},
-		}
-	}
-	return runRounds(c, rounds, opt)
-}
-
-// AlltoallMcastWhole is the whole-buffer alltoall (binary scout gather).
-func AlltoallMcastWhole(c *mpi.Comm, send, recv []byte) error {
-	return alltoallWholeWith(c, send, recv, roundOptions{gather: gatherScoutsBinary})
 }
 
 // reduceToRoot runs a binomial reduction of send to root over the UDP
@@ -395,11 +344,7 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 			},
 		})
 	}
-	return runRounds(c, rounds, roundOptions{
-		gather:   gatherScoutsBinary,
-		pipeline: true,
-		pace:     DefaultPipelinePace,
-	})
+	return runRounds(c, rounds, roundOptions{gather: gatherScoutsBinary, pipeline: true})
 }
 
 // scatterWith is a single sliced round of the engine: the root
@@ -437,50 +382,6 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) err
 		copy(recv, send[root*n:(root+1)*n])
 	}
 	return nil
-}
-
-// scatterWholeWith is the paper-faithful single whole-buffer multicast:
-// ceil(N·M/T) frames replace (N-1)·ceil(M/T), a win below one frame per
-// chunk, but every receiver swallows all N·M bytes.
-func scatterWholeWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) error {
-	size := c.Size()
-	n := len(recv)
-	if c.Rank() == root && len(send) != n*size {
-		return fmt.Errorf("core: scatter send buffer %d bytes, want %d", len(send), n*size)
-	}
-	if size == 1 {
-		copy(recv, send)
-		return nil
-	}
-	me := c.Rank()
-	round := roundPlan{
-		sender: root,
-		class:  transport.ClassData,
-		bytes:  n * size,
-		sends:  wholeSend(send),
-		scope:  wholeScope,
-		consume: func(p []byte) error {
-			if len(p) != n*size {
-				return fmt.Errorf("core: scatter message %d bytes, want %d", len(p), n*size)
-			}
-			copy(recv, p[me*n:(me+1)*n])
-			return nil
-		},
-	}
-	if err := runRounds(c, []roundPlan{round}, opt); err != nil {
-		return err
-	}
-	if me == root {
-		copy(recv, send[root*n:(root+1)*n])
-	}
-	return nil
-}
-
-// ScatterMcastWhole is the paper-faithful whole-buffer scatter: one
-// scout-gated multicast of the entire send buffer, each rank keeping its
-// slice (binary scouts).
-func ScatterMcastWhole(c *mpi.Comm, send, recv []byte, root int) error {
-	return scatterWholeWith(c, send, recv, root, roundOptions{gather: gatherScoutsBinary})
 }
 
 // gatherWith collects equal-sized chunks to root, gated by scouts and a

@@ -129,25 +129,6 @@ func TestSuiteFrameCounts(t *testing.T) {
 					if got, want := nw.Wire.Frames(transport.ClassData), int64(n-1)*chunkFrames; got != want {
 						t.Errorf("scatter data frames = %d, want (N-1)·ceil(M/T) = %d", got, want)
 					}
-
-					// ScatterMcastWhole keeps the paper-faithful single
-					// multicast of the whole buffer: ceil(N·M/T) frames.
-					nw, err = cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
-						mpi.Algorithms{Scatter: core.ScatterMcastWhole}, func(c *mpi.Comm) error {
-							var send []byte
-							if c.Rank() == 0 {
-								send = make([]byte, n*chunk)
-							}
-							recv := make([]byte, chunk)
-							return c.Scatter(send, recv, 0)
-						})
-					if err != nil {
-						t.Fatal(err)
-					}
-					fullFrames := int64(trace.FramesForMessage(n*chunk, frag))
-					if got, want := nw.Wire.Frames(transport.ClassData), fullFrames; got != want {
-						t.Errorf("whole-buffer scatter data frames = %d, want ceil(N·M/T) = %d", got, want)
-					}
 				})
 			}
 		}

@@ -217,12 +217,6 @@ func leaderRoundGather(t *topo.Map) func(cc mpi.CollCtx, root, hot int) error {
 	}
 }
 
-// dataGatedGather is the no-op gather of rounds whose readiness proof
-// is the payload itself: the allreduce's final fan-out follows a
-// reduction that cannot complete until every rank's contribution has
-// been sent, and a rank posts its receive immediately after that send.
-func dataGatedGather(mpi.CollCtx, int, int) error { return nil }
-
 // bcast is the hierarchical broadcast: the two-level scout gather toward
 // root, then one whole-communicator multicast (which the fabric already
 // delivers once per segment).
@@ -632,7 +626,7 @@ func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, o
 	if me == root {
 		copy(recv, acc)
 	}
-	return runRounds(c, []roundPlan{bcastRound(recv, root)}, roundOptions{gather: dataGatedGather, repair: tl.rep})
+	return runRounds(c, []roundPlan{bcastRound(recv, root)}, roundOptions{gather: noGather, repair: tl.rep})
 }
 
 // gather collects chunks in two levels: members combine at their segment

@@ -89,9 +89,6 @@ func (c *Comm) endOp(sp opSpan, name string) {
 	}
 }
 
-// TraceEnabled reports whether protocol events are being recorded.
-func (cc CollCtx) TraceEnabled() bool { return cc.c.rt.rec != nil }
-
 // SpanBegin opens a phase span on this rank's trace track. Algorithm
 // implementations bracket their protocol phases (scout gather, data
 // rounds, leader exchange) with SpanBegin/SpanEnd so the exported trace

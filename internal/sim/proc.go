@@ -160,13 +160,6 @@ func (p *Proc) Sleep(d Duration) {
 	}
 }
 
-// Yield lets any other work scheduled for the current instant run before
-// the proc continues.
-func (p *Proc) Yield() {
-	p.Nudge()
-	p.park()
-}
-
 // ErrTimeout is returned by deadline-limited waits.
 var ErrTimeout = errors.New("sim: timed out")
 

@@ -99,11 +99,3 @@ func (q *Queue[T]) pop() T {
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
-
-// Peek returns the head item without removing it.
-func (q *Queue[T]) Peek() (v T, ok bool) {
-	if q.head >= len(q.items) {
-		return v, false
-	}
-	return q.items[q.head], true
-}

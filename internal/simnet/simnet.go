@@ -130,11 +130,6 @@ type Profile struct {
 	// Stream tunes the reliable point-to-point stream layer (window,
 	// probe timeout); zero fields take the reliab defaults.
 	Stream reliab.Options
-	// DisableP2PStream routes SendReliable through the plain datagram
-	// path — no sequence numbers, no acknowledgments, no retransmission.
-	// It exists for ablations and negative controls (showing the
-	// deadlock the stream layer prevents); never set it otherwise.
-	DisableP2PStream bool
 	// UplinkFanout is the number of stations sharing one switch port
 	// (through a shared half-duplex segment) under the SwitchShared
 	// topology; 0 means 4. Ignored by Hub and Switch.
@@ -650,9 +645,6 @@ func (ep *Endpoint) SendReliable(dst int, m transport.Message) error {
 	}
 	if ep.streams.PeerFailed(dst) {
 		return nil
-	}
-	if ep.nw.prof.DisableP2PStream {
-		return ep.Send(dst, m)
 	}
 	p := ep.proc
 	if p == nil {

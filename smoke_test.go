@@ -49,7 +49,7 @@ func TestScenarioSmoke(t *testing.T) {
 func TestCollectiveScenarioSmoke(t *testing.T) {
 	for _, alg := range []bench.Algorithm{
 		bench.MPICH, bench.McastBinary, bench.McastPipelined,
-		bench.McastResilient, bench.McastChunked, bench.McastWhole,
+		bench.McastResilient, bench.McastChunked,
 	} {
 		for _, op := range workload.Ops() {
 			alg, op := alg, op
@@ -97,9 +97,9 @@ func TestExtensionFigureRenders(t *testing.T) {
 		"15":  {"mcast-binary", "mpich"},
 		"15n": {"mcast-binary (32 proc)", "mpich (32 proc)"},
 		"15h": {"mcast-2level (32 proc)", "mcast-binary (32 proc)"},
-		"16":  {"mcast-binary", "mcast-pipelined", "mcast-whole", "mpich"},
+		"16":  {"mcast-binary", "mcast-pipelined", "mpich"},
 		"17":  {"mcast-binary", "mcast-pipelined"},
-		"18":  {"mcast-whole", "sliced"},
+		"18":  {"pairwise", "sliced"},
 		"19":  {"mcast-binary", "mcast-chunked", "mpich"},
 	}
 	for _, id := range []string{"14", "14n", "14h", "15", "15n", "15h", "16", "17", "18", "19"} {
