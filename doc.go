@@ -54,8 +54,12 @@
 //     Karn-clean RTT estimation), the
 //     control wire format, and the Driver that runs all of one endpoint's
 //     streams: it decides when to probe, what counts as activity, when
-//     to volunteer an ack, and hands its transport Steps — frames to
-//     write, a timer to arm, whom to wake. Retransmissions, its own and
+//     to acknowledge, and hands its transport Steps — frames to write, a
+//     timer to arm, whom to wake. It is also the endpoint's one receive
+//     path: every data fragment that survived the transport's loss
+//     injection goes to Driver.Receive, which suppresses duplicates,
+//     reassembles (the driver owns the reassembler), delivers and names
+//     the acks to send around the hand-up. Retransmissions, its own and
 //     core's multicast repairs, carry a flag bit; an endpoint that hears
 //     one, or is asked for one, has evidence that the network loses
 //     frames and for a bounded number of messages sends a probe right
@@ -66,8 +70,10 @@
 //     and reordering.
 //
 //   - simnet, udpnet: the two network transports, each a thin host for a
-//     reliab.Driver. simnet binds transport.Endpoint to the simulated
-//     testbed: calibrated host costs charged in virtual time, strict
+//     reliab.Driver: they inject loss, filter, count and carry frames,
+//     and write the stream plumbing nowhere. simnet binds
+//     transport.Endpoint to the simulated testbed: calibrated host costs
+//     charged in virtual time, strict
 //     posted-receive multicast loss, seeded and surgical loss injection,
 //     kill/straggle/partition faults, backpressure from a PAUSEd NIC into
 //     stream admission. udpnet is real sockets: one unicast socket per

@@ -23,20 +23,19 @@ type Host struct {
 	// frame: streamed messages are split to it, and it bounds a control
 	// body, which rides one unfragmented frame.
 	FragPayload int
-	// Missing reports the missing fragment indexes of a partially
-	// reassembled message (the transport's reassembler owns that state).
-	Missing func(src int, msgID uint64) []int
-	Stats   *StatCounters     // may be shared by every endpoint of a network
-	Trace   *trace.Recorder   // stream.probe / stream.retransmit / stream.lossy instants; nil-safe
-	Metrics *metrics.Registry // nil: no stream gauges, credit gauge or retransmit meter
+	Stats       *StatCounters     // may be shared by every endpoint of a network
+	Trace       *trace.Recorder   // stream.probe / stream.retransmit / stream.lossy instants; nil-safe
+	Metrics     *metrics.Registry // nil: no stream gauges, credit gauge or retransmit meter
 }
 
-// Step is what one driver call asks of the transport, carried out in
-// field order: wake Ping waiters, put the control body and then the
-// resends on the wire towards the peer, arm the peer's one-shot probe
-// timer, wake senders blocked on the window. The order is part of the
-// contract — under the simulator same-instant events run in scheduling
-// order, and its recorded event counts pin it. An Arm while the peer's
+// Step is what a call on the sending side or a control frame (Sent,
+// Stall, OnTimer, OnCtl) asks of the transport, carried out in field
+// order: wake Ping waiters, put the control body and then the resends on
+// the wire towards the peer, arm the peer's one-shot probe timer, wake
+// senders blocked on the window. A data fragment goes to Receive, which
+// answers with an Arrival instead. The order is part of the contract —
+// under the simulator same-instant events run in scheduling order, and
+// its recorded event counts pin it. An Arm while the peer's
 // timer is still pending replaces it with an earlier one (the stream's
 // timeout shrank): the transport may stop the old timer or let it fire,
 // OnTimer ignores it.
@@ -71,11 +70,13 @@ type recvPeer struct {
 	nextAckAt int64
 }
 
-// Driver runs every stream of one endpoint. The owner serializes calls
-// (the simulator's single thread, a transport mutex); the driver never
-// blocks, reads no clock and writes no frame.
+// Driver runs every stream of one endpoint and reassembles every message
+// it receives. The owner serializes calls (the simulator's single thread,
+// a transport mutex); the driver never blocks, reads no clock and writes
+// no frame.
 type Driver struct {
 	h           Host
+	reasm       transport.Reassembler
 	retransmits *metrics.Meter
 	// Per-peer state is indexed by rank in slices sized to the world — a
 	// lookup per stream fragment is too hot for a map — whose entries are
@@ -378,7 +379,7 @@ func (d *Driver) ack(now int64, src int, rp *recvPeer, nonce uint32) []byte {
 		return nil
 	}
 	rp.nextAckAt = now + d.rto(src)/4
-	return d.encodeAck(src, rp, nonce)
+	return d.encodeAck(src, rp, nonce, 1)
 }
 
 // rto is the clock every timer about peer reads, the probe timer aside
@@ -391,48 +392,91 @@ func (d *Driver) rto(peer int) int64 {
 	return d.h.Options.RTO
 }
 
-func (d *Driver) encodeAck(src int, rp *recvPeer, nonce uint32) []byte {
-	a := rp.rs.AckState(func(msgID uint64) []int { return d.h.Missing(src, msgID) }, nonce)
-	d.h.Stats.AcksSent.Add(1)
+// encodeAck encodes src's receive state, counted as n acks sent.
+func (d *Driver) encodeAck(src int, rp *recvPeer, nonce uint32, n int) []byte {
+	a := rp.rs.AckState(func(msgID uint64) []int { return d.reasm.Missing(src, msgID) }, nonce)
+	d.h.Stats.AcksSent.Add(int64(n))
 	return EncodeAck(a, d.h.FragPayload)
 }
 
-// Fresh admits one fragment of a streamed message from src, before it
-// reaches the reassembler. fresh=false means drop it: it comes from
-// outside the world, or duplicates a delivered message (a retransmission
-// raced the ack) and would found ghost reassembly state — then ack, when
-// non-nil, re-advertises this receiver's state so the sender retires it.
-func (d *Driver) Fresh(now int64, src int, seq uint32, msgID uint64) (fresh bool, ack []byte) {
+// Arrival is what Receive made of one data fragment. The transport
+// carries it out in field order: put Ack on the wire Acks times, hand Msg
+// up if Done, then put Throttled on the wire — all towards the fragment's
+// source.
+type Arrival struct {
+	// Ack acknowledges a delivered Reliable message eagerly, as the kernel's
+	// TCP did instead of staying silent until probed: Acks unthrottled
+	// copies, one per two fragments that arrived (TCP's delayed ack). The
+	// acks are real, droppable stream frames that load the wire.
+	Ack  []byte
+	Acks int
+	// Msg is the message the fragment completed (Done), and Frags how many
+	// fragments arrived for it, duplicates included. A message completed
+	// without room was not delivered: the transport drops it.
+	Msg   transport.Message
+	Done  bool
+	Frags int
+	// Throttled is an unsolicited ack, at most one per quarter of the peer's
+	// RTO: src's stream already proves a loss (a newer message's fragments
+	// arrived past a gap), so repair need not wait for a probe, or a
+	// duplicate of a delivered message arrived (a retransmission raced the
+	// ack) and the sender should retire it. nil: none.
+	Throttled []byte
+}
+
+// Receive takes one data fragment (not a control frame: those go to
+// OnCtl) that survived the transport's loss injection, at now. A streamed
+// fragment that duplicates a delivered message is dropped before it can
+// found ghost reassembly state, and is evidence of loss (LossSeen); any
+// other is reassembled. room reports whether the transport can take a
+// completed message: a streamed one it cannot take is neither delivered
+// nor acknowledged, so the sender's probe drives a full resend once there
+// is room again. Fragments from outside the world and malformed ones
+// yield nothing.
+func (d *Driver) Receive(now int64, f transport.Fragment, room bool) (a Arrival) {
+	src := f.Msg.Src
 	if !d.valid(src) {
-		return false, nil
+		return a
 	}
-	rp := d.recvPeer(src)
-	if rp.rs.Fresh(seq, msgID) {
-		return true, nil
+	var rp *recvPeer
+	if f.Stream != 0 && f.Msg.Kind == transport.P2P {
+		rp = d.recvPeer(src)
+		if !rp.rs.Fresh(f.Stream, f.MsgID) {
+			d.h.Stats.DupFragments.Add(1)
+			d.LossSeen(now) // the sender is retransmitting
+			a.Throttled = d.ack(now, src, rp, 0)
+			return a
+		}
 	}
-	d.h.Stats.DupFragments.Add(1)
-	d.LossSeen(now) // the sender is retransmitting
-	return false, d.ack(now, src, rp, 0)
+	m, n, done, err := d.reasm.Accept(f, now)
+	if err != nil {
+		return a
+	}
+	a.Msg, a.Done, a.Frags = m, done, n
+	if rp == nil || done && !room {
+		return a
+	}
+	if done {
+		rp.rs.Deliver(f.Stream)
+		if m.Reliable {
+			a.Acks = (n + 1) / 2
+			a.Ack = d.encodeAck(src, rp, 0, a.Acks)
+		}
+	}
+	if rp.rs.Gapped() {
+		a.Throttled = d.ack(now, src, rp, 0)
+	}
+	return a
 }
 
-// Deliver records that src's message seq was reassembled and handed up.
-func (d *Driver) Deliver(src int, seq uint32) { d.recv[src].rs.Deliver(seq) }
-
-// Volunteer returns an unsolicited ack body when src's receive state
-// already proves a loss (a newer message's fragments arrived past a
-// gap), so repair need not wait for a probe; nil otherwise.
-func (d *Driver) Volunteer(now int64, src int) []byte {
-	rp := d.recv[src]
-	if !rp.rs.Gapped() {
-		return nil
-	}
-	return d.ack(now, src, rp, 0)
+// PendingFrom reports the newest partially reassembled multicast from src
+// (transport.FragmentRepairer.PendingFrom).
+func (d *Driver) PendingFrom(src int) (msgID uint64, missing []int, seen transport.Arrivals, ok bool) {
+	return d.reasm.PendingFrom(src)
 }
 
-// EagerAck returns one unthrottled ack body for src: the modeled-TCP
-// path, which acknowledges deliveries as the kernel's TCP did instead of
-// staying silent until probed.
-func (d *Driver) EagerAck(src int) []byte { return d.encodeAck(src, d.recv[src], 0) }
+// Pending reports how many partially reassembled messages the endpoint holds.
+func (d *Driver) Pending() int { return d.reasm.Pending() }
 
 // Ping returns the body of a liveness probe for dst and the evidence
 // count to compare AcksSeen against: any ack consumed from dst after the

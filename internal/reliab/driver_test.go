@@ -59,13 +59,14 @@ type blockedSend struct {
 type end struct {
 	rank      int
 	d         *Driver
-	reasm     transport.Reassembler
 	stats     StatCounters
 	timerAt   int64   // pending probe timer's fire time (0: none); the world has one peer
 	replaced  []int64 // fire times of timers the driver has since replaced with an earlier one
 	msgID     uint64
 	admitted  map[string]bool // payloads handed to Begin
 	delivered map[string]int  // payloads handed up, with multiplicity
+	got       map[uint32]bool // sequence numbers of the peer's messages handed up
+	arrived   map[uint32]int  // fragments of the peer's undelivered messages that arrived, duplicates included
 	nfrags    map[uint32]int  // admitted message's fragment count by sequence number
 	// lastTx is, per sequence number, how many probes had been issued
 	// when the message's latest transmission — first or repeated — was
@@ -103,9 +104,10 @@ func newWorldWith(t testing.TB, opts Options) *world {
 	opts = opts.Fill()
 	w := &world{t: t, opts: opts, now: 1} // the clock's zero value means "no timestamp"
 	for r := range w.ends {
-		e := &end{rank: r, admitted: map[string]bool{}, delivered: map[string]int{}, nfrags: map[uint32]int{},
-			lastTx: map[uint32]uint32{}, probes: map[uint32]*probeRec{}, lastVol: -1}
-		e.d = NewDriver(Host{Rank: r, Size: 2, Options: opts, FragPayload: modelFrag, Missing: e.reasm.Missing, Stats: &e.stats})
+		e := &end{rank: r, admitted: map[string]bool{}, delivered: map[string]int{}, got: map[uint32]bool{},
+			arrived: map[uint32]int{}, nfrags: map[uint32]int{}, lastTx: map[uint32]uint32{},
+			probes: map[uint32]*probeRec{}, lastVol: -1}
+		e.d = NewDriver(Host{Rank: r, Size: 2, Options: opts, FragPayload: modelFrag, Stats: &e.stats})
 		w.ends[r] = e
 	}
 	return w
@@ -263,7 +265,8 @@ func (w *world) admit(e *end, m blockedSend) {
 }
 
 // recv plays the transport's receive path for one frame arriving at its
-// destination.
+// destination: a data fragment goes to the one driver call both
+// transports make, and its Arrival is carried out in field order.
 func (w *world) recv(fr frame) {
 	e, src, f := w.ends[fr.to], fr.f.Msg.Src, fr.f
 	if f.Repair {
@@ -274,18 +277,17 @@ func (w *world) recv(fr frame) {
 		w.onCtl(e, src, f.Msg.Payload)
 		return
 	}
-	fresh, ack := e.d.Fresh(w.now, src, f.Stream, f.MsgID)
-	if !fresh {
+	dup := e.got[f.Stream]
+	if dup {
 		w.evidence(e) // a duplicate: the sender is retransmitting
-		w.ctl(e, ack, true)
-		return
+	} else {
+		e.arrived[f.Stream]++
 	}
-	m, done, err := e.reasm.Add(f)
-	if err != nil {
-		w.fail("reassembler rejected a stream fragment: %v", err)
-	}
-	if done {
-		e.d.Deliver(src, f.Stream)
+	a := e.d.Receive(w.now, f, true)
+	wantAcks := 0
+	if a.Done {
+		m := a.Msg
+		e.got[f.Stream] = true
 		e.delivered[string(m.Payload)]++
 		if !w.ends[src].admitted[string(m.Payload)] {
 			w.fail("rank %d received a message rank %d never sent", e.rank, src)
@@ -293,11 +295,21 @@ func (w *world) recv(fr frame) {
 		if n := e.delivered[string(m.Payload)]; n != 1 {
 			w.fail("rank %d received stream message seq %d %d times", e.rank, f.Stream, n)
 		}
+		if a.Frags != e.arrived[f.Stream] {
+			w.fail("rank %d: seq %d completed after %d fragment arrivals, Receive counted %d", e.rank, f.Stream, e.arrived[f.Stream], a.Frags)
+		}
+		delete(e.arrived, f.Stream)
 		if m.Reliable {
-			w.ctl(e, e.d.EagerAck(src), false)
+			wantAcks = (a.Frags + 1) / 2 // modeled TCP's delayed ack
 		}
 	}
-	w.ctl(e, e.d.Volunteer(w.now, src), true)
+	if a.Acks != wantAcks {
+		w.fail("rank %d: seq %d yielded %d eager acks, want %d", e.rank, f.Stream, a.Acks, wantAcks)
+	}
+	for i := 0; i < a.Acks; i++ {
+		w.ctl(e, a.Ack, false)
+	}
+	w.ctl(e, a.Throttled, true)
 }
 
 // onCtl feeds a control body to e's driver and checks what the driver
@@ -882,8 +894,11 @@ func TestDriverIgnoresSourcesOutsideTheWorld(t *testing.T) {
 				t.Errorf("OnCtl from rank %d produced %+v, want nothing", src, st)
 			}
 		}
-		if fresh, ack := d.Fresh(w.now, src, 1, 1); fresh || ack != nil {
-			t.Errorf("Fresh admitted a fragment from rank %d", src)
+		for _, f := range transport.Split(transport.Message{Kind: transport.P2P, Src: src, Reliable: true, Payload: []byte("x")}, 1, modelFrag) {
+			f.Stream = 1
+			if a := d.Receive(w.now, f, true); a.Done || a.Acks != 0 || a.Throttled != nil {
+				t.Errorf("Receive took a fragment from rank %d: %+v", src, a)
+			}
 		}
 		d.FailPeer(src)
 		if d.PeerFailed(src) {

@@ -66,17 +66,22 @@
 // The package holds the protocol state machines (SendStream, RecvStream),
 // the control wire format, and the Driver that runs every stream of one
 // endpoint: all protocol decisions — when to probe, what counts as
-// activity, when to volunteer an ack, what to retransmit — are made
-// there, once, for both transports. The driver reads no clock, owns no
-// timer and writes no frame. Its transport serializes calls into it and
-// passes the current time (virtual-time events on the engine's one thread
-// in simnet; a mutex and the wall clock in udpnet), tells it when a send
-// blocks on the window (Stall) and when a repair-flagged fragment arrives
-// (LossSeen), supplies at construction its fragment size, its
-// reassembler's missing-fragment lookup and where to count (Host), and
-// carries out each returned Step in field order: wake
-// liveness waiters, write the control frame and the retransmissions, arm
-// the peer's one-shot probe timer, wake senders blocked on the window.
+// activity, when to acknowledge, what to retransmit — are made there,
+// once, for both transports. The driver also owns the endpoint's
+// reassembler, so what an ack says is partial and what a multicast repair
+// request names come from the one table. The driver reads no clock, owns
+// no timer and writes no frame. Its transport serializes calls into it
+// and passes the current time (virtual-time events on the engine's one
+// thread in simnet; a mutex and the wall clock in udpnet), supplies at
+// construction its fragment size and where to count (Host), tells it when
+// a send blocks on the window (Stall) and when a repair-flagged fragment
+// arrives (LossSeen), and hands it every fragment that survived its loss
+// injection: control frames to OnCtl, data fragments to Receive. It
+// carries out each returned Step in field order — wake liveness waiters,
+// write the control frame and the retransmissions, arm the peer's
+// one-shot probe timer, wake senders blocked on the window — and each
+// Arrival likewise: write the eager acks, hand the message up, write the
+// unsolicited ack.
 package reliab
 
 import (
@@ -555,7 +560,7 @@ func (r *RecvStream) Gapped() bool {
 
 // AckState assembles the acknowledgment describing everything this
 // receiver holds. missing reports the missing fragment indexes of a
-// partially reassembled message by device message id (the transport's
+// partially reassembled message by device message id (the driver's
 // reassembler owns that state); a non-zero nonce marks the ack as
 // answering that probe, which licenses the sender to fully resend what
 // the ack omits (up to the probe's horizon).

@@ -101,10 +101,8 @@ type Profile struct {
 	// calls are unposted.
 	StrictPosted bool
 	// LossRate injects independent random loss of multicast fragments
-	// (0 disables). Point-to-point traffic is never dropped, matching
-	// the paper's model: the MPICH baseline and the scouts ride reliable
-	// paths while IP multicast is the unreliable one. Used to exercise
-	// the ACK/NACK recovery protocols.
+	// (0 disables), which only the collectives' own ACK/NACK recovery
+	// repairs. It drops no point-to-point frame: P2PLossRate does.
 	LossRate float64
 	// DropFrag, when non-nil, is consulted for every multicast fragment
 	// arriving at an endpoint (before delivery and before the strict
@@ -290,7 +288,6 @@ func New(n int, topo Topology, prof Profile) *Network {
 			inbox:   sim.NewQueue[arrived](eng),
 			lossRng: lossRngs[i],
 		}
-		ep.reasm.Clock = ep.Now
 		// Per-NIC telemetry handles, registered eagerly so every family
 		// exists from the first scrape (nil registry → nil no-op handles).
 		rs := strconv.Itoa(i)
@@ -298,7 +295,7 @@ func New(n int, topo Topology, prof Profile) *Network {
 		ep.mDelivFrames = prof.Metrics.Meter(metrics.Labeled("mcast_nic_delivered_frames", "rank", rs), metrics.DefaultMeterTau)
 		ep.streams = reliab.NewDriver(reliab.Host{
 			Rank: i, Size: n, Options: prof.Stream, FragPayload: MaxFragPayload,
-			Missing: ep.reasm.Missing, Stats: &nw.Stats.Stream, Trace: prof.Trace, Metrics: prof.Metrics,
+			Stats: &nw.Stats.Stream, Trace: prof.Trace, Metrics: prof.Metrics,
 		})
 		ep.mPauseStalls = prof.Metrics.Counter(metrics.Labeled("mcast_nic_pause_stalls", "rank", rs))
 		node.SetHandler(ep.handleDatagram)
@@ -486,8 +483,6 @@ type Endpoint struct {
 	nic       *ethernet.NIC
 	node      *ipnet.Node
 	inbox     *sim.Queue[arrived]
-	reasm     transport.Reassembler
-	fragCnt   map[reasmID]int
 	encBuf    []byte // scratch for wire encoding; dead once SendUDP copies
 	msgID     uint64
 	lastMcast uint64
@@ -507,8 +502,9 @@ type Endpoint struct {
 	straggle sim.Duration // injected compute delay, consumed at the next call
 	pinging  int          // Ping calls blocked on an ack
 
-	// streams runs the reliable point-to-point streams (package reliab);
-	// this endpoint carries out its steps in event context.
+	// streams runs the reliable point-to-point streams (package reliab)
+	// and reassembles every arriving message; this endpoint carries out
+	// what it asks for in event context.
 	streams *reliab.Driver
 	// congested records that the NIC was flow-control PAUSEd and its
 	// transmit backlog has not yet drained back below the paused window:
@@ -516,11 +512,6 @@ type Endpoint struct {
 	// the paused instants (the pause oscillates one frame at a time as
 	// the egress queue drains).
 	congested bool
-}
-
-type reasmID struct {
-	src   int
-	msgID uint64
 }
 
 var (
@@ -865,10 +856,10 @@ func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uin
 	return ep.transmitFrags(ipnet.GroupAddr(group), m, send)
 }
 
-// PendingFrom implements transport.FragmentRepairer from the endpoint's
-// reassembly state.
+// PendingFrom implements transport.FragmentRepairer from the stream
+// driver's reassembly state.
 func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, seen transport.Arrivals, ok bool) {
-	return ep.reasm.PendingFrom(src)
+	return ep.streams.PendingFrom(src)
 }
 
 // MaxFragPayload implements transport.Fragmenter.
@@ -909,7 +900,10 @@ func (ep *Endpoint) UnpostRecvs(n int) { ep.posted -= n }
 func (ep *Endpoint) Delivered() DeliveredStats { return ep.delivered }
 
 // handleDatagram runs in event context when a UDP datagram reaches the
-// rank's stack.
+// rank's stack. Loss injection and the strict-posted check are the
+// endpoint's; every surviving data fragment goes to one stream driver
+// call, which suppresses duplicates, reassembles, delivers and says which
+// acks to send.
 func (ep *Endpoint) handleDatagram(d ipnet.Datagram) {
 	if ep.closed || ep.killed {
 		return
@@ -963,78 +957,34 @@ func (ep *Endpoint) handleDatagram(d ipnet.Datagram) {
 		ep.step(src, ep.streams.OnCtl(ep.Now(), src, f.Msg.Payload))
 		return
 	}
-	streamed := f.Stream != 0 && f.Msg.Kind == transport.P2P
-	if streamed {
-		fresh, ack := ep.streams.Fresh(ep.Now(), src, f.Stream, f.MsgID)
-		if !fresh {
-			ep.sendCtl(src, ack)
-			return
-		}
+	// The ring bounds reassembled messages waiting for the rank. A streamed
+	// message that overflows it is not a loss: the driver neither delivers
+	// nor acknowledges it, and the sender's probe drives a full resend once
+	// the ring has drained.
+	room := ep.inbox.Len() < prof.RecvRing
+	a := ep.streams.Receive(ep.Now(), f, room)
+	for i := 0; i < a.Acks; i++ {
+		ep.sendCtl(src, a.Ack) // the sender charges TCPPenalty per ack it provokes
 	}
-	// Single-fragment messages — the bulk of collective traffic — never
-	// touch the fragment-count map: they complete immediately with a
-	// count of one.
-	nfrags := 1
-	if f.Count > 1 {
-		if ep.fragCnt == nil {
-			ep.fragCnt = make(map[reasmID]int)
-		}
-		ep.fragCnt[reasmID{src: f.Msg.Src, msgID: f.MsgID}]++
-	}
-	m, done, err := ep.reasm.Add(f)
-	if err != nil {
-		if f.Count > 1 {
-			delete(ep.fragCnt, reasmID{src: f.Msg.Src, msgID: f.MsgID})
-		}
-		return
-	}
-	if !done {
-		if streamed {
-			ep.sendCtl(src, ep.streams.Volunteer(ep.Now(), src))
-		}
-		return
-	}
-	if f.Count > 1 {
-		id := reasmID{src: f.Msg.Src, msgID: f.MsgID}
-		nfrags = ep.fragCnt[id]
-		delete(ep.fragCnt, id)
-	}
-	if ep.inbox.Len() >= prof.RecvRing {
-		// For a streamed message the overflow is not a loss: the message
-		// stays unacknowledged (its reassembly state is gone, so the ack
-		// names nothing) and the sender's probe drives a full resend once
-		// the ring has drained.
+	switch {
+	case a.Done && !room:
 		ep.nw.Stats.RingOverflows++
-		return
-	}
-	if streamed {
-		ep.streams.Deliver(src, f.Stream)
-		if m.Reliable {
-			// Modeled TCP acks eagerly — delayed ack, one per two
-			// segments — instead of staying receiver-silent: the acks
-			// are real, droppable stream frames that load the wire (and
-			// contend for a hub) exactly as the kernel's TCP acks did,
-			// and the sender charges TCPPenalty per ack it provokes.
-			for i := 0; i < (nfrags+1)/2; i++ {
-				ep.sendCtl(src, ep.streams.EagerAck(src))
-			}
+	case a.Done:
+		m := a.Msg
+		ep.delivered.Messages++
+		ep.delivered.Frames += int64(a.Frags)
+		ep.delivered.Bytes += int64(len(m.Payload))
+		if m.Class == transport.ClassData {
+			ep.delivered.DataBytes += int64(len(m.Payload))
 		}
+		ep.mDelivBytes.Mark(int64(ep.nw.eng.Now()), int64(len(m.Payload)))
+		ep.mDelivFrames.Mark(int64(ep.nw.eng.Now()), int64(a.Frags))
+		if rec := prof.Trace; rec != nil {
+			rec.Gauge(ep.rank, int64(ep.nw.eng.Now()), "delivered.bytes", ep.delivered.Bytes)
+		}
+		ep.inbox.Push(arrived{msg: m, frags: a.Frags})
 	}
-	ep.delivered.Messages++
-	ep.delivered.Frames += int64(nfrags)
-	ep.delivered.Bytes += int64(len(m.Payload))
-	if m.Class == transport.ClassData {
-		ep.delivered.DataBytes += int64(len(m.Payload))
-	}
-	ep.mDelivBytes.Mark(int64(ep.nw.eng.Now()), int64(len(m.Payload)))
-	ep.mDelivFrames.Mark(int64(ep.nw.eng.Now()), int64(nfrags))
-	if rec := prof.Trace; rec != nil {
-		rec.Gauge(ep.rank, int64(ep.nw.eng.Now()), "delivered.bytes", ep.delivered.Bytes)
-	}
-	ep.inbox.Push(arrived{msg: m, frags: nfrags})
-	if streamed {
-		ep.sendCtl(src, ep.streams.Volunteer(ep.Now(), src))
-	}
+	ep.sendCtl(src, a.Throttled)
 }
 
 // Recv implements transport.Endpoint. Being inside a Recv call is what

@@ -337,12 +337,6 @@ func DecodeRepairReq(b []byte) (msgID uint64, missing []int, err error) {
 // socket on its own goroutine) and must not rely on this suppression.
 // The zero value is ready to use.
 type Reassembler struct {
-	// Clock, when non-nil, is read once per fragment that adds to a
-	// partial multicast, so the partial carries its arrival times
-	// (Arrivals). The owner sets it once, before the first Add; without
-	// it the times read zero and everything else works the same.
-	Clock func() int64
-
 	pending   map[reasmKey]*reasmState
 	mcastDone map[int]uint64 // per-src highest completed multi-fragment mcast id
 }
@@ -356,9 +350,10 @@ type reasmState struct {
 	buf         []byte
 	got         []bool
 	received    int
+	arrived     int // fragments that reached the message, duplicates included
 	count       int
 	template    Message
-	first, last int64 // Clock at the first and the latest new fragment
+	first, last int64 // arrival times of the first and the latest new fragment
 }
 
 // Arrivals is what a reassembler saw of one partial message arriving: how
@@ -382,12 +377,22 @@ func (a Arrivals) Gap() int64 {
 
 // Add incorporates one fragment. If it completes a message, the message
 // is returned with done=true. The returned payload never aliases the
-// fragment buffer.
+// fragment buffer. A partial's arrival times read zero (see Accept).
 func (r *Reassembler) Add(f Fragment) (m Message, done bool, err error) {
+	m, _, done, err = r.Accept(f, 0)
+	return m, done, err
+}
+
+// Accept is Add for an owner with a clock: at, the owner's clock when f
+// arrived, stamps a partial multicast's Arrivals, and arrived reports how
+// many fragments reached the message f completed, duplicates included
+// (0 unless done). A stray repair of a completed multicast leaves no
+// state and is counted nowhere.
+func (r *Reassembler) Accept(f Fragment, at int64) (m Message, arrived int, done bool, err error) {
 	if f.Count == 1 {
 		m = f.Msg
 		m.Payload = append([]byte(nil), f.Msg.Payload...)
-		return m, true, nil
+		return m, 1, true, nil
 	}
 	if r.pending == nil {
 		r.pending = make(map[reasmKey]*reasmState)
@@ -396,7 +401,7 @@ func (r *Reassembler) Add(f Fragment) (m Message, done bool, err error) {
 	st := r.pending[key]
 	if st == nil {
 		if f.Msg.Kind == Mcast && f.MsgID <= r.mcastDone[f.Msg.Src] {
-			return m, false, nil // stray repair of a completed multicast
+			return m, 0, false, nil // stray repair of a completed multicast
 		}
 		st = &reasmState{
 			buf:      make([]byte, f.TotalLen),
@@ -407,22 +412,21 @@ func (r *Reassembler) Add(f Fragment) (m Message, done bool, err error) {
 		r.pending[key] = st
 	}
 	if int(f.Count) != st.count || int(f.TotalLen) != len(st.buf) {
-		return m, false, fmt.Errorf("%w: inconsistent fragments for message %d/%d", ErrBadPacket, f.Msg.Src, f.MsgID)
+		return m, 0, false, fmt.Errorf("%w: inconsistent fragments for message %d/%d", ErrBadPacket, f.Msg.Src, f.MsgID)
 	}
+	st.arrived++
 	if st.got[f.Index] {
-		return m, false, nil // duplicate (retransmission)
+		return m, 0, false, nil // duplicate (retransmission)
 	}
 	copy(st.buf[f.Offset:], f.Msg.Payload)
 	st.got[f.Index] = true
 	st.received++
 	if st.received < st.count {
-		if r.Clock != nil && f.Msg.Kind == Mcast { // PendingFrom, the one reader, reports multicasts only
-			st.last = r.Clock()
-			if st.received == 1 {
-				st.first = st.last
-			}
+		st.last = at
+		if st.received == 1 {
+			st.first = at
 		}
-		return m, false, nil
+		return m, 0, false, nil
 	}
 	delete(r.pending, key)
 	if f.Msg.Kind == Mcast {
@@ -435,7 +439,7 @@ func (r *Reassembler) Add(f Fragment) (m Message, done bool, err error) {
 	}
 	m = st.template
 	m.Payload = st.buf
-	return m, true, nil
+	return m, st.arrived, true, nil
 }
 
 // Pending reports the number of partially reassembled messages.

@@ -397,7 +397,7 @@ func TestReassemblerRepairOfCompletedMessage(t *testing.T) {
 }
 
 func TestReassemblerPendingFrom(t *testing.T) {
-	var r Reassembler // no clock: arrival times read zero, the rest works
+	var r Reassembler // Add takes no arrival time: the times read zero, the rest works
 	if _, _, _, ok := r.PendingFrom(3); ok {
 		t.Fatal("empty reassembler reports pending state")
 	}
@@ -424,13 +424,12 @@ func TestReassemblerPendingFrom(t *testing.T) {
 	}
 }
 
-// TestReassemblerStampsArrivals: with a clock, a partial carries how many
-// fragments arrived and when the first and the latest did; a duplicate
-// adds nothing, a p2p partial is not reported, and the stamps belong to
-// the message, so the sender's next one starts its own.
+// TestReassemblerStampsArrivals: given arrival times, a partial carries
+// how many fragments arrived and when the first and the latest did; a
+// duplicate adds nothing, a p2p partial is not reported, and the stamps
+// belong to the message, so the sender's next one starts its own.
 func TestReassemblerStampsArrivals(t *testing.T) {
-	now := int64(0)
-	r := Reassembler{Clock: func() int64 { return now }}
+	var r Reassembler
 	frags := Split(Message{Kind: Mcast, Src: 3, Payload: make([]byte, 5000)}, 8, 1000)
 	for _, step := range []struct {
 		at   int64
@@ -442,8 +441,7 @@ func TestReassemblerStampsArrivals(t *testing.T) {
 		{300, 2, Arrivals{2, 100, 220}}, // duplicate
 		{340, 3, Arrivals{3, 100, 340}},
 	} {
-		now = step.at
-		if _, done, err := r.Add(frags[step.idx]); err != nil || done {
+		if _, _, done, err := r.Accept(frags[step.idx], step.at); err != nil || done {
 			t.Fatalf("Add(fragment %d) = done %v, err %v", step.idx, done, err)
 		}
 		if _, _, seen, ok := r.PendingFrom(3); !ok || seen != step.want {
@@ -453,9 +451,8 @@ func TestReassemblerStampsArrivals(t *testing.T) {
 	if _, _, seen, _ := r.PendingFrom(3); seen.Gap() != 120 {
 		t.Fatalf("gap over %+v = %d, want 120", seen, seen.Gap())
 	}
-	now = 900
 	next := Split(Message{Kind: Mcast, Src: 3, Payload: make([]byte, 2000)}, 9, 1000)
-	if _, _, err := r.Add(next[1]); err != nil {
+	if _, _, _, err := r.Accept(next[1], 900); err != nil {
 		t.Fatal(err)
 	}
 	if id, _, seen, _ := r.PendingFrom(3); id != 9 || seen != (Arrivals{1, 900, 900}) {

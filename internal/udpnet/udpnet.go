@@ -230,10 +230,9 @@ func New(cfg Config) (*Net, error) {
 			probeTimers: make([]*time.Timer, cfg.N),
 			ackWake:     make(chan struct{}),
 		}
-		ep.reasm.Clock = ep.Now
 		ep.streams = reliab.NewDriver(reliab.Host{
 			Rank: i, Size: cfg.N, Options: cfg.Stream, FragPayload: cfg.FragSize,
-			Missing: ep.reasm.Missing, Stats: &ep.sstats, Trace: cfg.Trace, Metrics: cfg.Metrics,
+			Stats: &ep.sstats, Trace: cfg.Trace, Metrics: cfg.Metrics,
 		})
 		ep.sendCond = sync.NewCond(&ep.mu)
 		seed := cfg.LossSeed
@@ -274,7 +273,9 @@ func (nw *Net) Close() {
 // Stats(), so concurrent readers — the mpirun stats print, the HTTP
 // metrics sampler, the -deadline abort dump — never tear a count.
 type Stats struct {
-	DatagramsSent     int64
+	DatagramsSent int64
+	// DatagramsReceived counts messages reassembled and handed up, not the
+	// datagrams read: a message of n fragments counts once.
 	DatagramsReceived int64
 	BadPackets        int64
 	OwnMulticast      int64 // own multicast heard via loopback, filtered
@@ -293,7 +294,6 @@ type Endpoint struct {
 
 	mu        sync.Mutex
 	groups    map[uint32]*net.UDPConn
-	reasm     transport.Reassembler
 	msgID     atomic.Uint64 // last device message id handed out
 	lastMcast uint64
 	closed    bool
@@ -305,9 +305,10 @@ type Endpoint struct {
 	mDelivBytes  *metrics.Meter
 	mDelivFrames *metrics.Meter
 
-	// streams runs the reliable point-to-point streams (package reliab),
-	// guarded by mu like the probe timers it asks for (by peer; nil when
-	// none is pending). sendCond wakes senders blocked on a full window.
+	// streams runs the reliable point-to-point streams (package reliab)
+	// and reassembles every arriving message, guarded by mu like the probe
+	// timers it asks for (by peer; nil when none is pending). sendCond
+	// wakes senders blocked on a full window.
 	streams     *reliab.Driver
 	probeTimers []*time.Timer
 	sendCond    *sync.Cond
@@ -676,12 +677,12 @@ func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uin
 	return ep.writeFrags(ep.net.groupAddr(group), send...)
 }
 
-// PendingFrom implements transport.FragmentRepairer from the endpoint's
-// reassembly state.
+// PendingFrom implements transport.FragmentRepairer from the stream
+// driver's reassembly state.
 func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, seen transport.Arrivals, ok bool) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return ep.reasm.PendingFrom(src)
+	return ep.streams.PendingFrom(src)
 }
 
 // MaxFragPayload implements transport.Fragmenter.
@@ -729,10 +730,11 @@ func (ep *Endpoint) Leave(group uint32) error {
 	return conn.Close()
 }
 
-// readLoop decodes datagrams from one socket into the shared inbox.
-// Stream frames (reliable p2p data and control) are handled below the
-// inbox: duplicates are suppressed by sequence number, control frames
-// are consumed, and delivery/acknowledgment state is updated.
+// readLoop decodes datagrams from one socket into the shared inbox. Loss
+// injection and the own-copy filter are the endpoint's; under mu, a
+// control frame goes to the stream driver's OnCtl and every other
+// fragment to its Receive, which suppresses duplicates, reassembles,
+// delivers and says which acks to write around the hand-up.
 func (ep *Endpoint) readLoop(conn *net.UDPConn) {
 	defer ep.wg.Done()
 	// Receive buffers are pooled across sockets and endpoints: every
@@ -796,46 +798,27 @@ func (ep *Endpoint) readLoop(conn *net.UDPConn) {
 			ep.stepUnlock(src, ep.streams.OnCtl(ep.Now(), src, f.Msg.Payload))
 			continue
 		}
-		streamed := f.Stream != 0 && f.Msg.Kind == transport.P2P
-		var ack []byte // at most one acknowledgment per datagram
-		if streamed {
-			var fresh bool
-			if fresh, ack = ep.streams.Fresh(ep.Now(), src, f.Stream, f.MsgID); !fresh {
-				ep.mu.Unlock()
-				ep.writeCtl(src, ack)
-				continue
-			}
-		}
-		m, done, err := ep.reasm.Add(f)
-		if err == nil && done {
+		// The inbox blocks rather than overflows: there is always room.
+		now := ep.Now()
+		a := ep.streams.Receive(now, f, true)
+		if a.Done {
 			ep.stats.DatagramsReceived++
-			ep.mDelivBytes.Mark(ep.Now(), int64(len(m.Payload)))
-			ep.mDelivFrames.Mark(ep.Now(), int64(f.Count))
-			if streamed {
-				ep.streams.Deliver(src, f.Stream)
-				if m.Reliable {
-					// Modeled TCP acknowledges deliveries eagerly (the
-					// kernel's TCP did), instead of the stream's
-					// silent-until-probed default — and the ack itself is
-					// a droppable, repairable stream frame.
-					ack = ep.streams.EagerAck(src)
-				}
-			}
-		}
-		if streamed && ack == nil {
-			ack = ep.streams.Volunteer(ep.Now(), src)
+			ep.mDelivBytes.Mark(now, int64(len(a.Msg.Payload)))
+			ep.mDelivFrames.Mark(now, int64(a.Frags))
 		}
 		closed := ep.closed
 		ep.mu.Unlock()
-		ep.writeCtl(src, ack)
-		if err != nil || !done || closed {
-			continue
+		for i := 0; i < a.Acks; i++ {
+			ep.writeCtl(src, a.Ack)
 		}
-		select {
-		case ep.inbox <- m:
-		case <-ep.done:
-			return
+		if a.Done && !closed {
+			select {
+			case ep.inbox <- a.Msg:
+			case <-ep.done:
+				return
+			}
 		}
+		ep.writeCtl(src, a.Throttled)
 	}
 }
 
