@@ -97,11 +97,7 @@ func set(a Algorithm) (mpi.Algorithms, error) {
 	case McastPipelined:
 		return core.Algorithms(core.BinaryPipelined).Merge(baseline.Algorithms()), nil
 	case McastAck:
-		// An aggressive retransmission timer reproduces the PVM
-		// behaviour of repeatedly re-sending the data until every
-		// acknowledgment has arrived.
-		opts := core.AckOptions{Timeout: 100_000, MaxRetries: 400}
-		return core.AckAlgorithms(opts).Merge(baseline.Algorithms()), nil
+		return core.AckAlgorithms().Merge(baseline.Algorithms()), nil
 	case McastResilient:
 		return core.ResilientAlgorithms().Merge(baseline.Algorithms()), nil
 	case McastChunked:

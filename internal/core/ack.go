@@ -7,14 +7,19 @@ import (
 	"repro/internal/transport"
 )
 
-// AckOptions configures the PVM-style acknowledgment broadcast.
-type AckOptions struct {
-	// Timeout is how long the root waits for acknowledgments before
+// The acknowledgment broadcast's retransmission timer, as fig A1 runs it.
+// It is aggressive on purpose: it reproduces the PVM behaviour of
+// re-sending the data until every acknowledgment has arrived, which is
+// what the paper blames for the protocol's cost. The retry budget waits
+// out 400 periods, 40 ms, so a receiver a few milliseconds late still
+// gets the data.
+const (
+	// ackTimeout is how long the root waits for acknowledgments before
 	// re-multicasting, in nanoseconds on the device clock.
-	Timeout int64
-	// MaxRetries bounds the number of re-multicasts before giving up.
-	MaxRetries int
-}
+	ackTimeout = 100_000
+	// ackRetries bounds the number of re-multicasts before giving up.
+	ackRetries = 400
+)
 
 // BcastAck is the sender-initiated reliable multicast of the PVM work the
 // paper discusses (Dunigan & Hall, ORNL/TM-13030): the root multicasts
@@ -22,7 +27,7 @@ type AckOptions struct {
 // every receiver has acknowledged it. The paper notes this "did not
 // produce improvement in performance" because the repeated data sends
 // add delay; the A1 ablation experiment reproduces that result.
-func BcastAck(c *mpi.Comm, buf []byte, root int, opts AckOptions) error {
+func BcastAck(c *mpi.Comm, buf []byte, root int) error {
 	size := c.Size()
 	if size == 1 {
 		return nil
@@ -51,14 +56,14 @@ func BcastAck(c *mpi.Comm, buf []byte, root int, opts AckOptions) error {
 	acked[root] = true
 	remaining := size - 1
 	for attempt := 0; ; attempt++ {
-		if attempt > opts.MaxRetries {
+		if attempt > ackRetries {
 			return fmt.Errorf("core: ack bcast gave up after %d retransmissions (%d of %d unacked)",
-				opts.MaxRetries, remaining, size-1)
+				ackRetries, remaining, size-1)
 		}
 		if err := cc.Multicast(mpi.Whole, buf, transport.ClassData); err != nil {
 			return err
 		}
-		deadline := c.Now() + opts.Timeout
+		deadline := c.Now() + ackTimeout
 		for remaining > 0 {
 			wait := deadline - c.Now()
 			if wait <= 0 {
@@ -85,11 +90,6 @@ func BcastAck(c *mpi.Comm, buf []byte, root int, opts AckOptions) error {
 
 // AckAlgorithms returns a collective set whose broadcast is the
 // acknowledgment protocol (for the A1 ablation benchmark).
-func AckAlgorithms(opts AckOptions) mpi.Algorithms {
-	return mpi.Algorithms{
-		Bcast: func(c *mpi.Comm, buf []byte, root int) error {
-			return BcastAck(c, buf, root, opts)
-		},
-		Barrier: Barrier,
-	}
+func AckAlgorithms() mpi.Algorithms {
+	return mpi.Algorithms{Bcast: BcastAck, Barrier: Barrier}
 }

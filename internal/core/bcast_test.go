@@ -18,9 +18,7 @@ var bcastImpls = []struct {
 	{"binary", core.Algorithms(core.Binary).Bcast},
 	{"linear", core.Algorithms(core.Linear).Bcast},
 	{"sequencer", core.BcastSequencer},
-	{"ack", func(c *mpi.Comm, buf []byte, root int) error {
-		return core.BcastAck(c, buf, root, core.AckOptions{Timeout: 5_000_000, MaxRetries: 64})
-	}},
+	{"ack", core.BcastAck},
 }
 
 func TestMulticastBcastAllSizesAllRoots(t *testing.T) {

@@ -199,7 +199,6 @@ func TestConformanceP2PLoss(t *testing.T) {
 				prof := simnet.DefaultProfile()
 				prof.P2PLossRate = rate
 				prof.Seed = 23
-				prof.Stream.RTO = int64(3 * sim.Millisecond)
 				st := coretest.Check(t, coretest.SimRunner(simnet.Switch, prof, 0), core.Algorithms(core.Binary), cases)
 				if st.InjectedP2PLosses == 0 {
 					t.Fatal("p2p loss injection never fired; the claim is vacuous")
@@ -215,7 +214,6 @@ func TestConformanceP2PLoss(t *testing.T) {
 				prof.P2PLossRate = rate
 				prof.LossRate = rate / 3
 				prof.Seed = 29
-				prof.Stream.RTO = int64(3 * sim.Millisecond)
 				algs := core.ResilientAlgorithms()
 				st := coretest.Check(t, coretest.SimRunner(simnet.Switch, prof, 0), algs, cases)
 				if st.InjectedP2PLosses == 0 || st.InjectedLosses == 0 {
@@ -243,7 +241,6 @@ func TestConformanceP2PLossBaseline(t *testing.T) {
 			prof := simnet.DefaultProfile()
 			prof.P2PLossRate = rate
 			prof.Seed = 31
-			prof.Stream.RTO = int64(3 * sim.Millisecond)
 			st := coretest.Check(t, coretest.SimRunner(simnet.Switch, prof, 0), baseline.Algorithms(), cases)
 			if st.InjectedP2PLosses == 0 {
 				t.Fatal("p2p loss injection never fired on the baseline; the claim is vacuous")
@@ -350,7 +347,6 @@ func TestConformanceGradedLossSweep(t *testing.T) {
 				prof.LossRate = 0.15
 				prof.P2PLossRate = 0.05
 				prof.Seed = 13
-				prof.Stream.RTO = int64(3 * sim.Millisecond)
 				st := coretest.Check(t, coretest.SimRunner(simnet.Switch, prof, 0), algs, cases)
 				if st.InjectedLosses == 0 || st.InjectedP2PLosses == 0 {
 					t.Fatalf("loss injection never fired (mcast=%d p2p=%d)", st.InjectedLosses, st.InjectedP2PLosses)

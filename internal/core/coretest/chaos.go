@@ -49,8 +49,6 @@ type Scenario struct {
 	Topo  simnet.Topology
 	// Prof overrides the default profile (nil: simnet.DefaultProfile).
 	Prof *simnet.Profile
-	// Failure tunes the detector; zero fields take the defaults.
-	Failure mpi.FailureOptions
 
 	Kills  []Kill
 	Stalls []Stall
@@ -120,7 +118,7 @@ func RunChaos(t *testing.T, sc Scenario, algs mpi.Algorithms) {
 		rank := i
 		fns[i] = func(ep *simnet.Endpoint) error {
 			rt := mpi.NewRuntime(ep)
-			if err := rt.SetFailureDetection(sc.Failure); err != nil {
+			if err := rt.SetFailureDetection(mpi.FailureOptions{}); err != nil {
 				return err
 			}
 			c, err := mpi.World(rt, algs)

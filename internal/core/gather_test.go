@@ -90,7 +90,6 @@ func TestGatherConvergingBurstBeyondQueueCap(t *testing.T) {
 		// chunks until the gather completes anyway.
 		prof := simnet.DefaultProfile()
 		prof.Ethernet.SwitchFlowControl = false
-		prof.Stream.RTO = 2_000_000
 		nw, err := convergingGather(t, prof, n, chunk)
 		if err != nil {
 			t.Fatal(err)

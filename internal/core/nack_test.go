@@ -28,7 +28,7 @@ func TestNackCheaperThanAckOnHappyPath(t *testing.T) {
 		}
 		return nw.Wire.Frames(transport.ClassData)
 	}
-	ack := dataFrames(core.AckAlgorithms(core.AckOptions{Timeout: 100_000, MaxRetries: 100}))
+	ack := dataFrames(core.AckAlgorithms())
 	nack := dataFrames(core.ResilientAlgorithms())
 	if nack != 4 { // exactly ceil(5000/1428) frames, no duplicates
 		t.Fatalf("nack protocol sent %d data frames, want 4", nack)

@@ -228,8 +228,7 @@ func TestUnsafeBcastLosesToSlowReceiver(t *testing.T) {
 func TestAckBcastRecoversSlowReceiver(t *testing.T) {
 	prof := simnet.DefaultProfile()
 	prof.StrictPosted = true
-	opts := core.AckOptions{Timeout: 500_000, MaxRetries: 32} // 500 µs timer
-	algs := core.AckAlgorithms(opts)
+	algs := core.AckAlgorithms()
 	want := []byte("recovered")
 	nw, err := cluster.RunSim(4, simnet.Switch, prof, algs, func(c *mpi.Comm) error {
 		if c.Rank() == 2 {
@@ -265,8 +264,7 @@ func TestAckBcastRecoversRandomLoss(t *testing.T) {
 	prof := simnet.DefaultProfile()
 	prof.LossRate = 0.2
 	prof.Seed = 7
-	opts := core.AckOptions{Timeout: 1_000_000, MaxRetries: 64}
-	algs := core.AckAlgorithms(opts)
+	algs := core.AckAlgorithms()
 	want := bytes.Repeat([]byte{9}, 4000)
 	_, err := cluster.RunSim(4, simnet.Switch, prof, algs, func(c *mpi.Comm) error {
 		buf := make([]byte, len(want))

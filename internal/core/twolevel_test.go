@@ -134,7 +134,6 @@ func TestTwoLevelInjectedLoss(t *testing.T) {
 		prof.LossRate = 0.03
 		prof.P2PLossRate = 0.03
 		prof.Seed = 19
-		prof.Stream.RTO = int64(3 * sim.Millisecond)
 		st := coretest.Check(t, coretest.SimRunner(simnet.SwitchShared, prof, 0), algs, twoLevelGrid)
 		if st.InjectedLosses == 0 || st.InjectedP2PLosses == 0 {
 			t.Fatalf("loss injection never fired (mcast=%d p2p=%d)", st.InjectedLosses, st.InjectedP2PLosses)

@@ -31,7 +31,9 @@ func AsRankFailed(err error) (*RankFailedError, bool) {
 	return nil, false
 }
 
-// FailureOptions tunes the failure detector. Zero fields take defaults.
+// FailureOptions tunes the failure detector's two timers. Zero fields
+// take defaults, which fit the simulator's timescale; mpirun's -chaos
+// runs set 250/50 ms of wall clock.
 type FailureOptions struct {
 	// Suspicion is the quiet period (nanoseconds, device clock) a
 	// collective receive waits before suspecting something is wrong and
@@ -40,41 +42,39 @@ type FailureOptions struct {
 	Suspicion int64
 	// PingTimeout bounds one liveness probe's wait for its answer.
 	PingTimeout int64
-	// MaxPings is how many unanswered probes in a row declare a rank
-	// dead. A slow-but-alive rank answers probes at interrupt level, so
-	// stragglers survive any MaxPings; only a genuinely dead receive
-	// path exhausts it.
-	MaxPings int
-	// MaxSuspicions bounds how many all-alive sweeps a single receive
+}
+
+const (
+	// PingsToDeclareDead is how many unanswered probes in a row declare a
+	// rank dead. A slow-but-alive rank answers probes at interrupt level,
+	// so stragglers survive any number of them; only a genuinely dead
+	// receive path runs out.
+	PingsToDeclareDead = 3
+	// maxSuspicions bounds how many all-alive sweeps a single receive
 	// tolerates before giving up with a stall error (distinct from
 	// RankFailedError). It keeps a logic bug from looping forever.
-	MaxSuspicions int
-}
+	maxSuspicions = 64
+)
 
 // Fill returns o with zero fields defaulted. The defaults suit the
 // simulator's timescales, and they must keep winning a race: the
 // detector declares a silent rank dead after Suspicion +
-// MaxPings·PingTimeout (35 ms) and reports a typed error, while a
-// reliable stream that gives up on the same rank (MaxProbes exhaustion)
-// poisons the whole endpoint. The stream takes about a minute to get
-// there: its probe timeout doubles from the round trip it measured (or
-// 25 ms before it measured one) up to 256 times the configured 25 ms,
-// and it spends 20 probes — 90 s from 25 ms, 59 s from the 1 ms floor —
-// because that cap is tied to the configured timeout, not the measured
-// one. reliab's TestDriverOutlastsTheFailureDetector holds the stream to
-// at least ten times the detector's time whatever its estimator reads.
+// PingsToDeclareDead·PingTimeout (35 ms) and reports a typed error, while
+// a reliable stream that gives up on the same rank (its probe budget
+// spent) poisons the whole endpoint. The stream takes about a minute to
+// get there: its probe timeout doubles from the round trip it measured
+// (or reliab.RTO, 25 ms, before it measured one) up to 256 times
+// reliab.RTO, and it spends 20 probes — 90 s from 25 ms, 59 s from the
+// 1 ms floor — because that cap is tied to the constant, not to the
+// measured timeout. reliab's TestDriverOutlastsTheFailureDetector holds
+// the stream to at least ten times the detector's time whatever its
+// estimator reads.
 func (o FailureOptions) Fill() FailureOptions {
 	if o.Suspicion <= 0 {
 		o.Suspicion = 20_000_000 // 20ms
 	}
 	if o.PingTimeout <= 0 {
 		o.PingTimeout = 5_000_000 // 5ms
-	}
-	if o.MaxPings <= 0 {
-		o.MaxPings = 3
-	}
-	if o.MaxSuspicions <= 0 {
-		o.MaxSuspicions = 64
 	}
 	return o
 }
@@ -121,7 +121,7 @@ func (rt *Runtime) DeadRanks() []int {
 }
 
 // sweep probes every not-yet-dead member of group (world ranks) except
-// me, declaring dead any that exhausts MaxPings unanswered probes, and
+// me, declaring dead any that leaves PingsToDeclareDead probes unanswered, and
 // reports whether it found new deaths. Kills are permanent and probing
 // is deterministic, so independent sweeps by different survivors
 // converge on the same dead set.
@@ -132,7 +132,7 @@ func (fd *failureDetector) sweep(me int, group []int) bool {
 			continue
 		}
 		alive := false
-		for i := 0; i < fd.opts.MaxPings; i++ {
+		for i := 0; i < PingsToDeclareDead; i++ {
 			if fd.pinger.Ping(w, fd.opts.PingTimeout) {
 				alive = true
 				break
@@ -173,7 +173,7 @@ func (c *Comm) deadError() error {
 // With one, it waits in suspicion-sized slices: on each expiry it
 // sweeps the communicator, reports any dead member as RankFailedError,
 // and otherwise keeps waiting (a straggler answered its probes) up to
-// MaxSuspicions sweeps.
+// maxSuspicions sweeps.
 func (c *Comm) recvMatchFT(pred func(*transport.Message) bool) (transport.Message, error) {
 	fd := c.rt.fd
 	if fd == nil {
@@ -198,7 +198,7 @@ func (c *Comm) recvMatchFT(pred func(*transport.Message) bool) (transport.Messag
 			return transport.Message{}, err
 		}
 		stalls++
-		if stalls >= fd.opts.MaxSuspicions {
+		if stalls >= maxSuspicions {
 			return transport.Message{}, fmt.Errorf(
 				"mpi: collective receive stalled for %d suspicion periods with every rank alive", stalls)
 		}

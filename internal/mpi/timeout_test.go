@@ -146,7 +146,7 @@ func TestStaleMulticastDuplicatesDropped(t *testing.T) {
 func TestAckBcastOverMemNet(t *testing.T) {
 	// The ACK protocol's timed receives must work over the wall-clock
 	// transport too (MemNet implements DeadlineRecver).
-	algs := core.AckAlgorithms(core.AckOptions{Timeout: int64(50 * time.Millisecond), MaxRetries: 8})
+	algs := core.AckAlgorithms()
 	err := mpi.RunMem(3, algs, func(c *mpi.Comm) error {
 		buf := make([]byte, 64)
 		if c.Rank() == 1 {

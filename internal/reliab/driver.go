@@ -17,8 +17,7 @@ const pingNonce = 0xFFFFFFFF
 
 // Host is what a transport hands the driver of one endpoint.
 type Host struct {
-	Rank, Size int     // this endpoint's rank and the world size
-	Options    Options // filled
+	Rank, Size int // this endpoint's rank and the world size
 	// FragPayload is the message payload the transport carries per wire
 	// frame: streamed messages are split to it, and it bounds a control
 	// body, which rides one unfragmented frame.
@@ -26,6 +25,7 @@ type Host struct {
 	Stats       *StatCounters     // may be shared by every endpoint of a network
 	Trace       *trace.Recorder   // stream.probe / stream.retransmit / stream.lossy instants; nil-safe
 	Metrics     *metrics.Registry // nil: no stream gauges, credit gauge or retransmit meter
+	opts        Options           // zero fields: the constants (NewDriver fills them)
 }
 
 // Step is what a call on the sending side or a control frame (Sent,
@@ -83,7 +83,7 @@ type Driver struct {
 	// allocated on first use: most endpoints talk to few peers.
 	send    []*sendPeer
 	recv    []*recvPeer
-	err     error // sticky: the first stream to exhaust MaxProbes
+	err     error // sticky: the first stream to exhaust its probe budget
 	stopped bool
 	// credit is how many more messages this endpoint sends confirmed: with
 	// a probe right behind each (Sent), because the network was seen to
@@ -95,6 +95,7 @@ type Driver struct {
 
 // NewDriver returns the stream driver of endpoint h.Rank.
 func NewDriver(h Host) *Driver {
+	h.opts = h.opts.Fill()
 	rank := strconv.Itoa(h.Rank)
 	return &Driver{h: h, send: make([]*sendPeer, h.Size), recv: make([]*recvPeer, h.Size),
 		retransmits: h.Metrics.Meter(metrics.Labeled("mcast_stream_retransmits", "rank", rank), metrics.DefaultMeterTau),
@@ -106,16 +107,16 @@ func NewDriver(h Host) *Driver {
 // this, after its loss injection — someone in earshot had to send a frame
 // twice), an ack called for a retransmission, or a duplicate stream
 // fragment came in (the driver calls it itself). The endpoint's next
-// Options.RTO/minRTO messages are then sent confirmed (see Sent) — as many
-// floor-length round trips as one configured timeout is worth, so
-// confirming can never cost more wire time than the timeouts it replaces
-// would have cost waiting — and every further sighting refills the credit
-// to that, never beyond.
+// RTO/minRTO messages are then sent confirmed (see Sent) — as many
+// floor-length round trips as one full timeout is worth, so confirming
+// can never cost more wire time than the timeouts it replaces would have
+// cost waiting — and every further sighting refills the credit to that,
+// never beyond.
 func (d *Driver) LossSeen(now int64) {
 	if d.credit == 0 {
 		d.h.Trace.Event(d.h.Rank, now, "stream.lossy", 0)
 	}
-	d.setCredit(max(1, int(d.h.Options.RTO/minRTO)))
+	d.setCredit(max(1, int(d.h.opts.rto/minRTO)))
 }
 
 func (d *Driver) setCredit(n int) {
@@ -128,7 +129,7 @@ func (d *Driver) valid(rank int) bool { return rank >= 0 && rank < d.h.Size }
 func (d *Driver) sendPeer(dst int) *sendPeer {
 	sp := d.send[dst]
 	if sp == nil {
-		sp = &sendPeer{ss: NewSendStream(d.h.Options), mg: metrics.NewStreamGauges(d.h.Metrics, d.h.Rank, dst)}
+		sp = &sendPeer{ss: NewSendStream(d.h.opts), mg: metrics.NewStreamGauges(d.h.Metrics, d.h.Rank, dst)}
 		d.send[dst] = sp
 	}
 	return sp
@@ -144,7 +145,7 @@ func (d *Driver) recvPeer(src int) *recvPeer {
 }
 
 // Err returns the sticky stream error: non-nil once any stream of this
-// endpoint exhausted MaxProbes, and on every call after.
+// endpoint exhausted its probe budget, and on every call after.
 func (d *Driver) Err() error { return d.err }
 
 // Stop ends probing (endpoint closed or killed): pending timers fire
@@ -281,7 +282,7 @@ func (d *Driver) arm(now int64, sp *sendPeer, due int64) int64 {
 
 // OnTimer runs when dst's probe timer fires: nothing acknowledged the
 // stream's tail within RTO of its last activity, so solicit the
-// receiver's state and back off. The stream fails after MaxProbes
+// receiver's state and back off. The stream fails after maxProbes
 // consecutive silent probes.
 func (d *Driver) OnTimer(now int64, dst int) Step {
 	sp := d.send[dst]
@@ -304,7 +305,7 @@ func (d *Driver) OnTimer(now int64, dst int) Step {
 			return Step{}
 		}
 		d.err = fmt.Errorf("reliab: stream %d->%d failed: %d unacknowledged messages after %d probes",
-			d.h.Rank, dst, sp.ss.InFlight(), d.h.Options.MaxProbes)
+			d.h.Rank, dst, sp.ss.InFlight(), d.h.opts.maxProbes)
 		d.h.Stats.StreamFailures.Add(1)
 		return Step{Err: d.err}
 	}
@@ -384,12 +385,12 @@ func (d *Driver) ack(now int64, src int, rp *recvPeer, nonce uint32) []byte {
 
 // rto is the clock every timer about peer reads, the probe timer aside
 // (it also backs off): the timeout measured on the stream towards peer
-// once that has a round-trip sample, the configured one before.
+// once that has a round-trip sample, RTO before.
 func (d *Driver) rto(peer int) int64 {
 	if sp := d.send[peer]; sp != nil {
 		return sp.ss.measuredRTO()
 	}
-	return d.h.Options.RTO
+	return d.h.opts.rto
 }
 
 // encodeAck encodes src's receive state, counted as n acks sent.

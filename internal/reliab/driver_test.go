@@ -21,7 +21,6 @@ import (
 
 const (
 	modelWindow = 4
-	modelRTO    = 25_000_000
 	modelProbes = 8
 	modelFrag   = 64 // bytes per fragment: room for a dozen sacks in an ack
 )
@@ -97,7 +96,7 @@ type world struct {
 }
 
 func newWorld(t testing.TB) *world {
-	return newWorldWith(t, Options{Window: modelWindow, RTO: modelRTO, MaxProbes: modelProbes})
+	return newWorldWith(t, Options{window: modelWindow, maxProbes: modelProbes})
 }
 
 func newWorldWith(t testing.TB, opts Options) *world {
@@ -107,7 +106,7 @@ func newWorldWith(t testing.TB, opts Options) *world {
 		e := &end{rank: r, admitted: map[string]bool{}, delivered: map[string]int{}, got: map[uint32]bool{},
 			arrived: map[uint32]int{}, nfrags: map[uint32]int{}, lastTx: map[uint32]uint32{},
 			probes: map[uint32]*probeRec{}, lastVol: -1}
-		e.d = NewDriver(Host{Rank: r, Size: 2, Options: opts, FragPayload: modelFrag, Stats: &e.stats})
+		e.d = NewDriver(Host{Rank: r, Size: 2, opts: opts, FragPayload: modelFrag, Stats: &e.stats})
 		w.ends[r] = e
 	}
 	return w
@@ -130,8 +129,8 @@ func (w *world) ctl(e *end, body []byte, volunteer bool) {
 			w.fail("rank %d volunteered two acks %dns apart (throttle is %dns)", e.rank, w.now-e.lastVol, e.volGap)
 		}
 		clock := e.d.rto(1 - e.rank)
-		if clock > w.opts.RTO || clock < min(minRTO, w.opts.RTO) {
-			w.fail("rank %d throttles acks by a clock of %dns, outside [%d, %d]", e.rank, clock, min(minRTO, w.opts.RTO), w.opts.RTO)
+		if clock > w.opts.rto || clock < min(minRTO, w.opts.rto) {
+			w.fail("rank %d throttles acks by a clock of %dns, outside [%d, %d]", e.rank, clock, min(minRTO, w.opts.rto), w.opts.rto)
 		}
 		e.lastVol, e.volGap = w.now, clock/4
 	}
@@ -141,7 +140,7 @@ func (w *world) ctl(e *end, body []byte, volunteer bool) {
 
 // budget is the credit one sighting of loss buys: as many floor-length
 // round trips as one configured timeout is worth.
-func (w *world) budget() int { return max(1, int(w.opts.RTO/minRTO)) }
+func (w *world) budget() int { return max(1, int(w.opts.rto/minRTO)) }
 
 // evidence records that e's driver was shown, or found, evidence of loss.
 func (w *world) evidence(e *end) { e.credit = w.budget() }
@@ -167,8 +166,8 @@ func (w *world) apply(e *end, st Step, kind probeKind) {
 				}
 				e.windowProbe = a.Nonce
 			case timeoutProbe:
-				if e.silent++; e.silent > w.opts.MaxProbes {
-					w.fail("rank %d sent %d timeout probes with no ack in between, MaxProbes is %d", e.rank, e.silent, w.opts.MaxProbes)
+				if e.silent++; e.silent > w.opts.maxProbes {
+					w.fail("rank %d sent %d timeout probes with no ack in between, MaxProbes is %d", e.rank, e.silent, w.opts.maxProbes)
 				}
 			}
 		} else if kind == confirmProbe {
@@ -440,10 +439,10 @@ func (w *world) earliest() *end {
 
 // check holds after every action.
 func (w *world) check() {
-	floor := min(minRTO, w.opts.RTO)
+	floor := min(minRTO, w.opts.rto)
 	for _, e := range w.ends {
-		if n := e.d.InFlight(1 - e.rank); n > w.opts.Window {
-			w.fail("rank %d has %d messages in flight, window is %d", e.rank, n, w.opts.Window)
+		if n := e.d.InFlight(1 - e.rank); n > w.opts.window {
+			w.fail("rank %d has %d messages in flight, window is %d", e.rank, n, w.opts.window)
 		}
 		if e.d.Err() != e.failure {
 			w.fail("rank %d: Err() is %v, the failing Step reported %v: the error must appear once and stick",
@@ -473,16 +472,16 @@ func (w *world) check() {
 		// while backed off, and back within bounds on progress.
 		rto, probes, rtt := sp.ss.RTO(), sp.ss.probes, sp.ss.RTTSnapshot()
 		switch {
-		case probes == 0 && rtt.Samples == 0 && rto != w.opts.RTO:
-			w.fail("rank %d: RTO %dns before any round-trip sample, want the configured %dns", e.rank, rto, w.opts.RTO)
-		case probes == 0 && (rto < floor || rto > w.opts.RTO):
-			w.fail("rank %d: RTO %dns outside [%d, %d] with no back-off (estimator %+v)", e.rank, rto, floor, w.opts.RTO, rtt)
-		case probes == 0 && rto < min(int64(rtt.MinRTT), w.opts.RTO):
+		case probes == 0 && rtt.Samples == 0 && rto != w.opts.rto:
+			w.fail("rank %d: RTO %dns before any round-trip sample, want the configured %dns", e.rank, rto, w.opts.rto)
+		case probes == 0 && (rto < floor || rto > w.opts.rto):
+			w.fail("rank %d: RTO %dns outside [%d, %d] with no back-off (estimator %+v)", e.rank, rto, floor, w.opts.rto, rtt)
+		case probes == 0 && rto < min(int64(rtt.MinRTT), w.opts.rto):
 			w.fail("rank %d: RTO %dns below the fastest round trip seen, %vns", e.rank, rto, rtt.MinRTT)
 		case probes > 0 && e.prevProbes > 0 && probes >= e.prevProbes && rto < e.prevRTO:
 			w.fail("rank %d: backed-off RTO fell from %dns to %dns without progress", e.rank, e.prevRTO, rto)
-		case rto > w.opts.RTO<<8:
-			w.fail("rank %d: RTO %dns above the back-off cap %dns", e.rank, rto, w.opts.RTO<<8)
+		case rto > w.opts.rto<<8:
+			w.fail("rank %d: RTO %dns above the back-off cap %dns", e.rank, rto, w.opts.rto<<8)
 		}
 		e.prevProbes, e.prevRTO = probes, rto
 	}
@@ -668,8 +667,8 @@ func TestDriverPingDoesNotStarveRecoveryProbe(t *testing.T) {
 			w.send(a, 1, false, false)
 			w.wire = w.wire[:0] // the one data fragment is lost
 			sentAt, rto, want := w.now, a.d.send[1].ss.RTO(), len(b.delivered)+1
-			if adapted := rto < modelRTO; adapted != (tc.rtt > 0) {
-				t.Fatalf("stream RTO is %dns after a %dns round trip, configured %dns", rto, tc.rtt, int64(modelRTO))
+			if adapted := rto < RTO; adapted != (tc.rtt > 0) {
+				t.Fatalf("stream RTO is %dns after a %dns round trip, configured %dns", rto, tc.rtt, int64(RTO))
 			}
 			sweep := int64(20_000_000)
 			if tc.sweepPct > 0 {
@@ -763,7 +762,7 @@ func TestDriverWindowProbesSpendNoBudget(t *testing.T) {
 		w.check()
 	}
 	ss := a.d.send[1].ss
-	if a.failure != nil || ss.probes != 0 || ss.RTO() > modelRTO {
+	if a.failure != nil || ss.probes != 0 || ss.RTO() > RTO {
 		t.Fatalf("window probes spent the timeout budget: failure %v, %d probes counted, RTO %dns", a.failure, ss.probes, ss.RTO())
 	}
 	if got := a.stats.ProbesSent.Load(); got != 3*modelProbes {
@@ -801,7 +800,7 @@ func TestDriverConfirmedSendIsRepairedInARoundTrip(t *testing.T) {
 		t.Fatalf("a round trip after a confirmed send was lost: %d of 2 messages delivered, %d retransmits, %d still in flight (the first message's tail)",
 			len(b.delivered), a.stats.Retransmits.Load(), a.d.InFlight(1))
 	}
-	if a.timerAt == 0 || a.timerAt <= w.now || w.now-sentAt >= modelRTO {
+	if a.timerAt == 0 || a.timerAt <= w.now || w.now-sentAt >= RTO {
 		t.Fatalf("the repair waited for the probe timer (now %d, sent %d, timer due %d)", w.now, sentAt, a.timerAt)
 	}
 	if b.credit != w.budget() {
@@ -856,11 +855,11 @@ func TestDriverConfirmingAnswerTeachesNoIdleness(t *testing.T) {
 // peer (StreamFailures, which poisons the endpoint) only long after the
 // failure detector has declared the peer dead and fenced it (a typed
 // error, survivors carry on) — whatever the estimator holds, because the
-// back-off cap stays tied to the configured timeout, not the measured
+// back-off cap stays tied to the constant RTO, not the measured
 // one. This is where the two timers interact; PR 7's bug lived here.
 func TestDriverOutlastsTheFailureDetector(t *testing.T) {
 	fd := mpi.FailureOptions{}.Fill()
-	declareDead := fd.Suspicion + int64(fd.MaxPings)*fd.PingTimeout
+	declareDead := fd.Suspicion + mpi.PingsToDeclareDead*fd.PingTimeout
 	for _, rtt := range []int64{0, 1, 10_000, 1_000_000, 20_000_000} {
 		w := newWorldWith(t, Options{})
 		a := w.ends[0]

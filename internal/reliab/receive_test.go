@@ -9,7 +9,7 @@ import (
 // receiver is a driver for rank 0 of a two-rank world; rank 1 sends.
 func receiver() (*Driver, *StatCounters) {
 	st := new(StatCounters)
-	return NewDriver(Host{Rank: 0, Size: 2, Options: Options{}.Fill(), FragPayload: modelFrag, Stats: st}), st
+	return NewDriver(Host{Rank: 0, Size: 2, FragPayload: modelFrag, Stats: st}), st
 }
 
 // fragsOf splits an n-fragment message from rank 1 under msgID; a non-zero
@@ -104,7 +104,7 @@ func TestReceiveDuplicateRestatesState(t *testing.T) {
 	if err != nil || probe || ack.Cum != 1 || len(ack.Partials) != 0 {
 		t.Fatalf("duplicate answered with %+v (probe %v, err %v), want Cum 1 and nothing partial", ack, probe, err)
 	}
-	if st.DupFragments.Load() != 1 || d.credit != max(1, int(d.h.Options.RTO/minRTO)) {
+	if st.DupFragments.Load() != 1 || d.credit != max(1, int(RTO/minRTO)) {
 		t.Fatalf("duplicate counted %d times, credit %d: no LossSeen", st.DupFragments.Load(), d.credit)
 	}
 	if d.Pending() != 0 {

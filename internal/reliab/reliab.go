@@ -32,10 +32,10 @@
 //     asks at once when a send finds the window full, so a busy stream
 //     pays one round trip for credit and never waits on a timer, and
 //     after RTO of silence otherwise, with exponential backoff, failing
-//     the stream after MaxProbes consecutive probes without progress.
+//     the stream after maxProbes consecutive probes without progress.
 //     Every probe carries a nonce its ACK echoes, so each exchange is a
-//     clean round-trip sample, and RTO is read from those samples: the
-//     configured value is where it starts and its ceiling (see
+//     clean round-trip sample, and the timeout is read from those
+//     samples: the constant RTO is where it starts and its ceiling (see
 //     SendStream.RTO). The sender retransmits only what an ACK proves
 //     lost.
 //
@@ -49,13 +49,13 @@
 //   - Silence is for a network that delivers. A stream that sends one
 //     scout per collective has no later message to expose a gap and, in a
 //     short run, no round-trip sample when its first loss comes: a lost
-//     scout waits the configured timeout. So the sender also acts on
+//     scout waits the full RTO. So the sender also acts on
 //     evidence that frames are being lost right now. Every retransmission
 //     — a stream resend, a multicast repair, which the whole group hears
 //     — carries a flag bit in its header (transport.Fragment.Repair); an
 //     endpoint that receives one, whose acks call for one, or that
 //     receives a duplicate has seen the evidence (Driver.LossSeen), and
-//     it buys Options.RTO/minRTO confirmed messages: each goes out with a
+//     it buys RTO/minRTO confirmed messages: each goes out with a
 //     probe right behind it, answered within a round trip, which also is
 //     a round-trip sample. Evidence refills that credit, never beyond it;
 //     spent without more evidence, the endpoint is silent again. No
@@ -92,59 +92,55 @@ import (
 	"repro/internal/transport"
 )
 
-// Options tunes one transport's streams. The zero value is filled with
-// defaults by Fill.
-type Options struct {
+const (
 	// Window is the maximum number of unacknowledged messages per peer
 	// before SendReliable blocks.
-	Window int
+	Window = 32
 	// RTO is the probe timeout in clock nanoseconds (virtual time under
-	// the simulator, wall time otherwise) — how long a sender stays
-	// silent about unacknowledged messages before soliciting an
-	// acknowledgment — as an initial value and a ceiling: a stream that
-	// has measured its round trip probes on that clock, never slower
-	// than this.
-	RTO int64
-	// MaxProbes bounds consecutive probes without progress before the
+	// the simulator, wall time otherwise) — how long a sender stays silent
+	// about unacknowledged messages before soliciting an acknowledgment —
+	// as an initial value and a ceiling: a stream that has measured its
+	// round trip probes on that clock, never slower than this.
+	//
+	// It sits above a collective's duration on the calibrated testbed on
+	// purpose. A stream keeps it until its first probe is answered, and on
+	// the happy path that probe is the one that confirms the tail after the
+	// traffic quiesced: the measured window of a lossless run at the
+	// paper's sizes carries no protocol frames at all and the paper's
+	// latency comparisons are undisturbed (a probe that fires
+	// mid-collective on a shared hub collides with the data it is probing
+	// for). It is also all the tuning there is: once a round trip is
+	// measured the stream repairs at that speed, and an endpoint that sees
+	// the network lose frames confirms its sends instead of waiting this
+	// long (Driver.LossSeen; the credit one sighting buys is this value in
+	// units of the 1 ms floor, 25), so lossy runs need no tighter value —
+	// and a tighter one puts probes inside the window the paper measured.
+	RTO = 25_000_000
+	// maxProbes bounds consecutive probes without progress before the
 	// stream is declared broken.
-	MaxProbes int
-	// PausedWindow is the shrunk per-peer window a transport applies
-	// while its NIC is flow-control PAUSEd (802.3x): admissions beyond
-	// it block until the pause lifts or acknowledgments arrive, so the
-	// switch's backpressure propagates into the sending host and the
-	// NIC's transmit queue stays bounded instead of absorbing the whole
-	// window per peer in host memory. Transports without a pause signal
-	// (real sockets) ignore it.
-	PausedWindow int
+	maxProbes = 20
+)
+
+// Options carries a stream's window, probe timeout and probe budget.
+// Every transport runs the constants Fill applies; the fields are
+// unexported so that only this package's tests, which drive the model on
+// a smaller window and budget, run anything else.
+type Options struct {
+	window    int
+	rto       int64
+	maxProbes int
 }
 
-// Fill replaces zero fields with defaults: window 32, RTO 25 ms, 20
-// probes, paused window 2. The default RTO sits above a collective's
-// duration on the calibrated testbed on purpose. A stream keeps it until
-// its first probe is answered, and on the happy path that probe is the
-// one that confirms the tail after the traffic quiesced: the measured
-// window of a lossless run at the paper's sizes carries no protocol
-// frames at all and the paper's latency comparisons are undisturbed (a
-// probe that fires mid-collective on a shared hub collides with the data
-// it is probing for). It is also all the tuning there is: once a round
-// trip is measured the stream repairs at that speed, and an endpoint
-// that sees the network lose frames confirms its sends instead of waiting
-// this long (Driver.LossSeen; the credit one sighting buys is this value
-// in units of the 1 ms floor, 25), so lossy runs need no tighter value
-// configured — and a tighter one puts probes inside the window the paper
-// measured.
+// Fill replaces zero fields with Window, RTO and maxProbes.
 func (o Options) Fill() Options {
-	if o.Window <= 0 {
-		o.Window = 32
+	if o.window <= 0 {
+		o.window = Window
 	}
-	if o.RTO <= 0 {
-		o.RTO = 25_000_000
+	if o.rto <= 0 {
+		o.rto = RTO
 	}
-	if o.MaxProbes <= 0 {
-		o.MaxProbes = 20
-	}
-	if o.PausedWindow <= 0 {
-		o.PausedWindow = 2
+	if o.maxProbes <= 0 {
+		o.maxProbes = maxProbes
 	}
 	return o
 }
@@ -166,7 +162,7 @@ type Stats struct {
 	DupFragments   int64 // duplicate stream fragments suppressed
 	WindowStalls   int64 // sends that had to wait for window space
 	PauseStalls    int64 // sends blocked by the shrunk paused-NIC window
-	StreamFailures int64 // streams that exhausted MaxProbes
+	StreamFailures int64 // streams that exhausted their probe budget
 }
 
 // ---------------------------------------------------------------------------
@@ -220,11 +216,11 @@ type sentProbe struct {
 
 // NewSendStream returns an empty stream under o (which must be filled).
 func NewSendStream(o Options) *SendStream {
-	return &SendStream{opts: o, unacked: make(map[uint32]*outMsg), rto: o.RTO, sent: make(map[uint32]sentProbe)}
+	return &SendStream{opts: o, unacked: make(map[uint32]*outMsg), rto: o.rto, sent: make(map[uint32]sentProbe)}
 }
 
 // Full reports whether the send window has no room for another message.
-func (s *SendStream) Full() bool { return len(s.unacked) >= s.opts.Window }
+func (s *SendStream) Full() bool { return len(s.unacked) >= s.opts.window }
 
 // InFlight reports the number of unacknowledged messages.
 func (s *SendStream) InFlight() int { return len(s.unacked) }
@@ -251,15 +247,15 @@ func (s *SendStream) MarkSent(seq uint32) {
 }
 
 // RTO returns the current probe timeout: measuredRTO, doubled by each
-// timeout probe without progress up to Options.RTO<<8. Progress returns
-// it to the measured value.
+// timeout probe without progress up to 256 times the package's RTO.
+// Progress returns it to the measured value.
 func (s *SendStream) RTO() int64 { return s.rto }
 
 // measuredRTO is the probe timeout before back-off. Until the stream has
-// a round-trip sample it is the configured Options.RTO. From then on it
-// is the estimator's srtt + 4·rttvar, raised to the silence the stream
-// has learned is idleness and held between minRTO and Options.RTO, which
-// thereby is the initial value and the ceiling.
+// a round-trip sample it is the package's RTO. From then on it is the
+// estimator's srtt + 4·rttvar, raised to the silence the stream has
+// learned is idleness and held between minRTO and RTO, which thereby is
+// the initial value and the ceiling.
 //
 // The receiver is silent, so every burst's tail stays unacknowledged and
 // a quiet gap longer than the timeout costs a probe whether or not
@@ -269,14 +265,14 @@ func (s *SendStream) RTO() int64 { return s.rto }
 // cadence, and the stream doubles the silence it tolerates. An ack that
 // calls for a retransmission shows a path that does lose frames, and
 // returns the timeout to what was measured. A quiet path therefore
-// drifts back to the configured timeout at the price of a few probes per
-// stream, and a lossy one repairs at the speed of its round trip.
+// drifts back to RTO at the price of a few probes per stream, and a lossy
+// one repairs at the speed of its round trip.
 func (s *SendStream) measuredRTO() int64 {
 	if s.rtt.samples == 0 {
-		return s.opts.RTO
+		return s.opts.rto
 	}
 	rto := max(int64(s.rtt.srtt+4*s.rtt.rttvar), s.idle, minRTO)
-	return min(rto, s.opts.RTO)
+	return min(rto, s.opts.rto)
 }
 
 // NeedProbe reports whether unacknowledged messages warrant a probe.
@@ -284,22 +280,22 @@ func (s *SendStream) NeedProbe() bool { return len(s.unacked) > 0 }
 
 // OnProbeAt records a timeout probe being sent at now (clock
 // nanoseconds) and backs the timeout off. It returns the probe's nonce
-// (to carry on the wire) and ok=false when the stream has exhausted
-// MaxProbes without progress and must be declared broken. The ack
+// (to carry on the wire) and ok=false when the stream has exhausted its
+// probe budget without progress and must be declared broken. The ack
 // echoing the nonce yields a round-trip sample for the stream's RTT
 // estimator; a zero now records no timestamp, so no sample will be taken.
 func (s *SendStream) OnProbeAt(now int64) (nonce uint32, ok bool) {
 	s.probes++
-	if s.probes > s.opts.MaxProbes {
+	if s.probes > s.opts.maxProbes {
 		return 0, false
 	}
-	s.rto = min(2*s.rto, s.opts.RTO<<8)
+	s.rto = min(2*s.rto, s.opts.rto<<8)
 	return s.probe(now, true), true
 }
 
 // Solicit records a probe sent at now because the window is full: the
 // sender wants the receiver's state now, not after a timeout. Nothing
-// timed out, so the probe spends no MaxProbes budget and backs nothing
+// timed out, so the probe spends no probe budget and backs nothing
 // off; at most one is outstanding (ok=false while the last one is), so a
 // stall costs one probe however many senders block on it.
 func (s *SendStream) Solicit(now int64) (nonce uint32, ok bool) {
@@ -313,7 +309,7 @@ func (s *SendStream) Solicit(now int64) (nonce uint32, ok bool) {
 // Confirm records a probe sent at now right behind a message, because
 // the network was seen to lose frames and the sender wants to hear within
 // a round trip, not a timeout, whether this one arrived. Like a window
-// probe it spends no MaxProbes budget, backs nothing off and its echo is a
+// probe it spends no probe budget, backs nothing off and its echo is a
 // round-trip sample; unlike one it goes out per message, because an ack
 // licenses a whole resend only when its probe left after the message did
 // (outMsg.since).
@@ -442,7 +438,7 @@ func (s *SendStream) HandleAckAt(now int64, a Ack) (resend []Resend, freed bool,
 	case len(resend) > 0:
 		s.idle = 0
 	case probed && asked.timeout && len(seqs) == 0:
-		s.idle = min(2*s.measuredRTO(), s.opts.RTO)
+		s.idle = min(2*s.measuredRTO(), s.opts.rto)
 	}
 	if progress {
 		s.probes = 0

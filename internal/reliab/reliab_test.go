@@ -19,7 +19,7 @@ func frags(msgID uint64, n int) []transport.Fragment {
 }
 
 func TestSendWindowAndCumAck(t *testing.T) {
-	o := Options{Window: 2}.Fill()
+	o := Options{window: 2}.Fill()
 	s := NewSendStream(o)
 	s.Begin(1, frags(1, 1))
 	seq2 := s.Begin(2, frags(2, 1))
@@ -128,7 +128,7 @@ func TestFullResendOnlyWhenProbed(t *testing.T) {
 }
 
 func TestProbeBackoffAndFailure(t *testing.T) {
-	o := Options{RTO: 100, MaxProbes: 3}.Fill()
+	o := Options{rto: 100, maxProbes: 3}.Fill()
 	s := NewSendStream(o)
 	s.Begin(1, frags(1, 1))
 	if !s.NeedProbe() {
@@ -155,7 +155,7 @@ func TestProbeBackoffAndFailure(t *testing.T) {
 	if _, freed, _ := s2.HandleAckAt(0, Ack{Cum: 1}); !freed {
 		t.Fatal("ack should free window space")
 	}
-	if s2.RTO() != o.RTO {
+	if s2.RTO() != o.rto {
 		t.Fatal("progress did not reset the backoff")
 	}
 }

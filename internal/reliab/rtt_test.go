@@ -202,19 +202,19 @@ func TestMeasuredRTO(t *testing.T) {
 		resend, _, _ := s.HandleAckAt(now, Ack{Cum: cum, Nonce: nonce})
 		return resend
 	}
-	if s.RTO() != o.RTO {
-		t.Fatalf("RTO before any sample = %d, want the configured %d", s.RTO(), o.RTO)
+	if s.RTO() != RTO {
+		t.Fatalf("RTO before any sample = %d, want the configured %d", s.RTO(), RTO)
 	}
 	seq := send()
 	nonce, _ := s.OnProbeAt(now)
 	exchange(nonce, 100_000, seq)
 	// srtt + 4·rttvar = 100 µs + 4·50 µs is under the floor; the needless
 	// probe doubled the floor.
-	for want := int64(2 * minRTO); ; want = min(2*want, o.RTO) {
+	for want := int64(2 * minRTO); ; want = min(2*want, RTO) {
 		if s.RTO() != want {
 			t.Fatalf("RTO after needless probes = %d, want %d", s.RTO(), want)
 		}
-		if want == o.RTO {
+		if want == RTO {
 			break
 		}
 		seq = send()
@@ -242,9 +242,9 @@ func TestMeasuredRTO(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		seq = send()
 		nonce, _ = s.Solicit(now)
-		exchange(nonce, 2*o.RTO, seq)
+		exchange(nonce, 2*RTO, seq)
 	}
-	if s.RTO() != o.RTO {
-		t.Fatalf("RTO on a path slower than the configured timeout = %d, want the ceiling %d", s.RTO(), o.RTO)
+	if s.RTO() != RTO {
+		t.Fatalf("RTO on a path slower than the configured timeout = %d, want the ceiling %d", s.RTO(), RTO)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // overflowing the egress queue by PAUSEing the senders, but without a
 // transport hook the paused NIC's transmit queue absorbs the stream's
 // whole send window in host memory. Shrinking the reliable-stream
-// admission window to Stream.PausedWindow while the NIC is paused
+// admission window to the paused window while the NIC is paused
 // propagates the backpressure one layer further up: the sender blocks
 // in SendReliable instead of queueing, and the NIC's queue-depth high
 // watermark stays near the paused window for however long the pause
@@ -25,8 +25,8 @@ import (
 // keeps a port full), so the measured sender's NIC is paused
 // quasi-continuously while it pushes its windowed reliable burst. The
 // negative control runs the identical burst with the shrunk window
-// disabled (PausedWindow = Window) and must show the
-// window-sized backlog the hook removes.
+// lifted (LiftPausedWindow) and must show the window-sized backlog the
+// hook removes.
 func TestPausedWindowBoundsHostQueue(t *testing.T) {
 	const (
 		blasters = 4
@@ -34,14 +34,15 @@ func TestPausedWindowBoundsHostQueue(t *testing.T) {
 		burst    = 64  // measured sender's reliable messages
 		msg      = 1400
 	)
-	run := func(pausedWindow int) (maxQueued int, pauseStalls int64, pauses int64) {
+	run := func(paced bool) (maxQueued int, pauseStalls int64, pauses int64) {
 		prof := simnet.DefaultProfile()
 		prof.Ethernet.SwitchQueueCap = 8 // small egress: the funnel pauses early
 		prof.RecvRing = 2048             // hold the whole burst: ring-overflow resends would blur the queue metric
-		prof.Stream.Window = burst       // the whole burst fits the unpaced window
-		prof.Stream.PausedWindow = pausedWindow
-		n := blasters + 2 // rank 0: receiver, rank 1: measured, 2..: blasters
+		n := blasters + 2                // rank 0: receiver, rank 1: measured, 2..: blasters
 		nw := simnet.New(n, simnet.Switch, prof)
+		if !paced {
+			nw.LiftPausedWindow()
+		}
 		fns := make([]func(ep *simnet.Endpoint) error, n)
 		fns[0] = func(ep *simnet.Endpoint) error {
 			ep.Proc().Sleep(100 * sim.Millisecond)
@@ -93,14 +94,14 @@ func TestPausedWindowBoundsHostQueue(t *testing.T) {
 		return nw.Endpoint(1).NIC().Stats.MaxQueued, nw.Stats.Stream.PauseStalls.Load(), nw.SwitchStats().PauseEvents
 	}
 
-	paced, stalls, pauses := run(0) // 0: Fill applies the default (2)
+	paced, stalls, pauses := run(true)
 	if pauses == 0 {
 		t.Fatal("the burst never triggered flow control; the scenario is vacuous")
 	}
 	if stalls == 0 {
 		t.Fatal("the shrunk window never blocked a sender; the hook is vacuous")
 	}
-	unpaced, _, _ := run(burst) // PausedWindow = Window: hook disabled
+	unpaced, _, _ := run(false)
 
 	// The paced sender's host backlog must stay near the paused window
 	// (plus the handful of frames admitted before the first pause and
@@ -122,7 +123,7 @@ func TestPausedWindowBoundsHostQueue(t *testing.T) {
 // receivers whose ports are empty — must shrink to the paused window,
 // because a paused NIC transmits nothing and each admitted message sits
 // in host memory regardless of destination. The backlog bound is
-// therefore streams x PausedWindow, not streams x Window.
+// therefore streams x paused window, not streams x window.
 func TestPausedWindowManyStreams(t *testing.T) {
 	const (
 		blasters = 4
@@ -132,14 +133,15 @@ func TestPausedWindowManyStreams(t *testing.T) {
 		msg      = 1400
 	)
 	streams := idles + 1
-	run := func(pausedWindow int) (maxQueued int, pauseStalls int64) {
+	run := func(paced bool) (maxQueued int, pauseStalls int64) {
 		prof := simnet.DefaultProfile()
 		prof.Ethernet.SwitchQueueCap = 8
 		prof.RecvRing = 2048
-		prof.Stream.Window = burst
-		prof.Stream.PausedWindow = pausedWindow
 		n := blasters + 2 + idles // 0: hot receiver, 1: sender, 2..: blasters, rest: idle receivers
 		nw := simnet.New(n, simnet.Switch, prof)
+		if !paced {
+			nw.LiftPausedWindow()
+		}
 		fns := make([]func(ep *simnet.Endpoint) error, n)
 		drain := func(ep *simnet.Endpoint) error {
 			ep.Proc().Sleep(100 * sim.Millisecond)
@@ -201,11 +203,11 @@ func TestPausedWindowManyStreams(t *testing.T) {
 		return nw.Endpoint(1).NIC().Stats.MaxQueued, nw.Stats.Stream.PauseStalls.Load()
 	}
 
-	paced, stalls := run(0) // default paused window (2)
+	paced, stalls := run(true)
 	if stalls == 0 {
 		t.Fatal("the shrunk window never blocked the sender; the scenario is vacuous")
 	}
-	unpaced, _ := run(burst)
+	unpaced, _ := run(false)
 
 	// Bound: streams x paused window, plus the frames admitted before
 	// the first pause and the stream's own control traffic.

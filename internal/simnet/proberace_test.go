@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/reliab"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/transport"
@@ -22,7 +23,7 @@ import (
 // because the recovery probe fires on schedule despite the ping acks.
 func TestPingDoesNotStarveRecoveryProbe(t *testing.T) {
 	const (
-		sweepPeriod = 20 * sim.Millisecond // < the 25 ms default RTO, as in mpi.FailureOptions
+		sweepPeriod = 20 * sim.Millisecond // < the 25 ms reliab.RTO, as in mpi.FailureOptions
 		pingTimeout = 5 * sim.Millisecond
 		maxSweeps   = 64 // 1.28 s of pinging before the sender gives up
 	)
@@ -86,9 +87,8 @@ func TestPingDoesNotStarveRecoveryProbe(t *testing.T) {
 	// One RTO of silence arms the probe, the ack round trip and resend
 	// are microseconds: anything beyond four RTOs means probes were
 	// being postponed by the ping traffic.
-	rto := prof.Stream.Fill().RTO
-	if deliveredAt > 4*rto {
-		t.Errorf("recovery took %d ns (> 4 RTOs of %d ns): probes postponed by ping acks", deliveredAt, rto)
+	if deliveredAt > 4*reliab.RTO {
+		t.Errorf("recovery took %d ns (> 4 RTOs of %d ns): probes postponed by ping acks", deliveredAt, reliab.RTO)
 	}
 	t.Logf("lost fragment recovered at %d ns (%d retransmits, %d probes)",
 		deliveredAt, nw.Stats.Stream.Retransmits.Load(), nw.Stats.Stream.ProbesSent.Load())

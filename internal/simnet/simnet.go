@@ -125,9 +125,6 @@ type Profile struct {
 	// endpoint; returning true drops it (counted in
 	// Stats.InjectedP2PLosses).
 	DropP2P func(dst int, f transport.Fragment) bool
-	// Stream tunes the reliable point-to-point stream layer (window,
-	// probe timeout); zero fields take the reliab defaults.
-	Stream reliab.Options
 	// UplinkFanout is the number of stations sharing one switch port
 	// (through a shared half-duplex segment) under the SwitchShared
 	// topology; 0 means 4. Ignored by Hub and Switch.
@@ -171,6 +168,15 @@ func DefaultProfile() Profile {
 // datagram after the transport header.
 const MaxFragPayload = ipnet.MaxUDPPayload - transport.HeaderLen
 
+// pausedWindow is the shrunk per-peer stream window an endpoint applies
+// while its NIC is flow-control PAUSEd (802.3x): admissions beyond it
+// block until the pause lifts or acknowledgments arrive, so the switch's
+// backpressure propagates into the sending host and the NIC's transmit
+// queue stays bounded instead of absorbing the whole reliab.Window per
+// peer in host memory. Real sockets have no pause signal, so only the
+// simulator applies one.
+const pausedWindow = 2
+
 // Stats aggregates loss counters across the network. Stream counters
 // are atomics (reliab.StatCounters) so readers outside the event loop —
 // the mpirun stats print, the HTTP metrics sampler — take torn-free
@@ -195,6 +201,9 @@ type Network struct {
 	sw    *ethernet.Switch
 	Wire  trace.Counters // frames put on the wire, by class
 	Stats Stats
+	// paused is the admission window while a NIC is paused: pausedWindow,
+	// unless a test's negative control lifts it (export_test.go).
+	paused int
 }
 
 // New builds a cluster of n ranks on the given topology.
@@ -205,9 +214,8 @@ func New(n int, topo Topology, prof Profile) *Network {
 	if prof.RecvRing <= 0 {
 		prof.RecvRing = 1
 	}
-	prof.Stream = prof.Stream.Fill()
 	eng := sim.New()
-	nw := &Network{eng: eng, prof: prof, topo: topo, rng: sim.NewRand(prof.Seed)}
+	nw := &Network{eng: eng, prof: prof, topo: topo, rng: sim.NewRand(prof.Seed), paused: pausedWindow}
 	// The NIC and loss RNG forks interleave per rank (NIC 0, loss 0,
 	// NIC 1, …) so seeded runs reproduce the pre-shared-uplink timelines
 	// exactly; the endpoints are built in the same loop for the same
@@ -294,7 +302,7 @@ func New(n int, topo Topology, prof Profile) *Network {
 		ep.mDelivBytes = prof.Metrics.Meter(metrics.Labeled("mcast_nic_delivered_bytes", "rank", rs), metrics.DefaultMeterTau)
 		ep.mDelivFrames = prof.Metrics.Meter(metrics.Labeled("mcast_nic_delivered_frames", "rank", rs), metrics.DefaultMeterTau)
 		ep.streams = reliab.NewDriver(reliab.Host{
-			Rank: i, Size: n, Options: prof.Stream, FragPayload: MaxFragPayload,
+			Rank: i, Size: n, FragPayload: MaxFragPayload,
 			Stats: &nw.Stats.Stream, Trace: prof.Trace, Metrics: prof.Metrics,
 		})
 		ep.mPauseStalls = prof.Metrics.Counter(metrics.Labeled("mcast_nic_pause_stalls", "rank", rs))
@@ -309,7 +317,7 @@ func New(n int, topo Topology, prof Profile) *Network {
 			}
 		})
 		nics[i].SetDrainListener(func(depth int) {
-			if ep.congested && depth <= ep.nw.prof.Stream.PausedWindow && ep.proc != nil {
+			if ep.congested && depth <= ep.nw.paused && ep.proc != nil {
 				ep.proc.Nudge()
 			}
 		})
@@ -641,19 +649,18 @@ func (ep *Endpoint) SendReliable(dst int, m transport.Message) error {
 	if p == nil {
 		panic("simnet: endpoint used outside Network.Run")
 	}
-	// The admission window shrinks to Stream.PausedWindow for the whole
-	// of a flow-control episode: from the moment the NIC is PAUSEd
-	// until its transmit backlog has drained back below the paused
-	// window. The switch's backpressure thereby propagates into the
-	// host — a paused station's queue growth is bounded by the paused
-	// window instead of absorbing the full window per peer — and the
-	// pause/drain listeners nudge the blocked process as the episode
-	// resolves.
+	// The admission window shrinks to pausedWindow for the whole of a
+	// flow-control episode: from the moment the NIC is PAUSEd until its
+	// transmit backlog has drained back below the paused window. The
+	// switch's backpressure thereby propagates into the host — a paused
+	// station's queue growth is bounded by the paused window instead of
+	// absorbing the full window per peer — and the pause/drain listeners
+	// nudge the blocked process as the episode resolves.
 	windowFull := func() bool {
 		if ep.streams.Full(dst) {
 			return true
 		}
-		pw := ep.nw.prof.Stream.PausedWindow
+		pw := ep.nw.paused
 		if ep.nic.Paused() {
 			ep.congested = true
 		} else if ep.congested && ep.nic.QueuedFrames() <= pw {

@@ -105,14 +105,13 @@ func TestSocketHearsOnlyItsGroups(t *testing.T) {
 		n   = 4
 		ctx = 7
 	)
-	cfg := testConfig(n)
-	nw, err := udpnet.New(cfg)
+	nw, err := udpnet.New(testConfig(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nw.Close()
 	requireGroupFilter(t, nw)
-	payload := bytes.Repeat([]byte{0xA5}, 3*cfg.FragSize-10)
+	payload := bytes.Repeat([]byte{0xA5}, 3*nw.Endpoint(0).MaxFragPayload()-10)
 	for r := 0; r < n; r++ {
 		for _, g := range []uint32{ctx, transport.SliceGroup(ctx, r)} {
 			if err := nw.Endpoint(r).Join(g); err != nil {

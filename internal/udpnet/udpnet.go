@@ -65,25 +65,16 @@ var wireBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// Config describes a localhost world.
+// Config describes a localhost world: its size and multicast port, the
+// loss injections, a declared topology and the observers. The datagram
+// payload (fragSize), the group prefix (groupAddr), the socket buffers
+// (readBuffer) and the reliable stream (package reliab) are constants.
 type Config struct {
 	// N is the world size.
 	N int
 	// McastPort is the UDP port shared by all multicast groups.
 	// Endpoints bind the group address, so sharing a port is safe.
 	McastPort int
-	// FragSize bounds the message payload per datagram (default 1400,
-	// conservatively under the 1472-byte UDP maximum the paper's
-	// Ethernet allowed).
-	FragSize int
-	// GroupNet is the /16 prefix multicast groups are mapped into
-	// (default "239.77.0.0", inside the administratively scoped range).
-	GroupNet string
-	// ReadBuffer sizes each socket's kernel receive buffer (default 1 MiB).
-	ReadBuffer int
-	// Stream tunes the reliable point-to-point stream layer (package
-	// reliab); zero fields take the reliab defaults.
-	Stream reliab.Options
 	// P2PLossRate injects independent receiver-side loss of
 	// point-to-point fragments (any frame the stream layer can repair:
 	// data, modeled-TCP traffic, the stream's own acks and probes), for
@@ -96,15 +87,11 @@ type Config struct {
 	LossRate float64
 	// LossSeed seeds both loss injections (0: a fixed default).
 	LossSeed int64
-	// Segments declares the fabric topology (rank -> segment id) for
-	// the topology subsystem — real sockets cannot discover the wiring,
-	// so deployments that know it state it here and the topology-aware
-	// collectives cluster by it. Empty means: derive from SegmentFanout,
-	// or report no topology at all.
-	Segments []int
-	// SegmentFanout is the uniform-placement shorthand for Segments
-	// (stations per segment, the udpnet analogue of the simulator's
-	// Profile.UplinkFanout). 0 means no declared topology.
+	// SegmentFanout declares the fabric topology as stations per segment
+	// (the udpnet analogue of the simulator's Profile.UplinkFanout) for
+	// the topology subsystem: real sockets cannot discover the wiring, so
+	// a deployment that knows it states it here and the topology-aware
+	// collectives cluster by it. 0 means no declared topology.
 	SegmentFanout int
 	// Trace, when non-nil, is the flight recorder every endpoint exposes
 	// through trace.Carrier; timestamps are wall-clock nanoseconds since
@@ -127,80 +114,54 @@ type Config struct {
 // group address on it fails with "address already in use".
 const DefaultMcastPort = 29999
 
+const (
+	// fragSize bounds the message payload per datagram, conservatively
+	// under the 1472-byte UDP maximum the paper's Ethernet allowed.
+	fragSize = 1400
+	// readBuffer sizes each socket's kernel receive buffer.
+	readBuffer = 1 << 20
+)
+
 // DefaultConfig returns a working localhost configuration.
 func DefaultConfig(n int) Config {
-	return Config{
-		N:          n,
-		McastPort:  DefaultMcastPort,
-		FragSize:   1400,
-		GroupNet:   "239.77.0.0",
-		ReadBuffer: 1 << 20,
-	}
-}
-
-func (c *Config) fill() {
-	if c.McastPort == 0 {
-		c.McastPort = DefaultMcastPort
-	}
-	if c.FragSize == 0 {
-		c.FragSize = 1400
-	}
-	if c.GroupNet == "" {
-		c.GroupNet = "239.77.0.0"
-	}
-	if c.ReadBuffer == 0 {
-		c.ReadBuffer = 1 << 20
-	}
-	c.Stream = c.Stream.Fill()
+	return Config{N: n, McastPort: DefaultMcastPort}
 }
 
 // Net is one in-host world of endpoints.
 type Net struct {
-	cfg      Config
-	path     Path    // where multicast is sent and joined
-	groupNet [4]byte // Config.GroupNet, parsed once
-	eps      []*Endpoint
-	start    time.Time
-	topoMap  *topo.Map // declared placement (nil: none)
+	cfg     Config
+	path    Path // where multicast is sent and joined
+	eps     []*Endpoint
+	start   time.Time
+	topoMap *topo.Map // declared placement (nil: none)
 }
 
 // Path reports where the world's multicast datagrams go.
 func (nw *Net) Path() Path { return nw.path }
 
-// groupAddr maps a communicator context to a class-D address inside the
-// configured /16, on the shared multicast port.
+// groupAddr maps a communicator context to a class-D address inside
+// 239.77.0.0/16, in the administratively scoped range, on the shared
+// multicast port.
 func (nw *Net) groupAddr(group uint32) netip.AddrPort {
-	ip := [4]byte{nw.groupNet[0], nw.groupNet[1], byte(group >> 8), byte(group)}
+	ip := [4]byte{239, 77, byte(group >> 8), byte(group)}
 	return netip.AddrPortFrom(netip.AddrFrom4(ip), uint16(nw.cfg.McastPort))
 }
 
 // New builds the world: one unicast socket per rank on an ephemeral
 // loopback port (ranks learn each other's addresses in-process).
 func New(cfg Config) (*Net, error) {
-	cfg.fill()
+	if cfg.McastPort == 0 {
+		cfg.McastPort = DefaultMcastPort
+	}
 	if cfg.N <= 0 {
 		return nil, errors.New("udpnet: world size must be positive")
-	}
-	groupNet, err := netip.ParseAddr(cfg.GroupNet)
-	if err != nil || !groupNet.Is4() {
-		return nil, fmt.Errorf("udpnet: GroupNet %q is not an IPv4 address", cfg.GroupNet)
 	}
 	// Where no path works the world still carries point-to-point traffic
 	// (its groups are joined on the kernel's default, the last path
 	// tried); Probe is how callers learn why multicast does not.
 	path, _ := FindPath()
-	nw := &Net{cfg: cfg, path: path, groupNet: groupNet.As4(), start: time.Now()}
-	switch {
-	case len(cfg.Segments) > 0:
-		if len(cfg.Segments) != cfg.N {
-			return nil, fmt.Errorf("udpnet: %d segment assignments for %d ranks", len(cfg.Segments), cfg.N)
-		}
-		m, err := topo.New(cfg.Segments)
-		if err != nil {
-			return nil, fmt.Errorf("udpnet: declared topology: %w", err)
-		}
-		nw.topoMap = m
-	case cfg.SegmentFanout > 0:
+	nw := &Net{cfg: cfg, path: path, start: time.Now()}
+	if cfg.SegmentFanout > 0 {
 		nw.topoMap = topo.Uniform(cfg.N, cfg.SegmentFanout)
 	}
 	peers := make([]netip.AddrPort, cfg.N)
@@ -210,7 +171,7 @@ func New(cfg Config) (*Net, error) {
 			nw.Close()
 			return nil, fmt.Errorf("udpnet: unicast socket for rank %d: %w", i, err)
 		}
-		_ = conn.SetReadBuffer(cfg.ReadBuffer)
+		_ = conn.SetReadBuffer(readBuffer)
 		ep := &Endpoint{
 			net:    nw,
 			rank:   i,
@@ -231,7 +192,7 @@ func New(cfg Config) (*Net, error) {
 			ackWake:     make(chan struct{}),
 		}
 		ep.streams = reliab.NewDriver(reliab.Host{
-			Rank: i, Size: cfg.N, Options: cfg.Stream, FragPayload: cfg.FragSize,
+			Rank: i, Size: cfg.N, FragPayload: fragSize,
 			Stats: &ep.sstats, Trace: cfg.Trace, Metrics: cfg.Metrics,
 		})
 		ep.sendCond = sync.NewCond(&ep.mu)
@@ -353,8 +314,7 @@ func (ep *Endpoint) MetricsRegistry() *metrics.Registry { return ep.net.cfg.Metr
 func (ep *Endpoint) Rank() int { return ep.rank }
 
 // TopoMap implements topo.Provider with the declared placement
-// (Config.Segments / Config.SegmentFanout), or nil when none was
-// declared.
+// (Config.SegmentFanout), or nil when none was declared.
 func (ep *Endpoint) TopoMap() *topo.Map { return ep.net.topoMap }
 
 // Size implements transport.Endpoint.
@@ -625,7 +585,7 @@ func (ep *Endpoint) write(dst netip.AddrPort, m transport.Message) error {
 	ep.mu.Unlock()
 
 	m.Src = ep.rank
-	return ep.writeFrags(dst, transport.Split(m, id, ep.net.cfg.FragSize)...)
+	return ep.writeFrags(dst, transport.Split(m, id, fragSize)...)
 }
 
 // writeFrags is the one place a datagram leaves this endpoint: each
@@ -670,7 +630,7 @@ func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uin
 	ep.mu.Unlock()
 	m.Kind = transport.Mcast
 	m.Src = ep.rank
-	send, err := transport.RepairFragments(m, msgID, ep.net.cfg.FragSize, frags)
+	send, err := transport.RepairFragments(m, msgID, fragSize, frags)
 	if err != nil {
 		return err
 	}
@@ -686,7 +646,7 @@ func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, seen tran
 }
 
 // MaxFragPayload implements transport.Fragmenter.
-func (ep *Endpoint) MaxFragPayload() int { return ep.net.cfg.FragSize }
+func (ep *Endpoint) MaxFragPayload() int { return fragSize }
 
 // Pace implements transport.Pacer as a wall-clock sleep.
 func (ep *Endpoint) Pace(d int64) {
@@ -711,7 +671,7 @@ func (ep *Endpoint) Join(group uint32) error {
 	if err != nil {
 		return fmt.Errorf("udpnet: %w", err)
 	}
-	_ = conn.SetReadBuffer(ep.net.cfg.ReadBuffer)
+	_ = conn.SetReadBuffer(readBuffer)
 	ep.groups[group] = conn
 	ep.wg.Add(1)
 	go ep.readLoop(conn)
