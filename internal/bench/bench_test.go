@@ -72,13 +72,15 @@ func TestAlltoallGuidelines(t *testing.T) {
 
 // TestChunkedAllreduceGuidelines holds the chunked allreduce to two
 // Träff-style guidelines on the same fabric (shared-uplink switch,
-// fanout 4, one cold operation per point): from 20,000 B it is no slower
-// than the binomial-reduce + bcast allreduce of mcast-binary, and from
-// 5,000 B no slower than mpich. Below ~5 KB mcast-binary still wins —
-// its one reduce and one multicast beat N slice walks and N multicasts
-// of sub-frame slices (N=32 at 100 B: 5,185 against 917 sim-µs) — and
-// from N=16 it still wins at 5,000 B (4,433 and 5,273 against 4,489 and
-// 6,736 at N=16 and 32).
+// fanout 4, one cold operation per point): from 5,000 B it is no slower
+// than the binomial-reduce + bcast allreduce of mcast-binary, nor than
+// mpich. Since its reduce-scatter walks segments then lanes, chunked
+// reads 2,779 / 3,617 / 5,159 sim-µs at 5,000 B against mcast-binary's
+// 3,571 / 4,433 / 5,273 at N = 8 / 16 / 32; one level of N walks read
+// 3,371 / 4,489 / 6,736 and lost at N=16 and 32. Below ~5 KB
+// mcast-binary still wins — its one reduce and one multicast beat the
+// walks and N multicasts of sub-frame slices (N=32 at 100 B: 3,367
+// against 917 sim-µs).
 func TestChunkedAllreduceGuidelines(t *testing.T) {
 	prof := *sharedUplinkProfile()
 	prof.Seed = 1
@@ -93,13 +95,10 @@ func TestChunkedAllreduceGuidelines(t *testing.T) {
 	for _, n := range []int{8, 16, 32} {
 		for _, size := range []int{5000, 20000} {
 			chunked := cold(n, size, McastChunked)
-			if size >= 20000 {
-				if flat := cold(n, size, McastBinary); chunked > flat {
-					t.Errorf("N=%d %d B: %s %d ns is slower than %s %d ns", n, size, McastChunked, chunked, McastBinary, flat)
+			for _, other := range []Algorithm{McastBinary, MPICH} {
+				if o := cold(n, size, other); chunked > o {
+					t.Errorf("N=%d %d B: %s %d ns is slower than %s %d ns", n, size, McastChunked, chunked, other, o)
 				}
-			}
-			if p2p := cold(n, size, MPICH); chunked > p2p {
-				t.Errorf("N=%d %d B: %s %d ns is slower than %s %d ns", n, size, McastChunked, chunked, MPICH, p2p)
 			}
 		}
 	}

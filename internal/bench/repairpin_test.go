@@ -251,3 +251,42 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkedFallbackDeterminismPin holds the chunked allreduce's
+// one-level reduce-scatter where the two-level one does not apply: on
+// uneven segments (N=6 = 4+2 and N=7 = 4+3 on the shared-uplink switch,
+// fanout 4) and on the flat switch, one cold operation per point must
+// simulate the nanoseconds and engine events recorded before the
+// reduce-scatter learned the lane decomposition.
+func TestChunkedFallbackDeterminismPin(t *testing.T) {
+	shared := *sharedUplinkProfile()
+	shared.Seed = 1
+	for _, tc := range []struct {
+		topo   simnet.Topology
+		n      int
+		size   int
+		simNS  int64
+		events uint64
+	}{
+		{simnet.SwitchShared, 6, 100, 1_109_684, 697},
+		{simnet.SwitchShared, 6, 2000, 1_746_176, 717},
+		{simnet.SwitchShared, 6, 65536, 32_992_500, 2021},
+		{simnet.SwitchShared, 7, 100, 1_241_732, 884},
+		{simnet.SwitchShared, 7, 2000, 1_905_212, 914},
+		{simnet.SwitchShared, 7, 65536, 34_974_944, 2447},
+		{simnet.Switch, 8, 2000, 3_305_720, 1965},
+		{simnet.Switch, 8, 65536, 16_523_400, 3941},
+	} {
+		prof := simnet.DefaultProfile()
+		if tc.topo == simnet.SwitchShared {
+			prof = shared
+		}
+		nw, worst, err := coldRun(tc.n, tc.topo, prof, McastChunked, OpAllreduce, tc.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worst != tc.simNS || nw.Events() != tc.events {
+			t.Errorf("%v N=%d %d B moved: got {%d, %d}, want {%d, %d}", tc.topo, tc.n, tc.size, worst, nw.Events(), tc.simNS, tc.events)
+		}
+	}
+}

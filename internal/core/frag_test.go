@@ -161,3 +161,44 @@ func TestChunkedAllreduceByteFunnel(t *testing.T) {
 		chunkedMax, chunkedAt, binomialMax, binomialAt, m)
 	_ = fmt.Sprint()
 }
+
+// TestChunkedReduceScatterMessages counts the chunked allreduce's
+// reduce-scatter: its point-to-point data messages, one frame each at
+// 100 B (the allgather half multicasts, and scouts are not data). On S
+// segments of F members each the segment and lane walks cost every rank
+// (F-1) + (S-1) messages; on uneven segments and on the flat switch the
+// one-level walks cost every rank N-1.
+func TestChunkedReduceScatterMessages(t *testing.T) {
+	for _, tc := range []struct {
+		topo simnet.Topology
+		n    int
+		want int64
+	}{
+		{simnet.SwitchShared, 16, 16 * (3 + 3)}, // one level: 240
+		{simnet.SwitchShared, 8, 8 * (3 + 1)},   // one level: 56
+		{simnet.SwitchShared, 7, 7 * 6},         // 4+3: one level
+		{simnet.SwitchShared, 6, 6 * 5},         // 4+2: one level
+		{simnet.Switch, 8, 8 * 7},
+	} {
+		prof := simnet.DefaultProfile()
+		prof.UplinkFanout = 4
+		var msgs int64
+		prof.DropP2P = func(_ int, f transport.Fragment) bool {
+			if f.Msg.Class == transport.ClassData && f.Index == 0 {
+				msgs++
+			}
+			return false
+		}
+		algs := core.Algorithms(core.Binary)
+		algs.Allreduce = core.AllreduceMcastChunked
+		_, err := cluster.RunSim(tc.n, tc.topo, prof, algs, func(c *mpi.Comm) error {
+			return c.Allreduce(make([]byte, 100), make([]byte, 100), mpi.Byte, mpi.OpMax)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msgs != tc.want {
+			t.Errorf("%v N=%d: reduce-scatter sent %d point-to-point data messages, want %d", tc.topo, tc.n, msgs, tc.want)
+		}
+	}
+}

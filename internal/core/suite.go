@@ -29,9 +29,10 @@ package core
 //	                 makes rank 0 absorb log2(N)·M bytes;
 //	                 AllreduceMcastChunked (below) spreads the reduction
 //	                 over per-slice binomial walks so no rank moves more
-//	                 than ~2M bytes end to end, and gathers the reduced
-//	                 slices for (N-S) + S(S-1) scouts on 1 < S < N
-//	                 segments, N(N-1) elsewhere.
+//	                 than ~2M bytes end to end — N(N-1) p2p messages, or
+//	                 N((F-1) + (S-1)) on S segments of F members each —
+//	                 and gathers the reduced slices for (N-S) + S(S-1)
+//	                 scouts on 1 < S < N segments, N(N-1) elsewhere.
 //	scatter:         s scouts + (N-1)·ceil(M/T) data frames: the root
 //	                 multicasts each rank's slice to that rank's private
 //	                 slice group, so a receiver's NIC delivers exactly
@@ -63,8 +64,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
+	"repro/internal/topo"
 	"repro/internal/transport"
 )
 
@@ -180,13 +183,27 @@ func sliceBounds(total, extent, size int) []int {
 }
 
 // AllreduceMcastChunked is the Rabenseifner-style chunked composition:
-// a reduce-scatter built from one binomial walk per slice (slice s
-// combines toward rank s on the UDP bypass), followed by an allgather
-// that multicasts each reduced slice exactly once. On a segmented fabric
-// within the receive budget (usableTopo, burstFits) that allgather is
-// twoLevelBurst — one scout-only handshake of (N-S) + S(S-1) scouts,
-// then every rank multicasts its slice; elsewhere it is the suite's
-// pipelined scout-gated rounds, N(N-1) scouts.
+// a reduce-scatter built from per-slice binomial walks (reduceWalks),
+// after which each rank holds one fully reduced slice, followed by an
+// allgather that multicasts each reduced slice exactly once. On a
+// segmented fabric within the receive budget (usableTopo, burstFits) that
+// allgather is twoLevelBurst — one scout-only handshake of (N-S) + S(S-1)
+// scouts, then every rank multicasts its slice; elsewhere it is the
+// suite's pipelined scout-gated rounds, N(N-1) scouts.
+//
+// The reduce-scatter runs in two levels where usableTopo finds S segments
+// of F members each — Karonis's multilevel and Träff's lane
+// decomposition of the reduce-scatter. Slices are laid out lane-major:
+// the rank with member index i in segment s owns the slice at position
+// i·S + s, so the S slices of lane i (the ranks with member index i) are
+// one contiguous region. A segment step of F walks among the rank's own
+// segment reduces lane j's region toward member j (F-1 messages per
+// rank, all segment-local); a lane step of S walks among the rank's lane
+// reduces each of the lane's slices toward its owner (S-1 messages per
+// rank across the uplinks): 66 messages per rank at N=256, F=4, in place
+// of 255. Elsewhere — no usable topology, or segments of unequal size —
+// every rank owns the slice at its own rank and one step of N walks
+// among all ranks reduces it (N-1 messages per rank).
 //
 // The byte economics against the sets' binomial-reduce + bcast allreduce:
 // both put ~(N-1)·M + M data bytes on the wire (a reduction cannot move
@@ -196,17 +213,10 @@ func sliceBounds(total, extent, size int) []int {
 // allgather half delivers each receiver exactly the M result bytes
 // (asserted by TestChunkedAllreduceByteFunnel).
 //
-// The walks overlap: every walk where this rank is a leaf fires its
-// parent send up front, filling the wire immediately, and the remaining
-// interior walks make progress in whatever order their children's
-// contributions arrive (CollCtx.RecvPhaseRange is the event pump — the
-// slice index rides the message phase), so the wire and the hosts work
-// concurrently while each walk's tree, phases, classes and frame counts
-// stay those of a blocking walk (the a3 table).
-//
-// The reduction combines slice contributions in binomial-tree order, so
-// op should be commutative and associative (every built-in mpi.Op is;
-// floating-point sums may round differently from rank order).
+// The reduction combines slice contributions in binomial-tree order —
+// segment then lane on the two-level path — so op should be commutative
+// and associative (every built-in mpi.Op is; floating-point sums may
+// round differently from rank order).
 func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	size := c.Size()
 	if len(recv) != len(send) {
@@ -220,37 +230,139 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		return nil
 	}
 	bounds := sliceBounds(len(send), dt.Size(), size)
+	t := usableTopo(c)
+	lanes := evenSegments(t)
+	// pos[r] is the slice rank r reduces and multicasts: lane-major on
+	// even segments, rank order elsewhere.
+	pos := make([]int, size)
+	for r := range pos {
+		pos[r] = r
+		if lanes > 0 {
+			seg := t.SegmentOf(r)
+			pos[r] = slices.Index(t.Members(seg), r)*t.Segments() + seg
+		}
+	}
 
-	// Reduce-scatter: slice s's contributions combine toward rank s up
-	// the low-bit-first binomial tree (mpi.Binomial), in recv in place,
-	// all N walks sharing one collective operation with one phase per
-	// slice.
+	// Reduce-scatter, in recv in place, every walk of both steps sharing
+	// one collective operation with one phase per walk.
 	cc := c.BeginColl()
 	if !cc.CanMulticast() {
 		return mpi.ErrNoMulticast
 	}
 	me := c.Rank()
 	cc.SpanBegin("reduce-scatter")
-	// sliceWalk is one interior walk's progress state.
-	type sliceWalk struct {
+	if lanes == 0 {
+		// pos is the identity: one walk per slice among all ranks.
+		if err := reduceWalks(cc, pos, bounds, phaseSlice, recv, dt, op); err != nil {
+			return err
+		}
+	} else {
+		segs := t.Segments()
+		members := t.Members(t.SegmentOf(me))
+		i := slices.Index(members, me)
+		region := make([]int, lanes+1) // lane j's region: positions j·S to (j+1)·S
+		for j := range region {
+			region[j] = bounds[j*segs]
+		}
+		lane := make([]int, segs)
+		for s := range lane {
+			lane[s] = t.Members(s)[i]
+		}
+		if err := reduceWalks(cc, members, region, phaseSlice, recv, dt, op); err != nil {
+			return err
+		}
+		if err := reduceWalks(cc, lane, bounds[i*segs:(i+1)*segs+1], phaseSlice+lanes, recv, dt, op); err != nil {
+			return err
+		}
+	}
+	cc.SpanEnd("reduce-scatter")
+
+	// Allgather: every rank multicasts its reduced slice once — in one
+	// two-level burst, or in pipelined rounds paced for sub-frame slices.
+	if len(send) == 0 {
+		return nil // nothing was reduced, so nothing goes on the wire
+	}
+	slice := func(r int) []byte { return recv[bounds[pos[r]]:bounds[pos[r]+1]] }
+	place := func(r int, p []byte) error {
+		if want := len(slice(r)); len(p) != want {
+			return fmt.Errorf("core: allreduce slice %d is %d bytes, want %d", pos[r], len(p), want)
+		}
+		copy(slice(r), p)
+		return nil
+	}
+	if t != nil && burstFits(c) {
+		return twoLevelBurst(c, t, wholeSend(slice(me))(), mpi.Whole, place)
+	}
+	rounds := make([]roundPlan, 0, size)
+	for r := 0; r < size; r++ {
+		if len(slice(r)) == 0 {
+			continue
+		}
+		rounds = append(rounds, roundPlan{
+			sender:  r,
+			class:   transport.ClassData,
+			bytes:   len(slice(r)),
+			sends:   wholeSend(slice(r)),
+			scope:   wholeScope,
+			consume: func(p []byte) error { return place(r, p) },
+		})
+	}
+	return runRounds(c, rounds, roundOptions{gather: gatherScoutsBinary, pipeline: true})
+}
+
+// evenSegments returns the member count F shared by every segment of t,
+// or 0 when t is nil or its segments differ in size — the condition for
+// the chunked allreduce's two-level reduce-scatter.
+func evenSegments(t *topo.Map) int {
+	if t == nil {
+		return 0
+	}
+	f := len(t.Members(0))
+	for s := 1; s < t.Segments(); s++ {
+		if len(t.Members(s)) != f {
+			return 0
+		}
+	}
+	return f
+}
+
+// reduceWalks runs this rank's part of one reduce-scatter step among
+// group, a list of communicator ranks that includes this one: walk k
+// combines buf[offs[k]:offs[k+1]] toward group[k] up the low-bit-first
+// binomial tree over group indexes (mpi.Binomial), on phase base+k, in
+// buf in place. Empty regions take no walk.
+//
+// The walks overlap: every walk where this rank is a leaf fires its
+// parent send up front, filling the wire immediately, and the remaining
+// interior walks make progress in whatever order their children's
+// contributions arrive (CollCtx.RecvPhaseRange is the event pump — the
+// walk index rides the message phase, and traffic of other phases stays
+// queued for its own step), so the wire and the hosts work concurrently
+// while each walk's tree, phases, classes and frame counts stay those of
+// a blocking walk (the a3 table).
+func reduceWalks(cc mpi.CollCtx, group, offs []int, base int, buf []byte, dt mpi.Datatype, op mpi.Op) error {
+	size := len(group)
+	me := slices.Index(group, cc.Comm().Rank())
+	// walk is one interior walk's progress state.
+	type walk struct {
 		lo, hi   int
-		parent   int            // rank to send the combined slice to; -1 at the walk's root
+		parent   int            // rank to send the combined region to; -1 at the walk's root
 		children []int          // child ranks in increasing-mask order (the blocking walk's absorb order)
 		pending  map[int][]byte // child contributions buffered until all have arrived
 	}
-	walks := make(map[int]*sliceWalk, size)
-	for s := 0; s < size; s++ {
-		lo, hi := bounds[s], bounds[s+1]
+	walks := make(map[int]*walk, size)
+	for k := 0; k < size; k++ {
+		lo, hi := offs[k], offs[k+1]
 		if lo == hi {
 			continue
 		}
-		parent, kids := mpi.Binomial((me-s+size)%size, size)
+		parent, kids := mpi.Binomial((me-k+size)%size, size)
 		if parent >= 0 {
-			parent = (parent + s) % size
+			parent = group[(parent+k)%size]
 		}
 		var children []int
 		for ch := range kids.All {
-			children = append(children, (ch+s)%size)
+			children = append(children, group[(ch+k)%size])
 		}
 		if len(children) == 0 {
 			// Leaf in this walk: nothing to combine — send immediately,
@@ -258,93 +370,56 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 			// the overlap: every leaf contribution of every walk is on
 			// the wire before the first receive.
 			if parent >= 0 {
-				if err := cc.Send(parent, phaseSlice+s, recv[lo:hi], transport.ClassData, false); err != nil {
+				if err := cc.Send(parent, base+k, buf[lo:hi], transport.ClassData, false); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		walks[s] = &sliceWalk{lo: lo, hi: hi, parent: parent, children: children,
+		walks[k] = &walk{lo: lo, hi: hi, parent: parent, children: children,
 			pending: make(map[int][]byte, len(children))}
 	}
 	for len(walks) > 0 {
-		m, phase, err := cc.RecvPhaseRange(phaseSlice, phaseSlice+size-1)
+		m, phase, err := cc.RecvPhaseRange(base, base+size-1)
 		if err != nil {
 			return err
 		}
-		s := phase - phaseSlice
-		w := walks[s]
+		k := phase - base
+		w := walks[k]
 		if w == nil {
-			return fmt.Errorf("core: allreduce slice %d contribution at rank %d, which is not interior in that walk", s, me)
+			return fmt.Errorf("core: allreduce walk %d contribution at rank %d, which is not interior in that walk", k, group[me])
 		}
 		src := cc.SrcRank(m)
 		if len(m.Payload) != w.hi-w.lo {
-			return fmt.Errorf("core: allreduce slice %d contribution %d bytes, want %d", s, len(m.Payload), w.hi-w.lo)
+			return fmt.Errorf("core: allreduce walk %d contribution %d bytes, want %d", k, len(m.Payload), w.hi-w.lo)
 		}
 		if _, dup := w.pending[src]; dup {
-			return fmt.Errorf("core: allreduce slice %d duplicate contribution from %d", s, src)
+			return fmt.Errorf("core: allreduce walk %d duplicate contribution from %d", k, src)
 		}
 		w.pending[src] = m.Payload
 		if len(w.pending) < len(w.children) {
 			continue
 		}
 		// Every child is in: absorb in the blocking walk's mask order,
-		// then pass the combined slice up (or keep it, at the root).
-		seg := recv[w.lo:w.hi]
+		// then pass the combined region up (or keep it, at the root).
+		region := buf[w.lo:w.hi]
 		for _, ch := range w.children {
 			p, ok := w.pending[ch]
 			if !ok {
-				return fmt.Errorf("core: allreduce slice %d missing contribution from %d", s, ch)
+				return fmt.Errorf("core: allreduce walk %d missing contribution from %d", k, ch)
 			}
-			if err := mpi.ReduceBytes(op, dt, seg, p); err != nil {
+			if err := mpi.ReduceBytes(op, dt, region, p); err != nil {
 				return err
 			}
 		}
 		if w.parent >= 0 {
-			if err := cc.Send(w.parent, phaseSlice+s, seg, transport.ClassData, false); err != nil {
+			if err := cc.Send(w.parent, base+k, region, transport.ClassData, false); err != nil {
 				return err
 			}
 		}
-		delete(walks, s)
+		delete(walks, k)
 	}
-	cc.SpanEnd("reduce-scatter")
-
-	// Allgather: rank s multicasts its reduced slice once — in one
-	// two-level burst, or in pipelined rounds paced for sub-frame slices.
-	if len(send) == 0 {
-		return nil // nothing was reduced, so nothing goes on the wire
-	}
-	if t := usableTopo(c); t != nil && burstFits(c) {
-		return twoLevelBurst(c, t, wholeSend(recv[bounds[me]:bounds[me+1]])(), mpi.Whole, func(r int, p []byte) error {
-			if want := bounds[r+1] - bounds[r]; len(p) != want {
-				return fmt.Errorf("core: allreduce slice %d is %d bytes, want %d", r, len(p), want)
-			}
-			copy(recv[bounds[r]:], p)
-			return nil
-		})
-	}
-	rounds := make([]roundPlan, 0, size)
-	for s := 0; s < size; s++ {
-		lo, hi := bounds[s], bounds[s+1]
-		if lo == hi {
-			continue
-		}
-		rounds = append(rounds, roundPlan{
-			sender: s,
-			class:  transport.ClassData,
-			bytes:  hi - lo,
-			sends:  wholeSend(recv[lo:hi]),
-			scope:  wholeScope,
-			consume: func(p []byte) error {
-				if len(p) != hi-lo {
-					return fmt.Errorf("core: allreduce slice %d is %d bytes, want %d", s, len(p), hi-lo)
-				}
-				copy(recv[lo:hi], p)
-				return nil
-			},
-		})
-	}
-	return runRounds(c, rounds, roundOptions{gather: gatherScoutsBinary, pipeline: true})
+	return nil
 }
 
 // scatterWith is a single sliced round of the engine: the root

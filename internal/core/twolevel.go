@@ -75,6 +75,9 @@ package core
 //	                   exchange per-segment super-slice blocks.
 //	chunked allreduce: AllreduceMcastChunked gathers its reduced slices
 //	                   in the allgather's burst: (N-S) + S(S-1) scouts.
+//	                   On segments of equal size F its reduce-scatter
+//	                   takes two levels too: F-1 segment-local messages
+//	                   and S-1 across the uplinks per rank, not N-1.
 //
 // A communicator without a usable topology — no device map, a single
 // segment (nothing to localize), or one rank per segment (the
