@@ -29,11 +29,13 @@
 //     802.3x PAUSE flow control instead of tail drops and a shared-uplink
 //     port mode; over it a UDP/IP stack with class-D group addressing.
 //
-//   - transport: what a device is. The Endpoint interface (Send, Recv,
-//     Now), the optional capabilities a device may add (Multicaster,
-//     ReliableSender, DeadlineRecver, FragmentRepairer, Pacer, RecvPoster,
-//     Pinger, PeerFailer, …), the fragment wire codec and reassembler, and
-//     the in-process channel transport used as a race-detector target.
+//   - transport: what a device is. Every device is an Endpoint (Send,
+//     Recv, RecvTimeout, Join, Leave, Multicast, Now); a device with a
+//     real wire — simnet, udpnet — is also a Wire (the reliable stream,
+//     fragment repair, pacing, posted receives, liveness probes). Beside
+//     them the fragment wire codec and reassembler, and the in-process
+//     channel transport, an Endpoint without a wire, used as a
+//     race-detector target.
 //
 //   - trace, metrics, topo: the observers and the map. A per-rank flight
 //     recorder with Perfetto export and critical-path extraction; an
@@ -89,7 +91,7 @@
 //     semantics, nonblocking requests, datatypes and reduction ops, the
 //     low-bit-first binomial tree every walk runs (Binomial), and the
 //     collective dispatchers with pluggable algorithm sets. A Runtime
-//     resolves its device's optional capabilities once; CollCtx is the
+//     asserts once whether its device has a wire; CollCtx is the
 //     narrow waist collective implementations are written against:
 //     phase-tagged point-to-point sends and receives, and four multicast
 //     calls over a Scope — the whole communicator, one rank's slice

@@ -33,9 +33,6 @@ func BcastAck(c *mpi.Comm, buf []byte, root int) error {
 		return nil
 	}
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 
 	if c.Rank() != root {
 		m, err := cc.RecvMulticast(mpi.Whole)

@@ -230,9 +230,6 @@ func bcastWith(c *mpi.Comm, buf []byte, root int, gather func(cc mpi.CollCtx, ro
 		return nil
 	}
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 	cc.SpanBegin("scout-gather")
 	err := gather(cc, root, -1)
 	cc.SpanEnd("scout-gather")
@@ -278,9 +275,6 @@ func Barrier(c *mpi.Comm) error {
 		return nil
 	}
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 	cc.SpanBegin("scout-gather")
 	err := gatherScoutsBinary(cc, 0, -1)
 	cc.SpanEnd("scout-gather")

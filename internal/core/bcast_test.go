@@ -207,19 +207,6 @@ func TestOrderingAcrossTwoGroups(t *testing.T) {
 	}
 }
 
-func TestCoreRequiresMulticastTransport(t *testing.T) {
-	// A transport without Multicaster must yield ErrNoMulticast.
-	err := mpi.RunMem(2, mpi.Algorithms{}, func(c *mpi.Comm) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MemNet supports multicast; simulate absence via a wrapper is
-	// covered in the mpi tests. Here just confirm the sentinel exists.
-	if core.Algorithms(core.Linear).Bcast == nil {
-		t.Fatal("Algorithms(Linear) has no Bcast")
-	}
-}
-
 func TestMergeFallsBackToBaseline(t *testing.T) {
 	algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
 	if algs.Bcast == nil || algs.Barrier == nil || algs.Reduce == nil || algs.Alltoall == nil {

@@ -41,7 +41,7 @@ package core
 //     so the sender can retire the round. Repairs are
 //     fragment-granular: the NACK carries the receiver's missing-fragment
 //     list (transport.Reassembler.Missing via the device's
-//     FragmentRepairer capability) and the sender retransmits only those
+//     transport.Wire) and the sender retransmits only those
 //     fragments under the original message id, so repair convergence is
 //     O(missing) instead of O(F) — independent of message size. This is
 //     what makes the Resilient* variants of the suite survive random
@@ -179,9 +179,6 @@ func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 	if !opt.pipeline {
 		for i := range rounds {
 			cc := c.BeginColl()
-			if !cc.CanMulticast() {
-				return mpi.ErrNoMulticast
-			}
 			cc.SpanBegin("round-gather")
 			err := opt.gather(cc, rounds[i].sender, -1)
 			cc.SpanEnd("round-gather")
@@ -209,9 +206,6 @@ func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 	// the forwarding rank's unposted send window under strict
 	// posted-receive semantics.
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 	cc.SpanBegin("round-gather")
 	err := opt.gather(cc, rounds[0].sender, -1)
 	cc.SpanEnd("round-gather")
@@ -352,9 +346,10 @@ func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep 
 	c := cc.Comm()
 	look, longest := repairProbe, repairProbe<<10
 	double := func(d int64) int64 { return min(2*d, longest) }
-	// The device reports its fragment payload; a conservative fallback
-	// covers devices without one (over-counting fragments only lengthens
-	// the silence before an empty request, the safe direction).
+	// A device with a wire reports its fragment payload; the fallback
+	// covers the in-process device, which has none and loses nothing
+	// (over-counting fragments only lengthens the silence before an
+	// empty request, the safe direction).
 	fragPayload := cc.FragPayload()
 	if fragPayload <= 0 {
 		fragPayload = 512

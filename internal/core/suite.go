@@ -246,9 +246,6 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	// Reduce-scatter, in recv in place, every walk of both steps sharing
 	// one collective operation with one phase per walk.
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 	me := c.Rank()
 	cc.SpanBegin("reduce-scatter")
 	if lanes == 0 {
@@ -476,9 +473,6 @@ func gatherWith(c *mpi.Comm, send, recv []byte, root int, gather func(cc mpi.Col
 		return nil
 	}
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 	if err := gather(cc, root, -1); err != nil {
 		return err
 	}

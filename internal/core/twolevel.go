@@ -340,9 +340,6 @@ func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 		copy(block, send) // a leader is its segment's first member
 	}
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 	err := segmentCombine(cc, t, leader, send, tl.rep, func(r int, p []byte) {
 		copy(block[slices.Index(members, r)*n:], p)
 		copy(recv[r*n:], p)
@@ -429,9 +426,6 @@ func twoLevelBurst(c *mpi.Comm, t *topo.Map, sends []send, scope mpi.Scope, cons
 	defer release()
 
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 	if me != leader {
 		cc.SpanBegin("member-scout")
 		err := cc.Send(leader, phaseScout, nil, transport.ClassScout, false)
@@ -569,9 +563,6 @@ func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, o
 	leader := t.Leader(mySeg)
 
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 	acc := append([]byte(nil), send...)
 	if me != leader {
 		if err := cc.Send(leader, phaseChunk, acc, transport.ClassData, false); err != nil {
@@ -652,9 +643,6 @@ func (tl *twoLevel) gather(c *mpi.Comm, send, recv []byte, root int) error {
 	lead := opLeader(t, t.SegmentOf(me), root)
 
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 	// The root (which leads its own segment) collects into recv
 	// directly, any other leader into an aggregate block in member order.
 	var block []byte
@@ -810,9 +798,6 @@ func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 	// leader. The members' chunks addressed to the leader itself never
 	// ride a phase-B multicast; it lifts them out as they arrive.
 	cc := c.BeginColl()
-	if !cc.CanMulticast() {
-		return mpi.ErrNoMulticast
-	}
 	bufs := map[int][]byte{me: send}
 	err := segmentCombine(cc, t, t.Leader(t.SegmentOf(me)), send, tl.rep, func(r int, p []byte) {
 		bufs[r] = p

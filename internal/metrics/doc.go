@@ -61,7 +61,7 @@
 // that allocates nothing (pinned by TestDisabledMetricsAllocs) — the
 // same discipline as trace.Recorder. Transports expose an attached
 // registry through the Carrier interface, discovered by interface
-// assertion like the trace and topology capabilities. Instrumentation
+// assertion like trace.Carrier and the topology provider. Instrumentation
 // reads the transport clock but never advances it and never schedules
 // events, so attaching a registry cannot move a single simulated
 // timestamp (pinned by TestMetricsDoNotPerturbSimTime across the full

@@ -34,8 +34,7 @@ func NewRegistry() *Registry {
 
 // Carrier is the optional capability by which a transport exposes an
 // attached registry; internal/mpi discovers it by interface assertion
-// at runtime construction, like the trace.Carrier and topology
-// capabilities.
+// at runtime construction, like trace.Carrier and topo.Provider.
 type Carrier interface {
 	MetricsRegistry() *Registry
 }

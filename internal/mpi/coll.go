@@ -21,7 +21,7 @@ const collTagBase int32 = -1000
 // CollCtx is the "bypass" interface of the paper's Fig. 1: Send/Recv go
 // through the ordinary point-to-point device path, while the four
 // multicast calls (Multicast, RecvMulticast, RecvMulticastTimeout,
-// MulticastRepair) reach the device's multicast capability directly,
+// MulticastRepair) reach the device's multicast directly,
 // each addressed by a Scope.
 type CollCtx struct {
 	c   *Comm
@@ -102,9 +102,6 @@ func (cc CollCtx) Recv(src, phase int) (transport.Message, error) {
 // communicator rank.
 func (cc CollCtx) SrcRank(m transport.Message) int { return cc.c.inverse[m.Src] }
 
-// CanMulticast reports whether the bypass path is available.
-func (cc CollCtx) CanMulticast() bool { return cc.c.rt.mc != nil }
-
 // Scope names the receivers of one multicast. The zero value, Whole,
 // is the communicator's own group. Slice(r) is the group only rank r's
 // endpoint subscribes to, so every other NIC drops the fragments
@@ -156,9 +153,6 @@ func (s Scope) tag() int32 {
 // to transmit to, the tag receives match on, or why there is neither.
 func (cc CollCtx) resolve(s Scope) (group uint32, tag int32, err error) {
 	c := cc.c
-	if c.rt.mc == nil {
-		return 0, 0, ErrNoMulticast
-	}
 	group = c.ctx
 	switch s.kind {
 	case scopeSlice:
@@ -194,7 +188,7 @@ func (cc CollCtx) Multicast(s Scope, payload []byte, class transport.Class) erro
 	if err != nil {
 		return err
 	}
-	return cc.c.rt.mc.Multicast(group, cc.mcastMessage(tag, payload, class))
+	return cc.c.rt.ep.Multicast(group, cc.mcastMessage(tag, payload, class))
 }
 
 // RecvMulticast blocks for this operation's multicast to the scope (a
@@ -219,12 +213,12 @@ func (cc CollCtx) RecvMulticastTimeout(s Scope, timeout int64) (transport.Messag
 }
 
 // LastMulticastID returns the device message id of this rank's most
-// recent multicast, or 0 when the device does not expose fragment repair.
-// Senders capture it after each data multicast so selective repair
-// requests can be matched to the round's message.
+// recent multicast, or 0 on a device without a wire. Senders capture it
+// after each data multicast so selective repair requests can be matched
+// to the round's message.
 func (cc CollCtx) LastMulticastID() uint64 {
-	if fr := cc.c.rt.fr; fr != nil {
-		return fr.LastMulticastID()
+	if w := cc.c.rt.wire; w != nil {
+		return w.LastMulticastID()
 	}
 	return 0
 }
@@ -232,20 +226,20 @@ func (cc CollCtx) LastMulticastID() uint64 {
 // MissingFrom reports the newest partially reassembled multicast from
 // communicator rank src at this rank's device: its message id, the
 // missing fragment indexes and when what it holds arrived, on the device
-// clock. ok=false when nothing is pending or the device does not expose
-// reassembly state.
+// clock. ok=false when nothing is pending or the device has no wire (so
+// nothing is ever partially reassembled).
 func (cc CollCtx) MissingFrom(src int) (msgID uint64, missing []int, seen transport.Arrivals, ok bool) {
-	fr := cc.c.rt.fr
-	if fr == nil || src < 0 || src >= cc.c.Size() {
+	w := cc.c.rt.wire
+	if w == nil || src < 0 || src >= cc.c.Size() {
 		return 0, nil, transport.Arrivals{}, false
 	}
-	return fr.PendingFrom(cc.c.group[src])
+	return w.PendingFrom(cc.c.group[src])
 }
 
 // MulticastRepair retransmits the named fragments (nil = all) of this
 // operation's earlier multicast to the scope under its original device
-// message id. Devices without fragment repair (or an unknown id, 0) fall
-// back to a fresh whole-message multicast.
+// message id. A device without a wire (or an unknown id, 0) sends a
+// fresh whole-message multicast instead.
 func (cc CollCtx) MulticastRepair(s Scope, payload []byte, class transport.Class, msgID uint64, frags []int) error {
 	group, tag, err := cc.resolve(s)
 	if err != nil {
@@ -253,29 +247,29 @@ func (cc CollCtx) MulticastRepair(s Scope, payload []byte, class transport.Class
 	}
 	cc.TraceEvent("repair.mcast", int64(len(frags)))
 	m := cc.mcastMessage(tag, payload, class)
-	if fr := cc.c.rt.fr; fr != nil && msgID != 0 {
-		return fr.RepairMulticast(group, m, msgID, frags)
+	if w := cc.c.rt.wire; w != nil && msgID != 0 {
+		return w.RepairMulticast(group, m, msgID, frags)
 	}
-	return cc.c.rt.mc.Multicast(group, m)
+	return cc.c.rt.ep.Multicast(group, m)
 }
 
 // FragPayload returns the device's fragment payload size (message bytes
-// per wire frame), or 0 when the device does not expose one. Protocols
-// scaling timeouts with a message's expected fragment count use it
-// instead of guessing an MTU.
+// per wire frame), or 0 on a device without a wire. Protocols scaling
+// timeouts with a message's expected fragment count use it instead of
+// guessing an MTU.
 func (cc CollCtx) FragPayload() int {
-	if fg := cc.c.rt.frag; fg != nil {
-		return fg.MaxFragPayload()
+	if w := cc.c.rt.wire; w != nil {
+		return w.MaxFragPayload()
 	}
 	return 0
 }
 
-// Pace suspends the calling rank for d nanoseconds on the device clock
-// when the device supports pacing, and returns immediately otherwise.
-// The pipelined round engine paces sub-frame data multicasts with it.
+// Pace suspends the calling rank for d nanoseconds on the device clock,
+// and returns immediately on a device without a wire. The pipelined
+// round engine paces sub-frame data multicasts with it.
 func (cc CollCtx) Pace(d int64) {
-	if p := cc.c.rt.pacer; p != nil {
-		p.Pace(d)
+	if w := cc.c.rt.wire; w != nil {
+		w.Pace(d)
 	}
 }
 
@@ -321,7 +315,7 @@ func (cc CollCtx) RecvPhaseRange(lo, hi int) (transport.Message, int, error) {
 }
 
 // RecvTimeout is Recv with a timeout in nanoseconds on the device clock;
-// ok=false reports expiry. It requires transport.DeadlineRecver.
+// ok=false reports expiry.
 func (cc CollCtx) RecvTimeout(src, phase int, timeout int64) (transport.Message, bool, error) {
 	srcWorld := AnySource
 	if src != AnySource {

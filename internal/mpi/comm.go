@@ -9,7 +9,7 @@
 // package baseline supplies the MPICH algorithms (binomial-tree broadcast,
 // three-phase barrier) and package core supplies the paper's multicast
 // implementations, which bypass the point-to-point path and talk to the
-// device's multicast capability directly.
+// device's multicast directly.
 //
 // # Failure detection and shrink
 //
@@ -70,9 +70,6 @@ var (
 	// ErrInvalidTag reports a negative user tag (the negative space is
 	// reserved for collective protocols).
 	ErrInvalidTag = errors.New("mpi: invalid tag (user tags must be non-negative)")
-	// ErrNoMulticast reports a multicast collective on a transport
-	// without multicast capability.
-	ErrNoMulticast = errors.New("mpi: transport does not support multicast")
 )
 
 // Runtime is one rank's MPI instance: the endpoint plus the matching
@@ -98,37 +95,20 @@ type Runtime struct {
 	fd *failureDetector
 }
 
-// caps is what the device can do beyond transport.Endpoint; a nil field
-// means the device lacks the capability.
+// caps is what the device offers beyond transport.Endpoint; a nil field
+// means it offers none.
 type caps struct {
-	mc     transport.Multicaster
-	rs     transport.ReliableSender // the p2p stream
-	dr     transport.DeadlineRecver
-	fr     transport.FragmentRepairer
-	frag   transport.Fragmenter
-	pacer  transport.Pacer
-	poster transport.RecvPoster
-	pinger transport.Pinger
-	failer transport.PeerFailer
-	topo   topo.Provider
-	rec    *trace.Recorder   // flight recorder: every span and instant the collective layers record
-	mreg   *metrics.Registry // per-op invocation counts and completion latencies
+	wire transport.Wire // nil on the in-process device
+	topo topo.Provider
+	rec  *trace.Recorder   // flight recorder: every span and instant the collective layers record
+	mreg *metrics.Registry // per-op invocation counts and completion latencies
 }
 
-// NewRuntime wraps an endpoint. Its optional capabilities are discovered
-// once, here, by interface assertion — exactly as the paper's
-// implementation discovers that it can bypass the point-to-point layers.
+// NewRuntime wraps an endpoint. Whether the device has a wire is
+// discovered once, here, by interface assertion.
 func NewRuntime(ep transport.Endpoint) *Runtime {
 	rt := &Runtime{ep: ep}
-	rt.mc, _ = ep.(transport.Multicaster)
-	rt.rs, _ = ep.(transport.ReliableSender)
-	rt.dr, _ = ep.(transport.DeadlineRecver)
-	rt.fr, _ = ep.(transport.FragmentRepairer)
-	rt.frag, _ = ep.(transport.Fragmenter)
-	rt.pacer, _ = ep.(transport.Pacer)
-	rt.poster, _ = ep.(transport.RecvPoster)
-	rt.pinger, _ = ep.(transport.Pinger)
-	rt.failer, _ = ep.(transport.PeerFailer)
+	rt.wire, _ = ep.(transport.Wire)
 	rt.topo, _ = ep.(topo.Provider)
 	if tc, ok := ep.(trace.Carrier); ok {
 		rt.rec = tc.TraceRecorder()
@@ -145,8 +125,8 @@ func NewRuntime(ep transport.Endpoint) *Runtime {
 func (rt *Runtime) Trace() *trace.Recorder { return rt.rec }
 
 // sendP2P routes a point-to-point message to world rank dstWorld. All
-// point-to-point traffic rides the device's reliable stream when it
-// offers one, so a lost frame of any kind is retransmitted instead of
+// point-to-point traffic rides the reliable stream of a device with a
+// wire, so a lost frame of any kind is retransmitted instead of
 // deadlocking the collective: the bypass messages (Reliable=false — the
 // paper's UDP path: scouts, reduce halves, gather chunks, repair
 // requests) with the silent-until-probed happy path, and the
@@ -155,17 +135,14 @@ func (rt *Runtime) Trace() *trace.Recorder { return rt.rec }
 // class is reliable by fiat, so loss sweeps cover the MPICH baselines
 // as well.
 func (rt *Runtime) sendP2P(dstWorld int, m transport.Message) error {
-	if rt.rs != nil {
-		return rt.rs.SendReliable(dstWorld, m)
+	if rt.wire != nil {
+		return rt.wire.SendReliable(dstWorld, m)
 	}
 	return rt.ep.Send(dstWorld, m)
 }
 
 // Endpoint returns the underlying device endpoint.
 func (rt *Runtime) Endpoint() transport.Endpoint { return rt.ep }
-
-// CanMulticast reports whether the device supports multicast.
-func (rt *Runtime) CanMulticast() bool { return rt.mc != nil }
 
 // Close shuts down the underlying endpoint.
 func (rt *Runtime) Close() error { return rt.ep.Close() }
@@ -213,14 +190,10 @@ func (rt *Runtime) recvMatch(pred func(*transport.Message) bool) (transport.Mess
 	}
 }
 
-// recvMatchTimeout is recvMatch with a deadline; ok=false on expiry. It
-// requires the device to implement transport.DeadlineRecver.
+// recvMatchTimeout is recvMatch with a deadline; ok=false on expiry.
 func (rt *Runtime) recvMatchTimeout(pred func(*transport.Message) bool, timeout int64) (transport.Message, bool, error) {
 	if m, ok := rt.scanUnexpected(pred); ok {
 		return m, true, nil
-	}
-	if rt.dr == nil {
-		return transport.Message{}, false, fmt.Errorf("mpi: %T does not support timed receives", rt.ep)
 	}
 	deadline := rt.ep.Now() + timeout
 	for {
@@ -228,7 +201,7 @@ func (rt *Runtime) recvMatchTimeout(pred func(*transport.Message) bool, timeout 
 		if remain <= 0 {
 			return transport.Message{}, false, nil
 		}
-		m, got, err := rt.dr.RecvTimeout(remain)
+		m, got, err := rt.ep.RecvTimeout(remain)
 		if err != nil {
 			return transport.Message{}, false, err
 		}
@@ -420,20 +393,18 @@ func newComm(rt *Runtime, ctx uint32, group []int, algs Algorithms) (*Comm, erro
 	// with a known topology each rank also joins its segment's group,
 	// the address the two-level collectives use for segment-local
 	// protocol multicasts that must never cross the shared uplink.
-	if rt.mc != nil {
-		if err := rt.mc.Join(ctx); err != nil {
-			return nil, fmt.Errorf("mpi: joining multicast group %d: %w", ctx, err)
+	if err := rt.ep.Join(ctx); err != nil {
+		return nil, fmt.Errorf("mpi: joining multicast group %d: %w", ctx, err)
+	}
+	if err := rt.ep.Join(transport.SliceGroup(ctx, me)); err != nil {
+		return nil, fmt.Errorf("mpi: joining slice group of rank %d: %w", me, err)
+	}
+	c.joined = true
+	if c.topoMap != nil {
+		if err := rt.ep.Join(transport.SegmentGroup(ctx, c.topoMap.SegmentOf(me))); err != nil {
+			return nil, fmt.Errorf("mpi: joining segment group of rank %d: %w", me, err)
 		}
-		if err := rt.mc.Join(transport.SliceGroup(ctx, me)); err != nil {
-			return nil, fmt.Errorf("mpi: joining slice group of rank %d: %w", me, err)
-		}
-		c.joined = true
-		if c.topoMap != nil {
-			if err := rt.mc.Join(transport.SegmentGroup(ctx, c.topoMap.SegmentOf(me))); err != nil {
-				return nil, fmt.Errorf("mpi: joining segment group of rank %d: %w", me, err)
-			}
-			c.segJoin = true
-		}
+		c.segJoin = true
 	}
 	return c, nil
 }
@@ -463,39 +434,39 @@ func (c *Comm) Now() int64 { return c.rt.ep.Now() }
 // back to the flat algorithms on nil (or degenerate) maps.
 func (c *Comm) Topo() *topo.Map { return c.topoMap }
 
-// PostRecvs posts n standing receive descriptors on the device (when it
-// supports transport.RecvPoster) and returns a release function that
+// PostRecvs posts n standing receive descriptors on the device's wire
+// (transport.Wire.PostRecvs) and returns a release function that
 // retires them. Under strict posted-receive semantics a multicast frame
 // arriving while a rank is between Recv calls — transmitting its own
 // data while every other rank multicasts too, as in the two-level
 // allgather and alltoall — would otherwise be dropped; standing
-// descriptors make such an exchange safe by construction. On devices
-// without descriptor accounting both the post and the release are
-// no-ops.
+// descriptors make such an exchange safe by construction. On the
+// in-process device, which has no wire, both the post and the release
+// are no-ops.
 func (c *Comm) PostRecvs(n int) (release func()) {
-	rp := c.rt.poster
-	if rp == nil || n <= 0 {
+	w := c.rt.wire
+	if w == nil || n <= 0 {
 		return func() {}
 	}
-	rp.PostRecvs(n)
-	return func() { rp.UnpostRecvs(n) }
+	w.PostRecvs(n)
+	return func() { w.UnpostRecvs(n) }
 }
 
 // Free leaves the communicator's multicast group. The communicator must
 // not be used afterwards. Freeing the world communicator does not close
 // the runtime; use Runtime.Close for that.
 func (c *Comm) Free() error {
-	if c.joined && c.rt.mc != nil {
+	if c.joined {
 		c.joined = false
 		// Attempt every leave even if one fails, so an error on one
 		// group cannot leak the remaining memberships.
 		var segErr error
 		if c.segJoin {
 			c.segJoin = false
-			segErr = c.rt.mc.Leave(transport.SegmentGroup(c.ctx, c.topoMap.SegmentOf(c.rank)))
+			segErr = c.rt.ep.Leave(transport.SegmentGroup(c.ctx, c.topoMap.SegmentOf(c.rank)))
 		}
-		sliceErr := c.rt.mc.Leave(transport.SliceGroup(c.ctx, c.rank))
-		ctxErr := c.rt.mc.Leave(c.ctx)
+		sliceErr := c.rt.ep.Leave(transport.SliceGroup(c.ctx, c.rank))
+		ctxErr := c.rt.ep.Leave(c.ctx)
 		if segErr != nil {
 			return segErr
 		}

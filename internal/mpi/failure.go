@@ -79,30 +79,27 @@ func (o FailureOptions) Fill() FailureOptions {
 	return o
 }
 
-// failureDetector rides the device's liveness probe (transport.Pinger):
+// failureDetector rides the device's liveness probe (transport.Wire.Ping):
 // a rank whose probes go unanswered past the suspicion budget is
 // declared dead, permanently. Deaths are recorded as world ranks so
 // every communicator on the runtime shares one view.
 type failureDetector struct {
 	opts FailureOptions
-	caps              // pinger probes; failer, nil when the device cannot fence peers, fences the dead
-	dead map[int]bool // world rank -> declared dead
+	wire transport.Wire // Ping probes, FailPeer fences the dead
+	dead map[int]bool   // world rank -> declared dead
 }
 
 // SetFailureDetection arms the runtime's failure detector. The device
-// must implement transport.Pinger and transport.DeadlineRecver; the
-// probe path is the same stream-control machinery the reliable streams
-// use for RTO probes, answered at interrupt level by any live peer.
+// must have a wire (transport.Wire) to probe with; the probe path is
+// the same stream-control machinery the reliable streams use for RTO
+// probes, answered at interrupt level by any live peer.
 // Collective receives then return RankFailedError instead of blocking
 // forever when a member dies.
 func (rt *Runtime) SetFailureDetection(opts FailureOptions) error {
-	if rt.pinger == nil {
-		return fmt.Errorf("mpi: %T does not support liveness probes", rt.ep)
+	if rt.wire == nil {
+		return fmt.Errorf("mpi: %T has no wire to send liveness probes on", rt.ep)
 	}
-	if rt.dr == nil {
-		return fmt.Errorf("mpi: %T does not support timed receives", rt.ep)
-	}
-	rt.fd = &failureDetector{opts: opts.Fill(), caps: rt.caps, dead: make(map[int]bool)}
+	rt.fd = &failureDetector{opts: opts.Fill(), wire: rt.wire, dead: make(map[int]bool)}
 	return nil
 }
 
@@ -133,7 +130,7 @@ func (fd *failureDetector) sweep(me int, group []int) bool {
 		}
 		alive := false
 		for i := 0; i < PingsToDeclareDead; i++ {
-			if fd.pinger.Ping(w, fd.opts.PingTimeout) {
+			if fd.wire.Ping(w, fd.opts.PingTimeout) {
 				alive = true
 				break
 			}
@@ -141,9 +138,7 @@ func (fd *failureDetector) sweep(me int, group []int) bool {
 		if !alive {
 			fd.dead[w] = true
 			anyNew = true
-			if fd.failer != nil {
-				fd.failer.FailPeer(w)
-			}
+			fd.wire.FailPeer(w)
 		}
 	}
 	return anyNew

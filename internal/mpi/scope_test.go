@@ -19,10 +19,6 @@ type placedEndpoint struct {
 
 func (e placedEndpoint) TopoMap() *topo.Map { return e.placement }
 
-// p2pEndpoint is an endpoint without the multicast capability: embedding
-// the interface promotes the point-to-point methods only.
-type p2pEndpoint struct{ transport.Endpoint }
-
 // scopeCalls runs each of CollCtx's four multicast methods on s and
 // returns their errors in declaration order.
 func scopeCalls(cc mpi.CollCtx, s mpi.Scope) map[string]error {
@@ -64,34 +60,6 @@ func TestScopeValidation(t *testing.T) {
 	}
 	run(nil, []mpi.Scope{mpi.Slice(-1), mpi.Slice(n), mpi.Slice(999), mpi.Seg(0)})
 	run(topo.Uniform(n, fanout), []mpi.Scope{mpi.Slice(-1), mpi.Slice(n), mpi.Seg(-1), mpi.Seg(n / fanout), mpi.Seg(999)})
-}
-
-// TestScopeNeedsMulticast: on a device without the capability every
-// method says so, for valid and invalid scopes alike.
-func TestScopeNeedsMulticast(t *testing.T) {
-	const n = 2
-	net := transport.NewMemNet(n)
-	eps := make([]transport.Endpoint, n)
-	for i := range eps {
-		eps[i] = p2pEndpoint{net.Endpoint(i)}
-	}
-	err := mpi.RunEndpoints(eps, mpi.Algorithms{}, func(c *mpi.Comm) error {
-		cc := c.BeginColl()
-		if cc.CanMulticast() {
-			return errors.New("the wrapped endpoint still multicasts")
-		}
-		for _, s := range []mpi.Scope{mpi.Whole, mpi.Slice(c.Rank()), mpi.Seg(0), mpi.Slice(-1)} {
-			for method, err := range scopeCalls(cc, s) {
-				if !errors.Is(err, mpi.ErrNoMulticast) {
-					return fmt.Errorf("%s(%+v) = %v, want ErrNoMulticast", method, s, err)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Error(err)
-	}
 }
 
 // TestScopesDeliverApart: on a placed communicator a multicast reaches

@@ -145,7 +145,7 @@ func TestStaleMulticastDuplicatesDropped(t *testing.T) {
 
 func TestAckBcastOverMemNet(t *testing.T) {
 	// The ACK protocol's timed receives must work over the wall-clock
-	// transport too (MemNet implements DeadlineRecver).
+	// transport too (every transport.Endpoint has RecvTimeout).
 	algs := core.AckAlgorithms()
 	err := mpi.RunMem(3, algs, func(c *mpi.Comm) error {
 		buf := make([]byte, 64)

@@ -471,7 +471,7 @@ func (d *Driver) Receive(now int64, f transport.Fragment, room bool) (a Arrival)
 }
 
 // PendingFrom reports the newest partially reassembled multicast from src
-// (transport.FragmentRepairer.PendingFrom).
+// (transport.Wire.PendingFrom).
 func (d *Driver) PendingFrom(src int) (msgID uint64, missing []int, seen transport.Arrivals, ok bool) {
 	return d.reasm.PendingFrom(src)
 }

@@ -28,7 +28,7 @@
 //     everything the receiver has — delivered sequence numbers
 //     (cumulative + selective) and, for partially reassembled messages,
 //     the exact missing fragment indexes (the receiver's reassembler
-//     already tracks them, mirroring the multicast FragmentRepairer). It
+//     already tracks them, mirroring transport.Wire's PendingFrom). It
 //     asks at once when a send finds the window full, so a busy stream
 //     pays one round trip for credit and never waits on a timer, and
 //     after RTO of silence otherwise, with exponential backoff, failing

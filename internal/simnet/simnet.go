@@ -482,7 +482,7 @@ type DeliveredStats struct {
 }
 
 // Endpoint is one rank's attachment to the simulated network. It
-// implements transport.Endpoint and transport.Multicaster. All methods
+// implements transport.Endpoint and transport.Wire. All methods
 // must be called from the rank program started by Network.Run.
 type Endpoint struct {
 	nw        *Network
@@ -523,17 +523,11 @@ type Endpoint struct {
 }
 
 var (
-	_ transport.Endpoint         = (*Endpoint)(nil)
-	_ transport.Multicaster      = (*Endpoint)(nil)
-	_ transport.FragmentRepairer = (*Endpoint)(nil)
-	_ transport.Pacer            = (*Endpoint)(nil)
-	_ transport.ReliableSender   = (*Endpoint)(nil)
-	_ transport.DeadlineRecver   = (*Endpoint)(nil)
-	_ transport.Pinger           = (*Endpoint)(nil)
-	_ transport.PeerFailer       = (*Endpoint)(nil)
-	_ topo.Provider              = (*Endpoint)(nil)
-	_ trace.Carrier              = (*Endpoint)(nil)
-	_ metrics.Carrier            = (*Endpoint)(nil)
+	_ transport.Endpoint = (*Endpoint)(nil)
+	_ transport.Wire     = (*Endpoint)(nil)
+	_ topo.Provider      = (*Endpoint)(nil)
+	_ trace.Carrier      = (*Endpoint)(nil)
+	_ metrics.Carrier    = (*Endpoint)(nil)
 )
 
 // TraceRecorder implements trace.Carrier: the network-wide flight
@@ -601,12 +595,12 @@ func (ep *Endpoint) Send(dst int, m transport.Message) error {
 	return ep.transmit(ipnet.RankAddr(dst), m)
 }
 
-// FailPeer implements transport.PeerFailer: traffic to dst is silently
+// FailPeer implements transport.Wire: traffic to dst is silently
 // discarded and its stream stops probing, so background probes to a dead
 // rank cannot poison the whole endpoint after a Shrink.
 func (ep *Endpoint) FailPeer(dst int) { ep.streams.FailPeer(dst) }
 
-// Ping implements transport.Pinger: one stream-layer probe to dst,
+// Ping implements transport.Wire: one stream-layer probe to dst,
 // answered at interrupt level by any live peer (even one deep in a
 // compute stall), never by a killed one.
 func (ep *Endpoint) Ping(dst int, timeout int64) bool {
@@ -627,7 +621,7 @@ func (ep *Endpoint) Ping(dst int, timeout int64) bool {
 	return err == nil && !ep.killed && !ep.closed && ep.streams.AcksSeen(dst) > before
 }
 
-// SendReliable implements transport.ReliableSender: m rides the
+// SendReliable implements transport.Wire: m rides the
 // per-peer sequence-numbered stream to dst with a sliding send window —
 // the call blocks (in virtual time) while the window is full — and the
 // stream layer retransmits anything the receiver proves lost. The
@@ -777,7 +771,7 @@ func (ep *Endpoint) resendFrags(dst int, frags []transport.Fragment) {
 	}
 }
 
-// Join implements transport.Multicaster.
+// Join implements transport.Endpoint.
 func (ep *Endpoint) Join(group uint32) error {
 	if err := ep.downErr(); err != nil {
 		return err
@@ -785,7 +779,7 @@ func (ep *Endpoint) Join(group uint32) error {
 	return ep.node.Join(ipnet.GroupAddr(group))
 }
 
-// Leave implements transport.Multicaster.
+// Leave implements transport.Endpoint.
 func (ep *Endpoint) Leave(group uint32) error {
 	if err := ep.downErr(); err != nil {
 		return err
@@ -793,7 +787,7 @@ func (ep *Endpoint) Leave(group uint32) error {
 	return ep.node.Leave(ipnet.GroupAddr(group))
 }
 
-// Multicast implements transport.Multicaster: one transmission reaches
+// Multicast implements transport.Endpoint: one transmission reaches
 // every joined member, exactly as one IP multicast datagram does.
 func (ep *Endpoint) Multicast(group uint32, m transport.Message) error {
 	if err := ep.downErr(); err != nil {
@@ -844,10 +838,10 @@ func (ep *Endpoint) transmitFrags(dst ipnet.Addr, m transport.Message, frags []t
 	return nil
 }
 
-// LastMulticastID implements transport.FragmentRepairer.
+// LastMulticastID implements transport.Wire.
 func (ep *Endpoint) LastMulticastID() uint64 { return ep.lastMcast }
 
-// RepairMulticast implements transport.FragmentRepairer: it retransmits
+// RepairMulticast implements transport.Wire: it retransmits
 // the named fragments of m (nil = all) to group under the original
 // message id, so they complete receivers' partial reassembly.
 func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uint64, frags []int) error {
@@ -863,13 +857,13 @@ func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uin
 	return ep.transmitFrags(ipnet.GroupAddr(group), m, send)
 }
 
-// PendingFrom implements transport.FragmentRepairer from the stream
+// PendingFrom implements transport.Wire from the stream
 // driver's reassembly state.
 func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, seen transport.Arrivals, ok bool) {
 	return ep.streams.PendingFrom(src)
 }
 
-// MaxFragPayload implements transport.Fragmenter.
+// MaxFragPayload implements transport.Wire.
 func (ep *Endpoint) MaxFragPayload() int { return MaxFragPayload }
 
 // consumeStraggle sleeps off any injected compute stall accrued by
@@ -883,7 +877,7 @@ func (ep *Endpoint) consumeStraggle(p *sim.Proc) {
 	}
 }
 
-// Pace implements transport.Pacer as virtual-time sleep.
+// Pace implements transport.Wire as virtual-time sleep.
 func (ep *Endpoint) Pace(d int64) {
 	p := ep.proc
 	if p == nil {
@@ -894,7 +888,7 @@ func (ep *Endpoint) Pace(d int64) {
 	}
 }
 
-// PostRecvs implements transport.RecvPoster: it adds n standing receive
+// PostRecvs implements transport.Wire: it adds n standing receive
 // descriptors to the endpoint's posted count, so strict-posted mode
 // keeps accepting multicast frames between the Recv calls of a burst of
 // concurrent collective rounds.
@@ -1024,7 +1018,7 @@ func (ep *Endpoint) Recv() (transport.Message, error) {
 	return a.msg, nil
 }
 
-// RecvTimeout implements transport.DeadlineRecver against virtual time,
+// RecvTimeout implements transport.Endpoint against virtual time,
 // with the same whole-call posted scope as Recv.
 func (ep *Endpoint) RecvTimeout(timeout int64) (transport.Message, bool, error) {
 	p := ep.proc

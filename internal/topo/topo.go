@@ -149,8 +149,8 @@ func (m *Map) String() string {
 // Provider is the optional device capability of describing the fabric's
 // rank placement. Transports that know their wiring (the simulator) or
 // were told it (udpnet configuration) implement it on their endpoints;
-// package mpi discovers it by interface assertion, exactly like the
-// multicast capability. A nil map means the device has no topology to
+// package mpi discovers it by interface assertion, exactly like
+// transport.Wire. A nil map means the device has no topology to
 // report.
 type Provider interface {
 	// TopoMap returns the world's placement, or nil when unknown.

@@ -43,8 +43,8 @@
 // check that allocates nothing (pinned by TestDisabledRecorderAllocs).
 // Transports expose an attached recorder through the Carrier interface,
 // which internal/mpi discovers by interface assertion at runtime
-// construction — the same optional-capability pattern the Multicaster
-// and topology providers use.
+// construction — the same pattern as the device's transport.Wire and
+// the topology provider.
 //
 // # Export and analysis
 //

@@ -144,7 +144,7 @@ func (r *Recorder) Reset() {
 
 // Carrier is the optional capability by which an endpoint exposes its
 // network's flight recorder; the MPI runtime discovers it by interface
-// assertion exactly like the multicast capability. A nil recorder (or
+// assertion exactly like transport.Wire. A nil recorder (or
 // an endpoint without the capability) means tracing is disabled.
 type Carrier interface {
 	TraceRecorder() *Recorder

@@ -109,7 +109,7 @@ func (c *Counters) String() string {
 // size bytes needs when each frame carries at most frag payload bytes —
 // the ceil(M/T) factor in the paper's formulas (one frame minimum). A
 // non-positive frag means the device reported no fragmentation limit
-// (transport.Fragmenter absent), so the message rides a single frame.
+// (it has no transport.Wire), so the message rides a single frame.
 func FramesForMessage(size, frag int) int {
 	if size <= 0 || frag <= 0 {
 		return 1

@@ -10,7 +10,8 @@ import (
 // MemNet is an in-process transport: every endpoint is a goroutine-owned
 // inbox channel, multicast is delivered by iterating the group in rank
 // order. It has no MTU, no loss and no modeled latency; it exists for
-// fast correctness testing of everything above the device layer.
+// fast correctness testing of everything above the device layer. Having
+// no wire, its endpoints do not implement Wire.
 type MemNet struct {
 	mu        sync.Mutex
 	endpoints []*MemEndpoint
@@ -52,10 +53,7 @@ type MemEndpoint struct {
 	closed bool
 }
 
-var (
-	_ Endpoint    = (*MemEndpoint)(nil)
-	_ Multicaster = (*MemEndpoint)(nil)
-)
+var _ Endpoint = (*MemEndpoint)(nil)
 
 // Rank implements Endpoint.
 func (e *MemEndpoint) Rank() int { return e.rank }
@@ -96,7 +94,7 @@ func (e *MemEndpoint) Recv() (Message, error) {
 	return m, nil
 }
 
-// RecvTimeout implements DeadlineRecver.
+// RecvTimeout implements Endpoint.
 func (e *MemEndpoint) RecvTimeout(timeout int64) (Message, bool, error) {
 	t := time.NewTimer(time.Duration(timeout))
 	defer t.Stop()
@@ -111,7 +109,7 @@ func (e *MemEndpoint) RecvTimeout(timeout int64) (Message, bool, error) {
 	}
 }
 
-// Join implements Multicaster.
+// Join implements Endpoint.
 func (e *MemEndpoint) Join(group uint32) error {
 	e.net.mu.Lock()
 	defer e.net.mu.Unlock()
@@ -124,7 +122,7 @@ func (e *MemEndpoint) Join(group uint32) error {
 	return nil
 }
 
-// Leave implements Multicaster.
+// Leave implements Endpoint.
 func (e *MemEndpoint) Leave(group uint32) error {
 	e.net.mu.Lock()
 	defer e.net.mu.Unlock()
@@ -137,7 +135,7 @@ func (e *MemEndpoint) Leave(group uint32) error {
 	return nil
 }
 
-// Multicast implements Multicaster: receiver-directed delivery to every
+// Multicast implements Endpoint: receiver-directed delivery to every
 // joined member except the sender, in deterministic rank order.
 func (e *MemEndpoint) Multicast(group uint32, m Message) error {
 	e.net.mu.Lock()

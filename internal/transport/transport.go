@@ -3,13 +3,16 @@
 // paper's Fig. 1 — plus the shared wire format, fragmentation helpers and
 // an in-process reference implementation.
 //
-// Three transports implement the interfaces:
+// A device is an Endpoint — point-to-point and multicast delivery, a
+// timed receive, a clock — and a device with a real wire is also a Wire.
+// Three transports implement them:
 //
 //   - MemNet (this package): goroutines and channels, for unit tests and
-//     fast in-process runs.
+//     fast in-process runs. An Endpoint only: no MTU, no loss.
 //   - simnet: the discrete-event Fast Ethernet simulator used to
-//     regenerate the paper's figures.
+//     regenerate the paper's figures. An Endpoint and a Wire.
 //   - udpnet: real UDP sockets with genuine IP multicast via package net.
+//     An Endpoint and a Wire.
 //
 // Point-to-point sends are buffered (they return once the message is
 // handed to the device; there is no rendezvous). Multicast delivery is
@@ -101,8 +104,10 @@ type Message struct {
 	Payload  []byte
 }
 
-// Endpoint is one rank's attachment to the network. All methods are
-// called from the owning rank's goroutine (or simulated process) only.
+// Endpoint is one rank's attachment to the network. Every device
+// multicasts: the paper's collectives bypass the point-to-point layers
+// and talk to the device's multicast directly. All methods are called
+// from the owning rank's goroutine (or simulated process) only.
 type Endpoint interface {
 	// Rank returns this endpoint's world rank.
 	Rank() int
@@ -114,6 +119,16 @@ type Endpoint interface {
 	// Recv blocks until the next message arrives and returns it. It
 	// returns ErrClosed after Close.
 	Recv() (Message, error)
+	// RecvTimeout behaves like Recv but gives up after timeout
+	// nanoseconds (on the endpoint's clock), returning ok=false.
+	RecvTimeout(timeout int64) (m Message, ok bool, err error)
+	// Join subscribes the endpoint to group. Messages multicast to a
+	// group are delivered to every member except the sender.
+	Join(group uint32) error
+	// Leave unsubscribes from group.
+	Leave(group uint32) error
+	// Multicast sends m to every member of group in one operation.
+	Multicast(group uint32, m Message) error
 	// Now returns monotonic nanoseconds on the endpoint's clock —
 	// virtual time for the simulator, wall time otherwise. Latency
 	// measurements must use this clock.
@@ -122,143 +137,55 @@ type Endpoint interface {
 	Close() error
 }
 
-// Multicaster is the optional device capability the paper's collectives
-// require. Baseline (MPICH-style) collectives run on any Endpoint; the
-// multicast collectives in package core type-assert to Multicaster and
-// bypass the point-to-point path entirely, mirroring how the paper's
-// implementation bypasses the MPICH layering.
-type Multicaster interface {
-	// Join subscribes the endpoint to group. Messages multicast to a
-	// group are delivered to every member except the sender.
-	Join(group uint32) error
-	// Leave unsubscribes from group.
-	Leave(group uint32) error
-	// Multicast sends m to every member of group in one operation.
-	Multicast(group uint32, m Message) error
-}
-
-// FragmentRepairer is the optional capability of fragment-granular
-// multicast repair. Devices that fragment messages on the wire (the
-// simulator, real UDP) expose it so the NACK protocols in package core
-// can retransmit only the fragments a receiver names — making repair
-// convergence independent of message size — and so receivers can name
-// them, via the device's reassembly state. Devices without an MTU (the
-// in-process channel transport) simply do not implement it and the
-// protocols fall back to whole-message repair.
-type FragmentRepairer interface {
-	// LastMulticastID returns the device message id stamped on this
-	// endpoint's most recent multicast (0 before the first). Senders
-	// capture it right after a Multicast so later repair requests can be
-	// matched against the round's data message.
+// Wire is the optional capability of a device with a real wire — an MTU,
+// loss, peers that die: simnet and udpnet. The in-process channel
+// transport has none and does not implement it; package mpi then sends
+// plainly, repairs by resending whole messages and neither paces nor
+// probes.
+type Wire interface {
+	// SendReliable transmits m to world rank dst over the per-peer
+	// windowed stream of package reliab, which retransmits whatever the
+	// receiver proves lost. It may block (or pace, on the virtual clock)
+	// while the window is full: that backpressure, not a silent drop,
+	// bounds what a fast sender can converge on one receiver.
+	SendReliable(dst int, m Message) error
+	// MaxFragPayload returns the message payload bytes per wire frame.
+	MaxFragPayload() int
+	// LastMulticastID returns the device message id of this endpoint's
+	// most recent multicast (0 before the first), so later repair
+	// requests can be matched against it.
 	LastMulticastID() uint64
-	// RepairMulticast retransmits the named fragments of m to group
-	// under the original message id, so they complete the receivers'
-	// partial reassembly instead of starting a fresh message. A nil
-	// fragment list resends every fragment (full repair). m must carry
-	// the exact payload of the original multicast. Every fragment goes
-	// out flagged Fragment.Repair: the whole group hears that the
+	// RepairMulticast retransmits the named fragments (nil = all) of m to
+	// group under the original message id, completing the receivers'
+	// partial reassembly; m must carry the original payload. Every
+	// fragment is flagged Fragment.Repair: the group hears that the
 	// network lost something.
 	RepairMulticast(group uint32, m Message, msgID uint64, frags []int) error
 	// PendingFrom reports the newest partially reassembled multicast
 	// from world rank src: its message id, its missing fragment indexes
 	// and when what it holds arrived, on the endpoint's clock. ok=false
-	// means nothing from src is pending (the message was never seen at
-	// all, or already completed).
+	// means nothing from src is pending.
 	PendingFrom(src int) (msgID uint64, missing []int, seen Arrivals, ok bool)
-}
-
-// ReliableSender is the optional capability of windowed reliable
-// point-to-point delivery (package reliab): messages to a peer ride a
-// per-peer sequence-numbered stream with a sliding send window,
-// cumulative acknowledgments and selective retransmission on timeout, so
-// a lost fragment — of any frame kind: a scout, a reduce half, a gather
-// chunk, even a repair request — is retransmitted instead of deadlocking
-// the protocol that was waiting for it. The call may block (or pace, on
-// the simulator's virtual clock) while the peer's send window is full:
-// that backpressure, not a silent drop, is what bounds the in-flight
-// traffic a fast sender can converge on one receiver.
-//
-// Package mpi routes the collective bypass traffic (messages with
-// Reliable=false — the paper's UDP path) through this capability when
-// the device offers it; Reliable=true messages model the MPICH baseline's
-// kernel TCP and keep the plain path. Devices whose delivery is already
-// lossless (the in-process channel transport) simply do not implement it.
-type ReliableSender interface {
-	// SendReliable transmits m to world rank dst over the reliable
-	// stream. It returns once the message is handed to the device with a
-	// window reservation; delivery and retransmission are asynchronous.
-	SendReliable(dst int, m Message) error
-}
-
-// Fragmenter is the optional capability of reporting the device's
-// fragment payload size — the message bytes carried per wire frame.
-// Protocols that scale timeouts or silence budgets with a message's
-// expected fragment count read it here instead of guessing an MTU
-// (devices without one, like the in-process channel transport, simply
-// do not implement it).
-type Fragmenter interface {
-	// MaxFragPayload returns the message payload bytes per fragment.
-	MaxFragPayload() int
-}
-
-// Pacer is the optional capability of pausing the calling rank for a
-// duration on the endpoint's clock (virtual time under the simulator,
-// wall time otherwise). The pipelined round engine uses it to pace a
-// sub-frame data multicast by a scout-frame time so the multicast cannot
-// land inside a receiver's scout-forwarding window (see package core).
-// Devices without a useful notion of pacing simply do not implement it.
-type Pacer interface {
-	// Pace suspends the calling rank for d nanoseconds.
+	// Pace suspends the calling rank for d nanoseconds on the endpoint's
+	// clock (package core paces sub-frame data multicasts with it).
 	Pace(d int64)
-}
-
-// RecvPoster is the optional capability of posting standing receive
-// descriptors ahead of the Recv calls that consume them. Under the
-// paper's strict-posted discipline a multicast frame arriving while the
-// receiver has no descriptor posted is silently lost; a collective in
-// which every rank multicasts at once (the two-level allgather and
-// alltoall in package core) posts one descriptor per multicast it
-// expects up front, so every data frame finds a descriptor no matter how
-// the senders interleave. Devices without VIA-style descriptor
-// accounting simply do not implement it.
-type RecvPoster interface {
-	// PostRecvs posts n additional standing receive descriptors.
+	// PostRecvs posts n standing receive descriptors. Under the paper's
+	// strict-posted discipline a multicast frame that finds none posted
+	// is lost, so a collective in which every rank multicasts at once
+	// posts one per multicast it expects. A device that never drops for
+	// want of a descriptor implements it as a no-op.
 	PostRecvs(n int)
 	// UnpostRecvs retires n previously posted descriptors.
 	UnpostRecvs(n int)
-}
-
-// DeadlineRecver is the optional capability of receiving with a timeout,
-// needed by acknowledgment-based reliability protocols (the PVM-style
-// sender-repeats-until-acked broadcast the paper compares against).
-type DeadlineRecver interface {
-	// RecvTimeout behaves like Endpoint.Recv but gives up after timeout
-	// nanoseconds (on the endpoint's clock), returning ok=false.
-	RecvTimeout(timeout int64) (m Message, ok bool, err error)
-}
-
-// Pinger is the optional capability of an explicit liveness probe. Ping
-// sends one stream-layer probe to dst and waits up to timeout
-// nanoseconds (on the endpoint's clock) for any stream acknowledgment
-// back from it. The probe rides the same wire path as the reliable
-// stream's RTO probes, so an answer proves the peer's receive path is
-// alive — a rank that is merely computing (a straggler) still answers,
-// because stream control is handled at interrupt level, while a dead
-// rank never does. The failure detector in package mpi is built on it.
-type Pinger interface {
-	// Ping reports whether dst acknowledged a liveness probe within
-	// timeout nanoseconds.
+	// Ping sends one stream-layer probe to dst and reports whether any
+	// stream acknowledgment came back within timeout nanoseconds. It is
+	// answered at interrupt level, so a rank that is merely computing
+	// answers and a dead one never does. Ping(self) is false. The failure
+	// detector in package mpi is built on it.
 	Ping(dst int, timeout int64) bool
-}
-
-// PeerFailer is the optional capability of declaring a peer dead at the
-// device layer. After FailPeer(dst), the endpoint silently discards
-// traffic addressed to dst and stops retransmission timers for it, so a
-// survivor communicator (Comm.Shrink in package mpi) is not poisoned by
-// background probes to the dead rank exhausting the stream's retry
-// budget.
-type PeerFailer interface {
-	// FailPeer marks world rank dst as failed for this endpoint.
+	// FailPeer declares world rank dst dead: traffic to it is discarded
+	// and its retransmission timers stop, so background probes to a dead
+	// rank cannot exhaust the stream's retry budget after Comm.Shrink.
 	FailPeer(dst int)
 }
 

@@ -44,6 +44,7 @@ func RunAll(t *testing.T, f Factory) {
 	t.Run("Exchange", func(t *testing.T) { testExchange(t, f) })
 	t.Run("ClockMonotonic", func(t *testing.T) { testClockMonotonic(t, f) })
 	t.Run("ReliableStream", func(t *testing.T) { testReliableStream(t, f) })
+	t.Run("Ping", func(t *testing.T) { testPing(t, f) })
 }
 
 func pattern(n int, seed byte) []byte {
@@ -168,14 +169,6 @@ func testLargeMessage(t *testing.T, f Factory) {
 	h.Run(t, fns)
 }
 
-func mcastEP(ep transport.Endpoint) (transport.Multicaster, error) {
-	mc, ok := ep.(transport.Multicaster)
-	if !ok {
-		return nil, fmt.Errorf("endpoint %T does not implement Multicaster", ep)
-	}
-	return mc, nil
-}
-
 func testMulticastMembersOnly(t *testing.T, f Factory) {
 	h := f(t, 4)
 	const group = 7
@@ -184,27 +177,19 @@ func testMulticastMembersOnly(t *testing.T, f Factory) {
 	// Ranks 1 and 2 join; rank 3 does not. Rank 3 confirms non-delivery
 	// by receiving a later unicast "flush" and nothing before it.
 	fns[0] = func(ep transport.Endpoint) error {
-		mc, err := mcastEP(ep)
-		if err != nil {
-			return err
-		}
 		// Receive joins before multicasting.
 		for i := 0; i < 2; i++ {
 			if _, err := ep.Recv(); err != nil {
 				return err
 			}
 		}
-		if err := mc.Multicast(group, transport.Message{Seq: 1, Payload: want}); err != nil {
+		if err := ep.Multicast(group, transport.Message{Seq: 1, Payload: want}); err != nil {
 			return err
 		}
 		return ep.Send(3, transport.Message{Tag: 99})
 	}
 	member := func(ep transport.Endpoint) error {
-		mc, err := mcastEP(ep)
-		if err != nil {
-			return err
-		}
-		if err := mc.Join(group); err != nil {
+		if err := ep.Join(group); err != nil {
 			return err
 		}
 		if err := ep.Send(0, transport.Message{Tag: 1}); err != nil {
@@ -242,17 +227,13 @@ func testMulticastExcludesSender(t *testing.T, f Factory) {
 	const group = 3
 	fns := make([]func(transport.Endpoint) error, 2)
 	fns[0] = func(ep transport.Endpoint) error {
-		mc, err := mcastEP(ep)
-		if err != nil {
-			return err
-		}
-		if err := mc.Join(group); err != nil {
+		if err := ep.Join(group); err != nil {
 			return err
 		}
 		if _, err := ep.Recv(); err != nil { // wait for rank 1's join signal
 			return err
 		}
-		if err := mc.Multicast(group, transport.Message{Seq: 5}); err != nil {
+		if err := ep.Multicast(group, transport.Message{Seq: 5}); err != nil {
 			return err
 		}
 		// The sender itself is a member but must NOT receive its own
@@ -268,11 +249,7 @@ func testMulticastExcludesSender(t *testing.T, f Factory) {
 		return nil
 	}
 	fns[1] = func(ep transport.Endpoint) error {
-		mc, err := mcastEP(ep)
-		if err != nil {
-			return err
-		}
-		if err := mc.Join(group); err != nil {
+		if err := ep.Join(group); err != nil {
 			return err
 		}
 		if err := ep.Send(0, transport.Message{Tag: 1}); err != nil {
@@ -292,23 +269,15 @@ func testMulticastLargeMessage(t *testing.T, f Factory) {
 	want := pattern(8_000, 5)
 	fns := make([]func(transport.Endpoint) error, 3)
 	fns[0] = func(ep transport.Endpoint) error {
-		mc, err := mcastEP(ep)
-		if err != nil {
-			return err
-		}
 		for i := 0; i < 2; i++ {
 			if _, err := ep.Recv(); err != nil {
 				return err
 			}
 		}
-		return mc.Multicast(group, transport.Message{Seq: 2, Payload: want})
+		return ep.Multicast(group, transport.Message{Seq: 2, Payload: want})
 	}
 	member := func(ep transport.Endpoint) error {
-		mc, err := mcastEP(ep)
-		if err != nil {
-			return err
-		}
-		if err := mc.Join(group); err != nil {
+		if err := ep.Join(group); err != nil {
 			return err
 		}
 		if err := ep.Send(0, transport.Message{Tag: 1}); err != nil {
@@ -333,26 +302,18 @@ func testMulticastAfterLeave(t *testing.T, f Factory) {
 	const group = 4
 	fns := make([]func(transport.Endpoint) error, 3)
 	fns[0] = func(ep transport.Endpoint) error {
-		mc, err := mcastEP(ep)
-		if err != nil {
-			return err
-		}
 		for i := 0; i < 2; i++ {
 			if _, err := ep.Recv(); err != nil {
 				return err
 			}
 		}
-		if err := mc.Multicast(group, transport.Message{Seq: 1}); err != nil {
+		if err := ep.Multicast(group, transport.Message{Seq: 1}); err != nil {
 			return err
 		}
 		return ep.Send(2, transport.Message{Tag: 99})
 	}
 	fns[1] = func(ep transport.Endpoint) error {
-		mc, err := mcastEP(ep)
-		if err != nil {
-			return err
-		}
-		if err := mc.Join(group); err != nil {
+		if err := ep.Join(group); err != nil {
 			return err
 		}
 		if err := ep.Send(0, transport.Message{Tag: 1}); err != nil {
@@ -368,14 +329,10 @@ func testMulticastAfterLeave(t *testing.T, f Factory) {
 		return nil
 	}
 	fns[2] = func(ep transport.Endpoint) error {
-		mc, err := mcastEP(ep)
-		if err != nil {
+		if err := ep.Join(group); err != nil {
 			return err
 		}
-		if err := mc.Join(group); err != nil {
-			return err
-		}
-		if err := mc.Leave(group); err != nil {
+		if err := ep.Leave(group); err != nil {
 			return err
 		}
 		if err := ep.Send(0, transport.Message{Tag: 1}); err != nil {
@@ -443,17 +400,17 @@ func testExchange(t *testing.T, f Factory) {
 	h.Run(t, fns)
 }
 
-// testReliableStream exercises the optional ReliableSender capability:
+// testReliableStream exercises the reliable stream of a transport.Wire:
 // a burst of streamed messages — small, empty and multi-fragment,
 // interleaved with a plain send — must arrive exactly once each with
-// payloads intact. Transports without the capability are skipped (their
-// delivery is already lossless).
+// payloads intact. Transports without a wire are skipped (their delivery
+// is already lossless).
 func testReliableStream(t *testing.T, f Factory) {
 	h := f(t, 2)
 	const burst = 40
 	fns := make([]func(transport.Endpoint) error, h.Size())
 	fns[0] = func(ep transport.Endpoint) error {
-		rs, ok := ep.(transport.ReliableSender)
+		w, ok := ep.(transport.Wire)
 		if !ok {
 			return nil
 		}
@@ -467,7 +424,7 @@ func testReliableStream(t *testing.T, f Factory) {
 			case 2:
 				payload = pattern(4000+i, byte(i)) // several fragments
 			}
-			if err := rs.SendReliable(1, transport.Message{Tag: int32(i), Payload: payload}); err != nil {
+			if err := w.SendReliable(1, transport.Message{Tag: int32(i), Payload: payload}); err != nil {
 				return fmt.Errorf("streamed send %d: %w", i, err)
 			}
 		}
@@ -475,7 +432,7 @@ func testReliableStream(t *testing.T, f Factory) {
 		return ep.Send(1, transport.Message{Tag: burst, Reliable: true, Payload: pattern(10, 99)})
 	}
 	fns[1] = func(ep transport.Endpoint) error {
-		if _, ok := ep.(transport.ReliableSender); !ok {
+		if _, ok := ep.(transport.Wire); !ok {
 			return nil
 		}
 		seen := make(map[int32]bool)
@@ -507,6 +464,32 @@ func testReliableStream(t *testing.T, f Factory) {
 	}
 	for i := 2; i < h.Size(); i++ {
 		fns[i] = func(transport.Endpoint) error { return nil }
+	}
+	h.Run(t, fns)
+}
+
+// testPing: a live peer answers a transport.Wire's liveness probe, and a
+// rank is never its own peer. Transports without a wire are skipped.
+func testPing(t *testing.T, f Factory) {
+	h := f(t, 2)
+	const timeout = 1_000_000_000 // 1 s on the endpoint's clock
+	fns := make([]func(transport.Endpoint) error, 2)
+	fns[0] = func(ep transport.Endpoint) error {
+		self, peer := false, true
+		if w, ok := ep.(transport.Wire); ok {
+			self, peer = w.Ping(0, timeout), w.Ping(1, timeout)
+		}
+		if err := ep.Send(1, transport.Message{Tag: 1}); err != nil {
+			return err
+		}
+		if self || !peer {
+			return fmt.Errorf("Ping(self) = %v, Ping(live peer) = %v; want false, true", self, peer)
+		}
+		return nil
+	}
+	fns[1] = func(ep transport.Endpoint) error {
+		_, err := ep.Recv() // alive until rank 0 is done pinging
+		return err
 	}
 	h.Run(t, fns)
 }

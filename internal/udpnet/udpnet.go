@@ -289,17 +289,11 @@ type Endpoint struct {
 }
 
 var (
-	_ transport.Endpoint         = (*Endpoint)(nil)
-	_ transport.Multicaster      = (*Endpoint)(nil)
-	_ transport.DeadlineRecver   = (*Endpoint)(nil)
-	_ transport.FragmentRepairer = (*Endpoint)(nil)
-	_ transport.Pacer            = (*Endpoint)(nil)
-	_ transport.ReliableSender   = (*Endpoint)(nil)
-	_ transport.Pinger           = (*Endpoint)(nil)
-	_ transport.PeerFailer       = (*Endpoint)(nil)
-	_ topo.Provider              = (*Endpoint)(nil)
-	_ trace.Carrier              = (*Endpoint)(nil)
-	_ metrics.Carrier            = (*Endpoint)(nil)
+	_ transport.Endpoint = (*Endpoint)(nil)
+	_ transport.Wire     = (*Endpoint)(nil)
+	_ topo.Provider      = (*Endpoint)(nil)
+	_ trace.Carrier      = (*Endpoint)(nil)
+	_ metrics.Carrier    = (*Endpoint)(nil)
 )
 
 // TraceRecorder implements trace.Carrier: the world-wide flight recorder
@@ -375,7 +369,7 @@ func (ep *Endpoint) Streams() []reliab.StreamState {
 // KillRank kills rank r's endpoint (see Endpoint.Kill).
 func (nw *Net) KillRank(r int) { nw.eps[r].Kill() }
 
-// FailPeer implements transport.PeerFailer: the failure detector
+// FailPeer implements transport.Wire: the failure detector
 // declared dst dead. Sends to it turn into silent no-ops and its stream
 // stops probing, so background retransmission toward a corpse cannot
 // exhaust the probe budget and poison the whole endpoint.
@@ -389,13 +383,14 @@ func (ep *Endpoint) FailPeer(dst int) {
 	ep.mu.Unlock()
 }
 
-// Ping implements transport.Pinger: it solicits one stream
+// Ping implements transport.Wire: it solicits one stream
 // acknowledgment from dst and reports whether any ack from dst arrived
 // within timeout. The probe is answered on the receiver's read loop —
 // below the application — so a rank that is slow or compute-bound still
-// answers; only a killed or crashed one stays silent.
+// answers; only a killed or crashed one stays silent. A rank is not its
+// own peer: Ping(self) is false, as on simnet.
 func (ep *Endpoint) Ping(dst int, timeout int64) bool {
-	if dst < 0 || dst >= len(ep.peers) {
+	if dst < 0 || dst >= len(ep.peers) || dst == ep.rank {
 		return false
 	}
 	ep.mu.Lock()
@@ -452,7 +447,7 @@ func (ep *Endpoint) Send(dst int, m transport.Message) error {
 	return ep.write(ep.peers[dst], m)
 }
 
-// SendReliable implements transport.ReliableSender: m rides the
+// SendReliable implements transport.Wire: m rides the
 // per-peer sequence-numbered stream to dst with a sliding send window
 // (the call blocks while the window is full) and the stream layer
 // retransmits whatever the receiver proves lost — over real sockets,
@@ -563,7 +558,7 @@ func (ep *Endpoint) writeCtl(dst int, body []byte) {
 	_ = ep.writeFrags(ep.peers[dst], reliab.CtlFrame(ep.rank, ep.msgID.Add(1), body))
 }
 
-// Multicast implements transport.Multicaster: fragments m and writes each
+// Multicast implements transport.Endpoint: fragments m and writes each
 // fragment to the group address once. The kernel (and the LAN, on real
 // hardware) fans it out to members; our own looped-back copy is filtered
 // in readLoop.
@@ -611,14 +606,14 @@ func (ep *Endpoint) writeFrags(dst netip.AddrPort, frags ...transport.Fragment) 
 	return err
 }
 
-// LastMulticastID implements transport.FragmentRepairer.
+// LastMulticastID implements transport.Wire.
 func (ep *Endpoint) LastMulticastID() uint64 {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	return ep.lastMcast
 }
 
-// RepairMulticast implements transport.FragmentRepairer: the named
+// RepairMulticast implements transport.Wire: the named
 // fragments of m (nil = all) are retransmitted to group under the
 // original message id, completing receivers' partial reassembly.
 func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uint64, frags []int) error {
@@ -637,7 +632,7 @@ func (ep *Endpoint) RepairMulticast(group uint32, m transport.Message, msgID uin
 	return ep.writeFrags(ep.net.groupAddr(group), send...)
 }
 
-// PendingFrom implements transport.FragmentRepairer from the stream
+// PendingFrom implements transport.Wire from the stream
 // driver's reassembly state.
 func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, seen transport.Arrivals, ok bool) {
 	ep.mu.Lock()
@@ -645,17 +640,25 @@ func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, seen tran
 	return ep.streams.PendingFrom(src)
 }
 
-// MaxFragPayload implements transport.Fragmenter.
+// MaxFragPayload implements transport.Wire.
 func (ep *Endpoint) MaxFragPayload() int { return fragSize }
 
-// Pace implements transport.Pacer as a wall-clock sleep.
+// Pace implements transport.Wire as a wall-clock sleep.
 func (ep *Endpoint) Pace(d int64) {
 	if d > 0 {
 		time.Sleep(time.Duration(d))
 	}
 }
 
-// Join implements transport.Multicaster: it opens a socket that is a
+// PostRecvs implements transport.Wire as a no-op: a read loop blocks on
+// the inbox channel rather than drop a message, so none is ever lost for
+// want of a posted receive.
+func (ep *Endpoint) PostRecvs(int) {}
+
+// UnpostRecvs implements transport.Wire as a no-op (see PostRecvs).
+func (ep *Endpoint) UnpostRecvs(int) {}
+
+// Join implements transport.Endpoint: it opens a socket that is a
 // member of the group on the world's multicast path and starts a reader
 // for it.
 func (ep *Endpoint) Join(group uint32) error {
@@ -678,7 +681,7 @@ func (ep *Endpoint) Join(group uint32) error {
 	return nil
 }
 
-// Leave implements transport.Multicaster.
+// Leave implements transport.Endpoint.
 func (ep *Endpoint) Leave(group uint32) error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -803,7 +806,7 @@ func (ep *Endpoint) Recv() (transport.Message, error) {
 	}
 }
 
-// RecvTimeout implements transport.DeadlineRecver.
+// RecvTimeout implements transport.Endpoint.
 func (ep *Endpoint) RecvTimeout(timeout int64) (transport.Message, bool, error) {
 	t := time.NewTimer(time.Duration(timeout))
 	defer t.Stop()
