@@ -90,7 +90,9 @@
 //   - mpi: communicators, tagged point-to-point with MPI matching
 //     semantics, nonblocking requests, datatypes and reduction ops, the
 //     low-bit-first binomial tree every walk runs (Binomial), and the
-//     collective dispatchers with pluggable algorithm sets. A Runtime
+//     collective dispatchers, each of which runs the one function its
+//     communicator's algorithm set names (a nil field is
+//     ErrNoAlgorithm; there is no built-in fallback). A Runtime
 //     asserts once whether its device has a wire; CollCtx is the
 //     narrow waist collective implementations are written against:
 //     phase-tagged point-to-point sends and receives, and four multicast

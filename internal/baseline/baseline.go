@@ -261,6 +261,9 @@ func Alltoall(c *mpi.Comm, send, recv []byte) error {
 		if err != nil {
 			return err
 		}
+		if len(m.Payload) != n {
+			return fmt.Errorf("baseline: alltoall chunk from %d is %d bytes, want %d", src, len(m.Payload), n)
+		}
 		copy(recv[src*n:(src+1)*n], m.Payload)
 	}
 	return nil

@@ -213,8 +213,34 @@ func TestPairwiseAlltoall(t *testing.T) {
 	}
 }
 
-// Property: binomial broadcast agrees with the naive oracle for random
-// payloads, sizes and roots.
+// TestAlltoallRejectsWrongChunkSize: ranks that disagree on the chunk
+// size must both fail instead of filling recv with a short or a
+// misaligned chunk. Two ranks only: at N >= 3 a rank that returns early
+// leaves a peer blocked in a later round on a device with no failure
+// detector.
+func TestAlltoallRejectsWrongChunkSize(t *testing.T) {
+	errs := make([]error, 2)
+	err := mpi.RunMem(2, baseline.Algorithms(), func(c *mpi.Comm) error {
+		n := 4
+		if c.Rank() == 1 {
+			n = 2
+		}
+		send := bytes.Repeat([]byte{byte(c.Rank() + 1)}, 2*n)
+		errs[c.Rank()] = c.Alltoall(send, make([]byte, 2*n))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, err := range errs {
+		if err == nil {
+			t.Errorf("rank %d accepted a chunk of the wrong size", r)
+		}
+	}
+}
+
+// Property: binomial broadcast leaves the root's payload on every rank
+// for random payloads, sizes and roots.
 func TestBcastAgreesWithNaiveProperty(t *testing.T) {
 	f := func(payload []byte, ns, rs uint8) bool {
 		n := int(ns)%8 + 1

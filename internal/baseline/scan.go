@@ -10,7 +10,7 @@ import (
 // Scan is the recursive-doubling inclusive prefix reduction: in step k
 // every rank sends its running partial (covering the 2^k ranks ending at
 // itself) to rank+2^k and folds in the partial from rank-2^k, finishing
-// in ceil(log2 N) steps instead of the naive chain's N-1.
+// in ceil(log2 N) steps instead of a chain's N-1.
 func Scan(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	if len(recv) != len(send) {
 		return fmt.Errorf("baseline: scan recv buffer %d bytes, want %d", len(recv), len(send))
@@ -46,8 +46,9 @@ func Scan(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 
 // ReduceScatter is the pairwise-exchange algorithm: in round i every rank
 // sends the chunk destined for rank+i and receives (and folds in) its own
-// chunk's contribution from rank-i. N-1 rounds, and unlike the naive
-// reduce-then-scatter no rank ever holds the full reduced vector.
+// chunk's contribution from rank-i. N-1 rounds, and unlike a reduce to
+// one root followed by a scatter no rank ever holds the full reduced
+// vector.
 func ReduceScatter(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	size, rank := c.Size(), c.Rank()
 	n := len(recv)

@@ -18,7 +18,7 @@ package core
 //	allgather:       N rounds, each s scouts + ceil(M/T) data
 //	                 = N(N-1) scouts + N·ceil(M/T) data frames,
 //	                 versus N(N-1)·ceil(M/T) data frames for the
-//	                 ring/naive unicast algorithms. Scouts are empty
+//	                 MPICH ring allgather. Scouts are empty
 //	                 56-byte frames, so once M exceeds one frame the
 //	                 data saving dominates on a shared medium.
 //	allreduce:       binomial reduce to rank 0 ((N-1)·ceil(M/T) p2p

@@ -569,8 +569,8 @@ func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, o
 			return err
 		}
 	} else {
-		// Combine the segment's contributions in member-rank order (the
-		// same determinism discipline as the naive reference reduce).
+		// Combine the segment's contributions in member-rank order, so
+		// a floating-point result does not depend on arrival order.
 		pending := make(map[int][]byte, len(members)-1)
 		for i := 0; i < len(members)-1; i++ {
 			m, err := cc.Recv(mpi.AnySource, phaseChunk)

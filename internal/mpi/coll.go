@@ -334,8 +334,13 @@ func (cc CollCtx) RecvTimeout(src, phase int, timeout int64) (transport.Message,
 }
 
 // ---------------------------------------------------------------------------
-// Public collective API. Each dispatches to the selected algorithm or to
-// the built-in naive reference implementation.
+// Public collective API. Each runs the one implementation its
+// communicator's Algorithms names; a nil field is an ErrNoAlgorithm.
+
+// noAlgorithm is the error of a collective whose Algorithms field is nil.
+func noAlgorithm(op string) error {
+	return fmt.Errorf("%w: %s", ErrNoAlgorithm, op)
+}
 
 // Bcast broadcasts buf from root to every rank; all ranks supply a buffer
 // of identical length and all except root receive into it.
@@ -343,20 +348,20 @@ func (c *Comm) Bcast(buf []byte, root int) error {
 	if root < 0 || root >= c.Size() {
 		return fmt.Errorf("%w: bcast root %d", ErrInvalidRank, root)
 	}
-	defer c.endOp(c.beginOp("bcast"), "bcast")
-	if c.algs.Bcast != nil {
-		return c.algs.Bcast(c, buf, root)
+	if c.algs.Bcast == nil {
+		return noAlgorithm("bcast")
 	}
-	return naiveBcast(c, buf, root)
+	defer c.endOp(c.beginOp("bcast"), "bcast")
+	return c.algs.Bcast(c, buf, root)
 }
 
 // Barrier blocks until every rank of the communicator has entered.
 func (c *Comm) Barrier() error {
-	defer c.endOp(c.beginOp("barrier"), "barrier")
-	if c.algs.Barrier != nil {
-		return c.algs.Barrier(c)
+	if c.algs.Barrier == nil {
+		return noAlgorithm("barrier")
 	}
-	return naiveBarrier(c)
+	defer c.endOp(c.beginOp("barrier"), "barrier")
+	return c.algs.Barrier(c)
 }
 
 // Reduce combines every rank's send buffer element-wise with op and
@@ -365,23 +370,21 @@ func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
 	if root < 0 || root >= c.Size() {
 		return fmt.Errorf("%w: reduce root %d", ErrInvalidRank, root)
 	}
-	defer c.endOp(c.beginOp("reduce"), "reduce")
-	if c.algs.Reduce != nil {
-		return c.algs.Reduce(c, send, recv, dt, op, root)
+	if c.algs.Reduce == nil {
+		return noAlgorithm("reduce")
 	}
-	return naiveReduce(c, send, recv, dt, op, root)
+	defer c.endOp(c.beginOp("reduce"), "reduce")
+	return c.algs.Reduce(c, send, recv, dt, op, root)
 }
 
-// Allreduce is Reduce followed by a broadcast of the result to all ranks.
+// Allreduce combines every rank's send buffer element-wise with op and
+// leaves the result in every rank's recv.
 func (c *Comm) Allreduce(send, recv []byte, dt Datatype, op Op) error {
+	if c.algs.Allreduce == nil {
+		return noAlgorithm("allreduce")
+	}
 	defer c.endOp(c.beginOp("allreduce"), "allreduce")
-	if c.algs.Allreduce != nil {
-		return c.algs.Allreduce(c, send, recv, dt, op)
-	}
-	if err := c.Reduce(send, recv, dt, op, 0); err != nil {
-		return err
-	}
-	return c.Bcast(recv, 0)
+	return c.algs.Allreduce(c, send, recv, dt, op)
 }
 
 // Gather concatenates every rank's equal-sized send buffer into recv on
@@ -390,11 +393,11 @@ func (c *Comm) Gather(send, recv []byte, root int) error {
 	if root < 0 || root >= c.Size() {
 		return fmt.Errorf("%w: gather root %d", ErrInvalidRank, root)
 	}
-	defer c.endOp(c.beginOp("gather"), "gather")
-	if c.algs.Gather != nil {
-		return c.algs.Gather(c, send, recv, root)
+	if c.algs.Gather == nil {
+		return noAlgorithm("gather")
 	}
-	return naiveGather(c, send, recv, root)
+	defer c.endOp(c.beginOp("gather"), "gather")
+	return c.algs.Gather(c, send, recv, root)
 }
 
 // Scatter splits root's send buffer (Size() equal chunks) and delivers
@@ -403,191 +406,50 @@ func (c *Comm) Scatter(send, recv []byte, root int) error {
 	if root < 0 || root >= c.Size() {
 		return fmt.Errorf("%w: scatter root %d", ErrInvalidRank, root)
 	}
-	defer c.endOp(c.beginOp("scatter"), "scatter")
-	if c.algs.Scatter != nil {
-		return c.algs.Scatter(c, send, recv, root)
+	if c.algs.Scatter == nil {
+		return noAlgorithm("scatter")
 	}
-	return naiveScatter(c, send, recv, root)
+	defer c.endOp(c.beginOp("scatter"), "scatter")
+	return c.algs.Scatter(c, send, recv, root)
 }
 
 // Allgather concatenates every rank's send buffer into every rank's recv
 // buffer (Size()*len(send) bytes).
 func (c *Comm) Allgather(send, recv []byte) error {
+	if c.algs.Allgather == nil {
+		return noAlgorithm("allgather")
+	}
 	defer c.endOp(c.beginOp("allgather"), "allgather")
-	if c.algs.Allgather != nil {
-		return c.algs.Allgather(c, send, recv)
-	}
-	if err := c.Gather(send, recv, 0); err != nil {
-		return err
-	}
-	return c.Bcast(recv, 0)
+	return c.algs.Allgather(c, send, recv)
 }
 
 // Alltoall sends the i-th chunk of send to rank i and fills the j-th
 // chunk of recv with the chunk received from rank j.
 func (c *Comm) Alltoall(send, recv []byte) error {
+	if c.algs.Alltoall == nil {
+		return noAlgorithm("alltoall")
+	}
 	defer c.endOp(c.beginOp("alltoall"), "alltoall")
-	if c.algs.Alltoall != nil {
-		return c.algs.Alltoall(c, send, recv)
-	}
-	return naiveAlltoall(c, send, recv)
+	return c.algs.Alltoall(c, send, recv)
 }
 
-// ---------------------------------------------------------------------------
-// Naive reference algorithms: correct on any transport, used as defaults
-// and as oracles in tests. The root simply loops over all ranks.
-
-func naiveBcast(c *Comm, buf []byte, root int) error {
-	cc := c.BeginColl()
-	if c.rank == root {
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := cc.Send(r, 0, buf, transport.ClassData, true); err != nil {
-				return err
-			}
-		}
-		return nil
+// Scan computes an inclusive prefix reduction: rank i's recv buffer ends
+// up holding send(0) op send(1) op … op send(i), combined in rank order.
+func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
+	if c.algs.Scan == nil {
+		return noAlgorithm("scan")
 	}
-	m, err := cc.Recv(root, 0)
-	if err != nil {
-		return err
-	}
-	if len(m.Payload) != len(buf) {
-		return fmt.Errorf("mpi: bcast buffer %d bytes, message %d", len(buf), len(m.Payload))
-	}
-	copy(buf, m.Payload)
-	return nil
+	defer c.endOp(c.beginOp("scan"), "scan")
+	return c.algs.Scan(c, send, recv, dt, op)
 }
 
-func naiveBarrier(c *Comm) error {
-	cc := c.BeginColl()
-	if c.rank == 0 {
-		for i := 0; i < c.Size()-1; i++ {
-			if _, err := cc.Recv(AnySource, 0); err != nil {
-				return err
-			}
-		}
-		for r := 1; r < c.Size(); r++ {
-			if err := cc.Send(r, 1, nil, transport.ClassControl, true); err != nil {
-				return err
-			}
-		}
-		return nil
+// ReduceScatter reduces Size() equal chunks element-wise across all
+// ranks and scatters the result: rank i receives the fully reduced i-th
+// chunk in recv (len(send) = Size()*len(recv)).
+func (c *Comm) ReduceScatter(send, recv []byte, dt Datatype, op Op) error {
+	if c.algs.ReduceScatter == nil {
+		return noAlgorithm("reduce_scatter")
 	}
-	if err := cc.Send(0, 0, nil, transport.ClassControl, true); err != nil {
-		return err
-	}
-	_, err := cc.Recv(0, 1)
-	return err
-}
-
-func naiveReduce(c *Comm, send, recv []byte, dt Datatype, op Op, root int) error {
-	cc := c.BeginColl()
-	if c.rank != root {
-		return cc.Send(root, 0, send, transport.ClassData, true)
-	}
-	if len(recv) != len(send) {
-		return fmt.Errorf("mpi: reduce recv buffer %d bytes, want %d", len(recv), len(send))
-	}
-	copy(recv, send)
-	// Combine in deterministic rank order for floating-point stability.
-	pending := make(map[int][]byte, c.Size()-1)
-	for i := 0; i < c.Size()-1; i++ {
-		m, err := cc.Recv(AnySource, 0)
-		if err != nil {
-			return err
-		}
-		pending[cc.SrcRank(m)] = m.Payload
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		if err := ReduceBytes(op, dt, recv, pending[r]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func naiveGather(c *Comm, send, recv []byte, root int) error {
-	cc := c.BeginColl()
-	if c.rank != root {
-		return cc.Send(root, 0, send, transport.ClassData, true)
-	}
-	n := len(send)
-	if len(recv) != n*c.Size() {
-		return fmt.Errorf("mpi: gather recv buffer %d bytes, want %d", len(recv), n*c.Size())
-	}
-	copy(recv[root*n:], send)
-	for i := 0; i < c.Size()-1; i++ {
-		m, err := cc.Recv(AnySource, 0)
-		if err != nil {
-			return err
-		}
-		r := cc.SrcRank(m)
-		if len(m.Payload) != n {
-			return fmt.Errorf("mpi: gather chunk from %d is %d bytes, want %d", r, len(m.Payload), n)
-		}
-		copy(recv[r*n:], m.Payload)
-	}
-	return nil
-}
-
-func naiveScatter(c *Comm, send, recv []byte, root int) error {
-	cc := c.BeginColl()
-	n := len(recv)
-	if c.rank == root {
-		if len(send) != n*c.Size() {
-			return fmt.Errorf("mpi: scatter send buffer %d bytes, want %d", len(send), n*c.Size())
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				copy(recv, send[r*n:(r+1)*n])
-				continue
-			}
-			if err := cc.Send(r, 0, send[r*n:(r+1)*n], transport.ClassData, true); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	m, err := cc.Recv(root, 0)
-	if err != nil {
-		return err
-	}
-	if len(m.Payload) != n {
-		return fmt.Errorf("mpi: scatter chunk is %d bytes, want %d", len(m.Payload), n)
-	}
-	copy(recv, m.Payload)
-	return nil
-}
-
-func naiveAlltoall(c *Comm, send, recv []byte) error {
-	cc := c.BeginColl()
-	size := c.Size()
-	if len(send)%size != 0 || len(recv) != len(send) {
-		return fmt.Errorf("mpi: alltoall buffers %d/%d bytes for %d ranks", len(send), len(recv), size)
-	}
-	n := len(send) / size
-	copy(recv[c.rank*n:(c.rank+1)*n], send[c.rank*n:(c.rank+1)*n])
-	for r := 0; r < size; r++ {
-		if r == c.rank {
-			continue
-		}
-		if err := cc.Send(r, 0, send[r*n:(r+1)*n], transport.ClassData, true); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < size-1; i++ {
-		m, err := cc.Recv(AnySource, 0)
-		if err != nil {
-			return err
-		}
-		r := cc.SrcRank(m)
-		copy(recv[r*n:(r+1)*n], m.Payload)
-	}
-	return nil
+	defer c.endOp(c.beginOp("reduce_scatter"), "reduce_scatter")
+	return c.algs.ReduceScatter(c, send, recv, dt, op)
 }

@@ -8,7 +8,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/baseline"
+	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/simnet"
 )
 
 // sizes exercised for every collective.
@@ -20,7 +24,7 @@ func TestNaiveBcastAllSizesAllRoots(t *testing.T) {
 			n, root := n, root
 			t.Run(fmt.Sprintf("n=%d/root=%d", n, root), func(t *testing.T) {
 				want := []byte(fmt.Sprintf("payload-from-%d", root))
-				err := mpi.RunMem(n, mpi.Algorithms{}, func(c *mpi.Comm) error {
+				err := mpi.RunMem(n, baseline.Algorithms(), func(c *mpi.Comm) error {
 					buf := make([]byte, len(want))
 					if c.Rank() == root {
 						copy(buf, want)
@@ -46,7 +50,7 @@ func TestNaiveBarrierCount(t *testing.T) {
 	// ranks must observe the full count.
 	for _, n := range worldSizes {
 		var entered atomic.Int32
-		err := mpi.RunMem(n, mpi.Algorithms{}, func(c *mpi.Comm) error {
+		err := mpi.RunMem(n, baseline.Algorithms(), func(c *mpi.Comm) error {
 			entered.Add(1)
 			if err := c.Barrier(); err != nil {
 				return err
@@ -65,7 +69,7 @@ func TestNaiveBarrierCount(t *testing.T) {
 func TestReduceSumInt64(t *testing.T) {
 	for _, n := range worldSizes {
 		for root := 0; root < n; root += 2 {
-			err := mpi.RunMem(n, mpi.Algorithms{}, func(c *mpi.Comm) error {
+			err := mpi.RunMem(n, baseline.Algorithms(), func(c *mpi.Comm) error {
 				vals := []int64{int64(c.Rank() + 1), int64(c.Rank() * 10)}
 				send := mpi.Int64sToBytes(vals)
 				recv := make([]byte, len(send))
@@ -90,7 +94,7 @@ func TestReduceSumInt64(t *testing.T) {
 }
 
 func TestReduceMaxMinProdFloat64(t *testing.T) {
-	err := mpi.RunMem(5, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(5, baseline.Algorithms(), func(c *mpi.Comm) error {
 		v := float64(c.Rank() + 1)
 		send := mpi.Float64sToBytes([]float64{v, -v, v})
 		recv := make([]byte, len(send))
@@ -132,7 +136,7 @@ func TestReduceMaxMinProdFloat64(t *testing.T) {
 }
 
 func TestAllreduceMatchesReducePlusBcast(t *testing.T) {
-	err := mpi.RunMem(6, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(6, baseline.Algorithms(), func(c *mpi.Comm) error {
 		send := mpi.Int32sToBytes([]int32{int32(c.Rank()), 1})
 		recv := make([]byte, len(send))
 		if err := c.Allreduce(send, recv, mpi.Int32, mpi.OpSum); err != nil {
@@ -152,7 +156,7 @@ func TestAllreduceMatchesReducePlusBcast(t *testing.T) {
 func TestGatherScatterRoundTrip(t *testing.T) {
 	const chunk = 6
 	for _, n := range worldSizes {
-		err := mpi.RunMem(n, mpi.Algorithms{}, func(c *mpi.Comm) error {
+		err := mpi.RunMem(n, baseline.Algorithms(), func(c *mpi.Comm) error {
 			// Scatter from last rank, then gather back to rank 0.
 			root := c.Size() - 1
 			var full []byte
@@ -194,7 +198,7 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 }
 
 func TestAllgather(t *testing.T) {
-	err := mpi.RunMem(4, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(4, baseline.Algorithms(), func(c *mpi.Comm) error {
 		send := []byte{byte(c.Rank()), byte(c.Rank() * 2)}
 		recv := make([]byte, 2*c.Size())
 		if err := c.Allgather(send, recv); err != nil {
@@ -214,7 +218,7 @@ func TestAllgather(t *testing.T) {
 
 func TestAlltoall(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
-		err := mpi.RunMem(n, mpi.Algorithms{}, func(c *mpi.Comm) error {
+		err := mpi.RunMem(n, baseline.Algorithms(), func(c *mpi.Comm) error {
 			send := make([]byte, n)
 			for i := range send {
 				send[i] = byte(c.Rank()*10 + i)
@@ -237,7 +241,7 @@ func TestAlltoall(t *testing.T) {
 }
 
 func TestBcastInvalidRoot(t *testing.T) {
-	err := mpi.RunMem(2, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(2, baseline.Algorithms(), func(c *mpi.Comm) error {
 		if err := c.Bcast(nil, 5); !errors.Is(err, mpi.ErrInvalidRank) {
 			return fmt.Errorf("bcast root 5: %v", err)
 		}
@@ -248,10 +252,100 @@ func TestBcastInvalidRoot(t *testing.T) {
 	}
 }
 
+// TestUnsetOperationIsAnError: a set that leaves an operation nil makes
+// that collective fail on every rank with an error that wraps
+// ErrNoAlgorithm and names the op — there is no fallback to run instead —
+// while the operations the set does name still run.
+func TestUnsetOperationIsAnError(t *testing.T) {
+	buf := func() []byte { return make([]byte, 24) }
+	ops := []struct {
+		name  string
+		unset func(a *mpi.Algorithms)
+		call  func(c *mpi.Comm) error
+	}{
+		{"bcast", func(a *mpi.Algorithms) { a.Bcast = nil },
+			func(c *mpi.Comm) error { return c.Bcast(buf(), 0) }},
+		{"barrier", func(a *mpi.Algorithms) { a.Barrier = nil },
+			func(c *mpi.Comm) error { return c.Barrier() }},
+		{"reduce", func(a *mpi.Algorithms) { a.Reduce = nil },
+			func(c *mpi.Comm) error { return c.Reduce(buf(), buf(), mpi.Int64, mpi.OpSum, 0) }},
+		{"allreduce", func(a *mpi.Algorithms) { a.Allreduce = nil },
+			func(c *mpi.Comm) error { return c.Allreduce(buf(), buf(), mpi.Int64, mpi.OpSum) }},
+		{"gather", func(a *mpi.Algorithms) { a.Gather = nil },
+			func(c *mpi.Comm) error { return c.Gather(buf()[:8], buf(), 0) }},
+		{"scatter", func(a *mpi.Algorithms) { a.Scatter = nil },
+			func(c *mpi.Comm) error { return c.Scatter(buf(), buf()[:8], 0) }},
+		{"allgather", func(a *mpi.Algorithms) { a.Allgather = nil },
+			func(c *mpi.Comm) error { return c.Allgather(buf()[:8], buf()) }},
+		{"alltoall", func(a *mpi.Algorithms) { a.Alltoall = nil },
+			func(c *mpi.Comm) error { return c.Alltoall(buf(), buf()) }},
+		{"scan", func(a *mpi.Algorithms) { a.Scan = nil },
+			func(c *mpi.Comm) error { return c.Scan(buf(), buf(), mpi.Int64, mpi.OpSum) }},
+		{"reduce_scatter", func(a *mpi.Algorithms) { a.ReduceScatter = nil },
+			func(c *mpi.Comm) error { return c.ReduceScatter(buf(), buf()[:8], mpi.Int64, mpi.OpSum) }},
+	}
+	for i, op := range ops {
+		algs := baseline.Algorithms()
+		op.unset(&algs)
+		// Any other op of the set, to show the rest of it still runs.
+		other := ops[(i+1)%len(ops)]
+		err := mpi.RunMem(3, algs, func(c *mpi.Comm) error {
+			err := op.call(c)
+			if !errors.Is(err, mpi.ErrNoAlgorithm) || err.Error() != mpi.ErrNoAlgorithm.Error()+": "+op.name {
+				return fmt.Errorf("unset %s: %v, want ErrNoAlgorithm naming it", op.name, err)
+			}
+			return other.call(c)
+		})
+		if err != nil {
+			t.Errorf("%s: %v", op.name, err)
+		}
+	}
+	err := mpi.RunMem(2, mpi.Algorithms{}, func(c *mpi.Comm) error {
+		if _, err := c.Split(0, 0); !errors.Is(err, mpi.ErrNoAlgorithm) {
+			return fmt.Errorf("split without an allgather: %v", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// TestScanAndReduceScatterAreMetered: the two dispatchers open the same
+// op span as the other eight, so each call counts once in mcast_coll_ops
+// and lands in mcast_coll_latency_us under its op name.
+func TestScanAndReduceScatterAreMetered(t *testing.T) {
+	reg := metrics.NewRegistry()
+	prof := simnet.DefaultProfile()
+	prof.Metrics = reg
+	algs := baseline.Algorithms()
+	algs.Name = "mpich"
+	_, err := cluster.RunSim(4, simnet.Switch, prof, algs, func(c *mpi.Comm) error {
+		send := mpi.Int64sToBytes([]int64{1, 2, 3, 4})
+		if err := c.Scan(send, make([]byte, len(send)), mpi.Int64, mpi.OpSum); err != nil {
+			return err
+		}
+		return c.ReduceScatter(send, make([]byte, len(send)/c.Size()), mpi.Int64, mpi.OpSum)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := reg.Snapshot()
+	for _, op := range []string{"scan", "reduce_scatter"} {
+		// Every rank's runtime shares the one registry: one call per rank.
+		if got := s.Counters[metrics.Labeled("mcast_coll_ops", "op", op, "alg", "mpich")]; got != 4 {
+			t.Errorf("mcast_coll_ops{op=%s} = %d, want 4 (one per rank)", op, got)
+		}
+		if h := s.Histograms[metrics.Labeled("mcast_coll_latency_us", "op", op, "alg", "mpich")]; h.Count != 4 {
+			t.Errorf("mcast_coll_latency_us{op=%s} holds %d observations, want 4", op, h.Count)
+		}
+	}
+}
+
 func TestBackToBackCollectivesStaySeparate(t *testing.T) {
 	// Many broadcasts in a row with different payload sizes: sequence
 	// numbers must keep them matched up.
-	err := mpi.RunMem(3, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(3, baseline.Algorithms(), func(c *mpi.Comm) error {
 		for k := 0; k < 20; k++ {
 			root := k % c.Size()
 			want := bytes.Repeat([]byte{byte(k)}, k+1)

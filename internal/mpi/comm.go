@@ -70,6 +70,9 @@ var (
 	// ErrInvalidTag reports a negative user tag (the negative space is
 	// reserved for collective protocols).
 	ErrInvalidTag = errors.New("mpi: invalid tag (user tags must be non-negative)")
+	// ErrNoAlgorithm reports a collective whose Algorithms field is nil;
+	// the error names the operation.
+	ErrNoAlgorithm = errors.New("mpi: no algorithm selected for collective")
 )
 
 // Runtime is one rank's MPI instance: the endpoint plus the matching
@@ -281,11 +284,13 @@ type Comm struct {
 	segJoin bool // this rank joined its segment's multicast group
 }
 
-// Algorithms selects the implementation of each collective operation.
-// Nil fields fall back to the built-in naive reference algorithms (root
-// loops over ranks), which are correct on any transport and serve as the
-// oracle in tests. Package baseline provides the MPICH set; package core
-// provides the paper's multicast set.
+// Algorithms selects the implementation of each collective operation:
+// the communicator runs exactly the function a field names, and a nil
+// field makes that collective return an error wrapping ErrNoAlgorithm.
+// Package baseline provides the MPICH set, which fills every field;
+// package core provides the paper's multicast sets, which callers Merge
+// over the baseline. A program that uses only point-to-point passes the
+// zero value.
 type Algorithms struct {
 	// Name labels this selection in exported telemetry (the alg label
 	// on mcast_coll_ops / mcast_coll_latency_us). Empty reads as
@@ -515,8 +520,9 @@ func (c *Comm) Dup() (*Comm, error) {
 
 // Split partitions the communicator: ranks passing the same color form a
 // new communicator, ordered by (key, parent rank). Every member must call
-// Split collectively. A negative color returns (nil, nil) for ranks that
-// opt out, like MPI_UNDEFINED.
+// Split collectively; it exchanges the colors with the communicator's
+// Allgather. A negative color returns (nil, nil) for ranks that opt out,
+// like MPI_UNDEFINED.
 func (c *Comm) Split(color, key int) (*Comm, error) {
 	// Gather everyone's (color, key) with the allgather collective so
 	// each rank can compute every group deterministically.

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/mpi"
 )
 
 func TestDupIndependentContext(t *testing.T) {
-	err := mpi.RunMem(3, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(3, baseline.Algorithms(), func(c *mpi.Comm) error {
 		d1, err := c.Dup()
 		if err != nil {
 			return err
@@ -51,7 +52,7 @@ func TestDupContextAgreesAcrossRanks(t *testing.T) {
 	// All ranks must derive the same context id; verify by running a
 	// collective over the dup (would deadlock or mismatch otherwise) and
 	// by broadcasting rank 0's context for comparison.
-	err := mpi.RunMem(4, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(4, baseline.Algorithms(), func(c *mpi.Comm) error {
 		d, err := c.Dup()
 		if err != nil {
 			return err
@@ -76,7 +77,7 @@ func TestDupContextAgreesAcrossRanks(t *testing.T) {
 }
 
 func TestSplitEvenOdd(t *testing.T) {
-	err := mpi.RunMem(6, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(6, baseline.Algorithms(), func(c *mpi.Comm) error {
 		color := c.Rank() % 2
 		sub, err := c.Split(color, c.Rank())
 		if err != nil {
@@ -113,7 +114,7 @@ func TestSplitEvenOdd(t *testing.T) {
 }
 
 func TestSplitKeyOrdersRanks(t *testing.T) {
-	err := mpi.RunMem(4, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(4, baseline.Algorithms(), func(c *mpi.Comm) error {
 		// Reverse the order via descending keys.
 		sub, err := c.Split(0, -c.Rank())
 		if err != nil {
@@ -131,7 +132,7 @@ func TestSplitKeyOrdersRanks(t *testing.T) {
 }
 
 func TestSplitUndefinedColor(t *testing.T) {
-	err := mpi.RunMem(3, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(3, baseline.Algorithms(), func(c *mpi.Comm) error {
 		color := 0
 		if c.Rank() == 2 {
 			color = -1 // opts out
@@ -157,7 +158,7 @@ func TestSplitUndefinedColor(t *testing.T) {
 }
 
 func TestSubcommRankTranslation(t *testing.T) {
-	err := mpi.RunMem(5, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(5, baseline.Algorithms(), func(c *mpi.Comm) error {
 		// Ranks 1,3 form a subcomm; subrank i maps to world rank 2i+1.
 		color := -1
 		if c.Rank()%2 == 1 {
@@ -195,7 +196,7 @@ func TestSubcommRankTranslation(t *testing.T) {
 }
 
 func TestFreeLeavesGroup(t *testing.T) {
-	err := mpi.RunMem(2, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(2, baseline.Algorithms(), func(c *mpi.Comm) error {
 		d, err := c.Dup()
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/mpi"
 	"repro/internal/transport"
 )
@@ -18,7 +19,7 @@ import (
 func TestDeviceWithoutWire(t *testing.T) {
 	const n = 3
 	payload := bytes.Repeat([]byte("repair"), 700) // several frames on any wire
-	err := mpi.RunMem(n, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(n, baseline.Algorithms(), func(c *mpi.Comm) error {
 		rt := c.Runtime()
 		if _, ok := rt.Endpoint().(transport.Wire); ok {
 			return fmt.Errorf("%T has a wire", rt.Endpoint())

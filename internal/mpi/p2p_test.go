@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/mpi"
 	"repro/internal/transport"
 )
@@ -242,7 +243,7 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 func TestUserRecvNeverMatchesCollectiveTraffic(t *testing.T) {
 	// A barrier's internal messages must be invisible to wildcard user
 	// receives issued after it.
-	err := mpi.RunMem(2, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(2, baseline.Algorithms(), func(c *mpi.Comm) error {
 		if err := c.Barrier(); err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/mpi"
 )
 
@@ -214,7 +215,7 @@ func TestHaloExchangeWithRequests(t *testing.T) {
 
 func TestScanInclusivePrefix(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
-		err := mpi.RunMem(n, mpi.Algorithms{}, func(c *mpi.Comm) error {
+		err := mpi.RunMem(n, baseline.Algorithms(), func(c *mpi.Comm) error {
 			send := mpi.Int64sToBytes([]int64{int64(c.Rank() + 1), 1})
 			recv := make([]byte, len(send))
 			if err := c.Scan(send, recv, mpi.Int64, mpi.OpSum); err != nil {
@@ -237,7 +238,7 @@ func TestScanInclusivePrefix(t *testing.T) {
 
 func TestReduceScatterChunks(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 5} {
-		err := mpi.RunMem(n, mpi.Algorithms{}, func(c *mpi.Comm) error {
+		err := mpi.RunMem(n, baseline.Algorithms(), func(c *mpi.Comm) error {
 			// Rank r contributes value r+1 to every chunk element.
 			send := make([]byte, 0, 8*n)
 			for chunk := 0; chunk < n; chunk++ {
@@ -261,7 +262,7 @@ func TestReduceScatterChunks(t *testing.T) {
 }
 
 func TestScanBuffersMismatch(t *testing.T) {
-	err := mpi.RunMem(1, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunMem(1, baseline.Algorithms(), func(c *mpi.Comm) error {
 		if err := c.Scan(make([]byte, 8), make([]byte, 4), mpi.Int64, mpi.OpSum); err == nil {
 			return errors.New("scan accepted mismatched buffers")
 		}

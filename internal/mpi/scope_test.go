@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/mpi"
 	"repro/internal/topo"
 	"repro/internal/transport"
@@ -72,7 +73,7 @@ func TestScopesDeliverApart(t *testing.T) {
 	for i := range eps {
 		eps[i] = placedEndpoint{net.Endpoint(i), placement}
 	}
-	err := mpi.RunEndpoints(eps, mpi.Algorithms{}, func(c *mpi.Comm) error {
+	err := mpi.RunEndpoints(eps, baseline.Algorithms(), func(c *mpi.Comm) error {
 		me := c.Rank()
 		for _, tc := range []struct {
 			scope   mpi.Scope

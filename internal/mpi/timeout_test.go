@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/transport"
@@ -108,11 +109,11 @@ func TestStaleMulticastDuplicatesDropped(t *testing.T) {
 			return err
 		}
 		return nil
-	}}
+	}, Barrier: baseline.Barrier}
 	err := mpi.RunMem(2, algs, func(c *mpi.Comm) error {
-		// Synchronize entry first (the naive p2p barrier): the test's
-		// Bcast multicasts with no scout gather, and a multicast sent
-		// before the peer's World join is legitimately lost under
+		// Synchronize entry first (MPICH's point-to-point barrier): the
+		// test's Bcast multicasts with no scout gather, and a multicast
+		// sent before the peer's World join is legitimately lost under
 		// receiver-directed semantics — not what this test is about.
 		if err := c.Barrier(); err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/mpi"
 	"repro/internal/workload"
 )
@@ -14,7 +15,7 @@ func TestEveryRegisteredOpDispatches(t *testing.T) {
 	for _, op := range workload.Ops() {
 		op := op
 		t.Run(string(op), func(t *testing.T) {
-			err := mpi.RunMem(4, mpi.Algorithms{}, func(c *mpi.Comm) error {
+			err := mpi.RunMem(4, baseline.Algorithms(), func(c *mpi.Comm) error {
 				return workload.Make(c, op, 64, 0)()
 			})
 			if err != nil {
