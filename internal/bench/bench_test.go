@@ -74,13 +74,14 @@ func TestAlltoallGuidelines(t *testing.T) {
 // Träff-style guidelines on the same fabric (shared-uplink switch,
 // fanout 4, one cold operation per point): from 5,000 B it is no slower
 // than the binomial-reduce + bcast allreduce of mcast-binary, nor than
-// mpich. Since its reduce-scatter walks segments then lanes, chunked
-// reads 2,779 / 3,617 / 5,159 sim-µs at 5,000 B against mcast-binary's
-// 3,571 / 4,433 / 5,273 at N = 8 / 16 / 32; one level of N walks read
-// 3,371 / 4,489 / 6,736 and lost at N=16 and 32. Below ~5 KB
-// mcast-binary still wins — its one reduce and one multicast beat the
-// walks and N multicasts of sub-frame slices (N=32 at 100 B: 3,367
-// against 917 sim-µs).
+// mpich. With its reduce-scatter walking segments then lanes and its
+// allgather sending no scouts, chunked reads 2,415 / 3,050 / 3,574
+// sim-µs at 5,000 B against mcast-binary's 3,571 / 4,433 / 5,273 at
+// N = 8 / 16 / 32 (2,779 / 3,617 / 5,159 while the allgather ran a scout
+// handshake; one level of N walks read 3,371 / 4,489 / 6,736 and lost at
+// N=16 and 32). At 100 B mcast-binary still wins — its one reduce and
+// one multicast beat the walks of sub-frame slices (N=32: 1,628 against
+// 917 sim-µs).
 func TestChunkedAllreduceGuidelines(t *testing.T) {
 	prof := *sharedUplinkProfile()
 	prof.Seed = 1

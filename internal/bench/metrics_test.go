@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,36 +118,39 @@ func TestMetricsObservablesPopulated(t *testing.T) {
 }
 
 // TestChunkedAllreduceCriticalPath covers the critical-path extraction
-// on the chunked allreduce's phase graph: the walk must pass through
-// the event-driven reduce-scatter phase before the pipelined allgather
-// rounds, and the extracted path must be contiguous in time.
+// on the chunked allreduce's phase graph on even segments: the walk must
+// pass through the event-driven reduce-scatter and then through a phase
+// of the scout-free allgather — at the demo point (5,000 B, where every
+// rank multicasts its own slice) and at 2,000 B (where each segment's
+// slices fit one frame, so members hand them to their leader first).
 func TestChunkedAllreduceCriticalPath(t *testing.T) {
-	rec, err := traceOne(OpAllreduce, McastChunked, TraceDemoProcs, TraceDemoSize, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := trace.Summarize(rec)
-	if sum == nil || len(sum.Critical) == 0 {
-		t.Fatal("empty summary for traced chunked allreduce")
-	}
-	names := make(map[string]bool)
-	for _, step := range sum.Critical {
-		names[step.Name] = true
-	}
-	if !names["reduce-scatter"] {
-		t.Errorf("critical path %v does not pass through reduce-scatter", sum.Critical)
-	}
-	foundPhase := false
-	for _, p := range sum.Phases {
-		if p.Name == "reduce-scatter" {
-			foundPhase = true
-			if p.Count == 0 {
-				t.Error("reduce-scatter phase recorded zero spans")
-			}
+	gather := map[string]bool{"slice-combine": true, "chunk-mcast": true, "chunk-consume": true}
+	for _, size := range []int{TraceDemoSize, 2000} {
+		rec, err := traceOne(OpAllreduce, McastChunked, TraceDemoProcs, size, 7)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !foundPhase {
-		t.Errorf("phase table %v has no reduce-scatter entry", sum.Phases)
+		sum := trace.Summarize(rec)
+		if sum == nil || len(sum.Critical) == 0 {
+			t.Fatalf("%d B: empty summary for traced chunked allreduce", size)
+		}
+		rs := slices.IndexFunc(sum.Critical, func(s trace.PathStep) bool { return s.Name == "reduce-scatter" })
+		if rs < 0 {
+			t.Errorf("%d B: critical path %v does not pass through reduce-scatter", size, sum.Critical)
+		} else if !slices.ContainsFunc(sum.Critical[rs+1:], func(s trace.PathStep) bool { return gather[s.Name] }) {
+			t.Errorf("%d B: critical path %v names no allgather phase after reduce-scatter", size, sum.Critical)
+		}
+		phases := make(map[string]int)
+		for _, p := range sum.Phases {
+			phases[p.Name] = p.Count
+		}
+		if phases["reduce-scatter"] == 0 {
+			t.Errorf("%d B: phase table %v has no reduce-scatter spans", size, sum.Phases)
+		}
+		if size != TraceDemoSize && phases["slice-combine"] == 0 {
+			t.Errorf("%d B: phase table %v has no slice-combine spans", size, sum.Phases)
+		}
+		t.Logf("%d B:\n%s", size, sum.Format())
 	}
 }
 

@@ -113,9 +113,10 @@ func trajectoryPoint(op Op, a Algorithm, procs int, seed uint64) (TrajectoryEntr
 
 // entryCheck is an entry's check: SILENT-DROP on any egress drop, and
 // SCOUT-EXCESS where a two-level schedule ran and sent more scouts than
-// its bound — the two-level suite, and the chunked allreduce, whose
-// allgather of reduced slices is the two-level allgather's burst, on
-// more than one segment.
+// its bound — the two-level suite, and the chunked allreduce on more
+// than one segment, held to the two-level allgather's bound: on even
+// segments (every row of the grid) its allgather sends no scouts at all,
+// on uneven ones it is that allgather's burst.
 func entryCheck(e TrajectoryEntry) string {
 	a, n, s := Algorithm(e.Algorithm), e.Procs, e.Segments
 	switch {

@@ -47,8 +47,10 @@ func chaosSuites() []chaosSuite {
 		{"binary", core.Algorithms(core.Binary), simnet.Switch, nil, false, false},
 		{"pipelined", core.Algorithms(core.BinaryPipelined), simnet.Switch, nil, false, false},
 		{"chunked", chunked, simnet.Switch, nil, false, false},
-		// On segments the chunked allreduce gathers through the two-level
-		// burst, so a leader's death lands in its entry handshake.
+		// On two even segments the chunked allreduce gathers with no
+		// scouts: at this chunk members hand their reduced slices to
+		// their leader, so a leader's death lands in that hand-off or
+		// in its segment's one multicast.
 		{"chunked-shared", chunked, simnet.SwitchShared, &shared, true, false},
 		{"resilient", core.ResilientAlgorithms(), simnet.Switch, nil, false, true},
 		{"2level", core.TwoLevelAlgorithms(), simnet.SwitchShared, &shared, true, false},

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
 	"repro/internal/transport"
@@ -164,10 +165,10 @@ func TestChunkedAllreduceByteFunnel(t *testing.T) {
 
 // TestChunkedReduceScatterMessages counts the chunked allreduce's
 // reduce-scatter: its point-to-point data messages, one frame each at
-// 100 B (the allgather half multicasts, and scouts are not data). On S
-// segments of F members each the segment and lane walks cost every rank
-// (F-1) + (S-1) messages; on uneven segments and on the flat switch the
-// one-level walks cost every rank N-1.
+// 100 B, told apart by phase from the allgather's (the members' slices
+// to their leader). On S segments of F members each the segment and
+// lane walks cost every rank (F-1) + (S-1) messages; on uneven segments
+// and on the flat switch the one-level walks cost every rank N-1.
 func TestChunkedReduceScatterMessages(t *testing.T) {
 	for _, tc := range []struct {
 		topo simnet.Topology
@@ -184,14 +185,12 @@ func TestChunkedReduceScatterMessages(t *testing.T) {
 		prof.UplinkFanout = 4
 		var msgs int64
 		prof.DropP2P = func(_ int, f transport.Fragment) bool {
-			if f.Msg.Class == transport.ClassData && f.Index == 0 {
+			if phase, ok := mpi.CollPhase(f.Msg); ok && phase >= core.PhaseSlice && f.Msg.Class == transport.ClassData && f.Index == 0 {
 				msgs++
 			}
 			return false
 		}
-		algs := core.Algorithms(core.Binary)
-		algs.Allreduce = core.AllreduceMcastChunked
-		_, err := cluster.RunSim(tc.n, tc.topo, prof, algs, func(c *mpi.Comm) error {
+		_, err := cluster.RunSim(tc.n, tc.topo, prof, chunkedAlgorithms(), func(c *mpi.Comm) error {
 			return c.Allreduce(make([]byte, 100), make([]byte, 100), mpi.Byte, mpi.OpMax)
 		})
 		if err != nil {
@@ -199,6 +198,64 @@ func TestChunkedReduceScatterMessages(t *testing.T) {
 		}
 		if msgs != tc.want {
 			t.Errorf("%v N=%d: reduce-scatter sent %d point-to-point data messages, want %d", tc.topo, tc.n, msgs, tc.want)
+		}
+	}
+}
+
+// TestChunkedGatherFrames counts the chunked allreduce's allgather on
+// even segments, which needs no scouts: the reduce-scatter already
+// proves every rank has entered. Where a segment's reduced slices fit
+// one frame (100 B), the F-1 members of each of the S segments send
+// their slice to the leader and the S leaders multicast once each;
+// beyond (8,000 B) every rank multicasts its own slice, N in all.
+func TestChunkedGatherFrames(t *testing.T) {
+	for _, tc := range []struct {
+		n, size          int
+		unicasts, mcasts int
+	}{
+		{8, 100, 3 * 2, 2},
+		{16, 100, 3 * 4, 4},
+		{64, 100, 3 * 16, 16},
+		{8, 8000, 0, 8},
+		{16, 8000, 0, 16},
+	} {
+		prof := sharedProf(4)
+		var unicasts int
+		prof.DropP2P = func(_ int, f transport.Fragment) bool {
+			if phase, ok := mpi.CollPhase(f.Msg); ok && phase == core.PhaseChunk && f.Index == 0 {
+				unicasts++
+			}
+			return false
+		}
+		type mcast struct {
+			src int
+			seq uint32
+		}
+		mcasts := make(map[mcast]bool)
+		prof.DropFrag = func(_ int, f transport.Fragment) bool {
+			if f.Msg.Class == transport.ClassData {
+				mcasts[mcast{f.Msg.Src, f.Msg.Seq}] = true
+			}
+			return false
+		}
+		nw, err := cluster.RunSim(tc.n, simnet.SwitchShared, prof, chunkedAlgorithms(), func(c *mpi.Comm) error {
+			return coretest.CheckOp(c, "allreduce", tc.size, 0)
+		})
+		if err != nil {
+			t.Fatalf("N=%d %d B: %v", tc.n, tc.size, err)
+		}
+		if scouts := nw.Wire.Frames(transport.ClassScout); scouts != 0 {
+			t.Errorf("N=%d %d B: %d scout frames, want 0", tc.n, tc.size, scouts)
+		}
+		// CheckOp runs a second, Int64, allreduce when the size holds whole
+		// elements: its slices are the same size, so it takes the same branch.
+		ops := 1
+		if tc.size%8 == 0 {
+			ops = 2
+		}
+		if unicasts != ops*tc.unicasts || len(mcasts) != ops*tc.mcasts {
+			t.Errorf("N=%d %d B: %d slice unicasts and %d data multicasts, want %d and %d per allreduce over %d allreduces",
+				tc.n, tc.size, unicasts, len(mcasts), tc.unicasts, tc.mcasts, ops)
 		}
 	}
 }

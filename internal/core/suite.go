@@ -31,8 +31,9 @@ package core
 //	                 over per-slice binomial walks so no rank moves more
 //	                 than ~2M bytes end to end — N(N-1) p2p messages, or
 //	                 N((F-1) + (S-1)) on S segments of F members each —
-//	                 and gathers the reduced slices for (N-S) + S(S-1)
-//	                 scouts on 1 < S < N segments, N(N-1) elsewhere.
+//	                 and gathers the reduced slices with no scouts on
+//	                 even segments (the reduce-scatter proves entry),
+//	                 (N-S) + S(S-1) on uneven ones, N(N-1) elsewhere.
 //	scatter:         s scouts + (N-1)·ceil(M/T) data frames: the root
 //	                 multicasts each rank's slice to that rank's private
 //	                 slice group, so a receiver's NIC delivers exactly
@@ -185,11 +186,24 @@ func sliceBounds(total, extent, size int) []int {
 // AllreduceMcastChunked is the Rabenseifner-style chunked composition:
 // a reduce-scatter built from per-slice binomial walks (reduceWalks),
 // after which each rank holds one fully reduced slice, followed by an
-// allgather that multicasts each reduced slice exactly once. On a
-// segmented fabric within the receive budget (usableTopo, burstFits) that
-// allgather is twoLevelBurst — one scout-only handshake of (N-S) + S(S-1)
-// scouts, then every rank multicasts its slice; elsewhere it is the
-// suite's pipelined scout-gated rounds, N(N-1) scouts.
+// allgather that multicasts each reduced slice exactly once.
+//
+// On S segments of F members each (within the receive budget,
+// burstFits) that allgather sends no scouts (gatherSlices): the
+// two-level reduce-scatter below already proves what scouts would. A
+// rank leaving it with a non-empty slice is the root of its lane walk,
+// so all S lane peers contributed; each of them sent only after its
+// segment step returned, where it was the root of a walk over its whole
+// segment. So every rank has sent, and every rank posts its standing
+// descriptors (Comm.PostRecvs) on entry, before its first send: no
+// multicast of the allgather can meet an unposted receiver. Where the
+// largest segment's slices fit one fragment payload, members hand their
+// slices to their segment leader and the S leaders multicast one frame
+// each; beyond, a leader's store-and-forward hop costs more than it
+// saves, and every rank multicasts its own slice. On uneven segments the
+// allgather is twoLevelBurst — one scout-only handshake of (N-S) +
+// S(S-1) scouts, then every rank multicasts its slice; elsewhere it is
+// the suite's pipelined scout-gated rounds, N(N-1) scouts.
 //
 // The reduce-scatter runs in two levels where usableTopo finds S segments
 // of F members each — Karonis's multilevel and Träff's lane
@@ -210,8 +224,9 @@ func sliceBounds(total, extent, size int) []int {
 // less), but the funnel disappears — rank 0 absorbs log2(N)·M bytes in
 // the binomial reduce, while here every rank moves ~M in and ~M out on
 // the reduce half (~2M end to end) regardless of N, and the multicast
-// allgather half delivers each receiver exactly the M result bytes
-// (asserted by TestChunkedAllreduceByteFunnel).
+// allgather half delivers each receiver the M result bytes — exactly,
+// except that a member hears its own slice back in its leader's
+// multicast (asserted by TestChunkedAllreduceByteFunnel).
 //
 // The reduction combines slice contributions in binomial-tree order —
 // segment then lane on the two-level path — so op should be commutative
@@ -243,10 +258,21 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		}
 	}
 
+	slice := func(r int) []byte { return recv[bounds[pos[r]]:bounds[pos[r]+1]] }
+
 	// Reduce-scatter, in recv in place, every walk of both steps sharing
 	// one collective operation with one phase per walk.
 	cc := c.BeginColl()
 	me := c.Rank()
+	// On even segments the allgather runs scout-free, gated by the
+	// reduce-scatter itself, so this rank's descriptors must stand from
+	// before its first send until the last multicast is consumed.
+	var groups [][]int
+	if lanes > 0 && len(send) > 0 && burstFits(c) {
+		groups = sliceGroups(t, size, slice, cc.FragPayload())
+		release := c.PostRecvs(len(groups))
+		defer release()
+	}
 	cc.SpanBegin("reduce-scatter")
 	if lanes == 0 {
 		// pos is the identity: one walk per slice among all ranks.
@@ -274,12 +300,15 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	}
 	cc.SpanEnd("reduce-scatter")
 
-	// Allgather: every rank multicasts its reduced slice once — in one
-	// two-level burst, or in pipelined rounds paced for sub-frame slices.
+	// Allgather: every reduced slice is multicast once — scout-free on
+	// even segments, elsewhere in one two-level burst or in pipelined
+	// rounds paced for sub-frame slices.
 	if len(send) == 0 {
 		return nil // nothing was reduced, so nothing goes on the wire
 	}
-	slice := func(r int) []byte { return recv[bounds[pos[r]]:bounds[pos[r]+1]] }
+	if groups != nil {
+		return gatherSlices(c, cc, groups, slice)
+	}
 	place := func(r int, p []byte) error {
 		if want := len(slice(r)); len(p) != want {
 			return fmt.Errorf("core: allreduce slice %d is %d bytes, want %d", pos[r], len(p), want)
@@ -305,6 +334,141 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		})
 	}
 	return runRounds(c, rounds, roundOptions{gather: gatherScoutsBinary, pipeline: true})
+}
+
+// sliceGroups returns who multicasts which reduced slices in the
+// scout-free allgather of the chunked allreduce: the first rank of
+// group k multicasts the slices of every rank in group k, in group
+// order, on the allgather's k-th context. Where the largest segment's
+// slices fit one fragment payload of frag bytes, the groups are the
+// segments and their leaders multicast — S one-frame multicasts, so a
+// rank handles S receives rather than N-1. Otherwise every rank is its
+// own group and multicasts its own slice, N multicasts in rank order:
+// a leader would pay a store-and-forward hop on multi-frame slices. The
+// groups depend only on t and the slice bounds, so every rank computes
+// the same ones.
+func sliceGroups(t *topo.Map, size int, slice func(r int) []byte, frag int) [][]int {
+	largest := 0
+	for s := 0; s < t.Segments(); s++ {
+		n := 0
+		for _, r := range t.Members(s) {
+			n += len(slice(r))
+		}
+		largest = max(largest, n)
+	}
+	if largest <= frag {
+		groups := make([][]int, t.Segments())
+		for s := range groups {
+			groups[s] = t.Members(s)
+		}
+		return groups
+	}
+	groups := make([][]int, size)
+	for r := range groups {
+		groups[r] = []int{r}
+	}
+	return groups
+}
+
+// gatherSlices is the chunked allreduce's allgather on even segments,
+// over the groups of sliceGroups. It sends no scouts and no release:
+// leaving the two-level reduce-scatter is itself the evidence that every
+// rank has entered and posted its descriptors (AllreduceMcastChunked).
+// Each group's members first send their slices to its first rank over
+// cc — segment-local unicasts, none where a rank is its own group. Then
+// one context per group is opened in group order; the first rank
+// multicasts the group's slices at its own context before consuming
+// anything, and every rank consumes the other groups' multicasts in
+// group order, which keeps the multicast staleness watermark monotone.
+// Empty slices are never sent, and a group whose slices are all empty
+// multicasts nothing.
+func gatherSlices(c *mpi.Comm, cc mpi.CollCtx, groups [][]int, slice func(r int) []byte) error {
+	me := c.Rank()
+	block := func(g []int) []byte {
+		parts := make([][]byte, len(g))
+		for i, r := range g {
+			parts[i] = slice(r)
+		}
+		return slices.Concat(parts...)
+	}
+	mine := groups[slices.IndexFunc(groups, func(g []int) bool { return slices.Contains(g, me) })]
+	if mine[0] != me {
+		if s := slice(me); len(s) > 0 {
+			cc.SpanBegin("slice-combine")
+			err := cc.Send(mine[0], phaseChunk, s, transport.ClassData, false)
+			cc.SpanEnd("slice-combine")
+			if err != nil {
+				return err
+			}
+		}
+	} else if len(mine) > 1 {
+		expect := 0
+		for _, r := range mine[1:] {
+			if len(slice(r)) > 0 {
+				expect++
+			}
+		}
+		cc.SpanBegin("slice-combine")
+		gate := me
+		for range expect {
+			m, err := cc.Recv(mpi.AnySource, phaseChunk)
+			if err != nil {
+				cc.SpanEnd("slice-combine")
+				return err
+			}
+			r := cc.SrcRank(m)
+			if !slices.Contains(mine[1:], r) || len(m.Payload) != len(slice(r)) {
+				cc.SpanEnd("slice-combine")
+				return fmt.Errorf("core: allreduce slice of %d bytes from %d, want one from a member of %v", len(m.Payload), r, mine)
+			}
+			copy(slice(r), m.Payload)
+			gate = r
+		}
+		cc.SpanEndGated("slice-combine", gate)
+	}
+
+	ccs := make([]mpi.CollCtx, len(groups))
+	for k, g := range groups {
+		ccs[k] = c.BeginColl()
+		if g[0] != me {
+			continue
+		}
+		if b := block(g); len(b) > 0 {
+			cc.SpanBegin("chunk-mcast")
+			err := ccs[k].Multicast(mpi.Whole, b, transport.ClassData)
+			cc.SpanEnd("chunk-mcast")
+			if err != nil {
+				return err
+			}
+		}
+	}
+	cc.SpanBegin("chunk-consume")
+	defer cc.SpanEnd("chunk-consume")
+	for k, g := range groups {
+		want := 0
+		for _, r := range g {
+			want += len(slice(r))
+		}
+		if g[0] == me || want == 0 {
+			continue
+		}
+		m, err := ccs[k].RecvMulticast(mpi.Whole)
+		if err != nil {
+			return err
+		}
+		if len(m.Payload) != want {
+			return fmt.Errorf("core: allreduce slices from %d are %d bytes, want %d", g[0], len(m.Payload), want)
+		}
+		off := 0
+		for _, r := range g {
+			s := slice(r)
+			if r != me {
+				copy(s, m.Payload[off:])
+			}
+			off += len(s)
+		}
+	}
+	return nil
 }
 
 // evenSegments returns the member count F shared by every segment of t,

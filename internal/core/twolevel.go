@@ -73,11 +73,15 @@ package core
 //	                   burstRecvBudget) members ship whole buffers to
 //	                   their leader and S sequential leader rounds
 //	                   exchange per-segment super-slice blocks.
-//	chunked allreduce: AllreduceMcastChunked gathers its reduced slices
-//	                   in the allgather's burst: (N-S) + S(S-1) scouts.
-//	                   On segments of equal size F its reduce-scatter
-//	                   takes two levels too: F-1 segment-local messages
-//	                   and S-1 across the uplinks per rank, not N-1.
+//	chunked allreduce: on segments of equal size F, AllreduceMcastChunked
+//	                   reduce-scatters in two levels — F-1 segment-local
+//	                   messages and S-1 across the uplinks per rank, not
+//	                   N-1 — and gathers the reduced slices with zero
+//	                   scouts, gated by the reduce-scatter data like the
+//	                   allreduce above: S leader multicasts where a
+//	                   segment's slices fit one frame, N beyond. On
+//	                   uneven segments it gathers them in the allgather's
+//	                   burst: (N-S) + S(S-1) scouts.
 //
 // A communicator without a usable topology — no device map, a single
 // segment (nothing to localize), or one rank per segment (the
@@ -382,8 +386,10 @@ func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 // so up to size-1 foreign multicasts queue in the device's receive ring,
 // which must absorb them without overflow — the simulator's default
 // ring holds 256 messages, and this leaves one slot to spare. It guards
-// every caller (burstFits): the two-level allgather and alltoall, and
-// the chunked allreduce's allgather of reduced slices.
+// every caller (burstFits): the two-level allgather and alltoall, the
+// chunked allreduce's burst on uneven segments, and its scout-free
+// gather on even ones (gatherSlices), which leaves at most as many
+// multicasts undrained.
 const burstRecvBudget = 255
 
 // burstFits reports whether twoLevelBurst on c is within the budget.
@@ -396,8 +402,8 @@ func (tl *twoLevel) direct(c *mpi.Comm) bool {
 }
 
 // twoLevelBurst is the lossless data path of the two-level allgather and
-// alltoall and of the chunked allreduce's allgather half, whose handshake
-// carries no data at all. Members scout their leader to prove they have
+// alltoall and of the chunked allreduce's allgather half on uneven
+// segments, whose handshake carries no data at all. Members scout their leader to prove they have
 // entered the collective (every rank posts standing receive descriptors
 // for the whole operation on entry), each leader scouts every other
 // leader exactly once, and a leader that holds proof all S segments are

@@ -11,6 +11,7 @@ package core_test
 // N(N-1)).
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -89,6 +90,37 @@ func TestTwoLevelStrictLaggingRank(t *testing.T) {
 				t.Fatalf("two-level gating lost %d multicast fragments", st.McastDropsNotPosted)
 			}
 		})
+	}
+}
+
+// TestChunkedStrictPostedScoutFree: on even segments the chunked
+// allreduce's allgather sends no scouts — its multicasts go out as soon
+// as the sender leaves the reduce-scatter, which is evidence that every
+// rank has entered, and are safe only because every rank posts its
+// descriptors on entry. Under strict posted-receive semantics a rank
+// that posted later would lose them, so at N=32 and N=64, with
+// sub-frame segment blocks (leaders multicast) and multi-frame slices
+// (every rank multicasts), the result must be right with no multicast
+// fragment dropped and no rank left blocked.
+func TestChunkedStrictPostedScoutFree(t *testing.T) {
+	prof := sharedProf(4)
+	prof.StrictPosted = true
+	for _, n := range []int{32, 64} {
+		for _, size := range []int{100, 2000, 65536} {
+			nw, err := cluster.RunSim(n, simnet.SwitchShared, prof, chunkedAlgorithms(), func(c *mpi.Comm) error {
+				return coretest.CheckOp(c, "allreduce", size, 0)
+			})
+			var dl *sim.DeadlockError
+			if errors.As(err, &dl) {
+				t.Fatalf("N=%d %d B: ranks left blocked: %v", n, size, err)
+			}
+			if err != nil {
+				t.Fatalf("N=%d %d B: %v", n, size, err)
+			}
+			if drops := nw.Stats.McastDropsNotPosted; drops != 0 {
+				t.Errorf("N=%d %d B: %d multicast fragments reached an unposted receiver", n, size, drops)
+			}
+		}
 	}
 }
 

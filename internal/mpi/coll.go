@@ -102,6 +102,16 @@ func (cc CollCtx) Recv(src, phase int) (transport.Message, error) {
 // communicator rank.
 func (cc CollCtx) SrcRank(m transport.Message) int { return cc.c.inverse[m.Src] }
 
+// CollPhase returns the phase a collective protocol message was sent in
+// (CollCtx.Send), and false for any other message. Frame counters use it
+// to attribute one operation's point-to-point traffic to its phases.
+func CollPhase(m transport.Message) (phase int, ok bool) {
+	if m.Kind != transport.P2P || m.Tag > collTagBase {
+		return 0, false
+	}
+	return int(collTagBase - m.Tag), true
+}
+
 // Scope names the receivers of one multicast. The zero value, Whole,
 // is the communicator's own group. Slice(r) is the group only rank r's
 // endpoint subscribes to, so every other NIC drops the fragments

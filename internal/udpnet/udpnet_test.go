@@ -450,6 +450,45 @@ func TestTwoLevelConformanceOverUDP(t *testing.T) {
 	}
 }
 
+// TestChunkedAllreduceOverUDP runs the chunked allreduce on real
+// sockets over two declared segments of four ranks, where its
+// allgather sends no scouts: each multicast goes out as soon as its
+// sender leaves the reduce-scatter, possibly while a receiver is still
+// inside it. udpnet posts no descriptors, so the kernel's socket buffers
+// must hold those early datagrams. Chunks of 1 and 1,000 B have the
+// segment leaders multicast; 4,000 and 20,000 B have every rank
+// multicast its own slice.
+func TestChunkedAllreduceOverUDP(t *testing.T) {
+	requireMulticast(t)
+	cfg := testConfig(8)
+	cfg.SegmentFanout = 4
+	nw, err := udpnet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	eps := make([]transport.Endpoint, nw.Size())
+	for i := range eps {
+		eps[i] = nw.Endpoint(i)
+	}
+	algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
+	algs.Allreduce = core.AllreduceMcastChunked
+	err = mpi.RunEndpoints(eps, algs, func(c *mpi.Comm) error {
+		if tm := c.Topo(); tm == nil || tm.Segments() != 2 {
+			return fmt.Errorf("expected 2 declared segments, got %v", tm)
+		}
+		for _, chunk := range []int{1, 1000, 4000, 20000} {
+			if err := coretest.CheckOp(c, "allreduce", chunk, 0); err != nil {
+				return fmt.Errorf("chunk %d: %w", chunk, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBaselineP2PLossOverUDP is the udpnet half of the MPICH loss
 // coverage: the modeled-TCP baseline's frames ride the reliable stream
 // like everything else, so receiver-side loss (data and the eager TCP
