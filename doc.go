@@ -126,6 +126,8 @@
 //     their flat set where there is no topology — are those options
 //     chosen; the repair they run takes no options. Beside them, the
 //     comparison protocols (ack-based, sequencer, deliberately unsafe).
+//     Every set comes complete: the collectives core has no multicast
+//     version of run package baseline's.
 //     core/coretest holds the conformance harness that checks all seven
 //     collectives against a pure oracle, under graded loss and under the
 //     kill/straggle/partition chaos matrix.

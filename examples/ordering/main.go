@@ -20,13 +20,12 @@ import (
 	"log"
 	"strings"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/mpi"
 )
 
 func main() {
-	algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
+	algs := core.Algorithms(core.Binary) // complete: MPICH where core has no multicast version
 	fmt.Println("§4 example: broadcasts from roots 6, 7, 8 — delivery order per rank:")
 	err := mpi.RunMem(9, algs, func(c *mpi.Comm) error {
 		var got []string
@@ -86,7 +85,9 @@ func main() {
 	}
 
 	fmt.Println("sequencer (Orca-style) broadcast — same order through rank 0:")
-	err = mpi.RunMem(5, core.SequencerAlgorithms().Merge(baseline.Algorithms()), func(c *mpi.Comm) error {
+	// The sequencer set is complete too: its Bcast and the multicast
+	// Barrier over the MPICH algorithms.
+	err = mpi.RunMem(5, core.SequencerAlgorithms(), func(c *mpi.Comm) error {
 		var got []byte
 		for _, root := range []int{3, 1, 4} {
 			buf := make([]byte, 1)

@@ -13,15 +13,15 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/mpi"
 )
 
 func main() {
-	// Collectives: the paper's multicast broadcast and barrier, with the
-	// MPICH-style algorithms underneath for everything else.
-	algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
+	// Collectives: the paper's multicast suite. The set is complete —
+	// the MPICH-style algorithms run whatever it has no multicast
+	// version of.
+	algs := core.Algorithms(core.Binary)
 
 	err := mpi.RunMem(4, algs, func(c *mpi.Comm) error {
 		// 1. Root broadcasts a config payload; one multicast reaches

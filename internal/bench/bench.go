@@ -91,27 +91,29 @@ func set(a Algorithm) (mpi.Algorithms, error) {
 	case MPICH:
 		return baseline.Algorithms(), nil
 	case McastBinary:
-		return core.Algorithms(core.Binary).Merge(baseline.Algorithms()), nil
+		return core.Algorithms(core.Binary), nil
 	case McastLinear:
-		return core.Algorithms(core.Linear).Merge(baseline.Algorithms()), nil
+		return core.Algorithms(core.Linear), nil
 	case McastPipelined:
-		return core.Algorithms(core.BinaryPipelined).Merge(baseline.Algorithms()), nil
+		return core.Algorithms(core.BinaryPipelined), nil
 	case McastAck:
-		return core.AckAlgorithms().Merge(baseline.Algorithms()), nil
+		return core.AckAlgorithms(), nil
 	case McastResilient:
-		return core.ResilientAlgorithms().Merge(baseline.Algorithms()), nil
+		return core.ResilientAlgorithms(), nil
 	case McastChunked:
 		algs := core.Algorithms(core.Binary)
 		algs.Allreduce = core.AllreduceMcastChunked
-		return algs.Merge(baseline.Algorithms()), nil
+		return algs, nil
 	case McastTwoLevel:
-		return core.TwoLevelAlgorithms().Merge(baseline.Algorithms()), nil
+		return core.TwoLevelAlgorithms(), nil
 	case McastTwoLevelResilient:
-		return core.TwoLevelResilientAlgorithms().Merge(baseline.Algorithms()), nil
+		return core.TwoLevelResilientAlgorithms(), nil
 	case Sequencer:
-		return core.SequencerAlgorithms().Merge(baseline.Algorithms()), nil
+		return core.SequencerAlgorithms(), nil
 	case Unsafe:
-		return mpi.Algorithms{Bcast: core.BcastUnsafe}.Merge(baseline.Algorithms()), nil
+		algs := baseline.Algorithms()
+		algs.Bcast = core.BcastUnsafe
+		return algs, nil
 	default:
 		return mpi.Algorithms{}, fmt.Errorf("bench: unknown algorithm %q", a)
 	}

@@ -290,3 +290,48 @@ func TestChunkedFallbackDeterminismPin(t *testing.T) {
 		}
 	}
 }
+
+// TestBurstDeterminismPin holds the scout-free exchange that follows the
+// evidence of a two-level collective, where no BENCH_sim.json row looks:
+// the two-level allgather and alltoall's direct path on uneven segments
+// (N=6 = 4+2 and N=7 = 4+3 on the shared-uplink switch, fanout 4), and
+// the chunked allreduce's scout-free gather at N=16 on both branches of
+// its slice groups (100 B: the segment leaders multicast; 65,536 B:
+// every rank does). One cold operation per point must simulate the
+// nanoseconds and engine events recorded before the two exchanges were
+// written as one.
+func TestBurstDeterminismPin(t *testing.T) {
+	shared := *sharedUplinkProfile()
+	shared.Seed = 1
+	for _, tc := range []struct {
+		alg    Algorithm
+		op     Op
+		n      int
+		size   int
+		simNS  int64
+		events uint64
+	}{
+		{McastTwoLevel, OpAllgather, 6, 100, 723_760, 300},
+		{McastTwoLevel, OpAllgather, 6, 2000, 1_693_280, 349},
+		{McastTwoLevel, OpAllgather, 6, 65536, 40_874_880, 1970},
+		{McastTwoLevel, OpAllgather, 7, 100, 768_960, 353},
+		{McastTwoLevel, OpAllgather, 7, 2000, 1_871_520, 411},
+		{McastTwoLevel, OpAllgather, 7, 65536, 46_566_080, 2379},
+		{McastTwoLevel, OpAlltoall, 6, 100, 865_000, 336},
+		{McastTwoLevel, OpAlltoall, 6, 2000, 6_423_800, 544},
+		{McastTwoLevel, OpAlltoall, 6, 65536, 204_475_224, 8825},
+		{McastTwoLevel, OpAlltoall, 7, 100, 939_000, 398},
+		{McastTwoLevel, OpAlltoall, 7, 2000, 7_900_600, 716},
+		{McastTwoLevel, OpAlltoall, 7, 65536, 245_457_720, 12229},
+		{McastChunked, OpAllreduce, 16, 100, 1_063_760, 2140},
+		{McastChunked, OpAllreduce, 16, 65536, 31_796_020, 5509},
+	} {
+		nw, worst, err := coldRun(tc.n, simnet.SwitchShared, shared, tc.alg, tc.op, tc.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worst != tc.simNS || nw.Events() != tc.events {
+			t.Errorf("%s %s N=%d %d B moved: got {%d, %d}, want {%d, %d}", tc.alg, tc.op, tc.n, tc.size, worst, nw.Events(), tc.simNS, tc.events)
+		}
+	}
+}

@@ -53,7 +53,7 @@ func TestRunSimPropagatesRankError(t *testing.T) {
 
 func TestSimCommExposesEndpoint(t *testing.T) {
 	_, err := cluster.RunSim(2, simnet.Switch, simnet.DefaultProfile(),
-		core.Algorithms(core.Binary).Merge(baseline.Algorithms()),
+		core.Algorithms(core.Binary),
 		func(c *mpi.Comm) error {
 			ep := cluster.SimComm(c)
 			if ep.Rank() != c.Rank() {

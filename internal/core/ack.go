@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/baseline"
 	"repro/internal/mpi"
 	"repro/internal/transport"
 )
@@ -86,7 +87,10 @@ func BcastAck(c *mpi.Comm, buf []byte, root int) error {
 }
 
 // AckAlgorithms returns a collective set whose broadcast is the
-// acknowledgment protocol (for the A1 ablation benchmark).
+// acknowledgment protocol (for the A1 ablation benchmark), with the
+// multicast Barrier and package baseline's other collectives.
 func AckAlgorithms() mpi.Algorithms {
-	return mpi.Algorithms{Bcast: BcastAck, Barrier: Barrier}
+	algs := baseline.Algorithms()
+	algs.Bcast, algs.Barrier = BcastAck, Barrier
+	return algs
 }

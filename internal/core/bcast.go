@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/baseline"
 	"repro/internal/mpi"
 	"repro/internal/transport"
 )
@@ -81,10 +82,8 @@ func (m Mode) String() string {
 // Algorithms returns the multicast collective suite for the given scout
 // mode: Bcast and Barrier as the paper describes them, plus the
 // Allgather, Allreduce, Scatter, Gather and Alltoall compositions of
-// suite.go. The remaining collectives are left nil so callers can Merge
-// a baseline set underneath:
-//
-//	algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
+// suite.go. The set is complete: the collectives core does not
+// implement (Reduce, Scan, ReduceScatter) are package baseline's.
 func Algorithms(mode Mode) mpi.Algorithms {
 	rounds := roundOptions{gather: gatherScoutsBinary}
 	switch mode {
@@ -98,23 +97,23 @@ func Algorithms(mode Mode) mpi.Algorithms {
 	bcast := func(c *mpi.Comm, buf []byte, root int) error {
 		return bcastWith(c, buf, root, rounds.gather)
 	}
-	return mpi.Algorithms{
-		Bcast:     bcast,
-		Barrier:   Barrier,
-		Allreduce: allreduceWith(bcast),
-		Allgather: func(c *mpi.Comm, send, recv []byte) error {
-			return allgatherWith(c, send, recv, rounds)
-		},
-		Alltoall: func(c *mpi.Comm, send, recv []byte) error {
-			return alltoallWith(c, send, recv, rounds)
-		},
-		Scatter: func(c *mpi.Comm, send, recv []byte, root int) error {
-			return scatterWith(c, send, recv, root, single)
-		},
-		Gather: func(c *mpi.Comm, send, recv []byte, root int) error {
-			return gatherWith(c, send, recv, root, rounds.gather, false)
-		},
+	algs := baseline.Algorithms()
+	algs.Bcast = bcast
+	algs.Barrier = Barrier
+	algs.Allreduce = allreduceWith(bcast)
+	algs.Allgather = func(c *mpi.Comm, send, recv []byte) error {
+		return allgatherWith(c, send, recv, rounds)
 	}
+	algs.Alltoall = func(c *mpi.Comm, send, recv []byte) error {
+		return alltoallWith(c, send, recv, rounds)
+	}
+	algs.Scatter = func(c *mpi.Comm, send, recv []byte, root int) error {
+		return scatterWith(c, send, recv, root, single)
+	}
+	algs.Gather = func(c *mpi.Comm, send, recv []byte, root int) error {
+		return gatherWith(c, send, recv, root, rounds.gather, false)
+	}
+	return algs
 }
 
 // scout phases within a collective operation.

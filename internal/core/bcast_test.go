@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/mpi"
 )
@@ -173,7 +172,7 @@ func TestOrderingPaperSection4Example(t *testing.T) {
 // when a process receives from two or more multicast groups.
 func TestOrderingAcrossTwoGroups(t *testing.T) {
 	const n = 6
-	err := mpi.RunMem(n, core.Algorithms(core.Binary).Merge(baseline.Algorithms()), func(c *mpi.Comm) error {
+	err := mpi.RunMem(n, core.Algorithms(core.Binary), func(c *mpi.Comm) error {
 		// Group A: even ranks; group B: odd ranks. Every rank also stays
 		// in the world group.
 		sub, err := c.Split(c.Rank()%2, c.Rank())
@@ -207,19 +206,38 @@ func TestOrderingAcrossTwoGroups(t *testing.T) {
 	}
 }
 
-func TestMergeFallsBackToBaseline(t *testing.T) {
-	algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
-	if algs.Bcast == nil || algs.Barrier == nil || algs.Reduce == nil || algs.Alltoall == nil {
-		t.Fatal("merged algorithm set incomplete")
+// TestSetsFallBackToBaseline checks that every core set is complete —
+// no collective returns ErrNoAlgorithm — and runs the operations core
+// has no multicast version of on package baseline's implementation.
+func TestSetsFallBackToBaseline(t *testing.T) {
+	for name, algs := range map[string]mpi.Algorithms{
+		"binary":    core.Algorithms(core.Binary),
+		"resilient": core.ResilientAlgorithms(),
+		"2level":    core.TwoLevelAlgorithms(),
+		"2level-r":  core.TwoLevelResilientAlgorithms(),
+		"ack":       core.AckAlgorithms(),
+		"sequencer": core.SequencerAlgorithms(),
+	} {
+		if algs.Bcast == nil || algs.Barrier == nil || algs.Reduce == nil || algs.Allreduce == nil ||
+			algs.Gather == nil || algs.Scatter == nil || algs.Allgather == nil || algs.Alltoall == nil ||
+			algs.Scan == nil || algs.ReduceScatter == nil {
+			t.Fatalf("%s set incomplete", name)
+		}
 	}
-	err := mpi.RunMem(4, algs, func(c *mpi.Comm) error {
+	err := mpi.RunMem(4, core.Algorithms(core.Binary), func(c *mpi.Comm) error {
 		send := mpi.Int64sToBytes([]int64{int64(c.Rank())})
 		recv := make([]byte, len(send))
-		if err := c.Allreduce(send, recv, mpi.Int64, mpi.OpSum); err != nil {
+		if err := c.Reduce(send, recv, mpi.Int64, mpi.OpSum, 0); err != nil {
 			return err
 		}
-		if got := mpi.BytesToInt64s(recv)[0]; got != 6 {
-			return fmt.Errorf("allreduce = %d, want 6", got)
+		if got := mpi.BytesToInt64s(recv)[0]; c.Rank() == 0 && got != 6 {
+			return fmt.Errorf("reduce = %d, want 6", got)
+		}
+		if err := c.Scan(send, recv, mpi.Int64, mpi.OpSum); err != nil {
+			return err
+		}
+		if got, want := mpi.BytesToInt64s(recv)[0], int64(c.Rank()*(c.Rank()+1)/2); got != want {
+			return fmt.Errorf("rank %d scan = %d, want %d", c.Rank(), got, want)
 		}
 		return nil
 	})

@@ -17,40 +17,42 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/baseline"
 	"repro/internal/mpi"
 	"repro/internal/transport"
 )
 
 // ResilientAlgorithms returns the multicast suite with every data
-// multicast protected by NACK repair (binary scout gather).
+// multicast protected by NACK repair (binary scout gather), complete
+// like Algorithms.
 func ResilientAlgorithms() mpi.Algorithms {
 	rounds := roundOptions{gather: gatherScoutsBinary, repair: true}
 	bcast := func(c *mpi.Comm, buf []byte, root int) error {
 		return runRounds(c, []roundPlan{bcastRound(buf, root)}, rounds)
 	}
-	return mpi.Algorithms{
-		Bcast: bcast,
-		// The release is itself a multicast and can be lost in flight
-		// like any other.
-		Barrier: func(c *mpi.Comm) error {
-			return runRounds(c, []roundPlan{barrierRound()}, rounds)
-		},
-		// The reduce half rides point-to-point paths, which the stream
-		// repairs; only the broadcast half needs the NACK protocol.
-		Allreduce: allreduceWith(bcast),
-		Allgather: func(c *mpi.Comm, send, recv []byte) error {
-			return allgatherWith(c, send, recv, rounds)
-		},
-		Alltoall: func(c *mpi.Comm, send, recv []byte) error {
-			return alltoallWith(c, send, recv, rounds)
-		},
-		Scatter: func(c *mpi.Comm, send, recv []byte, root int) error {
-			return scatterWith(c, send, recv, root, rounds)
-		},
-		Gather: func(c *mpi.Comm, send, recv []byte, root int) error {
-			return gatherWith(c, send, recv, root, gatherScoutsBinary, true)
-		},
+	algs := baseline.Algorithms()
+	algs.Bcast = bcast
+	// The release is itself a multicast and can be lost in flight like
+	// any other.
+	algs.Barrier = func(c *mpi.Comm) error {
+		return runRounds(c, []roundPlan{barrierRound()}, rounds)
 	}
+	// The reduce half rides point-to-point paths, which the stream
+	// repairs; only the broadcast half needs the NACK protocol.
+	algs.Allreduce = allreduceWith(bcast)
+	algs.Allgather = func(c *mpi.Comm, send, recv []byte) error {
+		return allgatherWith(c, send, recv, rounds)
+	}
+	algs.Alltoall = func(c *mpi.Comm, send, recv []byte) error {
+		return alltoallWith(c, send, recv, rounds)
+	}
+	algs.Scatter = func(c *mpi.Comm, send, recv []byte, root int) error {
+		return scatterWith(c, send, recv, root, rounds)
+	}
+	algs.Gather = func(c *mpi.Comm, send, recv []byte, root int) error {
+		return gatherWith(c, send, recv, root, gatherScoutsBinary, true)
+	}
+	return algs
 }
 
 // bcastRound is the broadcast of buf from root as one round: root

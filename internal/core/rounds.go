@@ -8,8 +8,10 @@ package core
 // and every other rank consumes the payload addressed to it.
 //
 // Three things vary independently. Schedule: the engine runs the rounds
-// two ways (the lossless two-level allgather and alltoall run no rounds
-// after their entry handshake — see twoLevelBurst):
+// two ways (the lossless two-level allgather and alltoall and the
+// chunked allreduce's gather run no rounds: once their evidence is in,
+// one exchange multicasts every sender's data at its own slot — see
+// exchange in twolevel.go):
 //
 //   - Sequential (the paper's composition, PR 1): round r+1's scouts are
 //     not sent until round r's data has been consumed everywhere, so each

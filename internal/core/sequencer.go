@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/baseline"
 	"repro/internal/mpi"
 	"repro/internal/transport"
 )
@@ -48,7 +49,10 @@ func BcastSequencer(c *mpi.Comm, buf []byte, root int) error {
 }
 
 // SequencerAlgorithms returns a collective set using the sequencer
-// broadcast, for ordering experiments.
+// broadcast, for ordering experiments, with the multicast Barrier and
+// package baseline's other collectives.
 func SequencerAlgorithms() mpi.Algorithms {
-	return mpi.Algorithms{Bcast: BcastSequencer, Barrier: Barrier}
+	algs := baseline.Algorithms()
+	algs.Bcast, algs.Barrier = BcastSequencer, Barrier
+	return algs
 }

@@ -9,7 +9,8 @@ package core
 // a single IP multicast that therefore cannot be lost. The operations
 // are reached through the sets — Algorithms(mode), ResilientAlgorithms,
 // TwoLevelAlgorithms — which pick the scout scheme, the schedule and the
-// reliability class; only the variant a set does not cover
+// reliability class, and come complete with package baseline's Reduce,
+// Scan and ReduceScatter; only the variant a set does not cover
 // (AllreduceMcastChunked) is exported by name.
 //
 // Frame-count model (N ranks, per-rank chunk of M bytes, frame payload
@@ -203,7 +204,9 @@ func sliceBounds(total, extent, size int) []int {
 // saves, and every rank multicasts its own slice. On uneven segments the
 // allgather is twoLevelBurst — one scout-only handshake of (N-S) +
 // S(S-1) scouts, then every rank multicasts its slice; elsewhere it is
-// the suite's pipelined scout-gated rounds, N(N-1) scouts.
+// the suite's pipelined scout-gated rounds, N(N-1) scouts. The two
+// gathers differ only in their evidence: after it, both run the same
+// exchange (twolevel.go), one multicast slot per sender in slot order.
 //
 // The reduce-scatter runs in two levels where usableTopo finds S segments
 // of F members each — Karonis's multilevel and Träff's lane
@@ -307,7 +310,7 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		return nil // nothing was reduced, so nothing goes on the wire
 	}
 	if groups != nil {
-		return gatherSlices(c, cc, groups, slice)
+		return gatherSlices(cc, groups, slice)
 	}
 	place := func(r int, p []byte) error {
 		if want := len(slice(r)); len(p) != want {
@@ -350,11 +353,7 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 func sliceGroups(t *topo.Map, size int, slice func(r int) []byte, frag int) [][]int {
 	largest := 0
 	for s := 0; s < t.Segments(); s++ {
-		n := 0
-		for _, r := range t.Members(s) {
-			n += len(slice(r))
-		}
-		largest = max(largest, n)
+		largest = max(largest, groupBytes(t.Members(s), slice))
 	}
 	if largest <= frag {
 		groups := make([][]int, t.Segments())
@@ -376,21 +375,11 @@ func sliceGroups(t *topo.Map, size int, slice func(r int) []byte, frag int) [][]
 // rank has entered and posted its descriptors (AllreduceMcastChunked).
 // Each group's members first send their slices to its first rank over
 // cc — segment-local unicasts, none where a rank is its own group. Then
-// one context per group is opened in group order; the first rank
-// multicasts the group's slices at its own context before consuming
-// anything, and every rank consumes the other groups' multicasts in
-// group order, which keeps the multicast staleness watermark monotone.
-// Empty slices are never sent, and a group whose slices are all empty
-// multicasts nothing.
-func gatherSlices(c *mpi.Comm, cc mpi.CollCtx, groups [][]int, slice func(r int) []byte) error {
-	me := c.Rank()
-	block := func(g []int) []byte {
-		parts := make([][]byte, len(g))
-		for i, r := range g {
-			parts[i] = slice(r)
-		}
-		return slices.Concat(parts...)
-	}
+// exchange gives each group one slot, at which its first rank multicasts
+// the group's slices. Empty slices are never sent, and a group whose
+// slices are all empty multicasts nothing.
+func gatherSlices(cc mpi.CollCtx, groups [][]int, slice func(r int) []byte) error {
+	me := cc.Comm().Rank()
 	mine := groups[slices.IndexFunc(groups, func(g []int) bool { return slices.Contains(g, me) })]
 	if mine[0] != me {
 		if s := slice(me); len(s) > 0 {
@@ -426,49 +415,45 @@ func gatherSlices(c *mpi.Comm, cc mpi.CollCtx, groups [][]int, slice func(r int)
 		}
 		cc.SpanEndGated("slice-combine", gate)
 	}
-
-	ccs := make([]mpi.CollCtx, len(groups))
+	senders := make([]int, len(groups))
 	for k, g := range groups {
-		ccs[k] = c.BeginColl()
-		if g[0] != me {
-			continue
-		}
-		if b := block(g); len(b) > 0 {
-			cc.SpanBegin("chunk-mcast")
-			err := ccs[k].Multicast(mpi.Whole, b, transport.ClassData)
-			cc.SpanEnd("chunk-mcast")
-			if err != nil {
-				return err
-			}
+		senders[k] = -1
+		if groupBytes(g, slice) > 0 {
+			senders[k] = g[0]
 		}
 	}
-	cc.SpanBegin("chunk-consume")
-	defer cc.SpanEnd("chunk-consume")
-	for k, g := range groups {
-		want := 0
-		for _, r := range g {
-			want += len(slice(r))
+	var sends []send
+	if mine[0] == me {
+		parts := make([][]byte, len(mine))
+		for i, r := range mine {
+			parts[i] = slice(r)
 		}
-		if g[0] == me || want == 0 {
-			continue
-		}
-		m, err := ccs[k].RecvMulticast(mpi.Whole)
-		if err != nil {
-			return err
-		}
-		if len(m.Payload) != want {
-			return fmt.Errorf("core: allreduce slices from %d are %d bytes, want %d", g[0], len(m.Payload), want)
+		sends = wholeSend(slices.Concat(parts...))()
+	}
+	return exchange(cc, senders, sends, mpi.Whole, func(k int, p []byte) error {
+		g := groups[k]
+		if want := groupBytes(g, slice); len(p) != want {
+			return fmt.Errorf("core: allreduce slices from %d are %d bytes, want %d", g[0], len(p), want)
 		}
 		off := 0
 		for _, r := range g {
 			s := slice(r)
 			if r != me {
-				copy(s, m.Payload[off:])
+				copy(s, p[off:])
 			}
 			off += len(s)
 		}
+		return nil
+	})
+}
+
+// groupBytes returns the bytes of the slices of the ranks in g together.
+func groupBytes(g []int, slice func(r int) []byte) int {
+	n := 0
+	for _, r := range g {
+		n += len(slice(r))
 	}
-	return nil
+	return n
 }
 
 // evenSegments returns the member count F shared by every segment of t,

@@ -83,6 +83,10 @@ package core
 //	                   uneven segments it gathers them in the allgather's
 //	                   burst: (N-S) + S(S-1) scouts.
 //
+// The lossless allgather, alltoall and both chunked gathers differ only
+// in their evidence — a scout handshake or the reduce-scatter; the data
+// phase that follows is one exchange for all four.
+//
 // A communicator without a usable topology — no device map, a single
 // segment (nothing to localize), or one rank per segment (the
 // decomposition IS the flat algorithm) — runs the set's flat set
@@ -114,7 +118,8 @@ import (
 // TwoLevelAlgorithms returns the topology-aware collective set
 // (registered in bench as mcast-2level): all seven collectives
 // hierarchical over the device topology, the flat pipelined suite where
-// there is none.
+// there is none, and the flat set's other collectives (package
+// baseline's).
 func TwoLevelAlgorithms() mpi.Algorithms {
 	return twoLevelSet(&twoLevel{flat: Algorithms(BinaryPipelined)})
 }
@@ -135,15 +140,15 @@ type twoLevel struct {
 }
 
 func twoLevelSet(tl *twoLevel) mpi.Algorithms {
-	return mpi.Algorithms{
-		Bcast:     tl.bcast,
-		Barrier:   tl.barrier,
-		Allgather: tl.allgather,
-		Allreduce: tl.allreduce,
-		Gather:    tl.gather,
-		Scatter:   tl.scatter,
-		Alltoall:  tl.alltoall,
-	}
+	algs := tl.flat
+	algs.Bcast = tl.bcast
+	algs.Barrier = tl.barrier
+	algs.Allgather = tl.allgather
+	algs.Allreduce = tl.allreduce
+	algs.Gather = tl.gather
+	algs.Scatter = tl.scatter
+	algs.Alltoall = tl.alltoall
+	return algs
 }
 
 // usableTopo returns the communicator's topology when the two-level
@@ -187,10 +192,8 @@ func twoLevelRoundGather(t *topo.Map) func(cc mpi.CollCtx, root, hot int) error 
 		if me == root {
 			expect += t.Segments() - 1
 		}
-		for i := 0; i < expect; i++ {
-			if _, err := cc.Recv(mpi.AnySource, phaseScout); err != nil {
-				return err
-			}
+		if err := recvScouts(cc, phaseScout, expect); err != nil {
+			return err
 		}
 		if me != root {
 			return cc.Send(root, phaseScout, nil, transport.ClassScout, false)
@@ -215,13 +218,19 @@ func leaderRoundGather(t *topo.Map) func(cc mpi.CollCtx, root, hot int) error {
 		if me != root {
 			return cc.Send(root, phaseScout, nil, transport.ClassScout, false)
 		}
-		for i := 0; i < t.Segments()-1; i++ {
-			if _, err := cc.Recv(mpi.AnySource, phaseScout); err != nil {
-				return err
-			}
-		}
-		return nil
+		return recvScouts(cc, phaseScout, t.Segments()-1)
 	}
+}
+
+// recvScouts receives n messages of phase from any source: a scout
+// count, where only their arrival matters.
+func recvScouts(cc mpi.CollCtx, phase, n int) error {
+	for range n {
+		if _, err := cc.Recv(mpi.AnySource, phase); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // bcast is the hierarchical broadcast: the two-level scout gather toward
@@ -299,10 +308,8 @@ func segmentCombine(cc mpi.CollCtx, t *topo.Map, lead int, payload []byte, rep b
 	if others == 0 {
 		return nil
 	}
-	for i := 0; i < others; i++ {
-		if _, err := cc.Recv(mpi.AnySource, phaseScout); err != nil {
-			return err
-		}
+	if err := recvScouts(cc, phaseScout, others); err != nil {
+		return err
 	}
 	return collectChunks(cc, mpi.Seg(seg), others, len(payload), place)
 }
@@ -381,15 +388,15 @@ func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 	return runRounds(c, rounds, roundOptions{gather: leaderRoundGather(t), repair: tl.rep})
 }
 
-// burstRecvBudget bounds the multicasts twoLevelBurst leaves undrained
-// at one rank: while a rank transmits its own data it is in no receive,
-// so up to size-1 foreign multicasts queue in the device's receive ring,
-// which must absorb them without overflow — the simulator's default
-// ring holds 256 messages, and this leaves one slot to spare. It guards
-// every caller (burstFits): the two-level allgather and alltoall, the
-// chunked allreduce's burst on uneven segments, and its scout-free
-// gather on even ones (gatherSlices), which leaves at most as many
-// multicasts undrained.
+// burstRecvBudget bounds the multicasts exchange leaves undrained at one
+// rank: while a rank transmits its own data it is in no receive, so up
+// to size-1 foreign multicasts queue in the device's receive ring, which
+// must absorb them without overflow — the simulator's default ring holds
+// 256 messages, and this leaves one slot to spare. It guards every
+// exchange (burstFits): the two-level allgather and alltoall and the
+// chunked allreduce's gather on uneven segments (twoLevelBurst, one slot
+// per rank), and its scout-free gather on even ones (gatherSlices, one
+// slot per slice group, so at most as many multicasts undrained).
 const burstRecvBudget = 255
 
 // burstFits reports whether twoLevelBurst on c is within the budget.
@@ -403,35 +410,35 @@ func (tl *twoLevel) direct(c *mpi.Comm) bool {
 
 // twoLevelBurst is the lossless data path of the two-level allgather and
 // alltoall and of the chunked allreduce's allgather half on uneven
-// segments, whose handshake carries no data at all. Members scout their leader to prove they have
-// entered the collective (every rank posts standing receive descriptors
-// for the whole operation on entry), each leader scouts every other
-// leader exactly once, and a leader that holds proof all S segments are
-// in releases its own segment — whereupon every rank multicasts its own
-// sends directly, one collective context per rank in rank order, and
-// consumes the multicast every other rank sent to scope, in rank order,
-// handing it to consume. The scout budget is the combine-based schedule's
-// — (N-S) member scouts plus S(S-1) leader scouts — but no data converges
-// on a leader, and every per-round gather collapses into the single entry
-// handshake, so after the release the wire does all remaining
-// serialization. A rank transmits before consuming anyone else's data, so
-// transmissions overlap fully; in-order consumption keeps the multicast
-// staleness watermark monotone.
+// segments: standing descriptors for size-1 foreign multicasts and the
+// segment release, twoLevelHandshake, then exchange with one slot per
+// rank. The scout budget is the combine-based schedule's — (N-S) member
+// scouts plus S(S-1) leader scouts — but no data converges on a leader,
+// and every per-round gather collapses into the one entry handshake.
 func twoLevelBurst(c *mpi.Comm, t *topo.Map, sends []send, scope mpi.Scope, consume func(r int, p []byte) error) error {
-	size := c.Size()
-	me := c.Rank()
+	release := c.PostRecvs(c.Size())
+	defer release()
+	cc := c.BeginColl()
+	if err := twoLevelHandshake(cc, t); err != nil {
+		return err
+	}
+	senders := make([]int, c.Size())
+	for r := range senders {
+		senders[r] = r
+	}
+	return exchange(cc, senders, sends, scope, consume)
+}
+
+// twoLevelHandshake is twoLevelBurst's evidence that every rank has
+// entered. Members scout their leader, each leader scouts every other
+// leader exactly once, and a leader that holds proof all S segments are
+// in releases its own segment; a member returns on that release.
+func twoLevelHandshake(cc mpi.CollCtx, t *topo.Map) error {
+	me := cc.Comm().Rank()
 	mySeg := t.SegmentOf(me)
 	members := t.Members(mySeg)
 	leader := t.Leader(mySeg)
 	segs := t.Segments()
-
-	// Standing descriptors for everything that can arrive while this
-	// rank is busy elsewhere: size-1 foreign multicasts plus the segment
-	// release.
-	release := c.PostRecvs(size)
-	defer release()
-
-	cc := c.BeginColl()
 	if me != leader {
 		cc.SpanBegin("member-scout")
 		err := cc.Send(leader, phaseScout, nil, transport.ClassScout, false)
@@ -444,62 +451,58 @@ func twoLevelBurst(c *mpi.Comm, t *topo.Map, sends []send, scope mpi.Scope, cons
 		cc.SpanBegin("await-release")
 		_, err = cc.RecvMulticast(mpi.Seg(mySeg))
 		cc.SpanEndGated("await-release", leader)
-		if err != nil {
+		return err
+	}
+	cc.SpanBegin("member-scout")
+	err := recvScouts(cc, phaseScout, len(members)-1)
+	cc.SpanEnd("member-scout")
+	if err != nil {
+		return err
+	}
+	// The cross-scout exchange among the S leaders: the phase the
+	// two-level handshake's completion time hinges on, and the one the
+	// critical-path report names when the uplink fabric bounds the
+	// operation.
+	cc.SpanBegin("leader-scout-exchange")
+	for s := 0; s < segs; s++ {
+		if s == mySeg {
+			continue
+		}
+		if err := cc.Send(t.Leader(s), phaseLeaderScout, nil, transport.ClassScout, false); err != nil {
+			cc.SpanEnd("leader-scout-exchange")
 			return err
 		}
-	} else {
-		cc.SpanBegin("member-scout")
-		for i := 0; i < len(members)-1; i++ {
-			if _, err := cc.Recv(mpi.AnySource, phaseScout); err != nil {
-				cc.SpanEnd("member-scout")
-				return err
-			}
-		}
-		cc.SpanEnd("member-scout")
-		// The cross-scout exchange among the S leaders: the phase the
-		// two-level handshake's completion time hinges on, and the one
-		// the critical-path report names when the uplink fabric bounds
-		// the operation.
-		cc.SpanBegin("leader-scout-exchange")
-		for s := 0; s < segs; s++ {
-			if s == mySeg {
-				continue
-			}
-			if err := cc.Send(t.Leader(s), phaseLeaderScout, nil, transport.ClassScout, false); err != nil {
-				cc.SpanEnd("leader-scout-exchange")
-				return err
-			}
-		}
-		for i := 0; i < segs-1; i++ {
-			if _, err := cc.Recv(mpi.AnySource, phaseLeaderScout); err != nil {
-				cc.SpanEnd("leader-scout-exchange")
-				return err
-			}
-		}
-		cc.SpanEnd("leader-scout-exchange")
-		if len(members) > 1 {
-			cc.SpanBegin("release")
-			err := cc.Multicast(mpi.Seg(mySeg), nil, transport.ClassControl)
-			cc.SpanEnd("release")
-			if err != nil {
-				return err
-			}
-		}
 	}
+	err = recvScouts(cc, phaseLeaderScout, segs-1)
+	cc.SpanEnd("leader-scout-exchange")
+	if err != nil || len(members) == 1 {
+		return err
+	}
+	cc.SpanBegin("release")
+	defer cc.SpanEnd("release")
+	return cc.Multicast(mpi.Seg(mySeg), nil, transport.ClassControl)
+}
 
-	// Data phase: one context per rank, opened in rank order. Fire this
-	// rank's sends at its own slot — before consuming anything — then
-	// consume the rest in slot order (early arrivals queue against their
-	// standing descriptors).
-	ccs := make([]mpi.CollCtx, size)
-	for r := 0; r < size; r++ {
-		ccs[r] = c.BeginColl()
+// exchange is the data phase that follows evidence that every rank has
+// entered and posted its standing descriptors (twoLevelHandshake, or the
+// chunked allreduce's reduce-scatter). senders[k] multicasts at slot k,
+// or nobody where it is -1. One context per slot is opened in slot
+// order; this rank fires its sends at its own slot, before consuming
+// anything, so transmissions overlap fully, then hands consume every
+// other sending slot's multicast on scope, in slot order, which keeps
+// the multicast staleness watermark monotone. Its spans go on cc.
+func exchange(cc mpi.CollCtx, senders []int, sends []send, scope mpi.Scope, consume func(k int, p []byte) error) error {
+	c := cc.Comm()
+	me := c.Rank()
+	ccs := make([]mpi.CollCtx, len(senders))
+	for k, r := range senders {
+		ccs[k] = c.BeginColl()
 		if r != me {
 			continue
 		}
 		cc.SpanBegin("chunk-mcast")
 		for _, s := range sends {
-			if err := ccs[r].Multicast(s.scope, s.payload, transport.ClassData); err != nil {
+			if err := ccs[k].Multicast(s.scope, s.payload, transport.ClassData); err != nil {
 				cc.SpanEnd("chunk-mcast")
 				return err
 			}
@@ -508,15 +511,15 @@ func twoLevelBurst(c *mpi.Comm, t *topo.Map, sends []send, scope mpi.Scope, cons
 	}
 	cc.SpanBegin("chunk-consume")
 	defer cc.SpanEnd("chunk-consume")
-	for r := 0; r < size; r++ {
-		if r == me {
+	for k, r := range senders {
+		if r == me || r < 0 {
 			continue
 		}
-		m, err := ccs[r].RecvMulticast(scope)
+		m, err := ccs[k].RecvMulticast(scope)
 		if err != nil {
 			return err
 		}
-		if err := consume(r, m.Payload); err != nil {
+		if err := consume(k, m.Payload); err != nil {
 			return err
 		}
 	}
@@ -678,10 +681,8 @@ func (tl *twoLevel) gather(c *mpi.Comm, send, recv []byte, root int) error {
 	}
 
 	// Root: gate the aggregate sends, then place each segment's block.
-	for i := 0; i < t.Segments()-1; i++ {
-		if _, err := cc.Recv(mpi.AnySource, phaseLeaderScout); err != nil {
-			return err
-		}
+	if err := recvScouts(cc, phaseLeaderScout, t.Segments()-1); err != nil {
+		return err
 	}
 	for s := 0; s < t.Segments(); s++ {
 		if l := opLeader(t, s, root); l != root {

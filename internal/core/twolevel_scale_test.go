@@ -32,7 +32,7 @@ func TestTwoLevelConformanceN256(t *testing.T) {
 		algs mpi.Algorithms
 	}{
 		{"mcast-2level", core.TwoLevelAlgorithms()},
-		{"flat-binary", mpi.Algorithms{}.Merge(core.Algorithms(core.Binary))},
+		{"flat-binary", core.Algorithms(core.Binary)},
 		{"mcast-chunked", chunkedAlgorithms()},
 	} {
 		set := set
@@ -103,7 +103,7 @@ func TestTwoLevelSingleSegmentDelegatesN256(t *testing.T) {
 		return nw
 	}
 	twoLevel := run(core.TwoLevelAlgorithms())
-	flat := run(mpi.Algorithms{}.Merge(core.Algorithms(core.BinaryPipelined)))
+	flat := run(core.Algorithms(core.BinaryPipelined))
 	for _, class := range []transport.Class{transport.ClassScout, transport.ClassData, transport.ClassControl, transport.ClassNack} {
 		if got, want := twoLevel.Wire.Frames(class), flat.Wire.Frames(class); got != want {
 			t.Errorf("single-segment two-level sent %d %v frames, flat sent %d", got, class, want)

@@ -235,7 +235,7 @@ func TestTwoLevelSingleSegmentDelegates(t *testing.T) {
 		return nw
 	}
 	twoLevel := run(core.TwoLevelAlgorithms())
-	flat := run(mpi.Algorithms{}.Merge(core.Algorithms(core.BinaryPipelined)))
+	flat := run(core.Algorithms(core.BinaryPipelined))
 	for _, class := range []transport.Class{transport.ClassScout, transport.ClassData, transport.ClassControl, transport.ClassNack} {
 		if got, want := twoLevel.Wire.Frames(class), flat.Wire.Frames(class); got != want {
 			t.Errorf("single-segment two-level sent %d %v frames, flat sent %d", got, class, want)
@@ -264,7 +264,7 @@ func TestTwoLevelScoutEconomy(t *testing.T) {
 				return nw.Wire.Frames(transport.ClassScout)
 			}
 			two := measure(core.TwoLevelAlgorithms())
-			flat := measure(mpi.Algorithms{}.Merge(core.Algorithms(core.Binary)))
+			flat := measure(core.Algorithms(core.Binary))
 			bound := int64(cs.n + s*s + s)
 			want := int64((cs.n - s) + s*(s-1))
 			if two != want {
@@ -328,7 +328,7 @@ func TestTwoLevelAlltoallScoutEconomy(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d fanout=%d", cs.n, cs.fanout), func(t *testing.T) {
 			s := topo.Uniform(cs.n, cs.fanout).Segments()
 			two := measure(cs.n, cs.fanout, 100, core.TwoLevelAlgorithms())
-			flat := measure(cs.n, cs.fanout, 100, mpi.Algorithms{}.Merge(core.Algorithms(core.Binary)))
+			flat := measure(cs.n, cs.fanout, 100, core.Algorithms(core.Binary))
 			if want := int64((cs.n - s) + s*(s-1)); two != want {
 				t.Errorf("two-level alltoall sent %d scouts, want exactly %d", two, want)
 			}
@@ -384,7 +384,7 @@ func TestTwoLevelAllgatherBeatsFlatPipelined(t *testing.T) {
 		return worst
 	}
 	two := measure(core.TwoLevelAlgorithms())
-	flat := measure(mpi.Algorithms{}.Merge(core.Algorithms(core.BinaryPipelined)))
+	flat := measure(core.Algorithms(core.BinaryPipelined))
 	if two > flat {
 		t.Errorf("two-level allgather %d ns is slower than flat pipelined %d ns at N=%d/%dB (fig 14h gap must be <= 0)",
 			two, flat, n, chunk)

@@ -143,10 +143,6 @@ type Params struct {
 	// silently (false — the pre-flow-control behaviour that deadlocked
 	// converging gathers beyond SwitchQueueCap frames).
 	SwitchFlowControl bool
-	// FloodUnknownMulticast delivers multicast frames with no snooped
-	// members to every port (like a switch without IGMP snooping). The
-	// default (false) drops them, matching an IGMP-snooping switch.
-	FloodUnknownMulticast bool
 }
 
 // DefaultParams returns constants for the paper's 100 Mbps testbed.

@@ -339,13 +339,10 @@ func (s *Switch) forward(from *swPort, src *NIC, f Frame) {
 	case f.Dst.IsBroadcast():
 		s.flood(from, src, f)
 	case f.Dst.IsMulticast():
+		// An IGMP-snooping switch drops a multicast no port has joined.
 		m := s.groups[f.Dst]
 		if m == nil {
-			if s.params.FloodUnknownMulticast {
-				s.flood(from, src, f)
-			} else {
-				s.Stats.MulticastDrops++
-			}
+			s.Stats.MulticastDrops++
 			return
 		}
 		// The cached fan-out is in attachment order, the same

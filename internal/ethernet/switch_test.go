@@ -71,35 +71,6 @@ func TestSwitchDropsMulticastWithNoMembers(t *testing.T) {
 	}
 }
 
-func TestSwitchFloodUnknownMulticastOption(t *testing.T) {
-	e := sim.New()
-	params := DefaultParams()
-	params.FloodUnknownMulticast = true
-	sw := NewSwitch(e, params)
-	rng := sim.NewRand(1)
-	var got int
-	for i := 0; i < 3; i++ {
-		n := NewNIC(e, UnicastMAC(i), params, rng.Fork())
-		if i == 2 {
-			n.Promiscuous = true
-			n.SetReceiver(func(Frame) { got++ })
-		}
-		sw.Attach(n)
-	}
-	first := NewNIC(e, UnicastMAC(9), params, rng.Fork())
-	sw.Attach(first)
-	first.Send(Frame{Dst: GroupMAC(1)})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("promiscuous station saw %d flooded multicast frames, want 1", got)
-	}
-	if sw.Stats.MulticastDrops != 0 {
-		t.Fatal("flood mode should not drop")
-	}
-}
-
 func TestSwitchLeavePrunesPort(t *testing.T) {
 	e := sim.New()
 	_, nics, logs := buildSwitch(e, 3)

@@ -287,10 +287,10 @@ type Comm struct {
 // Algorithms selects the implementation of each collective operation:
 // the communicator runs exactly the function a field names, and a nil
 // field makes that collective return an error wrapping ErrNoAlgorithm.
-// Package baseline provides the MPICH set, which fills every field;
-// package core provides the paper's multicast sets, which callers Merge
-// over the baseline. A program that uses only point-to-point passes the
-// zero value.
+// Package baseline provides the MPICH set and package core the paper's
+// multicast sets; every one of them fills every field (core's run the
+// baseline's operations where it has none of its own). A program that
+// uses only point-to-point passes the zero value.
 type Algorithms struct {
 	// Name labels this selection in exported telemetry (the alg label
 	// on mcast_coll_ops / mcast_coll_latency_us). Empty reads as
@@ -307,44 +307,6 @@ type Algorithms struct {
 	Alltoall      func(c *Comm, send, recv []byte) error
 	Scan          func(c *Comm, send, recv []byte, dt Datatype, op Op) error
 	ReduceScatter func(c *Comm, send, recv []byte, dt Datatype, op Op) error
-}
-
-// Merge returns a copy of a with nil fields filled from b.
-func (a Algorithms) Merge(b Algorithms) Algorithms {
-	if a.Name == "" {
-		a.Name = b.Name
-	}
-	if a.Bcast == nil {
-		a.Bcast = b.Bcast
-	}
-	if a.Barrier == nil {
-		a.Barrier = b.Barrier
-	}
-	if a.Reduce == nil {
-		a.Reduce = b.Reduce
-	}
-	if a.Allreduce == nil {
-		a.Allreduce = b.Allreduce
-	}
-	if a.Gather == nil {
-		a.Gather = b.Gather
-	}
-	if a.Scatter == nil {
-		a.Scatter = b.Scatter
-	}
-	if a.Allgather == nil {
-		a.Allgather = b.Allgather
-	}
-	if a.Alltoall == nil {
-		a.Alltoall = b.Alltoall
-	}
-	if a.Scan == nil {
-		a.Scan = b.Scan
-	}
-	if a.ReduceScatter == nil {
-		a.ReduceScatter = b.ReduceScatter
-	}
-	return a
 }
 
 // World creates the world communicator over rt with the given collective

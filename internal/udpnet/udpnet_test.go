@@ -124,7 +124,7 @@ func TestUnicastOnlyWithoutMulticast(t *testing.T) {
 
 func TestMPIOverRealUDPMulticast(t *testing.T) {
 	requireMulticast(t)
-	algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
+	algs := core.Algorithms(core.Binary)
 	want := bytes.Repeat([]byte{0xC3}, 4000)
 	err := udpnet.Run(testConfig(5), algs, func(c *mpi.Comm) error {
 		buf := make([]byte, len(want))
@@ -281,7 +281,7 @@ func TestCloseIdempotentAndUnblocks(t *testing.T) {
 func TestPipelinedConformanceOverUDP(t *testing.T) {
 	requireMulticast(t)
 	const n = 5
-	algs := core.Algorithms(core.BinaryPipelined).Merge(baseline.Algorithms())
+	algs := core.Algorithms(core.BinaryPipelined)
 	err := udpnet.Run(testConfig(n), algs, func(c *mpi.Comm) error {
 		for _, chunk := range []int{1, 1000} {
 			for _, root := range []int{0, n - 1} {
@@ -320,7 +320,7 @@ func TestP2PLossConformanceOverUDP(t *testing.T) {
 			for i := range eps {
 				eps[i] = nw.Endpoint(i)
 			}
-			algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
+			algs := core.Algorithms(core.Binary)
 			err = mpi.RunEndpoints(eps, algs, func(c *mpi.Comm) error {
 				for _, chunk := range []int{1, 1000, 4000} {
 					if err := coretest.Conformance(c, chunk, 0); err != nil {
@@ -423,7 +423,7 @@ func TestTwoLevelConformanceOverUDP(t *testing.T) {
 			for i := range eps {
 				eps[i] = nw.Endpoint(i)
 			}
-			algs := core.TwoLevelAlgorithms().Merge(baseline.Algorithms())
+			algs := core.TwoLevelAlgorithms()
 			err = mpi.RunEndpoints(eps, algs, func(c *mpi.Comm) error {
 				tm := c.Topo()
 				if tm == nil || tm.Segments() != len(tc.members) {
@@ -471,7 +471,7 @@ func TestChunkedAllreduceOverUDP(t *testing.T) {
 	for i := range eps {
 		eps[i] = nw.Endpoint(i)
 	}
-	algs := core.Algorithms(core.Binary).Merge(baseline.Algorithms())
+	algs := core.Algorithms(core.Binary)
 	algs.Allreduce = core.AllreduceMcastChunked
 	err = mpi.RunEndpoints(eps, algs, func(c *mpi.Comm) error {
 		if tm := c.Topo(); tm == nil || tm.Segments() != 2 {
@@ -607,7 +607,7 @@ func TestWindowCreditNeedsNoTimerOverUDP(t *testing.T) {
 	for i := range eps {
 		eps[i] = nw.Endpoint(i)
 	}
-	err = mpi.RunEndpoints(eps, core.Algorithms(core.Binary).Merge(baseline.Algorithms()), func(c *mpi.Comm) error {
+	err = mpi.RunEndpoints(eps, core.Algorithms(core.Binary), func(c *mpi.Comm) error {
 		send, recv := mpi.Float64sToBytes(make([]float64, 8)), make([]byte, 64)
 		for i := 0; i < 200; i++ {
 			if err := c.Allreduce(send, recv, mpi.Float64, mpi.OpSum); err != nil {
