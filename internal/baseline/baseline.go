@@ -121,16 +121,17 @@ func Barrier(c *mpi.Comm) error {
 }
 
 // Reduce combines send buffers to root along the mirror of the broadcast
-// binomial tree. The walk is the shared mpi.BinomialToRoot helper; what
-// makes this the MPICH variant is the reliable (TCP-like) traffic class.
+// binomial tree: one mpi.ReduceWalks region over the ranks rotated so
+// that root comes first. What makes this the MPICH variant is the
+// reliable (TCP-like) traffic class.
 func Reduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, root int) error {
-	cc := c.BeginColl()
+	size := c.Size()
+	group := make([]int, size)
+	for i := range group {
+		group[i] = (root + i) % size
+	}
 	acc := append([]byte(nil), send...)
-	atRoot, err := mpi.BinomialToRoot(cc, root, 0, transport.ClassData, true, acc,
-		func(_ int, payload []byte) error {
-			return mpi.ReduceBytes(op, dt, acc, payload)
-		})
-	if err != nil || !atRoot {
+	if err := mpi.ReduceWalks(c.BeginColl(), group, []int{0, len(acc)}, 0, true, acc, dt, op); err != nil || c.Rank() != root {
 		return err
 	}
 	if len(recv) != len(send) {

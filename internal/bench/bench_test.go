@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/mpi"
 	"repro/internal/simnet"
 )
 
@@ -264,5 +267,56 @@ func TestUnsafeScenarioLosesUnderStrictSkew(t *testing.T) {
 	r, err = Run(sc)
 	if err != nil || r.Failures != 0 {
 		t.Fatalf("binary scout broadcast lost messages: %v (failures %d)", err, r.Failures)
+	}
+}
+
+// TestPartialElementReductionFailsEverywhere holds a reduction buffer
+// that is not whole elements (7 bytes of float64) to one error at every
+// rank, before any message moves: on every set and every reducing
+// collective, no rank may return nil, hang waiting for a peer that has
+// already given up, or report something different from its peers.
+func TestPartialElementReductionFailsEverywhere(t *testing.T) {
+	const bytes = 7
+	dt := mpi.Float64
+	ops := []struct {
+		name string
+		run  func(c *mpi.Comm) error
+	}{
+		{"allreduce", func(c *mpi.Comm) error {
+			return c.Allreduce(make([]byte, bytes), make([]byte, bytes), dt, mpi.OpSum)
+		}},
+		{"reduce", func(c *mpi.Comm) error {
+			return c.Reduce(make([]byte, bytes), make([]byte, bytes), dt, mpi.OpSum, 0)
+		}},
+		{"scan", func(c *mpi.Comm) error {
+			return c.Scan(make([]byte, bytes), make([]byte, bytes), dt, mpi.OpSum)
+		}},
+		{"reduce_scatter", func(c *mpi.Comm) error {
+			return c.ReduceScatter(make([]byte, bytes*c.Size()), make([]byte, bytes), dt, mpi.OpSum)
+		}},
+	}
+	for _, a := range Algorithms() {
+		algs, err := Set(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 8} {
+			for _, op := range ops {
+				errs := make([]error, n)
+				if _, err := cluster.RunSim(n, simnet.SwitchShared, *sharedUplinkProfile(), algs, func(c *mpi.Comm) error {
+					errs[c.Rank()] = op.run(c)
+					return nil
+				}); err != nil {
+					t.Errorf("%s %s N=%d: %v", a, op.name, n, err)
+					continue
+				}
+				for r, err := range errs {
+					if err == nil || err.Error() != fmt.Sprint(errs[0]) {
+						t.Errorf("%s %s N=%d: rank %d returned %v, rank 0 %v", a, op.name, n, r, err, errs[0])
+						break
+					}
+				}
+			}
+		}
 	}
 }

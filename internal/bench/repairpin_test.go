@@ -335,3 +335,74 @@ func TestBurstDeterminismPin(t *testing.T) {
 		}
 	}
 }
+
+// TestReductionDeterminismPin holds the binomial reductions that no
+// BENCH_sim.json row or other pin reaches: the two-level allreduce's
+// leader tree on uneven segments (N=6 = 4+2, N=7 = 4+3) and on even ones
+// (N=16) on the shared-uplink switch, fanout 4, including the empty
+// reduction whose fan-out it gates at 0 B; and the MPICH reduce to a
+// non-zero root (rank 3 of 7 on the switch), whose tree is rotated. One
+// cold operation per point must simulate the nanoseconds and engine
+// events recorded before every binomial reduction ran one walk.
+func TestReductionDeterminismPin(t *testing.T) {
+	shared := *sharedUplinkProfile()
+	shared.Seed = 1
+	for _, tc := range []struct {
+		n      int
+		size   int
+		simNS  int64
+		events uint64
+	}{
+		{6, 0, 398_940, 200},
+		{6, 100, 430_140, 200},
+		{6, 2000, 1_355_820, 229},
+		{6, 65536, 34_662_204, 1488},
+		{7, 0, 410_020, 235},
+		{7, 100, 457_220, 235},
+		{7, 2000, 1_485_700, 267},
+		{7, 65536, 33_655_868, 1707},
+		{16, 0, 593_420, 625},
+		{16, 100, 660_220, 625},
+		{16, 2000, 2_170_460, 701},
+		{16, 65536, 47_377_740, 4121},
+	} {
+		nw, worst, err := coldRun(tc.n, simnet.SwitchShared, shared, McastTwoLevel, OpAllreduce, tc.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worst != tc.simNS || nw.Events() != tc.events {
+			t.Errorf("%s allreduce N=%d %d B moved: got {%d, %d}, want {%d, %d}", McastTwoLevel, tc.n, tc.size, worst, nw.Events(), tc.simNS, tc.events)
+		}
+	}
+
+	algs, err := Set(MPICH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, root = 7, 3
+	for _, tc := range []struct {
+		size   int
+		simNS  int64
+		events uint64
+	}{
+		{0, 298_480, 243},
+		{2000, 1_157_600, 273},
+	} {
+		var worst int64 // ranks run one at a time under the engine
+		nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(), algs, func(c *mpi.Comm) error {
+			send, recv := make([]byte, tc.size), make([]byte, tc.size)
+			start := c.Now()
+			if err := c.Reduce(send, recv, mpi.Byte, mpi.OpSum, root); err != nil {
+				return err
+			}
+			worst = max(worst, c.Now()-start)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worst != tc.simNS || nw.Events() != tc.events {
+			t.Errorf("%s reduce to %d N=%d %d B moved: got {%d, %d}, want {%d, %d}", MPICH, root, n, tc.size, worst, nw.Events(), tc.simNS, tc.events)
+		}
+	}
+}

@@ -293,7 +293,8 @@ func Barrier(c *mpi.Comm) error {
 }
 
 // allreduceWith is the future-work composition the paper points at: a
-// binomial reduction to rank 0 (point-to-point, as in MPICH) followed by
+// binomial reduction to rank 0 (point-to-point, as in MPICH, but over the
+// UDP bypass: one mpi.ReduceWalks region over rank order) followed by
 // bcast of the result from rank 0 — a scout-synchronized multicast, so
 // the broadcast half sends ceil(M/T) frames instead of ceil(M/T)·(N-1).
 func allreduceWith(bcast func(c *mpi.Comm, buf []byte, root int) error) func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
@@ -301,8 +302,16 @@ func allreduceWith(bcast func(c *mpi.Comm, buf []byte, root int) error) func(c *
 		if len(recv) != len(send) {
 			return fmt.Errorf("core: allreduce recv buffer %d bytes, want %d", len(recv), len(send))
 		}
-		if err := reduceToRoot(c, send, recv, dt, op, 0); err != nil {
+		ranks := make([]int, c.Size())
+		for r := range ranks {
+			ranks[r] = r
+		}
+		acc := append([]byte(nil), send...)
+		if err := mpi.ReduceWalks(c.BeginColl(), ranks, []int{0, len(acc)}, phaseChunk, false, acc, dt, op); err != nil {
 			return err
+		}
+		if c.Rank() == 0 {
+			copy(recv, acc)
 		}
 		return bcast(c, recv, 0)
 	}

@@ -472,7 +472,7 @@ func serveRepairs(cc mpi.CollCtx, rd *roundPlan, sent []send) error {
 	confirmed[rd.sender] = true
 	remaining := c.Size() - 1
 	for remaining > 0 {
-		m, err := cc.RecvControl()
+		m, err := cc.RecvPhases(phaseAck, phaseNack)
 		if err != nil {
 			return err
 		}

@@ -29,7 +29,9 @@ package core
 //	                 reduce+broadcast composition. The binomial funnel
 //	                 makes rank 0 absorb log2(N)·M bytes;
 //	                 AllreduceMcastChunked (below) spreads the reduction
-//	                 over per-slice binomial walks so no rank moves more
+//	                 over per-slice walks of the same tree (one
+//	                 mpi.ReduceWalks call per step; the binomial reduce
+//	                 is one walk over rank order), so no rank moves more
 //	                 than ~2M bytes end to end — N(N-1) p2p messages, or
 //	                 N((F-1) + (S-1)) on S segments of F members each —
 //	                 and gathers the reduced slices with no scouts on
@@ -145,23 +147,6 @@ func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	return runRounds(c, rounds, opt)
 }
 
-// reduceToRoot runs a binomial reduction of send to root over the UDP
-// bypass path (the point-to-point half of the multicast allreduce,
-// allreduceWith). Only root's recv is written.
-func reduceToRoot(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, root int) error {
-	cc := c.BeginColl()
-	acc := append([]byte(nil), send...)
-	atRoot, err := mpi.BinomialToRoot(cc, root, phaseChunk, transport.ClassData, false, acc,
-		func(_ int, payload []byte) error {
-			return mpi.ReduceBytes(op, dt, acc, payload)
-		})
-	if err != nil || !atRoot {
-		return err
-	}
-	copy(recv, acc)
-	return nil
-}
-
 // sliceBounds splits a buffer of total bytes holding total/extent
 // elements into size contiguous slices aligned to the element extent,
 // front-loading the remainder. It returns size+1 byte offsets; slice s
@@ -185,9 +170,12 @@ func sliceBounds(total, extent, size int) []int {
 }
 
 // AllreduceMcastChunked is the Rabenseifner-style chunked composition:
-// a reduce-scatter built from per-slice binomial walks (reduceWalks),
-// after which each rank holds one fully reduced slice, followed by an
-// allgather that multicasts each reduced slice exactly once.
+// a reduce-scatter built from per-slice binomial walks (one
+// mpi.ReduceWalks call per step, the walk every reduction runs), after
+// which each rank holds one fully reduced slice, followed by an
+// allgather that multicasts each reduced slice exactly once. Slices
+// split the buffer in whole elements, which Comm.Allreduce checks at
+// every rank before any message moves.
 //
 // On S segments of F members each (within the receive budget,
 // burstFits) that allgather sends no scouts (gatherSlices): the
@@ -240,9 +228,6 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	if len(recv) != len(send) {
 		return fmt.Errorf("core: allreduce recv buffer %d bytes, want %d", len(recv), len(send))
 	}
-	if dt.Size() <= 0 || len(send)%dt.Size() != 0 {
-		return fmt.Errorf("core: allreduce buffer of %d bytes is not whole %v elements", len(send), dt)
-	}
 	copy(recv, send)
 	if size == 1 {
 		return nil
@@ -279,7 +264,7 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	cc.SpanBegin("reduce-scatter")
 	if lanes == 0 {
 		// pos is the identity: one walk per slice among all ranks.
-		if err := reduceWalks(cc, pos, bounds, phaseSlice, recv, dt, op); err != nil {
+		if err := mpi.ReduceWalks(cc, pos, bounds, phaseSlice, false, recv, dt, op); err != nil {
 			return err
 		}
 	} else {
@@ -294,10 +279,10 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		for s := range lane {
 			lane[s] = t.Members(s)[i]
 		}
-		if err := reduceWalks(cc, members, region, phaseSlice, recv, dt, op); err != nil {
+		if err := mpi.ReduceWalks(cc, members, region, phaseSlice, false, recv, dt, op); err != nil {
 			return err
 		}
-		if err := reduceWalks(cc, lane, bounds[i*segs:(i+1)*segs+1], phaseSlice+lanes, recv, dt, op); err != nil {
+		if err := mpi.ReduceWalks(cc, lane, bounds[i*segs:(i+1)*segs+1], phaseSlice+lanes, false, recv, dt, op); err != nil {
 			return err
 		}
 	}
@@ -470,102 +455,6 @@ func evenSegments(t *topo.Map) int {
 		}
 	}
 	return f
-}
-
-// reduceWalks runs this rank's part of one reduce-scatter step among
-// group, a list of communicator ranks that includes this one: walk k
-// combines buf[offs[k]:offs[k+1]] toward group[k] up the low-bit-first
-// binomial tree over group indexes (mpi.Binomial), on phase base+k, in
-// buf in place. Empty regions take no walk.
-//
-// The walks overlap: every walk where this rank is a leaf fires its
-// parent send up front, filling the wire immediately, and the remaining
-// interior walks make progress in whatever order their children's
-// contributions arrive (CollCtx.RecvPhaseRange is the event pump — the
-// walk index rides the message phase, and traffic of other phases stays
-// queued for its own step), so the wire and the hosts work concurrently
-// while each walk's tree, phases, classes and frame counts stay those of
-// a blocking walk (the a3 table).
-func reduceWalks(cc mpi.CollCtx, group, offs []int, base int, buf []byte, dt mpi.Datatype, op mpi.Op) error {
-	size := len(group)
-	me := slices.Index(group, cc.Comm().Rank())
-	// walk is one interior walk's progress state.
-	type walk struct {
-		lo, hi   int
-		parent   int            // rank to send the combined region to; -1 at the walk's root
-		children []int          // child ranks in increasing-mask order (the blocking walk's absorb order)
-		pending  map[int][]byte // child contributions buffered until all have arrived
-	}
-	walks := make(map[int]*walk, size)
-	for k := 0; k < size; k++ {
-		lo, hi := offs[k], offs[k+1]
-		if lo == hi {
-			continue
-		}
-		parent, kids := mpi.Binomial((me-k+size)%size, size)
-		if parent >= 0 {
-			parent = group[(parent+k)%size]
-		}
-		var children []int
-		for ch := range kids.All {
-			children = append(children, group[(ch+k)%size])
-		}
-		if len(children) == 0 {
-			// Leaf in this walk: nothing to combine — send immediately,
-			// before any interior walk blocks. These up-front sends are
-			// the overlap: every leaf contribution of every walk is on
-			// the wire before the first receive.
-			if parent >= 0 {
-				if err := cc.Send(parent, base+k, buf[lo:hi], transport.ClassData, false); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		walks[k] = &walk{lo: lo, hi: hi, parent: parent, children: children,
-			pending: make(map[int][]byte, len(children))}
-	}
-	for len(walks) > 0 {
-		m, phase, err := cc.RecvPhaseRange(base, base+size-1)
-		if err != nil {
-			return err
-		}
-		k := phase - base
-		w := walks[k]
-		if w == nil {
-			return fmt.Errorf("core: allreduce walk %d contribution at rank %d, which is not interior in that walk", k, group[me])
-		}
-		src := cc.SrcRank(m)
-		if len(m.Payload) != w.hi-w.lo {
-			return fmt.Errorf("core: allreduce walk %d contribution %d bytes, want %d", k, len(m.Payload), w.hi-w.lo)
-		}
-		if _, dup := w.pending[src]; dup {
-			return fmt.Errorf("core: allreduce walk %d duplicate contribution from %d", k, src)
-		}
-		w.pending[src] = m.Payload
-		if len(w.pending) < len(w.children) {
-			continue
-		}
-		// Every child is in: absorb in the blocking walk's mask order,
-		// then pass the combined region up (or keep it, at the root).
-		region := buf[w.lo:w.hi]
-		for _, ch := range w.children {
-			p, ok := w.pending[ch]
-			if !ok {
-				return fmt.Errorf("core: allreduce walk %d missing contribution from %d", k, ch)
-			}
-			if err := mpi.ReduceBytes(op, dt, region, p); err != nil {
-				return err
-			}
-		}
-		if w.parent >= 0 {
-			if err := cc.Send(w.parent, base+k, region, transport.ClassData, false); err != nil {
-				return err
-			}
-		}
-		delete(walks, k)
-	}
-	return nil
 }
 
 // scatterWith is a single sliced round of the engine: the root

@@ -52,8 +52,8 @@ package core
 //	                   nor the root can be overrun.
 //	allreduce:         zero scout frames — the reduction data itself
 //	                   gates every hop (members combine at their leader,
-//	                   leaders combine up a binomial tree over the
-//	                   leader set, and the final multicast follows the
+//	                   leaders combine in one mpi.ReduceWalks walk over
+//	                   the leader set, and the final multicast follows the
 //	                   data it proves everyone contributed to).
 //	scatter:           N-1 scouts (S-1 crossing uplinks), then at most S
 //	                   segment-group multicasts of per-segment
@@ -553,11 +553,14 @@ func ringSegSends(t *topo.Map, me int, buf []byte, n int) []send {
 }
 
 // allreduce reduces in two levels — members combine at their segment
-// leader, leaders combine up a binomial tree over the leader set (one
+// leader, leaders combine in one mpi.ReduceWalks region over t.Leaders()
+// (the binomial tree of the flat reduce over a smaller group: one
 // aggregate frame per segment across the uplinks) — then the root leader
 // multicasts the result once. No scout frames at all: the reduction data
 // itself gates every hop, and a rank posts its receive the instant its
-// contribution is sent.
+// contribution is sent. That holds at 0 bytes too: a lone region is
+// walked even when empty, so the root leader still hears from every
+// segment before its fan-out.
 func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	t := usableTopo(c)
 	if t == nil {
@@ -600,26 +603,9 @@ func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, o
 				return err
 			}
 		}
-		// Leader tree: low-bit-first binomial over the segment index
-		// space toward segment 0's leader (my index IS my segment).
-		leaders := t.Leaders()
-		parent, children := mpi.Binomial(mySeg, t.Segments())
-		for peer := range children.All {
-			m, err := cc.Recv(leaders[peer], phaseBlock)
-			if err != nil {
-				return err
-			}
-			if len(m.Payload) != len(acc) {
-				return fmt.Errorf("core: allreduce aggregate from %d is %d bytes, want %d", leaders[peer], len(m.Payload), len(acc))
-			}
-			if err := mpi.ReduceBytes(op, dt, acc, m.Payload); err != nil {
-				return err
-			}
-		}
-		if parent >= 0 {
-			if err := cc.Send(leaders[parent], phaseBlock, acc, transport.ClassData, false); err != nil {
-				return err
-			}
+		// Leader tree: one walk over the leaders, toward segment 0's.
+		if err := mpi.ReduceWalks(cc, t.Leaders(), []int{0, len(acc)}, phaseBlock, false, acc, dt, op); err != nil {
+			return err
 		}
 	}
 

@@ -1,14 +1,20 @@
 package mpi
 
-import "repro/internal/transport"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/transport"
+)
 
 // Binomial places relative position rel in the low-bit-first binomial
 // tree over positions 0..span-1, the one tree every walk in the
 // repository runs (the paper's Fig. 2 broadcast and Fig. 3 scout gather,
-// the binomial reductions): parent is rel with its lowest set bit
-// cleared (-1 at the root, rel 0), and the children are rel+mask for
-// every power of two mask below that bit with rel+mask < span. It is
-// pure and allocation-free; callers map positions to ranks.
+// and every reduction, which ReduceWalks runs in reverse): parent is rel
+// with its lowest set bit cleared (-1 at the root, rel 0), and the
+// children are rel+mask for every power of two mask below that bit with
+// rel+mask < span. It is pure and allocation-free; callers map positions
+// to ranks.
 func Binomial(rel, span int) (parent int, children BinomialChildren) {
 	below := rel & -rel
 	parent = rel - below
@@ -45,43 +51,108 @@ func (c BinomialChildren) Backward(yield func(int) bool) {
 	}
 }
 
-// BinomialToRoot runs one rank's part of a low-bit-first binomial
-// combining tree toward root over the whole communicator (Binomial, with
-// positions relative to root): a rank receives from its children and
-// absorbs each, then sends its accumulator to its parent and leaves the
-// tree. Only the root remains, holding the combined result, and the call
-// reports atRoot=true there (every other rank has sent and returned with
-// atRoot=false).
+// ReduceWalks runs this rank's part of every binomial reduction in the
+// repository, a list of combining walks among group (communicator ranks,
+// this one included): walk k combines buf[offs[k]:offs[k+1]] toward
+// group[k], for k < len(offs)-1, up the Binomial tree over the whole
+// group with positions relative to k, on phase phase+k, in buf in place.
+// A rank receives its children's contributions, absorbs them in
+// increasing-mask order, and sends the combined region to its parent;
+// only walk k's root keeps the result. reliable marks the traffic:
+// true for the MPICH reduction (baseline.Reduce), false on the UDP
+// bypass (core's allreduces and the chunked reduce-scatter).
 //
-// The same walk underlies several protocols that differ only in payload
-// and wire marking, which is why it is parameterized on (phase, class,
-// reliable) instead of copied:
+// Among several regions an empty one takes no walk. A lone region is
+// walked even when it is empty: an allreduce's fan-out takes its root's
+// receipt of that reduction as proof that every rank has entered, so the
+// empty messages are the evidence (the M=0 frame counts pin it).
 //
-//   - the MPICH binomial reduction (baseline.Reduce): data payloads over
-//     the reliable TCP-like path;
-//   - the multicast allreduce's reduce half (core): data payloads over
-//     the UDP bypass.
-//
-// acc is the payload sent to the parent; absorb, when non-nil, is called
-// with each child's source rank and payload (typically combining into
-// acc before the parent send happens).
-func BinomialToRoot(cc CollCtx, root, phase int, class transport.Class, reliable bool, acc []byte, absorb func(src int, payload []byte) error) (atRoot bool, err error) {
-	c := cc.Comm()
-	size := c.Size()
-	parent, children := Binomial((c.Rank()-root+size)%size, size)
-	for child := range children.All {
-		m, err := cc.Recv((child+root)%size, phase)
-		if err != nil {
-			return false, err
+// The walks overlap: every walk where this rank is a leaf fires its
+// parent send up front, filling the wire immediately, and the remaining
+// interior walks make progress in whatever order their children's
+// contributions arrive (recvPhaseRange is the event pump — the walk
+// index rides the message phase, and traffic of other phases stays
+// queued for its own step), so the wire and the hosts work concurrently
+// while each walk's tree, phases, classes and frame counts stay those of
+// a blocking walk (the a3 table).
+func ReduceWalks(cc CollCtx, group, offs []int, phase int, reliable bool, buf []byte, dt Datatype, op Op) error {
+	size, regions := len(group), len(offs)-1
+	me := slices.Index(group, cc.Comm().Rank())
+	// walk is one interior walk's progress state.
+	type walk struct {
+		lo, hi   int
+		parent   int            // rank to send the combined region to; -1 at the walk's root
+		children []int          // child ranks in increasing-mask order (the blocking walk's absorb order)
+		pending  map[int][]byte // child contributions buffered until all have arrived
+	}
+	walks := make(map[int]*walk, regions)
+	for k := 0; k < regions; k++ {
+		lo, hi := offs[k], offs[k+1]
+		if lo == hi && regions > 1 {
+			continue
 		}
-		if absorb != nil {
-			if err := absorb(cc.SrcRank(m), m.Payload); err != nil {
-				return false, err
+		parent, kids := Binomial((me-k+size)%size, size)
+		if parent >= 0 {
+			parent = group[(parent+k)%size]
+		}
+		var children []int
+		for ch := range kids.All {
+			children = append(children, group[(ch+k)%size])
+		}
+		if len(children) == 0 {
+			// Leaf in this walk: nothing to combine — send immediately,
+			// before any interior walk blocks. These up-front sends are
+			// the overlap: every leaf contribution of every walk is on
+			// the wire before the first receive.
+			if parent >= 0 {
+				if err := cc.Send(parent, phase+k, buf[lo:hi], transport.ClassData, reliable); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		walks[k] = &walk{lo: lo, hi: hi, parent: parent, children: children,
+			pending: make(map[int][]byte, len(children))}
+	}
+	for len(walks) > 0 {
+		m, got, err := cc.recvPhaseRange(phase, phase+regions-1)
+		if err != nil {
+			return err
+		}
+		k := got - phase
+		w := walks[k]
+		if w == nil {
+			return fmt.Errorf("mpi: reduce walk %d contribution at rank %d, which is not interior in that walk", k, group[me])
+		}
+		src := cc.SrcRank(m)
+		if len(m.Payload) != w.hi-w.lo {
+			return fmt.Errorf("mpi: reduce walk %d contribution %d bytes, want %d", k, len(m.Payload), w.hi-w.lo)
+		}
+		if _, dup := w.pending[src]; dup {
+			return fmt.Errorf("mpi: reduce walk %d duplicate contribution from %d", k, src)
+		}
+		w.pending[src] = m.Payload
+		if len(w.pending) < len(w.children) {
+			continue
+		}
+		// Every child is in: absorb in the blocking walk's mask order,
+		// then pass the combined region up (or keep it, at the root).
+		region := buf[w.lo:w.hi]
+		for _, ch := range w.children {
+			p, ok := w.pending[ch]
+			if !ok {
+				return fmt.Errorf("mpi: reduce walk %d missing contribution from %d", k, ch)
+			}
+			if err := ReduceBytes(op, dt, region, p); err != nil {
+				return err
 			}
 		}
+		if w.parent >= 0 {
+			if err := cc.Send(w.parent, phase+k, region, transport.ClassData, reliable); err != nil {
+				return err
+			}
+		}
+		delete(walks, k)
 	}
-	if parent < 0 {
-		return true, nil
-	}
-	return false, cc.Send((parent+root)%size, phase, acc, class, reliable)
+	return nil
 }

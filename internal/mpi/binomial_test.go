@@ -1,9 +1,13 @@
 package mpi_test
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mpi"
 )
@@ -71,5 +75,57 @@ func TestBinomialDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Binomial allocated %v times per call", allocs)
+	}
+}
+
+// TestReduceWalks runs overlapped walks among a rotated group, each
+// region combined toward its own root and an empty one skipped, then a
+// lone empty region, which every rank still walks: its root returns only
+// after every other rank has entered.
+func TestReduceWalks(t *testing.T) {
+	const n = 5
+	group := []int{2, 3, 4, 0, 1}
+	offs := []int{0, 8, 8, 24, 32, 40} // region 1 is empty
+	const want = n * (n + 1) / 2
+	err := mpi.RunMem(n, mpi.Algorithms{}, func(c *mpi.Comm) error {
+		buf := make([]byte, offs[len(offs)-1])
+		for i := 0; i < len(buf); i += 8 {
+			binary.BigEndian.PutUint64(buf[i:], uint64(c.Rank()+1))
+		}
+		if err := mpi.ReduceWalks(c.BeginColl(), group, offs, 0, true, buf, mpi.Int64, mpi.OpSum); err != nil {
+			return err
+		}
+		for k := range len(offs) - 1 {
+			if group[k] != c.Rank() {
+				continue
+			}
+			for i := offs[k]; i < offs[k+1]; i += 8 {
+				if got := binary.BigEndian.Uint64(buf[i:]); got != want {
+					return fmt.Errorf("walk %d: element at byte %d is %d, want %d", k, i, got, want)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var entered atomic.Int32
+	err = mpi.RunMem(n, mpi.Algorithms{}, func(c *mpi.Comm) error {
+		if c.Rank() != 0 {
+			time.Sleep(10 * time.Millisecond)
+			entered.Add(1)
+		}
+		if err := mpi.ReduceWalks(c.BeginColl(), []int{0, 1, 2, 3, 4}, []int{0, 0}, 0, false, nil, mpi.Byte, mpi.OpSum); err != nil {
+			return err
+		}
+		if got := entered.Load(); c.Rank() == 0 && got != n-1 {
+			return fmt.Errorf("lone empty walk's root returned with %d of %d ranks entered", got, n-1)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -283,20 +283,11 @@ func (cc CollCtx) Pace(d int64) {
 	}
 }
 
-// RecvControl blocks for any point-to-point protocol message of this
-// operation regardless of phase; the caller dispatches on Class. Repair
-// servers use it to react to acknowledgments and NACKs in arrival order.
-func (cc CollCtx) RecvControl() (transport.Message, error) {
-	return cc.c.recvMatchFT(func(m *transport.Message) bool {
-		return m.Kind == transport.P2P && m.Comm == cc.c.ctx && m.Seq == cc.seq && m.Tag <= collTagBase
-	})
-}
-
 // RecvPhases blocks for a point-to-point protocol message of this
 // operation in any of the given phases; the caller dispatches on Class.
 // Server loops whose operation carries concurrent traffic in other
-// phases use it instead of RecvControl, so an unrelated message (e.g. an
-// early aggregate scout arriving while a leader still collects its
+// phases name only the phases they serve, so an unrelated message (e.g.
+// an early aggregate scout arriving while a leader still collects its
 // segment's chunks) stays queued for its own receive instead of being
 // consumed and dropped.
 func (cc CollCtx) RecvPhases(phases ...int) (transport.Message, error) {
@@ -306,13 +297,12 @@ func (cc CollCtx) RecvPhases(phases ...int) (transport.Message, error) {
 	})
 }
 
-// RecvPhaseRange blocks for a point-to-point protocol message of this
+// recvPhaseRange blocks for a point-to-point protocol message of this
 // operation in any phase of [lo, hi] and returns the message together
-// with the phase it arrived in. The overlapped chunked allreduce runs
-// one binomial walk per slice concurrently with the slice index encoded
-// in the phase; this is its event pump — whichever walk's message lands
-// next is the one that makes progress.
-func (cc CollCtx) RecvPhaseRange(lo, hi int) (transport.Message, int, error) {
+// with the phase it arrived in. ReduceWalks runs its walks concurrently
+// with the walk index encoded in the phase; this is its event pump —
+// whichever walk's message lands next is the one that makes progress.
+func (cc CollCtx) recvPhaseRange(lo, hi int) (transport.Message, int, error) {
 	lowTag, highTag := collTagBase-int32(hi), collTagBase-int32(lo)
 	m, err := cc.c.recvMatchFT(func(m *transport.Message) bool {
 		return m.Kind == transport.P2P && m.Comm == cc.c.ctx && m.Seq == cc.seq &&
@@ -352,6 +342,19 @@ func noAlgorithm(op string) error {
 	return fmt.Errorf("%w: %s", ErrNoAlgorithm, op)
 }
 
+// wholeElements returns an error unless every buffer holds whole dt
+// elements. The reducing collectives check it at every rank before any
+// message moves: a buffer that fails first where it is combined would
+// leave that rank's peers waiting on a reduction that never comes.
+func wholeElements(op string, dt Datatype, bufs ...[]byte) error {
+	for _, b := range bufs {
+		if len(b)%dt.Size() != 0 {
+			return fmt.Errorf("mpi: %s buffer of %d bytes is not whole %v elements", op, len(b), dt)
+		}
+	}
+	return nil
+}
+
 // Bcast broadcasts buf from root to every rank; all ranks supply a buffer
 // of identical length and all except root receive into it.
 func (c *Comm) Bcast(buf []byte, root int) error {
@@ -375,13 +378,18 @@ func (c *Comm) Barrier() error {
 }
 
 // Reduce combines every rank's send buffer element-wise with op and
-// leaves the result in recv on root (recv is ignored elsewhere).
+// leaves the result in recv on root (recv is ignored elsewhere). Like
+// every reducing collective, it fails at every rank, before any message
+// moves, when a buffer does not hold whole dt elements.
 func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
 	if root < 0 || root >= c.Size() {
 		return fmt.Errorf("%w: reduce root %d", ErrInvalidRank, root)
 	}
 	if c.algs.Reduce == nil {
 		return noAlgorithm("reduce")
+	}
+	if err := wholeElements("reduce", dt, send); err != nil {
+		return err
 	}
 	defer c.endOp(c.beginOp("reduce"), "reduce")
 	return c.algs.Reduce(c, send, recv, dt, op, root)
@@ -392,6 +400,9 @@ func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
 func (c *Comm) Allreduce(send, recv []byte, dt Datatype, op Op) error {
 	if c.algs.Allreduce == nil {
 		return noAlgorithm("allreduce")
+	}
+	if err := wholeElements("allreduce", dt, send); err != nil {
+		return err
 	}
 	defer c.endOp(c.beginOp("allreduce"), "allreduce")
 	return c.algs.Allreduce(c, send, recv, dt, op)
@@ -449,6 +460,9 @@ func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
 	if c.algs.Scan == nil {
 		return noAlgorithm("scan")
 	}
+	if err := wholeElements("scan", dt, send); err != nil {
+		return err
+	}
 	defer c.endOp(c.beginOp("scan"), "scan")
 	return c.algs.Scan(c, send, recv, dt, op)
 }
@@ -459,6 +473,9 @@ func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
 func (c *Comm) ReduceScatter(send, recv []byte, dt Datatype, op Op) error {
 	if c.algs.ReduceScatter == nil {
 		return noAlgorithm("reduce_scatter")
+	}
+	if err := wholeElements("reduce_scatter", dt, send, recv); err != nil {
+		return err
 	}
 	defer c.endOp(c.beginOp("reduce_scatter"), "reduce_scatter")
 	return c.algs.ReduceScatter(c, send, recv, dt, op)
