@@ -18,13 +18,14 @@
 //	mpirun -n 8 -workload bcast -algorithm mcast-resilient -size 20000 -loss 0.02
 //	                   # drop 2% of multicast fragments at the receivers;
 //	                   # the NACK-repaired set asks for them again
-//	mpirun -n 8 -workload allgather -algorithm mcast-2level -topo 4
+//	mpirun -n 8 -workload gather -algorithm mcast-2level -topo 4
 //	                   # declare 4 ranks per fabric segment: the two-level
 //	                   # collectives combine inside each segment and cross
 //	                   # the segment boundary once per segment
 //	mpirun -n 8 -workload alltoall -algorithm mcast-2level -topo 4
-//	                   # two-level alltoall: S(S-1) leader super-slice
-//	                   # blocks across segments instead of N(N-1) sends
+//	                   # two-level alltoall: one block per segment from
+//	                   # every rank after N-1 scouts, instead of N(N-1)
+//	                   # scouts and sends
 //	mpirun -n 8 -workload scatter -algorithm mcast-2level -topo 4
 //	mpirun -probe      # check whether IP multicast works here
 //

@@ -51,12 +51,12 @@ const (
 	// McastTwoLevel is the topology-aware two-level suite: ranks
 	// scout-combine to their segment leader, leaders exchange one
 	// aggregate per segment across the shared uplinks, and results
-	// multicast back down — cutting the allgather and alltoall scout
-	// terms from N(N-1) to ~N + S². The set covers allgather (scout-only
-	// handshake, then direct chunk multicasts), alltoall and scatter
-	// (segment-group super-slice blocks), bcast, gather, allreduce and
-	// barrier. Falls back to the flat algorithms when the device reports
-	// no topology (or a degenerate one).
+	// multicast back down. The set covers alltoall (one burst of
+	// segment-group blocks: N-1 scouts where the flat rounds send
+	// N(N-1)) and scatter (segment-group super-slice blocks), bcast,
+	// gather, allreduce and barrier; its lossless allgather is the flat
+	// set's burst. Falls back to the flat algorithms when the device
+	// reports no topology (or a degenerate one).
 	McastTwoLevel Algorithm = "mcast-2level"
 	// McastTwoLevelResilient is McastTwoLevel with every multicast
 	// (leader rounds, fan-outs, segment releases) under NACK repair.

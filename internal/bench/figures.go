@@ -118,7 +118,7 @@ func Defs() []Def {
 		{"15n", "Extension: MPI_Allreduce N-sweep over shared-uplink switch, N in {4..256}", fig15n},
 		{"15h", "Extension: MPI_Allreduce two-level (segment-leader) vs flat over shared-uplink switch, N in {4..256}", fig15h},
 		{"16", "Extension: MPI_Alltoall scatter rounds vs pairwise unicast", fig16},
-		{"17", "Extension: pipelined vs sequential allgather rounds over switch", fig17},
+		{"17", "Extension: pipelined vs sequential allgather rounds over hub", fig17},
 		{"18", "Extension: per-receiver delivered bytes with slice filtering", fig18},
 		{"19", "Extension: chunked vs binomial-reduce multicast allreduce", fig19},
 		{"a1", "Ablation: ACK-based (PVM) reliability vs scouts", figA1},
@@ -345,9 +345,9 @@ func fig16(o Options) (Renderable, error) {
 
 func fig17(o Options) (Renderable, error) {
 	o = o.fill()
-	return suiteFigure("17", "MPI_Allgather: pipelined vs sequential scout-gated rounds over Fast Ethernet switch", o, simnet.Switch, OpAllgather,
+	return suiteFigure("17", "MPI_Allgather: pipelined vs sequential scout-gated rounds over Fast Ethernet hub", o, simnet.Hub, OpAllgather,
 		[]Algorithm{McastBinary, McastPipelined},
-		"Both move identical frames; the pipelined schedule overlaps round r+1's scout gather with round r's data multicast, so each round's critical path drops from (gather + data) to little more than the data transmission and the gap widens with N.")
+		"Both move identical frames; the pipelined schedule overlaps round r+1's scout gather with round r's data multicast, so each round's critical path drops from (gather + data) to little more than the data transmission and the gap widens with N. The hub is where the allgather keeps its rounds: on a switch both sets run the same one-handshake burst instead (fig 14h).")
 }
 
 // fig18 measures what slice filtering buys at the receivers: the worst
@@ -480,14 +480,14 @@ func fig14n(o Options) (Renderable, error) {
 	return nSweepFigure("14n",
 		"MPI_Allgather N-sweep: multicast rounds vs unicast baseline over shared-uplink switch (4 stations/port)", o,
 		OpAllgather, []Algorithm{MPICH, McastBinary},
-		"Each uplink carries every multicast round once, but the unicast baseline's N(N-1) messages cross it once per remote destination, so the large-chunk gap grows with N (1.6-1.8x by 5000 B). The crossover sits at one to two frames and creeps up only slowly with N: the N(N-1) scout frames serialize on the shared uplinks too, which is what the sub-frame region pays. Egress queues stay bounded by flow control — the a5 table asserts zero silent drops on this sweep.")
+		"Each uplink carries every multicast once, but the unicast baseline's N(N-1) messages cross it once per remote destination, so the large-chunk gap grows with N (3.7x at N=8 to 5.0x at N=256 by 5000 B). From N=8 on the multicast allgather is one burst whose handshake is N-1 scouts and one release, so it wins at every size, chunk 0 included; at N=4 the four stations share one segment — one collision domain — and keep the scout-gated rounds, whose N(N-1) scout frames put the crossover between one and two frames. Egress queues stay bounded by flow control — the a5 table asserts zero silent drops on this sweep.")
 }
 
 func fig14h(o Options) (Renderable, error) {
 	return nSweepFigure("14h",
 		"MPI_Allgather: two-level (segment-leader) vs flat rounds over shared-uplink switch (4 stations/port)", o,
 		OpAllgather, []Algorithm{McastPipelined, McastBinary, McastTwoLevel},
-		"The two-level allgather's handshake is scout-only — members prove entry to their segment leader, leaders prove their segment to every other leader once — cutting the scout term from N(N-1) to (N-S) + S(S-1) ≤ N + S² + S (the a6 gate); after the release every rank multicasts its own chunk directly, so the data phase carries exactly the flat algorithm's N·M bytes per segment wire with every per-round gather collapsed into the entry handshake. At N=4 a single segment means it IS the flat algorithm; from N=8 it wins everywhere (−36% at 5000 B, where flat pipelined still pays a scout path per round), and the scout-dominated sub-frame region collapses from quadratic to near-linear (~86x over flat pipelined at N=256, chunk 0).")
+		"From N=8 on the three sets run the same lossless allgather, one burst: the multicast barrier's N-1 scouts and one release, then every rank multicasts its own chunk at once, N·M bytes per segment wire with every per-round gather collapsed into the one handshake. Their curves coincide within 0.7 %, the skew each set's own barrier leaves before the measured operation. At N=4 a single segment is one collision domain, where every set keeps the flat rounds and pipelining beats the sequential schedule.")
 }
 
 func fig15n(o Options) (Renderable, error) {
@@ -550,22 +550,24 @@ func figA5(o Options) (Renderable, error) {
 	return tbl, nil
 }
 
-// figA6 is the CI gate on the topology subsystem's core claim: a
+// figA6 is the CI gate on the topology subsystem's scout claim: a
 // two-level allgather on the shared-uplink fabric sends at most
-// N + S² + S scout frames per operation — (N-S) member scouts into the
-// segment leaders plus S(S-1) leader-round scouts — where the flat
-// algorithm sends N(N-1). The table measures both, renders SCOUT-EXCESS
+// N + S² + S scout frames per operation. Lossless it is the flat set's
+// burst, N-1 scouts, and so is the flat allgather; the combine-based
+// schedule it keeps under repair and beyond the receive budget sends
+// (N-S) member scouts plus S(S-1) leader-round scouts, where the flat
+// rounds send N(N-1). The table measures both sets, renders SCOUT-EXCESS
 // if the bound is breached, and re-checks the silent-drop counter
 // (SILENT-DROP) so the two-level traffic also stays inside flow
-// control. N=4 spans a single 4-station segment, where the two-level
-// suite must delegate to the flat algorithm — that row documents the
+// control. N=4 spans a single 4-station segment — one collision domain,
+// where both sets keep the flat rounds — so that row documents the
 // degenerate case instead of gating on the (inapplicable) bound.
 func figA6(o Options) (Renderable, error) {
 	o = o.fill()
 	tbl := &Table{
 		ID:          "a6",
 		Title:       "Two-level allgather scout economy over the shared-uplink switch (4 stations/port, 1500-byte chunks)",
-		Expectation: "Scout frames stay at (N-S) + S(S-1), under the N + S² + S gate, versus the flat N(N-1); zero silent egress drops.",
+		Expectation: "Both sets run one burst from N=8 on: N-1 scout frames, under the N + S² + S gate (which the combine-based schedule's (N-S) + S(S-1) meets under repair), versus the N(N-1) of the rounds that a single segment keeps at N=4; zero silent egress drops.",
 		Header:      []string{"N", "S", "2level scouts", "bound N+S²+S", "flat scouts", "silent drops", "check"},
 	}
 	const chunk = 1500
@@ -676,7 +678,7 @@ func figA3(o Options) (Renderable, error) {
 	tbl := &Table{
 		ID:          "a3",
 		Title:       "Wire frame counts vs the §3 formulas, whole suite (T = frame payload, s = scouts, d = data, c = control)",
-		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast and send each payload once; the MPICH baseline repeats the payload per receiver.",
+		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast — the allgather's burst N-1 and one release for all N of its multicasts — and send each payload once; the MPICH baseline repeats the payload per receiver.",
 		Header:      []string{"op", "algorithm", "N", "M (bytes)", "scout", "data", "ctrl", "formula (s+d+c)", "match"},
 	}
 	for _, n := range []int{2, 4, 7, 9} {
@@ -708,7 +710,7 @@ func figA3(o Options) (Renderable, error) {
 				{OpBcast, MPICH, fmt.Sprintf("0+%d+0", mf*(n-1))},
 				{OpBarrier, McastBinary, fmt.Sprintf("%d+0+1", n-1)},
 				{OpBarrier, MPICH, fmt.Sprintf("0+0+%d", 2*(n-k)+k*log2k)},
-				{OpAllgather, McastBinary, fmt.Sprintf("%d+%d+0", n*(n-1), n*mf)},
+				{OpAllgather, McastBinary, fmt.Sprintf("%d+%d+1", n-1, n*mf)},
 				{OpAllreduce, McastBinary, fmt.Sprintf("%d+%d+0", n-1, n*mf)},
 				{OpAllreduce, McastChunked, fmt.Sprintf("%d+%d+0", chunkedScout, chunkedData)},
 				{OpAlltoall, McastBinary, fmt.Sprintf("%d+%d+0", n*(n-1), n*(n-1)*mf)},

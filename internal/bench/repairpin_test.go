@@ -113,6 +113,10 @@ func TestRepairPathDeterminismPin(t *testing.T) {
 // probe is the one that confirms a tail after the traffic quiesced. A
 // change to the stream that moves a simulated nanosecond, an event or a
 // counter here has put protocol frames on the wire the paper measured.
+// The switch/mcast-binary row was re-recorded when the allgather became
+// one burst (N-1 scouts instead of N(N-1)): the measured allreduce did
+// not move, the events fell from 2,308 and the stream counters from 91
+// messages and 24 probes and acks.
 func TestPaperRegimeDeterminismPin(t *testing.T) {
 	for _, tc := range []struct {
 		topo simnet.Topology
@@ -121,7 +125,7 @@ func TestPaperRegimeDeterminismPin(t *testing.T) {
 	}{
 		{simnet.Hub, McastBinary, pinned{5_751_543, 1495, reliab.Stats{MsgsStreamed: 91, ProbesSent: 24, AcksSent: 24, AcksReceived: 24}}},
 		{simnet.Hub, MPICH, pinned{9_654_364, 2916, reliab.Stats{MsgsStreamed: 108, AcksSent: 192, AcksReceived: 192}}},
-		{simnet.Switch, McastBinary, pinned{3_406_080, 2308, reliab.Stats{MsgsStreamed: 91, ProbesSent: 24, AcksSent: 24, AcksReceived: 24}}},
+		{simnet.Switch, McastBinary, pinned{3_406_080, 1683, reliab.Stats{MsgsStreamed: 42, ProbesSent: 7, AcksSent: 7, AcksReceived: 7}}},
 		{simnet.Switch, MPICH, pinned{5_139_120, 3413, reliab.Stats{MsgsStreamed: 108, AcksSent: 192, AcksReceived: 192}}},
 	} {
 		if got := runPinned(t, 8, tc.topo, tc.alg, 0); got != tc.want {
@@ -257,7 +261,9 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 // uneven segments (N=6 = 4+2 and N=7 = 4+3 on the shared-uplink switch,
 // fanout 4) and on the flat switch, one cold operation per point must
 // simulate the nanoseconds and engine events recorded before the
-// reduce-scatter learned the lane decomposition.
+// reduce-scatter learned the lane decomposition — on uneven segments,
+// re-recorded when the burst that gathers the reduced slices took the
+// barrier's handshake in place of the leader scout exchange.
 func TestChunkedFallbackDeterminismPin(t *testing.T) {
 	shared := *sharedUplinkProfile()
 	shared.Seed = 1
@@ -268,12 +274,12 @@ func TestChunkedFallbackDeterminismPin(t *testing.T) {
 		simNS  int64
 		events uint64
 	}{
-		{simnet.SwitchShared, 6, 100, 1_109_684, 697},
-		{simnet.SwitchShared, 6, 2000, 1_746_176, 717},
-		{simnet.SwitchShared, 6, 65536, 32_992_500, 2021},
-		{simnet.SwitchShared, 7, 100, 1_241_732, 884},
-		{simnet.SwitchShared, 7, 2000, 1_905_212, 914},
-		{simnet.SwitchShared, 7, 65536, 34_974_944, 2447},
+		{simnet.SwitchShared, 6, 100, 1_087_480, 678},
+		{simnet.SwitchShared, 6, 2000, 1_750_780, 703},
+		{simnet.SwitchShared, 6, 65536, 33_027_480, 2024},
+		{simnet.SwitchShared, 7, 100, 1_255_076, 855},
+		{simnet.SwitchShared, 7, 2000, 1_890_892, 888},
+		{simnet.SwitchShared, 7, 65536, 35_009_924, 2427},
 		{simnet.Switch, 8, 2000, 3_305_720, 1965},
 		{simnet.Switch, 8, 65536, 16_523_400, 3941},
 	} {
@@ -293,13 +299,14 @@ func TestChunkedFallbackDeterminismPin(t *testing.T) {
 
 // TestBurstDeterminismPin holds the scout-free exchange that follows the
 // evidence of a two-level collective, where no BENCH_sim.json row looks:
-// the two-level allgather and alltoall's direct path on uneven segments
-// (N=6 = 4+2 and N=7 = 4+3 on the shared-uplink switch, fanout 4), and
-// the chunked allreduce's scout-free gather at N=16 on both branches of
-// its slice groups (100 B: the segment leaders multicast; 65,536 B:
-// every rank does). One cold operation per point must simulate the
-// nanoseconds and engine events recorded before the two exchanges were
-// written as one.
+// the two-level allgather and alltoall's burst on uneven segments (N=6 =
+// 4+2 and N=7 = 4+3 on the shared-uplink switch, fanout 4), and the
+// chunked allreduce's scout-free gather at N=16 on both branches of its
+// slice groups (100 B: the segment leaders multicast; 65,536 B: every
+// rank does). One cold operation per point must simulate the
+// nanoseconds and engine events recorded when every burst took the
+// barrier's handshake; the chunked rows hold what was recorded before
+// the two exchanges were written as one.
 func TestBurstDeterminismPin(t *testing.T) {
 	shared := *sharedUplinkProfile()
 	shared.Seed = 1
@@ -311,18 +318,18 @@ func TestBurstDeterminismPin(t *testing.T) {
 		simNS  int64
 		events uint64
 	}{
-		{McastTwoLevel, OpAllgather, 6, 100, 723_760, 300},
-		{McastTwoLevel, OpAllgather, 6, 2000, 1_693_280, 349},
-		{McastTwoLevel, OpAllgather, 6, 65536, 40_874_880, 1970},
-		{McastTwoLevel, OpAllgather, 7, 100, 768_960, 353},
-		{McastTwoLevel, OpAllgather, 7, 2000, 1_871_520, 411},
-		{McastTwoLevel, OpAllgather, 7, 65536, 46_566_080, 2379},
-		{McastTwoLevel, OpAlltoall, 6, 100, 865_000, 336},
-		{McastTwoLevel, OpAlltoall, 6, 2000, 6_423_800, 544},
-		{McastTwoLevel, OpAlltoall, 6, 65536, 204_475_224, 8825},
-		{McastTwoLevel, OpAlltoall, 7, 100, 939_000, 398},
-		{McastTwoLevel, OpAlltoall, 7, 2000, 7_900_600, 716},
-		{McastTwoLevel, OpAlltoall, 7, 65536, 245_457_720, 12229},
+		{McastTwoLevel, OpAllgather, 6, 100, 688_880, 281},
+		{McastTwoLevel, OpAllgather, 6, 2000, 1_712_020, 332},
+		{McastTwoLevel, OpAllgather, 6, 65536, 40_883_460, 1953},
+		{McastTwoLevel, OpAllgather, 7, 100, 749_920, 340},
+		{McastTwoLevel, OpAllgather, 7, 2000, 1_906_100, 400},
+		{McastTwoLevel, OpAllgather, 7, 65536, 46_580_340, 2371},
+		{McastTwoLevel, OpAlltoall, 6, 100, 839_740, 318},
+		{McastTwoLevel, OpAlltoall, 6, 2000, 6_313_180, 526},
+		{McastTwoLevel, OpAlltoall, 6, 65536, 204_440_444, 8790},
+		{McastTwoLevel, OpAlltoall, 7, 100, 929_580, 384},
+		{McastTwoLevel, OpAlltoall, 7, 2000, 7_891_180, 705},
+		{McastTwoLevel, OpAlltoall, 7, 65536, 245_505_420, 12208},
 		{McastChunked, OpAllreduce, 16, 100, 1_063_760, 2140},
 		{McastChunked, OpAllreduce, 16, 65536, 31_796_020, 5509},
 	} {

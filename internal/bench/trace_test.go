@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,8 +79,8 @@ func TestTraceDoesNotPerturbSimTime(t *testing.T) {
 // TestTraceDemoExportsAndNamesHandshake locks the demo fixture end to
 // end: the merged Chrome export validates (well-formed, per-track
 // monotonic, balanced spans), and the two-level allgather's critical
-// path names the leader scout-exchange phase — the cross-segment
-// handshake the decomposition exists to shrink.
+// path names both phases of the burst's handshake — the barrier's
+// scout gather and its release — before the data exchange.
 func TestTraceDemoExportsAndNamesHandshake(t *testing.T) {
 	entries, err := TraceDemo(1)
 	if err != nil {
@@ -107,13 +108,9 @@ func TestTraceDemoExportsAndNamesHandshake(t *testing.T) {
 	if twoLevel == nil {
 		t.Fatal("no two-level entry in demo set")
 	}
-	found := false
-	for _, step := range twoLevel.Critical {
-		if step.Name == "leader-scout-exchange" {
-			found = true
+	for _, phase := range []string{"scout-gather", "release"} {
+		if !slices.ContainsFunc(twoLevel.Critical, func(step trace.PathStep) bool { return step.Name == phase }) {
+			t.Errorf("two-level critical path %v does not name %s", twoLevel.Critical, phase)
 		}
-	}
-	if !found {
-		t.Errorf("two-level critical path %v does not name leader-scout-exchange", twoLevel.Critical)
 	}
 }

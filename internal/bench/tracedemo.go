@@ -20,7 +20,7 @@ type TraceDemoEntry struct {
 
 // TraceDemoProcs and TraceDemoSize are the demo fixture: the fig-14h
 // shared-uplink point (8 ranks on 2 segments, 5000-byte chunks) where
-// the two-level handshake and the uplink serialization are both visible
+// the burst's handshake and the uplink serialization are both visible
 // in the trace.
 const (
 	TraceDemoProcs = 8
@@ -31,10 +31,9 @@ const (
 // a pipelined allgather, and a two-level allgather, all on the
 // shared-uplink fabric at the fig-14h point — each with its own recorder
 // attached. The three runs export as separate processes of one Chrome
-// trace (trace.WriteChromeTrace) and each yields a metrics summary; for
-// the two-level allgather the critical path names the leader
-// scout-exchange phase, the uplink handshake the decomposition exists to
-// shrink.
+// trace (trace.WriteChromeTrace) and each yields a metrics summary. Both
+// allgathers run the same burst; its critical path names the handshake
+// ("scout-gather", then "release") before the data exchange.
 func TraceDemo(seed uint64) ([]TraceDemoEntry, error) {
 	demos := []struct {
 		op  Op

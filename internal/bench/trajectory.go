@@ -135,10 +135,11 @@ func entryCheck(e TrajectoryEntry) string {
 
 // twoLevelScoutBound is the per-operation scout-frame ceiling the
 // trajectory gate holds the two-level suite to. Allgather and alltoall
-// send exactly (N-S) member scouts plus S(S-1) leader scouts, so they
-// get the tight (N-S) + S(S-1) + S bound (the +S is headroom for one
+// send N-1 scouts in a burst and, beyond the burst's receive budget,
+// exactly (N-S) member scouts plus S(S-1) leader scouts, so they get the
+// tight (N-S) + S(S-1) + S bound (the +S is headroom for one
 // release-class reclassification, and at N=256/S=64 it is 4,288 versus
-// the flat algorithms' 65,280); everything else keeps the generic
+// the flat rounds' 65,280); everything else keeps the generic
 // N + S² + S ceiling of the a6 table.
 func twoLevelScoutBound(op Op, n, s int) int64 {
 	switch op {

@@ -60,9 +60,10 @@ const (
 	// Linear sends all scouts directly to the root (Fig. 4).
 	Linear
 	// BinaryPipelined gathers scouts up the binomial tree and, in the
-	// multi-round collectives (Allgather, Alltoall), overlaps round
-	// r+1's scout gather with round r's data multicast so the scout
-	// latency is hidden behind the data transmission (rounds.go).
+	// multi-round collectives (Alltoall, and Allgather where it runs
+	// rounds), overlaps round r+1's scout gather with round r's data
+	// multicast so the scout latency is hidden behind the data
+	// transmission (rounds.go).
 	BinaryPipelined
 )
 
@@ -273,14 +274,19 @@ func Barrier(c *mpi.Comm) error {
 	if c.Size() == 1 {
 		return nil
 	}
-	cc := c.BeginColl()
+	return barrierOn(c.BeginColl(), gatherScoutsBinary)
+}
+
+// barrierOn runs the barrier on cc with gather's scouts toward rank 0:
+// the multicast barrier itself, and the handshake of every burst.
+func barrierOn(cc mpi.CollCtx, gather func(cc mpi.CollCtx, root, hot int) error) error {
 	cc.SpanBegin("scout-gather")
-	err := gatherScoutsBinary(cc, 0, -1)
+	err := gather(cc, 0, -1)
 	cc.SpanEnd("scout-gather")
 	if err != nil {
 		return err
 	}
-	if c.Rank() == 0 {
+	if cc.Comm().Rank() == 0 {
 		cc.SpanBegin("release")
 		err := cc.Multicast(mpi.Whole, nil, transport.ClassControl)
 		cc.SpanEnd("release")

@@ -16,12 +16,15 @@ package core
 // Frame-count model (N ranks, per-rank chunk of M bytes, frame payload
 // T, s = N-1 scout frames per scout-gated multicast):
 //
-//	allgather:       N rounds, each s scouts + ceil(M/T) data
-//	                 = N(N-1) scouts + N·ceil(M/T) data frames,
-//	                 versus N(N-1)·ceil(M/T) data frames for the
-//	                 MPICH ring allgather. Scouts are empty
-//	                 56-byte frames, so once M exceeds one frame the
-//	                 data saving dominates on a shared medium.
+//	allgather:       one burst — the multicast barrier's s scouts
+//	                 + 1 release, then every rank multicasts its chunk
+//	                 at once: N·ceil(M/T) data frames, versus
+//	                 N(N-1)·ceil(M/T) for the MPICH ring allgather.
+//	                 On a hub, under repair and beyond N=256 it runs
+//	                 N rounds, each s scouts + ceil(M/T) data = N(N-1)
+//	                 scouts + N·ceil(M/T) data frames. Scouts are
+//	                 empty 56-byte frames, so once M exceeds one frame
+//	                 the data saving dominates on a shared medium.
 //	allreduce:       binomial reduce to rank 0 ((N-1)·ceil(M/T) p2p
 //	                 data frames over the UDP bypass) + one scout-gated
 //	                 multicast (s scouts + ceil(M/T) data), versus
@@ -36,7 +39,8 @@ package core
 //	                 N((F-1) + (S-1)) on S segments of F members each —
 //	                 and gathers the reduced slices with no scouts on
 //	                 even segments (the reduce-scatter proves entry),
-//	                 (N-S) + S(S-1) on uneven ones, N(N-1) elsewhere.
+//	                 in one burst (s scouts + 1 release) on uneven
+//	                 ones, N(N-1) scouts elsewhere.
 //	scatter:         s scouts + (N-1)·ceil(M/T) data frames: the root
 //	                 multicasts each rank's slice to that rank's private
 //	                 slice group, so a receiver's NIC delivers exactly
@@ -75,8 +79,12 @@ import (
 	"repro/internal/transport"
 )
 
-// allgatherWith runs N scout-gated rounds on the round engine; in round
-// r rank r multicasts its chunk once and every other rank receives it.
+// allgatherWith gathers every rank's chunk to every rank. Lossless and
+// within burstFits it is one burst: after the handshake every rank
+// multicasts its chunk at once. Otherwise — under repair, beyond the
+// receive budget, on one collision domain — it runs N scout-gated rounds
+// on the round engine; in round r rank r multicasts its chunk once and
+// every other rank receives it.
 func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	size := c.Size()
 	n := len(send)
@@ -87,24 +95,113 @@ func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	if size == 1 {
 		return nil
 	}
+	place := func(r int, p []byte) error {
+		if len(p) != n {
+			return fmt.Errorf("core: allgather chunk from %d is %d bytes, want %d", r, len(p), n)
+		}
+		copy(recv[r*n:(r+1)*n], p)
+		return nil
+	}
+	if !opt.repair && burstFits(c) {
+		return burst(c, opt.gather, wholeSend(send)(), mpi.Whole, place)
+	}
 	rounds := make([]roundPlan, size)
 	for r := range rounds {
 		rounds[r] = roundPlan{
-			sender: r,
-			class:  transport.ClassData,
-			bytes:  n,
-			sends:  wholeSend(recv[r*n : (r+1)*n]),
-			scope:  wholeScope,
-			consume: func(p []byte) error {
-				if len(p) != n {
-					return fmt.Errorf("core: allgather chunk from %d is %d bytes, want %d", r, len(p), n)
-				}
-				copy(recv[r*n:(r+1)*n], p)
-				return nil
-			},
+			sender:  r,
+			class:   transport.ClassData,
+			bytes:   n,
+			sends:   wholeSend(recv[r*n : (r+1)*n]),
+			scope:   wholeScope,
+			consume: func(p []byte) error { return place(r, p) },
 		}
 	}
 	return runRounds(c, rounds, opt)
+}
+
+// burstRecvBudget bounds the multicasts exchange leaves undrained at one
+// rank: while a rank transmits its own data it is in no receive, so up
+// to size-1 foreign multicasts queue in the device's receive ring, which
+// must absorb them without overflow — the simulator's default ring holds
+// 256 messages, and this leaves one slot to spare. It guards every
+// exchange (burstFits): the flat and two-level allgather, the two-level
+// alltoall and the chunked allreduce's gather on uneven segments (burst,
+// one slot per rank), and its scout-free gather on even ones
+// (gatherSlices, one slot per slice group, so at most as many multicasts
+// undrained).
+const burstRecvBudget = 255
+
+// burstFits reports whether a burst on c is within the budget and not on
+// one collision domain. A hub (a topology of one segment) is left out:
+// N stations transmitting at once there exhaust CSMA/CD's attempt limit
+// and drop frames, which a lossless burst cannot survive.
+func burstFits(c *mpi.Comm) bool {
+	t := c.Topo()
+	return c.Size()-1 <= burstRecvBudget && (t == nil || t.Segments() > 1)
+}
+
+// burst is the lossless data path of the allgather (flat and two-level),
+// the two-level alltoall and the chunked allreduce's allgather half on
+// uneven segments: standing descriptors for size-1 foreign multicasts
+// and the release, the multicast barrier over gather's scouts (N-1
+// scouts and one release — the paper's Barrier), then exchange with one
+// slot per rank. Every per-round gather collapses into that one
+// handshake.
+func burst(c *mpi.Comm, gather func(cc mpi.CollCtx, root, hot int) error, sends []send, scope mpi.Scope, consume func(r int, p []byte) error) error {
+	release := c.PostRecvs(c.Size())
+	defer release()
+	cc := c.BeginColl()
+	if err := barrierOn(cc, gather); err != nil {
+		return err
+	}
+	senders := make([]int, c.Size())
+	for r := range senders {
+		senders[r] = r
+	}
+	return exchange(cc, senders, sends, scope, consume)
+}
+
+// exchange is the data phase that follows evidence that every rank has
+// entered and posted its standing descriptors (burst's barrier, or the
+// chunked allreduce's reduce-scatter). senders[k] multicasts at slot k,
+// or nobody where it is -1. One context per slot is opened in slot
+// order; this rank fires its sends at its own slot, before consuming
+// anything, so transmissions overlap fully, then hands consume every
+// other sending slot's multicast on scope, in slot order, which keeps
+// the multicast staleness watermark monotone. Its spans go on cc.
+func exchange(cc mpi.CollCtx, senders []int, sends []send, scope mpi.Scope, consume func(k int, p []byte) error) error {
+	c := cc.Comm()
+	me := c.Rank()
+	ccs := make([]mpi.CollCtx, len(senders))
+	for k, r := range senders {
+		ccs[k] = c.BeginColl()
+		if r != me {
+			continue
+		}
+		cc.SpanBegin("chunk-mcast")
+		for _, s := range sends {
+			if err := ccs[k].Multicast(s.scope, s.payload, transport.ClassData); err != nil {
+				cc.SpanEnd("chunk-mcast")
+				return err
+			}
+		}
+		cc.SpanEnd("chunk-mcast")
+	}
+	cc.SpanBegin("chunk-consume")
+	defer cc.SpanEnd("chunk-consume")
+	for k, r := range senders {
+		if r == me || r < 0 {
+			continue
+		}
+		m, err := ccs[k].RecvMulticast(scope)
+		if err != nil {
+			return err
+		}
+		if err := consume(k, m.Payload); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // alltoallWith runs the personalized exchange as N scout-gated sliced
@@ -190,11 +287,11 @@ func sliceBounds(total, extent, size int) []int {
 // slices to their segment leader and the S leaders multicast one frame
 // each; beyond, a leader's store-and-forward hop costs more than it
 // saves, and every rank multicasts its own slice. On uneven segments the
-// allgather is twoLevelBurst — one scout-only handshake of (N-S) +
-// S(S-1) scouts, then every rank multicasts its slice; elsewhere it is
-// the suite's pipelined scout-gated rounds, N(N-1) scouts. The two
-// gathers differ only in their evidence: after it, both run the same
-// exchange (twolevel.go), one multicast slot per sender in slot order.
+// allgather is a burst — the multicast barrier's N-1 scouts and one
+// release, then every rank multicasts its slice; elsewhere it is the
+// suite's pipelined scout-gated rounds, N(N-1) scouts. The two gathers
+// differ only in their evidence: after it, both run the same exchange,
+// one multicast slot per sender in slot order.
 //
 // The reduce-scatter runs in two levels where usableTopo finds S segments
 // of F members each — Karonis's multilevel and Träff's lane
@@ -305,7 +402,7 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		return nil
 	}
 	if t != nil && burstFits(c) {
-		return twoLevelBurst(c, t, wholeSend(slice(me))(), mpi.Whole, place)
+		return burst(c, gatherScoutsBinary, wholeSend(slice(me))(), mpi.Whole, place)
 	}
 	rounds := make([]roundPlan, 0, size)
 	for r := 0; r < size; r++ {

@@ -35,28 +35,52 @@ func TestSuiteFrameCounts(t *testing.T) {
 				mode, n, chunk := mode, n, chunk
 				t.Run(fmt.Sprintf("%s/n=%d/M=%d", mode, n, chunk), func(t *testing.T) {
 					chunkFrames := int64(trace.FramesForMessage(chunk, frag))
-
-					// Allgather: N rounds of (N-1) scouts + ceil(M/T) data.
-					nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
-						core.Algorithms(mode), func(c *mpi.Comm) error {
+					allgather := func(topo simnet.Topology, algs mpi.Algorithms) *simnet.Network {
+						nw, err := cluster.RunSim(n, topo, simnet.DefaultProfile(), algs, func(c *mpi.Comm) error {
 							send := make([]byte, chunk)
 							recv := make([]byte, n*chunk)
 							return c.Allgather(send, recv)
 						})
-					if err != nil {
-						t.Fatal(err)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return nw
 					}
-					if got, want := nw.Wire.Frames(transport.ClassScout), int64(n*(n-1)); got != want {
-						t.Errorf("allgather scouts = %d, want N(N-1) = %d", got, want)
+
+					// Allgather, one burst: (N-1) scouts + 1 release, then
+					// every rank's ceil(M/T) data frames.
+					nw := allgather(simnet.Switch, core.Algorithms(mode))
+					if got, want := nw.Wire.Frames(transport.ClassScout), int64(n-1); got != want {
+						t.Errorf("allgather scouts = %d, want N-1 = %d", got, want)
+					}
+					if got, want := nw.Wire.Frames(transport.ClassControl), int64(1); got != want {
+						t.Errorf("allgather releases = %d, want %d", got, want)
 					}
 					if got, want := nw.Wire.Frames(transport.ClassData), int64(n)*chunkFrames; got != want {
 						t.Errorf("allgather data frames = %d, want N·ceil(M/T) = %d", got, want)
 					}
 
+					// On the hub and under repair the allgather keeps N
+					// rounds of (N-1) scouts + ceil(M/T) data, no release.
+					for name, nw := range map[string]*simnet.Network{
+						"hub":       allgather(simnet.Hub, core.Algorithms(mode)),
+						"resilient": allgather(simnet.Switch, core.ResilientAlgorithms()),
+					} {
+						if got, want := nw.Wire.Frames(transport.ClassScout), int64(n*(n-1)); got != want {
+							t.Errorf("%s allgather scouts = %d, want N(N-1) = %d", name, got, want)
+						}
+						if got := nw.Wire.Frames(transport.ClassControl); got != 0 {
+							t.Errorf("%s allgather releases = %d, want 0", name, got)
+						}
+						if got, want := nw.Wire.Frames(transport.ClassData), int64(n)*chunkFrames; got != want {
+							t.Errorf("%s allgather data frames = %d, want N·ceil(M/T) = %d", name, got, want)
+						}
+					}
+
 					// Alltoall (sliced rounds): N rounds of (N-1) scouts +
 					// (N-1) per-slice multicasts of ceil(M/T) frames — the
 					// pairwise baseline's targeted byte count, no more.
-					nw, err = cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
+					nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
 						core.Algorithms(mode), func(c *mpi.Comm) error {
 							send := make([]byte, n*chunk)
 							recv := make([]byte, n*chunk)
@@ -132,6 +156,55 @@ func TestSuiteFrameCounts(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestHubAllgatherDropsNothing pins why a burst needs more than one
+// collision domain: on the hub, 32 stations multicasting at once exhaust
+// CSMA/CD's attempt limit and drop frames, which a lossless allgather
+// cannot survive. There the allgather keeps its scout-gated rounds, and
+// every one of ten seeds completes with no frame dropped at any NIC.
+func TestHubAllgatherDropsNothing(t *testing.T) {
+	const n, chunk = 32, 5000
+	for seed := uint64(1); seed <= 10; seed++ {
+		prof := simnet.DefaultProfile()
+		prof.Seed = seed
+		nw, err := cluster.RunSim(n, simnet.Hub, prof, core.Algorithms(core.Binary), func(c *mpi.Comm) error {
+			return c.Allgather(make([]byte, chunk), make([]byte, n*chunk))
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var drops int64
+		for r := 0; r < n; r++ {
+			drops += nw.Endpoint(r).NIC().Stats.Drops
+		}
+		if drops != 0 {
+			t.Errorf("seed %d: %d frames dropped at the attempt limit", seed, drops)
+		}
+	}
+}
+
+// TestAllgatherBeyondBudgetKeepsRounds: past burstRecvBudget a burst
+// would leave more foreign multicasts undrained than the receive ring
+// holds, so at N=257 the lossless allgather keeps its N scout-gated
+// rounds — N(N-1) scouts and no release.
+func TestAllgatherBeyondBudgetKeepsRounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("257-rank sim in -short mode")
+	}
+	const n = 257
+	nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(), core.Algorithms(core.Binary), func(c *mpi.Comm) error {
+		return c.Allgather(make([]byte, 1), make([]byte, n))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := nw.Wire.Frames(transport.ClassScout), int64(n*(n-1)); got != want {
+		t.Errorf("allgather scouts = %d, want N(N-1) = %d", got, want)
+	}
+	if got := nw.Wire.Frames(transport.ClassControl); got != 0 {
+		t.Errorf("allgather releases = %d, want 0", got)
 	}
 }
 

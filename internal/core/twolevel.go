@@ -5,9 +5,10 @@ package core
 // The flat suite treats every pair of ranks as equidistant, which the
 // figure 14n/15n N-sweeps show is exactly wrong on a fabric where
 // stations share switch ports through half-duplex segments
-// (simnet.SwitchShared): the allgather's N(N-1) scout frames all
-// serialize on the shared uplinks, and at N=32 the scout term dominates
-// the whole sub-frame region. The decomposition here is the classic
+// (simnet.SwitchShared): the N(N-1) scout frames of the flat rounds
+// (the alltoall's, and the allgather's under repair) all serialize on
+// the shared uplinks, and at N=32 the scout term dominates the whole
+// sub-frame region. The decomposition here is the classic
 // two-level scheme of Karonis et al. (MagPIe / MPICH-G2) and the
 // multi-core collectives of Zhou et al., applied to the paper's scout
 // machinery:
@@ -27,22 +28,20 @@ package core
 //
 // The scout economics per operation, with N ranks on S segments:
 //
-//	allgather:         (N-S) member scouts + S(S-1) leader scouts
-//	                   + S segment releases, versus the flat N(N-1)
-//	                   scouts — the ~N + S² bound the a6 table gates on.
-//	                   Lossless data path: the handshake is scout-only
-//	                   (members prove entry to their leader, leaders
-//	                   prove their segment to every other leader), and
-//	                   once released every rank multicasts its own chunk
-//	                   directly — N data multicasts, exactly the flat
-//	                   algorithm's N·M bytes per segment wire, with all
-//	                   per-round gathers collapsed into the one entry
-//	                   handshake. Under NACK repair (and beyond the
+//	allgather:         lossless, the flat set's burst: the multicast
+//	                   barrier's N-1 scouts and one release, then every
+//	                   rank multicasts its own chunk — N data
+//	                   multicasts, N·M bytes per segment wire, every
+//	                   per-round gather collapsed into the one handshake.
+//	                   There is nothing left for the segments to
+//	                   localize. Under NACK repair (and beyond the
 //	                   receive budget, burstRecvBudget) the combine-based
-//	                   schedule runs instead: chunks converge on the
-//	                   leader and S aggregate blocks are multicast in
-//	                   sequential leader rounds the repair server can
-//	                   serve.
+//	                   schedule runs instead: (N-S) member scouts +
+//	                   S(S-1) leader scouts + S segment releases, versus
+//	                   the flat rounds' N(N-1) — the ~N + S² bound the
+//	                   a6 table gates on; chunks converge on the leader
+//	                   and S aggregate blocks are multicast in sequential
+//	                   leader rounds the repair server can serve.
 //	bcast:             N-1 scouts as before, but only S-1 cross the
 //	                   uplinks (members scout their local leader).
 //	gather:            (N-S) member scouts + (S-1) aggregate scouts;
@@ -59,20 +58,20 @@ package core
 //	                   segment-group multicasts of per-segment
 //	                   super-slices in place of the flat N-1 per-rank
 //	                   slice transmissions.
-//	alltoall:          the allgather's scout-only entry handshake — (N-S)
-//	                   member scouts + S(S-1) leader scouts + S releases,
-//	                   versus the flat N(N-1), 65,280 at N=256. Lossless
-//	                   data path: once released every rank multicasts,
-//	                   to each segment's group, one block of its own
-//	                   chunks for that segment's members, taking the
-//	                   segments around the ring from the one after its
-//	                   own, so the first blocks of all ranks spread over
-//	                   every segment port at once; each rank keeps its
-//	                   chunk of the N-1 blocks its segment hears. Under
-//	                   NACK repair (and beyond the receive budget,
-//	                   burstRecvBudget) members ship whole buffers to
-//	                   their leader and S sequential leader rounds
-//	                   exchange per-segment super-slice blocks.
+//	alltoall:          the allgather's burst handshake — N-1 scouts and
+//	                   one release, versus the flat N(N-1), 65,280 at
+//	                   N=256. Lossless data path: once released every
+//	                   rank multicasts, to each segment's group, one
+//	                   block of its own chunks for that segment's
+//	                   members, taking the segments around the ring from
+//	                   the one after its own, so the first blocks of all
+//	                   ranks spread over every segment port at once; each
+//	                   rank keeps its chunk of the N-1 blocks its segment
+//	                   hears. Under NACK repair (and beyond the receive
+//	                   budget, burstRecvBudget) members ship whole
+//	                   buffers to their leader and S sequential leader
+//	                   rounds exchange per-segment super-slice blocks,
+//	                   gated by (N-S) + S(S-1) scouts.
 //	chunked allreduce: on segments of equal size F, AllreduceMcastChunked
 //	                   reduce-scatters in two levels — F-1 segment-local
 //	                   messages and S-1 across the uplinks per rank, not
@@ -80,12 +79,12 @@ package core
 //	                   scouts, gated by the reduce-scatter data like the
 //	                   allreduce above: S leader multicasts where a
 //	                   segment's slices fit one frame, N beyond. On
-//	                   uneven segments it gathers them in the allgather's
-//	                   burst: (N-S) + S(S-1) scouts.
+//	                   uneven segments it gathers them in a burst: N-1
+//	                   scouts and one release.
 //
 // The lossless allgather, alltoall and both chunked gathers differ only
-// in their evidence — a scout handshake or the reduce-scatter; the data
-// phase that follows is one exchange for all four.
+// in their evidence — the burst's barrier or the reduce-scatter; the
+// data phase that follows is one exchange for all four.
 //
 // A communicator without a usable topology — no device map, a single
 // segment (nothing to localize), or one rank per segment (the
@@ -314,15 +313,17 @@ func segmentCombine(cc mpi.CollCtx, t *topo.Map, lead int, payload []byte, rep b
 	return collectChunks(cc, mpi.Seg(seg), others, len(payload), place)
 }
 
-// allgather gathers every rank's chunk to every rank. Lossless, every
-// rank multicasts its chunk to the whole communicator after the
-// scout-only handshake of twoLevelBurst. Under repair, and beyond
-// burstRecvBudget, it runs in two levels: a release-gated segment-local
-// combine to each leader, then S sequential leader rounds each
-// multicasting one segment's aggregate block to the whole communicator.
+// allgather gathers every rank's chunk to every rank. Lossless and
+// within burstRecvBudget it is the flat set's allgather — one burst, with
+// nothing for the segments to localize: its handshake is N-1 scouts and
+// one release, and every rank multicasts its own chunk. Under repair,
+// and beyond the budget, it runs in two levels: a release-gated
+// segment-local combine to each leader, then S sequential leader rounds
+// each multicasting one segment's aggregate block to the whole
+// communicator.
 func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 	t := usableTopo(c)
-	if t == nil {
+	if t == nil || tl.direct(c) {
 		return tl.flat.Allgather(c, send, recv)
 	}
 	n := len(send)
@@ -331,15 +332,6 @@ func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 	}
 	me := c.Rank()
 	copy(recv[me*n:], send)
-	if tl.direct(c) {
-		return twoLevelBurst(c, t, wholeSend(send)(), mpi.Whole, func(r int, p []byte) error {
-			if len(p) != n {
-				return fmt.Errorf("core: allgather chunk from %d is %d bytes, want %d", r, len(p), n)
-			}
-			copy(recv[r*n:(r+1)*n], p)
-			return nil
-		})
-	}
 	members := t.Members(t.SegmentOf(me))
 	leader := t.Leader(t.SegmentOf(me))
 
@@ -388,142 +380,10 @@ func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 	return runRounds(c, rounds, roundOptions{gather: leaderRoundGather(t), repair: tl.rep})
 }
 
-// burstRecvBudget bounds the multicasts exchange leaves undrained at one
-// rank: while a rank transmits its own data it is in no receive, so up
-// to size-1 foreign multicasts queue in the device's receive ring, which
-// must absorb them without overflow — the simulator's default ring holds
-// 256 messages, and this leaves one slot to spare. It guards every
-// exchange (burstFits): the two-level allgather and alltoall and the
-// chunked allreduce's gather on uneven segments (twoLevelBurst, one slot
-// per rank), and its scout-free gather on even ones (gatherSlices, one
-// slot per slice group, so at most as many multicasts undrained).
-const burstRecvBudget = 255
-
-// burstFits reports whether twoLevelBurst on c is within the budget.
-func burstFits(c *mpi.Comm) bool { return c.Size()-1 <= burstRecvBudget }
-
-// direct reports whether the allgather and the alltoall run
-// twoLevelBurst on c (lossless, burstFits) or the combine-based schedule.
+// direct reports whether the allgather and the alltoall run burst on c
+// (lossless, burstFits) or the combine-based schedule.
 func (tl *twoLevel) direct(c *mpi.Comm) bool {
 	return !tl.rep && burstFits(c)
-}
-
-// twoLevelBurst is the lossless data path of the two-level allgather and
-// alltoall and of the chunked allreduce's allgather half on uneven
-// segments: standing descriptors for size-1 foreign multicasts and the
-// segment release, twoLevelHandshake, then exchange with one slot per
-// rank. The scout budget is the combine-based schedule's — (N-S) member
-// scouts plus S(S-1) leader scouts — but no data converges on a leader,
-// and every per-round gather collapses into the one entry handshake.
-func twoLevelBurst(c *mpi.Comm, t *topo.Map, sends []send, scope mpi.Scope, consume func(r int, p []byte) error) error {
-	release := c.PostRecvs(c.Size())
-	defer release()
-	cc := c.BeginColl()
-	if err := twoLevelHandshake(cc, t); err != nil {
-		return err
-	}
-	senders := make([]int, c.Size())
-	for r := range senders {
-		senders[r] = r
-	}
-	return exchange(cc, senders, sends, scope, consume)
-}
-
-// twoLevelHandshake is twoLevelBurst's evidence that every rank has
-// entered. Members scout their leader, each leader scouts every other
-// leader exactly once, and a leader that holds proof all S segments are
-// in releases its own segment; a member returns on that release.
-func twoLevelHandshake(cc mpi.CollCtx, t *topo.Map) error {
-	me := cc.Comm().Rank()
-	mySeg := t.SegmentOf(me)
-	members := t.Members(mySeg)
-	leader := t.Leader(mySeg)
-	segs := t.Segments()
-	if me != leader {
-		cc.SpanBegin("member-scout")
-		err := cc.Send(leader, phaseScout, nil, transport.ClassScout, false)
-		cc.SpanEnd("member-scout")
-		if err != nil {
-			return err
-		}
-		// The release proves every segment has entered, so this rank's
-		// multicasts cannot be dropped anywhere.
-		cc.SpanBegin("await-release")
-		_, err = cc.RecvMulticast(mpi.Seg(mySeg))
-		cc.SpanEndGated("await-release", leader)
-		return err
-	}
-	cc.SpanBegin("member-scout")
-	err := recvScouts(cc, phaseScout, len(members)-1)
-	cc.SpanEnd("member-scout")
-	if err != nil {
-		return err
-	}
-	// The cross-scout exchange among the S leaders: the phase the
-	// two-level handshake's completion time hinges on, and the one the
-	// critical-path report names when the uplink fabric bounds the
-	// operation.
-	cc.SpanBegin("leader-scout-exchange")
-	for s := 0; s < segs; s++ {
-		if s == mySeg {
-			continue
-		}
-		if err := cc.Send(t.Leader(s), phaseLeaderScout, nil, transport.ClassScout, false); err != nil {
-			cc.SpanEnd("leader-scout-exchange")
-			return err
-		}
-	}
-	err = recvScouts(cc, phaseLeaderScout, segs-1)
-	cc.SpanEnd("leader-scout-exchange")
-	if err != nil || len(members) == 1 {
-		return err
-	}
-	cc.SpanBegin("release")
-	defer cc.SpanEnd("release")
-	return cc.Multicast(mpi.Seg(mySeg), nil, transport.ClassControl)
-}
-
-// exchange is the data phase that follows evidence that every rank has
-// entered and posted its standing descriptors (twoLevelHandshake, or the
-// chunked allreduce's reduce-scatter). senders[k] multicasts at slot k,
-// or nobody where it is -1. One context per slot is opened in slot
-// order; this rank fires its sends at its own slot, before consuming
-// anything, so transmissions overlap fully, then hands consume every
-// other sending slot's multicast on scope, in slot order, which keeps
-// the multicast staleness watermark monotone. Its spans go on cc.
-func exchange(cc mpi.CollCtx, senders []int, sends []send, scope mpi.Scope, consume func(k int, p []byte) error) error {
-	c := cc.Comm()
-	me := c.Rank()
-	ccs := make([]mpi.CollCtx, len(senders))
-	for k, r := range senders {
-		ccs[k] = c.BeginColl()
-		if r != me {
-			continue
-		}
-		cc.SpanBegin("chunk-mcast")
-		for _, s := range sends {
-			if err := ccs[k].Multicast(s.scope, s.payload, transport.ClassData); err != nil {
-				cc.SpanEnd("chunk-mcast")
-				return err
-			}
-		}
-		cc.SpanEnd("chunk-mcast")
-	}
-	cc.SpanBegin("chunk-consume")
-	defer cc.SpanEnd("chunk-consume")
-	for k, r := range senders {
-		if r == me || r < 0 {
-			continue
-		}
-		m, err := ccs[k].RecvMulticast(scope)
-		if err != nil {
-			return err
-		}
-		if err := consume(k, m.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ringSegSends is the direct alltoall's send list at rank me: to every
@@ -751,10 +611,10 @@ func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 
 // alltoall runs the personalized exchange hierarchically, where the flat
 // sliced exchange pays N(N-1) scouts (65,280 at N=256) and N(N-1)
-// per-slice transmissions. Lossless, it is twoLevelBurst over
-// ringSegSends: after the (N-S) + S(S-1) scout handshake every rank
-// multicasts one block per segment, and keeps its own chunk of each
-// block its segment hears. Under repair, and beyond burstRecvBudget, it
+// per-slice transmissions. Lossless, it is a burst over ringSegSends:
+// after the barrier's N-1 scouts and one release every rank multicasts
+// one block per segment, and keeps its own chunk of each block its
+// segment hears. Under repair, and beyond burstRecvBudget, it
 // runs in two levels. Phase A: each segment's members ship their whole
 // send buffer to the segment leader over the release-gated local
 // combine (segment-local unicast — never crossing an uplink). Phase B: S
@@ -778,7 +638,7 @@ func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 	myIdx := slices.Index(myMembers, me)
 	if tl.direct(c) {
 		blk := n * len(myMembers)
-		return twoLevelBurst(c, t, ringSegSends(t, me, send, n), mpi.Seg(t.SegmentOf(me)), func(r int, p []byte) error {
+		return burst(c, gatherScoutsBinary, ringSegSends(t, me, send, n), mpi.Seg(t.SegmentOf(me)), func(r int, p []byte) error {
 			if len(p) != blk {
 				return fmt.Errorf("core: alltoall block from %d is %d bytes, want %d", r, len(p), blk)
 			}

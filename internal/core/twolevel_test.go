@@ -243,11 +243,12 @@ func TestTwoLevelSingleSegmentDelegates(t *testing.T) {
 	}
 }
 
-// TestTwoLevelScoutEconomy is the point of the subsystem, measured: a
-// two-level allgather on the shared-uplink fabric sends at most
-// N + S² + S scout frames (members to leaders once, leaders to each
-// round sender), versus the flat algorithm's N(N-1) — and actually
-// fewer, (N-S) + S(S-1).
+// TestTwoLevelScoutEconomy counts the scouts of both allgather
+// schedules on the shared-uplink fabric. Lossless, the two-level set
+// runs the flat set's burst: N-1 scouts, exactly the flat allgather's.
+// Under repair it keeps the combine-based schedule, whose handshake is
+// (N-S) member scouts plus S(S-1) leader-round scouts — under the
+// N + S² + S bound and the flat resilient rounds' N(N-1).
 func TestTwoLevelScoutEconomy(t *testing.T) {
 	for _, cs := range []struct{ n, fanout int }{{8, 4}, {16, 4}, {12, 3}, {7, 3}} {
 		cs := cs
@@ -263,21 +264,19 @@ func TestTwoLevelScoutEconomy(t *testing.T) {
 				}
 				return nw.Wire.Frames(transport.ClassScout)
 			}
-			two := measure(core.TwoLevelAlgorithms())
-			flat := measure(core.Algorithms(core.Binary))
-			bound := int64(cs.n + s*s + s)
-			want := int64((cs.n - s) + s*(s-1))
-			if two != want {
-				t.Errorf("two-level allgather sent %d scouts, want exactly %d", two, want)
+			if two, flat := measure(core.TwoLevelAlgorithms()), measure(core.Algorithms(core.Binary)); two != int64(cs.n-1) || flat != two {
+				t.Errorf("lossless allgather sent %d scouts two-level, %d flat; want N-1 = %d both", two, flat, cs.n-1)
 			}
-			if two > bound {
-				t.Errorf("two-level allgather sent %d scouts, above the N+S²+S bound %d", two, bound)
+			two := measure(core.TwoLevelResilientAlgorithms())
+			flat := measure(core.ResilientAlgorithms())
+			if want := int64((cs.n - s) + s*(s-1)); two != want {
+				t.Errorf("resilient two-level allgather sent %d scouts, want exactly %d", two, want)
+			}
+			if bound := int64(cs.n + s*s + s); two > bound {
+				t.Errorf("resilient two-level allgather sent %d scouts, above the N+S²+S bound %d", two, bound)
 			}
 			if flat != int64(cs.n*(cs.n-1)) {
-				t.Errorf("flat allgather sent %d scouts, want N(N-1)=%d", flat, cs.n*(cs.n-1))
-			}
-			if two >= flat {
-				t.Errorf("two-level (%d scouts) did not beat flat (%d)", two, flat)
+				t.Errorf("resilient flat allgather sent %d scouts, want N(N-1)=%d", flat, cs.n*(cs.n-1))
 			}
 		})
 	}
@@ -309,10 +308,8 @@ func TestTwoLevelUnevenSegments(t *testing.T) {
 }
 
 // TestTwoLevelAlltoallScoutEconomy pins the alltoall decomposition's
-// handshake budget: members prove their segment in once (N-S scouts)
-// and each of the S leader rounds gathers S-1 leader scouts, for
-// exactly (N-S) + S(S-1) scout frames versus the flat alltoall's
-// N(N-1) — 65,280 at N=256, where the two-level count is 4,224.
+// handshake budget: one burst, whose barrier sends N-1 scouts, versus
+// the flat alltoall's N rounds of N-1 — 255 against 65,280 at N=256.
 func TestTwoLevelAlltoallScoutEconomy(t *testing.T) {
 	measure := func(n, fanout, chunk int, algs mpi.Algorithms) int64 {
 		nw, err := cluster.RunSim(n, simnet.SwitchShared, sharedProf(fanout), algs, func(c *mpi.Comm) error {
@@ -326,11 +323,10 @@ func TestTwoLevelAlltoallScoutEconomy(t *testing.T) {
 	for _, cs := range []struct{ n, fanout int }{{8, 4}, {16, 4}, {12, 3}, {7, 3}} {
 		cs := cs
 		t.Run(fmt.Sprintf("n=%d fanout=%d", cs.n, cs.fanout), func(t *testing.T) {
-			s := topo.Uniform(cs.n, cs.fanout).Segments()
 			two := measure(cs.n, cs.fanout, 100, core.TwoLevelAlgorithms())
 			flat := measure(cs.n, cs.fanout, 100, core.Algorithms(core.Binary))
-			if want := int64((cs.n - s) + s*(s-1)); two != want {
-				t.Errorf("two-level alltoall sent %d scouts, want exactly %d", two, want)
+			if want := int64(cs.n - 1); two != want {
+				t.Errorf("two-level alltoall sent %d scouts, want exactly N-1 = %d", two, want)
 			}
 			if want := int64(cs.n * (cs.n - 1)); flat != want {
 				t.Errorf("flat alltoall sent %d scouts, want N(N-1)=%d", flat, want)
@@ -342,24 +338,18 @@ func TestTwoLevelAlltoallScoutEconomy(t *testing.T) {
 			t.Skip("256-rank sim in -short mode")
 		}
 		const n, fanout = 256, 4
-		s := topo.Uniform(n, fanout).Segments()
-		two := measure(n, fanout, 1, core.TwoLevelAlgorithms())
-		if bound := int64((n - s) + s*(s-1) + s); two > bound {
-			t.Errorf("two-level alltoall sent %d scouts at N=256, above the (N-S)+S(S-1)+S bound %d", two, bound)
-		}
-		if flatScouts := int64(n * (n - 1)); two >= flatScouts/10 {
-			t.Errorf("two-level alltoall sent %d scouts at N=256; expected an order of magnitude under the flat %d", two, flatScouts)
+		if two := measure(n, fanout, 1, core.TwoLevelAlgorithms()); two != n-1 {
+			t.Errorf("two-level alltoall sent %d scouts at N=256, want exactly N-1 = %d", two, n-1)
 		}
 	})
 }
 
-// TestTwoLevelAllgatherBeatsFlatPipelined pins the figure 14h
-// crossover the scout-only handshake exists for: at N=8 with 5000-byte
-// chunks on the shared-uplink fabric — the smallest multi-segment
-// point, where the data term dominates and the old combine-based
-// schedule paid a 12% premium for the phase-A chunk copies — the
-// two-level allgather's worst-rank completion must be no later than
-// the flat pipelined schedule's.
+// TestTwoLevelAllgatherBeatsFlatPipelined pins the figure 14h point at
+// N=8 with 5000-byte chunks on the shared-uplink fabric — the smallest
+// multi-segment point, where the old combine-based schedule paid a 12%
+// premium for the phase-A chunk copies: the two-level allgather's
+// worst-rank completion must be no later than the flat pipelined
+// schedule's. Both now run the same burst.
 func TestTwoLevelAllgatherBeatsFlatPipelined(t *testing.T) {
 	const n, chunk = 8, 5000
 	measure := func(algs mpi.Algorithms) int64 {

