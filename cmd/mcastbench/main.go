@@ -65,6 +65,16 @@ func main() {
 }
 
 func run(figure *string, reps, step, max *int, seed *uint64, quick *bool, csvDir, trajec, gate, trOut, cpuOut, memOut *string) int {
+	// 0 means the default; a negative step would never reach -max.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"reps", *reps}, {"step", *step}, {"max", *max}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "mcastbench: -%s %d is negative; give a positive value, or 0 for the default\n", f.name, f.v)
+			return 2
+		}
+	}
 	if *cpuOut != "" {
 		f, err := os.Create(*cpuOut)
 		if err != nil {

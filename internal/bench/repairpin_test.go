@@ -146,6 +146,22 @@ type suitePin struct {
 	hash   uint64
 }
 
+// newSuitePin returns an empty pin, its hash at the FNV-1a offset basis.
+func newSuitePin() suitePin { return suitePin{hash: 14695981039346656037} }
+
+// add records one repetition: its nanoseconds and events are summed, and
+// both are folded into the hash, low byte first.
+func (p *suitePin) add(simNS int64, events uint64) {
+	p.simNS += simNS
+	p.events += events
+	for _, v := range []uint64{uint64(simNS), events} {
+		for i := 0; i < 8; i++ {
+			p.hash = (p.hash ^ (v & 0xff)) * 1099511628211
+			v >>= 8
+		}
+	}
+}
+
 // runSuitePin simulates one row of the suite pin: per seed, one
 // repetition of Run's methodology (a warm-up of op, a barrier, up to
 // 15 µs of per-rank skew, the measured op) at 3,000 B on 16 ranks at 5 %
@@ -163,23 +179,14 @@ func runSuitePin(t *testing.T, topo simnet.Topology, alg Algorithm, op workload.
 		Procs: 16, Topology: topo, Op: op, MsgSize: 3000,
 		Warmups: 1, SkewMax: 15 * sim.Microsecond, Profile: &prof,
 	}
-	pin := suitePin{hash: 14695981039346656037}
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			pin.hash = (pin.hash ^ (v & 0xff)) * 1099511628211
-			v >>= 8
-		}
-	}
+	pin := newSuitePin()
 	var losses int64
 	for seed := uint64(1); seed <= 12; seed++ {
 		nw, worst, err := runOnce(sc, algs, seed)
 		if err != nil {
 			t.Fatalf("%v/%s/%s seed %d: %v", topo, alg, op, seed, err)
 		}
-		pin.simNS += worst
-		pin.events += nw.Events()
-		fold(uint64(worst))
-		fold(nw.Events())
+		pin.add(worst, nw.Events())
 		losses += nw.Stats.InjectedLosses + nw.Stats.InjectedP2PLosses
 	}
 	return pin, losses
@@ -410,6 +417,98 @@ func TestReductionDeterminismPin(t *testing.T) {
 		}
 		if worst != tc.simNS || nw.Events() != tc.events {
 			t.Errorf("%s reduce to %d N=%d %d B moved: got {%d, %d}, want {%d, %d}", MPICH, root, n, tc.size, worst, nw.Events(), tc.simNS, tc.events)
+		}
+	}
+}
+
+// TestOneRoundDeterminismPin holds the one-round collectives of the
+// lossless flat sets — the paper's broadcast at roots 0 and 3, its
+// barrier and the sliced scatter at root 3 — where no other pin looks:
+// the linear and pipelined sets, a non-zero root and a rank count that
+// is not a power of two, on the hub, the switch and the shared-uplink
+// switch (fanout 4). Each row folds one cold operation per grid point
+// (bcast at roots 0 and 3 and scatter at root 3, each at 0, 1,000 and
+// 5,000 B, then the barrier) at seed 1: the longest rank's simulated
+// nanoseconds and the world's engine events, summed, and an FNV-1a fold
+// of every point's pair in grid order. A round engine that pipelines or
+// paces a single round, or reorders its calls, moves a row.
+func TestOneRoundDeterminismPin(t *testing.T) {
+	type point struct {
+		op   Op
+		root int
+		size int
+	}
+	var grid []point
+	for _, p := range []struct {
+		op   Op
+		root int
+	}{{OpBcast, 0}, {OpBcast, 3}, {OpScatter, 3}} {
+		for _, size := range []int{0, 1000, 5000} {
+			grid = append(grid, point{p.op, p.root, size})
+		}
+	}
+	grid = append(grid, point{OpBarrier, 0, 0})
+
+	run := func(alg Algorithm, topo simnet.Topology, n int) suitePin {
+		algs, err := Set(alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := simnet.DefaultProfile()
+		if topo == simnet.SwitchShared {
+			prof = *sharedUplinkProfile()
+		}
+		prof.Seed = 1
+		pin := newSuitePin()
+		for _, p := range grid {
+			var worst int64 // ranks run one at a time under the engine
+			nw, err := cluster.RunSim(n, topo, prof, algs, func(c *mpi.Comm) error {
+				op := workload.Make(c, p.op, p.size, p.root)
+				start := c.Now()
+				if err := op(); err != nil {
+					return err
+				}
+				worst = max(worst, c.Now()-start)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s %v N=%d %s root %d %d B: %v", alg, topo, n, p.op, p.root, p.size, err)
+			}
+			pin.add(worst, nw.Events())
+		}
+		return pin
+	}
+
+	for _, tc := range []struct {
+		alg  Algorithm
+		topo simnet.Topology
+		n    int
+		want suitePin
+	}{
+		{McastBinary, simnet.Hub, 5, suitePin{8017240, 1721, 0xfa75aee4bdbbaf51}},
+		{McastBinary, simnet.Hub, 8, suitePin{13258680, 2884, 0xa77e2e5d4b0d7981}},
+		{McastBinary, simnet.Switch, 5, suitePin{8001840, 2092, 0xae95e7d747f2e490}},
+		{McastBinary, simnet.Switch, 8, suitePin{10909440, 3989, 0x2f83ef3fc552c629}},
+		{McastBinary, simnet.SwitchShared, 5, suitePin{8130720, 1755, 0xfc403707c4ed7284}},
+		{McastBinary, simnet.SwitchShared, 8, suitePin{11259560, 3126, 0xec9837a1c5e3cfc8}},
+		{McastLinear, simnet.Hub, 5, suitePin{7674820, 1778, 0xc3a98e63ea888d73}},
+		{McastLinear, simnet.Hub, 8, suitePin{12680240, 3253, 0xa50bd2ffcdaa24af}},
+		{McastLinear, simnet.Switch, 5, suitePin{8116680, 2074, 0xa7bee5315f6fa8c}},
+		{McastLinear, simnet.Switch, 8, suitePin{11139120, 3935, 0xdb0a06be74a354df}},
+		{McastLinear, simnet.SwitchShared, 5, suitePin{8330700, 1737, 0xff32906e1ab37fb7}},
+		{McastLinear, simnet.SwitchShared, 8, suitePin{11411540, 3090, 0xb45e2892dd2d8cb8}},
+		// One round has nothing to overlap: the pipelined set runs the
+		// binary set's one-round collectives, row for row.
+		{McastPipelined, simnet.Hub, 5, suitePin{8017240, 1721, 0xfa75aee4bdbbaf51}},
+		{McastPipelined, simnet.Hub, 8, suitePin{13258680, 2884, 0xa77e2e5d4b0d7981}},
+		{McastPipelined, simnet.Switch, 5, suitePin{8001840, 2092, 0xae95e7d747f2e490}},
+		{McastPipelined, simnet.Switch, 8, suitePin{10909440, 3989, 0x2f83ef3fc552c629}},
+		{McastPipelined, simnet.SwitchShared, 5, suitePin{8130720, 1755, 0xfc403707c4ed7284}},
+		{McastPipelined, simnet.SwitchShared, 8, suitePin{11259560, 3126, 0xec9837a1c5e3cfc8}},
+	} {
+		if got := run(tc.alg, tc.topo, tc.n); got != tc.want {
+			t.Errorf("%s %v N=%d moved:\n got  {%d, %d, %#x}\n want {%d, %d, %#x}", tc.alg, tc.topo, tc.n,
+				got.simNS, got.events, got.hash, tc.want.simNS, tc.want.events, tc.want.hash)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -111,6 +112,75 @@ func TestTraceDemoExportsAndNamesHandshake(t *testing.T) {
 	for _, phase := range []string{"scout-gather", "release"} {
 		if !slices.ContainsFunc(twoLevel.Critical, func(step trace.PathStep) bool { return step.Name == phase }) {
 			t.Errorf("two-level critical path %v does not name %s", twoLevel.Critical, phase)
+		}
+	}
+}
+
+// ledgerPhases are the round phases the benchmark's phase-share ledger
+// reads (core.phase_share.*): a renamed span zeroes its row.
+var ledgerPhases = []string{"scout-gather", "data-mcast", "release", "round-gather", "round-data"}
+
+// TestRoundSpansKeepLedgerNames holds the span names of the round engine
+// on a traced world (eight ranks on the shared-uplink switch, 2,000 B): a
+// one-round collective carries the paper's names — the scout gather,
+// then the data multicast or, for a control round, the release — and a
+// longer sequence its round names. Together, mcast-binary's seven
+// operations and mcast-resilient's allgather emit every name the ledger
+// reads, so none of its rows can read zero.
+func TestRoundSpansKeepLedgerNames(t *testing.T) {
+	spans := func(alg Algorithm, op Op) map[string]bool {
+		t.Helper()
+		rec, err := traceOne(op, alg, 8, 2000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make(map[string]bool)
+		for _, e := range rec.Events() {
+			if e.Kind == trace.SpanBegin {
+				names[e.Name] = true
+			}
+		}
+		return names
+	}
+	seen := make(map[string]bool)
+	for _, tc := range []struct {
+		alg  Algorithm
+		op   Op
+		want []string
+	}{
+		{McastBinary, OpBcast, []string{"scout-gather", "data-mcast"}},
+		{McastResilient, OpBcast, []string{"scout-gather", "data-mcast"}},
+		{McastBinary, OpScatter, []string{"scout-gather", "data-mcast"}},
+		{McastBinary, OpBarrier, []string{"scout-gather", "release"}},
+		{McastResilient, OpBarrier, []string{"scout-gather", "release"}},
+		// The burst's handshake is the multicast barrier.
+		{McastBinary, OpAllgather, []string{"scout-gather", "release", "chunk-mcast", "chunk-consume"}},
+		{McastBinary, OpAlltoall, []string{"round-gather", "round-data"}},
+		{McastResilient, OpAllgather, []string{"round-gather", "round-data"}},
+		{McastBinary, OpAllreduce, []string{"scout-gather", "data-mcast"}},
+		{McastBinary, OpGather, nil},
+	} {
+		got := spans(tc.alg, tc.op)
+		for _, name := range tc.want {
+			if !got[name] {
+				t.Errorf("%s %s spans %v, no %q", tc.alg, tc.op, slices.Sorted(maps.Keys(got)), name)
+			}
+		}
+		isRound := func(name string) bool { return strings.HasPrefix(name, "round-") }
+		if !slices.ContainsFunc(tc.want, isRound) {
+			for name := range got {
+				if isRound(name) {
+					t.Errorf("%s %s runs no round sequence but spans %q", tc.alg, tc.op, name)
+				}
+			}
+		}
+		for name := range got {
+			seen[name] = true
+		}
+	}
+	for _, name := range ledgerPhases {
+		if !seen[name] {
+			t.Errorf("no operation spans %q: its core.phase_share row would read zero", name)
 		}
 	}
 }

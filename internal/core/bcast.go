@@ -36,10 +36,13 @@
 // Algorithms(mode) — with the frame-count model documented there: the
 // allgather sends N·ceil(M/T) data frames where the unicast ring sends
 // N·(N-1)·ceil(M/T), and the allreduce's broadcast half sends ceil(M/T)
-// frames instead of (N-1)·ceil(M/T). The multi-round collectives run on the shared round
-// engine of rounds.go, sequentially or pipelined (BinaryPipelined), and
-// resilient.go wraps every data multicast in NACK repair for lossy
-// segments.
+// frames instead of (N-1)·ceil(M/T). Every scout-gated multicast runs on
+// the one round engine of rounds.go: the paper's broadcast and barrier
+// are one round each (bcastRound, barrierRound), the multi-round
+// collectives a sequence of rounds, sequential or pipelined
+// (BinaryPipelined). One constructor, suite, builds the lossless sets of
+// Algorithms and the set of resilient.go, whose rounds run under NACK
+// repair for lossy segments.
 package core
 
 import (
@@ -93,14 +96,28 @@ func Algorithms(mode Mode) mpi.Algorithms {
 	case BinaryPipelined:
 		rounds.pipeline = true
 	}
-	// A single round has no next round to overlap with.
-	single := roundOptions{gather: rounds.gather}
+	return suite(rounds)
+}
+
+// suite builds a flat set whose collectives run on the round engine
+// with rounds' scout gather, schedule and reliability class — the
+// lossless sets of Algorithms and, with repair, ResilientAlgorithms.
+// Two rules bend rounds: the barrier gathers its scouts up the binary
+// tree whatever the set's gather (the paper's barrier), and a one-round
+// collective (bcast, barrier, scatter) never pipelines — it has no next
+// round to overlap, and the pipelined data phase would pace a sub-frame
+// payload by pipelinePace.
+func suite(rounds roundOptions) mpi.Algorithms {
+	single := roundOptions{gather: rounds.gather, repair: rounds.repair}
+	barrier := roundOptions{gather: gatherScoutsBinary, repair: rounds.repair}
 	bcast := func(c *mpi.Comm, buf []byte, root int) error {
-		return bcastWith(c, buf, root, rounds.gather)
+		return runRounds(c, []roundPlan{bcastRound(buf, root)}, single)
 	}
 	algs := baseline.Algorithms()
 	algs.Bcast = bcast
-	algs.Barrier = Barrier
+	algs.Barrier = func(c *mpi.Comm) error {
+		return runRounds(c, []roundPlan{barrierRound()}, barrier)
+	}
 	algs.Allreduce = allreduceWith(bcast)
 	algs.Allgather = func(c *mpi.Comm, send, recv []byte) error {
 		return allgatherWith(c, send, recv, rounds)
@@ -112,7 +129,7 @@ func Algorithms(mode Mode) mpi.Algorithms {
 		return scatterWith(c, send, recv, root, single)
 	}
 	algs.Gather = func(c *mpi.Comm, send, recv []byte, root int) error {
-		return gatherWith(c, send, recv, root, rounds.gather, false)
+		return gatherWith(c, send, recv, root, rounds)
 	}
 	return algs
 }
@@ -222,38 +239,24 @@ func gatherScoutsLinear(cc mpi.CollCtx, root, _ int) error {
 // while the unsafe broadcast (BcastUnsafe) omits the proof on purpose.
 func noGather(mpi.CollCtx, int, int) error { return nil }
 
-// bcastWith runs a scout-synchronized multicast broadcast: Fig. 3 with
-// the binary gather, Fig. 4 with the linear one.
-func bcastWith(c *mpi.Comm, buf []byte, root int, gather func(cc mpi.CollCtx, root, hot int) error) error {
-	size := c.Size()
-	if size == 1 {
-		return nil
+// bcastRound is the paper's broadcast (Fig. 3 with the binary gather,
+// Fig. 4 with the linear one) as one round: root multicasts buf once to
+// the whole communicator, everyone else receives into it.
+func bcastRound(buf []byte, root int) roundPlan {
+	return roundPlan{
+		sender: root,
+		class:  transport.ClassData,
+		bytes:  len(buf),
+		sends:  wholeSend(buf),
+		scope:  wholeScope,
+		consume: func(p []byte) error {
+			if len(p) != len(buf) {
+				return fmt.Errorf("core: bcast buffer %d bytes, message %d", len(buf), len(p))
+			}
+			copy(buf, p)
+			return nil
+		},
 	}
-	cc := c.BeginColl()
-	cc.SpanBegin("scout-gather")
-	err := gather(cc, root, -1)
-	cc.SpanEnd("scout-gather")
-	if err != nil {
-		return err
-	}
-	if c.Rank() == root {
-		// Every receiver has posted: one multicast cannot be lost.
-		cc.SpanBegin("data-mcast")
-		err := cc.Multicast(mpi.Whole, buf, transport.ClassData)
-		cc.SpanEnd("data-mcast")
-		return err
-	}
-	cc.SpanBegin("data-mcast")
-	m, err := cc.RecvMulticast(mpi.Whole)
-	cc.SpanEndGated("data-mcast", root)
-	if err != nil {
-		return err
-	}
-	if len(m.Payload) != len(buf) {
-		return fmt.Errorf("core: bcast buffer %d bytes, message %d", len(buf), len(m.Payload))
-	}
-	copy(buf, m.Payload)
-	return nil
 }
 
 // BcastUnsafe multicasts without any synchronization. It exists to
@@ -269,33 +272,23 @@ func BcastUnsafe(c *mpi.Comm, buf []byte, root int) error {
 // Barrier implements the paper's multicast barrier: point-to-point scout
 // messages reduce to rank 0 in a binary tree, then one empty multicast
 // releases every process. N-1 point-to-point messages plus one multicast
-// replace the 2(N-K) + K·log2(K) messages of the MPICH barrier.
+// replace the 2(N-K) + K·log2(K) messages of the MPICH barrier. It is
+// barrierRound on the round engine, as is every set's barrier and the
+// handshake of every burst.
 func Barrier(c *mpi.Comm) error {
-	if c.Size() == 1 {
-		return nil
-	}
-	return barrierOn(c.BeginColl(), gatherScoutsBinary)
+	return runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: gatherScoutsBinary})
 }
 
-// barrierOn runs the barrier on cc with gather's scouts toward rank 0:
-// the multicast barrier itself, and the handshake of every burst.
-func barrierOn(cc mpi.CollCtx, gather func(cc mpi.CollCtx, root, hot int) error) error {
-	cc.SpanBegin("scout-gather")
-	err := gather(cc, 0, -1)
-	cc.SpanEnd("scout-gather")
-	if err != nil {
-		return err
+// barrierRound is the barrier's release as one round: rank 0 multicasts
+// an empty control message to the whole communicator.
+func barrierRound() roundPlan {
+	return roundPlan{
+		sender:  0,
+		class:   transport.ClassControl,
+		sends:   wholeSend(nil),
+		scope:   wholeScope,
+		consume: func([]byte) error { return nil },
 	}
-	if cc.Comm().Rank() == 0 {
-		cc.SpanBegin("release")
-		err := cc.Multicast(mpi.Whole, nil, transport.ClassControl)
-		cc.SpanEnd("release")
-		return err
-	}
-	cc.SpanBegin("release")
-	_, err = cc.RecvMulticast(mpi.Whole)
-	cc.SpanEndGated("release", 0)
-	return err
 }
 
 // allreduceWith is the future-work composition the paper points at: a

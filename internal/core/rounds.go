@@ -1,11 +1,18 @@
 package core
 
-// The shared round engine: every multi-round collective of the suite —
-// allgather, alltoall, and the single-round scatter, broadcast and
-// barrier release — is a sequence of scout-gated multicast rounds. Round
-// r has a designated sender; a scout gather toward that sender proves
-// every receiver has entered the round, then the sender multicasts once
-// and every other rank consumes the payload addressed to it.
+// The one round engine: every scout-gated multicast of every set is a
+// round of it — the paper's broadcast and barrier (one round each, in
+// every set: flat, resilient, two-level, sequencer, unsafe), the
+// scatter, the handshake of every burst, and the sequences of the
+// allgather and alltoall. Round r has a designated sender; a scout
+// gather toward that sender proves every receiver has entered the
+// round, then the sender multicasts once and every other rank consumes
+// the payload addressed to it.
+//
+// Spans: a one-round sequence carries the paper's names, "scout-gather"
+// and then "data-mcast" ("release" for a ClassControl round); a longer
+// one carries "round-gather", "round-data" and, pipelined,
+// "round-gather-overlap".
 //
 // Three things vary independently. Schedule: the engine runs the rounds
 // two ways (the lossless allgather, the two-level alltoall and the
@@ -178,16 +185,23 @@ func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 	if len(rounds) == 0 || c.Size() == 1 {
 		return nil // nothing to move, or nobody to move it to
 	}
+	gatherSpan, dataSpan := "round-gather", "round-data"
+	if len(rounds) == 1 {
+		gatherSpan, dataSpan = "scout-gather", "data-mcast"
+		if rounds[0].class == transport.ClassControl {
+			dataSpan = "release"
+		}
+	}
 	if !opt.pipeline {
 		for i := range rounds {
 			cc := c.BeginColl()
-			cc.SpanBegin("round-gather")
+			cc.SpanBegin(gatherSpan)
 			err := opt.gather(cc, rounds[i].sender, -1)
-			cc.SpanEnd("round-gather")
+			cc.SpanEnd(gatherSpan)
 			if err != nil {
 				return err
 			}
-			if err := tracedDataPhase(cc, &rounds[i], &opt, -1); err != nil {
+			if err := tracedDataPhase(cc, dataSpan, &rounds[i], &opt, -1); err != nil {
 				return err
 			}
 		}
@@ -208,9 +222,9 @@ func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 	// the forwarding rank's unposted send window under strict
 	// posted-receive semantics.
 	cc := c.BeginColl()
-	cc.SpanBegin("round-gather")
+	cc.SpanBegin(gatherSpan)
 	err := opt.gather(cc, rounds[0].sender, -1)
-	cc.SpanEnd("round-gather")
+	cc.SpanEnd(gatherSpan)
 	if err != nil {
 		return err
 	}
@@ -230,7 +244,7 @@ func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 				return err
 			}
 		}
-		if err := tracedDataPhase(cc, &rounds[i], &opt, nextSender); err != nil {
+		if err := tracedDataPhase(cc, dataSpan, &rounds[i], &opt, nextSender); err != nil {
 			return err
 		}
 		cc = next
@@ -239,24 +253,24 @@ func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 }
 
 // tracedDataPhase moves one round's payloads from the sender to every
-// receiver — optionally under NACK repair — inside a span: the sender's
-// closes plainly (its multicast is the release), a receiver's closes
-// gated on the round sender — the edge that lets the critical-path walk
-// cross from a waiting rank onto the track of the rank it waited for.
-// nextSender names the following round's data sender in the pipelined
-// schedule (-1 otherwise).
-func tracedDataPhase(cc mpi.CollCtx, rd *roundPlan, opt *roundOptions, nextSender int) error {
-	cc.SpanBegin("round-data")
+// receiver — optionally under NACK repair — inside the span named span:
+// the sender's closes plainly (its multicast is the release), a
+// receiver's closes gated on the round sender — the edge that lets the
+// critical-path walk cross from a waiting rank onto the track of the
+// rank it waited for. nextSender names the following round's data
+// sender in the pipelined schedule (-1 otherwise).
+func tracedDataPhase(cc mpi.CollCtx, span string, rd *roundPlan, opt *roundOptions, nextSender int) error {
+	cc.SpanBegin(span)
 	if cc.Comm().Rank() != rd.sender {
 		err := receiveRound(cc, rd, opt.repair)
-		cc.SpanEndGated("round-data", rd.sender)
+		cc.SpanEndGated(span, rd.sender)
 		return err
 	}
 	sent, err := transmitRound(cc, rd, opt.pipeline, nextSender)
 	if err == nil && opt.repair {
 		err = serveRepairs(cc, rd, sent)
 	}
-	cc.SpanEnd("round-data")
+	cc.SpanEnd(span)
 	return err
 }
 

@@ -143,34 +143,34 @@ func burstFits(c *mpi.Comm) bool {
 // burst is the lossless data path of the allgather (flat and two-level),
 // the two-level alltoall and the chunked allreduce's allgather half on
 // uneven segments: standing descriptors for size-1 foreign multicasts
-// and the release, the multicast barrier over gather's scouts (N-1
-// scouts and one release — the paper's Barrier), then exchange with one
-// slot per rank. Every per-round gather collapses into that one
-// handshake.
+// and the release, a handshake that is the barrier's round on the round
+// engine over gather's scouts (N-1 scouts and one release — the paper's
+// Barrier), then exchange with one slot per rank. Every per-round
+// gather collapses into that one handshake.
 func burst(c *mpi.Comm, gather func(cc mpi.CollCtx, root, hot int) error, sends []send, scope mpi.Scope, consume func(r int, p []byte) error) error {
 	release := c.PostRecvs(c.Size())
 	defer release()
-	cc := c.BeginColl()
-	if err := barrierOn(cc, gather); err != nil {
+	if err := runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: gather}); err != nil {
 		return err
 	}
 	senders := make([]int, c.Size())
 	for r := range senders {
 		senders[r] = r
 	}
-	return exchange(cc, senders, sends, scope, consume)
+	return exchange(c, senders, sends, scope, consume)
 }
 
 // exchange is the data phase that follows evidence that every rank has
-// entered and posted its standing descriptors (burst's barrier, or the
+// entered and posted its standing descriptors (burst's handshake, or the
 // chunked allreduce's reduce-scatter). senders[k] multicasts at slot k,
 // or nobody where it is -1. One context per slot is opened in slot
 // order; this rank fires its sends at its own slot, before consuming
 // anything, so transmissions overlap fully, then hands consume every
 // other sending slot's multicast on scope, in slot order, which keeps
-// the multicast staleness watermark monotone. Its spans go on cc.
-func exchange(cc mpi.CollCtx, senders []int, sends []send, scope mpi.Scope, consume func(k int, p []byte) error) error {
-	c := cc.Comm()
+// the multicast staleness watermark monotone. A span needs only this
+// rank's track, so the slot contexts record them: chunk-mcast on this
+// rank's own slot, chunk-consume on the first.
+func exchange(c *mpi.Comm, senders []int, sends []send, scope mpi.Scope, consume func(k int, p []byte) error) error {
 	me := c.Rank()
 	ccs := make([]mpi.CollCtx, len(senders))
 	for k, r := range senders {
@@ -178,17 +178,17 @@ func exchange(cc mpi.CollCtx, senders []int, sends []send, scope mpi.Scope, cons
 		if r != me {
 			continue
 		}
-		cc.SpanBegin("chunk-mcast")
+		ccs[k].SpanBegin("chunk-mcast")
 		for _, s := range sends {
 			if err := ccs[k].Multicast(s.scope, s.payload, transport.ClassData); err != nil {
-				cc.SpanEnd("chunk-mcast")
+				ccs[k].SpanEnd("chunk-mcast")
 				return err
 			}
 		}
-		cc.SpanEnd("chunk-mcast")
+		ccs[k].SpanEnd("chunk-mcast")
 	}
-	cc.SpanBegin("chunk-consume")
-	defer cc.SpanEnd("chunk-consume")
+	ccs[0].SpanBegin("chunk-consume")
+	defer ccs[0].SpanEnd("chunk-consume")
 	for k, r := range senders {
 		if r == me || r < 0 {
 			continue
@@ -512,7 +512,7 @@ func gatherSlices(cc mpi.CollCtx, groups [][]int, slice func(r int) []byte) erro
 		}
 		sends = wholeSend(slices.Concat(parts...))()
 	}
-	return exchange(cc, senders, sends, mpi.Whole, func(k int, p []byte) error {
+	return exchange(cc.Comm(), senders, sends, mpi.Whole, func(k int, p []byte) error {
 		g := groups[k]
 		if want := groupBytes(g, slice); len(p) != want {
 			return fmt.Errorf("core: allreduce slices from %d are %d bytes, want %d", g[0], len(p), want)
@@ -597,7 +597,7 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) err
 // unbounded unexpected queue. Under repair the release is a multicast
 // that can be lost in flight like any other; the chunk a rank sends
 // after observing it doubles as its confirmation.
-func gatherWith(c *mpi.Comm, send, recv []byte, root int, gather func(cc mpi.CollCtx, root, hot int) error, rep bool) error {
+func gatherWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) error {
 	size := c.Size()
 	n := len(send)
 	if c.Rank() == root && len(recv) != n*size {
@@ -608,11 +608,11 @@ func gatherWith(c *mpi.Comm, send, recv []byte, root int, gather func(cc mpi.Col
 		return nil
 	}
 	cc := c.BeginColl()
-	if err := gather(cc, root, -1); err != nil {
+	if err := opt.gather(cc, root, -1); err != nil {
 		return err
 	}
 	if c.Rank() != root {
-		if _, err := awaitMulticast(cc, root, mpi.Whole, 0, rep); err != nil {
+		if _, err := awaitMulticast(cc, root, mpi.Whole, 0, opt.repair); err != nil {
 			return err
 		}
 		return cc.Send(root, phaseChunk, send, transport.ClassData, false)

@@ -16,9 +16,14 @@
 // clock but never advances it, so an attached recorder cannot move a
 // single simulated timestamp — and one of four kinds:
 //
-//   - SpanBegin/SpanEnd: a named phase interval on one rank's track,
-//     e.g. "scout-gather", "data-mcast", "round-data", "release",
-//     "chunk-mcast", "chunk-consume", "reduce-scatter". Spans nest (a "bcast" op span contains its phase
+//   - SpanBegin/SpanEnd: a named phase interval on one rank's track.
+//     The round engine names a one-round collective (bcast, barrier,
+//     scatter, a burst's handshake) with the paper's phases —
+//     "scout-gather", then "data-mcast", or "release" for a control
+//     round — and a longer sequence "round-gather", "round-data" and,
+//     pipelined, "round-gather-overlap". Beside them: "chunk-mcast",
+//     "chunk-consume" (a burst's data exchange), "slice-combine",
+//     "reduce-scatter". Spans nest (a "bcast" op span contains its phase
 //     spans). A SpanEnd may carry a gate: the rank whose message
 //     unblocked the wait, recorded by CollCtx.SpanEndGated.
 //   - Instant: a point event — "send.scout", "send.ack", "send.release"
