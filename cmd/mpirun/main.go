@@ -24,8 +24,9 @@
 //	                   # the segment boundary once per segment
 //	mpirun -n 8 -workload alltoall -algorithm mcast-2level -topo 4
 //	                   # two-level alltoall: one block per segment from
-//	                   # every rank after N-1 scouts, instead of N(N-1)
-//	                   # scouts and sends
+//	                   # every rank after N-1 scouts, instead of N-1
+//	                   # slices (the flat burst, which it runs from
+//	                   # 1,000 B at N <= 32)
 //	mpirun -n 8 -workload scatter -algorithm mcast-2level -topo 4
 //	mpirun -probe      # check whether IP multicast works here
 //
@@ -99,6 +100,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// A world needs a rank and a median needs a repetition; a negative
+	// size or segment fanout means nothing.
+	for _, f := range []struct {
+		name     string
+		v, least int
+	}{{"n", *n, 1}, {"size", *size, 0}, {"reps", *reps, 1}, {"topo", *topof, 0}} {
+		if f.v < f.least {
+			fmt.Fprintf(os.Stderr, "mpirun: -%s %d is out of range; give %d or more\n", f.name, f.v, f.least)
+			os.Exit(2)
+		}
+	}
 	if *probe {
 		path, err := udpnet.FindPath()
 		if err != nil {

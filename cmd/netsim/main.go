@@ -30,6 +30,15 @@ func main() {
 	)
 	flag.Parse()
 
+	for _, f := range []struct {
+		name     string
+		v, least int
+	}{{"n", *n, 1}, {"frames", *frames, 0}, {"size", *size, 0}} {
+		if f.v < f.least {
+			fmt.Fprintf(os.Stderr, "netsim: -%s %d is out of range; give %d or more\n", f.name, f.v, f.least)
+			os.Exit(2)
+		}
+	}
 	for _, topo := range []string{"hub", "switch"} {
 		stats, err := run(topo, *pattern, *n, *frames, *size)
 		if err != nil {

@@ -52,10 +52,10 @@ const (
 	// scout-combine to their segment leader, leaders exchange one
 	// aggregate per segment across the shared uplinks, and results
 	// multicast back down. The set covers alltoall (one burst of
-	// segment-group blocks: N-1 scouts where the flat rounds send
-	// N(N-1)) and scatter (segment-group super-slice blocks), bcast,
-	// gather, allreduce and barrier; its lossless allgather is the flat
-	// set's burst. Falls back to the flat algorithms when the device
+	// segment-group blocks after N-1 scouts, or the flat set's burst of
+	// per-rank slices at N <= 32 from 1,000 B) and scatter
+	// (segment-group super-slice blocks), bcast, gather, allreduce and
+	// barrier; its lossless allgather is the flat set's burst. Falls back to the flat algorithms when the device
 	// reports no topology (or a degenerate one).
 	McastTwoLevel Algorithm = "mcast-2level"
 	// McastTwoLevelResilient is McastTwoLevel with every multicast

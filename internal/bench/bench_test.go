@@ -73,6 +73,46 @@ func TestAlltoallGuidelines(t *testing.T) {
 	}
 }
 
+// TestFlatAlltoallSwitchGuideline holds the flat alltoall's burst to the
+// Träff-style guideline on the switch (one station per port, one cold
+// operation per point): mcast-binary and mcast-linear are no slower than
+// mpich's pairwise exchange at N ∈ {8, 32} and 1,000 and 4,000 B. The
+// order of the slices decides it. A rank that sends to me+1, me+2, …
+// spreads every rank's first slice over a different port; in the common
+// order 0, 1, … all N first slices converge on one port. mcast-binary in
+// sim-µs, sequential rounds / burst in the common order / burst in ring
+// order against mpich:
+//
+//	N=8,  1,000 B:   8,535 /  1,775 /  1,316 against  2,179
+//	N=8,  4,000 B:  23,918 /  5,342 /  3,269 against  5,064
+//	N=32, 1,000 B: 109,074 /  6,453 /  4,349 against  9,710
+//	N=32, 4,000 B: 368,065 / 22,351 / 12,006 against 22,425
+//
+// so the common order fails at N=8, 4,000 B. mcast-linear reads 1,341,
+// 3,294, 5,192 and 12,848 in ring order.
+func TestFlatAlltoallSwitchGuideline(t *testing.T) {
+	prof := simnet.DefaultProfile()
+	prof.Seed = 1
+	cold := func(n, size int, a Algorithm) int64 {
+		t.Helper()
+		_, worst, err := coldRun(n, simnet.Switch, prof, a, OpAlltoall, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return worst
+	}
+	for _, n := range []int{8, 32} {
+		for _, size := range []int{1000, 4000} {
+			p2p := cold(n, size, MPICH)
+			for _, a := range []Algorithm{McastBinary, McastLinear} {
+				if mc := cold(n, size, a); mc > p2p {
+					t.Errorf("N=%d %d B: %s %d ns is slower than %s %d ns", n, size, a, mc, MPICH, p2p)
+				}
+			}
+		}
+	}
+}
+
 // TestChunkedAllreduceGuidelines holds the chunked allreduce to two
 // Träff-style guidelines on the same fabric (shared-uplink switch,
 // fanout 4, one cold operation per point): from 5,000 B it is no slower

@@ -678,7 +678,7 @@ func figA3(o Options) (Renderable, error) {
 	tbl := &Table{
 		ID:          "a3",
 		Title:       "Wire frame counts vs the §3 formulas, whole suite (T = frame payload, s = scouts, d = data, c = control)",
-		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast — the allgather's burst N-1 and one release for all N of its multicasts — and send each payload once; the MPICH baseline repeats the payload per receiver.",
+		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast — the allgather's and the alltoall's burst N-1 and one release for all of their multicasts — and send each payload once; the MPICH baseline repeats the payload per receiver.",
 		Header:      []string{"op", "algorithm", "N", "M (bytes)", "scout", "data", "ctrl", "formula (s+d+c)", "match"},
 	}
 	for _, n := range []int{2, 4, 7, 9} {
@@ -713,7 +713,7 @@ func figA3(o Options) (Renderable, error) {
 				{OpAllgather, McastBinary, fmt.Sprintf("%d+%d+1", n-1, n*mf)},
 				{OpAllreduce, McastBinary, fmt.Sprintf("%d+%d+0", n-1, n*mf)},
 				{OpAllreduce, McastChunked, fmt.Sprintf("%d+%d+0", chunkedScout, chunkedData)},
-				{OpAlltoall, McastBinary, fmt.Sprintf("%d+%d+0", n*(n-1), n*(n-1)*mf)},
+				{OpAlltoall, McastBinary, fmt.Sprintf("%d+%d+1", n-1, n*(n-1)*mf)},
 				{OpScatter, McastBinary, fmt.Sprintf("%d+%d+0", n-1, (n-1)*mf)},
 				{OpGather, McastBinary, fmt.Sprintf("%d+%d+1", n-1, (n-1)*mf)},
 			}

@@ -313,7 +313,12 @@ func TestChunkedFallbackDeterminismPin(t *testing.T) {
 // rank does). One cold operation per point must simulate the
 // nanoseconds and engine events recorded when every burst took the
 // barrier's handshake; the chunked rows hold what was recorded before
-// the two exchanges were written as one.
+// the two exchanges were written as one. The alltoall's 2,000 and
+// 65,536 B rows are inside the flat burst's regime (flatAlltoallWins)
+// and hold the flat burst's ring-ordered slices, recorded when it came
+// in (the two-level blocks read {6,313,180, 526}, {204,440,444, 8,790},
+// {7,891,180, 705} and {245,505,420, 12,208}); its 100 B rows hold the
+// two-level burst at both segment shapes.
 func TestBurstDeterminismPin(t *testing.T) {
 	shared := *sharedUplinkProfile()
 	shared.Seed = 1
@@ -332,11 +337,11 @@ func TestBurstDeterminismPin(t *testing.T) {
 		{McastTwoLevel, OpAllgather, 7, 2000, 1_906_100, 400},
 		{McastTwoLevel, OpAllgather, 7, 65536, 46_580_340, 2371},
 		{McastTwoLevel, OpAlltoall, 6, 100, 839_740, 318},
-		{McastTwoLevel, OpAlltoall, 6, 2000, 6_313_180, 526},
-		{McastTwoLevel, OpAlltoall, 6, 65536, 204_440_444, 8790},
+		{McastTwoLevel, OpAlltoall, 6, 2000, 5_489_660, 599},
+		{McastTwoLevel, OpAlltoall, 6, 65536, 161_844_444, 7605},
 		{McastTwoLevel, OpAlltoall, 7, 100, 929_580, 384},
-		{McastTwoLevel, OpAlltoall, 7, 2000, 7_891_180, 705},
-		{McastTwoLevel, OpAlltoall, 7, 65536, 245_505_420, 12208},
+		{McastTwoLevel, OpAlltoall, 7, 2000, 6_931_420, 802},
+		{McastTwoLevel, OpAlltoall, 7, 65536, 215_969_104, 10778},
 		{McastChunked, OpAllreduce, 16, 100, 1_063_760, 2140},
 		{McastChunked, OpAllreduce, 16, 65536, 31_796_020, 5509},
 	} {

@@ -125,12 +125,23 @@ var ledgerPhases = []string{"scout-gather", "data-mcast", "release", "round-gath
 // one-round collective carries the paper's names — the scout gather,
 // then the data multicast or, for a control round, the release — and a
 // longer sequence its round names. Together, mcast-binary's seven
-// operations and mcast-resilient's allgather emit every name the ledger
-// reads, so none of its rows can read zero.
+// operations, its alltoall on the hub (where it still runs N rounds; on
+// a switch it is one burst) and mcast-resilient's allgather emit every
+// name the ledger reads, so none of its rows can read zero.
 func TestRoundSpansKeepLedgerNames(t *testing.T) {
-	spans := func(alg Algorithm, op Op) map[string]bool {
+	spans := func(alg Algorithm, op Op, hub bool) map[string]bool {
 		t.Helper()
-		rec, err := traceOne(op, alg, 8, 2000, 1)
+		var rec *trace.Recorder
+		var err error
+		if hub {
+			prof := simnet.DefaultProfile()
+			prof.Seed = 1
+			prof.Trace = trace.NewRecorder()
+			rec = prof.Trace
+			_, _, err = coldRun(8, simnet.Hub, prof, alg, op, 2000)
+		} else {
+			rec, err = traceOne(op, alg, 8, 2000, 1)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,21 +157,23 @@ func TestRoundSpansKeepLedgerNames(t *testing.T) {
 	for _, tc := range []struct {
 		alg  Algorithm
 		op   Op
+		hub  bool
 		want []string
 	}{
-		{McastBinary, OpBcast, []string{"scout-gather", "data-mcast"}},
-		{McastResilient, OpBcast, []string{"scout-gather", "data-mcast"}},
-		{McastBinary, OpScatter, []string{"scout-gather", "data-mcast"}},
-		{McastBinary, OpBarrier, []string{"scout-gather", "release"}},
-		{McastResilient, OpBarrier, []string{"scout-gather", "release"}},
+		{McastBinary, OpBcast, false, []string{"scout-gather", "data-mcast"}},
+		{McastResilient, OpBcast, false, []string{"scout-gather", "data-mcast"}},
+		{McastBinary, OpScatter, false, []string{"scout-gather", "data-mcast"}},
+		{McastBinary, OpBarrier, false, []string{"scout-gather", "release"}},
+		{McastResilient, OpBarrier, false, []string{"scout-gather", "release"}},
 		// The burst's handshake is the multicast barrier.
-		{McastBinary, OpAllgather, []string{"scout-gather", "release", "chunk-mcast", "chunk-consume"}},
-		{McastBinary, OpAlltoall, []string{"round-gather", "round-data"}},
-		{McastResilient, OpAllgather, []string{"round-gather", "round-data"}},
-		{McastBinary, OpAllreduce, []string{"scout-gather", "data-mcast"}},
-		{McastBinary, OpGather, nil},
+		{McastBinary, OpAllgather, false, []string{"scout-gather", "release", "chunk-mcast", "chunk-consume"}},
+		{McastBinary, OpAlltoall, false, []string{"scout-gather", "release", "chunk-mcast", "chunk-consume"}},
+		{McastBinary, OpAlltoall, true, []string{"round-gather", "round-data"}},
+		{McastResilient, OpAllgather, false, []string{"round-gather", "round-data"}},
+		{McastBinary, OpAllreduce, false, []string{"scout-gather", "data-mcast"}},
+		{McastBinary, OpGather, false, nil},
 	} {
-		got := spans(tc.alg, tc.op)
+		got := spans(tc.alg, tc.op, tc.hub)
 		for _, name := range tc.want {
 			if !got[name] {
 				t.Errorf("%s %s spans %v, no %q", tc.alg, tc.op, slices.Sorted(maps.Keys(got)), name)

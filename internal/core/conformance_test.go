@@ -111,6 +111,44 @@ func TestConformanceStrictLaggingRank(t *testing.T) {
 	}
 }
 
+// TestBurstStrictEveryLaggard sweeps the lagging rank that
+// TestConformanceStrictLaggingRank fixes at N/2 over every rank, for the
+// two collectives that run one burst on a switch — the alltoall and the
+// allgather, under the binary and the linear scout gathers — at N ∈ {8,
+// 16} and chunks of 0, 1, 1,500 and 4,500 B, with the laggard entering
+// 50 µs (inside the handshake) or 2 ms (after every other rank has
+// posted) late. Under strict posted-receive semantics not one multicast
+// fragment may meet an unposted receiver, and no switch queue may drop:
+// the handshake's release must reach a rank only after its standing
+// descriptors are up, wherever the slow rank sits in the gather tree.
+func TestBurstStrictEveryLaggard(t *testing.T) {
+	prof := simnet.DefaultProfile()
+	prof.StrictPosted = true
+	for _, op := range []string{"alltoall", "allgather"} {
+		for _, mode := range []core.Mode{core.Binary, core.Linear} {
+			t.Run(fmt.Sprintf("%s/%s", op, mode), func(t *testing.T) {
+				for _, n := range []int{8, 16} {
+					for _, chunk := range []int{0, 1, 1500, 4500} {
+						for laggard := range n {
+							for _, lag := range []sim.Duration{50 * sim.Microsecond, 2 * sim.Millisecond} {
+								st, err := coretest.LaggardRunner(simnet.Switch, prof, laggard, lag)(n, core.Algorithms(mode), func(c *mpi.Comm) error {
+									return coretest.CheckOp(c, op, chunk, 0)
+								})
+								if err != nil {
+									t.Errorf("n=%d chunk=%d laggard %d by %d µs: %v", n, chunk, laggard, lag/sim.Microsecond, err)
+								}
+								if st.McastDropsNotPosted != 0 || st.QueueDrops != 0 {
+									t.Errorf("n=%d chunk=%d laggard %d by %d µs: %d unposted multicast drops, %d queue drops", n, chunk, laggard, lag/sim.Microsecond, st.McastDropsNotPosted, st.QueueDrops)
+								}
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestConformanceAlltoallAcceptance is the acceptance grid: the whole
 // suite — and Alltoall in particular — for every N in 2..8 and message
 // sizes {1, 1500, 4·1500} bytes, sequential and pipelined.

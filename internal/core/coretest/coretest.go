@@ -116,8 +116,16 @@ func MemRunner() Runner {
 // (deterministic under the profile's seed).
 func SimRunner(topo simnet.Topology, prof simnet.Profile, lag sim.Duration) Runner {
 	return func(n int, algs mpi.Algorithms, fn func(c *mpi.Comm) error) (Stats, error) {
+		return LaggardRunner(topo, prof, n/2, lag)(n, algs, fn)
+	}
+}
+
+// LaggardRunner is SimRunner with the lagging rank named: when lag is
+// positive, rank laggard sleeps that long before entering the program.
+func LaggardRunner(topo simnet.Topology, prof simnet.Profile, laggard int, lag sim.Duration) Runner {
+	return func(n int, algs mpi.Algorithms, fn func(c *mpi.Comm) error) (Stats, error) {
 		nw, err := cluster.RunSim(n, topo, prof, algs, func(c *mpi.Comm) error {
-			if lag > 0 && c.Rank() == c.Size()/2 {
+			if lag > 0 && c.Rank() == laggard {
 				cluster.SimComm(c).Proc().Sleep(lag)
 			}
 			return fn(c)

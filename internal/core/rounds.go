@@ -4,7 +4,7 @@ package core
 // round of it — the paper's broadcast and barrier (one round each, in
 // every set: flat, resilient, two-level, sequencer, unsafe), the
 // scatter, the handshake of every burst, and the sequences of the
-// allgather and alltoall. Round r has a designated sender; a scout
+// allgather and alltoall where no burst fits. Round r has a designated sender; a scout
 // gather toward that sender proves every receiver has entered the
 // round, then the sender multicasts once and every other rank consumes
 // the payload addressed to it.
@@ -15,8 +15,8 @@ package core
 // "round-gather-overlap".
 //
 // Three things vary independently. Schedule: the engine runs the rounds
-// two ways (the lossless allgather, the two-level alltoall and the
-// chunked allreduce's gather run no rounds where a burst fits: once their
+// two ways (the lossless allgather and alltoall and the chunked
+// allreduce's gather run no rounds where a burst fits: once their
 // evidence is in, one exchange multicasts every sender's data at its own
 // slot — see burst and exchange in suite.go):
 //

@@ -54,12 +54,16 @@ package core
 //	                 bounds the root's unexpected-message queue and
 //	                 prevents the fast-senders-overrun-one-receiver
 //	                 failure mode of experiment A4.
-//	alltoall:        N scout-gated sliced scatter rounds = N(N-1) scouts
-//	                 + N(N-1)·ceil(M/T) data frames — the same targeted
-//	                 byte count as the pairwise baseline, each receiver
-//	                 delivered only its (N-1)·M bytes, but with the
-//	                 release gating of the rounds (no overrun) and no
-//	                 per-message TCP penalty or kernel-ack frames.
+//	alltoall:        one burst — the multicast barrier's s scouts + 1
+//	                 release, then every rank multicasts its N-1 slices,
+//	                 each to its destination's slice group, in ring
+//	                 order: N(N-1)·ceil(M/T) data frames, the same
+//	                 targeted byte count as the pairwise baseline, each
+//	                 receiver delivered only its (N-1)·M bytes, but
+//	                 release-gated (no overrun) and with no per-message
+//	                 TCP penalty or kernel-ack frames. On a hub, under
+//	                 repair and beyond N=256 it runs N sliced scatter
+//	                 rounds = N(N-1) scouts + the same data frames.
 //
 // Each round opens its own collective operation (BeginColl), so the
 // per-operation sequence number keeps back-to-back multicasts of one
@@ -72,6 +76,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"repro/internal/mpi"
@@ -124,9 +129,9 @@ func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 // to size-1 foreign multicasts queue in the device's receive ring, which
 // must absorb them without overflow — the simulator's default ring holds
 // 256 messages, and this leaves one slot to spare. It guards every
-// exchange (burstFits): the flat and two-level allgather, the two-level
-// alltoall and the chunked allreduce's gather on uneven segments (burst,
-// one slot per rank), and its scout-free gather on even ones
+// exchange (burstFits): the flat and two-level allgather and alltoall
+// and the chunked allreduce's gather on uneven segments (burst, one slot
+// per rank), and its scout-free gather on even ones
 // (gatherSlices, one slot per slice group, so at most as many multicasts
 // undrained).
 const burstRecvBudget = 255
@@ -140,8 +145,8 @@ func burstFits(c *mpi.Comm) bool {
 	return c.Size()-1 <= burstRecvBudget && (t == nil || t.Segments() > 1)
 }
 
-// burst is the lossless data path of the allgather (flat and two-level),
-// the two-level alltoall and the chunked allreduce's allgather half on
+// burst is the lossless data path of the allgather and the alltoall
+// (flat and two-level) and the chunked allreduce's allgather half on
 // uneven segments: standing descriptors for size-1 foreign multicasts
 // and the release, a handshake that is the barrier's round on the round
 // engine over gather's scouts (N-1 scouts and one release — the paper's
@@ -204,15 +209,20 @@ func exchange(c *mpi.Comm, senders []int, sends []send, scope mpi.Scope, consume
 	return nil
 }
 
-// alltoallWith runs the personalized exchange as N scout-gated sliced
-// scatter rounds: in round r rank r multicasts each destination slice of
-// its send buffer to that rank's slice group, and every other rank
-// receives exactly the slice addressed to it. The wire carries the same
+// alltoallWith runs the personalized exchange. Lossless and within
+// burstFits it is one burst: after the handshake every rank multicasts
+// each destination slice of its send buffer to that rank's slice group,
+// in ring order (ringSliceSends), and consumes the slice each other rank
+// addressed to it. Otherwise — under repair, beyond the receive budget,
+// on one collision domain — it runs N scout-gated sliced scatter rounds:
+// in round r rank r multicasts its slices and every other rank receives
+// exactly the one addressed to it. Either way the wire carries the same
 // N(N-1)·ceil(M/T) targeted data frames as the pairwise baseline, but
 // over the connectionless bypass (no TCP penalty, no kernel acks), with
-// every receiver delivered only its own (N-1)·M bytes, and every round
-// release-gated, so no set of fast senders can overrun one receiver (the
-// A4 failure mode this collective stresses hardest).
+// every receiver delivered only its own (N-1)·M bytes, and every send
+// gated on evidence that its receivers have posted, so no set of fast
+// senders can overrun one receiver (the A4 failure mode this collective
+// stresses hardest).
 func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	size := c.Size()
 	if len(send)%size != 0 || len(recv) != len(send) {
@@ -224,24 +234,58 @@ func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	if size == 1 {
 		return nil
 	}
+	place := func(r int, p []byte) error {
+		if len(p) != n {
+			return fmt.Errorf("core: alltoall slice from %d is %d bytes, want %d", r, len(p), n)
+		}
+		copy(recv[r*n:(r+1)*n], p)
+		return nil
+	}
+	if !opt.repair && burstFits(c) {
+		return burst(c, opt.gather, ringSliceSends(me, size, send), mpi.Slice(me), place)
+	}
 	rounds := make([]roundPlan, size)
 	for r := range rounds {
 		rounds[r] = roundPlan{
-			sender: r,
-			class:  transport.ClassData,
-			bytes:  n,
-			sends:  sliceSends(send, size, r),
-			scope:  mpi.Slice,
-			consume: func(p []byte) error {
-				if len(p) != n {
-					return fmt.Errorf("core: alltoall round %d slice %d bytes, want %d", r, len(p), n)
-				}
-				copy(recv[r*n:(r+1)*n], p)
-				return nil
-			},
+			sender:  r,
+			class:   transport.ClassData,
+			bytes:   n,
+			sends:   sliceSends(send, size, r),
+			scope:   mpi.Slice,
+			consume: func(p []byte) error { return place(r, p) },
 		}
 	}
 	return runRounds(c, rounds, opt)
+}
+
+// ringSliceSends is the burst alltoall's send list at rank me: buf is
+// size equal slices, and each other rank's goes to that rank's slice
+// group, taking the ranks around the ring from me+1. Every rank starting
+// at a different destination is what keeps the slices apart: in the
+// common order 0, 1, … all N ranks' first slices would converge on rank
+// 0's port, then all on rank 1's, one port at a time.
+func ringSliceSends(me, size int, buf []byte) []send {
+	n := len(buf) / size
+	sends := make([]send, 0, size-1)
+	for d := range ringAfter(me, size) {
+		if d != me {
+			sends = append(sends, send{scope: mpi.Slice(d), payload: buf[d*n : (d+1)*n]})
+		}
+	}
+	return sends
+}
+
+// ringAfter yields 0 … n-1 around the ring from the one after k: k+1,
+// k+2, …, n-1, 0, …, k. The burst alltoalls take their destinations —
+// ranks on the flat path, segments on the two-level one — in this order.
+func ringAfter(k, n int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for i := 1; i <= n; i++ {
+			if !yield((k + i) % n) {
+				return
+			}
+		}
+	}
 }
 
 // sliceBounds splits a buffer of total bytes holding total/extent

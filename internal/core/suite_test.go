@@ -77,29 +77,54 @@ func TestSuiteFrameCounts(t *testing.T) {
 						}
 					}
 
-					// Alltoall (sliced rounds): N rounds of (N-1) scouts +
-					// (N-1) per-slice multicasts of ceil(M/T) frames — the
-					// pairwise baseline's targeted byte count, no more.
-					nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
-						core.Algorithms(mode), func(c *mpi.Comm) error {
+					// Alltoall, one burst: (N-1) scouts + 1 release, then
+					// every rank's N-1 per-slice multicasts of ceil(M/T)
+					// frames — the pairwise baseline's targeted byte count,
+					// no more.
+					alltoall := func(topo simnet.Topology, algs mpi.Algorithms) *simnet.Network {
+						nw, err := cluster.RunSim(n, topo, simnet.DefaultProfile(), algs, func(c *mpi.Comm) error {
 							send := make([]byte, n*chunk)
 							recv := make([]byte, n*chunk)
 							return c.Alltoall(send, recv)
 						})
-					if err != nil {
-						t.Fatal(err)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return nw
 					}
-					if got, want := nw.Wire.Frames(transport.ClassScout), int64(n*(n-1)); got != want {
-						t.Errorf("alltoall scouts = %d, want N(N-1) = %d", got, want)
+					nw = alltoall(simnet.Switch, core.Algorithms(mode))
+					if got, want := nw.Wire.Frames(transport.ClassScout), int64(n-1); got != want {
+						t.Errorf("alltoall scouts = %d, want N-1 = %d", got, want)
+					}
+					if got, want := nw.Wire.Frames(transport.ClassControl), int64(1); got != want {
+						t.Errorf("alltoall releases = %d, want %d", got, want)
 					}
 					if got, want := nw.Wire.Frames(transport.ClassData), int64(n*(n-1))*chunkFrames; got != want {
 						t.Errorf("alltoall data frames = %d, want N(N-1)·ceil(M/T) = %d", got, want)
 					}
 
+					// On the hub and under repair the alltoall keeps N sliced
+					// rounds of (N-1) scouts + (N-1)·ceil(M/T) data, no
+					// release.
+					for name, nw := range map[string]*simnet.Network{
+						"hub":       alltoall(simnet.Hub, core.Algorithms(mode)),
+						"resilient": alltoall(simnet.Switch, core.ResilientAlgorithms()),
+					} {
+						if got, want := nw.Wire.Frames(transport.ClassScout), int64(n*(n-1)); got != want {
+							t.Errorf("%s alltoall scouts = %d, want N(N-1) = %d", name, got, want)
+						}
+						if got := nw.Wire.Frames(transport.ClassControl); got != 0 {
+							t.Errorf("%s alltoall releases = %d, want 0", name, got)
+						}
+						if got, want := nw.Wire.Frames(transport.ClassData), int64(n*(n-1))*chunkFrames; got != want {
+							t.Errorf("%s alltoall data frames = %d, want N(N-1)·ceil(M/T) = %d", name, got, want)
+						}
+					}
+
 					// Allreduce: (N-1)·ceil(M/T) reduce frames + (N-1) scouts
 					// + ceil(M/T) multicast data frames.
 					size := chunk - chunk%8 // whole float64 elements
-					nw, err = cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
+					nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
 						core.Algorithms(mode), func(c *mpi.Comm) error {
 							send := make([]byte, size)
 							recv := make([]byte, size)

@@ -6,7 +6,7 @@ package core
 // figure 14n/15n N-sweeps show is exactly wrong on a fabric where
 // stations share switch ports through half-duplex segments
 // (simnet.SwitchShared): the N(N-1) scout frames of the flat rounds
-// (the alltoall's, and the allgather's under repair) all serialize on
+// (the allgather's and the alltoall's under repair) all serialize on
 // the shared uplinks, and at N=32 the scout term dominates the whole
 // sub-frame region. The decomposition here is the classic
 // two-level scheme of Karonis et al. (MagPIe / MPICH-G2) and the
@@ -59,19 +59,24 @@ package core
 //	                   super-slices in place of the flat N-1 per-rank
 //	                   slice transmissions.
 //	alltoall:          the allgather's burst handshake — N-1 scouts and
-//	                   one release, versus the flat N(N-1), 65,280 at
-//	                   N=256. Lossless data path: once released every
-//	                   rank multicasts, to each segment's group, one
-//	                   block of its own chunks for that segment's
-//	                   members, taking the segments around the ring from
-//	                   the one after its own, so the first blocks of all
-//	                   ranks spread over every segment port at once; each
-//	                   rank keeps its chunk of the N-1 blocks its segment
-//	                   hears. Under NACK repair (and beyond the receive
-//	                   budget, burstRecvBudget) members ship whole
-//	                   buffers to their leader and S sequential leader
-//	                   rounds exchange per-segment super-slice blocks,
-//	                   gated by (N-S) + S(S-1) scouts.
+//	                   one release, as the flat lossless alltoall's
+//	                   burst, versus the flat rounds' N(N-1) under
+//	                   repair, 65,280 at N=256. Lossless data path: once
+//	                   released every rank multicasts, to each segment's
+//	                   group, one block of its own chunks for that
+//	                   segment's members, taking the segments around the
+//	                   ring from the one after its own, so the first
+//	                   blocks of all ranks spread over every segment port
+//	                   at once; each rank keeps its chunk of the N-1
+//	                   blocks its segment hears. Up to N=32, from
+//	                   1,000 B (flatAlltoallWins), the flat burst — N-1
+//	                   slices per rank, each to its receiver alone —
+//	                   beats the blocks and runs in their place. Under
+//	                   NACK repair (and beyond the receive budget,
+//	                   burstRecvBudget) members ship whole buffers to
+//	                   their leader and S sequential leader rounds
+//	                   exchange per-segment super-slice blocks, gated by
+//	                   (N-S) + S(S-1) scouts.
 //	chunked allreduce: on segments of equal size F, AllreduceMcastChunked
 //	                   reduce-scatters in two levels — F-1 segment-local
 //	                   messages and S-1 across the uplinks per rank, not
@@ -389,16 +394,15 @@ func (tl *twoLevel) direct(c *mpi.Comm) bool {
 // ringSegSends is the direct alltoall's send list at rank me: to every
 // segment's group, one block of me's chunks of buf (n bytes each) for
 // that segment's members, in member order. The segments are taken
-// around the ring from the one after me's, so me's own segment comes
-// last — and is left out where me is its only member. Every rank
-// starting at a different segment is what keeps the blocks apart: in
-// the common order 0, 1, … all N ranks' first blocks would converge on
-// segment 0's port, then all on segment 1's, one port at a time.
+// around the ring from the one after me's (ringAfter), so me's own
+// segment comes last — and is left out where me is its only member.
+// Every rank starting at a different segment is what keeps the blocks
+// apart: in the common order 0, 1, … all N ranks' first blocks would
+// converge on segment 0's port, then all on segment 1's, one port at a
+// time.
 func ringSegSends(t *topo.Map, me int, buf []byte, n int) []send {
-	mySeg, segs := t.SegmentOf(me), t.Segments()
-	sends := make([]send, 0, segs)
-	for i := 1; i <= segs; i++ {
-		d := (mySeg + i) % segs
+	sends := make([]send, 0, t.Segments())
+	for d := range ringAfter(t.SegmentOf(me), t.Segments()) {
 		ms := t.Members(d)
 		if len(ms) == 1 && ms[0] == me {
 			continue
@@ -410,6 +414,40 @@ func ringSegSends(t *topo.Map, me int, buf []byte, n int) []send {
 		sends = append(sends, send{scope: mpi.Seg(d), payload: blk})
 	}
 	return sends
+}
+
+// The regime of the flat burst alltoall inside the two-level set: at N
+// up to flatAlltoallMaxN with chunks of at least flatAlltoallMinBytes,
+// the flat set's burst (one slice per destination rank, in ring order)
+// beats the two-level burst (one block per segment) and runs in its
+// place. The sweep it was read from — shared-uplink switch, fanout 4,
+// seed 1, one cold alltoall, flat mcast-binary over the two-level burst:
+//
+//	N \ M (B)   100   500  1,000  1,500  2,000  4,000  8,000  16,000  65,536
+//	  8        1.26  0.97   0.92   0.90   0.89   0.85   0.86    0.85    0.86
+//	 16        1.33  1.03   0.98   0.98   0.96   0.94   0.94    0.93    0.95
+//	 32        1.41  1.07   1.00   1.02   1.00   0.97   0.97    0.97    0.93
+//	 64           —  1.09   1.01   1.04   1.02   0.99   0.99    1.00       —
+//	128           —  1.09   1.02   1.04   1.02   0.99   1.00    1.06       —
+//	256        1.55     —      —      —   1.02   1.00   1.00       —       —
+//
+// (and 1.04 at N=64, 32,000 B; 1.01 at N=128, 12,000 B). Small chunks
+// favour the two-level blocks (S multicasts per rank, not N-1); from a
+// frame up, and up to N=32, N-1 slices that reach only their own
+// receiver beat blocks that every member of a segment hears. From N=64
+// the flat burst gains at most 1.4 % and loses up to 6 % at larger
+// chunks, so the two-level burst keeps it. Every measured cell keeps
+// the set within 1.04× of the faster schedule, and N=64 and N=256 at
+// 2,000 B stay on the two-level burst.
+const (
+	flatAlltoallMaxN     = 32
+	flatAlltoallMinBytes = 1_000
+)
+
+// flatAlltoallWins reports whether an alltoall of n-byte chunks over
+// size ranks is in the flat burst's regime.
+func flatAlltoallWins(size, n int) bool {
+	return size <= flatAlltoallMaxN && n >= flatAlltoallMinBytes
 }
 
 // allreduce reduces in two levels — members combine at their segment
@@ -610,18 +648,19 @@ func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 }
 
 // alltoall runs the personalized exchange hierarchically, where the flat
-// sliced exchange pays N(N-1) scouts (65,280 at N=256) and N(N-1)
-// per-slice transmissions. Lossless, it is a burst over ringSegSends:
-// after the barrier's N-1 scouts and one release every rank multicasts
-// one block per segment, and keeps its own chunk of each block its
-// segment hears. Under repair, and beyond burstRecvBudget, it
-// runs in two levels. Phase A: each segment's members ship their whole
-// send buffer to the segment leader over the release-gated local
-// combine (segment-local unicast — never crossing an uplink). Phase B: S
-// sequential segment rounds among the leaders — round s's leader
-// multicasts, to each destination segment d, one super-slice holding
-// every chunk from segment s's members to segment d's members — gated
-// by S(S-1) leader scouts.
+// sliced exchange makes N(N-1) per-slice transmissions (and under repair
+// pays N(N-1) scouts, 65,280 at N=256). Lossless, it is a burst over
+// ringSegSends: after the barrier's N-1 scouts and one release every
+// rank multicasts one block per segment, and keeps its own chunk of each
+// block its segment hears — except inside flatAlltoallWins, where it is
+// the flat set's burst of per-rank slices. Under repair, and beyond
+// burstRecvBudget, it runs in two levels. Phase A: each segment's
+// members ship their whole send buffer to the segment leader over the
+// release-gated local combine (segment-local unicast — never crossing
+// an uplink). Phase B: S sequential segment rounds among the leaders —
+// round s's leader multicasts, to each destination segment d, one
+// super-slice holding every chunk from segment s's members to segment
+// d's members — gated by S(S-1) leader scouts.
 func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 	t := usableTopo(c)
 	if t == nil {
@@ -632,6 +671,9 @@ func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 		return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks", len(send), len(recv), size)
 	}
 	n := len(send) / size
+	if tl.direct(c) && flatAlltoallWins(size, n) {
+		return tl.flat.Alltoall(c, send, recv)
+	}
 	me := c.Rank()
 	copy(recv[me*n:(me+1)*n], send[me*n:(me+1)*n])
 	myMembers := t.Members(t.SegmentOf(me))

@@ -308,8 +308,9 @@ func TestTwoLevelUnevenSegments(t *testing.T) {
 }
 
 // TestTwoLevelAlltoallScoutEconomy pins the alltoall decomposition's
-// handshake budget: one burst, whose barrier sends N-1 scouts, versus
-// the flat alltoall's N rounds of N-1 — 255 against 65,280 at N=256.
+// handshake budget: one burst, whose barrier sends N-1 scouts — as the
+// flat lossless alltoall's burst does — versus the N rounds of N-1 that
+// the flat alltoall runs under repair: 255 against 65,280 at N=256.
 func TestTwoLevelAlltoallScoutEconomy(t *testing.T) {
 	measure := func(n, fanout, chunk int, algs mpi.Algorithms) int64 {
 		nw, err := cluster.RunSim(n, simnet.SwitchShared, sharedProf(fanout), algs, func(c *mpi.Comm) error {
@@ -325,11 +326,15 @@ func TestTwoLevelAlltoallScoutEconomy(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d fanout=%d", cs.n, cs.fanout), func(t *testing.T) {
 			two := measure(cs.n, cs.fanout, 100, core.TwoLevelAlgorithms())
 			flat := measure(cs.n, cs.fanout, 100, core.Algorithms(core.Binary))
+			rounds := measure(cs.n, cs.fanout, 100, core.ResilientAlgorithms())
 			if want := int64(cs.n - 1); two != want {
 				t.Errorf("two-level alltoall sent %d scouts, want exactly N-1 = %d", two, want)
 			}
-			if want := int64(cs.n * (cs.n - 1)); flat != want {
-				t.Errorf("flat alltoall sent %d scouts, want N(N-1)=%d", flat, want)
+			if want := int64(cs.n - 1); flat != want {
+				t.Errorf("flat alltoall sent %d scouts, want exactly N-1 = %d", flat, want)
+			}
+			if want := int64(cs.n * (cs.n - 1)); rounds != want {
+				t.Errorf("flat resilient alltoall sent %d scouts, want N(N-1)=%d", rounds, want)
 			}
 		})
 	}
