@@ -1,8 +1,8 @@
 // Command mcastbench regenerates the paper's evaluation: every figure
-// (7–19, including the collective-suite extensions, the shared-uplink
-// switch N-sweeps 14n/15n and the two-level topology sweeps 14h/15h)
-// and the ablation experiments (a1–a6), measured on the simulated Fast
-// Ethernet testbed.
+// (7–16, 18 and 19, including the collective-suite extensions, the
+// shared-uplink switch N-sweeps 14n/15n and the two-level topology
+// sweeps 14h/15h) and the ablation experiments (a1–a6), measured on the
+// simulated Fast Ethernet testbed.
 //
 // Usage:
 //
@@ -46,7 +46,7 @@ import (
 
 func main() {
 	var (
-		figure = flag.String("figure", "all", "experiment id (7..19, 14n, 15n, 14h, 15h, a1..a6) or 'all'")
+		figure = flag.String("figure", "all", "experiment id (7..16, 18, 19, 14n, 15n, 14h, 15h, a1..a6) or 'all'")
 		reps   = flag.Int("reps", 20, "repetitions per point (paper used 20-30)")
 		step   = flag.Int("step", 250, "message size step in bytes")
 		max    = flag.Int("max", 5000, "maximum message size in bytes")
@@ -165,7 +165,7 @@ func run(figure *string, reps, step, max *int, seed *uint64, quick *bool, csvDir
 }
 
 // runTrace records the flight-recorder demo set — a flat broadcast, a
-// pipelined allgather and a two-level allgather at the fig-14h point —
+// flat allgather and a two-level allgather at the fig-14h point —
 // writes the merged Chrome/Perfetto trace to out, validates the export
 // against the schema contract, and prints each run's phase-latency and
 // critical-path summary. Load the file at https://ui.perfetto.dev or

@@ -10,7 +10,7 @@
 //	mpirun -n 4 -workload barrier -algorithm mpich
 //	mpirun -n 8 -workload allgather -algorithm mcast-binary -size 1500
 //	mpirun -n 8 -workload allreduce -algorithm mcast-chunked -size 8000
-//	mpirun -n 8 -workload alltoall -algorithm mcast-pipelined -size 1500
+//	mpirun -n 8 -workload alltoall -algorithm mcast-binary -size 1500
 //	mpirun -n 8 -workload scatter -algorithm mcast-resilient -size 4000
 //	mpirun -n 6 -workload pi
 //	mpirun -n 8 -workload allreduce -p2ploss 0.05   # drop 5% of p2p frames;

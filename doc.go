@@ -113,14 +113,16 @@
 //     allreduce (binomial-reduce and chunked reduce-scatter forms),
 //     scatter, gather and alltoall at fragment granularity. A round is a
 //     sender, a list of (scope, payload) sends and the scope each rank
-//     listens on; schedule (sequential, pipelined), reliability
-//     (scout-only, or NACK repair with selective fragment repair, asked
-//     for when the arrivals the reassembler stamped say a message has
-//     stopped coming) and
-//     scope (whole, per-slice, per-segment, so a NIC delivers only what
-//     its rank consumes) vary independently, and one transmit half, one
-//     receive half and one release-gated chunk collection serve every
-//     combination. The sets — Algorithms(mode), ResilientAlgorithms(),
+//     listens on; reliability (scout-only, or NACK repair with selective
+//     fragment repair, asked for when the arrivals the reassembler
+//     stamped say a message has stopped coming) and scope (whole,
+//     per-slice, per-segment, so a NIC delivers only what its rank
+//     consumes) vary independently, and one transmit half, one receive
+//     half and one release-gated chunk collection serve every
+//     combination. The lossless allgather and alltoall run no round
+//     sequence: one handshake, then a burst in which every rank
+//     multicasts its data — at once on a switch, in slot order on one
+//     collision domain. The sets — Algorithms(mode), ResilientAlgorithms(),
 //     and the two-level (segment-leader) pair for shared-uplink fabrics,
 //     TwoLevelAlgorithms() and TwoLevelResilientAlgorithms(), which run
 //     their flat set where there is no topology — are those options

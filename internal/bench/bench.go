@@ -30,10 +30,6 @@ const (
 	McastBinary Algorithm = "mcast-binary"
 	// McastLinear is the paper's linear scout algorithm.
 	McastLinear Algorithm = "mcast-linear"
-	// McastPipelined is the binary scout suite with the multi-round
-	// collectives pipelined: round r+1's scout gather overlaps round r's
-	// data multicast.
-	McastPipelined Algorithm = "mcast-pipelined"
 	// McastAck is the PVM-style acknowledgment protocol (no scouts,
 	// sender repeats until acknowledged).
 	McastAck Algorithm = "mcast-ack"
@@ -44,9 +40,9 @@ const (
 	// names the missing fragments; the sender retransmits only those).
 	McastResilient Algorithm = "mcast-resilient"
 	// McastChunked is the binary suite with the Rabenseifner-style
-	// chunked allreduce: per-slice binomial reduce-scatter plus the
-	// pipelined multicast allgather of the reduced slices, so no rank
-	// funnels more than ~2M bytes.
+	// chunked allreduce: per-slice binomial reduce-scatter plus a
+	// multicast allgather of the reduced slices, so no rank funnels more
+	// than ~2M bytes.
 	McastChunked Algorithm = "mcast-chunked"
 	// McastTwoLevel is the topology-aware two-level suite: ranks
 	// scout-combine to their segment leader, leaders exchange one
@@ -70,7 +66,7 @@ const (
 // and exhaustive smoke tests.
 func Algorithms() []Algorithm {
 	return []Algorithm{
-		MPICH, McastBinary, McastLinear, McastPipelined,
+		MPICH, McastBinary, McastLinear,
 		McastResilient, McastChunked,
 		McastTwoLevel, McastTwoLevelResilient,
 		McastAck, Sequencer, Unsafe,
@@ -94,8 +90,6 @@ func set(a Algorithm) (mpi.Algorithms, error) {
 		return core.Algorithms(core.Binary), nil
 	case McastLinear:
 		return core.Algorithms(core.Linear), nil
-	case McastPipelined:
-		return core.Algorithms(core.BinaryPipelined), nil
 	case McastAck:
 		return core.AckAlgorithms(), nil
 	case McastResilient:

@@ -111,14 +111,13 @@ func Defs() []Def {
 		{"11", "MPI_Bcast hub vs switch, 4 processes", fig11},
 		{"12", "MPI_Bcast scaling: 3, 6, 9 processes over switch", fig12},
 		{"13", "MPI_Barrier over hub vs number of processes", fig13},
-		{"14", "Extension: MPI_Allgather multicast rounds vs unicast ring", fig14},
+		{"14", "Extension: MPI_Allgather multicast burst vs unicast ring", fig14},
 		{"14n", "Extension: MPI_Allgather N-sweep over shared-uplink switch, N in {4..256}", fig14n},
 		{"14h", "Extension: MPI_Allgather two-level (segment-leader) vs flat over shared-uplink switch, N in {4..256}", fig14h},
 		{"15", "Extension: MPI_Allreduce multicast composition vs MPICH", fig15},
 		{"15n", "Extension: MPI_Allreduce N-sweep over shared-uplink switch, N in {4..256}", fig15n},
 		{"15h", "Extension: MPI_Allreduce two-level (segment-leader) vs flat over shared-uplink switch, N in {4..256}", fig15h},
-		{"16", "Extension: MPI_Alltoall scatter rounds vs pairwise unicast", fig16},
-		{"17", "Extension: pipelined vs sequential allgather rounds over hub", fig17},
+		{"16", "Extension: MPI_Alltoall sliced burst vs pairwise unicast", fig16},
 		{"18", "Extension: per-receiver delivered bytes with slice filtering", fig18},
 		{"19", "Extension: chunked vs binomial-reduce multicast allreduce", fig19},
 		{"a1", "Ablation: ACK-based (PVM) reliability vs scouts", figA1},
@@ -324,9 +323,9 @@ func suiteFigure(id, title string, o Options, topo simnet.Topology, op Op, algs 
 
 func fig14(o Options) (Renderable, error) {
 	o = o.fill()
-	return suiteFigure("14", "MPI_Allgather: multicast rounds vs unicast ring over Fast Ethernet hub", o, simnet.Hub, OpAllgather,
+	return suiteFigure("14", "MPI_Allgather: multicast burst vs unicast ring over Fast Ethernet hub", o, simnet.Hub, OpAllgather,
 		[]Algorithm{MPICH, McastBinary},
-		"The ring moves N(N-1) copies of a chunk over the shared medium, the multicast rounds move N; past one Ethernet frame the multicast allgather wins and the gap grows with both N and chunk size.")
+		"The ring moves N(N-1) copies of a chunk over the shared medium, the multicast allgather N: one handshake (N-1 scouts and one release), then the ranks multicast their chunks in slot order, one station at a time. It wins from 500 B at N=4 and at every size at N=8, and the gap grows with both N and chunk size.")
 }
 
 func fig15(o Options) (Renderable, error) {
@@ -338,16 +337,9 @@ func fig15(o Options) (Renderable, error) {
 
 func fig16(o Options) (Renderable, error) {
 	o = o.fill()
-	return suiteFigure("16", "MPI_Alltoall: sliced scout-gated scatter rounds vs pairwise unicast over Fast Ethernet hub", o, simnet.Hub, OpAlltoall,
-		[]Algorithm{MPICH, McastBinary, McastPipelined},
-		"The sliced rounds address each slice to its receiver's private group, so the wire and every receiver carry exactly the pairwise byte count — without the TCP penalty and kernel-ack frames of the reliable pairwise exchange, and release-gated so fast senders cannot overrun one receiver. Pipelining hides the scout gathers on top.")
-}
-
-func fig17(o Options) (Renderable, error) {
-	o = o.fill()
-	return suiteFigure("17", "MPI_Allgather: pipelined vs sequential scout-gated rounds over Fast Ethernet hub", o, simnet.Hub, OpAllgather,
-		[]Algorithm{McastBinary, McastPipelined},
-		"Both move identical frames; the pipelined schedule overlaps round r+1's scout gather with round r's data multicast, so each round's critical path drops from (gather + data) to little more than the data transmission and the gap widens with N. The hub is where the allgather keeps its rounds: on a switch both sets run the same one-handshake burst instead (fig 14h).")
+	return suiteFigure("16", "MPI_Alltoall: sliced multicast burst vs pairwise unicast over Fast Ethernet hub", o, simnet.Hub, OpAlltoall,
+		[]Algorithm{MPICH, McastBinary},
+		"After one handshake (N-1 scouts and one release) the ranks multicast their slices in slot order, each slice to its receiver's private group and the next rank's last, so the wire and every receiver carry exactly the pairwise byte count — without the TCP penalty and kernel-ack frames of the reliable pairwise exchange, and release-gated so fast senders cannot overrun one receiver. It wins from 2000 B at N=4 and from 1000 B at N=8 (1.4x at 5000 B).")
 }
 
 // fig18 measures what slice filtering buys at the receivers: the worst
@@ -480,14 +472,14 @@ func fig14n(o Options) (Renderable, error) {
 	return nSweepFigure("14n",
 		"MPI_Allgather N-sweep: multicast rounds vs unicast baseline over shared-uplink switch (4 stations/port)", o,
 		OpAllgather, []Algorithm{MPICH, McastBinary},
-		"Each uplink carries every multicast once, but the unicast baseline's N(N-1) messages cross it once per remote destination, so the large-chunk gap grows with N (3.7x at N=8 to 5.0x at N=256 by 5000 B). From N=8 on the multicast allgather is one burst whose handshake is N-1 scouts and one release, so it wins at every size, chunk 0 included; at N=4 the four stations share one segment — one collision domain — and keep the scout-gated rounds, whose N(N-1) scout frames put the crossover between one and two frames. Egress queues stay bounded by flow control — the a5 table asserts zero silent drops on this sweep.")
+		"Each uplink carries every multicast once, but the unicast baseline's N(N-1) messages cross it once per remote destination, so the large-chunk gap grows with N (3.7x at N=8 to 5.0x at N=256 by 5000 B). The multicast allgather is one burst whose handshake is N-1 scouts and one release, so from N=8 on it wins at every size, chunk 0 included; at N=4 the four stations share one segment — one collision domain — where they multicast in slot order, and the crossover falls below 1000 B. Egress queues stay bounded by flow control — the a5 table asserts zero silent drops on this sweep.")
 }
 
 func fig14h(o Options) (Renderable, error) {
 	return nSweepFigure("14h",
-		"MPI_Allgather: two-level (segment-leader) vs flat rounds over shared-uplink switch (4 stations/port)", o,
-		OpAllgather, []Algorithm{McastPipelined, McastBinary, McastTwoLevel},
-		"From N=8 on the three sets run the same lossless allgather, one burst: the multicast barrier's N-1 scouts and one release, then every rank multicasts its own chunk at once, N·M bytes per segment wire with every per-round gather collapsed into the one handshake. Their curves coincide within 0.7 %, the skew each set's own barrier leaves before the measured operation. At N=4 a single segment is one collision domain, where every set keeps the flat rounds and pipelining beats the sequential schedule.")
+		"MPI_Allgather: two-level (segment-leader) vs flat over shared-uplink switch (4 stations/port)", o,
+		OpAllgather, []Algorithm{McastBinary, McastTwoLevel},
+		"At every N the two sets run the same lossless allgather, one burst: the multicast barrier's N-1 scouts and one release, then every rank multicasts its own chunk, N·M bytes per segment wire with every per-round gather collapsed into the one handshake, so their curves coincide. From N=8 on the ranks multicast at once; at N=4 a single segment is one collision domain, where they multicast in slot order.")
 }
 
 func fig15n(o Options) (Renderable, error) {
@@ -560,14 +552,15 @@ func figA5(o Options) (Renderable, error) {
 // if the bound is breached, and re-checks the silent-drop counter
 // (SILENT-DROP) so the two-level traffic also stays inside flow
 // control. N=4 spans a single 4-station segment — one collision domain,
-// where both sets keep the flat rounds — so that row documents the
-// degenerate case instead of gating on the (inapplicable) bound.
+// where both sets run the flat burst in slot order — so that row
+// documents the degenerate case instead of gating on the (inapplicable)
+// bound.
 func figA6(o Options) (Renderable, error) {
 	o = o.fill()
 	tbl := &Table{
 		ID:          "a6",
 		Title:       "Two-level allgather scout economy over the shared-uplink switch (4 stations/port, 1500-byte chunks)",
-		Expectation: "Both sets run one burst from N=8 on: N-1 scout frames, under the N + S² + S gate (which the combine-based schedule's (N-S) + S(S-1) meets under repair), versus the N(N-1) of the rounds that a single segment keeps at N=4; zero silent egress drops.",
+		Expectation: "Both sets run one burst at every N — at N=4, one segment, in slot order: N-1 scout frames, under the N + S² + S gate (which the combine-based schedule's (N-S) + S(S-1) meets under repair), versus the N(N-1) of the rounds; zero silent egress drops.",
 		Header:      []string{"N", "S", "2level scouts", "bound N+S²+S", "flat scouts", "silent drops", "check"},
 	}
 	const chunk = 1500
@@ -678,7 +671,7 @@ func figA3(o Options) (Renderable, error) {
 	tbl := &Table{
 		ID:          "a3",
 		Title:       "Wire frame counts vs the §3 formulas, whole suite (T = frame payload, s = scouts, d = data, c = control)",
-		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast — the allgather's and the alltoall's burst N-1 and one release for all of their multicasts — and send each payload once; the MPICH baseline repeats the payload per receiver.",
+		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast — the allgather's, the alltoall's and the chunked allreduce's gather's burst N-1 and one release for all of their multicasts — and send each payload once; the MPICH baseline repeats the payload per receiver.",
 		Header:      []string{"op", "algorithm", "N", "M (bytes)", "scout", "data", "ctrl", "formula (s+d+c)", "match"},
 	}
 	for _, n := range []int{2, 4, 7, 9} {
@@ -687,9 +680,13 @@ func figA3(o Options) (Renderable, error) {
 		for _, msg := range []int{0, 1000, 5000} {
 			mf := trace.FramesForMessage(msg, frag) // ceil(M/T)
 			// Chunked allreduce: per-slice binomial walks ((N-1) sends
-			// of one slice each) plus one multicast allgather round per
-			// non-empty slice, slices front-loaded over the elements.
-			chunkedScout, chunkedData := 0, 0
+			// of one slice each), slices front-loaded over the elements,
+			// then one burst — N-1 scouts and one release — in which
+			// every rank multicasts its slice once. Nothing moves at 0 B.
+			chunkedScout, chunkedData, chunkedCtl := 0, 0, 0
+			if msg > 0 {
+				chunkedScout, chunkedCtl = n-1, 1
+			}
 			for s := 0; s < n; s++ {
 				sz := msg / n
 				if s < msg%n {
@@ -698,7 +695,6 @@ func figA3(o Options) (Renderable, error) {
 				if sz == 0 {
 					continue
 				}
-				chunkedScout += n - 1
 				chunkedData += n * trace.FramesForMessage(sz, frag)
 			}
 			rows := []struct {
@@ -712,7 +708,7 @@ func figA3(o Options) (Renderable, error) {
 				{OpBarrier, MPICH, fmt.Sprintf("0+0+%d", 2*(n-k)+k*log2k)},
 				{OpAllgather, McastBinary, fmt.Sprintf("%d+%d+1", n-1, n*mf)},
 				{OpAllreduce, McastBinary, fmt.Sprintf("%d+%d+0", n-1, n*mf)},
-				{OpAllreduce, McastChunked, fmt.Sprintf("%d+%d+0", chunkedScout, chunkedData)},
+				{OpAllreduce, McastChunked, fmt.Sprintf("%d+%d+%d", chunkedScout, chunkedData, chunkedCtl)},
 				{OpAlltoall, McastBinary, fmt.Sprintf("%d+%d+1", n-1, n*(n-1)*mf)},
 				{OpScatter, McastBinary, fmt.Sprintf("%d+%d+0", n-1, (n-1)*mf)},
 				{OpGather, McastBinary, fmt.Sprintf("%d+%d+1", n-1, (n-1)*mf)},

@@ -66,7 +66,7 @@ func TestMetricsDoNotPerturbSimTime(t *testing.T) {
 // latencies under the selected algorithm's label. The chunked allreduce
 // at the trace-demo point is the densest single exercise of the plane:
 // its reduce-scatter drives the reliable streams (RTT estimators, window
-// occupancy), its pipelined multicast rounds the NIC delivery meters.
+// occupancy), its multicast gather the NIC delivery meters.
 func TestMetricsObservablesPopulated(t *testing.T) {
 	reg := metrics.NewRegistry()
 	prof := *sharedUplinkProfile()

@@ -12,8 +12,8 @@ import (
 )
 
 // traceSweepConfigs is the perturbation-check grid: the seven trajectory
-// combos plus a pipelined broadcast, covering the flat, pipelined,
-// chunked and two-level code paths on the shared-uplink fabric.
+// combos plus a flat broadcast, covering the flat, chunked and two-level
+// code paths on the shared-uplink fabric.
 func traceSweepConfigs() []struct {
 	op  Op
 	alg Algorithm
@@ -29,7 +29,7 @@ func traceSweepConfigs() []struct {
 		{OpAllreduce, McastChunked},
 		{OpScatter, McastTwoLevel},
 		{OpAlltoall, McastTwoLevel},
-		{OpBcast, McastPipelined},
+		{OpBcast, McastBinary},
 	}
 }
 
@@ -125,9 +125,10 @@ var ledgerPhases = []string{"scout-gather", "data-mcast", "release", "round-gath
 // one-round collective carries the paper's names — the scout gather,
 // then the data multicast or, for a control round, the release — and a
 // longer sequence its round names. Together, mcast-binary's seven
-// operations, its alltoall on the hub (where it still runs N rounds; on
-// a switch it is one burst) and mcast-resilient's allgather emit every
-// name the ledger reads, so none of its rows can read zero.
+// operations (its allgather and alltoall one burst, on the hub as on a
+// switch) and mcast-resilient's allgather and alltoall (N rounds under
+// repair) emit every name the ledger reads, so none of its rows can read
+// zero.
 func TestRoundSpansKeepLedgerNames(t *testing.T) {
 	spans := func(alg Algorithm, op Op, hub bool) map[string]bool {
 		t.Helper()
@@ -168,8 +169,10 @@ func TestRoundSpansKeepLedgerNames(t *testing.T) {
 		// The burst's handshake is the multicast barrier.
 		{McastBinary, OpAllgather, false, []string{"scout-gather", "release", "chunk-mcast", "chunk-consume"}},
 		{McastBinary, OpAlltoall, false, []string{"scout-gather", "release", "chunk-mcast", "chunk-consume"}},
-		{McastBinary, OpAlltoall, true, []string{"round-gather", "round-data"}},
+		{McastBinary, OpAllgather, true, []string{"scout-gather", "release", "chunk-mcast", "chunk-consume"}},
+		{McastBinary, OpAlltoall, true, []string{"scout-gather", "release", "chunk-mcast", "chunk-consume"}},
 		{McastResilient, OpAllgather, false, []string{"round-gather", "round-data"}},
+		{McastResilient, OpAlltoall, false, []string{"round-gather", "round-data"}},
 		{McastBinary, OpAllreduce, false, []string{"scout-gather", "data-mcast"}},
 		{McastBinary, OpGather, false, nil},
 	} {

@@ -28,7 +28,7 @@ const (
 )
 
 // TraceDemo runs the fixed flight-recorder demo set — a flat broadcast,
-// a pipelined allgather, and a two-level allgather, all on the
+// a flat allgather, and a two-level allgather, all on the
 // shared-uplink fabric at the fig-14h point — each with its own recorder
 // attached. The three runs export as separate processes of one Chrome
 // trace (trace.WriteChromeTrace) and each yields a metrics summary. Both
@@ -40,7 +40,7 @@ func TraceDemo(seed uint64) ([]TraceDemoEntry, error) {
 		alg Algorithm
 	}{
 		{OpBcast, McastBinary},
-		{OpAllgather, McastPipelined},
+		{OpAllgather, McastBinary},
 		{OpAllgather, McastTwoLevel},
 	}
 	var out []TraceDemoEntry

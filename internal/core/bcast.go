@@ -38,11 +38,11 @@
 // N·(N-1)·ceil(M/T), and the allreduce's broadcast half sends ceil(M/T)
 // frames instead of (N-1)·ceil(M/T). Every scout-gated multicast runs on
 // the one round engine of rounds.go: the paper's broadcast and barrier
-// are one round each (bcastRound, barrierRound), the multi-round
-// collectives a sequence of rounds, sequential or pipelined
-// (BinaryPipelined). One constructor, suite, builds the lossless sets of
-// Algorithms and the set of resilient.go, whose rounds run under NACK
-// repair for lossy segments.
+// are one round each (bcastRound, barrierRound), the handshake of every
+// burst is the barrier's round, and under NACK repair the multi-round
+// collectives are a sequence of rounds. One constructor, suite, builds
+// the lossless sets of Algorithms and the set of resilient.go, whose
+// rounds run under NACK repair for lossy segments.
 package core
 
 import (
@@ -62,12 +62,6 @@ const (
 	Binary Mode = iota
 	// Linear sends all scouts directly to the root (Fig. 4).
 	Linear
-	// BinaryPipelined gathers scouts up the binomial tree and, in the
-	// multi-round collectives (Alltoall, and Allgather where it runs
-	// rounds), overlaps round r+1's scout gather with round r's data
-	// multicast so the scout latency is hidden behind the data
-	// transmission (rounds.go).
-	BinaryPipelined
 )
 
 func (m Mode) String() string {
@@ -76,8 +70,6 @@ func (m Mode) String() string {
 		return "binary"
 	case Linear:
 		return "linear"
-	case BinaryPipelined:
-		return "binary-pipelined"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -89,29 +81,21 @@ func (m Mode) String() string {
 // suite.go. The set is complete: the collectives core does not
 // implement (Reduce, Scan, ReduceScatter) are package baseline's.
 func Algorithms(mode Mode) mpi.Algorithms {
-	rounds := roundOptions{gather: gatherScoutsBinary}
-	switch mode {
-	case Linear:
-		rounds.gather = gatherScoutsLinear
-	case BinaryPipelined:
-		rounds.pipeline = true
+	if mode == Linear {
+		return suite(roundOptions{gather: gatherScoutsLinear})
 	}
-	return suite(rounds)
+	return suite(roundOptions{gather: gatherScoutsBinary})
 }
 
 // suite builds a flat set whose collectives run on the round engine
-// with rounds' scout gather, schedule and reliability class — the
-// lossless sets of Algorithms and, with repair, ResilientAlgorithms.
-// Two rules bend rounds: the barrier gathers its scouts up the binary
-// tree whatever the set's gather (the paper's barrier), and a one-round
-// collective (bcast, barrier, scatter) never pipelines — it has no next
-// round to overlap, and the pipelined data phase would pace a sub-frame
-// payload by pipelinePace.
+// with rounds' scout gather and reliability class — the lossless sets
+// of Algorithms and, with repair, ResilientAlgorithms. One rule bends
+// rounds: the barrier gathers its scouts up the binary tree whatever the
+// set's gather (the paper's barrier).
 func suite(rounds roundOptions) mpi.Algorithms {
-	single := roundOptions{gather: rounds.gather, repair: rounds.repair}
 	barrier := roundOptions{gather: gatherScoutsBinary, repair: rounds.repair}
 	bcast := func(c *mpi.Comm, buf []byte, root int) error {
-		return runRounds(c, []roundPlan{bcastRound(buf, root)}, single)
+		return runRounds(c, []roundPlan{bcastRound(buf, root)}, rounds)
 	}
 	algs := baseline.Algorithms()
 	algs.Bcast = bcast
@@ -126,7 +110,7 @@ func suite(rounds roundOptions) mpi.Algorithms {
 		return alltoallWith(c, send, recv, rounds)
 	}
 	algs.Scatter = func(c *mpi.Comm, send, recv []byte, root int) error {
-		return scatterWith(c, send, recv, root, single)
+		return scatterWith(c, send, recv, root, rounds)
 	}
 	algs.Gather = func(c *mpi.Comm, send, recv []byte, root int) error {
 		return gatherWith(c, send, recv, root, rounds)
@@ -152,43 +136,14 @@ const (
 // root. It returns once this rank's subtree is known ready; for the root
 // that means the whole communicator is ready.
 //
-// One rank may be marked hot (-1: none): a rank whose scout is known to
-// arrive late (the previous round's data sender, in the pipelined round
-// schedule, whose scout rides behind its data multicast). The tree seats
-// the hot rank at relative position 1 — a direct leaf of the root — by
-// transposing it with the rank that would normally sit there, so the
-// late scout is awaited only by the root and releases no intermediate
-// forwarding hop. An intermediate
-// forward released by a late scout is a loss window under strict
-// posted-receive semantics: the forwarding rank's unposted send can
-// coincide with the data multicast the late scout was trailing.
-//
-// The transposition is a pure function of (root, hot), so every rank
-// derives the same tree without communication; hot=-1 (or hot==root)
-// yields the paper's Fig. 3 tree exactly: a fold-in, then the
-// mpi.Binomial tree over the power-of-two subcube, seats permuted.
-func gatherScoutsBinary(cc mpi.CollCtx, root, hot int) error {
+// Every rank derives the same tree from root alone: a fold-in, then
+// the mpi.Binomial tree over the power-of-two subcube, both over ranks
+// relative to root.
+func gatherScoutsBinary(cc mpi.CollCtx, root int) error {
 	c := cc.Comm()
 	size := c.Size()
-	h := -1
-	if hot >= 0 && hot != root {
-		h = (hot - root + size) % size
-	}
-	// perm transposes relative positions h and 1 (an involution, so it
-	// is its own inverse); with no hot rank it is the identity.
-	perm := func(rel int) int {
-		if h > 1 {
-			if rel == h {
-				return 1
-			}
-			if rel == 1 {
-				return h
-			}
-		}
-		return rel
-	}
-	rel := perm((c.Rank() - root + size) % size)
-	rankOf := func(rel int) int { return (perm(rel) + root) % size }
+	rel := (c.Rank() - root + size) % size
+	rankOf := func(rel int) int { return (rel + root) % size }
 	k := 1 << (bits.Len(uint(size)) - 1) // the largest power of two <= size
 
 	if rel >= k {
@@ -217,9 +172,8 @@ func gatherScoutsBinary(cc mpi.CollCtx, root, hot int) error {
 }
 
 // gatherScoutsLinear has every non-root rank scout directly to the root
-// (Fig. 4); the root receives the N-1 scouts one at a time. There are no
-// forwarding hops, so a hot rank needs no special seat.
-func gatherScoutsLinear(cc mpi.CollCtx, root, _ int) error {
+// (Fig. 4); the root receives the N-1 scouts one at a time.
+func gatherScoutsLinear(cc mpi.CollCtx, root int) error {
 	c := cc.Comm()
 	if c.Rank() != root {
 		return cc.Send(root, phaseScout, nil, transport.ClassScout, false)
@@ -237,7 +191,7 @@ func gatherScoutsLinear(cc mpi.CollCtx, root, _ int) error {
 // follows a reduction that cannot complete until every rank has sent its
 // contribution, and a rank posts its receive right after that send —
 // while the unsafe broadcast (BcastUnsafe) omits the proof on purpose.
-func noGather(mpi.CollCtx, int, int) error { return nil }
+func noGather(mpi.CollCtx, int) error { return nil }
 
 // bcastRound is the paper's broadcast (Fig. 3 with the binary gather,
 // Fig. 4 with the linear one) as one round: root multicasts buf once to

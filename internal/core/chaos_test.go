@@ -2,7 +2,7 @@ package core_test
 
 // The chaos matrix: every collective crossed with {kill a member, kill
 // a segment leader, kill the root, a long compute stall, a transient
-// uplink partition} over the flat, pipelined, resilient and two-level
+// uplink partition} over the flat, chunked, resilient and two-level
 // suites. The contract under test is the failure semantics of the mpi
 // layer: every live rank either completes with the correct result or
 // returns a RankFailedError naming exactly the dead ranks — never a
@@ -45,7 +45,6 @@ func chaosSuites() []chaosSuite {
 	chunked.Allreduce = core.AllreduceMcastChunked
 	return []chaosSuite{
 		{"binary", core.Algorithms(core.Binary), simnet.Switch, nil, false, false},
-		{"pipelined", core.Algorithms(core.BinaryPipelined), simnet.Switch, nil, false, false},
 		{"chunked", chunked, simnet.Switch, nil, false, false},
 		// On two even segments the chunked allreduce gathers with no
 		// scouts: at this chunk members hand their reduced slices to

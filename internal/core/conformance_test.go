@@ -33,7 +33,6 @@ var conformanceSets = []struct {
 	{"baseline", baseline.Algorithms()},
 	{"mcast-binary", core.Algorithms(core.Binary)},
 	{"mcast-linear", core.Algorithms(core.Linear)},
-	{"mcast-pipelined", core.Algorithms(core.BinaryPipelined)},
 	{"mcast-resilient", core.ResilientAlgorithms()},
 	{"mcast-chunked", chunkedAlgorithms()},
 	// On these flat surfaces (mem, plain switch) the two-level sets must
@@ -45,9 +44,9 @@ var conformanceSets = []struct {
 
 // chunkedAlgorithms is the binary suite with the Rabenseifner-style
 // chunked allreduce: a per-slice binomial reduce-scatter, then a
-// multicast allgather of the reduced slices — pipelined rounds on a flat
-// fabric, the two-level burst on shared uplinks (where twolevel_test.go
-// runs it).
+// multicast allgather of the reduced slices — a burst on a flat fabric,
+// the scout-free gather on even shared-uplink segments (where
+// twolevel_test.go runs it).
 func chunkedAlgorithms() mpi.Algorithms {
 	algs := core.Algorithms(core.Binary)
 	algs.Allreduce = core.AllreduceMcastChunked
@@ -96,7 +95,6 @@ func TestConformanceStrictLaggingRank(t *testing.T) {
 	}{
 		{"mcast-binary", core.Algorithms(core.Binary)},
 		{"mcast-linear", core.Algorithms(core.Linear)},
-		{"mcast-pipelined", core.Algorithms(core.BinaryPipelined)},
 		{"mcast-chunked", chunkedAlgorithms()},
 		{"mcast-resilient", core.ResilientAlgorithms()},
 	}
@@ -113,45 +111,60 @@ func TestConformanceStrictLaggingRank(t *testing.T) {
 
 // TestBurstStrictEveryLaggard sweeps the lagging rank that
 // TestConformanceStrictLaggingRank fixes at N/2 over every rank, for the
-// two collectives that run one burst on a switch — the alltoall and the
-// allgather, under the binary and the linear scout gathers — at N ∈ {8,
-// 16} and chunks of 0, 1, 1,500 and 4,500 B, with the laggard entering
-// 50 µs (inside the handshake) or 2 ms (after every other rank has
-// posted) late. Under strict posted-receive semantics not one multicast
-// fragment may meet an unposted receiver, and no switch queue may drop:
-// the handshake's release must reach a rank only after its standing
-// descriptors are up, wherever the slow rank sits in the gather tree.
+// collectives that run one burst — the alltoall and the allgather,
+// under the binary and the linear scout gathers, and the chunked
+// allreduce, whose reduced slices gather in a burst on a flat fabric —
+// on a switch, where every rank fires at once, and on a hub, where the
+// ranks take their turns in slot order. At N ∈ {8, 16} and chunks of 0,
+// 1, 1,500 and 4,500 B, the laggard enters 50 µs (inside the handshake)
+// or 2 ms (after every other rank has posted) late. Under strict posted
+// receives not one multicast fragment may meet an unposted receiver,
+// and no switch queue may drop: the handshake's release must reach a
+// rank only after its standing descriptors are up, wherever the slow
+// rank sits in the gather tree.
 func TestBurstStrictEveryLaggard(t *testing.T) {
 	prof := simnet.DefaultProfile()
 	prof.StrictPosted = true
+	type sweep struct {
+		op, set string
+		algs    mpi.Algorithms
+	}
+	var sweeps []sweep
 	for _, op := range []string{"alltoall", "allgather"} {
 		for _, mode := range []core.Mode{core.Binary, core.Linear} {
-			t.Run(fmt.Sprintf("%s/%s", op, mode), func(t *testing.T) {
+			sweeps = append(sweeps, sweep{op, mode.String(), core.Algorithms(mode)})
+		}
+	}
+	sweeps = append(sweeps, sweep{"allreduce", "chunked", chunkedAlgorithms()})
+	for _, sw := range sweeps {
+		t.Run(fmt.Sprintf("%s/%s", sw.op, sw.set), func(t *testing.T) {
+			for _, topo := range []simnet.Topology{simnet.Switch, simnet.Hub} {
 				for _, n := range []int{8, 16} {
 					for _, chunk := range []int{0, 1, 1500, 4500} {
 						for laggard := range n {
 							for _, lag := range []sim.Duration{50 * sim.Microsecond, 2 * sim.Millisecond} {
-								st, err := coretest.LaggardRunner(simnet.Switch, prof, laggard, lag)(n, core.Algorithms(mode), func(c *mpi.Comm) error {
-									return coretest.CheckOp(c, op, chunk, 0)
+								st, err := coretest.LaggardRunner(topo, prof, laggard, lag)(n, sw.algs, func(c *mpi.Comm) error {
+									return coretest.CheckOp(c, sw.op, chunk, 0)
 								})
+								at := fmt.Sprintf("%s n=%d chunk=%d laggard %d by %d µs", topo, n, chunk, laggard, lag/sim.Microsecond)
 								if err != nil {
-									t.Errorf("n=%d chunk=%d laggard %d by %d µs: %v", n, chunk, laggard, lag/sim.Microsecond, err)
+									t.Errorf("%s: %v", at, err)
 								}
 								if st.McastDropsNotPosted != 0 || st.QueueDrops != 0 {
-									t.Errorf("n=%d chunk=%d laggard %d by %d µs: %d unposted multicast drops, %d queue drops", n, chunk, laggard, lag/sim.Microsecond, st.McastDropsNotPosted, st.QueueDrops)
+									t.Errorf("%s: %d unposted multicast drops, %d queue drops", at, st.McastDropsNotPosted, st.QueueDrops)
 								}
 							}
 						}
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestConformanceAlltoallAcceptance is the acceptance grid: the whole
 // suite — and Alltoall in particular — for every N in 2..8 and message
-// sizes {1, 1500, 4·1500} bytes, sequential and pipelined.
+// sizes {1, 1500, 4·1500} bytes.
 func TestConformanceAlltoallAcceptance(t *testing.T) {
 	var cases []coretest.Case
 	for n := 2; n <= 8; n++ {
@@ -164,7 +177,6 @@ func TestConformanceAlltoallAcceptance(t *testing.T) {
 		algs mpi.Algorithms
 	}{
 		{"mcast-binary", core.Algorithms(core.Binary)},
-		{"mcast-pipelined", core.Algorithms(core.BinaryPipelined)},
 	} {
 		set := set
 		t.Run(set.name, func(t *testing.T) {

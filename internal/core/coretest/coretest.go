@@ -13,9 +13,9 @@
 // lagging rank under strict posted-receive semantics, or seed
 // deterministic fragment loss, and reports the network's loss counters
 // for the caller to assert on. Every algorithm set — the MPICH
-// baseline, the paper's multicast suite, the pipelined variants and the
-// NACK-repaired resilient set — runs through the same checks, replacing
-// per-collective ad-hoc tests.
+// baseline, the paper's multicast suite, the chunked and two-level
+// variants and the NACK-repaired resilient sets — runs through the same
+// checks, replacing per-collective ad-hoc tests.
 package coretest
 
 import (

@@ -11,33 +11,18 @@ package core
 //
 // Spans: a one-round sequence carries the paper's names, "scout-gather"
 // and then "data-mcast" ("release" for a ClassControl round); a longer
-// one carries "round-gather", "round-data" and, pipelined,
-// "round-gather-overlap".
+// one carries "round-gather" and "round-data".
 //
-// Three things vary independently. Schedule: the engine runs the rounds
-// two ways (the lossless allgather and alltoall and the chunked
-// allreduce's gather run no rounds where a burst fits: once their
-// evidence is in, one exchange multicasts every sender's data at its own
-// slot — see burst and exchange in suite.go):
+// Schedule: the rounds run one after another (the paper's composition):
+// round r+1's scouts are not sent until round r's data has been consumed
+// everywhere, so each round pays its full scout gather before its
+// multicast. Within the receive budget the lossless allgather and
+// alltoall and the chunked allreduce's gather run no sequence: once
+// their evidence is in, one exchange multicasts every sender's data at
+// its own slot (burst and exchange in suite.go). A sequence runs only
+// under NACK repair and beyond that budget.
 //
-//   - Sequential (the paper's composition, PR 1): round r+1's scouts are
-//     not sent until round r's data has been consumed everywhere, so each
-//     round pays the full scout-gather latency before its multicast.
-//
-//   - Pipelined: every rank sends its round-r+1 scout immediately after
-//     consuming round r-1's data — before blocking for round r's data —
-//     so the r+1 scout gather rides the wire and the receivers'
-//     unexpected queues while round r's data multicast is in flight. By
-//     the time sender r+1 has consumed round r's data its scout gather
-//     has already completed, and the per-round critical path shrinks
-//     from (scout gather + multicast) to little more than the multicast.
-//     The gating invariant is unchanged: round r's data is still never
-//     released before every rank has scouted for round r — a lagging
-//     rank delays its scout and therefore every later round — the rounds
-//     are merely overlapped, not unsynchronized.
-//
-// Reliability: the data phase of each round runs in one of two classes
-// (on either schedule above):
+// Reliability: the data phase of each round runs in one of two classes:
 //
 //   - Scout-only (the paper's model): after the gather, the single
 //     multicast cannot be lost to an unready receiver, and no
@@ -94,9 +79,8 @@ type roundPlan struct {
 	class transport.Class
 	// bytes is the size of the round's largest multicast payload. Every
 	// rank must set it identically (payload sizes are symmetric even
-	// where contents are not); the pipelined schedule uses it to pick the
-	// sub-frame-safe gather scheme for the overlapped round, a repairing
-	// receiver to budget its silence.
+	// where contents are not); a repairing receiver budgets its silence
+	// by it.
 	bytes int
 	// sends lists the round's multicasts in transmit order. It is
 	// evaluated on the sender only, once the round's gather has
@@ -138,45 +122,16 @@ func sliceSends(buf []byte, size, sender int) func() []send {
 	}
 }
 
-// roundOptions selects the scout scheme, the schedule and the
-// reliability class of a round sequence.
+// roundOptions selects the scout scheme and the reliability class of a
+// round sequence.
 type roundOptions struct {
 	// gather runs one rank's part of the scout gather toward the round
-	// sender (gatherScoutsBinary, gatherScoutsLinear, noGather). hot
-	// names a rank whose scout is expected late — the previous round's
-	// data sender in the pipelined schedule — so tree gathers can seat
-	// it where its scout releases no intermediate forwarding (-1: none).
-	gather func(cc mpi.CollCtx, root, hot int) error
-	// pipeline overlaps round r+1's scout gather with round r's data
-	// multicast instead of serializing the rounds, pacing sub-frame data
-	// rounds by pipelinePace.
-	pipeline bool
+	// sender (gatherScoutsBinary, gatherScoutsLinear, noGather).
+	gather func(cc mpi.CollCtx, root int) error
 	// repair runs every data phase under the receiver-initiated NACK
 	// protocol so lost fragments are repaired.
 	repair bool
 }
-
-// subFramePayload is the largest payload that still fits one Ethernet
-// frame after the transport and IP/UDP headers (1500 - 28). Pipelined
-// rounds at or above it need no pacing: the data transmission itself
-// outlasts any receiver's scout-forwarding window.
-const subFramePayload = 1472
-
-// pipelinePace, in device-clock nanoseconds, delays a pipelined round's
-// sub-frame data multicast at the sender: a multicast shorter than one
-// Ethernet frame can otherwise land inside a receiver's scout-forwarding
-// window for the overlapped next-round gather, where strict
-// posted-receive semantics lose it (the sub-frame envelope of PR 2). It
-// is one scout frame's wire time (a 56-byte scout padded to the 84-byte
-// minimum frame at 100 Mbps). The structural guards — the linear gather
-// for overlapped sub-frame rounds, the hot-rank seating for tree
-// gathers, and the next-sender-last slice order — close the loss
-// windows; the pace adds one frame time of margin between a sub-frame
-// multicast and the scout traffic it overlaps, at a cost far below one
-// round's gather latency. The sequential schedule never paces: its
-// scouts are sent immediately before the same round's data, so no
-// forwarding work overlaps the multicast.
-const pipelinePace = 6_720
 
 // runRounds executes the round sequence on c. Every rank must supply the
 // same rounds in the same order; each round opens its own collective
@@ -192,62 +147,17 @@ func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 			dataSpan = "release"
 		}
 	}
-	if !opt.pipeline {
-		for i := range rounds {
-			cc := c.BeginColl()
-			cc.SpanBegin(gatherSpan)
-			err := opt.gather(cc, rounds[i].sender, -1)
-			cc.SpanEnd(gatherSpan)
-			if err != nil {
-				return err
-			}
-			if err := tracedDataPhase(cc, dataSpan, &rounds[i], &opt, -1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Pipelined schedule. Contexts are opened one round ahead, never all
-	// upfront: BeginColl garbage-collects protocol stragglers with lower
-	// sequence numbers from the unexpected queue, so a context must not
-	// be opened while an earlier round of this collective still has
-	// point-to-point traffic (scouts, acknowledgments) in flight.
-	//
-	// Round i+1's gather is told that round i's sender is "hot": its
-	// scout arrives only after round i's data, and the binary gather
-	// re-seats it as a direct leaf of round i+1's root so the late scout
-	// triggers no intermediate forwarding — an intermediate forward
-	// released by that scout would race round i's data multicast into
-	// the forwarding rank's unposted send window under strict
-	// posted-receive semantics.
-	cc := c.BeginColl()
-	cc.SpanBegin(gatherSpan)
-	err := opt.gather(cc, rounds[0].sender, -1)
-	cc.SpanEnd(gatherSpan)
-	if err != nil {
-		return err
-	}
 	for i := range rounds {
-		next := mpi.CollCtx{}
-		nextSender := -1
-		if i+1 < len(rounds) {
-			nextSender = rounds[i+1].sender
-			// Scout for round i+1 before blocking on round i's data:
-			// this send is what overlaps the next gather with the
-			// current multicast.
-			next = c.BeginColl()
-			next.SpanBegin("round-gather-overlap")
-			err := pipelinedGather(next, &opt, &rounds[i+1], rounds[i].sender)
-			next.SpanEnd("round-gather-overlap")
-			if err != nil {
-				return err
-			}
-		}
-		if err := tracedDataPhase(cc, dataSpan, &rounds[i], &opt, nextSender); err != nil {
+		cc := c.BeginColl()
+		cc.SpanBegin(gatherSpan)
+		err := opt.gather(cc, rounds[i].sender)
+		cc.SpanEnd(gatherSpan)
+		if err != nil {
 			return err
 		}
-		cc = next
+		if err := tracedDataPhase(cc, dataSpan, &rounds[i], opt.repair); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -257,41 +167,20 @@ func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
 // the sender's closes plainly (its multicast is the release), a
 // receiver's closes gated on the round sender — the edge that lets the
 // critical-path walk cross from a waiting rank onto the track of the
-// rank it waited for. nextSender names the following round's data
-// sender in the pipelined schedule (-1 otherwise).
-func tracedDataPhase(cc mpi.CollCtx, span string, rd *roundPlan, opt *roundOptions, nextSender int) error {
+// rank it waited for.
+func tracedDataPhase(cc mpi.CollCtx, span string, rd *roundPlan, rep bool) error {
 	cc.SpanBegin(span)
 	if cc.Comm().Rank() != rd.sender {
-		err := receiveRound(cc, rd, opt.repair)
+		err := receiveRound(cc, rd, rep)
 		cc.SpanEndGated(span, rd.sender)
 		return err
 	}
-	sent, err := transmitRound(cc, rd, opt.pipeline, nextSender)
-	if err == nil && opt.repair {
+	sent, err := transmitRound(cc, rd)
+	if err == nil && rep {
 		err = serveRepairs(cc, rd, sent)
 	}
 	cc.SpanEnd(span)
 	return err
-}
-
-// pipelinedGather runs one rank's part of the overlapped scout gather
-// for round rd. Rounds whose data fits one Ethernet frame use the linear
-// scheme regardless of the configured one: a tree gather's interior
-// forwarding sends are unposted windows concurrent with the previous
-// round's data multicast, and a sub-frame multicast — a single fragment
-// arriving at one instant — can land inside one (the sub-frame envelope
-// PR 2 pinned). The linear gather has no forwarding at all: each rank's
-// only window is its direct scout send, which happens strictly before
-// the previous round's data can reach it, so the overlap is loss-free at
-// every payload size. At a frame and above, the tree gather's shorter
-// critical path is kept (the multi-fragment transmission dwarfs any
-// window; the hot-rank seating covers the late scout of the previous
-// sender).
-func pipelinedGather(cc mpi.CollCtx, opt *roundOptions, rd *roundPlan, hot int) error {
-	if rd.bytes < subFramePayload {
-		return gatherScoutsLinear(cc, rd.sender, hot)
-	}
-	return opt.gather(cc, rd.sender, hot)
 }
 
 // repairProbe, 2 ms of device clock, is a repairing receiver's one unit
@@ -423,31 +312,10 @@ func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep 
 }
 
 // transmitRound is the sender's half of a data phase: every send of the
-// round once, in order — except that the send the next round's sender
-// listens on (nextSender >= 0, the pipelined schedule) goes last, so the
-// next round's data, which that rank can start the moment its payload
-// arrives, cannot reach this rank while it is still working through its
-// own unposted transmit sleeps. With pace, a round whose smallest send
-// is below one frame waits pipelinePace first, so it cannot land inside
-// a receiver's scout-forwarding window. It returns what was sent, each
-// send under its device message id.
-func transmitRound(cc mpi.CollCtx, rd *roundPlan, pace bool, nextSender int) ([]send, error) {
+// round once, in order. It returns what was sent, each send under its
+// device message id.
+func transmitRound(cc mpi.CollCtx, rd *roundPlan) ([]send, error) {
 	sent := rd.sends()
-	if nextSender >= 0 {
-		if i := indexOf(sent, rd.scope(nextSender)); i >= 0 {
-			last := sent[i]
-			sent = append(slices.Delete(sent, i, i+1), last)
-		}
-	}
-	smallest := -1
-	for _, s := range sent {
-		if n := len(s.payload); smallest < 0 || n < smallest {
-			smallest = n
-		}
-	}
-	if pace && smallest < subFramePayload {
-		cc.Pace(pipelinePace)
-	}
 	for i, s := range sent {
 		if err := cc.Multicast(s.scope, s.payload, rd.class); err != nil {
 			return nil, err

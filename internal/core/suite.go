@@ -20,11 +20,13 @@ package core
 //	                 + 1 release, then every rank multicasts its chunk
 //	                 at once: N·ceil(M/T) data frames, versus
 //	                 N(N-1)·ceil(M/T) for the MPICH ring allgather.
-//	                 On a hub, under repair and beyond N=256 it runs
-//	                 N rounds, each s scouts + ceil(M/T) data = N(N-1)
-//	                 scouts + N·ceil(M/T) data frames. Scouts are
-//	                 empty 56-byte frames, so once M exceeds one frame
-//	                 the data saving dominates on a shared medium.
+//	                 On one collision domain (a hub) the ranks take
+//	                 their turns in slot order, the same frames. Under
+//	                 repair and beyond N=256 it runs N rounds, each s
+//	                 scouts + ceil(M/T) data = N(N-1) scouts +
+//	                 N·ceil(M/T) data frames. Scouts are empty 56-byte
+//	                 frames, so once M exceeds one frame the data
+//	                 saving dominates on a shared medium.
 //	allreduce:       binomial reduce to rank 0 ((N-1)·ceil(M/T) p2p
 //	                 data frames over the UDP bypass) + one scout-gated
 //	                 multicast (s scouts + ceil(M/T) data), versus
@@ -39,8 +41,8 @@ package core
 //	                 N((F-1) + (S-1)) on S segments of F members each —
 //	                 and gathers the reduced slices with no scouts on
 //	                 even segments (the reduce-scatter proves entry),
-//	                 in one burst (s scouts + 1 release) on uneven
-//	                 ones, N(N-1) scouts elsewhere.
+//	                 in one burst (s scouts + 1 release) elsewhere, and
+//	                 beyond N=256 in N rounds, N(N-1) scouts.
 //	scatter:         s scouts + (N-1)·ceil(M/T) data frames: the root
 //	                 multicasts each rank's slice to that rank's private
 //	                 slice group, so a receiver's NIC delivers exactly
@@ -61,18 +63,18 @@ package core
 //	                 targeted byte count as the pairwise baseline, each
 //	                 receiver delivered only its (N-1)·M bytes, but
 //	                 release-gated (no overrun) and with no per-message
-//	                 TCP penalty or kernel-ack frames. On a hub, under
+//	                 TCP penalty or kernel-ack frames. On one collision
+//	                 domain the ranks take their turns in slot order,
+//	                 each sending the next rank's slice last. Under
 //	                 repair and beyond N=256 it runs N sliced scatter
 //	                 rounds = N(N-1) scouts + the same data frames.
 //
 // Each round opens its own collective operation (BeginColl), so the
 // per-operation sequence number keeps back-to-back multicasts of one
 // collective apart — the same safe-program ordering argument as §4.
-// The rounds themselves run on the shared engine in rounds.go, either
-// serialized (the paper's composition) or pipelined (round r+1's scout
-// gather overlapping round r's data multicast), and optionally under
-// the NACK repair protocol (resilient.go) that survives in-flight
-// fragment loss.
+// The rounds themselves run on the shared engine in rounds.go, one after
+// another (the paper's composition), and optionally under the NACK
+// repair protocol (resilient.go) that survives in-flight fragment loss.
 
 import (
 	"fmt"
@@ -86,10 +88,10 @@ import (
 
 // allgatherWith gathers every rank's chunk to every rank. Lossless and
 // within burstFits it is one burst: after the handshake every rank
-// multicasts its chunk at once. Otherwise — under repair, beyond the
-// receive budget, on one collision domain — it runs N scout-gated rounds
-// on the round engine; in round r rank r multicasts its chunk once and
-// every other rank receives it.
+// multicasts its chunk (exchange). Otherwise — under repair, beyond the
+// receive budget — it runs N scout-gated rounds on the round engine; in
+// round r rank r multicasts its chunk once and every other rank
+// receives it.
 func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	size := c.Size()
 	n := len(send)
@@ -136,13 +138,17 @@ func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 // undrained).
 const burstRecvBudget = 255
 
-// burstFits reports whether a burst on c is within the budget and not on
-// one collision domain. A hub (a topology of one segment) is left out:
-// N stations transmitting at once there exhaust CSMA/CD's attempt limit
-// and drop frames, which a lossless burst cannot survive.
+// burstFits reports whether a burst on c is within the receive budget.
 func burstFits(c *mpi.Comm) bool {
+	return c.Size()-1 <= burstRecvBudget
+}
+
+// oneCollisionDomain reports whether c's declared topology is a single
+// segment — a hub, or one shared uplink segment — where every station
+// contends for the same medium.
+func oneCollisionDomain(c *mpi.Comm) bool {
 	t := c.Topo()
-	return c.Size()-1 <= burstRecvBudget && (t == nil || t.Segments() > 1)
+	return t != nil && t.Segments() == 1
 }
 
 // burst is the lossless data path of the allgather and the alltoall
@@ -152,7 +158,7 @@ func burstFits(c *mpi.Comm) bool {
 // engine over gather's scouts (N-1 scouts and one release — the paper's
 // Barrier), then exchange with one slot per rank. Every per-round
 // gather collapses into that one handshake.
-func burst(c *mpi.Comm, gather func(cc mpi.CollCtx, root, hot int) error, sends []send, scope mpi.Scope, consume func(r int, p []byte) error) error {
+func burst(c *mpi.Comm, gather func(cc mpi.CollCtx, root int) error, sends []send, scope mpi.Scope, consume func(r int, p []byte) error) error {
 	release := c.PostRecvs(c.Size())
 	defer release()
 	if err := runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: gather}); err != nil {
@@ -169,32 +175,49 @@ func burst(c *mpi.Comm, gather func(cc mpi.CollCtx, root, hot int) error, sends 
 // entered and posted its standing descriptors (burst's handshake, or the
 // chunked allreduce's reduce-scatter). senders[k] multicasts at slot k,
 // or nobody where it is -1. One context per slot is opened in slot
-// order; this rank fires its sends at its own slot, before consuming
-// anything, so transmissions overlap fully, then hands consume every
-// other sending slot's multicast on scope, in slot order, which keeps
-// the multicast staleness watermark monotone. A span needs only this
-// rank's track, so the slot contexts record them: chunk-mcast on this
-// rank's own slot, chunk-consume on the first.
+// order, and this rank consumes every other sending slot's multicast on
+// scope in slot order, which keeps the multicast staleness watermark
+// monotone. When this rank fires its own sends depends on the medium:
+//
+//   - On one collision domain, at its slot: it first consumes slots
+//     0…k-1, so only one station sends data at a time. N stations
+//     transmitting at once there exhaust CSMA/CD's attempt limit and
+//     drop frames, which a lossless exchange cannot survive.
+//   - Anywhere else, first, before consuming anything, so
+//     transmissions overlap fully.
+//
+// A span needs only this rank's track, so the slot contexts record
+// them: chunk-mcast on this rank's own slot, chunk-consume on the first.
 func exchange(c *mpi.Comm, senders []int, sends []send, scope mpi.Scope, consume func(k int, p []byte) error) error {
 	me := c.Rank()
+	inTurn := oneCollisionDomain(c)
 	ccs := make([]mpi.CollCtx, len(senders))
-	for k, r := range senders {
+	for k := range senders {
 		ccs[k] = c.BeginColl()
-		if r != me {
-			continue
-		}
-		ccs[k].SpanBegin("chunk-mcast")
+	}
+	fire := func(cc mpi.CollCtx) error {
+		cc.SpanBegin("chunk-mcast")
+		defer cc.SpanEnd("chunk-mcast")
 		for _, s := range sends {
-			if err := ccs[k].Multicast(s.scope, s.payload, transport.ClassData); err != nil {
-				ccs[k].SpanEnd("chunk-mcast")
+			if err := cc.Multicast(s.scope, s.payload, transport.ClassData); err != nil {
 				return err
 			}
 		}
-		ccs[k].SpanEnd("chunk-mcast")
+		return nil
+	}
+	if k := slices.Index(senders, me); k >= 0 && !inTurn {
+		if err := fire(ccs[k]); err != nil {
+			return err
+		}
 	}
 	ccs[0].SpanBegin("chunk-consume")
 	defer ccs[0].SpanEnd("chunk-consume")
 	for k, r := range senders {
+		if r == me && inTurn {
+			if err := fire(ccs[k]); err != nil {
+				return err
+			}
+		}
 		if r == me || r < 0 {
 			continue
 		}
@@ -213,8 +236,8 @@ func exchange(c *mpi.Comm, senders []int, sends []send, scope mpi.Scope, consume
 // burstFits it is one burst: after the handshake every rank multicasts
 // each destination slice of its send buffer to that rank's slice group,
 // in ring order (ringSliceSends), and consumes the slice each other rank
-// addressed to it. Otherwise — under repair, beyond the receive budget,
-// on one collision domain — it runs N scout-gated sliced scatter rounds:
+// addressed to it. Otherwise — under repair, beyond the receive budget —
+// it runs N scout-gated sliced scatter rounds:
 // in round r rank r multicasts its slices and every other rank receives
 // exactly the one addressed to it. Either way the wire carries the same
 // N(N-1)·ceil(M/T) targeted data frames as the pairwise baseline, but
@@ -242,7 +265,15 @@ func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 		return nil
 	}
 	if !opt.repair && burstFits(c) {
-		return burst(c, opt.gather, ringSliceSends(me, size, send), mpi.Slice(me), place)
+		// On a switch the ring starts at me+1. On one collision domain,
+		// where the ranks take turns, it starts at me+2: the next rank's
+		// slice goes last, so the owner of the next slot starts only
+		// after this rank's last frame.
+		after := me
+		if oneCollisionDomain(c) {
+			after = (me + 1) % size
+		}
+		return burst(c, opt.gather, ringSliceSends(after, me, size, send), mpi.Slice(me), place)
 	}
 	rounds := make([]roundPlan, size)
 	for r := range rounds {
@@ -260,14 +291,15 @@ func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 
 // ringSliceSends is the burst alltoall's send list at rank me: buf is
 // size equal slices, and each other rank's goes to that rank's slice
-// group, taking the ranks around the ring from me+1. Every rank starting
-// at a different destination is what keeps the slices apart: in the
-// common order 0, 1, … all N ranks' first slices would converge on rank
-// 0's port, then all on rank 1's, one port at a time.
-func ringSliceSends(me, size int, buf []byte) []send {
+// group, taking the ranks around the ring from the one after after.
+// Every rank starting at a different destination is what keeps the
+// slices apart: in the common order 0, 1, … all N ranks' first slices
+// would converge on rank 0's port, then all on rank 1's, one port at a
+// time.
+func ringSliceSends(after, me, size int, buf []byte) []send {
 	n := len(buf) / size
 	sends := make([]send, 0, size-1)
-	for d := range ringAfter(me, size) {
+	for d := range ringAfter(after, size) {
 		if d != me {
 			sends = append(sends, send{scope: mpi.Slice(d), payload: buf[d*n : (d+1)*n]})
 		}
@@ -330,12 +362,12 @@ func sliceBounds(total, extent, size int) []int {
 // largest segment's slices fit one fragment payload, members hand their
 // slices to their segment leader and the S leaders multicast one frame
 // each; beyond, a leader's store-and-forward hop costs more than it
-// saves, and every rank multicasts its own slice. On uneven segments the
-// allgather is a burst — the multicast barrier's N-1 scouts and one
-// release, then every rank multicasts its slice; elsewhere it is the
-// suite's pipelined scout-gated rounds, N(N-1) scouts. The two gathers
-// differ only in their evidence: after it, both run the same exchange,
-// one multicast slot per sender in slot order.
+// saves, and every rank multicasts its own slice. Elsewhere within the
+// budget the allgather is a burst — the multicast barrier's N-1 scouts
+// and one release, then every rank multicasts its slice; beyond it, N
+// sequential scout-gated rounds, N(N-1) scouts. The two gathers differ
+// only in their evidence: after it, both run the same exchange, one
+// multicast slot per sender in slot order.
 //
 // The reduce-scatter runs in two levels where usableTopo finds S segments
 // of F members each — Karonis's multilevel and Träff's lane
@@ -430,8 +462,8 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	cc.SpanEnd("reduce-scatter")
 
 	// Allgather: every reduced slice is multicast once — scout-free on
-	// even segments, elsewhere in one two-level burst or in pipelined
-	// rounds paced for sub-frame slices.
+	// even segments, elsewhere in one burst, or in rounds beyond the
+	// budget.
 	if len(send) == 0 {
 		return nil // nothing was reduced, so nothing goes on the wire
 	}
@@ -445,7 +477,7 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		copy(slice(r), p)
 		return nil
 	}
-	if t != nil && burstFits(c) {
+	if burstFits(c) {
 		return burst(c, gatherScoutsBinary, wholeSend(slice(me))(), mpi.Whole, place)
 	}
 	rounds := make([]roundPlan, 0, size)
@@ -462,7 +494,7 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 			consume: func(p []byte) error { return place(r, p) },
 		})
 	}
-	return runRounds(c, rounds, roundOptions{gather: gatherScoutsBinary, pipeline: true})
+	return runRounds(c, rounds, roundOptions{gather: gatherScoutsBinary})
 }
 
 // sliceGroups returns who multicasts which reduced slices in the
@@ -652,7 +684,7 @@ func gatherWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) erro
 		return nil
 	}
 	cc := c.BeginColl()
-	if err := opt.gather(cc, root, -1); err != nil {
+	if err := opt.gather(cc, root); err != nil {
 		return err
 	}
 	if c.Rank() != root {

@@ -24,188 +24,138 @@ import (
 )
 
 // TestSuiteFrameCounts verifies the frame-count model documented in
-// suite.go against the simulator's wire counters, for the sequential
-// and the pipelined schedules — pipelining reorders transmissions but
-// must not add or remove a single frame.
+// suite.go against the simulator's wire counters for the binary set.
 func TestSuiteFrameCounts(t *testing.T) {
 	const frag = simnet.MaxFragPayload
-	for _, mode := range []core.Mode{core.Binary, core.BinaryPipelined} {
-		for _, n := range []int{2, 4, 7, 8} {
-			for _, chunk := range []int{0, 900, 3000} {
-				mode, n, chunk := mode, n, chunk
-				t.Run(fmt.Sprintf("%s/n=%d/M=%d", mode, n, chunk), func(t *testing.T) {
-					chunkFrames := int64(trace.FramesForMessage(chunk, frag))
-					allgather := func(topo simnet.Topology, algs mpi.Algorithms) *simnet.Network {
-						nw, err := cluster.RunSim(n, topo, simnet.DefaultProfile(), algs, func(c *mpi.Comm) error {
-							send := make([]byte, chunk)
-							recv := make([]byte, n*chunk)
-							return c.Allgather(send, recv)
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						return nw
-					}
-
-					// Allgather, one burst: (N-1) scouts + 1 release, then
-					// every rank's ceil(M/T) data frames.
-					nw := allgather(simnet.Switch, core.Algorithms(mode))
-					if got, want := nw.Wire.Frames(transport.ClassScout), int64(n-1); got != want {
-						t.Errorf("allgather scouts = %d, want N-1 = %d", got, want)
-					}
-					if got, want := nw.Wire.Frames(transport.ClassControl), int64(1); got != want {
-						t.Errorf("allgather releases = %d, want %d", got, want)
-					}
-					if got, want := nw.Wire.Frames(transport.ClassData), int64(n)*chunkFrames; got != want {
-						t.Errorf("allgather data frames = %d, want N·ceil(M/T) = %d", got, want)
-					}
-
-					// On the hub and under repair the allgather keeps N
-					// rounds of (N-1) scouts + ceil(M/T) data, no release.
-					for name, nw := range map[string]*simnet.Network{
-						"hub":       allgather(simnet.Hub, core.Algorithms(mode)),
-						"resilient": allgather(simnet.Switch, core.ResilientAlgorithms()),
-					} {
-						if got, want := nw.Wire.Frames(transport.ClassScout), int64(n*(n-1)); got != want {
-							t.Errorf("%s allgather scouts = %d, want N(N-1) = %d", name, got, want)
-						}
-						if got := nw.Wire.Frames(transport.ClassControl); got != 0 {
-							t.Errorf("%s allgather releases = %d, want 0", name, got)
-						}
-						if got, want := nw.Wire.Frames(transport.ClassData), int64(n)*chunkFrames; got != want {
-							t.Errorf("%s allgather data frames = %d, want N·ceil(M/T) = %d", name, got, want)
-						}
-					}
-
-					// Alltoall, one burst: (N-1) scouts + 1 release, then
-					// every rank's N-1 per-slice multicasts of ceil(M/T)
-					// frames — the pairwise baseline's targeted byte count,
-					// no more.
-					alltoall := func(topo simnet.Topology, algs mpi.Algorithms) *simnet.Network {
-						nw, err := cluster.RunSim(n, topo, simnet.DefaultProfile(), algs, func(c *mpi.Comm) error {
-							send := make([]byte, n*chunk)
-							recv := make([]byte, n*chunk)
-							return c.Alltoall(send, recv)
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						return nw
-					}
-					nw = alltoall(simnet.Switch, core.Algorithms(mode))
-					if got, want := nw.Wire.Frames(transport.ClassScout), int64(n-1); got != want {
-						t.Errorf("alltoall scouts = %d, want N-1 = %d", got, want)
-					}
-					if got, want := nw.Wire.Frames(transport.ClassControl), int64(1); got != want {
-						t.Errorf("alltoall releases = %d, want %d", got, want)
-					}
-					if got, want := nw.Wire.Frames(transport.ClassData), int64(n*(n-1))*chunkFrames; got != want {
-						t.Errorf("alltoall data frames = %d, want N(N-1)·ceil(M/T) = %d", got, want)
-					}
-
-					// On the hub and under repair the alltoall keeps N sliced
-					// rounds of (N-1) scouts + (N-1)·ceil(M/T) data, no
-					// release.
-					for name, nw := range map[string]*simnet.Network{
-						"hub":       alltoall(simnet.Hub, core.Algorithms(mode)),
-						"resilient": alltoall(simnet.Switch, core.ResilientAlgorithms()),
-					} {
-						if got, want := nw.Wire.Frames(transport.ClassScout), int64(n*(n-1)); got != want {
-							t.Errorf("%s alltoall scouts = %d, want N(N-1) = %d", name, got, want)
-						}
-						if got := nw.Wire.Frames(transport.ClassControl); got != 0 {
-							t.Errorf("%s alltoall releases = %d, want 0", name, got)
-						}
-						if got, want := nw.Wire.Frames(transport.ClassData), int64(n*(n-1))*chunkFrames; got != want {
-							t.Errorf("%s alltoall data frames = %d, want N(N-1)·ceil(M/T) = %d", name, got, want)
-						}
-					}
-
-					// Allreduce: (N-1)·ceil(M/T) reduce frames + (N-1) scouts
-					// + ceil(M/T) multicast data frames.
-					size := chunk - chunk%8 // whole float64 elements
-					nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
-						core.Algorithms(mode), func(c *mpi.Comm) error {
-							send := make([]byte, size)
-							recv := make([]byte, size)
-							return c.Allreduce(send, recv, mpi.Float64, mpi.OpSum)
-						})
+	algs := core.Algorithms(core.Binary)
+	for _, n := range []int{2, 4, 7, 8} {
+		for _, chunk := range []int{0, 900, 3000} {
+			n, chunk := n, chunk
+			t.Run(fmt.Sprintf("%s/n=%d/M=%d", core.Binary, n, chunk), func(t *testing.T) {
+				chunkFrames := int64(trace.FramesForMessage(chunk, frag))
+				run := func(topo simnet.Topology, set mpi.Algorithms, fn func(c *mpi.Comm) error) *simnet.Network {
+					nw, err := cluster.RunSim(n, topo, simnet.DefaultProfile(), set, fn)
 					if err != nil {
 						t.Fatal(err)
 					}
-					redFrames := int64(trace.FramesForMessage(size, frag))
-					if got, want := nw.Wire.Frames(transport.ClassData), int64(n)*redFrames; got != want {
-						t.Errorf("allreduce data frames = %d, want N·ceil(M/T) = %d", got, want)
+					return nw
+				}
+				allgather := func(c *mpi.Comm) error {
+					return c.Allgather(make([]byte, chunk), make([]byte, n*chunk))
+				}
+				alltoall := func(c *mpi.Comm) error {
+					return c.Alltoall(make([]byte, n*chunk), make([]byte, n*chunk))
+				}
+				frames := func(name string, nw *simnet.Network, scouts, releases, data int64) {
+					t.Helper()
+					for _, f := range []struct {
+						class transport.Class
+						want  int64
+					}{{transport.ClassScout, scouts}, {transport.ClassControl, releases}, {transport.ClassData, data}} {
+						if got := nw.Wire.Frames(f.class); got != f.want {
+							t.Errorf("%s: %v frames = %d, want %d", name, f.class, got, f.want)
+						}
 					}
+				}
 
-					// Gather: (N-1) scouts + 1 release + (N-1)·ceil(M/T) chunks.
-					nw, err = cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
-						core.Algorithms(mode), func(c *mpi.Comm) error {
-							send := make([]byte, chunk)
-							var recv []byte
-							if c.Rank() == 0 {
-								recv = make([]byte, n*chunk)
-							}
-							return c.Gather(send, recv, 0)
-						})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := nw.Wire.Frames(transport.ClassScout), int64(n-1); got != want {
-						t.Errorf("gather scouts = %d, want N-1 = %d", got, want)
-					}
-					if got, want := nw.Wire.Frames(transport.ClassControl), int64(1); got != want {
-						t.Errorf("gather releases = %d, want %d", got, want)
-					}
-					if got, want := nw.Wire.Frames(transport.ClassData), int64(n-1)*chunkFrames; got != want {
-						t.Errorf("gather chunk frames = %d, want (N-1)·ceil(M/T) = %d", got, want)
-					}
+				// Allgather and alltoall, one burst on the switch and on
+				// the hub alike: (N-1) scouts + 1 release, then every
+				// rank's ceil(M/T) data frames — the alltoall's N-1
+				// per-slice multicasts of ceil(M/T) each, the pairwise
+				// baseline's targeted byte count, no more.
+				for _, topo := range []simnet.Topology{simnet.Switch, simnet.Hub} {
+					frames(fmt.Sprintf("%s allgather", topo), run(topo, algs, allgather), int64(n-1), 1, int64(n)*chunkFrames)
+					frames(fmt.Sprintf("%s alltoall", topo), run(topo, algs, alltoall), int64(n-1), 1, int64(n*(n-1))*chunkFrames)
+				}
 
-					// Scatter (sliced): (N-1) scouts + (N-1)·ceil(M/T) data
-					// frames, one per-slice multicast per receiver.
-					nw, err = cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(),
-						core.Algorithms(mode), func(c *mpi.Comm) error {
-							var send []byte
-							if c.Rank() == 0 {
-								send = make([]byte, n*chunk)
-							}
-							recv := make([]byte, chunk)
-							return c.Scatter(send, recv, 0)
-						})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := nw.Wire.Frames(transport.ClassData), int64(n-1)*chunkFrames; got != want {
-						t.Errorf("scatter data frames = %d, want (N-1)·ceil(M/T) = %d", got, want)
-					}
+				// Under repair both keep N rounds of (N-1) scouts and the
+				// same data, no release.
+				rep := core.ResilientAlgorithms()
+				frames("resilient allgather", run(simnet.Switch, rep, allgather), int64(n*(n-1)), 0, int64(n)*chunkFrames)
+				frames("resilient alltoall", run(simnet.Switch, rep, alltoall), int64(n*(n-1)), 0, int64(n*(n-1))*chunkFrames)
+
+				// Allreduce: (N-1)·ceil(M/T) reduce frames + (N-1) scouts
+				// + ceil(M/T) multicast data frames.
+				size := chunk - chunk%8 // whole float64 elements
+				nw := run(simnet.Switch, algs, func(c *mpi.Comm) error {
+					return c.Allreduce(make([]byte, size), make([]byte, size), mpi.Float64, mpi.OpSum)
 				})
-			}
+				redFrames := int64(trace.FramesForMessage(size, frag))
+				if got, want := nw.Wire.Frames(transport.ClassData), int64(n)*redFrames; got != want {
+					t.Errorf("allreduce data frames = %d, want N·ceil(M/T) = %d", got, want)
+				}
+
+				// Gather: (N-1) scouts + 1 release + (N-1)·ceil(M/T) chunks.
+				nw = run(simnet.Switch, algs, func(c *mpi.Comm) error {
+					var recv []byte
+					if c.Rank() == 0 {
+						recv = make([]byte, n*chunk)
+					}
+					return c.Gather(make([]byte, chunk), recv, 0)
+				})
+				frames("gather", nw, int64(n-1), 1, int64(n-1)*chunkFrames)
+
+				// Scatter (sliced): (N-1) scouts + (N-1)·ceil(M/T) data
+				// frames, one per-slice multicast per receiver.
+				nw = run(simnet.Switch, algs, func(c *mpi.Comm) error {
+					var send []byte
+					if c.Rank() == 0 {
+						send = make([]byte, n*chunk)
+					}
+					return c.Scatter(send, make([]byte, chunk), 0)
+				})
+				if got, want := nw.Wire.Frames(transport.ClassData), int64(n-1)*chunkFrames; got != want {
+					t.Errorf("scatter data frames = %d, want (N-1)·ceil(M/T) = %d", got, want)
+				}
+			})
 		}
 	}
 }
 
-// TestHubAllgatherDropsNothing pins why a burst needs more than one
-// collision domain: on the hub, 32 stations multicasting at once exhaust
-// CSMA/CD's attempt limit and drop frames, which a lossless allgather
-// cannot survive. There the allgather keeps its scout-gated rounds, and
-// every one of ten seeds completes with no frame dropped at any NIC.
+// TestHubAllgatherDropsNothing is the drop sweep that pins how a burst
+// runs on one collision domain: on a hub, N stations multicasting at
+// once exhaust CSMA/CD's attempt limit and drop frames, which a lossless
+// burst cannot survive, so there the ranks take their turns in slot
+// order. Over N ∈ {16, 32, 64}, sizes around one frame and past it, and
+// seeds 1–10:
+//
+//   - the allgather completes with no frame dropped at any NIC;
+//   - the alltoall completes at every seed. It sends the next rank's
+//     slice last, so the owner of the next slot starts only after this
+//     rank's last frame; in the switch's ring order (the next rank's
+//     slice first) the sweep deadlocks. Its NICs do drop frames — 44
+//     at N=16, 187 at N=32 and 738 at N=64 over the 70 runs of each —
+//     but every one of them is a unicast stream ack lost to the capture
+//     effect during a long data train, which the reliable stream
+//     repairs.
 func TestHubAllgatherDropsNothing(t *testing.T) {
-	const n, chunk = 32, 5000
-	for seed := uint64(1); seed <= 10; seed++ {
-		prof := simnet.DefaultProfile()
-		prof.Seed = seed
-		nw, err := cluster.RunSim(n, simnet.Hub, prof, core.Algorithms(core.Binary), func(c *mpi.Comm) error {
-			return c.Allgather(make([]byte, chunk), make([]byte, n*chunk))
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		var drops int64
-		for r := 0; r < n; r++ {
-			drops += nw.Endpoint(r).NIC().Stats.Drops
-		}
-		if drops != 0 {
-			t.Errorf("seed %d: %d frames dropped at the attempt limit", seed, drops)
+	for _, op := range []string{"allgather", "alltoall"} {
+		for _, n := range []int{16, 32, 64} {
+			t.Run(fmt.Sprintf("%s/n=%d", op, n), func(t *testing.T) {
+				var drops int64
+				for _, chunk := range []int{0, 1, 1471, 1472, 1473, 4000, 5000} {
+					for seed := uint64(1); seed <= 10; seed++ {
+						prof := simnet.DefaultProfile()
+						prof.Seed = seed
+						nw, err := cluster.RunSim(n, simnet.Hub, prof, core.Algorithms(core.Binary), func(c *mpi.Comm) error {
+							if op == "alltoall" {
+								return c.Alltoall(make([]byte, n*chunk), make([]byte, n*chunk))
+							}
+							return c.Allgather(make([]byte, chunk), make([]byte, n*chunk))
+						})
+						if err != nil {
+							t.Fatalf("%d B, seed %d: %v", chunk, seed, err)
+						}
+						for r := 0; r < n; r++ {
+							drops += nw.Endpoint(r).NIC().Stats.Drops
+						}
+					}
+				}
+				t.Logf("%d frames dropped at the attempt limit", drops)
+				if op == "allgather" && drops != 0 {
+					t.Errorf("%d frames dropped at the attempt limit", drops)
+				}
+			})
 		}
 	}
 }

@@ -94,8 +94,10 @@ package core
 // A communicator without a usable topology — no device map, a single
 // segment (nothing to localize), or one rank per segment (the
 // decomposition IS the flat algorithm) — runs the set's flat set
-// (twoLevel.flat) operation for operation, so the two-level set is safe
-// to select unconditionally.
+// (twoLevel.flat: the binary set, or the resilient one) operation for
+// operation, so the two-level set is safe to select unconditionally. On
+// a single segment, one collision domain, the flat lossless allgather
+// and alltoall burst in slot order.
 //
 // Strict posted-receive safety follows the same arguments as the flat
 // engine: every whole-communicator multicast is gated on evidence that
@@ -121,11 +123,11 @@ import (
 
 // TwoLevelAlgorithms returns the topology-aware collective set
 // (registered in bench as mcast-2level): all seven collectives
-// hierarchical over the device topology, the flat pipelined suite where
+// hierarchical over the device topology, the flat binary suite where
 // there is none, and the flat set's other collectives (package
 // baseline's).
 func TwoLevelAlgorithms() mpi.Algorithms {
-	return twoLevelSet(&twoLevel{flat: Algorithms(BinaryPipelined)})
+	return twoLevelSet(&twoLevel{flat: Algorithms(Binary)})
 }
 
 // TwoLevelResilientAlgorithms is TwoLevelAlgorithms with every
@@ -185,8 +187,8 @@ func opLeader(t *topo.Map, seg, root int) int {
 // learns "everyone is ready" from (its own segment's members + S-1
 // leaders) scouts, of which only S-1 crossed an uplink. Forwarding-free
 // at every hop — each rank sends at most one direct scout.
-func twoLevelRoundGather(t *topo.Map) func(cc mpi.CollCtx, root, hot int) error {
-	return func(cc mpi.CollCtx, root, _ int) error {
+func twoLevelRoundGather(t *topo.Map) func(cc mpi.CollCtx, root int) error {
+	return func(cc mpi.CollCtx, root int) error {
 		me := cc.Comm().Rank()
 		lead := opLeader(t, t.SegmentOf(me), root)
 		if me != lead {
@@ -209,12 +211,9 @@ func twoLevelRoundGather(t *topo.Map) func(cc mpi.CollCtx, root, hot int) error 
 // leaderRoundGather is the leaders-only scout gather of the aggregate
 // rounds: every segment leader but the sender scouts directly to the
 // sender; non-leaders take no part (their readiness was proven into
-// their leader's aggregate during the local phase). Forwarding-free. No
-// sequence over it runs pipelined; one that did could not take the
-// schedule's linear substitute for sub-frame rounds (pipelinedGather),
-// in which every rank scouts.
-func leaderRoundGather(t *topo.Map) func(cc mpi.CollCtx, root, hot int) error {
-	return func(cc mpi.CollCtx, root, _ int) error {
+// their leader's aggregate during the local phase). Forwarding-free.
+func leaderRoundGather(t *topo.Map) func(cc mpi.CollCtx, root int) error {
+	return func(cc mpi.CollCtx, root int) error {
 		me := cc.Comm().Rank()
 		if t.Leader(t.SegmentOf(me)) != me {
 			return nil

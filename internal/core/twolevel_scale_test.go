@@ -103,7 +103,7 @@ func TestTwoLevelSingleSegmentDelegatesN256(t *testing.T) {
 		return nw
 	}
 	twoLevel := run(core.TwoLevelAlgorithms())
-	flat := run(core.Algorithms(core.BinaryPipelined))
+	flat := run(core.Algorithms(core.Binary))
 	for _, class := range []transport.Class{transport.ClassScout, transport.ClassData, transport.ClassControl, transport.ClassNack} {
 		if got, want := twoLevel.Wire.Frames(class), flat.Wire.Frames(class); got != want {
 			t.Errorf("single-segment two-level sent %d %v frames, flat sent %d", got, class, want)

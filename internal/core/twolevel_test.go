@@ -235,7 +235,7 @@ func TestTwoLevelSingleSegmentDelegates(t *testing.T) {
 		return nw
 	}
 	twoLevel := run(core.TwoLevelAlgorithms())
-	flat := run(core.Algorithms(core.BinaryPipelined))
+	flat := run(core.Algorithms(core.Binary))
 	for _, class := range []transport.Class{transport.ClassScout, transport.ClassData, transport.ClassControl, transport.ClassNack} {
 		if got, want := twoLevel.Wire.Frames(class), flat.Wire.Frames(class); got != want {
 			t.Errorf("single-segment two-level sent %d %v frames, flat sent %d", got, class, want)
@@ -349,13 +349,13 @@ func TestTwoLevelAlltoallScoutEconomy(t *testing.T) {
 	})
 }
 
-// TestTwoLevelAllgatherBeatsFlatPipelined pins the figure 14h point at
-// N=8 with 5000-byte chunks on the shared-uplink fabric — the smallest
+// TestTwoLevelAllgatherBeatsFlat pins the figure 14h point at N=8 with
+// 5000-byte chunks on the shared-uplink fabric — the smallest
 // multi-segment point, where the old combine-based schedule paid a 12%
 // premium for the phase-A chunk copies: the two-level allgather's
-// worst-rank completion must be no later than the flat pipelined
-// schedule's. Both now run the same burst.
-func TestTwoLevelAllgatherBeatsFlatPipelined(t *testing.T) {
+// worst-rank completion must be no later than the flat binary set's.
+// Both now run the same burst.
+func TestTwoLevelAllgatherBeatsFlat(t *testing.T) {
 	const n, chunk = 8, 5000
 	measure := func(algs mpi.Algorithms) int64 {
 		lat := make([]int64, n)
@@ -379,9 +379,9 @@ func TestTwoLevelAllgatherBeatsFlatPipelined(t *testing.T) {
 		return worst
 	}
 	two := measure(core.TwoLevelAlgorithms())
-	flat := measure(core.Algorithms(core.BinaryPipelined))
+	flat := measure(core.Algorithms(core.Binary))
 	if two > flat {
-		t.Errorf("two-level allgather %d ns is slower than flat pipelined %d ns at N=%d/%dB (fig 14h gap must be <= 0)",
+		t.Errorf("two-level allgather %d ns is slower than flat binary %d ns at N=%d/%dB (fig 14h gap must be <= 0)",
 			two, flat, n, chunk)
 	}
 }

@@ -274,15 +274,6 @@ func (cc CollCtx) FragPayload() int {
 	return 0
 }
 
-// Pace suspends the calling rank for d nanoseconds on the device clock,
-// and returns immediately on a device without a wire. The pipelined
-// round engine paces sub-frame data multicasts with it.
-func (cc CollCtx) Pace(d int64) {
-	if w := cc.c.rt.wire; w != nil {
-		w.Pace(d)
-	}
-}
-
 // RecvPhases blocks for a point-to-point protocol message of this
 // operation in any of the given phases; the caller dispatches on Class.
 // Server loops whose operation carries concurrent traffic in other

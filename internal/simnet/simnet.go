@@ -877,17 +877,6 @@ func (ep *Endpoint) consumeStraggle(p *sim.Proc) {
 	}
 }
 
-// Pace implements transport.Wire as virtual-time sleep.
-func (ep *Endpoint) Pace(d int64) {
-	p := ep.proc
-	if p == nil {
-		panic("simnet: endpoint used outside Network.Run")
-	}
-	if d > 0 {
-		p.Sleep(sim.Duration(d))
-	}
-}
-
 // PostRecvs implements transport.Wire: it adds n standing receive
 // descriptors to the endpoint's posted count, so strict-posted mode
 // keeps accepting multicast frames between the Recv calls of a burst of

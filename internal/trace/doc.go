@@ -20,12 +20,13 @@
 //     The round engine names a one-round collective (bcast, barrier,
 //     scatter, a burst's handshake) with the paper's phases —
 //     "scout-gather", then "data-mcast", or "release" for a control
-//     round — and a longer sequence "round-gather", "round-data" and,
-//     pipelined, "round-gather-overlap". Beside them: "chunk-mcast",
-//     "chunk-consume" (a burst's data exchange), "slice-combine",
-//     "reduce-scatter". Spans nest (a "bcast" op span contains its phase
-//     spans). A SpanEnd may carry a gate: the rank whose message
-//     unblocked the wait, recorded by CollCtx.SpanEndGated.
+//     round — and a longer sequence (under NACK repair, or beyond the
+//     burst's receive budget) "round-gather" and "round-data". Beside
+//     them: "chunk-mcast", "chunk-consume" (a burst's data exchange),
+//     "slice-combine", "reduce-scatter". Spans nest (a "bcast" op span
+//     contains its phase spans). A SpanEnd may carry a gate: the rank
+//     whose message unblocked the wait, recorded by
+//     CollCtx.SpanEndGated.
 //   - Instant: a point event — "send.scout", "send.ack", "send.release"
 //     (Arg: payload bytes), "send.nack" (a receiver asked for a repair;
 //     Arg: the nanoseconds of silence it waited out first — since the

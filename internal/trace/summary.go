@@ -147,9 +147,9 @@ func Summarize(r *Recorder) *Summary {
 	}
 	// maxPathSteps bounds the walk. It must exceed the deepest real phase
 	// graph — the chunked allreduce records an event-driven reduce-scatter
-	// followed by ~2·log2(N) pipelined allgather round spans per rank, and
-	// truncating there would cut the path off inside the rounds and never
-	// reach the reduce-scatter the completion time actually waited through.
+	// followed by its allgather's spans per rank, and truncating there
+	// would cut the path off inside the allgather and never reach the
+	// reduce-scatter the completion time actually waited through.
 	const maxPathSteps = 64
 	used := make(map[span]bool)
 	cur, cursor := last.rank, last.end

@@ -140,8 +140,7 @@ type Endpoint interface {
 // Wire is the optional capability of a device with a real wire — an MTU,
 // loss, peers that die: simnet and udpnet. The in-process channel
 // transport has none and does not implement it; package mpi then sends
-// plainly, repairs by resending whole messages and neither paces nor
-// probes.
+// plainly, repairs by resending whole messages and never probes.
 type Wire interface {
 	// SendReliable transmits m to world rank dst over the per-peer
 	// windowed stream of package reliab, which retransmits whatever the
@@ -166,9 +165,6 @@ type Wire interface {
 	// and when what it holds arrived, on the endpoint's clock. ok=false
 	// means nothing from src is pending.
 	PendingFrom(src int) (msgID uint64, missing []int, seen Arrivals, ok bool)
-	// Pace suspends the calling rank for d nanoseconds on the endpoint's
-	// clock (package core paces sub-frame data multicasts with it).
-	Pace(d int64)
 	// PostRecvs posts n standing receive descriptors. Under the paper's
 	// strict-posted discipline a multicast frame that finds none posted
 	// is lost, so a collective in which every rank multicasts at once

@@ -643,13 +643,6 @@ func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, seen tran
 // MaxFragPayload implements transport.Wire.
 func (ep *Endpoint) MaxFragPayload() int { return fragSize }
 
-// Pace implements transport.Wire as a wall-clock sleep.
-func (ep *Endpoint) Pace(d int64) {
-	if d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-}
-
 // PostRecvs implements transport.Wire as a no-op: a read loop blocks on
 // the inbox channel rather than drop a message, so none is ever lost for
 // want of a posted receive.

@@ -274,29 +274,6 @@ func TestCloseIdempotentAndUnblocks(t *testing.T) {
 	nw.Close()
 }
 
-// TestPipelinedConformanceOverUDP runs the pipelined schedule over real
-// sockets at sub-frame chunks, where every round's data multicast waits
-// out the pipeline pace first: Endpoint.Pace's wall-clock sleep, which
-// no other UDP test reaches.
-func TestPipelinedConformanceOverUDP(t *testing.T) {
-	requireMulticast(t)
-	const n = 5
-	algs := core.Algorithms(core.BinaryPipelined)
-	err := udpnet.Run(testConfig(n), algs, func(c *mpi.Comm) error {
-		for _, chunk := range []int{1, 1000} {
-			for _, root := range []int{0, n - 1} {
-				if err := coretest.Conformance(c, chunk, root); err != nil {
-					return fmt.Errorf("chunk %d root %d: %w", chunk, root, err)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestP2PLossConformanceOverUDP drives the suite-wide conformance pass
 // over real sockets with receiver-side point-to-point loss injected:
 // every bypass frame kind — reduce halves, gather chunks, scouts, and

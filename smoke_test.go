@@ -51,8 +51,8 @@ func TestScenarioSmoke(t *testing.T) {
 // cleanly — a registered op that panics or errors fails the bench smoke.
 func TestCollectiveScenarioSmoke(t *testing.T) {
 	for _, alg := range []bench.Algorithm{
-		bench.MPICH, bench.McastBinary, bench.McastPipelined,
-		bench.McastResilient, bench.McastChunked,
+		bench.MPICH, bench.McastBinary, bench.McastResilient,
+		bench.McastChunked,
 	} {
 		for _, op := range workload.Ops() {
 			alg, op := alg, op
@@ -88,7 +88,7 @@ func TestUnknownOpFailsLoudly(t *testing.T) {
 }
 
 // TestExtensionFigureRenders builds the extension comparison figures
-// (allgather, allreduce, alltoall, pipelined-vs-sequential) at a micro
+// (allgather, allreduce, alltoall, slice filtering, chunked) at a micro
 // grid and checks they render and export. The N-sweep grid is capped at
 // 32 here — the a5/a6 self-check tests below and the CI bench-smoke job
 // cover the N=256 points.
@@ -96,16 +96,15 @@ func TestExtensionFigureRenders(t *testing.T) {
 	want := map[string][]string{
 		"14":  {"mcast-binary", "mpich"},
 		"14n": {"mcast-binary (32 proc)", "mpich (32 proc)"},
-		"14h": {"mcast-2level (32 proc)", "mcast-pipelined (32 proc)"},
+		"14h": {"mcast-2level (32 proc)", "mcast-binary (32 proc)"},
 		"15":  {"mcast-binary", "mpich"},
 		"15n": {"mcast-binary (32 proc)", "mpich (32 proc)"},
 		"15h": {"mcast-2level (32 proc)", "mcast-binary (32 proc)"},
-		"16":  {"mcast-binary", "mcast-pipelined", "mpich"},
-		"17":  {"mcast-binary", "mcast-pipelined"},
+		"16":  {"mcast-binary", "mpich"},
 		"18":  {"pairwise", "sliced"},
 		"19":  {"mcast-binary", "mcast-chunked", "mpich"},
 	}
-	for _, id := range []string{"14", "14n", "14h", "15", "15n", "15h", "16", "17", "18", "19"} {
+	for _, id := range []string{"14", "14n", "14h", "15", "15n", "15h", "16", "18", "19"} {
 		d, ok := bench.Lookup(id)
 		if !ok {
 			t.Fatalf("figure %s not registered", id)
@@ -195,11 +194,11 @@ func TestScoutEconomyTableSelfChecks(t *testing.T) {
 }
 
 // TestAllgatherSetsAgreeAtN32 pins the fig 14h point at N=32 with
-// 5000 B chunks on the shared-uplink switch: mcast-binary,
-// mcast-pipelined and mcast-2level run the same lossless allgather — one
-// burst, whose handshake is N-1 scouts and one release — so they take
-// the same simulated nanoseconds and put the same frames of every class
-// on the wire.
+// 5000 B chunks on the shared-uplink switch: mcast-binary and
+// mcast-2level run the same lossless allgather — one burst, whose
+// handshake is N-1 scouts and one release — so they take the same
+// simulated nanoseconds and put the same frames of every class on the
+// wire.
 func TestAllgatherSetsAgreeAtN32(t *testing.T) {
 	const n, chunk = 32, 5000
 	prof := simnet.DefaultProfile()
@@ -234,10 +233,8 @@ func TestAllgatherSetsAgreeAtN32(t *testing.T) {
 	if want.frames[0] != n-1 || want.frames[2] != 1 {
 		t.Errorf("%s allgather sent %d scouts and %d releases, want N-1 = %d and 1", bench.McastTwoLevel, want.frames[0], want.frames[2], n-1)
 	}
-	for _, alg := range []bench.Algorithm{bench.McastBinary, bench.McastPipelined} {
-		if got := measure(alg); got != want {
-			t.Errorf("%s allgather took %d ns with frames %v (scout, data, control, nack); %s took %d ns with %v",
-				alg, got.worst, got.frames, bench.McastTwoLevel, want.worst, want.frames)
-		}
+	if got := measure(bench.McastBinary); got != want {
+		t.Errorf("%s allgather took %d ns with frames %v (scout, data, control, nack); %s took %d ns with %v",
+			bench.McastBinary, got.worst, got.frames, bench.McastTwoLevel, want.worst, want.frames)
 	}
 }
