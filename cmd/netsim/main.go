@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/ethernet"
@@ -26,16 +27,22 @@ func main() {
 		pattern = flag.String("pattern", "fanin", "fanin | allpairs | mcast")
 		n       = flag.Int("n", 4, "number of stations")
 		frames  = flag.Int("frames", 5, "frames per sender")
-		size    = flag.Int("size", 1000, "frame payload bytes")
+		size    = flag.Int("size", 1000, "frame payload bytes, at most the MTU")
 	)
 	flag.Parse()
 
+	// A frame carries at most ethernet.MaxPayload bytes: the modelled
+	// Ethernet cannot carry a larger one.
 	for _, f := range []struct {
-		name     string
-		v, least int
-	}{{"n", *n, 1}, {"frames", *frames, 0}, {"size", *size, 0}} {
+		name           string
+		v, least, most int
+	}{{"n", *n, 1, math.MaxInt}, {"frames", *frames, 0, math.MaxInt}, {"size", *size, 0, ethernet.MaxPayload}} {
 		if f.v < f.least {
 			fmt.Fprintf(os.Stderr, "netsim: -%s %d is out of range; give %d or more\n", f.name, f.v, f.least)
+			os.Exit(2)
+		}
+		if f.v > f.most {
+			fmt.Fprintf(os.Stderr, "netsim: -%s %d is out of range; give %d or less\n", f.name, f.v, f.most)
 			os.Exit(2)
 		}
 	}

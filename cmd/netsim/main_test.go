@@ -23,12 +23,15 @@ func TestMain(m *testing.M) {
 // TestBadCountsAreUsageErrors holds that a count no traffic pattern can
 // take exits 2 with a one-line usage error before any station is built:
 // a negative -n or -size reached make and panicked, and -n 0 indexed a
-// station the mcast pattern does not have.
+// station the mcast pattern does not have. A -size above the MTU
+// (ethernet.MaxPayload) was timed as one frame the modelled Ethernet
+// cannot carry.
 func TestBadCountsAreUsageErrors(t *testing.T) {
 	for _, args := range []string{
 		"-n -1",
 		"-n 0 -pattern mcast",
 		"-size -3",
+		"-size 1501",
 		"-frames -2",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")

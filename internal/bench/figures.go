@@ -396,7 +396,7 @@ func fig19(o Options) (Renderable, error) {
 	o = o.fill()
 	return suiteFigure("19", "MPI_Allreduce: chunked (per-slice reduce-scatter + multicast allgather) vs binomial reduce + multicast bcast over Fast Ethernet switch", o, simnet.Switch, OpAllreduce,
 		[]Algorithm{McastBinary, McastChunked, MPICH},
-		"The chunked variant caps the byte funnel: no rank moves more than ~2M bytes (the binomial composition pushes log2(N)·M through rank 0 — see the per-rank delivered-byte counters), and the reduction work spreads evenly. Its per-slice walks overlap, so their N(N-1) per-message host overheads do not serialize: it beats MPICH from ~2000 B and crosses below the binomial composition by 8000 B (4526 against 4898 µs at N=8 in EXPERIMENTS.md), where the walks' ~3M bandwidth term overtakes the binomial's log2(N)·M. Below that the per-message overheads keep it above.")
+		"The chunked variant caps the byte funnel: no rank moves more than ~2M bytes (the binomial composition pushes log2(N)·M through rank 0 — see the per-rank delivered-byte counters), and the reduction work spreads evenly. Its per-slice walks overlap, so their N(N-1) per-message host overheads do not serialize, and its gather sends no scouts, gated by the reduce-scatter: at N=8 it beats MPICH from ~500 B and crosses below the binomial composition by 1000 B (1128 against 1270 µs; 1890 against 4900 at 8000 B, EXPERIMENTS.md). Below that the per-message overheads keep it above.")
 }
 
 // sharedUplinkProfile is the shared-uplink calibration of the N-sweep
@@ -545,10 +545,10 @@ func figA5(o Options) (Renderable, error) {
 // figA6 is the CI gate on the topology subsystem's scout claim: a
 // two-level allgather on the shared-uplink fabric sends at most
 // N + S² + S scout frames per operation. Lossless it is the flat set's
-// burst, N-1 scouts, and so is the flat allgather; the combine-based
-// schedule it keeps under repair and beyond the receive budget sends
-// (N-S) member scouts plus S(S-1) leader-round scouts, where the flat
-// rounds send N(N-1). The table measures both sets, renders SCOUT-EXCESS
+// burst at every N, N-1 scouts per window of 256 senders, and so is the
+// flat allgather; the combine-based schedule runs only under repair,
+// with (N-S) member scouts plus S(S-1) leader-round scouts, where the
+// flat rounds send N(N-1). The table measures both sets, renders SCOUT-EXCESS
 // if the bound is breached, and re-checks the silent-drop counter
 // (SILENT-DROP) so the two-level traffic also stays inside flow
 // control. N=4 spans a single 4-station segment — one collision domain,
@@ -671,7 +671,7 @@ func figA3(o Options) (Renderable, error) {
 	tbl := &Table{
 		ID:          "a3",
 		Title:       "Wire frame counts vs the §3 formulas, whole suite (T = frame payload, s = scouts, d = data, c = control)",
-		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast — the allgather's, the alltoall's and the chunked allreduce's gather's burst N-1 and one release for all of their multicasts — and send each payload once; the MPICH baseline repeats the payload per receiver.",
+		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast — the allgather's and the alltoall's burst N-1 and one release for all of their multicasts, the chunked allreduce's gather none, gated by its reduce-scatter — and send each payload once; the MPICH baseline repeats the payload per receiver.",
 		Header:      []string{"op", "algorithm", "N", "M (bytes)", "scout", "data", "ctrl", "formula (s+d+c)", "match"},
 	}
 	for _, n := range []int{2, 4, 7, 9} {
@@ -681,12 +681,10 @@ func figA3(o Options) (Renderable, error) {
 			mf := trace.FramesForMessage(msg, frag) // ceil(M/T)
 			// Chunked allreduce: per-slice binomial walks ((N-1) sends
 			// of one slice each), slices front-loaded over the elements,
-			// then one burst — N-1 scouts and one release — in which
-			// every rank multicasts its slice once. Nothing moves at 0 B.
-			chunkedScout, chunkedData, chunkedCtl := 0, 0, 0
-			if msg > 0 {
-				chunkedScout, chunkedCtl = n-1, 1
-			}
+			// then a gather with no scouts and no release — the
+			// reduce-scatter is its evidence — in which every rank
+			// multicasts its slice once. Nothing moves at 0 B.
+			chunkedData := 0
 			for s := 0; s < n; s++ {
 				sz := msg / n
 				if s < msg%n {
@@ -708,7 +706,7 @@ func figA3(o Options) (Renderable, error) {
 				{OpBarrier, MPICH, fmt.Sprintf("0+0+%d", 2*(n-k)+k*log2k)},
 				{OpAllgather, McastBinary, fmt.Sprintf("%d+%d+1", n-1, n*mf)},
 				{OpAllreduce, McastBinary, fmt.Sprintf("%d+%d+0", n-1, n*mf)},
-				{OpAllreduce, McastChunked, fmt.Sprintf("%d+%d+%d", chunkedScout, chunkedData, chunkedCtl)},
+				{OpAllreduce, McastChunked, fmt.Sprintf("0+%d+0", chunkedData)},
 				{OpAlltoall, McastBinary, fmt.Sprintf("%d+%d+1", n-1, n*(n-1)*mf)},
 				{OpScatter, McastBinary, fmt.Sprintf("%d+%d+0", n-1, (n-1)*mf)},
 				{OpGather, McastBinary, fmt.Sprintf("%d+%d+1", n-1, (n-1)*mf)},

@@ -270,13 +270,13 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 // one-level reduce-scatter where the two-level one does not apply: on
 // uneven segments (N=6 = 4+2 and N=7 = 4+3 on the shared-uplink switch,
 // fanout 4) and on the flat switch, one cold operation per point must
-// simulate the nanoseconds and engine events recorded before the
-// reduce-scatter learned the lane decomposition — on uneven segments,
-// re-recorded when the burst that gathers the reduced slices took the
-// barrier's handshake in place of the leader scout exchange, and on the
-// flat switch when that burst replaced N scout-gated rounds there too
-// ({3,305,720, 1,965} at 2,000 B and {16,523,400, 3,941} at 65,536 B
-// before).
+// simulate the recorded nanoseconds and engine events. The values were
+// re-recorded when the gather of the reduced slices there stopped being
+// a burst and became the scout-free gather the even segments run, gated
+// by the reduce-scatter: from {1,087,480, 678}, {1,750,780, 703},
+// {33,027,480, 2,024}, {1,255,076, 855}, {1,890,892, 888},
+// {35,009,924, 2,427}, {1,677,680, 1,219} and {12,564,568, 3,345}, in
+// table order — every point faster.
 func TestChunkedFallbackDeterminismPin(t *testing.T) {
 	shared := *sharedUplinkProfile()
 	shared.Seed = 1
@@ -287,14 +287,14 @@ func TestChunkedFallbackDeterminismPin(t *testing.T) {
 		simNS  int64
 		events uint64
 	}{
-		{simnet.SwitchShared, 6, 100, 1_087_480, 678},
-		{simnet.SwitchShared, 6, 2000, 1_750_780, 703},
-		{simnet.SwitchShared, 6, 65536, 33_027_480, 2024},
-		{simnet.SwitchShared, 7, 100, 1_255_076, 855},
-		{simnet.SwitchShared, 7, 2000, 1_890_892, 888},
-		{simnet.SwitchShared, 7, 65536, 35_009_924, 2427},
-		{simnet.Switch, 8, 2000, 1_677_680, 1219},
-		{simnet.Switch, 8, 65536, 12_564_568, 3345},
+		{simnet.SwitchShared, 6, 100, 761_552, 615},
+		{simnet.SwitchShared, 6, 2000, 1_675_948, 638},
+		{simnet.SwitchShared, 6, 65536, 32_001_704, 1950},
+		{simnet.SwitchShared, 7, 100, 865_632, 770},
+		{simnet.SwitchShared, 7, 2000, 1_773_500, 804},
+		{simnet.SwitchShared, 7, 65536, 33_905_224, 2347},
+		{simnet.Switch, 8, 2000, 1_129_480, 1130},
+		{simnet.Switch, 8, 65536, 11_274_688, 3264},
 	} {
 		prof := simnet.DefaultProfile()
 		if tc.topo == simnet.SwitchShared {

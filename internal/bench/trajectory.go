@@ -114,9 +114,9 @@ func trajectoryPoint(op Op, a Algorithm, procs int, seed uint64) (TrajectoryEntr
 // entryCheck is an entry's check: SILENT-DROP on any egress drop, and
 // SCOUT-EXCESS where a two-level schedule ran and sent more scouts than
 // its bound — the two-level suite, and the chunked allreduce on more
-// than one segment, held to the two-level allgather's bound: on even
-// segments (every row of the grid) its allgather sends no scouts at all,
-// on uneven ones it is that allgather's burst.
+// than one segment, held to the two-level allgather's bound: its
+// allgather sends no scouts, gated by its reduce-scatter, but for the
+// barrier before each window past N=256.
 func entryCheck(e TrajectoryEntry) string {
 	a, n, s := Algorithm(e.Algorithm), e.Procs, e.Segments
 	switch {
@@ -135,9 +135,9 @@ func entryCheck(e TrajectoryEntry) string {
 
 // twoLevelScoutBound is the per-operation scout-frame ceiling the
 // trajectory gate holds the two-level suite to. Allgather and alltoall
-// send N-1 scouts in a burst and, beyond the burst's receive budget,
-// exactly (N-S) member scouts plus S(S-1) leader scouts, so they get the
-// tight (N-S) + S(S-1) + S bound (the +S is headroom for one
+// send N-1 scouts per window of a burst (one window up to N=256) and,
+// under repair, exactly (N-S) member scouts plus S(S-1) leader scouts,
+// so they get the tight (N-S) + S(S-1) + S bound (the +S is headroom for one
 // release-class reclassification, and at N=256/S=64 it is 4,288 versus
 // the flat rounds' 65,280); everything else keeps the generic
 // N + S² + S ceiling of the a6 table.

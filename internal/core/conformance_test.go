@@ -111,39 +111,52 @@ func TestConformanceStrictLaggingRank(t *testing.T) {
 
 // TestBurstStrictEveryLaggard sweeps the lagging rank that
 // TestConformanceStrictLaggingRank fixes at N/2 over every rank, for the
-// collectives that run one burst — the alltoall and the allgather,
-// under the binary and the linear scout gathers, and the chunked
-// allreduce, whose reduced slices gather in a burst on a flat fabric —
-// on a switch, where every rank fires at once, and on a hub, where the
-// ranks take their turns in slot order. At N ∈ {8, 16} and chunks of 0,
-// 1, 1,500 and 4,500 B, the laggard enters 50 µs (inside the handshake)
-// or 2 ms (after every other rank has posted) late. Under strict posted
-// receives not one multicast fragment may meet an unposted receiver,
-// and no switch queue may drop: the handshake's release must reach a
-// rank only after its standing descriptors are up, wherever the slow
-// rank sits in the gather tree.
+// collectives that end in one exchange — the alltoall and the
+// allgather, under the binary and the linear scout gathers, behind the
+// barrier's handshake, and the chunked allreduce, whose reduced slices
+// gather with no scouts behind its reduce-scatter — on a switch, where
+// every rank fires at once, and on a hub, where the ranks take their
+// turns in slot order. At N ∈ {8, 16} and chunks of 0, 1, 1,500 and
+// 4,500 B, the laggard enters 50 µs (inside the handshake) or 2 ms
+// (after every other rank has posted) late. The chunked allreduce also
+// runs on the shared-uplink switch (fanout 4) at N ∈ {7, 10}: uneven
+// segments, where its one-level reduce-scatter gates a gather grouped
+// by segment. Under strict posted receives not one multicast fragment
+// may meet an unposted receiver, and no switch queue may drop: the
+// evidence must reach a rank only after its standing descriptors are
+// up, wherever the slow rank sits.
 func TestBurstStrictEveryLaggard(t *testing.T) {
 	prof := simnet.DefaultProfile()
 	prof.StrictPosted = true
+	type fabric struct {
+		topo simnet.Topology
+		prof simnet.Profile
+		ns   []int
+	}
 	type sweep struct {
 		op, set string
 		algs    mpi.Algorithms
+		fabrics []fabric
 	}
+	flat := []fabric{{simnet.Switch, prof, []int{8, 16}}, {simnet.Hub, prof, []int{8, 16}}}
+	shared := prof
+	shared.UplinkFanout = 4
 	var sweeps []sweep
 	for _, op := range []string{"alltoall", "allgather"} {
 		for _, mode := range []core.Mode{core.Binary, core.Linear} {
-			sweeps = append(sweeps, sweep{op, mode.String(), core.Algorithms(mode)})
+			sweeps = append(sweeps, sweep{op, mode.String(), core.Algorithms(mode), flat})
 		}
 	}
-	sweeps = append(sweeps, sweep{"allreduce", "chunked", chunkedAlgorithms()})
+	sweeps = append(sweeps, sweep{"allreduce", "chunked", chunkedAlgorithms(), append(flat, fabric{simnet.SwitchShared, shared, []int{7, 10}})})
 	for _, sw := range sweeps {
 		t.Run(fmt.Sprintf("%s/%s", sw.op, sw.set), func(t *testing.T) {
-			for _, topo := range []simnet.Topology{simnet.Switch, simnet.Hub} {
-				for _, n := range []int{8, 16} {
+			for _, fab := range sw.fabrics {
+				topo := fab.topo
+				for _, n := range fab.ns {
 					for _, chunk := range []int{0, 1, 1500, 4500} {
 						for laggard := range n {
 							for _, lag := range []sim.Duration{50 * sim.Microsecond, 2 * sim.Millisecond} {
-								st, err := coretest.LaggardRunner(topo, prof, laggard, lag)(n, sw.algs, func(c *mpi.Comm) error {
+								st, err := coretest.LaggardRunner(topo, fab.prof, laggard, lag)(n, sw.algs, func(c *mpi.Comm) error {
 									return coretest.CheckOp(c, sw.op, chunk, 0)
 								})
 								at := fmt.Sprintf("%s n=%d chunk=%d laggard %d by %d µs", topo, n, chunk, laggard, lag/sim.Microsecond)

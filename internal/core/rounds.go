@@ -3,11 +3,11 @@ package core
 // The one round engine: every scout-gated multicast of every set is a
 // round of it — the paper's broadcast and barrier (one round each, in
 // every set: flat, resilient, two-level, sequencer, unsafe), the
-// scatter, the handshake of every burst, and the sequences of the
-// allgather and alltoall where no burst fits. Round r has a designated sender; a scout
-// gather toward that sender proves every receiver has entered the
-// round, then the sender multicasts once and every other rank consumes
-// the payload addressed to it.
+// scatter, the handshake and the drain barriers of every exchange, and
+// the repaired sequences of the allgather and alltoall. Round r has a
+// designated sender; a scout gather toward that sender proves every
+// receiver has entered the round, then the sender multicasts once and
+// every other rank consumes the payload addressed to it.
 //
 // Spans: a one-round sequence carries the paper's names, "scout-gather"
 // and then "data-mcast" ("release" for a ClassControl round); a longer
@@ -16,11 +16,10 @@ package core
 // Schedule: the rounds run one after another (the paper's composition):
 // round r+1's scouts are not sent until round r's data has been consumed
 // everywhere, so each round pays its full scout gather before its
-// multicast. Within the receive budget the lossless allgather and
-// alltoall and the chunked allreduce's gather run no sequence: once
-// their evidence is in, one exchange multicasts every sender's data at
-// its own slot (burst and exchange in suite.go). A sequence runs only
-// under NACK repair and beyond that budget.
+// multicast. The lossless allgather and alltoall and the chunked
+// allreduce's gather run no sequence: once their evidence is in, one
+// exchange multicasts every sender's data at its own slot (burst and
+// exchange in suite.go). A sequence runs only under NACK repair.
 //
 // Reliability: the data phase of each round runs in one of two classes:
 //

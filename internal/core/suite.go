@@ -21,12 +21,13 @@ package core
 //	                 at once: N·ceil(M/T) data frames, versus
 //	                 N(N-1)·ceil(M/T) for the MPICH ring allgather.
 //	                 On one collision domain (a hub) the ranks take
-//	                 their turns in slot order, the same frames. Under
-//	                 repair and beyond N=256 it runs N rounds, each s
-//	                 scouts + ceil(M/T) data = N(N-1) scouts +
-//	                 N·ceil(M/T) data frames. Scouts are empty 56-byte
-//	                 frames, so once M exceeds one frame the data
-//	                 saving dominates on a shared medium.
+//	                 their turns in slot order, the same frames. Past
+//	                 N=256 each further window of 256 senders adds one
+//	                 drain barrier, s scouts + 1 release. Under repair
+//	                 it runs N rounds, N(N-1) scouts + N·ceil(M/T) data
+//	                 frames. Scouts are empty 56-byte frames, so once M
+//	                 exceeds one frame the data saving dominates on a
+//	                 shared medium.
 //	allreduce:       binomial reduce to rank 0 ((N-1)·ceil(M/T) p2p
 //	                 data frames over the UDP bypass) + one scout-gated
 //	                 multicast (s scouts + ceil(M/T) data), versus
@@ -39,10 +40,9 @@ package core
 //	                 is one walk over rank order), so no rank moves more
 //	                 than ~2M bytes end to end — N(N-1) p2p messages, or
 //	                 N((F-1) + (S-1)) on S segments of F members each —
-//	                 and gathers the reduced slices with no scouts on
-//	                 even segments (the reduce-scatter proves entry),
-//	                 in one burst (s scouts + 1 release) elsewhere, and
-//	                 beyond N=256 in N rounds, N(N-1) scouts.
+//	                 and gathers the reduced slices with no scouts (the
+//	                 reduce-scatter proves entry), past N=256 only the
+//	                 exchange's drain barriers.
 //	scatter:         s scouts + (N-1)·ceil(M/T) data frames: the root
 //	                 multicasts each rank's slice to that rank's private
 //	                 slice group, so a receiver's NIC delivers exactly
@@ -65,9 +65,10 @@ package core
 //	                 release-gated (no overrun) and with no per-message
 //	                 TCP penalty or kernel-ack frames. On one collision
 //	                 domain the ranks take their turns in slot order,
-//	                 each sending the next rank's slice last. Under
-//	                 repair and beyond N=256 it runs N sliced scatter
-//	                 rounds = N(N-1) scouts + the same data frames.
+//	                 each sending the next rank's slice last; past
+//	                 N=256, in windows as the allgather. Under repair it
+//	                 runs N sliced scatter rounds = N(N-1) scouts + the
+//	                 same data frames.
 //
 // Each round opens its own collective operation (BeginColl), so the
 // per-operation sequence number keeps back-to-back multicasts of one
@@ -86,12 +87,11 @@ import (
 	"repro/internal/transport"
 )
 
-// allgatherWith gathers every rank's chunk to every rank. Lossless and
-// within burstFits it is one burst: after the handshake every rank
-// multicasts its chunk (exchange). Otherwise — under repair, beyond the
-// receive budget — it runs N scout-gated rounds on the round engine; in
-// round r rank r multicasts its chunk once and every other rank
-// receives it.
+// allgatherWith gathers every rank's chunk to every rank. Lossless it
+// is one burst: after the handshake every rank multicasts its chunk
+// (exchange). Under repair it runs N scout-gated rounds on the round
+// engine; in round r rank r multicasts its chunk once and every other
+// rank receives it.
 func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	size := c.Size()
 	n := len(send)
@@ -109,7 +109,7 @@ func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 		copy(recv[r*n:(r+1)*n], p)
 		return nil
 	}
-	if !opt.repair && burstFits(c) {
+	if !opt.repair {
 		return burst(c, opt.gather, wholeSend(send)(), mpi.Whole, place)
 	}
 	rounds := make([]roundPlan, size)
@@ -127,20 +127,19 @@ func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 }
 
 // burstRecvBudget bounds the multicasts exchange leaves undrained at one
-// rank: while a rank transmits its own data it is in no receive, so up
-// to size-1 foreign multicasts queue in the device's receive ring, which
-// must absorb them without overflow — the simulator's default ring holds
-// 256 messages, and this leaves one slot to spare. It guards every
-// exchange (burstFits): the flat and two-level allgather and alltoall
-// and the chunked allreduce's gather on uneven segments (burst, one slot
-// per rank), and its scout-free gather on even ones
-// (gatherSlices, one slot per slice group, so at most as many multicasts
-// undrained).
+// rank: while a rank transmits its own data it is in no receive, so the
+// foreign multicasts of its window queue in the device's receive ring,
+// which must absorb them without overflow — the simulator's default ring
+// holds 256 messages, and this leaves one slot to spare. So exchange
+// lets at most burstRecvBudget+1 slots fire between two drains.
 const burstRecvBudget = 255
 
-// burstFits reports whether a burst on c is within the receive budget.
-func burstFits(c *mpi.Comm) bool {
-	return c.Size()-1 <= burstRecvBudget
+// exchangeRecvs is the count of standing descriptors (Comm.PostRecvs) a
+// rank posts before the evidence of an exchange over slots slots: one
+// per slot, and one per release of the barrier that drains each window
+// after the first.
+func exchangeRecvs(slots int) int {
+	return slots + (slots-1)/(burstRecvBudget+1)
 }
 
 // oneCollisionDomain reports whether c's declared topology is a single
@@ -152,14 +151,13 @@ func oneCollisionDomain(c *mpi.Comm) bool {
 }
 
 // burst is the lossless data path of the allgather and the alltoall
-// (flat and two-level) and the chunked allreduce's allgather half on
-// uneven segments: standing descriptors for size-1 foreign multicasts
-// and the release, a handshake that is the barrier's round on the round
+// (flat and two-level): standing descriptors for the foreign multicasts
+// and the releases, a handshake that is the barrier's round on the round
 // engine over gather's scouts (N-1 scouts and one release — the paper's
 // Barrier), then exchange with one slot per rank. Every per-round
 // gather collapses into that one handshake.
 func burst(c *mpi.Comm, gather func(cc mpi.CollCtx, root int) error, sends []send, scope mpi.Scope, consume func(r int, p []byte) error) error {
-	release := c.PostRecvs(c.Size())
+	release := c.PostRecvs(exchangeRecvs(c.Size()))
 	defer release()
 	if err := runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: gather}); err != nil {
 		return err
@@ -174,21 +172,45 @@ func burst(c *mpi.Comm, gather func(cc mpi.CollCtx, root int) error, sends []sen
 // exchange is the data phase that follows evidence that every rank has
 // entered and posted its standing descriptors (burst's handshake, or the
 // chunked allreduce's reduce-scatter). senders[k] multicasts at slot k,
-// or nobody where it is -1. One context per slot is opened in slot
-// order, and this rank consumes every other sending slot's multicast on
-// scope in slot order, which keeps the multicast staleness watermark
-// monotone. When this rank fires its own sends depends on the medium:
+// or nobody where it is -1. The slots run in windows of
+// burstRecvBudget+1: window 0 follows the caller's evidence, and every
+// later one waits behind the paper's barrier (barrierRound over
+// gatherScoutsBinary), which no rank enters before it has drained the
+// window before. So no rank ever holds more than burstRecvBudget
+// undrained foreign multicasts, which is what the device's 256-message
+// receive ring bounds; at N ≤ 256 there is one window and no barrier.
+// Within a window one context per slot is opened in slot order, and this
+// rank consumes every other sending slot's multicast on scope in slot
+// order, which keeps the multicast staleness watermark monotone. When
+// this rank fires its own sends depends on the medium:
 //
-//   - On one collision domain, at its slot: it first consumes slots
-//     0…k-1, so only one station sends data at a time. N stations
-//     transmitting at once there exhaust CSMA/CD's attempt limit and
-//     drop frames, which a lossless exchange cannot survive.
-//   - Anywhere else, first, before consuming anything, so
+//   - On one collision domain, at its slot: it first consumes the
+//     window's earlier slots, so only one station sends data at a time.
+//     N stations transmitting at once there exhaust CSMA/CD's attempt
+//     limit and drop frames, which a lossless exchange cannot survive.
+//   - Anywhere else, first in its window, before consuming anything, so
 //     transmissions overlap fully.
 //
 // A span needs only this rank's track, so the slot contexts record
-// them: chunk-mcast on this rank's own slot, chunk-consume on the first.
+// them: chunk-mcast on this rank's own slot, chunk-consume on the
+// window's first.
 func exchange(c *mpi.Comm, senders []int, sends []send, scope mpi.Scope, consume func(k int, p []byte) error) error {
+	for lo := 0; lo < len(senders); lo += burstRecvBudget + 1 {
+		if lo > 0 {
+			if err := runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: gatherScoutsBinary}); err != nil {
+				return err
+			}
+		}
+		window := senders[lo:min(lo+burstRecvBudget+1, len(senders))]
+		if err := exchangeWindow(c, window, sends, scope, func(k int, p []byte) error { return consume(lo+k, p) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// exchangeWindow runs one window of exchange's slots.
+func exchangeWindow(c *mpi.Comm, senders []int, sends []send, scope mpi.Scope, consume func(k int, p []byte) error) error {
 	me := c.Rank()
 	inTurn := oneCollisionDomain(c)
 	ccs := make([]mpi.CollCtx, len(senders))
@@ -232,13 +254,12 @@ func exchange(c *mpi.Comm, senders []int, sends []send, scope mpi.Scope, consume
 	return nil
 }
 
-// alltoallWith runs the personalized exchange. Lossless and within
-// burstFits it is one burst: after the handshake every rank multicasts
-// each destination slice of its send buffer to that rank's slice group,
-// in ring order (ringSliceSends), and consumes the slice each other rank
-// addressed to it. Otherwise — under repair, beyond the receive budget —
-// it runs N scout-gated sliced scatter rounds:
-// in round r rank r multicasts its slices and every other rank receives
+// alltoallWith runs the personalized exchange. Lossless it is one
+// burst: after the handshake every rank multicasts each destination
+// slice of its send buffer to that rank's slice group, in ring order
+// (ringSliceSends), and consumes the slice each other rank addressed to
+// it. Under repair it runs N scout-gated sliced scatter rounds: in
+// round r rank r multicasts its slices and every other rank receives
 // exactly the one addressed to it. Either way the wire carries the same
 // N(N-1)·ceil(M/T) targeted data frames as the pairwise baseline, but
 // over the connectionless bypass (no TCP penalty, no kernel acks), with
@@ -264,7 +285,7 @@ func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 		copy(recv[r*n:(r+1)*n], p)
 		return nil
 	}
-	if !opt.repair && burstFits(c) {
+	if !opt.repair {
 		// On a switch the ring starts at me+1. On one collision domain,
 		// where the ranks take turns, it starts at me+2: the next rank's
 		// slice goes last, so the owner of the next slot starts only
@@ -346,28 +367,9 @@ func sliceBounds(total, extent, size int) []int {
 // a reduce-scatter built from per-slice binomial walks (one
 // mpi.ReduceWalks call per step, the walk every reduction runs), after
 // which each rank holds one fully reduced slice, followed by an
-// allgather that multicasts each reduced slice exactly once. Slices
-// split the buffer in whole elements, which Comm.Allreduce checks at
-// every rank before any message moves.
-//
-// On S segments of F members each (within the receive budget,
-// burstFits) that allgather sends no scouts (gatherSlices): the
-// two-level reduce-scatter below already proves what scouts would. A
-// rank leaving it with a non-empty slice is the root of its lane walk,
-// so all S lane peers contributed; each of them sent only after its
-// segment step returned, where it was the root of a walk over its whole
-// segment. So every rank has sent, and every rank posts its standing
-// descriptors (Comm.PostRecvs) on entry, before its first send: no
-// multicast of the allgather can meet an unposted receiver. Where the
-// largest segment's slices fit one fragment payload, members hand their
-// slices to their segment leader and the S leaders multicast one frame
-// each; beyond, a leader's store-and-forward hop costs more than it
-// saves, and every rank multicasts its own slice. Elsewhere within the
-// budget the allgather is a burst — the multicast barrier's N-1 scouts
-// and one release, then every rank multicasts its slice; beyond it, N
-// sequential scout-gated rounds, N(N-1) scouts. The two gathers differ
-// only in their evidence: after it, both run the same exchange, one
-// multicast slot per sender in slot order.
+// allgather that multicasts each reduced slice exactly once
+// (gatherSlices). Slices split the buffer in whole elements, which
+// Comm.Allreduce checks at every rank before any message moves.
 //
 // The reduce-scatter runs in two levels where usableTopo finds S segments
 // of F members each — Karonis's multilevel and Träff's lane
@@ -382,6 +384,19 @@ func sliceBounds(total, extent, size int) []int {
 // of 255. Elsewhere — no usable topology, or segments of unequal size —
 // every rank owns the slice at its own rank and one step of N walks
 // among all ranks reduces it (N-1 messages per rank).
+//
+// The allgather sends no scouts and no release: the reduce-scatter
+// already proves what scouts would, on any fabric. Every rank posts its
+// standing descriptors (Comm.PostRecvs) on entry, before its first send.
+// On the flat step the owner of a non-empty slice is the root of that
+// slice's walk over all ranks, so every rank has sent into it; on the
+// two-level path it is the root of its lane walk, so all S lane peers
+// contributed, and each of them sent only after its segment step
+// returned, where it was the root of a walk over its whole segment.
+// Either way a rank multicasts a slice only after every rank has posted,
+// so no multicast of the allgather can meet an unposted receiver, and
+// its later windows (exchange) wait behind the barrier as every
+// exchange's do.
 //
 // The byte economics against the sets' binomial-reduce + bcast allreduce:
 // both put ~(N-1)·M + M data bytes on the wire (a reduction cannot move
@@ -422,18 +437,15 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	slice := func(r int) []byte { return recv[bounds[pos[r]]:bounds[pos[r]+1]] }
 
 	// Reduce-scatter, in recv in place, every walk of both steps sharing
-	// one collective operation with one phase per walk.
+	// one collective operation with one phase per walk. The allgather is
+	// gated by the reduce-scatter itself, so this rank's descriptors must
+	// stand from before its first send until the last multicast is
+	// consumed.
 	cc := c.BeginColl()
 	me := c.Rank()
-	// On even segments the allgather runs scout-free, gated by the
-	// reduce-scatter itself, so this rank's descriptors must stand from
-	// before its first send until the last multicast is consumed.
-	var groups [][]int
-	if lanes > 0 && len(send) > 0 && burstFits(c) {
-		groups = sliceGroups(t, size, slice, cc.FragPayload())
-		release := c.PostRecvs(len(groups))
-		defer release()
-	}
+	groups := sliceGroups(t, size, slice, cc.FragPayload())
+	release := c.PostRecvs(exchangeRecvs(len(groups)))
+	defer release()
 	cc.SpanBegin("reduce-scatter")
 	if lanes == 0 {
 		// pos is the identity: one walk per slice among all ranks.
@@ -461,64 +473,36 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	}
 	cc.SpanEnd("reduce-scatter")
 
-	// Allgather: every reduced slice is multicast once — scout-free on
-	// even segments, elsewhere in one burst, or in rounds beyond the
-	// budget.
 	if len(send) == 0 {
 		return nil // nothing was reduced, so nothing goes on the wire
 	}
-	if groups != nil {
-		return gatherSlices(cc, groups, slice)
-	}
-	place := func(r int, p []byte) error {
-		if want := len(slice(r)); len(p) != want {
-			return fmt.Errorf("core: allreduce slice %d is %d bytes, want %d", pos[r], len(p), want)
-		}
-		copy(slice(r), p)
-		return nil
-	}
-	if burstFits(c) {
-		return burst(c, gatherScoutsBinary, wholeSend(slice(me))(), mpi.Whole, place)
-	}
-	rounds := make([]roundPlan, 0, size)
-	for r := 0; r < size; r++ {
-		if len(slice(r)) == 0 {
-			continue
-		}
-		rounds = append(rounds, roundPlan{
-			sender:  r,
-			class:   transport.ClassData,
-			bytes:   len(slice(r)),
-			sends:   wholeSend(slice(r)),
-			scope:   wholeScope,
-			consume: func(p []byte) error { return place(r, p) },
-		})
-	}
-	return runRounds(c, rounds, roundOptions{gather: gatherScoutsBinary})
+	return gatherSlices(cc, groups, slice)
 }
 
 // sliceGroups returns who multicasts which reduced slices in the
-// scout-free allgather of the chunked allreduce: the first rank of
-// group k multicasts the slices of every rank in group k, in group
-// order, on the allgather's k-th context. Where the largest segment's
-// slices fit one fragment payload of frag bytes, the groups are the
-// segments and their leaders multicast — S one-frame multicasts, so a
-// rank handles S receives rather than N-1. Otherwise every rank is its
-// own group and multicasts its own slice, N multicasts in rank order:
-// a leader would pay a store-and-forward hop on multi-frame slices. The
-// groups depend only on t and the slice bounds, so every rank computes
-// the same ones.
+// chunked allreduce's allgather: the first rank of group k multicasts
+// the slices of every rank in group k, in group order, on the
+// allgather's k-th slot. t is the usable topology, or nil, which means
+// one group per rank. Where the largest segment's slices fit one
+// fragment payload of frag bytes, the groups are the segments and their
+// leaders multicast — S one-frame multicasts, so a rank handles S
+// receives rather than N-1. Otherwise every rank is its own group and
+// multicasts its own slice, N multicasts in rank order: a leader would
+// pay a store-and-forward hop on multi-frame slices. The groups depend
+// only on t and the slice bounds, so every rank computes the same ones.
 func sliceGroups(t *topo.Map, size int, slice func(r int) []byte, frag int) [][]int {
-	largest := 0
-	for s := 0; s < t.Segments(); s++ {
-		largest = max(largest, groupBytes(t.Members(s), slice))
-	}
-	if largest <= frag {
-		groups := make([][]int, t.Segments())
-		for s := range groups {
-			groups[s] = t.Members(s)
+	if t != nil {
+		largest := 0
+		for s := 0; s < t.Segments(); s++ {
+			largest = max(largest, groupBytes(t.Members(s), slice))
 		}
-		return groups
+		if largest <= frag {
+			groups := make([][]int, t.Segments())
+			for s := range groups {
+				groups[s] = t.Members(s)
+			}
+			return groups
+		}
 	}
 	groups := make([][]int, size)
 	for r := range groups {
@@ -527,10 +511,10 @@ func sliceGroups(t *topo.Map, size int, slice func(r int) []byte, frag int) [][]
 	return groups
 }
 
-// gatherSlices is the chunked allreduce's allgather on even segments,
-// over the groups of sliceGroups. It sends no scouts and no release:
-// leaving the two-level reduce-scatter is itself the evidence that every
-// rank has entered and posted its descriptors (AllreduceMcastChunked).
+// gatherSlices is the chunked allreduce's allgather, over the groups of
+// sliceGroups. It sends no scouts and no release: leaving the
+// reduce-scatter is itself the evidence that every rank has entered and
+// posted its descriptors (AllreduceMcastChunked).
 // Each group's members first send their slices to its first rank over
 // cc — segment-local unicasts, none where a rank is its own group. Then
 // exchange gives each group one slot, at which its first rank multicasts

@@ -34,8 +34,7 @@ package core
 //	                   multicasts, N·M bytes per segment wire, every
 //	                   per-round gather collapsed into the one handshake.
 //	                   There is nothing left for the segments to
-//	                   localize. Under NACK repair (and beyond the
-//	                   receive budget, burstRecvBudget) the combine-based
+//	                   localize. Under NACK repair the combine-based
 //	                   schedule runs instead: (N-S) member scouts +
 //	                   S(S-1) leader scouts + S segment releases, versus
 //	                   the flat rounds' N(N-1) — the ~N + S² bound the
@@ -72,10 +71,9 @@ package core
 //	                   1,000 B (flatAlltoallWins), the flat burst — N-1
 //	                   slices per rank, each to its receiver alone —
 //	                   beats the blocks and runs in their place. Under
-//	                   NACK repair (and beyond the receive budget,
-//	                   burstRecvBudget) members ship whole buffers to
-//	                   their leader and S sequential leader rounds
-//	                   exchange per-segment super-slice blocks, gated by
+//	                   NACK repair members ship whole buffers to their
+//	                   leader and S sequential leader rounds exchange
+//	                   per-segment super-slice blocks, gated by
 //	                   (N-S) + S(S-1) scouts.
 //	chunked allreduce: on segments of equal size F, AllreduceMcastChunked
 //	                   reduce-scatters in two levels — F-1 segment-local
@@ -84,12 +82,13 @@ package core
 //	                   scouts, gated by the reduce-scatter data like the
 //	                   allreduce above: S leader multicasts where a
 //	                   segment's slices fit one frame, N beyond. On
-//	                   uneven segments it gathers them in a burst: N-1
-//	                   scouts and one release.
+//	                   uneven segments it reduce-scatters in one level
+//	                   and gathers the same way.
 //
-// The lossless allgather, alltoall and both chunked gathers differ only
+// The lossless allgather and alltoall and the chunked gather differ only
 // in their evidence — the burst's barrier or the reduce-scatter; the
-// data phase that follows is one exchange for all four.
+// data phase that follows is one exchange for all three, in windows
+// behind the multicast barrier past the receive budget (burstRecvBudget).
 //
 // A communicator without a usable topology — no device map, a single
 // segment (nothing to localize), or one rank per segment (the
@@ -317,17 +316,16 @@ func segmentCombine(cc mpi.CollCtx, t *topo.Map, lead int, payload []byte, rep b
 	return collectChunks(cc, mpi.Seg(seg), others, len(payload), place)
 }
 
-// allgather gathers every rank's chunk to every rank. Lossless and
-// within burstRecvBudget it is the flat set's allgather — one burst, with
-// nothing for the segments to localize: its handshake is N-1 scouts and
-// one release, and every rank multicasts its own chunk. Under repair,
-// and beyond the budget, it runs in two levels: a release-gated
-// segment-local combine to each leader, then S sequential leader rounds
-// each multicasting one segment's aggregate block to the whole
-// communicator.
+// allgather gathers every rank's chunk to every rank. Lossless it is the
+// flat set's allgather — one burst, with nothing for the segments to
+// localize: its handshake is N-1 scouts and one release, and every rank
+// multicasts its own chunk. Under repair it runs in two levels: a
+// release-gated segment-local combine to each leader, then S sequential
+// leader rounds each multicasting one segment's aggregate block to the
+// whole communicator.
 func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 	t := usableTopo(c)
-	if t == nil || tl.direct(c) {
+	if t == nil || !tl.rep {
 		return tl.flat.Allgather(c, send, recv)
 	}
 	n := len(send)
@@ -380,17 +378,11 @@ func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
 		}
 	}
 	// The sequential round schedule the NACK server needs; the lossless
-	// path took the direct exchange above.
+	// path took the flat burst above.
 	return runRounds(c, rounds, roundOptions{gather: leaderRoundGather(t), repair: tl.rep})
 }
 
-// direct reports whether the allgather and the alltoall run burst on c
-// (lossless, burstFits) or the combine-based schedule.
-func (tl *twoLevel) direct(c *mpi.Comm) bool {
-	return !tl.rep && burstFits(c)
-}
-
-// ringSegSends is the direct alltoall's send list at rank me: to every
+// ringSegSends is the burst alltoall's send list at rank me: to every
 // segment's group, one block of me's chunks of buf (n bytes each) for
 // that segment's members, in member order. The segments are taken
 // around the ring from the one after me's (ringAfter), so me's own
@@ -652,8 +644,8 @@ func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 // ringSegSends: after the barrier's N-1 scouts and one release every
 // rank multicasts one block per segment, and keeps its own chunk of each
 // block its segment hears — except inside flatAlltoallWins, where it is
-// the flat set's burst of per-rank slices. Under repair, and beyond
-// burstRecvBudget, it runs in two levels. Phase A: each segment's
+// the flat set's burst of per-rank slices. Under repair it runs in two
+// levels. Phase A: each segment's
 // members ship their whole send buffer to the segment leader over the
 // release-gated local combine (segment-local unicast — never crossing
 // an uplink). Phase B: S sequential segment rounds among the leaders —
@@ -670,14 +662,14 @@ func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 		return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks", len(send), len(recv), size)
 	}
 	n := len(send) / size
-	if tl.direct(c) && flatAlltoallWins(size, n) {
+	if !tl.rep && flatAlltoallWins(size, n) {
 		return tl.flat.Alltoall(c, send, recv)
 	}
 	me := c.Rank()
 	copy(recv[me*n:(me+1)*n], send[me*n:(me+1)*n])
 	myMembers := t.Members(t.SegmentOf(me))
 	myIdx := slices.Index(myMembers, me)
-	if tl.direct(c) {
+	if !tl.rep {
 		blk := n * len(myMembers)
 		return burst(c, gatherScoutsBinary, ringSegSends(t, me, send, n), mpi.Seg(t.SegmentOf(me)), func(r int, p []byte) error {
 			if len(p) != blk {

@@ -113,10 +113,11 @@ func TestTwoLevelSingleSegmentDelegatesN256(t *testing.T) {
 
 // TestTwoLevelScaleN1024 is the opt-in long test (BENCH_LONG=1): the
 // 256-segment fabric, verified allgather, allreduce and alltoall — not
-// the full seven-collective oracle, whose work is quadratic in N. The
-// alltoall's 1,023 blocks per rank exceed core's receive budget, so it
-// is the test of the combine-based schedule the lossless alltoall falls
-// back to there.
+// the full seven-collective oracle, whose work is quadratic in N. Its
+// 1,024 senders exceed core's receive budget, so the allgather's and the
+// alltoall's exchanges run in four windows of 256, each later one behind
+// the multicast barrier: the test that the windows keep every receive
+// ring from overflowing. With one window the allgather deadlocks here.
 func TestTwoLevelScaleN1024(t *testing.T) {
 	if os.Getenv("BENCH_LONG") == "" {
 		t.Skip("set BENCH_LONG=1 to run the N=1024 scale test")

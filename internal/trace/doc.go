@@ -20,8 +20,8 @@
 //     The round engine names a one-round collective (bcast, barrier,
 //     scatter, a burst's handshake) with the paper's phases —
 //     "scout-gather", then "data-mcast", or "release" for a control
-//     round — and a longer sequence (under NACK repair, or beyond the
-//     burst's receive budget) "round-gather" and "round-data". Beside
+//     round — and a longer sequence (under NACK repair)
+//     "round-gather" and "round-data". Beside
 //     them: "chunk-mcast", "chunk-consume" (a burst's data exchange),
 //     "slice-combine", "reduce-scatter". Spans nest (a "bcast" op span
 //     contains its phase spans). A SpanEnd may carry a gate: the rank
