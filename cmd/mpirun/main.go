@@ -101,13 +101,23 @@ func main() {
 	flag.Parse()
 
 	// A world needs a rank and a median needs a repetition; a negative
-	// size or segment fanout means nothing.
+	// size or segment fanout means nothing; a loss rate of 1 hangs the
+	// run, and a negative one silently injects nothing.
+	prob := "a probability in [0, 1)"
 	for _, f := range []struct {
-		name     string
-		v, least int
-	}{{"n", *n, 1}, {"size", *size, 0}, {"reps", *reps, 1}, {"topo", *topof, 0}} {
-		if f.v < f.least {
-			fmt.Fprintf(os.Stderr, "mpirun: -%s %d is out of range; give %d or more\n", f.name, f.v, f.least)
+		name, want string
+		v          float64
+		ok         bool
+	}{
+		{"n", "1 or more", float64(*n), *n >= 1},
+		{"size", "0 or more", float64(*size), *size >= 0},
+		{"reps", "1 or more", float64(*reps), *reps >= 1},
+		{"topo", "0 or more", float64(*topof), *topof >= 0},
+		{"p2ploss", prob, *p2ploss, *p2ploss >= 0 && *p2ploss < 1},
+		{"loss", prob, *loss, *loss >= 0 && *loss < 1},
+	} {
+		if !f.ok {
+			fmt.Fprintf(os.Stderr, "mpirun: -%s %g is out of range; give %s\n", f.name, f.v, f.want)
 			os.Exit(2)
 		}
 	}

@@ -23,7 +23,8 @@ func TestMain(m *testing.M) {
 // TestBadCountsAreUsageErrors holds that a count no run can take exits 2
 // with a one-line usage error before any socket opens: a negative -size
 // or -reps reached make and panicked, -reps 0 indexed an empty latency
-// list, and a world without ranks exited 1 as if a run had failed.
+// list, a world without ranks exited 1 as if a run had failed, a loss
+// rate of 1 hung the run, and a negative one ran lossless.
 func TestBadCountsAreUsageErrors(t *testing.T) {
 	for _, args := range []string{
 		"-size -5",
@@ -32,6 +33,10 @@ func TestBadCountsAreUsageErrors(t *testing.T) {
 		"-n 0",
 		"-n -2",
 		"-topo -1",
+		"-p2ploss 1",
+		"-p2ploss -0.5",
+		"-loss 1.5",
+		"-loss -0.01",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), "MPIRUN_ARGS=-algorithm mpich "+args)

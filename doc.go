@@ -26,8 +26,9 @@
 //
 //   - ethernet, ipnet: the modelled testbed. NICs with CSMA/CD, a
 //     shared-medium hub, a store-and-forward switch with IGMP snooping,
-//     802.3x PAUSE flow control instead of tail drops and a shared-uplink
-//     port mode; over it a UDP/IP stack with class-D group addressing.
+//     802.3x PAUSE flow control as its one egress policy and a
+//     shared-uplink port mode; over it a UDP/IP stack with class-D group
+//     addressing.
 //
 //   - transport: what a device is. Every device is an Endpoint (Send,
 //     Recv, RecvTimeout, Join, Leave, Multicast, Now); a device with a

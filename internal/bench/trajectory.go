@@ -106,12 +106,12 @@ func trajectoryPoint(op Op, a Algorithm, procs int, seed uint64) (TrajectoryEntr
 	ent.Events = nw.Events()
 	ent.Segments = nw.TopoMap().Segments()
 	ent.ScoutFrames = nw.Wire.Frames(transport.ClassScout)
-	ent.SilentDrops = nw.SwitchStats().QueueDrops
+	ent.SilentDrops = nw.SilentDrops()
 	ent.Check = entryCheck(ent)
 	return ent, nil
 }
 
-// entryCheck is an entry's check: SILENT-DROP on any egress drop, and
+// entryCheck is an entry's check: SILENT-DROP on any silent drop, and
 // SCOUT-EXCESS where a two-level schedule ran and sent more scouts than
 // its bound — the two-level suite, and the chunked allreduce on more
 // than one segment, held to the two-level allgather's bound: its

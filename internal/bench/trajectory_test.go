@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/simnet"
 )
 
 const committedRecord = "../../BENCH_sim.json"
@@ -106,5 +108,30 @@ func TestEntryCheck(t *testing.T) {
 		if got := entryCheck(tc.e); got != tc.want {
 			t.Errorf("%s S=%d, %d scouts, %d drops: check %q, want %q", tc.e.row(), tc.e.Segments, tc.e.ScoutFrames, tc.e.SilentDrops, got, tc.want)
 		}
+	}
+}
+
+// TestSilentDropFires holds that the SILENT-DROP mark can fire in a
+// shipped configuration: figure a4's overrun (eight senders streaming 64
+// messages each at one busy receiver) on the default switch, with flow
+// control and the default 256-message ring, drops 256 of the 512
+// messages at the receiving host, and an entry carrying that count
+// renders SILENT-DROP and fails the gate.
+func TestSilentDropFires(t *testing.T) {
+	nw, err := overrun(simnet.DefaultProfile().RecvRing, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nw.SilentDrops(); got != 256 {
+		t.Fatalf("SilentDrops() = %d, want 256", got)
+	}
+	e := TrajectoryEntry{Op: string(OpAllgather), Algorithm: string(McastBinary), Procs: 9, Segments: 9, SilentDrops: nw.SilentDrops()}
+	e.Check = entryCheck(e)
+	tr := &Trajectory{Schema: TrajectorySchema, Entries: []TrajectoryEntry{e}}
+	if !strings.Contains(tr.Render(), "SILENT-DROP") {
+		t.Errorf("the entry does not render SILENT-DROP:\n%s", tr.Render())
+	}
+	if v := GateTrajectory(tr, nil); len(v) != 1 {
+		t.Errorf("gate violations %q, want the one SILENT-DROP row", v)
 	}
 }

@@ -163,8 +163,8 @@ func TestBurstStrictEveryLaggard(t *testing.T) {
 								if err != nil {
 									t.Errorf("%s: %v", at, err)
 								}
-								if st.McastDropsNotPosted != 0 || st.QueueDrops != 0 {
-									t.Errorf("%s: %d unposted multicast drops, %d queue drops", at, st.McastDropsNotPosted, st.QueueDrops)
+								if st.McastDropsNotPosted != 0 || st.SilentDrops != 0 {
+									t.Errorf("%s: %d unposted multicast drops, %d silent drops", at, st.McastDropsNotPosted, st.SilentDrops)
 								}
 							}
 						}
@@ -371,8 +371,8 @@ func TestConformanceGradedLossSweep(t *testing.T) {
 			if base.InjectedLosses != 0 {
 				t.Fatalf("loss-free baseline reported %d losses", base.InjectedLosses)
 			}
-			if base.QueueDrops != 0 {
-				t.Fatalf("flow control let %d frames tail-drop", base.QueueDrops)
+			if base.SilentDrops != 0 {
+				t.Fatalf("loss-free baseline reported %d silent drops", base.SilentDrops)
 			}
 			for _, rate := range []float64{0.001, 0.01, 0.05, 0.15} {
 				rate := rate

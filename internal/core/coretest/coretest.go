@@ -77,9 +77,9 @@ type Stats struct {
 	StreamFrames int64
 	// StreamRetransmits counts stream data fragments retransmitted.
 	StreamRetransmits int64
-	// QueueDrops counts silent switch egress tail drops (zero whenever
-	// flow control is on).
-	QueueDrops int64
+	// SilentDrops counts receive-ring overflows and unjoined switch
+	// multicasts (simnet.Network.SilentDrops).
+	SilentDrops int64
 }
 
 func (s *Stats) add(o Stats) {
@@ -91,7 +91,7 @@ func (s *Stats) add(o Stats) {
 	s.AckFrames += o.AckFrames
 	s.StreamFrames += o.StreamFrames
 	s.StreamRetransmits += o.StreamRetransmits
-	s.QueueDrops += o.QueueDrops
+	s.SilentDrops += o.SilentDrops
 }
 
 // Runner executes one rank program per rank of an n-way world under the
@@ -140,7 +140,7 @@ func LaggardRunner(topo simnet.Topology, prof simnet.Profile, laggard int, lag s
 			st.AckFrames = nw.Wire.Frames(transport.ClassAck)
 			st.StreamFrames = nw.Wire.Frames(transport.ClassStream)
 			st.StreamRetransmits = nw.Stats.Stream.Retransmits.Load()
-			st.QueueDrops = nw.SwitchStats().QueueDrops
+			st.SilentDrops = nw.SilentDrops()
 		}
 		return st, err
 	}

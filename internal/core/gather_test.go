@@ -2,16 +2,16 @@ package core_test
 
 // The converging-gather regression: GatherMcast's release gate lets all
 // N-1 senders transmit their chunks at once, so ceil(M/T)·(N-1) frames
-// converge on the root's switch port. Before this PR the switch's
-// 64-frame egress queue silently tail-dropped the excess and — point-to-
-// point frames having no repair protocol — the gather deadlocked, which
-// is why the loss sweeps capped their fragment grids. Two independent
-// layers now remove the cap, and each is proven separately here:
+// converge on the root's switch port. The switch's 64-frame egress queue
+// once silently tail-dropped the excess and — point-to-point frames
+// having no repair protocol then — the gather deadlocked, which is why
+// the loss sweeps capped their fragment grids. Two independent layers now
+// remove the cap, and each is proven separately here:
 //
-//   - switch flow control (the default): the queue never overflows, the
-//     senders are PAUSEd instead, and not one frame is dropped;
-//   - the reliable p2p stream: even with flow control off, tail-dropped
-//     chunks are retransmitted until the gather completes.
+//   - switch flow control: the queue never overflows, the senders are
+//     PAUSEd instead, and not one frame is dropped;
+//   - the reliable p2p stream: chunk fragments dropped at the root are
+//     retransmitted until the gather completes.
 
 import (
 	"bytes"
@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // convergingGather runs GatherMcast with (N-1)·frags fragments
@@ -41,7 +42,7 @@ func convergingGather(t *testing.T, prof simnet.Profile, n, chunk int) (*simnet.
 			}
 			if c.Rank() == 0 {
 				for r := 0; r < n; r++ {
-					if recv[r*chunk] != byte(r+1) || recv[(r+1)*chunk-1] != byte(r+1) {
+					if !bytes.Equal(recv[r*chunk:(r+1)*chunk], bytes.Repeat([]byte{byte(r + 1)}, chunk)) {
 						return fmt.Errorf("chunk from rank %d corrupted", r)
 					}
 				}
@@ -61,16 +62,16 @@ func TestGatherConvergingBurstBeyondQueueCap(t *testing.T) {
 	}
 
 	t.Run("flow-control", func(t *testing.T) {
-		// The headline: under the default profile (switch flow control
-		// on) the burst completes with zero drops of any kind — the
-		// senders are backpressured instead.
+		// The headline: under the default profile the burst completes
+		// with zero drops of any kind — the senders are backpressured
+		// instead.
 		nw, err := convergingGather(t, simnet.DefaultProfile(), n, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := nw.SwitchStats()
-		if st.QueueDrops != 0 {
-			t.Fatalf("silent egress drops under flow control: %d", st.QueueDrops)
+		if drops := nw.SilentDrops(); drops != 0 {
+			t.Fatalf("%d silent drops", drops)
 		}
 		if nw.Stats.Stream.Retransmits.Load() != 0 {
 			t.Fatalf("flow control should make retransmission unnecessary, got %d", nw.Stats.Stream.Retransmits.Load())
@@ -84,23 +85,28 @@ func TestGatherConvergingBurstBeyondQueueCap(t *testing.T) {
 		t.Logf("high watermark %d frames, %d pauses", st.MaxQueueDepth, st.PauseEvents)
 	})
 
-	t.Run("stream-repairs-tail-drops", func(t *testing.T) {
-		// Flow control off: the switch tail-drops the burst's excess, and
-		// the reliable stream's probes retransmit exactly the dropped
-		// chunks until the gather completes anyway.
+	t.Run("stream-repairs-dropped-chunks", func(t *testing.T) {
+		// Every fourth fragment of every chunk is lost on its first way
+		// into the root: the reliable stream's probes retransmit exactly
+		// the dropped fragments until the gather completes with every
+		// chunk intact (convergingGather checks them).
 		prof := simnet.DefaultProfile()
-		prof.Ethernet.SwitchFlowControl = false
+		prof.DropP2P = func(dst int, f transport.Fragment) bool {
+			phase, ok := mpi.CollPhase(f.Msg)
+			return dst == 0 && ok && phase == core.PhaseChunk && f.Msg.Class == transport.ClassData &&
+				f.Index%4 == 0 && !f.Repair
+		}
 		nw, err := convergingGather(t, prof, n, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nw.SwitchStats().QueueDrops == 0 {
-			t.Fatal("expected tail drops with flow control off")
+		if want := int64(5 * (n - 1)); nw.Stats.InjectedP2PLosses != want {
+			t.Fatalf("dropped %d chunk fragments, want %d", nw.Stats.InjectedP2PLosses, want)
 		}
 		if nw.Stats.Stream.Retransmits.Load() == 0 {
 			t.Fatal("the stream should have repaired the dropped chunks")
 		}
-		t.Logf("%d tail drops repaired by %d retransmitted fragments",
-			nw.SwitchStats().QueueDrops, nw.Stats.Stream.Retransmits.Load())
+		t.Logf("%d dropped chunk fragments repaired by %d retransmitted fragments",
+			nw.Stats.InjectedP2PLosses, nw.Stats.Stream.Retransmits.Load())
 	})
 }

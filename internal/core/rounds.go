@@ -76,10 +76,10 @@ type roundPlan struct {
 	sender int
 	// class marks the multicast's wire class (data or control).
 	class transport.Class
-	// bytes is the size of the round's largest multicast payload. Every
-	// rank must set it identically (payload sizes are symmetric even
-	// where contents are not); a repairing receiver budgets its silence
-	// by it.
+	// bytes is the sum of the round's multicast payloads. Every rank
+	// must set it identically (payload sizes are symmetric even where
+	// contents are not); a repairing receiver budgets its silence by it,
+	// since the sends go out in order and its own may come last.
 	bytes int
 	// sends lists the round's multicasts in transmit order. It is
 	// evaluated on the sender only, once the round's gather has

@@ -301,7 +301,7 @@ func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 		rounds[r] = roundPlan{
 			sender:  r,
 			class:   transport.ClassData,
-			bytes:   n,
+			bytes:   n * (size - 1),
 			sends:   sliceSends(send, size, r),
 			scope:   mpi.Slice,
 			consume: func(p []byte) error { return place(r, p) },
@@ -631,7 +631,7 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) err
 	round := roundPlan{
 		sender: root,
 		class:  transport.ClassData,
-		bytes:  n,
+		bytes:  n * (size - 1),
 		sends:  sliceSends(send, size, root),
 		scope:  mpi.Slice,
 		consume: func(p []byte) error {

@@ -277,15 +277,6 @@ func segSends(t *topo.Map, sender int, block func(seg int) []byte) func() []send
 	}
 }
 
-// largestSegment returns the member count of t's largest segment.
-func largestSegment(t *topo.Map) int {
-	largest := 0
-	for s := 0; s < t.Segments(); s++ {
-		largest = max(largest, len(t.Members(s)))
-	}
-	return largest
-}
-
 // segmentCombine runs one rank's part of the release-gated combine of a
 // segment's chunks at lead, one of its members — all of it segment-local
 // traffic that never crosses an uplink. A member scouts lead, awaits
@@ -608,7 +599,7 @@ func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 	round := roundPlan{
 		sender: root,
 		class:  transport.ClassData,
-		bytes:  n * largestSegment(t),
+		bytes:  n * c.Size(),
 		// Full member order — including the root's own chunk where it
 		// appears — keeps the receiver's index arithmetic uniform; the
 		// root's chunk is placed locally below.
@@ -709,14 +700,13 @@ func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 		}
 		return blk
 	}
-	largest := largestSegment(t)
 	rounds := make([]roundPlan, t.Segments())
 	for s := range rounds {
 		sm := t.Members(s)
 		rounds[s] = roundPlan{
 			sender: t.Leader(s),
 			class:  transport.ClassData,
-			bytes:  n * largest * largest,
+			bytes:  n * len(sm) * size,
 			// The sender's own segment hears the round too (chunks for
 			// the sender itself were lifted out in phase A).
 			sends: segSends(t, t.Leader(s), block),

@@ -47,15 +47,12 @@ func TestTwoLevelConformanceN256(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if drops := nw.SwitchStats().QueueDrops; drops != 0 {
-				t.Fatalf("%d silent egress drops", drops)
-			}
 			// The two-level allgather and alltoall and the chunked
 			// allreduce leave up to 255 multicasts undrained at a rank,
 			// inside the 256-message receive ring; an overflow would be
-			// a lost multicast.
-			if over := nw.Stats.RingOverflows; over != 0 {
-				t.Fatalf("%d receive-ring overflows", over)
+			// a lost multicast, and it counts as a silent drop.
+			if drops := nw.SilentDrops(); drops != 0 {
+				t.Fatalf("%d silent drops", drops)
 			}
 		})
 	}
@@ -76,8 +73,8 @@ func TestTwoLevelUnevenSegmentsN256(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if drops := nw.SwitchStats().QueueDrops; drops != 0 {
-		t.Fatalf("%d silent egress drops", drops)
+	if drops := nw.SilentDrops(); drops != 0 {
+		t.Fatalf("%d silent drops", drops)
 	}
 }
 
@@ -169,11 +166,8 @@ func TestTwoLevelScaleN1024(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if drops := nw.SwitchStats().QueueDrops; drops != 0 {
-		t.Fatalf("%d silent egress drops", drops)
-	}
-	if over := nw.Stats.RingOverflows; over != 0 {
-		t.Fatalf("%d receive-ring overflows", over)
+	if drops := nw.SilentDrops(); drops != 0 {
+		t.Fatalf("%d silent drops", drops)
 	}
 }
 

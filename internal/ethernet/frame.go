@@ -135,28 +135,22 @@ type Params struct {
 	// SwitchLatency is the switch's forwarding decision time, added on
 	// top of the inherent store-and-forward serialization delay.
 	SwitchLatency sim.Duration
-	// SwitchQueueCap bounds each egress port queue, in frames.
+	// SwitchQueueCap bounds each egress port queue, in frames (a frame
+	// bound for a full one waits at ingress, its source PAUSEd).
 	SwitchQueueCap int
-	// SwitchFlowControl selects what a full egress queue does to the
-	// next frame: park it at ingress and PAUSE the source station
-	// (802.3x, the default) until the queue drains, or tail-drop it
-	// silently (false — the pre-flow-control behaviour that deadlocked
-	// converging gathers beyond SwitchQueueCap frames).
-	SwitchFlowControl bool
 }
 
 // DefaultParams returns constants for the paper's 100 Mbps testbed.
 func DefaultParams() Params {
 	return Params{
-		RateBps:           100_000_000,
-		PropDelay:         500 * sim.Nanosecond,
-		SlotTime:          5120 * sim.Nanosecond, // 512 bit times at 100 Mbps
-		JamTime:           3200 * sim.Nanosecond,
-		MaxBackoffExp:     10,
-		MaxAttempts:       16,
-		SwitchLatency:     12 * sim.Microsecond,
-		SwitchQueueCap:    64,
-		SwitchFlowControl: true,
+		RateBps:        100_000_000,
+		PropDelay:      500 * sim.Nanosecond,
+		SlotTime:       5120 * sim.Nanosecond, // 512 bit times at 100 Mbps
+		JamTime:        3200 * sim.Nanosecond,
+		MaxBackoffExp:  10,
+		MaxAttempts:    16,
+		SwitchLatency:  12 * sim.Microsecond,
+		SwitchQueueCap: 64,
 	}
 }
 

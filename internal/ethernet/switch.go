@@ -6,7 +6,7 @@ import "repro/internal/sim"
 type SwitchStats struct {
 	FramesForwarded int64 // frame copies enqueued on egress ports
 	FramesFlooded   int64 // frames flooded for an unknown unicast dst
-	QueueDrops      int64 // tail drops on full egress queues (flow control off)
+	QueueDrops      int64 // always 0 (a full queue PAUSEs); the benchmark reads it
 	MulticastDrops  int64 // multicast frames with no snooped members
 	PauseEvents     int64 // source NICs paused by egress backpressure
 	MaxQueueDepth   int   // highest egress queue depth seen on any port
@@ -20,7 +20,6 @@ type SwitchPortStats struct {
 	Forwarded     int64 // frame copies enqueued
 	HighWatermark int   // deepest egress queue observed, in frames
 	Held          int64 // frames parked at ingress by flow control
-	Drops         int64 // tail drops (flow control off)
 }
 
 // Switch is a store-and-forward switching hub with MAC learning and IGMP
@@ -35,13 +34,14 @@ type SwitchPortStats struct {
 // Two extensions model the dimensions the paper's 8-port testbed could
 // not reach:
 //
-//   - Flow control (Params.SwitchFlowControl, the default): a frame bound
-//     for a full egress queue is parked at ingress and the source station
-//     is PAUSEd (802.3x-style) until the queue drains below its cap,
-//     instead of being silently tail-dropped. Converging bursts — the
-//     (N-1)-senders-one-root gather funnel — then backpressure the
-//     senders' host queues rather than vanishing, which is what lets the
-//     gather collective survive bursts beyond SwitchQueueCap frames.
+//   - Flow control, the only egress policy: a frame bound for a full
+//     egress queue is parked at ingress and the source station is PAUSEd
+//     (802.3x-style) until the queue drains below its cap. Converging
+//     bursts — the (N-1)-senders-one-root gather funnel — then
+//     backpressure the senders' host queues rather than vanishing, which
+//     is what lets the gather collective survive bursts beyond
+//     SwitchQueueCap frames. The switch itself loses a frame only to an
+//     injected partition or as a multicast no port has joined.
 //
 //   - Shared-uplink segments (AttachSegment): several stations share one
 //     port through a half-duplex segment, modeling stacked/cascaded
@@ -64,15 +64,14 @@ type Switch struct {
 }
 
 // SwitchTap observes fabric occupancy as it changes: egress queue depth
-// after every enqueue and dequeue, the count of 802.3x-paused stations
-// after every transition, and tail drops. The simulator wires it to the
+// after every enqueue and dequeue, and the count of 802.3x-paused
+// stations after every transition. The simulator wires it to the
 // flight recorder when tracing is enabled; nil fields are skipped. The
 // callbacks only observe — they must not mutate the switch or schedule
 // events, so a tap can never move a simulated timestamp.
 type SwitchTap struct {
 	QueueDepth func(port, depth int)
 	Paused     func(stations int)
-	Drop       func(port int)
 }
 
 // SetTap installs the occupancy observer (zero value to remove).
@@ -373,23 +372,13 @@ func (s *Switch) flood(from *swPort, src *NIC, f Frame) {
 }
 
 // enqueue places a forwarded frame on this egress port. A full queue
-// either tail-drops (flow control off — the silent loss the gather
-// funnel deadlocks on) or parks the frame and PAUSEs the source station
-// until the queue drains.
+// parks the frame and PAUSEs the source station until the queue drains.
 func (p *swPort) enqueue(f Frame, src *NIC) {
 	if p.sw.partitioned(p) {
 		p.sw.Stats.PartitionDrops++
 		return
 	}
 	if p.outq.len() >= p.sw.params.SwitchQueueCap {
-		if !p.sw.params.SwitchFlowControl {
-			p.sw.Stats.QueueDrops++
-			p.stats.Drops++
-			if t := p.sw.tap.Drop; t != nil {
-				t(p.idx)
-			}
-			return
-		}
 		p.stats.Held++
 		p.waitq.push(heldFrame{f: f, src: src})
 		p.sw.pause(src)

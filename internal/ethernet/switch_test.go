@@ -166,46 +166,6 @@ func TestSwitchEgressQueueSerializesFanIn(t *testing.T) {
 	}
 }
 
-func TestSwitchQueueTailDrop(t *testing.T) {
-	e := sim.New()
-	params := DefaultParams()
-	params.SwitchQueueCap = 2
-	params.SwitchFlowControl = false // legacy tail-drop behaviour under test
-	sw := NewSwitch(e, params)
-	rng := sim.NewRand(1)
-	var nics []*NIC
-	for i := 0; i < 3; i++ {
-		n := NewNIC(e, UnicastMAC(i), params, rng.Fork())
-		n.SetReceiver(func(Frame) {})
-		sw.Attach(n)
-		nics = append(nics, n)
-	}
-	// Learn the destination port.
-	nics[2].Send(Frame{Dst: UnicastMAC(9)})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Saturate: both senders burst 8 MTU frames each into one egress port.
-	f := Frame{Dst: UnicastMAC(2), Payload: make([]byte, 1500)}
-	for i := 0; i < 8; i++ {
-		nics[0].Send(f)
-		nics[1].Send(f)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sw.Stats.QueueDrops == 0 {
-		t.Fatal("expected tail drops with queue cap 2")
-	}
-	if nics[2].Stats.FramesReceived == 0 {
-		t.Fatal("expected some frames delivered")
-	}
-	total := sw.Stats.QueueDrops + nics[2].Stats.FramesReceived
-	if total != 16 {
-		t.Fatalf("drops+delivered = %d, want 16", total)
-	}
-}
-
 func TestSwitchUnicastToSelfPortDropped(t *testing.T) {
 	// A frame whose learned destination is the ingress port is not
 	// reflected back.

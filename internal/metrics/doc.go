@@ -46,7 +46,6 @@
 //	mcast_nic_pause_stalls{rank}             counter: sends stalled on PAUSE
 //	mcast_switch_queue_depth{port}           gauge: egress queue occupancy
 //	mcast_switch_paused_stations             gauge: stations under backpressure
-//	mcast_switch_drops{port}                 counter: egress tail drops
 //	mcast_coll_ops{op,alg}                   counter: collective invocations
 //	mcast_coll_latency_us{op,alg}            histogram: completion latency, µs
 //

@@ -264,11 +264,9 @@ func New(n int, topo Topology, prof Profile) *Network {
 		ports := len(nw.sw.PortStats())
 		depthName := make([]string, ports)
 		depthGauge := make([]*metrics.Gauge, ports)
-		dropCount := make([]*metrics.Counter, ports)
 		for p := range depthName {
 			depthName[p] = fmt.Sprintf("switch.port%d.depth", p)
 			depthGauge[p] = reg.Gauge(metrics.Labeled("mcast_switch_queue_depth", "port", strconv.Itoa(p)))
-			dropCount[p] = reg.Counter(metrics.Labeled("mcast_switch_drops", "port", strconv.Itoa(p)))
 		}
 		pausedGauge := reg.Gauge("mcast_switch_paused_stations")
 		nw.sw.SetTap(ethernet.SwitchTap{
@@ -279,10 +277,6 @@ func New(n int, topo Topology, prof Profile) *Network {
 			Paused: func(stations int) {
 				rec.Gauge(trace.FabricRank, int64(eng.Now()), "switch.paused", int64(stations))
 				pausedGauge.Set(float64(stations))
-			},
-			Drop: func(port int) {
-				rec.Event(trace.FabricRank, int64(eng.Now()), "switch.drop", int64(port))
-				dropCount[port].Inc()
 			},
 		})
 	}
@@ -379,9 +373,19 @@ func (nw *Network) SwitchStats() ethernet.SwitchStats {
 	return nw.sw.Stats
 }
 
+// SilentDrops counts the drops nobody injected that a flow-controlled
+// switch can still make: a message the receiving host had no ring room
+// for (Stats.RingOverflows) and a multicast no port had joined
+// (SwitchStats.MulticastDrops). A full egress queue PAUSEs instead, and
+// a NIC's attempt-limit drop cannot happen on a switch port: ports are
+// full duplex, and shared segments ideally arbitrated.
+func (nw *Network) SilentDrops() int64 {
+	return nw.Stats.RingOverflows + nw.SwitchStats().MulticastDrops
+}
+
 // SwitchPortStats returns per-port egress occupancy counters (nil on a
 // hub): the queue-depth high-watermark instrumentation the shared-uplink
-// experiments and the CI silent-drop gate read.
+// experiments read.
 func (nw *Network) SwitchPortStats() []ethernet.SwitchPortStats {
 	if nw.sw == nil {
 		return nil

@@ -38,7 +38,7 @@
 //     with no credit saw evidence that the network loses frames and
 //     starts confirming its sends), "stream.quiet" (it spent the credit
 //     that evidence bought without seeing more; Arg: the last confirmed
-//     peer), "switch.drop" (Arg: egress port).
+//     peer).
 //   - Gauge: a sampled value — "switch.portN.depth" (egress queue
 //     occupancy), "switch.paused" (stations under backpressure), and
 //     "delivered.bytes" (per-rank payload handed up). Fabric-level

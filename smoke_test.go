@@ -146,9 +146,10 @@ func TestFrameTableSelfChecks(t *testing.T) {
 
 // TestQueueTableSelfChecks builds the A5 shared-uplink queue-occupancy
 // table (the second artifact the CI bench-smoke job uploads) and asserts
-// the silent-drop check column is clean: a frame tail-dropped anywhere
-// in the N-sweep — instead of being absorbed by flow-control
-// backpressure — turns a row into SILENT-DROP and fails this test.
+// the silent-drop check column is clean: a message dropped anywhere in
+// the N-sweep for lack of ring room at its receiver, or a multicast no
+// switch port had joined, turns a row into SILENT-DROP and fails this
+// test.
 func TestQueueTableSelfChecks(t *testing.T) {
 	d, ok := bench.Lookup("a5")
 	if !ok {
@@ -160,7 +161,7 @@ func TestQueueTableSelfChecks(t *testing.T) {
 	}
 	out := r.Render()
 	if strings.Contains(out, "SILENT-DROP") {
-		t.Fatalf("queue table reports silent egress drops:\n%s", out)
+		t.Fatalf("queue table reports silent drops:\n%s", out)
 	}
 	if !strings.Contains(out, "gather") || !strings.Contains(out, "32") {
 		t.Fatalf("queue table misses the N-sweep rows:\n%s", out)
@@ -170,8 +171,8 @@ func TestQueueTableSelfChecks(t *testing.T) {
 // TestScoutEconomyTableSelfChecks builds the A6 two-level scout-economy
 // table (the third artifact the CI bench-smoke job uploads) and asserts
 // both check markers are clean: a two-level allgather exceeding the
-// N + S² + S scout bound renders SCOUT-EXCESS, and a tail-dropped frame
-// renders SILENT-DROP — either fails this test and the CI gate.
+// N + S² + S scout bound renders SCOUT-EXCESS, and a silent drop (as in
+// a5) renders SILENT-DROP — either fails this test and the CI gate.
 func TestScoutEconomyTableSelfChecks(t *testing.T) {
 	d, ok := bench.Lookup("a6")
 	if !ok {
@@ -186,7 +187,7 @@ func TestScoutEconomyTableSelfChecks(t *testing.T) {
 		t.Fatalf("scout economy table reports a breached bound:\n%s", out)
 	}
 	if strings.Contains(out, "SILENT-DROP") {
-		t.Fatalf("scout economy table reports silent egress drops:\n%s", out)
+		t.Fatalf("scout economy table reports silent drops:\n%s", out)
 	}
 	if !strings.Contains(out, "32") {
 		t.Fatalf("scout economy table misses the N=32 row:\n%s", out)
