@@ -670,7 +670,7 @@ func figA3(o Options) (Renderable, error) {
 	tbl := &Table{
 		ID:          "a3",
 		Title:       "Wire frame counts vs the §3 formulas, whole suite (T = frame payload, s = scouts, d = data, c = control)",
-		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast — the allgather's and the alltoall's burst N-1 and one release for all of their multicasts, the chunked allreduce's gather none, gated by its reduce-scatter — and send each payload once; the MPICH baseline repeats the payload per receiver.",
+		Expectation: "Every measured count matches its formula exactly: the multicast operations pay N-1 scouts per gated multicast — the allgather's and the alltoall's burst N-1 and one release for all of their multicasts, twice that under repair (its handshake and its confirmation), the chunked allreduce's gather none, gated by its reduce-scatter — and send each payload once; the MPICH baseline repeats the payload per receiver.",
 		Header:      []string{"op", "algorithm", "N", "M (bytes)", "scout", "data", "ctrl", "formula (s+d+c)", "match"},
 	}
 	for _, n := range []int{2, 4, 7, 9} {
@@ -707,6 +707,9 @@ func figA3(o Options) (Renderable, error) {
 				{OpAllreduce, McastBinary, fmt.Sprintf("%d+%d+0", n-1, n*mf)},
 				{OpAllreduce, McastChunked, fmt.Sprintf("0+%d+0", chunkedData)},
 				{OpAlltoall, McastBinary, fmt.Sprintf("%d+%d+1", n-1, n*(n-1)*mf)},
+				// The repaired burst: the same data between two barriers.
+				{OpAllgather, McastResilient, fmt.Sprintf("%d+%d+2", 2*(n-1), n*mf)},
+				{OpAlltoall, McastResilient, fmt.Sprintf("%d+%d+2", 2*(n-1), n*(n-1)*mf)},
 				{OpScatter, McastBinary, fmt.Sprintf("%d+%d+0", n-1, (n-1)*mf)},
 				{OpGather, McastBinary, fmt.Sprintf("%d+%d+1", n-1, (n-1)*mf)},
 			}

@@ -39,10 +39,11 @@
 // frames instead of (N-1)·ceil(M/T). Every scout-gated multicast runs on
 // the one round engine of rounds.go: the paper's broadcast and barrier
 // are one round each (bcastRound, barrierRound), the handshake of every
-// burst is the barrier's round, and under NACK repair the multi-round
-// collectives are a sequence of rounds. One constructor, suite, builds
-// the lossless sets of Algorithms and the set of resilient.go, whose
-// rounds run under NACK repair for lossy segments.
+// lossless burst is the barrier's round, and under NACK repair the
+// two-level leader rounds are a sequence of rounds. One constructor,
+// suite, builds the lossless sets of Algorithms and the set of
+// resilient.go, whose rounds and bursts run under NACK repair for lossy
+// segments.
 package core
 
 import (
@@ -141,34 +142,46 @@ const (
 // relative to root.
 func gatherScoutsBinary(cc mpi.CollCtx, root int) error {
 	c := cc.Comm()
-	size := c.Size()
-	rel := (c.Rank() - root + size) % size
-	rankOf := func(rel int) int { return (rel + root) % size }
-	k := 1 << (bits.Len(uint(size)) - 1) // the largest power of two <= size
-
-	if rel >= k {
-		// Fold-in: ranks beyond the power-of-two boundary scout first
-		// (4, 5, 6 → 0, 1, 2 in the paper's 7-process example).
-		return cc.Send(rankOf(rel-k), phaseScout, nil, transport.ClassScout, false)
-	}
-	if rel+k < size {
-		if _, err := cc.Recv(rankOf(rel+k), phaseScout); err != nil {
-			return err
-		}
-	}
-	// Low-bit-first binomial gather over the power-of-two subcube: odd
-	// relative ranks send first (1→0, 3→2), then 2→0, and so on. The
-	// scouts carry no payload — the walk itself is the readiness proof.
-	parent, children := mpi.Binomial(rel, k)
-	for child := range children.All {
-		if _, err := cc.Recv(rankOf(child), phaseScout); err != nil {
+	parent, children := scoutTree(c.Rank(), root, c.Size())
+	for _, child := range children {
+		if _, err := cc.Recv(child, phaseScout); err != nil {
 			return err
 		}
 	}
 	if parent < 0 {
 		return nil
 	}
-	return cc.Send(rankOf(parent), phaseScout, nil, transport.ClassScout, false)
+	return cc.Send(parent, phaseScout, nil, transport.ClassScout, false)
+}
+
+// scoutTree returns rank's place in the binary scout gather toward root:
+// the rank it scouts to (-1 at the root) and the ranks that scout to it,
+// in the order it takes their scouts.
+func scoutTree(rank, root, size int) (parent int, children []int) {
+	rel := (rank - root + size) % size
+	rankOf := func(rel int) int { return (rel + root) % size }
+	k := 1 << (bits.Len(uint(size)) - 1) // the largest power of two <= size
+
+	if rel >= k {
+		// Fold-in: ranks beyond the power-of-two boundary scout first
+		// (4, 5, 6 → 0, 1, 2 in the paper's 7-process example).
+		return rankOf(rel - k), nil
+	}
+	children = make([]int, 0, bits.Len(uint(k)))
+	if rel+k < size {
+		children = append(children, rankOf(rel+k))
+	}
+	// Low-bit-first binomial gather over the power-of-two subcube: odd
+	// relative ranks send first (1→0, 3→2), then 2→0, and so on. The
+	// scouts carry no payload — the walk itself is the readiness proof.
+	p, subtree := mpi.Binomial(rel, k)
+	for child := range subtree.All {
+		children = append(children, rankOf(child))
+	}
+	if p < 0 {
+		return -1, children
+	}
+	return rankOf(p), children
 }
 
 // gatherScoutsLinear has every non-root rank scout directly to the root

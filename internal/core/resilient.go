@@ -13,9 +13,13 @@ package core
 // [10] so in-flight losses are repaired instead of deadlocking the
 // collective. Point-to-point traffic (scouts, the allreduce's reduce
 // half, the gather's chunks) rides the stream, which repairs it itself.
-// The cost is N-1 acknowledgment frames per round and the sender waiting
-// for them; the suite-wide conformance harness drives all seven
-// collectives through this set under deterministic fragment loss.
+// The cost is N-1 acknowledgment frames per operation and its last
+// sender waiting for them: a one-round operation's receivers acknowledge
+// its multicast, and the allgather and alltoall, one repaired burst,
+// end in a confirmation barrier whose release the receivers
+// acknowledge, where a round per sender cost N(N-1). The suite-wide
+// conformance harness drives all seven collectives through this set
+// under deterministic fragment loss.
 
 import "repro/internal/mpi"
 

@@ -3,11 +3,14 @@ package core
 // The one round engine: every scout-gated multicast of every set is a
 // round of it — the paper's broadcast and barrier (one round each, in
 // every set: flat, resilient, two-level, sequencer, unsafe), the
-// scatter, the handshake and the drain barriers of every exchange, and
-// the repaired sequences of the allgather and alltoall. Round r has a
-// designated sender; a scout gather toward that sender proves every
-// receiver has entered the round, then the sender multicasts once and
-// every other rank consumes the payload addressed to it.
+// scatter, the handshake and the drain barriers of every lossless
+// exchange, and the leader rounds of the repaired two-level allgather
+// and alltoall. Round r has a designated sender; a scout gather toward
+// that sender proves every receiver has entered the round, then the
+// sender multicasts once and every other rank consumes the payload
+// addressed to it. The repaired burst (repairedExchange in suite.go)
+// takes the round's parts — its scout gathers, transmitRound, the repair
+// clock and serveRepairs — into its own receive loop.
 //
 // Spans: a one-round sequence carries the paper's names, "scout-gather"
 // and then "data-mcast" ("release" for a ClassControl round); a longer
@@ -16,10 +19,11 @@ package core
 // Schedule: the rounds run one after another (the paper's composition):
 // round r+1's scouts are not sent until round r's data has been consumed
 // everywhere, so each round pays its full scout gather before its
-// multicast. The lossless allgather and alltoall and the chunked
-// allreduce's gather run no sequence: once their evidence is in, one
-// exchange multicasts every sender's data at its own slot (burst and
-// exchange in suite.go). A sequence runs only under NACK repair.
+// multicast. The allgather and alltoall, repaired or not, and the
+// chunked allreduce's gather run no sequence: once their evidence is in,
+// one exchange multicasts every sender's data at its own slot (burst and
+// exchange in suite.go). A sequence runs only for the two-level leader
+// rounds under NACK repair.
 //
 // Reliability: the data phase of each round runs in one of two classes:
 //
@@ -202,14 +206,38 @@ const maxRepairs = 64
 // scope. Without rep that is a plain receive. With it, it runs the
 // receiver's side of the repair protocol: wait, decide from what the
 // device has seen arrive whether the message is still coming, ask the
-// sender for what is missing when it is not, give up after maxRepairs
-// requests. bytes is the expected payload size (known identically at
-// every rank by the collective's contract).
-//
-// The receiver acts on evidence, on the wire's own clock, and is silent
-// without it. Every repairProbe it looks at the device's reassembly
-// state for the sender's message (MissingFrom), and it finds one of two
-// things.
+// sender for what is missing when it is not (a repairClock), give up
+// after maxRepairs requests. bytes is the expected payload size (known
+// identically at every rank by the collective's contract).
+func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep bool) (transport.Message, error) {
+	if !rep {
+		return cc.RecvMulticast(scope)
+	}
+	c := cc.Comm()
+	rc := newRepairClock(cc, sender, bytes)
+	for {
+		rc.look(cc)
+		due := rc.due()
+		now := c.Now()
+		if now < due {
+			m, ok, err := cc.RecvMulticastTimeout(scope, min(repairProbe, due-now))
+			if err != nil || ok {
+				return m, err
+			}
+			continue
+		}
+		if err := rc.ask(cc, now); err != nil {
+			return transport.Message{}, err
+		}
+	}
+}
+
+// repairClock is a repairing receiver's evidence clock for one multicast:
+// from what the device has seen of the message arrive, it says when to
+// ask the sender for the rest, on the wire's own clock, and it is silent
+// without evidence. Every repairProbe the receiver looks at the device's
+// reassembly state for the sender's message (MissingFrom), and it finds
+// one of two things.
 //
 //   - A partial message: some fragments arrived, stamped by the
 //     reassembler. The transmission has a pace — the mean gap between the
@@ -226,30 +254,56 @@ const maxRepairs = 64
 //     other receiver's confirmation, at a host receive cost each), so a
 //     second request for the same message waits a full repairProbe after
 //     the first, doubling: asking again any sooner buys the same repair
-//     twice.
+//     twice. A message that interleaves with others (heard) has no pace
+//     of its own, and waits heardQuiet after the latest traffic heard.
 //
-//   - Nothing at all. Usually the round has not started — the sender is
-//     still finishing the previous round or serving its repairs — rather
-//     than every fragment having been lost, and an empty request asks for
-//     a FULL resend, which costs an F-fragment round F frames. So the
-//     receiver stays silent for as long as a timer doubling from
-//     repairProbe would take to expire 3 + F/16 times (seven probe periods for
-//     anything up to 16 fragments; losing every fragment of a larger
-//     message is p^F-unlikely), then sends the empty request, and again
-//     after intervals that keep doubling: growing any slower, the requests
-//     of all receivers of a late round pile up into a storm of full
-//     resends.
+//   - Nothing at all. Usually the message has not been sent yet — the
+//     sender is still finishing an earlier phase or serving its repairs,
+//     or its data queues behind other traffic — rather than every
+//     fragment having been lost, and an empty request asks for a FULL
+//     resend, which costs an F-fragment message F frames. So the receiver
+//     stays silent for as long as a timer doubling from repairProbe would
+//     take to expire 3 + F/16 times (seven probe periods for anything up
+//     to 16 fragments; losing every fragment of a larger message is
+//     p^F-unlikely), then sends the empty request, and again after
+//     intervals that keep doubling: growing any slower, the requests of
+//     all receivers of a late message pile up into a storm of full
+//     resends. That silence starts when the receiver begins to wait, or
+//     later where it has heard other traffic the message may queue
+//     behind (heard).
 //
 // Either request first asks the failure detector (when armed) whether the
 // quiet is a dead rank: a receiver asking a dead sender forever would
 // otherwise only surface the give-up error.
-func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep bool) (transport.Message, error) {
-	if !rep {
-		return cc.RecvMulticast(scope)
-	}
-	c := cc.Comm()
-	look, longest := repairProbe, repairProbe<<10
-	double := func(d int64) int64 { return min(2*d, longest) }
+type repairClock struct {
+	sender int
+	// What the device held of the message at the last look: a partial
+	// message's id, missing fragments and arrivals.
+	msgID   uint64
+	missing []int
+	seen    transport.Arrivals
+	partial bool
+	// started records that some of the message arrived: once the device
+	// holds none of it again, it is complete.
+	started bool
+	// since is the start of the current silence: when the receiver began
+	// to wait or last sent an empty request, or the partial message's
+	// latest arrival.
+	since int64
+	// silence is how long nothing at all must arrive before the first
+	// empty request.
+	silence             int64
+	emptyDue, emptyWait int64 // the next empty request, and the one after it
+	askDue, askWait     int64 // the earliest a named request may follow the last
+	requests            int
+	// heardAt is when the receiver last heard traffic arrive that the
+	// message may be queued behind (heard); 0 where there is none.
+	heardAt int64
+}
+
+// newRepairClock starts the clock of a receiver that begins, now, to wait
+// for sender's multicast of bytes bytes.
+func newRepairClock(cc mpi.CollCtx, sender, bytes int) *repairClock {
 	// A device with a wire reports its fragment payload; the fallback
 	// covers the in-process device, which has none and loses nothing
 	// (over-counting fragments only lengthens the silence before an
@@ -262,52 +316,94 @@ func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep 
 	if frags := bytes/fragPayload + 1; frags > 16 {
 		silent += frags / 16
 	}
-	since := c.Now() // the start of the current silence with nothing seen
-	emptyDue, emptyWait := since, look
+	now := cc.Comm().Now()
+	rc := &repairClock{sender: sender, since: now, emptyDue: now, emptyWait: repairProbe, askWait: repairProbe}
 	for i := 0; i < silent; i++ {
-		emptyDue, emptyWait = emptyDue+emptyWait, double(emptyWait)
+		rc.emptyDue, rc.emptyWait = rc.emptyDue+rc.emptyWait, doubleProbe(rc.emptyWait)
 	}
-	askDue, askWait := int64(0), look // the earliest a named request may follow the last
-	requests := 0
-	for {
-		msgID, missing, seen, partial := cc.MissingFrom(sender)
-		due := emptyDue
-		if partial {
-			since = seen.Last
-			due = max(since+max(4*seen.Gap(), look/8), askDue)
-		}
-		now := c.Now()
-		if now < due {
-			m, ok, err := cc.RecvMulticastTimeout(scope, min(look, due-now))
-			if err != nil || ok {
-				return m, err
-			}
-			continue
-		}
-		if err := cc.CheckFailures(); err != nil {
-			return transport.Message{}, err
-		}
-		if requests >= maxRepairs {
-			return transport.Message{}, fmt.Errorf("core: receiver %d gave up waiting for sender %d's multicast after %d repair requests",
-				c.Rank(), sender, requests)
-		}
-		var req []byte
-		if partial {
-			req = transport.EncodeRepairReq(msgID, missing)
-		}
-		cc.TraceEvent("send.nack", now-since)
-		if err := cc.Send(sender, phaseNack, req, transport.ClassNack, false); err != nil {
-			return transport.Message{}, err
-		}
-		requests++
-		now = c.Now()
-		if partial {
-			askDue, askWait = now+askWait, double(askWait)
-		} else {
-			since = now
-			emptyDue, emptyWait = now+emptyWait, double(emptyWait)
-		}
+	rc.silence = rc.emptyDue - now
+	return rc
+}
+
+// doubleProbe doubles a repair interval, up to 1024 repairProbe.
+func doubleProbe(d int64) int64 { return min(2*d, repairProbe<<10) }
+
+// look reads what the device holds of the message (CollCtx.MissingFrom).
+func (rc *repairClock) look(cc mpi.CollCtx) {
+	rc.msgID, rc.missing, rc.seen, rc.partial = cc.MissingFrom(rc.sender)
+	rc.started = rc.started || rc.partial
+}
+
+// complete reports that an earlier look found some of the message and
+// the last found none: it arrived whole and is on its way up to a
+// receive.
+func (rc *repairClock) complete() bool { return rc.started && !rc.partial }
+
+// extend lengthens by d the silence before the first empty request.
+func (rc *repairClock) extend(d int64) {
+	rc.silence += d
+	rc.emptyDue += d
+}
+
+// heard records t, when the receiver last saw traffic arrive that the
+// message may be queued behind: no request for the message is due until
+// heardQuiet after t if some of it arrived, the silence budget after t
+// if nothing did.
+func (rc *repairClock) heard(t int64) { rc.heardAt = max(rc.heardAt, t) }
+
+// heardQuiet is how long a receiver that hears other traffic (heard)
+// waits after the latest of it before it asks for the rest of a partial
+// message: as long as it waits before asking for a one-fragment message
+// of which nothing arrived. A message that interleaves with others has
+// no pace of its own — the next fragment of one of N-1 senders
+// multicasting at once is N-1 fragments away, and on a shared segment a
+// station's arrivals pause while its neighbours are served — so the
+// quiet that counts is the quiet of all of them.
+const heardQuiet = 7 * repairProbe
+
+// due returns when the next request for the message is due, by what
+// the last look found.
+func (rc *repairClock) due() int64 {
+	if !rc.partial {
+		rc.since = max(rc.since, rc.heardAt)
+		return max(rc.emptyDue, rc.heardAt+rc.silence)
 	}
+	rc.since = rc.seen.Last
+	if rc.heardAt == 0 {
+		return max(rc.since+max(4*rc.seen.Gap(), repairProbe/8), rc.askDue)
+	}
+	return max(rc.since+repairProbe/8, rc.heardAt+heardQuiet, rc.askDue)
+}
+
+// ask sends the request that came due at now in the operation cc: for
+// the missing fragments when the last look found the message partial, a
+// full resend otherwise.
+func (rc *repairClock) ask(cc mpi.CollCtx, now int64) error {
+	c := cc.Comm()
+	if err := cc.CheckFailures(); err != nil {
+		return err
+	}
+	if rc.requests >= maxRepairs {
+		return fmt.Errorf("core: receiver %d gave up waiting for sender %d's multicast after %d repair requests",
+			c.Rank(), rc.sender, rc.requests)
+	}
+	var req []byte
+	if rc.partial {
+		req = transport.EncodeRepairReq(rc.msgID, rc.missing)
+	}
+	cc.TraceEvent("send.nack", now-rc.since)
+	if err := cc.Send(rc.sender, phaseNack, req, transport.ClassNack, false); err != nil {
+		return err
+	}
+	rc.requests++
+	now = c.Now()
+	if rc.partial {
+		rc.askDue, rc.askWait = now+rc.askWait, doubleProbe(rc.askWait)
+	} else {
+		rc.since = now
+		rc.emptyDue, rc.emptyWait = now+rc.emptyWait, doubleProbe(rc.emptyWait)
+	}
+	return nil
 }
 
 // transmitRound is the sender's half of a data phase: every send of the
@@ -365,12 +461,7 @@ func serveRepairs(cc mpi.CollCtx, rd *roundPlan, sent []send) error {
 		}
 		switch m.Class {
 		case transport.ClassNack:
-			i := indexOf(sent, rd.scope(r))
-			if i < 0 {
-				return fmt.Errorf("core: repair request from %d, to whom round sender %d sent nothing", r, rd.sender)
-			}
-			s := sent[i]
-			if err := cc.MulticastRepair(s.scope, s.payload, rd.class, s.id, repairFrags(m.Payload, s.id)); err != nil {
+			if err := repairSend(cc, sent, rd.scope(r), rd.class, m.Payload, r); err != nil {
 				return err
 			}
 		case transport.ClassAck:
@@ -379,6 +470,18 @@ func serveRepairs(cc mpi.CollCtx, rd *roundPlan, sent []send) error {
 		}
 	}
 	return nil
+}
+
+// repairSend answers rank r's repair request req with the send of sent
+// addressed to scope, the one r listens on: the fragments req names, or
+// the whole message.
+func repairSend(cc mpi.CollCtx, sent []send, scope mpi.Scope, class transport.Class, req []byte, r int) error {
+	i := indexOf(sent, scope)
+	if i < 0 {
+		return fmt.Errorf("core: repair request from %d, to whom rank %d sent nothing", r, cc.Comm().Rank())
+	}
+	s := sent[i]
+	return cc.MulticastRepair(s.scope, s.payload, class, s.id, repairFrags(req, s.id))
 }
 
 // repairFrags reads a repair request for the multicast sent under msgID:

@@ -24,10 +24,15 @@ package core
 //	                 their turns in slot order, the same frames. Past
 //	                 N=256 each further window of 256 senders adds one
 //	                 drain barrier, s scouts + 1 release. Under repair
-//	                 it runs N rounds, N(N-1) scouts + N·ceil(M/T) data
-//	                 frames. Scouts are empty 56-byte frames, so once M
-//	                 exceeds one frame the data saving dominates on a
-//	                 shared medium.
+//	                 it is the same burst between two barriers: the
+//	                 handshake's s scouts + 1 release, the same data
+//	                 frames, then the confirmation's s scouts + 1
+//	                 release + s acks into rank 0 (and one confirmation
+//	                 per further window, which is also its drain
+//	                 barrier), where a round per rank cost N(N-1)
+//	                 scouts + N(N-1) acks. Scouts are empty 56-byte
+//	                 frames, so once M exceeds one frame the data saving
+//	                 dominates on a shared medium.
 //	allreduce:       binomial reduce to rank 0 ((N-1)·ceil(M/T) p2p
 //	                 data frames over the UDP bypass) + one scout-gated
 //	                 multicast (s scouts + ceil(M/T) data), versus
@@ -67,15 +72,17 @@ package core
 //	                 domain the ranks take their turns in slot order,
 //	                 each sending the next rank's slice last; past
 //	                 N=256, in windows as the allgather. Under repair it
-//	                 runs N sliced scatter rounds = N(N-1) scouts + the
-//	                 same data frames.
+//	                 is the same burst between two barriers, as the
+//	                 allgather: 2s scouts + 2 releases + s acks beside
+//	                 the same data frames, where N sliced scatter rounds
+//	                 cost N(N-1) scouts + N(N-1) acks.
 //
-// Each round opens its own collective operation (BeginColl), so the
-// per-operation sequence number keeps back-to-back multicasts of one
-// collective apart — the same safe-program ordering argument as §4.
-// The rounds themselves run on the shared engine in rounds.go, one after
-// another (the paper's composition), and optionally under the NACK
-// repair protocol (resilient.go) that survives in-flight fragment loss.
+// Each round and each slot of a burst opens its own collective operation
+// (BeginColl), so the per-operation sequence number keeps back-to-back
+// multicasts of one collective apart — the same safe-program ordering
+// argument as §4. The rounds run on the shared engine in rounds.go, and
+// under the NACK repair protocol (resilient.go) every multicast — a
+// round's, or a burst's slot — survives in-flight fragment loss.
 
 import (
 	"fmt"
@@ -87,11 +94,9 @@ import (
 	"repro/internal/transport"
 )
 
-// allgatherWith gathers every rank's chunk to every rank. Lossless it
-// is one burst: after the handshake every rank multicasts its chunk
-// (exchange). Under repair it runs N scout-gated rounds on the round
-// engine; in round r rank r multicasts its chunk once and every other
-// rank receives it.
+// allgatherWith gathers every rank's chunk to every rank in one burst:
+// after the handshake every rank multicasts its chunk (exchange), and
+// under repair every rank asks for what it lost and answers for its own.
 func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	size := c.Size()
 	n := len(send)
@@ -102,28 +107,13 @@ func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	if size == 1 {
 		return nil
 	}
-	place := func(r int, p []byte) error {
+	return burst(c, opt, wholeSend(send)(), wholeScope, func(r int, p []byte) error {
 		if len(p) != n {
 			return fmt.Errorf("core: allgather chunk from %d is %d bytes, want %d", r, len(p), n)
 		}
 		copy(recv[r*n:(r+1)*n], p)
 		return nil
-	}
-	if !opt.repair {
-		return burst(c, opt.gather, wholeSend(send)(), mpi.Whole, place)
-	}
-	rounds := make([]roundPlan, size)
-	for r := range rounds {
-		rounds[r] = roundPlan{
-			sender:  r,
-			class:   transport.ClassData,
-			bytes:   n,
-			sends:   wholeSend(recv[r*n : (r+1)*n]),
-			scope:   wholeScope,
-			consume: func(p []byte) error { return place(r, p) },
-		}
-	}
-	return runRounds(c, rounds, opt)
+	})
 }
 
 // burstRecvBudget bounds the multicasts exchange leaves undrained at one
@@ -150,23 +140,28 @@ func oneCollisionDomain(c *mpi.Comm) bool {
 	return t != nil && t.Segments() == 1
 }
 
-// burst is the lossless data path of the allgather and the alltoall
-// (flat and two-level): standing descriptors for the foreign multicasts
-// and the releases, a handshake that is the barrier's round on the round
-// engine over gather's scouts (N-1 scouts and one release — the paper's
-// Barrier), then exchange with one slot per rank. Every per-round
-// gather collapses into that one handshake.
-func burst(c *mpi.Comm, gather func(cc mpi.CollCtx, root int) error, sends []send, scope mpi.Scope, consume func(r int, p []byte) error) error {
+// burst is the data path of the allgather and the alltoall (flat and
+// two-level): standing descriptors for the foreign multicasts and the
+// releases, a handshake that is the barrier's round on the round engine
+// over opt's scout gather (N-1 scouts and one release — the paper's
+// Barrier), then exchange with one slot per rank. Every per-round gather
+// collapses into that one handshake. sends is this rank's send list, and
+// scopeOf names the scope each rank receives its slots on. Under repair
+// the same steps run as repairedExchange.
+func burst(c *mpi.Comm, opt roundOptions, sends []send, scopeOf func(rank int) mpi.Scope, consume func(r int, p []byte) error) error {
 	release := c.PostRecvs(exchangeRecvs(c.Size()))
 	defer release()
-	if err := runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: gather}); err != nil {
-		return err
-	}
 	senders := make([]int, c.Size())
 	for r := range senders {
 		senders[r] = r
 	}
-	return exchange(c, senders, sends, scope, consume)
+	if opt.repair {
+		return repairedExchange(c, opt.gather, senders, sends, scopeOf, consume)
+	}
+	if err := runRounds(c, []roundPlan{barrierRound()}, opt); err != nil {
+		return err
+	}
+	return exchange(c, senders, sends, scopeOf(c.Rank()), consume)
 }
 
 // exchange is the data phase that follows evidence that every rank has
@@ -195,16 +190,60 @@ func burst(c *mpi.Comm, gather func(cc mpi.CollCtx, root int) error, sends []sen
 // them: chunk-mcast on this rank's own slot, chunk-consume on the
 // window's first.
 func exchange(c *mpi.Comm, senders []int, sends []send, scope mpi.Scope, consume func(k int, p []byte) error) error {
-	for lo := 0; lo < len(senders); lo += burstRecvBudget + 1 {
+	for lo, window := range windows(senders) {
 		if lo > 0 {
 			if err := runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: gatherScoutsBinary}); err != nil {
 				return err
 			}
 		}
-		window := senders[lo:min(lo+burstRecvBudget+1, len(senders))]
 		if err := exchangeWindow(c, window, sends, scope, func(k int, p []byte) error { return consume(lo+k, p) }); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// windows yields exchange's windows of burstRecvBudget+1 slots, each
+// with the index of its first slot.
+func windows(senders []int) iter.Seq2[int, []int] {
+	return func(yield func(int, []int) bool) {
+		for lo := 0; lo < len(senders); lo += burstRecvBudget + 1 {
+			if !yield(lo, senders[lo:min(lo+burstRecvBudget+1, len(senders))]) {
+				return
+			}
+		}
+	}
+}
+
+// repairedExchange is burst under NACK repair. The handshake is the
+// barrier's scouts toward rank 0 and its release, repaired, but not
+// acknowledged: rank 0 answers requests for the release from the first
+// window's receive loop, whose confirmation proves that every rank had
+// it, so no rank waits for acknowledgments before it multicasts. Then
+// each window of exchange's slots runs as repairedWindow and ends in its
+// own confirmation, a repaired barrier, which is also what the next
+// window waits behind. The handshake spans "round-gather" and the
+// windows "round-data", the names of the repaired multi-sender schedule.
+func repairedExchange(c *mpi.Comm, gather func(cc mpi.CollCtx, root int) error, senders []int, sends []send, scopeOf func(rank int) mpi.Scope, consume func(k int, p []byte) error) error {
+	gate := c.BeginColl()
+	gate.SpanBegin("round-gather")
+	err := gather(gate, 0)
+	var gateSent []send // rank 0's release, which it repairs on request
+	if err == nil && c.Rank() == 0 {
+		rd := barrierRound()
+		gateSent, err = transmitRound(gate, &rd)
+	} else if err == nil {
+		_, err = awaitMulticast(gate, 0, mpi.Whole, 0, true)
+	}
+	gate.SpanEnd("round-gather")
+	if err != nil {
+		return err
+	}
+	for lo, window := range windows(senders) {
+		if err := repairedWindow(c, gate, gateSent, window, sends, scopeOf, func(k int, p []byte) error { return consume(lo+k, p) }); err != nil {
+			return err
+		}
+		gateSent = nil // the window's confirmation retired the handshake
 	}
 	return nil
 }
@@ -254,19 +293,215 @@ func exchangeWindow(c *mpi.Comm, senders []int, sends []send, scope mpi.Scope, c
 	return nil
 }
 
-// alltoallWith runs the personalized exchange. Lossless it is one
-// burst: after the handshake every rank multicasts each destination
-// slice of its send buffer to that rank's slice group, in ring order
-// (ringSliceSends), and consumes the slice each other rank addressed to
-// it. Under repair it runs N scout-gated sliced scatter rounds: in
-// round r rank r multicasts its slices and every other rank receives
-// exactly the one addressed to it. Either way the wire carries the same
-// N(N-1)·ceil(M/T) targeted data frames as the pairwise baseline, but
-// over the connectionless bypass (no TCP penalty, no kernel acks), with
-// every receiver delivered only its own (N-1)·M bytes, and every send
-// gated on evidence that its receivers have posted, so no set of fast
-// senders can overrun one receiver (the A4 failure mode this collective
-// stresses hardest).
+// repairedWindow runs one window of exchange's slots under NACK repair,
+// and ends it in a confirmation. It opens one operation per slot, then
+// one for the confirmation, and fires this rank's sends when
+// exchangeWindow would: first, or at its slot on one collision domain.
+// Then one receive loop (mpi.CollCtx.RecvSpan over the window's
+// operations) runs until the confirmation's release arrives. It:
+//
+//   - consumes the other slots' multicasts in whatever order they
+//     complete, asking each sender for what it lost by a repairClock's
+//     evidence rules. Every arrival of the exchange, of any slot, is
+//     evidence that the burst is still arriving — a slot's first fragment
+//     may queue behind every other slot's data at this rank's port — so
+//     it moves the start of every awaited slot's silence (heard);
+//   - answers the repair requests for this rank's own sends from their
+//     saved message ids, until the release arrives: a rank that has what
+//     it needs keeps serving a rank that does not, so two ranks that each
+//     lost the other's slot cannot deadlock. Rank 0 also answers requests
+//     for gateSent, the handshake's release, sent in the operation gate;
+//   - runs the confirmation, the barrier's round under repair: once this
+//     rank holds every slot and its scout-tree children (scoutTree toward
+//     rank 0) have scouted, it scouts to its parent. Rank 0 then
+//     multicasts the release, which proves that every rank holds every
+//     slot, and answers requests for it until every other rank has
+//     acknowledged it; every other rank awaits the release by the same
+//     evidence rules, then acknowledges it.
+//
+// So the window costs N-1 scouts, one release and N-1 acks beyond its
+// data, where a round per sender cost N(N-1) scouts and N(N-1) acks.
+// Every sender transmits as many bytes as this rank (the allgather's
+// chunk, the alltoall's N-1 slices), which budgets a receiver's silence
+// before it asks for a slot of which nothing arrived.
+func repairedWindow(c *mpi.Comm, gate mpi.CollCtx, gateSent []send, senders []int, sends []send, scopeOf func(rank int) mpi.Scope, consume func(k int, p []byte) error) error {
+	me := c.Rank()
+	// ops[0] is the handshake while its release may still be asked for,
+	// then come the slots, then the confirmation.
+	var ops []mpi.CollCtx
+	if gateSent != nil {
+		ops = append(ops, gate)
+	}
+	base := len(ops)
+	for range len(senders) + 1 {
+		ops = append(ops, c.BeginColl())
+	}
+	slot := ops[base : base+len(senders)]
+	conf := ops[len(ops)-1]
+	slot[0].SpanBegin("round-data")
+	defer slot[0].SpanEnd("round-data")
+
+	// Every send of a burst carries as many bytes (the allgather's
+	// chunk, the alltoall's slices), and every sender sends as many.
+	msg, total := 0, 0
+	for _, s := range sends {
+		msg = len(s.payload)
+		total += msg
+	}
+	inTurn := oneCollisionDomain(c)
+	// clocks[k] is slot k's while it is awaited; the last is the
+	// release's, once this rank has scouted.
+	clocks := make([]*repairClock, len(senders)+1)
+	var slotSilence int64 // how long a slot may stay silent
+	left := 0
+	for k, r := range senders {
+		if r < 0 || r == me {
+			continue
+		}
+		if inTurn {
+			// The sender fires only once it holds every earlier slot,
+			// which may take it a repair of its own, and then sends what
+			// this rank does not hear before what it does.
+			clocks[k] = newRepairClock(slot[k], r, total)
+			clocks[k].extend(heardQuiet)
+		} else {
+			clocks[k] = newRepairClock(slot[k], r, msg)
+		}
+		slotSilence = clocks[k].silence
+		left++
+	}
+	mine := slices.Index(senders, me)
+	var sent []send
+	fired := mine < 0
+	fire := func() (err error) {
+		rd := roundPlan{class: transport.ClassData, sends: func() []send { return slices.Clone(sends) }}
+		sent, err = transmitRound(slot[mine], &rd)
+		fired = true
+		return err
+	}
+	if !fired && !inTurn {
+		if err := fire(); err != nil {
+			return err
+		}
+	}
+	parent, children := scoutTree(me, 0, c.Size())
+	scouts, scouted := 0, false
+	// heard is the exchange's latest arrival, until this rank's first
+	// request: a request goes out only once the exchange has stopped
+	// arriving, and what arrives after it is repair traffic, which no
+	// other message queues behind.
+	heard, asked := c.Now(), false
+	for {
+		if !fired && !slices.ContainsFunc(clocks[:mine], func(rc *repairClock) bool { return rc != nil }) {
+			if err := fire(); err != nil {
+				return err
+			}
+		}
+		if !scouted && fired && left == 0 && scouts == len(children) {
+			scouted = true
+			if parent < 0 {
+				rd := barrierRound()
+				relSent, err := transmitRound(conf, &rd)
+				if err != nil {
+					return err
+				}
+				return serveRepairs(conf, &rd, relSent)
+			}
+			if err := conf.Send(parent, phaseScout, nil, transport.ClassScout, false); err != nil {
+				return err
+			}
+			// The slowest rank may still be waiting out a silent slot
+			// before the release can go out.
+			clocks[len(senders)] = newRepairClock(conf, 0, 0)
+			clocks[len(senders)].extend(slotSilence)
+		}
+
+		// The next request due.
+		for _, rc := range clocks {
+			if rc != nil {
+				rc.look(conf)
+				if rc.partial && !asked {
+					heard = max(heard, rc.seen.Last)
+				}
+			}
+		}
+		due, at := int64(0), -1
+		for k, rc := range clocks {
+			if rc == nil || rc.complete() {
+				continue // a complete message is on its way up
+			}
+			rc.heard(heard)
+			if d := rc.due(); at < 0 || d < due {
+				due, at = d, k
+			}
+		}
+		now := c.Now()
+		timeout := int64(-1) // nothing to ask for: wait as any receive does
+		if at >= 0 {
+			if now >= due {
+				if err := clocks[at].ask(ops[base+at], now); err != nil {
+					return err
+				}
+				asked = true
+				continue
+			}
+			timeout = min(repairProbe, due-now)
+		}
+
+		m, op, ok, err := ops[0].RecvSpan(len(ops), timeout)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		k := op - base // the slot, len(senders) for the confirmation
+		switch {
+		case m.Kind == transport.Mcast && k >= 0 && k < len(senders):
+			if !asked {
+				heard = c.Now()
+			}
+			if clocks[k] == nil {
+				continue // a repair of a slot this rank already holds
+			}
+			clocks[k] = nil
+			left--
+			if err := consume(k, m.Payload); err != nil {
+				return err
+			}
+		case m.Kind == transport.Mcast && k == len(senders):
+			// The release: every rank holds every slot.
+			return conf.Send(0, phaseAck, nil, transport.ClassAck, false)
+		case m.Class == transport.ClassNack && k == mine && fired:
+			r := ops[op].SrcRank(m)
+			if err := repairSend(ops[op], sent, scopeOf(r), transport.ClassData, m.Payload, r); err != nil {
+				return err
+			}
+		case m.Class == transport.ClassNack && k < 0:
+			r := gate.SrcRank(m)
+			if err := repairSend(gate, gateSent, mpi.Whole, transport.ClassControl, m.Payload, r); err != nil {
+				return err
+			}
+		case m.Class == transport.ClassScout && k == len(senders):
+			scouts++
+		}
+		// Anything else asked too early — for this rank's slot before it
+		// fired, or for the release before it went out — and what it asks
+		// for is on its way.
+	}
+}
+
+// alltoallWith runs the personalized exchange as one burst: after the
+// handshake every rank multicasts each destination slice of its send
+// buffer to that rank's slice group, in ring order (ringSliceSends), and
+// consumes the slice each other rank addressed to it — under repair
+// asking for what it lost and answering for its own slices. The wire
+// carries the same N(N-1)·ceil(M/T) targeted data frames as the pairwise
+// baseline, but over the connectionless bypass (no TCP penalty, no
+// kernel acks), with every receiver delivered only its own (N-1)·M
+// bytes, and every send gated on evidence that its receivers have
+// posted, so no set of fast senders can overrun one receiver (the A4
+// failure mode this collective stresses hardest).
 func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	size := c.Size()
 	if len(send)%size != 0 || len(recv) != len(send) {
@@ -278,36 +513,21 @@ func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	if size == 1 {
 		return nil
 	}
-	place := func(r int, p []byte) error {
+	// On a switch the ring starts at me+1. On one collision domain, where
+	// the ranks take turns, it starts at me+2: the next rank's slice goes
+	// last, so the owner of the next slot starts only after this rank's
+	// last frame.
+	after := me
+	if oneCollisionDomain(c) {
+		after = (me + 1) % size
+	}
+	return burst(c, opt, ringSliceSends(after, me, size, send), mpi.Slice, func(r int, p []byte) error {
 		if len(p) != n {
 			return fmt.Errorf("core: alltoall slice from %d is %d bytes, want %d", r, len(p), n)
 		}
 		copy(recv[r*n:(r+1)*n], p)
 		return nil
-	}
-	if !opt.repair {
-		// On a switch the ring starts at me+1. On one collision domain,
-		// where the ranks take turns, it starts at me+2: the next rank's
-		// slice goes last, so the owner of the next slot starts only
-		// after this rank's last frame.
-		after := me
-		if oneCollisionDomain(c) {
-			after = (me + 1) % size
-		}
-		return burst(c, opt.gather, ringSliceSends(after, me, size, send), mpi.Slice(me), place)
-	}
-	rounds := make([]roundPlan, size)
-	for r := range rounds {
-		rounds[r] = roundPlan{
-			sender:  r,
-			class:   transport.ClassData,
-			bytes:   n * (size - 1),
-			sends:   sliceSends(send, size, r),
-			scope:   mpi.Slice,
-			consume: func(p []byte) error { return place(r, p) },
-		}
-	}
-	return runRounds(c, rounds, opt)
+	})
 }
 
 // ringSliceSends is the burst alltoall's send list at rank me: buf is

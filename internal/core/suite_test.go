@@ -69,11 +69,28 @@ func TestSuiteFrameCounts(t *testing.T) {
 					frames(fmt.Sprintf("%s alltoall", topo), run(topo, algs, alltoall), int64(n-1), 1, int64(n*(n-1))*chunkFrames)
 				}
 
-				// Under repair both keep N rounds of (N-1) scouts and the
-				// same data, no release.
+				// Under repair both are the same burst between two
+				// barriers: the handshake's (N-1) scouts and release, the
+				// same data, then the confirmation's (N-1) scouts, release
+				// and (N-1) acks into rank 0 — the handshake's release is
+				// not acknowledged, the confirmation proves it. While they
+				// ran N scout-gated rounds they sent N(N-1) scouts, no
+				// release and N(N-1) acks.
 				rep := core.ResilientAlgorithms()
-				frames("resilient allgather", run(simnet.Switch, rep, allgather), int64(n*(n-1)), 0, int64(n)*chunkFrames)
-				frames("resilient alltoall", run(simnet.Switch, rep, alltoall), int64(n*(n-1)), 0, int64(n*(n-1))*chunkFrames)
+				for _, tc := range []struct {
+					op   string
+					fn   func(c *mpi.Comm) error
+					data int64
+				}{{"allgather", allgather, int64(n) * chunkFrames}, {"alltoall", alltoall, int64(n*(n-1)) * chunkFrames}} {
+					nw := run(simnet.Switch, rep, tc.fn)
+					frames("resilient "+tc.op, nw, int64(2*(n-1)), 2, tc.data)
+					if got, want := nw.Wire.Frames(transport.ClassAck), int64(n-1); got != want {
+						t.Errorf("resilient %s: ack frames = %d, want N-1 = %d", tc.op, got, want)
+					}
+					if got := nw.Wire.Frames(transport.ClassNack); got != 0 {
+						t.Errorf("resilient %s: %d NACKs on a lossless wire", tc.op, got)
+					}
+				}
 
 				// Allreduce: (N-1)·ceil(M/T) reduce frames + (N-1) scouts
 				// + ceil(M/T) multicast data frames.
@@ -188,7 +205,10 @@ func TestHubAllgatherDropsNothing(t *testing.T) {
 // allreduce's gather has only the drain barrier, its reduce-scatter
 // being its evidence, and N(N-1) reduce-scatter messages beside its N
 // slice multicasts; the two-level alltoall one block per rank and
-// segment (65 segments at fanout 4), less the lone rank's own.
+// segment (65 segments at fanout 4), less the lone rank's own. Under
+// repair each window ends in its confirmation, a repaired barrier that
+// is also what the next window waits behind: the handshake's and two
+// confirmations' N-1 scouts and one release each.
 func TestExchangeWindowsBeyondBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("257-rank sims in -short mode")
@@ -209,6 +229,7 @@ func TestExchangeWindowsBeyondBudget(t *testing.T) {
 		{"alltoall", simnet.Switch, simnet.DefaultProfile(), core.Algorithms(core.Binary), "alltoall", 1, 512, 2, n * (n - 1)},
 		{"chunked allreduce", simnet.Switch, simnet.DefaultProfile(), chunkedAlgorithms(), "allreduce", n, 256, 1, n*(n-1) + n},
 		{"two-level alltoall", simnet.SwitchShared, shared, core.TwoLevelAlgorithms(), "alltoall", 1, 512, 2, n*65 - 1},
+		{"resilient allgather", simnet.Switch, simnet.DefaultProfile(), core.ResilientAlgorithms(), "allgather", 1, 768, 3, n},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw, err := cluster.RunSim(n, tc.topo, tc.prof, tc.algs, func(c *mpi.Comm) error {
@@ -224,14 +245,17 @@ func TestExchangeWindowsBeyondBudget(t *testing.T) {
 			if over := nw.Stats.RingOverflows; over != 0 {
 				t.Errorf("%d receive-ring overflows", over)
 			}
+			if nacks := nw.Wire.Frames(transport.ClassNack); nacks != 0 {
+				t.Errorf("%d NACKs on a lossless wire", nacks)
+			}
 		})
 	}
 }
 
 // TestResilientHappyPathFrameOverhead: with nothing lost, the resilient
-// suite sends the data exactly once per round (no duplicate multicasts)
-// and pays only the per-round acknowledgment frames for the repair
-// capability.
+// suite sends the data exactly once (no duplicate multicasts) and pays
+// only the confirmation's N-1 acknowledgment frames for the repair
+// capability — N(N-1) while every rank's chunk was a round of its own.
 func TestResilientHappyPathFrameOverhead(t *testing.T) {
 	const n, chunk = 5, 2000
 	const frag = simnet.MaxFragPayload
@@ -251,8 +275,8 @@ func TestResilientHappyPathFrameOverhead(t *testing.T) {
 	if got := nw.Wire.Frames(transport.ClassNack); got != 0 {
 		t.Errorf("happy path sent %d NACKs", got)
 	}
-	if got, want := nw.Wire.Frames(transport.ClassAck), int64(n*(n-1)); got != want {
-		t.Errorf("confirmations = %d, want N(N-1) = %d", got, want)
+	if got, want := nw.Wire.Frames(transport.ClassAck), int64(n-1); got != want {
+		t.Errorf("confirmations = %d, want N-1 = %d", got, want)
 	}
 }
 

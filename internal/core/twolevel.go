@@ -5,10 +5,10 @@ package core
 // The flat suite treats every pair of ranks as equidistant, which the
 // figure 14n/15n N-sweeps show is exactly wrong on a fabric where
 // stations share switch ports through half-duplex segments
-// (simnet.SwitchShared): the N(N-1) scout frames of the flat rounds
-// (the allgather's and the alltoall's under repair) all serialize on
-// the shared uplinks, and at N=32 the scout term dominates the whole
-// sub-frame region. The decomposition here is the classic
+// (simnet.SwitchShared): the N(N-1) scout frames of a round per rank
+// (the flat allgather's and alltoall's, lossless and under repair, when
+// this decomposition was written) all serialize on the shared uplinks,
+// and at N=32 the scout term dominated the whole sub-frame region. The decomposition here is the classic
 // two-level scheme of Karonis et al. (MagPIe / MPICH-G2) and the
 // multi-core collectives of Zhou et al., applied to the paper's scout
 // machinery:
@@ -36,9 +36,10 @@ package core
 //	                   There is nothing left for the segments to
 //	                   localize. Under NACK repair the combine-based
 //	                   schedule runs instead: (N-S) member scouts +
-//	                   S(S-1) leader scouts + S segment releases, versus
-//	                   the flat rounds' N(N-1) — the ~N + S² bound the
-//	                   a6 table gates on; chunks converge on the leader
+//	                   S(S-1) leader scouts + S segment releases — the
+//	                   ~N + S² bound the a6 table gates on, where the
+//	                   flat repaired burst sends 2(N-1) and a round per
+//	                   rank sent N(N-1); chunks converge on the leader
 //	                   and S aggregate blocks are multicast in sequential
 //	                   leader rounds the repair server can serve.
 //	bcast:             N-1 scouts as before, but only S-1 cross the
@@ -59,8 +60,9 @@ package core
 //	                   slice transmissions.
 //	alltoall:          the allgather's burst handshake — N-1 scouts and
 //	                   one release, as the flat lossless alltoall's
-//	                   burst, versus the flat rounds' N(N-1) under
-//	                   repair, 65,280 at N=256. Lossless data path: once
+//	                   burst (the flat repaired burst sends 2(N-1), a
+//	                   round per rank sent 65,280 at N=256). Lossless
+//	                   data path: once
 //	                   released every rank multicasts, to each segment's
 //	                   group, one block of its own chunks for that
 //	                   segment's members, taking the segments around the
@@ -630,13 +632,12 @@ func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 }
 
 // alltoall runs the personalized exchange hierarchically, where the flat
-// sliced exchange makes N(N-1) per-slice transmissions (and under repair
-// pays N(N-1) scouts, 65,280 at N=256). Lossless, it is a burst over
-// ringSegSends: after the barrier's N-1 scouts and one release every
-// rank multicasts one block per segment, and keeps its own chunk of each
-// block its segment hears — except inside flatAlltoallWins, where it is
-// the flat set's burst of per-rank slices. Under repair it runs in two
-// levels. Phase A: each segment's
+// sliced exchange makes N(N-1) per-slice transmissions. Lossless, it is
+// a burst over ringSegSends: after the barrier's N-1 scouts and one
+// release every rank multicasts one block per segment, and keeps its own
+// chunk of each block its segment hears — except inside
+// flatAlltoallWins, where it is the flat set's burst of per-rank slices.
+// Under repair it runs in two levels. Phase A: each segment's
 // members ship their whole send buffer to the segment leader over the
 // release-gated local combine (segment-local unicast — never crossing
 // an uplink). Phase B: S sequential segment rounds among the leaders —
@@ -662,7 +663,7 @@ func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 	myIdx := slices.Index(myMembers, me)
 	if !tl.rep {
 		blk := n * len(myMembers)
-		return burst(c, gatherScoutsBinary, ringSegSends(t, me, send, n), mpi.Seg(t.SegmentOf(me)), func(r int, p []byte) error {
+		return burst(c, roundOptions{gather: gatherScoutsBinary}, ringSegSends(t, me, send, n), segScope(t), func(r int, p []byte) error {
 			if len(p) != blk {
 				return fmt.Errorf("core: alltoall block from %d is %d bytes, want %d", r, len(p), blk)
 			}

@@ -248,7 +248,8 @@ func TestTwoLevelSingleSegmentDelegates(t *testing.T) {
 // runs the flat set's burst: N-1 scouts, exactly the flat allgather's.
 // Under repair it keeps the combine-based schedule, whose handshake is
 // (N-S) member scouts plus S(S-1) leader-round scouts — under the
-// N + S² + S bound and the flat resilient rounds' N(N-1).
+// N + S² + S bound. The flat resilient set bursts between two barriers,
+// 2(N-1) scouts (N(N-1) while it ran a round per rank).
 func TestTwoLevelScoutEconomy(t *testing.T) {
 	for _, cs := range []struct{ n, fanout int }{{8, 4}, {16, 4}, {12, 3}, {7, 3}} {
 		cs := cs
@@ -275,8 +276,8 @@ func TestTwoLevelScoutEconomy(t *testing.T) {
 			if bound := int64(cs.n + s*s + s); two > bound {
 				t.Errorf("resilient two-level allgather sent %d scouts, above the N+S²+S bound %d", two, bound)
 			}
-			if flat != int64(cs.n*(cs.n-1)) {
-				t.Errorf("resilient flat allgather sent %d scouts, want N(N-1)=%d", flat, cs.n*(cs.n-1))
+			if flat != int64(2*(cs.n-1)) {
+				t.Errorf("resilient flat allgather sent %d scouts, want 2(N-1)=%d", flat, 2*(cs.n-1))
 			}
 		})
 	}
@@ -309,8 +310,9 @@ func TestTwoLevelUnevenSegments(t *testing.T) {
 
 // TestTwoLevelAlltoallScoutEconomy pins the alltoall decomposition's
 // handshake budget: one burst, whose barrier sends N-1 scouts — as the
-// flat lossless alltoall's burst does — versus the N rounds of N-1 that
-// the flat alltoall runs under repair: 255 against 65,280 at N=256.
+// flat lossless alltoall's burst does — and the flat alltoall's repaired
+// burst 2(N-1), its handshake's and its confirmation's, where its N
+// rounds of N-1 sent 65,280 at N=256.
 func TestTwoLevelAlltoallScoutEconomy(t *testing.T) {
 	measure := func(n, fanout, chunk int, algs mpi.Algorithms) int64 {
 		nw, err := cluster.RunSim(n, simnet.SwitchShared, sharedProf(fanout), algs, func(c *mpi.Comm) error {
@@ -326,15 +328,15 @@ func TestTwoLevelAlltoallScoutEconomy(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d fanout=%d", cs.n, cs.fanout), func(t *testing.T) {
 			two := measure(cs.n, cs.fanout, 100, core.TwoLevelAlgorithms())
 			flat := measure(cs.n, cs.fanout, 100, core.Algorithms(core.Binary))
-			rounds := measure(cs.n, cs.fanout, 100, core.ResilientAlgorithms())
+			repaired := measure(cs.n, cs.fanout, 100, core.ResilientAlgorithms())
 			if want := int64(cs.n - 1); two != want {
 				t.Errorf("two-level alltoall sent %d scouts, want exactly N-1 = %d", two, want)
 			}
 			if want := int64(cs.n - 1); flat != want {
 				t.Errorf("flat alltoall sent %d scouts, want exactly N-1 = %d", flat, want)
 			}
-			if want := int64(cs.n * (cs.n - 1)); rounds != want {
-				t.Errorf("flat resilient alltoall sent %d scouts, want N(N-1)=%d", rounds, want)
+			if want := int64(2 * (cs.n - 1)); repaired != want {
+				t.Errorf("flat resilient alltoall sent %d scouts, want 2(N-1)=%d", repaired, want)
 			}
 		})
 	}

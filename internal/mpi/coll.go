@@ -19,10 +19,10 @@ const collTagBase int32 = -1000
 // messages sent through it carry the operation's sequence number.
 //
 // CollCtx is the "bypass" interface of the paper's Fig. 1: Send/Recv go
-// through the ordinary point-to-point device path, while the four
-// multicast calls (Multicast, RecvMulticast, RecvMulticastTimeout,
-// MulticastRepair) reach the device's multicast directly,
-// each addressed by a Scope.
+// through the ordinary point-to-point device path, while the multicast
+// calls (Multicast, RecvMulticast, RecvMulticastTimeout, MulticastRepair,
+// and RecvSpan, which also takes point-to-point traffic) reach the
+// device's multicast directly, each addressed by a Scope.
 type CollCtx struct {
 	c   *Comm
 	seq uint32
@@ -322,6 +322,51 @@ func (cc CollCtx) RecvTimeout(src, phase int, timeout int64) (transport.Message,
 		}
 		return srcWorld == AnySource || m.Src == srcWorld
 	}, timeout)
+}
+
+// RecvSpan blocks for the first message of a span of ops operations —
+// this one and the ops-1 opened right after it — that is a multicast to
+// Whole or to this rank's slice, or a point-to-point protocol message in
+// any phase. It returns the message
+// and the offset of its operation in the span. A repair loop that awaits
+// several operations' multicasts while it serves requests for its own
+// (core's repaired burst) waits on it for whichever comes first.
+//
+// Those multicasts may complete in any order, so one that RecvSpan
+// returns is not marked consumed — a later one would otherwise make the
+// earlier ones stale — and a repair resend can return it again: the
+// caller counts what it holds. Instead RecvSpan first retires every
+// multicast of the operations before the span, so the caller opens the
+// span at the oldest operation it still awaits.
+//
+// A timeout ≥ 0 (nanoseconds on the device clock) bounds the wait, and
+// ok=false reports expiry; a negative one waits as every collective
+// receive does, through the failure detector's sweeps.
+func (cc CollCtx) RecvSpan(ops int, timeout int64) (m transport.Message, op int, ok bool, err error) {
+	c, rt := cc.c, cc.c.rt
+	rt.markConsumed(&transport.Message{Kind: transport.Mcast, Comm: c.ctx, Seq: cc.seq - 1})
+	watermark := rt.mcastSeen[c.ctx] // the match below must not move it
+	defer func() { rt.mcastSeen[c.ctx] = watermark }()
+	slice, end := Slice(c.rank).tag(), cc.seq+uint32(ops)
+	pred := func(m *transport.Message) bool {
+		if m.Comm != c.ctx || m.Seq < cc.seq || m.Seq >= end {
+			return false
+		}
+		if m.Kind == transport.Mcast {
+			return m.Tag == Whole.tag() || m.Tag == slice
+		}
+		return m.Kind == transport.P2P && m.Tag <= collTagBase
+	}
+	if timeout < 0 {
+		m, err = c.recvMatchFT(pred)
+		ok = err == nil
+	} else {
+		m, ok, err = rt.recvMatchTimeout(pred, timeout)
+	}
+	if !ok || err != nil {
+		return transport.Message{}, 0, false, err
+	}
+	return m, int(m.Seq - cc.seq), true, nil
 }
 
 // ---------------------------------------------------------------------------

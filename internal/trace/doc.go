@@ -20,10 +20,13 @@
 //     The round engine names a one-round collective (bcast, barrier,
 //     scatter, a burst's handshake) with the paper's phases —
 //     "scout-gather", then "data-mcast", or "release" for a control
-//     round — and a longer sequence (under NACK repair)
-//     "round-gather" and "round-data". Beside
-//     them: "chunk-mcast", "chunk-consume" (a burst's data exchange),
-//     "slice-combine", "reduce-scatter". Spans nest (a "bcast" op span
+//     round. "round-gather" and "round-data" name the repaired
+//     multi-sender schedules: the repaired burst's handshake and its
+//     data-and-repair loop with its confirmation (the flat resilient
+//     allgather and alltoall), and the gather and data phases of the
+//     two-level leader rounds under NACK repair. Beside them:
+//     "chunk-mcast", "chunk-consume" (a lossless burst's data
+//     exchange), "slice-combine", "reduce-scatter". Spans nest (a "bcast" op span
 //     contains its phase spans). A SpanEnd may carry a gate: the rank
 //     whose message unblocked the wait, recorded by
 //     CollCtx.SpanEndGated.
