@@ -55,7 +55,8 @@ const (
 	// reports no topology (or a degenerate one).
 	McastTwoLevel Algorithm = "mcast-2level"
 	// McastTwoLevelResilient is McastTwoLevel with every multicast
-	// (leader rounds, fan-outs, segment releases) under NACK repair.
+	// (fan-outs, segment releases) under NACK repair; its allgather and
+	// alltoall are the flat resilient set's repaired burst.
 	McastTwoLevelResilient Algorithm = "mcast-2level-resilient"
 	// Unsafe is multicast with no synchronization at all; it loses
 	// messages to slow receivers and exists for the A2 ablation.

@@ -544,11 +544,11 @@ func figA5(o Options) (Renderable, error) {
 
 // figA6 is the CI gate on the topology subsystem's scout claim: a
 // two-level allgather on the shared-uplink fabric sends at most
-// N + S² + S scout frames per operation. Lossless it is the flat set's
-// burst at every N, N-1 scouts per window of 256 senders, and so is the
-// flat allgather; the combine-based schedule runs only under repair,
-// with (N-S) member scouts plus S(S-1) leader-round scouts, where the
-// flat rounds send N(N-1). The table measures both sets, renders SCOUT-EXCESS
+// N + S² + S scout frames per operation. It is the flat set's burst at
+// every N: lossless, N-1 scouts per window of 256 senders, and so is the
+// flat allgather; under repair, the flat repaired burst's 2(N-1), a
+// handshake and a confirmation, where the flat rounds sent N(N-1). The
+// table measures both lossless sets, renders SCOUT-EXCESS
 // if the bound is breached, and renders SILENT-DROP on a silent drop, as
 // a5 does. N=4 spans a single 4-station segment — one collision domain,
 // where both sets run the flat burst in slot order — so that row
@@ -559,7 +559,7 @@ func figA6(o Options) (Renderable, error) {
 	tbl := &Table{
 		ID:          "a6",
 		Title:       "Two-level allgather scout economy over the shared-uplink switch (4 stations/port, 1500-byte chunks)",
-		Expectation: "Both sets run one burst at every N — at N=4, one segment, in slot order: N-1 scout frames, under the N + S² + S gate (which the combine-based schedule's (N-S) + S(S-1) meets under repair), versus the N(N-1) of the rounds; zero silent drops.",
+		Expectation: "Both sets run one burst at every N — at N=4, one segment, in slot order: N-1 scout frames, under the N + S² + S gate (which the repaired burst's 2(N-1) meets too), versus the N(N-1) of the rounds; zero silent drops.",
 		Header:      []string{"N", "S", "2level scouts", "bound N+S²+S", "flat scouts", "silent drops", "check"},
 	}
 	const chunk = 1500
@@ -590,7 +590,7 @@ func figA6(o Options) (Renderable, error) {
 			check = "SILENT-DROP"
 		case s <= 1:
 			// Degenerate single-segment fabric: the two-level suite
-			// delegates to the flat algorithm, whose N(N-1) scouts are
+			// delegates to the flat algorithm, whose N-1 scouts are
 			// the correct count there.
 			check = "flat (S=1)"
 			if two != flat {

@@ -122,13 +122,12 @@ var ledgerPhases = []string{"scout-gather", "data-mcast", "release", "round-gath
 
 // TestRoundSpansKeepLedgerNames holds the span names of the round engine
 // on a traced world (eight ranks on the shared-uplink switch, 2,000 B): a
-// one-round collective carries the paper's names — the scout gather,
-// then the data multicast or, for a control round, the release — and a
-// longer sequence its round names. Together, mcast-binary's seven
-// operations (its allgather and alltoall one burst, on the hub as on a
-// switch) and mcast-resilient's allgather and alltoall (N rounds under
-// repair) emit every name the ledger reads, so none of its rows can read
-// zero.
+// round carries the paper's names — the scout gather, then the data
+// multicast or, for a control round, the release — and the repaired
+// burst the round names. Together, mcast-binary's seven operations (its
+// allgather and alltoall one burst, on the hub as on a switch) and
+// mcast-resilient's allgather and alltoall (the repaired burst) emit
+// every name the ledger reads, so none of its rows can read zero.
 func TestRoundSpansKeepLedgerNames(t *testing.T) {
 	spans := func(alg Algorithm, op Op, hub bool) map[string]bool {
 		t.Helper()
@@ -186,7 +185,7 @@ func TestRoundSpansKeepLedgerNames(t *testing.T) {
 		if !slices.ContainsFunc(tc.want, isRound) {
 			for name := range got {
 				if isRound(name) {
-					t.Errorf("%s %s runs no round sequence but spans %q", tc.alg, tc.op, name)
+					t.Errorf("%s %s runs no repaired burst but spans %q", tc.alg, tc.op, name)
 				}
 			}
 		}

@@ -38,12 +38,10 @@
 // N·(N-1)·ceil(M/T), and the allreduce's broadcast half sends ceil(M/T)
 // frames instead of (N-1)·ceil(M/T). Every scout-gated multicast runs on
 // the one round engine of rounds.go: the paper's broadcast and barrier
-// are one round each (bcastRound, barrierRound), the handshake of every
-// lossless burst is the barrier's round, and under NACK repair the
-// two-level leader rounds are a sequence of rounds. One constructor,
-// suite, builds the lossless sets of Algorithms and the set of
-// resilient.go, whose rounds and bursts run under NACK repair for lossy
-// segments.
+// are one round each (bcastRound, barrierRound), and the handshake of
+// every lossless burst is the barrier's round. One constructor, suite,
+// builds the lossless sets of Algorithms and the set of resilient.go,
+// whose rounds and bursts run under NACK repair for lossy segments.
 package core
 
 import (
@@ -96,12 +94,12 @@ func Algorithms(mode Mode) mpi.Algorithms {
 func suite(rounds roundOptions) mpi.Algorithms {
 	barrier := roundOptions{gather: gatherScoutsBinary, repair: rounds.repair}
 	bcast := func(c *mpi.Comm, buf []byte, root int) error {
-		return runRounds(c, []roundPlan{bcastRound(buf, root)}, rounds)
+		return runRound(c, bcastRound(buf, root), rounds)
 	}
 	algs := baseline.Algorithms()
 	algs.Bcast = bcast
 	algs.Barrier = func(c *mpi.Comm) error {
-		return runRounds(c, []roundPlan{barrierRound()}, barrier)
+		return runRound(c, barrierRound(), barrier)
 	}
 	algs.Allreduce = allreduceWith(bcast)
 	algs.Allgather = func(c *mpi.Comm, send, recv []byte) error {
@@ -233,7 +231,7 @@ func bcastRound(buf []byte, root int) roundPlan {
 // corrupts. Never use it outside experiments. It is the broadcast round
 // without its scout gather.
 func BcastUnsafe(c *mpi.Comm, buf []byte, root int) error {
-	return runRounds(c, []roundPlan{bcastRound(buf, root)}, roundOptions{gather: noGather})
+	return runRound(c, bcastRound(buf, root), roundOptions{gather: noGather})
 }
 
 // Barrier implements the paper's multicast barrier: point-to-point scout
@@ -243,7 +241,7 @@ func BcastUnsafe(c *mpi.Comm, buf []byte, root int) error {
 // barrierRound on the round engine, as is every set's barrier and the
 // handshake of every burst.
 func Barrier(c *mpi.Comm) error {
-	return runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: gatherScoutsBinary})
+	return runRound(c, barrierRound(), roundOptions{gather: gatherScoutsBinary})
 }
 
 // barrierRound is the barrier's release as one round: rank 0 multicasts

@@ -3,29 +3,24 @@ package core
 // The one round engine: every scout-gated multicast of every set is a
 // round of it — the paper's broadcast and barrier (one round each, in
 // every set: flat, resilient, two-level, sequencer, unsafe), the
-// scatter, the handshake and the drain barriers of every lossless
-// exchange, and the leader rounds of the repaired two-level allgather
-// and alltoall. Round r has a designated sender; a scout gather toward
-// that sender proves every receiver has entered the round, then the
-// sender multicasts once and every other rank consumes the payload
-// addressed to it. The repaired burst (repairedExchange in suite.go)
-// takes the round's parts — its scout gathers, transmitRound, the repair
-// clock and serveRepairs — into its own receive loop.
+// scatter, and the handshake and the drain barriers of every lossless
+// exchange. A round has a designated sender; a scout gather toward that
+// sender proves every receiver has entered the round, then the sender
+// multicasts once and every other rank consumes the payload addressed
+// to it. The repaired burst (repairedExchange in suite.go) takes the
+// round's parts — its scout gathers, transmitRound, the repair clock and
+// serveRepairs — into its own receive loop.
 //
-// Spans: a one-round sequence carries the paper's names, "scout-gather"
-// and then "data-mcast" ("release" for a ClassControl round); a longer
-// one carries "round-gather" and "round-data".
+// Spans: a round carries the paper's names, "scout-gather" and then
+// "data-mcast" ("release" for a ClassControl round).
 //
-// Schedule: the rounds run one after another (the paper's composition):
-// round r+1's scouts are not sent until round r's data has been consumed
-// everywhere, so each round pays its full scout gather before its
-// multicast. The allgather and alltoall, repaired or not, and the
-// chunked allreduce's gather run no sequence: once their evidence is in,
-// one exchange multicasts every sender's data at its own slot (burst and
-// exchange in suite.go). A sequence runs only for the two-level leader
-// rounds under NACK repair.
+// Schedule: a collective runs at most one round at a time. The
+// allgather and alltoall, repaired or not, and the chunked allreduce's
+// gather run no sequence of rounds: once their evidence is in, one
+// exchange multicasts every sender's data at its own slot (burst and
+// exchange in suite.go).
 //
-// Reliability: the data phase of each round runs in one of two classes:
+// Reliability: the data phase of a round runs in one of two classes:
 //
 //   - Scout-only (the paper's model): after the gather, the single
 //     multicast cannot be lost to an unready receiver, and no
@@ -126,7 +121,7 @@ func sliceSends(buf []byte, size, sender int) func() []send {
 }
 
 // roundOptions selects the scout scheme and the reliability class of a
-// round sequence.
+// round.
 type roundOptions struct {
 	// gather runs one rank's part of the scout gather toward the round
 	// sender (gatherScoutsBinary, gatherScoutsLinear, noGather).
@@ -136,51 +131,37 @@ type roundOptions struct {
 	repair bool
 }
 
-// runRounds executes the round sequence on c. Every rank must supply the
-// same rounds in the same order; each round opens its own collective
-// operation so sequence numbers keep back-to-back multicasts apart.
-func runRounds(c *mpi.Comm, rounds []roundPlan, opt roundOptions) error {
-	if len(rounds) == 0 || c.Size() == 1 {
-		return nil // nothing to move, or nobody to move it to
+// runRound executes one round on c: its own collective operation, the
+// scout gather toward the round sender inside the "scout-gather" span,
+// then the data phase — optionally under NACK repair — inside
+// "data-mcast" ("release" for a ClassControl round). The sender's span
+// closes plainly (its multicast is the release), a receiver's closes
+// gated on the round sender — the edge that lets the critical-path walk
+// cross from a waiting rank onto the track of the rank it waited for.
+func runRound(c *mpi.Comm, rd roundPlan, opt roundOptions) error {
+	if c.Size() == 1 {
+		return nil // nobody to move it to
 	}
-	gatherSpan, dataSpan := "round-gather", "round-data"
-	if len(rounds) == 1 {
-		gatherSpan, dataSpan = "scout-gather", "data-mcast"
-		if rounds[0].class == transport.ClassControl {
-			dataSpan = "release"
-		}
+	span := "data-mcast"
+	if rd.class == transport.ClassControl {
+		span = "release"
 	}
-	for i := range rounds {
-		cc := c.BeginColl()
-		cc.SpanBegin(gatherSpan)
-		err := opt.gather(cc, rounds[i].sender)
-		cc.SpanEnd(gatherSpan)
-		if err != nil {
-			return err
-		}
-		if err := tracedDataPhase(cc, dataSpan, &rounds[i], opt.repair); err != nil {
-			return err
-		}
+	cc := c.BeginColl()
+	cc.SpanBegin("scout-gather")
+	err := opt.gather(cc, rd.sender)
+	cc.SpanEnd("scout-gather")
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-// tracedDataPhase moves one round's payloads from the sender to every
-// receiver — optionally under NACK repair — inside the span named span:
-// the sender's closes plainly (its multicast is the release), a
-// receiver's closes gated on the round sender — the edge that lets the
-// critical-path walk cross from a waiting rank onto the track of the
-// rank it waited for.
-func tracedDataPhase(cc mpi.CollCtx, span string, rd *roundPlan, rep bool) error {
 	cc.SpanBegin(span)
-	if cc.Comm().Rank() != rd.sender {
-		err := receiveRound(cc, rd, rep)
+	if c.Rank() != rd.sender {
+		err := receiveRound(cc, &rd, opt.repair)
 		cc.SpanEndGated(span, rd.sender)
 		return err
 	}
-	sent, err := transmitRound(cc, rd)
-	if err == nil && rep {
-		err = serveRepairs(cc, rd, sent)
+	sent, err := transmitRound(cc, &rd)
+	if err == nil && opt.repair {
+		err = serveRepairs(cc, &rd, sent)
 	}
 	cc.SpanEnd(span)
 	return err

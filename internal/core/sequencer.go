@@ -45,7 +45,7 @@ func BcastSequencer(c *mpi.Comm, buf []byte, root int) error {
 			copy(buf, m.Payload)
 		}
 	}
-	return runRounds(c, []roundPlan{bcastRound(buf, sequencer)}, roundOptions{gather: gatherScoutsBinary})
+	return runRound(c, bcastRound(buf, sequencer), roundOptions{gather: gatherScoutsBinary})
 }
 
 // SequencerAlgorithms returns a collective set using the sequencer

@@ -158,7 +158,7 @@ func burst(c *mpi.Comm, opt roundOptions, sends []send, scopeOf func(rank int) m
 	if opt.repair {
 		return repairedExchange(c, opt.gather, senders, sends, scopeOf, consume)
 	}
-	if err := runRounds(c, []roundPlan{barrierRound()}, opt); err != nil {
+	if err := runRound(c, barrierRound(), opt); err != nil {
 		return err
 	}
 	return exchange(c, senders, sends, scopeOf(c.Rank()), consume)
@@ -192,7 +192,7 @@ func burst(c *mpi.Comm, opt roundOptions, sends []send, scopeOf func(rank int) m
 func exchange(c *mpi.Comm, senders []int, sends []send, scope mpi.Scope, consume func(k int, p []byte) error) error {
 	for lo, window := range windows(senders) {
 		if lo > 0 {
-			if err := runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: gatherScoutsBinary}); err != nil {
+			if err := runRound(c, barrierRound(), roundOptions{gather: gatherScoutsBinary}); err != nil {
 				return err
 			}
 		}
@@ -862,7 +862,7 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) err
 			return nil
 		},
 	}
-	if err := runRounds(c, []roundPlan{round}, opt); err != nil {
+	if err := runRound(c, round, opt); err != nil {
 		return err
 	}
 	if me == root {

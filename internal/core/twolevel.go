@@ -34,14 +34,11 @@ package core
 //	                   multicasts, N·M bytes per segment wire, every
 //	                   per-round gather collapsed into the one handshake.
 //	                   There is nothing left for the segments to
-//	                   localize. Under NACK repair the combine-based
-//	                   schedule runs instead: (N-S) member scouts +
-//	                   S(S-1) leader scouts + S segment releases — the
-//	                   ~N + S² bound the a6 table gates on, where the
-//	                   flat repaired burst sends 2(N-1) and a round per
-//	                   rank sent N(N-1); chunks converge on the leader
-//	                   and S aggregate blocks are multicast in sequential
-//	                   leader rounds the repair server can serve.
+//	                   localize. Under NACK repair it is the flat
+//	                   repaired burst: 2(N-1) scouts, a handshake and a
+//	                   confirmation, which beats a combine at each leader
+//	                   followed by S sequential leader rounds at every
+//	                   measured lossless point and at 1 % loss from N=32.
 //	bcast:             N-1 scouts as before, but only S-1 cross the
 //	                   uplinks (members scout their local leader).
 //	gather:            (N-S) member scouts + (S-1) aggregate scouts;
@@ -73,10 +70,8 @@ package core
 //	                   1,000 B (flatAlltoallWins), the flat burst — N-1
 //	                   slices per rank, each to its receiver alone —
 //	                   beats the blocks and runs in their place. Under
-//	                   NACK repair members ship whole buffers to their
-//	                   leader and S sequential leader rounds exchange
-//	                   per-segment super-slice blocks, gated by
-//	                   (N-S) + S(S-1) scouts.
+//	                   NACK repair it is the flat repaired burst, as the
+//	                   allgather.
 //	chunked allreduce: on segments of equal size F, AllreduceMcastChunked
 //	                   reduce-scatters in two levels — F-1 segment-local
 //	                   messages and S-1 across the uplinks per rank, not
@@ -132,8 +127,9 @@ func TwoLevelAlgorithms() mpi.Algorithms {
 }
 
 // TwoLevelResilientAlgorithms is TwoLevelAlgorithms with every
-// multicast — leader rounds, fan-outs and segment releases — protected
-// by the NACK repair protocol, over the flat resilient set.
+// multicast — fan-outs and segment releases — protected by the NACK
+// repair protocol, over the flat resilient set, whose repaired burst is
+// its allgather and alltoall.
 func TwoLevelResilientAlgorithms() mpi.Algorithms {
 	return twoLevelSet(&twoLevel{flat: ResilientAlgorithms(), rep: true})
 }
@@ -150,7 +146,6 @@ func twoLevelSet(tl *twoLevel) mpi.Algorithms {
 	algs := tl.flat
 	algs.Bcast = tl.bcast
 	algs.Barrier = tl.barrier
-	algs.Allgather = tl.allgather
 	algs.Allreduce = tl.allreduce
 	algs.Gather = tl.gather
 	algs.Scatter = tl.scatter
@@ -209,23 +204,6 @@ func twoLevelRoundGather(t *topo.Map) func(cc mpi.CollCtx, root int) error {
 	}
 }
 
-// leaderRoundGather is the leaders-only scout gather of the aggregate
-// rounds: every segment leader but the sender scouts directly to the
-// sender; non-leaders take no part (their readiness was proven into
-// their leader's aggregate during the local phase). Forwarding-free.
-func leaderRoundGather(t *topo.Map) func(cc mpi.CollCtx, root int) error {
-	return func(cc mpi.CollCtx, root int) error {
-		me := cc.Comm().Rank()
-		if t.Leader(t.SegmentOf(me)) != me {
-			return nil
-		}
-		if me != root {
-			return cc.Send(root, phaseScout, nil, transport.ClassScout, false)
-		}
-		return recvScouts(cc, phaseScout, t.Segments()-1)
-	}
-}
-
 // recvScouts receives n messages of phase from any source: a scout
 // count, where only their arrival matters.
 func recvScouts(cc mpi.CollCtx, phase, n int) error {
@@ -245,7 +223,7 @@ func (tl *twoLevel) bcast(c *mpi.Comm, buf []byte, root int) error {
 	if t == nil {
 		return tl.flat.Bcast(c, buf, root)
 	}
-	return runRounds(c, []roundPlan{bcastRound(buf, root)}, roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep})
+	return runRound(c, bcastRound(buf, root), roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep})
 }
 
 // barrier is the hierarchical barrier: the two-level scout gather toward
@@ -255,7 +233,7 @@ func (tl *twoLevel) barrier(c *mpi.Comm) error {
 	if t == nil {
 		return tl.flat.Barrier(c)
 	}
-	return runRounds(c, []roundPlan{barrierRound()}, roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep})
+	return runRound(c, barrierRound(), roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep})
 }
 
 // segScope is the scope of a segment round: every rank listens on its
@@ -307,72 +285,6 @@ func segmentCombine(cc mpi.CollCtx, t *topo.Map, lead int, payload []byte, rep b
 		return err
 	}
 	return collectChunks(cc, mpi.Seg(seg), others, len(payload), place)
-}
-
-// allgather gathers every rank's chunk to every rank. Lossless it is the
-// flat set's allgather — one burst, with nothing for the segments to
-// localize: its handshake is N-1 scouts and one release, and every rank
-// multicasts its own chunk. Under repair it runs in two levels: a
-// release-gated segment-local combine to each leader, then S sequential
-// leader rounds each multicasting one segment's aggregate block to the
-// whole communicator.
-func (tl *twoLevel) allgather(c *mpi.Comm, send, recv []byte) error {
-	t := usableTopo(c)
-	if t == nil || !tl.rep {
-		return tl.flat.Allgather(c, send, recv)
-	}
-	n := len(send)
-	if len(recv) != n*c.Size() {
-		return fmt.Errorf("core: allgather recv buffer %d bytes, want %d", len(recv), n*c.Size())
-	}
-	me := c.Rank()
-	copy(recv[me*n:], send)
-	members := t.Members(t.SegmentOf(me))
-	leader := t.Leader(t.SegmentOf(me))
-
-	// Segment-local combine. Every rank opens the collective context
-	// (the context sequence must advance identically everywhere).
-	var block []byte // leader-only: this segment's aggregate, member order
-	if me == leader {
-		block = make([]byte, n*len(members))
-		copy(block, send) // a leader is its segment's first member
-	}
-	cc := c.BeginColl()
-	err := segmentCombine(cc, t, leader, send, tl.rep, func(r int, p []byte) {
-		copy(block[slices.Index(members, r)*n:], p)
-		copy(recv[r*n:], p)
-	})
-	if err != nil {
-		return err
-	}
-
-	// Leader rounds: round s multicasts segment s's aggregate block to
-	// the whole communicator; every rank scatters it into recv. Only the
-	// leaders scout — the member scouts already proved their segments in.
-	rounds := make([]roundPlan, t.Segments())
-	for s := range rounds {
-		ms := t.Members(s)
-		bytes := n * len(ms)
-		rounds[s] = roundPlan{
-			sender: t.Leader(s),
-			class:  transport.ClassData,
-			bytes:  bytes,
-			sends:  wholeSend(block),
-			scope:  wholeScope,
-			consume: func(p []byte) error {
-				if len(p) != bytes {
-					return fmt.Errorf("core: allgather aggregate block is %d bytes, want %d", len(p), bytes)
-				}
-				for i, r := range ms {
-					copy(recv[r*n:(r+1)*n], p[i*n:(i+1)*n])
-				}
-				return nil
-			},
-		}
-	}
-	// The sequential round schedule the NACK server needs; the lossless
-	// path took the flat burst above.
-	return runRounds(c, rounds, roundOptions{gather: leaderRoundGather(t), repair: tl.rep})
 }
 
 // ringSegSends is the burst alltoall's send list at rank me: to every
@@ -497,7 +409,7 @@ func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, o
 	if me == root {
 		copy(recv, acc)
 	}
-	return runRounds(c, []roundPlan{bcastRound(recv, root)}, roundOptions{gather: noGather, repair: tl.rep})
+	return runRound(c, bcastRound(recv, root), roundOptions{gather: noGather, repair: tl.rep})
 }
 
 // gather collects chunks in two levels: members combine at their segment
@@ -622,7 +534,7 @@ func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 			return nil
 		},
 	}
-	if err := runRounds(c, []roundPlan{round}, roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep}); err != nil {
+	if err := runRound(c, round, roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep}); err != nil {
 		return err
 	}
 	if me == root {
@@ -632,21 +544,14 @@ func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 }
 
 // alltoall runs the personalized exchange hierarchically, where the flat
-// sliced exchange makes N(N-1) per-slice transmissions. Lossless, it is
-// a burst over ringSegSends: after the barrier's N-1 scouts and one
-// release every rank multicasts one block per segment, and keeps its own
-// chunk of each block its segment hears — except inside
-// flatAlltoallWins, where it is the flat set's burst of per-rank slices.
-// Under repair it runs in two levels. Phase A: each segment's
-// members ship their whole send buffer to the segment leader over the
-// release-gated local combine (segment-local unicast — never crossing
-// an uplink). Phase B: S sequential segment rounds among the leaders —
-// round s's leader multicasts, to each destination segment d, one
-// super-slice holding every chunk from segment s's members to segment
-// d's members — gated by S(S-1) leader scouts.
+// sliced exchange makes N(N-1) per-slice transmissions: a burst over
+// ringSegSends, in which after the barrier's N-1 scouts and one release
+// every rank multicasts one block per segment, and keeps its own chunk
+// of each block its segment hears. Inside flatAlltoallWins, and under
+// repair, it is the flat set's burst of per-rank slices.
 func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 	t := usableTopo(c)
-	if t == nil {
+	if t == nil || tl.rep {
 		return tl.flat.Alltoall(c, send, recv)
 	}
 	size := c.Size()
@@ -654,75 +559,19 @@ func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 		return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks", len(send), len(recv), size)
 	}
 	n := len(send) / size
-	if !tl.rep && flatAlltoallWins(size, n) {
+	if flatAlltoallWins(size, n) {
 		return tl.flat.Alltoall(c, send, recv)
 	}
 	me := c.Rank()
 	copy(recv[me*n:(me+1)*n], send[me*n:(me+1)*n])
 	myMembers := t.Members(t.SegmentOf(me))
 	myIdx := slices.Index(myMembers, me)
-	if !tl.rep {
-		blk := n * len(myMembers)
-		return burst(c, roundOptions{gather: gatherScoutsBinary}, ringSegSends(t, me, send, n), segScope(t), func(r int, p []byte) error {
-			if len(p) != blk {
-				return fmt.Errorf("core: alltoall block from %d is %d bytes, want %d", r, len(p), blk)
-			}
-			copy(recv[r*n:(r+1)*n], p[myIdx*n:(myIdx+1)*n])
-			return nil
-		})
-	}
-
-	// Phase A: segment-local combine of whole send buffers at the
-	// leader. The members' chunks addressed to the leader itself never
-	// ride a phase-B multicast; it lifts them out as they arrive.
-	cc := c.BeginColl()
-	bufs := map[int][]byte{me: send}
-	err := segmentCombine(cc, t, t.Leader(t.SegmentOf(me)), send, tl.rep, func(r int, p []byte) {
-		bufs[r] = p
-		copy(recv[r*n:(r+1)*n], p[me*n:(me+1)*n])
+	blk := n * len(myMembers)
+	return burst(c, roundOptions{gather: gatherScoutsBinary}, ringSegSends(t, me, send, n), segScope(t), func(r int, p []byte) error {
+		if len(p) != blk {
+			return fmt.Errorf("core: alltoall block from %d is %d bytes, want %d", r, len(p), blk)
+		}
+		copy(recv[r*n:(r+1)*n], p[myIdx*n:(myIdx+1)*n])
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-
-	// The super-slice from this rank's segment to segment d, built where
-	// it is sent — on the leader, which phase A left holding every
-	// member's buffer. It is laid out grouped by destination member:
-	// position (j·|s| + i)·n holds the chunk from source member i to
-	// destination member j, so receiver j extracts one contiguous |s|·n
-	// region.
-	block := func(d int) []byte {
-		dm := t.Members(d)
-		blk := make([]byte, n*len(myMembers)*len(dm))
-		for j, dst := range dm {
-			for i, src := range myMembers {
-				copy(blk[(j*len(myMembers)+i)*n:], bufs[src][dst*n:(dst+1)*n])
-			}
-		}
-		return blk
-	}
-	rounds := make([]roundPlan, t.Segments())
-	for s := range rounds {
-		sm := t.Members(s)
-		rounds[s] = roundPlan{
-			sender: t.Leader(s),
-			class:  transport.ClassData,
-			bytes:  n * len(sm) * size,
-			// The sender's own segment hears the round too (chunks for
-			// the sender itself were lifted out in phase A).
-			sends: segSends(t, t.Leader(s), block),
-			scope: segScope(t),
-			consume: func(p []byte) error {
-				if len(p) != n*len(sm)*len(myMembers) {
-					return fmt.Errorf("core: alltoall segment block is %d bytes, want %d", len(p), n*len(sm)*len(myMembers))
-				}
-				base := myIdx * len(sm) * n
-				for i, r := range sm {
-					copy(recv[r*n:(r+1)*n], p[base+i*n:base+(i+1)*n])
-				}
-				return nil
-			},
-		}
-	}
-	return runRounds(c, rounds, roundOptions{gather: leaderRoundGather(t), repair: tl.rep})
 }

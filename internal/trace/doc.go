@@ -17,14 +17,13 @@
 // single simulated timestamp — and one of four kinds:
 //
 //   - SpanBegin/SpanEnd: a named phase interval on one rank's track.
-//     The round engine names a one-round collective (bcast, barrier,
-//     scatter, a burst's handshake) with the paper's phases —
-//     "scout-gather", then "data-mcast", or "release" for a control
-//     round. "round-gather" and "round-data" name the repaired
-//     multi-sender schedules: the repaired burst's handshake and its
-//     data-and-repair loop with its confirmation (the flat resilient
-//     allgather and alltoall), and the gather and data phases of the
-//     two-level leader rounds under NACK repair. Beside them:
+//     The round engine names each round (bcast, barrier, scatter, a
+//     burst's handshake) with the paper's phases — "scout-gather",
+//     then "data-mcast", or "release" for a control round.
+//     "round-gather" and "round-data" name the one repaired
+//     multi-sender schedule, the repaired burst of the resilient
+//     allgather and alltoall (flat and two-level): its handshake, and
+//     its data-and-repair loop with its confirmation. Beside them:
 //     "chunk-mcast", "chunk-consume" (a lossless burst's data
 //     exchange), "slice-combine", "reduce-scatter". Spans nest (a "bcast" op span
 //     contains its phase spans). A SpanEnd may carry a gate: the rank
