@@ -37,7 +37,13 @@ package core
 //     fragments under the original message id, so repair convergence is
 //     O(missing) instead of O(F) — independent of message size. This is
 //     what makes the Resilient* variants of the suite survive random
-//     fragment loss that the paper's model rules out.
+//     fragment loss that the paper's model rules out. Once a rank has
+//     seen the network lose frames (lossEvident), repair also acts on
+//     that evidence: a control round's sender resends its release to
+//     the ranks whose acks the others' prove overdue (serveRepairs), and
+//     the repaired burst asks at its own pace (repairedWindow). Without
+//     evidence neither rule arms a timer, and a lossless wire carries
+//     exactly what it carried before them.
 //
 // Scope: what a round puts on the wire is a list of sends, each a
 // payload and the mpi.Scope it is addressed to, and every receiver names
@@ -57,6 +63,7 @@ import (
 	"slices"
 
 	"repro/internal/mpi"
+	"repro/internal/reliab"
 	"repro/internal/transport"
 )
 
@@ -161,7 +168,7 @@ func runRound(c *mpi.Comm, rd roundPlan, opt roundOptions) error {
 	}
 	sent, err := transmitRound(cc, &rd)
 	if err == nil && opt.repair {
-		err = serveRepairs(cc, &rd, sent)
+		err = serveRepairs(cc, &rd, sent, false)
 	}
 	cc.SpanEnd(span)
 	return err
@@ -198,6 +205,20 @@ func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep 
 	rc := newRepairClock(cc, sender, bytes)
 	for {
 		rc.look(cc)
+		if rc.complete() {
+			// A message from the sender arrived whole, perhaps while this
+			// rank was sending: if it is this one, the receive finds it at
+			// once, where asking first would buy a full resend. It may be
+			// the sender's next one instead (its slot of a burst, after a
+			// lost release), so the receive is bounded and the clock goes
+			// on once it expires.
+			rc.started = false
+			m, ok, err := cc.RecvMulticastTimeout(scope, repairProbe)
+			if err != nil || ok {
+				return m, err
+			}
+			continue
+		}
 		due := rc.due()
 		now := c.Now()
 		if now < due {
@@ -236,7 +257,9 @@ func awaitMulticast(cc mpi.CollCtx, sender int, scope mpi.Scope, bytes int, rep 
 //     second request for the same message waits a full repairProbe after
 //     the first, doubling: asking again any sooner buys the same repair
 //     twice. A message that interleaves with others (heard) has no pace
-//     of its own, and waits heardQuiet after the latest traffic heard.
+//     of its own, and waits heardQuiet after the latest traffic heard —
+//     or, once loss has been seen, four of that traffic's own mean gaps
+//     (repairedWindow).
 //
 //   - Nothing at all. Usually the message has not been sent yet — the
 //     sender is still finishing an earlier phase or serving its repairs,
@@ -278,8 +301,10 @@ type repairClock struct {
 	askDue, askWait     int64 // the earliest a named request may follow the last
 	requests            int
 	// heardAt is when the receiver last heard traffic arrive that the
-	// message may be queued behind (heard); 0 where there is none.
-	heardAt int64
+	// message may be queued behind (heard); 0 where there is none. quiet
+	// is how long that traffic must then have been silent before a
+	// partial message is asked for.
+	heardAt, quiet int64
 }
 
 // newRepairClock starts the clock of a receiver that begins, now, to wait
@@ -327,10 +352,15 @@ func (rc *repairClock) extend(d int64) {
 }
 
 // heard records t, when the receiver last saw traffic arrive that the
-// message may be queued behind: no request for the message is due until
-// heardQuiet after t if some of it arrived, the silence budget after t
-// if nothing did.
-func (rc *repairClock) heard(t int64) { rc.heardAt = max(rc.heardAt, t) }
+// message may be queued behind, and quiet, how long that traffic must
+// have been silent before the rest of a partial message is asked for
+// (heardQuiet, or the traffic's own pace under evidence of loss): no
+// request for the message is due until quiet after t if some of it
+// arrived, the silence budget after t if nothing did.
+func (rc *repairClock) heard(t, quiet int64) {
+	rc.heardAt = max(rc.heardAt, t)
+	rc.quiet = quiet
+}
 
 // heardQuiet is how long a receiver that hears other traffic (heard)
 // waits after the latest of it before it asks for the rest of a partial
@@ -339,7 +369,9 @@ func (rc *repairClock) heard(t int64) { rc.heardAt = max(rc.heardAt, t) }
 // no pace of its own — the next fragment of one of N-1 senders
 // multicasting at once is N-1 fragments away, and on a shared segment a
 // station's arrivals pause while its neighbours are served — so the
-// quiet that counts is the quiet of all of them.
+// quiet that counts is the quiet of all of them. It holds only without
+// evidence of loss: with it, the repaired burst asks at that traffic's
+// own pace (repairedWindow).
 const heardQuiet = 7 * repairProbe
 
 // due returns when the next request for the message is due, by what
@@ -353,7 +385,7 @@ func (rc *repairClock) due() int64 {
 	if rc.heardAt == 0 {
 		return max(rc.since+max(4*rc.seen.Gap(), repairProbe/8), rc.askDue)
 	}
-	return max(rc.since+repairProbe/8, rc.heardAt+heardQuiet, rc.askDue)
+	return max(rc.since+repairProbe/8, rc.heardAt+rc.quiet, rc.askDue)
 }
 
 // ask sends the request that came due at now in the operation cc: for
@@ -423,14 +455,57 @@ func receiveRound(cc mpi.CollCtx, rd *roundPlan, rep bool) error {
 // serveRepairs runs the sender side of the NACK protocol for one round:
 // after transmitRound returned sent, it answers repair requests — each
 // with the send its source listens on — until every receiver has
-// confirmed.
-func serveRepairs(cc mpi.CollCtx, rd *roundPlan, sent []send) error {
+// confirmed. nacked reports a repair request already received in the
+// operation.
+//
+// A control round's one empty frame — the barrier's release, the
+// repaired burst's confirmation — is also resent unasked once this rank
+// has evidence of loss (lossEvident, or a NACK in the operation) and some
+// acks are in: when none has come for four of the mean gaps between the
+// release and the acks so far (at least repairProbe/8, doubling after
+// each resend), those deliveries prove it lost at the ranks still silent
+// (RACK's rule, RFC 8985). The failure detector is asked first whether
+// the silence is a dead rank. Without evidence the wait blocks as every
+// receive does.
+func serveRepairs(cc mpi.CollCtx, rd *roundPlan, sent []send, nacked bool) error {
 	c := cc.Comm()
 	confirmed := make([]bool, c.Size())
 	confirmed[rd.sender] = true
 	remaining := c.Size() - 1
+	start := c.Now()
+	lastAck, since := start, start // since: the latest ack or resend
+	acks, resends := 0, 0
 	for remaining > 0 {
-		m, err := cc.RecvPhases(phaseAck, phaseNack)
+		timeout := int64(-1) // no evidence: wait as every receive does
+		if rd.class == transport.ClassControl && acks > 0 && resends < maxRepairs && (nacked || lossEvident(cc)) {
+			quiet := max(4*(lastAck-start)/int64(acks), repairProbe/8)
+			due := since + min(quiet<<min(resends, 10), repairProbe<<10)
+			now := c.Now()
+			if now >= due {
+				if err := cc.CheckFailures(); err != nil {
+					return err
+				}
+				cc.TraceEvent("resend.release", int64(remaining))
+				s := sent[0]
+				if err := cc.MulticastRepair(s.scope, s.payload, rd.class, s.id, nil); err != nil {
+					return err
+				}
+				resends++
+				since = c.Now()
+				continue
+			}
+			timeout = due - now
+		}
+		var m transport.Message
+		var err error
+		if timeout < 0 {
+			m, err = cc.RecvPhases(phaseAck, phaseNack)
+		} else {
+			var ok bool
+			if m, _, ok, err = cc.RecvSpan(1, timeout); err == nil && !ok {
+				continue // the acks still missing are overdue
+			}
+		}
 		if err != nil {
 			return err
 		}
@@ -442,15 +517,31 @@ func serveRepairs(cc mpi.CollCtx, rd *roundPlan, sent []send) error {
 		}
 		switch m.Class {
 		case transport.ClassNack:
+			nacked = true
 			if err := repairSend(cc, sent, rd.scope(r), rd.class, m.Payload, r); err != nil {
 				return err
 			}
+			resends++
+			since = c.Now()
 		case transport.ClassAck:
 			confirmed[r] = true
 			remaining--
+			acks++
+			lastAck = c.Now()
+			since = lastAck
 		}
 	}
 	return nil
+}
+
+// lossEvident reports the evidence the repair clocks act on: this rank's
+// device saw the network lose frames within the last reliab.RTO
+// (mpi.CollCtx.LastLoss) — the signal that also makes its stream confirm
+// its sends. A NACK this rank received in the operation is the same
+// evidence, which the caller adds.
+func lossEvident(cc mpi.CollCtx) bool {
+	at := cc.LastLoss()
+	return at > 0 && cc.Comm().Now()-at < reliab.RTO
 }
 
 // repairSend answers rank r's repair request req with the send of sent

@@ -386,11 +386,18 @@ func repairedWindow(c *mpi.Comm, gate mpi.CollCtx, gateSent []send, senders []in
 	}
 	parent, children := scoutTree(me, 0, c.Size())
 	scouts, scouted := 0, false
-	// heard is the exchange's latest arrival, until this rank's first
-	// request: a request goes out only once the exchange has stopped
-	// arriving, and what arrives after it is repair traffic, which no
-	// other message queues behind.
+	// heard is the exchange's latest arrival. Without evidence of loss it
+	// stops moving at this rank's first request: that request goes out
+	// only once the exchange has stopped arriving, and what arrives after
+	// it is repair traffic, which no other message queues behind. The
+	// exchange's pace at this rank is its fragments since start, whole
+	// slots counted at frags each.
 	heard, asked := c.Now(), false
+	start, slots, frags := heard, left, 1
+	if fp := conf.FragPayload(); fp > 0 && msg > fp {
+		frags = (msg + fp - 1) / fp
+	}
+	nacked := false // this rank was asked for a repair in the window
 	for {
 		if !fired && !slices.ContainsFunc(clocks[:mine], func(rc *repairClock) bool { return rc != nil }) {
 			if err := fire(); err != nil {
@@ -405,7 +412,7 @@ func repairedWindow(c *mpi.Comm, gate mpi.CollCtx, gateSent []send, senders []in
 				if err != nil {
 					return err
 				}
-				return serveRepairs(conf, &rd, relSent)
+				return serveRepairs(conf, &rd, relSent, nacked)
 			}
 			if err := conf.Send(parent, phaseScout, nil, transport.ClassScout, false); err != nil {
 				return err
@@ -416,21 +423,35 @@ func repairedWindow(c *mpi.Comm, gate mpi.CollCtx, gateSent []send, senders []in
 			clocks[len(senders)].extend(slotSilence)
 		}
 
-		// The next request due.
+		// The next request due. Once this rank has seen loss, a partial
+		// slot is asked for when the exchange has been quiet for four of
+		// its mean inter-arrival gaps here (at least repairProbe/8), not
+		// heardQuiet: the burst's own pace says it has stopped arriving.
+		// A request may then go out while other slots still arrive, so
+		// their arrivals go on moving heard.
+		evident := nacked || lossEvident(conf)
+		got := (slots - left) * frags
 		for _, rc := range clocks {
 			if rc != nil {
 				rc.look(conf)
-				if rc.partial && !asked {
-					heard = max(heard, rc.seen.Last)
+				if rc.partial {
+					got += rc.seen.Got
+					if !asked || evident {
+						heard = max(heard, rc.seen.Last)
+					}
 				}
 			}
+		}
+		quiet := int64(heardQuiet)
+		if evident && got > 0 {
+			quiet = max(4*(heard-start)/int64(got), repairProbe/8)
 		}
 		due, at := int64(0), -1
 		for k, rc := range clocks {
 			if rc == nil || rc.complete() {
 				continue // a complete message is on its way up
 			}
-			rc.heard(heard)
+			rc.heard(heard, quiet)
 			if d := rc.due(); at < 0 || d < due {
 				due, at = d, k
 			}
@@ -456,9 +477,10 @@ func repairedWindow(c *mpi.Comm, gate mpi.CollCtx, gateSent []send, senders []in
 			continue
 		}
 		k := op - base // the slot, len(senders) for the confirmation
+		nacked = nacked || m.Class == transport.ClassNack
 		switch {
 		case m.Kind == transport.Mcast && k >= 0 && k < len(senders):
-			if !asked {
+			if !asked || evident {
 				heard = c.Now()
 			}
 			if clocks[k] == nil {

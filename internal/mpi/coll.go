@@ -246,6 +246,16 @@ func (cc CollCtx) MissingFrom(src int) (msgID uint64, missing []int, seen transp
 	return w.PendingFrom(cc.c.group[src])
 }
 
+// LastLoss returns when this rank's device last saw evidence that the
+// network is losing frames (transport.Wire.LastLoss), on the device
+// clock, or 0 if it never has or has no wire.
+func (cc CollCtx) LastLoss() int64 {
+	if w := cc.c.rt.wire; w != nil {
+		return w.LastLoss()
+	}
+	return 0
+}
+
 // MulticastRepair retransmits the named fragments (nil = all) of this
 // operation's earlier multicast to the scope under its original device
 // message id. A device without a wire (or an unknown id, 0) sends a

@@ -91,6 +91,7 @@ type Driver struct {
 	// is the silent sender the paper's wire was measured with.
 	credit      int
 	creditGauge *metrics.Gauge
+	lossAt      int64 // the clock at the latest LossSeen; 0 before any
 }
 
 // NewDriver returns the stream driver of endpoint h.Rank.
@@ -117,7 +118,13 @@ func (d *Driver) LossSeen(now int64) {
 		d.h.Trace.Event(d.h.Rank, now, "stream.lossy", 0)
 	}
 	d.setCredit(max(1, int(d.h.opts.rto/minRTO)))
+	d.lossAt = now
 }
+
+// LastLoss returns when the endpoint last saw the network lose frames
+// (LossSeen), on its clock, or 0 if it never has
+// (transport.Wire.LastLoss).
+func (d *Driver) LastLoss() int64 { return d.lossAt }
 
 func (d *Driver) setCredit(n int) {
 	d.credit = n

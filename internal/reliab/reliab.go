@@ -61,7 +61,11 @@
 //     spent without more evidence, the endpoint is silent again. No
 //     estimator is shared between streams and no timeout is shortened: an
 //     endpoint that never sees evidence sends, frame for frame, what it
-//     would send without this rule.
+//     would send without this rule. The collectives' repair clocks read
+//     the same evidence (Driver.LastLoss, through transport.Wire): within
+//     RTO of a sighting, a release's sender resends it to the ranks whose
+//     acks are overdue and the repaired burst asks for a lost fragment at
+//     its own pace, and without one both wait exactly as before.
 //
 // The package holds the protocol state machines (SendStream, RecvStream),
 // the control wire format, and the Driver that runs every stream of one

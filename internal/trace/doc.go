@@ -33,7 +33,10 @@
 //     (Arg: payload bytes), "send.nack" (a receiver asked for a repair;
 //     Arg: the nanoseconds of silence it waited out first — since the
 //     message's latest fragment, or since it began waiting when nothing
-//     arrived), "repair.mcast" (Arg: fragments resent), "stream.stall" (a
+//     arrived), "repair.mcast" (Arg: fragments resent), "resend.release"
+//     (a control round's sender, having seen loss, sent its release again
+//     unasked because the other acks proved it lost; Arg: the acks still
+//     missing), "stream.stall" (a
 //     send blocked on the window; Arg: peer), "stream.credit" (an ack
 //     made room in a full window; Arg: peer), "stream.probe" (Arg: peer),
 //     "stream.retransmit" (Arg: fragments), "stream.lossy" (an endpoint

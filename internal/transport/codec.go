@@ -339,6 +339,7 @@ func DecodeRepairReq(b []byte) (msgID uint64, missing []int, err error) {
 type Reassembler struct {
 	pending   map[reasmKey]*reasmState
 	mcastDone map[int]uint64 // per-src highest completed multi-fragment mcast id
+	newest    map[int]uint64 // per-src newest partial multicast id (PendingFrom)
 }
 
 type reasmKey struct {
@@ -410,6 +411,14 @@ func (r *Reassembler) Accept(f Fragment, at int64) (m Message, arrived int, done
 			template: f.Msg,
 		}
 		r.pending[key] = st
+		if f.Msg.Kind == Mcast {
+			if r.newest == nil {
+				r.newest = make(map[int]uint64)
+			}
+			if id, ok := r.newest[key.src]; !ok || key.msgID > id {
+				r.newest[key.src] = key.msgID
+			}
+		}
 	}
 	if int(f.Count) != st.count || int(f.TotalLen) != len(st.buf) {
 		return m, 0, false, fmt.Errorf("%w: inconsistent fragments for message %d/%d", ErrBadPacket, f.Msg.Src, f.MsgID)
@@ -430,6 +439,9 @@ func (r *Reassembler) Accept(f Fragment, at int64) (m Message, arrived int, done
 	}
 	delete(r.pending, key)
 	if f.Msg.Kind == Mcast {
+		if r.newest[key.src] == key.msgID {
+			r.findNewest(key.src)
+		}
 		if r.mcastDone == nil {
 			r.mcastDone = make(map[int]uint64)
 		}
@@ -458,16 +470,26 @@ func (r *Reassembler) Pending() int { return len(r.pending) }
 // (a lost stream fragment awaiting retransmission), and naming its id in
 // a multicast NACK would request repairs for the wrong message.
 func (r *Reassembler) PendingFrom(src int) (msgID uint64, missing []int, seen Arrivals, ok bool) {
-	for key, st := range r.pending {
-		if key.src == src && st.template.Kind == Mcast && (!ok || key.msgID > msgID) {
-			msgID, ok = key.msgID, true
-			seen = Arrivals{Got: st.received, First: st.first, Last: st.last}
-		}
-	}
+	msgID, ok = r.newest[src]
 	if !ok {
 		return 0, nil, Arrivals{}, false
 	}
+	st := r.pending[reasmKey{src: src, msgID: msgID}]
+	seen = Arrivals{Got: st.received, First: st.first, Last: st.last}
 	return msgID, r.Missing(src, msgID), seen, true
+}
+
+// findNewest recomputes src's newest partial multicast once the one
+// PendingFrom reported completed: a scan per completed message, where
+// PendingFrom, which a repairing receiver calls for every message it
+// awaits each time it looks, would scan on every call.
+func (r *Reassembler) findNewest(src int) {
+	delete(r.newest, src)
+	for key, st := range r.pending {
+		if id, ok := r.newest[src]; key.src == src && st.template.Kind == Mcast && (!ok || key.msgID > id) {
+			r.newest[src] = key.msgID
+		}
+	}
 }
 
 // Missing returns the indexes of fragments not yet received for the

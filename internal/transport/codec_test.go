@@ -424,6 +424,35 @@ func TestReassemblerPendingFrom(t *testing.T) {
 	}
 }
 
+// TestReassemblerPendingFromAfterCompletion: once the newest partial
+// multicast of a source completes, the next newest is reported, and none
+// once every partial of the source has.
+func TestReassemblerPendingFromAfterCompletion(t *testing.T) {
+	var r Reassembler
+	older := Split(Message{Kind: Mcast, Src: 3, Payload: make([]byte, 3000)}, 8, 1000)
+	newer := Split(Message{Kind: Mcast, Src: 3, Payload: make([]byte, 2000)}, 9, 1000)
+	other := Split(Message{Kind: Mcast, Src: 4, Payload: make([]byte, 2000)}, 10, 1000)
+	for _, f := range []Fragment{older[0], newer[0], other[0], newer[1]} {
+		if _, _, err := r.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id, missing, _, ok := r.PendingFrom(3); !ok || id != 8 || len(missing) != 2 {
+		t.Fatalf("after the newest completed: PendingFrom = %d/%v missing %v, want 8 missing [1 2]", id, ok, missing)
+	}
+	for _, f := range older[1:] {
+		if _, _, err := r.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id, _, _, ok := r.PendingFrom(3); ok {
+		t.Fatalf("every partial of source 3 completed, PendingFrom still reports %d", id)
+	}
+	if id, _, _, ok := r.PendingFrom(4); !ok || id != 10 {
+		t.Fatalf("source 4's partial reads %d/%v, want 10", id, ok)
+	}
+}
+
 // TestReassemblerStampsArrivals: given arrival times, a partial carries
 // how many fragments arrived and when the first and the latest did; a
 // duplicate adds nothing, a p2p partial is not reported, and the stamps

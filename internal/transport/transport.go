@@ -165,6 +165,12 @@ type Wire interface {
 	// and when what it holds arrived, on the endpoint's clock. ok=false
 	// means nothing from src is pending.
 	PendingFrom(src int) (msgID uint64, missing []int, seen Arrivals, ok bool)
+	// LastLoss returns when the endpoint last saw evidence that the
+	// network is losing frames — a repair-flagged fragment arrived, an
+	// ack called for a retransmission, a duplicate came in
+	// (reliab.Driver.LossSeen) — on the endpoint's clock, or 0 if it
+	// never has.
+	LastLoss() int64
 	// PostRecvs posts n standing receive descriptors. Under the paper's
 	// strict-posted discipline a multicast frame that finds none posted
 	// is lost, so a collective in which every rank multicasts at once

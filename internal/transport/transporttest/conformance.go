@@ -45,6 +45,7 @@ func RunAll(t *testing.T, f Factory) {
 	t.Run("ClockMonotonic", func(t *testing.T) { testClockMonotonic(t, f) })
 	t.Run("ReliableStream", func(t *testing.T) { testReliableStream(t, f) })
 	t.Run("Ping", func(t *testing.T) { testPing(t, f) })
+	t.Run("LastLoss", func(t *testing.T) { testLastLoss(t, f) })
 }
 
 func pattern(n int, seed byte) []byte {
@@ -490,6 +491,67 @@ func testPing(t *testing.T, f Factory) {
 	fns[1] = func(ep transport.Endpoint) error {
 		_, err := ep.Recv() // alive until rank 0 is done pinging
 		return err
+	}
+	h.Run(t, fns)
+}
+
+// testLastLoss: a transport.Wire reports no loss while nothing is lost,
+// and the arrival of a repair-flagged fragment — someone in earshot sent
+// a frame twice — sets it to a time on the receiver's clock. Transports
+// without a wire are skipped.
+func testLastLoss(t *testing.T, f Factory) {
+	h := f(t, 2)
+	const group = 11
+	fns := make([]func(transport.Endpoint) error, 2)
+	fns[0] = func(ep transport.Endpoint) error {
+		w, ok := ep.(transport.Wire)
+		if !ok {
+			return nil
+		}
+		if _, err := ep.Recv(); err != nil { // rank 1 has joined
+			return err
+		}
+		m := transport.Message{Seq: 4, Payload: pattern(100, 4)}
+		if err := ep.Multicast(group, m); err != nil {
+			return err
+		}
+		if _, err := ep.Recv(); err != nil { // rank 1 holds it
+			return err
+		}
+		if at := w.LastLoss(); at != 0 {
+			return fmt.Errorf("sender: LastLoss() = %d on a lossless exchange, want 0", at)
+		}
+		return w.RepairMulticast(group, m, w.LastMulticastID(), nil)
+	}
+	fns[1] = func(ep transport.Endpoint) error {
+		w, ok := ep.(transport.Wire)
+		if !ok {
+			return nil
+		}
+		if err := ep.Join(group); err != nil {
+			return err
+		}
+		if err := ep.Send(0, transport.Message{Tag: 1}); err != nil {
+			return err
+		}
+		if _, err := ep.Recv(); err != nil { // the multicast
+			return err
+		}
+		if at := w.LastLoss(); at != 0 {
+			return fmt.Errorf("receiver: LastLoss() = %d on a lossless exchange, want 0", at)
+		}
+		if err := ep.Send(0, transport.Message{Tag: 2}); err != nil {
+			return err
+		}
+		// A one-fragment repair is delivered again; by then it has been
+		// seen.
+		if _, err := ep.Recv(); err != nil {
+			return err
+		}
+		if at := w.LastLoss(); at <= 0 || at > ep.Now() {
+			return fmt.Errorf("receiver: LastLoss() = %d after a repair-flagged fragment at or before %d, want a time in (0, now]", at, ep.Now())
+		}
+		return nil
 	}
 	h.Run(t, fns)
 }

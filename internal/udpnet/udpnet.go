@@ -640,6 +640,13 @@ func (ep *Endpoint) PendingFrom(src int) (msgID uint64, missing []int, seen tran
 	return ep.streams.PendingFrom(src)
 }
 
+// LastLoss implements transport.Wire from the stream driver.
+func (ep *Endpoint) LastLoss() int64 {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.streams.LastLoss()
+}
+
 // MaxFragPayload implements transport.Wire.
 func (ep *Endpoint) MaxFragPayload() int { return fragSize }
 
