@@ -61,10 +61,14 @@ func main() {
 	)
 	flag.Parse()
 
-	os.Exit(run(figure, reps, step, max, seed, quick, csvDir, trajec, gate, trOut, cpuOut, memOut))
+	os.Exit(run(flag.Args(), figure, reps, step, max, seed, quick, csvDir, trajec, gate, trOut, cpuOut, memOut))
 }
 
-func run(figure *string, reps, step, max *int, seed *uint64, quick *bool, csvDir, trajec, gate, trOut, cpuOut, memOut *string) int {
+func run(args []string, figure *string, reps, step, max *int, seed *uint64, quick *bool, csvDir, trajec, gate, trOut, cpuOut, memOut *string) int {
+	if len(args) > 0 {
+		fmt.Fprintf(os.Stderr, "mcastbench: %s is not a flag; mcastbench takes no arguments (see -h)\n", args[0])
+		return 2
+	}
 	// 0 means the default; a negative step would never reach -max.
 	for _, f := range []struct {
 		name string

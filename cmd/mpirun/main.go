@@ -99,6 +99,10 @@ func main() {
 		metEvery = flag.Duration("metrics-interval", time.Second, "interval between -metrics-jsonl snapshots")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mpirun: %s is not a flag; mpirun takes no arguments (see -h)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	// A world needs a rank and a median needs a repetition; a negative
 	// size or segment fanout means nothing; a loss rate of 1 hangs the

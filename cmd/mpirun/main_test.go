@@ -24,7 +24,8 @@ func TestMain(m *testing.M) {
 // with a one-line usage error before any socket opens: a negative -size
 // or -reps reached make and panicked, -reps 0 indexed an empty latency
 // list, a world without ranks exited 1 as if a run had failed, a loss
-// rate of 1 hung the run, and a negative one ran lossless.
+// rate of 1 hung the run, and a negative one ran lossless. A positional
+// argument is one too: "mpirun -n 2 allgather" ran a bcast.
 func TestBadCountsAreUsageErrors(t *testing.T) {
 	for _, args := range []string{
 		"-size -5",
@@ -37,6 +38,7 @@ func TestBadCountsAreUsageErrors(t *testing.T) {
 		"-p2ploss -0.5",
 		"-loss 1.5",
 		"-loss -0.01",
+		"allgather",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), "MPIRUN_ARGS=-algorithm mpich "+args)

@@ -30,6 +30,10 @@ func main() {
 		size    = flag.Int("size", 1000, "frame payload bytes, at most the MTU")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "netsim: %s is not a flag; netsim takes no arguments (see -h)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	// A frame carries at most ethernet.MaxPayload bytes: the modelled
 	// Ethernet cannot carry a larger one.

@@ -25,7 +25,8 @@ func TestMain(m *testing.M) {
 // a negative -n or -size reached make and panicked, and -n 0 indexed a
 // station the mcast pattern does not have. A -size above the MTU
 // (ethernet.MaxPayload) was timed as one frame the modelled Ethernet
-// cannot carry.
+// cannot carry. A positional argument is one too: "netsim mcast" ran
+// the fanin pattern.
 func TestBadCountsAreUsageErrors(t *testing.T) {
 	for _, args := range []string{
 		"-n -1",
@@ -33,6 +34,7 @@ func TestBadCountsAreUsageErrors(t *testing.T) {
 		"-size -3",
 		"-size 1501",
 		"-frames -2",
+		"mcast",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), "NETSIM_ARGS="+args)

@@ -37,6 +37,10 @@ func main() {
 		wait    = flag.Duration("wait", 200*time.Millisecond, "delay between fetch attempts")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "promcheck: %s is not a flag; promcheck takes no arguments (see -h)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if (*url == "") == (*file == "") {
 		fmt.Fprintln(os.Stderr, "promcheck: exactly one of -url or -file is required")
 		os.Exit(2)

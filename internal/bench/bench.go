@@ -44,15 +44,13 @@ const (
 	// multicast allgather of the reduced slices, so no rank funnels more
 	// than ~2M bytes.
 	McastChunked Algorithm = "mcast-chunked"
-	// McastTwoLevel is the topology-aware two-level suite: ranks
-	// scout-combine to their segment leader, leaders exchange one
-	// aggregate per segment across the shared uplinks, and results
-	// multicast back down. The set covers alltoall (one burst of
-	// segment-group blocks after N-1 scouts, or the flat set's burst of
-	// per-rank slices at N <= 32 from 1,000 B) and scatter
-	// (segment-group super-slice blocks), bcast, gather, allreduce and
-	// barrier; its lossless allgather is the flat set's burst. Falls back to the flat algorithms when the device
-	// reports no topology (or a degenerate one).
+	// McastTwoLevel is the topology-aware two-level suite, where it
+	// wins: its allreduce combines at segment leaders first, its alltoall
+	// bursts segment-group blocks (the flat burst at N <= 32 from
+	// 1,000 B), and its scatter and gather run two levels from N=16 while
+	// a segment's chunks fit one frame. Everything else — bcast, barrier,
+	// allgather, and every operation on a device with no usable topology
+	// — is mcast-binary's.
 	McastTwoLevel Algorithm = "mcast-2level"
 	// McastTwoLevelResilient is McastTwoLevel with every multicast
 	// (fan-outs, segment releases) under NACK repair; its allgather and

@@ -73,6 +73,45 @@ func TestAlltoallGuidelines(t *testing.T) {
 	}
 }
 
+// TestTwoLevelGuideline holds the whole two-level set to Träff's
+// guideline "two-level ≤ flat whenever S > 1" on the shared-uplink
+// switch (fanout 4, one cold operation per point): every collective at
+// N ∈ {8, 32, 64} and 100, 1,000 and 5,000 B runs within 2 % of
+// mcast-binary. Where the two-level schedule does not win, the set
+// runs the flat one: bcast and barrier everywhere (1.15–1.25× at N=64
+// when they gathered scouts member → leader → root), the scatter and
+// gather outside twoLevelWins (up to 1.25× and 1.37× from 1,000 B, and
+// the gather at N=8 at every size). Inside the regime the small-message
+// wins must survive: at 100 B and N ∈ {32, 64} the scatter reads ≤ 0.80×
+// flat (0.55 and 0.48) and the gather ≤ 0.75× (0.72 and 0.68).
+func TestTwoLevelGuideline(t *testing.T) {
+	prof := *sharedUplinkProfile()
+	prof.Seed = 1
+	cold := func(n, size int, a Algorithm, op Op) int64 {
+		t.Helper()
+		_, worst, err := coldRun(n, simnet.SwitchShared, prof, a, op, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return worst
+	}
+	wins := map[Op]float64{OpScatter: 0.80, OpGather: 0.75}
+	for _, op := range []Op{OpBcast, OpBarrier, OpScatter, OpGather, OpAllreduce, OpAllgather, OpAlltoall} {
+		for _, n := range []int{8, 32, 64} {
+			for _, size := range []int{100, 1000, 5000} {
+				twoLevel, flat := cold(n, size, McastTwoLevel, op), cold(n, size, McastBinary, op)
+				ratio := float64(twoLevel) / float64(flat)
+				if ratio > 1.02 {
+					t.Errorf("%s N=%d %d B: %s %d ns is %.2f× %s %d ns", op, n, size, McastTwoLevel, twoLevel, ratio, McastBinary, flat)
+				}
+				if bound, ok := wins[op]; ok && n >= 32 && size == 100 && ratio > bound {
+					t.Errorf("%s N=%d %d B: %s reads %.2f× %s, want ≤ %.2f×", op, n, size, McastTwoLevel, ratio, McastBinary, bound)
+				}
+			}
+		}
+	}
+}
+
 // TestFlatAlltoallSwitchGuideline holds the flat alltoall's burst to the
 // Träff-style guideline on the switch (one station per port, one cold
 // operation per point): mcast-binary and mcast-linear are no slower than

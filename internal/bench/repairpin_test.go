@@ -178,10 +178,10 @@ func (p *suitePin) add(simNS int64, events uint64) {
 
 // runSuitePin simulates one row of the suite pin: per seed, one
 // repetition of Run's methodology (a warm-up of op, a barrier, up to
-// 15 µs of per-rank skew, the measured op) at 3,000 B on 16 ranks at 5 %
-// multicast and 2 % point-to-point loss. It also returns the frames the
+// 15 µs of per-rank skew, the measured op) at size bytes on 16 ranks at
+// 5 % multicast and 2 % point-to-point loss. It also returns the frames the
 // simulator dropped over the row.
-func runSuitePin(t *testing.T, topo simnet.Topology, alg Algorithm, op workload.Op) (suitePin, int64) {
+func runSuitePin(t *testing.T, topo simnet.Topology, alg Algorithm, op workload.Op, size int) (suitePin, int64) {
 	t.Helper()
 	algs, err := Set(alg)
 	if err != nil {
@@ -190,7 +190,7 @@ func runSuitePin(t *testing.T, topo simnet.Topology, alg Algorithm, op workload.
 	prof := simnet.DefaultProfile()
 	prof.LossRate, prof.P2PLossRate = 0.05, 0.02
 	sc := Scenario{
-		Procs: 16, Topology: topo, Op: op, MsgSize: 3000,
+		Procs: 16, Topology: topo, Op: op, MsgSize: size,
 		Warmups: 1, SkewMax: 15 * sim.Microsecond, Profile: &prof,
 	}
 	pin := newSuitePin()
@@ -210,10 +210,10 @@ func runSuitePin(t *testing.T, topo simnet.Topology, alg Algorithm, op workload.
 // operations of the flat set to all of both resilient sets: every
 // collective of mcast-resilient and mcast-2level-resilient, on the plain
 // switch (where the two-level set runs its flat fall-backs) and on the
-// shared-uplink switch (where its gather runs the segment-local combine
-// and the repaired segment release, its scatter the segment-sliced
-// round, and its allgather and alltoall the flat repaired burst), under
-// combined multicast and point-to-point loss. A refactor of the round
+// shared-uplink switch (where its allreduce runs two levels, and at
+// 300 B its gather the segment-local combine and the repaired segment
+// release and its scatter the segment round), under combined multicast
+// and point-to-point loss. A refactor of the round
 // engine, of the release-and-collect loops or of the multicast
 // addressing must leave every row where the recording commit found it.
 func TestRepairSuiteDeterminismPin(t *testing.T) {
@@ -287,6 +287,23 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 	// evidence and so unconfirmed, was lost, and its stream took 150 ms of
 	// probe timeouts to resend it. The two-level gather row kept its
 	// nanoseconds on 214 more events.
+	//
+	// The two-level set's rows on the shared-uplink switch were
+	// re-recorded when its bcast and barrier became the flat set's and
+	// its scatter and gather began to run two-level only inside
+	// twoLevelWins, which 3,000 B at N=16 is not. Every row moved,
+	// because each runs the separating barrier. They read, in table
+	// order, {70154689, 37737, 0x1d63aa314d7cb850}, {96716457, 32810,
+	// 0xd0f143c2a5265c96}, {168941412, 99328, 0x8312e826e1b898e4},
+	// {48790034, 39045, 0xfaeb71f3ff1bde42}, {125845540, 40449,
+	// 0x6cbb5daec214179c}, {227227167, 38570, 0xbc984854fd3f9986} and
+	// {494188741, 200874, 0x1515eef5d850fd3b}. All but the allreduce now
+	// read what mcast-resilient's rows read: the bcast 56 % slower, the
+	// scatter three times slower (seed 9's lost scout, above), the
+	// barrier 2 % slower, the allgather, gather and alltoall 6 %, 19 %
+	// and 5 % faster; the allreduce, which keeps its two-level schedule
+	// behind the flat barrier now, 33 % slower. The 300 B rows below
+	// keep the two-level scatter's and gather's repair paths pinned.
 	for _, tc := range []struct {
 		topo   simnet.Topology
 		alg    Algorithm
@@ -317,15 +334,15 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 		{simnet.SwitchShared, McastResilient, workload.OpScatter, suitePin{381021882, 42264, 0x4ae72700d36de183}, 599336087},
 		{simnet.SwitchShared, McastResilient, workload.OpGather, suitePin{184750613, 41481, 0xf2e1099e7c8070c4}, 498436767},
 		{simnet.SwitchShared, McastResilient, workload.OpAlltoall, suitePin{467850771, 200537, 0xdda5f07cfeb1bfd6}, 4598049932},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpBcast, suitePin{70154689, 37737, 0x1d63aa314d7cb850}, 383611522},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpBarrier, suitePin{96716457, 32810, 0xd0f143c2a5265c96}, 283117748},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAllgather, suitePin{168941412, 99328, 0x8312e826e1b898e4}, 1417073940},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAllreduce, suitePin{48790034, 39045, 0xfaeb71f3ff1bde42}, 510749413},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpScatter, suitePin{125845540, 40449, 0x6cbb5daec214179c}, 846596588},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpGather, suitePin{227227167, 38570, 0xbc984854fd3f9986}, 372988649},
-		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAlltoall, suitePin{494188741, 200874, 0x1515eef5d850fd3b}, 17531965094},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpBcast, suitePin{109651575, 34609, 0xd11d4877049b8ca4}, 383611522},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpBarrier, suitePin{98760677, 35494, 0x7423e471b3ffe001}, 283117748},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAllgather, suitePin{159447119, 99264, 0xf9f5d417de4055af}, 1417073940},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAllreduce, suitePin{64979758, 38276, 0xde3aa8cbe80cecdd}, 510749413},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpScatter, suitePin{381021882, 42264, 0x4ae72700d36de183}, 846596588},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpGather, suitePin{184750613, 41481, 0xf2e1099e7c8070c4}, 372988649},
+		{simnet.SwitchShared, McastTwoLevelResilient, workload.OpAlltoall, suitePin{467850771, 200537, 0xdda5f07cfeb1bfd6}, 17531965094},
 	} {
-		got, losses := runSuitePin(t, tc.topo, tc.alg, tc.op)
+		got, losses := runSuitePin(t, tc.topo, tc.alg, tc.op, 3000)
 		if losses == 0 {
 			t.Errorf("%v/%s/%s: no frame was dropped; the row no longer walks a repair path", tc.topo, tc.alg, tc.op)
 		}
@@ -336,6 +353,26 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 		if got.simNS >= tc.before {
 			t.Errorf("%v/%s/%s: %d ns over the row's seeds, no faster than the %d ns it took while receivers polled and lost scouts waited a timeout",
 				tc.topo, tc.alg, tc.op, got.simNS, tc.before)
+		}
+	}
+	// At 3,000 B the two-level set runs the flat scatter and gather
+	// (twoLevelWins); at 300 B it runs its own: the segment round,
+	// repaired, and the segment-local combine behind its repaired
+	// segment release.
+	for _, tc := range []struct {
+		op   workload.Op
+		want suitePin
+	}{
+		{workload.OpScatter, suitePin{210783417, 35494, 0xeeec3d5360829908}},
+		{workload.OpGather, suitePin{116696704, 33692, 0x599e3fa7405386c0}},
+	} {
+		got, losses := runSuitePin(t, simnet.SwitchShared, McastTwoLevelResilient, tc.op, 300)
+		if losses == 0 {
+			t.Errorf("%s at 300 B: no frame was dropped; the row no longer walks a repair path", tc.op)
+		}
+		if got != tc.want {
+			t.Errorf("%v/%s/%s at 300 B moved:\n got  {%d, %d, %#x}\n want {%d, %d, %#x}", simnet.SwitchShared, McastTwoLevelResilient, tc.op,
+				got.simNS, got.events, got.hash, tc.want.simNS, tc.want.events, tc.want.hash)
 		}
 	}
 }

@@ -95,7 +95,10 @@ func TestOneLostFragmentCostsUnderTwiceTheOp(t *testing.T) {
 // shared-uplink switch before. The two-level set's shared-uplink row was
 // re-recorded when its repaired allgather and alltoall became the flat
 // repaired burst, in place of a segment-local combine and S sequential
-// leader rounds: 121,227,740 ns before.
+// leader rounds: 121,227,740 ns before. It was re-recorded again when
+// the two-level bcast and barrier became the flat set's and its scatter
+// and gather at 3,000 B (outside twoLevelWins) the flat set's too:
+// 54,174,760 ns before.
 func TestLosslessResilientSetsAreSilent(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -106,7 +109,7 @@ func TestLosslessResilientSetsAreSilent(t *testing.T) {
 		{"mcast-resilient/switch", core.ResilientAlgorithms(), simnet.Switch, 29_511_000},
 		{"mcast-resilient/switch-shared", core.ResilientAlgorithms(), simnet.SwitchShared, 53_489_080},
 		{"mcast-2level-resilient/switch", core.TwoLevelResilientAlgorithms(), simnet.Switch, 29_511_000},
-		{"mcast-2level-resilient/switch-shared", core.TwoLevelResilientAlgorithms(), simnet.SwitchShared, 54_174_760},
+		{"mcast-2level-resilient/switch-shared", core.TwoLevelResilientAlgorithms(), simnet.SwitchShared, 53_421_700},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var finish int64 // ranks run one at a time under the engine

@@ -109,7 +109,7 @@ func suite(rounds roundOptions) mpi.Algorithms {
 		return alltoallWith(c, send, recv, rounds)
 	}
 	algs.Scatter = func(c *mpi.Comm, send, recv []byte, root int) error {
-		return scatterWith(c, send, recv, root, rounds)
+		return scatterWith(c, send, recv, root, rounds, nil)
 	}
 	algs.Gather = func(c *mpi.Comm, send, recv []byte, root int) error {
 		return gatherWith(c, send, recv, root, rounds)

@@ -1,13 +1,14 @@
 package core
 
 // The one round engine: every scout-gated multicast of every set is a
-// round of it — the paper's broadcast and barrier (one round each, in
-// every set: flat, resilient, two-level, sequencer, unsafe), the
-// scatter, and the handshake and the drain barriers of every lossless
-// exchange. A round has a designated sender; a scout gather toward that
-// sender proves every receiver has entered the round, then the sender
-// multicasts once and every other rank consumes the payload addressed
-// to it. The repaired burst (repairedExchange in suite.go) takes the
+// round of it — the paper's broadcast and barrier (one round each: the
+// flat and resilient sets', which the two-level sets run too, and the
+// sequencer and unsafe broadcasts), the scatter (sliced, or by segment
+// in the two-level regime), and the handshake and the drain barriers of
+// every lossless exchange. A round has a designated sender; a scout
+// gather toward that sender proves every receiver has entered the round,
+// then the sender multicasts once and every other rank consumes the
+// payload addressed to it. The repaired burst (repairedExchange in suite.go) takes the
 // round's parts — its scout gathers, transmitRound, the repair clock and
 // serveRepairs — into its own receive loop.
 //

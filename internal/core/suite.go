@@ -856,10 +856,14 @@ func evenSegments(t *topo.Map) int {
 	return f
 }
 
-// scatterWith is a single sliced round of the engine: the root
-// multicasts each rank's slice to that rank's private slice group, so a
-// receiver's NIC delivers exactly its own M bytes.
-func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) error {
+// scatterWith is a single round of the engine. Flat (t nil) it is a
+// sliced round: the root multicasts each rank's slice to that rank's
+// private slice group, so a receiver's NIC delivers exactly its own M
+// bytes. Given a topology it is a segment round: the root multicasts
+// each segment's super-slice — that segment's chunks in member order —
+// to the segment's group, one egress transmission per port instead of
+// one per rank, and every receiver keeps its own chunk of the block.
+func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions, t *topo.Map) error {
 	size := c.Size()
 	n := len(recv)
 	if c.Rank() == root && len(send) != n*size {
@@ -870,19 +874,21 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) err
 		return nil
 	}
 	me := c.Rank()
-	round := roundPlan{
-		sender: root,
-		class:  transport.ClassData,
-		bytes:  n * (size - 1),
-		sends:  sliceSends(send, size, root),
-		scope:  mpi.Slice,
-		consume: func(p []byte) error {
-			if len(p) != n {
-				return fmt.Errorf("core: scatter slice %d bytes, want %d", len(p), n)
-			}
-			copy(recv, p)
-			return nil
-		},
+	// A receiver hears want bytes and keeps the n at offset at.
+	round := roundPlan{sender: root, class: transport.ClassData, bytes: n * (size - 1),
+		sends: sliceSends(send, size, root), scope: mpi.Slice}
+	want, at := n, 0
+	if t != nil {
+		ms := t.Members(t.SegmentOf(me))
+		want, at = n*len(ms), n*slices.Index(ms, me)
+		round.bytes, round.sends, round.scope = n*size, segSends(t, send, n, root), segScope(t)
+	}
+	round.consume = func(p []byte) error {
+		if len(p) != want {
+			return fmt.Errorf("core: scatter block %d bytes, want %d", len(p), want)
+		}
+		copy(recv, p[at:at+n])
+		return nil
 	}
 	if err := runRound(c, round, opt); err != nil {
 		return err

@@ -26,7 +26,12 @@ package core
 //     delivers segment-by-segment (one egress transmission per port
 //     serves every station on the segment).
 //
-// The scout economics per operation, with N ranks on S segments:
+// The set keeps the decomposition only where it wins (Träff's guideline
+// "two-level ≤ flat whenever S > 1"): the bcast and barrier are the flat
+// set's everywhere — gathering the scouts member → leader → root cost
+// 1.15–1.25× the binary tree at N=64 — and the scatter and gather are
+// the flat set's outside twoLevelWins. The scout economics per
+// operation, with N ranks on S segments:
 //
 //	allgather:         lossless, the flat set's burst: the multicast
 //	                   barrier's N-1 scouts and one release, then every
@@ -39,22 +44,23 @@ package core
 //	                   confirmation, which beats a combine at each leader
 //	                   followed by S sequential leader rounds at every
 //	                   measured lossless point and at 1 % loss from N=32.
-//	bcast:             N-1 scouts as before, but only S-1 cross the
-//	                   uplinks (members scout their local leader).
-//	gather:            (N-S) member scouts + (S-1) aggregate scouts;
-//	                   chunks converge on the local leader first, and
-//	                   only S-1 aggregate blocks cross the uplinks —
-//	                   release-gated at both levels, so neither a leader
-//	                   nor the root can be overrun.
+//	gather:            from N=16 with a segment's chunks in one frame
+//	                   (twoLevelWins): (N-S) member scouts + (S-1)
+//	                   aggregate scouts; chunks converge on the local
+//	                   leader first, and only S-1 aggregate blocks cross
+//	                   the uplinks — release-gated at both levels, so
+//	                   neither a leader nor the root can be overrun.
+//	                   Elsewhere the flat gather.
 //	allreduce:         zero scout frames — the reduction data itself
 //	                   gates every hop (members combine at their leader,
 //	                   leaders combine in one mpi.ReduceWalks walk over
 //	                   the leader set, and the final multicast follows the
 //	                   data it proves everyone contributed to).
-//	scatter:           N-1 scouts (S-1 crossing uplinks), then at most S
+//	scatter:           in the same regime (twoLevelWins): the flat
+//	                   binary tree's N-1 scouts, then at most S
 //	                   segment-group multicasts of per-segment
 //	                   super-slices in place of the flat N-1 per-rank
-//	                   slice transmissions.
+//	                   slice transmissions. Elsewhere the flat scatter.
 //	alltoall:          the allgather's burst handshake — N-1 scouts and
 //	                   one release, as the flat lossless alltoall's
 //	                   burst (the flat repaired burst sends 2(N-1), a
@@ -118,10 +124,11 @@ import (
 )
 
 // TwoLevelAlgorithms returns the topology-aware collective set
-// (registered in bench as mcast-2level): all seven collectives
-// hierarchical over the device topology, the flat binary suite where
-// there is none, and the flat set's other collectives (package
-// baseline's).
+// (registered in bench as mcast-2level): over the device topology the
+// allreduce runs in two levels, the alltoall bursts segment blocks and
+// the scatter and gather run two levels inside their measured regimes;
+// every other operation, and every operation where there is no usable
+// topology, is the flat binary set's (package baseline's beneath it).
 func TwoLevelAlgorithms() mpi.Algorithms {
 	return twoLevelSet(&twoLevel{flat: Algorithms(Binary)})
 }
@@ -144,8 +151,6 @@ type twoLevel struct {
 
 func twoLevelSet(tl *twoLevel) mpi.Algorithms {
 	algs := tl.flat
-	algs.Bcast = tl.bcast
-	algs.Barrier = tl.barrier
 	algs.Allreduce = tl.allreduce
 	algs.Gather = tl.gather
 	algs.Scatter = tl.scatter
@@ -177,33 +182,6 @@ func opLeader(t *topo.Map, seg, root int) int {
 	return t.Leader(seg)
 }
 
-// twoLevelRoundGather is the hierarchical scout gather toward the round
-// sender: members scout to their segment's op-leader, op-leaders scout
-// to the sender once their whole segment has checked in. The sender
-// learns "everyone is ready" from (its own segment's members + S-1
-// leaders) scouts, of which only S-1 crossed an uplink. Forwarding-free
-// at every hop — each rank sends at most one direct scout.
-func twoLevelRoundGather(t *topo.Map) func(cc mpi.CollCtx, root int) error {
-	return func(cc mpi.CollCtx, root int) error {
-		me := cc.Comm().Rank()
-		lead := opLeader(t, t.SegmentOf(me), root)
-		if me != lead {
-			return cc.Send(lead, phaseScout, nil, transport.ClassScout, false)
-		}
-		expect := len(t.Members(t.SegmentOf(me))) - 1
-		if me == root {
-			expect += t.Segments() - 1
-		}
-		if err := recvScouts(cc, phaseScout, expect); err != nil {
-			return err
-		}
-		if me != root {
-			return cc.Send(root, phaseScout, nil, transport.ClassScout, false)
-		}
-		return nil
-	}
-}
-
 // recvScouts receives n messages of phase from any source: a scout
 // count, where only their arrival matters.
 func recvScouts(cc mpi.CollCtx, phase, n int) error {
@@ -215,46 +193,36 @@ func recvScouts(cc mpi.CollCtx, phase, n int) error {
 	return nil
 }
 
-// bcast is the hierarchical broadcast: the two-level scout gather toward
-// root, then one whole-communicator multicast (which the fabric already
-// delivers once per segment).
-func (tl *twoLevel) bcast(c *mpi.Comm, buf []byte, root int) error {
-	t := usableTopo(c)
-	if t == nil {
-		return tl.flat.Bcast(c, buf, root)
-	}
-	return runRound(c, bcastRound(buf, root), roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep})
-}
-
-// barrier is the hierarchical barrier: the two-level scout gather toward
-// rank 0, then one empty release multicast.
-func (tl *twoLevel) barrier(c *mpi.Comm) error {
-	t := usableTopo(c)
-	if t == nil {
-		return tl.flat.Barrier(c)
-	}
-	return runRound(c, barrierRound(), roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep})
-}
-
 // segScope is the scope of a segment round: every rank listens on its
 // own segment's group.
 func segScope(t *topo.Map) func(rank int) mpi.Scope {
 	return func(rank int) mpi.Scope { return mpi.Seg(t.SegmentOf(rank)) }
 }
 
-// segSends is the send list of a segment round: block(s) to the group of
-// every segment s, in order — except a segment whose only member is the
-// sender, where nobody would receive it.
-func segSends(t *topo.Map, sender int, block func(seg int) []byte) func() []send {
+// segSends is the send list of a segment round: buf is one n-byte chunk
+// per rank, and each segment's block of them (segBlock) goes to that
+// segment's group, in segment order — except a segment whose only
+// member is the sender, where nobody would receive it.
+func segSends(t *topo.Map, buf []byte, n, sender int) func() []send {
 	return func() []send {
 		sends := make([]send, 0, t.Segments())
-		for s := 0; s < t.Segments(); s++ {
+		for s := range t.Segments() {
 			if ms := t.Members(s); len(ms) > 1 || ms[0] != sender {
-				sends = append(sends, send{scope: mpi.Seg(s), payload: block(s)})
+				sends = append(sends, send{scope: mpi.Seg(s), payload: segBlock(ms, buf, n)})
 			}
 		}
 		return sends
 	}
+}
+
+// segBlock is the n-byte chunks of buf that belong to members, in member
+// order.
+func segBlock(members []int, buf []byte, n int) []byte {
+	blk := make([]byte, 0, n*len(members))
+	for _, r := range members {
+		blk = append(blk, buf[r*n:(r+1)*n]...)
+	}
+	return blk
 }
 
 // segmentCombine runs one rank's part of the release-gated combine of a
@@ -299,15 +267,9 @@ func segmentCombine(cc mpi.CollCtx, t *topo.Map, lead int, payload []byte, rep b
 func ringSegSends(t *topo.Map, me int, buf []byte, n int) []send {
 	sends := make([]send, 0, t.Segments())
 	for d := range ringAfter(t.SegmentOf(me), t.Segments()) {
-		ms := t.Members(d)
-		if len(ms) == 1 && ms[0] == me {
-			continue
+		if ms := t.Members(d); len(ms) > 1 || ms[0] != me {
+			sends = append(sends, send{scope: mpi.Seg(d), payload: segBlock(ms, buf, n)})
 		}
-		blk := make([]byte, 0, n*len(ms))
-		for _, r := range ms {
-			blk = append(blk, buf[r*n:(r+1)*n]...)
-		}
-		sends = append(sends, send{scope: mpi.Seg(d), payload: blk})
 	}
 	return sends
 }
@@ -344,6 +306,52 @@ const (
 // size ranks is in the flat burst's regime.
 func flatAlltoallWins(size, n int) bool {
 	return size <= flatAlltoallMaxN && n >= flatAlltoallMinBytes
+}
+
+// The regime of the two-level scatter and gather: from twoLevelMinN
+// ranks while every segment's block of chunks (the scatter's
+// super-slice, a leader's aggregate) fits twoLevelMaxBlock, one
+// simulated Ethernet frame's payload; elsewhere the flat set's schedule
+// runs. Read from this sweep (shared-uplink switch, fanout 4, seed 1,
+// one cold operation, two-level over mcast-binary):
+//
+//	scatter  N \ M (B)  100   250   368   500   750  1,000  2,000  5,000
+//	           8       0.79  0.93  1.09  1.15  1.19   1.18   1.19   1.26
+//	          16       0.66  0.81  0.97  1.07  1.10   1.10   1.10   1.13
+//	          32       0.55  0.71  0.88  1.00  1.05   1.05   1.04   1.06
+//	          64       0.48  0.64  0.82  0.96  1.01   1.01   1.01   1.03
+//	         128       0.43  0.60  0.79  0.94  0.99   1.00   0.99   1.01
+//	         256       0.41  0.58  0.77  0.92  0.98   0.98   0.98   1.00
+//
+//	gather   N \ M (B)  100   250   368   500   750  1,000  2,000  5,000
+//	           8       1.12  1.24  1.35  1.39  1.39   1.37   1.29   1.25
+//	          16       0.86  0.99  1.12  1.22  1.21   1.20   1.12   1.12
+//	          32       0.72  0.84  1.00  1.12  1.13   1.12   1.01   1.07
+//	          64       0.68  0.75  0.92  1.05  1.08   1.07   0.94   1.00
+//	         128       0.71  0.75  0.93  1.08  1.10   1.08   0.93   1.06
+//	         256       0.74  0.76  0.95  1.10  1.19   1.10   0.95   1.14
+//
+// Seed 7 and five skewed repetitions read the same to ±0.05. One
+// predicate serves both: it keeps no cell above 1.00, and gives up the
+// scatter at N=8 (0.79, 0.93), both at 368 B, a two-frame block (down
+// to 0.77), and the marginal wins from N=64 past a frame (0.92–0.99).
+const (
+	twoLevelMinN     = 16
+	twoLevelMaxBlock = 1_424
+)
+
+// twoLevelWins reports whether a scatter or gather of n-byte chunks over
+// size ranks on t is in the two-level schedule's regime.
+func twoLevelWins(t *topo.Map, size, n int) bool {
+	if size < twoLevelMinN {
+		return false
+	}
+	for s := range t.Segments() {
+		if n*len(t.Members(s)) > twoLevelMaxBlock {
+			return false
+		}
+	}
+	return true
 }
 
 // allreduce reduces in two levels — members combine at their segment
@@ -420,7 +428,7 @@ func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, o
 // blocks cross the uplink fabric.
 func (tl *twoLevel) gather(c *mpi.Comm, send, recv []byte, root int) error {
 	t := usableTopo(c)
-	if t == nil {
+	if t == nil || !twoLevelWins(t, c.Size(), len(send)) {
 		return tl.flat.Gather(c, send, recv, root)
 	}
 	n := len(send)
@@ -488,59 +496,18 @@ func (tl *twoLevel) gather(c *mpi.Comm, send, recv []byte, root int) error {
 	return nil
 }
 
-// scatter distributes root's buffer as one segment round: after the
-// two-level scout gather (N-1 scouts, only S-1 crossing the uplinks —
-// the flat sliced scatter's N-1 scouts all converge on the root's port),
-// the root multicasts each segment's super-slice — the concatenation of
-// that segment's per-rank chunks in member order — to the segment's
-// group address, one egress transmission per port instead of one per
-// rank. Each receiver's NIC accepts only its own segment's block, from
-// which it keeps its chunk, so per-receiver delivered bytes grow only by
-// the segment fanout while the root's transmissions fall from N-1 to at
-// most S.
+// scatter is the flat set's scatter as a segment round (scatterWith):
+// after the binary scout gather toward the root, the root multicasts
+// each segment's super-slice to the segment's group, so its
+// transmissions fall from N-1 to at most S while per-receiver delivered
+// bytes grow only by the segment fanout. Outside twoLevelWins it is the
+// flat scatter.
 func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 	t := usableTopo(c)
-	if t == nil {
+	if t == nil || !twoLevelWins(t, c.Size(), len(recv)) {
 		return tl.flat.Scatter(c, send, recv, root)
 	}
-	n := len(recv)
-	me := c.Rank()
-	if me == root && len(send) != n*c.Size() {
-		return fmt.Errorf("core: scatter send buffer %d bytes, want %d", len(send), n*c.Size())
-	}
-	myMembers := t.Members(t.SegmentOf(me))
-	myIdx := slices.Index(myMembers, me)
-	round := roundPlan{
-		sender: root,
-		class:  transport.ClassData,
-		bytes:  n * c.Size(),
-		// Full member order — including the root's own chunk where it
-		// appears — keeps the receiver's index arithmetic uniform; the
-		// root's chunk is placed locally below.
-		sends: segSends(t, root, func(seg int) []byte {
-			ms := t.Members(seg)
-			blk := make([]byte, n*len(ms))
-			for i, r := range ms {
-				copy(blk[i*n:], send[r*n:(r+1)*n])
-			}
-			return blk
-		}),
-		scope: segScope(t),
-		consume: func(p []byte) error {
-			if len(p) != n*len(myMembers) {
-				return fmt.Errorf("core: scatter segment block is %d bytes, want %d", len(p), n*len(myMembers))
-			}
-			copy(recv, p[myIdx*n:(myIdx+1)*n])
-			return nil
-		},
-	}
-	if err := runRound(c, round, roundOptions{gather: twoLevelRoundGather(t), repair: tl.rep}); err != nil {
-		return err
-	}
-	if me == root {
-		copy(recv, send[root*n:(root+1)*n])
-	}
-	return nil
+	return scatterWith(c, send, recv, root, roundOptions{gather: gatherScoutsBinary, repair: tl.rep}, t)
 }
 
 // alltoall runs the personalized exchange hierarchically, where the flat

@@ -37,8 +37,12 @@ func sharedProf(fanout int) simnet.Profile {
 // (6 = 4+2, 7 = 4+3) and the tiny world, with sub-frame, one-frame and
 // multi-frame chunks, rooted at 0 and N-1 (coretest.Grid adds the
 // second root), so leader override, member order and aggregate-block
-// slicing are all exercised.
-var twoLevelGrid = coretest.Grid([]int{2, 6, 7, 8, 16}, []int{0, 1, 1500, 4000})
+// slicing are all exercised. The scatter and gather run two-level only
+// from N=16 with a segment's chunks in one frame (twoLevelWins), so the
+// grid adds a singleton segment (17 = 4×4+1) and uneven ones (18 =
+// 4×4+2) at chunks inside that regime.
+var twoLevelGrid = append(coretest.Grid([]int{2, 6, 7, 8, 16}, []int{0, 1, 1500, 4000}),
+	coretest.Grid([]int{17, 18}, []int{1, 300})...)
 
 func TestTwoLevelConformanceSharedUplink(t *testing.T) {
 	for _, set := range []struct {
@@ -179,13 +183,22 @@ func TestTwoLevelInjectedLoss(t *testing.T) {
 // the rank every two-level protocol funnels through: every multicast
 // fragment arriving at the leader of the last segment is dropped on
 // first delivery (repairs get through), and the resilient set must
-// still conform.
+// still conform. At N=8 the scatter and gather run the flat set's
+// schedule (twoLevelWins); N=16 runs them two-level.
 func TestTwoLevelLeaderLoss(t *testing.T) {
-	const n, fanout = 8, 4
-	leader := topo.Uniform(n, fanout).Leader(1) // rank 4
-	for _, chunk := range []int{1, 1500} {
-		chunk := chunk
-		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+	const fanout = 4
+	for _, cs := range []struct {
+		name     string
+		n, chunk int
+	}{
+		{"chunk=1", 8, 1},
+		{"chunk=1500", 8, 1500},
+		{"n=16/chunk=1", 16, 1},
+		{"n=16/chunk=300", 16, 300},
+	} {
+		t.Run(cs.name, func(t *testing.T) {
+			tm := topo.Uniform(cs.n, fanout)
+			leader := tm.Leader(tm.Segments() - 1) // rank 4 at N=8, 12 at N=16
 			prof := sharedProf(fanout)
 			seen := make(map[uint64]bool)
 			prof.DropFrag = func(dst int, f transport.Fragment) bool {
@@ -200,8 +213,8 @@ func TestTwoLevelLeaderLoss(t *testing.T) {
 				return true
 			}
 			algs := core.TwoLevelResilientAlgorithms()
-			nw, err := cluster.RunSim(n, simnet.SwitchShared, prof, algs, func(c *mpi.Comm) error {
-				return coretest.Conformance(c, chunk, 0)
+			nw, err := cluster.RunSim(cs.n, simnet.SwitchShared, prof, algs, func(c *mpi.Comm) error {
+				return coretest.Conformance(c, cs.chunk, 0)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -332,16 +345,30 @@ func TestTwoLevelScoutEconomy(t *testing.T) {
 // directly: 7 ranks at fanout 3 give segments of 3, 3 and 1 — a
 // singleton segment whose leader has no local phase at all — and the
 // full conformance pass must hold for roots in every kind of segment.
+// At N=7 the scatter and gather run the flat set's schedule
+// (twoLevelWins), so 19 ranks at fanout 3 — six segments of 3 and a
+// singleton — with 300-byte chunks take the same roots through the
+// two-level scatter and gather.
 func TestTwoLevelUnevenSegments(t *testing.T) {
 	prof := sharedProf(3)
-	for _, root := range []int{0, 4, 6} { // leader, member, singleton leader
-		root := root
-		t.Run(fmt.Sprintf("root=%d", root), func(t *testing.T) {
-			nw, err := cluster.RunSim(7, simnet.SwitchShared, prof, core.TwoLevelAlgorithms(), func(c *mpi.Comm) error {
-				if tm := c.Topo(); tm == nil || tm.Segments() != 3 || len(tm.Members(2)) != 1 {
-					return fmt.Errorf("expected segments 3/3/1, got %v", tm)
+	for _, cs := range []struct {
+		name           string
+		n, root, chunk int
+	}{
+		{"root=0", 7, 0, 1000}, // leader
+		{"root=4", 7, 4, 1000}, // member
+		{"root=6", 7, 6, 1000}, // singleton leader
+		{"n=19/root=0", 19, 0, 300},
+		{"n=19/root=4", 19, 4, 300},
+		{"n=19/root=18", 19, 18, 300},
+	} {
+		t.Run(cs.name, func(t *testing.T) {
+			nw, err := cluster.RunSim(cs.n, simnet.SwitchShared, prof, core.TwoLevelAlgorithms(), func(c *mpi.Comm) error {
+				last := cs.n / 3
+				if tm := c.Topo(); tm == nil || tm.Segments() != last+1 || len(tm.Members(last)) != 1 {
+					return fmt.Errorf("expected %d segments of 3 and a singleton, got %v", last, tm)
 				}
-				return coretest.Conformance(c, 1000, root)
+				return coretest.Conformance(c, cs.chunk, cs.root)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -430,5 +457,75 @@ func TestTwoLevelAllgatherBeatsFlat(t *testing.T) {
 	if two > flat {
 		t.Errorf("two-level allgather %d ns is slower than flat binary %d ns at N=%d/%dB (fig 14h gap must be <= 0)",
 			two, flat, n, chunk)
+	}
+}
+
+// TestTwoLevelRegimes counts the frames of one cold operation on the
+// shared-uplink switch (fanout 4) to show which schedule runs: the
+// two-level scatter and gather inside their regime (from N=16, every
+// segment's block of chunks within one frame), the flat set's outside
+// it, and the flat bcast and barrier everywhere. Inside, the scatter
+// sends N-1 scouts up the binary tree and one block per segment, S data
+// frames; the gather sends (N-S) member and S-1 leader scouts, S segment
+// releases and S-1 root-to-leader releases, and (N-S) member chunks and
+// S-1 aggregate blocks. Outside, every wire class counts what
+// mcast-binary's does: the scatter at N=32, 2,000 B sends its N-1
+// slices, two frames each.
+func TestTwoLevelRegimes(t *testing.T) {
+	classes := []transport.Class{transport.ClassScout, transport.ClassControl, transport.ClassData}
+	frames := func(algs mpi.Algorithms, n, size int, op workload.Op) [3]int64 {
+		nw, err := cluster.RunSim(n, simnet.SwitchShared, sharedProf(4), algs, func(c *mpi.Comm) error {
+			return workload.Make(c, op, size, 0)()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [3]int64
+		for i, class := range classes {
+			got[i] = nw.Wire.Frames(class)
+		}
+		return got
+	}
+	for _, cs := range []struct {
+		op      workload.Op
+		n, size int
+		inside  bool
+	}{
+		{workload.OpScatter, 32, 100, true},
+		{workload.OpScatter, 17, 356, true}, // a singleton segment, a block of exactly one frame
+		{workload.OpScatter, 32, 2000, false},
+		{workload.OpScatter, 32, 357, false},
+		{workload.OpScatter, 8, 100, false},
+		{workload.OpGather, 32, 100, true},
+		{workload.OpGather, 18, 300, true}, // uneven segments
+		{workload.OpGather, 32, 2000, false},
+		{workload.OpGather, 8, 100, false},
+		{workload.OpBcast, 32, 100, false},
+		{workload.OpBarrier, 32, 0, false},
+	} {
+		name := fmt.Sprintf("%s/n=%d/%dB", cs.op, cs.n, cs.size)
+		two := frames(core.TwoLevelAlgorithms(), cs.n, cs.size, cs.op)
+		flat := frames(core.Algorithms(core.Binary), cs.n, cs.size, cs.op)
+		if !cs.inside {
+			if two != flat {
+				t.Errorf("%s: two-level sent %v scout/control/data frames, flat %v; want the flat schedule", name, two, flat)
+			}
+			continue
+		}
+		n, s := int64(cs.n), int64(topo.Uniform(cs.n, 4).Segments())
+		want := [3]int64{n - 1, 0, s}
+		if cs.op == workload.OpGather {
+			want = [3]int64{n - 1, 2*s - 1, n - 1}
+		}
+		if two != want {
+			t.Errorf("%s: two-level sent %v scout/control/data frames, want %v", name, two, want)
+		}
+		if two == flat {
+			t.Errorf("%s: two-level sent the flat schedule's %v frames inside its regime", name, flat)
+		}
+	}
+	// The scatter at N=32, 2,000 B: N-1 slice multicasts of two frames.
+	if got := frames(core.TwoLevelAlgorithms(), 32, 2000, workload.OpScatter)[2]; got != 2*31 {
+		t.Errorf("scatter N=32 2,000 B: %d data frames, want 2(N-1) = 62", got)
 	}
 }

@@ -374,8 +374,11 @@ func TestNackRepairOverUDP(t *testing.T) {
 // suite over real sockets with a DECLARED topology (real UDP cannot
 // discover the fabric, so Config.SegmentFanout states it): the
 // hierarchical path — segment releases over derived segment groups,
-// leader aggregate rounds, two-level scout gathers — must conform on
-// genuine kernel multicast, for even and uneven placements.
+// leader aggregates, segment-group scatter blocks — must conform on
+// genuine kernel multicast, for even and uneven placements. The scatter
+// and gather run two levels only from 16 ranks with a segment's chunks
+// in one frame, so 17 ranks with a singleton segment take them there at
+// 1-byte chunks.
 func TestTwoLevelConformanceOverUDP(t *testing.T) {
 	requireMulticast(t)
 	for _, tc := range []struct {
@@ -386,6 +389,7 @@ func TestTwoLevelConformanceOverUDP(t *testing.T) {
 	}{
 		{name: "fanout2", n: 5, fanout: 2, members: [][]int{{0, 1}, {2, 3}, {4}}},
 		{name: "declared-uneven", n: 6, fanout: 4, members: [][]int{{0, 1, 2, 3}, {4, 5}}},
+		{name: "regime", n: 17, fanout: 4, members: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}, {12, 13, 14, 15}, {16}}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
