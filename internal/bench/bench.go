@@ -26,9 +26,13 @@ const (
 	// MPICH is the baseline: binomial-tree broadcast and three-phase
 	// barrier over point-to-point TCP-like messages.
 	MPICH Algorithm = "mpich"
-	// McastBinary is the paper's binary-tree scout algorithm.
+	// McastBinary is the paper's binary-tree scout algorithm. Its
+	// scatter and gather are mpich's outside the regimes where multicast
+	// wins (the sliced scatter on shared uplinks from N=64 past a frame,
+	// the release-gated gather past N=128).
 	McastBinary Algorithm = "mcast-binary"
-	// McastLinear is the paper's linear scout algorithm.
+	// McastLinear is the paper's linear scout algorithm. Its scatter is
+	// always mpich's, its gather mpich's up to N=128.
 	McastLinear Algorithm = "mcast-linear"
 	// McastAck is the PVM-style acknowledgment protocol (no scouts,
 	// sender repeats until acknowledged).
@@ -47,8 +51,9 @@ const (
 	// McastTwoLevel is the topology-aware two-level suite, where it
 	// wins: its allreduce combines at segment leaders first, its alltoall
 	// bursts segment-group blocks (the flat burst at N <= 32 from
-	// 1,000 B), and its scatter and gather run two levels from N=16 while
-	// a segment's chunks fit one frame. Everything else — bcast, barrier,
+	// 1,000 B), and its scatter and gather run two levels while a
+	// segment's chunks fit one frame, the scatter from N=32 and the
+	// gather from N=64. Everything else — bcast, barrier,
 	// allgather, and every operation on a device with no usable topology
 	// — is mcast-binary's.
 	McastTwoLevel Algorithm = "mcast-2level"

@@ -82,8 +82,13 @@ func TestAlltoallGuidelines(t *testing.T) {
 // when they gathered scouts member → leader → root), the scatter and
 // gather outside twoLevelWins (up to 1.25× and 1.37× from 1,000 B, and
 // the gather at N=8 at every size). Inside the regime the small-message
-// wins must survive: at 100 B and N ∈ {32, 64} the scatter reads ≤ 0.80×
-// flat (0.55 and 0.48) and the gather ≤ 0.75× (0.72 and 0.68).
+// wins must survive: at 100 B the scatter reads ≤ 0.80× flat at N ∈
+// {32, 64} (0.67 and 0.54) and the gather ≤ 0.85× at N=64 (0.81). The
+// flat set's scatter and gather are package baseline's point-to-point
+// ones there now, which are faster than the sliced scatter and the
+// release-gated gather were, and the gather's regime starts at N=64.
+// Against those the bound read "gather ≤ 0.75× at N ∈ {32, 64}" (0.72
+// and 0.68), and the scatter read 0.55 and 0.48.
 func TestTwoLevelGuideline(t *testing.T) {
 	prof := *sharedUplinkProfile()
 	prof.Seed = 1
@@ -95,7 +100,11 @@ func TestTwoLevelGuideline(t *testing.T) {
 		}
 		return worst
 	}
-	wins := map[Op]float64{OpScatter: 0.80, OpGather: 0.75}
+	// The bound at 100 B, and the smallest N it holds from.
+	wins := map[Op]struct {
+		bound float64
+		minN  int
+	}{OpScatter: {0.80, 32}, OpGather: {0.85, 64}}
 	for _, op := range []Op{OpBcast, OpBarrier, OpScatter, OpGather, OpAllreduce, OpAllgather, OpAlltoall} {
 		for _, n := range []int{8, 32, 64} {
 			for _, size := range []int{100, 1000, 5000} {
@@ -104,8 +113,66 @@ func TestTwoLevelGuideline(t *testing.T) {
 				if ratio > 1.02 {
 					t.Errorf("%s N=%d %d B: %s %d ns is %.2f× %s %d ns", op, n, size, McastTwoLevel, twoLevel, ratio, McastBinary, flat)
 				}
-				if bound, ok := wins[op]; ok && n >= 32 && size == 100 && ratio > bound {
-					t.Errorf("%s N=%d %d B: %s reads %.2f× %s, want ≤ %.2f×", op, n, size, McastTwoLevel, ratio, McastBinary, bound)
+				if w, ok := wins[op]; ok && n >= w.minN && size == 100 && ratio > w.bound {
+					t.Errorf("%s N=%d %d B: %s reads %.2f× %s, want ≤ %.2f×", op, n, size, McastTwoLevel, ratio, McastBinary, w.bound)
+				}
+			}
+		}
+	}
+}
+
+// TestFlatGuideline holds the flat multicast sets' scatter and gather to
+// Träff's guideline against the point-to-point schedules they extend:
+// mcast-binary and mcast-linear within 2 % of mpich on the hub, the
+// switch and the shared-uplink switch (fanout 4) at N ∈ {8, 32, 64} ×
+// {100, 1,000, 5,000} B, one cold operation per cell. Outside their
+// regimes (core's slicedScatterWins and p2pGatherFits) both sets run
+// package baseline's linear scatter and gather, so the cell reads 1.00;
+// inside, the shared-uplink scatter at N=64, 5,000 B is mcast-binary's
+// sliced round at 0.98. While every scatter was sliced and every gather
+// release-gated, 47 of the 54 mcast-binary cells and 50 of the 54
+// mcast-linear cells failed, up to 2.31× and 2.63× (the hub gather at
+// N=8, 100 B). The cells that read below 1.00 then, and are given up —
+// binary / linear, over mpich:
+//
+//	Hub, N=8, scatter 1,000 B: 1.00 / 0.99   scatter 5,000 B: 0.90 / 0.88
+//	Hub, N=8, gather  1,000 B: 0.68 / 0.70   gather  5,000 B: 0.75 / 0.97
+//	SwitchShared, N=32, scatter 5,000 B: 0.99 (binary)
+//	SwitchShared, N=64, gather  1,000 B: 1.00 (binary)
+//
+// The hub's N=8 gather is the one sizeable loss cold. With entry skew and
+// warm-ups (sim_paper_n8's point, 1,000 B) the point-to-point gather
+// reads 1,286.04 sim-µs against the release-gated 1,384.59.
+func TestFlatGuideline(t *testing.T) {
+	fabrics := []struct {
+		topo simnet.Topology
+		prof simnet.Profile
+	}{
+		{simnet.Hub, simnet.DefaultProfile()},
+		{simnet.Switch, simnet.DefaultProfile()},
+		{simnet.SwitchShared, *sharedUplinkProfile()},
+	}
+	for _, f := range fabrics {
+		prof := f.prof
+		prof.Seed = 1
+		cold := func(n, size int, a Algorithm, op Op) int64 {
+			t.Helper()
+			_, worst, err := coldRun(n, f.topo, prof, a, op, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return worst
+		}
+		for _, op := range []Op{OpScatter, OpGather} {
+			for _, n := range []int{8, 32, 64} {
+				for _, size := range []int{100, 1000, 5000} {
+					p2p := cold(n, size, MPICH, op)
+					for _, a := range []Algorithm{McastBinary, McastLinear} {
+						mc := cold(n, size, a, op)
+						if ratio := float64(mc) / float64(p2p); ratio > 1.02 {
+							t.Errorf("%s %s N=%d %d B: %s %d ns is %.2f× %s %d ns", f.topo, op, n, size, a, mc, ratio, MPICH, p2p)
+						}
+					}
 				}
 			}
 		}

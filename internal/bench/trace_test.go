@@ -121,7 +121,9 @@ func TestTraceDemoExportsAndNamesHandshake(t *testing.T) {
 var ledgerPhases = []string{"scout-gather", "data-mcast", "release", "round-gather", "round-data"}
 
 // TestRoundSpansKeepLedgerNames holds the span names of the round engine
-// on a traced world (eight ranks on the shared-uplink switch, 2,000 B): a
+// on a traced world (eight ranks on the shared-uplink switch, 2,000 B;
+// the scatter on 64, where its flat set still runs the sliced round
+// rather than package baseline's point-to-point scatter): a
 // round carries the paper's names — the scout gather, then the data
 // multicast or, for a control round, the release — and the repaired
 // burst the round names. Together, mcast-binary's seven operations (its
@@ -140,7 +142,11 @@ func TestRoundSpansKeepLedgerNames(t *testing.T) {
 			rec = prof.Trace
 			_, _, err = coldRun(8, simnet.Hub, prof, alg, op, 2000)
 		} else {
-			rec, err = traceOne(op, alg, 8, 2000, 1)
+			procs := 8
+			if op == OpScatter {
+				procs = 64
+			}
+			rec, err = traceOne(op, alg, procs, 2000, 1)
 		}
 		if err != nil {
 			t.Fatal(err)

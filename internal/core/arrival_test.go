@@ -98,7 +98,11 @@ func TestOneLostFragmentCostsUnderTwiceTheOp(t *testing.T) {
 // leader rounds: 121,227,740 ns before. It was re-recorded again when
 // the two-level bcast and barrier became the flat set's and its scatter
 // and gather at 3,000 B (outside twoLevelWins) the flat set's too:
-// 54,174,760 ns before.
+// 54,174,760 ns before. Every row was re-recorded when the flat sets'
+// scatter and gather at 16 ranks became package baseline's point-to-point
+// ones (slicedScatterWins, p2pGatherFits), which put no multicast, and
+// so no ack, on the wire: 29,511,000 ns on the switch (both sets),
+// 53,489,080 and 53,421,700 ns on the shared-uplink switch before.
 func TestLosslessResilientSetsAreSilent(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -106,10 +110,10 @@ func TestLosslessResilientSetsAreSilent(t *testing.T) {
 		topo   simnet.Topology
 		finish int64
 	}{
-		{"mcast-resilient/switch", core.ResilientAlgorithms(), simnet.Switch, 29_511_000},
-		{"mcast-resilient/switch-shared", core.ResilientAlgorithms(), simnet.SwitchShared, 53_489_080},
-		{"mcast-2level-resilient/switch", core.TwoLevelResilientAlgorithms(), simnet.Switch, 29_511_000},
-		{"mcast-2level-resilient/switch-shared", core.TwoLevelResilientAlgorithms(), simnet.SwitchShared, 53_421_700},
+		{"mcast-resilient/switch", core.ResilientAlgorithms(), simnet.Switch, 24_041_200},
+		{"mcast-resilient/switch-shared", core.ResilientAlgorithms(), simnet.SwitchShared, 51_919_980},
+		{"mcast-2level-resilient/switch", core.TwoLevelResilientAlgorithms(), simnet.Switch, 24_041_200},
+		{"mcast-2level-resilient/switch-shared", core.TwoLevelResilientAlgorithms(), simnet.SwitchShared, 51_852_600},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var finish int64 // ranks run one at a time under the engine

@@ -33,7 +33,9 @@
 // Beyond the paper's two operations, suite.go composes the scout-gated
 // multicast primitive into a full collective suite — allgather,
 // allreduce, scatter, gather and alltoall, selected as a set by
-// Algorithms(mode) — with the frame-count model documented there: the
+// Algorithms(mode); the scatter and gather are package baseline's
+// point-to-point ones outside the regimes where multicast wins — with
+// the frame-count model documented there: the
 // allgather sends N·ceil(M/T) data frames where the unicast ring sends
 // N·(N-1)·ceil(M/T), and the allreduce's broadcast half sends ceil(M/T)
 // frames instead of (N-1)·ceil(M/T). Every scout-gated multicast runs on
@@ -78,10 +80,17 @@ func (m Mode) String() string {
 // mode: Bcast and Barrier as the paper describes them, plus the
 // Allgather, Allreduce, Scatter, Gather and Alltoall compositions of
 // suite.go. The set is complete: the collectives core does not
-// implement (Reduce, Scan, ReduceScatter) are package baseline's.
+// implement (Reduce, Scan, ReduceScatter) are package baseline's, and so
+// are the Scatter and Gather outside their regimes (slicedScatterWins,
+// p2pGatherFits).
 func Algorithms(mode Mode) mpi.Algorithms {
 	if mode == Linear {
-		return suite(roundOptions{gather: gatherScoutsLinear})
+		algs := suite(roundOptions{gather: gatherScoutsLinear})
+		// N-1 scouts converging on the root one at a time make the sliced
+		// scatter slower than package baseline's in every measured cell,
+		// shared uplinks included (slicedScatterWins).
+		algs.Scatter = baseline.Scatter
+		return algs
 	}
 	return suite(roundOptions{gather: gatherScoutsBinary})
 }
@@ -109,9 +118,15 @@ func suite(rounds roundOptions) mpi.Algorithms {
 		return alltoallWith(c, send, recv, rounds)
 	}
 	algs.Scatter = func(c *mpi.Comm, send, recv []byte, root int) error {
+		if !slicedScatterWins(usableTopo(c), c.Size(), len(recv)) {
+			return baseline.Scatter(c, send, recv, root)
+		}
 		return scatterWith(c, send, recv, root, rounds, nil)
 	}
 	algs.Gather = func(c *mpi.Comm, send, recv []byte, root int) error {
+		if p2pGatherFits(c.Size()) {
+			return baseline.Gather(c, send, recv, root)
+		}
 		return gatherWith(c, send, recv, root, rounds)
 	}
 	return algs

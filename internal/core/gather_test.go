@@ -1,8 +1,10 @@
 package core_test
 
-// The converging-gather regression: GatherMcast's release gate lets all
-// N-1 senders transmit their chunks at once, so ceil(M/T)·(N-1) frames
-// converge on the root's switch port. The switch's 64-frame egress queue
+// The converging-gather regression: a gather's N-1 senders transmit
+// their chunks at once — behind the release of the release-gated gather,
+// or on entry in package baseline's point-to-point one, which the binary
+// set runs at this N — so ceil(M/T)·(N-1) frames converge on the root's
+// switch port. The switch's 64-frame egress queue
 // once silently tail-dropped the excess and — point-to-point frames
 // having no repair protocol then — the gather deadlocked, which is why
 // the loss sweeps capped their fragment grids. Two independent layers now
@@ -18,14 +20,16 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
-// convergingGather runs GatherMcast with (N-1)·frags fragments
+// convergingGather runs the binary set's gather with (N-1)·frags fragments
 // converging on the root's port and returns the network for counter
 // assertions.
 func convergingGather(t *testing.T, prof simnet.Profile, n, chunk int) (*simnet.Network, error) {
@@ -89,11 +93,15 @@ func TestGatherConvergingBurstBeyondQueueCap(t *testing.T) {
 		// Every fourth fragment of every chunk is lost on its first way
 		// into the root: the reliable stream's probes retransmit exactly
 		// the dropped fragments until the gather completes with every
-		// chunk intact (convergingGather checks them).
+		// chunk intact (convergingGather checks them). The point-to-point
+		// gather sends its chunks on its operation's phase 0; the
+		// release-gated one sent them on core.PhaseChunk, which the
+		// filter matched until the binary set's gather became point to
+		// point at this N.
 		prof := simnet.DefaultProfile()
 		prof.DropP2P = func(dst int, f transport.Fragment) bool {
 			phase, ok := mpi.CollPhase(f.Msg)
-			return dst == 0 && ok && phase == core.PhaseChunk && f.Msg.Class == transport.ClassData &&
+			return dst == 0 && ok && phase == 0 && f.Msg.Class == transport.ClassData &&
 				f.Index%4 == 0 && !f.Repair
 		}
 		nw, err := convergingGather(t, prof, n, chunk)
@@ -109,4 +117,63 @@ func TestGatherConvergingBurstBeyondQueueCap(t *testing.T) {
 		t.Logf("%d dropped chunk fragments repaired by %d retransmitted fragments",
 			nw.Stats.InjectedP2PLosses, nw.Stats.Stream.Retransmits.Load())
 	})
+}
+
+// TestGatherRingBound holds the bound of the point-to-point gather in the
+// flat sets (core's p2pGatherFits): its root posts nothing before the
+// chunks arrive, so they queue in its 256-message receive ring, and the
+// operation that follows may queue as many again — here a second gather,
+// on a switch, to a root that enters 50 ms late. The binary set runs
+// package baseline's gather up to 128 ranks, where the two gathers queue
+// 254 chunks, and the release-gated gather from 129, whose chunks wait
+// for the root. Neither may lose a message to the ring (a silent drop);
+// package baseline's gather, which has no bound, loses some at 130 ranks.
+func TestGatherRingBound(t *testing.T) {
+	const chunk = 64
+	run := func(algs mpi.Algorithms, n int) *simnet.Network {
+		t.Helper()
+		nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(), algs, func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				cluster.SimComm(c).Proc().Sleep(50 * sim.Millisecond)
+			}
+			for round := range 2 {
+				send := bytes.Repeat([]byte{byte(c.Rank() + round)}, chunk)
+				var recv []byte
+				if c.Rank() == 0 {
+					recv = make([]byte, n*chunk)
+				}
+				if err := c.Gather(send, recv, 0); err != nil {
+					return err
+				}
+				for r := 0; c.Rank() == 0 && r < n; r++ {
+					if !bytes.Equal(recv[r*chunk:(r+1)*chunk], bytes.Repeat([]byte{byte(r + round)}, chunk)) {
+						return fmt.Errorf("gather %d: chunk from rank %d corrupted", round, r)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("N=%d: %v", n, err)
+		}
+		return nw
+	}
+	for _, cs := range []struct {
+		n      int
+		scouts int64 // of the two gathers
+	}{
+		{128, 0},       // point to point
+		{129, 2 * 128}, // release-gated: N-1 scouts each
+	} {
+		nw := run(core.Algorithms(core.Binary), cs.n)
+		if got := nw.Wire.Frames(transport.ClassScout); got != cs.scouts {
+			t.Errorf("N=%d: %d scout frames, want %d", cs.n, got, cs.scouts)
+		}
+		if drops := nw.SilentDrops(); drops != 0 {
+			t.Errorf("N=%d: %d silent drops", cs.n, drops)
+		}
+	}
+	if drops := run(baseline.Algorithms(), 130).SilentDrops(); drops == 0 {
+		t.Error("N=130: package baseline's gathers overflowed no ring; the scenario no longer loads the root")
+	}
 }

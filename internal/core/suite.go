@@ -48,19 +48,30 @@ package core
 //	                 and gathers the reduced slices with no scouts (the
 //	                 reduce-scatter proves entry), past N=256 only the
 //	                 exchange's drain barriers.
-//	scatter:         s scouts + (N-1)·ceil(M/T) data frames: the root
-//	                 multicasts each rank's slice to that rank's private
-//	                 slice group, so a receiver's NIC delivers exactly
-//	                 its own M bytes — the pairwise-unicast byte count —
-//	                 while the send stays on the connectionless bypass
-//	                 (no TCP penalty, no kernel acks) and stays gated.
-//	gather:          s scouts + 1 multicast release + (N-1)·ceil(M/T)
-//	                 chunk frames. The data still has to converge on the
-//	                 root, so no frame is saved; the release gates the
-//	                 senders until the root has entered the gather, which
-//	                 bounds the root's unexpected-message queue and
-//	                 prevents the fast-senders-overrun-one-receiver
-//	                 failure mode of experiment A4.
+//	scatter:         package baseline's linear scatter, (N-1)·ceil(M/T)
+//	                 data frames and no scouts, except on shared uplinks
+//	                 from 64 ranks with chunks past one frame
+//	                 (slicedScatterWins). There s scouts + the same data
+//	                 frames: the root multicasts each rank's slice to that
+//	                 rank's private slice group, so a receiver's NIC
+//	                 delivers exactly its own M bytes — the
+//	                 pairwise-unicast byte count — while the send stays on
+//	                 the connectionless bypass (no TCP penalty, no kernel
+//	                 acks) and stays gated. A slice multicast costs a
+//	                 receiver the frames a unicast does, so only the
+//	                 bypass's saving can pay for the scouts, and it does
+//	                 only there.
+//	gather:          package baseline's linear gather, (N-1)·ceil(M/T)
+//	                 chunk frames and nothing else, while the root's
+//	                 receive ring can absorb the chunks of two gathers
+//	                 unposted (p2pGatherFits: N ≤ 128). Beyond, s scouts
+//	                 + 1 multicast release + the same chunk frames. The
+//	                 data has to converge on the root either way, so no
+//	                 frame is saved; the release gates the senders until
+//	                 the root has entered the gather, which bounds the
+//	                 root's unexpected-message queue and prevents the
+//	                 fast-senders-overrun-one-receiver failure mode of
+//	                 experiment A4.
 //	alltoall:        one burst — the multicast barrier's s scouts + 1
 //	                 release, then every rank multicasts its N-1 slices,
 //	                 each to its destination's slice group, in ring
@@ -857,12 +868,13 @@ func evenSegments(t *topo.Map) int {
 }
 
 // scatterWith is a single round of the engine. Flat (t nil) it is a
-// sliced round: the root multicasts each rank's slice to that rank's
-// private slice group, so a receiver's NIC delivers exactly its own M
-// bytes. Given a topology it is a segment round: the root multicasts
-// each segment's super-slice — that segment's chunks in member order —
-// to the segment's group, one egress transmission per port instead of
-// one per rank, and every receiver keeps its own chunk of the block.
+// sliced round, which the flat sets run inside slicedScatterWins: the
+// root multicasts each rank's slice to that rank's private slice group,
+// so a receiver's NIC delivers exactly its own M bytes. Given a topology
+// it is a segment round: the root multicasts each segment's super-slice
+// — that segment's chunks in member order — to the segment's group, one
+// egress transmission per port instead of one per rank, and every
+// receiver keeps its own chunk of the block.
 func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions, t *topo.Map) error {
 	size := c.Size()
 	n := len(recv)
@@ -902,9 +914,10 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions, t *
 // gatherWith collects equal-sized chunks to root, gated by scouts and a
 // multicast release so senders cannot overrun the root: the release
 // proves the root has entered the gather, so a chunk cannot land in an
-// unbounded unexpected queue. Under repair the release is a multicast
-// that can be lost in flight like any other; the chunk a rank sends
-// after observing it doubles as its confirmation.
+// unbounded unexpected queue. The flat sets run it past p2pGatherFits.
+// Under repair the release is a multicast that can be lost in flight
+// like any other; the chunk a rank sends after observing it doubles as
+// its confirmation.
 func gatherWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) error {
 	size := c.Size()
 	n := len(send)

@@ -103,7 +103,11 @@ func TestSuiteFrameCounts(t *testing.T) {
 					t.Errorf("allreduce data frames = %d, want N·ceil(M/T) = %d", got, want)
 				}
 
-				// Gather: (N-1) scouts + 1 release + (N-1)·ceil(M/T) chunks.
+				// Gather, package baseline's point to point while the
+				// root's receive ring absorbs the chunks (every N here):
+				// (N-1)·ceil(M/T) chunks, no scouts and no release. While
+				// every gather was release-gated it also sent (N-1) scouts
+				// and 1 release.
 				nw = run(simnet.Switch, algs, func(c *mpi.Comm) error {
 					var recv []byte
 					if c.Rank() == 0 {
@@ -111,10 +115,13 @@ func TestSuiteFrameCounts(t *testing.T) {
 					}
 					return c.Gather(make([]byte, chunk), recv, 0)
 				})
-				frames("gather", nw, int64(n-1), 1, int64(n-1)*chunkFrames)
+				frames("gather", nw, 0, 0, int64(n-1)*chunkFrames)
 
-				// Scatter (sliced): (N-1) scouts + (N-1)·ceil(M/T) data
-				// frames, one per-slice multicast per receiver.
+				// Scatter, package baseline's point to point off shared
+				// uplinks: (N-1)·ceil(M/T) data frames, one send per
+				// receiver. The sliced round sends as many data frames,
+				// one per-slice multicast per receiver, behind (N-1)
+				// scouts (TestSlicedScatterRegime).
 				nw = run(simnet.Switch, algs, func(c *mpi.Comm) error {
 					var send []byte
 					if c.Rank() == 0 {
@@ -122,10 +129,56 @@ func TestSuiteFrameCounts(t *testing.T) {
 					}
 					return c.Scatter(send, make([]byte, chunk), 0)
 				})
-				if got, want := nw.Wire.Frames(transport.ClassData), int64(n-1)*chunkFrames; got != want {
-					t.Errorf("scatter data frames = %d, want (N-1)·ceil(M/T) = %d", got, want)
-				}
+				frames("scatter", nw, 0, 0, int64(n-1)*chunkFrames)
 			})
+		}
+	}
+}
+
+// TestSlicedScatterRegime counts the frames of one cold scatter to show
+// which schedule the flat sets run (core's slicedScatterWins): the sliced
+// round — N-1 scouts up the binary tree, then one slice-group multicast
+// per receiver — only on shared uplinks (fanout 4) from 64 ranks with
+// chunks past one frame, and only in the binary and resilient sets;
+// everywhere else package baseline's scatter, one send per receiver and
+// no scouts. Both put (N-1)·ceil(M/T) data frames on the wire.
+func TestSlicedScatterRegime(t *testing.T) {
+	const frag = simnet.MaxFragPayload
+	for _, cs := range []struct {
+		name   string
+		algs   mpi.Algorithms
+		topo   simnet.Topology
+		n, m   int
+		sliced bool
+	}{
+		{"binary", core.Algorithms(core.Binary), simnet.SwitchShared, 64, 2000, true},
+		{"resilient", core.ResilientAlgorithms(), simnet.SwitchShared, 64, 2000, true},
+		{"binary", core.Algorithms(core.Binary), simnet.SwitchShared, 64, frag, false},
+		{"binary", core.Algorithms(core.Binary), simnet.SwitchShared, 63, 2000, false},
+		{"binary", core.Algorithms(core.Binary), simnet.Switch, 64, 2000, false},
+		{"binary", core.Algorithms(core.Binary), simnet.Hub, 64, 2000, false},
+		{"linear", core.Algorithms(core.Linear), simnet.SwitchShared, 64, 2000, false},
+	} {
+		name := fmt.Sprintf("%s/%v/n=%d/%dB", cs.name, cs.topo, cs.n, cs.m)
+		nw, err := cluster.RunSim(cs.n, cs.topo, sharedProf(4), cs.algs, func(c *mpi.Comm) error {
+			var send []byte
+			if c.Rank() == 0 {
+				send = make([]byte, cs.n*cs.m)
+			}
+			return c.Scatter(send, make([]byte, cs.m), 0)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		scouts := int64(0)
+		if cs.sliced {
+			scouts = int64(cs.n - 1)
+		}
+		if got := nw.Wire.Frames(transport.ClassScout); got != scouts {
+			t.Errorf("%s: %d scout frames, want %d", name, got, scouts)
+		}
+		if got, want := nw.Wire.Frames(transport.ClassData), int64(cs.n-1)*int64(trace.FramesForMessage(cs.m, frag)); got != want {
+			t.Errorf("%s: %d data frames, want (N-1)·ceil(M/T) = %d", name, got, want)
 		}
 	}
 }

@@ -44,7 +44,7 @@ package core
 //	                   confirmation, which beats a combine at each leader
 //	                   followed by S sequential leader rounds at every
 //	                   measured lossless point and at 1 % loss from N=32.
-//	gather:            from N=16 with a segment's chunks in one frame
+//	gather:            from N=64 with a segment's chunks in one frame
 //	                   (twoLevelWins): (N-S) member scouts + (S-1)
 //	                   aggregate scouts; chunks converge on the local
 //	                   leader first, and only S-1 aggregate blocks cross
@@ -56,8 +56,8 @@ package core
 //	                   leaders combine in one mpi.ReduceWalks walk over
 //	                   the leader set, and the final multicast follows the
 //	                   data it proves everyone contributed to).
-//	scatter:           in the same regime (twoLevelWins): the flat
-//	                   binary tree's N-1 scouts, then at most S
+//	scatter:           from N=32 in the same blocks (twoLevelWins): the
+//	                   flat binary tree's N-1 scouts, then at most S
 //	                   segment-group multicasts of per-segment
 //	                   super-slices in place of the flat N-1 per-rank
 //	                   slice transmissions. Elsewhere the flat scatter.
@@ -308,42 +308,51 @@ func flatAlltoallWins(size, n int) bool {
 	return size <= flatAlltoallMaxN && n >= flatAlltoallMinBytes
 }
 
-// The regime of the two-level scatter and gather: from twoLevelMinN
-// ranks while every segment's block of chunks (the scatter's
+// The regime of the two-level scatter and gather: from
+// twoLevelScatterMinN ranks for the scatter and twoLevelGatherMinN for
+// the gather, while every segment's block of chunks (the scatter's
 // super-slice, a leader's aggregate) fits twoLevelMaxBlock, one
 // simulated Ethernet frame's payload; elsewhere the flat set's schedule
 // runs. Read from this sweep (shared-uplink switch, fanout 4, seed 1,
-// one cold operation, two-level over mcast-binary):
+// one cold operation, two-level over the flat set's schedule —
+// slicedScatterWins and p2pGatherFits):
 //
 //	scatter  N \ M (B)  100   250   368   500   750  1,000  2,000  5,000
-//	           8       0.79  0.93  1.09  1.15  1.19   1.18   1.19   1.26
-//	          16       0.66  0.81  0.97  1.07  1.10   1.10   1.10   1.13
-//	          32       0.55  0.71  0.88  1.00  1.05   1.05   1.04   1.06
-//	          64       0.48  0.64  0.82  0.96  1.01   1.01   1.01   1.03
-//	         128       0.43  0.60  0.79  0.94  0.99   1.00   0.99   1.01
-//	         256       0.41  0.58  0.77  0.92  0.98   0.98   0.98   1.00
+//	           8       1.34  1.54  1.75  1.67  1.61   1.53   1.41   1.34
+//	          16       0.94  1.13  1.33  1.39  1.36   1.30   1.19   1.16
+//	          32       0.67  0.85  1.05  1.19  1.18   1.15   1.06   1.06
+//	          64       0.54  0.72  0.91  1.06  1.10   1.08   1.01   1.03
+//	         128       0.46  0.64  0.83  0.99  1.05   1.04   0.99   1.01
+//	         256       0.42  0.59  0.79  0.89  0.95   0.97   0.98   1.00
 //
 //	gather   N \ M (B)  100   250   368   500   750  1,000  2,000  5,000
-//	           8       1.12  1.24  1.35  1.39  1.39   1.37   1.29   1.25
-//	          16       0.86  0.99  1.12  1.22  1.21   1.20   1.12   1.12
-//	          32       0.72  0.84  1.00  1.12  1.13   1.12   1.01   1.07
-//	          64       0.68  0.75  0.92  1.05  1.08   1.07   0.94   1.00
-//	         128       0.71  0.75  0.93  1.08  1.10   1.08   0.93   1.06
+//	           8       2.25  2.41  2.56  2.34  2.14   1.98   1.64   1.39
+//	          16       1.43  1.56  1.70  1.63  1.53   1.46   1.29   1.20
+//	          32       0.96  1.10  1.27  1.24  1.22   1.19   1.08   1.10
+//	          64       0.81  0.88  1.07  1.06  1.08   1.06   0.98   1.08
+//	         128       0.79  0.83  1.02  1.02  1.04   1.04   1.01   1.11
 //	         256       0.74  0.76  0.95  1.10  1.19   1.10   0.95   1.14
 //
-// Seed 7 and five skewed repetitions read the same to ±0.05. One
-// predicate serves both: it keeps no cell above 1.00, and gives up the
-// scatter at N=8 (0.79, 0.93), both at 368 B, a two-frame block (down
-// to 0.77), and the marginal wins from N=64 past a frame (0.92–0.99).
+// and at the block's edge, 356 B: the scatter 0.99 at N=32, the gather
+// 1.01 / 0.97 / 0.89 at N = 64 / 128 / 256. Seed 7 reads the same. The
+// gather's flat schedule is point to point up to N=128, which the
+// two-level gather's member scouts and releases beat only from N=64 (at
+// N=24, 1.10 at 100 B; at N=48, 0.86–1.08); the scatter's is point to
+// point below a frame, which its segment blocks beat from N=32 (at
+// N=24, 0.80 at 100 B but 1.05 at 300 B). The regime keeps no cell above
+// 1.01, and gives up the scatter at N ≤ 24 (down to 0.77), the gather at
+// N ≤ 48 (down to 0.86) and the marginal wins past a frame (0.95–0.99).
 const (
-	twoLevelMinN     = 16
-	twoLevelMaxBlock = 1_424
+	twoLevelScatterMinN = 32
+	twoLevelGatherMinN  = 64
+	twoLevelMaxBlock    = 1_424
 )
 
 // twoLevelWins reports whether a scatter or gather of n-byte chunks over
-// size ranks on t is in the two-level schedule's regime.
-func twoLevelWins(t *topo.Map, size, n int) bool {
-	if size < twoLevelMinN {
+// size ranks on t is in the two-level schedule's regime, which starts at
+// minN ranks: twoLevelScatterMinN or twoLevelGatherMinN.
+func twoLevelWins(t *topo.Map, size, n, minN int) bool {
+	if size < minN {
 		return false
 	}
 	for s := range t.Segments() {
@@ -352,6 +361,77 @@ func twoLevelWins(t *topo.Map, size, n int) bool {
 		}
 	}
 	return true
+}
+
+// The regime of the flat sets' sliced scatter (scatterWith with no
+// topology): on shared uplinks (a usable topology) from slicedScatterMinN
+// ranks with chunks past one simulated frame's payload; everywhere else
+// package baseline's linear scatter runs, N-1 point-to-point sends. Read
+// from this sweep (shared-uplink switch, fanout 4, seed 1, one cold
+// scatter, mcast-binary's sliced round over mpich):
+//
+//	N \ M (B)  100   500  1,000  1,424  1,500  2,000  5,000  10,000
+//	  8       1.70  1.45   1.30   1.23   1.22   1.18   1.07    1.01
+//	 16       1.43  1.30   1.19   1.14   1.11   1.09   1.03    0.99
+//	 32       1.22  1.18   1.10   1.08   1.03   1.02   0.99    0.98
+//	 64       1.12  1.10   1.07   1.05   0.99   0.99   0.98    0.97
+//	128       1.07  1.05   1.04   1.03   0.97   0.97   0.97    0.96
+//	256       1.03  0.97   0.98   1.00   0.96   0.97   0.95    0.95
+//
+// Seed 7 reads the same. A slice group's multicast is one frame per
+// receiver like a unicast, but it waits behind a scout gather; from two
+// frames a slice, the connectionless send (no TCP penalty, no kernel
+// acks) pays for the gather once N-1 slices are many. The regime keeps
+// no cell above 0.99 and gives up N=256 from 500 B to a frame (0.97–
+// 1.00) and the large chunks at N ≤ 32 (0.98–0.99). Off shared uplinks
+// the sliced round loses in every cell TestFlatGuideline covers on the
+// switch (1.04–1.65×), and on the hub in all but two, which are given up
+// (0.90–2.20×; its comment lists them). The linear scout gather's sliced
+// round loses in every cell of this sweep too (1.01–1.80×), so the
+// linear set never runs it (Algorithms).
+const (
+	slicedScatterMinN     = 64
+	slicedScatterMinBytes = 1_425
+)
+
+// slicedScatterWins reports whether a scatter of n-byte chunks over size
+// ranks on t, the usable topology or nil, is in the sliced scatter's
+// regime.
+func slicedScatterWins(t *topo.Map, size, n int) bool {
+	return t != nil && size >= slicedScatterMinN && n >= slicedScatterMinBytes
+}
+
+// The regime of package baseline's linear gather in the flat sets: up to
+// gatherP2PMaxN ranks. Its root posts no receive before the chunks
+// arrive, so they queue in the root's receive ring, and a rank that has
+// sent its chunk goes straight on: the operation that follows can send
+// the root as much again before it posts (a second gather, N-1 more
+// chunks). So 2(N-1) must fit the ring as exchange's window does,
+// within burstRecvBudget, which gives N ≤ 128. Two back-to-back
+// point-to-point gathers to a root that enters late overflow the
+// 256-message ring from N=130 (TestGatherRingBound), and at N=256 a
+// conformance pass with one point-to-point gather lost two messages
+// (TestTwoLevelConformanceN256). Beyond the bound the release-gated
+// gather (gatherWith) runs: no rank sends its chunk before the root's
+// release proves the root is receiving. The point-to-point gather is also the
+// faster schedule: the release-gated one over it reads, on the
+// shared-uplink switch (fanout 4, seed 1, one cold gather):
+//
+//	N \ M (B)  100   500  1,000  1,424  1,500  2,000  5,000  10,000
+//	  8       2.00  1.68   1.45   1.35   1.31   1.27   1.11    1.04
+//	 16       1.67  1.34   1.21   1.17   1.16   1.15   1.07    1.03
+//	 32       1.34  1.11   1.06   1.05   1.08   1.08   1.03    1.02
+//	 64       1.19  1.00   1.00   1.00   1.05   1.04   1.08    1.04
+//	128       1.11  0.95   0.96   0.97   1.32   1.09   1.05    1.07
+//
+// It gives up N=128 from 500 B to a frame (0.95–0.97) and the hub's
+// N=8 gather from 1,000 B (0.68 and 0.75, TestFlatGuideline).
+const gatherP2PMaxN = burstRecvBudget/2 + 1
+
+// p2pGatherFits reports whether the root of a gather over size ranks can
+// absorb the point-to-point chunks unposted.
+func p2pGatherFits(size int) bool {
+	return size <= gatherP2PMaxN
 }
 
 // allreduce reduces in two levels — members combine at their segment
@@ -428,7 +508,7 @@ func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, o
 // blocks cross the uplink fabric.
 func (tl *twoLevel) gather(c *mpi.Comm, send, recv []byte, root int) error {
 	t := usableTopo(c)
-	if t == nil || !twoLevelWins(t, c.Size(), len(send)) {
+	if t == nil || !twoLevelWins(t, c.Size(), len(send), twoLevelGatherMinN) {
 		return tl.flat.Gather(c, send, recv, root)
 	}
 	n := len(send)
@@ -504,7 +584,7 @@ func (tl *twoLevel) gather(c *mpi.Comm, send, recv []byte, root int) error {
 // flat scatter.
 func (tl *twoLevel) scatter(c *mpi.Comm, send, recv []byte, root int) error {
 	t := usableTopo(c)
-	if t == nil || !twoLevelWins(t, c.Size(), len(recv)) {
+	if t == nil || !twoLevelWins(t, c.Size(), len(recv), twoLevelScatterMinN) {
 		return tl.flat.Scatter(c, send, recv, root)
 	}
 	return scatterWith(c, send, recv, root, roundOptions{gather: gatherScoutsBinary, repair: tl.rep}, t)

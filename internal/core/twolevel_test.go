@@ -38,11 +38,14 @@ func sharedProf(fanout int) simnet.Profile {
 // multi-frame chunks, rooted at 0 and N-1 (coretest.Grid adds the
 // second root), so leader override, member order and aggregate-block
 // slicing are all exercised. The scatter and gather run two-level only
-// from N=16 with a segment's chunks in one frame (twoLevelWins), so the
-// grid adds a singleton segment (17 = 4×4+1) and uneven ones (18 =
-// 4×4+2) at chunks inside that regime.
+// with a segment's chunks in one frame, the scatter from N=32 and the
+// gather from N=64 (twoLevelWins), so the grid adds a singleton segment
+// (65 = 16×4+1) and uneven ones (66 = 16×4+2) at chunks inside both
+// regimes. 17 = 4×4+1 and 18 = 4×4+2 were inside them while the regime
+// began at N=16, and keep their cases.
 var twoLevelGrid = append(coretest.Grid([]int{2, 6, 7, 8, 16}, []int{0, 1, 1500, 4000}),
-	coretest.Grid([]int{17, 18}, []int{1, 300})...)
+	append(coretest.Grid([]int{17, 18}, []int{1, 300}),
+		coretest.Grid([]int{65, 66}, []int{1, 300})...)...)
 
 func TestTwoLevelConformanceSharedUplink(t *testing.T) {
 	for _, set := range []struct {
@@ -183,8 +186,9 @@ func TestTwoLevelInjectedLoss(t *testing.T) {
 // the rank every two-level protocol funnels through: every multicast
 // fragment arriving at the leader of the last segment is dropped on
 // first delivery (repairs get through), and the resilient set must
-// still conform. At N=8 the scatter and gather run the flat set's
-// schedule (twoLevelWins); N=16 runs them two-level.
+// still conform. At N=8 and N=16 the scatter and gather run the flat
+// set's schedule (twoLevelWins); N=64 runs them two-level (N=16 did
+// while the regime began there).
 func TestTwoLevelLeaderLoss(t *testing.T) {
 	const fanout = 4
 	for _, cs := range []struct {
@@ -195,10 +199,12 @@ func TestTwoLevelLeaderLoss(t *testing.T) {
 		{"chunk=1500", 8, 1500},
 		{"n=16/chunk=1", 16, 1},
 		{"n=16/chunk=300", 16, 300},
+		{"n=64/chunk=1", 64, 1},
+		{"n=64/chunk=300", 64, 300},
 	} {
 		t.Run(cs.name, func(t *testing.T) {
 			tm := topo.Uniform(cs.n, fanout)
-			leader := tm.Leader(tm.Segments() - 1) // rank 4 at N=8, 12 at N=16
+			leader := tm.Leader(tm.Segments() - 1) // rank 4 at N=8, 12 at N=16, 60 at N=64
 			prof := sharedProf(fanout)
 			seen := make(map[uint64]bool)
 			prof.DropFrag = func(dst int, f transport.Fragment) bool {
@@ -346,9 +352,10 @@ func TestTwoLevelScoutEconomy(t *testing.T) {
 // singleton segment whose leader has no local phase at all — and the
 // full conformance pass must hold for roots in every kind of segment.
 // At N=7 the scatter and gather run the flat set's schedule
-// (twoLevelWins), so 19 ranks at fanout 3 — six segments of 3 and a
+// (twoLevelWins), so 64 ranks at fanout 3 — 21 segments of 3 and a
 // singleton — with 300-byte chunks take the same roots through the
-// two-level scatter and gather.
+// two-level scatter and gather. 19 ranks (six segments of 3 and a
+// singleton) did while the regime began at N=16, and keep their cases.
 func TestTwoLevelUnevenSegments(t *testing.T) {
 	prof := sharedProf(3)
 	for _, cs := range []struct {
@@ -361,6 +368,9 @@ func TestTwoLevelUnevenSegments(t *testing.T) {
 		{"n=19/root=0", 19, 0, 300},
 		{"n=19/root=4", 19, 4, 300},
 		{"n=19/root=18", 19, 18, 300},
+		{"n=64/root=0", 64, 0, 300},
+		{"n=64/root=4", 64, 4, 300},
+		{"n=64/root=63", 64, 63, 300},
 	} {
 		t.Run(cs.name, func(t *testing.T) {
 			nw, err := cluster.RunSim(cs.n, simnet.SwitchShared, prof, core.TwoLevelAlgorithms(), func(c *mpi.Comm) error {
@@ -462,15 +472,18 @@ func TestTwoLevelAllgatherBeatsFlat(t *testing.T) {
 
 // TestTwoLevelRegimes counts the frames of one cold operation on the
 // shared-uplink switch (fanout 4) to show which schedule runs: the
-// two-level scatter and gather inside their regime (from N=16, every
-// segment's block of chunks within one frame), the flat set's outside
-// it, and the flat bcast and barrier everywhere. Inside, the scatter
-// sends N-1 scouts up the binary tree and one block per segment, S data
-// frames; the gather sends (N-S) member and S-1 leader scouts, S segment
-// releases and S-1 root-to-leader releases, and (N-S) member chunks and
-// S-1 aggregate blocks. Outside, every wire class counts what
-// mcast-binary's does: the scatter at N=32, 2,000 B sends its N-1
-// slices, two frames each.
+// two-level scatter and gather inside their regimes (the scatter from
+// N=32, the gather from N=64, every segment's block of chunks within one
+// frame), the flat set's outside them, and the flat bcast and barrier
+// everywhere. Inside, the scatter sends N-1 scouts up the binary tree
+// and one block per segment, S data frames; the gather sends (N-S)
+// member and S-1 leader scouts, S segment releases and S-1 root-to-leader
+// releases, and (N-S) member chunks and S-1 aggregate blocks. Outside,
+// every wire class counts what mcast-binary's does: the scatter at N=64,
+// 2,000 B sends its N-1 slices, two frames each. The regime began at
+// N=16 for both while the flat set sliced every scatter and gated every
+// gather; its cases at N=17 (scatter, 356 B) and N=18 (gather, 300 B),
+// and the gather at N=32, 100 B, were inside it then.
 func TestTwoLevelRegimes(t *testing.T) {
 	classes := []transport.Class{transport.ClassScout, transport.ClassControl, transport.ClassData}
 	frames := func(algs mpi.Algorithms, n, size int, op workload.Op) [3]int64 {
@@ -492,12 +505,15 @@ func TestTwoLevelRegimes(t *testing.T) {
 		inside  bool
 	}{
 		{workload.OpScatter, 32, 100, true},
-		{workload.OpScatter, 17, 356, true}, // a singleton segment, a block of exactly one frame
+		{workload.OpScatter, 33, 356, true}, // a singleton segment, a block of exactly one frame
+		{workload.OpScatter, 17, 356, false},
 		{workload.OpScatter, 32, 2000, false},
 		{workload.OpScatter, 32, 357, false},
 		{workload.OpScatter, 8, 100, false},
-		{workload.OpGather, 32, 100, true},
-		{workload.OpGather, 18, 300, true}, // uneven segments
+		{workload.OpGather, 64, 100, true},
+		{workload.OpGather, 66, 300, true}, // uneven segments
+		{workload.OpGather, 32, 100, false},
+		{workload.OpGather, 18, 300, false},
 		{workload.OpGather, 32, 2000, false},
 		{workload.OpGather, 8, 100, false},
 		{workload.OpBcast, 32, 100, false},
@@ -524,8 +540,9 @@ func TestTwoLevelRegimes(t *testing.T) {
 			t.Errorf("%s: two-level sent the flat schedule's %v frames inside its regime", name, flat)
 		}
 	}
-	// The scatter at N=32, 2,000 B: N-1 slice multicasts of two frames.
-	if got := frames(core.TwoLevelAlgorithms(), 32, 2000, workload.OpScatter)[2]; got != 2*31 {
-		t.Errorf("scatter N=32 2,000 B: %d data frames, want 2(N-1) = 62", got)
+	// The scatter at N=64, 2,000 B: the flat set's sliced round, N-1
+	// slice multicasts of two frames.
+	if got := frames(core.TwoLevelAlgorithms(), 64, 2000, workload.OpScatter); got != [3]int64{63, 0, 2 * 63} {
+		t.Errorf("scatter N=64 2,000 B: %v scout/control/data frames, want N-1 scouts and 2(N-1) = 126 data frames", got)
 	}
 }

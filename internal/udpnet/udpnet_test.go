@@ -376,11 +376,16 @@ func TestNackRepairOverUDP(t *testing.T) {
 // hierarchical path — segment releases over derived segment groups,
 // leader aggregates, segment-group scatter blocks — must conform on
 // genuine kernel multicast, for even and uneven placements. The scatter
-// and gather run two levels only from 16 ranks with a segment's chunks
-// in one frame, so 17 ranks with a singleton segment take them there at
-// 1-byte chunks.
+// and gather run two levels only with a segment's chunks in one frame,
+// the scatter from 32 ranks and the gather from 64, so 65 ranks with a
+// singleton segment take both there at 1-byte chunks. 17 ranks did
+// while both began at 16, and keep their case.
 func TestTwoLevelConformanceOverUDP(t *testing.T) {
 	requireMulticast(t)
+	ranks := make([]int, 65)
+	for r := range ranks {
+		ranks[r] = r
+	}
 	for _, tc := range []struct {
 		name    string
 		n       int
@@ -390,6 +395,7 @@ func TestTwoLevelConformanceOverUDP(t *testing.T) {
 		{name: "fanout2", n: 5, fanout: 2, members: [][]int{{0, 1}, {2, 3}, {4}}},
 		{name: "declared-uneven", n: 6, fanout: 4, members: [][]int{{0, 1, 2, 3}, {4, 5}}},
 		{name: "regime", n: 17, fanout: 4, members: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}, {12, 13, 14, 15}, {16}}},
+		{name: "regime-65", n: 65, fanout: 4, members: slices.Collect(slices.Chunk(ranks, 4))},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
