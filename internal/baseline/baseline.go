@@ -134,9 +134,6 @@ func Reduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, root int
 	if err := mpi.ReduceWalks(c.BeginColl(), group, []int{0, len(acc)}, 0, true, acc, dt, op); err != nil || c.Rank() != root {
 		return err
 	}
-	if len(recv) != len(send) {
-		return fmt.Errorf("baseline: reduce recv buffer %d bytes, want %d", len(recv), len(send))
-	}
 	copy(recv, acc)
 	return nil
 }
@@ -144,9 +141,6 @@ func Reduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, root int
 // Allreduce is a binomial reduce to rank 0 followed by a binomial
 // broadcast, MPICH's classic composition.
 func Allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-	if len(recv) != len(send) {
-		return fmt.Errorf("baseline: allreduce recv buffer %d bytes, want %d", len(recv), len(send))
-	}
 	if err := Reduce(c, send, recv, dt, op, 0); err != nil {
 		return err
 	}
@@ -161,9 +155,6 @@ func Gather(c *mpi.Comm, send, recv []byte, root int) error {
 		return cc.Send(root, 0, send, transport.ClassData, true)
 	}
 	n := len(send)
-	if len(recv) != n*c.Size() {
-		return fmt.Errorf("baseline: gather recv buffer %d bytes, want %d", len(recv), n*c.Size())
-	}
 	copy(recv[root*n:], send)
 	for i := 0; i < c.Size()-1; i++ {
 		m, err := cc.Recv(mpi.AnySource, 0)
@@ -184,9 +175,6 @@ func Scatter(c *mpi.Comm, send, recv []byte, root int) error {
 	cc := c.BeginColl()
 	n := len(recv)
 	if c.Rank() == root {
-		if len(send) != n*c.Size() {
-			return fmt.Errorf("baseline: scatter send buffer %d bytes, want %d", len(send), n*c.Size())
-		}
 		for r := 0; r < c.Size(); r++ {
 			if r == root {
 				copy(recv, send[r*n:(r+1)*n])
@@ -215,9 +203,6 @@ func Scatter(c *mpi.Comm, send, recv []byte, root int) error {
 func Allgather(c *mpi.Comm, send, recv []byte) error {
 	size := c.Size()
 	n := len(send)
-	if len(recv) != n*size {
-		return fmt.Errorf("baseline: allgather recv buffer %d bytes, want %d", len(recv), n*size)
-	}
 	cc := c.BeginColl()
 	rank := c.Rank()
 	copy(recv[rank*n:], send)
@@ -245,9 +230,6 @@ func Allgather(c *mpi.Comm, send, recv []byte) error {
 // (rank+i) mod N and receives from (rank-i) mod N.
 func Alltoall(c *mpi.Comm, send, recv []byte) error {
 	size := c.Size()
-	if len(send)%size != 0 || len(recv) != len(send) {
-		return fmt.Errorf("baseline: alltoall buffers %d/%d bytes for %d ranks", len(send), len(recv), size)
-	}
 	n := len(send) / size
 	cc := c.BeginColl()
 	rank := c.Rank()

@@ -12,9 +12,6 @@ import (
 // itself) to rank+2^k and folds in the partial from rank-2^k, finishing
 // in ceil(log2 N) steps instead of a chain's N-1.
 func Scan(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-	if len(recv) != len(send) {
-		return fmt.Errorf("baseline: scan recv buffer %d bytes, want %d", len(recv), len(send))
-	}
 	cc := c.BeginColl()
 	size, rank := c.Size(), c.Rank()
 	partial := append([]byte(nil), send...)
@@ -52,9 +49,6 @@ func Scan(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 func ReduceScatter(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	size, rank := c.Size(), c.Rank()
 	n := len(recv)
-	if len(send) != size*n {
-		return fmt.Errorf("baseline: reduce-scatter send %d bytes for %d chunks of %d", len(send), size, n)
-	}
 	cc := c.BeginColl()
 	acc := append([]byte(nil), send[rank*n:(rank+1)*n]...)
 	for i := 1; i < size; i++ {

@@ -53,12 +53,12 @@ const (
 	// bursts segment-group blocks (the flat burst at N <= 32 from
 	// 1,000 B), and its scatter and gather run two levels while a
 	// segment's chunks fit one frame, the scatter from N=32 and the
-	// gather from N=64. Everything else — bcast, barrier,
+	// gather from N=16. Everything else — bcast, barrier,
 	// allgather, and every operation on a device with no usable topology
 	// — is mcast-binary's.
 	McastTwoLevel Algorithm = "mcast-2level"
 	// McastTwoLevelResilient is McastTwoLevel with every multicast
-	// (fan-outs, segment releases) under NACK repair; its allgather and
+	// (fan-outs, segment rounds) under NACK repair; its allgather and
 	// alltoall are the flat resilient set's repaired burst.
 	McastTwoLevelResilient Algorithm = "mcast-2level-resilient"
 	// Unsafe is multicast with no synchronization at all; it loses

@@ -124,7 +124,7 @@ func suite(rounds roundOptions) mpi.Algorithms {
 		return scatterWith(c, send, recv, root, rounds, nil)
 	}
 	algs.Gather = func(c *mpi.Comm, send, recv []byte, root int) error {
-		if p2pGatherFits(c.Size()) {
+		if gatherFits(c.Size() - 1) {
 			return baseline.Gather(c, send, recv, root)
 		}
 		return gatherWith(c, send, recv, root, rounds)
@@ -134,15 +134,13 @@ func suite(rounds roundOptions) mpi.Algorithms {
 
 // scout phases within a collective operation.
 const (
-	phaseScout       = 0 // readiness scouts
-	phaseAck         = 1 // acknowledgments (ACK/NACK protocols)
-	phaseForward     = 2 // root-to-sequencer forwarding
-	phaseNack        = 3 // repair requests (NACK protocol)
-	phaseChunk       = 4 // per-rank data chunks (gather/reduce suite)
-	phaseLeaderScout = 5 // segment leaders' aggregate scouts (two-level)
-	phaseRelease     = 6 // root-to-leaders release (two-level gather)
-	phaseBlock       = 7 // per-segment aggregate blocks (two-level)
-	phaseSlice       = 8 // base phase of the per-slice binomial reductions
+	phaseScout   = 0 // readiness scouts
+	phaseAck     = 1 // acknowledgments (ACK/NACK protocols)
+	phaseForward = 2 // root-to-sequencer forwarding
+	phaseNack    = 3 // repair requests (NACK protocol)
+	phaseChunk   = 4 // per-rank data chunks (gather/reduce suite)
+	phaseBlock   = 7 // the two-level allreduce's walk over the leaders
+	phaseSlice   = 8 // base phase of the per-slice binomial reductions
 	//               (phaseSlice+s carries slice s's walk, s < Size)
 )
 
@@ -278,9 +276,6 @@ func barrierRound() roundPlan {
 // the broadcast half sends ceil(M/T) frames instead of ceil(M/T)·(N-1).
 func allreduceWith(bcast func(c *mpi.Comm, buf []byte, root int) error) func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	return func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-		if len(recv) != len(send) {
-			return fmt.Errorf("core: allreduce recv buffer %d bytes, want %d", len(recv), len(send))
-		}
 		ranks := make([]int, c.Size())
 		for r := range ranks {
 			ranks[r] = r

@@ -26,6 +26,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/topo"
 	"repro/internal/transport"
 )
 
@@ -119,20 +120,23 @@ func TestGatherConvergingBurstBeyondQueueCap(t *testing.T) {
 	})
 }
 
-// TestGatherRingBound holds the bound of the point-to-point gather in the
-// flat sets (core's p2pGatherFits): its root posts nothing before the
-// chunks arrive, so they queue in its 256-message receive ring, and the
-// operation that follows may queue as many again — here a second gather,
-// on a switch, to a root that enters 50 ms late. The binary set runs
-// package baseline's gather up to 128 ranks, where the two gathers queue
-// 254 chunks, and the release-gated gather from 129, whose chunks wait
-// for the root. Neither may lose a message to the ring (a silent drop);
-// package baseline's gather, which has no bound, loses some at 130 ranks.
+// TestGatherRingBound holds the bound of the point-to-point gathers
+// (core's gatherFits): a receiver posts nothing before the chunks
+// arrive, so they queue in its 256-message receive ring, and the
+// operation that follows may queue as many again — here a second gather
+// to a root that enters 50 ms late. The binary set runs package
+// baseline's gather up to 128 ranks on a switch, where the two gathers
+// queue 254 chunks, and the release-gated gather from 129, whose chunks
+// wait for the root. The two-level set's gather at N=256 on shared
+// uplinks (fanout 4) queues (F_root-1) + (S-1) = 66 messages a gather at
+// the root, and sends no scouts. None may lose a message to the ring (a
+// silent drop); package baseline's gather, which has no bound, loses
+// some at 130 ranks.
 func TestGatherRingBound(t *testing.T) {
 	const chunk = 64
-	run := func(algs mpi.Algorithms, n int) *simnet.Network {
+	run := func(algs mpi.Algorithms, n int, topo simnet.Topology, prof simnet.Profile) *simnet.Network {
 		t.Helper()
-		nw, err := cluster.RunSim(n, simnet.Switch, simnet.DefaultProfile(), algs, func(c *mpi.Comm) error {
+		nw, err := cluster.RunSim(n, topo, prof, algs, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
 				cluster.SimComm(c).Proc().Sleep(50 * sim.Millisecond)
 			}
@@ -158,22 +162,56 @@ func TestGatherRingBound(t *testing.T) {
 		}
 		return nw
 	}
+	shared := simnet.DefaultProfile()
+	shared.UplinkFanout = 4
 	for _, cs := range []struct {
+		name   string
+		algs   mpi.Algorithms
 		n      int
+		topo   simnet.Topology
+		prof   simnet.Profile
 		scouts int64 // of the two gathers
 	}{
-		{128, 0},       // point to point
-		{129, 2 * 128}, // release-gated: N-1 scouts each
+		{"mcast-binary", core.Algorithms(core.Binary), 128, simnet.Switch, simnet.DefaultProfile(), 0},       // point to point
+		{"mcast-binary", core.Algorithms(core.Binary), 129, simnet.Switch, simnet.DefaultProfile(), 2 * 128}, // release-gated: N-1 scouts each
+		{"mcast-2level", core.TwoLevelAlgorithms(), 256, simnet.SwitchShared, shared, 0},                     // two levels, point to point
 	} {
-		nw := run(core.Algorithms(core.Binary), cs.n)
+		nw := run(cs.algs, cs.n, cs.topo, cs.prof)
 		if got := nw.Wire.Frames(transport.ClassScout); got != cs.scouts {
-			t.Errorf("N=%d: %d scout frames, want %d", cs.n, got, cs.scouts)
+			t.Errorf("%s N=%d: %d scout frames, want %d", cs.name, cs.n, got, cs.scouts)
 		}
 		if drops := nw.SilentDrops(); drops != 0 {
-			t.Errorf("N=%d: %d silent drops", cs.n, drops)
+			t.Errorf("%s N=%d: %d silent drops", cs.name, cs.n, drops)
 		}
 	}
-	if drops := run(baseline.Algorithms(), 130).SilentDrops(); drops == 0 {
+	if drops := run(baseline.Algorithms(), 130, simnet.Switch, simnet.DefaultProfile()).SilentDrops(); drops == 0 {
 		t.Error("N=130: package baseline's gathers overflowed no ring; the scenario no longer loads the root")
+	}
+}
+
+// TestGatherFanInEdge holds the fan-in predicate at its edge, without a
+// 500-rank simulation: two gathers' messages at the busiest receiver
+// must fit the 255 the receive ring holds unposted. The flat gather's
+// fan-in is N-1, so it fits to N=128. At fanout 4 the two-level gather's
+// root hears its 3 segment members and the S-1 other leaders: it fits to
+// N=500 (S=125), and at N=501 a root in a full segment does not, while
+// the singleton segment's root, with no members, still does.
+func TestGatherFanInEdge(t *testing.T) {
+	if !core.GatherFits(127) || core.GatherFits(128) {
+		t.Error("the flat gather must fit at N=128 and not at N=129")
+	}
+	for _, cs := range []struct {
+		n, root, fanIn int
+		fits           bool
+	}{
+		{500, 0, 127, true},
+		{500, 499, 127, true},
+		{501, 0, 128, false},
+		{501, 500, 125, true}, // the singleton segment's only rank
+	} {
+		fanIn := core.TwoLevelFanIn(topo.Uniform(cs.n, 4), cs.root)
+		if fanIn != cs.fanIn || core.GatherFits(fanIn) != cs.fits {
+			t.Errorf("N=%d root %d: fan-in %d, fits %v; want %d, %v", cs.n, cs.root, fanIn, core.GatherFits(fanIn), cs.fanIn, cs.fits)
+		}
 	}
 }

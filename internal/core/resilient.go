@@ -12,9 +12,10 @@ package core
 // exactly once — and add the probe/NACK/confirm exchange of reference
 // [10] so in-flight losses are repaired instead of deadlocking the
 // collective. Point-to-point traffic (scouts, the allreduce's reduce
-// half, the gather's chunks, and the whole of package baseline's
+// half, the gated gather's chunks, the whole of package baseline's
 // scatter and gather, which the set runs outside their multicast
-// regimes) rides the stream, which repairs it itself.
+// regimes, and the whole of the two-level set's gather) rides the
+// stream, which repairs it itself.
 // The cost is N-1 acknowledgment frames per operation and its last
 // sender waiting for them: a one-round operation's receivers acknowledge
 // its multicast, and the allgather and alltoall, one repaired burst,

@@ -111,9 +111,6 @@ import (
 func allgatherWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	size := c.Size()
 	n := len(send)
-	if len(recv) != n*size {
-		return fmt.Errorf("core: allgather recv buffer %d bytes, want %d", len(recv), n*size)
-	}
 	copy(recv[c.Rank()*n:], send)
 	if size == 1 {
 		return nil
@@ -537,9 +534,6 @@ func repairedWindow(c *mpi.Comm, gate mpi.CollCtx, gateSent []send, senders []in
 // failure mode this collective stresses hardest).
 func alltoallWith(c *mpi.Comm, send, recv []byte, opt roundOptions) error {
 	size := c.Size()
-	if len(send)%size != 0 || len(recv) != len(send) {
-		return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks", len(send), len(recv), size)
-	}
 	n := len(send) / size
 	me := c.Rank()
 	copy(recv[me*n:(me+1)*n], send[me*n:(me+1)*n])
@@ -666,9 +660,6 @@ func sliceBounds(total, extent, size int) []int {
 // round differently from rank order).
 func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	size := c.Size()
-	if len(recv) != len(send) {
-		return fmt.Errorf("core: allreduce recv buffer %d bytes, want %d", len(recv), len(send))
-	}
 	copy(recv, send)
 	if size == 1 {
 		return nil
@@ -878,13 +869,6 @@ func evenSegments(t *topo.Map) int {
 func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions, t *topo.Map) error {
 	size := c.Size()
 	n := len(recv)
-	if c.Rank() == root && len(send) != n*size {
-		return fmt.Errorf("core: scatter send buffer %d bytes, want %d", len(send), n*size)
-	}
-	if size == 1 {
-		copy(recv, send)
-		return nil
-	}
 	me := c.Rank()
 	// A receiver hears want bytes and keeps the n at offset at.
 	round := roundPlan{sender: root, class: transport.ClassData, bytes: n * (size - 1),
@@ -914,20 +898,15 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions, t *
 // gatherWith collects equal-sized chunks to root, gated by scouts and a
 // multicast release so senders cannot overrun the root: the release
 // proves the root has entered the gather, so a chunk cannot land in an
-// unbounded unexpected queue. The flat sets run it past p2pGatherFits.
+// unbounded unexpected queue. The flat sets run it past gatherFits.
 // Under repair the release is a multicast that can be lost in flight
-// like any other; the chunk a rank sends after observing it doubles as
-// its confirmation.
+// like any other: a listener's request is answered with the release's
+// own fragments under its original id, and the chunk a rank sends after
+// observing it doubles as its confirmation, so no separate
+// acknowledgment frames exist.
 func gatherWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) error {
 	size := c.Size()
 	n := len(send)
-	if c.Rank() == root && len(recv) != n*size {
-		return fmt.Errorf("core: gather recv buffer %d bytes, want %d", len(recv), n*size)
-	}
-	if size == 1 {
-		copy(recv, send)
-		return nil
-	}
 	cc := c.BeginColl()
 	if err := opt.gather(cc, root); err != nil {
 		return err
@@ -939,27 +918,12 @@ func gatherWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) erro
 		return cc.Send(root, phaseChunk, send, transport.ClassData, false)
 	}
 	copy(recv[root*n:], send)
-	return collectChunks(cc, mpi.Whole, size-1, n, func(r int, p []byte) { copy(recv[r*n:], p) })
-}
-
-// collectChunks is the collecting side of every release-gated gather —
-// the flat gather's root, a segment leader of the two-level combine:
-// multicast the (empty) release to scope, proving to its listeners that
-// this rank's receives are posted so their chunk sends cannot overrun
-// it, then place one n-byte chunk from each of expect ranks. Listeners
-// that await the release under repair may NACK it: a request is answered
-// with the release's own fragments under its original id, and a rank's
-// chunk doubles as its confirmation, so no separate acknowledgment
-// frames exist. Traffic of the operation's other phases (an early
-// aggregate scout reaching the root while it still collects its own
-// segment) stays queued for its own receive.
-func collectChunks(cc mpi.CollCtx, scope mpi.Scope, expect, n int, place func(r int, p []byte)) error {
-	if err := cc.Multicast(scope, nil, transport.ClassControl); err != nil {
+	if err := cc.Multicast(mpi.Whole, nil, transport.ClassControl); err != nil {
 		return err
 	}
 	relID := cc.LastMulticastID()
-	got := make(map[int]bool, expect)
-	for len(got) < expect {
+	got := make(map[int]bool, size-1)
+	for len(got) < size-1 {
 		m, err := cc.RecvPhases(phaseNack, phaseChunk)
 		if err != nil {
 			return err
@@ -969,7 +933,7 @@ func collectChunks(cc mpi.CollCtx, scope mpi.Scope, expect, n int, place func(r 
 			continue // a NACK that raced its own repair; the chunk is here
 		}
 		if m.Class == transport.ClassNack {
-			if err := cc.MulticastRepair(scope, nil, transport.ClassControl, relID, repairFrags(m.Payload, relID)); err != nil {
+			if err := cc.MulticastRepair(mpi.Whole, nil, transport.ClassControl, relID, repairFrags(m.Payload, relID)); err != nil {
 				return err
 			}
 			continue
@@ -977,7 +941,7 @@ func collectChunks(cc mpi.CollCtx, scope mpi.Scope, expect, n int, place func(r 
 		if len(m.Payload) != n {
 			return fmt.Errorf("core: chunk from %d is %d bytes, want %d", r, len(m.Payload), n)
 		}
-		place(r, m.Payload)
+		copy(recv[r*n:], m.Payload)
 		got[r] = true
 	}
 	return nil

@@ -13,9 +13,9 @@ package core
 // multi-core collectives of Zhou et al., applied to the paper's scout
 // machinery:
 //
-//   - ranks scout-combine to their segment's leader over segment-local
-//     traffic (a member's scout, chunk or reduction operand crosses its
-//     own segment only — intra-segment unicast is not forwarded off the
+//   - ranks combine at their segment's leader over segment-local
+//     traffic (a member's chunk or reduction operand crosses its own
+//     segment only — intra-segment unicast is not forwarded off the
 //     port, and segment-scoped multicasts address a group only segment
 //     members join, so the switch has no other port to forward to);
 //
@@ -44,13 +44,14 @@ package core
 //	                   confirmation, which beats a combine at each leader
 //	                   followed by S sequential leader rounds at every
 //	                   measured lossless point and at 1 % loss from N=32.
-//	gather:            from N=64 with a segment's chunks in one frame
-//	                   (twoLevelWins): (N-S) member scouts + (S-1)
-//	                   aggregate scouts; chunks converge on the local
-//	                   leader first, and only S-1 aggregate blocks cross
-//	                   the uplinks — release-gated at both levels, so
-//	                   neither a leader nor the root can be overrun.
-//	                   Elsewhere the flat gather.
+//	gather:            from N=16 with a segment's chunks in one frame
+//	                   (twoLevelWins): zero scout frames — two nested
+//	                   point-to-point gathers, the (N-S) member chunks
+//	                   to their leaders and S-1 aggregate blocks across
+//	                   the uplinks, ungated like the flat point-to-point
+//	                   gather while two gathers' messages fit the busiest
+//	                   receiver's ring (gatherFits). Elsewhere the flat
+//	                   gather.
 //	allreduce:         zero scout frames — the reduction data itself
 //	                   gates every hop (members combine at their leader,
 //	                   leaders combine in one mpi.ReduceWalks walk over
@@ -102,17 +103,15 @@ package core
 // and alltoall burst in slot order.
 //
 // Strict posted-receive safety follows the same arguments as the flat
-// engine: every whole-communicator multicast is gated on evidence that
-// every rank has entered (scouts, or the reduction data itself), and
-// each rank's window between proving readiness and posting its receive
-// contains no simulated work. Segment-scoped releases are gated on the
-// member scouts they release (segmentCombine). Under the resilient
-// variant every multicast — releases included — runs under the
-// fragment-granular NACK repair protocol of rounds.go (awaitMulticast on
-// the listening side, serveRepairs and collectChunks on the sending
-// side), and all point-to-point traffic already rides the reliable
-// stream, so the set survives combined multicast + p2p loss like the
-// flat resilient suite.
+// engine: every multicast is gated on evidence that its receivers have
+// entered (scouts, or the reduction data itself), and each rank's window
+// between proving readiness and posting its receive contains no
+// simulated work. Under the resilient variant every multicast runs
+// under the fragment-granular NACK repair protocol of rounds.go
+// (awaitMulticast on the listening side, serveRepairs on the sending
+// side), and all point-to-point traffic — the whole gather included —
+// already rides the reliable stream, so the set survives combined
+// multicast + p2p loss like the flat resilient suite.
 
 import (
 	"fmt"
@@ -134,7 +133,7 @@ func TwoLevelAlgorithms() mpi.Algorithms {
 }
 
 // TwoLevelResilientAlgorithms is TwoLevelAlgorithms with every
-// multicast — fan-outs and segment releases — protected by the NACK
+// multicast — fan-outs and segment rounds — protected by the NACK
 // repair protocol, over the flat resilient set, whose repaired burst is
 // its allgather and alltoall.
 func TwoLevelResilientAlgorithms() mpi.Algorithms {
@@ -182,17 +181,6 @@ func opLeader(t *topo.Map, seg, root int) int {
 	return t.Leader(seg)
 }
 
-// recvScouts receives n messages of phase from any source: a scout
-// count, where only their arrival matters.
-func recvScouts(cc mpi.CollCtx, phase, n int) error {
-	for range n {
-		if _, err := cc.Recv(mpi.AnySource, phase); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // segScope is the scope of a segment round: every rank listens on its
 // own segment's group.
 func segScope(t *topo.Map) func(rank int) mpi.Scope {
@@ -223,36 +211,6 @@ func segBlock(members []int, buf []byte, n int) []byte {
 		blk = append(blk, buf[r*n:(r+1)*n]...)
 	}
 	return blk
-}
-
-// segmentCombine runs one rank's part of the release-gated combine of a
-// segment's chunks at lead, one of its members — all of it segment-local
-// traffic that never crosses an uplink. A member scouts lead, awaits
-// lead's release on the segment's scope (under NACK repair with rep) and
-// sends payload. lead collects the scouts, then releases and places
-// every other member's chunk (collectChunks); of its own
-// payload only the length is used — chunks are equal-sized. A segment of
-// one has nothing to exchange.
-func segmentCombine(cc mpi.CollCtx, t *topo.Map, lead int, payload []byte, rep bool, place func(r int, p []byte)) error {
-	me := cc.Comm().Rank()
-	seg := t.SegmentOf(me)
-	others := len(t.Members(seg)) - 1
-	if me != lead {
-		if err := cc.Send(lead, phaseScout, nil, transport.ClassScout, false); err != nil {
-			return err
-		}
-		if _, err := awaitMulticast(cc, lead, mpi.Seg(seg), 0, rep); err != nil {
-			return err
-		}
-		return cc.Send(lead, phaseChunk, payload, transport.ClassData, false)
-	}
-	if others == 0 {
-		return nil
-	}
-	if err := recvScouts(cc, phaseScout, others); err != nil {
-		return err
-	}
-	return collectChunks(cc, mpi.Seg(seg), others, len(payload), place)
 }
 
 // ringSegSends is the burst alltoall's send list at rank me: to every
@@ -315,7 +273,7 @@ func flatAlltoallWins(size, n int) bool {
 // simulated Ethernet frame's payload; elsewhere the flat set's schedule
 // runs. Read from this sweep (shared-uplink switch, fanout 4, seed 1,
 // one cold operation, two-level over the flat set's schedule —
-// slicedScatterWins and p2pGatherFits):
+// slicedScatterWins and gatherFits):
 //
 //	scatter  N \ M (B)  100   250   368   500   750  1,000  2,000  5,000
 //	           8       1.34  1.54  1.75  1.67  1.61   1.53   1.41   1.34
@@ -325,26 +283,28 @@ func flatAlltoallWins(size, n int) bool {
 //	         128       0.46  0.64  0.83  0.99  1.05   1.04   0.99   1.01
 //	         256       0.42  0.59  0.79  0.89  0.95   0.97   0.98   1.00
 //
-//	gather   N \ M (B)  100   250   368   500   750  1,000  2,000  5,000
-//	           8       2.25  2.41  2.56  2.34  2.14   1.98   1.64   1.39
-//	          16       1.43  1.56  1.70  1.63  1.53   1.46   1.29   1.20
-//	          32       0.96  1.10  1.27  1.24  1.22   1.19   1.08   1.10
-//	          64       0.81  0.88  1.07  1.06  1.08   1.06   0.98   1.08
-//	         128       0.79  0.83  1.02  1.02  1.04   1.04   1.01   1.11
-//	         256       0.74  0.76  0.95  1.10  1.19   1.10   0.95   1.14
+//	gather   N \ M (B)  100   250   356   368   500   750  1,000  2,000  5,000
+//	           8       1.03  1.25  1.40  1.45  1.39  1.39   1.35   1.29   1.23
+//	          12       0.80  1.00  1.11  1.26  1.19  1.26   1.18   1.17   1.17
+//	          16       0.67  0.85  0.98  1.17  1.08  1.20   1.10   1.12   1.15
+//	          24       0.52  0.71  0.84  1.08  0.98  1.13   1.01   1.07   1.11
+//	          32       0.45  0.64  0.78  1.03  0.93  1.10   0.97   1.04   1.06
+//	          64       0.40  0.57  0.70  0.99  0.87  1.07   0.92   1.01   1.11
+//	         128       0.38  0.55  0.69  0.76  0.80  0.88   0.89   0.96   1.11
+//	         256       0.35  0.52  0.65  0.71  0.87  1.07   0.96   0.89   1.08
 //
-// and at the block's edge, 356 B: the scatter 0.99 at N=32, the gather
-// 1.01 / 0.97 / 0.89 at N = 64 / 128 / 256. Seed 7 reads the same. The
-// gather's flat schedule is point to point up to N=128, which the
-// two-level gather's member scouts and releases beat only from N=64 (at
-// N=24, 1.10 at 100 B; at N=48, 0.86–1.08); the scatter's is point to
-// point below a frame, which its segment blocks beat from N=32 (at
-// N=24, 0.80 at 100 B but 1.05 at 300 B). The regime keeps no cell above
-// 1.01, and gives up the scatter at N ≤ 24 (down to 0.77), the gather at
-// N ≤ 48 (down to 0.86) and the marginal wins past a frame (0.95–0.99).
+// and the scatter at the block's edge, 356 B, 0.99 at N=32. Seed 7 reads
+// the same. Both flat schedules are point to point here (below a frame,
+// up to N=128); the scatter's segment blocks beat it from N=32 (at N=24,
+// 0.80 at 100 B but 1.05 at 300 B), the gather's member → leader → root
+// sends from N=16 (at N=12, 1.05–1.11 from 300 B; at N=14 and 15,
+// 0.56–0.96). The regime keeps no cell above 0.99, and gives up the
+// scatter at N ≤ 24 (down to 0.77), the gather at N ≤ 15 (down to 0.56)
+// and the wins past a frame, which are not monotone in M (the gather
+// 0.71–0.98 at 368, 500, 1,000 and 2,000 B, 1.07 at 750 B, N=256).
 const (
 	twoLevelScatterMinN = 32
-	twoLevelGatherMinN  = 64
+	twoLevelGatherMinN  = 16
 	twoLevelMaxBlock    = 1_424
 )
 
@@ -401,21 +361,23 @@ func slicedScatterWins(t *topo.Map, size, n int) bool {
 	return t != nil && size >= slicedScatterMinN && n >= slicedScatterMinBytes
 }
 
-// The regime of package baseline's linear gather in the flat sets: up to
-// gatherP2PMaxN ranks. Its root posts no receive before the chunks
-// arrive, so they queue in the root's receive ring, and a rank that has
-// sent its chunk goes straight on: the operation that follows can send
-// the root as much again before it posts (a second gather, N-1 more
-// chunks). So 2(N-1) must fit the ring as exchange's window does,
-// within burstRecvBudget, which gives N ≤ 128. Two back-to-back
-// point-to-point gathers to a root that enters late overflow the
-// 256-message ring from N=130 (TestGatherRingBound), and at N=256 a
-// conformance pass with one point-to-point gather lost two messages
-// (TestTwoLevelConformanceN256). Beyond the bound the release-gated
-// gather (gatherWith) runs: no rank sends its chunk before the root's
-// release proves the root is receiving. The point-to-point gather is also the
-// faster schedule: the release-gated one over it reads, on the
-// shared-uplink switch (fanout 4, seed 1, one cold gather):
+// gatherFits reports whether a point-to-point gather whose busiest
+// receiver hears fanIn messages fits that receiver's receive ring. The
+// receiver posts nothing before the messages arrive, so they queue in
+// its 256-message ring, and a rank that has sent goes straight on: the
+// operation that follows can send it as much again before it posts (a
+// second gather). So two gathers' messages must fit the ring as
+// exchange's window does, within burstRecvBudget. The flat sets' fan-in
+// is N-1, which gives package baseline's linear gather N ≤ 128; past it
+// the release-gated gather (gatherWith) runs, whose chunks wait for the
+// root's release. Two back-to-back point-to-point gathers to a root that
+// enters late overflow the ring from N=130 (TestGatherRingBound), and at
+// N=256 a conformance pass with one point-to-point gather lost two
+// messages (TestTwoLevelConformanceN256). The two-level gather's fan-in
+// is twoLevelFanIn, which fits up to about N=500 at fanout 4. The
+// point-to-point gather is also the faster schedule: the release-gated
+// one over it reads, on the shared-uplink switch (fanout 4, seed 1, one
+// cold gather):
 //
 //	N \ M (B)  100   500  1,000  1,424  1,500  2,000  5,000  10,000
 //	  8       2.00  1.68   1.45   1.35   1.31   1.27   1.11    1.04
@@ -426,12 +388,20 @@ func slicedScatterWins(t *topo.Map, size, n int) bool {
 //
 // It gives up N=128 from 500 B to a frame (0.95–0.97) and the hub's
 // N=8 gather from 1,000 B (0.68 and 0.75, TestFlatGuideline).
-const gatherP2PMaxN = burstRecvBudget/2 + 1
+func gatherFits(fanIn int) bool {
+	return 2*fanIn <= burstRecvBudget
+}
 
-// p2pGatherFits reports whether the root of a gather over size ranks can
-// absorb the point-to-point chunks unposted.
-func p2pGatherFits(size int) bool {
-	return size <= gatherP2PMaxN
+// twoLevelFanIn is the most messages one rank hears in a two-level
+// gather over t rooted at root: the root hears its segment's other
+// members and the S-1 other leaders, another leader its segment's other
+// members.
+func twoLevelFanIn(t *topo.Map, root int) int {
+	fanIn := len(t.Members(t.SegmentOf(root))) - 1 + t.Segments() - 1
+	for s := range t.Segments() {
+		fanIn = max(fanIn, len(t.Members(s))-1)
+	}
+	return fanIn
 }
 
 // allreduce reduces in two levels — members combine at their segment
@@ -447,9 +417,6 @@ func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, o
 	t := usableTopo(c)
 	if t == nil {
 		return tl.flat.Allreduce(c, send, recv, dt, op)
-	}
-	if len(recv) != len(send) {
-		return fmt.Errorf("core: allreduce recv buffer %d bytes, want %d", len(recv), len(send))
 	}
 	me := c.Rank()
 	mySeg := t.SegmentOf(me)
@@ -500,80 +467,59 @@ func (tl *twoLevel) allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, o
 	return runRound(c, bcastRound(recv, root), roundOptions{gather: noGather, repair: tl.rep})
 }
 
-// gather collects chunks in two levels: members combine at their segment
-// leader (release-gated locally), leaders scout their aggregate to the
-// root, and the root releases each leader individually (point-to-point
-// control over the reliable stream) before its block send — so neither a
-// leader nor the root's port can be overrun, and only S-1 aggregate
-// blocks cross the uplink fabric.
+// gather is two nested linear gathers over the bypass: every member
+// sends its chunk to its segment's leader (opLeader), and every other
+// leader sends its segment's block of chunks, in member order, to the
+// root — only S-1 blocks cross the uplinks. Nothing is gated: as in the
+// flat set's point-to-point gather, the receive ring of the busiest
+// receiver absorbs two gathers' messages unposted (gatherFits), and
+// under repair the stream carries the whole gather. Outside twoLevelWins
+// and past gatherFits it is the flat gather.
 func (tl *twoLevel) gather(c *mpi.Comm, send, recv []byte, root int) error {
 	t := usableTopo(c)
-	if t == nil || !twoLevelWins(t, c.Size(), len(send), twoLevelGatherMinN) {
+	if t == nil || !twoLevelWins(t, c.Size(), len(send), twoLevelGatherMinN) || !gatherFits(twoLevelFanIn(t, root)) {
 		return tl.flat.Gather(c, send, recv, root)
 	}
-	n := len(send)
-	me := c.Rank()
-	if me == root && len(recv) != n*c.Size() {
-		return fmt.Errorf("core: gather recv buffer %d bytes, want %d", len(recv), n*c.Size())
-	}
-	members := t.Members(t.SegmentOf(me))
-	lead := opLeader(t, t.SegmentOf(me), root)
-
+	n, me := len(send), c.Rank()
+	seg := t.SegmentOf(me)
+	members := t.Members(seg)
 	cc := c.BeginColl()
-	// The root (which leads its own segment) collects into recv
-	// directly, any other leader into an aggregate block in member order.
-	var block []byte
-	place := func(r int, p []byte) { copy(recv[r*n:], p) }
-	switch me {
-	case root:
-		copy(recv[me*n:], send)
-	case lead:
-		block = make([]byte, n*len(members))
-		copy(block[slices.Index(members, me)*n:], send)
-		place = func(r int, p []byte) { copy(block[slices.Index(members, r)*n:], p) }
+	if lead := opLeader(t, seg, root); me != lead {
+		return cc.Send(lead, phaseChunk, send, transport.ClassData, false)
 	}
-	if err := segmentCombine(cc, t, lead, send, tl.rep, place); err != nil || me != lead {
-		return err
+	// The root collects into recv, hearing its segment's members and the
+	// other leaders; any other leader collects its members' chunks into
+	// its block, in member order.
+	buf, at, expect := recv, func(r int) int { return r }, len(members)-1
+	if me == root {
+		expect += t.Segments() - 1
+	} else {
+		buf = make([]byte, n*len(members))
+		at = func(r int) int { return slices.Index(members, r) }
 	}
-	if me != root {
-		// Aggregate level: prove the segment in, wait for the root's
-		// individual release (point-to-point — the reliable stream makes
-		// it loss-proof without any multicast machinery), send the block.
-		if err := cc.Send(root, phaseLeaderScout, nil, transport.ClassScout, false); err != nil {
-			return err
-		}
-		if _, err := cc.Recv(root, phaseRelease); err != nil {
-			return err
-		}
-		return cc.Send(root, phaseBlock, block, transport.ClassData, false)
-	}
-
-	// Root: gate the aggregate sends, then place each segment's block.
-	if err := recvScouts(cc, phaseLeaderScout, t.Segments()-1); err != nil {
-		return err
-	}
-	for s := 0; s < t.Segments(); s++ {
-		if l := opLeader(t, s, root); l != root {
-			if err := cc.Send(l, phaseRelease, nil, transport.ClassControl, false); err != nil {
-				return err
-			}
-		}
-	}
-	for i := 0; i < t.Segments()-1; i++ {
-		m, err := cc.Recv(mpi.AnySource, phaseBlock)
+	copy(buf[at(me)*n:], send)
+	for range expect {
+		m, err := cc.Recv(mpi.AnySource, phaseChunk)
 		if err != nil {
 			return err
 		}
-		l := cc.SrcRank(m)
-		ms := t.Members(t.SegmentOf(l))
-		if len(m.Payload) != n*len(ms) {
-			return fmt.Errorf("core: gather block from %d is %d bytes, want %d", l, len(m.Payload), n*len(ms))
+		// A member's chunk, or another segment's block from its leader.
+		src := cc.SrcRank(m)
+		from := []int{src}
+		if s := t.SegmentOf(src); s != seg {
+			from = t.Members(s)
 		}
-		for i2, r := range ms {
-			copy(recv[r*n:], m.Payload[i2*n:(i2+1)*n])
+		if len(m.Payload) != n*len(from) {
+			return fmt.Errorf("core: gather message from %d is %d bytes, want %d", src, len(m.Payload), n*len(from))
+		}
+		for i, r := range from {
+			copy(buf[at(r)*n:], m.Payload[i*n:(i+1)*n])
 		}
 	}
-	return nil
+	if me == root {
+		return nil
+	}
+	return cc.Send(root, phaseChunk, buf, transport.ClassData, false)
 }
 
 // scatter is the flat set's scatter as a segment round (scatterWith):
@@ -602,9 +548,6 @@ func (tl *twoLevel) alltoall(c *mpi.Comm, send, recv []byte) error {
 		return tl.flat.Alltoall(c, send, recv)
 	}
 	size := c.Size()
-	if len(send)%size != 0 || len(recv) != len(send) {
-		return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks", len(send), len(recv), size)
-	}
 	n := len(send) / size
 	if flatAlltoallWins(size, n) {
 		return tl.flat.Alltoall(c, send, recv)

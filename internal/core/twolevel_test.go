@@ -39,10 +39,10 @@ func sharedProf(fanout int) simnet.Profile {
 // second root), so leader override, member order and aggregate-block
 // slicing are all exercised. The scatter and gather run two-level only
 // with a segment's chunks in one frame, the scatter from N=32 and the
-// gather from N=64 (twoLevelWins), so the grid adds a singleton segment
-// (65 = 16×4+1) and uneven ones (66 = 16×4+2) at chunks inside both
-// regimes. 17 = 4×4+1 and 18 = 4×4+2 were inside them while the regime
-// began at N=16, and keep their cases.
+// gather from N=16 (twoLevelWins), so the grid adds a singleton segment
+// (17 = 4×4+1, 65 = 16×4+1) and uneven ones (18 = 4×4+2, 66 = 16×4+2)
+// at chunks inside the gather's regime, and at 65 and 66 the
+// scatter's.
 var twoLevelGrid = append(coretest.Grid([]int{2, 6, 7, 8, 16}, []int{0, 1, 1500, 4000}),
 	append(coretest.Grid([]int{17, 18}, []int{1, 300}),
 		coretest.Grid([]int{65, 66}, []int{1, 300})...)...)
@@ -152,10 +152,10 @@ func TestChunkedAllreduceZeroBytesSendsNothing(t *testing.T) {
 	}
 }
 
-// TestTwoLevelInjectedLoss: random multicast fragment loss (leader
-// rounds, fan-outs and segment releases are all multicast) plus p2p
-// loss (member chunks, aggregate blocks, releases and the repair
-// protocol itself), recovered by the resilient two-level set.
+// TestTwoLevelInjectedLoss: random multicast fragment loss (fan-outs,
+// segment rounds and releases are all multicast) plus p2p loss (member
+// chunks, aggregate blocks, scouts, acks and the repair protocol
+// itself), recovered by the resilient two-level set.
 func TestTwoLevelInjectedLoss(t *testing.T) {
 	algs := core.TwoLevelResilientAlgorithms()
 	t.Run("mcast", func(t *testing.T) {
@@ -186,9 +186,10 @@ func TestTwoLevelInjectedLoss(t *testing.T) {
 // the rank every two-level protocol funnels through: every multicast
 // fragment arriving at the leader of the last segment is dropped on
 // first delivery (repairs get through), and the resilient set must
-// still conform. At N=8 and N=16 the scatter and gather run the flat
-// set's schedule (twoLevelWins); N=64 runs them two-level (N=16 did
-// while the regime began there).
+// still conform. At N=8 the scatter and gather run the flat set's
+// schedule (twoLevelWins), at N=16 the scatter does and the gather runs
+// two levels below 356 B, and N=64 runs both two-level. The two-level
+// gather multicasts nothing, so its loss here is the other operations'.
 func TestTwoLevelLeaderLoss(t *testing.T) {
 	const fanout = 4
 	for _, cs := range []struct {
@@ -354,8 +355,8 @@ func TestTwoLevelScoutEconomy(t *testing.T) {
 // At N=7 the scatter and gather run the flat set's schedule
 // (twoLevelWins), so 64 ranks at fanout 3 — 21 segments of 3 and a
 // singleton — with 300-byte chunks take the same roots through the
-// two-level scatter and gather. 19 ranks (six segments of 3 and a
-// singleton) did while the regime began at N=16, and keep their cases.
+// two-level scatter and gather, and 19 ranks (six segments of 3 and a
+// singleton) through the two-level gather.
 func TestTwoLevelUnevenSegments(t *testing.T) {
 	prof := sharedProf(3)
 	for _, cs := range []struct {
@@ -473,30 +474,38 @@ func TestTwoLevelAllgatherBeatsFlat(t *testing.T) {
 // TestTwoLevelRegimes counts the frames of one cold operation on the
 // shared-uplink switch (fanout 4) to show which schedule runs: the
 // two-level scatter and gather inside their regimes (the scatter from
-// N=32, the gather from N=64, every segment's block of chunks within one
+// N=32, the gather from N=16, every segment's block of chunks within one
 // frame), the flat set's outside them, and the flat bcast and barrier
 // everywhere. Inside, the scatter sends N-1 scouts up the binary tree
-// and one block per segment, S data frames; the gather sends (N-S)
-// member and S-1 leader scouts, S segment releases and S-1 root-to-leader
-// releases, and (N-S) member chunks and S-1 aggregate blocks. Outside,
-// every wire class counts what mcast-binary's does: the scatter at N=64,
-// 2,000 B sends its N-1 slices, two frames each. The regime began at
-// N=16 for both while the flat set sliced every scatter and gated every
-// gather; its cases at N=17 (scatter, 356 B) and N=18 (gather, 300 B),
-// and the gather at N=32, 100 B, were inside it then.
+// and one block per segment, S data frames. The gather sends no scout
+// and no control frame, and N-1 data frames — (N-S) member chunks and
+// S-1 leader blocks — as many as the flat point-to-point gather, so the
+// root's delivered messages tell the two apart: (F_root-1) + (S-1)
+// against N-1. Both two-level sets send the same frames there. While the
+// gather gated both levels it sent (N-S) member and S-1 leader scouts,
+// S segment releases and S-1 root-to-leader releases. Outside, every
+// count reads what mcast-binary's does: the scatter at N=64, 2,000 B
+// sends its N-1 slices, two frames each. The regime began at N=16 for
+// both while the flat set sliced every scatter and gated every gather;
+// its case at N=17 (scatter, 356 B) was inside it then, and the gather's
+// at N=18, 300 B and N=32, 100 B were outside it from N=64 until the
+// gather stopped gating.
 func TestTwoLevelRegimes(t *testing.T) {
 	classes := []transport.Class{transport.ClassScout, transport.ClassControl, transport.ClassData}
-	frames := func(algs mpi.Algorithms, n, size int, op workload.Op) [3]int64 {
+	// counts are the scout, control and data frames and the messages
+	// delivered to the root, rank 0.
+	counts := func(algs mpi.Algorithms, n, size int, op workload.Op) [4]int64 {
 		nw, err := cluster.RunSim(n, simnet.SwitchShared, sharedProf(4), algs, func(c *mpi.Comm) error {
 			return workload.Make(c, op, size, 0)()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got [3]int64
+		var got [4]int64
 		for i, class := range classes {
 			got[i] = nw.Wire.Frames(class)
 		}
+		got[3] = nw.Endpoint(0).Delivered().Messages
 		return got
 	}
 	for _, cs := range []struct {
@@ -512,37 +521,47 @@ func TestTwoLevelRegimes(t *testing.T) {
 		{workload.OpScatter, 8, 100, false},
 		{workload.OpGather, 64, 100, true},
 		{workload.OpGather, 66, 300, true}, // uneven segments
-		{workload.OpGather, 32, 100, false},
-		{workload.OpGather, 18, 300, false},
+		{workload.OpGather, 32, 100, true},
+		{workload.OpGather, 18, 300, true},
+		{workload.OpGather, 16, 356, true}, // a block of exactly one frame
+		{workload.OpGather, 15, 100, false},
+		{workload.OpGather, 32, 357, false},
 		{workload.OpGather, 32, 2000, false},
 		{workload.OpGather, 8, 100, false},
 		{workload.OpBcast, 32, 100, false},
 		{workload.OpBarrier, 32, 0, false},
 	} {
 		name := fmt.Sprintf("%s/n=%d/%dB", cs.op, cs.n, cs.size)
-		two := frames(core.TwoLevelAlgorithms(), cs.n, cs.size, cs.op)
-		flat := frames(core.Algorithms(core.Binary), cs.n, cs.size, cs.op)
+		two := counts(core.TwoLevelAlgorithms(), cs.n, cs.size, cs.op)
+		flat := counts(core.Algorithms(core.Binary), cs.n, cs.size, cs.op)
 		if !cs.inside {
 			if two != flat {
-				t.Errorf("%s: two-level sent %v scout/control/data frames, flat %v; want the flat schedule", name, two, flat)
+				t.Errorf("%s: two-level sent %v scout/control/data frames and root messages, flat %v; want the flat schedule", name, two, flat)
 			}
 			continue
 		}
-		n, s := int64(cs.n), int64(topo.Uniform(cs.n, 4).Segments())
-		want := [3]int64{n - 1, 0, s}
+		tm := topo.Uniform(cs.n, 4)
+		n, s := int64(cs.n), int64(tm.Segments())
+		want := [4]int64{n - 1, 0, s, two[3]} // the scatter's root hears only scouts
 		if cs.op == workload.OpGather {
-			want = [3]int64{n - 1, 2*s - 1, n - 1}
+			want = [4]int64{0, 0, n - 1, int64(len(tm.Members(0))-1) + s - 1}
+			if flat[3] != n-1 {
+				t.Errorf("%s: the flat gather's root heard %d messages, want N-1 = %d", name, flat[3], n-1)
+			}
+			if rep := counts(core.TwoLevelResilientAlgorithms(), cs.n, cs.size, cs.op); rep != two {
+				t.Errorf("%s: mcast-2level-resilient sent %v, mcast-2level %v; want the same gather", name, rep, two)
+			}
 		}
 		if two != want {
-			t.Errorf("%s: two-level sent %v scout/control/data frames, want %v", name, two, want)
+			t.Errorf("%s: two-level sent %v scout/control/data frames and root messages, want %v", name, two, want)
 		}
 		if two == flat {
-			t.Errorf("%s: two-level sent the flat schedule's %v frames inside its regime", name, flat)
+			t.Errorf("%s: two-level sent the flat schedule's %v inside its regime", name, flat)
 		}
 	}
 	// The scatter at N=64, 2,000 B: the flat set's sliced round, N-1
 	// slice multicasts of two frames.
-	if got := frames(core.TwoLevelAlgorithms(), 64, 2000, workload.OpScatter); got != [3]int64{63, 0, 2 * 63} {
-		t.Errorf("scatter N=64 2,000 B: %v scout/control/data frames, want N-1 scouts and 2(N-1) = 126 data frames", got)
+	if got := counts(core.TwoLevelAlgorithms(), 64, 2000, workload.OpScatter); [3]int64(got[:3]) != [3]int64{63, 0, 2 * 63} {
+		t.Errorf("scatter N=64 2,000 B: %v scout/control/data frames, want N-1 scouts and 2(N-1) = 126 data frames", got[:3])
 	}
 }

@@ -118,7 +118,7 @@ func CollPhase(m transport.Message) (phase int, ok bool) {
 // undelivered — the fragment-granular addressing of the sliced
 // collectives. Seg(s) is the group of the ranks placed on topology
 // segment s, so the frames never cross the shared uplink — the two-level
-// collectives' segment-local traffic (release gates, super-slice blocks);
+// collectives' segment-local traffic (super-slice and alltoall blocks);
 // it needs a communicator with a topology (Comm.Topo != nil). A rank
 // subscribes to Whole, its own slice and its own segment, which are the
 // scopes it can receive on. Scopes are comparable.
@@ -287,10 +287,9 @@ func (cc CollCtx) FragPayload() int {
 // RecvPhases blocks for a point-to-point protocol message of this
 // operation in any of the given phases; the caller dispatches on Class.
 // Server loops whose operation carries concurrent traffic in other
-// phases name only the phases they serve, so an unrelated message (e.g.
-// an early aggregate scout arriving while a leader still collects its
-// segment's chunks) stays queued for its own receive instead of being
-// consumed and dropped.
+// phases name only the phases they serve, so a message of another phase
+// stays queued for its own receive instead of being consumed and
+// dropped.
 func (cc CollCtx) RecvPhases(phases ...int) (transport.Message, error) {
 	return cc.c.recvMatchFT(func(m *transport.Message) bool {
 		return m.Kind == transport.P2P && m.Comm == cc.c.ctx && m.Seq == cc.seq &&
@@ -401,6 +400,17 @@ func wholeElements(op string, dt Datatype, bufs ...[]byte) error {
 	return nil
 }
 
+// bufferSize returns an error wrapping ErrBufferSize unless a buffer of
+// got bytes is the want bytes the operation's shape asks for. Like
+// wholeElements it runs before any message moves; the implementations
+// rely on it and check no buffer shape themselves.
+func bufferSize(op, buf string, got, want int) error {
+	if got != want {
+		return fmt.Errorf("%w: %s %s buffer %d bytes, want %d", ErrBufferSize, op, buf, got, want)
+	}
+	return nil
+}
+
 // Bcast broadcasts buf from root to every rank; all ranks supply a buffer
 // of identical length and all except root receive into it.
 func (c *Comm) Bcast(buf []byte, root int) error {
@@ -437,6 +447,11 @@ func (c *Comm) Reduce(send, recv []byte, dt Datatype, op Op, root int) error {
 	if err := wholeElements("reduce", dt, send); err != nil {
 		return err
 	}
+	if c.Rank() == root {
+		if err := bufferSize("reduce", "recv", len(recv), len(send)); err != nil {
+			return err
+		}
+	}
 	defer c.endOp(c.beginOp("reduce"), "reduce")
 	return c.algs.Reduce(c, send, recv, dt, op, root)
 }
@@ -448,6 +463,9 @@ func (c *Comm) Allreduce(send, recv []byte, dt Datatype, op Op) error {
 		return noAlgorithm("allreduce")
 	}
 	if err := wholeElements("allreduce", dt, send); err != nil {
+		return err
+	}
+	if err := bufferSize("allreduce", "recv", len(recv), len(send)); err != nil {
 		return err
 	}
 	defer c.endOp(c.beginOp("allreduce"), "allreduce")
@@ -463,6 +481,11 @@ func (c *Comm) Gather(send, recv []byte, root int) error {
 	if c.algs.Gather == nil {
 		return noAlgorithm("gather")
 	}
+	if c.Rank() == root {
+		if err := bufferSize("gather", "recv", len(recv), len(send)*c.Size()); err != nil {
+			return err
+		}
+	}
 	defer c.endOp(c.beginOp("gather"), "gather")
 	return c.algs.Gather(c, send, recv, root)
 }
@@ -476,6 +499,11 @@ func (c *Comm) Scatter(send, recv []byte, root int) error {
 	if c.algs.Scatter == nil {
 		return noAlgorithm("scatter")
 	}
+	if c.Rank() == root {
+		if err := bufferSize("scatter", "send", len(send), len(recv)*c.Size()); err != nil {
+			return err
+		}
+	}
 	defer c.endOp(c.beginOp("scatter"), "scatter")
 	return c.algs.Scatter(c, send, recv, root)
 }
@@ -486,6 +514,9 @@ func (c *Comm) Allgather(send, recv []byte) error {
 	if c.algs.Allgather == nil {
 		return noAlgorithm("allgather")
 	}
+	if err := bufferSize("allgather", "recv", len(recv), len(send)*c.Size()); err != nil {
+		return err
+	}
 	defer c.endOp(c.beginOp("allgather"), "allgather")
 	return c.algs.Allgather(c, send, recv)
 }
@@ -495,6 +526,12 @@ func (c *Comm) Allgather(send, recv []byte) error {
 func (c *Comm) Alltoall(send, recv []byte) error {
 	if c.algs.Alltoall == nil {
 		return noAlgorithm("alltoall")
+	}
+	if err := bufferSize("alltoall", "send", len(send), len(send)/c.Size()*c.Size()); err != nil {
+		return err
+	}
+	if err := bufferSize("alltoall", "recv", len(recv), len(send)); err != nil {
+		return err
 	}
 	defer c.endOp(c.beginOp("alltoall"), "alltoall")
 	return c.algs.Alltoall(c, send, recv)
@@ -509,6 +546,9 @@ func (c *Comm) Scan(send, recv []byte, dt Datatype, op Op) error {
 	if err := wholeElements("scan", dt, send); err != nil {
 		return err
 	}
+	if err := bufferSize("scan", "recv", len(recv), len(send)); err != nil {
+		return err
+	}
 	defer c.endOp(c.beginOp("scan"), "scan")
 	return c.algs.Scan(c, send, recv, dt, op)
 }
@@ -521,6 +561,9 @@ func (c *Comm) ReduceScatter(send, recv []byte, dt Datatype, op Op) error {
 		return noAlgorithm("reduce_scatter")
 	}
 	if err := wholeElements("reduce_scatter", dt, send, recv); err != nil {
+		return err
+	}
+	if err := bufferSize("reduce_scatter", "send", len(send), len(recv)*c.Size()); err != nil {
 		return err
 	}
 	defer c.endOp(c.beginOp("reduce_scatter"), "reduce_scatter")

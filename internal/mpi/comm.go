@@ -73,6 +73,10 @@ var (
 	// ErrNoAlgorithm reports a collective whose Algorithms field is nil;
 	// the error names the operation.
 	ErrNoAlgorithm = errors.New("mpi: no algorithm selected for collective")
+	// ErrBufferSize reports a collective buffer whose length does not
+	// fit the operation's shape; the error names the operation and the
+	// lengths.
+	ErrBufferSize = errors.New("mpi: collective buffer size")
 )
 
 // Runtime is one rank's MPI instance: the endpoint plus the matching

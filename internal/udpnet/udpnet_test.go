@@ -373,13 +373,13 @@ func TestNackRepairOverUDP(t *testing.T) {
 // TestTwoLevelConformanceOverUDP runs the topology-aware two-level
 // suite over real sockets with a DECLARED topology (real UDP cannot
 // discover the fabric, so Config.SegmentFanout states it): the
-// hierarchical path — segment releases over derived segment groups,
-// leader aggregates, segment-group scatter blocks — must conform on
+// hierarchical path — leader aggregates, segment-group scatter and
+// alltoall blocks over derived segment groups — must conform on
 // genuine kernel multicast, for even and uneven placements. The scatter
 // and gather run two levels only with a segment's chunks in one frame,
-// the scatter from 32 ranks and the gather from 64, so 65 ranks with a
-// singleton segment take both there at 1-byte chunks. 17 ranks did
-// while both began at 16, and keep their case.
+// the scatter from 32 ranks and the gather from 16, so 65 ranks with a
+// singleton segment take both there at 1-byte chunks, and 17 ranks the
+// gather.
 func TestTwoLevelConformanceOverUDP(t *testing.T) {
 	requireMulticast(t)
 	ranks := make([]int, 65)
