@@ -233,6 +233,12 @@ func TestFlatAlltoallSwitchGuideline(t *testing.T) {
 // N=16 and 32). At 100 B mcast-binary still wins — its one reduce and
 // one multicast beat the walks of sub-frame slices (N=32: 1,628 against
 // 917 sim-µs).
+//
+// A third guideline holds it against mcast-2level where the lane step's
+// recursive halving and the lane gather first put it ahead: N=64 at
+// 2,000 B, where chunked reads 2,628 sim-µs against mcast-2level's 3,156
+// (3,495 while the lane step was S walks and the segment leaders
+// multicast).
 func TestChunkedAllreduceGuidelines(t *testing.T) {
 	prof := *sharedUplinkProfile()
 	prof.Seed = 1
@@ -253,6 +259,9 @@ func TestChunkedAllreduceGuidelines(t *testing.T) {
 				}
 			}
 		}
+	}
+	if chunked, tl := cold(64, 2000, McastChunked), cold(64, 2000, McastTwoLevel); chunked > tl {
+		t.Errorf("N=64 2000 B: %s %d ns is slower than %s %d ns", McastChunked, chunked, McastTwoLevel, tl)
 	}
 }
 

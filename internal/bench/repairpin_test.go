@@ -403,7 +403,11 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 // one-level reduce-scatter where the two-level one does not apply: on
 // uneven segments (N=6 = 4+2 and N=7 = 4+3 on the shared-uplink switch,
 // fanout 4) and on the flat switch, one cold operation per point must
-// simulate the recorded nanoseconds and engine events. The values were
+// simulate the recorded nanoseconds and engine events. It also holds the
+// two-level reduce-scatter whose lane step keeps its S walks because the
+// segment count S is not a power of two (N=12, S=3 and N=24, S=6), with
+// the allgather of the segment leaders or of every rank: those rows were
+// recorded before the lane step learned recursive halving. The values were
 // re-recorded when the gather of the reduced slices there stopped being
 // a burst and became the scout-free gather the even segments run, gated
 // by the reduce-scatter: from {1,087,480, 678}, {1,750,780, 703},
@@ -426,6 +430,12 @@ func TestChunkedFallbackDeterminismPin(t *testing.T) {
 		{simnet.SwitchShared, 7, 100, 865_632, 770},
 		{simnet.SwitchShared, 7, 2000, 1_773_500, 804},
 		{simnet.SwitchShared, 7, 65536, 33_905_224, 2347},
+		{simnet.SwitchShared, 12, 100, 930_932, 1448},
+		{simnet.SwitchShared, 12, 2000, 1_574_520, 1487},
+		{simnet.SwitchShared, 12, 65536, 30_936_664, 3939},
+		{simnet.SwitchShared, 24, 100, 1_305_360, 4110},
+		{simnet.SwitchShared, 24, 2000, 2_002_636, 4178},
+		{simnet.SwitchShared, 24, 65536, 32_746_292, 9478},
 		{simnet.Switch, 8, 2000, 1_129_480, 1130},
 		{simnet.Switch, 8, 65536, 11_274_688, 3264},
 	} {
@@ -457,7 +467,13 @@ func TestChunkedFallbackDeterminismPin(t *testing.T) {
 // and hold the flat burst's ring-ordered slices, recorded when it came
 // in (the two-level blocks read {6,313,180, 526}, {204,440,444, 8,790},
 // {7,891,180, 705} and {245,505,420, 12,208}); its 100 B rows hold the
-// two-level burst at both segment shapes.
+// two-level burst at both segment shapes. The chunked rows were
+// re-recorded when the lane step of its reduce-scatter became a
+// recursive halving (S=4 segments, two messages per rank instead of
+// three): they read {1,063,760, 2,140} and {31,796,020, 5,509}. The
+// 100 B row is 4.6 % faster; the 65,536 B row is 0.04 % slower, where
+// the halving's two larger messages per rank queue behind each other on
+// the uplinks longer than three smaller walk messages did.
 func TestBurstDeterminismPin(t *testing.T) {
 	shared := *sharedUplinkProfile()
 	shared.Seed = 1
@@ -481,8 +497,8 @@ func TestBurstDeterminismPin(t *testing.T) {
 		{McastTwoLevel, OpAlltoall, 7, 100, 929_580, 384},
 		{McastTwoLevel, OpAlltoall, 7, 2000, 6_931_420, 802},
 		{McastTwoLevel, OpAlltoall, 7, 65536, 215_969_104, 10778},
-		{McastChunked, OpAllreduce, 16, 100, 1_063_760, 2140},
-		{McastChunked, OpAllreduce, 16, 65536, 31_796_020, 5509},
+		{McastChunked, OpAllreduce, 16, 100, 1_014_384, 2000},
+		{McastChunked, OpAllreduce, 16, 65536, 31_807_460, 5392},
 	} {
 		nw, worst, err := coldRun(tc.n, simnet.SwitchShared, shared, tc.alg, tc.op, tc.size)
 		if err != nil {

@@ -166,17 +166,23 @@ func TestChunkedAllreduceByteFunnel(t *testing.T) {
 // TestChunkedReduceScatterMessages counts the chunked allreduce's
 // reduce-scatter: its point-to-point data messages, one frame each at
 // 100 B, told apart by phase from the allgather's (the members' slices
-// to their leader). On S segments of F members each the segment and
-// lane walks cost every rank (F-1) + (S-1) messages; on uneven segments
-// and on the flat switch the one-level walks cost every rank N-1.
+// to their leader). On S segments of F members each the segment walks
+// cost every rank F-1 messages and the lane step log2(S) where S is a
+// power of two (recursive halving), S-1 elsewhere (walks); on uneven
+// segments and on the flat switch the one-level walks cost every rank
+// N-1.
 func TestChunkedReduceScatterMessages(t *testing.T) {
 	for _, tc := range []struct {
 		topo simnet.Topology
 		n    int
 		want int64
 	}{
-		{simnet.SwitchShared, 16, 16 * (3 + 3)}, // one level: 240
-		{simnet.SwitchShared, 8, 8 * (3 + 1)},   // one level: 56
+		// Halving: 80. It read 96 = 16·(3+3) while the lane step was S
+		// walks; one level: 240.
+		{simnet.SwitchShared, 16, 16 * (3 + 2)},
+		// At S=2 halving and walks are the same one message; one level: 56.
+		{simnet.SwitchShared, 8, 8 * (3 + 1)},
+		{simnet.SwitchShared, 24, 24 * (3 + 5)}, // S=6 keeps its walks
 		{simnet.SwitchShared, 7, 7 * 6},         // 4+3: one level
 		{simnet.SwitchShared, 6, 6 * 5},         // 4+2: one level
 		{simnet.Switch, 8, 8 * 7},
@@ -207,7 +213,12 @@ func TestChunkedReduceScatterMessages(t *testing.T) {
 // proves every rank has entered. Where a segment's reduced slices fit
 // one frame (100 B), the F-1 members of each of the S segments send
 // their slice to the leader and the S leaders multicast once each;
-// beyond (8,000 B) every rank multicasts its own slice, N in all.
+// beyond (8,000 B) every rank multicasts its own slice, N in all. Where
+// the lane gather wins (laneGatherWins: N=64 is S=16 segments of F=4,
+// and a lane's slices fit one frame at 100 and 2,000 B), each lane's S-1
+// members send their blocks up a binomial tree to the lane's member in
+// segment 0, and those F members multicast once each. The N=64, 100 B
+// row read {48, 16}, the leaders' set, before the lane gather.
 func TestChunkedGatherFrames(t *testing.T) {
 	for _, tc := range []struct {
 		n, size          int
@@ -215,7 +226,8 @@ func TestChunkedGatherFrames(t *testing.T) {
 	}{
 		{8, 100, 3 * 2, 2},
 		{16, 100, 3 * 4, 4},
-		{64, 100, 3 * 16, 16},
+		{64, 100, 15 * 4, 4},
+		{64, 2000, 15 * 4, 4},
 		{8, 8000, 0, 8},
 		{16, 8000, 0, 16},
 	} {

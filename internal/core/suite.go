@@ -44,7 +44,9 @@ package core
 //	                 mpi.ReduceWalks call per step; the binomial reduce
 //	                 is one walk over rank order), so no rank moves more
 //	                 than ~2M bytes end to end — N(N-1) p2p messages, or
-//	                 N((F-1) + (S-1)) on S segments of F members each —
+//	                 N((F-1) + log2 S) on S segments of F members each
+//	                 where S is a power of two (the lane step halves,
+//	                 mpi.ReduceHalving; N((F-1) + (S-1)) elsewhere) —
 //	                 and gathers the reduced slices with no scouts (the
 //	                 reduce-scatter proves entry), past N=256 only the
 //	                 exchange's drain barriers.
@@ -98,6 +100,7 @@ package core
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"slices"
 
 	"repro/internal/mpi"
@@ -611,12 +614,13 @@ func sliceBounds(total, extent, size int) []int {
 }
 
 // AllreduceMcastChunked is the Rabenseifner-style chunked composition:
-// a reduce-scatter built from per-slice binomial walks (one
-// mpi.ReduceWalks call per step, the walk every reduction runs), after
-// which each rank holds one fully reduced slice, followed by an
-// allgather that multicasts each reduced slice exactly once
-// (gatherSlices). Slices split the buffer in whole elements, which
-// Comm.Allreduce checks at every rank before any message moves.
+// a reduce-scatter built from per-slice binomial walks (mpi.ReduceWalks,
+// the walk every reduction runs) or recursive halving
+// (mpi.ReduceHalving), after which each rank holds one fully reduced
+// slice, followed by an allgather that multicasts each reduced slice
+// exactly once (gatherSlices, or gatherLanes). Slices split the buffer
+// in whole elements, which Comm.Allreduce checks at every rank before
+// any message moves.
 //
 // The reduce-scatter runs in two levels where usableTopo finds S segments
 // of F members each — Karonis's multilevel and Träff's lane
@@ -625,24 +629,34 @@ func sliceBounds(total, extent, size int) []int {
 // i·S + s, so the S slices of lane i (the ranks with member index i) are
 // one contiguous region. A segment step of F walks among the rank's own
 // segment reduces lane j's region toward member j (F-1 messages per
-// rank, all segment-local); a lane step of S walks among the rank's lane
-// reduces each of the lane's slices toward its owner (S-1 messages per
-// rank across the uplinks): 66 messages per rank at N=256, F=4, in place
-// of 255. Elsewhere — no usable topology, or segments of unequal size —
-// every rank owns the slice at its own rank and one step of N walks
-// among all ranks reduces it (N-1 messages per rank).
+// rank, all segment-local); a lane step among the rank's lane reduces
+// each of the lane's slices toward its owner across the uplinks. Where S
+// is a power of two the lane step is a recursive halving, log2 S messages
+// per rank; elsewhere it is S walks, S-1 messages per rank. At N=256,
+// F=4 that is 3 + 6 = 9 messages per rank in place of 255. Elsewhere —
+// no usable topology, or segments of unequal size — every rank owns the
+// slice at its own rank and one step of N walks among all ranks reduces
+// it (N-1 messages per rank). The segment step keeps its walks: halving
+// there read faster at 100 B but slower from 20,000 B (EXPERIMENTS.md).
 //
 // The allgather sends no scouts and no release: the reduce-scatter
 // already proves what scouts would, on any fabric. Every rank posts its
 // standing descriptors (Comm.PostRecvs) on entry, before its first send.
-// On the flat step the owner of a non-empty slice is the root of that
-// slice's walk over all ranks, so every rank has sent into it; on the
-// two-level path it is the root of its lane walk, so all S lane peers
-// contributed, and each of them sent only after its segment step
-// returned, where it was the root of a walk over its whole segment.
-// Either way a rank multicasts a slice only after every rank has posted,
-// so no multicast of the allgather can meet an unposted receiver, and
-// its later windows (exchange) wait behind the barrier as every
+// A rank multicasts only a non-empty slice or region, and its own slice
+// is non-empty whenever it does. On the flat step the owner of a
+// non-empty slice is the root of that slice's walk over all ranks, so
+// every rank has sent into it. On the two-level path it has heard from
+// all S lane peers: as the root of its lane walk, or through the
+// halving, where partners share one range at every step, so the range
+// that holds a non-empty slice is never empty and the owner has heard,
+// transitively, from every lane peer. Each lane peer sent only after its
+// segment step returned, where it was the root of a walk over its whole
+// segment. A segment leader multicasts its members' slices after its own
+// (gatherSlices), and a lane's member in segment 0 multicasts lane region
+// i only when its own slice, the region's first, is non-empty
+// (gatherLanes). Either way a rank multicasts only after every rank has
+// posted, so no multicast of the allgather can meet an unposted receiver,
+// and its later windows (exchange) wait behind the barrier as every
 // exchange's do.
 //
 // The byte economics against the sets' binomial-reduce + bcast allreduce:
@@ -655,9 +669,11 @@ func sliceBounds(total, extent, size int) []int {
 // multicast (asserted by TestChunkedAllreduceByteFunnel).
 //
 // The reduction combines slice contributions in binomial-tree order —
-// segment then lane on the two-level path — so op should be commutative
-// and associative (every built-in mpi.Op is; floating-point sums may
-// round differently from rank order).
+// segment then lane on the two-level path, and in halving order where
+// the lane step halves, which is not the walks' order — so op should be
+// commutative and associative (every built-in mpi.Op is; floating-point
+// sums may round differently from rank order, and differently again
+// from the walks).
 func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 	size := c.Size()
 	copy(recv, send)
@@ -680,15 +696,21 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 
 	slice := func(r int) []byte { return recv[bounds[pos[r]]:bounds[pos[r]+1]] }
 
-	// Reduce-scatter, in recv in place, every walk of both steps sharing
-	// one collective operation with one phase per walk. The allgather is
-	// gated by the reduce-scatter itself, so this rank's descriptors must
-	// stand from before its first send until the last multicast is
-	// consumed.
+	// Reduce-scatter, in recv in place, every walk and halving step of
+	// both levels sharing one collective operation with a phase each. The
+	// allgather is gated by the reduce-scatter itself, so this rank's
+	// descriptors must stand from before its first send until the last
+	// multicast is consumed.
 	cc := c.BeginColl()
 	me := c.Rank()
-	groups := sliceGroups(t, size, slice, cc.FragPayload())
-	release := c.PostRecvs(exchangeRecvs(len(groups)))
+	var lane, heads []int // this rank's lane in segment order; the lanes' members in segment 0
+	var groups [][]int
+	if lanes > 0 && laneGatherWins(t.Segments(), lanes, bounds[t.Segments()], cc.FragPayload()) {
+		heads = t.Members(0)
+	} else {
+		groups = sliceGroups(t, size, slice, cc.FragPayload())
+	}
+	release := c.PostRecvs(exchangeRecvs(len(heads) + len(groups)))
 	defer release()
 	cc.SpanBegin("reduce-scatter")
 	if lanes == 0 {
@@ -704,14 +726,18 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		for j := range region {
 			region[j] = bounds[j*segs]
 		}
-		lane := make([]int, segs)
+		lane = make([]int, segs)
 		for s := range lane {
 			lane[s] = t.Members(s)[i]
 		}
 		if err := mpi.ReduceWalks(cc, members, region, phaseSlice, false, recv, dt, op); err != nil {
 			return err
 		}
-		if err := mpi.ReduceWalks(cc, lane, bounds[i*segs:(i+1)*segs+1], phaseSlice+lanes, false, recv, dt, op); err != nil {
+		reduceLane := mpi.ReduceWalks
+		if segs&(segs-1) == 0 {
+			reduceLane = mpi.ReduceHalving
+		}
+		if err := reduceLane(cc, lane, bounds[i*segs:(i+1)*segs+1], phaseSlice+lanes, false, recv, dt, op); err != nil {
 			return err
 		}
 	}
@@ -720,7 +746,115 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	if len(send) == 0 {
 		return nil // nothing was reduced, so nothing goes on the wire
 	}
+	if heads != nil {
+		return gatherLanes(cc, lane, heads, bounds, recv)
+	}
 	return gatherSlices(cc, groups, slice)
+}
+
+// laneGatherWins reports whether the chunked allreduce gathers its
+// reduced slices by lanes (gatherLanes) rather than over sliceGroups, on
+// S segments of F members whose largest lane region holds regionBytes,
+// with frag bytes of payload per fragment: S a power of two (the lane
+// step halves, which the gather's evidence rests on), the lane region
+// within one fragment, and F + 2·log2 S < S. That counts receives on the
+// critical path: sliceGroups' leaders cost every rank S-1 multicasts
+// behind the leaders' F-1 slice receives; the lane gather costs log2 S
+// gather hops, a receive and a send each, then F multicasts. A lane
+// region past one fragment makes each of the F multicasts several frames
+// for every rank, while a segment's block of slices is still one. Every
+// rank reads the same S, F and slice bounds, so every rank agrees.
+//
+// One cold allreduce on the shared-uplink switch at fanout 4 (F=4), seed
+// 1, in sim-µs: the halving with sliceGroups' gather / with the lane
+// gather forced; * marks the points the rule gives the lane gather.
+//
+//	N (S)         100 B          2,000 B          8,000 B          20,000 B          65,536 B
+//	8   (2)     793 / 817      1,422 / 1,427    3,729 / 4,311    8,948 / 10,102    29,123 / 32,465
+//	16  (4)   1,014 / 1,066    1,654 / 1,780    4,257 / 5,049    9,823 / 11,580    31,807 / 36,633
+//	32  (8)   1,374 / 1,371    2,033 / 2,161    4,774 / 5,558   10,542 / 12,410    33,648 / 39,200
+//	64  (16)  2,070 / 1,828*   2,712 / 2,628*   5,207 / 6,095   11,155 / 13,132    34,233 / 40,521
+//	128 (32)  3,277 / 2,487*   3,960 / 3,301*   7,117 / 7,438   13,465 / 15,366    35,662 / 41,731
+//	256 (64)  5,447 / 3,411*   6,347 / 4,403*   9,449 / 8,544   16,107 / 17,236    44,517 / 50,554
+//
+// The rule takes every win but two: N=32 at 100 B (0.3 %) and N=256 at
+// 8,000 B (10 %), a two-fragment lane region. Counting fragments instead
+// (F·frags + 2·log2 S < S) would take that one but lose four others: N=128
+// at 8,000 B (4.5 %), N=128 and 256 at 20,000 B and N=256 at 65,536 B.
+func laneGatherWins(segs, members, regionBytes, frag int) bool {
+	if segs&(segs-1) != 0 || regionBytes > frag {
+		return false
+	}
+	return members+2*bits.TrailingZeros(uint(segs)) < segs
+}
+
+// gatherLanes is the chunked allreduce's allgather where laneGatherWins.
+// lane is this rank's lane in segment order, heads the lanes' members in
+// segment 0 in lane order, and lane k's reduced slices are
+// buf[bounds[k·S]:bounds[(k+1)·S]], the slice of the lane's member in
+// segment s at position s. First each lane gathers its slices toward its
+// head, up the Binomial tree over segment order: the subtree of position
+// s covers positions s to s+lowbit(s)-1, one contiguous block, which the
+// rank at s sends its parent once its children's blocks are in (log2 S
+// steps; an empty block is neither sent nor awaited). Then exchange gives
+// each head one slot, at which it multicasts its lane's region: a rank
+// handles F multicasts where sliceGroups' leaders cost it S.
+//
+// Like gatherSlices it sends no scouts and no release. A head multicasts
+// only a non-empty region, so its own slice, the region's first and
+// largest, is non-empty, and by mpi.ReduceHalving's evidence it has
+// heard from every rank of its lane, each of which had left its segment
+// step (AllreduceMcastChunked).
+func gatherLanes(cc mpi.CollCtx, lane, heads, bounds []int, buf []byte) error {
+	segs := len(lane)
+	at := slices.Index(lane, cc.Comm().Rank())
+	i := slices.Index(heads, lane[0])
+	base := i * segs
+	block := func(s int) []byte { // the slices of the subtree at position s > 0
+		return buf[bounds[base+s]:bounds[base+min(s+s&-s, segs)]]
+	}
+	parent, kids := mpi.Binomial(at, segs)
+	cc.SpanBegin("slice-combine")
+	gate := cc.Comm().Rank()
+	for ch := range kids.All {
+		b := block(ch)
+		if len(b) == 0 {
+			continue
+		}
+		m, err := cc.Recv(lane[ch], phaseChunk)
+		if err == nil && len(m.Payload) != len(b) {
+			err = fmt.Errorf("core: allreduce lane block of %d bytes from %d, want %d", len(m.Payload), lane[ch], len(b))
+		}
+		if err != nil {
+			cc.SpanEnd("slice-combine")
+			return err
+		}
+		copy(b, m.Payload)
+		gate = lane[ch]
+	}
+	var err error
+	if b := block(at); parent >= 0 && len(b) > 0 {
+		err = cc.Send(lane[parent], phaseChunk, b, transport.ClassData, false)
+	}
+	cc.SpanEndGated("slice-combine", gate)
+	if err != nil {
+		return err
+	}
+	region := func(k int) []byte { return buf[bounds[k*segs]:bounds[(k+1)*segs]] }
+	senders := make([]int, len(heads))
+	for k, h := range heads {
+		senders[k] = -1
+		if len(region(k)) > 0 {
+			senders[k] = h
+		}
+	}
+	return exchange(cc.Comm(), senders, wholeSend(region(i))(), mpi.Whole, func(k int, p []byte) error {
+		if len(p) != len(region(k)) {
+			return fmt.Errorf("core: allreduce lane region from %d is %d bytes, want %d", heads[k], len(p), len(region(k)))
+		}
+		copy(region(k), p)
+		return nil
+	})
 }
 
 // sliceGroups returns who multicasts which reduced slices in the
@@ -758,7 +892,12 @@ func sliceGroups(t *topo.Map, size int, slice func(r int) []byte, frag int) [][]
 // gatherSlices is the chunked allreduce's allgather, over the groups of
 // sliceGroups. It sends no scouts and no release: leaving the
 // reduce-scatter is itself the evidence that every rank has entered and
-// posted its descriptors (AllreduceMcastChunked).
+// posted its descriptors (AllreduceMcastChunked). A group's first rank
+// multicasts only when the group's slices are not all empty, so its own
+// slice, the group's first and largest (sliceBounds front-loads the
+// remainder in position order, and a leader's slice comes first in its
+// segment), is non-empty: it heard from every rank, as the root of its
+// walk or through the halving's shared ranges.
 // Each group's members first send their slices to its first rank over
 // cc — segment-local unicasts, none where a rank is its own group. Then
 // exchange gives each group one slot, at which its first rank multicasts

@@ -106,26 +106,34 @@ func TestTwoLevelStrictLaggingRank(t *testing.T) {
 // rank has entered, and are safe only because every rank posts its
 // descriptors on entry. Under strict posted-receive semantics a rank
 // that posted later would lose them, so at N=32 and N=64, with
-// sub-frame segment blocks (leaders multicast) and multi-frame slices
-// (every rank multicasts), the result must be right with no multicast
-// fragment dropped and no rank left blocked.
+// sub-frame segment blocks (leaders multicast, or at N=64 the lanes'
+// members in segment 0) and multi-frame slices (every rank multicasts),
+// and at N=128 and N=256, where the lane step halves over S=32 and 64
+// segments, many slices are empty at 100 B and the lane gather runs,
+// the result must be right with no multicast fragment dropped and no
+// rank left blocked.
 func TestChunkedStrictPostedScoutFree(t *testing.T) {
 	prof := sharedProf(4)
 	prof.StrictPosted = true
-	for _, n := range []int{32, 64} {
-		for _, size := range []int{100, 2000, 65536} {
-			nw, err := cluster.RunSim(n, simnet.SwitchShared, prof, chunkedAlgorithms(), func(c *mpi.Comm) error {
-				return coretest.CheckOp(c, "allreduce", size, 0)
-			})
-			var dl *sim.DeadlockError
-			if errors.As(err, &dl) {
-				t.Fatalf("N=%d %d B: ranks left blocked: %v", n, size, err)
-			}
-			if err != nil {
-				t.Fatalf("N=%d %d B: %v", n, size, err)
-			}
-			if drops := nw.Stats.McastDropsNotPosted; drops != 0 {
-				t.Errorf("N=%d %d B: %d multicast fragments reached an unposted receiver", n, size, drops)
+	for _, tc := range []struct{ n, sizes []int }{
+		{[]int{32, 64}, []int{100, 2000, 65536}},
+		{[]int{128, 256}, []int{100, 2000}},
+	} {
+		for _, n := range tc.n {
+			for _, size := range tc.sizes {
+				nw, err := cluster.RunSim(n, simnet.SwitchShared, prof, chunkedAlgorithms(), func(c *mpi.Comm) error {
+					return coretest.CheckOp(c, "allreduce", size, 0)
+				})
+				var dl *sim.DeadlockError
+				if errors.As(err, &dl) {
+					t.Fatalf("N=%d %d B: ranks left blocked: %v", n, size, err)
+				}
+				if err != nil {
+					t.Fatalf("N=%d %d B: %v", n, size, err)
+				}
+				if drops := nw.Stats.McastDropsNotPosted; drops != 0 {
+					t.Errorf("N=%d %d B: %d multicast fragments reached an unposted receiver", n, size, drops)
+				}
 			}
 		}
 	}

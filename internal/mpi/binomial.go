@@ -156,3 +156,60 @@ func ReduceWalks(cc CollCtx, group, offs []int, phase int, reliable bool, buf []
 	}
 	return nil
 }
+
+// ReduceHalving is the recursive-halving reduce-scatter among group
+// (communicator ranks, this one included, a power of two of them): on
+// return group[k] holds buf[offs[k]:offs[k+1]] combined over the whole
+// group, for every k — what one ReduceWalks call over the same regions
+// leaves at the walks' roots, in log2(len(group)) messages per rank where
+// the walks send len(group)-1. At step j, with d = len(group)>>(j+1), the
+// rank at position p and its partner p XOR d hold the same range of 2d
+// regions, aligned to 2d: each keeps the half that holds its own region,
+// sends the partner the other half on phase phase+j, and combines the
+// partner's copy of the half it keeps into buf. A half of no bytes is
+// neither sent nor awaited. reliable and the traffic class are
+// ReduceWalks': ClassData, false on the UDP bypass.
+//
+// Partners share one range at every step, so a rank whose own region is
+// not empty has heard, directly or through its earlier partners, from
+// every rank of the group — the evidence a walk's root holds, and what
+// the chunked allreduce gates its allgather on. The combining order is
+// not the walks', so op should be commutative and associative (every
+// built-in mpi.Op is; floating-point sums may round differently).
+func ReduceHalving(cc CollCtx, group, offs []int, phase int, reliable bool, buf []byte, dt Datatype, op Op) error {
+	size := len(group)
+	if size == 0 || size&(size-1) != 0 || len(offs) != size+1 {
+		return fmt.Errorf("mpi: recursive halving over %d ranks and %d offsets, want a power of two and one more", size, len(offs))
+	}
+	me := slices.Index(group, cc.Comm().Rank())
+	if me < 0 {
+		return fmt.Errorf("mpi: recursive halving at rank %d, which is not in group %v", cc.Comm().Rank(), group)
+	}
+	lo := 0 // first region of the range this rank and its partner hold
+	for j, d := 0, size/2; d > 0; j, d = j+1, d/2 {
+		keep, give := lo, lo+d
+		if me&d != 0 {
+			keep, give = give, keep
+		}
+		partner := group[me^d]
+		if out := buf[offs[give]:offs[give+d]]; len(out) > 0 {
+			if err := cc.Send(partner, phase+j, out, transport.ClassData, reliable); err != nil {
+				return err
+			}
+		}
+		if in := buf[offs[keep]:offs[keep+d]]; len(in) > 0 {
+			m, err := cc.Recv(partner, phase+j)
+			if err != nil {
+				return err
+			}
+			if len(m.Payload) != len(in) {
+				return fmt.Errorf("mpi: halving step %d contribution from %d is %d bytes, want %d", j, partner, len(m.Payload), len(in))
+			}
+			if err := ReduceBytes(op, dt, in, m.Payload); err != nil {
+				return err
+			}
+		}
+		lo = keep
+	}
+	return nil
+}

@@ -476,6 +476,44 @@ func TestChunkedAllreduceOverUDP(t *testing.T) {
 	}
 }
 
+// TestChunkedLaneGatherOverUDP runs the chunked allreduce's lane gather
+// on real sockets: 32 ranks on 16 declared segments of two, so the lane
+// step halves over S=16 and, while a lane's slices fit one fragment,
+// each lane gathers toward its member in segment 0 and those two ranks
+// multicast (F + 2·log2 S = 10 < 16). At 1 B all slices but one and one
+// lane are empty; at 20,000 B a lane region spans several fragments and
+// the segment leaders multicast instead.
+func TestChunkedLaneGatherOverUDP(t *testing.T) {
+	requireMulticast(t)
+	cfg := testConfig(32)
+	cfg.SegmentFanout = 2
+	nw, err := udpnet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	eps := make([]transport.Endpoint, nw.Size())
+	for i := range eps {
+		eps[i] = nw.Endpoint(i)
+	}
+	algs := core.Algorithms(core.Binary)
+	algs.Allreduce = core.AllreduceMcastChunked
+	err = mpi.RunEndpoints(eps, algs, func(c *mpi.Comm) error {
+		if tm := c.Topo(); tm == nil || tm.Segments() != 16 {
+			return fmt.Errorf("expected 16 declared segments, got %v", tm)
+		}
+		for _, chunk := range []int{1, 100, 2000, 20000} {
+			if err := coretest.CheckOp(c, "allreduce", chunk, 0); err != nil {
+				return fmt.Errorf("chunk %d: %w", chunk, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBaselineP2PLossOverUDP is the udpnet half of the MPICH loss
 // coverage: the modeled-TCP baseline's frames ride the reliable stream
 // like everything else, so receiver-side loss (data and the eager TCP
