@@ -125,10 +125,14 @@
 //     multicasts its data — at once on a switch, in slot order on one
 //     collision domain. The sets — Algorithms(mode), ResilientAlgorithms(),
 //     and the two-level (segment-leader) pair for shared-uplink fabrics,
-//     TwoLevelAlgorithms() and TwoLevelResilientAlgorithms(), which run
-//     their flat set where there is no topology — are those options
-//     chosen; the repair they run takes no options. Beside them, the
-//     comparison protocols (ack-based, sequencer, deliberately unsafe).
+//     TwoLevelAlgorithms() and TwoLevelResilientAlgorithms() — are those
+//     options chosen, each built by one constructor; the repair they run
+//     takes no options. Which schedule an operation runs (point to
+//     point, a multicast round, two levels, the flat set's where there
+//     is no topology) is one pure function of values every rank holds
+//     the same, plan, held to the measured sweep tables by a test.
+//     Beside them, the comparison protocols (ack-based, sequencer,
+//     deliberately unsafe).
 //     Every set comes complete: the collectives core has no multicast
 //     version of run package baseline's.
 //     core/coretest holds the conformance harness that checks all seven

@@ -27,9 +27,9 @@ const (
 	// barrier over point-to-point TCP-like messages.
 	MPICH Algorithm = "mpich"
 	// McastBinary is the paper's binary-tree scout algorithm. Its
-	// scatter and gather are mpich's outside the regimes where multicast
-	// wins (the sliced scatter on shared uplinks from N=64 past a frame,
-	// the release-gated gather past N=128).
+	// scatter and gather are mpich's outside the regimes core's planner
+	// gives multicast (the sliced scatter on shared uplinks from N=64
+	// past a frame, the release-gated gather past N=128).
 	McastBinary Algorithm = "mcast-binary"
 	// McastLinear is the paper's linear scout algorithm. Its scatter is
 	// always mpich's, its gather mpich's up to N=128.
@@ -48,8 +48,8 @@ const (
 	// multicast allgather of the reduced slices, so no rank funnels more
 	// than ~2M bytes.
 	McastChunked Algorithm = "mcast-chunked"
-	// McastTwoLevel is the topology-aware two-level suite, where it
-	// wins: its allreduce combines at segment leaders first, its alltoall
+	// McastTwoLevel is the topology-aware two-level suite, where core's
+	// planner measured it to win: its allreduce combines at segment leaders first, its alltoall
 	// bursts segment-group blocks (the flat burst at N <= 32 from
 	// 1,000 B), and its scatter and gather run two levels while a
 	// segment's chunks fit one frame, the scatter from N=32 and the

@@ -80,7 +80,7 @@ func TestAlltoallGuidelines(t *testing.T) {
 // mcast-binary. Where the two-level schedule does not win, the set
 // runs the flat one: bcast and barrier everywhere (1.15–1.25× at N=64
 // when they gathered scouts member → leader → root), the scatter and
-// gather outside twoLevelWins (up to 1.25× and 1.35× from 1,000 B, and
+// gather outside their regimes in core's plan (up to 1.25× and 1.35× from 1,000 B, and
 // the gather at N=8 at every size). Inside the regime the small-message
 // wins must survive: at 100 B the scatter reads ≤ 0.80× flat at N ∈
 // {32, 64} (0.67 and 0.54) and the gather ≤ 0.50× at N ∈ {32, 64} (0.45
@@ -128,7 +128,7 @@ func TestTwoLevelGuideline(t *testing.T) {
 // mcast-binary and mcast-linear within 2 % of mpich on the hub, the
 // switch and the shared-uplink switch (fanout 4) at N ∈ {8, 32, 64} ×
 // {100, 1,000, 5,000} B, one cold operation per cell. Outside their
-// regimes (core's slicedScatterWins and p2pGatherFits) both sets run
+// regimes (core's plan) both sets run
 // package baseline's linear scatter and gather, so the cell reads 1.00;
 // inside, the shared-uplink scatter at N=64, 5,000 B is mcast-binary's
 // sliced round at 0.98. While every scatter was sliced and every gather

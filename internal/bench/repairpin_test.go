@@ -291,7 +291,7 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 	// The two-level set's rows on the shared-uplink switch were
 	// re-recorded when its bcast and barrier became the flat set's and
 	// its scatter and gather began to run two-level only inside
-	// twoLevelWins, which 3,000 B at N=16 is not. Every row moved,
+	// their regime (core's plan), which 3,000 B at N=16 is not. Every row moved,
 	// because each runs the separating barrier. They read, in table
 	// order, {70154689, 37737, 0x1d63aa314d7cb850}, {96716457, 32810,
 	// 0xd0f143c2a5265c96}, {168941412, 99328, 0x8312e826e1b898e4},
@@ -308,7 +308,7 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 	// The scatter and gather rows of both sets on both fabrics were
 	// re-recorded when the flat sets began to run package baseline's
 	// point-to-point scatter and gather outside their regimes
-	// (slicedScatterWins, p2pGatherFits), which N=16 is not in: the
+	// (core's plan), which N=16 is not in: the
 	// stream repairs point-to-point traffic itself, so there is no
 	// multicast left to repair and no ack to wait for. They read, in
 	// table order, {274546959, 45362, 0x7843203f89ca745b} and {182435387,
@@ -369,7 +369,7 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 		}
 	}
 	// At 3,000 B the two-level set runs the flat scatter and gather
-	// (twoLevelWins); at 300 B, from 32 ranks for the scatter and 16 for
+	// (core's plan); at 300 B, from 32 ranks for the scatter and 16 for
 	// the gather, it runs its own: the segment round, repaired, and the
 	// member → leader → root point-to-point gather. On 16 ranks, where the
 	// regime began while the flat set sliced every scatter and gated every
@@ -463,7 +463,7 @@ func TestChunkedFallbackDeterminismPin(t *testing.T) {
 // nanoseconds and engine events recorded when every burst took the
 // barrier's handshake; the chunked rows hold what was recorded before
 // the two exchanges were written as one. The alltoall's 2,000 and
-// 65,536 B rows are inside the flat burst's regime (flatAlltoallWins)
+// 65,536 B rows are inside the flat burst's regime (core's plan)
 // and hold the flat burst's ring-ordered slices, recorded when it came
 // in (the two-level blocks read {6,313,180, 526}, {204,440,444, 8,790},
 // {7,891,180, 705} and {245,505,420, 12,208}); its 100 B rows hold the
@@ -594,8 +594,8 @@ func TestReductionDeterminismPin(t *testing.T) {
 // reorders the calls of a single round moves a row.
 //
 // Every row was re-recorded when the flat sets' scatter became package
-// baseline's point to point outside slicedScatterWins, which no row's
-// N is in (the sliced round runs on shared uplinks from 64 ranks; the
+// baseline's point to point outside the sliced round's regime (core's
+// plan), which no row's N is in (the sliced round runs on shared uplinks from 64 ranks; the
 // BENCH_sim.json scatter rows at N=64 and 256 hold it). In table order
 // the rows read {8017240, 1721, 0xfa75aee4bdbbaf51}, {13258680, 2884,
 // 0xa77e2e5d4b0d7981}, {8001840, 2092, 0xae95e7d747f2e490}, {10909440,

@@ -97,10 +97,10 @@ func TestOneLostFragmentCostsUnderTwiceTheOp(t *testing.T) {
 // repaired burst, in place of a segment-local combine and S sequential
 // leader rounds: 121,227,740 ns before. It was re-recorded again when
 // the two-level bcast and barrier became the flat set's and its scatter
-// and gather at 3,000 B (outside twoLevelWins) the flat set's too:
+// and gather at 3,000 B (outside their regimes, plan) the flat set's too:
 // 54,174,760 ns before. Every row was re-recorded when the flat sets'
 // scatter and gather at 16 ranks became package baseline's point-to-point
-// ones (slicedScatterWins, p2pGatherFits), which put no multicast, and
+// ones (plan's pointToPoint), which put no multicast, and
 // so no ack, on the wire: 29,511,000 ns on the switch (both sets),
 // 53,489,080 and 53,421,700 ns on the shared-uplink switch before.
 func TestLosslessResilientSetsAreSilent(t *testing.T) {

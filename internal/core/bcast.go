@@ -42,8 +42,10 @@
 // the one round engine of rounds.go: the paper's broadcast and barrier
 // are one round each (bcastRound, barrierRound), and the handshake of
 // every lossless burst is the barrier's round. One constructor, suite,
-// builds the lossless sets of Algorithms and the set of resilient.go,
-// whose rounds and bursts run under NACK repair for lossy segments.
+// builds every set — the lossless ones of Algorithms, the one of
+// resilient.go, whose rounds and bursts run under NACK repair for lossy
+// segments, and the two-level pair — and one pure function, plan, picks
+// the schedule each of their operations runs.
 package core
 
 import (
@@ -81,53 +83,66 @@ func (m Mode) String() string {
 // Allgather, Allreduce, Scatter, Gather and Alltoall compositions of
 // suite.go. The set is complete: the collectives core does not
 // implement (Reduce, Scan, ReduceScatter) are package baseline's, and so
-// are the Scatter and Gather outside their regimes (slicedScatterWins,
-// p2pGatherFits).
+// are the Scatter and Gather outside their regimes (plan).
 func Algorithms(mode Mode) mpi.Algorithms {
-	if mode == Linear {
-		algs := suite(roundOptions{gather: gatherScoutsLinear})
-		// N-1 scouts converging on the root one at a time make the sliced
-		// scatter slower than package baseline's in every measured cell,
-		// shared uplinks included (slicedScatterWins).
-		algs.Scatter = baseline.Scatter
-		return algs
-	}
-	return suite(roundOptions{gather: gatherScoutsBinary})
+	return suite(kind{mode: mode}, plan)
 }
 
-// suite builds a flat set whose collectives run on the round engine
-// with rounds' scout gather and reliability class — the lossless sets
-// of Algorithms and, with repair, ResilientAlgorithms. One rule bends
-// rounds: the barrier gathers its scouts up the binary tree whatever the
-// set's gather (the paper's barrier).
-func suite(rounds roundOptions) mpi.Algorithms {
-	barrier := roundOptions{gather: gatherScoutsBinary, repair: rounds.repair}
-	bcast := func(c *mpi.Comm, buf []byte, root int) error {
-		return runRound(c, bcastRound(buf, root), rounds)
+// suite builds the multicast set of kind k, every one of them: the
+// lossless sets of Algorithms, ResilientAlgorithms and the two-level
+// pair. Its collectives run on the round engine with k's scout gather
+// and reliability class, and the scatter, gather, alltoall and
+// allreduce run the schedule pick returns, which is plan's outside the
+// tests. One rule bends k's gather: the barrier gathers its scouts up
+// the binary tree whatever the set's (the paper's barrier).
+func suite(k kind, pick planner) mpi.Algorithms {
+	rounds := roundOptions{gather: gatherScoutsBinary, repair: k.repair}
+	barrier := rounds
+	if k.mode == Linear {
+		rounds.gather = gatherScoutsLinear
+	}
+	planned := func(c *mpi.Comm, op operation, chunk, root int) schedule {
+		return pick(k, op, planIn{t: usableTopo(c), size: c.Size(), chunk: chunk, root: root})
 	}
 	algs := baseline.Algorithms()
-	algs.Bcast = bcast
+	algs.Bcast = func(c *mpi.Comm, buf []byte, root int) error {
+		return runRound(c, bcastRound(buf, root), rounds)
+	}
 	algs.Barrier = func(c *mpi.Comm) error {
 		return runRound(c, barrierRound(), barrier)
 	}
-	algs.Allreduce = allreduceWith(bcast)
 	algs.Allgather = func(c *mpi.Comm, send, recv []byte) error {
 		return allgatherWith(c, send, recv, rounds)
 	}
+	algs.Allreduce = func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
+		if planned(c, opAllreduce, len(send), 0) == leaderReduce {
+			return allreduceTwoLevel(c, usableTopo(c), send, recv, dt, op, rounds)
+		}
+		return allreduceWith(c, send, recv, dt, op, rounds)
+	}
 	algs.Alltoall = func(c *mpi.Comm, send, recv []byte) error {
+		if planned(c, opAlltoall, len(send)/c.Size(), 0) == segmentBurst {
+			return alltoallTwoLevel(c, usableTopo(c), send, recv, rounds)
+		}
 		return alltoallWith(c, send, recv, rounds)
 	}
 	algs.Scatter = func(c *mpi.Comm, send, recv []byte, root int) error {
-		if !slicedScatterWins(usableTopo(c), c.Size(), len(recv)) {
-			return baseline.Scatter(c, send, recv, root)
+		switch planned(c, opScatter, len(recv), root) {
+		case slicedRound:
+			return scatterWith(c, send, recv, root, rounds, nil)
+		case segmentRound:
+			return scatterWith(c, send, recv, root, rounds, usableTopo(c))
 		}
-		return scatterWith(c, send, recv, root, rounds, nil)
+		return baseline.Scatter(c, send, recv, root)
 	}
 	algs.Gather = func(c *mpi.Comm, send, recv []byte, root int) error {
-		if gatherFits(c.Size() - 1) {
-			return baseline.Gather(c, send, recv, root)
+		switch planned(c, opGather, len(send), root) {
+		case releaseGated:
+			return gatherWith(c, send, recv, root, rounds)
+		case nestedP2P:
+			return gatherTwoLevel(c, usableTopo(c), send, recv, root)
 		}
-		return gatherWith(c, send, recv, root, rounds)
+		return baseline.Gather(c, send, recv, root)
 	}
 	return algs
 }
@@ -274,19 +289,13 @@ func barrierRound() roundPlan {
 // UDP bypass: one mpi.ReduceWalks region over rank order) followed by
 // bcast of the result from rank 0 — a scout-synchronized multicast, so
 // the broadcast half sends ceil(M/T) frames instead of ceil(M/T)·(N-1).
-func allreduceWith(bcast func(c *mpi.Comm, buf []byte, root int) error) func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-	return func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-		ranks := make([]int, c.Size())
-		for r := range ranks {
-			ranks[r] = r
-		}
-		acc := append([]byte(nil), send...)
-		if err := mpi.ReduceWalks(c.BeginColl(), ranks, []int{0, len(acc)}, phaseChunk, false, acc, dt, op); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			copy(recv, acc)
-		}
-		return bcast(c, recv, 0)
+func allreduceWith(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, opt roundOptions) error {
+	acc := append([]byte(nil), send...)
+	if err := mpi.ReduceWalks(c.BeginColl(), rankOrder(c.Size()), []int{0, len(acc)}, phaseChunk, false, acc, dt, op); err != nil {
+		return err
 	}
+	if c.Rank() == 0 {
+		copy(recv, acc)
+	}
+	return runRound(c, bcastRound(recv, 0), opt)
 }

@@ -214,7 +214,7 @@ func TestChunkedReduceScatterMessages(t *testing.T) {
 // one frame (100 B), the F-1 members of each of the S segments send
 // their slice to the leader and the S leaders multicast once each;
 // beyond (8,000 B) every rank multicasts its own slice, N in all. Where
-// the lane gather wins (laneGatherWins: N=64 is S=16 segments of F=4,
+// the lane gather wins (plan's laneGather: N=64 is S=16 segments of F=4,
 // and a lane's slices fit one frame at 100 and 2,000 B), each lane's S-1
 // members send their blocks up a binomial tree to the lane's member in
 // segment 0, and those F members multicast once each. The N=64, 100 B

@@ -26,7 +26,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/topo"
 	"repro/internal/transport"
 )
 
@@ -121,7 +120,7 @@ func TestGatherConvergingBurstBeyondQueueCap(t *testing.T) {
 }
 
 // TestGatherRingBound holds the bound of the point-to-point gathers
-// (core's gatherFits): a receiver posts nothing before the chunks
+// (core's plan): a receiver posts nothing before the chunks
 // arrive, so they queue in its 256-message receive ring, and the
 // operation that follows may queue as many again — here a second gather
 // to a root that enters 50 ms late. The binary set runs package
@@ -186,32 +185,5 @@ func TestGatherRingBound(t *testing.T) {
 	}
 	if drops := run(baseline.Algorithms(), 130, simnet.Switch, simnet.DefaultProfile()).SilentDrops(); drops == 0 {
 		t.Error("N=130: package baseline's gathers overflowed no ring; the scenario no longer loads the root")
-	}
-}
-
-// TestGatherFanInEdge holds the fan-in predicate at its edge, without a
-// 500-rank simulation: two gathers' messages at the busiest receiver
-// must fit the 255 the receive ring holds unposted. The flat gather's
-// fan-in is N-1, so it fits to N=128. At fanout 4 the two-level gather's
-// root hears its 3 segment members and the S-1 other leaders: it fits to
-// N=500 (S=125), and at N=501 a root in a full segment does not, while
-// the singleton segment's root, with no members, still does.
-func TestGatherFanInEdge(t *testing.T) {
-	if !core.GatherFits(127) || core.GatherFits(128) {
-		t.Error("the flat gather must fit at N=128 and not at N=129")
-	}
-	for _, cs := range []struct {
-		n, root, fanIn int
-		fits           bool
-	}{
-		{500, 0, 127, true},
-		{500, 499, 127, true},
-		{501, 0, 128, false},
-		{501, 500, 125, true}, // the singleton segment's only rank
-	} {
-		fanIn := core.TwoLevelFanIn(topo.Uniform(cs.n, 4), cs.root)
-		if fanIn != cs.fanIn || core.GatherFits(fanIn) != cs.fits {
-			t.Errorf("N=%d root %d: fan-in %d, fits %v; want %d, %v", cs.n, cs.root, fanIn, core.GatherFits(fanIn), cs.fanIn, cs.fits)
-		}
 	}
 }

@@ -30,5 +30,5 @@ import "repro/internal/mpi"
 // multicast protected by NACK repair (binary scout gather), complete
 // like Algorithms.
 func ResilientAlgorithms() mpi.Algorithms {
-	return suite(roundOptions{gather: gatherScoutsBinary, repair: true})
+	return suite(kind{repair: true}, plan)
 }

@@ -52,10 +52,10 @@ package core
 //	                 exchange's drain barriers.
 //	scatter:         package baseline's linear scatter, (N-1)·ceil(M/T)
 //	                 data frames and no scouts, except on shared uplinks
-//	                 from 64 ranks with chunks past one frame
-//	                 (slicedScatterWins). There s scouts + the same data
-//	                 frames: the root multicasts each rank's slice to that
-//	                 rank's private slice group, so a receiver's NIC
+//	                 from 64 ranks with chunks past one frame (plan).
+//	                 There s scouts + the same data frames: the root
+//	                 multicasts each rank's slice to that rank's
+//	                 private slice group, so a receiver's NIC
 //	                 delivers exactly its own M bytes — the
 //	                 pairwise-unicast byte count — while the send stays on
 //	                 the connectionless bypass (no TCP penalty, no kernel
@@ -66,8 +66,8 @@ package core
 //	gather:          package baseline's linear gather, (N-1)·ceil(M/T)
 //	                 chunk frames and nothing else, while the root's
 //	                 receive ring can absorb the chunks of two gathers
-//	                 unposted (p2pGatherFits: N ≤ 128). Beyond, s scouts
-//	                 + 1 multicast release + the same chunk frames. The
+//	                 unposted (plan: N ≤ 128). Beyond, s scouts + 1
+//	                 multicast release + the same chunk frames. The
 //	                 data has to converge on the root either way, so no
 //	                 frame is saved; the release gates the senders until
 //	                 the root has entered the gather, which bounds the
@@ -100,7 +100,6 @@ package core
 import (
 	"fmt"
 	"iter"
-	"math/bits"
 	"slices"
 
 	"repro/internal/mpi"
@@ -162,10 +161,7 @@ func oneCollisionDomain(c *mpi.Comm) bool {
 func burst(c *mpi.Comm, opt roundOptions, sends []send, scopeOf func(rank int) mpi.Scope, consume func(r int, p []byte) error) error {
 	release := c.PostRecvs(exchangeRecvs(c.Size()))
 	defer release()
-	senders := make([]int, c.Size())
-	for r := range senders {
-		senders[r] = r
-	}
+	senders := rankOrder(c.Size())
 	if opt.repair {
 		return repairedExchange(c, opt.gather, senders, sends, scopeOf, consume)
 	}
@@ -598,18 +594,10 @@ func ringAfter(k, n int) iter.Seq[int] {
 // elements than ranks. Every rank computes identical bounds locally.
 func sliceBounds(total, extent, size int) []int {
 	elems := total / extent
-	base, extra := elems/size, elems%size
 	bounds := make([]int, size+1)
-	off := 0
-	for s := 0; s < size; s++ {
-		bounds[s] = off
-		n := base
-		if s < extra {
-			n++
-		}
-		off += n * extent
+	for s := range bounds {
+		bounds[s] = extent * (s*(elems/size) + min(s, elems%size))
 	}
-	bounds[size] = off
 	return bounds
 }
 
@@ -618,12 +606,12 @@ func sliceBounds(total, extent, size int) []int {
 // the walk every reduction runs) or recursive halving
 // (mpi.ReduceHalving), after which each rank holds one fully reduced
 // slice, followed by an allgather that multicasts each reduced slice
-// exactly once (gatherSlices, or gatherLanes). Slices split the buffer
-// in whole elements, which Comm.Allreduce checks at every rank before
-// any message moves.
+// exactly once (gatherSlices, or gatherLanes, as plan picks). Slices
+// split the buffer in whole elements, which Comm.Allreduce checks at
+// every rank before any message moves.
 //
-// The reduce-scatter runs in two levels where usableTopo finds S segments
-// of F members each — Karonis's multilevel and Träff's lane
+// The reduce-scatter runs in two levels (plan) where usableTopo finds S
+// segments of F members each — Karonis's multilevel and Träff's lane
 // decomposition of the reduce-scatter. Slices are laid out lane-major:
 // the rank with member index i in segment s owns the slice at position
 // i·S + s, so the S slices of lane i (the ranks with member index i) are
@@ -675,26 +663,18 @@ func sliceBounds(total, extent, size int) []int {
 // sums may round differently from rank order, and differently again
 // from the walks).
 func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
+	return allreduceChunked(c, send, recv, dt, op, plan)
+}
+
+// allreduceChunked is AllreduceMcastChunked with the schedules pick
+// returns for the reduce-scatter and the gather.
+func allreduceChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, pick planner) error {
 	size := c.Size()
 	copy(recv, send)
 	if size == 1 {
 		return nil
 	}
 	bounds := sliceBounds(len(send), dt.Size(), size)
-	t := usableTopo(c)
-	lanes := evenSegments(t)
-	// pos[r] is the slice rank r reduces and multicasts: lane-major on
-	// even segments, rank order elsewhere.
-	pos := make([]int, size)
-	for r := range pos {
-		pos[r] = r
-		if lanes > 0 {
-			seg := t.SegmentOf(r)
-			pos[r] = slices.Index(t.Members(seg), r)*t.Segments() + seg
-		}
-	}
-
-	slice := func(r int) []byte { return recv[bounds[pos[r]]:bounds[pos[r]+1]] }
 
 	// Reduce-scatter, in recv in place, every walk and halving step of
 	// both levels sharing one collective operation with a phase each. The
@@ -703,17 +683,28 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	// multicast is consumed.
 	cc := c.BeginColl()
 	me := c.Rank()
+	in := planIn{t: usableTopo(c), size: size, frag: cc.FragPayload(), bounds: bounds}
+	t, step := in.t, pick(kind{}, opReduceScatter, in)
+	pos := slicePos(t, size, step)
+	slice := func(r int) []byte { return recv[bounds[pos[r]]:bounds[pos[r]+1]] }
 	var lane, heads []int // this rank's lane in segment order; the lanes' members in segment 0
-	var groups [][]int
-	if lanes > 0 && laneGatherWins(t.Segments(), lanes, bounds[t.Segments()], cc.FragPayload()) {
+	var groups [][]int    // gatherSlices' groups: the segments, or one rank each
+	switch pick(kind{}, opSliceGather, in) {
+	case laneGather:
 		heads = t.Members(0)
-	} else {
-		groups = sliceGroups(t, size, slice, cc.FragPayload())
+	case leadersGather:
+		for s := range t.Segments() {
+			groups = append(groups, t.Members(s))
+		}
+	default:
+		for r := range size {
+			groups = append(groups, []int{r})
+		}
 	}
 	release := c.PostRecvs(exchangeRecvs(len(heads) + len(groups)))
 	defer release()
 	cc.SpanBegin("reduce-scatter")
-	if lanes == 0 {
+	if step == rankWalks {
 		// pos is the identity: one walk per slice among all ranks.
 		if err := mpi.ReduceWalks(cc, pos, bounds, phaseSlice, false, recv, dt, op); err != nil {
 			return err
@@ -722,7 +713,7 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 		segs := t.Segments()
 		members := t.Members(t.SegmentOf(me))
 		i := slices.Index(members, me)
-		region := make([]int, lanes+1) // lane j's region: positions j·S to (j+1)·S
+		region := make([]int, len(members)+1) // lane j's region: positions j·S to (j+1)·S
 		for j := range region {
 			region[j] = bounds[j*segs]
 		}
@@ -734,10 +725,10 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 			return err
 		}
 		reduceLane := mpi.ReduceWalks
-		if segs&(segs-1) == 0 {
+		if step == laneHalving {
 			reduceLane = mpi.ReduceHalving
 		}
-		if err := reduceLane(cc, lane, bounds[i*segs:(i+1)*segs+1], phaseSlice+lanes, false, recv, dt, op); err != nil {
+		if err := reduceLane(cc, lane, bounds[i*segs:(i+1)*segs+1], phaseSlice+len(members), false, recv, dt, op); err != nil {
 			return err
 		}
 	}
@@ -752,43 +743,31 @@ func AllreduceMcastChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op m
 	return gatherSlices(cc, groups, slice)
 }
 
-// laneGatherWins reports whether the chunked allreduce gathers its
-// reduced slices by lanes (gatherLanes) rather than over sliceGroups, on
-// S segments of F members whose largest lane region holds regionBytes,
-// with frag bytes of payload per fragment: S a power of two (the lane
-// step halves, which the gather's evidence rests on), the lane region
-// within one fragment, and F + 2·log2 S < S. That counts receives on the
-// critical path: sliceGroups' leaders cost every rank S-1 multicasts
-// behind the leaders' F-1 slice receives; the lane gather costs log2 S
-// gather hops, a receive and a send each, then F multicasts. A lane
-// region past one fragment makes each of the F multicasts several frames
-// for every rank, while a segment's block of slices is still one. Every
-// rank reads the same S, F and slice bounds, so every rank agrees.
-//
-// One cold allreduce on the shared-uplink switch at fanout 4 (F=4), seed
-// 1, in sim-µs: the halving with sliceGroups' gather / with the lane
-// gather forced; * marks the points the rule gives the lane gather.
-//
-//	N (S)         100 B          2,000 B          8,000 B          20,000 B          65,536 B
-//	8   (2)     793 / 817      1,422 / 1,427    3,729 / 4,311    8,948 / 10,102    29,123 / 32,465
-//	16  (4)   1,014 / 1,066    1,654 / 1,780    4,257 / 5,049    9,823 / 11,580    31,807 / 36,633
-//	32  (8)   1,374 / 1,371    2,033 / 2,161    4,774 / 5,558   10,542 / 12,410    33,648 / 39,200
-//	64  (16)  2,070 / 1,828*   2,712 / 2,628*   5,207 / 6,095   11,155 / 13,132    34,233 / 40,521
-//	128 (32)  3,277 / 2,487*   3,960 / 3,301*   7,117 / 7,438   13,465 / 15,366    35,662 / 41,731
-//	256 (64)  5,447 / 3,411*   6,347 / 4,403*   9,449 / 8,544   16,107 / 17,236    44,517 / 50,554
-//
-// The rule takes every win but two: N=32 at 100 B (0.3 %) and N=256 at
-// 8,000 B (10 %), a two-fragment lane region. Counting fragments instead
-// (F·frags + 2·log2 S < S) would take that one but lose four others: N=128
-// at 8,000 B (4.5 %), N=128 and 256 at 20,000 B and N=256 at 65,536 B.
-func laneGatherWins(segs, members, regionBytes, frag int) bool {
-	if segs&(segs-1) != 0 || regionBytes > frag {
-		return false
+// slicePos returns the position of the slice each rank reduces and
+// multicasts in the chunked allreduce whose reduce-scatter runs as step:
+// lane-major in two levels (the rank with member index i in segment s
+// owns position i·S + s), rank order where it walks over all ranks.
+func slicePos(t *topo.Map, size int, step schedule) []int {
+	pos := rankOrder(size)
+	if step != rankWalks {
+		for r := range pos {
+			seg := t.SegmentOf(r)
+			pos[r] = slices.Index(t.Members(seg), r)*t.Segments() + seg
+		}
 	}
-	return members+2*bits.TrailingZeros(uint(segs)) < segs
+	return pos
 }
 
-// gatherLanes is the chunked allreduce's allgather where laneGatherWins.
+// rankOrder returns the ranks 0 … size-1 in order.
+func rankOrder(size int) []int {
+	ranks := make([]int, size)
+	for r := range ranks {
+		ranks[r] = r
+	}
+	return ranks
+}
+
+// gatherLanes is the chunked allreduce's allgather by lanes (plan).
 // lane is this rank's lane in segment order, heads the lanes' members in
 // segment 0 in lane order, and lane k's reduced slices are
 // buf[bounds[k·S]:bounds[(k+1)·S]], the slice of the lane's member in
@@ -798,7 +777,7 @@ func laneGatherWins(segs, members, regionBytes, frag int) bool {
 // rank at s sends its parent once its children's blocks are in (log2 S
 // steps; an empty block is neither sent nor awaited). Then exchange gives
 // each head one slot, at which it multicasts its lane's region: a rank
-// handles F multicasts where sliceGroups' leaders cost it S.
+// handles F multicasts where gatherSlices' leaders cost it S.
 //
 // Like gatherSlices it sends no scouts and no release. A head multicasts
 // only a non-empty region, so its own slice, the region's first and
@@ -857,40 +836,9 @@ func gatherLanes(cc mpi.CollCtx, lane, heads, bounds []int, buf []byte) error {
 	})
 }
 
-// sliceGroups returns who multicasts which reduced slices in the
-// chunked allreduce's allgather: the first rank of group k multicasts
-// the slices of every rank in group k, in group order, on the
-// allgather's k-th slot. t is the usable topology, or nil, which means
-// one group per rank. Where the largest segment's slices fit one
-// fragment payload of frag bytes, the groups are the segments and their
-// leaders multicast — S one-frame multicasts, so a rank handles S
-// receives rather than N-1. Otherwise every rank is its own group and
-// multicasts its own slice, N multicasts in rank order: a leader would
-// pay a store-and-forward hop on multi-frame slices. The groups depend
-// only on t and the slice bounds, so every rank computes the same ones.
-func sliceGroups(t *topo.Map, size int, slice func(r int) []byte, frag int) [][]int {
-	if t != nil {
-		largest := 0
-		for s := 0; s < t.Segments(); s++ {
-			largest = max(largest, groupBytes(t.Members(s), slice))
-		}
-		if largest <= frag {
-			groups := make([][]int, t.Segments())
-			for s := range groups {
-				groups[s] = t.Members(s)
-			}
-			return groups
-		}
-	}
-	groups := make([][]int, size)
-	for r := range groups {
-		groups[r] = []int{r}
-	}
-	return groups
-}
-
-// gatherSlices is the chunked allreduce's allgather, over the groups of
-// sliceGroups. It sends no scouts and no release: leaving the
+// gatherSlices is the chunked allreduce's allgather over groups: the
+// segments, whose leaders multicast their members' slices, or one group
+// per rank (plan). It sends no scouts and no release: leaving the
 // reduce-scatter is itself the evidence that every rank has entered and
 // posted its descriptors (AllreduceMcastChunked). A group's first rank
 // multicasts only when the group's slices are not all empty, so its own
@@ -981,27 +929,11 @@ func groupBytes(g []int, slice func(r int) []byte) int {
 	return n
 }
 
-// evenSegments returns the member count F shared by every segment of t,
-// or 0 when t is nil or its segments differ in size — the condition for
-// the chunked allreduce's two-level reduce-scatter.
-func evenSegments(t *topo.Map) int {
-	if t == nil {
-		return 0
-	}
-	f := len(t.Members(0))
-	for s := 1; s < t.Segments(); s++ {
-		if len(t.Members(s)) != f {
-			return 0
-		}
-	}
-	return f
-}
-
 // scatterWith is a single round of the engine. Flat (t nil) it is a
-// sliced round, which the flat sets run inside slicedScatterWins: the
-// root multicasts each rank's slice to that rank's private slice group,
-// so a receiver's NIC delivers exactly its own M bytes. Given a topology
-// it is a segment round: the root multicasts each segment's super-slice
+// sliced round (plan's slicedRound): the root multicasts each rank's
+// slice to that rank's private slice group, so a receiver's NIC
+// delivers exactly its own M bytes. Given a topology it is a segment
+// round (segmentRound): the root multicasts each segment's super-slice
 // — that segment's chunks in member order — to the segment's group, one
 // egress transmission per port instead of one per rank, and every
 // receiver keeps its own chunk of the block.
@@ -1016,7 +948,7 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions, t *
 	if t != nil {
 		ms := t.Members(t.SegmentOf(me))
 		want, at = n*len(ms), n*slices.Index(ms, me)
-		round.bytes, round.sends, round.scope = n*size, segSends(t, send, n, root), segScope(t)
+		round.bytes, round.sends, round.scope = n*size, segSends(t, send, n, root, t.Segments()-1), segScope(t)
 	}
 	round.consume = func(p []byte) error {
 		if len(p) != want {
@@ -1037,8 +969,9 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions, t *
 // gatherWith collects equal-sized chunks to root, gated by scouts and a
 // multicast release so senders cannot overrun the root: the release
 // proves the root has entered the gather, so a chunk cannot land in an
-// unbounded unexpected queue. The flat sets run it past gatherFits.
-// Under repair the release is a multicast that can be lost in flight
+// unbounded unexpected queue. The flat sets run it past the
+// point-to-point gather's ring bound (plan's releaseGated). Under
+// repair the release is a multicast that can be lost in flight
 // like any other: a listener's request is answered with the release's
 // own fragments under its original id, and the chunk a rank sends after
 // observing it doubles as its confirmation, so no separate

@@ -136,7 +136,7 @@ func TestSuiteFrameCounts(t *testing.T) {
 }
 
 // TestSlicedScatterRegime counts the frames of one cold scatter to show
-// which schedule the flat sets run (core's slicedScatterWins): the sliced
+// which schedule the flat sets run (core's plan): the sliced
 // round — N-1 scouts up the binary tree, then one slice-group multicast
 // per receiver — only on shared uplinks (fanout 4) from 64 ranks with
 // chunks past one frame, and only in the binary and resilient sets;

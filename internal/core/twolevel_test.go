@@ -39,7 +39,7 @@ func sharedProf(fanout int) simnet.Profile {
 // second root), so leader override, member order and aggregate-block
 // slicing are all exercised. The scatter and gather run two-level only
 // with a segment's chunks in one frame, the scatter from N=32 and the
-// gather from N=16 (twoLevelWins), so the grid adds a singleton segment
+// gather from N=16 (core's plan), so the grid adds a singleton segment
 // (17 = 4×4+1, 65 = 16×4+1) and uneven ones (18 = 4×4+2, 66 = 16×4+2)
 // at chunks inside the gather's regime, and at 65 and 66 the
 // scatter's.
@@ -195,7 +195,7 @@ func TestTwoLevelInjectedLoss(t *testing.T) {
 // fragment arriving at the leader of the last segment is dropped on
 // first delivery (repairs get through), and the resilient set must
 // still conform. At N=8 the scatter and gather run the flat set's
-// schedule (twoLevelWins), at N=16 the scatter does and the gather runs
+// schedule (core's plan), at N=16 the scatter does and the gather runs
 // two levels below 356 B, and N=64 runs both two-level. The two-level
 // gather multicasts nothing, so its loss here is the other operations'.
 func TestTwoLevelLeaderLoss(t *testing.T) {
@@ -361,7 +361,7 @@ func TestTwoLevelScoutEconomy(t *testing.T) {
 // singleton segment whose leader has no local phase at all — and the
 // full conformance pass must hold for roots in every kind of segment.
 // At N=7 the scatter and gather run the flat set's schedule
-// (twoLevelWins), so 64 ranks at fanout 3 — 21 segments of 3 and a
+// (core's plan), so 64 ranks at fanout 3 — 21 segments of 3 and a
 // singleton — with 300-byte chunks take the same roots through the
 // two-level scatter and gather, and 19 ranks (six segments of 3 and a
 // singleton) through the two-level gather.

@@ -36,6 +36,7 @@ func chaosFailure() mpi.FailureOptions {
 // failure detection, forms the world, runs fn, and returns its error.
 func runUDPChaos(t *testing.T, n int, algs mpi.Algorithms, fn func(rank int, c *mpi.Comm) error) []error {
 	t.Helper()
+	failOnHang(t, 30*time.Second)
 	nw, err := udpnet.New(testConfig(n))
 	if err != nil {
 		t.Fatalf("udpnet.New: %v", err)

@@ -185,6 +185,7 @@ func TestSocketHearsOnlyItsGroups(t *testing.T) {
 // with the group filter they never arrive.
 func TestNoForeignSliceReachesTheRuntime(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 30*time.Second)
 	nw, err := udpnet.New(testConfig(4))
 	if err != nil {
 		t.Fatal(err)

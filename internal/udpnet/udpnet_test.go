@@ -69,18 +69,28 @@ func (h *udpHarness) Run(t *testing.T, fns []func(ep transport.Endpoint) error) 
 	}
 }
 
+// failOnHang fails the test binary if t is still running after limit.
+// A world on real sockets has no deadlock detector: a rank that returns
+// early leaves its peers blocked in a receive for good. A hang was seen
+// once and its only goroutine dump lost to a `| tail`, so the watchdog
+// writes every goroutine's stack first and panics second, well inside
+// go test's own ten minutes, and the hang explains itself at the top of
+// what it prints. Every test that runs a world calls it first, with a
+// limit well above its normal wall time.
+func failOnHang(t *testing.T, limit time.Duration) {
+	t.Helper()
+	name := t.Name()
+	watchdog := time.AfterFunc(limit, func() {
+		buf := make([]byte, 1<<20)
+		fmt.Fprintf(os.Stderr, "%s still running after %v; all goroutines:\n%s\n", name, limit, buf[:runtime.Stack(buf, true)])
+		panic(name + ": watchdog expired (every goroutine's stack is printed above)")
+	})
+	t.Cleanup(func() { watchdog.Stop() })
+}
+
 func TestUDPConformance(t *testing.T) {
 	requireMulticast(t)
-	// A hang here was seen once and its only goroutine dump lost to a
-	// `| tail`: a watchdog well inside go test's own ten minutes writes
-	// every goroutine's stack first and fails second, so the next hang
-	// explains itself at the top of what it prints.
-	watchdog := time.AfterFunc(60*time.Second, func() {
-		buf := make([]byte, 1<<20)
-		fmt.Fprintf(os.Stderr, "TestUDPConformance still running after 60s; all goroutines:\n%s\n", buf[:runtime.Stack(buf, true)])
-		panic("TestUDPConformance: watchdog expired (every goroutine's stack is printed above)")
-	})
-	defer watchdog.Stop()
+	failOnHang(t, 60*time.Second)
 	transporttest.RunAll(t, func(t *testing.T, n int) transporttest.Harness {
 		nw, err := udpnet.New(testConfig(n))
 		if err != nil {
@@ -124,6 +134,7 @@ func TestUnicastOnlyWithoutMulticast(t *testing.T) {
 
 func TestMPIOverRealUDPMulticast(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 30*time.Second)
 	algs := core.Algorithms(core.Binary)
 	want := bytes.Repeat([]byte{0xC3}, 4000)
 	err := udpnet.Run(testConfig(5), algs, func(c *mpi.Comm) error {
@@ -158,6 +169,7 @@ func TestMPIOverRealUDPMulticast(t *testing.T) {
 
 func TestMulticastSingleDatagramManyReceivers(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 30*time.Second)
 	// The receiver-directed economy: one send, N-1 deliveries. Verify by
 	// datagram counters: the root sends exactly 1 data datagram for a
 	// small payload (plus the scouts it received as unicast).
@@ -198,6 +210,7 @@ func TestMulticastSingleDatagramManyReceivers(t *testing.T) {
 
 func TestSlowReceiverOverRealMulticast(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 30*time.Second)
 	// The paper's scenario on real sockets: rank 2 is slow to enter the
 	// broadcast. The scout protocol must still deliver (the root cannot
 	// multicast until rank 2's scout arrives).
@@ -229,6 +242,7 @@ func TestSlowReceiverOverRealMulticast(t *testing.T) {
 
 func TestAckBcastOverRealUDP(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 30*time.Second)
 	err := udpnet.Run(testConfig(3), core.AckAlgorithms(), func(c *mpi.Comm) error {
 		buf := make([]byte, 256)
 		if c.Rank() == 0 {
@@ -282,6 +296,7 @@ func TestCloseIdempotentAndUnblocks(t *testing.T) {
 // sweep (the simulator half lives in core's conformance tests).
 func TestP2PLossConformanceOverUDP(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 30*time.Second)
 	for _, rate := range []float64{0.02, 0.10} {
 		rate := rate
 		t.Run(fmt.Sprintf("p2p=%g", rate), func(t *testing.T) {
@@ -336,6 +351,7 @@ func TestP2PLossConformanceOverUDP(t *testing.T) {
 // evidence lasted.
 func TestNackRepairOverUDP(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 30*time.Second)
 	cfg := testConfig(4)
 	cfg.LossRate, cfg.P2PLossRate, cfg.LossSeed = 0.02, 0.02, 42
 	nw, err := udpnet.RunNet(cfg, core.ResilientAlgorithms(), func(c *mpi.Comm) error {
@@ -382,6 +398,7 @@ func TestNackRepairOverUDP(t *testing.T) {
 // gather.
 func TestTwoLevelConformanceOverUDP(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 60*time.Second)
 	ranks := make([]int, 65)
 	for r := range ranks {
 		ranks[r] = r
@@ -447,6 +464,7 @@ func TestTwoLevelConformanceOverUDP(t *testing.T) {
 // multicast its own slice.
 func TestChunkedAllreduceOverUDP(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 30*time.Second)
 	cfg := testConfig(8)
 	cfg.SegmentFanout = 4
 	nw, err := udpnet.New(cfg)
@@ -485,6 +503,7 @@ func TestChunkedAllreduceOverUDP(t *testing.T) {
 // the segment leaders multicast instead.
 func TestChunkedLaneGatherOverUDP(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 30*time.Second)
 	cfg := testConfig(32)
 	cfg.SegmentFanout = 2
 	nw, err := udpnet.New(cfg)
@@ -519,6 +538,7 @@ func TestChunkedLaneGatherOverUDP(t *testing.T) {
 // like everything else, so receiver-side loss (data and the eager TCP
 // acks alike) must be repaired over real sockets too.
 func TestBaselineP2PLossOverUDP(t *testing.T) {
+	failOnHang(t, 30*time.Second)
 	cfg := testConfig(5)
 	cfg.P2PLossRate = 0.05
 	cfg.LossSeed = 7
@@ -594,6 +614,7 @@ func checkDatagramAccounting(t *testing.T, nw *udpnet.Net) {
 // window, (burst/window)·RTO = 250 ms; the burst must take under half.
 func TestWindowCreditNeedsNoTimerOverUDP(t *testing.T) {
 	requireMulticast(t)
+	failOnHang(t, 30*time.Second)
 	const (
 		n     = 4
 		burst = 10 * reliab.Window
