@@ -29,10 +29,12 @@ const (
 	// McastBinary is the paper's binary-tree scout algorithm. Its
 	// scatter and gather are mpich's outside the regimes core's planner
 	// gives multicast (the sliced scatter on shared uplinks from N=64
-	// past a frame, the release-gated gather past N=128).
+	// past a frame, the release-gated gather past N=128), and its
+	// allreduce is mcast-chunked's on even segments past a frame.
 	McastBinary Algorithm = "mcast-binary"
 	// McastLinear is the paper's linear scout algorithm. Its scatter is
-	// always mpich's, its gather mpich's up to N=128.
+	// always mpich's, its gather mpich's up to N=128; its allreduce, as
+	// mcast-binary's, is mcast-chunked's on even segments past a frame.
 	McastLinear Algorithm = "mcast-linear"
 	// McastAck is the PVM-style acknowledgment protocol (no scouts,
 	// sender repeats until acknowledged).
@@ -49,7 +51,9 @@ const (
 	// than ~2M bytes.
 	McastChunked Algorithm = "mcast-chunked"
 	// McastTwoLevel is the topology-aware two-level suite, where core's
-	// planner measured it to win: its allreduce combines at segment leaders first, its alltoall
+	// planner measured it to win: its allreduce combines at segment
+	// leaders first (mcast-chunked's on even segments past a frame, as
+	// in mcast-binary), its alltoall
 	// bursts segment-group blocks (the flat burst at N <= 32 from
 	// 1,000 B), and its scatter and gather run two levels while a
 	// segment's chunks fit one frame, the scatter from N=32 and the

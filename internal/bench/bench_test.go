@@ -221,24 +221,18 @@ func TestFlatAlltoallSwitchGuideline(t *testing.T) {
 	}
 }
 
-// TestChunkedAllreduceGuidelines holds the chunked allreduce to two
-// Träff-style guidelines on the same fabric (shared-uplink switch,
-// fanout 4, one cold operation per point): from 5,000 B it is no slower
-// than the binomial-reduce + bcast allreduce of mcast-binary, nor than
+// TestChunkedAllreduceGuidelines holds the chunked allreduce to a
+// Träff-style guideline on the same fabric (shared-uplink switch, fanout
+// 4, one cold operation per point): from 5,000 B it is no slower than
 // mpich. With its reduce-scatter walking segments then lanes and its
-// allgather sending no scouts, chunked reads 2,415 / 3,050 / 3,574
-// sim-µs at 5,000 B against mcast-binary's 3,571 / 4,433 / 5,273 at
-// N = 8 / 16 / 32 (2,779 / 3,617 / 5,159 while the allgather ran a scout
-// handshake; one level of N walks read 3,371 / 4,489 / 6,736 and lost at
-// N=16 and 32). At 100 B mcast-binary still wins — its one reduce and
-// one multicast beat the walks of sub-frame slices (N=32: 1,628 against
-// 917 sim-µs).
-//
-// A third guideline holds it against mcast-2level where the lane step's
-// recursive halving and the lane gather first put it ahead: N=64 at
-// 2,000 B, where chunked reads 2,628 sim-µs against mcast-2level's 3,156
-// (3,495 while the lane step was S walks and the segment leaders
-// multicast).
+// allgather sending no scouts, chunked read 2,415 / 3,050 / 3,574
+// sim-µs at 5,000 B against mcast-binary's binomial reduce and bcast at
+// 3,571 / 4,433 / 5,273 at N = 8 / 16 / 32, and at N=64 and 2,000 B
+// 2,628 against mcast-2level's leader reduce at 3,156. Those two
+// comparisons left this test when the lossless sets came to run the
+// chunked schedule there themselves (core's plan): the allreduce tables
+// of core's plan_test.go hold the chunked schedule against the forced
+// old ones at N=6–256 and 500–65,536 B, fanout 2, 4 and 8.
 func TestChunkedAllreduceGuidelines(t *testing.T) {
 	prof := *sharedUplinkProfile()
 	prof.Seed = 1
@@ -252,16 +246,10 @@ func TestChunkedAllreduceGuidelines(t *testing.T) {
 	}
 	for _, n := range []int{8, 16, 32} {
 		for _, size := range []int{5000, 20000} {
-			chunked := cold(n, size, McastChunked)
-			for _, other := range []Algorithm{McastBinary, MPICH} {
-				if o := cold(n, size, other); chunked > o {
-					t.Errorf("N=%d %d B: %s %d ns is slower than %s %d ns", n, size, McastChunked, chunked, other, o)
-				}
+			if chunked, o := cold(n, size, McastChunked), cold(n, size, MPICH); chunked > o {
+				t.Errorf("N=%d %d B: %s %d ns is slower than %s %d ns", n, size, McastChunked, chunked, MPICH, o)
 			}
 		}
-	}
-	if chunked, tl := cold(64, 2000, McastChunked), cold(64, 2000, McastTwoLevel); chunked > tl {
-		t.Errorf("N=64 2000 B: %s %d ns is slower than %s %d ns", McastChunked, chunked, McastTwoLevel, tl)
 	}
 }
 

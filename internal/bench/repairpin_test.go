@@ -413,7 +413,11 @@ func TestRepairSuiteDeterminismPin(t *testing.T) {
 // by the reduce-scatter: from {1,087,480, 678}, {1,750,780, 703},
 // {33,027,480, 2,024}, {1,255,076, 855}, {1,890,892, 888},
 // {35,009,924, 2,427}, {1,677,680, 1,219} and {12,564,568, 3,345}, in
-// table order — every point faster.
+// table order — every point faster. The N=12 and N=24 rows at 100 and
+// 2,000 B were re-recorded when the segment step came to halve below
+// 20,000 B (F=4: two messages per rank in place of three): they read
+// {930,932, 1,448}, {1,574,520, 1,487}, {1,305,360, 4,110} and
+// {2,002,636, 4,178}, and moved 1.0 % to 6.3 % faster.
 func TestChunkedFallbackDeterminismPin(t *testing.T) {
 	shared := *sharedUplinkProfile()
 	shared.Seed = 1
@@ -430,11 +434,11 @@ func TestChunkedFallbackDeterminismPin(t *testing.T) {
 		{simnet.SwitchShared, 7, 100, 865_632, 770},
 		{simnet.SwitchShared, 7, 2000, 1_773_500, 804},
 		{simnet.SwitchShared, 7, 65536, 33_905_224, 2347},
-		{simnet.SwitchShared, 12, 100, 930_932, 1448},
-		{simnet.SwitchShared, 12, 2000, 1_574_520, 1487},
+		{simnet.SwitchShared, 12, 100, 871_856, 1359},
+		{simnet.SwitchShared, 12, 2000, 1_558_852, 1389},
 		{simnet.SwitchShared, 12, 65536, 30_936_664, 3939},
-		{simnet.SwitchShared, 24, 100, 1_305_360, 4110},
-		{simnet.SwitchShared, 24, 2000, 2_002_636, 4178},
+		{simnet.SwitchShared, 24, 100, 1_247_748, 3942},
+		{simnet.SwitchShared, 24, 2000, 1_981_360, 3984},
 		{simnet.SwitchShared, 24, 65536, 32_746_292, 9478},
 		{simnet.Switch, 8, 2000, 1_129_480, 1130},
 		{simnet.Switch, 8, 65536, 11_274_688, 3264},
@@ -473,7 +477,9 @@ func TestChunkedFallbackDeterminismPin(t *testing.T) {
 // three): they read {1,063,760, 2,140} and {31,796,020, 5,509}. The
 // 100 B row is 4.6 % faster; the 65,536 B row is 0.04 % slower, where
 // the halving's two larger messages per rank queue behind each other on
-// the uplinks longer than three smaller walk messages did.
+// the uplinks longer than three smaller walk messages did. The 100 B row
+// was re-recorded again when the segment step came to halve below
+// 20,000 B: it read {1,014,384, 2,000}, 8.3 % slower.
 func TestBurstDeterminismPin(t *testing.T) {
 	shared := *sharedUplinkProfile()
 	shared.Seed = 1
@@ -497,7 +503,7 @@ func TestBurstDeterminismPin(t *testing.T) {
 		{McastTwoLevel, OpAlltoall, 7, 100, 929_580, 384},
 		{McastTwoLevel, OpAlltoall, 7, 2000, 6_931_420, 802},
 		{McastTwoLevel, OpAlltoall, 7, 65536, 215_969_104, 10778},
-		{McastChunked, OpAllreduce, 16, 100, 1_014_384, 2000},
+		{McastChunked, OpAllreduce, 16, 100, 930_368, 1896},
 		{McastChunked, OpAllreduce, 16, 65536, 31_807_460, 5392},
 	} {
 		nw, worst, err := coldRun(tc.n, simnet.SwitchShared, shared, tc.alg, tc.op, tc.size)
@@ -512,12 +518,17 @@ func TestBurstDeterminismPin(t *testing.T) {
 
 // TestReductionDeterminismPin holds the binomial reductions that no
 // BENCH_sim.json row or other pin reaches: the two-level allreduce's
-// leader tree on uneven segments (N=6 = 4+2, N=7 = 4+3) and on even ones
-// (N=16) on the shared-uplink switch, fanout 4, including the empty
-// reduction whose fan-out it gates at 0 B; and the MPICH reduce to a
-// non-zero root (rank 3 of 7 on the switch), whose tree is rotated. One
-// cold operation per point must simulate the nanoseconds and engine
-// events recorded before every binomial reduction ran one walk.
+// leader tree on uneven segments (N=6 = 4+2, N=7 = 4+3, N=18 = 4·4+2)
+// and on even ones (N=16) on the shared-uplink switch, fanout 4,
+// including the empty reduction whose fan-out it gates at 0 B; and the
+// MPICH reduce to a non-zero root (rank 3 of 7 on the switch), whose
+// tree is rotated. One cold operation per point must simulate the
+// nanoseconds and engine events recorded before every binomial
+// reduction ran one walk. On even segments past one frame the lossless
+// sets' allreduce became the chunked one (core's plan), so the N=16 rows
+// at 2,000 and 65,536 B ({2,170,460, 701} and {47,377,740, 4,121}) gave
+// way to N=16 at 1,424 B, the last size before it, and N=18 at
+// 65,536 B, recorded when they came in.
 func TestReductionDeterminismPin(t *testing.T) {
 	shared := *sharedUplinkProfile()
 	shared.Seed = 1
@@ -537,8 +548,8 @@ func TestReductionDeterminismPin(t *testing.T) {
 		{7, 65536, 33_655_868, 1707},
 		{16, 0, 593_420, 625},
 		{16, 100, 660_220, 625},
-		{16, 2000, 2_170_460, 701},
-		{16, 65536, 47_377_740, 4121},
+		{16, 1424, 1_675_276, 633},
+		{18, 65536, 47_397_420, 4794},
 	} {
 		nw, worst, err := coldRun(tc.n, simnet.SwitchShared, shared, McastTwoLevel, OpAllreduce, tc.size)
 		if err != nil {

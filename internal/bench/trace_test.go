@@ -178,7 +178,11 @@ func TestRoundSpansKeepLedgerNames(t *testing.T) {
 		{McastBinary, OpAlltoall, true, []string{"scout-gather", "release", "chunk-mcast", "chunk-consume"}},
 		{McastResilient, OpAllgather, false, []string{"round-gather", "round-data"}},
 		{McastResilient, OpAlltoall, false, []string{"round-gather", "round-data"}},
-		{McastBinary, OpAllreduce, false, []string{"scout-gather", "data-mcast"}},
+		// Off segments the allreduce is a reduce and a broadcast round; on
+		// even segments past one frame it is the chunked schedule, whose
+		// allgather needs no scouts (core's plan).
+		{McastBinary, OpAllreduce, true, []string{"scout-gather", "data-mcast"}},
+		{McastBinary, OpAllreduce, false, []string{"reduce-scatter", "chunk-mcast"}},
 		{McastBinary, OpGather, false, nil},
 	} {
 		got := spans(tc.alg, tc.op, tc.hub)
@@ -186,6 +190,9 @@ func TestRoundSpansKeepLedgerNames(t *testing.T) {
 			if !got[name] {
 				t.Errorf("%s %s spans %v, no %q", tc.alg, tc.op, slices.Sorted(maps.Keys(got)), name)
 			}
+		}
+		if slices.Contains(tc.want, "reduce-scatter") && got["scout-gather"] {
+			t.Errorf("%s %s runs the chunked schedule but spans %q", tc.alg, tc.op, "scout-gather")
 		}
 		isRound := func(name string) bool { return strings.HasPrefix(name, "round-") }
 		if !slices.ContainsFunc(tc.want, isRound) {

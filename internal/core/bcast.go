@@ -93,8 +93,9 @@ func Algorithms(mode Mode) mpi.Algorithms {
 // pair. Its collectives run on the round engine with k's scout gather
 // and reliability class, and the scatter, gather, alltoall and
 // allreduce run the schedule pick returns, which is plan's outside the
-// tests. One rule bends k's gather: the barrier gathers its scouts up
-// the binary tree whatever the set's (the paper's barrier).
+// tests, and each records it as a "plan" trace instant whose argument is
+// the schedule. One rule bends k's gather: the barrier gathers its scouts
+// up the binary tree whatever the set's (the paper's barrier).
 func suite(k kind, pick planner) mpi.Algorithms {
 	rounds := roundOptions{gather: gatherScoutsBinary, repair: k.repair}
 	barrier := rounds
@@ -102,7 +103,11 @@ func suite(k kind, pick planner) mpi.Algorithms {
 		rounds.gather = gatherScoutsLinear
 	}
 	planned := func(c *mpi.Comm, op operation, chunk, root int) schedule {
-		return pick(k, op, planIn{t: usableTopo(c), size: c.Size(), chunk: chunk, root: root})
+		s := pick(k, op, planIn{t: usableTopo(c), size: c.Size(), chunk: chunk, root: root})
+		if r := c.Runtime().Trace(); r != nil {
+			r.Event(c.Rank(), c.Now(), "plan", int64(s))
+		}
+		return s
 	}
 	algs := baseline.Algorithms()
 	algs.Bcast = func(c *mpi.Comm, buf []byte, root int) error {
@@ -115,7 +120,10 @@ func suite(k kind, pick planner) mpi.Algorithms {
 		return allgatherWith(c, send, recv, rounds)
 	}
 	algs.Allreduce = func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
-		if planned(c, opAllreduce, len(send), 0) == leaderReduce {
+		switch planned(c, opAllreduce, len(send), 0) {
+		case chunkedSlices:
+			return allreduceChunked(c, send, recv, dt, op, pick)
+		case leaderReduce:
 			return allreduceTwoLevel(c, usableTopo(c), send, recv, dt, op, rounds)
 		}
 		return allreduceWith(c, send, recv, dt, op, rounds)
@@ -289,6 +297,11 @@ func barrierRound() roundPlan {
 // UDP bypass: one mpi.ReduceWalks region over rank order) followed by
 // bcast of the result from rank 0 — a scout-synchronized multicast, so
 // the broadcast half sends ceil(M/T) frames instead of ceil(M/T)·(N-1).
+// The flat lossless sets run it off the chunked regime (plan): without a
+// usable topology, on uneven segments and up to one frame. Past one frame
+// on even segments they run the chunked allreduce, which combines the
+// contributions in another order, so a floating-point sum may round
+// differently by size and fabric.
 func allreduceWith(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op, opt roundOptions) error {
 	acc := append([]byte(nil), send...)
 	if err := mpi.ReduceWalks(c.BeginColl(), rankOrder(c.Size()), []int{0, len(acc)}, phaseChunk, false, acc, dt, op); err != nil {

@@ -166,23 +166,25 @@ func TestChunkedAllreduceByteFunnel(t *testing.T) {
 // TestChunkedReduceScatterMessages counts the chunked allreduce's
 // reduce-scatter: its point-to-point data messages, one frame each at
 // 100 B, told apart by phase from the allgather's (the members' slices
-// to their leader). On S segments of F members each the segment walks
-// cost every rank F-1 messages and the lane step log2(S) where S is a
-// power of two (recursive halving), S-1 elsewhere (walks); on uneven
-// segments and on the flat switch the one-level walks cost every rank
-// N-1.
+// to their leader). On S segments of F members each the segment step
+// costs every rank log2(F) messages where F is a power of two (recursive
+// halving, below 20,000 B), F-1 elsewhere (walks), and the lane step
+// log2(S) where S is a power of two, S-1 elsewhere; on uneven segments
+// and on the flat switch the one-level walks cost every rank N-1. The
+// rows at F=4 read 80 = 16·(3+2), 32 = 8·(3+1) and 192 = 24·(3+5) while
+// the segment step walked.
 func TestChunkedReduceScatterMessages(t *testing.T) {
 	for _, tc := range []struct {
 		topo simnet.Topology
 		n    int
 		want int64
 	}{
-		// Halving: 80. It read 96 = 16·(3+3) while the lane step was S
-		// walks; one level: 240.
-		{simnet.SwitchShared, 16, 16 * (3 + 2)},
+		// Halving at both levels: 64. It read 96 = 16·(3+3) while both
+		// levels walked; one level: 240.
+		{simnet.SwitchShared, 16, 16 * (2 + 2)},
 		// At S=2 halving and walks are the same one message; one level: 56.
-		{simnet.SwitchShared, 8, 8 * (3 + 1)},
-		{simnet.SwitchShared, 24, 24 * (3 + 5)}, // S=6 keeps its walks
+		{simnet.SwitchShared, 8, 8 * (2 + 1)},
+		{simnet.SwitchShared, 24, 24 * (2 + 5)}, // S=6 keeps its walks
 		{simnet.SwitchShared, 7, 7 * 6},         // 4+3: one level
 		{simnet.SwitchShared, 6, 6 * 5},         // 4+2: one level
 		{simnet.Switch, 8, 8 * 7},

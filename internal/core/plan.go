@@ -37,6 +37,7 @@ const (
 	opAlltoall
 	opAllreduce
 	opReduceScatter // the chunked allreduce's reduce-scatter
+	opSegmentStep   // the two-level reduce-scatter's step within a segment
 	opSliceGather   // the chunked allreduce's allgather of reduced slices
 )
 
@@ -44,21 +45,24 @@ const (
 type schedule int
 
 const (
-	pointToPoint  schedule = iota // package baseline's linear scatter or gather
-	slicedRound                   // scatterWith: a slice to each rank's slice group
-	segmentRound                  // scatterWith over t: a block to each segment's group
-	releaseGated                  // gatherWith: scouts and a release ahead of the chunks
-	nestedP2P                     // gatherTwoLevel: member → leader → root
-	flatBurst                     // alltoallWith: a slice to each rank's slice group
-	segmentBurst                  // alltoallTwoLevel: a block to each segment's group
-	reduceBcast                   // allreduceWith: a binomial reduce, then a broadcast round
-	leaderReduce                  // allreduceTwoLevel: members, then leaders, then one fan-out
-	rankWalks                     // one reduce-scatter walk per rank over all ranks
-	laneHalving                   // segment walks, then a recursive halving along each lane
-	laneWalks                     // segment walks, then a walk per slice along each lane
-	directGather                  // gatherSlices: every rank multicasts its own slice
-	leadersGather                 // gatherSlices: segment leaders multicast their members' slices
-	laneGather                    // gatherLanes: segment 0 multicasts each lane's region
+	pointToPoint   schedule = iota // package baseline's linear scatter or gather
+	slicedRound                    // scatterWith: a slice to each rank's slice group
+	segmentRound                   // scatterWith over t: a block to each segment's group
+	releaseGated                   // gatherWith: scouts and a release ahead of the chunks
+	nestedP2P                      // gatherTwoLevel: member → leader → root
+	flatBurst                      // alltoallWith: a slice to each rank's slice group
+	segmentBurst                   // alltoallTwoLevel: a block to each segment's group
+	reduceBcast                    // allreduceWith: a binomial reduce, then a broadcast round
+	leaderReduce                   // allreduceTwoLevel: members, then leaders, then one fan-out
+	chunkedSlices                  // allreduceChunked: a reduce-scatter, then a multicast allgather of the slices
+	rankWalks                      // one reduce-scatter walk per rank over all ranks
+	laneHalving                    // the segment step, then a recursive halving along each lane
+	laneWalks                      // the segment step, then a walk per slice along each lane
+	segmentHalving                 // the segment step: a recursive halving among the members
+	segmentWalks                   // the segment step: a walk per lane region among the members
+	directGather                   // gatherSlices: every rank multicasts its own slice
+	leadersGather                  // gatherSlices: segment leaders multicast their members' slices
+	laneGather                     // gatherLanes: segment 0 multicasts each lane's region
 )
 
 // planIn is what plan decides from.
@@ -88,15 +92,25 @@ type planner func(kind, operation, planIn) schedule
 //   - the flat sliced scatter wins on shared uplinks from
 //     slicedScatterMinN ranks with chunks past one frame (sliced scatter
 //     table), and only over the binary scout gather: N-1 linear scouts
-//     converging on the root make it lose in every cell.
+//     converging on the root make it lose in every cell;
+//   - the lossless sets' allreduce runs the chunked schedule on even
+//     segments from chunkedAllreduceMinBytes, past one frame's payload
+//     (allreduce tables), where a lane reduce-scatter and one multicast
+//     per slice beat one rank absorbing log2 N vectors;
+//   - the two-level reduce-scatter's segment step halves below
+//     segmentWalksMinBytes where F is a power of two (segment-step
+//     table): log2 F messages per rank beat F-1 walks until the halving's
+//     larger messages queue behind each other on the segment's port.
 const (
-	flatAlltoallMaxN      = 32
-	flatAlltoallMinBytes  = 1_000
-	twoLevelScatterMinN   = 32
-	twoLevelGatherMinN    = 16
-	twoLevelMaxBlock      = 1_424
-	slicedScatterMinN     = 64
-	slicedScatterMinBytes = 1_425
+	flatAlltoallMaxN         = 32
+	flatAlltoallMinBytes     = 1_000
+	twoLevelScatterMinN      = 32
+	twoLevelGatherMinN       = 16
+	twoLevelMaxBlock         = 1_424
+	slicedScatterMinN        = 64
+	slicedScatterMinBytes    = 1_425
+	chunkedAllreduceMinBytes = 1_425
+	segmentWalksMinBytes     = 20_000
 )
 
 // plan returns the schedule operation op runs on a set of kind k.
@@ -110,8 +124,12 @@ const (
 // which the flat gather is release-gated; the two-level fan-in is
 // twoLevelFanIn, to about N=500 at fanout 4 (TestGatherFanInEdge).
 //
-// The chunked allreduce reduce-scatters in two levels on segments of
-// equal size, halving along the lanes where S is a power of two. Its
+// The lossless sets' allreduce is the chunked one only where its
+// reduce-scatter runs in two levels: on uneven segments its flat walks
+// lose to the binomial reduce below a few frames. The chunked allreduce
+// reduce-scatters in two levels on segments of equal size, halving along
+// the lanes where S is a power of two, and within a segment where F is a
+// power of two below segmentWalksMinBytes. Its
 // gather goes by lanes where the lane step halved (the gather's evidence
 // rests on it), lane 0's region, the largest, fits one fragment and
 // F + 2·log2 S < S, counting critical-path receives: log2 S gather hops
@@ -122,6 +140,7 @@ const (
 func plan(k kind, op operation, in planIn) schedule {
 	t, n := in.t, in.size
 	twoLevel := k.twoLevel && t != nil
+	evenSegs := t != nil && largest(t)*t.Segments() == n
 	blocksFit := twoLevel && in.chunk*largest(t) <= twoLevelMaxBlock
 	switch {
 	case op == opScatter && blocksFit && n >= twoLevelScatterMinN:
@@ -138,16 +157,22 @@ func plan(k kind, op operation, in planIn) schedule {
 		return segmentBurst
 	case op == opAlltoall:
 		return flatBurst
+	case op == opAllreduce && !k.repair && evenSegs && in.chunk >= chunkedAllreduceMinBytes:
+		return chunkedSlices
 	case op == opAllreduce && twoLevel:
 		return leaderReduce
 	case op == opAllreduce:
 		return reduceBcast
-	case op == opReduceScatter && (t == nil || largest(t)*t.Segments() != t.Ranks()):
+	case op == opReduceScatter && !evenSegs:
 		return rankWalks
-	case op == opReduceScatter && t.Segments()&(t.Segments()-1) == 0:
+	case op == opReduceScatter && powerOfTwo(t.Segments()):
 		return laneHalving
 	case op == opReduceScatter:
 		return laneWalks
+	case op == opSegmentStep && powerOfTwo(largest(t)) && in.chunk < segmentWalksMinBytes:
+		return segmentHalving
+	case op == opSegmentStep:
+		return segmentWalks
 	case t == nil: // opSliceGather from here on
 		return directGather
 	}
@@ -167,6 +192,9 @@ func plan(k kind, op operation, in planIn) schedule {
 	}
 	return leadersGather
 }
+
+// powerOfTwo reports whether x is a power of two.
+func powerOfTwo(x int) bool { return x > 0 && x&(x-1) == 0 }
 
 // largest returns the member count of t's largest segment.
 func largest(t *topo.Map) int {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/simnet"
 	"repro/internal/topo"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -174,22 +175,26 @@ N              100             1,000             5,000
 	// segment's slices pass one frame: from 8,000 B at N ≤ 16 and
 	// 20,000 B beyond). Counting fragments instead of the lane region
 	// (F·frags + 2·log2 S < S) would take N=256 at 8,000 B but lose four
-	// others.
+	// others. Re-measured when the segment step came to halve below
+	// 20,000 B; the cells below it moved (N=32 at 100 B read
+	// 1,371/1,374, given up at 0.998, and N=256 at 8,000 B 8,544/9,449,
+	// 0.904), those from 20,000 B did not.
 	name: "chunked allreduce: the lane gather over the leaders' or direct",
 	k:    kind{}, op: opSliceGather, fanout: 4, with: laneGather, other: leadersGather,
 	grid: `
-N             100        2,000        8,000        20,000        65,536
-8         817/793  1,427/1,422  4,311/3,729  10,102/8,948  32,465/29,123
-16      1,066/1,014  1,780/1,654  5,049/4,257  11,580/9,823  36,633/31,807
-32      1,371/1,374  2,161/2,033  5,558/4,774  12,410/10,542  39,200/33,648
-64      1,828/2,070  2,628/2,712  6,095/5,207  13,132/11,155  40,521/34,233
-128     2,487/3,277  3,301/3,960  7,438/7,117  15,366/13,465  41,731/35,662
-256     3,411/5,447  4,403/6,347  8,544/9,449  17,236/16,107  50,554/44,517`,
-	gaveUp: []cell{{n: 32, bytes: 100, ratio: 0.998}, {n: 256, bytes: 8_000, ratio: 0.904}},
+N              100        2,000        8,000         20,000         65,536
+8          753/710  1,390/1,385  4,279/3,697   10,102/8,948  32,465/29,123
+16       1,009/930  1,743/1,610  5,013/4,220   11,580/9,823  36,633/31,807
+32     1,334/1,310  2,123/1,993  5,522/4,737  12,410/10,542  39,200/33,648
+64     1,785/1,997  2,590/2,673  6,058/5,187  13,132/11,155  40,521/34,233
+128    2,451/3,241  3,264/3,923  7,381/7,091  15,366/13,465  41,731/35,662
+256    3,393/5,429  4,367/6,310  8,476/9,434  17,236/16,107  50,554/44,517`,
+	gaveUp: []cell{{n: 256, bytes: 8_000, ratio: 0.898}},
 	sample: &cell{n: 64, bytes: 100},
 }, {
 	// At the rule's edge, F + 2·log2 S = S (F=2, S=8), measured
-	// 2026-10-20: the leaders' gather is faster.
+	// 2026-10-20: the leaders' gather is faster. At F=2 the segment
+	// step's halving and walks send the same one message.
 	name: "chunked allreduce: the lane gather over the leaders', fanout 2",
 	k:    kind{}, op: opSliceGather, fanout: 2, with: laneGather, other: leadersGather,
 	grid: `
@@ -197,14 +202,223 @@ N            100        2,000
 16     1,020/988  1,729/1,387`,
 	sample: &cell{n: 16, bytes: 100},
 }, {
-	// At the rule's edge again (F=8, S=16), measured 2026-10-20: the
-	// lane gather is faster below a frame per lane region and given up.
+	// At the rule's edge again (F=8, S=16): the lane gather is faster
+	// below a frame per lane region and given up. Re-measured when the
+	// segment step came to halve; it read 2,813/3,025, 4,515/4,582 and
+	// 10,601/9,862.
 	name: "chunked allreduce: the lane gather over the leaders', fanout 8",
 	k:    kind{}, op: opSliceGather, fanout: 8, with: laneGather, other: leadersGather,
 	grid: `
-N              100        2,000        8,000
-128    2,813/3,025  4,515/4,582  10,601/9,862`,
-	gaveUp: []cell{{n: 128, bytes: 100, ratio: 0.930}, {n: 128, bytes: 2_000, ratio: 0.985}},
+N              100        2,000         8,000
+128    2,577/2,831  4,189/4,338  10,434/9,723`,
+	gaveUp: []cell{{n: 128, bytes: 100, ratio: 0.910}, {n: 128, bytes: 2_000, ratio: 0.966}},
+}, {
+	// The two-level reduce-scatter's segment step, halving forced over
+	// walks (F=4): log2 F messages per rank win below 20,000 B; from
+	// there a segment's F-1 walk messages, which go to different members,
+	// beat halving's larger sequential ones, except at N=256 and
+	// 65,536 B. Seed 7 read the same.
+	name: "chunked allreduce: the segment step halving over walks",
+	k:    kind{}, op: opSegmentStep, fanout: 4, with: segmentHalving, other: segmentWalks,
+	grid: `
+N              100        2,000        8,000         20,000         65,536
+8          710/793  1,385/1,422  3,697/3,729    9,398/8,948  30,770/29,123
+16       930/1,014  1,610/1,654  4,220/4,257   10,246/9,823  33,454/31,807
+32     1,310/1,374  1,993/2,033  4,737/4,774  10,892/10,542  35,119/33,648
+64     1,785/1,828  2,590/2,628  5,187/5,207  11,301/11,155  35,708/34,233
+128    2,451/2,487  3,264/3,301  7,091/7,117  14,091/13,465  36,853/35,662
+256    3,393/3,411  4,367/4,403  9,434/9,449  16,180/16,107  39,181/44,517`,
+	gaveUp: []cell{{n: 256, bytes: 65_536, ratio: 0.880}},
+	sample: &cell{n: 16, bytes: 2_000},
+}, {
+	// The same at F=8, where halving sends 3 messages per rank in place
+	// of 7 and wins by up to 20 % at 100 B. From 20,000 B the walks win
+	// up to N=64; at N=128 and 256 halving still does, given up for one
+	// edge at every F. Seed 7 read the same.
+	name: "chunked allreduce: the segment step halving over walks, fanout 8",
+	k:    kind{}, op: opSegmentStep, fanout: 8, with: segmentHalving, other: segmentWalks,
+	grid: `
+N              100        2,000          8,000         20,000         65,536
+16     1,153/1,450  2,489/2,774    6,766/6,839  16,294/15,988  53,171/51,774
+32     1,499/1,766  2,821/3,110    7,972/8,045  17,426/17,180  56,231/55,019
+64     2,040/2,298  3,391/3,638    8,158/8,198  19,076/19,046  57,626/56,630
+128    2,831/3,025  4,338/4,582    9,723/9,862  19,297/21,005  59,172/58,889
+256    3,433/3,579  5,352/5,751  11,695/11,779  22,996/23,131  66,506/69,746`,
+	gaveUp: []cell{{n: 128, bytes: 20_000, ratio: 0.919}, {n: 256, bytes: 20_000, ratio: 0.994}, {n: 256, bytes: 65_536, ratio: 0.954}},
+	sample: &cell{n: 16, bytes: 100},
+}, {
+	// The lossless sets' allreduce (plan's chunkedSlices): the chunked
+	// schedule forced over the flat sets' binomial reduce and broadcast,
+	// on the shared-uplink switch at fanout 2, 4 and 8, measured
+	// 2026-10-20. Seed 7 read the same in every cell of the six allreduce
+	// tables. The chunked schedule runs on even segments past one frame;
+	// below a frame the reduce and broadcast are fewer messages. Given
+	// up: on even segments at 500 and 1,000 B, where the chunked schedule
+	// wins at F ≤ 4 by up to 1.38× but loses by up to 1.23× where the lane
+	// step walks (S not a power of two) and at F=8; on uneven segments,
+	// where the flat walks of the chunked schedule win from 8,000 B by up
+	// to 1.77× (at fanout 2 from 1,500 B) but lose by up to 1.48× at
+	// 1,500 and 2,000 B at fanout 4 and 8; and with one segment (fanout
+	// 8, N ≤ 8), a fabric the sets treat as unsegmented.
+	name: "allreduce: the chunked schedule over the binomial reduce and broadcast, fanout 2",
+	k:    kind{}, op: opAllreduce, fanout: 2, with: chunkedSlices, other: reduceBcast,
+	grid: `
+N         500   1,000   1,500   2,000   8,000  20,000  65,536
+6       0.947   0.757   0.602   0.617   0.584   0.669   0.676
+7       1.186   1.037   0.844   0.836   0.695   0.766   0.735
+8       0.936   0.726   0.591   0.588   0.597   0.650   0.687
+12      1.120   0.843   0.636   0.620   0.558   0.597   0.560
+16      1.035   0.818   0.636   0.611   0.543   0.548   0.572
+17      1.903   1.371   1.022   0.926   0.622   0.566   0.592
+18      1.365   1.007   0.773   0.726   0.556   0.542   0.565
+24      1.598   1.164   0.865   0.811   0.513   0.475   0.476
+32      1.179   0.972   0.779   0.765   0.485   0.484   0.505
+64      1.151   0.964   0.799   0.777   0.537   0.431   0.429
+128     1.121   0.950   0.767   0.727   0.649   0.483   0.383
+256     1.091   0.942   0.790   0.750   0.798   0.549   0.415`,
+	gaveUp: []cell{{n: 6, bytes: 500, ratio: 0.947}, {n: 6, bytes: 1_000, ratio: 0.757},
+		{n: 7, bytes: 1_500, ratio: 0.844}, {n: 7, bytes: 2_000, ratio: 0.836}, {n: 7, bytes: 8_000, ratio: 0.695},
+		{n: 7, bytes: 20_000, ratio: 0.766}, {n: 7, bytes: 65_536, ratio: 0.735}, {n: 8, bytes: 500, ratio: 0.936},
+		{n: 8, bytes: 1_000, ratio: 0.726}, {n: 12, bytes: 1_000, ratio: 0.843},
+		{n: 16, bytes: 1_000, ratio: 0.818}, {n: 17, bytes: 2_000, ratio: 0.926},
+		{n: 17, bytes: 8_000, ratio: 0.622}, {n: 17, bytes: 20_000, ratio: 0.566},
+		{n: 17, bytes: 65_536, ratio: 0.592}, {n: 32, bytes: 1_000, ratio: 0.972},
+		{n: 64, bytes: 1_000, ratio: 0.964}, {n: 128, bytes: 1_000, ratio: 0.950},
+		{n: 256, bytes: 1_000, ratio: 0.942}},
+}, {
+	// The same at fanout 4, the fabric of sim_scale_n256.
+	name: "allreduce: the chunked schedule over the binomial reduce and broadcast, fanout 4",
+	k:    kind{}, op: opAllreduce, fanout: 4, with: chunkedSlices, other: reduceBcast,
+	grid: `
+N         500   1,000   1,500   2,000   8,000  20,000  65,536
+6       1.166   1.127   1.008   1.071   0.896   0.951   0.949
+7       1.233   1.183   1.061   1.128   0.890   0.949   0.934
+8       0.939   0.828   0.726   0.744   0.696   0.722   0.746
+12      1.021   0.862   0.723   0.740   0.656   0.680   0.673
+16      0.945   0.820   0.693   0.690   0.647   0.650   0.671
+17      1.839   1.444   1.132   1.058   0.832   0.766   0.785
+18      1.996   1.559   1.209   1.129   0.851   0.774   0.799
+24      1.197   0.976   0.788   0.769   0.645   0.599   0.602
+32      1.116   0.904   0.734   0.709   0.610   0.591   0.603
+64      1.176   0.986   0.818   0.789   0.578   0.541   0.533
+128     1.142   0.938   0.761   0.722   0.635   0.573   0.491
+256     1.107   0.920   0.766   0.725   0.713   0.561   0.547`,
+	gaveUp: []cell{{n: 6, bytes: 8_000, ratio: 0.896}, {n: 6, bytes: 20_000, ratio: 0.951},
+		{n: 6, bytes: 65_536, ratio: 0.949}, {n: 7, bytes: 8_000, ratio: 0.890},
+		{n: 7, bytes: 20_000, ratio: 0.949}, {n: 7, bytes: 65_536, ratio: 0.934}, {n: 8, bytes: 500, ratio: 0.939},
+		{n: 8, bytes: 1_000, ratio: 0.828}, {n: 12, bytes: 1_000, ratio: 0.862}, {n: 16, bytes: 500, ratio: 0.945},
+		{n: 16, bytes: 1_000, ratio: 0.820}, {n: 17, bytes: 8_000, ratio: 0.832},
+		{n: 17, bytes: 20_000, ratio: 0.766}, {n: 17, bytes: 65_536, ratio: 0.785},
+		{n: 18, bytes: 8_000, ratio: 0.851}, {n: 18, bytes: 20_000, ratio: 0.774},
+		{n: 18, bytes: 65_536, ratio: 0.799}, {n: 24, bytes: 1_000, ratio: 0.976},
+		{n: 32, bytes: 1_000, ratio: 0.904}, {n: 64, bytes: 1_000, ratio: 0.986},
+		{n: 128, bytes: 1_000, ratio: 0.938}, {n: 256, bytes: 1_000, ratio: 0.920}},
+	sample: &cell{n: 16, bytes: 2_000},
+}, {
+	// The same at fanout 8.
+	name: "allreduce: the chunked schedule over the binomial reduce and broadcast, fanout 8",
+	k:    kind{}, op: opAllreduce, fanout: 8, with: chunkedSlices, other: reduceBcast,
+	grid: `
+N         500   1,000   1,500   2,000   8,000  20,000  65,536
+6       1.581   1.519   1.172   1.178   0.912   0.881   0.860
+7       1.773   1.649   1.284   1.344   0.987   0.943   0.906
+8       1.931   1.676   1.345   1.322   0.962   0.890   0.875
+12      1.914   1.672   1.372   1.382   0.994   1.002   0.973
+16      1.160   1.050   0.900   0.916   0.811   0.793   0.805
+17      2.122   1.803   1.462   1.438   1.033   0.892   0.902
+18      2.261   1.866   1.480   1.454   1.050   0.932   0.939
+24      1.277   1.127   0.916   0.932   0.813   0.751   0.754
+32      1.238   1.057   0.877   0.884   0.833   0.751   0.757
+64      1.344   1.147   0.938   0.924   0.753   0.741   0.699
+128     1.373   1.142   0.941   0.900   0.737   0.715   0.658
+256     1.178   1.023   0.870   0.846   0.766   0.683   0.726`,
+	gaveUp: []cell{{n: 6, bytes: 8_000, ratio: 0.912}, {n: 6, bytes: 20_000, ratio: 0.881},
+		{n: 6, bytes: 65_536, ratio: 0.860}, {n: 7, bytes: 8_000, ratio: 0.987},
+		{n: 7, bytes: 20_000, ratio: 0.943}, {n: 7, bytes: 65_536, ratio: 0.906},
+		{n: 8, bytes: 8_000, ratio: 0.962}, {n: 8, bytes: 20_000, ratio: 0.890},
+		{n: 8, bytes: 65_536, ratio: 0.875}, {n: 12, bytes: 8_000, ratio: 0.994},
+		{n: 12, bytes: 65_536, ratio: 0.973}, {n: 17, bytes: 20_000, ratio: 0.892},
+		{n: 17, bytes: 65_536, ratio: 0.902}, {n: 18, bytes: 20_000, ratio: 0.932},
+		{n: 18, bytes: 65_536, ratio: 0.939}},
+}, {
+	// The two-level set's allreduce: the chunked schedule over the
+	// leaders' reduce and fan-out (allreduceTwoLevel), fanout 2.
+	name: "allreduce: the chunked schedule over the leaders' reduce, fanout 2",
+	k:    kind{twoLevel: true}, op: opAllreduce, fanout: 2, with: chunkedSlices, other: leaderReduce,
+	grid: `
+N         500   1,000   1,500   2,000   8,000  20,000  65,536
+6       1.080   0.831   0.642   0.654   0.596   0.675   0.678
+7       1.365   1.097   0.880   0.867   0.707   0.769   0.737
+8       0.988   0.754   0.608   0.603   0.603   0.652   0.688
+12      1.238   0.904   0.668   0.647   0.567   0.601   0.561
+16      1.080   0.844   0.650   0.623   0.547   0.550   0.573
+17      1.987   1.414   1.045   0.944   0.627   0.568   0.592
+18      1.429   1.038   0.790   0.740   0.560   0.544   0.566
+24      1.736   1.234   0.901   0.840   0.520   0.478   0.477
+32      1.230   0.998   0.794   0.778   0.488   0.485   0.505
+64      1.187   0.987   0.813   0.790   0.540   0.432   0.429
+128     1.147   0.967   0.778   0.736   0.652   0.484   0.384
+256     1.108   0.955   0.799   0.758   0.802   0.550   0.415`,
+	gaveUp: []cell{{n: 6, bytes: 1_000, ratio: 0.831}, {n: 7, bytes: 1_500, ratio: 0.880},
+		{n: 7, bytes: 2_000, ratio: 0.867}, {n: 7, bytes: 8_000, ratio: 0.707},
+		{n: 7, bytes: 20_000, ratio: 0.769}, {n: 7, bytes: 65_536, ratio: 0.737}, {n: 8, bytes: 500, ratio: 0.988},
+		{n: 8, bytes: 1_000, ratio: 0.754}, {n: 12, bytes: 1_000, ratio: 0.904},
+		{n: 16, bytes: 1_000, ratio: 0.844}, {n: 17, bytes: 2_000, ratio: 0.944},
+		{n: 17, bytes: 8_000, ratio: 0.627}, {n: 17, bytes: 20_000, ratio: 0.568},
+		{n: 17, bytes: 65_536, ratio: 0.592}, {n: 32, bytes: 1_000, ratio: 0.998},
+		{n: 64, bytes: 1_000, ratio: 0.987}, {n: 128, bytes: 1_000, ratio: 0.967},
+		{n: 256, bytes: 1_000, ratio: 0.955}},
+}, {
+	// The same at fanout 4.
+	name: "allreduce: the chunked schedule over the leaders' reduce, fanout 4",
+	k:    kind{twoLevel: true}, op: opAllreduce, fanout: 4, with: chunkedSlices, other: leaderReduce,
+	grid: `
+N         500   1,000   1,500   2,000   8,000  20,000  65,536
+6       1.535   1.388   1.193   1.236   0.913   0.937   0.923
+7       1.499   1.310   1.097   1.194   0.983   1.030   1.007
+8       1.126   0.953   0.765   0.815   0.724   0.726   0.747
+12      1.269   1.016   0.775   0.820   0.683   0.686   0.673
+16      1.091   0.916   0.722   0.742   0.668   0.653   0.671
+17      2.122   1.613   1.179   1.136   0.859   0.770   0.790
+18      2.303   1.742   1.260   1.213   0.878   0.778   0.801
+24      1.431   1.117   0.834   0.835   0.667   0.603   0.603
+32      1.255   0.993   0.762   0.755   0.626   0.594   0.603
+64      1.229   1.020   0.845   0.820   0.591   0.543   0.534
+128     1.179   0.993   0.804   0.760   0.662   0.597   0.492
+256     1.131   0.979   0.818   0.776   0.738   0.580   0.556`,
+	gaveUp: []cell{{n: 6, bytes: 8_000, ratio: 0.913}, {n: 6, bytes: 20_000, ratio: 0.937},
+		{n: 6, bytes: 65_536, ratio: 0.923}, {n: 7, bytes: 8_000, ratio: 0.983},
+		{n: 8, bytes: 1_000, ratio: 0.953}, {n: 16, bytes: 1_000, ratio: 0.916},
+		{n: 17, bytes: 8_000, ratio: 0.859}, {n: 17, bytes: 20_000, ratio: 0.770},
+		{n: 17, bytes: 65_536, ratio: 0.790}, {n: 18, bytes: 8_000, ratio: 0.878},
+		{n: 18, bytes: 20_000, ratio: 0.778}, {n: 18, bytes: 65_536, ratio: 0.801},
+		{n: 32, bytes: 1_000, ratio: 0.993}, {n: 128, bytes: 1_000, ratio: 0.993},
+		{n: 256, bytes: 1_000, ratio: 0.979}},
+}, {
+	// The same at fanout 8. With one segment (N ≤ 8) the set runs the
+	// flat set's allreduce, in the binary table. N=128 at 1,500 B is the
+	// one cell of the regime the chunked schedule loses.
+	name: "allreduce: the chunked schedule over the leaders' reduce, fanout 8",
+	k:    kind{twoLevel: true}, op: opAllreduce, fanout: 8, with: chunkedSlices, other: leaderReduce,
+	grid: `
+N         500   1,000   1,500   2,000   8,000  20,000  65,536
+6           —       —       —       —       —       —       —
+7           —       —       —       —       —       —       —
+8           —       —       —       —       —       —       —
+12      2.419   1.944   1.391   1.495   1.039   0.962   0.928
+16      1.387   1.198   0.888   0.963   0.810   0.765   0.776
+17      2.539   2.057   1.443   1.512   1.033   0.892   0.909
+18      2.705   2.128   1.460   1.529   1.050   0.900   0.917
+24      1.622   1.309   0.921   0.992   0.816   0.728   0.729
+32      1.441   1.183   0.872   0.923   0.832   0.727   0.732
+64      1.433   1.203   0.936   0.961   0.756   0.717   0.678
+128     1.439   1.223   1.036   0.983   0.788   0.747   0.641
+256     1.246   1.099   0.934   0.904   0.812   0.719   0.708`,
+	gaveUp: []cell{{n: 12, bytes: 20_000, ratio: 0.962}, {n: 12, bytes: 65_536, ratio: 0.928},
+		{n: 17, bytes: 20_000, ratio: 0.892}, {n: 17, bytes: 65_536, ratio: 0.909},
+		{n: 18, bytes: 20_000, ratio: 0.900}, {n: 18, bytes: 65_536, ratio: 0.917},
+		{n: 128, bytes: 1_500, ratio: 1.036}},
+	sample: &cell{n: 16, bytes: 2_000},
 }}
 
 // cells parses the table's grid: a header of chunk sizes after "N", then
@@ -349,7 +563,7 @@ func TestGatherFanInEdge(t *testing.T) {
 
 // forced returns the set of kind k with op run as schedule s, whatever
 // plan picks; for the chunked allreduce's steps its Allreduce is the
-// chunked one.
+// chunked one, whatever the size.
 func forced(k kind, op operation, s schedule) mpi.Algorithms {
 	pick := func(k kind, o operation, in planIn) schedule {
 		if o == op {
@@ -358,7 +572,7 @@ func forced(k kind, op operation, s schedule) mpi.Algorithms {
 		return plan(k, o, in)
 	}
 	algs := suite(k, pick)
-	if op == opSliceGather {
+	if op == opSegmentStep || op == opSliceGather {
 		algs.Allreduce = func(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error {
 			return allreduceChunked(c, send, recv, dt, op, pick)
 		}
@@ -369,7 +583,8 @@ func forced(k kind, op operation, s schedule) mpi.Algorithms {
 // workloadOp is the workload that runs op.
 var workloadOp = map[operation]workload.Op{
 	opScatter: workload.OpScatter, opGather: workload.OpGather,
-	opAlltoall: workload.OpAlltoall, opSliceGather: workload.OpAllreduce,
+	opAlltoall: workload.OpAlltoall, opAllreduce: workload.OpAllreduce,
+	opSegmentStep: workload.OpAllreduce, opSliceGather: workload.OpAllreduce,
 }
 
 // coldNs runs one cold operation of algs (op, bytes per rank, root 0)
@@ -394,4 +609,40 @@ func coldNs(t *testing.T, n, fanout int, algs mpi.Algorithms, op operation, byte
 		t.Fatal(err)
 	}
 	return worst
+}
+
+// TestPlanIsTraced holds the choice visible: every rank of a planned
+// collective records one "plan" trace instant whose argument is the
+// schedule, and mcast-binary's allreduce on even segments (N=8, fanout
+// 4) names the binomial reduce and broadcast at 100 B and the chunked
+// schedule at 2,000 B.
+func TestPlanIsTraced(t *testing.T) {
+	for _, tc := range []struct {
+		bytes int
+		want  schedule
+	}{{100, reduceBcast}, {2_000, chunkedSlices}} {
+		prof := simnet.DefaultProfile()
+		prof.UplinkFanout = 4
+		prof.Trace = trace.NewRecorder()
+		_, err := cluster.RunSim(8, simnet.SwitchShared, prof, Algorithms(Binary), func(c *mpi.Comm) error {
+			return workload.Make(c, workload.OpAllreduce, tc.bytes, 0)()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks := map[int32]int{}
+		for _, e := range prof.Trace.Events() {
+			if e.Kind == trace.Instant && e.Name == "plan" {
+				ranks[e.Rank]++
+				if schedule(e.Arg) != tc.want {
+					t.Errorf("%d B: rank %d planned %d, want %d", tc.bytes, e.Rank, e.Arg, tc.want)
+				}
+			}
+		}
+		for r := range int32(8) {
+			if ranks[r] != 1 {
+				t.Errorf("%d B: rank %d recorded %d plan instants, want 1", tc.bytes, r, ranks[r])
+			}
+		}
+	}
 }

@@ -44,12 +44,15 @@ package core
 //	                 mpi.ReduceWalks call per step; the binomial reduce
 //	                 is one walk over rank order), so no rank moves more
 //	                 than ~2M bytes end to end — N(N-1) p2p messages, or
-//	                 N((F-1) + log2 S) on S segments of F members each
-//	                 where S is a power of two (the lane step halves,
-//	                 mpi.ReduceHalving; N((F-1) + (S-1)) elsewhere) —
-//	                 and gathers the reduced slices with no scouts (the
-//	                 reduce-scatter proves entry), past N=256 only the
-//	                 exchange's drain barriers.
+//	                 N(log2 F + log2 S) on S segments of F members each
+//	                 where both are powers of two (both steps halve,
+//	                 mpi.ReduceHalving; a step walks where its count is
+//	                 not, F-1 or S-1 messages, and the segment step also
+//	                 from 20,000 B) — and gathers the reduced slices with
+//	                 no scouts (the reduce-scatter proves entry), past
+//	                 N=256 only the exchange's drain barriers. The
+//	                 lossless sets run it themselves on even segments
+//	                 past one frame (plan).
 //	scatter:         package baseline's linear scatter, (N-1)·ceil(M/T)
 //	                 data frames and no scouts, except on shared uplinks
 //	                 from 64 ranks with chunks past one frame (plan).
@@ -615,17 +618,19 @@ func sliceBounds(total, extent, size int) []int {
 // decomposition of the reduce-scatter. Slices are laid out lane-major:
 // the rank with member index i in segment s owns the slice at position
 // i·S + s, so the S slices of lane i (the ranks with member index i) are
-// one contiguous region. A segment step of F walks among the rank's own
-// segment reduces lane j's region toward member j (F-1 messages per
-// rank, all segment-local); a lane step among the rank's lane reduces
-// each of the lane's slices toward its owner across the uplinks. Where S
-// is a power of two the lane step is a recursive halving, log2 S messages
-// per rank; elsewhere it is S walks, S-1 messages per rank. At N=256,
-// F=4 that is 3 + 6 = 9 messages per rank in place of 255. Elsewhere —
-// no usable topology, or segments of unequal size — every rank owns the
-// slice at its own rank and one step of N walks among all ranks reduces
-// it (N-1 messages per rank). The segment step keeps its walks: halving
-// there read faster at 100 B but slower from 20,000 B (EXPERIMENTS.md).
+// one contiguous region. A segment step among the rank's own segment
+// reduces lane j's region toward member j, all segment-local: a
+// recursive halving where F is a power of two and the vector is below
+// 20,000 B (log2 F messages per rank), F walks elsewhere (F-1); from
+// 20,000 B halving's fewer, larger messages queue behind each other on
+// the segment's port (plan's segment-step tables). A lane step among the
+// rank's lane reduces each of the lane's slices toward its owner across
+// the uplinks. Where S is a power of two the lane step is a recursive
+// halving, log2 S messages per rank; elsewhere it is S walks, S-1
+// messages per rank. At N=256, F=4 that is 2 + 6 = 8 messages per rank
+// in place of 255. Elsewhere — no usable topology, or segments of
+// unequal size — every rank owns the slice at its own rank and one step
+// of N walks among all ranks reduces it (N-1 messages per rank).
 //
 // The allgather sends no scouts and no release: the reduce-scatter
 // already proves what scouts would, on any fabric. Every rank posts its
@@ -637,9 +642,13 @@ func sliceBounds(total, extent, size int) []int {
 // all S lane peers: as the root of its lane walk, or through the
 // halving, where partners share one range at every step, so the range
 // that holds a non-empty slice is never empty and the owner has heard,
-// transitively, from every lane peer. Each lane peer sent only after its
-// segment step returned, where it was the root of a walk over its whole
-// segment. A segment leader multicasts its members' slices after its own
+// transitively, from every lane peer. Each lane peer sent it a part of
+// its own lane region, so that region is non-empty, and sent only after
+// its segment step returned with it reduced: as the root of the
+// region's walk over its whole segment, or through the segment halving,
+// whose partners likewise share one range at every step, so the owner
+// of a non-empty region has heard from every segment member. A segment
+// leader multicasts its members' slices after its own
 // (gatherSlices), and a lane's member in segment 0 multicasts lane region
 // i only when its own slice, the region's first, is non-empty
 // (gatherLanes). Either way a rank multicasts only after every rank has
@@ -657,8 +666,8 @@ func sliceBounds(total, extent, size int) []int {
 // multicast (asserted by TestChunkedAllreduceByteFunnel).
 //
 // The reduction combines slice contributions in binomial-tree order —
-// segment then lane on the two-level path, and in halving order where
-// the lane step halves, which is not the walks' order — so op should be
+// segment then lane on the two-level path, and in halving order where a
+// step halves, which is not the walks' order — so op should be
 // commutative and associative (every built-in mpi.Op is; floating-point
 // sums may round differently from rank order, and differently again
 // from the walks).
@@ -683,7 +692,7 @@ func allreduceChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op
 	// multicast is consumed.
 	cc := c.BeginColl()
 	me := c.Rank()
-	in := planIn{t: usableTopo(c), size: size, frag: cc.FragPayload(), bounds: bounds}
+	in := planIn{t: usableTopo(c), size: size, chunk: len(send), frag: cc.FragPayload(), bounds: bounds}
 	t, step := in.t, pick(kind{}, opReduceScatter, in)
 	pos := slicePos(t, size, step)
 	slice := func(r int) []byte { return recv[bounds[pos[r]]:bounds[pos[r]+1]] }
@@ -721,12 +730,15 @@ func allreduceChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op
 		for s := range lane {
 			lane[s] = t.Members(s)[i]
 		}
-		if err := mpi.ReduceWalks(cc, members, region, phaseSlice, false, recv, dt, op); err != nil {
-			return err
+		reduceSeg, reduceLane := mpi.ReduceWalks, mpi.ReduceWalks
+		if pick(kind{}, opSegmentStep, in) == segmentHalving {
+			reduceSeg = mpi.ReduceHalving
 		}
-		reduceLane := mpi.ReduceWalks
 		if step == laneHalving {
 			reduceLane = mpi.ReduceHalving
+		}
+		if err := reduceSeg(cc, members, region, phaseSlice, false, recv, dt, op); err != nil {
+			return err
 		}
 		if err := reduceLane(cc, lane, bounds[i*segs:(i+1)*segs+1], phaseSlice+len(members), false, recv, dt, op); err != nil {
 			return err

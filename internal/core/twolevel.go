@@ -56,7 +56,9 @@ package core
 //	                   gates every hop (members combine at their leader,
 //	                   leaders combine in one mpi.ReduceWalks walk over
 //	                   the leader set, and the final multicast follows the
-//	                   data it proves everyone contributed to).
+//	                   data it proves everyone contributed to). On even
+//	                   segments past one frame (plan), the chunked
+//	                   allreduce below, as in every lossless set.
 //	scatter:           from N=32 in the same blocks (plan): the
 //	                   flat binary tree's N-1 scouts, then at most S
 //	                   segment-group multicasts of per-segment
@@ -80,9 +82,9 @@ package core
 //	                   NACK repair it is the flat repaired burst, as the
 //	                   allgather.
 //	chunked allreduce: on segments of equal size F, AllreduceMcastChunked
-//	                   reduce-scatters in two levels — F-1 segment-local
-//	                   messages and S-1 across the uplinks per rank, not
-//	                   N-1 — and gathers the reduced slices with zero
+//	                   reduce-scatters in two levels — log2 F or F-1
+//	                   segment-local messages and log2 S or S-1 across
+//	                   the uplinks per rank, not N-1 — and gathers the reduced slices with zero
 //	                   scouts, gated by the reduce-scatter data like the
 //	                   allreduce above: S leader multicasts where a
 //	                   segment's slices fit one frame, N beyond. On
@@ -124,7 +126,8 @@ import (
 
 // TwoLevelAlgorithms returns the topology-aware collective set
 // (registered in bench as mcast-2level): over the device topology the
-// allreduce runs in two levels, the alltoall bursts segment blocks and
+// allreduce runs in two levels (the chunked one on even segments past
+// one frame, as in the flat lossless sets), the alltoall bursts segment blocks and
 // the scatter and gather run two levels inside their measured regimes;
 // every other operation, and every operation where there is no usable
 // topology, is the flat binary set's (package baseline's beneath it).

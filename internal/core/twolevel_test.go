@@ -139,6 +139,44 @@ func TestChunkedStrictPostedScoutFree(t *testing.T) {
 	}
 }
 
+// TestPlannedChunkedStrictLaggard holds the same for the lossless sets
+// that run the chunked allreduce themselves (core's plan: even segments
+// past one frame): Comm.Allreduce through mcast-binary and mcast-2level
+// at N=64 and N=256, 2,000 B, on the shared-uplink switch (fanout 4),
+// under strict posted receives, with rank 0, N/2 or N-1 entering 50 µs
+// or 2 ms late. Every rank must return the right result with no
+// multicast fragment dropped at an unposted receiver and no queue drop:
+// the set's scout-free allgather may rest only on the reduce-scatter's
+// evidence, whichever rank lags.
+func TestPlannedChunkedStrictLaggard(t *testing.T) {
+	prof := sharedProf(4)
+	prof.StrictPosted = true
+	for _, set := range []struct {
+		name string
+		algs mpi.Algorithms
+	}{
+		{"mcast-binary", core.Algorithms(core.Binary)},
+		{"mcast-2level", core.TwoLevelAlgorithms()},
+	} {
+		for _, n := range []int{64, 256} {
+			for _, laggard := range []int{0, n / 2, n - 1} {
+				for _, lag := range []sim.Duration{50 * sim.Microsecond, 2 * sim.Millisecond} {
+					st, err := coretest.LaggardRunner(simnet.SwitchShared, prof, laggard, lag)(n, set.algs, func(c *mpi.Comm) error {
+						return coretest.CheckOp(c, "allreduce", 2000, 0)
+					})
+					at := fmt.Sprintf("%s N=%d laggard %d by %d µs", set.name, n, laggard, lag/sim.Microsecond)
+					if err != nil {
+						t.Errorf("%s: %v", at, err)
+					}
+					if st.McastDropsNotPosted != 0 || st.SilentDrops != 0 {
+						t.Errorf("%s: %d multicast fragments reached an unposted receiver, %d silent drops", at, st.McastDropsNotPosted, st.SilentDrops)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestChunkedAllreduceZeroBytesSendsNothing: an allreduce of no bytes has
 // nothing to reduce and nothing to gather, so the chunked allreduce puts
 // no frame on the wire — on the shared-uplink fabric, where its

@@ -455,42 +455,59 @@ func TestTwoLevelConformanceOverUDP(t *testing.T) {
 }
 
 // TestChunkedAllreduceOverUDP runs the chunked allreduce on real
-// sockets over two declared segments of four ranks, where its
-// allgather sends no scouts: each multicast goes out as soon as its
-// sender leaves the reduce-scatter, possibly while a receiver is still
-// inside it. udpnet posts no descriptors, so the kernel's socket buffers
-// must hold those early datagrams. Chunks of 1 and 1,000 B have the
-// segment leaders multicast; 4,000 and 20,000 B have every rank
-// multicast its own slice.
+// sockets over declared segments of four ranks, where its allgather
+// sends no scouts: each multicast goes out as soon as its sender leaves
+// the reduce-scatter, possibly while a receiver is still inside it.
+// udpnet posts no descriptors, so the kernel's socket buffers must hold
+// those early datagrams. On two segments mcast-chunked's chunks of 1 and
+// 1,000 B have the segment leaders multicast; 4,000 and 20,000 B have
+// every rank multicast its own slice. mcast-binary runs it through
+// Comm.Allreduce on two and four segments, where its planner picks it
+// past one frame (2,000 B, both steps halving, and 20,000 B, the
+// segment step walking) and the binomial reduce and broadcast at
+// 1,000 B. Every result is checked against the serial reduction.
 func TestChunkedAllreduceOverUDP(t *testing.T) {
 	requireMulticast(t)
-	failOnHang(t, 30*time.Second)
-	cfg := testConfig(8)
-	cfg.SegmentFanout = 4
-	nw, err := udpnet.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	eps := make([]transport.Endpoint, nw.Size())
-	for i := range eps {
-		eps[i] = nw.Endpoint(i)
-	}
-	algs := core.Algorithms(core.Binary)
-	algs.Allreduce = core.AllreduceMcastChunked
-	err = mpi.RunEndpoints(eps, algs, func(c *mpi.Comm) error {
-		if tm := c.Topo(); tm == nil || tm.Segments() != 2 {
-			return fmt.Errorf("expected 2 declared segments, got %v", tm)
-		}
-		for _, chunk := range []int{1, 1000, 4000, 20000} {
-			if err := coretest.CheckOp(c, "allreduce", chunk, 0); err != nil {
-				return fmt.Errorf("chunk %d: %w", chunk, err)
+	chunked := core.Algorithms(core.Binary)
+	chunked.Allreduce = core.AllreduceMcastChunked
+	for _, tc := range []struct {
+		set    string
+		algs   mpi.Algorithms
+		n      int
+		chunks []int
+	}{
+		{"mcast-chunked", chunked, 8, []int{1, 1000, 4000, 20000}},
+		{"mcast-binary", core.Algorithms(core.Binary), 8, []int{1000, 2000, 20000}},
+		{"mcast-binary", core.Algorithms(core.Binary), 16, []int{1000, 2000, 20000}},
+	} {
+		t.Run(fmt.Sprintf("%s/n=%d", tc.set, tc.n), func(t *testing.T) {
+			failOnHang(t, 30*time.Second)
+			cfg := testConfig(tc.n)
+			cfg.SegmentFanout = 4
+			nw, err := udpnet.New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+			defer nw.Close()
+			eps := make([]transport.Endpoint, nw.Size())
+			for i := range eps {
+				eps[i] = nw.Endpoint(i)
+			}
+			err = mpi.RunEndpoints(eps, tc.algs, func(c *mpi.Comm) error {
+				if tm := c.Topo(); tm == nil || tm.Segments() != tc.n/4 {
+					return fmt.Errorf("expected %d declared segments, got %v", tc.n/4, tm)
+				}
+				for _, chunk := range tc.chunks {
+					if err := coretest.CheckOp(c, "allreduce", chunk, 0); err != nil {
+						return fmt.Errorf("chunk %d: %w", chunk, err)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
