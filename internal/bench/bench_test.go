@@ -232,7 +232,8 @@ func TestFlatAlltoallSwitchGuideline(t *testing.T) {
 // comparisons left this test when the lossless sets came to run the
 // chunked schedule there themselves (core's plan): the allreduce tables
 // of core's plan_test.go hold the chunked schedule against the forced
-// old ones at N=6–256 and 500–65,536 B, fanout 2, 4 and 8.
+// old ones at N=6–256 and 500–65,536 B, fanout 2, 4 and 8, and
+// TestPlanTablesReproduce re-measures a cell of each, three at 5,000 B.
 func TestChunkedAllreduceGuidelines(t *testing.T) {
 	prof := *sharedUplinkProfile()
 	prof.Seed = 1

@@ -87,30 +87,28 @@ type planner func(kind, operation, planIn) schedule
 //     every member of a segment hears;
 //   - the two-level scatter and gather win from twoLevelScatterMinN and
 //     twoLevelGatherMinN ranks while every segment's block of chunks fits
-//     twoLevelMaxBlock, one simulated frame's payload (two-level scatter
+//     onePayloadBytes, one simulated frame's payload (two-level scatter
 //     and gather tables);
 //   - the flat sliced scatter wins on shared uplinks from
-//     slicedScatterMinN ranks with chunks past one frame (sliced scatter
-//     table), and only over the binary scout gather: N-1 linear scouts
-//     converging on the root make it lose in every cell;
+//     slicedScatterMinN ranks with chunks past onePayloadBytes (sliced
+//     scatter table), and only over the binary scout gather: N-1 linear
+//     scouts converging on the root make it lose in every cell;
 //   - the lossless sets' allreduce runs the chunked schedule on even
-//     segments from chunkedAllreduceMinBytes, past one frame's payload
-//     (allreduce tables), where a lane reduce-scatter and one multicast
-//     per slice beat one rank absorbing log2 N vectors;
+//     segments past onePayloadBytes (allreduce tables), where a lane
+//     reduce-scatter and one multicast per slice beat one rank absorbing
+//     log2 N vectors;
 //   - the two-level reduce-scatter's segment step halves below
 //     segmentWalksMinBytes where F is a power of two (segment-step
 //     table): log2 F messages per rank beat F-1 walks until the halving's
 //     larger messages queue behind each other on the segment's port.
 const (
-	flatAlltoallMaxN         = 32
-	flatAlltoallMinBytes     = 1_000
-	twoLevelScatterMinN      = 32
-	twoLevelGatherMinN       = 16
-	twoLevelMaxBlock         = 1_424
-	slicedScatterMinN        = 64
-	slicedScatterMinBytes    = 1_425
-	chunkedAllreduceMinBytes = 1_425
-	segmentWalksMinBytes     = 20_000
+	flatAlltoallMaxN     = 32
+	flatAlltoallMinBytes = 1_000
+	twoLevelScatterMinN  = 32
+	twoLevelGatherMinN   = 16
+	onePayloadBytes      = 1_424
+	slicedScatterMinN    = 64
+	segmentWalksMinBytes = 20_000
 )
 
 // plan returns the schedule operation op runs on a set of kind k.
@@ -141,11 +139,11 @@ func plan(k kind, op operation, in planIn) schedule {
 	t, n := in.t, in.size
 	twoLevel := k.twoLevel && t != nil
 	evenSegs := t != nil && largest(t)*t.Segments() == n
-	blocksFit := twoLevel && in.chunk*largest(t) <= twoLevelMaxBlock
+	blocksFit := twoLevel && in.chunk*largest(t) <= onePayloadBytes
 	switch {
 	case op == opScatter && blocksFit && n >= twoLevelScatterMinN:
 		return segmentRound
-	case op == opScatter && k.mode == Binary && t != nil && n >= slicedScatterMinN && in.chunk >= slicedScatterMinBytes:
+	case op == opScatter && k.mode == Binary && t != nil && n >= slicedScatterMinN && in.chunk > onePayloadBytes:
 		return slicedRound
 	case op == opGather && blocksFit && n >= twoLevelGatherMinN && 2*twoLevelFanIn(t, in.root) <= burstRecvBudget:
 		return nestedP2P
@@ -157,7 +155,7 @@ func plan(k kind, op operation, in planIn) schedule {
 		return segmentBurst
 	case op == opAlltoall:
 		return flatBurst
-	case op == opAllreduce && !k.repair && evenSegs && in.chunk >= chunkedAllreduceMinBytes:
+	case op == opAllreduce && !k.repair && evenSegs && in.chunk > onePayloadBytes:
 		return chunkedSlices
 	case op == opAllreduce && twoLevel:
 		return leaderReduce

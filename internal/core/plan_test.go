@@ -250,65 +250,70 @@ N              100        2,000          8,000         20,000         65,536
 	// The lossless sets' allreduce (plan's chunkedSlices): the chunked
 	// schedule forced over the flat sets' binomial reduce and broadcast,
 	// on the shared-uplink switch at fanout 2, 4 and 8, measured
-	// 2026-10-20. Seed 7 read the same in every cell of the six allreduce
+	// 2026-10-20. Seed 7 read the same in every cell of the nine allreduce
 	// tables. The chunked schedule runs on even segments past one frame;
 	// below a frame the reduce and broadcast are fewer messages. Given
 	// up: on even segments at 500 and 1,000 B, where the chunked schedule
 	// wins at F ≤ 4 by up to 1.38× but loses by up to 1.23× where the lane
 	// step walks (S not a power of two) and at F=8; on uneven segments,
-	// where the flat walks of the chunked schedule win from 8,000 B by up
-	// to 1.77× (at fanout 2 from 1,500 B) but lose by up to 1.48× at
-	// 1,500 and 2,000 B at fanout 4 and 8; and with one segment (fanout
-	// 8, N ≤ 8), a fabric the sets treat as unsegmented.
+	// where the flat walks of the chunked schedule win from 5,000 B by up
+	// to 1.77× (at fanout 2 from 1,500 B, at fanout 8 mostly from
+	// 20,000 B) but lose by up to 1.48× at 1,500 and 2,000 B at fanout 4
+	// and 8; and with one segment (fanout 8, N ≤ 8), a fabric the sets
+	// treat as unsegmented.
 	name: "allreduce: the chunked schedule over the binomial reduce and broadcast, fanout 2",
 	k:    kind{}, op: opAllreduce, fanout: 2, with: chunkedSlices, other: reduceBcast,
 	grid: `
-N         500   1,000   1,500   2,000   8,000  20,000  65,536
-6       0.947   0.757   0.602   0.617   0.584   0.669   0.676
-7       1.186   1.037   0.844   0.836   0.695   0.766   0.735
-8       0.936   0.726   0.591   0.588   0.597   0.650   0.687
-12      1.120   0.843   0.636   0.620   0.558   0.597   0.560
-16      1.035   0.818   0.636   0.611   0.543   0.548   0.572
-17      1.903   1.371   1.022   0.926   0.622   0.566   0.592
-18      1.365   1.007   0.773   0.726   0.556   0.542   0.565
-24      1.598   1.164   0.865   0.811   0.513   0.475   0.476
-32      1.179   0.972   0.779   0.765   0.485   0.484   0.505
-64      1.151   0.964   0.799   0.777   0.537   0.431   0.429
-128     1.121   0.950   0.767   0.727   0.649   0.483   0.383
-256     1.091   0.942   0.790   0.750   0.798   0.549   0.415`,
+N         500   1,000   1,500   2,000   5,000   8,000  20,000  65,536
+6       0.947   0.757   0.602   0.617   0.568   0.584   0.669   0.676
+7       1.186   1.037   0.844   0.836   0.696   0.695   0.766   0.735
+8       0.936   0.726   0.591   0.588   0.595   0.597   0.650   0.687
+12      1.120   0.843   0.636   0.620   0.559   0.558   0.597   0.560
+16      1.035   0.818   0.636   0.611   0.521   0.543   0.548   0.572
+17      1.903   1.371   1.022   0.926   0.661   0.622   0.566   0.592
+18      1.365   1.007   0.773   0.726   0.569   0.556   0.542   0.565
+24      1.598   1.164   0.865   0.811   0.556   0.513   0.475   0.476
+32      1.179   0.972   0.779   0.765   0.532   0.485   0.484   0.505
+64      1.151   0.964   0.799   0.777   0.632   0.537   0.431   0.429
+128     1.121   0.950   0.767   0.727   0.731   0.649   0.483   0.383
+256     1.091   0.942   0.790   0.750   1.000   0.798   0.549   0.415`,
 	gaveUp: []cell{{n: 6, bytes: 500, ratio: 0.947}, {n: 6, bytes: 1_000, ratio: 0.757},
-		{n: 7, bytes: 1_500, ratio: 0.844}, {n: 7, bytes: 2_000, ratio: 0.836}, {n: 7, bytes: 8_000, ratio: 0.695},
-		{n: 7, bytes: 20_000, ratio: 0.766}, {n: 7, bytes: 65_536, ratio: 0.735}, {n: 8, bytes: 500, ratio: 0.936},
-		{n: 8, bytes: 1_000, ratio: 0.726}, {n: 12, bytes: 1_000, ratio: 0.843},
-		{n: 16, bytes: 1_000, ratio: 0.818}, {n: 17, bytes: 2_000, ratio: 0.926},
+		{n: 7, bytes: 1_500, ratio: 0.844}, {n: 7, bytes: 2_000, ratio: 0.836}, {n: 7, bytes: 5_000, ratio: 0.696},
+		{n: 7, bytes: 8_000, ratio: 0.695}, {n: 7, bytes: 20_000, ratio: 0.766},
+		{n: 7, bytes: 65_536, ratio: 0.735}, {n: 8, bytes: 500, ratio: 0.936}, {n: 8, bytes: 1_000, ratio: 0.726},
+		{n: 12, bytes: 1_000, ratio: 0.843}, {n: 16, bytes: 1_000, ratio: 0.818},
+		{n: 17, bytes: 2_000, ratio: 0.926}, {n: 17, bytes: 5_000, ratio: 0.661},
 		{n: 17, bytes: 8_000, ratio: 0.622}, {n: 17, bytes: 20_000, ratio: 0.566},
 		{n: 17, bytes: 65_536, ratio: 0.592}, {n: 32, bytes: 1_000, ratio: 0.972},
 		{n: 64, bytes: 1_000, ratio: 0.964}, {n: 128, bytes: 1_000, ratio: 0.950},
 		{n: 256, bytes: 1_000, ratio: 0.942}},
+	sample: &cell{n: 32, bytes: 20_000},
 }, {
 	// The same at fanout 4, the fabric of sim_scale_n256.
 	name: "allreduce: the chunked schedule over the binomial reduce and broadcast, fanout 4",
 	k:    kind{}, op: opAllreduce, fanout: 4, with: chunkedSlices, other: reduceBcast,
 	grid: `
-N         500   1,000   1,500   2,000   8,000  20,000  65,536
-6       1.166   1.127   1.008   1.071   0.896   0.951   0.949
-7       1.233   1.183   1.061   1.128   0.890   0.949   0.934
-8       0.939   0.828   0.726   0.744   0.696   0.722   0.746
-12      1.021   0.862   0.723   0.740   0.656   0.680   0.673
-16      0.945   0.820   0.693   0.690   0.647   0.650   0.671
-17      1.839   1.444   1.132   1.058   0.832   0.766   0.785
-18      1.996   1.559   1.209   1.129   0.851   0.774   0.799
-24      1.197   0.976   0.788   0.769   0.645   0.599   0.602
-32      1.116   0.904   0.734   0.709   0.610   0.591   0.603
-64      1.176   0.986   0.818   0.789   0.578   0.541   0.533
-128     1.142   0.938   0.761   0.722   0.635   0.573   0.491
-256     1.107   0.920   0.766   0.725   0.713   0.561   0.547`,
-	gaveUp: []cell{{n: 6, bytes: 8_000, ratio: 0.896}, {n: 6, bytes: 20_000, ratio: 0.951},
-		{n: 6, bytes: 65_536, ratio: 0.949}, {n: 7, bytes: 8_000, ratio: 0.890},
+N         500   1,000   1,500   2,000   5,000   8,000  20,000  65,536
+6       1.166   1.127   1.008   1.071   0.907   0.896   0.951   0.949
+7       1.233   1.183   1.061   1.128   0.908   0.890   0.949   0.934
+8       0.939   0.828   0.726   0.744   0.676   0.696   0.722   0.746
+12      1.021   0.862   0.723   0.740   0.670   0.656   0.680   0.673
+16      0.945   0.820   0.693   0.690   0.671   0.647   0.650   0.671
+17      1.839   1.444   1.132   1.058   0.908   0.832   0.766   0.785
+18      1.996   1.559   1.209   1.129   0.918   0.851   0.774   0.799
+24      1.197   0.976   0.788   0.769   0.668   0.645   0.599   0.602
+32      1.116   0.904   0.734   0.709   0.621   0.610   0.591   0.603
+64      1.176   0.986   0.818   0.789   0.694   0.578   0.541   0.533
+128     1.142   0.938   0.761   0.722   0.665   0.635   0.573   0.491
+256     1.107   0.920   0.766   0.725   0.633   0.713   0.561   0.547`,
+	gaveUp: []cell{{n: 6, bytes: 5_000, ratio: 0.907}, {n: 6, bytes: 8_000, ratio: 0.896},
+		{n: 6, bytes: 20_000, ratio: 0.951}, {n: 6, bytes: 65_536, ratio: 0.949},
+		{n: 7, bytes: 5_000, ratio: 0.908}, {n: 7, bytes: 8_000, ratio: 0.890},
 		{n: 7, bytes: 20_000, ratio: 0.949}, {n: 7, bytes: 65_536, ratio: 0.934}, {n: 8, bytes: 500, ratio: 0.939},
 		{n: 8, bytes: 1_000, ratio: 0.828}, {n: 12, bytes: 1_000, ratio: 0.862}, {n: 16, bytes: 500, ratio: 0.945},
-		{n: 16, bytes: 1_000, ratio: 0.820}, {n: 17, bytes: 8_000, ratio: 0.832},
-		{n: 17, bytes: 20_000, ratio: 0.766}, {n: 17, bytes: 65_536, ratio: 0.785},
+		{n: 16, bytes: 1_000, ratio: 0.820}, {n: 17, bytes: 5_000, ratio: 0.908},
+		{n: 17, bytes: 8_000, ratio: 0.832}, {n: 17, bytes: 20_000, ratio: 0.766},
+		{n: 17, bytes: 65_536, ratio: 0.785}, {n: 18, bytes: 5_000, ratio: 0.918},
 		{n: 18, bytes: 8_000, ratio: 0.851}, {n: 18, bytes: 20_000, ratio: 0.774},
 		{n: 18, bytes: 65_536, ratio: 0.799}, {n: 24, bytes: 1_000, ratio: 0.976},
 		{n: 32, bytes: 1_000, ratio: 0.904}, {n: 64, bytes: 1_000, ratio: 0.986},
@@ -319,81 +324,86 @@ N         500   1,000   1,500   2,000   8,000  20,000  65,536
 	name: "allreduce: the chunked schedule over the binomial reduce and broadcast, fanout 8",
 	k:    kind{}, op: opAllreduce, fanout: 8, with: chunkedSlices, other: reduceBcast,
 	grid: `
-N         500   1,000   1,500   2,000   8,000  20,000  65,536
-6       1.581   1.519   1.172   1.178   0.912   0.881   0.860
-7       1.773   1.649   1.284   1.344   0.987   0.943   0.906
-8       1.931   1.676   1.345   1.322   0.962   0.890   0.875
-12      1.914   1.672   1.372   1.382   0.994   1.002   0.973
-16      1.160   1.050   0.900   0.916   0.811   0.793   0.805
-17      2.122   1.803   1.462   1.438   1.033   0.892   0.902
-18      2.261   1.866   1.480   1.454   1.050   0.932   0.939
-24      1.277   1.127   0.916   0.932   0.813   0.751   0.754
-32      1.238   1.057   0.877   0.884   0.833   0.751   0.757
-64      1.344   1.147   0.938   0.924   0.753   0.741   0.699
-128     1.373   1.142   0.941   0.900   0.737   0.715   0.658
-256     1.178   1.023   0.870   0.846   0.766   0.683   0.726`,
-	gaveUp: []cell{{n: 6, bytes: 8_000, ratio: 0.912}, {n: 6, bytes: 20_000, ratio: 0.881},
-		{n: 6, bytes: 65_536, ratio: 0.860}, {n: 7, bytes: 8_000, ratio: 0.987},
-		{n: 7, bytes: 20_000, ratio: 0.943}, {n: 7, bytes: 65_536, ratio: 0.906},
-		{n: 8, bytes: 8_000, ratio: 0.962}, {n: 8, bytes: 20_000, ratio: 0.890},
-		{n: 8, bytes: 65_536, ratio: 0.875}, {n: 12, bytes: 8_000, ratio: 0.994},
-		{n: 12, bytes: 65_536, ratio: 0.973}, {n: 17, bytes: 20_000, ratio: 0.892},
-		{n: 17, bytes: 65_536, ratio: 0.902}, {n: 18, bytes: 20_000, ratio: 0.932},
-		{n: 18, bytes: 65_536, ratio: 0.939}},
+N         500   1,000   1,500   2,000   5,000   8,000  20,000  65,536
+6       1.581   1.519   1.172   1.178   0.981   0.912   0.881   0.860
+7       1.773   1.649   1.284   1.344   1.076   0.987   0.943   0.906
+8       1.931   1.676   1.345   1.322   1.047   0.962   0.890   0.875
+12      1.914   1.672   1.372   1.382   1.052   0.994   1.002   0.973
+16      1.160   1.050   0.900   0.916   0.834   0.811   0.793   0.805
+17      2.122   1.803   1.462   1.438   1.138   1.033   0.892   0.902
+18      2.261   1.866   1.480   1.454   1.165   1.050   0.932   0.939
+24      1.277   1.127   0.916   0.932   0.870   0.813   0.751   0.754
+32      1.238   1.057   0.877   0.884   0.810   0.833   0.751   0.757
+64      1.344   1.147   0.938   0.924   0.782   0.753   0.741   0.699
+128     1.373   1.142   0.941   0.900   0.779   0.737   0.715   0.658
+256     1.178   1.023   0.870   0.846   0.789   0.766   0.683   0.726`,
+	gaveUp: []cell{{n: 6, bytes: 5_000, ratio: 0.981}, {n: 6, bytes: 8_000, ratio: 0.912},
+		{n: 6, bytes: 20_000, ratio: 0.881}, {n: 6, bytes: 65_536, ratio: 0.860},
+		{n: 7, bytes: 8_000, ratio: 0.987}, {n: 7, bytes: 20_000, ratio: 0.943},
+		{n: 7, bytes: 65_536, ratio: 0.906}, {n: 8, bytes: 8_000, ratio: 0.962},
+		{n: 8, bytes: 20_000, ratio: 0.890}, {n: 8, bytes: 65_536, ratio: 0.875},
+		{n: 12, bytes: 8_000, ratio: 0.994}, {n: 12, bytes: 65_536, ratio: 0.973},
+		{n: 17, bytes: 20_000, ratio: 0.892}, {n: 17, bytes: 65_536, ratio: 0.902},
+		{n: 18, bytes: 20_000, ratio: 0.932}, {n: 18, bytes: 65_536, ratio: 0.939}},
+	sample: &cell{n: 32, bytes: 5_000},
 }, {
 	// The two-level set's allreduce: the chunked schedule over the
 	// leaders' reduce and fan-out (allreduceTwoLevel), fanout 2.
 	name: "allreduce: the chunked schedule over the leaders' reduce, fanout 2",
 	k:    kind{twoLevel: true}, op: opAllreduce, fanout: 2, with: chunkedSlices, other: leaderReduce,
 	grid: `
-N         500   1,000   1,500   2,000   8,000  20,000  65,536
-6       1.080   0.831   0.642   0.654   0.596   0.675   0.678
-7       1.365   1.097   0.880   0.867   0.707   0.769   0.737
-8       0.988   0.754   0.608   0.603   0.603   0.652   0.688
-12      1.238   0.904   0.668   0.647   0.567   0.601   0.561
-16      1.080   0.844   0.650   0.623   0.547   0.550   0.573
-17      1.987   1.414   1.045   0.944   0.627   0.568   0.592
-18      1.429   1.038   0.790   0.740   0.560   0.544   0.566
-24      1.736   1.234   0.901   0.840   0.520   0.478   0.477
-32      1.230   0.998   0.794   0.778   0.488   0.485   0.505
-64      1.187   0.987   0.813   0.790   0.540   0.432   0.429
-128     1.147   0.967   0.778   0.736   0.652   0.484   0.384
-256     1.108   0.955   0.799   0.758   0.802   0.550   0.415`,
+N         500   1,000   1,500   2,000   5,000   8,000  20,000  65,536
+6       1.080   0.831   0.642   0.654   0.586   0.596   0.675   0.678
+7       1.365   1.097   0.880   0.867   0.711   0.707   0.769   0.737
+8       0.988   0.754   0.608   0.603   0.604   0.603   0.652   0.688
+12      1.238   0.904   0.668   0.647   0.572   0.567   0.601   0.561
+16      1.080   0.844   0.650   0.623   0.527   0.547   0.550   0.573
+17      1.987   1.414   1.045   0.944   0.668   0.627   0.568   0.592
+18      1.429   1.038   0.790   0.740   0.575   0.560   0.544   0.566
+24      1.736   1.234   0.901   0.840   0.566   0.520   0.478   0.477
+32      1.230   0.998   0.794   0.778   0.537   0.488   0.485   0.505
+64      1.187   0.987   0.813   0.790   0.637   0.540   0.432   0.429
+128     1.147   0.967   0.778   0.736   0.737   0.652   0.484   0.384
+256     1.108   0.955   0.799   0.758   1.007   0.802   0.550   0.415`,
 	gaveUp: []cell{{n: 6, bytes: 1_000, ratio: 0.831}, {n: 7, bytes: 1_500, ratio: 0.880},
-		{n: 7, bytes: 2_000, ratio: 0.867}, {n: 7, bytes: 8_000, ratio: 0.707},
+		{n: 7, bytes: 2_000, ratio: 0.867}, {n: 7, bytes: 5_000, ratio: 0.711}, {n: 7, bytes: 8_000, ratio: 0.707},
 		{n: 7, bytes: 20_000, ratio: 0.769}, {n: 7, bytes: 65_536, ratio: 0.737}, {n: 8, bytes: 500, ratio: 0.988},
 		{n: 8, bytes: 1_000, ratio: 0.754}, {n: 12, bytes: 1_000, ratio: 0.904},
 		{n: 16, bytes: 1_000, ratio: 0.844}, {n: 17, bytes: 2_000, ratio: 0.944},
-		{n: 17, bytes: 8_000, ratio: 0.627}, {n: 17, bytes: 20_000, ratio: 0.568},
-		{n: 17, bytes: 65_536, ratio: 0.592}, {n: 32, bytes: 1_000, ratio: 0.998},
-		{n: 64, bytes: 1_000, ratio: 0.987}, {n: 128, bytes: 1_000, ratio: 0.967},
-		{n: 256, bytes: 1_000, ratio: 0.955}},
+		{n: 17, bytes: 5_000, ratio: 0.668}, {n: 17, bytes: 8_000, ratio: 0.627},
+		{n: 17, bytes: 20_000, ratio: 0.568}, {n: 17, bytes: 65_536, ratio: 0.592},
+		{n: 32, bytes: 1_000, ratio: 0.998}, {n: 64, bytes: 1_000, ratio: 0.987},
+		{n: 128, bytes: 1_000, ratio: 0.967}, {n: 256, bytes: 1_000, ratio: 0.955},
+		{n: 256, bytes: 5_000, ratio: 1.007}},
+	sample: &cell{n: 8, bytes: 5_000},
 }, {
 	// The same at fanout 4.
 	name: "allreduce: the chunked schedule over the leaders' reduce, fanout 4",
 	k:    kind{twoLevel: true}, op: opAllreduce, fanout: 4, with: chunkedSlices, other: leaderReduce,
 	grid: `
-N         500   1,000   1,500   2,000   8,000  20,000  65,536
-6       1.535   1.388   1.193   1.236   0.913   0.937   0.923
-7       1.499   1.310   1.097   1.194   0.983   1.030   1.007
-8       1.126   0.953   0.765   0.815   0.724   0.726   0.747
-12      1.269   1.016   0.775   0.820   0.683   0.686   0.673
-16      1.091   0.916   0.722   0.742   0.668   0.653   0.671
-17      2.122   1.613   1.179   1.136   0.859   0.770   0.790
-18      2.303   1.742   1.260   1.213   0.878   0.778   0.801
-24      1.431   1.117   0.834   0.835   0.667   0.603   0.603
-32      1.255   0.993   0.762   0.755   0.626   0.594   0.603
-64      1.229   1.020   0.845   0.820   0.591   0.543   0.534
-128     1.179   0.993   0.804   0.760   0.662   0.597   0.492
-256     1.131   0.979   0.818   0.776   0.738   0.580   0.556`,
-	gaveUp: []cell{{n: 6, bytes: 8_000, ratio: 0.913}, {n: 6, bytes: 20_000, ratio: 0.937},
-		{n: 6, bytes: 65_536, ratio: 0.923}, {n: 7, bytes: 8_000, ratio: 0.983},
-		{n: 8, bytes: 1_000, ratio: 0.953}, {n: 16, bytes: 1_000, ratio: 0.916},
+N         500   1,000   1,500   2,000   5,000   8,000  20,000  65,536
+6       1.535   1.388   1.193   1.236   0.932   0.913   0.937   0.923
+7       1.499   1.310   1.097   1.194   0.998   0.983   1.030   1.007
+8       1.126   0.953   0.765   0.815   0.712   0.724   0.726   0.747
+12      1.269   1.016   0.775   0.820   0.709   0.683   0.686   0.673
+16      1.091   0.916   0.722   0.742   0.700   0.668   0.653   0.671
+17      2.122   1.613   1.179   1.136   0.947   0.859   0.770   0.790
+18      2.303   1.742   1.260   1.213   0.957   0.878   0.778   0.801
+24      1.431   1.117   0.834   0.835   0.699   0.667   0.603   0.603
+32      1.255   0.993   0.762   0.755   0.643   0.626   0.594   0.603
+64      1.229   1.020   0.845   0.820   0.718   0.591   0.543   0.534
+128     1.179   0.993   0.804   0.760   0.695   0.662   0.597   0.492
+256     1.131   0.979   0.818   0.776   0.656   0.738   0.580   0.556`,
+	gaveUp: []cell{{n: 6, bytes: 5_000, ratio: 0.932}, {n: 6, bytes: 8_000, ratio: 0.913},
+		{n: 6, bytes: 20_000, ratio: 0.937}, {n: 6, bytes: 65_536, ratio: 0.923},
+		{n: 7, bytes: 5_000, ratio: 0.998}, {n: 7, bytes: 8_000, ratio: 0.983}, {n: 8, bytes: 1_000, ratio: 0.953},
+		{n: 16, bytes: 1_000, ratio: 0.916}, {n: 17, bytes: 5_000, ratio: 0.947},
 		{n: 17, bytes: 8_000, ratio: 0.859}, {n: 17, bytes: 20_000, ratio: 0.770},
-		{n: 17, bytes: 65_536, ratio: 0.790}, {n: 18, bytes: 8_000, ratio: 0.878},
-		{n: 18, bytes: 20_000, ratio: 0.778}, {n: 18, bytes: 65_536, ratio: 0.801},
-		{n: 32, bytes: 1_000, ratio: 0.993}, {n: 128, bytes: 1_000, ratio: 0.993},
-		{n: 256, bytes: 1_000, ratio: 0.979}},
+		{n: 17, bytes: 65_536, ratio: 0.790}, {n: 18, bytes: 5_000, ratio: 0.957},
+		{n: 18, bytes: 8_000, ratio: 0.878}, {n: 18, bytes: 20_000, ratio: 0.778},
+		{n: 18, bytes: 65_536, ratio: 0.801}, {n: 32, bytes: 1_000, ratio: 0.993},
+		{n: 128, bytes: 1_000, ratio: 0.993}, {n: 256, bytes: 1_000, ratio: 0.979}},
+	sample: &cell{n: 64, bytes: 2_000},
 }, {
 	// The same at fanout 8. With one segment (N ≤ 8) the set runs the
 	// flat set's allreduce, in the binary table. N=128 at 1,500 B is the
@@ -401,24 +411,129 @@ N         500   1,000   1,500   2,000   8,000  20,000  65,536
 	name: "allreduce: the chunked schedule over the leaders' reduce, fanout 8",
 	k:    kind{twoLevel: true}, op: opAllreduce, fanout: 8, with: chunkedSlices, other: leaderReduce,
 	grid: `
-N         500   1,000   1,500   2,000   8,000  20,000  65,536
-6           —       —       —       —       —       —       —
-7           —       —       —       —       —       —       —
-8           —       —       —       —       —       —       —
-12      2.419   1.944   1.391   1.495   1.039   0.962   0.928
-16      1.387   1.198   0.888   0.963   0.810   0.765   0.776
-17      2.539   2.057   1.443   1.512   1.033   0.892   0.909
-18      2.705   2.128   1.460   1.529   1.050   0.900   0.917
-24      1.622   1.309   0.921   0.992   0.816   0.728   0.729
-32      1.441   1.183   0.872   0.923   0.832   0.727   0.732
-64      1.433   1.203   0.936   0.961   0.756   0.717   0.678
-128     1.439   1.223   1.036   0.983   0.788   0.747   0.641
-256     1.246   1.099   0.934   0.904   0.812   0.719   0.708`,
+N         500   1,000   1,500   2,000   5,000   8,000  20,000  65,536
+6           —       —       —       —       —       —       —       —
+7           —       —       —       —       —       —       —       —
+8           —       —       —       —       —       —       —       —
+12      2.419   1.944   1.391   1.495   1.104   1.039   0.962   0.928
+16      1.387   1.198   0.888   0.963   0.844   0.810   0.765   0.776
+17      2.539   2.057   1.443   1.512   1.151   1.033   0.892   0.909
+18      2.705   2.128   1.460   1.529   1.178   1.050   0.900   0.917
+24      1.622   1.309   0.921   0.992   0.886   0.816   0.728   0.729
+32      1.441   1.183   0.872   0.923   0.821   0.832   0.727   0.732
+64      1.433   1.203   0.936   0.961   0.793   0.756   0.717   0.678
+128     1.439   1.223   1.036   0.983   0.837   0.788   0.747   0.641
+256     1.246   1.099   0.934   0.904   0.838   0.812   0.719   0.708`,
 	gaveUp: []cell{{n: 12, bytes: 20_000, ratio: 0.962}, {n: 12, bytes: 65_536, ratio: 0.928},
 		{n: 17, bytes: 20_000, ratio: 0.892}, {n: 17, bytes: 65_536, ratio: 0.909},
 		{n: 18, bytes: 20_000, ratio: 0.900}, {n: 18, bytes: 65_536, ratio: 0.917},
 		{n: 128, bytes: 1_500, ratio: 1.036}},
 	sample: &cell{n: 16, bytes: 2_000},
+}, {
+	// The linear set's allreduce: the chunked schedule over the binomial
+	// reduce and a broadcast round whose scouts gather linearly, fanout 2.
+	// The chunked schedule is the binary table's; the linear scout gather
+	// makes the old schedule slower as N grows, so in the regime the
+	// chunked schedule wins every cell. Below a frame it wins too at
+	// every N from 32 (and at some below), by up to 3.65× at N=256: those
+	// cells are given up, for one edge in every lossless set.
+	name: "allreduce: the chunked schedule over the linear binomial reduce and broadcast, fanout 2",
+	k:    kind{mode: Linear}, op: opAllreduce, fanout: 2, with: chunkedSlices, other: reduceBcast,
+	grid: `
+N         500   1,000   1,500   2,000   5,000   8,000  20,000  65,536
+6       0.947   0.757   0.602   0.617   0.568   0.584   0.669   0.676
+7       1.208   1.037   0.844   0.836   0.698   0.697   0.766   0.735
+8       0.936   0.726   0.591   0.588   0.595   0.597   0.650   0.687
+12      1.038   0.843   0.636   0.620   0.559   0.558   0.597   0.560
+16      0.914   0.818   0.636   0.611   0.521   0.543   0.548   0.572
+17      1.502   1.323   1.022   0.926   0.661   0.622   0.566   0.591
+18      1.072   0.991   0.773   0.726   0.569   0.556   0.542   0.563
+24      1.113   1.040   0.865   0.811   0.556   0.513   0.475   0.475
+32      0.744   0.783   0.779   0.765   0.532   0.485   0.484   0.505
+64      0.531   0.562   0.572   0.604   0.632   0.537   0.431   0.429
+128     0.377   0.396   0.407   0.427   0.672   0.649   0.483   0.383
+256     0.276   0.285   0.295   0.306   0.630   0.658   0.548   0.415`,
+	gaveUp: []cell{{n: 6, bytes: 500, ratio: 0.947}, {n: 6, bytes: 1_000, ratio: 0.757},
+		{n: 7, bytes: 1_500, ratio: 0.844}, {n: 7, bytes: 2_000, ratio: 0.836}, {n: 7, bytes: 5_000, ratio: 0.698},
+		{n: 7, bytes: 8_000, ratio: 0.697}, {n: 7, bytes: 20_000, ratio: 0.766},
+		{n: 7, bytes: 65_536, ratio: 0.735}, {n: 8, bytes: 500, ratio: 0.936}, {n: 8, bytes: 1_000, ratio: 0.726},
+		{n: 12, bytes: 1_000, ratio: 0.843}, {n: 16, bytes: 500, ratio: 0.914},
+		{n: 16, bytes: 1_000, ratio: 0.818}, {n: 17, bytes: 2_000, ratio: 0.926},
+		{n: 17, bytes: 5_000, ratio: 0.661}, {n: 17, bytes: 8_000, ratio: 0.622},
+		{n: 17, bytes: 20_000, ratio: 0.566}, {n: 17, bytes: 65_536, ratio: 0.591},
+		{n: 18, bytes: 1_000, ratio: 0.991}, {n: 32, bytes: 500, ratio: 0.744},
+		{n: 32, bytes: 1_000, ratio: 0.783}, {n: 64, bytes: 500, ratio: 0.531},
+		{n: 64, bytes: 1_000, ratio: 0.562}, {n: 128, bytes: 500, ratio: 0.377},
+		{n: 128, bytes: 1_000, ratio: 0.396}, {n: 256, bytes: 500, ratio: 0.276},
+		{n: 256, bytes: 1_000, ratio: 0.285}},
+	sample: &cell{n: 18, bytes: 1_500},
+}, {
+	// The same at fanout 4.
+	name: "allreduce: the chunked schedule over the linear binomial reduce and broadcast, fanout 4",
+	k:    kind{mode: Linear}, op: opAllreduce, fanout: 4, with: chunkedSlices, other: reduceBcast,
+	grid: `
+N         500   1,000   1,500   2,000   5,000   8,000  20,000  65,536
+6       1.206   1.139   1.008   1.071   0.907   0.896   0.951   0.949
+7       1.247   1.187   1.061   1.128   0.908   0.890   0.949   0.933
+8       0.939   0.828   0.726   0.744   0.676   0.696   0.722   0.745
+12      0.930   0.862   0.723   0.740   0.670   0.656   0.680   0.670
+16      0.828   0.820   0.693   0.690   0.671   0.647   0.650   0.670
+17      1.455   1.320   1.127   1.058   0.908   0.832   0.766   0.782
+18      1.561   1.482   1.209   1.129   0.918   0.851   0.774   0.799
+24      0.838   0.821   0.788   0.769   0.668   0.645   0.599   0.601
+32      0.705   0.710   0.681   0.695   0.621   0.610   0.591   0.602
+64      0.521   0.544   0.552   0.578   0.694   0.578   0.541   0.533
+128     0.373   0.389   0.399   0.418   0.558   0.635   0.573   0.491
+256     0.274   0.284   0.292   0.304   0.395   0.544   0.559   0.547`,
+	gaveUp: []cell{{n: 6, bytes: 5_000, ratio: 0.907}, {n: 6, bytes: 8_000, ratio: 0.896},
+		{n: 6, bytes: 20_000, ratio: 0.951}, {n: 6, bytes: 65_536, ratio: 0.949},
+		{n: 7, bytes: 5_000, ratio: 0.908}, {n: 7, bytes: 8_000, ratio: 0.890},
+		{n: 7, bytes: 20_000, ratio: 0.949}, {n: 7, bytes: 65_536, ratio: 0.933}, {n: 8, bytes: 500, ratio: 0.939},
+		{n: 8, bytes: 1_000, ratio: 0.828}, {n: 12, bytes: 500, ratio: 0.930}, {n: 12, bytes: 1_000, ratio: 0.862},
+		{n: 16, bytes: 500, ratio: 0.828}, {n: 16, bytes: 1_000, ratio: 0.820},
+		{n: 17, bytes: 5_000, ratio: 0.908}, {n: 17, bytes: 8_000, ratio: 0.832},
+		{n: 17, bytes: 20_000, ratio: 0.766}, {n: 17, bytes: 65_536, ratio: 0.782},
+		{n: 18, bytes: 5_000, ratio: 0.918}, {n: 18, bytes: 8_000, ratio: 0.851},
+		{n: 18, bytes: 20_000, ratio: 0.774}, {n: 18, bytes: 65_536, ratio: 0.799},
+		{n: 24, bytes: 500, ratio: 0.838}, {n: 24, bytes: 1_000, ratio: 0.821}, {n: 32, bytes: 500, ratio: 0.705},
+		{n: 32, bytes: 1_000, ratio: 0.710}, {n: 64, bytes: 500, ratio: 0.521},
+		{n: 64, bytes: 1_000, ratio: 0.544}, {n: 128, bytes: 500, ratio: 0.373},
+		{n: 128, bytes: 1_000, ratio: 0.389}, {n: 256, bytes: 500, ratio: 0.274},
+		{n: 256, bytes: 1_000, ratio: 0.284}},
+	sample: &cell{n: 16, bytes: 5_000},
+}, {
+	// The same at fanout 8.
+	name: "allreduce: the chunked schedule over the linear binomial reduce and broadcast, fanout 8",
+	k:    kind{mode: Linear}, op: opAllreduce, fanout: 8, with: chunkedSlices, other: reduceBcast,
+	grid: `
+N         500   1,000   1,500   2,000   5,000   8,000  20,000  65,536
+6       1.588   1.530   1.172   1.185   0.981   0.912   0.881   0.859
+7       1.690   1.609   1.285   1.351   1.076   0.987   0.943   0.906
+8       1.881   1.676   1.345   1.322   1.047   0.962   0.890   0.875
+12      1.654   1.631   1.378   1.382   1.052   0.994   1.002   0.972
+16      0.987   1.048   0.900   0.916   0.834   0.811   0.793   0.805
+17      1.694   1.637   1.424   1.430   1.138   1.030   0.891   0.901
+18      1.753   1.679   1.432   1.408   1.165   1.048   0.930   0.938
+24      0.943   0.977   0.910   0.932   0.870   0.813   0.751   0.752
+32      0.810   0.824   0.813   0.865   0.810   0.833   0.751   0.756
+64      0.612   0.640   0.648   0.674   0.782   0.753   0.741   0.698
+128     0.459   0.483   0.496   0.519   0.659   0.737   0.686   0.658
+256     0.304   0.322   0.336   0.359   0.482   0.604   0.657   0.724`,
+	gaveUp: []cell{{n: 6, bytes: 5_000, ratio: 0.981}, {n: 6, bytes: 8_000, ratio: 0.912},
+		{n: 6, bytes: 20_000, ratio: 0.881}, {n: 6, bytes: 65_536, ratio: 0.859},
+		{n: 7, bytes: 8_000, ratio: 0.987}, {n: 7, bytes: 20_000, ratio: 0.943},
+		{n: 7, bytes: 65_536, ratio: 0.906}, {n: 8, bytes: 8_000, ratio: 0.962},
+		{n: 8, bytes: 20_000, ratio: 0.890}, {n: 8, bytes: 65_536, ratio: 0.875},
+		{n: 12, bytes: 8_000, ratio: 0.994}, {n: 12, bytes: 65_536, ratio: 0.972},
+		{n: 16, bytes: 500, ratio: 0.987}, {n: 17, bytes: 20_000, ratio: 0.891},
+		{n: 17, bytes: 65_536, ratio: 0.901}, {n: 18, bytes: 20_000, ratio: 0.930},
+		{n: 18, bytes: 65_536, ratio: 0.938}, {n: 24, bytes: 500, ratio: 0.943},
+		{n: 24, bytes: 1_000, ratio: 0.977}, {n: 32, bytes: 500, ratio: 0.810},
+		{n: 32, bytes: 1_000, ratio: 0.824}, {n: 64, bytes: 500, ratio: 0.612},
+		{n: 64, bytes: 1_000, ratio: 0.640}, {n: 128, bytes: 500, ratio: 0.459},
+		{n: 128, bytes: 1_000, ratio: 0.483}, {n: 256, bytes: 500, ratio: 0.304},
+		{n: 256, bytes: 1_000, ratio: 0.322}},
+	sample: &cell{n: 128, bytes: 1_500},
 }}
 
 // cells parses the table's grid: a header of chunk sizes after "N", then
