@@ -148,26 +148,18 @@ func Allreduce(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op) error
 }
 
 // Gather collects equal-sized chunks to root with direct sends (the
-// MPICH 1.x linear gather).
+// MPICH 1.x linear gather): an mpi.Star over every rank.
 func Gather(c *mpi.Comm, send, recv []byte, root int) error {
-	cc := c.BeginColl()
-	if c.Rank() != root {
-		return cc.Send(root, 0, send, transport.ClassData, true)
+	n, me := len(send), c.Rank()
+	if me == root {
+		copy(recv[root*n:], send)
 	}
-	n := len(send)
-	copy(recv[root*n:], send)
-	for i := 0; i < c.Size()-1; i++ {
-		m, err := cc.Recv(mpi.AnySource, 0)
-		if err != nil {
-			return err
+	return mpi.GatherTree(c.BeginColl(), mpi.Star(root, nil), 0, true, func(r int) []byte {
+		if r == me {
+			return send
 		}
-		r := cc.SrcRank(m)
-		if len(m.Payload) != n {
-			return fmt.Errorf("baseline: gather chunk from %d is %d bytes, want %d", r, len(m.Payload), n)
-		}
-		copy(recv[r*n:], m.Payload)
-	}
-	return nil
+		return recv[r*n : (r+1)*n]
+	})
 }
 
 // Scatter distributes equal chunks from root with direct sends.

@@ -220,7 +220,11 @@ func TestChunkedReduceScatterMessages(t *testing.T) {
 // and a lane's slices fit one frame at 100 and 2,000 B), each lane's S-1
 // members send their blocks up a binomial tree to the lane's member in
 // segment 0, and those F members multicast once each. The N=64, 100 B
-// row read {48, 16}, the leaders' set, before the lane gather.
+// row read {48, 16}, the leaders' set, before the lane gather. With fewer
+// bytes than ranks an empty slice is neither sent nor multicast: at
+// N=16, 3 B only the first three segments' leaders hold a byte and
+// multicast it, and at N=64, 12 B lane 0's first twelve members climb
+// their Binomial tree (11 unicasts) to the one head that multicasts.
 func TestChunkedGatherFrames(t *testing.T) {
 	for _, tc := range []struct {
 		n, size          int
@@ -232,6 +236,8 @@ func TestChunkedGatherFrames(t *testing.T) {
 		{64, 2000, 15 * 4, 4},
 		{8, 8000, 0, 8},
 		{16, 8000, 0, 16},
+		{16, 3, 0, 3},
+		{64, 12, 11, 1},
 	} {
 		prof := sharedProf(4)
 		var unicasts int

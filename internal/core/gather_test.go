@@ -187,3 +187,49 @@ func TestGatherRingBound(t *testing.T) {
 		t.Error("N=130: package baseline's gathers overflowed no ring; the scenario no longer loads the root")
 	}
 }
+
+// TestGatedGatherRepairsItsRelease runs mcast-resilient's release-gated
+// gather (plan: past N=128) at N=129 on a switch with the release's first
+// transmission lost at three ranks: each must ask for it, and the root
+// answer as every round's sender does (repairSend), so the gather
+// returns every chunk with NACK frames on the wire and nothing lost to a
+// ring. TestGatherRingBound runs the same schedule lossless.
+func TestGatedGatherRepairsItsRelease(t *testing.T) {
+	const n, chunk = 129, 64
+	lost := map[int]bool{5: true, 64: true, 128: true}
+	prof := simnet.DefaultProfile()
+	prof.DropFrag = func(dst int, f transport.Fragment) bool {
+		return lost[dst] && f.Msg.Class == transport.ClassControl && !f.Repair
+	}
+	nw, err := cluster.RunSim(n, simnet.Switch, prof, core.ResilientAlgorithms(), func(c *mpi.Comm) error {
+		send := bytes.Repeat([]byte{byte(c.Rank() + 1)}, chunk)
+		var recv []byte
+		if c.Rank() == 0 {
+			recv = make([]byte, n*chunk)
+		}
+		if err := c.Gather(send, recv, 0); err != nil {
+			return err
+		}
+		for r := 0; c.Rank() == 0 && r < n; r++ {
+			if !bytes.Equal(recv[r*chunk:(r+1)*chunk], bytes.Repeat([]byte{byte(r + 1)}, chunk)) {
+				return fmt.Errorf("chunk from rank %d corrupted", r)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nw.Stats.InjectedLosses; got != int64(len(lost)) {
+		t.Errorf("%d release fragments lost, want %d", got, len(lost))
+	}
+	if got := nw.Wire.Frames(transport.ClassScout); got != n-1 {
+		t.Errorf("%d scout frames, want N-1 = %d: the release-gated gather did not run", got, n-1)
+	}
+	if nacks := nw.Wire.Frames(transport.ClassNack); nacks == 0 {
+		t.Error("no NACK frames: nobody asked for the lost release")
+	}
+	if drops := nw.SilentDrops(); drops != 0 {
+		t.Errorf("%d silent drops", drops)
+	}
+}

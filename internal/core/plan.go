@@ -45,11 +45,11 @@ const (
 type schedule int
 
 const (
-	pointToPoint   schedule = iota // package baseline's linear scatter or gather
+	pointToPoint   schedule = iota // package baseline's linear scatter, or its gather up an mpi.Star
 	slicedRound                    // scatterWith: a slice to each rank's slice group
 	segmentRound                   // scatterWith over t: a block to each segment's group
 	releaseGated                   // gatherWith: scouts and a release ahead of the chunks
-	nestedP2P                      // gatherTwoLevel: member → leader → root
+	nestedP2P                      // gatherTwoLevel: member → leader → root, an mpi.Nested gather tree
 	flatBurst                      // alltoallWith: a slice to each rank's slice group
 	segmentBurst                   // alltoallTwoLevel: a block to each segment's group
 	reduceBcast                    // allreduceWith: a binomial reduce, then a broadcast round
@@ -60,9 +60,9 @@ const (
 	laneWalks                      // the segment step, then a walk per slice along each lane
 	segmentHalving                 // the segment step: a recursive halving among the members
 	segmentWalks                   // the segment step: a walk per lane region among the members
-	directGather                   // gatherSlices: every rank multicasts its own slice
-	leadersGather                  // gatherSlices: segment leaders multicast their members' slices
-	laneGather                     // gatherLanes: segment 0 multicasts each lane's region
+	directGather                   // gatherSlices over groups of one: every rank multicasts its own slice
+	leadersGather                  // gatherSlices over the segments: an mpi.Star to each leader, which multicasts
+	laneGather                     // gatherSlices over the lanes: an mpi.BinomialTree to segment 0, which multicasts
 )
 
 // planIn is what plan decides from.

@@ -434,11 +434,6 @@ func transmitRound(cc mpi.CollCtx, rd *roundPlan) ([]send, error) {
 	return sent, nil
 }
 
-// indexOf returns the position of the send addressed to scope, or -1.
-func indexOf(sent []send, scope mpi.Scope) int {
-	return slices.IndexFunc(sent, func(s send) bool { return s.scope == scope })
-}
-
 // receiveRound is a receiver's half of a data phase: take the payload
 // sent to this rank's scope, consume it and, under repair, confirm
 // receipt so the sender can retire the round.
@@ -547,24 +542,17 @@ func lossEvident(cc mpi.CollCtx) bool {
 
 // repairSend answers rank r's repair request req with the send of sent
 // addressed to scope, the one r listens on: the fragments req names, or
-// the whole message.
+// the whole message when the request is unusable or stale (the receiver
+// saw nothing of this message, or names an older one).
 func repairSend(cc mpi.CollCtx, sent []send, scope mpi.Scope, class transport.Class, req []byte, r int) error {
-	i := indexOf(sent, scope)
+	i := slices.IndexFunc(sent, func(s send) bool { return s.scope == scope })
 	if i < 0 {
 		return fmt.Errorf("core: repair request from %d, to whom rank %d sent nothing", r, cc.Comm().Rank())
 	}
 	s := sent[i]
-	return cc.MulticastRepair(s.scope, s.payload, class, s.id, repairFrags(req, s.id))
-}
-
-// repairFrags reads a repair request for the multicast sent under msgID:
-// the fragments to retransmit, or nil — a full resend — when the request
-// is unusable or stale (the receiver saw nothing of this message, or
-// names an older one).
-func repairFrags(req []byte, msgID uint64) []int {
 	reqID, frags, err := transport.DecodeRepairReq(req)
-	if err != nil || reqID != msgID || len(frags) == 0 {
-		return nil
+	if err != nil || reqID != s.id || len(frags) == 0 {
+		frags = nil
 	}
-	return frags
+	return cc.MulticastRepair(s.scope, s.payload, class, s.id, frags)
 }

@@ -49,8 +49,10 @@ package core
 //	                 mpi.ReduceHalving; a step walks where its count is
 //	                 not, F-1 or S-1 messages, and the segment step also
 //	                 from 20,000 B) — and gathers the reduced slices with
-//	                 no scouts (the reduce-scatter proves entry), past
-//	                 N=256 only the exchange's drain barriers. The
+//	                 no scouts (the reduce-scatter proves entry): each
+//	                 group's slices climb a gather tree to its head and
+//	                 the heads multicast, past N=256 only the exchange's
+//	                 drain barriers beside. The
 //	                 lossless sets run it themselves on even segments
 //	                 past one frame (plan).
 //	scatter:         package baseline's linear scatter, (N-1)·ceil(M/T)
@@ -66,7 +68,8 @@ package core
 //	                 receiver the frames a unicast does, so only the
 //	                 bypass's saving can pay for the scouts, and it does
 //	                 only there.
-//	gather:          package baseline's linear gather, (N-1)·ceil(M/T)
+//	gather:          package baseline's linear gather, a star of
+//	                 mpi.GatherTree, (N-1)·ceil(M/T)
 //	                 chunk frames and nothing else, while the root's
 //	                 receive ring can absorb the chunks of two gathers
 //	                 unposted (plan: N ≤ 128). Beyond, s scouts + 1
@@ -609,7 +612,9 @@ func sliceBounds(total, extent, size int) []int {
 // the walk every reduction runs) or recursive halving
 // (mpi.ReduceHalving), after which each rank holds one fully reduced
 // slice, followed by an allgather that multicasts each reduced slice
-// exactly once (gatherSlices, or gatherLanes, as plan picks). Slices
+// exactly once (gatherSlices: a group's slices climb a gather tree,
+// mpi.GatherTree, to the group's head, which multicasts them; the
+// groups and the tree are plan's). Slices
 // split the buffer in whole elements, which Comm.Allreduce checks at
 // every rank before any message moves.
 //
@@ -647,14 +652,13 @@ func sliceBounds(total, extent, size int) []int {
 // its segment step returned with it reduced: as the root of the
 // region's walk over its whole segment, or through the segment halving,
 // whose partners likewise share one range at every step, so the owner
-// of a non-empty region has heard from every segment member. A segment
-// leader multicasts its members' slices after its own
-// (gatherSlices), and a lane's member in segment 0 multicasts lane region
-// i only when its own slice, the region's first, is non-empty
-// (gatherLanes). Either way a rank multicasts only after every rank has
-// posted, so no multicast of the allgather can meet an unposted receiver,
-// and its later windows (exchange) wait behind the barrier as every
-// exchange's do.
+// of a non-empty region has heard from every segment member. A group's
+// head — a segment leader, or a lane's member in segment 0 — multicasts
+// the group's slices only when its own slice, the group's first, is
+// non-empty (gatherSlices). So a rank multicasts only after every rank
+// has posted, no multicast of the allgather can meet an unposted
+// receiver, and its later windows (exchange) wait behind the barrier as
+// every exchange's do.
 //
 // The byte economics against the sets' binomial-reduce + bcast allreduce:
 // both put ~(N-1)·M + M data bytes on the wire (a reduction cannot move
@@ -696,11 +700,23 @@ func allreduceChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op
 	t, step := in.t, pick(kind{}, opReduceScatter, in)
 	pos := slicePos(t, size, step)
 	slice := func(r int) []byte { return recv[bounds[pos[r]]:bounds[pos[r]+1]] }
-	var lane, heads []int // this rank's lane in segment order; the lanes' members in segment 0
-	var groups [][]int    // gatherSlices' groups: the segments, or one rank each
+	var lanes [][]int // on two levels, lane i: the members of index i, in segment order
+	if step != rankWalks {
+		for i := range t.Members(0) {
+			lanes = append(lanes, make([]int, t.Segments()))
+			for s := range t.Segments() {
+				lanes[i][s] = t.Members(s)[i]
+			}
+		}
+	}
+	// gatherSlices' groups, each gathering toward its first rank: the
+	// lanes up the Binomial tree, the segments in a star, or one rank
+	// each.
+	var groups [][]int
+	tree := func(g []int) mpi.Tree { return mpi.Star(g[0], g) }
 	switch pick(kind{}, opSliceGather, in) {
 	case laneGather:
-		heads = t.Members(0)
+		tree, groups = mpi.BinomialTree, lanes
 	case leadersGather:
 		for s := range t.Segments() {
 			groups = append(groups, t.Members(s))
@@ -710,7 +726,7 @@ func allreduceChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op
 			groups = append(groups, []int{r})
 		}
 	}
-	release := c.PostRecvs(exchangeRecvs(len(heads) + len(groups)))
+	release := c.PostRecvs(exchangeRecvs(len(groups)))
 	defer release()
 	cc.SpanBegin("reduce-scatter")
 	if step == rankWalks {
@@ -726,10 +742,6 @@ func allreduceChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op
 		for j := range region {
 			region[j] = bounds[j*segs]
 		}
-		lane = make([]int, segs)
-		for s := range lane {
-			lane[s] = t.Members(s)[i]
-		}
 		reduceSeg, reduceLane := mpi.ReduceWalks, mpi.ReduceWalks
 		if pick(kind{}, opSegmentStep, in) == segmentHalving {
 			reduceSeg = mpi.ReduceHalving
@@ -740,7 +752,7 @@ func allreduceChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op
 		if err := reduceSeg(cc, members, region, phaseSlice, false, recv, dt, op); err != nil {
 			return err
 		}
-		if err := reduceLane(cc, lane, bounds[i*segs:(i+1)*segs+1], phaseSlice+len(members), false, recv, dt, op); err != nil {
+		if err := reduceLane(cc, lanes[i], bounds[i*segs:(i+1)*segs+1], phaseSlice+len(members), false, recv, dt, op); err != nil {
 			return err
 		}
 	}
@@ -749,10 +761,7 @@ func allreduceChunked(c *mpi.Comm, send, recv []byte, dt mpi.Datatype, op mpi.Op
 	if len(send) == 0 {
 		return nil // nothing was reduced, so nothing goes on the wire
 	}
-	if heads != nil {
-		return gatherLanes(cc, lane, heads, bounds, recv)
-	}
-	return gatherSlices(cc, groups, slice)
+	return gatherSlices(cc, groups, tree, slice)
 }
 
 // slicePos returns the position of the slice each rank reduces and
@@ -779,154 +788,61 @@ func rankOrder(size int) []int {
 	return ranks
 }
 
-// gatherLanes is the chunked allreduce's allgather by lanes (plan).
-// lane is this rank's lane in segment order, heads the lanes' members in
-// segment 0 in lane order, and lane k's reduced slices are
-// buf[bounds[k·S]:bounds[(k+1)·S]], the slice of the lane's member in
-// segment s at position s. First each lane gathers its slices toward its
-// head, up the Binomial tree over segment order: the subtree of position
-// s covers positions s to s+lowbit(s)-1, one contiguous block, which the
-// rank at s sends its parent once its children's blocks are in (log2 S
-// steps; an empty block is neither sent nor awaited). Then exchange gives
-// each head one slot, at which it multicasts its lane's region: a rank
-// handles F multicasts where gatherSlices' leaders cost it S.
-//
-// Like gatherSlices it sends no scouts and no release. A head multicasts
-// only a non-empty region, so its own slice, the region's first and
-// largest, is non-empty, and by mpi.ReduceHalving's evidence it has
-// heard from every rank of its lane, each of which had left its segment
-// step (AllreduceMcastChunked).
-func gatherLanes(cc mpi.CollCtx, lane, heads, bounds []int, buf []byte) error {
-	segs := len(lane)
-	at := slices.Index(lane, cc.Comm().Rank())
-	i := slices.Index(heads, lane[0])
-	base := i * segs
-	block := func(s int) []byte { // the slices of the subtree at position s > 0
-		return buf[bounds[base+s]:bounds[base+min(s+s&-s, segs)]]
-	}
-	parent, kids := mpi.Binomial(at, segs)
-	cc.SpanBegin("slice-combine")
-	gate := cc.Comm().Rank()
-	for ch := range kids.All {
-		b := block(ch)
-		if len(b) == 0 {
-			continue
-		}
-		m, err := cc.Recv(lane[ch], phaseChunk)
-		if err == nil && len(m.Payload) != len(b) {
-			err = fmt.Errorf("core: allreduce lane block of %d bytes from %d, want %d", len(m.Payload), lane[ch], len(b))
-		}
-		if err != nil {
-			cc.SpanEnd("slice-combine")
-			return err
-		}
-		copy(b, m.Payload)
-		gate = lane[ch]
-	}
-	var err error
-	if b := block(at); parent >= 0 && len(b) > 0 {
-		err = cc.Send(lane[parent], phaseChunk, b, transport.ClassData, false)
-	}
-	cc.SpanEndGated("slice-combine", gate)
-	if err != nil {
-		return err
-	}
-	region := func(k int) []byte { return buf[bounds[k*segs]:bounds[(k+1)*segs]] }
-	senders := make([]int, len(heads))
-	for k, h := range heads {
-		senders[k] = -1
-		if len(region(k)) > 0 {
-			senders[k] = h
-		}
-	}
-	return exchange(cc.Comm(), senders, wholeSend(region(i))(), mpi.Whole, func(k int, p []byte) error {
-		if len(p) != len(region(k)) {
-			return fmt.Errorf("core: allreduce lane region from %d is %d bytes, want %d", heads[k], len(p), len(region(k)))
-		}
-		copy(region(k), p)
-		return nil
-	})
-}
-
-// gatherSlices is the chunked allreduce's allgather over groups: the
-// segments, whose leaders multicast their members' slices, or one group
-// per rank (plan). It sends no scouts and no release: leaving the
-// reduce-scatter is itself the evidence that every rank has entered and
-// posted its descriptors (AllreduceMcastChunked). A group's first rank
-// multicasts only when the group's slices are not all empty, so its own
-// slice, the group's first and largest (sliceBounds front-loads the
-// remainder in position order, and a leader's slice comes first in its
-// segment), is non-empty: it heard from every rank, as the root of its
-// walk or through the halving's shared ranges.
-// Each group's members first send their slices to its first rank over
-// cc — segment-local unicasts, none where a rank is its own group. Then
-// exchange gives each group one slot, at which its first rank multicasts
-// the group's slices. Empty slices are never sent, and a group whose
-// slices are all empty multicasts nothing.
-func gatherSlices(cc mpi.CollCtx, groups [][]int, slice func(r int) []byte) error {
+// gatherSlices is the chunked allreduce's allgather over groups (plan):
+// the lanes, the segments, or one rank each. It sends no scouts and no
+// release: leaving the reduce-scatter is itself the evidence that every
+// rank has entered and posted its descriptors (AllreduceMcastChunked).
+// First each group's slices climb tree(group) to its first rank, the
+// head (mpi.GatherTree): a lane up the Binomial tree over segment order
+// in log2 S steps, a segment in a star of segment-local unicasts, a
+// group of one not at all. Empty slices are neither sent nor awaited: a
+// group's slices grow in position order, which sliceBounds front-loads,
+// so the ones with bytes are a prefix of the group, and only that prefix
+// climbs. Then exchange gives each group one slot, at which its head
+// multicasts the group's slices — only when they are not all empty, so
+// its own slice, the group's first and largest, is non-empty, and it
+// heard from every rank, as the root of its walk or through the
+// halving's shared ranges. A lane's heads cost a rank F multicasts where
+// the leaders cost it S.
+func gatherSlices(cc mpi.CollCtx, groups [][]int, tree func(group []int) mpi.Tree, slice func(r int) []byte) error {
 	me := cc.Comm().Rank()
-	mine := groups[slices.IndexFunc(groups, func(g []int) bool { return slices.Contains(g, me) })]
-	if mine[0] != me {
-		if s := slice(me); len(s) > 0 {
-			cc.SpanBegin("slice-combine")
-			err := cc.Send(mine[0], phaseChunk, s, transport.ClassData, false)
-			cc.SpanEnd("slice-combine")
-			if err != nil {
-				return err
-			}
-		}
-	} else if len(mine) > 1 {
-		expect := 0
-		for _, r := range mine[1:] {
-			if len(slice(r)) > 0 {
-				expect++
-			}
-		}
-		cc.SpanBegin("slice-combine")
-		gate := me
-		for range expect {
-			m, err := cc.Recv(mpi.AnySource, phaseChunk)
-			if err != nil {
-				cc.SpanEnd("slice-combine")
-				return err
-			}
-			r := cc.SrcRank(m)
-			if !slices.Contains(mine[1:], r) || len(m.Payload) != len(slice(r)) {
-				cc.SpanEnd("slice-combine")
-				return fmt.Errorf("core: allreduce slice of %d bytes from %d, want one from a member of %v", len(m.Payload), r, mine)
-			}
-			copy(slice(r), m.Payload)
-			gate = r
-		}
-		cc.SpanEndGated("slice-combine", gate)
-	}
 	senders := make([]int, len(groups))
+	var sends []send
 	for k, g := range groups {
+		full := 0 // the ranks whose slices have bytes: a prefix of g
+		for full < len(g) && len(slice(g[full])) > 0 {
+			full++
+		}
 		senders[k] = -1
-		if groupBytes(g, slice) > 0 {
+		if full > 0 {
 			senders[k] = g[0]
 		}
-	}
-	var sends []send
-	if mine[0] == me {
-		parts := make([][]byte, len(mine))
-		for i, r := range mine {
-			parts[i] = slice(r)
+		if full > 1 && slices.Contains(g[:full], me) {
+			cc.SpanBegin("slice-combine")
+			err := mpi.GatherTree(cc, tree(g[:full]), phaseChunk, false, slice)
+			cc.SpanEnd("slice-combine")
+			if err != nil {
+				return err
+			}
 		}
-		sends = wholeSend(slices.Concat(parts...))()
+		if full > 0 && g[0] == me {
+			p := make([]byte, 0, groupBytes(g, slice))
+			for _, r := range g {
+				p = append(p, slice(r)...)
+			}
+			sends = wholeSend(p)()
+		}
 	}
 	return exchange(cc.Comm(), senders, sends, mpi.Whole, func(k int, p []byte) error {
 		g := groups[k]
 		if want := groupBytes(g, slice); len(p) != want {
 			return fmt.Errorf("core: allreduce slices from %d are %d bytes, want %d", g[0], len(p), want)
 		}
-		off := 0
 		for _, r := range g {
-			s := slice(r)
 			if r != me {
-				copy(s, p[off:])
+				copy(slice(r), p)
 			}
-			off += len(s)
+			p = p[len(slice(r)):]
 		}
 		return nil
 	})
@@ -982,9 +898,10 @@ func scatterWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions, t *
 // multicast release so senders cannot overrun the root: the release
 // proves the root has entered the gather, so a chunk cannot land in an
 // unbounded unexpected queue. The flat sets run it past the
-// point-to-point gather's ring bound (plan's releaseGated). Under
-// repair the release is a multicast that can be lost in flight
-// like any other: a listener's request is answered with the release's
+// point-to-point gather's ring bound (plan's releaseGated). The release
+// is the barrier's (barrierRound). Under repair it is a multicast that
+// can be lost in flight like any other: a listener's request is answered
+// as every round's sender answers one (repairSend), with the release's
 // own fragments under its original id, and the chunk a rank sends after
 // observing it doubles as its confirmation, so no separate
 // acknowledgment frames exist.
@@ -1002,10 +919,11 @@ func gatherWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) erro
 		return cc.Send(root, phaseChunk, send, transport.ClassData, false)
 	}
 	copy(recv[root*n:], send)
-	if err := cc.Multicast(mpi.Whole, nil, transport.ClassControl); err != nil {
+	rd := barrierRound()
+	sent, err := transmitRound(cc, &rd)
+	if err != nil {
 		return err
 	}
-	relID := cc.LastMulticastID()
 	got := make(map[int]bool, size-1)
 	for len(got) < size-1 {
 		m, err := cc.RecvPhases(phaseNack, phaseChunk)
@@ -1017,7 +935,7 @@ func gatherWith(c *mpi.Comm, send, recv []byte, root int, opt roundOptions) erro
 			continue // a NACK that raced its own repair; the chunk is here
 		}
 		if m.Class == transport.ClassNack {
-			if err := cc.MulticastRepair(mpi.Whole, nil, transport.ClassControl, relID, repairFrags(m.Payload, relID)); err != nil {
+			if err := repairSend(cc, sent, mpi.Whole, transport.ClassControl, m.Payload, r); err != nil {
 				return err
 			}
 			continue

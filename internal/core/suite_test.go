@@ -160,7 +160,9 @@ func TestSlicedScatterRegime(t *testing.T) {
 		{"linear", core.Algorithms(core.Linear), simnet.SwitchShared, 64, 2000, false},
 	} {
 		name := fmt.Sprintf("%s/%v/n=%d/%dB", cs.name, cs.topo, cs.n, cs.m)
-		nw, err := cluster.RunSim(cs.n, cs.topo, sharedProf(4), cs.algs, func(c *mpi.Comm) error {
+		prof := sharedProf(4)
+		prof.Trace = trace.NewRecorder()
+		nw, err := cluster.RunSim(cs.n, cs.topo, prof, cs.algs, func(c *mpi.Comm) error {
 			var send []byte
 			if c.Rank() == 0 {
 				send = make([]byte, cs.n*cs.m)
@@ -170,9 +172,12 @@ func TestSlicedScatterRegime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		scouts := int64(0)
+		scouts, plan := int64(0), core.PlanPointToPoint
 		if cs.sliced {
-			scouts = int64(cs.n - 1)
+			scouts, plan = int64(cs.n-1), core.PlanSlicedRound
+		}
+		if got := plannedSchedule(t, prof.Trace, cs.n); got != plan {
+			t.Errorf("%s: planned schedule %d, want %d", name, got, plan)
 		}
 		if got := nw.Wire.Frames(transport.ClassScout); got != scouts {
 			t.Errorf("%s: %d scout frames, want %d", name, got, scouts)

@@ -45,13 +45,13 @@ package core
 //	                   followed by S sequential leader rounds at every
 //	                   measured lossless point and at 1 % loss from N=32.
 //	gather:            from N=16 with a segment's chunks in one frame
-//	                   (plan): zero scout frames — two nested
-//	                   point-to-point gathers, the (N-S) member chunks
-//	                   to their leaders and S-1 aggregate blocks across
-//	                   the uplinks, ungated like the flat point-to-point
-//	                   gather while two gathers' messages fit the
-//	                   busiest receiver's ring. Elsewhere the flat
-//	                   gather.
+//	                   (plan): zero scout frames — one point-to-point
+//	                   gather up an mpi.Nested tree, the (N-S) member
+//	                   chunks to their leaders and S-1 aggregate blocks
+//	                   across the uplinks, ungated like the flat
+//	                   point-to-point gather while two gathers' messages
+//	                   fit the busiest receiver's ring. Elsewhere the
+//	                   flat gather.
 //	allreduce:         zero scout frames — the reduction data itself
 //	                   gates every hop (members combine at their leader,
 //	                   leaders combine in one mpi.ReduceWalks walk over
@@ -86,7 +86,9 @@ package core
 //	                   segment-local messages and log2 S or S-1 across
 //	                   the uplinks per rank, not N-1 — and gathers the reduced slices with zero
 //	                   scouts, gated by the reduce-scatter data like the
-//	                   allreduce above: S leader multicasts where a
+//	                   allreduce above: F lane-head multicasts after a
+//	                   binomial gather along each lane (plan's lane
+//	                   regime), else S leader multicasts where a
 //	                   segment's slices fit one frame, N beyond. On
 //	                   uneven segments it reduce-scatters in one level
 //	                   and gathers the same way.
@@ -121,7 +123,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/topo"
-	"repro/internal/transport"
 )
 
 // TwoLevelAlgorithms returns the topology-aware collective set
@@ -189,52 +190,48 @@ func segSends(t *topo.Map, buf []byte, n, sender, after int) func() []send {
 	}
 }
 
-// allreduceTwoLevel reduces in two levels — members combine at their
-// segment leader, leaders combine in one mpi.ReduceWalks region over
-// t.Leaders() (the binomial tree of the flat reduce over a smaller
-// group: one aggregate frame per segment across the uplinks) — then the
-// root leader multicasts the result once. No scout frames at all: the reduction data
-// itself gates every hop, and a rank posts its receive the instant its
-// contribution is sent. That holds at 0 bytes too: a lone region is
-// walked even when empty, so the root leader still hears from every
-// segment before its fan-out. The fan-out runs under opt's repair.
+// allreduceTwoLevel reduces in two levels — members hand their
+// contributions to their segment leader (an mpi.Star), which combines
+// them in member order, then leaders combine in one mpi.ReduceWalks
+// region over t.Leaders() (the binomial tree of the flat reduce over a
+// smaller group: one aggregate frame per segment across the uplinks) —
+// then the root leader multicasts the result once. No scout frames at
+// all: the reduction data itself gates every hop, and a rank posts its
+// receive the instant its contribution is sent. That holds at 0 bytes
+// too: the star sends its empty blocks and a lone region is walked even
+// when empty, so the root leader still hears from every segment before
+// its fan-out. The fan-out runs under opt's repair.
 func allreduceTwoLevel(c *mpi.Comm, t *topo.Map, send, recv []byte, dt mpi.Datatype, op mpi.Op, opt roundOptions) error {
-	me := c.Rank()
-	mySeg := t.SegmentOf(me)
-	members := t.Members(mySeg)
-	leader := t.Leader(mySeg)
+	me, n := c.Rank(), len(send)
+	members := t.Members(t.SegmentOf(me))
+	leader := members[0]
 
 	cc := c.BeginColl()
 	acc := append([]byte(nil), send...)
-	if me != leader {
-		if err := cc.Send(leader, phaseChunk, acc, transport.ClassData, false); err != nil {
-			return err
+	var parts []byte // the leader's copy of its members' contributions, in member order
+	if me == leader {
+		parts = make([]byte, n*len(members))
+	}
+	part := func(r int) []byte {
+		if r == me {
+			return acc
 		}
-	} else {
-		// Combine the segment's contributions in member-rank order, so
-		// a floating-point result does not depend on arrival order.
-		pending := make(map[int][]byte, len(members)-1)
-		for i := 0; i < len(members)-1; i++ {
-			m, err := cc.Recv(mpi.AnySource, phaseChunk)
-			if err != nil {
-				return err
-			}
-			pending[cc.SrcRank(m)] = m.Payload
-		}
-		for _, r := range members {
-			if r == me {
-				continue
-			}
-			p := pending[r]
-			if len(p) != len(acc) {
-				return fmt.Errorf("core: allreduce contribution from %d is %d bytes, want %d", r, len(p), len(acc))
-			}
-			if err := mpi.ReduceBytes(op, dt, acc, p); err != nil {
+		i := slices.Index(members, r)
+		return parts[i*n : (i+1)*n]
+	}
+	if err := mpi.GatherTree(cc, mpi.Star(leader, members), phaseChunk, false, part); err != nil {
+		return err
+	}
+	if me == leader {
+		// Combine in member order, so a floating-point result does not
+		// depend on arrival order.
+		for _, r := range members[1:] {
+			if err := mpi.ReduceBytes(op, dt, acc, part(r)); err != nil {
 				return err
 			}
 		}
 		// Leader tree: one walk over the leaders, toward segment 0's.
-		if err := mpi.ReduceWalks(cc, t.Leaders(), []int{0, len(acc)}, phaseBlock, false, acc, dt, op); err != nil {
+		if err := mpi.ReduceWalks(cc, t.Leaders(), []int{0, n}, phaseBlock, false, acc, dt, op); err != nil {
 			return err
 		}
 	}
@@ -248,58 +245,27 @@ func allreduceTwoLevel(c *mpi.Comm, t *topo.Map, send, recv []byte, dt mpi.Datat
 	return runRound(c, bcastRound(recv, root), roundOptions{gather: noGather, repair: opt.repair})
 }
 
-// gatherTwoLevel is two nested linear gathers over the bypass: every
-// member sends its chunk to its segment's leader (the root in its own),
-// and every other leader sends its segment's block of chunks, in member
-// order, to the root — only S-1 blocks cross the uplinks. Nothing is gated: as in the
-// flat set's point-to-point gather, the receive ring of the busiest
-// receiver absorbs two gathers' messages unposted (plan), and under
-// repair the stream carries the whole gather.
+// gatherTwoLevel is two nested linear gathers over the bypass, an
+// mpi.Nested tree: every member sends its chunk to its segment's leader
+// (the root in its own), and every other leader sends its segment's
+// block of chunks, in member order, to the root — only S-1 blocks cross
+// the uplinks. Nothing is gated: as in the flat set's point-to-point
+// gather, the receive ring of the busiest receiver absorbs two gathers'
+// messages unposted (plan), and under repair the stream carries the
+// whole gather.
 func gatherTwoLevel(c *mpi.Comm, t *topo.Map, send, recv []byte, root int) error {
 	n, me := len(send), c.Rank()
-	seg := t.SegmentOf(me)
-	members := t.Members(seg)
-	cc := c.BeginColl()
-	lead := t.Leader(seg)
-	if seg == t.SegmentOf(root) {
-		lead = root // the root leads its own segment, so its chunk pays no extra hop
+	members := t.Members(t.SegmentOf(me))
+	// The root collects into recv, in rank order; every other rank into a
+	// block of its segment's chunks, in member order, which a leader fills
+	// and sends on.
+	buf, at := recv, func(r int) int { return r }
+	if me != root {
+		buf, at = make([]byte, n*len(members)), func(r int) int { return slices.Index(members, r) }
 	}
-	if me != lead {
-		return cc.Send(lead, phaseChunk, send, transport.ClassData, false)
-	}
-	// The root collects into recv, hearing its segment's members and the
-	// other leaders; any other leader collects its members' chunks into
-	// its block, in member order.
-	buf, at, expect := recv, func(r int) int { return r }, len(members)-1
-	if me == root {
-		expect += t.Segments() - 1
-	} else {
-		buf = make([]byte, n*len(members))
-		at = func(r int) int { return slices.Index(members, r) }
-	}
-	copy(buf[at(me)*n:], send)
-	for range expect {
-		m, err := cc.Recv(mpi.AnySource, phaseChunk)
-		if err != nil {
-			return err
-		}
-		// A member's chunk, or another segment's block from its leader.
-		src := cc.SrcRank(m)
-		from := []int{src}
-		if s := t.SegmentOf(src); s != seg {
-			from = t.Members(s)
-		}
-		if len(m.Payload) != n*len(from) {
-			return fmt.Errorf("core: gather message from %d is %d bytes, want %d", src, len(m.Payload), n*len(from))
-		}
-		for i, r := range from {
-			copy(buf[at(r)*n:], m.Payload[i*n:(i+1)*n])
-		}
-	}
-	if me == root {
-		return nil
-	}
-	return cc.Send(root, phaseChunk, buf, transport.ClassData, false)
+	slot := func(r int) []byte { return buf[at(r)*n : (at(r)+1)*n] }
+	copy(slot(me), send)
+	return mpi.GatherTree(c.BeginColl(), mpi.Nested(root, t), phaseChunk, false, slot)
 }
 
 // alltoallTwoLevel runs the personalized exchange hierarchically, where

@@ -22,6 +22,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/topo"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -539,48 +540,57 @@ func TestTwoLevelAllgatherBeatsFlat(t *testing.T) {
 func TestTwoLevelRegimes(t *testing.T) {
 	classes := []transport.Class{transport.ClassScout, transport.ClassControl, transport.ClassData}
 	// counts are the scout, control and data frames and the messages
-	// delivered to the root, rank 0.
-	counts := func(algs mpi.Algorithms, n, size int, op workload.Op) [4]int64 {
-		nw, err := cluster.RunSim(n, simnet.SwitchShared, sharedProf(4), algs, func(c *mpi.Comm) error {
+	// delivered to the root, rank 0; plan is the schedule every rank
+	// named (plannedSchedule).
+	counts := func(algs mpi.Algorithms, n, size int, op workload.Op) (got [4]int64, plan int64) {
+		prof := sharedProf(4)
+		prof.Trace = trace.NewRecorder()
+		nw, err := cluster.RunSim(n, simnet.SwitchShared, prof, algs, func(c *mpi.Comm) error {
 			return workload.Make(c, op, size, 0)()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got [4]int64
 		for i, class := range classes {
 			got[i] = nw.Wire.Frames(class)
 		}
 		got[3] = nw.Endpoint(0).Delivered().Messages
-		return got
+		return got, plannedSchedule(t, prof.Trace, n)
 	}
 	for _, cs := range []struct {
 		op      workload.Op
 		n, size int
 		inside  bool
+		plan    int64 // the schedule the two-level set names
 	}{
-		{workload.OpScatter, 32, 100, true},
-		{workload.OpScatter, 33, 356, true}, // a singleton segment, a block of exactly one frame
-		{workload.OpScatter, 17, 356, false},
-		{workload.OpScatter, 32, 2000, false},
-		{workload.OpScatter, 32, 357, false},
-		{workload.OpScatter, 8, 100, false},
-		{workload.OpGather, 64, 100, true},
-		{workload.OpGather, 66, 300, true}, // uneven segments
-		{workload.OpGather, 32, 100, true},
-		{workload.OpGather, 18, 300, true},
-		{workload.OpGather, 16, 356, true}, // a block of exactly one frame
-		{workload.OpGather, 15, 100, false},
-		{workload.OpGather, 32, 357, false},
-		{workload.OpGather, 32, 2000, false},
-		{workload.OpGather, 8, 100, false},
-		{workload.OpBcast, 32, 100, false},
-		{workload.OpBarrier, 32, 0, false},
+		{workload.OpScatter, 32, 100, true, core.PlanSegmentRound},
+		{workload.OpScatter, 33, 356, true, core.PlanSegmentRound}, // a singleton segment, a block of exactly one frame
+		{workload.OpScatter, 17, 356, false, core.PlanPointToPoint},
+		{workload.OpScatter, 32, 2000, false, core.PlanPointToPoint},
+		{workload.OpScatter, 32, 357, false, core.PlanPointToPoint},
+		{workload.OpScatter, 8, 100, false, core.PlanPointToPoint},
+		{workload.OpGather, 64, 100, true, core.PlanNestedP2P},
+		{workload.OpGather, 66, 300, true, core.PlanNestedP2P}, // uneven segments
+		{workload.OpGather, 32, 100, true, core.PlanNestedP2P},
+		{workload.OpGather, 18, 300, true, core.PlanNestedP2P},
+		{workload.OpGather, 16, 356, true, core.PlanNestedP2P}, // a block of exactly one frame
+		{workload.OpGather, 15, 100, false, core.PlanPointToPoint},
+		{workload.OpGather, 32, 357, false, core.PlanPointToPoint},
+		{workload.OpGather, 32, 2000, false, core.PlanPointToPoint},
+		{workload.OpGather, 8, 100, false, core.PlanPointToPoint},
+		{workload.OpBcast, 32, 100, false, noPlan},
+		{workload.OpBarrier, 32, 0, false, noPlan},
 	} {
 		name := fmt.Sprintf("%s/n=%d/%dB", cs.op, cs.n, cs.size)
-		two := counts(core.TwoLevelAlgorithms(), cs.n, cs.size, cs.op)
-		flat := counts(core.Algorithms(core.Binary), cs.n, cs.size, cs.op)
+		two, twoPlan := counts(core.TwoLevelAlgorithms(), cs.n, cs.size, cs.op)
+		flat, flatPlan := counts(core.Algorithms(core.Binary), cs.n, cs.size, cs.op)
+		if twoPlan != cs.plan {
+			t.Errorf("%s: two-level planned schedule %d, want %d", name, twoPlan, cs.plan)
+		}
 		if !cs.inside {
+			if flatPlan != cs.plan {
+				t.Errorf("%s: flat planned schedule %d, want %d", name, flatPlan, cs.plan)
+			}
 			if two != flat {
 				t.Errorf("%s: two-level sent %v scout/control/data frames and root messages, flat %v; want the flat schedule", name, two, flat)
 			}
@@ -594,8 +604,8 @@ func TestTwoLevelRegimes(t *testing.T) {
 			if flat[3] != n-1 {
 				t.Errorf("%s: the flat gather's root heard %d messages, want N-1 = %d", name, flat[3], n-1)
 			}
-			if rep := counts(core.TwoLevelResilientAlgorithms(), cs.n, cs.size, cs.op); rep != two {
-				t.Errorf("%s: mcast-2level-resilient sent %v, mcast-2level %v; want the same gather", name, rep, two)
+			if rep, repPlan := counts(core.TwoLevelResilientAlgorithms(), cs.n, cs.size, cs.op); rep != two || repPlan != twoPlan {
+				t.Errorf("%s: mcast-2level-resilient sent %v and planned %d, mcast-2level %v and %d; want the same gather", name, rep, repPlan, two, twoPlan)
 			}
 		}
 		if two != want {
@@ -607,7 +617,32 @@ func TestTwoLevelRegimes(t *testing.T) {
 	}
 	// The scatter at N=64, 2,000 B: the flat set's sliced round, N-1
 	// slice multicasts of two frames.
-	if got := counts(core.TwoLevelAlgorithms(), 64, 2000, workload.OpScatter); [3]int64(got[:3]) != [3]int64{63, 0, 2 * 63} {
-		t.Errorf("scatter N=64 2,000 B: %v scout/control/data frames, want N-1 scouts and 2(N-1) = 126 data frames", got[:3])
+	if got, plan := counts(core.TwoLevelAlgorithms(), 64, 2000, workload.OpScatter); [3]int64(got[:3]) != [3]int64{63, 0, 2 * 63} || plan != core.PlanSlicedRound {
+		t.Errorf("scatter N=64 2,000 B: %v scout/control/data frames and schedule %d, want N-1 scouts, 2(N-1) = 126 data frames and the sliced round", got[:3], plan)
 	}
+}
+
+// noPlan is what plannedSchedule returns for an operation no rank
+// planned: the sets' bcast and barrier have one schedule.
+const noPlan = -1
+
+// plannedSchedule returns the schedule every rank of a traced run named
+// in its "plan" trace instant (core's plan), as TestPlanIsTraced reads
+// it, or noPlan where none did. Every rank must name the same one, once.
+func plannedSchedule(t *testing.T, rec *trace.Recorder, n int) int64 {
+	t.Helper()
+	plan, ranks := int64(noPlan), map[int32]bool{}
+	for _, e := range rec.Events() {
+		if e.Kind != trace.Instant || e.Name != "plan" {
+			continue
+		}
+		if ranks[e.Rank] || len(ranks) > 0 && e.Arg != plan {
+			t.Errorf("rank %d planned %d after %d plan instants naming %d", e.Rank, e.Arg, len(ranks), plan)
+		}
+		ranks[e.Rank], plan = true, e.Arg
+	}
+	if len(ranks) != 0 && len(ranks) != n {
+		t.Errorf("%d of %d ranks recorded a plan", len(ranks), n)
+	}
+	return plan
 }

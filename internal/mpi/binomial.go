@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/topo"
 	"repro/internal/transport"
 )
 
 // Binomial places relative position rel in the low-bit-first binomial
 // tree over positions 0..span-1, the one tree every walk in the
 // repository runs (the paper's Fig. 2 broadcast and Fig. 3 scout gather,
-// and every reduction, which ReduceWalks runs in reverse): parent is rel
+// every reduction, which ReduceWalks runs in reverse, and the lane gather
+// of BinomialTree): parent is rel
 // with its lowest set bit cleared (-1 at the root, rel 0), and the
 // children are rel+mask for every power of two mask below that bit with
 // rel+mask < span. It is pure and allocation-free; callers map positions
@@ -212,4 +214,147 @@ func ReduceHalving(cc CollCtx, group, offs []int, phase int, reliable bool, buf 
 		lo = keep
 	}
 	return nil
+}
+
+// Tree is the shape of a gather (GatherTree): which ranks take part,
+// the rank each of them sends its subtree's block to, and so the order a
+// subtree's blocks are laid out in — pre-order: a rank's own slot, then
+// each child's subtree in turn. Star, BinomialTree and Nested build one.
+type Tree struct {
+	root     int
+	group    []int     // Star and BinomialTree: the tree's ranks (a Star's nil: every rank)
+	segs     *topo.Map // Nested: the segments
+	binomial bool
+}
+
+// Star is the tree in which every rank of group sends its block straight
+// to root, a rank of group; a nil group is every rank of the
+// communicator. It is the linear gather (MPICH's, and a segment's
+// members handing their blocks to its leader).
+func Star(root int, group []int) Tree { return Tree{root: root, group: group} }
+
+// BinomialTree is the Binomial tree over the positions of group, rooted
+// at group[0] (group must not be empty): the subtree of position s is
+// positions s to s+lowbit(s)-1, so a rank's block is a contiguous run of
+// the group — Träff's gather along one lane.
+func BinomialTree(group []int) Tree { return Tree{root: group[0], group: group, binomial: true} }
+
+// Nested is the two-level tree over t's segments of Karonis et al.:
+// every rank sends its block to its segment's leader, and every leader
+// its segment's block, in member order, to root — which leads its own
+// segment, so its segment's members send to it directly.
+func Nested(root int, t *topo.Map) Tree { return Tree{root: root, segs: t} }
+
+// parent returns the rank r, a rank of the communicator, sends its
+// subtree's block to: -1 at the root, -2 outside the tree.
+func (t Tree) parent(r int) int {
+	pos := slices.Index(t.group, r)
+	switch {
+	case r == t.root:
+		return -1
+	case t.segs != nil:
+		if lead := t.lead(r); lead != r {
+			return lead
+		}
+		return t.root
+	case t.binomial && pos > 0:
+		p, _ := Binomial(pos, len(t.group))
+		return t.group[p]
+	case !t.binomial && (pos >= 0 || t.group == nil):
+		return t.root
+	}
+	return -2
+}
+
+// lead is the rank r's segment of a Nested tree gathers at: its leader,
+// or root in root's own segment.
+func (t Tree) lead(r int) int {
+	if seg := t.segs.SegmentOf(r); seg != t.segs.SegmentOf(t.root) {
+		return t.segs.Leader(seg)
+	}
+	return t.root
+}
+
+// children calls visit with r's children in layout order: the Binomial
+// tree's in increasing-mask order, a star's and a nested tree's in rank
+// order.
+func (t Tree) children(r, size int, visit func(int)) {
+	if t.binomial {
+		_, kids := Binomial(slices.Index(t.group, r), len(t.group))
+		for c := range kids.All {
+			visit(t.group[c])
+		}
+		return
+	}
+	if r != t.root && (t.segs == nil || t.lead(r) != r) {
+		return // a leaf
+	}
+	for c := range size {
+		if t.parent(c) == r {
+			visit(c)
+		}
+	}
+}
+
+// subtree calls visit with the ranks of r's subtree in pre-order.
+func (t Tree) subtree(r, size int, visit func(int)) {
+	visit(r)
+	t.children(r, size, func(c int) { t.subtree(c, size, visit) })
+}
+
+// GatherTree runs this rank's part of every gather in the repository
+// that climbs a tree toward one rank: package baseline's linear gather
+// (Star), core's two-level gather (Nested), the two-level allreduce's
+// member combine (Star) and the chunked allreduce's slice gathers (Star
+// or BinomialTree). slot(r) is rank r's byte range in this rank's
+// buffer, for every rank of this rank's subtree. The rank receives one
+// block from each of its children, from whichever child is first, on
+// phase phase, and copies each into the slots of the child's subtree in
+// pre-order; once all are in, it sends its own subtree's slots, in
+// pre-order, to its parent as one block: a leaf's slot as it lies, an
+// interior rank's slots copied end to end. Every edge carries one
+// message, an empty one too: a zero-byte gather still sends each parent
+// one, as MPICH's does (the M=0 frame counts pin it); a caller that
+// sends nothing for an empty slot builds its tree over the ranks with
+// bytes. The traffic class and reliable are ReduceWalks': ClassData,
+// with reliable true for MPICH's traffic and false on the UDP bypass.
+//
+// A rank outside the tree and a block from a rank that is not one of
+// this rank's children return an error wrapping ErrInvalidRank, and a
+// block of the wrong length one wrapping ErrBufferSize, before anything
+// more is received or sent.
+func GatherTree(cc CollCtx, tree Tree, phase int, reliable bool, slot func(rank int) []byte) error {
+	me, size := cc.Comm().Rank(), cc.Comm().Size()
+	parent := tree.parent(me)
+	if parent < -1 {
+		return fmt.Errorf("%w: gather at rank %d, which is not in its tree", ErrInvalidRank, me)
+	}
+	blocks := 0
+	tree.children(me, size, func(int) { blocks++ })
+	for range blocks {
+		m, err := cc.Recv(AnySource, phase)
+		if err != nil {
+			return err
+		}
+		src := cc.SrcRank(m)
+		if tree.parent(src) != me {
+			return fmt.Errorf("%w: gather block at rank %d from %d, which is not its child", ErrInvalidRank, me, src)
+		}
+		want := 0
+		tree.subtree(src, size, func(r int) { want += len(slot(r)) })
+		if len(m.Payload) != want {
+			return fmt.Errorf("%w: gather block from %d is %d bytes, want %d", ErrBufferSize, src, len(m.Payload), want)
+		}
+		p := m.Payload
+		tree.subtree(src, size, func(r int) { p = p[copy(slot(r), p):] })
+	}
+	if parent < 0 {
+		return nil
+	}
+	block := slot(me)
+	if blocks > 0 { // its children's slots follow its own
+		block = nil
+		tree.subtree(me, size, func(r int) { block = append(block, slot(r)...) })
+	}
+	return cc.Send(parent, phase, block, transport.ClassData, reliable)
 }

@@ -2,6 +2,7 @@ package mpi_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/topo"
 	"repro/internal/transport"
 )
 
@@ -256,5 +258,151 @@ func TestReduceHalvingRejects(t *testing.T) {
 	}
 	if sent.Load() != 0 {
 		t.Errorf("rejected calls sent %d messages", sent.Load())
+	}
+}
+
+// TestGatherTree runs the three gather trees — a star toward a middle
+// rank, the Binomial tree over a rotated group (whose subtrees' slots do
+// not lie end to end, so blocks are copies) and over rank order (where
+// they do), and the nested tree over segments of three toward the last
+// rank — at N ∈ {1, 2, 3, 5, 8, 13, 16}, with uneven slots, with every
+// third slot empty and with no bytes at all. The root must hold every
+// rank's slot, and every edge carries exactly one message, an empty one
+// where the subtree has no bytes (N-1 of them at M=0).
+func TestGatherTree(t *testing.T) {
+	const phase = 10
+	layouts := map[string]func(r int) int{ // bytes of rank r's slot
+		"uneven": func(r int) int { return (r*5+3)%7 + 1 },
+		"empty":  func(r int) int { return r % 3 * 4 },
+		"zero":   func(int) int { return 0 },
+	}
+	for _, n := range []int{1, 2, 3, 5, 8, 13, 16} {
+		rotated := make([]int, n)
+		for k := range rotated {
+			rotated[k] = (k + 2) % n
+		}
+		trees := []struct {
+			name string
+			tree mpi.Tree
+			root int
+		}{
+			{"star", mpi.Star(n/2, nil), n / 2},
+			{"binomial", mpi.BinomialTree(rotated), rotated[0]},
+			{"binomial-ordered", mpi.BinomialTree(rankOrder(n)), 0},
+			{"nested", mpi.Nested(n-1, topo.Uniform(n, 3)), n - 1},
+		}
+		for _, tc := range trees {
+			for lname, bytes := range layouts {
+				name := fmt.Sprintf("n=%d/%s/%s", n, tc.name, lname)
+				off := make([]int, n+1)
+				for r := range n {
+					off[r+1] = off[r] + bytes(r)
+				}
+				var sent, empty atomic.Int64
+				net := transport.NewMemNet(n)
+				eps := make([]transport.Endpoint, n)
+				for r := range eps {
+					eps[r] = countingEndpoint{net.Endpoint(r), phase, &sent, &empty}
+				}
+				err := runWithin(t, eps, func(c *mpi.Comm) error {
+					buf := make([]byte, off[n])
+					slot := func(r int) []byte { return buf[off[r]:off[r+1]] }
+					for i := range slot(c.Rank()) {
+						slot(c.Rank())[i] = byte(31*c.Rank() + i + 1)
+					}
+					if err := mpi.GatherTree(c.BeginColl(), tc.tree, phase, false, slot); err != nil || c.Rank() != tc.root {
+						return err
+					}
+					for r := range n {
+						for i, b := range slot(r) {
+							if b != byte(31*r+i+1) {
+								return fmt.Errorf("rank %d's slot byte %d is %d at the root, want %d", r, i, b, byte(31*r+i+1))
+							}
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if sent.Load() != int64(n-1) {
+					t.Errorf("%s: %d messages, want one per edge, N-1 = %d", name, sent.Load(), n-1)
+				}
+				if lname == "zero" && empty.Load() != int64(n-1) {
+					t.Errorf("%s: %d empty messages, want N-1 = %d", name, empty.Load(), n-1)
+				}
+			}
+		}
+	}
+}
+
+// rankOrder returns the ranks 0 … n-1 in order.
+func rankOrder(n int) []int {
+	ranks := make([]int, n)
+	for r := range ranks {
+		ranks[r] = r
+	}
+	return ranks
+}
+
+// TestGatherTreeRejects: a rank outside the tree, a block of the wrong
+// length and a block from a rank that is not the receiver's child each
+// return an error at the rank that calls GatherTree, wrapping
+// ErrInvalidRank or ErrBufferSize, at once: no world hangs, and that
+// rank sends nothing.
+func TestGatherTreeRejects(t *testing.T) {
+	slot := func(int) []byte { return make([]byte, 8) }
+	for _, tc := range []struct {
+		name  string
+		n     int
+		tree  mpi.Tree
+		from  int // the rank that sends rank 0 a block by hand, or -1
+		bytes int
+		want  error
+	}{
+		{"outside a star", 3, mpi.Star(1, []int{1, 2}), -1, 0, mpi.ErrInvalidRank},
+		{"outside a binomial tree", 3, mpi.BinomialTree([]int{1, 2}), -1, 0, mpi.ErrInvalidRank},
+		{"wrong size", 2, mpi.Star(0, nil), 1, 4, mpi.ErrBufferSize},
+		// Position 3 of the Binomial tree over 0..3 is position 2's child.
+		{"not a child", 4, mpi.BinomialTree(rankOrder(4)), 3, 8, mpi.ErrInvalidRank},
+	} {
+		var sent, empty atomic.Int64
+		net := transport.NewMemNet(tc.n)
+		eps := make([]transport.Endpoint, tc.n)
+		for r := range eps {
+			eps[r] = net.Endpoint(r)
+		}
+		eps[0] = countingEndpoint{eps[0], 0, &sent, &empty}
+		err := runWithin(t, eps, func(c *mpi.Comm) error {
+			cc := c.BeginColl()
+			switch c.Rank() {
+			case 0:
+				return mpi.GatherTree(cc, tc.tree, 0, false, slot)
+			case tc.from:
+				return cc.Send(0, 0, make([]byte, tc.bytes), transport.ClassData, false)
+			}
+			return nil
+		})
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want an error wrapping %v", tc.name, err, tc.want)
+		}
+		if sent.Load() != 0 {
+			t.Errorf("%s: the rejecting rank sent %d messages", tc.name, sent.Load())
+		}
+	}
+}
+
+// runWithin runs fn on a world over eps and fails the test, instead of
+// hanging it, when the world has not returned within 10 s.
+func runWithin(t *testing.T, eps []transport.Endpoint, fn func(c *mpi.Comm) error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- mpi.RunEndpoints(eps, mpi.Algorithms{}, fn) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gather hung")
+		return nil
 	}
 }

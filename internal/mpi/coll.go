@@ -82,20 +82,8 @@ func (cc CollCtx) Send(dst, phase int, payload []byte, class transport.Class, re
 // Recv blocks for a collective protocol message from communicator rank
 // src (or AnySource) in the given phase of this operation.
 func (cc CollCtx) Recv(src, phase int) (transport.Message, error) {
-	srcWorld := AnySource
-	if src != AnySource {
-		if src < 0 || src >= cc.c.Size() {
-			return transport.Message{}, fmt.Errorf("%w: collective recv from %d (size %d)", ErrInvalidRank, src, cc.c.Size())
-		}
-		srcWorld = cc.c.group[src]
-	}
-	want := collTagBase - int32(phase)
-	return cc.c.recvMatchFT(func(m *transport.Message) bool {
-		if m.Kind != transport.P2P || m.Comm != cc.c.ctx || m.Tag != want || m.Seq != cc.seq {
-			return false
-		}
-		return srcWorld == AnySource || m.Src == srcWorld
-	})
+	m, _, err := cc.RecvTimeout(src, phase, -1)
+	return m, err
 }
 
 // SrcRank translates the world rank in a received message to a
@@ -315,8 +303,9 @@ func (cc CollCtx) recvPhaseRange(lo, hi int) (transport.Message, int, error) {
 }
 
 // RecvTimeout is Recv with a timeout in nanoseconds on the device clock;
-// ok=false reports expiry.
-func (cc CollCtx) RecvTimeout(src, phase int, timeout int64) (transport.Message, bool, error) {
+// ok=false reports expiry. A negative timeout waits as Recv does, through
+// the failure detector's sweeps.
+func (cc CollCtx) RecvTimeout(src, phase int, timeout int64) (m transport.Message, ok bool, err error) {
 	srcWorld := AnySource
 	if src != AnySource {
 		if src < 0 || src >= cc.c.Size() {
@@ -325,12 +314,17 @@ func (cc CollCtx) RecvTimeout(src, phase int, timeout int64) (transport.Message,
 		srcWorld = cc.c.group[src]
 	}
 	want := collTagBase - int32(phase)
-	return cc.c.rt.recvMatchTimeout(func(m *transport.Message) bool {
+	pred := func(m *transport.Message) bool {
 		if m.Kind != transport.P2P || m.Comm != cc.c.ctx || m.Tag != want || m.Seq != cc.seq {
 			return false
 		}
 		return srcWorld == AnySource || m.Src == srcWorld
-	}, timeout)
+	}
+	if timeout >= 0 {
+		return cc.c.rt.recvMatchTimeout(pred, timeout)
+	}
+	m, err = cc.c.recvMatchFT(pred)
+	return m, err == nil, err
 }
 
 // RecvSpan blocks for the first message of a span of ops operations —
